@@ -83,9 +83,10 @@ pub struct DeviceConfig {
     /// Memory-registration cache (see [`crate::reg_cache`]). Shared by
     /// both backends; disable for the per-message-registration ablation.
     pub reg_cache: RegCacheConfig,
-    /// Recycled staging-buffer pool (see [`crate::buf_pool`]). Feeds
-    /// `WirePayload::Heap` staging on both backends and the LCI layer's
-    /// staging copies; disable for the allocate-per-message ablation.
+    /// Recycled staging-buffer pool (see [`crate::buf_pool`]). Feeds the
+    /// backends' wire staging (`WirePayload::Heap`, tcp frames) and the
+    /// LCI layer's remaining staging copies; disable for the
+    /// allocate-per-message ablation.
     pub buf_pool: BufPoolConfig,
     /// Whether the tcp backend gathers its whole per-peer send queue
     /// into one `writev` per readiness cycle (default) or issues one
@@ -228,6 +229,9 @@ pub trait NetDevice: Send + Sync {
     /// is staged immediately (the send buffer may be reused as soon as
     /// the `SendDone` completion is polled; in this simulation it may be
     /// reused on return, but portable callers must wait for the CQE).
+    /// `lci` relies on exactly that half of the contract: it posts eager
+    /// sends from the buffer the operation owns until `SendDone`, not
+    /// from a private restaged copy.
     fn post_send(
         &self,
         target: Rank,
@@ -343,9 +347,9 @@ pub trait NetDevice: Send + Sync {
     }
 
     /// The device's recycled staging-buffer pool, if it has one. The LCI
-    /// layer stages its own per-operation copies (eager staging,
-    /// coalesced frames, rendezvous scratch, bounce buffers) through it
-    /// so the whole data path shares one recycling domain.
+    /// layer stages its own per-operation copies (iovec gathers, parked
+    /// sends, coalesced frames, rendezvous scratch, bounce buffers)
+    /// through it so the whole data path shares one recycling domain.
     fn buf_pool(&self) -> Option<BufPool> {
         None
     }
@@ -460,33 +464,38 @@ impl NetContext {
     }
 }
 
-/// Copies a delivered wire message into a pre-posted receive buffer and
-/// builds the corresponding CQE. Shared by both backends (stands in for
-/// NIC DMA + CQE write).
+/// Copies payload bytes into a pre-posted receive buffer and builds the
+/// `RecvDone` CQE (stands in for NIC DMA + CQE write). The framed wires
+/// call it on bytes still in a ring slot; everything else reaches it
+/// through [`deliver_into`].
+pub(crate) fn deliver_bytes(
+    data: &[u8],
+    desc: &RecvBufDesc,
+    src_rank: Rank,
+    src_dev: DevId,
+    imm: u64,
+) -> NetResult<Cqe> {
+    if data.len() > desc.len {
+        return Err(crate::types::NetError::fatal(format!(
+            "receive buffer too small: {} < {}",
+            desc.len,
+            data.len()
+        )));
+    }
+    // SAFETY: the RecvBufDesc contract guarantees the region is valid
+    // for writes and unaliased while posted.
+    unsafe {
+        std::ptr::copy_nonoverlapping(data.as_ptr(), desc.ptr, data.len());
+    }
+    Ok(Cqe { kind: CqeKind::RecvDone, ctx: desc.ctx, imm, len: data.len(), src_rank, src_dev })
+}
+
+/// Delivers a wire message into a pre-posted receive buffer and builds
+/// the corresponding CQE. Shared by every backend.
 pub(crate) fn deliver_into(msg: &WireMsg, desc: &RecvBufDesc) -> NetResult<Cqe> {
     match msg.kind {
         WireMsgKind::Send => {
-            let data = msg.payload.as_slice();
-            if data.len() > desc.len {
-                return Err(crate::types::NetError::fatal(format!(
-                    "receive buffer too small: {} < {}",
-                    desc.len,
-                    data.len()
-                )));
-            }
-            // SAFETY: the RecvBufDesc contract guarantees the region is
-            // valid for writes and unaliased while posted.
-            unsafe {
-                std::ptr::copy_nonoverlapping(data.as_ptr(), desc.ptr, data.len());
-            }
-            Ok(Cqe {
-                kind: CqeKind::RecvDone,
-                ctx: desc.ctx,
-                imm: msg.imm,
-                len: data.len(),
-                src_rank: msg.src_rank,
-                src_dev: msg.src_dev,
-            })
+            deliver_bytes(msg.payload.as_slice(), desc, msg.src_rank, msg.src_dev, msg.imm)
         }
         WireMsgKind::WriteImm => Ok(Cqe {
             kind: CqeKind::WriteImmRecv,

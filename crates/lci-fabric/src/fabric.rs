@@ -47,10 +47,19 @@ impl RxEndpoint {
 
     /// Pushes a message toward the owning device.
     pub fn push(&self, msg: WireMsg) -> NetResult<()> {
+        self.try_push(msg).map_err(|(e, _)| e)
+    }
+
+    /// [`push`](Self::push) that hands the message back on failure, so a
+    /// caller that parks it keeps the staged payload.
+    // The large `Err` is the point: it is the rejected message itself,
+    // as with `ArrayQueue::push`.
+    #[allow(clippy::result_large_err)]
+    pub fn try_push(&self, msg: WireMsg) -> Result<(), (NetError, WireMsg)> {
         if self.closed.load(Ordering::Acquire) {
-            return Err(NetError::fatal("target device closed"));
+            return Err((NetError::fatal("target device closed"), msg));
         }
-        self.ring.push(msg).map_err(|_| NetError::Retry(RetryReason::RxFull))?;
+        self.ring.push(msg).map_err(|msg| (NetError::Retry(RetryReason::RxFull), msg))?;
         if let Some(bell) = &self.bell {
             bell.ring();
         }

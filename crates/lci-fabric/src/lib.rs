@@ -54,6 +54,7 @@ pub mod backend;
 pub mod bootstrap;
 pub mod buf_pool;
 pub mod fabric;
+mod framed;
 pub mod mem;
 pub mod reg_cache;
 pub mod shm;

@@ -6,20 +6,23 @@
 //! Posting encodes a frame into the outbound rank-pair channel under
 //! the QP lock (which doubles as the ring's single-producer guarantee,
 //! together with the rank-level producer lock shared by sibling
-//! devices). Polling first **drains** inbound channels — routing each
-//! frame by `dst_dev` into the right local device's RX endpoint or
-//! applying it to registered memory — then consumes the RX endpoint
-//! against pre-posted receives exactly like the simulated backends, so
-//! the desc-first FIFO/RNR discipline is preserved unchanged.
+//! devices). Polling first **drains** inbound channels: a send frame for
+//! the polling device lands straight in its next pre-posted receive
+//! ([`DevShared::deliver_send`]), any other send is routed by `dst_dev`
+//! into the right local device's RX endpoint, and RMA frames are applied
+//! to registered memory. The poll then consumes the RX endpoint against
+//! pre-posted receives exactly like the simulated backends, so the
+//! desc-first FIFO/RNR discipline is preserved unchanged.
 
 use super::ring::{
     FrameHeader, ProduceError, FLAG_HAS_IMM, KIND_READ_REQ, KIND_READ_RESP, KIND_SEND, KIND_WRITE,
 };
 use super::segment::{PEER_ABSENT, PEER_ATTACHED};
 use super::{PendingRead, ShmFabric, ShmRankState};
-use crate::backend::{deliver_into, DeviceConfig, NetDevice, SendDesc, TdStrategy, TransportStats};
+use crate::backend::{DeviceConfig, NetDevice, SendDesc, TdStrategy, TransportStats};
 use crate::buf_pool::{BufPool, BufPoolStats};
 use crate::fabric::{Fabric, RxEndpoint};
+use crate::framed::DevShared;
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCache, RegCacheStats};
 use crate::sync::{Doorbell, LockDiscipline, SpinLock};
@@ -27,66 +30,13 @@ use crate::types::{
     Cqe, CqeKind, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsg, WireMsgKind,
     WirePayload,
 };
-use crossbeam::queue::ArrayQueue;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Bookkeeping behind a QP lock, as in the ibv backend.
 #[derive(Default)]
 struct QpState {
     posted: u64,
-}
-
-/// The completion-side of a device, shared with the rank state so the
-/// channel drain (which may run on a *sibling* device's poll) can stage
-/// `ReadDone` CQEs and ring the doorbell of the posting device.
-pub(crate) struct DevShared {
-    dev_id: DevId,
-    cq_staging: ArrayQueue<Cqe>,
-    cq: SpinLock<VecDeque<Cqe>>,
-    bell: Arc<Doorbell>,
-}
-
-impl DevShared {
-    /// Builds the shared completion state for a device. Also used by the
-    /// tcp backend, whose devices carry the identical CQ structure.
-    pub(crate) fn new(dev_id: DevId, staging_cap: usize, bell: Arc<Doorbell>) -> DevShared {
-        DevShared {
-            dev_id,
-            cq_staging: ArrayQueue::new(staging_cap),
-            cq: SpinLock::new(VecDeque::new()),
-            bell,
-        }
-    }
-
-    pub(crate) fn dev_id(&self) -> DevId {
-        self.dev_id
-    }
-
-    /// The lock-free staging ring (tcp backend access).
-    pub(crate) fn staging(&self) -> &ArrayQueue<Cqe> {
-        &self.cq_staging
-    }
-
-    /// The polled CQ (tcp backend access).
-    pub(crate) fn polled_cq(&self) -> &SpinLock<VecDeque<Cqe>> {
-        &self.cq
-    }
-
-    pub(crate) fn bell(&self) -> &Arc<Doorbell> {
-        &self.bell
-    }
-
-    /// Same overflow contract as the ibv backend's `stage_cqe`: staging
-    /// ring first, polled CQ as spillover, never dropped; ring the bell
-    /// either way.
-    pub(crate) fn stage_cqe(&self, cqe: Cqe) {
-        if let Err(cqe) = self.cq_staging.push(cqe) {
-            self.cq.lock().push_back(cqe);
-        }
-        self.bell.ring();
-    }
 }
 
 /// Outcome of routing one inbound frame.
@@ -106,14 +56,11 @@ pub struct ShmDevice {
     rank: Rank,
     dev_id: DevId,
     cfg: DeviceConfig,
-    rx: Arc<RxEndpoint>,
     qps: Vec<Arc<SpinLock<QpState>>>,
     qp_discipline: LockDiscipline,
     shared: Arc<DevShared>,
-    srq: SpinLock<VecDeque<RecvBufDesc>>,
     reg_cache: RegCache,
     buf_pool: BufPool,
-    posted_recvs: AtomicUsize,
 }
 
 impl ShmDevice {
@@ -144,12 +91,7 @@ impl ShmDevice {
                 ((0..nranks).map(|_| shared.clone()).collect(), LockDiscipline::Blocking)
             }
         };
-        let shared = Arc::new(DevShared {
-            dev_id,
-            cq_staging: ArrayQueue::new((cfg.rx_capacity * 2).max(256)),
-            cq: SpinLock::new(VecDeque::new()),
-            bell,
-        });
+        let shared = Arc::new(DevShared::new(dev_id, rx, bell, &cfg));
         state.register_dev(shared.clone());
         Self {
             fabric,
@@ -158,14 +100,11 @@ impl ShmDevice {
             rank,
             dev_id,
             cfg,
-            rx,
             qps,
             qp_discipline,
             shared,
-            srq: SpinLock::new(VecDeque::new()),
             reg_cache: RegCache::new(cfg.reg_cache),
             buf_pool: BufPool::new(cfg.buf_pool),
-            posted_recvs: AtomicUsize::new(0),
         }
     }
 
@@ -257,6 +196,14 @@ impl ShmDevice {
         let h = &frame.header;
         match h.kind {
             KIND_SEND => {
+                // Ours, nothing queued ahead of it and a receive posted:
+                // ring slot → posted buffer, no restaging. Anything else
+                // (a sibling's frame, RNR) goes through the RX endpoint.
+                if h.dst_dev as DevId == self.dev_id
+                    && self.shared.deliver_send(src, h, frame.payload())?
+                {
+                    return Ok(Routed::Done);
+                }
                 let ep = match self.fabric.endpoint(self.rank, h.dst_dev as DevId) {
                     Ok(ep) => ep,
                     // Target device not created yet: park, strict FIFO.
@@ -359,32 +306,6 @@ impl ShmDevice {
             k => Err(NetError::fatal(format!("unknown shm frame kind {k}"))),
         }
     }
-
-    /// Identical to the ibv backend: desc-first so the RX ring stays
-    /// strictly FIFO under RNR.
-    fn deliver_inbound(&self, cq: &mut VecDeque<Cqe>, budget: usize) -> NetResult<()> {
-        for _ in 0..budget {
-            let desc = {
-                let Some(mut srq) = self.cfg.discipline.acquire(&self.srq) else { break };
-                match srq.pop_front() {
-                    Some(d) => d,
-                    None => break,
-                }
-            };
-            let Some(msg) = self.rx.pop() else {
-                if let Some(mut srq) = self.cfg.discipline.acquire(&self.srq) {
-                    srq.push_front(desc);
-                } else {
-                    self.srq.lock().push_back(desc);
-                }
-                break;
-            };
-            self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
-            let cqe = deliver_into(&msg, &desc)?;
-            cq.push_back(cqe);
-        }
-        Ok(())
-    }
 }
 
 impl NetDevice for ShmDevice {
@@ -409,7 +330,7 @@ impl NetDevice for ShmDevice {
         ctx: u64,
     ) -> NetResult<()> {
         self.ready(target, target_dev)?;
-        if self.shared.cq_staging.is_full() {
+        if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
         let mut qp = self.lock_qp(target)?;
@@ -440,7 +361,7 @@ impl NetDevice for ShmDevice {
         msgs: &[SendDesc<'_>],
     ) -> NetResult<usize> {
         self.ready(target, target_dev)?;
-        if self.shared.cq_staging.is_full() {
+        if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
         // One QP + producer lock acquisition covers the whole batch.
@@ -479,47 +400,24 @@ impl NetDevice for ShmDevice {
     }
 
     fn post_recv(&self, desc: RecvBufDesc) -> NetResult<()> {
-        let mut srq =
-            self.cfg.discipline.acquire(&self.srq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        srq.push_back(desc);
-        self.posted_recvs.fetch_add(1, Ordering::AcqRel);
-        drop(srq);
-        if self.rx.occupancy() > 0 || self.state.inbound_occupancy() > 0 {
-            self.shared.bell.ring();
-        }
-        Ok(())
+        self.post_recv_batch(&[desc]).map(|_| ())
     }
 
     fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
-        let mut srq =
-            self.cfg.discipline.acquire(&self.srq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        srq.extend(descs.iter().copied());
-        self.posted_recvs.fetch_add(descs.len(), Ordering::AcqRel);
-        drop(srq);
-        if !descs.is_empty() && (self.rx.occupancy() > 0 || self.state.inbound_occupancy() > 0) {
-            self.shared.bell.ring();
+        let n = self.shared.post_recvs(descs)?;
+        if n > 0 && (self.shared.rx_occupancy() > 0 || self.state.inbound_occupancy() > 0) {
+            self.shared.bell().ring();
         }
-        Ok(descs.len())
+        Ok(n)
     }
 
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
         let budget = max.max(self.cfg.cq_drain_batch);
-        // Drain the shared channels *before* taking our CQ lock: the
-        // router may stage CQEs (ReadDone) onto this very device, and
-        // `stage_cqe`'s overflow path locks the polled CQ.
+        // Drain the shared channels *before* the poll takes our CQ lock:
+        // the router stages CQEs (RecvDone, ReadDone) onto this very
+        // device, and `stage_cqe`'s overflow path locks the polled CQ.
         self.drain_channels(budget)?;
-        let mut cq = self
-            .cfg
-            .discipline
-            .acquire(&self.shared.cq)
-            .ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        while let Some(cqe) = self.shared.cq_staging.pop() {
-            cq.push_back(cqe);
-        }
-        self.deliver_inbound(&mut cq, budget)?;
-        let n = max.min(cq.len());
-        out.extend(cq.drain(..n));
-        Ok(n)
+        self.shared.poll(out, max, budget)
     }
 
     fn post_write(
@@ -634,17 +532,17 @@ impl NetDevice for ShmDevice {
     }
 
     fn posted_recvs(&self) -> usize {
-        self.posted_recvs.load(Ordering::Acquire)
+        self.shared.posted_recvs()
     }
 
     fn doorbell(&self) -> Option<Arc<Doorbell>> {
-        Some(self.shared.bell.clone())
+        Some(self.shared.bell().clone())
     }
 
     fn inbound_pending(&self) -> usize {
         // Undrained channel frames count too: a parked progress engine
         // must not sleep while frames wait in the shared rings.
-        self.rx.occupancy() + self.state.inbound_occupancy()
+        self.shared.rx_occupancy() + self.state.inbound_occupancy()
     }
 
     fn transport_stats(&self) -> TransportStats {
@@ -656,17 +554,10 @@ impl NetDevice for ShmDevice {
     }
 
     fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>) {
-        self.rx.close();
-        let mut cqes = Vec::new();
-        while let Some(c) = self.shared.cq_staging.pop() {
-            cqes.push(c);
-        }
-        cqes.extend(self.shared.cq.lock().drain(..));
-        let mut descs: Vec<RecvBufDesc> = self.srq.lock().drain(..).collect();
+        let (cqes, mut descs) = self.shared.teardown();
         // Reads this device posted that will never complete hand their
         // landing buffers back too.
         descs.extend(self.state.reads().lock().drain_dev(self.dev_id).into_iter().map(|p| p.desc));
-        self.posted_recvs.store(0, Ordering::Release);
         (cqes, descs)
     }
 }

@@ -5,9 +5,10 @@
 //! Traffic travels through one directed SPSC [`ring`] channel per rank
 //! pair inside a [`segment`] mapped by every participating process.
 //! Frames carry `(src_dev, dst_dev)` so any number of devices per rank
-//! share the rank-pair channel; the consuming rank routes each frame to
-//! the right device's RX endpoint at drain time, preserving the strict
-//! FIFO / RNR discipline of the simulated wire.
+//! share the rank-pair channel; the consuming rank routes each frame at
+//! drain time — into the draining device's next posted receive, or to
+//! the right device's RX endpoint — preserving the strict FIFO / RNR
+//! discipline of the simulated wire.
 //!
 //! Two modes share all of this code:
 //!
@@ -28,9 +29,9 @@ pub(crate) mod device;
 pub use device::ShmDevice;
 pub use segment::{geometry_from_env, ShmSegment, ALLGATHER_MAX};
 
+use crate::framed::DevShared;
 use crate::sync::SpinLock;
 use crate::types::{DevId, RecvBufDesc};
-use device::DevShared;
 use ring::Channel;
 use segment::PEER_EXITED;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

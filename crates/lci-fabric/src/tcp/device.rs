@@ -12,13 +12,13 @@
 //! desc-first FIFO/RNR discipline as the shm drain.
 
 use super::stream::{self, MAX_FRAME_PAYLOAD};
-use super::{Conn, ConnIo, TcpFabric, TcpRankState};
-use crate::backend::{deliver_into, DeviceConfig, NetDevice, SendDesc, TdStrategy, TransportStats};
+use super::{Conn, ConnIo, InFrame, TcpFabric, TcpRankState};
+use crate::backend::{DeviceConfig, NetDevice, SendDesc, TdStrategy, TransportStats};
 use crate::buf_pool::{BufPool, BufPoolStats};
 use crate::fabric::{Fabric, RxEndpoint};
+use crate::framed::DevShared;
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCache, RegCacheStats};
-use crate::shm::device::DevShared;
 use crate::shm::ring::{
     FrameHeader, FLAG_HAS_IMM, KIND_READ_REQ, KIND_READ_RESP, KIND_SEND, KIND_WRITE,
 };
@@ -28,8 +28,7 @@ use crate::types::{
     Cqe, CqeKind, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsg, WireMsgKind,
     WirePayload,
 };
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Bookkeeping behind a QP lock, as in the ibv backend.
@@ -41,7 +40,8 @@ struct QpState {
 /// Outcome of routing one inbound frame (same discipline as shm).
 enum Routed {
     Done,
-    Parked,
+    /// Not applicable yet: the frame goes back to the inbox front.
+    Parked(InFrame),
 }
 
 /// The TCP device.
@@ -52,14 +52,11 @@ pub struct TcpDevice {
     rank: Rank,
     dev_id: DevId,
     cfg: DeviceConfig,
-    rx: Arc<RxEndpoint>,
     qps: Vec<Arc<SpinLock<QpState>>>,
     qp_discipline: LockDiscipline,
     shared: Arc<DevShared>,
-    srq: SpinLock<VecDeque<RecvBufDesc>>,
     reg_cache: RegCache,
     buf_pool: BufPool,
-    posted_recvs: AtomicUsize,
     /// The writev-batching knob: `false` is the one-write-per-frame
     /// ablation.
     batched: bool,
@@ -93,7 +90,7 @@ impl TcpDevice {
                 ((0..nranks).map(|_| shared.clone()).collect(), LockDiscipline::Blocking)
             }
         };
-        let shared = Arc::new(DevShared::new(dev_id, (cfg.rx_capacity * 2).max(256), bell));
+        let shared = Arc::new(DevShared::new(dev_id, rx, bell, &cfg));
         state.register_dev(shared.clone());
         // The bridge's backstop flush follows the same gather/no-gather
         // mode as this rank's devices (ablation runs set it uniformly).
@@ -105,14 +102,11 @@ impl TcpDevice {
             rank,
             dev_id,
             cfg,
-            rx,
             qps,
             qp_discipline,
             shared,
-            srq: SpinLock::new(VecDeque::new()),
             reg_cache: RegCache::new(cfg.reg_cache),
             buf_pool: BufPool::new(cfg.buf_pool),
-            posted_recvs: AtomicUsize::new(0),
             batched: cfg.tcp_batch,
         }
     }
@@ -192,14 +186,13 @@ impl TcpDevice {
             }
             let mut done = 0;
             while done < budget {
-                let Some(front) = rg.inbox.front() else { break };
-                let header = front.header;
-                match self.route_frame(peer, &header, &front.payload)? {
-                    Routed::Done => {
-                        rg.inbox.pop_front();
-                        done += 1;
+                let Some(frame) = rg.inbox.pop_front() else { break };
+                match self.route_frame(peer, frame)? {
+                    Routed::Done => done += 1,
+                    Routed::Parked(frame) => {
+                        rg.inbox.push_front(frame);
+                        break;
                     }
-                    Routed::Parked => break,
                 }
             }
             conn.recv_pending.store(
@@ -214,43 +207,51 @@ impl TcpDevice {
     /// Applies one reassembled frame on the consuming side. Identical
     /// routing to the shm drain; rkeys are validated here, in the
     /// process that owns the registration table.
-    fn route_frame(&self, src: Rank, h: &FrameHeader, payload: &[u8]) -> NetResult<Routed> {
+    fn route_frame(&self, src: Rank, frame: InFrame) -> NetResult<Routed> {
+        let h = frame.header;
         match h.kind {
             KIND_SEND => {
                 let ep = match self.fabric.endpoint(self.rank, h.dst_dev as DevId) {
                     Ok(ep) => ep,
                     // Target device not created yet: park, strict FIFO.
-                    Err(NetError::Retry(_)) => return Ok(Routed::Parked),
+                    Err(NetError::Retry(_)) => return Ok(Routed::Parked(frame)),
                     Err(e) => return Err(e),
                 };
+                // The decoder already staged the payload in a pooled
+                // buffer: the wire message takes that buffer over.
                 let msg = WireMsg {
                     src_rank: src,
                     src_dev: h.src_dev as DevId,
                     imm: h.imm,
                     kind: WireMsgKind::Send,
-                    payload: self.buf_pool.stage(payload),
+                    payload: WirePayload::Heap(frame.payload),
                 };
-                match ep.push(msg) {
+                match ep.try_push(msg) {
                     Ok(()) => Ok(Routed::Done),
-                    Err(NetError::Retry(_)) => Ok(Routed::Parked),
+                    Err((NetError::Retry(_), msg)) => {
+                        let WirePayload::Heap(payload) = msg.payload else {
+                            unreachable!("built as Heap above")
+                        };
+                        Ok(Routed::Parked(InFrame { header: h, payload }))
+                    }
                     // Endpoint closed (device torn down): drop the
                     // frame, as teardown drops parked wire messages.
-                    Err(NetError::Fatal(_)) => Ok(Routed::Done),
+                    Err((NetError::Fatal(_), _)) => Ok(Routed::Done),
                 }
             }
             KIND_WRITE => {
-                let len = payload.len();
+                let len = frame.payload.len();
                 let base = self.fabric.mem().validate(Rkey(h.a as u32), h.b as usize, len)?;
                 // SAFETY: `validate` bounds-checked against a live local
                 // registration; the payload is contiguous decoder bytes.
                 unsafe {
-                    std::ptr::copy_nonoverlapping(payload.as_ptr(), base as *mut u8, len);
+                    std::ptr::copy_nonoverlapping(frame.payload.as_ptr(), base as *mut u8, len);
                 }
                 if h.flags & FLAG_HAS_IMM != 0 {
                     let ep = match self.fabric.endpoint(self.rank, h.dst_dev as DevId) {
                         Ok(ep) => ep,
                         // The copy above is idempotent: park and redo.
-                        Err(NetError::Retry(_)) => return Ok(Routed::Parked),
+                        Err(NetError::Retry(_)) => return Ok(Routed::Parked(frame)),
                         Err(e) => return Err(e),
                     };
                     let msg = WireMsg {
@@ -262,7 +263,7 @@ impl TcpDevice {
                     };
                     match ep.push(msg) {
                         Ok(()) => {}
-                        Err(NetError::Retry(_)) => return Ok(Routed::Parked),
+                        Err(NetError::Retry(_)) => return Ok(Routed::Parked(frame)),
                         Err(NetError::Fatal(_)) => {}
                     }
                 }
@@ -275,7 +276,7 @@ impl TcpDevice {
                 // shared with local posters, so try-lock only.
                 let conn = self.conn(src)?;
                 let Some(mut sg) = conn.send.try_lock() else {
-                    return Ok(Routed::Parked);
+                    return Ok(Routed::Parked(frame));
                 };
                 let resp = FrameHeader {
                     kind: KIND_READ_RESP,
@@ -290,11 +291,11 @@ impl TcpDevice {
                 // SAFETY: validated registered bytes, alive for the
                 // duration of the registration.
                 let resp_payload = unsafe { std::slice::from_raw_parts(base as *const u8, len) };
-                let frame = stream::encode_frame(&self.buf_pool, &resp, &[resp_payload])
+                let resp_frame = stream::encode_frame(&self.buf_pool, &resp, &[resp_payload])
                     .ok_or_else(Self::too_large)?;
-                match conn.enqueue_locked(&mut sg, frame) {
+                match conn.enqueue_locked(&mut sg, resp_frame) {
                     Ok(()) => Ok(Routed::Done),
-                    Err(NetError::Retry(_)) => Ok(Routed::Parked),
+                    Err(NetError::Retry(_)) => Ok(Routed::Parked(frame)),
                     // Requester died: nobody is waiting for the bytes.
                     Err(NetError::Fatal(_)) => Ok(Routed::Done),
                 }
@@ -304,11 +305,11 @@ impl TcpDevice {
                 let Some(PendingRead { desc, dev }) = pending else {
                     return Err(NetError::fatal(format!("unknown tcp read response id {}", h.c)));
                 };
-                let n = payload.len().min(desc.len);
+                let n = frame.payload.len().min(desc.len);
                 // SAFETY: the descriptor contract keeps `ptr..len` valid
                 // until the ReadDone completion we are about to stage.
                 unsafe {
-                    std::ptr::copy_nonoverlapping(payload.as_ptr(), desc.ptr, n);
+                    std::ptr::copy_nonoverlapping(frame.payload.as_ptr(), desc.ptr, n);
                 }
                 if let Some(d) = self.state.dev_by_id(dev) {
                     let mut cqe = Cqe::local(CqeKind::ReadDone, desc.ctx);
@@ -319,32 +320,6 @@ impl TcpDevice {
             }
             k => Err(NetError::fatal(format!("unknown tcp frame kind {k}"))),
         }
-    }
-
-    /// Identical to the ibv backend: desc-first so the RX ring stays
-    /// strictly FIFO under RNR.
-    fn deliver_inbound(&self, cq: &mut VecDeque<Cqe>, budget: usize) -> NetResult<()> {
-        for _ in 0..budget {
-            let desc = {
-                let Some(mut srq) = self.cfg.discipline.acquire(&self.srq) else { break };
-                match srq.pop_front() {
-                    Some(d) => d,
-                    None => break,
-                }
-            };
-            let Some(msg) = self.rx.pop() else {
-                if let Some(mut srq) = self.cfg.discipline.acquire(&self.srq) {
-                    srq.push_front(desc);
-                } else {
-                    self.srq.lock().push_back(desc);
-                }
-                break;
-            };
-            self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
-            let cqe = deliver_into(&msg, &desc)?;
-            cq.push_back(cqe);
-        }
-        Ok(())
     }
 }
 
@@ -370,7 +345,7 @@ impl NetDevice for TcpDevice {
         ctx: u64,
     ) -> NetResult<()> {
         self.ready(target, target_dev)?;
-        if self.shared.staging().is_full() {
+        if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
         if target == self.rank {
@@ -409,7 +384,7 @@ impl NetDevice for TcpDevice {
         msgs: &[SendDesc<'_>],
     ) -> NetResult<usize> {
         self.ready(target, target_dev)?;
-        if self.shared.staging().is_full() {
+        if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
         if target == self.rank {
@@ -461,47 +436,24 @@ impl NetDevice for TcpDevice {
     }
 
     fn post_recv(&self, desc: RecvBufDesc) -> NetResult<()> {
-        let mut srq =
-            self.cfg.discipline.acquire(&self.srq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        srq.push_back(desc);
-        self.posted_recvs.fetch_add(1, Ordering::AcqRel);
-        drop(srq);
-        if self.rx.occupancy() > 0 || self.state.conn_pending() > 0 {
-            self.shared.bell().ring();
-        }
-        Ok(())
+        self.post_recv_batch(&[desc]).map(|_| ())
     }
 
     fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
-        let mut srq =
-            self.cfg.discipline.acquire(&self.srq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        srq.extend(descs.iter().copied());
-        self.posted_recvs.fetch_add(descs.len(), Ordering::AcqRel);
-        drop(srq);
-        if !descs.is_empty() && (self.rx.occupancy() > 0 || self.state.conn_pending() > 0) {
+        let n = self.shared.post_recvs(descs)?;
+        if n > 0 && (self.shared.rx_occupancy() > 0 || self.state.conn_pending() > 0) {
             self.shared.bell().ring();
         }
-        Ok(descs.len())
+        Ok(n)
     }
 
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
         let budget = max.max(self.cfg.cq_drain_batch);
-        // Progress the sockets *before* taking our CQ lock: routing may
-        // stage CQEs (ReadDone) onto this very device, and `stage_cqe`'s
-        // overflow path locks the polled CQ.
+        // Progress the sockets *before* the poll takes our CQ lock:
+        // routing may stage CQEs (ReadDone) onto this very device, and
+        // `stage_cqe`'s overflow path locks the polled CQ.
         self.progress_conns(budget)?;
-        let mut cq = self
-            .cfg
-            .discipline
-            .acquire(self.shared.polled_cq())
-            .ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        while let Some(cqe) = self.shared.staging().pop() {
-            cq.push_back(cqe);
-        }
-        self.deliver_inbound(&mut cq, budget)?;
-        let n = max.min(cq.len());
-        out.extend(cq.drain(..n));
-        Ok(n)
+        self.shared.poll(out, max, budget)
     }
 
     fn post_write(
@@ -629,7 +581,7 @@ impl NetDevice for TcpDevice {
     }
 
     fn posted_recvs(&self) -> usize {
-        self.posted_recvs.load(Ordering::Acquire)
+        self.shared.posted_recvs()
     }
 
     fn doorbell(&self) -> Option<Arc<Doorbell>> {
@@ -639,7 +591,7 @@ impl NetDevice for TcpDevice {
     fn inbound_pending(&self) -> usize {
         // Undrained socket/queue work counts too: a parked progress
         // engine must not sleep while frames wait for a flush or route.
-        self.rx.occupancy() + self.state.conn_pending()
+        self.shared.rx_occupancy() + self.state.conn_pending()
     }
 
     fn outbound_pending(&self) -> usize {
@@ -656,7 +608,6 @@ impl NetDevice for TcpDevice {
     }
 
     fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>) {
-        self.rx.close();
         // Best-effort flush so peers see our final frames before the
         // sockets close with this process.
         for peer in 0..self.fabric.nranks() {
@@ -665,16 +616,10 @@ impl NetDevice for TcpDevice {
                 let _ = conn.flush_locked(&mut sg, self.batched, &self.state);
             }
         }
-        let mut cqes = Vec::new();
-        while let Some(c) = self.shared.staging().pop() {
-            cqes.push(c);
-        }
-        cqes.extend(self.shared.polled_cq().lock().drain(..));
-        let mut descs: Vec<RecvBufDesc> = self.srq.lock().drain(..).collect();
+        let (cqes, mut descs) = self.shared.teardown();
         // Reads this device posted that will never complete hand their
         // landing buffers back too.
         descs.extend(self.state.reads().lock().drain_dev(self.dev_id).into_iter().map(|p| p.desc));
-        self.posted_recvs.store(0, Ordering::Release);
         (cqes, descs)
     }
 }

@@ -36,7 +36,7 @@ pub(crate) mod oob;
 pub use device::TcpDevice;
 
 use crate::buf_pool::BufPool;
-use crate::shm::device::DevShared;
+use crate::framed::DevShared;
 use crate::shm::ring::FrameHeader;
 use crate::shm::ReadTable;
 use crate::sync::SpinLock;
@@ -79,9 +79,11 @@ struct SendState {
     bytes: usize,
 }
 
-struct InFrame {
-    header: FrameHeader,
-    payload: PoolBuf,
+/// One reassembled inbound frame: the payload sits in a pooled buffer
+/// that a routed send hands on to its wire message.
+pub(crate) struct InFrame {
+    pub(crate) header: FrameHeader,
+    pub(crate) payload: PoolBuf,
 }
 
 struct RecvState {

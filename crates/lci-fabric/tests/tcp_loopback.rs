@@ -179,3 +179,42 @@ fn teardown_flushes_pending_frames() {
     assert_eq!(cqes[0].kind, CqeKind::RecvDone);
     assert_eq!(&rbuf[..3], b"bye");
 }
+
+/// A routed send takes over the pooled buffer its frame was decoded
+/// into; a frame that finds the RX ring full goes back to the inbox
+/// front with that buffer. Eight frames against a 2-slot ring and no
+/// posted receive: the receiver stages each payload exactly once however
+/// often it re-routes the parked ones, and they come out in send order.
+#[test]
+fn rx_full_parks_frames_without_restaging() {
+    const N: usize = 8;
+    let (d0, d1) = pair(DeviceConfig::tcp().with_rx_capacity(2));
+    let payload = |i: usize| vec![i as u8 + 1; 200];
+    for i in 0..N {
+        d0.post_send(1, 0, &payload(i), i as u64, 0).unwrap();
+    }
+    let _ = poll_until(&d0, N); // SendDones + flush
+    let takes = |d: &Arc<dyn NetDevice>| d.buf_pool_stats().hits + d.buf_pool_stats().misses;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut none = Vec::new();
+    while takes(&d1) < N as u64 {
+        d1.poll_cq(&mut none, 16).unwrap();
+        assert!(Instant::now() < deadline, "only {} of {N} frames decoded", takes(&d1));
+        std::thread::yield_now();
+    }
+    for _ in 0..16 {
+        d1.poll_cq(&mut none, 16).unwrap();
+    }
+    assert!(none.is_empty(), "nothing can complete without a posted receive");
+    assert_eq!(takes(&d1), N as u64, "a re-routed frame was staged again");
+
+    let mut rbufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 256]).collect();
+    for (i, b) in rbufs.iter_mut().enumerate() {
+        post_packet_recv(&d1, b, i as u64);
+    }
+    let cqes = poll_until(&d1, N);
+    for (i, c) in cqes.iter().enumerate() {
+        assert_eq!((c.kind, c.ctx, c.imm), (CqeKind::RecvDone, i as u64, i as u64));
+        assert_eq!(&rbufs[i][..c.len], &payload(i)[..]);
+    }
+}

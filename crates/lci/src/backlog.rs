@@ -25,8 +25,8 @@ pub(crate) enum Backlogged {
     /// wire with nothing in flight to re-drive it.
     RdvPump { active: Arc<RdvActive> },
     /// A user-level eager send whose retry was disallowed at post time.
-    /// The flattened payload rides here; the in-flight operation context
-    /// (buffer + completion) rides in `ctx`.
+    /// A copy of the payload, made when it parked, rides here; the
+    /// in-flight operation context (buffer + completion) rides in `ctx`.
     UserSend { target: Rank, target_dev: DevId, data: PoolBuf, imm: u64, ctx: u64 },
 }
 

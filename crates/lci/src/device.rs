@@ -20,6 +20,7 @@ use crate::runtime::RuntimeInner;
 use crate::stats::DeviceStats;
 use crate::types::{
     CompDesc, CompKind, DataBuf, Direction, MatchingPolicy, RComp, Rank, SendBuf, Tag,
+    SENDBUF_INLINE_CAP,
 };
 use crate::util::ShardedSlab;
 use lci_fabric::sync::{Doorbell, SpinLock};
@@ -266,8 +267,9 @@ pub(crate) struct DeviceInner {
     /// but not yet complete. Keeps `pending_rendezvous` (and lcw
     /// quiescence) truthful.
     rdv_active: AtomicUsize,
-    /// Recycled staging-buffer pool shared with the fabric device (eager
-    /// staging, coalesced frames, rendezvous scratch, bounce buffers).
+    /// Recycled staging-buffer pool shared with the fabric device (iovec
+    /// gathers, parked sends, coalesced frames, rendezvous scratch,
+    /// bounce buffers).
     buf_pool: BufPool,
     /// Allocation-recycling master switch (`RuntimeConfig::
     /// alloc_recycling`). Off = the allocate-per-operation ablation:
@@ -358,8 +360,9 @@ impl DeviceInner {
         }
     }
 
-    /// Stages a send payload into one contiguous recycled buffer — the
-    /// buffer-copy protocol's one staging copy, without its allocation.
+    /// Copies a send payload into one contiguous recycled buffer. Only
+    /// a multi-segment iovec needs it (the fabric posts contiguous
+    /// bytes); every other buffer posts from where it is ([`PostSrc`]).
     fn stage_payload(&self, buf: &SendBuf) -> PoolBuf {
         match buf.as_contiguous() {
             Some(data) => self.buf_pool.stage_copy(data),
@@ -373,6 +376,43 @@ impl DeviceInner {
                 }
                 out
             }
+        }
+    }
+}
+
+/// The bytes of a send buffer at an address that stays put while the
+/// [`SendBuf`] itself moves into its [`OpCtx`] slot, so the fabric can
+/// post straight from the buffer the operation owns until its
+/// completion — no restaging copy.
+enum PostSrc {
+    /// `SendBuf::Inline` bytes live inside the enum and move with it:
+    /// the ≤ 24 B are copied to the poster's stack.
+    Stack([u8; SENDBUF_INLINE_CAP], u8),
+    /// Heap, packet or pool storage the `SendBuf` only points at.
+    Stable(*const u8, usize),
+    /// A multi-segment iovec, gathered (the one staging copy left).
+    Gathered(PoolBuf),
+}
+
+impl PostSrc {
+    fn of(dev: &DeviceInner, buf: &SendBuf) -> PostSrc {
+        match (buf, buf.as_contiguous()) {
+            (SendBuf::Inline(bytes, len), _) => PostSrc::Stack(*bytes, *len),
+            (_, Some(data)) => PostSrc::Stable(data.as_ptr(), data.len()),
+            (_, None) => PostSrc::Gathered(dev.stage_payload(buf)),
+        }
+    }
+
+    /// # Safety
+    /// The `SendBuf` this was taken from must still be alive and
+    /// unmodified: it may have moved (into an `OpCtx` the fabric has not
+    /// completed), but not been handed back to the user or dropped.
+    unsafe fn bytes(&self) -> &[u8] {
+        match self {
+            PostSrc::Stack(bytes, len) => &bytes[..*len as usize],
+            // SAFETY: per the contract above, the pointee outlives `self`.
+            PostSrc::Stable(ptr, len) => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            PostSrc::Gathered(buf) => buf,
         }
     }
 }
@@ -673,9 +713,11 @@ impl Device {
             }
         }
 
-        // Buffer-copy protocol: stage through the fabric; the send buffer
-        // comes back with the completion.
-        let data = self.inner.stage_payload(&buf);
+        // Buffer-copy protocol: the fabric copies out of the send buffer
+        // itself, which the operation context owns until `SendDone` (the
+        // buffer-valid-until-CQE half of `NetDevice::post_send`'s
+        // contract); it comes back with the completion.
+        let src = PostSrc::of(&self.inner, &buf);
         let ctx = self.inner.ctx_encode(OpCtx::EagerSend {
             comp: args.comp.clone(),
             buf,
@@ -683,7 +725,12 @@ impl Device {
             tag: args.tag,
             user_ctx: args.user_ctx,
         });
-        match self.inner.net.post_send(args.rank, target_dev, &data, imm, ctx) {
+        // SAFETY: the buffer `src` points into sits in the context just
+        // encoded, and nothing decodes that context before the fabric
+        // either rejects the post (handled below, `src` last used at the
+        // park) or completes it (after copying the bytes out).
+        let data = unsafe { src.bytes() };
+        match self.inner.net.post_send(args.rank, target_dev, data, imm, ctx) {
             Ok(()) => Ok(PostResult::Posted),
             Err(e) => {
                 match e {
@@ -697,10 +744,13 @@ impl Device {
                         Ok(PostResult::Retry(r.into()))
                     }
                     NetError::Retry(_) => {
-                        // Retry disallowed: park the flattened payload in
-                        // the backlog; the in-flight context (with the
+                        // Retry disallowed: park a staged copy of the
+                        // payload in the backlog (the one case that still
+                        // pays it); the in-flight context (with the
                         // original buffer and completion) is posted when
                         // the wire frees up (paper §4.4).
+                        // SAFETY: as above; the context is still encoded.
+                        let data = self.inner.buf_pool.stage_copy(unsafe { src.bytes() });
                         self.push_backlog(Backlogged::UserSend {
                             target: args.rank,
                             target_dev,
@@ -781,7 +831,7 @@ impl Device {
         let imm = args
             .remote_comp
             .map(|rc| Header::new(MsgType::PutSignal, args.policy, args.tag, rc).encode());
-        let data = self.inner.stage_payload(&buf);
+        let src = PostSrc::of(&self.inner, &buf);
         let ctx = self.inner.ctx_encode(OpCtx::Put {
             comp: args.comp,
             buf,
@@ -789,7 +839,10 @@ impl Device {
             tag: args.tag,
             user_ctx: args.user_ctx,
         });
-        match self.inner.net.post_write(args.rank, target_dev, &data, rkey, offset, imm, ctx) {
+        // SAFETY: the buffer sits in the context just encoded, which is
+        // decoded only below (rejected post) or at `WriteDone`.
+        let data = unsafe { src.bytes() };
+        match self.inner.net.post_write(args.rank, target_dev, data, rkey, offset, imm, ctx) {
             Ok(()) => Ok(PostResult::Posted),
             Err(e) => {
                 // SAFETY: rejected post; context never handed over.
@@ -1960,5 +2013,42 @@ fn net_fatal(e: NetError) -> FatalError {
     match e {
         NetError::Fatal(m) => FatalError::Net(m),
         NetError::Retry(r) => FatalError::Net(format!("unexpected retry: {r:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Fabric, Runtime, RuntimeConfig};
+
+    /// What `inline_payloads_survive_posting_and_parking_*` cannot see
+    /// (the stale stack bytes of a pointer taken before the move stay
+    /// readable): an inline payload is posted from `PostSrc`'s own copy,
+    /// never from an address inside the `SendBuf` that is about to move;
+    /// out-of-line storage is posted from where it is.
+    #[test]
+    fn post_src_survives_the_send_buf_moving() {
+        let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::small()).unwrap();
+        let dev = &rt.device().inner;
+        let inside = |buf: &SendBuf, p: *const u8| {
+            let base = buf as *const SendBuf as usize;
+            (base..base + std::mem::size_of::<SendBuf>()).contains(&(p as usize))
+        };
+
+        let inline = SendBuf::from(&b"twenty-four inline bytes"[..]);
+        assert!(matches!(inline, SendBuf::Inline(..)));
+        let src = PostSrc::of(dev, &inline);
+        // SAFETY: `inline` is alive here and in its box below.
+        assert!(!inside(&inline, unsafe { src.bytes() }.as_ptr()), "posts from inside the enum");
+        let moved = Box::new(inline);
+        assert_eq!(unsafe { src.bytes() }, moved.as_contiguous().unwrap());
+
+        let owned = SendBuf::from(vec![7u8; 100]);
+        let at = owned.as_contiguous().unwrap().as_ptr();
+        let src = PostSrc::of(dev, &owned);
+        let moved = Box::new(owned);
+        // SAFETY: `owned` lives on in its box.
+        assert_eq!(unsafe { src.bytes() }.as_ptr(), at, "restaged a contiguous buffer");
+        assert_eq!(unsafe { src.bytes() }, moved.as_contiguous().unwrap());
     }
 }

@@ -4,8 +4,9 @@
 //! three protocols by message size:
 //!
 //! * **inject** — tiny payloads ride inline in the wire slot;
-//! * **buffer-copy (bcopy)** — eager payloads are staged through the
-//!   fabric and delivered into a pre-posted packet;
+//! * **buffer-copy (bcopy)** — eager payloads are copied by the fabric
+//!   out of the send buffer (which the operation owns until its
+//!   completion) and delivered into a pre-posted packet;
 //! * **zero-copy (zcopy)** — a rendezvous: the source sends an RTS
 //!   (ready-to-send), the target registers its buffer and answers RTR
 //!   (ready-to-receive) carrying an rkey, and the source RDMA-writes the

@@ -330,3 +330,77 @@ fn many_devices_per_rank() {
     fabric.oob_barrier();
     peer.join().unwrap();
 }
+
+/// The bytes message `i` of the inline regression carries: 1..=24 of
+/// them, so every `SendBuf::Inline` length is covered.
+fn inline_pattern(i: u32) -> Vec<u8> {
+    (0..1 + i % 24).map(|j| (i * 31 + j) as u8).collect()
+}
+
+/// A `SendBuf::Inline` payload lives inside the enum, so it moves when
+/// the buffer moves into its operation context. With `inject_size` 0 a
+/// small borrowed payload takes the posted path; blasted `no_retry`
+/// without progress, the posts the wire refuses park in the backlog
+/// (sim: 2-slot RX ring; shm: completion staging fills after 256
+/// posts). Both paths must ship the bytes the user passed and hand the
+/// same inline buffer back with the completion.
+///
+/// This guards the behaviour of the two paths, not the address
+/// stability itself: a pointer taken before the move reads stale stack
+/// bytes that are usually still intact. The unit test
+/// `post_src_survives_the_send_buf_moving` in `lci/src/device.rs` is
+/// the one that fails for that mutant.
+fn inline_payloads_survive_posting_and_parking(device: DeviceConfig) {
+    const N: u32 = 300;
+    let cfg = RuntimeConfig { device, inject_size: 0, ..RuntimeConfig::small() };
+    let fabric = Fabric::new(2);
+    let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
+    let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
+    let (scq, rcq) = (Comp::alloc_cq(), Comp::alloc_cq());
+    for i in 0..N {
+        assert!(matches!(
+            rt1.post_recv(0, vec![0u8; 32], i, rcq.clone()).unwrap(),
+            PostResult::Posted
+        ));
+    }
+    for i in 0..N {
+        let res = rt0
+            .post_send_x(1, inline_pattern(i).as_slice(), i, scq.clone())
+            .no_retry()
+            .call()
+            .unwrap();
+        assert!(matches!(res, PostResult::Posted), "message {i}: {res:?}");
+    }
+    let parked = rt0.device().backlog_len();
+    assert!(parked > 0 && parked < N as usize, "{parked} of {N} parked: one path went untested");
+
+    let (mut sent, mut received) = (0, 0);
+    while sent < N || received < N {
+        rt0.progress().unwrap();
+        rt1.progress().unwrap();
+        while let Some(d) = rcq.pop() {
+            assert_eq!(d.as_slice(), inline_pattern(d.tag), "message {} arrived damaged", d.tag);
+            received += 1;
+        }
+        while let Some(d) = scq.pop() {
+            match d.data {
+                lci::DataBuf::SendBuf(lci::SendBuf::Inline(bytes, len)) => {
+                    assert_eq!(&bytes[..len as usize], inline_pattern(d.tag));
+                }
+                other => panic!("message {} came back as {other:?}", d.tag),
+            }
+            sent += 1;
+        }
+    }
+    assert_eq!(rt0.device().backlog_len(), 0);
+}
+
+#[test]
+fn inline_payloads_survive_posting_and_parking_sim() {
+    inline_payloads_survive_posting_and_parking(DeviceConfig::ibv().with_rx_capacity(2));
+}
+
+#[test]
+fn inline_payloads_survive_posting_and_parking_shm() {
+    inline_payloads_survive_posting_and_parking(DeviceConfig::shm());
+}
