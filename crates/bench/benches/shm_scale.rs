@@ -9,10 +9,8 @@
 //! own loop, the per-rank times are allgathered through the rendezvous,
 //! and rank 0 prints the aggregated row.
 //!
-//! The third job is the tentpole ablation: a windowed 4-process tcp
-//! stream with vectored write batching on vs off (`BENCH_TCP_BATCH`),
-//! reporting message rate plus the `writev` gather-fill counters —
-//! batching must hold a ≥2x rate edge (checked in CI).
+//! The third job is a windowed 4-process tcp stream, reporting message
+//! rate plus the `writev` gather-fill counters (frames per syscall).
 //!
 //! Env knobs: `BENCH_SHM_RANKS` (comma list, default `2,4,8`),
 //! `BENCH_ITERS`, `BENCH_BW_ITERS`, `BENCH_QUICK=1`, `LCI_TRANSPORT`
@@ -29,8 +27,7 @@ const BW_SIZE: usize = 64 << 10;
 const BW_WINDOW: usize = 8;
 
 fn main() {
-    let cfg = WorldConfig::new(BackendKind::Lci, Platform::ShmHost, ResourceMode::Shared)
-        .with_tcp_batch(std::env::var("BENCH_TCP_BATCH").map(|v| v != "0").unwrap_or(true));
+    let cfg = WorldConfig::new(BackendKind::Lci, Platform::ShmHost, ResourceMode::Shared);
     match World::from_env(cfg).expect("attach") {
         Some(world) => child(world),
         None => parent(),
@@ -97,24 +94,20 @@ fn parent() {
             }
         }
     }
-    // The writev-batching ablation: a 4-process tcp stream, batching on
-    // vs off. Same workload, same wire — only the syscall shape differs.
+    // The syscall shape of a 4-process tcp stream: how many frames each
+    // `writev` gathers when posts outrun the progress path.
     if wires.contains(&"tcp") {
         let stream_iters =
             if bench::quick() { 2_000 } else { env_usize("BENCH_STREAM_ITERS", 50_000) };
-        println!("# tcp stream ablation: one-way 8 B stream x{stream_iters}/pair, window={STREAM_WINDOW}");
+        println!("# tcp stream: one-way 8 B stream x{stream_iters}/pair, window={STREAM_WINDOW}");
         bench::print_header(
             "shm_scale tcp_stream",
-            &["procs", "pairs", "batch", "Mmsg/s", "writevs", "frames", "avg_fill"],
+            &["procs", "pairs", "Mmsg/s", "writevs", "frames", "avg_fill"],
         );
-        for batch in ["on", "off"] {
-            std::env::set_var(lci_fabric::bootstrap::ENV_TRANSPORT, "tcp");
-            std::env::set_var(JOB_ENV, "stream");
-            std::env::set_var("BENCH_TCP_BATCH", if batch == "on" { "1" } else { "0" });
-            let report = World::spawn_local(4, &args, JOB_TIMEOUT).expect("spawn");
-            assert!(report.all_ok(), "stream batch={batch}: exits {:?}", report.exit_codes);
-        }
-        std::env::remove_var("BENCH_TCP_BATCH");
+        std::env::set_var(lci_fabric::bootstrap::ENV_TRANSPORT, "tcp");
+        std::env::set_var(JOB_ENV, "stream");
+        let report = World::spawn_local(4, &args, JOB_TIMEOUT).expect("spawn");
+        assert!(report.all_ok(), "stream: exits {:?}", report.exit_codes);
     }
     std::env::remove_var(JOB_ENV);
     std::env::remove_var(lci_fabric::bootstrap::ENV_TRANSPORT);
@@ -223,7 +216,7 @@ const STREAM_WINDOW: usize = 256;
 /// workload): senders burst `STREAM_WINDOW` messages — so frames pile
 /// up in the per-peer send queue between progress calls — then wait for
 /// one credit ack. Reports the aggregate rate plus this rank's `writev`
-/// counters; run twice (batch on/off) it is the tentpole ablation.
+/// counters.
 fn stream(world: World) {
     let iters = if bench::quick() { 2_000 } else { env_usize("BENCH_STREAM_ITERS", 50_000) };
     let pairs = world.size() / 2;
@@ -268,11 +261,9 @@ fn stream(world: World) {
         let per_pair: Vec<u64> =
             all[..pairs].iter().map(|b| u64::from_le_bytes(b[..8].try_into().unwrap())).collect();
         let rate: f64 = per_pair.iter().map(|&ns| iters as f64 / (ns as f64 / 1e9)).sum();
-        let batch = std::env::var("BENCH_TCP_BATCH").map(|v| v != "0").unwrap_or(true);
         bench::print_row(&[
             world.size().to_string(),
             pairs.to_string(),
-            (if batch { "on" } else { "off" }).to_string(),
             format!("{:.4}", rate / 1e6),
             stats.tcp_writev_calls.to_string(),
             stats.tcp_writev_frames.to_string(),

@@ -5,7 +5,7 @@
 //! This harness *executes* each combination end-to-end on a two-rank
 //! fabric and prints the observed validity/behaviour table.
 
-use lci::{collective, Comp, CompKind, Direction, Fabric, PostResult, Runtime, RuntimeConfig};
+use lci::{coll, Comp, CompKind, Direction, Fabric, PostResult, Runtime, RuntimeConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -97,7 +97,7 @@ fn main() {
     wait(&rt, &c, &r);
     row("IN", "specified", "specified", "yes", "RMA get w. signal", "read+signaled");
 
-    collective::barrier(&rt).unwrap();
+    coll::barrier(&rt).unwrap();
     drop(window);
     peer.join().unwrap();
 }
@@ -152,6 +152,6 @@ fn peer_rank(fabric: Arc<Fabric>) {
         }
     }
     // Keep progressing until the final barrier (serves the get-signal).
-    collective::barrier(&rt).unwrap();
+    coll::barrier(&rt).unwrap();
     drop(window);
 }

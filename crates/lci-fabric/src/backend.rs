@@ -11,9 +11,10 @@
 
 use crate::buf_pool::{BufPool, BufPoolConfig, BufPoolStats};
 use crate::fabric::{Fabric, RxEndpoint, DEFAULT_RX_CAPACITY};
+use crate::framed::FramedDevice;
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCacheConfig, RegCacheStats};
-use crate::shm::ShmDevice;
+use crate::shm::device::ShmWire;
 use crate::sim_ibv::IbvDevice;
 use crate::sim_ofi::OfiDevice;
 use crate::sync::{Doorbell, LockDiscipline};
@@ -88,11 +89,6 @@ pub struct DeviceConfig {
     /// LCI layer's remaining staging copies; disable for the
     /// allocate-per-message ablation.
     pub buf_pool: BufPoolConfig,
-    /// Whether the tcp backend gathers its whole per-peer send queue
-    /// into one `writev` per readiness cycle (default) or issues one
-    /// write per frame (the syscall-amortization ablation). Ignored by
-    /// other backends.
-    pub tcp_batch: bool,
 }
 
 impl Default for DeviceConfig {
@@ -105,7 +101,6 @@ impl Default for DeviceConfig {
             cq_drain_batch: 64,
             reg_cache: RegCacheConfig::default(),
             buf_pool: BufPoolConfig::default(),
-            tcp_batch: true,
         }
     }
 }
@@ -173,12 +168,6 @@ impl DeviceConfig {
     /// Enables or disables the recycled staging-buffer pool.
     pub fn with_buf_pool(mut self, enabled: bool) -> Self {
         self.buf_pool.enabled = enabled;
-        self
-    }
-
-    /// Enables or disables tcp `writev` batching (the ablation knob).
-    pub fn with_tcp_batch(mut self, enabled: bool) -> Self {
-        self.tcp_batch = enabled;
         self
     }
 }
@@ -446,11 +435,16 @@ impl NetContext {
             BackendKind::Ofi => {
                 Arc::new(OfiDevice::new(self.fabric.clone(), self.rank, dev_id, rx, bell, cfg))
             }
-            BackendKind::Shm => {
-                Arc::new(ShmDevice::new(self.fabric.clone(), self.rank, dev_id, rx, bell, cfg))
-            }
+            BackendKind::Shm => Arc::new(FramedDevice::<ShmWire>::new(
+                self.fabric.clone(),
+                self.rank,
+                dev_id,
+                rx,
+                bell,
+                cfg,
+            )),
             #[cfg(unix)]
-            BackendKind::Tcp => Arc::new(crate::tcp::TcpDevice::new(
+            BackendKind::Tcp => Arc::new(FramedDevice::<crate::tcp::device::TcpWire>::new(
                 self.fabric.clone(),
                 self.rank,
                 dev_id,

@@ -77,6 +77,11 @@ impl RxEndpoint {
         self.ring.len()
     }
 
+    /// Whether a push would be refused right now (racy snapshot).
+    pub(crate) fn is_full(&self) -> bool {
+        self.ring.is_full()
+    }
+
     /// Marks the endpoint closed; subsequent pushes fail fatally.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);

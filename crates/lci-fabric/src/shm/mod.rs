@@ -5,10 +5,11 @@
 //! Traffic travels through one directed SPSC [`ring`] channel per rank
 //! pair inside a [`segment`] mapped by every participating process.
 //! Frames carry `(src_dev, dst_dev)` so any number of devices per rank
-//! share the rank-pair channel; the consuming rank routes each frame at
-//! drain time — into the draining device's next posted receive, or to
-//! the right device's RX endpoint — preserving the strict FIFO / RNR
-//! discipline of the simulated wire.
+//! share the rank-pair channel; the framed device core
+//! (`crate::framed`, over this module's `device::ShmWire`) routes
+//! each frame at drain time — into the draining device's next posted
+//! receive, or to the right device's RX endpoint — preserving the
+//! strict FIFO / RNR discipline of the simulated wire.
 //!
 //! Two modes share all of this code:
 //!
@@ -17,7 +18,7 @@
 //!   test and bench can switch transports with a `DeviceConfig` alone;
 //! * **multi-process** — [`crate::bootstrap`] attaches each process to
 //!   a named segment; a per-process bridge thread converts the
-//!   segment's futex doorbell into local [`Doorbell`] rings so parked
+//!   segment's futex doorbell into local [`Doorbell`](crate::sync::Doorbell) rings so parked
 //!   progress engines wake across process boundaries without spinning.
 
 pub mod os;
@@ -26,22 +27,15 @@ pub mod segment;
 
 pub(crate) mod device;
 
-pub use device::ShmDevice;
 pub use segment::{geometry_from_env, ShmSegment, ALLGATHER_MAX};
 
-use crate::framed::DevShared;
+use crate::framed::RankCore;
 use crate::sync::SpinLock;
-use crate::types::{DevId, RecvBufDesc};
 use ring::Channel;
 use segment::PEER_EXITED;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
-
-/// Capacity of the pending-read table (outstanding `post_read`s per
-/// rank). Preallocated so the read path makes no steady-state
-/// allocations.
-const READ_TABLE_CAP: usize = 1024;
 
 /// Fabric-level shared-memory state: the segment plus per-local-rank
 /// runtime state, created lazily per rank.
@@ -134,61 +128,11 @@ pub(crate) struct ShmRankState {
     /// devices; acquired with try-lock only, so progress engines never
     /// block each other here.
     drain_locks: Vec<SpinLock<()>>,
-    /// Local shm devices on this rank (append-only registry), used to
-    /// ring doorbells and to route `ReadDone` completions.
-    devs: crate::sync::MpmcArray<Arc<DevShared>>,
-    /// Outstanding `post_read`s awaiting a `READ_RESP` frame.
-    reads: SpinLock<ReadTable>,
-    /// Times the futex bridge woke and fanned out to local doorbells.
-    cross_wakes: AtomicU64,
+    /// The device registry, pending reads and wake count the framed
+    /// core keeps per rank.
+    pub(crate) core: RankCore,
     bridge_shutdown: Arc<AtomicBool>,
     bridge: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-pub(crate) struct PendingRead {
-    pub(crate) desc: RecvBufDesc,
-    pub(crate) dev: DevId,
-}
-
-/// Fixed-capacity slab of pending reads with an intrusive free list:
-/// no allocations after construction.
-pub(crate) struct ReadTable {
-    slots: Vec<Option<PendingRead>>,
-    free: Vec<u32>,
-}
-
-impl ReadTable {
-    pub(crate) fn new() -> ReadTable {
-        ReadTable {
-            slots: (0..READ_TABLE_CAP).map(|_| None).collect(),
-            free: (0..READ_TABLE_CAP as u32).rev().collect(),
-        }
-    }
-
-    pub(crate) fn alloc(&mut self, pr: PendingRead) -> Option<u32> {
-        let id = self.free.pop()?;
-        self.slots[id as usize] = Some(pr);
-        Some(id)
-    }
-
-    pub(crate) fn take(&mut self, id: u32) -> Option<PendingRead> {
-        let pr = self.slots.get_mut(id as usize)?.take()?;
-        self.free.push(id);
-        Some(pr)
-    }
-
-    /// Removes and returns every pending read posted by `dev` (teardown
-    /// path; not steady state).
-    pub(crate) fn drain_dev(&mut self, dev: DevId) -> Vec<PendingRead> {
-        let mut out = Vec::new();
-        for (id, slot) in self.slots.iter_mut().enumerate() {
-            if slot.as_ref().is_some_and(|p| p.dev == dev) {
-                out.push(slot.take().expect("checked Some"));
-                self.free.push(id as u32);
-            }
-        }
-        out
-    }
 }
 
 impl ShmRankState {
@@ -207,18 +151,12 @@ impl ShmRankState {
                 inbound: (0..nranks).map(|s| seg.channel(s, rank)).collect(),
                 prod_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
                 drain_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
-                devs: crate::sync::MpmcArray::with_capacity(4),
-                reads: SpinLock::new(ReadTable::new()),
-                cross_wakes: AtomicU64::new(0),
+                core: RankCore::new(),
                 bridge_shutdown: shutdown,
                 bridge: Mutex::new(bridge),
                 seg,
             }
         })
-    }
-
-    pub(crate) fn register_dev(&self, dev: Arc<DevShared>) {
-        self.devs.push(dev);
     }
 
     pub(crate) fn outbound(&self, dst: usize) -> &Channel {
@@ -237,23 +175,6 @@ impl ShmRankState {
         &self.drain_locks[src]
     }
 
-    pub(crate) fn reads(&self) -> &SpinLock<ReadTable> {
-        &self.reads
-    }
-
-    pub(crate) fn dev_by_id(&self, dev: DevId) -> Option<Arc<DevShared>> {
-        (0..self.devs.len()).filter_map(|i| self.devs.read(i)).find(|d| d.dev_id() == dev)
-    }
-
-    /// Rings every local shm device doorbell on this rank.
-    pub(crate) fn ring_all_bells(&self) {
-        for i in 0..self.devs.len() {
-            if let Some(d) = self.devs.read(i) {
-                d.bell().ring();
-            }
-        }
-    }
-
     /// Total frames queued toward this rank across all inbound channels.
     pub(crate) fn inbound_occupancy(&self) -> usize {
         self.inbound.iter().map(|c| c.occupancy()).sum()
@@ -268,10 +189,6 @@ impl ShmRankState {
             .map(|c| c.occupancy_hwm())
             .max()
             .unwrap_or(0)
-    }
-
-    pub(crate) fn cross_proc_wakes(&self) -> u64 {
-        self.cross_wakes.load(Ordering::Relaxed)
     }
 }
 
@@ -312,8 +229,7 @@ fn spawn_bridge(
                 }
                 seen = cur;
                 let Some(st) = state.upgrade() else { break };
-                st.cross_wakes.fetch_add(1, Ordering::Relaxed);
-                st.ring_all_bells();
+                st.core.bridge_wake();
             }
         })
         .expect("failed to spawn shm doorbell bridge")

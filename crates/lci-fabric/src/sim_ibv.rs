@@ -25,62 +25,39 @@
 //! polling the CQ touch disjoint locks — the contention-free guarantee the
 //! paper highlights for AMT-style runtimes.
 
-use crate::backend::{deliver_into, DeviceConfig, NetDevice, SendDesc, TdStrategy};
+use crate::backend::{DeviceConfig, NetDevice, SendDesc};
 use crate::buf_pool::{BufPool, BufPoolStats};
 use crate::fabric::{Fabric, RxEndpoint};
+use crate::framed::{DevShared, QpLocks};
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCache, RegCacheStats};
-use crate::sync::{Doorbell, LockDiscipline, SpinLock};
+use crate::sync::Doorbell;
 use crate::types::{
     Cqe, CqeKind, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsg, WireMsgKind,
     WirePayload,
 };
-use crossbeam::queue::ArrayQueue;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Bookkeeping protected by a QP lock. The lock itself *is* the modelled
-/// resource (uUAR doorbell serialization); the counter provides
-/// observability for tests and ablations.
-#[derive(Default)]
-struct QpState {
-    posted: u64,
-}
-
-/// The ibv-like device.
+/// The ibv-like device: the lock structure above over the fabric's
+/// in-memory wire (a post pushes straight onto the target's RX
+/// endpoint). Completion staging, the SRQ and the polled CQ are the
+/// `framed::DevShared` the framed wires use too.
 pub struct IbvDevice {
     fabric: Arc<Fabric>,
     rank: Rank,
     dev_id: DevId,
     cfg: DeviceConfig,
-    rx: Arc<RxEndpoint>,
-    /// One entry per target rank; entries may alias the same lock
-    /// depending on the thread-domain strategy.
-    qps: Vec<Arc<SpinLock<QpState>>>,
-    /// Whether QP locks are acquired with the trylock wrapper. Under
-    /// `TdStrategy::None` the provider lock is blocking regardless of the
-    /// device discipline.
-    qp_discipline: LockDiscipline,
-    /// CQEs written by the "NIC" (lock-free staging, like DMA'd CQEs).
-    /// A fixed ring, as on real hardware: sized at creation, never
-    /// allocating on the post path. A full ring bounds the number of
-    /// unpolled local completions (send-queue depth) and surfaces as
-    /// `Retry(QueueFull)`.
-    cq_staging: ArrayQueue<Cqe>,
-    /// The polled CQ; its lock models the `ibv_poll_cq` spinlock.
-    cq: SpinLock<VecDeque<Cqe>>,
-    /// The shared receive queue and its spinlock.
-    srq: SpinLock<VecDeque<RecvBufDesc>>,
+    /// One posting lock per target rank, shared per the thread-domain
+    /// strategy.
+    qps: QpLocks,
+    /// The "NIC" side: staged CQEs, polled CQ, SRQ and the doorbell
+    /// rung whenever a completion is written, so a parked progress
+    /// thread wakes to reap it.
+    shared: DevShared,
     /// Registration cache (per device, like a provider's domain cache).
     reg_cache: RegCache,
     /// Recycled staging-buffer pool feeding `WirePayload::Heap`.
     buf_pool: BufPool,
-    posted_recvs: AtomicUsize,
-    /// Shared with the RX endpoint; rung by [`IbvDevice::stage_cqe`]
-    /// whenever the "NIC" writes a local completion so a parked progress
-    /// thread wakes to reap it.
-    bell: Arc<Doorbell>,
 }
 
 impl IbvDevice {
@@ -94,99 +71,16 @@ impl IbvDevice {
         bell: Arc<Doorbell>,
         cfg: DeviceConfig,
     ) -> Self {
-        let nranks = fabric.nranks();
-        let (qps, qp_discipline) = match cfg.td_strategy {
-            TdStrategy::PerQp => (
-                (0..nranks).map(|_| Arc::new(SpinLock::new(QpState::default()))).collect(),
-                cfg.discipline,
-            ),
-            TdStrategy::AllQp => {
-                let shared = Arc::new(SpinLock::new(QpState::default()));
-                ((0..nranks).map(|_| shared.clone()).collect(), cfg.discipline)
-            }
-            TdStrategy::None => {
-                let shared = Arc::new(SpinLock::new(QpState::default()));
-                // The provider's own lock: always blocking.
-                ((0..nranks).map(|_| shared.clone()).collect(), LockDiscipline::Blocking)
-            }
-        };
         Self {
+            qps: QpLocks::new(cfg.td_strategy, cfg.discipline, fabric.nranks()),
+            shared: DevShared::new(dev_id, rx, bell, &cfg),
             fabric,
             rank,
             dev_id,
             cfg,
-            rx,
-            qps,
-            qp_discipline,
-            cq_staging: ArrayQueue::new((cfg.rx_capacity * 2).max(256)),
-            cq: SpinLock::new(VecDeque::new()),
-            srq: SpinLock::new(VecDeque::new()),
             reg_cache: RegCache::new(cfg.reg_cache),
             buf_pool: BufPool::new(cfg.buf_pool),
-            posted_recvs: AtomicUsize::new(0),
-            bell,
         }
-    }
-
-    /// Writes a NIC completion into the staging ring. On the rare race
-    /// where the ring filled between the capacity pre-check and this
-    /// push, the CQE goes straight to the polled CQ instead — never
-    /// dropped. Rings the doorbell either way: a completion is now
-    /// waiting for a poll.
-    #[inline]
-    fn stage_cqe(&self, cqe: Cqe) {
-        if let Err(cqe) = self.cq_staging.push(cqe) {
-            self.cq.lock().push_back(cqe);
-        }
-        self.bell.ring();
-    }
-
-    /// Acquires the QP lock for `target` per the effective discipline.
-    #[inline]
-    fn lock_qp(&self, target: Rank) -> NetResult<crate::sync::SpinGuard<'_, QpState>> {
-        let lock = self
-            .qps
-            .get(target)
-            .ok_or_else(|| NetError::fatal(format!("target rank {target} out of range")))?;
-        self.qp_discipline.acquire(lock).ok_or(NetError::Retry(RetryReason::LockBusy))
-    }
-
-    /// Drains inbound wire messages into completions, consuming pre-posted
-    /// receives. Called with the CQ guard held (we are "the NIC + poller").
-    ///
-    /// The receive descriptor is taken *before* the wire message is
-    /// popped so the ring stays strictly FIFO: when no receive is posted
-    /// (RNR) the message simply stays on the wire, like an RC transport
-    /// retransmitting in order. Popping first and re-queueing at the back
-    /// would let later messages overtake — a deadlock source when the
-    /// overtaken message is the one the receiver is waiting on.
-    fn deliver_inbound(&self, cq: &mut VecDeque<Cqe>, budget: usize) -> NetResult<()> {
-        for _ in 0..budget {
-            // Take a pre-posted receive under the SRQ lock; copy outside it.
-            let desc = {
-                let Some(mut srq) = self.cfg.discipline.acquire(&self.srq) else { break };
-                match srq.pop_front() {
-                    Some(d) => d,
-                    None => break, // RNR: leave the wire untouched
-                }
-            };
-            let Some(msg) = self.rx.pop() else {
-                // Nothing inbound: hand the receive back (front: it is
-                // the oldest posted one).
-                if let Some(mut srq) = self.cfg.discipline.acquire(&self.srq) {
-                    srq.push_front(desc);
-                } else {
-                    // SRQ briefly contended: push at the back instead;
-                    // receive order within an SRQ is not meaningful.
-                    self.srq.lock().push_back(desc);
-                }
-                break;
-            };
-            self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
-            let cqe = deliver_into(&msg, &desc)?;
-            cq.push_back(cqe);
-        }
-        Ok(())
     }
 }
 
@@ -212,10 +106,10 @@ impl NetDevice for IbvDevice {
         ctx: u64,
     ) -> NetResult<()> {
         let ep = self.fabric.endpoint(target, target_dev)?;
-        if self.cq_staging.is_full() {
+        if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
-        let mut qp = self.lock_qp(target)?;
+        let qp = self.qps.lock(target)?;
         ep.push(WireMsg {
             src_rank: self.rank,
             src_dev: self.dev_id,
@@ -223,10 +117,9 @@ impl NetDevice for IbvDevice {
             kind: WireMsgKind::Send,
             payload: self.buf_pool.stage(data),
         })?;
-        qp.posted += 1;
         drop(qp);
         // The NIC reports the send completion; the send buffer was staged.
-        self.stage_cqe(Cqe::local(CqeKind::SendDone, ctx));
+        self.shared.stage_cqe(Cqe::local(CqeKind::SendDone, ctx));
         Ok(())
     }
 
@@ -237,11 +130,11 @@ impl NetDevice for IbvDevice {
         msgs: &[SendDesc<'_>],
     ) -> NetResult<usize> {
         let ep = self.fabric.endpoint(target, target_dev)?;
-        if self.cq_staging.is_full() {
+        if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
         // One QP lock acquisition (doorbell) covers the whole batch.
-        let mut qp = self.lock_qp(target)?;
+        let qp = self.qps.lock(target)?;
         let mut posted = 0;
         for m in msgs {
             let res = ep.push(WireMsg {
@@ -257,54 +150,27 @@ impl NetDevice for IbvDevice {
                 Err(_) => break, // ring full mid-batch: partial progress
             }
         }
-        qp.posted += posted as u64;
         drop(qp);
         for m in &msgs[..posted] {
-            self.stage_cqe(Cqe::local(CqeKind::SendDone, m.ctx));
+            self.shared.stage_cqe(Cqe::local(CqeKind::SendDone, m.ctx));
         }
         Ok(posted)
     }
 
     fn post_recv(&self, desc: RecvBufDesc) -> NetResult<()> {
-        let mut srq =
-            self.cfg.discipline.acquire(&self.srq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        srq.push_back(desc);
-        self.posted_recvs.fetch_add(1, Ordering::AcqRel);
-        drop(srq);
-        // A fresh receive can unpark RNR-parked wire messages: wake the
-        // progress thread so it re-polls (delivery happens in poll_cq).
-        if self.rx.occupancy() > 0 {
-            self.bell.ring();
-        }
-        Ok(())
+        self.post_recv_batch(&[desc]).map(|_| ())
     }
 
     fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
         // One SRQ lock acquisition covers the whole batch; the queue is
-        // unbounded, so once the lock is held every buffer posts.
-        let mut srq =
-            self.cfg.discipline.acquire(&self.srq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        srq.extend(descs.iter().copied());
-        self.posted_recvs.fetch_add(descs.len(), Ordering::AcqRel);
-        drop(srq);
-        if !descs.is_empty() && self.rx.occupancy() > 0 {
-            self.bell.ring();
-        }
-        Ok(descs.len())
+        // unbounded, so once the lock is held every buffer posts. The
+        // wire is the RX endpoint itself: nothing waits outside it.
+        self.shared.post_recvs(descs, 0)
     }
 
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
-        let mut cq =
-            self.cfg.discipline.acquire(&self.cq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        // Move NIC-written CQEs into the polled CQ.
-        while let Some(cqe) = self.cq_staging.pop() {
-            cq.push_back(cqe);
-        }
-        // Deliver inbound traffic (bounded so one poll cannot starve).
-        self.deliver_inbound(&mut cq, max.max(self.cfg.cq_drain_batch))?;
-        let n = max.min(cq.len());
-        out.extend(cq.drain(..n));
-        Ok(n)
+        // Inbound delivery is bounded so one poll cannot starve.
+        self.shared.poll(out, max, max.max(self.cfg.cq_drain_batch))
     }
 
     fn post_write(
@@ -318,7 +184,7 @@ impl NetDevice for IbvDevice {
         ctx: u64,
     ) -> NetResult<()> {
         let base = self.fabric.mem().validate(rkey, offset, data.len())?;
-        let mut qp = self.lock_qp(target)?;
+        let qp = self.qps.lock(target)?;
         // SAFETY: `validate` bounds-checked the access against a live
         // registration; the registration contract makes the region
         // externally-shared bytes.
@@ -338,9 +204,8 @@ impl NetDevice for IbvDevice {
                 payload: WirePayload::None,
             })?;
         }
-        qp.posted += 1;
         drop(qp);
-        self.stage_cqe(Cqe::local(CqeKind::WriteDone, ctx));
+        self.shared.stage_cqe(Cqe::local(CqeKind::WriteDone, ctx));
         Ok(())
     }
 
@@ -352,17 +217,16 @@ impl NetDevice for IbvDevice {
         offset: usize,
     ) -> NetResult<()> {
         let base = self.fabric.mem().validate(rkey, offset, local.len)?;
-        let mut qp = self.lock_qp(target)?;
+        let qp = self.qps.lock(target)?;
         // SAFETY: bounds validated; local buffer validity is the
         // RecvBufDesc contract.
         unsafe {
             std::ptr::copy_nonoverlapping(base as *const u8, local.ptr, local.len);
         }
-        qp.posted += 1;
         drop(qp);
         let mut cqe = Cqe::local(CqeKind::ReadDone, local.ctx);
         cqe.len = local.len;
-        self.stage_cqe(cqe);
+        self.shared.stage_cqe(cqe);
         Ok(())
     }
 
@@ -391,29 +255,19 @@ impl NetDevice for IbvDevice {
     }
 
     fn posted_recvs(&self) -> usize {
-        self.posted_recvs.load(Ordering::Acquire)
+        self.shared.posted_recvs()
     }
 
     fn doorbell(&self) -> Option<Arc<Doorbell>> {
-        Some(self.bell.clone())
+        Some(self.shared.bell().clone())
     }
 
     fn inbound_pending(&self) -> usize {
-        self.rx.occupancy()
+        self.shared.rx_occupancy()
     }
 
     fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>) {
-        self.rx.close();
-        let mut cqes = Vec::new();
-        while let Some(c) = self.cq_staging.pop() {
-            cqes.push(c);
-        }
-        cqes.extend(self.cq.lock().drain(..));
-        // Parked wire messages are dropped with the endpoint; their
-        // payloads were staged copies.
-        let descs: Vec<RecvBufDesc> = self.srq.lock().drain(..).collect();
-        self.posted_recvs.store(0, Ordering::Release);
-        (cqes, descs)
+        self.shared.teardown()
     }
 }
 
@@ -421,6 +275,7 @@ impl NetDevice for IbvDevice {
 mod tests {
     use super::*;
     use crate::backend::NetContext;
+    use std::sync::atomic::Ordering;
 
     fn pair(cfg: DeviceConfig) -> (Arc<dyn NetDevice>, Arc<dyn NetDevice>) {
         let fabric = Fabric::new(2);

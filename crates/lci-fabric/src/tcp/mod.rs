@@ -5,8 +5,8 @@
 //! Topology is a full connection mesh: one non-blocking `TCP_NODELAY`
 //! socket per unordered rank pair, shared bidirectionally. Frames reuse
 //! the shm 64-byte header followed by the payload on the byte stream
-//! ([`stream`]); the consuming rank routes each reassembled frame by
-//! `dst_dev` exactly like the shm drain, so devices, RNR discipline,
+//! ([`stream`]); the device above the sockets is the framed core both
+//! real wires share (`crate::framed`), so devices, RNR discipline,
 //! and the zero-copy demux above ride unchanged.
 //!
 //! The perf core is syscall amortization: posts *enqueue* an encoded
@@ -30,15 +30,12 @@
 pub mod stream;
 pub mod sys;
 
-mod device;
+pub(crate) mod device;
 pub(crate) mod oob;
 
-pub use device::TcpDevice;
-
 use crate::buf_pool::BufPool;
-use crate::framed::DevShared;
+use crate::framed::RankCore;
 use crate::shm::ring::FrameHeader;
-use crate::shm::ReadTable;
 use crate::sync::SpinLock;
 use crate::types::{NetError, NetResult, RetryReason};
 use std::collections::VecDeque;
@@ -72,7 +69,7 @@ pub(crate) enum ConnIo {
     Dead,
 }
 
-struct SendState {
+pub(crate) struct SendState {
     q: VecDeque<PoolBuf>,
     /// Bytes of the front frame already written (partial `writev`).
     head_off: usize,
@@ -191,9 +188,9 @@ impl Conn {
     }
 
     /// Drains the send queue into as few `writev` calls as the socket
-    /// accepts (`batched`), or one `write` per frame (the ablation).
-    /// Counters land in `state`. The caller holds the send lock.
-    fn flush_locked(&self, g: &mut SendState, batched: bool, state: &TcpRankState) -> ConnIo {
+    /// accepts. Counters land in `state`. The caller holds the send
+    /// lock.
+    fn flush_locked(&self, g: &mut SendState, state: &TcpRankState) -> ConnIo {
         loop {
             if self.is_dead() {
                 return ConnIo::Dead;
@@ -204,7 +201,7 @@ impl Conn {
             if self.write_blocked.load(Ordering::Acquire) {
                 return ConnIo::Ok;
             }
-            match self.writev_once(g, batched, state) {
+            match self.writev_once(g, state) {
                 Ok(true) => continue,
                 Ok(false) => {
                     // EAGAIN. Set the parked-is-safe flag, then probe once
@@ -214,7 +211,7 @@ impl Conn {
                         return ConnIo::Ok;
                     }
                     self.write_blocked.store(true, Ordering::Release);
-                    match self.writev_once(g, batched, state) {
+                    match self.writev_once(g, state) {
                         Ok(true) => {
                             self.write_blocked.store(false, Ordering::Release);
                             continue;
@@ -230,14 +227,9 @@ impl Conn {
 
     /// One gather-write attempt. `Ok(true)` = progress, `Ok(false)` =
     /// `EAGAIN`, `Err` = peer gone.
-    fn writev_once(
-        &self,
-        g: &mut SendState,
-        batched: bool,
-        state: &TcpRankState,
-    ) -> Result<bool, ()> {
+    fn writev_once(&self, g: &mut SendState, state: &TcpRankState) -> Result<bool, ()> {
         let mut iovs = [sys::IoVec { base: std::ptr::null_mut(), len: 0 }; sys::MAX_IOV];
-        let take = if batched { g.q.len().min(sys::MAX_IOV) } else { 1 };
+        let take = g.q.len().min(sys::MAX_IOV);
         for (i, f) in g.q.iter().take(take).enumerate() {
             let s: &[u8] = if i == 0 { &f[g.head_off..] } else { f };
             iovs[i] = sys::IoVec::from_slice(s);
@@ -443,23 +435,14 @@ impl TcpFabric {
 /// Per-(process, rank) runtime state for the tcp transport.
 pub(crate) struct TcpRankState {
     conns: Vec<Option<Arc<Conn>>>,
-    /// Local tcp devices on this rank (append-only), for doorbell
-    /// fan-out and `ReadDone` routing.
-    devs: crate::sync::MpmcArray<Arc<DevShared>>,
-    /// Outstanding `post_read`s awaiting a `READ_RESP` frame.
-    reads: SpinLock<ReadTable>,
+    /// The device registry, pending reads and wake count the framed
+    /// core keeps per rank.
+    pub(crate) core: RankCore,
     /// Peers observed gone on the mesh sockets.
     dead: Vec<AtomicBool>,
     /// `writev` syscalls that made progress / frames fully shipped.
     pub(crate) writev_calls: AtomicU64,
     pub(crate) writev_frames: AtomicU64,
-    /// Times the epoll bridge woke this rank's doorbells.
-    cross_wakes: AtomicU64,
-    /// Whether the bridge's backstop flush gathers (mirrors the
-    /// devices' `tcp_batch` knob so the one-write-per-frame ablation
-    /// keeps its exact syscall accounting even when the bridge steps
-    /// in).
-    batched_hint: AtomicBool,
     bridge_shutdown: Arc<AtomicBool>,
     bridge: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -478,41 +461,23 @@ impl TcpRankState {
             let bridge = spawn_bridge(rank, &conns, shutdown.clone(), weak.clone());
             TcpRankState {
                 conns,
-                devs: crate::sync::MpmcArray::with_capacity(4),
-                reads: SpinLock::new(ReadTable::new()),
+                core: RankCore::new(),
                 dead: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
                 writev_calls: AtomicU64::new(0),
                 writev_frames: AtomicU64::new(0),
-                cross_wakes: AtomicU64::new(0),
-                batched_hint: AtomicBool::new(true),
                 bridge_shutdown: shutdown,
                 bridge: Mutex::new(bridge),
             }
         })
     }
 
-    pub(crate) fn register_dev(&self, dev: Arc<DevShared>) {
-        self.devs.push(dev);
-    }
-
     pub(crate) fn conn(&self, peer: usize) -> Option<&Arc<Conn>> {
         self.conns.get(peer).and_then(|c| c.as_ref())
     }
 
-    pub(crate) fn reads(&self) -> &SpinLock<ReadTable> {
-        &self.reads
-    }
-
-    pub(crate) fn dev_by_id(&self, dev: crate::types::DevId) -> Option<Arc<DevShared>> {
-        (0..self.devs.len()).filter_map(|i| self.devs.read(i)).find(|d| d.dev_id() == dev)
-    }
-
-    pub(crate) fn ring_all_bells(&self) {
-        for i in 0..self.devs.len() {
-            if let Some(d) = self.devs.read(i) {
-                d.bell().ring();
-            }
-        }
+    /// Every mesh connection of this rank, with its peer.
+    pub(crate) fn conns(&self) -> impl Iterator<Item = (usize, &Arc<Conn>)> {
+        self.conns.iter().enumerate().filter_map(|(peer, c)| Some((peer, c.as_ref()?)))
     }
 
     pub(crate) fn peer_dead(&self, peer: usize) -> bool {
@@ -526,7 +491,7 @@ impl TcpRankState {
             c.dead.store(true, Ordering::Release);
         }
         if !self.dead[peer].swap(true, Ordering::AcqRel) {
-            self.ring_all_bells();
+            self.core.ring_all_bells();
         }
     }
 
@@ -544,10 +509,6 @@ impl TcpRankState {
         self.conns.iter().flatten().map(|c| c.send_backlog.load(Ordering::Acquire)).sum()
     }
 
-    pub(crate) fn set_batched_hint(&self, batched: bool) {
-        self.batched_hint.store(batched, Ordering::Release);
-    }
-
     /// Bridge-side flush backstop. Marks every non-empty send queue
     /// stale; a queue *already* stale from the previous sweep has sat
     /// a full bridge interval with no write — its poster stopped
@@ -557,10 +518,8 @@ impl TcpRankState {
     /// happens in `poll_cq` where frames accumulate between polls.
     /// Returns whether any queue was flushed.
     fn backstop_flush(&self) -> bool {
-        let batched = self.batched_hint.load(Ordering::Acquire);
         let mut flushed = false;
-        for (peer, conn) in self.conns.iter().enumerate() {
-            let Some(c) = conn else { continue };
+        for (peer, c) in self.conns() {
             if c.is_dead() || c.send_backlog.load(Ordering::Acquire) == 0 {
                 continue;
             }
@@ -568,7 +527,7 @@ impl TcpRankState {
                 continue; // first sighting: give the poster one interval
             }
             let Some(mut sg) = c.send.try_lock() else { continue };
-            if c.flush_locked(&mut sg, batched, self) == ConnIo::Dead {
+            if c.flush_locked(&mut sg, self) == ConnIo::Dead {
                 drop(sg);
                 self.mark_peer_dead(peer);
             } else {
@@ -576,10 +535,6 @@ impl TcpRankState {
             }
         }
         flushed
-    }
-
-    pub(crate) fn cross_proc_wakes(&self) -> u64 {
-        self.cross_wakes.load(Ordering::Relaxed)
     }
 }
 
@@ -651,8 +606,7 @@ fn spawn_bridge(
                     let Some(st) = state.upgrade() else { break };
                     woke |= st.backstop_flush();
                     if woke {
-                        st.cross_wakes.fetch_add(1, Ordering::Relaxed);
-                        st.ring_all_bells();
+                        st.core.bridge_wake();
                     }
                 }
             })
@@ -683,8 +637,7 @@ fn spawn_bridge(
                     }
                     let Some(st) = state.upgrade() else { break };
                     st.backstop_flush();
-                    st.cross_wakes.fetch_add(1, Ordering::Relaxed);
-                    st.ring_all_bells();
+                    st.core.bridge_wake();
                 }
             })
             .expect("failed to spawn tcp tick bridge");

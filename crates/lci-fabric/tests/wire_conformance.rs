@@ -1,0 +1,425 @@
+//! The device contract every framed wire must keep, run over both of
+//! them: the same `NetDevice` calls, the same completions, whether the
+//! frames cross the shm rings or loopback sockets. One core
+//! (`framed::FramedDevice`) serves both, so a case that passes on one
+//! wire and fails on the other points at that wire's `impl Wire`.
+//!
+//! Every case but the last runs two ranks inside this process. The last
+//! needs a device table the sender cannot see, so it re-executes this
+//! test binary as two worker processes (like `lcw`'s `shm_smoke`): over
+//! shm by default, over the tcp mesh with `LCI_TRANSPORT=tcp`.
+#![cfg(unix)]
+
+mod common;
+
+use common::{pair, poll_until, post_packet_recv, DEADLINE};
+use lci_fabric::backend::{NetContext, NetDevice};
+use lci_fabric::bootstrap::{self, test_child_args, Launch};
+use lci_fabric::types::{CqeKind, NetError, RecvBufDesc};
+use lci_fabric::{BackendKind, DeviceConfig};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+fn wires() -> [DeviceConfig; 2] {
+    [DeviceConfig::shm(), DeviceConfig::tcp()]
+}
+
+#[test]
+fn send_recv_roundtrip() {
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let mut rbuf = vec![0u8; 64];
+        post_packet_recv(&d1, &mut rbuf, 42);
+        d0.post_send(1, 0, &[1, 2, 3], 0xAB, 7).unwrap();
+
+        let cqes = poll_until(&d0, 1);
+        assert_eq!((cqes[0].kind, cqes[0].ctx), (CqeKind::SendDone, 7));
+
+        let cqes = poll_until(&d1, 1);
+        assert_eq!(cqes[0].kind, CqeKind::RecvDone);
+        assert_eq!((cqes[0].ctx, cqes[0].imm, cqes[0].len), (42, 0xAB, 3));
+        assert_eq!((cqes[0].src_rank, cqes[0].src_dev), (0, 0));
+        assert_eq!(&rbuf[..3], &[1, 2, 3]);
+    }
+}
+
+/// Sends, a write-with-imm and a read whose target is the posting rank
+/// itself, whether the wire has a channel to itself (shm) or the core
+/// routes them in place (tcp).
+#[test]
+fn self_target_send_write_and_read() {
+    for cfg in wires() {
+        let (d0, _d1) = pair(cfg);
+        let mut rbuf = vec![0u8; 16];
+        post_packet_recv(&d0, &mut rbuf, 5);
+        d0.post_send(0, 0, b"self", 1, 2).unwrap();
+        let cqes = poll_until(&d0, 2);
+        assert!(cqes.iter().any(|c| c.kind == CqeKind::SendDone && c.ctx == 2));
+        assert!(cqes.iter().any(|c| c.kind == CqeKind::RecvDone && c.ctx == 5 && c.imm == 1));
+        assert_eq!(&rbuf[..4], b"self");
+
+        let region = [0u8; 64];
+        let mr = d0.register(region.as_ptr(), region.len()).unwrap();
+        let mut notif = vec![0u8; 8];
+        post_packet_recv(&d0, &mut notif, 6);
+        d0.post_write(0, 0, &[9u8; 8], mr.rkey, 16, Some(0x55), 3).unwrap();
+        let cqes = poll_until(&d0, 2);
+        assert!(cqes.iter().any(|c| c.kind == CqeKind::WriteDone && c.ctx == 3));
+        assert!(cqes.iter().any(|c| c.kind == CqeKind::WriteImmRecv && c.imm == 0x55));
+        assert_eq!(&region[16..24], &[9u8; 8]);
+
+        let mut dst = vec![0u8; 8];
+        // SAFETY: dst outlives the read completion below.
+        let desc = unsafe { RecvBufDesc::new(dst.as_mut_ptr(), dst.len(), 12) };
+        d0.post_read(0, desc, mr.rkey, 16).unwrap();
+        let cqes = poll_until(&d0, 1);
+        assert_eq!((cqes[0].kind, cqes[0].ctx, cqes[0].len), (CqeKind::ReadDone, 12, 8));
+        assert_eq!(dst, [9u8; 8]);
+    }
+}
+
+/// A self-target send that finds the RX endpoint full is refused before
+/// any completion is staged, and goes through once there is room.
+#[test]
+fn self_send_to_a_full_endpoint_retries_without_a_completion() {
+    for cfg in wires() {
+        let (d0, _d1) = pair(cfg.with_rx_capacity(1));
+        let mut cqes = Vec::new();
+        // The first send occupies the only RX slot (no receive posted).
+        d0.post_send(0, 0, &[1u8; 40], 0, 0).unwrap();
+        let deadline = Instant::now() + DEADLINE;
+        while d0.inbound_pending() == 0 || cqes.is_empty() {
+            d0.poll_cq(&mut cqes, 8).unwrap();
+            assert!(Instant::now() < deadline, "first self-send never arrived");
+        }
+        assert_eq!(cqes.len(), 1, "only the first SendDone so far");
+        // The second cannot be queued behind it. On a wire with a self
+        // channel it waits there instead; either way no RecvDone and at
+        // most its own SendDone appear until a receive is posted.
+        let refused = matches!(d0.post_send(0, 0, &[2u8; 40], 1, 1), Err(NetError::Retry(_)));
+        for _ in 0..8 {
+            d0.poll_cq(&mut cqes, 8).unwrap();
+        }
+        assert_eq!(cqes.len(), if refused { 1 } else { 2 });
+        assert!(cqes.iter().all(|c| c.kind == CqeKind::SendDone));
+
+        let mut bufs = [vec![0u8; 64], vec![0u8; 64]];
+        for (i, b) in bufs.iter_mut().enumerate() {
+            post_packet_recv(&d0, b, i as u64);
+        }
+        if refused {
+            cqes.extend(poll_until(&d0, 1)); // the parked first message frees the slot
+            d0.post_send(0, 0, &[2u8; 40], 1, 1).unwrap();
+        }
+        while cqes.len() < 4 {
+            cqes.extend(poll_until(&d0, 1));
+        }
+        let recvs: Vec<_> = cqes.iter().filter(|c| c.kind == CqeKind::RecvDone).collect();
+        assert_eq!(recvs.iter().map(|c| (c.ctx, c.imm)).collect::<Vec<_>>(), [(0, 0), (1, 1)]);
+        assert_eq!((bufs[0][0], bufs[1][0]), (1, 2));
+    }
+}
+
+#[test]
+fn rdma_write_with_imm() {
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let target = [0u8; 128];
+        let mr = d1.register(target.as_ptr(), target.len()).unwrap();
+        let mut notif = vec![0u8; 8];
+        post_packet_recv(&d1, &mut notif, 9);
+
+        d0.post_write(1, 0, &[5u8; 16], mr.rkey, 32, Some(0x77), 3).unwrap();
+
+        let cqes = poll_until(&d0, 1);
+        assert_eq!((cqes[0].kind, cqes[0].ctx), (CqeKind::WriteDone, 3));
+
+        let cqes = poll_until(&d1, 1);
+        assert_eq!((cqes[0].kind, cqes[0].imm), (CqeKind::WriteImmRecv, 0x77));
+        assert_eq!(&target[32..48], &[5u8; 16]);
+
+        // In-process the rkey is checked at post time.
+        let err = d0.post_write(1, 0, &[0u8; 16], mr.rkey, 120, None, 0).unwrap_err();
+        assert!(matches!(err, NetError::Fatal(_)));
+    }
+}
+
+#[test]
+fn rdma_read() {
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let src: Vec<u8> = (0..64).collect();
+        let mr = d1.register(src.as_ptr(), src.len()).unwrap();
+
+        let mut dst = vec![0u8; 16];
+        // SAFETY: dst outlives the read completion below.
+        let desc = unsafe { RecvBufDesc::new(dst.as_mut_ptr(), dst.len(), 11) };
+        d0.post_read(1, desc, mr.rkey, 8).unwrap();
+
+        // The READ_REQ/READ_RESP exchange needs the responder polling too.
+        let deadline = Instant::now() + DEADLINE;
+        let mut cqes = Vec::new();
+        let mut other = Vec::new();
+        while cqes.is_empty() {
+            d0.poll_cq(&mut cqes, 16).unwrap();
+            d1.poll_cq(&mut other, 16).unwrap();
+            assert!(Instant::now() < deadline, "read never completed");
+        }
+        assert_eq!((cqes[0].kind, cqes[0].ctx, cqes[0].len), (CqeKind::ReadDone, 11, 16));
+        assert_eq!(&dst[..], &src[8..24]);
+        assert!(other.is_empty(), "the responder sees no completion for a read");
+    }
+}
+
+/// Teardown with frames the peer has not consumed yet must not wedge or
+/// lose them: the posting side hands back its `SendDone`, a pending
+/// read's landing buffer and its posted receives, and the peer still
+/// sees the bytes.
+#[test]
+fn teardown_with_queued_frames() {
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let mut rbuf = vec![0u8; 64];
+        post_packet_recv(&d1, &mut rbuf, 1);
+        d0.post_send(1, 0, b"bye", 0, 0).unwrap();
+
+        let region = [0u8; 32];
+        let mr = d1.register(region.as_ptr(), region.len()).unwrap();
+        let mut dst = vec![0u8; 8];
+        // SAFETY: dst outlives the device it is posted on.
+        let read = unsafe { RecvBufDesc::new(dst.as_mut_ptr(), dst.len(), 77) };
+        d0.post_read(1, read, mr.rkey, 0).unwrap();
+        let mut own = vec![0u8; 8];
+        post_packet_recv(&d0, &mut own, 78);
+
+        let (cqes, descs) = d0.teardown();
+        assert!(cqes.iter().any(|c| c.kind == CqeKind::SendDone));
+        let mut handed_back: Vec<u64> = descs.iter().map(|d| d.ctx).collect();
+        handed_back.sort_unstable();
+        assert_eq!(handed_back, [77, 78]);
+
+        let cqes = poll_until(&d1, 1);
+        assert_eq!(cqes[0].kind, CqeKind::RecvDone);
+        assert_eq!(&rbuf[..3], b"bye");
+    }
+}
+
+/// A frame that finds the RX ring full waits at the head of its wire and
+/// is not staged again however often it is re-routed. Eight frames
+/// against a 2-slot ring and no posted receive: the receiver's pool
+/// takes stop where parking starts — the two that fit on shm (the rest
+/// stay in ring slots), all eight on tcp (its decoder stages each frame
+/// once, and a routed send takes that buffer over) — and the messages
+/// come out in send order.
+#[test]
+fn rx_full_parks_frames_without_restaging_and_in_send_order() {
+    const N: usize = 8;
+    const RX_SLOTS: usize = 2;
+    for cfg in wires() {
+        let staged_while_parked =
+            if cfg.backend == BackendKind::Tcp { N as u64 } else { RX_SLOTS as u64 };
+        let (d0, d1) = pair(cfg.with_rx_capacity(RX_SLOTS));
+        let payload = |i: usize| vec![i as u8 + 1; 200];
+        for i in 0..N {
+            d0.post_send(1, 0, &payload(i), i as u64, 0).unwrap();
+        }
+        let _ = poll_until(&d0, N); // SendDones + flush
+        let takes = |d: &Arc<dyn NetDevice>| d.buf_pool_stats().hits + d.buf_pool_stats().misses;
+        let deadline = Instant::now() + DEADLINE;
+        let mut none = Vec::new();
+        while takes(&d1) < staged_while_parked {
+            d1.poll_cq(&mut none, 16).unwrap();
+            assert!(Instant::now() < deadline, "only {} frames staged", takes(&d1));
+            std::thread::yield_now();
+        }
+        for _ in 0..16 {
+            d1.poll_cq(&mut none, 16).unwrap();
+        }
+        assert!(none.is_empty(), "nothing can complete without a posted receive");
+        assert_eq!(takes(&d1), staged_while_parked, "a re-routed frame was staged again");
+
+        let mut rbufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 256]).collect();
+        for (i, b) in rbufs.iter_mut().enumerate() {
+            post_packet_recv(&d1, b, i as u64);
+        }
+        let cqes = poll_until(&d1, N);
+        for (i, c) in cqes.iter().enumerate() {
+            assert_eq!((c.kind, c.ctx, c.imm), (CqeKind::RecvDone, i as u64, i as u64));
+            assert_eq!(&rbufs[i][..c.len], &payload(i)[..]);
+        }
+        assert!(takes(&d1) <= N as u64, "a payload was staged more than once");
+    }
+}
+
+/// `post_read` whose response finds the way back to the requester busy:
+/// the responder first fills its outbound path toward the requester
+/// until the wire refuses more (the requester is not polling), so when
+/// the read request arrives the 256 KiB response has no room and the
+/// request parks at the head of the responder's inbound wire. Once the
+/// requester drains, the read completes — exactly once, with the right
+/// bytes — and every filler message arrives, in order.
+#[test]
+fn read_response_parks_behind_a_busy_return_path() {
+    const FILL: usize = 64 << 10;
+    const READ: usize = 256 << 10;
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let fill = vec![0xF1u8; FILL];
+        let mut scratch = Vec::new();
+        let (mut sent, mut refused) = (0u64, 0);
+        while refused < 5 {
+            match d1.post_send(0, 0, &fill, sent, 0) {
+                Ok(()) => (sent, refused) = (sent + 1, 0),
+                Err(NetError::Retry(_)) => {
+                    // Polling flushes what the wire will still take and
+                    // reaps SendDones; refused again after that, five
+                    // times over, means the path is full.
+                    refused += 1;
+                    scratch.clear();
+                    d1.poll_cq(&mut scratch, 64).unwrap();
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => panic!("filler send failed: {e:?}"),
+            }
+        }
+        assert!(sent > 0);
+
+        let src: Vec<u8> = (0..READ).map(|i| (i as u32).wrapping_mul(2654435761) as u8).collect();
+        let mr = d1.register(src.as_ptr(), src.len()).unwrap();
+        let mut dst = vec![0u8; READ];
+        // SAFETY: dst outlives the read completion below.
+        let desc = unsafe { RecvBufDesc::new(dst.as_mut_ptr(), dst.len(), 11) };
+        d0.post_read(1, desc, mr.rkey, 0).unwrap();
+
+        // The requester goes silent (on tcp the bridge's backstop flush
+        // ships its request); the responder polls against a full path.
+        let mut cq1 = Vec::new();
+        for _ in 0..50 {
+            d1.poll_cq(&mut cq1, 64).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(cq1.iter().all(|c| c.kind == CqeKind::SendDone));
+
+        let mut rbuf = vec![0u8; FILL];
+        post_packet_recv(&d0, &mut rbuf, 0);
+        let (mut reads, mut next, mut settle) = (0, 0u64, 0);
+        let mut cq0 = Vec::new();
+        let deadline = Instant::now() + DEADLINE;
+        // Keep polling a while after everything arrived: a duplicated
+        // completion would show up then.
+        while settle < 64 {
+            d0.poll_cq(&mut cq0, 64).unwrap();
+            for c in cq0.drain(..) {
+                match c.kind {
+                    CqeKind::ReadDone => {
+                        assert_eq!((c.ctx, c.len), (11, READ));
+                        reads += 1;
+                    }
+                    CqeKind::RecvDone => {
+                        assert_eq!((c.imm, c.len), (next, FILL), "filler out of order");
+                        assert!(rbuf.iter().all(|&b| b == 0xF1));
+                        next += 1;
+                        if next < sent {
+                            rbuf.fill(0);
+                            post_packet_recv(&d0, &mut rbuf, 0);
+                        }
+                    }
+                    k => panic!("unexpected completion {k:?} on the requester"),
+                }
+            }
+            cq1.clear();
+            d1.poll_cq(&mut cq1, 64).unwrap();
+            if reads >= 1 && next == sent {
+                settle += 1;
+            }
+            assert!(Instant::now() < deadline, "stuck at {reads} reads, {next}/{sent} fillers");
+        }
+        assert_eq!(reads, 1, "the read must complete exactly once");
+        assert_eq!(dst, src);
+    }
+}
+
+fn post_send_retrying(dev: &Arc<dyn NetDevice>, dst_dev: usize, data: &[u8], imm: u64) {
+    let deadline = Instant::now() + DEADLINE;
+    let mut scratch = Vec::new();
+    loop {
+        match dev.post_send(1 - dev.rank(), dst_dev, data, imm, 0) {
+            Ok(()) => return,
+            Err(NetError::Retry(_)) => drop(dev.poll_cq(&mut scratch, 16)),
+            Err(e) => panic!("send failed: {e:?}"),
+        }
+        assert!(Instant::now() < deadline, "send never accepted");
+    }
+}
+
+/// Frames addressed to a device their target rank creates only later:
+/// across processes the sender cannot see the target's device table, so
+/// the frames travel and wait at the head of the target's inbound wire —
+/// together with a later frame for a device that does exist (strict
+/// FIFO) — and all are delivered, in order, once the device exists.
+#[test]
+fn frames_for_a_device_created_later_wait_in_order() {
+    const NAME: &str = "frames_for_a_device_created_later_wait_in_order";
+    let ctx = match bootstrap::launch(2, &test_child_args(NAME), Duration::from_secs(60))
+        .expect("launch")
+    {
+        Launch::Child(ctx) => ctx,
+        Launch::Parent(report) => {
+            assert!(report.all_ok(), "child exit codes: {:?}", report.exit_codes);
+            return;
+        }
+    };
+    let cfg =
+        if ctx.fabric.tcp_rank().is_some() { DeviceConfig::tcp() } else { DeviceConfig::shm() };
+    let net = NetContext::new(ctx.fabric.clone(), ctx.rank);
+    let dev0 = net.create_device(cfg);
+    if ctx.rank == 0 {
+        for i in 0..3u8 {
+            post_send_retrying(&dev0, 1, &[i + 1; 100], i as u64);
+        }
+        post_send_retrying(&dev0, 0, b"behind", 100);
+        // Keep polling (tcp flushes there) until rank 1 has seen it all.
+        let mut ack = vec![0u8; 8];
+        post_packet_recv(&dev0, &mut ack, 0);
+        let cqes = poll_until(&dev0, 5);
+        assert_eq!(cqes.iter().filter(|c| c.kind == CqeKind::SendDone).count(), 4);
+        assert!(cqes.iter().any(|c| c.kind == CqeKind::RecvDone && c.imm == 0xAC));
+    } else {
+        let mut behind = vec![0u8; 128];
+        post_packet_recv(&dev0, &mut behind, 7);
+        let mut cqes = Vec::new();
+        let quiet = Instant::now() + Duration::from_millis(300);
+        while Instant::now() < quiet {
+            dev0.poll_cq(&mut cqes, 16).unwrap();
+            assert!(cqes.is_empty(), "a frame overtook the ones parked for device 1");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let dev1 = net.create_device(cfg);
+        assert_eq!(dev1.dev_id(), 1);
+        let mut bufs: Vec<Vec<u8>> = (0..3).map(|_| vec![0u8; 128]).collect();
+        for (i, b) in bufs.iter_mut().enumerate() {
+            post_packet_recv(&dev1, b, i as u64);
+        }
+        let mut late = Vec::new();
+        let deadline = Instant::now() + DEADLINE;
+        while late.len() < 3 || cqes.is_empty() {
+            dev0.poll_cq(&mut cqes, 16).unwrap();
+            dev1.poll_cq(&mut late, 16).unwrap();
+            assert!(Instant::now() < deadline, "parked frames never delivered");
+        }
+        for (i, c) in late.iter().enumerate() {
+            assert_eq!((c.kind, c.ctx, c.imm, c.len), (CqeKind::RecvDone, i as u64, i as u64, 100));
+            assert_eq!((c.src_rank, c.src_dev), (0, 0));
+            assert!(bufs[i][..100].iter().all(|&b| b == i as u8 + 1));
+        }
+        assert_eq!((cqes[0].kind, cqes[0].ctx, cqes[0].imm), (CqeKind::RecvDone, 7, 100));
+        assert_eq!(&behind[..6], b"behind");
+        post_send_retrying(&dev0, 0, b"ack", 0xAC);
+        while dev0.outbound_pending() > 0 {
+            dev0.poll_cq(&mut cqes, 16).unwrap();
+        }
+    }
+    // Neither side leaves (closing its end of the wire) before both are
+    // done.
+    ctx.fabric.oob_barrier();
+}

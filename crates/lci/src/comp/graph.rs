@@ -9,7 +9,7 @@
 //! descendants. The combination of the local partial order and the
 //! ordering imposed by communication completion allows intuitive
 //! implementations of complex non-blocking collective algorithms
-//! (see `lci::collective`, which builds its trees this way).
+//! (see `lci::coll`, which builds its trees this way).
 
 use crate::types::CompDesc;
 use lci_fabric::sync::SpinLock;

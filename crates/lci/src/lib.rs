@@ -74,12 +74,11 @@
 //! | §4.1.5 backlog queue | `backlog` (internal) |
 //! | §4.2 network backends | [`lci_fabric`] |
 //! | §4.3 protocols | [`proto`] |
-//! | §6 collectives | [`coll`] (chunk-pipelined; [`collective`] is the legacy alias) |
+//! | §6 collectives | [`coll`] (chunk-pipelined) |
 
 mod backlog;
 pub mod coalesce;
 pub mod coll;
-pub mod collective;
 pub mod comp;
 mod ctx_pool;
 pub mod device;

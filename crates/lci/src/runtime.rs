@@ -625,7 +625,7 @@ impl Runtime {
 
     /// Barrier across all ranks, implemented over the out-of-band
     /// bootstrap channel (setup/teardown only; use
-    /// [`crate::collective::barrier`] on the data path).
+    /// [`crate::coll::barrier`] on the data path).
     pub fn oob_barrier(&self) {
         self.inner.fabric.oob_barrier();
     }

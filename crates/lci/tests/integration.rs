@@ -2,7 +2,7 @@
 //! (inject / buffer-copy / zero-copy rendezvous), every paradigm of paper
 //! Table 1, completion objects, matching policies, and multithreaded use.
 
-use lci::collective;
+use lci::coll;
 use lci::{Comp, CompKind, Direction, Fabric, MatchingPolicy, PostResult, Runtime, RuntimeConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -469,16 +469,16 @@ fn multithreaded_dedicated_devices() {
 fn collectives_barrier_bcast_reduce() {
     with_ranks(4, RuntimeConfig::small(), |rank, rt| {
         // Barrier: no rank may pass until all arrive (checked via flag).
-        collective::barrier(&rt).unwrap();
+        coll::barrier(&rt).unwrap();
 
         // Broadcast from rank 2.
         let mut buf = if rank == 2 { b"payload!".to_vec() } else { vec![0u8; 8] };
-        collective::broadcast(&rt, 2, &mut buf).unwrap();
+        coll::broadcast(&rt, 2, &mut buf).unwrap();
         assert_eq!(&buf, b"payload!");
 
         // Reduce (sum) to rank 1.
         let contrib = vec![rank as u64 + 1, 10 * (rank as u64 + 1)];
-        let res = collective::reduce_u64(&rt, 1, &contrib, |a, b| a + b).unwrap();
+        let res = coll::reduce_u64(&rt, 1, &contrib, |a, b| a + b).unwrap();
         if rank == 1 {
             assert_eq!(res.unwrap(), vec![1 + 2 + 3 + 4, 10 + 20 + 30 + 40]);
         } else {
@@ -486,7 +486,7 @@ fn collectives_barrier_bcast_reduce() {
         }
 
         // Allreduce (max).
-        let r = collective::allreduce_u64(&rt, &[rank as u64], u64::max).unwrap();
+        let r = coll::allreduce_u64(&rt, &[rank as u64], u64::max).unwrap();
         assert_eq!(r, vec![3]);
     });
 }
@@ -496,20 +496,20 @@ fn collectives_allgather_alltoall_ibarrier() {
     with_ranks(3, RuntimeConfig::small(), |rank, rt| {
         // Allgather of distinct-length-agnostic equal blocks.
         let mine = vec![rank as u8 + 1; 16];
-        let all = collective::allgather(&rt, &mine).unwrap();
+        let all = coll::allgather(&rt, &mine).unwrap();
         for (r, blk) in all.iter().enumerate() {
             assert_eq!(blk, &vec![r as u8 + 1; 16], "rank {rank} slot {r}");
         }
 
         // All-to-all personalized blocks: to rank i send [me*10 + i; 8].
         let send: Vec<Vec<u8>> = (0..3).map(|i| vec![(rank * 10 + i) as u8; 8]).collect();
-        let recvd = collective::alltoall(&rt, &send).unwrap();
+        let recvd = coll::alltoall(&rt, &send).unwrap();
         for (src, blk) in recvd.iter().enumerate() {
             assert_eq!(blk, &vec![(src * 10 + rank) as u8; 8], "from {src}");
         }
 
         // Non-blocking barrier as a completion graph.
-        let g = collective::ibarrier(&rt).unwrap();
+        let g = coll::ibarrier(&rt).unwrap();
         while !g.test() {
             rt.progress().unwrap();
         }

@@ -201,10 +201,6 @@ pub struct WorldConfig {
     /// a post blocks (LCI backend only; see
     /// [`lci::RuntimeConfig::coll_max_inflight`]).
     pub coll_max_inflight: usize,
-    /// Vectored write batching on the tcp transport (tcp platform
-    /// only) — the ablation knob for syscall amortization: off forces
-    /// one `write` per frame.
-    pub tcp_batch: bool,
 }
 
 impl WorldConfig {
@@ -227,21 +223,7 @@ impl WorldConfig {
             coll_naive: false,
             coll_chunk_size: 64 << 10,
             coll_max_inflight: 4,
-            tcp_batch: true,
         }
-    }
-
-    /// The fabric device configuration this world's platform and knobs
-    /// select (single source for every backend's channel config).
-    fn device_config(&self) -> DeviceConfig {
-        self.platform.device_config().with_tcp_batch(self.tcp_batch)
-    }
-
-    /// Enables or disables vectored write batching on the tcp transport
-    /// — the ablation knob for `writev` syscall amortization.
-    pub fn with_tcp_batch(mut self, on: bool) -> Self {
-        self.tcp_batch = on;
-        self
     }
 
     /// Enables LCI sender-side coalescing with a `max_bytes` flush
@@ -378,7 +360,7 @@ impl World {
                 let mut coalesce = cfg.coalesce;
                 coalesce.max_bytes = coalesce.max_bytes.min(cfg.eager_size);
                 let rt_cfg = lci::RuntimeConfig {
-                    device: cfg.device_config().with_reg_cache(cfg.reg_cache),
+                    device: cfg.platform.device_config().with_reg_cache(cfg.reg_cache),
                     rdv_chunking: cfg.rdv_chunking,
                     packet: lci::PacketPoolConfig {
                         payload_size: cfg.eager_size,
@@ -419,7 +401,8 @@ impl World {
             }
             BackendKind::Mpi => {
                 let mut mcfg = MpiConfig::ibv();
-                mcfg.channel.device = cfg.device_config().with_discipline(LockDiscipline::Blocking);
+                mcfg.channel.device =
+                    cfg.platform.device_config().with_discipline(LockDiscipline::Blocking);
                 mcfg.channel.eager_size = cfg.eager_size;
                 WorldInner::Mpi {
                     comm: MpiComm::init(fabric, rank, mcfg),
@@ -427,7 +410,7 @@ impl World {
                 }
             }
             BackendKind::Vci => {
-                let dev = cfg.device_config().with_discipline(LockDiscipline::Blocking);
+                let dev = cfg.platform.device_config().with_discipline(LockDiscipline::Blocking);
                 let ccfg = ChannelConfig { device: dev, eager_size: cfg.eager_size, prepost: 64 };
                 WorldInner::Vci {
                     comm: VciComm::init(fabric, rank, nthreads, ccfg),
@@ -438,7 +421,7 @@ impl World {
             }
             BackendKind::Gasnet => {
                 let gcfg = GasnetConfig {
-                    device: cfg.device_config().with_discipline(LockDiscipline::TryLock),
+                    device: cfg.platform.device_config().with_discipline(LockDiscipline::TryLock),
                     max_medium: cfg.eager_size,
                     prepost: 64,
                 };

@@ -4,7 +4,7 @@
 //! (`--transport {sim-ibv,sim-ofi,shm}` or LCI_TRANSPORT selects the
 //! wire; the ibv-like sim is the default.)
 
-use lci::{collective, Comp, PostResult, Runtime};
+use lci::{coll, Comp, PostResult, Runtime};
 use lci_fabric::Fabric;
 
 /// The runtime configuration, honoring the transport selector.
@@ -66,7 +66,7 @@ fn rank0(fabric: std::sync::Arc<Fabric>) {
     });
     println!("rank0: 100 KB rendezvous send complete");
 
-    collective::barrier(&rt).unwrap();
+    coll::barrier(&rt).unwrap();
 }
 
 fn rank1(fabric: std::sync::Arc<Fabric>) {
@@ -90,5 +90,5 @@ fn rank1(fabric: std::sync::Arc<Fabric>) {
             got += 1;
         }
     }
-    collective::barrier(&rt).unwrap();
+    coll::barrier(&rt).unwrap();
 }

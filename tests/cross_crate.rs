@@ -2,10 +2,66 @@
 //! composition on one fabric, wrapper-level equivalence across backends,
 //! and application pipelines end to end.
 
-use lci::{collective, Comp, PostResult, Runtime, RuntimeConfig};
+use lci::{coll, Comp, PostResult, Runtime, RuntimeConfig};
 use lci_baselines::{MpiComm, MpiConfig};
 use lci_fabric::Fabric;
 use lcw::{BackendKind, Platform, ResourceMode, World, WorldConfig};
+use std::time::Duration;
+
+/// Tier-1 smoke: one message through each protocol (inline, eager,
+/// rendezvous), one collective and one quiesce on every in-process
+/// backend — the two simulated NICs and both framed wires — so the root
+/// package's tests touch every layer of the stack.
+#[test]
+fn every_backend_carries_every_protocol() {
+    // 8 B rides inline in the wire slot, 2 KiB is an eager packet, and
+    // 64 KiB is past the 8 KiB eager size: rendezvous.
+    const SIZES: [usize; 3] = [8, 2048, 64 << 10];
+    let pattern = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 31 + len) as u8).collect() };
+    for platform in [Platform::Expanse, Platform::Delta, Platform::ShmHost, Platform::TcpHost] {
+        let cfg = WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared);
+        let fabric = Fabric::new(2);
+        let ranks: Vec<_> = (0..2)
+            .map(|rank| {
+                let fabric = fabric.clone();
+                std::thread::spawn(move || {
+                    let world = World::new(fabric, rank, cfg);
+                    let mut ep = world.endpoint(0);
+                    if rank == 0 {
+                        for (tag, len) in SIZES.into_iter().enumerate() {
+                            while !ep.send(1, &pattern(len), tag as u32) {
+                                ep.progress();
+                            }
+                        }
+                    } else {
+                        let tokens: Vec<_> = SIZES
+                            .into_iter()
+                            .enumerate()
+                            .map(|(tag, len)| ep.post_recv(0, tag as u32, len))
+                            .collect();
+                        for (token, len) in tokens.iter().zip(SIZES) {
+                            let msg = loop {
+                                ep.progress();
+                                if let Some(m) = ep.test_recv(token) {
+                                    break m;
+                                }
+                            };
+                            assert_eq!(msg.data, pattern(len), "{platform:?}: {len} B payload");
+                        }
+                    }
+                    ep.quiesce(Duration::from_secs(30)).expect("drain");
+                    let mut sum = (rank as u64 + 1).to_le_bytes();
+                    world.allreduce(&mut sum, &lci::SumU64).unwrap();
+                    assert_eq!(u64::from_le_bytes(sum), 3, "{platform:?}: allreduce");
+                    ep.quiesce(Duration::from_secs(30)).expect("drain after the collective");
+                })
+            })
+            .collect();
+        for r in ranks {
+            r.join().unwrap();
+        }
+    }
+}
 
 /// The paper's §3.2.2 composition story: multiple runtimes/libraries can
 /// coexist without interfering. Here LCI and the MPI baseline share one
@@ -144,7 +200,7 @@ fn collectives_with_background_traffic() {
                         got += 1;
                     }
                 }
-                let total = collective::allreduce_u64(&rt, &[got], |a, b| a + b).unwrap();
+                let total = coll::allreduce_u64(&rt, &[got], |a, b| a + b).unwrap();
                 assert_eq!(total, vec![(nranks * (nranks - 1)) as u64]);
             })
         })
