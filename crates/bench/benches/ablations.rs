@@ -12,25 +12,18 @@
 //! 6. **Sender-side coalescing** (§4.2.4 lock amortization) — one-way
 //!    streaming message rate with coalescing off vs a threshold sweep,
 //!    on both simulated backends;
-//! 7. **Zero-copy receive demux** — coalesced streaming with refcounted
-//!    view delivery vs the copying ablation path, with receiver stats
-//!    proving which path ran (zero-copy deliveries, batched-replenish
-//!    fill);
-//! 8. **Large-message pipeline** (§4.6) — rendezvous bandwidth with
-//!    chunked pipelined writes and the registration cache each toggled
-//!    independently, on both simulated backends;
-//! 9. **Allocation recycling** (§4.1.2 extended — DESIGN.md §4.7) —
-//!    message rate and rendezvous bandwidth with the pooled op
-//!    contexts / recycled buffer shelves on vs the
-//!    allocate-per-operation baseline;
+//! 7. **Coalesced demux in isolation** (7b) — per-sub-message copy-out
+//!    vs the refcounted view handout the runtime uses, single-threaded.
+//!    Sections 7, 8 and 9 measured knobs that no longer exist; their
+//!    numbers are in EXPERIMENTS.md;
 //! 10. **Progress engine** (DESIGN.md §4.8) — polling workers vs
 //!     dedicated progress threads with doorbell parking vs the hybrid,
 //!     on message rate (with poll/park/doorbell counter evidence) and
 //!     rendezvous bandwidth, both simulated backends.
 
 use bench::{
-    bandwidth_thread_based_cfg, env_usize, iters, msgrate_thread_based_cfg,
-    msgrate_thread_based_stats, print_header, print_row, quick, thread_sweep,
+    bandwidth_thread_based_cfg, env_usize, iters, msgrate_thread_based_stats, print_header,
+    print_row, quick, thread_sweep,
 };
 use kmer::{run_rank, KmerConfig, ReadSetConfig};
 use lci::{CompDesc, CompQueue, CqConfig, CqImpl, MatchKind, MatchingConfig, MatchingEngine};
@@ -170,68 +163,15 @@ fn main() {
             ("8KiB", lci::CoalesceConfig::enabled_with_bytes(8192)),
             ("32KiB", lci::CoalesceConfig::enabled_with_bytes(32768)),
         ] {
-            let (rate, _) = msgrate_streaming(mkdev, coalesce, true, 8, ct, citers);
+            let rate = msgrate_streaming(mkdev, coalesce, 8, ct, citers);
             print_row(&[bname.into(), cname.into(), ct.to_string(), format!("{rate:.4}")]);
         }
     }
 
     // ------------------------------------------------------------------
-    // 7. Zero-copy receive demux. Same streaming workload with an 8KiB
-    // coalescing threshold; the zero_copy knob switches the receiver
-    // between view-based delivery and the copying ablation path. The
-    // stats columns prove which path ran: zc_deliv counts zero-copy
-    // deliveries on the receiver, rfill is the average number of
-    // receives restocked per batched SRQ refill.
-    // ------------------------------------------------------------------
-    print_header(
-        "Ablation: zero-copy receive demux (coalesced streaming msgrate)",
-        &["backend", "payload", "zero_copy", "threads", "Mmsg/s", "zc_deliv", "rfill"],
-    );
-    for (bname, mkdev) in [
-        ("ibv-sim", lci::DeviceConfig::ibv as fn() -> lci::DeviceConfig),
-        ("ofi-sim", lci::DeviceConfig::ofi as fn() -> lci::DeviceConfig),
-    ] {
-        for payload in [8usize, 512, 4096] {
-            for zc in [false, true] {
-                // Sub-messages up to 4KiB, frames up to 16KiB: the
-                // larger payloads make the avoided receive-side copy a
-                // dominant share of the per-message cost.
-                let coalesce = lci::CoalesceConfig {
-                    enabled: true,
-                    max_bytes: 16384,
-                    max_msgs: 64,
-                    max_sub_size: 4096,
-                };
-                // Best of five runs: on one box the scheduler noise
-                // between runs can exceed the effect size of one run.
-                let (rate, stats) = (0..5)
-                    .map(|_| msgrate_streaming(mkdev, coalesce, zc, payload, ct, citers))
-                    .fold((0.0f64, lci::StatsSnapshot::default()), |best, cur| {
-                        if cur.0 > best.0 {
-                            cur
-                        } else {
-                            best
-                        }
-                    });
-                print_row(&[
-                    bname.into(),
-                    payload.to_string(),
-                    (if zc { "on" } else { "off" }).into(),
-                    ct.to_string(),
-                    format!("{rate:.4}"),
-                    stats.zero_copy_deliveries.to_string(),
-                    format!("{:.1}", stats.avg_replenish_fill()),
-                ]);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // 7b. The demux path in isolation. End-to-end streaming above runs
-    // sender and receiver on the same box, so the receive-side saving is
-    // diluted by every other per-message cost (and by scheduler noise);
-    // this single-threaded microbench measures only what the knob
-    // changes — per-sub-message copy-out vs refcounted view handout.
+    // 7b. The demux path in isolation: per-sub-message copy-out vs the
+    // refcounted view handout the runtime delivers with, single-threaded
+    // so nothing else of the per-message cost dilutes the difference.
     // ------------------------------------------------------------------
     print_header(
         "Ablation: coalesced demux in isolation (single thread)",
@@ -245,83 +185,6 @@ fn main() {
                 payload.to_string(),
                 (if zc { "view" } else { "copy" }).into(),
                 format!("{rate:.2}"),
-            ]);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // 8. Large-message pipeline: rendezvous bandwidth with the chunked
-    // pipeline and the registration cache toggled independently. Both
-    // knobs off recovers the pre-pipeline path (monolithic write,
-    // register/deregister per transfer).
-    // ------------------------------------------------------------------
-    print_header(
-        "Ablation: large-message pipeline (rendezvous bandwidth)",
-        &["platform", "size", "chunked", "reg_cache", "threads", "MiB/s"],
-    );
-    let rdv_iters = if quick() { 10 } else { env_usize("BENCH_BW_ITERS", 40) };
-    let rdv_threads = if quick() { 1 } else { 2 };
-    for platform in [Platform::Expanse, Platform::Delta] {
-        for size in [256 * 1024usize, 1 << 20] {
-            for (chunked, cache) in [(false, false), (false, true), (true, false), (true, true)] {
-                let cfg = WorldConfig::new(
-                    BackendKind::Lci,
-                    platform,
-                    ResourceMode::Dedicated(rdv_threads),
-                )
-                .with_rdv_chunking(chunked)
-                .with_reg_cache(cache);
-                let bw = bandwidth_thread_based_cfg(cfg, rdv_threads, size, rdv_iters);
-                print_row(&[
-                    bench::platform_name(platform).into(),
-                    size.to_string(),
-                    (if chunked { "on" } else { "off" }).into(),
-                    (if cache { "on" } else { "off" }).into(),
-                    rdv_threads.to_string(),
-                    format!("{bw:.1}"),
-                ]);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // 9. Allocation recycling: the same eager and rendezvous workloads
-    // with steady-state storage recycling (pooled op contexts, recycled
-    // staging buffers, persistent scratch) on vs the
-    // allocate-per-operation baseline. The companion correctness
-    // artifact is crates/lci/tests/alloc_steady_state.rs, which proves
-    // the recycling path makes zero allocator calls per operation.
-    // ------------------------------------------------------------------
-    print_header(
-        "Ablation: allocation recycling (eager msgrate + rendezvous bandwidth)",
-        &["platform", "workload", "recycling", "threads", "rate"],
-    );
-    let ar_threads = if quick() { 2 } else { threads.max(4) };
-    for platform in [Platform::Expanse, Platform::Delta] {
-        for recycle in [false, true] {
-            let cfg =
-                WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Dedicated(ar_threads))
-                    .with_alloc_recycling(recycle);
-            let rate = msgrate_thread_based_cfg(cfg, ar_threads, iters, 512);
-            print_row(&[
-                bench::platform_name(platform).into(),
-                "eager 512B".into(),
-                (if recycle { "on" } else { "off" }).into(),
-                ar_threads.to_string(),
-                format!("{rate:.4} Mmsg/s"),
-            ]);
-        }
-        for recycle in [false, true] {
-            let cfg =
-                WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Dedicated(rdv_threads))
-                    .with_alloc_recycling(recycle);
-            let bw = bandwidth_thread_based_cfg(cfg, rdv_threads, 256 * 1024, rdv_iters);
-            print_row(&[
-                bench::platform_name(platform).into(),
-                "rdv 256KiB".into(),
-                (if recycle { "on" } else { "off" }).into(),
-                rdv_threads.to_string(),
-                format!("{bw:.1} MiB/s"),
             ]);
         }
     }
@@ -370,6 +233,8 @@ fn main() {
         "Ablation: progress engine (rendezvous bandwidth 256KiB)",
         &["platform", "mode", "threads", "MiB/s"],
     );
+    let rdv_iters = if quick() { 10 } else { env_usize("BENCH_BW_ITERS", 40) };
+    let rdv_threads = if quick() { 1 } else { 2 };
     for platform in [Platform::Expanse, Platform::Delta] {
         for (mname, pmode) in pm_modes {
             let cfg =
@@ -388,8 +253,8 @@ fn main() {
 
 /// Demux-path microbenchmark: repeatedly lands one pre-packed coalesced
 /// frame in a pool packet and delivers every sub-message either by
-/// copying it out (the ablation path) or as a refcounted view (the
-/// zero-copy path). Returns sub-messages per second in millions.
+/// copying it out or as a refcounted view (what the runtime does).
+/// Returns sub-messages per second in millions.
 fn demux_microbench(payload: usize, zero_copy: bool, total: usize) -> f64 {
     use lci::proto::{coalesce_pack, coalesce_unpack_ranges, Header, MsgType};
     use lci::{MatchingPolicy, PacketPool, PacketPoolConfig};
@@ -431,15 +296,14 @@ fn demux_microbench(payload: usize, zero_copy: bool, total: usize) -> f64 {
 /// One-way streaming message rate: `nthreads` sender threads on rank 0
 /// stream `payload`-byte active messages to rank 1, which counts them
 /// through a handler completion. Returns Mmsg/s as observed by the
-/// receiver, plus the receiver device's stats.
+/// receiver.
 fn msgrate_streaming(
     mkdev: fn() -> lci::DeviceConfig,
     coalesce: lci::CoalesceConfig,
-    zero_copy: bool,
     payload: usize,
     nthreads: usize,
     iters: usize,
-) -> (f64, lci::StatsSnapshot) {
+) -> f64 {
     use lci::{Comp, PostResult, Runtime, RuntimeConfig};
     let fabric = Fabric::new(2);
     let elapsed = Arc::new(std::sync::atomic::AtomicU64::new(0));
@@ -452,7 +316,6 @@ fn msgrate_streaming(
         device: mkdev(),
         packet: lci::PacketPoolConfig { payload_size: 32768, count: 256 },
         coalesce,
-        zero_copy_recv: zero_copy,
         ..RuntimeConfig::small()
     };
 
@@ -474,7 +337,6 @@ fn msgrate_streaming(
         }
         recv_elapsed.store(t0.elapsed().as_nanos() as u64, Ordering::Release);
         recv_done.store(true, Ordering::Release);
-        rt.device().stats()
     });
 
     let rt = Runtime::new(fabric.clone(), 0, cfg()).unwrap();
@@ -502,8 +364,8 @@ fn msgrate_streaming(
     while !done.load(Ordering::Acquire) {
         rt.progress().unwrap();
     }
-    let stats = receiver.join().unwrap();
-    (total as f64 / (elapsed.load(Ordering::Acquire) as f64 / 1e9) / 1e6, stats)
+    receiver.join().unwrap();
+    total as f64 / (elapsed.load(Ordering::Acquire) as f64 / 1e9) / 1e6
 }
 
 /// Thread-stress helper: op-pairs per second (Mops).

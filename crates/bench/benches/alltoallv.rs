@@ -1,5 +1,5 @@
 //! Sparse size-adaptive `alltoallv` vs the padded dense `alltoall`
-//! baseline and the `coll_naive` store-and-forward ablation — the MoE
+//! baseline and the `coll::naive` store-and-forward reference — the MoE
 //! token-routing exchange shape (skewed, ragged, mostly-sparse routing
 //! matrices) that motivated the vector collective.
 //!
@@ -18,7 +18,7 @@
 //! * `padded`   — the pre-existing dense [`alltoall_bytes`] with every
 //!   block padded to the global max block (what callers did before the
 //!   vector exchange existed).
-//! * `naive`    — the `coll_naive` store-and-forward `alltoallv`
+//! * `naive`    — the store-and-forward `lci::coll::naive::alltoallv`
 //!   (dense, whole-block clones, one send in flight).
 //!
 //! Goodput charges every algorithm the **true** payload bytes (the
@@ -52,7 +52,7 @@ const JOB_ENV: &str = "BENCH_A2AV_JOB";
 const JOB_TIMEOUT: Duration = Duration::from_secs(300);
 
 fn main() {
-    match World::from_env(child_cfg()).expect("attach") {
+    match World::from_env(cfg(Platform::ShmHost)).expect("attach") {
         Some(world) => child(world),
         None => parent(),
     }
@@ -122,15 +122,8 @@ fn chunk() -> usize {
     env_usize("BENCH_A2AV_CHUNK", 32 << 10)
 }
 
-fn cfg(platform: Platform, naive: bool) -> WorldConfig {
-    WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared)
-        .with_coll_chunk_size(chunk())
-        .with_coll_naive(naive)
-}
-
-fn child_cfg() -> WorldConfig {
-    let naive = std::env::var(JOB_ENV).is_ok_and(|j| j.ends_with("naive"));
-    cfg(Platform::ShmHost, naive)
+fn cfg(platform: Platform) -> WorldConfig {
+    WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared).with_coll_chunk_size(chunk())
 }
 
 /// The wire axis (mirrors `shm_scale`): both real transports unless
@@ -233,9 +226,11 @@ fn bench_loop(world: &World, algo: Algo, m: &[Vec<usize>], iters: usize) -> (u64
     let mut lat = vec![0u64; iters];
 
     let once = |recv: &mut [u8], padded_recv: &mut [u8]| match algo {
-        Algo::Sparse | Algo::Naive => {
+        Algo::Sparse => {
             world.alltoallv(&send, &send_counts, recv, &recv_counts).expect("alltoallv")
         }
+        Algo::Naive => lci::coll::naive::alltoallv(rt, &send, &send_counts, recv, &recv_counts)
+            .expect("naive alltoallv"),
         Algo::Padded => world.alltoall_bytes(&padded_send, padded_recv).expect("padded alltoall"),
     };
 
@@ -294,7 +289,7 @@ fn run_threaded(platform: Platform, nranks: usize, skew_x10: usize, algo: Algo) 
     let handles: Vec<_> = (0..nranks)
         .map(|r| {
             let fabric = fabric.clone();
-            let wcfg = cfg(platform, algo == Algo::Naive);
+            let wcfg = cfg(platform);
             let m = m.clone();
             std::thread::Builder::new()
                 .name(format!("a2av-r{r}"))
@@ -325,7 +320,7 @@ fn run_wire(nranks: usize, skew_x10: usize, algo: Algo) {
 }
 
 fn parent() {
-    println!("# alltoallv: sparse size-adaptive vector exchange vs padded dense / coll_naive");
+    println!("# alltoallv: sparse size-adaptive vector exchange vs padded dense / coll::naive");
     println!(
         "# token model: {} tokens x {} B per rank, Zipf(skew) gates; skewed rows \
          activate n/2 experts per src (top-k batch sparsity); \

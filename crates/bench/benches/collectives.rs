@@ -1,13 +1,13 @@
-//! Chunk-pipelined collectives vs the `coll_naive` ablation.
+//! Chunk-pipelined collectives vs the `lci::coll::naive` baselines.
 //!
 //! Sweeps message size × rank count × transport for the two
 //! bandwidth-bound collectives rebuilt in this series: ring allreduce
 //! (reduce-scatter + allgather, 2(n-1)/n bytes per rank) and
 //! bounded-inflight pairwise alltoall. The `naive` rows re-run the same
-//! shapes with [`WorldConfig::with_coll_naive`], which routes every
-//! operation through the store-and-forward baselines (whole-buffer
-//! clones, one send in flight, per-send completion barriers) — the
-//! measured ablation the pipelined engines are judged against.
+//! shapes on the same world through `lci::coll::naive` — the
+//! store-and-forward reference implementations (whole-buffer clones,
+//! one send in flight, per-send completion barriers) the pipelined
+//! engines are judged against.
 //!
 //! Transports: the in-process `sim-ibv` (Expanse) and `sim-ofi`
 //! (Delta) NIC models thread-per-rank, plus the real multi-process
@@ -38,7 +38,7 @@ const JOB_ENV: &str = "BENCH_COLL_JOB";
 const JOB_TIMEOUT: Duration = Duration::from_secs(300);
 
 fn main() {
-    match World::from_env(shm_cfg()).expect("attach") {
+    match World::from_env(cfg(Platform::ShmHost)).expect("attach") {
         Some(world) => child(world),
         None => parent(),
     }
@@ -93,16 +93,12 @@ fn iters_for(size: usize) -> usize {
     (base * (64 << 10) / size.max(64 << 10)).max(5)
 }
 
-fn cfg(platform: Platform, naive: bool) -> WorldConfig {
-    WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared).with_coll_naive(naive)
-}
-
-fn shm_cfg() -> WorldConfig {
-    cfg(Platform::ShmHost, std::env::var("BENCH_COLL_NAIVE").is_ok())
+fn cfg(platform: Platform) -> WorldConfig {
+    WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared)
 }
 
 fn parent() {
-    println!("# collectives: chunk-pipelined ring/pairwise vs coll_naive ablation");
+    println!("# collectives: chunk-pipelined ring/pairwise vs the coll::naive baselines");
     println!("# goodput = payload bytes per rank / wall time; hwm = coll_chunks_inflight_hwm");
     for op in [Op::Allreduce, Op::Alltoall] {
         bench::print_header(
@@ -137,12 +133,12 @@ fn run_threaded(platform: Platform, nranks: usize, size: usize, op: Op, naive: b
     let handles: Vec<_> = (0..nranks)
         .map(|r| {
             let fabric = fabric.clone();
-            let wcfg = cfg(platform, naive);
+            let wcfg = cfg(platform);
             std::thread::Builder::new()
                 .name(format!("coll-r{r}"))
                 .spawn(move || {
                     let world = World::new(fabric, r, wcfg);
-                    bench_loop(&world, size, op, iters)
+                    bench_loop(&world, size, op, naive, iters)
                 })
                 .expect("spawn rank")
         })
@@ -152,17 +148,17 @@ fn run_threaded(platform: Platform, nranks: usize, size: usize, op: Op, naive: b
 }
 
 /// One rank's timed loop; returns (elapsed ns, inflight high-water mark).
-fn bench_loop(world: &World, size: usize, op: Op, iters: usize) -> (u64, u64) {
+fn bench_loop(world: &World, size: usize, op: Op, naive: bool, iters: usize) -> (u64, u64) {
     let rt = world.lci_runtime().expect("lci backend");
     let nranks = world.size();
     world.fabric().oob_barrier();
     // Warm-up: touch the staging shelf, pools, and match tables.
-    run_op(world, size, op, nranks);
+    run_op(rt, size, op, naive, nranks);
     world.barrier().expect("warmup barrier");
     let before = rt.device().stats();
     let t0 = Instant::now();
     for _ in 0..iters {
-        run_op(world, size, op, nranks);
+        run_op(rt, size, op, naive, nranks);
     }
     world.barrier().expect("closing barrier");
     let ns = t0.elapsed().as_nanos() as u64;
@@ -170,16 +166,27 @@ fn bench_loop(world: &World, size: usize, op: Op, iters: usize) -> (u64, u64) {
     (ns, stats.coll_chunks_inflight_hwm)
 }
 
-fn run_op(world: &World, size: usize, op: Op, nranks: usize) {
+fn run_op(rt: &lci::Runtime, size: usize, op: Op, naive: bool, nranks: usize) {
+    use lci::coll;
     match op {
         Op::Allreduce => {
             let mut buf = vec![1u8; size];
-            world.allreduce(&mut buf, &lci::SumU64).expect("allreduce");
+            if naive {
+                coll::naive::allreduce(rt, &mut buf, &lci::SumU64)
+            } else {
+                coll::allreduce(rt, &mut buf, &lci::SumU64)
+            }
+            .expect("allreduce");
         }
         Op::Alltoall => {
             let send = vec![2u8; size * nranks];
             let mut recv = vec![0u8; size * nranks];
-            world.alltoall_bytes(&send, &mut recv).expect("alltoall");
+            if naive {
+                coll::naive::alltoall_bytes(rt, &send, &mut recv)
+            } else {
+                coll::alltoall_bytes(rt, &send, &mut recv)
+            }
+            .expect("alltoall");
         }
     }
 }
@@ -244,7 +251,7 @@ fn child(world: World) {
     let naive = std::env::var("BENCH_COLL_NAIVE").is_ok();
     let world = Arc::new(world);
     let iters = iters_for(size);
-    let (ns, my_hwm) = bench_loop(&world, size, op, iters);
+    let (ns, my_hwm) = bench_loop(&world, size, op, naive, iters);
     // Collect the high-water mark over ranks through the OOB channel.
     let all = world.fabric().oob_allgather(world.rank(), my_hwm.to_le_bytes().to_vec());
     if world.rank() == 0 {

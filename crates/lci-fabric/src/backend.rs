@@ -81,13 +81,11 @@ pub struct DeviceConfig {
     /// amortize the lock acquisition over more deliveries; smaller
     /// values bound the time any single poll can monopolize the lock.
     pub cq_drain_batch: usize,
-    /// Memory-registration cache (see [`crate::reg_cache`]). Shared by
-    /// both backends; disable for the per-message-registration ablation.
+    /// Memory-registration cache bounds (see [`crate::reg_cache`]).
     pub reg_cache: RegCacheConfig,
     /// Recycled staging-buffer pool (see [`crate::buf_pool`]). Feeds the
     /// backends' wire staging (`WirePayload::Heap`, tcp frames) and the
-    /// LCI layer's remaining staging copies; disable for the
-    /// allocate-per-message ablation.
+    /// LCI layer's remaining staging copies.
     pub buf_pool: BufPoolConfig,
 }
 
@@ -143,31 +141,6 @@ impl DeviceConfig {
     /// Sets the RX ring capacity.
     pub fn with_rx_capacity(mut self, c: usize) -> Self {
         self.rx_capacity = c;
-        self
-    }
-
-    /// Sets the per-poll inbound delivery budget.
-    pub fn with_cq_drain_batch(mut self, n: usize) -> Self {
-        self.cq_drain_batch = n.max(1);
-        self
-    }
-
-    /// Enables or disables the registration cache.
-    pub fn with_reg_cache(mut self, enabled: bool) -> Self {
-        self.reg_cache.enabled = enabled;
-        self
-    }
-
-    /// Sets the registration-cache bounds.
-    pub fn with_reg_cache_bounds(mut self, max_entries: usize, max_bytes: usize) -> Self {
-        self.reg_cache.max_entries = max_entries;
-        self.reg_cache.max_bytes = max_bytes;
-        self
-    }
-
-    /// Enables or disables the recycled staging-buffer pool.
-    pub fn with_buf_pool(mut self, enabled: bool) -> Self {
-        self.buf_pool.enabled = enabled;
         self
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! A [`PoolBuf`] carries an `Arc` back to its owning pool and returns
 //! its storage on drop; [`PoolBuf::detached`] wraps a plain vector with
-//! no recycling for the ablation opt-out and for oversize payloads.
+//! no recycling for oversize payloads.
 //! Local-hit/steal/miss/recycled-byte counters surface through
 //! [`BufPoolStats`] and the LCI `DeviceStats` overlay.
 
@@ -64,9 +64,6 @@ fn class_of(len: usize) -> Option<usize> {
 /// field).
 #[derive(Clone, Copy, Debug)]
 pub struct BufPoolConfig {
-    /// Master switch; when off every request returns a detached (heap,
-    /// non-recycled) buffer — the ablation baseline.
-    pub enabled: bool,
     /// Maximum buffers kept per size class **per core stripe**; returns
     /// past this bound are dropped (freed) instead of shelved.
     pub max_per_class: usize,
@@ -78,7 +75,7 @@ pub struct BufPoolConfig {
 
 impl Default for BufPoolConfig {
     fn default() -> Self {
-        Self { enabled: true, max_per_class: 64, stripes: 0 }
+        Self { max_per_class: 64, stripes: 0 }
     }
 }
 
@@ -91,8 +88,7 @@ pub struct BufPoolStats {
     pub local_hits: u64,
     /// Requests satisfied by stealing from another core's stripe.
     pub steals: u64,
-    /// Requests that had to allocate (cold shelves, oversize, or pool
-    /// disabled).
+    /// Requests that had to allocate (cold shelves or oversize).
     pub misses: u64,
     /// Bytes of capacity returned to shelves for reuse.
     pub recycled_bytes: u64,
@@ -191,7 +187,6 @@ impl PoolShared {
 #[derive(Clone)]
 pub struct BufPool {
     shared: Arc<PoolShared>,
-    enabled: bool,
 }
 
 impl BufPool {
@@ -204,7 +199,6 @@ impl BufPool {
                 mask: nstripes - 1,
                 max_per_class: cfg.max_per_class.max(1),
             }),
-            enabled: cfg.enabled,
         }
     }
 
@@ -213,16 +207,9 @@ impl BufPool {
         self.shared.stripes.len()
     }
 
-    /// Whether buffers are actually recycled (false under the ablation
-    /// opt-out: every request allocates and every return frees).
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// An empty buffer with capacity for at least `len` bytes.
     pub fn take_empty(&self, len: usize) -> PoolBuf {
-        let class = if self.enabled { class_of(len) } else { None };
-        let Some(class) = class else {
+        let Some(class) = class_of(len) else {
             self.shared.home().misses.fetch_add(1, Ordering::Relaxed);
             return PoolBuf::detached(Vec::with_capacity(len));
         };
@@ -297,10 +284,7 @@ impl BufPool {
 
 impl std::fmt::Debug for BufPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BufPool")
-            .field("enabled", &self.enabled)
-            .field("stats", &self.stats())
-            .finish()
+        f.debug_struct("BufPool").field("stats", &self.stats()).finish()
     }
 }
 
@@ -437,22 +421,17 @@ mod tests {
     }
 
     #[test]
-    fn oversize_and_disabled_are_detached() {
+    fn oversize_is_detached() {
         let pool = BufPool::new(BufPoolConfig::default());
         let big = pool.take_empty(MAX_CLASS + 1);
         assert!(big.pool.is_none());
         drop(big);
-        let off = BufPool::new(BufPoolConfig { enabled: false, ..Default::default() });
-        let b = off.stage_copy(&[1u8; 256]);
-        assert!(b.pool.is_none());
-        drop(b);
-        assert_eq!(off.stats().hits, 0);
-        assert_eq!(off.stats().recycled_bytes, 0);
+        assert_eq!(pool.stats().recycled_bytes, 0);
     }
 
     #[test]
     fn shelf_bound_is_respected() {
-        let pool = BufPool::new(BufPoolConfig { enabled: true, max_per_class: 2, stripes: 1 });
+        let pool = BufPool::new(BufPoolConfig { max_per_class: 2, stripes: 1 });
         let bufs: Vec<_> = (0..4).map(|_| pool.take_len(128)).collect();
         drop(bufs);
         // Only two returns were shelved.
@@ -485,7 +464,7 @@ mod tests {
         // Alloc on core 0, free on core 1: the storage comes home to
         // core 0's stripe, so core 0's next take is an owner-local hit
         // (the remote-free-to-owner discipline).
-        let pool = BufPool::new(BufPoolConfig { enabled: true, max_per_class: 8, stripes: 2 });
+        let pool = BufPool::new(BufPoolConfig { max_per_class: 8, stripes: 2 });
         let (b, cap) = std::thread::scope(|s| {
             s.spawn(|| {
                 topology::bind_current_thread(0);
@@ -519,7 +498,7 @@ mod tests {
         // found by core 0's steal sweep once core 0's own shelf is dry;
         // the victim's last buffer is left alone (stealing it would
         // just move the hole to core 1).
-        let pool = BufPool::new(BufPoolConfig { enabled: true, max_per_class: 8, stripes: 2 });
+        let pool = BufPool::new(BufPoolConfig { max_per_class: 8, stripes: 2 });
         std::thread::scope(|s| {
             s.spawn(|| {
                 topology::bind_current_thread(1);

@@ -32,8 +32,7 @@
 //! deferred-deregistration semantics apply to **every** registration —
 //! the internal rendezvous receives *and* the user-facing RMA path: an
 //! explicitly deregistered rkey keeps validating remote Put/Get until
-//! the entry is evicted. Callers needing strict deregister-now behaviour
-//! must disable the cache (`DeviceConfig::with_reg_cache(false)`).
+//! the entry is evicted.
 
 use crate::mem::{MemoryRegion, RegistrationTable};
 use crate::types::Rank;
@@ -45,9 +44,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`DeviceConfig`](crate::backend::DeviceConfig)).
 #[derive(Clone, Copy, Debug)]
 pub struct RegCacheConfig {
-    /// Whether the cache is used at all. Off recovers per-message
-    /// registration (the ablation baseline).
-    pub enabled: bool,
     /// Maximum cached registrations (released entries beyond this are
     /// evicted LRU-first).
     pub max_entries: usize,
@@ -57,7 +53,7 @@ pub struct RegCacheConfig {
 
 impl Default for RegCacheConfig {
     fn default() -> Self {
-        Self { enabled: true, max_entries: 128, max_bytes: 64 << 20 }
+        Self { max_entries: 128, max_bytes: 64 << 20 }
     }
 }
 
@@ -117,9 +113,6 @@ impl RegCache {
         ptr: *const u8,
         len: usize,
     ) -> MemoryRegion {
-        if !self.cfg.enabled {
-            return table.register(rank, ptr, len);
-        }
         let key = (ptr as usize, len);
         let mut inner = self.inner.lock();
         inner.clock += 1;
@@ -142,10 +135,6 @@ impl RegCache {
     /// cached (the next `register` hits); an `mr` the cache does not own
     /// is deregistered directly.
     pub fn release(&self, table: &RegistrationTable, mr: &MemoryRegion) {
-        if !self.cfg.enabled {
-            table.deregister(mr);
-            return;
-        }
         let mut inner = self.inner.lock();
         match inner.map.get_mut(&(mr.base, mr.len)) {
             Some(e) if e.mr.rkey == mr.rkey => {
@@ -198,7 +187,7 @@ mod tests {
     use super::*;
 
     fn cache(max_entries: usize, max_bytes: usize) -> RegCache {
-        RegCache::new(RegCacheConfig { enabled: true, max_entries, max_bytes })
+        RegCache::new(RegCacheConfig { max_entries, max_bytes })
     }
 
     #[test]
@@ -274,19 +263,6 @@ mod tests {
         c.release(&t, &a);
         let _b = c.register(&t, 0, b_buf.as_ptr(), 80);
         assert_eq!(c.stats().evictions, 1, "160 B over a 100 B bound evicts the released entry");
-    }
-
-    #[test]
-    fn disabled_passthrough() {
-        let t = RegistrationTable::new();
-        let c = RegCache::new(RegCacheConfig { enabled: false, ..Default::default() });
-        let buf = [0u8; 64];
-        let a = c.register(&t, 0, buf.as_ptr(), 64);
-        let b = c.register(&t, 0, buf.as_ptr(), 64);
-        assert_ne!(a.rkey, b.rkey, "no caching when disabled");
-        c.release(&t, &a);
-        assert!(t.validate(a.rkey, 0, 1).is_err(), "release deregisters directly");
-        assert_eq!(c.stats(), RegCacheStats::default());
     }
 
     #[test]

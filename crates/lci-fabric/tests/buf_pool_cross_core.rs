@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn pool(stripes: usize, max_per_class: usize) -> BufPool {
-    BufPool::new(BufPoolConfig { enabled: true, max_per_class, stripes })
+    BufPool::new(BufPoolConfig { max_per_class, stripes })
 }
 
 /// Producer-consumer pipeline: each producer core takes and fills a

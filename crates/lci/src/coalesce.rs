@@ -9,11 +9,10 @@
 //! progress engine finds it idle. The receive side unpacks the frame and
 //! feeds each sub-message — which carries its own full wire header —
 //! through the normal matching/AM delivery paths, so matching semantics
-//! and per-destination ordering are preserved. With
-//! [`zero_copy_recv`](crate::RuntimeConfig::zero_copy_recv) (the
-//! default) the sub-payloads are delivered as refcounted
-//! [`PacketView`](crate::PacketView)s into the shared landing packet —
-//! no per-sub-message allocation or copy on the demux path.
+//! and per-destination ordering are preserved. The sub-payloads are
+//! delivered as refcounted [`PacketView`](crate::PacketView)s into the
+//! shared landing packet — no per-sub-message allocation or copy on the
+//! demux path.
 //!
 //! This amortizes the dominant per-message costs of the paper's analysis
 //! (§4.2): the endpoint/QP posting lock, the RX-ring slot, and the

@@ -28,9 +28,9 @@
 //! `Dedicated`/`Hybrid` progress instead of burning a core.
 //!
 //! The naive implementations (clone-per-round, serialized sends,
-//! allreduce as reduce+broadcast at twice the optimal byte volume) are
-//! kept behind the [`coll_naive`] runtime knob as the measured ablation
-//! baseline; `benches/collectives.rs` sweeps both.
+//! allreduce as reduce+broadcast at twice the optimal byte volume) live
+//! on in [`naive`] as the reference the proptests compare against and
+//! the baseline `benches/collectives.rs` measures.
 //!
 //! Non-blocking `i*` variants composed on the completion graph live in
 //! [`nb`] (re-exported here): [`ibarrier`], [`ibroadcast`],
@@ -53,7 +53,8 @@
 //! matching is FIFO and all three transports deliver in order per peer
 //! pair, so the k-th posted receive gets the k-th sent chunk.
 
-mod naive;
+#[doc(hidden)]
+pub mod naive;
 pub mod nb;
 pub mod ops;
 mod ring;
@@ -401,11 +402,8 @@ pub fn barrier(rt: &Runtime) -> Result<()> {
 /// In-place allreduce over raw bytes with a byte-generic [`ReduceOp`]:
 /// every rank passes an identical-length buffer; on return every rank
 /// holds the element-wise reduction. The primary collective — the
-/// chunk-pipelined bandwidth-optimal ring unless [`coll_naive`] is set
-/// (or the world exceeds [`MAX_RING_RANKS`]), in which case the
-/// reduce+broadcast baseline runs.
-///
-/// [`coll_naive`]: crate::RuntimeConfig::coll_naive
+/// chunk-pipelined bandwidth-optimal ring, or reduce+broadcast when the
+/// world exceeds [`MAX_RING_RANKS`].
 pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> Result<()> {
     let elem = op.elem_size();
     if elem == 0 || !buf.len().is_multiple_of(elem) {
@@ -417,7 +415,7 @@ pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> 
     if rt.rank_n() == 1 {
         return Ok(());
     }
-    if rt.config().coll_naive || rt.rank_n() > MAX_RING_RANKS {
+    if rt.rank_n() > MAX_RING_RANKS {
         return naive::allreduce(rt, buf, op);
     }
     with_state(rt, |st| ring::allreduce(rt, st, buf, op))
@@ -436,16 +434,12 @@ pub fn allreduce_u64(
 }
 
 /// Binomial-tree broadcast of `buf` from `root` over a mutable slice;
-/// chunk-pipelined (children forward chunk `c` as soon as it arrives)
-/// unless [`coll_naive`](crate::RuntimeConfig::coll_naive) selects the
-/// whole-buffer clone-per-child baseline. Every rank passes a buffer of
-/// identical length; non-root buffers are overwritten.
+/// chunk-pipelined (children forward chunk `c` as soon as it arrives).
+/// Every rank passes a buffer of identical length; non-root buffers are
+/// overwritten.
 pub fn broadcast_bytes(rt: &Runtime, root: Rank, buf: &mut [u8]) -> Result<()> {
     if rt.rank_n() == 1 || buf.is_empty() {
         return Ok(());
-    }
-    if rt.config().coll_naive {
-        return naive::broadcast_bytes(rt, root, buf);
     }
     with_state(rt, |st| ring::broadcast(rt, st, root, buf))
 }
@@ -520,9 +514,7 @@ pub fn reduce_bytes<O: ReduceOp + ?Sized>(
 /// Allgather over flat buffers: every rank contributes `mine`
 /// (identical length everywhere); `out` (`n × mine.len()` bytes)
 /// receives all contributions in rank order. Bruck's algorithm in
-/// `⌈log₂ n⌉` rounds unless
-/// [`coll_naive`](crate::RuntimeConfig::coll_naive) selects the
-/// `n−1`-round forwarding-ring baseline.
+/// `⌈log₂ n⌉` rounds.
 pub fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Result<()> {
     let n = rt.rank_n();
     if out.len() != n * mine.len() {
@@ -535,9 +527,6 @@ pub fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Result<()> 
     if n == 1 {
         out.copy_from_slice(mine);
         return Ok(());
-    }
-    if rt.config().coll_naive {
-        return naive::allgather_bytes(rt, mine, out);
     }
     with_state(rt, |st| ring::allgather(rt, st, mine, out))
 }
@@ -557,9 +546,7 @@ pub fn allgather(rt: &Runtime, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
 /// `recv` (same length) receives rank `j`'s block for us at offset
 /// `j * block`. All receives are pre-posted, sends ride the bounded
 /// in-flight window with no per-send wait (the rendezvous pump chunks
-/// large blocks internally) unless
-/// [`coll_naive`](crate::RuntimeConfig::coll_naive) selects the
-/// serialized baseline.
+/// large blocks internally).
 pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> {
     let n = rt.rank_n();
     if !send.len().is_multiple_of(n) || recv.len() != send.len() {
@@ -575,9 +562,6 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
     recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
     if n == 1 {
         return Ok(());
-    }
-    if rt.config().coll_naive {
-        return naive::alltoall_bytes(rt, send, recv, block);
     }
     with_state(rt, |st| ring::alltoall(rt, st, send, recv, block))
 }
@@ -604,10 +588,6 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
 /// do not hotspot one receiver. `coll_chunk_size` must match across
 /// ranks (it fixes the chunk split both sides compute), like the
 /// invocation-order contract itself.
-///
-/// [`coll_naive`](crate::RuntimeConfig::coll_naive) selects the
-/// store-and-forward ablation instead: dense (a full message per empty
-/// pair), whole-block clones, one send in flight.
 pub fn alltoallv(
     rt: &Runtime,
     send: &[u8],
@@ -646,9 +626,6 @@ pub fn alltoallv(
     if n == 1 {
         return Ok(());
     }
-    if rt.config().coll_naive {
-        return naive::alltoallv(rt, send, send_counts, recv, recv_counts);
-    }
     with_state(rt, |st| v::alltoallv(rt, st, send, send_counts, recv, recv_counts))
 }
 
@@ -675,16 +652,6 @@ pub fn exchange_counts(
     }
     if n == 1 {
         recv_counts[0] = send_counts[0];
-        return Ok(());
-    }
-    if rt.config().coll_naive {
-        let bytes: Vec<u8> = send_counts.iter().flat_map(|&c| (c as u64).to_le_bytes()).collect();
-        let mut out = vec![0u8; n * 8];
-        out[me * 8..(me + 1) * 8].copy_from_slice(&bytes[me * 8..(me + 1) * 8]);
-        naive::alltoall_bytes(rt, &bytes, &mut out, 8)?;
-        for (dst, c) in recv_counts.iter_mut().zip(out.chunks_exact(8)) {
-            *dst = u64::from_le_bytes(c.try_into().unwrap()) as usize;
-        }
         return Ok(());
     }
     with_state(rt, |st| {

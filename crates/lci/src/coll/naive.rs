@@ -1,6 +1,9 @@
-//! Naive collective baselines, kept as the measured ablation behind the
-//! [`coll_naive`](crate::RuntimeConfig::coll_naive) knob (and as the
-//! fallback for worlds too large for the ring's tag round field).
+//! Naive collectives: the reference implementations the proptests
+//! compare the pipelined engines against, the baseline rows of the
+//! collectives benches, and the allreduce fallback for worlds too large
+//! for the ring's tag round field. Same signatures and calling contract
+//! as their [`crate::coll`] namesakes, but shapes are not validated
+//! (a bad shape panics on a slice bound).
 //!
 //! These are the pre-pipelining algorithms: allreduce as binomial
 //! reduce + broadcast (2·log₂ n latency, ~2× the ring's byte volume on
@@ -10,8 +13,8 @@
 //! payloads freely — that is the point of the baseline — but their
 //! blocking waits still go through the mode-aware
 //! [`Runtime::wait_until`](crate::Runtime::wait_until) (via
-//! `wait_sync`), so even the ablation parks instead of burning a core
-//! under a dedicated progress engine.
+//! `wait_sync`), so they too park instead of burning a core under a
+//! dedicated progress engine.
 
 use super::ops::ReduceOp;
 use super::{
@@ -62,7 +65,7 @@ fn recv_wait(
 }
 
 /// Allreduce as binomial reduce to rank 0 followed by a broadcast.
-pub(super) fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> Result<()> {
+pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> Result<()> {
     let n = rt.rank_n();
     let vr = rt.rank_me(); // root 0, so virtual rank == rank
     let seq = next_seq(rt);
@@ -86,7 +89,7 @@ pub(super) fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: 
 }
 
 /// Binomial-tree broadcast, whole buffer per edge, clone per child.
-pub(super) fn broadcast_bytes(rt: &Runtime, root: Rank, buf: &mut [u8]) -> Result<()> {
+pub fn broadcast_bytes(rt: &Runtime, root: Rank, buf: &mut [u8]) -> Result<()> {
     let n = rt.rank_n();
     let me = rt.rank_me();
     let vr = (me + n - root) % n;
@@ -109,7 +112,7 @@ pub(super) fn broadcast_bytes(rt: &Runtime, root: Rank, buf: &mut [u8]) -> Resul
 
 /// Forwarding-ring allgather: `n − 1` rounds, each forwarding one
 /// cloned block to the right neighbour.
-pub(super) fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Result<()> {
+pub fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Result<()> {
     let n = rt.rank_n();
     let me = rt.rank_me();
     let len = mine.len();
@@ -137,14 +140,11 @@ pub(super) fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Resu
 
 /// Pairwise alltoall with serialized sends (each waits before the next
 /// posts); receives are still pre-posted so rounds can't deadlock.
-pub(super) fn alltoall_bytes(
-    rt: &Runtime,
-    send: &[u8],
-    recv: &mut [u8],
-    block: usize,
-) -> Result<()> {
+pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> {
     let n = rt.rank_n();
     let me = rt.rank_me();
+    let block = send.len() / n;
+    recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
     let seq = next_seq(rt);
     let tag = coll_tag(seq, ROUND_A2A);
     let mut pending = Vec::new();
@@ -175,7 +175,7 @@ pub(super) fn alltoall_bytes(
 /// measures against), every block is cloned whole (no chunking, so one
 /// giant block serializes the rendezvous pump), and sends wait one at a
 /// time. Receives are still pre-posted so the rounds can't deadlock.
-pub(super) fn alltoallv(
+pub fn alltoallv(
     rt: &Runtime,
     send: &[u8],
     send_counts: &[usize],
@@ -187,6 +187,8 @@ pub(super) fn alltoallv(
     let seq = next_seq(rt);
     let tag = coll_tag(seq, ROUND_A2AV);
     let off = |counts: &[usize], p: usize| -> usize { counts[..p].iter().sum() };
+    let (so, ro) = (off(send_counts, me), off(recv_counts, me));
+    recv[ro..ro + recv_counts[me]].copy_from_slice(&send[so..so + send_counts[me]]);
     let mut pending = Vec::new();
     for peer in (0..n).filter(|&p| p != me) {
         let len = recv_counts[peer];
@@ -205,7 +207,8 @@ pub(super) fn alltoallv(
         let so = off(send_counts, peer);
         let block = &send[so..so + send_counts[peer]];
         // An empty pair still ships a 1-byte frame (into the peer's
-        // `max(1)` box): the full-message-per-pair cost being ablated.
+        // `max(1)` box): the full-message-per-pair cost the sparse
+        // engine is measured against.
         send_wait(rt, peer, if block.is_empty() { &[0u8] } else { block }, tag)?;
     }
     for (peer, comp) in pending {

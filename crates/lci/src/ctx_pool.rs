@@ -8,9 +8,8 @@
 //! per-shard free list, so the steady state touches no allocator at all.
 //!
 //! Encoding: `ctx = (generation << 32) | (slot_id << 1) | 1`. The low
-//! tag bit distinguishes pooled ids from boxed pointers (which are at
-//! least 8-aligned, hence even) — the ablation opt-out and teardown can
-//! mix both. The generation is bumped every time a slot is vacated, so a
+//! tag bit keeps every id nonzero (a zero context is the inject/control
+//! sentinel). The generation is bumped every time a slot is vacated, so a
 //! stale or double decode of an old context misses the generation check
 //! and is reported instead of silently handing back the wrong operation
 //! (the pooled analogue of a use-after-free).
@@ -52,9 +51,8 @@ impl<T> CtxPool<T> {
         }
     }
 
-    /// Stores `val` and returns its encoded context (always odd, never
-    /// zero — distinguishable from both boxed pointers and the
-    /// inject/control sentinel).
+    /// Stores `val` and returns its encoded context (always odd, so
+    /// never the zero inject/control sentinel).
     pub fn insert(&self, val: T) -> u64 {
         let nshards = self.shards.len();
         let shard_idx = topology::current_core() % nshards;

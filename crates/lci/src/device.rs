@@ -42,8 +42,7 @@ pub(crate) enum MatchEntry {
     /// An unexpected eager message. The payload is parked without
     /// copying whenever possible: a whole packet for standalone
     /// arrivals, a refcounted [`crate::PacketView`] for sub-messages of
-    /// a coalesced frame (an owned copy only when zero-copy delivery is
-    /// disabled).
+    /// a coalesced frame.
     UnexpEager { src: Rank, tag: Tag, data: DataBuf },
     /// An unexpected rendezvous RTS.
     UnexpRts { src: Rank, src_dev: DevId, tag: Tag, send_id: u32, size: usize },
@@ -210,11 +209,8 @@ struct RdvRecv {
     is_am: bool,
 }
 
-/// Per-operation context travelling through the fabric's completion
-/// context field — a generation-tagged [`CtxPool`] id in the recycling
-/// steady state (low bit set), or a raw `Box` pointer under the
-/// allocation-recycling ablation opt-out (low bit clear: boxes are at
-/// least 8-aligned).
+/// Per-operation context; what travels through the fabric's completion
+/// context field is its generation-tagged [`CtxPool`] id.
 enum OpCtx {
     EagerSend {
         comp: Option<Comp>,
@@ -271,10 +267,6 @@ pub(crate) struct DeviceInner {
     /// gathers, parked sends, coalesced frames, rendezvous scratch,
     /// bounce buffers).
     buf_pool: BufPool,
-    /// Allocation-recycling master switch (`RuntimeConfig::
-    /// alloc_recycling`). Off = the allocate-per-operation ablation:
-    /// boxed op contexts, detached buffers, no transfer-shell reuse.
-    recycle: bool,
     /// Pooled per-operation contexts (replaces a Box per post).
     ctx_pool: CtxPool<OpCtx>,
     /// Reusable CQE array for `progress` polls.
@@ -328,36 +320,19 @@ impl PendingInbound {
 
 impl DeviceInner {
     /// Encodes a per-operation context for the fabric's 64-bit ctx
-    /// field: a generation-tagged pool id (odd) in the recycling steady
-    /// state, a boxed pointer (even) under the ablation opt-out.
+    /// field: a generation-tagged pool id.
     fn ctx_encode(&self, op: OpCtx) -> u64 {
-        if self.recycle {
-            self.ctx_pool.insert(op)
-        } else {
-            let ptr = Box::into_raw(Box::new(op)) as u64;
-            debug_assert_eq!(ptr & 1, 0, "Box pointers are at least 8-aligned");
-            ptr
-        }
+        self.ctx_pool.insert(op)
     }
 
     /// Decodes (and consumes) a context produced by [`Self::ctx_encode`].
-    /// A pooled context that fails the generation check — a stale or
-    /// double decode, the pooled analogue of a use-after-free — is
-    /// reported as a fatal error instead of corrupting another operation.
-    ///
-    /// # Safety
-    /// `ctx` must come from [`Self::ctx_encode`] on this device and be
-    /// decoded at most once if it is a boxed (even) context.
-    unsafe fn ctx_decode(&self, ctx: u64) -> Result<OpCtx> {
-        if ctx & 1 == 1 {
-            self.ctx_pool
-                .remove(ctx)
-                .ok_or_else(|| FatalError::Net(format!("stale or double-decoded op ctx {ctx:#x}")))
-        } else {
-            // SAFETY: even contexts are unique boxed OpCtx pointers per
-            // this function's contract.
-            Ok(*unsafe { Box::from_raw(ctx as *mut OpCtx) })
-        }
+    /// A context that fails the generation check — a stale or double
+    /// decode, the pooled analogue of a use-after-free — is reported as
+    /// a fatal error instead of corrupting another operation.
+    fn ctx_decode(&self, ctx: u64) -> Result<OpCtx> {
+        self.ctx_pool
+            .remove(ctx)
+            .ok_or_else(|| FatalError::Net(format!("stale or double-decoded op ctx {ctx:#x}")))
     }
 
     /// Copies a send payload into one contiguous recycled buffer. Only
@@ -458,13 +433,7 @@ pub(crate) struct CommArgs {
 
 impl Device {
     pub(crate) fn create(rt: Arc<RuntimeInner>) -> Result<Device> {
-        let recycle = rt.config.alloc_recycling;
-        let mut dev_cfg = rt.config.device;
-        if !recycle {
-            // The master switch overrides the fabric-level pool too, so
-            // one flag yields the full allocate-per-operation ablation.
-            dev_cfg.buf_pool.enabled = false;
-        }
+        let dev_cfg = rt.config.device;
         let net = rt.netctx.create_device(dev_cfg);
         // Share the fabric device's pool so the whole data path recycles
         // through one set of shelves.
@@ -484,7 +453,6 @@ impl Device {
                 rdv_recvs: ShardedSlab::new(shards),
                 rdv_active: AtomicUsize::new(0),
                 buf_pool,
-                recycle,
                 ctx_pool: CtxPool::new(shards),
                 cqe_scratch: SpinLock::new(Vec::with_capacity(batch)),
                 replenish_scratch: SpinLock::new(ReplenishScratch::default()),
@@ -737,10 +705,10 @@ impl Device {
                     NetError::Retry(r) if args.allow_retry => {
                         // Back out: reclaim the context and hand the
                         // buffer back through the retry descriptor path
-                        // (caller resubmits with the same buffer).
-                        // SAFETY: the fabric rejected the post, so the
-                        // context was never handed over.
-                        let _op = unsafe { self.inner.ctx_decode(ctx) }?;
+                        // (caller resubmits with the same buffer). The
+                        // fabric rejected the post, so the context was
+                        // never handed over.
+                        let _op = self.inner.ctx_decode(ctx)?;
                         Ok(PostResult::Retry(r.into()))
                     }
                     NetError::Retry(_) => {
@@ -761,8 +729,8 @@ impl Device {
                         Ok(PostResult::Posted)
                     }
                     NetError::Fatal(m) => {
-                        // SAFETY: rejected post; context never handed over.
-                        let _op = unsafe { self.inner.ctx_decode(ctx) }?;
+                        // Rejected post: the context was never handed over.
+                        let _op = self.inner.ctx_decode(ctx)?;
                         Err(FatalError::Net(m))
                     }
                 }
@@ -845,8 +813,8 @@ impl Device {
         match self.inner.net.post_write(args.rank, target_dev, data, rkey, offset, imm, ctx) {
             Ok(()) => Ok(PostResult::Posted),
             Err(e) => {
-                // SAFETY: rejected post; context never handed over.
-                let _op = unsafe { self.inner.ctx_decode(ctx) }?;
+                // Rejected post: the context was never handed over.
+                let _op = self.inner.ctx_decode(ctx)?;
                 match e {
                     NetError::Retry(r) => Ok(PostResult::Retry(r.into())),
                     NetError::Fatal(m) => Err(FatalError::Net(m)),
@@ -880,8 +848,8 @@ impl Device {
         match self.inner.net.post_read(args.rank, desc, rkey, offset) {
             Ok(()) => Ok(PostResult::Posted),
             Err(e) => {
-                // SAFETY: rejected post; context never handed over.
-                let _op = unsafe { self.inner.ctx_decode(ctx) }?;
+                // Rejected post: the context was never handed over.
+                let _op = self.inner.ctx_decode(ctx)?;
                 match e {
                     NetError::Retry(r) => Ok(PostResult::Retry(r.into())),
                     NetError::Fatal(m) => Err(FatalError::Net(m)),
@@ -1033,12 +1001,12 @@ impl Device {
         };
         let cfg = &self.inner.rt.config;
         let total = entry.buf.len();
-        let chunk = if cfg.rdv_chunking { cfg.rdv_chunk_size.min(total) } else { total };
+        let chunk = cfg.rdv_chunk_size.min(total);
         let nchunks = total.div_ceil(chunk);
         let max_inflight = cfg.rdv_max_inflight.min(nchunks).max(1);
         let contiguous = entry.buf.as_contiguous().is_some();
         let fin_imm = Header::new(MsgType::Fin, MatchingPolicy::RankTag, 0, rtr.recv_id).encode();
-        let recycled = if self.inner.recycle { self.inner.rdv_reuse.lock().pop() } else { None };
+        let recycled = self.inner.rdv_reuse.lock().pop();
         let active = match recycled {
             Some(mut arc) => {
                 // Reuse a finished transfer's shell (Arc + pump lock +
@@ -1179,8 +1147,8 @@ impl Device {
                     self.inner.stats.raise(|c| &c.rdv_inflight_hwm, now as u64);
                 }
                 Err(NetError::Retry(_)) => {
-                    // SAFETY: rejected post; context never handed over.
-                    unsafe { self.inner.ctx_decode(ctx) }?;
+                    // Rejected post: the context was never handed over.
+                    self.inner.ctx_decode(ctx)?;
                     if let Some(idx) = slot_idx {
                         st.scratch[idx].busy = false;
                     }
@@ -1190,8 +1158,8 @@ impl Device {
                     return Ok(active.inflight.load(Ordering::Relaxed) == 0);
                 }
                 Err(NetError::Fatal(m)) => {
-                    // SAFETY: rejected post; context never handed over.
-                    unsafe { self.inner.ctx_decode(ctx) }?;
+                    // Rejected post: the context was never handed over.
+                    self.inner.ctx_decode(ctx)?;
                     return Err(FatalError::Net(m));
                 }
             }
@@ -1491,7 +1459,7 @@ impl Device {
         let cfg = &self.inner.rt.config;
         let target = cfg.prepost;
         let posted = self.inner.net.posted_recvs();
-        if posted > cfg.effective_prepost_watermark() || posted >= target {
+        if posted > target / 2 || posted >= target {
             return Ok(());
         }
         // Persistent refill scratch: a busy lock means another thread is
@@ -1544,9 +1512,7 @@ impl Device {
                 if cqe.ctx == 0 {
                     return Ok(()); // inject / control message
                 }
-                // SAFETY: ctx was encoded at post time and this is its
-                // unique completion.
-                let op = unsafe { self.inner.ctx_decode(cqe.ctx) }?;
+                let op = self.inner.ctx_decode(cqe.ctx)?;
                 self.handle_local_completion(op)
             }
             CqeKind::RecvDone => {
@@ -1556,7 +1522,7 @@ impl Device {
             }
             CqeKind::WriteImmRecv => {
                 // A pre-posted receive was consumed without data.
-                // SAFETY: as above.
+                // SAFETY: receive contexts are leaked packet indices.
                 let packet = unsafe { self.inner.rt.pool.reclaim(cqe.ctx as u32, 0) };
                 drop(packet); // immediately recycled
                 let hdr = Header::decode(cqe.imm)?;
@@ -1620,7 +1586,7 @@ impl Device {
                         // a stale backlog pump clone may still point here,
                         // and reusing the shell under it would corrupt an
                         // unrelated transfer.
-                        if self.inner.recycle && Arc::strong_count(&active) == 1 {
+                        if Arc::strong_count(&active) == 1 {
                             let mut reuse = self.inner.rdv_reuse.lock();
                             if reuse.len() < RDV_REUSE_CAP {
                                 reuse.push(active);
@@ -1766,25 +1732,15 @@ impl Device {
                         subs.len()
                     )));
                 }
-                if self.inner.rt.config.zero_copy_recv {
-                    // Zero-copy demux: the frame packet becomes a shared
-                    // refcounted buffer and every sub-message is handed
-                    // out as a view into it; the slot returns to the pool
-                    // when the last view drops.
-                    let shared = packet.into_shared();
-                    for (sub_imm, r) in subs {
-                        let view = shared.view(r.start, r.end - r.start);
-                        let hdr = Header::decode(sub_imm)?;
-                        self.deliver_eager(cqe.src_rank, hdr, DataBuf::View(view))?;
-                    }
-                } else {
-                    // Ablation path (PR-1 behaviour): copy every
-                    // sub-payload out into an owned buffer.
-                    for (sub_imm, r) in subs {
-                        let data: Box<[u8]> = packet.as_slice()[r].into();
-                        let hdr = Header::decode(sub_imm)?;
-                        self.deliver_eager(cqe.src_rank, hdr, DataBuf::Owned(data))?;
-                    }
+                // Zero-copy demux: the frame packet becomes a shared
+                // refcounted buffer and every sub-message is handed out
+                // as a view into it; the slot returns to the pool when
+                // the last view drops.
+                let shared = packet.into_shared();
+                for (sub_imm, r) in subs {
+                    let view = shared.view(r.start, r.end - r.start);
+                    let hdr = Header::decode(sub_imm)?;
+                    self.deliver_eager(cqe.src_rank, hdr, DataBuf::View(view))?;
                 }
                 Ok(())
             }
@@ -1795,9 +1751,8 @@ impl Device {
     }
 
     /// Delivers one eager payload — a standalone arrival (packet-backed)
-    /// or one sub-message of a coalesced frame (view-backed, or an owned
-    /// copy when zero-copy delivery is disabled) — through the matching
-    /// engine (two-sided) or rcomp signaling (active message). The
+    /// or one sub-message of a coalesced frame (view-backed) — through the
+    /// matching engine (two-sided) or rcomp signaling (active message). The
     /// payload is parked as-is on a miss; no copy happens until (unless)
     /// a user-posted receive buffer consumes it.
     fn deliver_eager(&self, src: Rank, hdr: Header, data: DataBuf) -> Result<()> {
@@ -1866,15 +1821,10 @@ impl Device {
         Ok(())
     }
 
-    /// Delivers an eager active message to its registered completion
-    /// object, counting the delivery as zero-copy or copied.
+    /// Delivers an eager active message (packet- or view-backed, so
+    /// zero-copy) to its registered completion object.
     fn deliver_eager_am(&self, comp: &Comp, src: Rank, tag: Tag, data: DataBuf) {
-        match &data {
-            DataBuf::Packet(..) | DataBuf::View(_) => {
-                self.inner.stats.bump(|c| &c.zero_copy_deliveries);
-            }
-            _ => self.inner.stats.bump(|c| &c.copied_deliveries),
-        }
+        self.inner.stats.bump(|c| &c.zero_copy_deliveries);
         comp.signal(CompDesc { rank: src, tag, data, user_ctx: 0, kind: CompKind::Am });
     }
 
@@ -1986,9 +1936,7 @@ impl Drop for DeviceInner {
                 }
                 CqeKind::SendDone | CqeKind::WriteDone | CqeKind::ReadDone => {
                     if cqe.ctx != 0 {
-                        // SAFETY: nonzero local contexts were produced by
-                        // this device's ctx_encode and never decoded.
-                        let _ = unsafe { self.ctx_decode(cqe.ctx) };
+                        let _ = self.ctx_decode(cqe.ctx);
                     }
                 }
             }

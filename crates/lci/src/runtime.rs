@@ -100,15 +100,10 @@ pub struct RuntimeConfig {
     /// use zero-copy rendezvous. Must be at most the packet payload size
     /// (incoming eager messages land in packets).
     pub eager_size: usize,
-    /// Pre-posted receive target per device.
+    /// Pre-posted receive target per device. The receives are restocked
+    /// when their count falls to half of it (hysteresis), back to the
+    /// target with one batched posting call.
     pub prepost: usize,
-    /// Restock the pre-posted receives only when their count falls to
-    /// this low watermark (hysteresis), and then refill back to
-    /// [`prepost`](Self::prepost) with one batched posting call.
-    /// `None` (the default) uses half of `prepost`. A value equal to
-    /// `prepost` restores the old top-up-every-progress-call behaviour;
-    /// it must not exceed `prepost`.
-    pub prepost_watermark: Option<usize>,
     /// Matching-engine configuration.
     pub matching: MatchingConfig,
     /// Default completion-queue configuration.
@@ -118,28 +113,17 @@ pub struct RuntimeConfig {
     /// Sender-side small-message coalescing (off by default; see
     /// [`crate::coalesce`]).
     pub coalesce: CoalesceConfig,
-    /// Deliver eager payloads (AM completions, unexpected-message
-    /// parking) as zero-copy packet-backed views instead of owned
-    /// copies. A copy still happens when the user posted their own
-    /// receive buffer. On by default; the ablation knob to recover the
-    /// copying receive path.
-    pub zero_copy_recv: bool,
-    /// Pipeline rendezvous payloads as multiple RDMA-write chunks (the
-    /// large-message pipeline, DESIGN.md §4.6). Off recovers the
-    /// monolithic single-write behaviour (the ablation baseline).
-    pub rdv_chunking: bool,
-    /// Chunk size for pipelined rendezvous writes.
+    /// Chunk size of the pipelined rendezvous writes (the large-message
+    /// pipeline, DESIGN.md §4.6); a payload no larger than it goes as
+    /// one write. Must be nonzero and at most 1 MiB: the largest write
+    /// the shm wire frames and the largest pooled size class (the tcp
+    /// wire frames one header less, so keep chunks for it below 1 MiB).
     pub rdv_chunk_size: usize,
     /// Maximum chunks outstanding per rendezvous transfer.
     pub rdv_max_inflight: usize,
     /// Stripe count for the pending-rendezvous tables (send and receive
     /// state each sharded over this many independently locked slabs).
     pub rdv_shards: usize,
-    /// Use the naive (clone-per-round, serialized-send) collective
-    /// implementations instead of the chunk-pipelined ones — the
-    /// measured ablation baseline for the collectives bench (see
-    /// [`crate::coll`]).
-    pub coll_naive: bool,
     /// Chunk size the pipelined ring allreduce splits each block into.
     /// Must be nonzero and at most 1 MiB (the buffer pool's largest
     /// recycled size class — bigger chunks would defeat pooled staging).
@@ -147,12 +131,6 @@ pub struct RuntimeConfig {
     /// Maximum collective chunk sends outstanding per rank (the
     /// pipelining window of ring allreduce and the pairwise alltoall).
     pub coll_max_inflight: usize,
-    /// Recycle steady-state data-path storage: pooled operation contexts
-    /// (slab-backed, generation-tagged) instead of per-post boxes, and
-    /// shelf-recycled staging/bounce buffers instead of fresh heap
-    /// allocations. On by default; the ablation knob to recover the
-    /// allocate-per-operation baseline.
-    pub alloc_recycling: bool,
     /// Who drives progress: polling workers (the default), dedicated
     /// progress threads with doorbell-driven parking, or a hybrid where
     /// workers steal progress while the dedicated thread is parked (see
@@ -177,20 +155,15 @@ impl Default for RuntimeConfig {
             packet,
             inject_size: 64,
             prepost: 64,
-            prepost_watermark: None,
             matching: MatchingConfig::default(),
             cq: CqConfig::default(),
             progress_batch: 64,
             coalesce: CoalesceConfig::default(),
-            zero_copy_recv: true,
-            rdv_chunking: true,
             rdv_chunk_size: 64 << 10,
             rdv_max_inflight: 4,
             rdv_shards: 8,
-            coll_naive: false,
             coll_chunk_size: 64 << 10,
             coll_max_inflight: 4,
-            alloc_recycling: true,
             progress_mode: ProgressMode::Workers,
             placement: Placement::default(),
         }
@@ -233,19 +206,6 @@ impl RuntimeConfig {
         Some(self.with_device(device))
     }
 
-    /// Effective low watermark for receive replenishment (see
-    /// [`prepost_watermark`](Self::prepost_watermark)).
-    pub fn effective_prepost_watermark(&self) -> usize {
-        self.prepost_watermark.unwrap_or(self.prepost / 2)
-    }
-
-    /// Toggles data-path storage recycling (see
-    /// [`alloc_recycling`](Self::alloc_recycling)).
-    pub fn with_alloc_recycling(mut self, on: bool) -> Self {
-        self.alloc_recycling = on;
-        self
-    }
-
     /// Selects who drives progress (see
     /// [`progress_mode`](Self::progress_mode)).
     pub fn with_progress_mode(mut self, mode: ProgressMode) -> Self {
@@ -256,13 +216,6 @@ impl RuntimeConfig {
     /// Sets the thread-per-core placement policy (see [`Placement`]).
     pub fn with_placement(mut self, placement: Placement) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Selects the naive collective implementations (see
-    /// [`coll_naive`](Self::coll_naive)) — the ablation baseline.
-    pub fn with_coll_naive(mut self, on: bool) -> Self {
-        self.coll_naive = on;
         self
     }
 
@@ -349,9 +302,6 @@ impl Runtime {
                 "eager_size must not exceed packet payload size".into(),
             ));
         }
-        if config.prepost_watermark.is_some_and(|w| w > config.prepost) {
-            return Err(FatalError::InvalidArg("prepost_watermark must not exceed prepost".into()));
-        }
         if config.coalesce.enabled {
             if config.coalesce.max_bytes > config.packet.payload_size {
                 return Err(FatalError::InvalidArg(
@@ -364,8 +314,10 @@ impl Runtime {
                 ));
             }
         }
-        if config.rdv_chunk_size == 0 {
-            return Err(FatalError::InvalidArg("rdv_chunk_size must be nonzero".into()));
+        if config.rdv_chunk_size == 0 || config.rdv_chunk_size > (1 << 20) {
+            return Err(FatalError::InvalidArg(
+                "rdv_chunk_size must be in 1..=1MiB (the largest write shm and tcp frame)".into(),
+            ));
         }
         if config.rdv_max_inflight == 0 {
             return Err(FatalError::InvalidArg("rdv_max_inflight must be nonzero".into()));

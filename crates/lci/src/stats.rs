@@ -215,8 +215,8 @@ pub struct StatsSnapshot {
     pub batch_posted_msgs: u64,
     /// Eager payloads delivered zero-copy (packet- or view-backed).
     pub zero_copy_deliveries: u64,
-    /// Eager payloads delivered through a copy (posted user buffer or
-    /// owned staging when zero-copy delivery is disabled).
+    /// Eager payloads delivered through a copy (into a posted user
+    /// buffer).
     pub copied_deliveries: u64,
     /// Batched SRQ restocks (one SRQ/endpoint-lock acquisition each).
     pub replenish_batches: u64,
@@ -259,7 +259,7 @@ pub struct StatsSnapshot {
     /// chunk-level overlap.
     pub coll_chunks_inflight_hwm: u64,
     /// Zero-byte `alltoallv` peer pairs that posted nothing on the wire
-    /// (send-side skips; the dense `alltoall` and the `coll_naive`
+    /// (send-side skips; the dense `alltoall` and the `coll::naive`
     /// store-and-forward `alltoallv` both pay a full message per empty
     /// pair instead). MoE routing matrices are mostly sparse, so this
     /// counter is the direct evidence the vector exchange exploited it.

@@ -7,26 +7,54 @@
 //! §4.1.2 design goal, extended from packets to the whole path).
 //!
 //! The harness drives both ranks of a 2-rank fabric from one thread, so
-//! the global counter observes exactly the operations under test. User
-//! buffers are recovered from completion descriptors and reposted, as a
+//! the counter observes exactly the operations under test. User buffers
+//! are recovered from completion descriptors and reposted, as a
 //! steady-state application would.
+//!
+//! Only **audited threads** are counted: the thread holding the
+//! [`serial`] guard (the `Pair` driver) and the collective rank threads,
+//! which opt in with [`audit_this_thread`]. libtest spawning or tearing
+//! down a sibling test's thread on another core allocates too, and
+//! would otherwise land in whichever audit's window is open. Threads
+//! the runtime spawns itself (`Dedicated`/`Hybrid` progress threads)
+//! never opt in and are *not* counted, which is why every audit here
+//! runs in the default `Workers` progress mode.
 
 use crossbeam::queue::ArrayQueue;
 use lci::{Comp, CompDesc, DataBuf, Fabric, PostResult, Runtime, RuntimeConfig, SendBuf};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Counts every allocation call (alloc, alloc_zeroed, realloc) passing
-/// through the global allocator. Frees are not counted: the audit is
-/// about acquiring memory on the critical path.
+/// Counts every allocation call (alloc, alloc_zeroed, realloc) an
+/// audited thread passes through the global allocator. Frees are not
+/// counted: the audit is about acquiring memory on the critical path.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count. Const-initialised and
+    /// destructor-free, so reading it inside the allocator neither
+    /// allocates nor registers a TLS destructor.
+    static AUDITED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_call() {
+    if AUDITED.try_with(Cell::get).unwrap_or(false) {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Opts the calling thread into the count for the rest of its life.
+fn audit_this_thread() {
+    AUDITED.set(true);
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,12 +63,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,12 +84,27 @@ fn alloc_calls() -> u64 {
 /// runner uses one thread per test by default. Locking never allocates.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Takes [`SERIAL`]. A sibling audit that failed while holding the
-/// mutex poisoned it, but the `()` inside has no state to corrupt:
-/// recover the guard, so each red audit reports its own assertion
-/// instead of a `PoisonError`.
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+/// Holds [`SERIAL`] and keeps the holding thread audited; dropping it
+/// stops the count first, so the thread's own teardown (libtest
+/// reporting the result) stays out of the next audit's window.
+struct Audit {
+    _serial: MutexGuard<'static, ()>,
+}
+
+impl Drop for Audit {
+    fn drop(&mut self) {
+        AUDITED.set(false);
+    }
+}
+
+/// Takes [`SERIAL`] and starts counting the calling thread. A sibling
+/// audit that failed while holding the mutex poisoned it, but the `()`
+/// inside has no state to corrupt: recover the guard, so each red audit
+/// reports its own assertion instead of a `PoisonError`.
+fn serial() -> Audit {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    audit_this_thread();
+    Audit { _serial }
 }
 
 /// Two single-threaded ranks over one fabric plus fixed-capacity
@@ -146,23 +189,8 @@ fn recover_recv(d: CompDesc) -> Box<[u8]> {
 /// Runs `warmup + iters` ping transfers of `size` bytes, recycling the
 /// user buffers across iterations, and returns the number of allocator
 /// calls made during the measured `iters`.
-fn steady_state_allocs(recycling: bool, size: usize, warmup: usize, iters: usize) -> u64 {
-    steady_state_allocs_on(lci_fabric::DeviceConfig::ibv(), recycling, size, warmup, iters)
-}
-
-fn steady_state_allocs_on(
-    device: lci_fabric::DeviceConfig,
-    recycling: bool,
-    size: usize,
-    warmup: usize,
-    iters: usize,
-) -> u64 {
-    steady_state_allocs_cfg(
-        RuntimeConfig::small().with_device(device).with_alloc_recycling(recycling),
-        size,
-        warmup,
-        iters,
-    )
+fn steady_state_allocs(size: usize, warmup: usize, iters: usize) -> u64 {
+    steady_state_allocs_cfg(RuntimeConfig::small(), size, warmup, iters)
 }
 
 fn steady_state_allocs_cfg(cfg: RuntimeConfig, size: usize, warmup: usize, iters: usize) -> u64 {
@@ -189,7 +217,7 @@ fn steady_state_allocs_cfg(cfg: RuntimeConfig, size: usize, warmup: usize, iters
 #[test]
 fn inject_steady_state_is_allocation_free() {
     let _g = serial();
-    let allocs = steady_state_allocs(true, 8, 64, 256);
+    let allocs = steady_state_allocs(8, 64, 256);
     assert_eq!(allocs, 0, "8-byte inject loop made {allocs} allocator calls after warmup");
 }
 
@@ -199,7 +227,7 @@ fn inject_steady_state_is_allocation_free() {
 #[test]
 fn eager_steady_state_is_allocation_free() {
     let _g = serial();
-    let allocs = steady_state_allocs(true, 512, 64, 256);
+    let allocs = steady_state_allocs(512, 64, 256);
     assert_eq!(allocs, 0, "512-byte eager loop made {allocs} allocator calls after warmup");
 }
 
@@ -209,7 +237,7 @@ fn eager_steady_state_is_allocation_free() {
 #[test]
 fn rendezvous_steady_state_is_allocation_free() {
     let _g = serial();
-    let allocs = steady_state_allocs(true, 256 << 10, 16, 32);
+    let allocs = steady_state_allocs(256 << 10, 16, 32);
     assert_eq!(allocs, 0, "256 KiB rendezvous loop made {allocs} allocator calls after warmup");
 }
 
@@ -220,7 +248,8 @@ fn rendezvous_steady_state_is_allocation_free() {
 #[test]
 fn shm_eager_steady_state_is_allocation_free() {
     let _g = serial();
-    let allocs = steady_state_allocs_on(lci_fabric::DeviceConfig::shm(), true, 512, 64, 256);
+    let cfg = RuntimeConfig::small().with_device(lci_fabric::DeviceConfig::shm());
+    let allocs = steady_state_allocs_cfg(cfg, 512, 64, 256);
     assert_eq!(allocs, 0, "shm 512-byte eager loop made {allocs} allocator calls after warmup");
 }
 
@@ -230,7 +259,8 @@ fn shm_eager_steady_state_is_allocation_free() {
 #[test]
 fn shm_rendezvous_steady_state_is_allocation_free() {
     let _g = serial();
-    let allocs = steady_state_allocs_on(lci_fabric::DeviceConfig::shm(), true, 256 << 10, 16, 32);
+    let cfg = RuntimeConfig::small().with_device(lci_fabric::DeviceConfig::shm());
+    let allocs = steady_state_allocs_cfg(cfg, 256 << 10, 16, 32);
     assert_eq!(allocs, 0, "shm 256 KiB rendezvous loop made {allocs} allocator calls after warmup");
 }
 
@@ -282,7 +312,6 @@ fn eager_copy_ledger_is_one_stage_per_wire() {
 fn placed_cfg(size_hint: lci_fabric::DeviceConfig) -> RuntimeConfig {
     RuntimeConfig::small()
         .with_device(size_hint)
-        .with_alloc_recycling(true)
         .with_placement(lci::Placement::default().with_cores(4))
 }
 
@@ -346,6 +375,7 @@ fn collective_allreduce_steady_state_is_allocation_free() {
         let fabric = fabric.clone();
         let gate = gate.clone();
         threads.push(std::thread::spawn(move || {
+            audit_this_thread();
             let cfg = RuntimeConfig { coll_chunk_size: 4096, ..RuntimeConfig::small() };
             let rt = Runtime::new(fabric, rank, cfg).unwrap();
             let mut buf = vec![1u8; ELEMS * 8];
@@ -397,6 +427,7 @@ fn collective_alltoallv_steady_state_is_allocation_free() {
         let fabric = fabric.clone();
         let gate = gate.clone();
         threads.push(std::thread::spawn(move || {
+            audit_this_thread();
             let cfg = RuntimeConfig { coll_chunk_size: 4096, ..RuntimeConfig::small() };
             let rt = Runtime::new(fabric, rank, cfg).unwrap();
             let send_counts = row.to_vec();
@@ -432,16 +463,25 @@ fn collective_alltoallv_steady_state_is_allocation_free() {
     );
 }
 
-/// The ablation baseline really does allocate: with recycling off the
-/// same eager loop hits the allocator every iteration, which also
-/// proves the harness counts what it claims to count.
+/// The harness counts what it claims to count: an audited thread's
+/// allocations move the counter, an unaudited thread's do not (a zero
+/// from a counter that never moves would prove nothing).
 #[test]
-fn recycling_off_allocates_per_operation() {
+fn counter_sees_audited_threads_only() {
     let _g = serial();
-    let iters = 256;
-    let allocs = steady_state_allocs(false, 512, 64, iters);
-    assert!(
-        allocs >= iters as u64,
-        "expected at least one allocator call per op with recycling off, got {allocs}"
-    );
+    // This thread sits in `join` while each spawned one measures itself.
+    let one_alloc = |audited: bool| {
+        std::thread::spawn(move || {
+            if audited {
+                audit_this_thread();
+            }
+            let before = alloc_calls();
+            drop(std::hint::black_box(vec![0u8; 4096]));
+            alloc_calls() - before
+        })
+        .join()
+        .unwrap()
+    };
+    assert_eq!(one_alloc(false), 0, "an unaudited thread's allocation was counted");
+    assert_eq!(one_alloc(true), 1, "an audited thread's allocation was not counted");
 }

@@ -2,7 +2,7 @@
 //! (`lci::coll`): ring allreduce, binomial broadcast/reduce, Bruck
 //! allgather, bounded-inflight alltoall, their non-blocking `i*`
 //! variants, and the equivalence of the pipelined engines with the
-//! store-and-forward `coll_naive` baselines on awkward shapes
+//! store-and-forward `coll::naive` reference on awkward shapes
 //! (non-power-of-two rank counts, zero-length blocks, block sizes
 //! straddling chunk boundaries).
 
@@ -259,6 +259,10 @@ fn run_v_matrix(cfg: RuntimeConfig, counts: Vec<Vec<usize>>) -> Vec<(u64, u64)> 
             (0..n).flat_map(|src| (0..recv_counts[src]).map(move |i| vpat(src, rank, i))).collect();
         assert_eq!(recv, want, "rank {rank} receive permutation");
         let stats = rt.device().stats();
+        // The store-and-forward reference computes the same permutation.
+        recv.fill(0);
+        coll::naive::alltoallv(&rt, &send, &send_counts, &mut recv, &recv_counts).unwrap();
+        assert_eq!(recv, want, "rank {rank} receive permutation (naive)");
         (stats.coll_skipped_pairs, stats.coll_v_bytes_hwm)
     })
 }
@@ -319,14 +323,19 @@ fn alltoallv_counts_learns_recv_side() {
 
 #[test]
 fn alltoallv_rejects_bad_shapes() {
-    with_ranks(2, RuntimeConfig::small(), |_rank, rt| {
+    // Every call must be invalid on *every* rank: a rank whose shapes
+    // happen to be valid would start an exchange with a peer that
+    // already bailed out, and hang.
+    with_ranks(2, RuntimeConfig::small(), |rank, rt| {
         let mut recv = vec![0u8; 2];
         // Wrong count-vector length.
         assert!(coll::alltoallv(&rt, &[0; 2], &[1, 1, 1], &mut recv, &[1, 1]).is_err());
         // Buffer shorter than its count sum.
         assert!(coll::alltoallv(&rt, &[0; 1], &[1, 1], &mut recv, &[1, 1]).is_err());
-        // Self block disagrees between the two vectors.
-        assert!(coll::alltoallv(&rt, &[0; 3], &[2, 1], &mut recv, &[1, 1]).is_err());
+        // Self block disagrees between the two vectors (this rank's own).
+        let mut send_counts = [1, 1];
+        send_counts[rank] = 2;
+        assert!(coll::alltoallv(&rt, &[0; 3], &send_counts, &mut recv, &[1, 1]).is_err());
     });
 }
 
@@ -398,10 +407,11 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..Default::default() })]
 
     /// The pipelined alltoallv engine matches the reference permutation
-    /// (and the `coll_naive` store-and-forward ablation matches it too)
-    /// across adversarial shapes — all-empty, one giant block,
-    /// all-to-one skew, ragged chunk straddles, sparse random — on the
-    /// sim transport, with the shm device covering a sample of shapes.
+    /// (and the `coll::naive` store-and-forward exchange matches it too,
+    /// on the same runtime — see `run_v_matrix`) across adversarial
+    /// shapes — all-empty, one giant block, all-to-one skew, ragged chunk
+    /// straddles, sparse random — on the sim transport, with the shm
+    /// device covering a sample of shapes.
     #[test]
     fn alltoallv_matches_reference(
         n in 2usize..5,
@@ -412,10 +422,6 @@ proptest! {
         let chunk = chunk_u64s * 8;
         let m = adversarial_matrix(shape, n, chunk, seed);
         run_v_matrix(tiny_chunk_cfg(chunk), m.clone());
-        run_v_matrix(
-            RuntimeConfig { coll_naive: true, ..RuntimeConfig::small() },
-            m.clone(),
-        );
         if seed % 3 == 0 {
             run_v_matrix(
                 tiny_chunk_cfg(chunk).with_device(lci_fabric::DeviceConfig::shm()),
@@ -426,34 +432,43 @@ proptest! {
 }
 
 /// Runs one fixed scenario (allreduce + allgather + alltoall) across
-/// `n` ranks and returns rank 0's observed outputs.
-fn run_scenario(n: usize, cfg: RuntimeConfig, elems: usize, block: usize) -> Vec<Vec<u8>> {
-    let out = with_ranks_ret(n, cfg, move |rank, rt| {
+/// `n` ranks, once through the pipelined engines and once through the
+/// `coll::naive` reference on the same runtimes, asserting on every
+/// rank that the two agree.
+fn run_scenario(n: usize, cfg: RuntimeConfig, elems: usize, block: usize) {
+    with_ranks(n, cfg, move |rank, rt| {
         // Allreduce: position-tagged contributions, sum.
         let vals: Vec<u64> = (0..elems).map(|i| (rank as u64 + 1) * (i as u64 + 1)).collect();
-        let mut ar: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
-
+        let contrib: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
         // Allgather: per-rank fill pattern.
         let mine: Vec<u8> = (0..block).map(|i| (rank * 31 + i) as u8).collect();
-        let mut ag = vec![0u8; block * n];
-        coll::allgather_bytes(&rt, &mine, &mut ag).unwrap();
-
         // Alltoall: (src, dst)-tagged blocks.
         let send: Vec<u8> =
             (0..block * n).map(|i| (rank * 17 + (i / block.max(1)) * 5 + i) as u8).collect();
-        let mut a2a = vec![0u8; block * n];
-        coll::alltoall_bytes(&rt, &send, &mut a2a).unwrap();
 
-        vec![ar, ag, a2a]
+        let [pipelined, naive] = [false, true].map(|naive| {
+            let mut ar = contrib.clone();
+            let mut ag = vec![0u8; block * n];
+            let mut a2a = vec![0u8; block * n];
+            if naive {
+                coll::naive::allreduce(&rt, &mut ar, &SumU64).unwrap();
+                coll::naive::allgather_bytes(&rt, &mine, &mut ag).unwrap();
+                coll::naive::alltoall_bytes(&rt, &send, &mut a2a).unwrap();
+            } else {
+                coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
+                coll::allgather_bytes(&rt, &mine, &mut ag).unwrap();
+                coll::alltoall_bytes(&rt, &send, &mut a2a).unwrap();
+            }
+            [ar, ag, a2a]
+        });
+        assert_eq!(pipelined, naive, "rank {rank}");
     });
-    out.into_iter().next().unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..Default::default() })]
 
-    /// The pipelined engines and the `coll_naive` baselines compute the
+    /// The pipelined engines and the `coll::naive` reference compute the
     /// same results on awkward shapes: non-power-of-two rank counts,
     /// zero-length payloads, and block sizes straddling multiples of
     /// the chunk size (k*chunk - 1, k*chunk, k*chunk + 1).
@@ -467,18 +482,6 @@ proptest! {
         let chunk = chunk_elems * 8;
         let elems = ((k * chunk_elems) as i64 + off - 1).max(0) as usize;
         let block = elems * 8;
-        let pipelined = run_scenario(
-            n,
-            RuntimeConfig { coll_chunk_size: chunk, ..RuntimeConfig::small() },
-            elems,
-            block,
-        );
-        let naive = run_scenario(
-            n,
-            RuntimeConfig { coll_naive: true, ..RuntimeConfig::small() },
-            elems,
-            block,
-        );
-        prop_assert_eq!(pipelined, naive);
+        run_scenario(n, tiny_chunk_cfg(chunk), elems, block);
     }
 }

@@ -172,11 +172,11 @@ fn chunk_boundary_sizes_over_shm() {
     );
 }
 
-/// With chunking disabled the pipeline degenerates to one write per
-/// transfer (the pre-pipeline behaviour), still correct.
+/// With a chunk no smaller than the payload the pipeline degenerates to
+/// one write per transfer (the pre-pipeline behaviour), still correct.
 #[test]
 fn chunking_off_single_write_per_transfer() {
-    let cfg = RuntimeConfig { rdv_chunking: false, ..RuntimeConfig::small() };
+    let cfg = RuntimeConfig { rdv_chunk_size: 20_000, ..RuntimeConfig::small() };
     with_ranks(2, cfg, |rank, rt| {
         let n = 4u32;
         if rank == 0 {
@@ -194,6 +194,19 @@ fn chunking_off_single_write_per_transfer() {
         }
         rt.oob_barrier();
     });
+}
+
+/// A chunk past 1 MiB could not be framed by the shm or tcp wire (nor
+/// come from a pooled size class): refused at construction, not as a
+/// fatal error on the first large transfer.
+#[test]
+fn oversize_chunk_is_rejected_at_construction() {
+    let build = |rdv_chunk_size| {
+        Runtime::new(Fabric::new(1), 0, RuntimeConfig { rdv_chunk_size, ..RuntimeConfig::small() })
+    };
+    assert!(build(1 << 20).is_ok());
+    assert!(matches!(build((1 << 20) + 1), Err(lci::FatalError::InvalidArg(_))));
+    assert!(matches!(build(0), Err(lci::FatalError::InvalidArg(_))));
 }
 
 /// Gathered iovec rendezvous reuses its scratch ring instead of
@@ -321,7 +334,7 @@ proptest! {
 
     /// Equivalence: a rendezvous iovec payload delivered through the
     /// chunked pipeline is byte-identical to the same payload delivered
-    /// monolithically (chunking off).
+    /// monolithically (one chunk covering the whole payload).
     #[test]
     fn iovec_chunked_equals_monolithic(
         segs in proptest::collection::vec((any::<u8>(), 0usize..4000), 1..6),
@@ -336,10 +349,9 @@ proptest! {
             .collect();
         let total = expected.len();
 
-        for chunked in [true, false] {
+        for chunk in [1usize << chunk_pow, 1 << 20] {
             let cfg = RuntimeConfig {
-                rdv_chunking: chunked,
-                rdv_chunk_size: 1usize << chunk_pow,
+                rdv_chunk_size: chunk,
                 rdv_max_inflight: 3,
                 ..RuntimeConfig::small()
             };
@@ -354,7 +366,7 @@ proptest! {
                     send_blocking(&rt, 1, bufs, 1);
                 } else {
                     let d = recv_blocking(&rt, 0, total + 64, 1);
-                    assert_eq!(d.as_slice(), &expected[..], "chunking={chunked}");
+                    assert_eq!(d.as_slice(), &expected[..], "chunk={chunk}");
                 }
                 rt.oob_barrier();
             });

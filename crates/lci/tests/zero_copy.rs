@@ -1,13 +1,14 @@
 //! Zero-copy receive-path correctness: the view-based coalesced demux
-//! must be byte-identical to the copying path (property-tested at the
-//! frame level and end-to-end through the runtime), and refcounted
-//! packet views must return their slot to the pool exactly once, even
-//! when views are cloned and dropped across threads.
+//! must be byte-identical to a copying unpack (property-tested at the
+//! frame level; end-to-end through the runtime every sub-message must
+//! arrive as a view with no delivery copy), and refcounted packet views
+//! must return their slot to the pool exactly once, even when views are
+//! cloned and dropped across threads.
 
 use lci::proto::{coalesce_pack, coalesce_unpack, coalesce_unpack_ranges};
 use lci::{
-    CoalesceConfig, Comp, PacketPool, PacketPoolConfig, PostResult, Runtime, RuntimeConfig,
-    StatsSnapshot,
+    CoalesceConfig, Comp, DataBuf, PacketPool, PacketPoolConfig, PostResult, Runtime,
+    RuntimeConfig, StatsSnapshot,
 };
 use lci_fabric::Fabric;
 use proptest::prelude::*;
@@ -101,20 +102,12 @@ fn payload(t: usize, seq: u64) -> Vec<u8> {
 }
 
 /// Streams `MSGS` active messages per thread (rcomp = thread id) from
-/// rank 0 to rank 1 with coalescing on, returning the payload sequences
+/// rank 0 to rank 1 over `device` with coalescing on, asserting every
+/// sub-message arrives as a packet view; returns the payload sequences
 /// each receiver CQ observed and the receiver device's stats.
-fn run_am(zero_copy: bool) -> (Vec<Vec<Vec<u8>>>, StatsSnapshot) {
-    run_am_on(lci_fabric::DeviceConfig::ibv(), zero_copy)
-}
-
-/// Same workload on an arbitrary transport.
-fn run_am_on(
-    device: lci_fabric::DeviceConfig,
-    zero_copy: bool,
-) -> (Vec<Vec<Vec<u8>>>, StatsSnapshot) {
+fn run_am_on(device: lci_fabric::DeviceConfig) -> (Vec<Vec<Vec<u8>>>, StatsSnapshot) {
     let mut cfg = RuntimeConfig::small().with_device(device);
     cfg.coalesce = CoalesceConfig::enabled_with_bytes(2048);
-    cfg.zero_copy_recv = zero_copy;
     let fabric = Fabric::new(2);
     let receiver_done = Arc::new(AtomicBool::new(false));
 
@@ -135,6 +128,7 @@ fn run_am_on(
             for (t, cq) in cqs.iter().enumerate() {
                 while let Some(desc) = cq.pop() {
                     assert_eq!(desc.rank, 0);
+                    assert!(matches!(desc.data, DataBuf::View(_)), "sub-message was copied");
                     out[t].push(desc.as_slice().to_vec());
                     got += 1;
                 }
@@ -183,35 +177,24 @@ fn run_am_on(
     (out, stats)
 }
 
-/// End-to-end: zero-copy demux delivers byte-identical payloads to the
-/// copying ablation path, and the receiver's stats prove which path ran
-/// (and that receives were restocked in batches).
+/// End-to-end: the view demux delivers every payload intact and in
+/// order, the receiver's stats show no delivery copied, and receives
+/// were restocked in batches.
 #[test]
-fn am_payloads_identical_zero_copy_on_vs_off() {
-    let (on_out, on_stats) = run_am(true);
-    let (off_out, off_stats) = run_am(false);
-
-    for t in 0..THREADS {
+fn am_payloads_arrive_as_views() {
+    let (out, stats) = run_am_on(lci_fabric::DeviceConfig::ibv());
+    for (t, got) in out.iter().enumerate() {
         let expect: Vec<Vec<u8>> = (0..MSGS as u64).map(|seq| payload(t, seq)).collect();
-        assert_eq!(on_out[t], expect, "zero-copy: rcomp {t} corrupted or reordered");
-        assert_eq!(off_out[t], expect, "copying: rcomp {t} corrupted or reordered");
+        assert_eq!(*got, expect, "rcomp {t} corrupted or reordered");
     }
-
     let total = (THREADS * MSGS) as u64;
-    assert_eq!(on_stats.zero_copy_deliveries, total, "every AM should deliver zero-copy");
-    assert_eq!(on_stats.copied_deliveries, 0);
-    assert!(off_stats.copied_deliveries > 0, "ablation path should copy coalesced subs");
+    assert_eq!(stats.zero_copy_deliveries, total, "every AM should deliver zero-copy");
+    assert_eq!(stats.copied_deliveries, 0);
+    assert!(stats.replenish_batches > 0, "receives never restocked in batch");
     assert!(
-        off_stats.zero_copy_deliveries < total,
-        "copying run must not deliver everything zero-copy"
+        stats.replenish_posted >= stats.replenish_batches,
+        "batches must post at least one receive each"
     );
-    for (name, stats) in [("on", &on_stats), ("off", &off_stats)] {
-        assert!(stats.replenish_batches > 0, "{name}: receives never restocked in batch");
-        assert!(
-            stats.replenish_posted >= stats.replenish_batches,
-            "{name}: batches must post at least one receive each"
-        );
-    }
 }
 
 /// The zero-copy delivery path over the shared-memory transport: frames
@@ -219,7 +202,7 @@ fn am_payloads_identical_zero_copy_on_vs_off() {
 /// byte-identical to the simulated wire.
 #[test]
 fn am_payloads_zero_copy_over_shm() {
-    let (out, stats) = run_am_on(lci_fabric::DeviceConfig::shm(), true);
+    let (out, stats) = run_am_on(lci_fabric::DeviceConfig::shm());
     for (t, got) in out.iter().enumerate().take(THREADS) {
         let expect: Vec<Vec<u8>> = (0..MSGS as u64).map(|seq| payload(t, seq)).collect();
         assert_eq!(*got, expect, "shm zero-copy: rcomp {t} corrupted or reordered");

@@ -164,20 +164,6 @@ pub struct WorldConfig {
     /// Sender-side small-message coalescing (LCI backend only; the
     /// other libraries have no equivalent and ignore it).
     pub coalesce: lci::CoalesceConfig,
-    /// Zero-copy eager delivery on the receive side (LCI backend only;
-    /// the other libraries always copy into staging buffers).
-    pub zero_copy: bool,
-    /// Chunked pipelined rendezvous writes (LCI backend only; off
-    /// recovers the monolithic single-write large-message path).
-    pub rdv_chunking: bool,
-    /// Registration cache in the fabric device (LCI backend only here:
-    /// LCI's rendezvous path registers memory per message, so it is the
-    /// backend that feels the cache).
-    pub reg_cache: bool,
-    /// Steady-state storage recycling — pooled op contexts and recycled
-    /// staging buffers (LCI backend only; the ablation knob for the
-    /// allocate-per-operation baseline).
-    pub alloc_recycling: bool,
     /// Who drives progress (LCI backend only): polling workers (the
     /// default), dedicated progress threads with doorbell parking, or
     /// the hybrid. With `Dedicated`/`Hybrid`, [`Endpoint::progress`]
@@ -190,10 +176,6 @@ pub struct WorldConfig {
     /// packet/buffer-pool stripes, per-core stats cells, core-pinned
     /// progress threads (see [`lci::Placement`]).
     pub placement: lci::Placement,
-    /// Collectives ablation (LCI backend only): route `lci::coll` calls
-    /// through the naive clone-heavy baselines instead of the
-    /// chunk-pipelined engines.
-    pub coll_naive: bool,
     /// Collective pipeline chunk granularity in bytes (LCI backend
     /// only; see [`lci::RuntimeConfig::coll_chunk_size`]).
     pub coll_chunk_size: usize,
@@ -213,14 +195,9 @@ impl WorldConfig {
             eager_size: 8192,
             pool_packets: 512,
             coalesce: lci::CoalesceConfig::default(),
-            zero_copy: true,
-            rdv_chunking: true,
-            reg_cache: true,
-            alloc_recycling: true,
             progress_mode: lci::ProgressMode::Workers,
             matching_buckets: 1024,
             placement: lci::Placement::default(),
-            coll_naive: false,
             coll_chunk_size: 64 << 10,
             coll_max_inflight: 4,
         }
@@ -231,34 +208,6 @@ impl WorldConfig {
     /// above `eager_size` are capped at world-creation time.
     pub fn with_coalescing(mut self, max_bytes: usize) -> Self {
         self.coalesce = lci::CoalesceConfig::enabled_with_bytes(max_bytes);
-        self
-    }
-
-    /// Selects zero-copy vs copying eager delivery on the receive side
-    /// (LCI backend only) — the ablation knob for the receive path.
-    pub fn with_zero_copy(mut self, on: bool) -> Self {
-        self.zero_copy = on;
-        self
-    }
-
-    /// Selects chunked pipelined vs monolithic rendezvous writes (LCI
-    /// backend only) — the ablation knob for the large-message pipeline.
-    pub fn with_rdv_chunking(mut self, on: bool) -> Self {
-        self.rdv_chunking = on;
-        self
-    }
-
-    /// Enables or disables the fabric registration cache — the ablation
-    /// knob for per-message memory registration cost.
-    pub fn with_reg_cache(mut self, on: bool) -> Self {
-        self.reg_cache = on;
-        self
-    }
-
-    /// Enables or disables steady-state storage recycling — the ablation
-    /// knob for per-operation allocation cost.
-    pub fn with_alloc_recycling(mut self, on: bool) -> Self {
-        self.alloc_recycling = on;
         self
     }
 
@@ -281,13 +230,6 @@ impl WorldConfig {
     /// the ablation knob for core-aware resource layout.
     pub fn with_placement(mut self, placement: lci::Placement) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Selects the naive collective baselines instead of the pipelined
-    /// engines (LCI backend only) — the collectives ablation knob.
-    pub fn with_coll_naive(mut self, on: bool) -> Self {
-        self.coll_naive = on;
         self
     }
 
@@ -360,8 +302,7 @@ impl World {
                 let mut coalesce = cfg.coalesce;
                 coalesce.max_bytes = coalesce.max_bytes.min(cfg.eager_size);
                 let rt_cfg = lci::RuntimeConfig {
-                    device: cfg.platform.device_config().with_reg_cache(cfg.reg_cache),
-                    rdv_chunking: cfg.rdv_chunking,
+                    device: cfg.platform.device_config(),
                     packet: lci::PacketPoolConfig {
                         payload_size: cfg.eager_size,
                         count: cfg.pool_packets.max(nthreads * 96),
@@ -370,11 +311,8 @@ impl World {
                     prepost: 64,
                     matching: lci::MatchingConfig { buckets: cfg.matching_buckets },
                     coalesce,
-                    zero_copy_recv: cfg.zero_copy,
-                    alloc_recycling: cfg.alloc_recycling,
                     progress_mode: cfg.progress_mode,
                     placement: cfg.placement,
-                    coll_naive: cfg.coll_naive,
                     coll_chunk_size: cfg.coll_chunk_size,
                     coll_max_inflight: cfg.coll_max_inflight,
                     ..lci::RuntimeConfig::default()

@@ -17,12 +17,12 @@
 # figure benches.
 #
 # --coll runs ONLY the collectives sweep (chunk-pipelined ring/pairwise
-# vs the coll_naive ablation; BENCH_COLL_SIZES/BENCH_COLL_RANKS override
+# vs the coll::naive baselines; BENCH_COLL_SIZES/BENCH_COLL_RANKS override
 # the axes) into bench_results/collectives.txt. Without it the sweep
 # runs after the figure benches.
 #
 # --a2av runs ONLY the sparse alltoallv / MoE-routing skew sweep
-# (sparse vs padded-dense vs coll_naive; BENCH_A2AV_RANKS/
+# (sparse vs padded-dense vs coll::naive; BENCH_A2AV_RANKS/
 # BENCH_A2AV_SKEWS/BENCH_A2AV_TOKENS override the axes) into
 # bench_results/alltoallv.txt. Without it the sweep runs after the
 # figure benches.

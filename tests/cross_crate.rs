@@ -15,8 +15,10 @@ use std::time::Duration;
 #[test]
 fn every_backend_carries_every_protocol() {
     // 8 B rides inline in the wire slot, 2 KiB is an eager packet, and
-    // 64 KiB is past the 8 KiB eager size: rendezvous.
-    const SIZES: [usize; 3] = [8, 2048, 64 << 10];
+    // 64 KiB is past the 8 KiB eager size: rendezvous. The last one is
+    // more than shm or tcp frames in one write, so it arrives only if
+    // the rendezvous is chunked.
+    const SIZES: [usize; 4] = [8, 2048, 64 << 10, (1 << 20) + 4096];
     let pattern = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 31 + len) as u8).collect() };
     for platform in [Platform::Expanse, Platform::Delta, Platform::ShmHost, Platform::TcpHost] {
         let cfg = WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared);
