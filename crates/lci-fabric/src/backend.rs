@@ -47,6 +47,24 @@ pub enum BackendKind {
     Tcp,
 }
 
+impl BackendKind {
+    /// Largest payload one write (or send) on this backend can carry —
+    /// what the upper stack must chunk a rendezvous transfer below. The
+    /// largest pooled size class everywhere (a bigger staging buffer
+    /// would not recycle, and it is the shm wire's frame limit with the
+    /// default spill region); tcp fits the frame header into that class
+    /// as well, so it carries one header less.
+    pub const fn max_write(self) -> usize {
+        match self {
+            BackendKind::Tcp => crate::buf_pool::MAX_CLASS - crate::shm::ring::HEADER_LEN,
+            _ => crate::buf_pool::MAX_CLASS,
+        }
+    }
+}
+
+#[cfg(unix)]
+const _: () = assert!(BackendKind::Tcp.max_write() == crate::tcp::stream::MAX_FRAME_PAYLOAD);
+
 /// How queue pairs share posting locks on the ibv backend — the
 /// `ibv_td_strategy` device attribute of paper §4.2.3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

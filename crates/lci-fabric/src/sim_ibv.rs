@@ -10,10 +10,10 @@
 //! * the **shared receive queue** has its own lock;
 //! * memory (de)registration takes no backend locks beyond the
 //!   registration table's internal append lock (the paper notes ibv
-//!   registration acquires no locks). When the device-level
-//!   [registration cache](crate::reg_cache) is enabled (the default),
-//!   its mutex sits in front — a deliberate trade: one short cache
-//!   mutex hold replaces a registration-table append per message.
+//!   registration acquires no locks). The device-level
+//!   [registration cache](crate::reg_cache) sits in front with its
+//!   mutex — a deliberate trade: one short cache mutex hold replaces a
+//!   registration-table append per message.
 //!
 //! The `ibv_td_strategy` attribute controls QP lock sharing:
 //! `per_qp` gives every QP its own trylock-wrapped lock; `all_qp` shares
@@ -232,8 +232,8 @@ impl NetDevice for IbvDevice {
 
     fn register(&self, ptr: *const u8, len: usize) -> NetResult<MemoryRegion> {
         // ibv memory registration acquires no backend locks (paper
-        // §4.2.3); with the cache disabled the table's internal append
-        // lock is the only one.
+        // §4.2.3): the cache's mutex and, on a miss, the table's
+        // internal append lock are the only ones.
         Ok(self.reg_cache.register(self.fabric.mem(), self.rank, ptr, len))
     }
 

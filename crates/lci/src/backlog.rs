@@ -19,24 +19,24 @@ use std::sync::Arc;
 /// message never costs a fresh allocation, and shipping it returns the
 /// staging storage to the device's buffer pool.
 pub(crate) enum Backlogged {
-    /// An eager control/data message to (rank, dev): payload + header.
-    Ctrl { target: Rank, target_dev: DevId, payload: PoolBuf, imm: u64 },
+    /// An eager message to (rank, dev): payload + header. `ctx == 0` is a
+    /// message the runtime originated (RTS, RTR, signal, coalesced frame;
+    /// nothing to complete). Otherwise it is a user-level eager send
+    /// whose retry was disallowed at post time: `data` is a copy of the
+    /// payload made when it parked, and `ctx` is the in-flight operation
+    /// context (buffer + completion).
+    Send { target: Rank, target_dev: DevId, data: PoolBuf, imm: u64, ctx: u64 },
     /// A stalled pipelined rendezvous transfer: the chunk pump hit a full
     /// wire with nothing in flight to re-drive it.
-    RdvPump { active: Arc<RdvActive> },
-    /// A user-level eager send whose retry was disallowed at post time.
-    /// A copy of the payload, made when it parked, rides here; the
-    /// in-flight operation context (buffer + completion) rides in `ctx`.
-    UserSend { target: Rank, target_dev: DevId, data: PoolBuf, imm: u64, ctx: u64 },
+    Rdv { active: Arc<RdvActive> },
 }
 
 /// The batching key of a plain send, or `None` for requests that must
 /// post individually (rendezvous chunk pumps).
-fn send_dest(item: &Backlogged) -> Option<(Rank, DevId)> {
+pub(crate) fn send_dest(item: &Backlogged) -> Option<(Rank, DevId)> {
     match item {
-        Backlogged::Ctrl { target, target_dev, .. }
-        | Backlogged::UserSend { target, target_dev, .. } => Some((*target, *target_dev)),
-        Backlogged::RdvPump { .. } => None,
+        Backlogged::Send { target, target_dev, .. } => Some((*target, *target_dev)),
+        Backlogged::Rdv { .. } => None,
     }
 }
 
@@ -84,10 +84,10 @@ impl Backlog {
     }
 
     /// Dequeues a *run*: the oldest request plus — when it is a plain
-    /// send (`Ctrl`/`UserSend`) — up to `max - 1` consecutive plain
-    /// sends to the same `(target, target_dev)`. Only a contiguous
-    /// front run is taken, so FIFO order is preserved; the run feeds one
-    /// batched fabric submission (one posting-lock acquisition).
+    /// send — up to `max - 1` consecutive plain sends to the same
+    /// `(target, target_dev)`. Only a contiguous front run is taken, so
+    /// FIFO order is preserved; the run feeds one batched fabric
+    /// submission (one posting-lock acquisition).
     pub fn pop_run(&self, max: usize) -> Vec<Backlogged> {
         if !self.nonempty.load(Ordering::Acquire) {
             return Vec::new();
@@ -146,15 +146,18 @@ impl Default for Backlog {
 mod tests {
     use super::*;
 
+    fn send(target: Rank, imm: u64, ctx: u64) -> Backlogged {
+        Backlogged::Send { target, target_dev: 0, data: vec![].into(), imm, ctx }
+    }
+
     fn ctrl(tag: u64) -> Backlogged {
-        Backlogged::Ctrl { target: 0, target_dev: 0, payload: vec![].into(), imm: tag }
+        send(0, tag, 0)
     }
 
     fn imm_of(b: &Backlogged) -> u64 {
         match b {
-            Backlogged::Ctrl { imm, .. } => *imm,
-            Backlogged::UserSend { imm, .. } => *imm,
-            Backlogged::RdvPump { .. } => u64::MAX,
+            Backlogged::Send { imm, .. } => *imm,
+            Backlogged::Rdv { .. } => u64::MAX,
         }
     }
 
@@ -185,15 +188,11 @@ mod tests {
     #[test]
     fn pop_run_groups_same_destination_sends() {
         let b = Backlog::new();
-        b.push(Backlogged::Ctrl { target: 1, target_dev: 0, payload: vec![].into(), imm: 1 });
-        b.push(Backlogged::UserSend {
-            target: 1,
-            target_dev: 0,
-            data: vec![].into(),
-            imm: 2,
-            ctx: 0,
-        });
-        b.push(Backlogged::Ctrl { target: 2, target_dev: 0, payload: vec![].into(), imm: 3 });
+        // A runtime-originated send and a user send (ctx != 0) to one
+        // destination batch together; another destination does not.
+        b.push(send(1, 1, 0));
+        b.push(send(1, 2, 7));
+        b.push(send(2, 3, 0));
         let run = b.pop_run(16);
         assert_eq!(run.iter().map(imm_of).collect::<Vec<_>>(), vec![1, 2]);
         let run = b.pop_run(16);
@@ -205,7 +204,7 @@ mod tests {
     #[test]
     fn pop_run_never_groups_rdv_pumps() {
         let b = Backlog::new();
-        let rdv = || Backlogged::RdvPump { active: Arc::new(RdvActive::test_stub()) };
+        let rdv = || Backlogged::Rdv { active: Arc::default() };
         b.push(rdv());
         b.push(rdv());
         assert_eq!(b.pop_run(16).len(), 1);

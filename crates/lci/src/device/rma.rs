@@ -1,0 +1,107 @@
+//! One-sided RMA (paper §3.2.4, Table 1): put and get, each optionally
+//! signaling a completion object on the target. A put's signal rides its
+//! write as an immediate; a get's signal is a control message sent once
+//! the read has completed (the extension the paper leaves unimplemented;
+//! see the `proto` module docs).
+
+use super::eager::PostSrc;
+use super::{CommArgs, Device, OpCtx};
+use crate::comp::Comp;
+use crate::error::{FatalError, PostResult, Result};
+use crate::proto::{Header, MsgType};
+use crate::types::{CompDesc, CompKind, DataBuf, MatchingPolicy, RComp, Rank, Tag};
+use lci_fabric::{DevId, NetError, RecvBufDesc};
+
+/// The local completion of a get: what [`OpCtx::Get`] carries.
+pub(super) struct GetOp {
+    comp: Option<Comp>,
+    buf: Box<[u8]>,
+    rank: Rank,
+    tag: Tag,
+    user_ctx: u64,
+    signal: Option<(DevId, RComp)>,
+}
+
+impl Device {
+    /// RMA put (direct write, optional remote signal).
+    pub(super) fn post_put_impl(&self, args: CommArgs) -> Result<PostResult> {
+        let buf = args
+            .send_buf
+            .ok_or_else(|| FatalError::InvalidArg("put requires a local buffer".into()))?;
+        let (rkey, offset) = args.remote_buf.unwrap();
+        let target_dev = args.target_dev.unwrap_or_else(|| self.dev_id());
+        let imm = args
+            .remote_comp
+            .map(|rc| Header::new(MsgType::PutSignal, args.policy, args.tag, rc).encode());
+        let src = PostSrc::of(&self.inner, &buf);
+        let ctx = self.inner.ctx_encode(OpCtx::Send {
+            comp: args.comp,
+            buf,
+            rank: args.rank,
+            tag: args.tag,
+            user_ctx: args.user_ctx,
+            kind: CompKind::Put,
+        });
+        // SAFETY: the buffer sits in the context just encoded, which is
+        // decoded only below (rejected post) or at `WriteDone`.
+        let data = unsafe { src.bytes() };
+        let res = self.inner.net.post_write(args.rank, target_dev, data, rkey, offset, imm, ctx);
+        self.posted_or_back_out(res, ctx)
+    }
+
+    /// RMA get (direct read, optional remote signal).
+    pub(super) fn post_get_impl(&self, args: CommArgs) -> Result<PostResult> {
+        let buf = args
+            .recv_buf
+            .ok_or_else(|| FatalError::InvalidArg("get requires a local buffer".into()))?;
+        let (rkey, offset) = args.remote_buf.unwrap();
+        let target_dev = args.target_dev.unwrap_or_else(|| self.dev_id());
+        let signal = args.remote_comp.map(|rc| (target_dev, rc));
+        let len = buf.len();
+        let ptr = buf.as_ptr() as *mut u8;
+        let ctx = self.inner.ctx_encode(OpCtx::Get(GetOp {
+            comp: args.comp,
+            buf,
+            rank: args.rank,
+            tag: args.tag,
+            user_ctx: args.user_ctx,
+            signal,
+        }));
+        // SAFETY: the buffer lives in the OpCtx until the ReadDone
+        // completion, satisfying the descriptor contract.
+        let desc = unsafe { RecvBufDesc::new(ptr, len, ctx) };
+        let res = self.inner.net.post_read(args.rank, desc, rkey, offset);
+        self.posted_or_back_out(res, ctx)
+    }
+
+    /// Maps the fabric's answer to an RMA post. A rejected post never
+    /// handed its context over, so the context is reclaimed here.
+    fn posted_or_back_out(&self, res: lci_fabric::NetResult<()>, ctx: u64) -> Result<PostResult> {
+        let Err(e) = res else { return Ok(PostResult::Posted) };
+        let _op = self.inner.ctx_decode(ctx)?;
+        match e {
+            NetError::Retry(r) => Ok(PostResult::Retry(r.into())),
+            NetError::Fatal(m) => Err(FatalError::Net(m)),
+        }
+    }
+
+    /// A get's read completed: notify the target if asked to, then
+    /// signal the local completion with the filled buffer.
+    pub(super) fn get_done(&self, op: GetOp) -> Result<()> {
+        let GetOp { comp, buf, rank, tag, user_ctx, signal } = op;
+        if let Some((target_dev, rcomp)) = signal {
+            let imm = Header::new(MsgType::GetSignal, MatchingPolicy::RankTag, tag, rcomp).encode();
+            self.send_ctrl(rank, target_dev, &[], imm)?;
+        }
+        if let Some(comp) = comp {
+            comp.signal(CompDesc {
+                rank,
+                tag,
+                data: DataBuf::Owned(buf),
+                user_ctx,
+                kind: CompKind::Get,
+            });
+        }
+        Ok(())
+    }
+}

@@ -65,7 +65,7 @@
 //! | §3.2.3 resources | [`device`], [`packet_pool`], [`matching`] |
 //! | §3.2.4 posting, Table 1 | [`post`] |
 //! | §3.2.5 statuses & completion | [`error`], [`comp`] |
-//! | §3.2.6 progress | [`device`] |
+//! | §3.2.6 progress, Figure 1 | [`device`] (dispatcher: post routing, progress loop, backlog drain) |
 //! | §3.3.2 matching semantics | [`matching`] |
 //! | §4.1.1 MPMC array | [`lci_fabric::sync`] (re-exported) |
 //! | §4.1.2 packet pool | [`packet_pool`] |
@@ -73,7 +73,7 @@
 //! | §4.1.4 completion objects | [`comp`] |
 //! | §4.1.5 backlog queue | `backlog` (internal) |
 //! | §4.2 network backends | [`lci_fabric`] |
-//! | §4.3 protocols | [`proto`] |
+//! | §4.3 protocols | [`proto`] (wire format); `device::eager`, `device::rdv`, `device::rma` (one internal module per protocol) |
 //! | §6 collectives | [`coll`] (chunk-pipelined) |
 
 mod backlog;

@@ -115,15 +115,14 @@ pub struct RuntimeConfig {
     pub coalesce: CoalesceConfig,
     /// Chunk size of the pipelined rendezvous writes (the large-message
     /// pipeline, DESIGN.md §4.6); a payload no larger than it goes as
-    /// one write. Must be nonzero and at most 1 MiB: the largest write
-    /// the shm wire frames and the largest pooled size class (the tcp
-    /// wire frames one header less, so keep chunks for it below 1 MiB).
+    /// one write. Must be nonzero and at most the largest write the
+    /// configured backend carries
+    /// ([`BackendKind::max_write`](lci_fabric::BackendKind::max_write):
+    /// 1 MiB, the largest pooled size class, less one frame header on
+    /// tcp).
     pub rdv_chunk_size: usize,
     /// Maximum chunks outstanding per rendezvous transfer.
     pub rdv_max_inflight: usize,
-    /// Stripe count for the pending-rendezvous tables (send and receive
-    /// state each sharded over this many independently locked slabs).
-    pub rdv_shards: usize,
     /// Chunk size the pipelined ring allreduce splits each block into.
     /// Must be nonzero and at most 1 MiB (the buffer pool's largest
     /// recycled size class — bigger chunks would defeat pooled staging).
@@ -161,7 +160,6 @@ impl Default for RuntimeConfig {
             coalesce: CoalesceConfig::default(),
             rdv_chunk_size: 64 << 10,
             rdv_max_inflight: 4,
-            rdv_shards: 8,
             coll_chunk_size: 64 << 10,
             coll_max_inflight: 4,
             progress_mode: ProgressMode::Workers,
@@ -314,16 +312,15 @@ impl Runtime {
                 ));
             }
         }
-        if config.rdv_chunk_size == 0 || config.rdv_chunk_size > (1 << 20) {
-            return Err(FatalError::InvalidArg(
-                "rdv_chunk_size must be in 1..=1MiB (the largest write shm and tcp frame)".into(),
-            ));
+        let max_write = config.device.backend.max_write();
+        if config.rdv_chunk_size == 0 || config.rdv_chunk_size > max_write {
+            return Err(FatalError::InvalidArg(format!(
+                "rdv_chunk_size must be in 1..={max_write} (the largest write {:?} carries)",
+                config.device.backend
+            )));
         }
         if config.rdv_max_inflight == 0 {
             return Err(FatalError::InvalidArg("rdv_max_inflight must be nonzero".into()));
-        }
-        if config.rdv_shards == 0 || config.rdv_shards > 256 {
-            return Err(FatalError::InvalidArg("rdv_shards must be in 1..=256".into()));
         }
         if config.coll_chunk_size == 0 || config.coll_chunk_size > (1 << 20) {
             return Err(FatalError::InvalidArg(

@@ -73,35 +73,40 @@ fn rx_full_surfaces_retry_and_recovers() {
     peer.join().unwrap();
 }
 
+/// With retry disallowed nothing bounces: what the wire refuses parks in
+/// the backlog as one kind of entry, whether the runtime originated it
+/// (the RTS of every fourth message, which is too large for eager) or
+/// the user did (the eager sends in between). The receiver stays away
+/// from the wire during the blast, so exactly the wire's four slots are
+/// taken directly and the rest drain from the backlog — in post order,
+/// runs to the one destination as batches.
 #[test]
 fn no_retry_mode_parks_in_backlog() {
     let fabric = Fabric::new(2);
     let f2 = fabric.clone();
-    let n_msgs = 32u32;
+    let n_msgs = 32u64;
+    let size_of = |i: u64| if i % 4 == 3 { 1000 } else { 32 };
     let peer = std::thread::spawn(move || {
         let rt = Runtime::new(f2.clone(), 1, starved()).unwrap();
         f2.oob_barrier();
+        // Every receive is posted up front, on one tag: the i-th posted
+        // must get the i-th message sent (per-destination FIFO).
         let cq = Comp::alloc_cq();
+        for i in 0..n_msgs {
+            let res = rt.post_recv_x(0, vec![0u8; 1024], 5, cq.clone()).user_ctx(i).call();
+            assert!(res.unwrap().is_posted());
+        }
         f2.oob_barrier(); // sender blasts now
-        let mut tags = Vec::new();
-        // Receive one tag at a time: a post may complete immediately
-        // (`done`, matched an unexpected message — the completion object
-        // is NOT signaled) or later through the queue.
-        for n in 0..n_msgs {
-            match rt.post_recv(0, vec![0u8; 64], n, cq.clone()).unwrap() {
-                PostResult::Done(d) => tags.push(d.tag),
-                PostResult::Posted => loop {
-                    rt.progress().unwrap();
-                    if let Some(d) = cq.pop() {
-                        tags.push(d.tag);
-                        break;
-                    }
-                },
-                PostResult::Retry(_) => unreachable!("recv never retries"),
+        f2.oob_barrier(); // blast over
+        let mut got = 0;
+        while got < n_msgs {
+            rt.progress().unwrap();
+            while let Some(d) = cq.pop() {
+                let i = d.user_ctx;
+                assert_eq!(d.as_slice(), &vec![i as u8; size_of(i)][..], "receive {i}");
+                got += 1;
             }
         }
-        tags.sort_unstable();
-        assert_eq!(tags, (0..n_msgs).collect::<Vec<_>>());
         f2.oob_barrier();
     });
 
@@ -111,23 +116,37 @@ fn no_retry_mode_parks_in_backlog() {
     // Blast with retry disallowed: everything must be accepted
     // (posted), overflowing into the backlog, and eventually delivered
     // by progress.
-    let sync = Comp::alloc_sync(n_msgs as usize);
+    let cq = Comp::alloc_cq();
     for i in 0..n_msgs {
-        let res = rt.post_send_x(1, vec![i as u8; 32], i, sync.clone()).no_retry().call().unwrap();
-        // no_retry: the post may be Done (inject path unavailable at
-        // 32B > inject_size, so Posted here) but never Retry.
-        assert!(!res.is_retry(), "no_retry must not surface retry");
+        let res = rt
+            .post_send_x(1, vec![i as u8; size_of(i)], 5, cq.clone())
+            .user_ctx(i)
+            .no_retry()
+            .call()
+            .unwrap();
+        // 32 B > inject_size, so never Done either.
+        assert!(res.is_posted(), "no_retry must not surface retry");
     }
-    assert!(
-        rt.device().backlog_len() > 0 || sync.as_sync().unwrap().test(),
-        "starved wire should have parked sends in the backlog"
-    );
-    // Drain everything.
-    sync.as_sync().unwrap().wait_with(|| {
-        rt.progress().unwrap();
-    });
-    assert_eq!(rt.device().backlog_len(), 0);
+    let parked = rt.device().stats().backlogged;
+    assert_eq!(parked, n_msgs - 4, "everything past the wire's four slots parks");
+    assert_eq!(rt.device().backlog_len() as u64, parked);
     fabric.oob_barrier();
+    // Drain everything: every user completion arrives exactly once.
+    let mut seen = vec![0u32; n_msgs as usize];
+    while seen.iter().sum::<u32>() < n_msgs as u32 {
+        rt.progress().unwrap();
+        while let Some(d) = cq.pop() {
+            assert_eq!(d.kind, CompKind::Send);
+            seen[d.user_ctx as usize] += 1;
+        }
+    }
+    fabric.oob_barrier();
+    rt.progress().unwrap();
+    assert!(cq.pop().is_none());
+    assert_eq!(seen, vec![1; n_msgs as usize]);
+    assert_eq!(rt.device().backlog_len(), 0);
+    let s = rt.device().stats();
+    assert!(s.batch_posts >= 1, "a run to one destination drains as a batch");
     peer.join().unwrap();
 }
 

@@ -696,3 +696,80 @@ fn explicit_packet_send() {
         rt.oob_barrier();
     });
 }
+
+/// Arrivals addressed to an rcomp the target has not registered yet are
+/// parked (`early_inbound`), kept in arrival order across retries while
+/// their rcomp is still missing, and delivered exactly once when the
+/// registration lands — by the same path a first-attempt delivery takes.
+/// Both ranks run on this thread, so every step is deterministic.
+#[test]
+fn early_inbound_parks_until_the_rcomp_registers() {
+    let fabric = Fabric::new(2);
+    let src = Runtime::new(fabric.clone(), 0, RuntimeConfig::small()).unwrap();
+    let dst = Runtime::new(fabric, 1, RuntimeConfig::small()).unwrap();
+    let window = vec![0u8; 64];
+    let mr = dst.register_memory(&window).unwrap();
+    let progress_until = |what: &str, done: &mut dyn FnMut() -> bool| {
+        for _ in 0..10_000 {
+            src.progress().unwrap();
+            dst.progress().unwrap();
+            if done() {
+                return;
+            }
+        }
+        panic!("no progress towards: {what}");
+    };
+
+    // An eager AM and a rendezvous AM to rcomp 0, a put-with-signal to
+    // rcomp 1; the target has registered neither.
+    let local = Comp::alloc_cq();
+    let eager: Vec<u8> = (0..100u8).collect();
+    let large: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
+    assert!(!src.post_am_x(1, eager.clone(), local.clone(), 0).tag(1).call().unwrap().is_retry());
+    assert!(src.post_am_x(1, large.clone(), local.clone(), 0).tag(2).call().unwrap().is_posted());
+    let put = src.post_put_x(1, vec![0x5A; 64], mr.rkey, 0, local.clone()).remote_comp(1).tag(3);
+    assert!(put.call().unwrap().is_posted());
+    progress_until("three parked arrivals", &mut || dst.device().stats().early_inbound == 3);
+    for _ in 0..10 {
+        src.progress().unwrap();
+        dst.progress().unwrap();
+    }
+    let s = dst.device().stats();
+    assert_eq!((s.early_inbound, s.zero_copy_deliveries), (3, 0), "parked once, not delivered");
+    assert_eq!(src.device().pending_rendezvous().0, 1, "no RTR before the rcomp exists");
+    assert_eq!(dst.device().pending_rendezvous().1, 0);
+
+    // rcomp 0 registers: both AMs deliver, the signal stays parked.
+    let am_cq = Comp::alloc_cq();
+    assert_eq!(dst.register_rcomp(am_cq.clone()), 0);
+    let mut ams = Vec::new();
+    progress_until("both AMs", &mut || {
+        ams.extend(am_cq.pop());
+        ams.len() == 2
+    });
+    assert!(ams.iter().all(|d| d.kind == CompKind::Am && d.rank == 0));
+    assert_eq!((ams[0].tag, ams[0].as_slice()), (1, &eager[..]));
+    assert_eq!((ams[1].tag, ams[1].as_slice()), (2, &large[..]));
+
+    // rcomp 1 registers: the signal delivers.
+    let sig_cq = Comp::alloc_cq();
+    assert_eq!(dst.register_rcomp(sig_cq.clone()), 1);
+    let mut sig = None;
+    progress_until("the put's signal", &mut || {
+        sig = sig_cq.pop();
+        sig.is_some()
+    });
+    let sig = sig.unwrap();
+    assert_eq!((sig.kind, sig.rank, sig.tag), (CompKind::RemoteSignal, 0, 3));
+    assert_eq!(window, vec![0x5A; 64]);
+
+    // Once each, and nothing was parked twice.
+    for _ in 0..10 {
+        src.progress().unwrap();
+        dst.progress().unwrap();
+    }
+    assert!(am_cq.pop().is_none() && sig_cq.pop().is_none());
+    assert_eq!(dst.device().stats().early_inbound, 3);
+    assert_eq!(src.device().pending_rendezvous(), (0, 0));
+    assert_eq!(dst.device().pending_rendezvous(), (0, 0));
+}

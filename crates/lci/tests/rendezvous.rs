@@ -201,12 +201,34 @@ fn chunking_off_single_write_per_transfer() {
 /// fatal error on the first large transfer.
 #[test]
 fn oversize_chunk_is_rejected_at_construction() {
-    let build = |rdv_chunk_size| {
-        Runtime::new(Fabric::new(1), 0, RuntimeConfig { rdv_chunk_size, ..RuntimeConfig::small() })
+    let cfg = |device, rdv_chunk_size| RuntimeConfig {
+        rdv_chunk_size,
+        ..RuntimeConfig::small().with_device(device)
     };
-    assert!(build(1 << 20).is_ok());
-    assert!(matches!(build((1 << 20) + 1), Err(lci::FatalError::InvalidArg(_))));
-    assert!(matches!(build(0), Err(lci::FatalError::InvalidArg(_))));
+    let build = |device, chunk| Runtime::new(Fabric::new(1), 0, cfg(device, chunk));
+    let ibv = lci::DeviceConfig::ibv();
+    assert!(build(ibv, 1 << 20).is_ok());
+    assert!(matches!(build(ibv, (1 << 20) + 1), Err(lci::FatalError::InvalidArg(_))));
+    assert!(matches!(build(ibv, 0), Err(lci::FatalError::InvalidArg(_))));
+
+    // A tcp frame spends 64 B of the largest size class on its header:
+    // a full 1 MiB chunk would be a fatal post error on the first large
+    // transfer, so it is refused here too, and the largest chunk that is
+    // accepted really crosses the wire.
+    let tcp = lci::DeviceConfig::tcp();
+    let tcp_max = (1 << 20) - 64;
+    assert_eq!(lci::BackendKind::Tcp.max_write(), tcp_max);
+    assert!(matches!(build(tcp, 1 << 20), Err(lci::FatalError::InvalidArg(_))));
+    with_ranks(2, cfg(tcp, tcp_max), move |rank, rt| {
+        let len = tcp_max + 4096; // one full-size chunk and a tail
+        if rank == 0 {
+            send_blocking(&rt, 1, pattern(len, 3), 0);
+            assert_eq!(rt.device().stats().rdv_chunks_posted, 2);
+        } else {
+            assert_eq!(recv_blocking(&rt, 0, len, 0).as_slice(), &pattern(len, 3)[..]);
+        }
+        rt.oob_barrier();
+    });
 }
 
 /// Gathered iovec rendezvous reuses its scratch ring instead of
@@ -239,7 +261,7 @@ fn iovec_scratch_ring_reuse() {
 /// the pipeline counters reflect overlapped chunks.
 #[test]
 fn multithreaded_rendezvous_stress() {
-    let cfg = RuntimeConfig { rdv_shards: 4, ..chunked_cfg(1024, 4) };
+    let cfg = chunked_cfg(1024, 4);
     with_ranks(2, cfg, |rank, rt| {
         let nthreads = 4usize;
         let iters = 12u32;
