@@ -181,6 +181,14 @@ pub struct TransportStats {
     /// `tcp_writev_frames / tcp_writev_calls` is the average gather
     /// fill — the syscall-amortization factor.
     pub tcp_writev_frames: u64,
+    /// Payload bytes of the writes and reads this device accepted that
+    /// it copied straight to or from the target's registered memory (a
+    /// target the poster can address: DESIGN.md §4.9). Monotone; counted
+    /// once per accepted post, so a transfer's delta repeats exactly.
+    pub rma_direct_bytes: u64,
+    /// Payload bytes of the accepted writes and reads that crossed the
+    /// wire in frames instead. Monotone.
+    pub rma_framed_bytes: u64,
 }
 
 /// One send in a [`NetDevice::post_send_batch`] call.

@@ -53,6 +53,7 @@
 pub mod backend;
 pub mod bootstrap;
 pub mod buf_pool;
+mod dev_shared;
 pub mod fabric;
 mod framed;
 pub mod mem;

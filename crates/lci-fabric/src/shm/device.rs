@@ -31,6 +31,10 @@ impl Wire for ShmWire {
     const NAME: &'static str = "shm";
     /// The segment holds a `rank → rank` ring like any other pair's.
     const SELF_CHANNEL: bool = true;
+    /// Every `Peer::Local` rank — all of an in-process fabric, this rank
+    /// itself in a multi-process one — registers into the table and the
+    /// address space the poster runs in.
+    const LOCAL_DIRECT: bool = true;
     type Tx<'a> = (SpinGuard<'a, ()>, &'a Channel);
 
     fn open(fabric: &Fabric, rank: Rank, _pool: &BufPool) -> Self {

@@ -27,8 +27,8 @@
 
 use crate::backend::{DeviceConfig, NetDevice, SendDesc};
 use crate::buf_pool::{BufPool, BufPoolStats};
+use crate::dev_shared::{DevShared, QpLocks};
 use crate::fabric::{Fabric, RxEndpoint};
-use crate::framed::{DevShared, QpLocks};
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCache, RegCacheStats};
 use crate::sync::Doorbell;
@@ -41,7 +41,7 @@ use std::sync::Arc;
 /// The ibv-like device: the lock structure above over the fabric's
 /// in-memory wire (a post pushes straight onto the target's RX
 /// endpoint). Completion staging, the SRQ and the polled CQ are the
-/// `framed::DevShared` the framed wires use too.
+/// `dev_shared::DevShared` the framed wires use too.
 pub struct IbvDevice {
     fabric: Arc<Fabric>,
     rank: Rank,

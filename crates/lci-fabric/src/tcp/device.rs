@@ -37,6 +37,9 @@ impl Wire for TcpWire {
     const NAME: &'static str = "tcp";
     /// No socket to oneself: the core routes self-targets directly.
     const SELF_CHANNEL: bool = false;
+    /// The in-process mesh exists to exercise the socket path: every
+    /// one-sided payload rides it, as it must between hosts.
+    const LOCAL_DIRECT: bool = false;
     type Tx<'a> = (SpinGuard<'a, SendState>, &'a Conn);
 
     fn open(fabric: &Fabric, rank: Rank, pool: &BufPool) -> Self {

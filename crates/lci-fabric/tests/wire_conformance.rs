@@ -4,6 +4,11 @@
 //! (`framed::FramedDevice`) serves both, so a case that passes on one
 //! wire and fails on the other points at that wire's `impl Wire`.
 //!
+//! It also holds the two ways a one-sided operation travels to the same
+//! observable behaviour: in-process shm copies a write or read straight
+//! to or from the peer's registered memory and frames only a write's
+//! immediate (`Wire::LOCAL_DIRECT`), in-process tcp frames every byte.
+//!
 //! Every case but the last runs two ranks inside this process. The last
 //! needs a device table the sender cannot see, so it re-executes this
 //! test binary as two worker processes (like `lcw`'s `shm_smoke`): over
@@ -15,13 +20,44 @@ mod common;
 use common::{pair, poll_until, post_packet_recv, DEADLINE};
 use lci_fabric::backend::{NetContext, NetDevice};
 use lci_fabric::bootstrap::{self, test_child_args, Launch};
-use lci_fabric::types::{CqeKind, NetError, RecvBufDesc};
-use lci_fabric::{BackendKind, DeviceConfig};
+use lci_fabric::sync::LockDiscipline;
+use lci_fabric::types::{CqeKind, NetError, RecvBufDesc, RetryReason};
+use lci_fabric::{BackendKind, DeviceConfig, Fabric, Rkey};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn wires() -> [DeviceConfig; 2] {
     [DeviceConfig::shm(), DeviceConfig::tcp()]
+}
+
+/// Sends `fill` from `dev` to device 0 of the other rank, immediates
+/// counting up from 0, until the path there is full; returns how many
+/// went out. Polling `dev` reaps SendDones and flushes what the wire
+/// will still take: refused again after that, five times over, means
+/// full.
+fn fill_until_refused(dev: &Arc<dyn NetDevice>, fill: &[u8]) -> u64 {
+    let mut scratch = Vec::new();
+    let (mut sent, mut refused) = (0u64, 0);
+    while refused < 5 {
+        match dev.post_send(1 - dev.rank(), 0, fill, sent, 0) {
+            Ok(()) => (sent, refused) = (sent + 1, 0),
+            Err(NetError::Retry(_)) => {
+                refused += 1;
+                scratch.clear();
+                dev.poll_cq(&mut scratch, 64).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => panic!("filler send failed: {e:?}"),
+        }
+    }
+    assert!(sent > 0);
+    sent
+}
+
+/// Whether a write or read between two ranks of one process crosses
+/// `cfg`'s wire in frames (tcp) or is copied in place at post time (shm).
+fn frames_local_rma(cfg: &DeviceConfig) -> bool {
+    cfg.backend == BackendKind::Tcp
 }
 
 #[test]
@@ -156,7 +192,8 @@ fn rdma_read() {
         let desc = unsafe { RecvBufDesc::new(dst.as_mut_ptr(), dst.len(), 11) };
         d0.post_read(1, desc, mr.rkey, 8).unwrap();
 
-        // The READ_REQ/READ_RESP exchange needs the responder polling too.
+        // Where the read is framed, the READ_REQ/READ_RESP exchange needs
+        // the responder polling too.
         let deadline = Instant::now() + DEADLINE;
         let mut cqes = Vec::new();
         let mut other = Vec::new();
@@ -172,9 +209,11 @@ fn rdma_read() {
 }
 
 /// Teardown with frames the peer has not consumed yet must not wedge or
-/// lose them: the posting side hands back its `SendDone`, a pending
-/// read's landing buffer and its posted receives, and the peer still
-/// sees the bytes.
+/// lose them: the posting side hands back its `SendDone`, its read and
+/// its posted receives, and the peer still sees the bytes. A read is
+/// only still *pending* at teardown where it is framed, and hands its
+/// landing buffer back; toward memory the poster can address it
+/// completed at post, so its `ReadDone` is among the completions.
 #[test]
 fn teardown_with_queued_frames() {
     for cfg in wires() {
@@ -194,9 +233,12 @@ fn teardown_with_queued_frames() {
 
         let (cqes, descs) = d0.teardown();
         assert!(cqes.iter().any(|c| c.kind == CqeKind::SendDone));
+        let read_pending = frames_local_rma(&cfg);
+        let read_done = cqes.iter().any(|c| c.kind == CqeKind::ReadDone && c.ctx == 77);
+        assert_eq!(read_done, !read_pending);
         let mut handed_back: Vec<u64> = descs.iter().map(|d| d.ctx).collect();
         handed_back.sort_unstable();
-        assert_eq!(handed_back, [77, 78]);
+        assert_eq!(handed_back, if read_pending { vec![77, 78] } else { vec![78] });
 
         let cqes = poll_until(&d1, 1);
         assert_eq!(cqes[0].kind, CqeKind::RecvDone);
@@ -258,31 +300,17 @@ fn rx_full_parks_frames_without_restaging_and_in_send_order() {
 /// request parks at the head of the responder's inbound wire. Once the
 /// requester drains, the read completes — exactly once, with the right
 /// bytes — and every filler message arrives, in order.
+///
+/// Only a framed read has a response that can park, so this runs on the
+/// wires that frame a read between in-process ranks.
 #[test]
 fn read_response_parks_behind_a_busy_return_path() {
     const FILL: usize = 64 << 10;
     const READ: usize = 256 << 10;
-    for cfg in wires() {
+    for cfg in wires().into_iter().filter(frames_local_rma) {
         let (d0, d1) = pair(cfg);
         let fill = vec![0xF1u8; FILL];
-        let mut scratch = Vec::new();
-        let (mut sent, mut refused) = (0u64, 0);
-        while refused < 5 {
-            match d1.post_send(0, 0, &fill, sent, 0) {
-                Ok(()) => (sent, refused) = (sent + 1, 0),
-                Err(NetError::Retry(_)) => {
-                    // Polling flushes what the wire will still take and
-                    // reaps SendDones; refused again after that, five
-                    // times over, means the path is full.
-                    refused += 1;
-                    scratch.clear();
-                    d1.poll_cq(&mut scratch, 64).unwrap();
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => panic!("filler send failed: {e:?}"),
-            }
-        }
-        assert!(sent > 0);
+        let sent = fill_until_refused(&d1, &fill);
 
         let src: Vec<u8> = (0..READ).map(|i| (i as u32).wrapping_mul(2654435761) as u8).collect();
         let mr = d1.register(src.as_ptr(), src.len()).unwrap();
@@ -337,6 +365,191 @@ fn read_response_parks_behind_a_busy_return_path() {
         assert_eq!(reads, 1, "the read must complete exactly once");
         assert_eq!(dst, src);
     }
+}
+
+/// A transfer shaped like a rendezvous — plain chunk writes, the last
+/// one carrying the immediate — posted behind `K` sends: the target
+/// polls the sends first, in order, then the notification, and finds
+/// every chunk in place when it does. Where the poster addresses the
+/// target's memory the chunks cost no frame at all (one header-only
+/// frame for the whole transfer); where it does not, every byte is
+/// framed. The counters say which, exactly.
+#[test]
+fn write_with_imm_arrives_behind_earlier_sends_with_its_bytes_in_place() {
+    const K: usize = 5;
+    const CHUNKS: usize = 8;
+    const CHUNK: usize = 16 << 10;
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let region = vec![0u8; CHUNKS * CHUNK];
+        let mr = d1.register(region.as_ptr(), region.len()).unwrap();
+        let mut rbufs: Vec<Vec<u8>> = (0..=K).map(|_| vec![0u8; 64]).collect();
+        for (i, b) in rbufs.iter_mut().enumerate() {
+            post_packet_recv(&d1, b, i as u64);
+        }
+        for i in 0..K {
+            d0.post_send(1, 0, &[i as u8; 32], i as u64, 0).unwrap();
+        }
+        let chunk = |i: usize| vec![0xC0 + i as u8; CHUNK];
+        for i in 0..CHUNKS {
+            let imm = (i == CHUNKS - 1).then_some(0xF1);
+            d0.post_write(1, 0, &chunk(i), mr.rkey, i * CHUNK, imm, 100 + i as u64).unwrap();
+        }
+        let total = (CHUNKS * CHUNK) as u64;
+        let ts = d0.transport_stats();
+        if frames_local_rma(&cfg) {
+            assert_eq!((ts.rma_direct_bytes, ts.rma_framed_bytes), (0, total));
+        } else {
+            assert_eq!((ts.rma_direct_bytes, ts.rma_framed_bytes), (total, 0));
+            assert_eq!(d1.inbound_pending(), K + 1, "a chunk without an immediate cost a frame");
+        }
+
+        let cqes = poll_until(&d0, K + CHUNKS);
+        let writes: Vec<u64> =
+            cqes.iter().filter(|c| c.kind == CqeKind::WriteDone).map(|c| c.ctx).collect();
+        assert_eq!(writes, (100..100 + CHUNKS as u64).collect::<Vec<_>>());
+
+        let cqes = poll_until(&d1, K + 1);
+        for (i, c) in cqes[..K].iter().enumerate() {
+            assert_eq!((c.kind, c.ctx, c.imm), (CqeKind::RecvDone, i as u64, i as u64));
+        }
+        assert_eq!(
+            (cqes[K].kind, cqes[K].ctx, cqes[K].imm),
+            (CqeKind::WriteImmRecv, K as u64, 0xF1)
+        );
+        for i in 0..CHUNKS {
+            assert_eq!(&region[i * CHUNK..(i + 1) * CHUNK], &chunk(i)[..], "chunk {i}");
+        }
+    }
+}
+
+/// A write-with-immediate whose notification the wire refuses (the path
+/// to the target is full of sends it is not consuming) is `Retry`: no
+/// `WriteDone` is staged and the target learns nothing. Once the target
+/// drains, the same post succeeds and both completions arrive, once.
+#[test]
+fn refused_write_notification_retries_without_a_completion() {
+    const FILL: usize = 64;
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let fill = [0xF1u8; FILL];
+        let sent = fill_until_refused(&d0, &fill);
+        let region = [0u8; 64];
+        let mr = d1.register(region.as_ptr(), region.len()).unwrap();
+        let err = d0.post_write(1, 0, &[7u8; 16], mr.rkey, 8, Some(0xAB), 3).unwrap_err();
+        assert!(matches!(err, NetError::Retry(_)), "expected a retry, got {err:?}");
+        let mut cq0 = Vec::new();
+        for _ in 0..8 {
+            d0.poll_cq(&mut cq0, 64).unwrap();
+        }
+        assert!(cq0.iter().all(|c| c.kind == CqeKind::SendDone), "a refused write completed");
+        let ts = d0.transport_stats();
+        assert_eq!(ts.rma_direct_bytes + ts.rma_framed_bytes, 0, "a refused write was counted");
+
+        // The target consumes the fillers through a small set of
+        // receives it re-posts as they complete.
+        let mut rbufs: Vec<Vec<u8>> = (0..32).map(|_| vec![0u8; FILL]).collect();
+        for (i, b) in rbufs.iter_mut().enumerate() {
+            post_packet_recv(&d1, b, i as u64);
+        }
+        let (mut got, mut cq1) = (0u64, Vec::new());
+        let deadline = Instant::now() + DEADLINE;
+        while got < sent {
+            d0.poll_cq(&mut cq0, 64).unwrap(); // tcp flushes its queue here
+            d1.poll_cq(&mut cq1, 64).unwrap();
+            for c in cq1.drain(..) {
+                assert_eq!((c.kind, c.imm, c.len), (CqeKind::RecvDone, got, FILL));
+                got += 1;
+                post_packet_recv(&d1, &mut rbufs[c.ctx as usize], c.ctx);
+            }
+            assert!(Instant::now() < deadline, "stuck at {got}/{sent} fillers");
+        }
+
+        cq0.clear();
+        d0.post_write(1, 0, &[7u8; 16], mr.rkey, 8, Some(0xAB), 3).unwrap();
+        let done = poll_until(&d0, 1);
+        assert_eq!((done[0].kind, done[0].ctx), (CqeKind::WriteDone, 3));
+        let note = poll_until(&d1, 1);
+        assert_eq!((note[0].kind, note[0].imm), (CqeKind::WriteImmRecv, 0xAB));
+        assert_eq!(&region[8..24], &[7u8; 16]);
+        for _ in 0..8 {
+            d0.poll_cq(&mut cq0, 64).unwrap();
+            d1.poll_cq(&mut cq1, 64).unwrap();
+        }
+        assert!(cq0.is_empty() && cq1.is_empty(), "a completion was delivered twice");
+    }
+}
+
+/// In one process the registration table is the poster's own: a write or
+/// a read naming a deregistered, unknown or overrun region is fatal at
+/// the post, on every wire, and leaves no completion behind.
+#[test]
+fn bad_rkey_is_fatal_at_post() {
+    for cfg in wires() {
+        let fabric = Fabric::new(2);
+        let d0 = NetContext::new(fabric.clone(), 0).create_device(cfg);
+        let _d1 = NetContext::new(fabric.clone(), 1).create_device(cfg);
+        let region = [0u8; 64];
+        // Straight in the fabric's table: a device's registration cache
+        // would keep the region alive past `deregister`.
+        let live = fabric.mem().register(1, region.as_ptr(), region.len());
+        let dead = fabric.mem().register(1, region.as_ptr(), region.len());
+        fabric.mem().deregister(&dead);
+        let mut dst = vec![0u8; 32];
+        for (rkey, offset) in [(dead.rkey, 0), (Rkey(9999), 0), (live.rkey, 48)] {
+            let err = d0.post_write(1, 0, &[1u8; 32], rkey, offset, Some(1), 0).unwrap_err();
+            assert!(matches!(err, NetError::Fatal(_)), "write to {rkey:?}+{offset}: {err:?}");
+            // SAFETY: dst outlives the (refused) read.
+            let desc = unsafe { RecvBufDesc::new(dst.as_mut_ptr(), dst.len(), 0) };
+            let err = d0.post_read(1, desc, rkey, offset).unwrap_err();
+            assert!(matches!(err, NetError::Fatal(_)), "read from {rkey:?}+{offset}: {err:?}");
+        }
+        let mut cqes = Vec::new();
+        d0.poll_cq(&mut cqes, 16).unwrap();
+        assert!(cqes.is_empty());
+        assert_eq!(region, [0u8; 64]);
+        assert_eq!(d0.teardown().1.len(), 0, "a refused read left its landing buffer pending");
+    }
+}
+
+/// The payload copy of a direct write holds no lock: under the try-lock
+/// discipline two threads writing disjoint ranges of one shm peer's
+/// region (no immediate, so no frame either) never see `LockBusy`. A
+/// framed write takes the QP lock and the wire's sender, so this is a
+/// statement about the wires that address the peer's memory.
+#[test]
+fn direct_writes_to_one_peer_never_find_a_lock_busy() {
+    const WRITES: usize = 2000;
+    const LEN: usize = 4096;
+    let (d0, d1) = pair(DeviceConfig::shm().with_discipline(LockDiscipline::TryLock));
+    let region = vec![0u8; 2 * LEN];
+    let mr = d1.register(region.as_ptr(), region.len()).unwrap();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for t in 0..2usize {
+            let (d0, start) = (&d0, &start);
+            s.spawn(move || {
+                let data = vec![t as u8 + 1; LEN];
+                let mut cqes = Vec::new();
+                start.wait();
+                for i in 0..WRITES {
+                    let res = d0.post_write(1, 0, &data, mr.rkey, t * LEN, None, i as u64);
+                    assert!(
+                        !matches!(res, Err(NetError::Retry(RetryReason::LockBusy))),
+                        "write {i} of thread {t} found a lock busy"
+                    );
+                    res.unwrap();
+                    // Reaping may lose the CQ try-lock to the sibling;
+                    // that is the poll's lock, not the write's.
+                    let _ = d0.poll_cq(&mut cqes, 64);
+                }
+            });
+        }
+    });
+    let ts = d0.transport_stats();
+    assert_eq!((ts.rma_direct_bytes, ts.rma_framed_bytes), ((2 * WRITES * LEN) as u64, 0));
+    assert_eq!(d1.inbound_pending(), 0, "a write without an immediate became a frame");
+    assert!(region[..LEN].iter().all(|&b| b == 1) && region[LEN..].iter().all(|&b| b == 2));
 }
 
 fn post_send_retrying(dev: &Arc<dyn NetDevice>, dst_dev: usize, data: &[u8], imm: u64) {

@@ -282,6 +282,8 @@ impl Device {
         s.doorbell_cross_proc_wakes = ts.doorbell_cross_proc_wakes;
         s.tcp_writev_calls = ts.tcp_writev_calls;
         s.tcp_writev_frames = ts.tcp_writev_frames;
+        s.rma_direct_bytes = ts.rma_direct_bytes;
+        s.rma_framed_bytes = ts.rma_framed_bytes;
         s
     }
 

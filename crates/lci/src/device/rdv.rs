@@ -1,9 +1,15 @@
 //! The zero-copy rendezvous protocol (paper §4.3, Figure 1 steps 8 & 10;
 //! DESIGN.md §4.6): RTS → RTR → pipelined chunk writes, FIN riding the
-//! last chunk. Everything a transfer remembers between those steps — the
-//! pending tables, the chunk schedule, the recycled transfer shells —
-//! lives here; the rest of the device sees an [`Rts`], an opaque
-//! [`RdvActive`] handle and [`RdvState`].
+//! last chunk. "Zero-copy" is this layer's half: nothing is staged here,
+//! each chunk is posted from the user's buffer toward the registered
+//! landing buffer. What the `post_write` below it costs is the wire's:
+//! one copy and no frame where the sender can address the target's
+//! memory (the sims, in-process shm), a frame copied in and out across
+//! processes and on tcp (DESIGN.md §4.9). Everything a transfer
+//! remembers between those steps — the pending tables, the chunk
+//! schedule, the recycled transfer shells — lives here; the rest of the
+//! device sees an [`Rts`], an opaque [`RdvActive`] handle and
+//! [`RdvState`].
 
 use super::{net_fatal, CommArgs, Device, MatchEntry, OpCtx, PendingInbound, RecvEntry};
 use crate::backlog::Backlogged;

@@ -180,6 +180,8 @@ impl DeviceStats {
             doorbell_cross_proc_wakes: 0,
             tcp_writev_calls: 0,
             tcp_writev_frames: 0,
+            rma_direct_bytes: 0,
+            rma_framed_bytes: 0,
         }
     }
 }
@@ -322,6 +324,16 @@ pub struct StatsSnapshot {
     /// [`Self::avg_writev_fill`]) is the average gather fill — the
     /// syscall-amortization figure of merit for the batching ablation.
     pub tcp_writev_frames: u64,
+    /// Payload bytes of this device's accepted RDMA writes and reads
+    /// (rendezvous chunks, put, get) that it copied straight to or from
+    /// the target's registered memory — the single-copy path toward a
+    /// peer it can address (overlaid by
+    /// [`Device::stats`](crate::device::Device::stats) from the
+    /// transport; zero on simulated backends).
+    pub rma_direct_bytes: u64,
+    /// Payload bytes of the accepted writes and reads that crossed the
+    /// wire in frames instead (same overlay).
+    pub rma_framed_bytes: u64,
 }
 
 impl StatsSnapshot {
@@ -387,6 +399,8 @@ impl StatsSnapshot {
                 .saturating_sub(earlier.doorbell_cross_proc_wakes),
             tcp_writev_calls: self.tcp_writev_calls.saturating_sub(earlier.tcp_writev_calls),
             tcp_writev_frames: self.tcp_writev_frames.saturating_sub(earlier.tcp_writev_frames),
+            rma_direct_bytes: self.rma_direct_bytes.saturating_sub(earlier.rma_direct_bytes),
+            rma_framed_bytes: self.rma_framed_bytes.saturating_sub(earlier.rma_framed_bytes),
         }
     }
 

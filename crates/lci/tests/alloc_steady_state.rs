@@ -253,9 +253,10 @@ fn shm_eager_steady_state_is_allocation_free() {
     assert_eq!(allocs, 0, "shm 512-byte eager loop made {allocs} allocator calls after warmup");
 }
 
-/// Rendezvous over shm: every 64 KiB chunk crosses the ring as a
-/// spilled frame, and spill reclamation is pointer arithmetic on the
-/// shared segment — still zero allocator calls per transfer.
+/// Rendezvous over shm: in one process every 64 KiB chunk is copied
+/// straight into the registered landing buffer and only RTS, RTR and the
+/// header-only FIN frame cross the ring, encoded in place — still zero
+/// allocator calls per transfer.
 #[test]
 fn shm_rendezvous_steady_state_is_allocation_free() {
     let _g = serial();
@@ -304,6 +305,50 @@ fn eager_copy_ledger_is_one_stage_per_wire() {
     let _g = serial();
     assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::shm()), (0, 1));
     assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::ibv()), (1, 1));
+}
+
+/// Warm 512 KiB rendezvous transfers on `device`: the sender's
+/// `(rma_direct_bytes, rma_framed_bytes)` per transfer, and the most
+/// frames any shm ring ever held at once (`shm_ring_hwm`).
+fn rendezvous_512k_copy_ledger(device: lci_fabric::DeviceConfig) -> (u64, u64, u64) {
+    const ITERS: u64 = 16;
+    const SIZE: usize = 512 << 10;
+    let pair = Pair::new_cfg(RuntimeConfig::small().with_device(device));
+    let mut payload: SendBuf = vec![0x6Du8; SIZE].into();
+    let mut landing: Box<[u8]> = vec![0u8; SIZE].into();
+    let mut base = pair.rt0.device().stats();
+    for i in 0..4 + ITERS {
+        if i == 4 {
+            base = pair.rt0.device().stats();
+        }
+        let (s, r) = pair.xfer(payload, landing, 11);
+        assert!(r.as_slice().iter().all(|&b| b == 0x6D), "payload corrupted in flight");
+        payload = recover_send(s);
+        landing = recover_recv(r);
+    }
+    let end = pair.rt0.device().stats();
+    let d = end.since(&base);
+    assert_eq!(d.rendezvous, ITERS);
+    assert_eq!(d.rdv_chunks_posted % ITERS, 0);
+    assert!(d.rdv_chunks_posted / ITERS > 1, "512 KiB went out as a single chunk");
+    assert_eq!(pair.rt1.device().stats().rma_direct_bytes, 0, "the receiver writes nothing");
+    assert_eq!(pair.rt1.device().stats().rma_framed_bytes, 0, "the receiver writes nothing");
+    (d.rma_direct_bytes / ITERS, d.rma_framed_bytes / ITERS, end.shm_ring_hwm)
+}
+
+/// The rendezvous copy ledger (DESIGN.md §4.6), from counters that
+/// repeat exactly: on in-process shm the sender addresses the landing
+/// buffer itself, so all 512 KiB are copied once, none are framed, and
+/// no ring ever holds more than one frame — RTS, RTR and the header-only
+/// FIN each find it empty, where a framed chunk stream queues a window
+/// of chunks. In-process tcp cannot address its peer: every byte is
+/// framed (and copied into and out of the frame).
+#[test]
+fn rendezvous_copy_ledger() {
+    let _g = serial();
+    const SIZE: u64 = 512 << 10;
+    assert_eq!(rendezvous_512k_copy_ledger(lci_fabric::DeviceConfig::shm()), (SIZE, 0, 1));
+    assert_eq!(rendezvous_512k_copy_ledger(lci_fabric::DeviceConfig::tcp()), (0, SIZE, 0));
 }
 
 /// Builds the config the thread-per-core matrix runs under: placement

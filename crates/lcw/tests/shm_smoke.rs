@@ -145,6 +145,100 @@ fn multiproc_rendezvous_256k() {
     }
 }
 
+/// What crosses a process boundary is framed; what stays inside one is
+/// not (DESIGN.md §4.9). A 1 MiB rendezvous, a put and a get from rank 0
+/// to rank 1: rank 0 cannot address rank 1's memory, so every payload
+/// byte is counted `rma_framed_bytes` and none `rma_direct_bytes` — the
+/// framed write/read path in-process shm no longer walks is walked here.
+/// Then a put rank 0 aims at itself: over shm its own registered memory
+/// is addressable and the bytes are copied once, counted direct; over
+/// tcp (`LCI_TRANSPORT=tcp`) nothing ever is.
+#[test]
+fn multiproc_rma_is_framed_across_processes_and_direct_to_self() {
+    const NAME: &str = "multiproc_rma_is_framed_across_processes_and_direct_to_self";
+    const LEN: usize = 1 << 20;
+    const RMA: usize = 24 << 10;
+    const OFF: usize = 512;
+    let Some(w) = launch(2, NAME, shm_cfg()) else { return };
+    let over_tcp = w.fabric().tcp_rank().is_some();
+    let mut ep = w.endpoint(0);
+    let rt = w.lci_runtime().expect("lci").clone();
+    let dev = ep.lci_device().expect("lci").clone();
+    let pattern = |salt: u32, len: usize| -> Vec<u8> {
+        (0..len).map(|i| (i as u32 ^ salt).wrapping_mul(2654435761) as u8).collect()
+    };
+    // Posts one RMA operation and drives it to its local completion.
+    let run = |ep: &mut lcw::Endpoint, post: &dyn Fn(lci::Comp) -> lci::PostResult| {
+        let done = lci::Comp::alloc_sync(1);
+        while !post(done.clone()).is_posted() {
+            ep.progress();
+        }
+        let sync = done.as_sync().expect("sync comp");
+        while !sync.test() {
+            ep.progress();
+        }
+        sync.take().pop().expect("one completion")
+    };
+    if w.rank() == 0 {
+        while !ep.send(1, &pattern(1, LEN), 9) {
+            ep.progress();
+        }
+        let m = recv_msg(&mut ep);
+        assert_eq!(m.tag, 20);
+        let rkey = lci::Rkey(u32::from_le_bytes(m.data[..4].try_into().unwrap()));
+        run(&mut ep, &|c| {
+            rt.post_put_x(1, pattern(2, RMA), rkey, OFF, c).device(&dev).call().expect("put")
+        });
+        // The put's frame is ahead of this message on the same wire.
+        while !ep.send_am(1, &[0], 21) {
+            ep.progress();
+        }
+        let got = run(&mut ep, &|c| {
+            rt.post_get_x(1, vec![0u8; RMA], rkey, OFF, c).device(&dev).call().expect("get")
+        });
+        assert_eq!(got.as_slice(), &pattern(2, RMA)[..], "get returned other bytes than were put");
+        ep.quiesce(QUIESCE).expect("drain");
+        let remote = dev.stats();
+        assert_eq!(remote.rma_direct_bytes, 0, "a remote process's memory is not addressable");
+        assert_eq!(remote.rma_framed_bytes, (LEN + 2 * RMA) as u64);
+
+        let own = vec![0u8; 2 * RMA];
+        let mr = dev.register_memory(&own).expect("register");
+        run(&mut ep, &|c| {
+            rt.post_put_x(0, pattern(3, RMA), mr.rkey, OFF, c).device(&dev).call().expect("put")
+        });
+        assert_eq!(&own[OFF..OFF + RMA], &pattern(3, RMA)[..]);
+        let to_self = dev.stats().since(&remote);
+        let want = if over_tcp { (0, RMA as u64) } else { (RMA as u64, 0) };
+        assert_eq!((to_self.rma_direct_bytes, to_self.rma_framed_bytes), want);
+        while !ep.send_am(1, &[0], 22) {
+            ep.progress();
+        }
+    } else {
+        let tok = ep.post_recv(0, 9, LEN);
+        let m = loop {
+            ep.progress();
+            if let Some(m) = ep.test_recv(&tok) {
+                break m;
+            }
+        };
+        assert_eq!(m.data, pattern(1, LEN), "rendezvous payload corrupted crossing processes");
+        let window = vec![0u8; 2 * RMA];
+        let mr = dev.register_memory(&window).expect("register");
+        while !ep.send_am(0, &mr.rkey.0.to_le_bytes(), 20) {
+            ep.progress();
+        }
+        assert_eq!(recv_msg(&mut ep).tag, 21);
+        assert_eq!(&window[OFF..OFF + RMA], &pattern(2, RMA)[..], "put landed other bytes");
+        assert!(window[..OFF].iter().chain(&window[OFF + RMA..]).all(|&b| b == 0));
+        // The window stays registered until rank 0 has read it back.
+        assert_eq!(recv_msg(&mut ep).tag, 22);
+        let s = dev.stats();
+        assert_eq!((s.rma_direct_bytes, s.rma_framed_bytes), (0, 0), "the target posts no RMA");
+    }
+    ep.quiesce(QUIESCE).expect("drain");
+}
+
 /// A peer that dies mid-handshake must surface as an error, not a hang:
 /// rank 1 exits abruptly (skipping all destructors, exit code 7) while
 /// rank 0 has a rendezvous send in flight to it; rank 0's `quiesce`
