@@ -15,25 +15,29 @@ use crate::framed::FramedDevice;
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCacheConfig, RegCacheStats};
 use crate::shm::device::ShmWire;
-use crate::sim_ibv::IbvDevice;
-use crate::sim_ofi::OfiDevice;
+use crate::sim::SimWire;
 use crate::sync::{Doorbell, LockDiscipline};
 use crate::types::{Cqe, CqeKind, DevId, NetResult, Rank, RecvBufDesc, WireMsg, WireMsgKind};
 use std::sync::Arc;
 
-/// Which simulated provider a device uses.
+/// Which backend a device uses: a wire under the one device core
+/// (DESIGN.md §4.9) plus the layout of its posting locks.
 ///
-/// Both run on the same [`Fabric`]; they differ only in lock placement,
-/// mirroring the paper's libibverbs (§4.2.3) vs libfabric (§4.2.4)
-/// analysis. In the benchmarks, `Ibv` plays the role of SDSC Expanse
-/// (InfiniBand) and `Ofi` the role of NCSA Delta (Slingshot-11).
+/// `Ibv` and `Ofi` are the two simulated providers. They share the
+/// in-memory wire — a post pushes straight onto the target device's RX
+/// endpoint — and differ only in lock placement, mirroring the paper's
+/// libibverbs (§4.2.3) vs libfabric (§4.2.4) analysis. In the
+/// benchmarks, `Ibv` plays the role of SDSC Expanse (InfiniBand) and
+/// `Ofi` the role of NCSA Delta (Slingshot-11). `Shm` and `Tcp` are real
+/// wires under the ibv layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
     /// Fine-grained locks: per-QP, per-CQ, per-SRQ spinlocks with
     /// configurable thread-domain strategies.
     Ibv,
-    /// Coarse endpoint lock: one spinlock serializes post and poll;
-    /// registration goes through a mutex-protected cache.
+    /// Coarse endpoint lock: one spinlock serializes send posts, receive
+    /// posts and polls (it wraps the same CQ and SRQ the other backends
+    /// use); registration goes through a mutex-protected cache.
     Ofi,
     /// Real shared-memory transport (DESIGN.md §4.9): frames travel
     /// through per-rank-pair SPSC rings in a memory segment other OS
@@ -65,7 +69,7 @@ impl BackendKind {
 #[cfg(unix)]
 const _: () = assert!(BackendKind::Tcp.max_write() == crate::tcp::stream::MAX_FRAME_PAYLOAD);
 
-/// How queue pairs share posting locks on the ibv backend — the
+/// How queue pairs share posting locks under the ibv lock layout — the
 /// `ibv_td_strategy` device attribute of paper §4.2.3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TdStrategy {
@@ -86,7 +90,9 @@ pub enum TdStrategy {
 pub struct DeviceConfig {
     /// Provider selection.
     pub backend: BackendKind,
-    /// Thread-domain strategy (ibv backend only).
+    /// Thread-domain strategy. An attribute of the ibv lock layout, which
+    /// `ibv`, `shm` and `tcp` devices post under; an `ofi` device has one
+    /// endpoint lock and ignores it.
     pub td_strategy: TdStrategy,
     /// Lock acquisition discipline for wrapped locks: LCI uses
     /// [`LockDiscipline::TryLock`] (the §4.2.2 trylock wrapper); stock
@@ -163,9 +169,9 @@ impl DeviceConfig {
     }
 }
 
-/// Transport-level counters exposed by backends that have a physical
-/// (or physically modeled) wire; all-zero elsewhere. Snapshotted into
-/// the LCI stats overlay.
+/// Transport-level counters; a backend leaves those that are not about
+/// its wire at zero (the in-memory wire of `ibv` and `ofi` has none of
+/// its own). Snapshotted into the LCI stats overlay.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// High-water mark of per-channel ring occupancy (frames) over every
@@ -239,25 +245,12 @@ pub trait NetDevice: Send + Sync {
     /// (or the peer is not ready) after `n > 0` messages, `Ok(n)` is
     /// returned and the caller retries the tail later. An error is
     /// returned only when *nothing* was posted.
-    ///
-    /// The default implementation loops over [`NetDevice::post_send`]
-    /// (one lock acquisition per message); backends override it.
     fn post_send_batch(
         &self,
         target: Rank,
         target_dev: DevId,
         msgs: &[SendDesc<'_>],
-    ) -> NetResult<usize> {
-        let mut posted = 0;
-        for m in msgs {
-            match self.post_send(target, target_dev, m.data, m.imm, m.ctx) {
-                Ok(()) => posted += 1,
-                Err(e) if posted == 0 => return Err(e),
-                Err(_) => break,
-            }
-        }
-        Ok(posted)
-    }
+    ) -> NetResult<usize>;
 
     /// Pre-posts a receive buffer to the shared receive queue.
     fn post_recv(&self, desc: RecvBufDesc) -> NetResult<()>;
@@ -271,20 +264,7 @@ pub trait NetDevice: Send + Sync {
     /// progress, not all-or-nothing. An error is returned only when
     /// *nothing* was posted; the caller keeps ownership of the unposted
     /// tail.
-    ///
-    /// The default implementation loops over [`NetDevice::post_recv`]
-    /// (one lock acquisition per buffer); backends override it.
-    fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
-        let mut posted = 0;
-        for d in descs {
-            match self.post_recv(*d) {
-                Ok(()) => posted += 1,
-                Err(e) if posted == 0 => return Err(e),
-                Err(_) => break,
-            }
-        }
-        Ok(posted)
-    }
+    fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize>;
 
     /// Polls for up to `max` completions, appending them to `out`.
     /// Returns the number of completions delivered. Under the trylock
@@ -319,33 +299,25 @@ pub trait NetDevice: Send + Sync {
     ) -> NetResult<()>;
 
     /// Registers local memory for remote access. Goes through the
-    /// device's registration cache when one is enabled (see
-    /// [`crate::reg_cache`]), so repeat registrations of the same buffer
-    /// are hits.
+    /// device's registration cache (see [`crate::reg_cache`]), so repeat
+    /// registrations of the same buffer are hits.
     fn register(&self, ptr: *const u8, len: usize) -> NetResult<MemoryRegion>;
 
-    /// Deregisters a region. With a registration cache this is a cached
-    /// *release*: the registration stays alive for reuse until evicted.
+    /// Deregisters a region: a cached *release*, the registration stays
+    /// alive for reuse until evicted.
     fn deregister(&self, mr: &MemoryRegion) -> NetResult<()>;
 
-    /// Registration-cache counters for this device; all-zero when the
-    /// device has no cache (or it is disabled).
-    fn reg_cache_stats(&self) -> RegCacheStats {
-        RegCacheStats::default()
-    }
+    /// Registration-cache counters for this device.
+    fn reg_cache_stats(&self) -> RegCacheStats;
 
-    /// The device's recycled staging-buffer pool, if it has one. The LCI
-    /// layer stages its own per-operation copies (iovec gathers, parked
-    /// sends, coalesced frames, rendezvous scratch, bounce buffers)
-    /// through it so the whole data path shares one recycling domain.
-    fn buf_pool(&self) -> Option<BufPool> {
-        None
-    }
+    /// The device's recycled staging-buffer pool. The LCI layer stages
+    /// its own per-operation copies (iovec gathers, parked sends,
+    /// coalesced frames, rendezvous scratch, bounce buffers) through it
+    /// so the whole data path shares one recycling domain.
+    fn buf_pool(&self) -> BufPool;
 
-    /// Buffer-pool counters; all-zero when the device has no pool.
-    fn buf_pool_stats(&self) -> BufPoolStats {
-        BufPoolStats::default()
-    }
+    /// Buffer-pool counters.
+    fn buf_pool_stats(&self) -> BufPoolStats;
 
     /// Number of currently pre-posted receives (used by the LCI progress
     /// engine to decide when to replenish).
@@ -354,34 +326,26 @@ pub trait NetDevice: Send + Sync {
     /// The device's doorbell, rung whenever work plausibly becomes
     /// available for `poll_cq` (wire delivery into the RX ring, locally
     /// staged completions). A progress thread parks on it instead of
-    /// spin-polling. `None` for backends without doorbell support.
-    fn doorbell(&self) -> Option<Arc<Doorbell>> {
-        None
-    }
+    /// spin-polling. Every backend has one.
+    fn doorbell(&self) -> Option<Arc<Doorbell>>;
 
     /// Number of inbound wire messages waiting in the device's RX ring
     /// (racy snapshot). A progress thread refuses to park while this is
     /// non-zero: a message can sit in the ring without a matching
     /// pre-posted receive (RNR), and draining it needs further polls,
     /// not another doorbell ring.
-    fn inbound_pending(&self) -> usize {
-        0
-    }
+    fn inbound_pending(&self) -> usize;
 
     /// Outbound work accepted by a post call but not yet on the wire
     /// (deferred-flush transports: the tcp send queues). Quiescence
     /// checks poll this — a send that completed locally may still need
     /// progress calls before the peer can observe it. Zero for
     /// transports that ship at post time.
-    fn outbound_pending(&self) -> usize {
-        0
-    }
+    fn outbound_pending(&self) -> usize;
 
     /// Transport-level counters (ring occupancy HWM, cross-process
-    /// doorbell wakes). All-zero for backends without a transport layer.
-    fn transport_stats(&self) -> TransportStats {
-        TransportStats::default()
-    }
+    /// doorbell wakes, one-sided bytes by the way they went).
+    fn transport_stats(&self) -> TransportStats;
 
     /// Tears the device down: closes its RX endpoint (subsequent sends
     /// to it fail fatally), and hands back every undelivered completion
@@ -427,29 +391,19 @@ impl NetContext {
         let bell = Arc::new(Doorbell::new());
         let rx = Arc::new(RxEndpoint::with_doorbell(cfg.rx_capacity, bell.clone()));
         let dev_id = self.fabric.add_device(self.rank, rx.clone());
+        let fabric = self.fabric.clone();
+        // One device core; the backend picks the wire under it here and
+        // the lock layout in `QpLocks::new`.
         match cfg.backend {
-            BackendKind::Ibv => {
-                Arc::new(IbvDevice::new(self.fabric.clone(), self.rank, dev_id, rx, bell, cfg))
+            BackendKind::Ibv | BackendKind::Ofi => {
+                Arc::new(FramedDevice::<SimWire>::new(fabric, self.rank, dev_id, rx, bell, cfg))
             }
-            BackendKind::Ofi => {
-                Arc::new(OfiDevice::new(self.fabric.clone(), self.rank, dev_id, rx, bell, cfg))
+            BackendKind::Shm => {
+                Arc::new(FramedDevice::<ShmWire>::new(fabric, self.rank, dev_id, rx, bell, cfg))
             }
-            BackendKind::Shm => Arc::new(FramedDevice::<ShmWire>::new(
-                self.fabric.clone(),
-                self.rank,
-                dev_id,
-                rx,
-                bell,
-                cfg,
-            )),
             #[cfg(unix)]
             BackendKind::Tcp => Arc::new(FramedDevice::<crate::tcp::device::TcpWire>::new(
-                self.fabric.clone(),
-                self.rank,
-                dev_id,
-                rx,
-                bell,
-                cfg,
+                fabric, self.rank, dev_id, rx, bell, cfg,
             )),
             #[cfg(not(unix))]
             BackendKind::Tcp => panic!("the tcp backend requires a unix platform"),
@@ -458,9 +412,9 @@ impl NetContext {
 }
 
 /// Copies payload bytes into a pre-posted receive buffer and builds the
-/// `RecvDone` CQE (stands in for NIC DMA + CQE write). The framed wires
-/// call it on bytes still in a ring slot; everything else reaches it
-/// through [`deliver_into`].
+/// `RecvDone` CQE (stands in for NIC DMA + CQE write). A wire drain calls
+/// it on bytes still in a ring slot; everything else reaches it through
+/// [`deliver_into`].
 pub(crate) fn deliver_bytes(
     data: &[u8],
     desc: &RecvBufDesc,
@@ -484,7 +438,7 @@ pub(crate) fn deliver_bytes(
 }
 
 /// Delivers a wire message into a pre-posted receive buffer and builds
-/// the corresponding CQE. Shared by every backend.
+/// the corresponding CQE.
 pub(crate) fn deliver_into(msg: &WireMsg, desc: &RecvBufDesc) -> NetResult<Cqe> {
     match msg.kind {
         WireMsgKind::Send => {

@@ -1,9 +1,9 @@
-//! What one device owns whatever carries its bytes: the per-target
-//! posting locks ([`QpLocks`]) and the completion and receive state
-//! ([`DevShared`]). The ibv-like sim ([`crate::sim_ibv`]) and the framed
-//! device core ([`crate::framed`]) both sit on them.
+//! What one device owns whatever carries its bytes: the posting locks in
+//! the backend's layout ([`QpLocks`] — the one place the paper's two
+//! providers differ) and the completion and receive state
+//! ([`DevShared`]). The device core ([`crate::framed`]) sits on them.
 
-use crate::backend::{deliver_bytes, deliver_into, DeviceConfig, TdStrategy};
+use crate::backend::{deliver_bytes, deliver_into, BackendKind, DeviceConfig, TdStrategy};
 use crate::fabric::RxEndpoint;
 use crate::shm::ring::FrameHeader;
 use crate::sync::{Doorbell, LockDiscipline, SpinGuard, SpinLock};
@@ -13,32 +13,73 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The per-target posting locks of one device (paper §4.2.3). The lock
-/// itself *is* the modelled resource (the QP spinlock + uUAR doorbell
-/// serialization); nothing sits behind it.
+/// The posting locks of one device, in the layout of the provider it
+/// stands for. The lock itself *is* the modelled resource (the QP
+/// spinlock + uUAR doorbell serialization, the endpoint spinlock);
+/// nothing sits behind it. Holding the lock toward one target, this is
+/// who else waits (the unit test below states the same table):
+///
+/// | layout | post to another target | `post_recv` | `poll_cq` |
+/// |---|---|---|---|
+/// | ibv `PerQp` | proceeds | proceeds | proceeds |
+/// | ibv `AllQp` | excluded | proceeds | proceeds |
+/// | ibv `None` | excluded, always blocking | proceeds | proceeds |
+/// | ofi, whatever `TdStrategy` | excluded | excluded | excluded |
+///
+/// **ibv** (paper §4.2.3, the libibverbs/mlx5 structure; shm and tcp
+/// post under it too): every queue pair — one per target rank — has its
+/// own posting lock, the completion queue has its own lock, taken by
+/// `ibv_poll_cq`, and so has the shared receive queue (both in
+/// [`DevShared`]). Pollers contend with each other, *not* with posters:
+/// the NIC writes CQEs by DMA, modelled as the lock-free staging ring.
+/// The `ibv_td_strategy` attribute ([`TdStrategy`]) controls QP lock
+/// sharing: `PerQp` gives every QP its own trylock-wrapped lock, `AllQp`
+/// shares one trylock-wrapped lock across all QPs, `None` shares one
+/// lock that is always acquired *blockingly*. With `PerQp`, a worker
+/// thread posting a send and a progress thread polling the CQ touch
+/// disjoint locks — the contention-free guarantee the paper highlights
+/// for AMT-style runtimes.
+///
+/// **ofi** (paper §4.2.4, the libfabric cxi/verbs provider structure):
+/// **one spinlock per endpoint** guards `post_send`, `post_recv` *and*
+/// `poll_cq`, so a worker thread posting and a progress thread polling
+/// the same device always contend — which is why a batch is the whole
+/// point there: the lock is paid once for N messages or N receives
+/// instead of N times, and that directly shortens the critical section
+/// other threads wait on. LCI wraps the endpoint lock in a single
+/// trylock; baselines use blocking acquisition
+/// ([`LockDiscipline::Blocking`]), which is how stock MPI implementations
+/// drive libfabric. The layout is all §4.2.4 adds, so it is all
+/// `BackendKind::Ofi` selects: the lock is taken around the same CQ, SRQ
+/// and staging structures the ibv layout uses, whose own (then
+/// uncontended) locks are still taken — the measured price of one device
+/// body (DESIGN.md §1).
 pub(crate) struct QpLocks {
     /// One entry per target rank; entries alias the same lock under
-    /// `AllQp` and `None`.
+    /// `AllQp`, `None` and the ofi layout.
     locks: Vec<Arc<SpinLock<()>>>,
     /// Under `TdStrategy::None` the lock is the provider's own, which
     /// LCI cannot trylock-wrap: blocking whatever the device discipline.
     discipline: LockDiscipline,
+    /// The ofi layout: the one lock every entry of `locks` aliases also
+    /// covers receive posts and polls.
+    endpoint: Option<Arc<SpinLock<()>>>,
 }
 
 impl QpLocks {
-    pub(crate) fn new(td: TdStrategy, discipline: LockDiscipline, nranks: usize) -> QpLocks {
-        let (locks, discipline) = match td {
-            TdStrategy::PerQp => {
-                ((0..nranks).map(|_| Arc::new(SpinLock::new(()))).collect(), discipline)
-            }
-            TdStrategy::AllQp | TdStrategy::None => {
-                let shared = Arc::new(SpinLock::new(()));
-                let how =
-                    if td == TdStrategy::None { LockDiscipline::Blocking } else { discipline };
-                ((0..nranks).map(|_| shared.clone()).collect(), how)
-            }
-        };
-        QpLocks { locks, discipline }
+    /// The layout `cfg.backend` calls for. The thread-domain strategy is
+    /// an ibv attribute: an ofi endpoint has one lock and nothing to
+    /// choose.
+    pub(crate) fn new(cfg: &DeviceConfig, nranks: usize) -> QpLocks {
+        let (td, ofi) = (cfg.td_strategy, cfg.backend == BackendKind::Ofi);
+        let fresh = || Arc::new(SpinLock::new(()));
+        let one = (ofi || td != TdStrategy::PerQp).then(fresh);
+        let blocking = td == TdStrategy::None && !ofi;
+        QpLocks {
+            locks: (0..nranks).map(|_| one.clone().unwrap_or_else(fresh)).collect(),
+            discipline: if blocking { LockDiscipline::Blocking } else { cfg.discipline },
+            endpoint: one.filter(|_| ofi),
+        }
     }
 
     /// The effective discipline: what a post that takes further locks
@@ -56,12 +97,21 @@ impl QpLocks {
             .ok_or_else(|| NetError::fatal(format!("target rank {target} out of range")))?;
         self.discipline.acquire(lock).ok_or(NetError::Retry(RetryReason::LockBusy))
     }
+
+    /// What `post_recv*` and `poll_cq` take before anything else: the
+    /// endpoint lock under the ofi layout, per the device's discipline;
+    /// nothing under the ibv layouts, where the SRQ and the CQ have
+    /// locks of their own.
+    #[inline]
+    pub(crate) fn lock_endpoint(&self) -> NetResult<Option<SpinGuard<'_, ()>>> {
+        let Some(lock) = &self.endpoint else { return Ok(None) };
+        self.discipline.acquire(lock).map(Some).ok_or(NetError::Retry(RetryReason::LockBusy))
+    }
 }
 
-/// Completion and receive state of one device (the ibv-like sim and the
-/// framed wires). Shared with the rank state so a wire drain running on
-/// a *sibling* device's poll can stage `ReadDone` CQEs and ring the
-/// doorbell of the posting device.
+/// Completion and receive state of one device. Shared with the rank
+/// state so a wire drain running on a *sibling* device's poll can stage
+/// `ReadDone` CQEs and ring the doorbell of the posting device.
 pub(crate) struct DevShared {
     dev_id: DevId,
     /// CQEs written by the "NIC" (lock-free staging, like DMA'd CQEs).
@@ -204,21 +254,16 @@ impl DevShared {
     /// retransmitting in order. Popping first and re-queueing at the
     /// back would let later messages overtake — a deadlock source when
     /// the overtaken message is the one the receiver is waiting on.
+    ///
+    /// The messages are counted first, so an empty poll costs no SRQ
+    /// round trip and no receive is ever taken in vain: only this poll,
+    /// under the CQ lock its caller holds, pops the endpoint, so what it
+    /// counted is still there when the receive has been taken. Messages
+    /// pushed meanwhile rang the doorbell for the next poll.
     fn deliver_inbound(&self, cq: &mut VecDeque<Cqe>, budget: usize) -> NetResult<()> {
-        for _ in 0..budget {
+        for _ in 0..budget.min(self.rx.occupancy()) {
             let Some(desc) = self.next_recv() else { break };
-            let Some(msg) = self.rx.pop() else {
-                // Nothing inbound: hand the receive back, at the front
-                // (it is the oldest posted one) unless the SRQ is
-                // briefly contended — receive order within an SRQ is
-                // not meaningful.
-                if let Some(mut srq) = self.discipline.acquire(&self.srq) {
-                    srq.push_front(desc);
-                } else {
-                    self.srq.lock().push_back(desc);
-                }
-                break;
-            };
+            let msg = self.rx.pop().expect("only the poll holding the CQ lock pops the endpoint");
             self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
             let cqe = deliver_into(&msg, &desc)?;
             cq.push_back(cqe);
@@ -260,7 +305,78 @@ impl DevShared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::NetDevice;
+    use crate::fabric::Fabric;
+    use crate::framed::FramedDevice;
+    use crate::sim::SimWire;
     use crate::types::CqeKind;
+
+    /// Device 0 of rank 0 on a two-rank fabric whose rank 1 has a device
+    /// to post to, built as `NetContext::create_device` builds it.
+    fn device(cfg: DeviceConfig) -> FramedDevice<SimWire> {
+        let fabric = Fabric::new(2);
+        fabric.add_device(1, Arc::new(RxEndpoint::new(8)));
+        let bell = Arc::new(Doorbell::new());
+        let rx = Arc::new(RxEndpoint::with_doorbell(cfg.rx_capacity, bell.clone()));
+        let dev_id = fabric.add_device(0, rx.clone());
+        FramedDevice::new(fabric, 0, dev_id, rx, bell, cfg)
+    }
+
+    /// The table in [`QpLocks`]' documentation, on real devices: with the
+    /// posting lock toward rank 0 held (a post in flight on another
+    /// thread), what a post toward rank 1, a receive post and a poll find
+    /// under the trylock discipline — and that all of them proceed once
+    /// it is released. Under `TdStrategy::None` the other post is not
+    /// tried: the lock is the provider's own, acquired blockingly
+    /// whatever the device asked for, so it would wait here for ever.
+    #[test]
+    fn a_held_posting_lock_excludes_what_its_layout_says() {
+        let layouts = [
+            // (device, other post excluded, post_recv and poll_cq excluded)
+            (DeviceConfig::ibv().with_td_strategy(TdStrategy::PerQp), Some(false), false),
+            (DeviceConfig::ibv().with_td_strategy(TdStrategy::AllQp), Some(true), false),
+            (DeviceConfig::shm().with_td_strategy(TdStrategy::AllQp), Some(true), false),
+            (DeviceConfig::ibv().with_td_strategy(TdStrategy::None), None, false),
+            (DeviceConfig::ofi(), Some(true), true),
+            // The endpoint lock is LCI's to wrap: `None` does not reach it.
+            (DeviceConfig::ofi().with_td_strategy(TdStrategy::None), Some(true), true),
+        ];
+        let busy = NetError::Retry(RetryReason::LockBusy);
+        for (cfg, post_excluded, endpoint_excluded) in layouts {
+            let dev = device(cfg.with_discipline(LockDiscipline::TryLock));
+            let mut buf = [0u8; 8];
+            // SAFETY: nothing is ever sent to this device; `buf` outlives it.
+            let recv = unsafe { RecvBufDesc::new(buf.as_mut_ptr(), buf.len(), 0) };
+            let mut out = Vec::new();
+            let excluded = |res: NetResult<()>, what: &str| match res {
+                Ok(()) => false,
+                Err(e) if e == busy => true,
+                Err(e) => panic!("{what} under {cfg:?}: {e:?}"),
+            };
+
+            let held = dev.qps.lock(0).unwrap();
+            match post_excluded {
+                Some(want) => {
+                    assert_eq!(excluded(dev.post_send(1, 0, &[1], 0, 0), "post"), want, "{cfg:?}")
+                }
+                None => {
+                    assert_eq!(dev.qps.discipline(), LockDiscipline::Blocking);
+                    assert!(Arc::ptr_eq(&dev.qps.locks[0], &dev.qps.locks[1]));
+                }
+            }
+            assert_eq!(excluded(dev.post_recv(recv), "post_recv"), endpoint_excluded, "{cfg:?}");
+            let polled = dev.poll_cq(&mut out, 8).map(drop);
+            assert_eq!(excluded(polled, "poll_cq"), endpoint_excluded, "{cfg:?}");
+            drop(held);
+
+            dev.post_send(1, 0, &[1], 0, 0).unwrap();
+            dev.post_recv(recv).unwrap();
+            dev.poll_cq(&mut out, 8).unwrap();
+            let sends = 1 + usize::from(post_excluded == Some(false));
+            assert_eq!(out.len(), sends, "SendDones under {cfg:?}");
+            assert_eq!(dev.posted_recvs(), 1 + usize::from(!endpoint_excluded), "{cfg:?}");
+        }
+    }
 
     /// A thread's completions come out of `poll` in the order it staged
     /// them, also when the staging ring fills partway and the rest spill

@@ -1,8 +1,9 @@
-//! The framed-wire device core (DESIGN.md §4.9): one [`NetDevice`] for
-//! every transport that moves [`FrameHeader`] + payload frames between
-//! ranks — the shm rings and the tcp streams today.
+//! The device core (DESIGN.md §4.9): the one [`NetDevice`] of this crate.
+//! A backend is a [`Wire`] under it — the in-memory endpoints of the two
+//! simulated providers, the shm rings, the tcp streams — plus a lock
+//! layout ([`QpLocks`]).
 //!
-//! [`FramedDevice`] owns everything about *frames and devices*: the QP
+//! [`FramedDevice`] owns everything about *frames and devices*: the
 //! posting locks and their discipline, the peer-readiness check, the one
 //! place each frame header is built, the posts — including the one-sided
 //! ones that never become a frame because the poster can address the
@@ -69,7 +70,7 @@ pub(crate) trait Wire: Send + Sync + Sized + 'static {
 
     /// Attaches `rank`'s side of the wire. `pool` is the device's
     /// staging pool, for wires that encode or decode through buffers.
-    fn open(fabric: &Fabric, rank: Rank, pool: &BufPool) -> Self;
+    fn open(fabric: &Arc<Fabric>, rank: Rank, pool: &BufPool) -> Self;
 
     /// The rank-level state shared by every device on this wire.
     fn core(&self) -> &RankCore;
@@ -124,16 +125,19 @@ enum Route<'a, W: Wire> {
     Wire { tx: W::Tx<'a>, _qp: Option<SpinGuard<'a, ()>> },
 }
 
-/// The `NetDevice` of every framed wire: ibv-style lock structure (per-QP
-/// posting locks, lock-free CQE staging, SRQ + CQ spinlocks, trylock
-/// wrapper discipline) over a [`Wire`].
+/// The `NetDevice` of every backend: lock-free CQE staging and SRQ + CQ
+/// spinlocks ([`DevShared`]) behind the posting locks of the backend's
+/// layout ([`QpLocks`]), under the trylock wrapper discipline, over a
+/// [`Wire`].
 pub(crate) struct FramedDevice<W: Wire> {
     fabric: Arc<Fabric>,
     wire: W,
     rank: Rank,
     dev_id: DevId,
     cfg: DeviceConfig,
-    qps: QpLocks,
+    /// Visible to the crate for the layout test beside [`QpLocks`], which
+    /// holds a posting lock against real posts and polls.
+    pub(crate) qps: QpLocks,
     shared: Arc<DevShared>,
     reg_cache: RegCache,
     buf_pool: BufPool,
@@ -160,7 +164,7 @@ impl<W: Wire> FramedDevice<W> {
         let shared = Arc::new(DevShared::new(dev_id, rx, bell, &cfg));
         wire.core().add_device(shared.clone());
         Self {
-            qps: QpLocks::new(cfg.td_strategy, cfg.discipline, fabric.nranks()),
+            qps: QpLocks::new(&cfg, fabric.nranks()),
             fabric,
             wire,
             rank,
@@ -174,19 +178,29 @@ impl<W: Wire> FramedDevice<W> {
         }
     }
 
-    /// Peer-readiness check with the same surface as the sims: a target
-    /// device this process can see must exist (`Retry(PeerNotReady)`
-    /// otherwise); in another process the device table is unknowable, so
-    /// only the wire's liveness counts — not attached yet retries, a
-    /// cleanly-exited or dead peer is a fatal target.
-    fn ready(&self, target: Rank, target_dev: DevId) -> NetResult<Peer> {
+    /// Peer-readiness check, the one rule for every post: the target rank
+    /// must be in range and alive, and `addressee` — the device a frame of
+    /// this post is addressed to, if it has one (a send, a write's
+    /// immediate; a read or a plain write lands in registered memory and
+    /// names no device) — must exist where this process can see it
+    /// (`Retry(PeerNotReady)` otherwise). In another process the device
+    /// table is unknowable, so only the wire's liveness counts — not
+    /// attached yet retries, a cleanly-exited or dead peer is a fatal
+    /// target.
+    ///
+    /// The device table is only counted: fetching the endpoint to learn
+    /// that it exists would be a refcount round trip per post, on a cache
+    /// line every poster toward that device shares.
+    fn ready(&self, target: Rank, addressee: Option<DevId>) -> NetResult<Peer> {
         if target >= self.fabric.nranks() {
             return Err(NetError::fatal(format!("target rank {target} out of range")));
         }
         let peer = self.wire.peer(target);
         match peer {
             Peer::Local => {
-                self.fabric.endpoint(target, target_dev)?;
+                if addressee.is_some_and(|dev| dev >= self.fabric.device_count(target)) {
+                    return Err(NetError::Retry(RetryReason::PeerNotReady));
+                }
             }
             Peer::Remote => {}
             Peer::Absent => return Err(NetError::Retry(RetryReason::PeerNotReady)),
@@ -198,11 +212,10 @@ impl<W: Wire> FramedDevice<W> {
     }
 
     /// Checks a one-sided access where the post can: in-process the
-    /// registration table is shared, so a bad rkey is fatal at post time,
-    /// the same surface as the sims; across processes the rkey belongs to
-    /// the target's table and the drain there validates. Returns the
-    /// address of the access when this post is to copy the bytes itself
-    /// ([`Wire::LOCAL_DIRECT`]).
+    /// registration table is shared, so a bad rkey is fatal at post time;
+    /// across processes the rkey belongs to the target's table and the
+    /// drain there validates. Returns the address of the access when
+    /// this post is to copy the bytes itself ([`Wire::LOCAL_DIRECT`]).
     fn addressable(
         &self,
         peer: Peer,
@@ -293,7 +306,7 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
     ) -> NetResult<()> {
         // Not a one-message batch: the batch's slice walk and partial-
         // progress bookkeeping cost ~9 ns a message here (measured).
-        self.ready(target, target_dev)?;
+        self.ready(target, Some(target_dev))?;
         if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
@@ -309,7 +322,7 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         target_dev: DevId,
         msgs: &[SendDesc<'_>],
     ) -> NetResult<usize> {
-        self.ready(target, target_dev)?;
+        self.ready(target, Some(target_dev))?;
         if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
@@ -337,10 +350,14 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
     }
 
     fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
+        let _ep = self.qps.lock_endpoint()?;
         self.shared.post_recvs(descs, self.wire.inbound_pending())
     }
 
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
+        let _ep = self.qps.lock_endpoint()?;
+        // Inbound delivery is bounded so one poll cannot monopolize the
+        // locks it holds.
         let budget = max.max(self.cfg.cq_drain_batch);
         // Drain the wire *before* the poll takes our CQ lock: the router
         // stages CQEs (RecvDone, ReadDone) onto this very device, and
@@ -359,7 +376,7 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         imm: Option<u64>,
         ctx: u64,
     ) -> NetResult<()> {
-        let peer = self.ready(target, target_dev)?;
+        let peer = self.ready(target, imm.map(|_| target_dev))?;
         let direct = self.addressable(peer, rkey, offset, data.len())?;
         let (framed, moved): (&[u8], _) = match direct {
             Some(base) => {
@@ -403,7 +420,7 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         rkey: Rkey,
         offset: usize,
     ) -> NetResult<()> {
-        let peer = self.ready(target, self.dev_id)?;
+        let peer = self.ready(target, None)?;
         if let Some(base) = self.addressable(peer, rkey, offset, local.len)? {
             // SAFETY: validated registered bytes in this address space;
             // the descriptor contract keeps `ptr..len` valid and
@@ -437,6 +454,12 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
     }
 
     fn register(&self, ptr: *const u8, len: usize) -> NetResult<MemoryRegion> {
+        // No posting lock, on either layout: ibv registration acquires
+        // none (paper §4.2.3), and the per-domain cache mutex of an ofi
+        // provider (§4.2.4) is the registration cache's own. That mutex
+        // and, on a miss, the table's internal append lock are taken
+        // blockingly whatever the discipline: a registration that found
+        // a lock busy could not be back-propagated as a retry.
         Ok(self.reg_cache.register(self.fabric.mem(), self.rank, ptr, len))
     }
 
@@ -449,8 +472,8 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         self.reg_cache.stats()
     }
 
-    fn buf_pool(&self) -> Option<BufPool> {
-        Some(self.buf_pool.clone())
+    fn buf_pool(&self) -> BufPool {
+        self.buf_pool.clone()
     }
 
     fn buf_pool_stats(&self) -> BufPoolStats {

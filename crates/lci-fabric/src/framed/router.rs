@@ -19,8 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Capacity of the pending-read table (outstanding `post_read`s per
-/// rank). Preallocated so the read path makes no steady-state
-/// allocations.
+/// rank). Allocated whole by the rank's first framed read, so the read
+/// path makes no steady-state allocations and a rank whose reads are all
+/// copied in place ([`Wire::LOCAL_DIRECT`]) never pays for it.
 const READ_TABLE_CAP: usize = 1024;
 
 struct PendingRead {
@@ -29,21 +30,19 @@ struct PendingRead {
 }
 
 /// Fixed-capacity slab of pending reads with an intrusive free list:
-/// no allocations after construction.
+/// no allocations after the first `alloc`.
+#[derive(Default)]
 struct ReadTable {
     slots: Vec<Option<PendingRead>>,
     free: Vec<u32>,
 }
 
 impl ReadTable {
-    fn new() -> ReadTable {
-        ReadTable {
-            slots: (0..READ_TABLE_CAP).map(|_| None).collect(),
-            free: (0..READ_TABLE_CAP as u32).rev().collect(),
-        }
-    }
-
     fn alloc(&mut self, pr: PendingRead) -> Option<u32> {
+        if self.slots.is_empty() {
+            self.slots = (0..READ_TABLE_CAP).map(|_| None).collect();
+            self.free = (0..READ_TABLE_CAP as u32).rev().collect();
+        }
         let id = self.free.pop()?;
         self.slots[id as usize] = Some(pr);
         Some(id)
@@ -86,7 +85,7 @@ impl RankCore {
     pub(crate) fn new() -> RankCore {
         RankCore {
             devs: MpmcArray::with_capacity(4),
-            reads: SpinLock::new(ReadTable::new()),
+            reads: SpinLock::new(ReadTable::default()),
             cross_wakes: AtomicU64::new(0),
         }
     }

@@ -7,18 +7,25 @@
 //! The paper evaluates LCI on InfiniBand (through libibverbs) and
 //! Slingshot-11 (through libfabric). Neither the hardware nor mature Rust
 //! bindings are available here, so this crate provides a faithful
-//! *behavioural* substitute: an in-process fabric connecting N ranks, over
-//! which two backends expose exactly the lock granularities the paper
+//! *behavioural* substitute: an in-process fabric connecting N ranks, and
+//! one device core ([`NetDevice`] has a single implementor) under which a
+//! backend is a wire plus a lock layout. Two simulated providers share
+//! the in-memory wire and expose exactly the lock granularities the paper
 //! analyses in §4.2:
 //!
-//! * [`sim_ibv`] — mirrors the libibverbs/mlx5 analysis (§4.2.3): every
-//!   queue pair, completion queue and shared receive queue carries its own
-//!   spinlock; *thread-domain* strategies (`per_qp`, `all_qp`, `none`)
-//!   control how queue pairs share their posting locks.
-//! * [`sim_ofi`] — mirrors the libfabric cxi/verbs provider analysis
-//!   (§4.2.4): a single endpoint spinlock serializes `post_send`,
-//!   `post_recv` and `poll_cq`, and memory registration goes through a
-//!   mutex-protected registration cache.
+//! * [`DeviceConfig::ibv`] — mirrors the libibverbs/mlx5 analysis
+//!   (§4.2.3): every queue pair, completion queue and shared receive
+//!   queue carries its own spinlock; *thread-domain* strategies
+//!   (`per_qp`, `all_qp`, `none`) control how queue pairs share their
+//!   posting locks.
+//! * [`DeviceConfig::ofi`] — mirrors the libfabric cxi/verbs provider
+//!   analysis (§4.2.4): a single endpoint spinlock serializes
+//!   `post_send`, `post_recv` and `poll_cq`, and memory registration goes
+//!   through a mutex-protected registration cache.
+//!
+//! [`DeviceConfig::shm`] and [`DeviceConfig::tcp`] put a real wire (a
+//! shared-memory segment, a socket mesh) under the same core and the ibv
+//! layout.
 //!
 //! Data movement is performed with real `memcpy`s (inline for tiny
 //! messages, heap-staged for eager messages, direct registered-memory
@@ -59,8 +66,7 @@ mod framed;
 pub mod mem;
 pub mod reg_cache;
 pub mod shm;
-pub mod sim_ibv;
-pub mod sim_ofi;
+mod sim;
 pub mod sync;
 pub mod tcp;
 pub mod topology;

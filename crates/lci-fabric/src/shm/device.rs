@@ -37,7 +37,7 @@ impl Wire for ShmWire {
     const LOCAL_DIRECT: bool = true;
     type Tx<'a> = (SpinGuard<'a, ()>, &'a Channel);
 
-    fn open(fabric: &Fabric, rank: Rank, _pool: &BufPool) -> Self {
+    fn open(fabric: &Arc<Fabric>, rank: Rank, _pool: &BufPool) -> Self {
         let shm = fabric.shm_fabric().clone();
         let state = shm.state(rank);
         ShmWire { shm, state }

@@ -42,7 +42,7 @@ impl Wire for TcpWire {
     const LOCAL_DIRECT: bool = false;
     type Tx<'a> = (SpinGuard<'a, SendState>, &'a Conn);
 
-    fn open(fabric: &Fabric, rank: Rank, pool: &BufPool) -> Self {
+    fn open(fabric: &Arc<Fabric>, rank: Rank, pool: &BufPool) -> Self {
         let tcp = fabric.tcp_fabric();
         TcpWire { state: tcp.state(rank), rank, multiproc: tcp.multiproc, pool: pool.clone() }
     }

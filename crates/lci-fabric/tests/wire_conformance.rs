@@ -1,33 +1,41 @@
-//! The device contract every framed wire must keep, run over both of
-//! them: the same `NetDevice` calls, the same completions, whether the
-//! frames cross the shm rings or loopback sockets. One core
-//! (`framed::FramedDevice`) serves both, so a case that passes on one
-//! wire and fails on the other points at that wire's `impl Wire`.
+//! The device contract every backend must keep, run over all four
+//! presets: the same `NetDevice` calls, the same completions, whether
+//! the bytes go through the in-memory wire of the two simulated
+//! providers (`ibv`, `ofi` — one wire, two lock layouts), the shm rings
+//! or loopback sockets. One core (`framed::FramedDevice`) serves them
+//! all, so a case that passes on one preset and fails on another points
+//! at that preset's `impl Wire` or its lock layout.
 //!
 //! It also holds the two ways a one-sided operation travels to the same
-//! observable behaviour: in-process shm copies a write or read straight
-//! to or from the peer's registered memory and frames only a write's
-//! immediate (`Wire::LOCAL_DIRECT`), in-process tcp frames every byte.
+//! observable behaviour: the in-memory wire and in-process shm copy a
+//! write or read straight to or from the peer's registered memory and
+//! frame only a write's immediate (`Wire::LOCAL_DIRECT`), in-process tcp
+//! frames every byte.
 //!
-//! Every case but the last runs two ranks inside this process. The last
-//! needs a device table the sender cannot see, so it re-executes this
-//! test binary as two worker processes (like `lcw`'s `shm_smoke`): over
-//! shm by default, over the tcp mesh with `LCI_TRANSPORT=tcp`.
+//! Every case runs on every preset, but for four that say why not where
+//! they are: two need a wire that holds frames outside the target's RX
+//! ring (`buffers_on_its_own`), one needs a read that is framed
+//! (`frames_local_rma`), and the last needs a device table the sender
+//! cannot see, so it re-executes this test binary as two worker
+//! processes (like `lcw`'s `shm_smoke`) — over shm by default, over the
+//! tcp mesh with `LCI_TRANSPORT=tcp`; the simulated providers live in
+//! one process only. Every other case runs two ranks inside this
+//! process.
 #![cfg(unix)]
 
 mod common;
 
 use common::{pair, poll_until, post_packet_recv, DEADLINE};
-use lci_fabric::backend::{NetContext, NetDevice};
+use lci_fabric::backend::{NetContext, NetDevice, SendDesc};
 use lci_fabric::bootstrap::{self, test_child_args, Launch};
 use lci_fabric::sync::LockDiscipline;
 use lci_fabric::types::{CqeKind, NetError, RecvBufDesc, RetryReason};
-use lci_fabric::{BackendKind, DeviceConfig, Fabric, Rkey};
+use lci_fabric::{BackendKind, DeviceConfig, Fabric, RegCacheStats, Rkey};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn wires() -> [DeviceConfig; 2] {
-    [DeviceConfig::shm(), DeviceConfig::tcp()]
+fn wires() -> [DeviceConfig; 4] {
+    [DeviceConfig::ibv(), DeviceConfig::ofi(), DeviceConfig::shm(), DeviceConfig::tcp()]
 }
 
 /// Sends `fill` from `dev` to device 0 of the other rank, immediates
@@ -55,9 +63,18 @@ fn fill_until_refused(dev: &Arc<dyn NetDevice>, fill: &[u8]) -> u64 {
 }
 
 /// Whether a write or read between two ranks of one process crosses
-/// `cfg`'s wire in frames (tcp) or is copied in place at post time (shm).
+/// `cfg`'s wire in frames (tcp) or is copied in place at post time (the
+/// in-memory wire, shm).
 fn frames_local_rma(cfg: &DeviceConfig) -> bool {
     cfg.backend == BackendKind::Tcp
+}
+
+/// Whether `cfg`'s wire holds frames of its own (ring slots, socket
+/// buffers) in front of the target device's RX ring. The in-memory wire
+/// does not — the RX ring *is* the wire — so there a full ring refuses
+/// the post itself instead of parking a frame.
+fn buffers_on_its_own(cfg: &DeviceConfig) -> bool {
+    matches!(cfg.backend, BackendKind::Shm | BackendKind::Tcp)
 }
 
 #[test]
@@ -253,11 +270,16 @@ fn teardown_with_queued_frames() {
 /// stay in ring slots), all eight on tcp (its decoder stages each frame
 /// once, and a routed send takes that buffer over) — and the messages
 /// come out in send order.
+///
+/// Only a wire that buffers on its own has a frame to park: on the
+/// in-memory wire the third send is refused at the post
+/// (`send_batch_makes_partial_progress_against_a_full_rx_ring` holds
+/// that side).
 #[test]
 fn rx_full_parks_frames_without_restaging_and_in_send_order() {
     const N: usize = 8;
     const RX_SLOTS: usize = 2;
-    for cfg in wires() {
+    for cfg in wires().into_iter().filter(buffers_on_its_own) {
         let staged_while_parked =
             if cfg.backend == BackendKind::Tcp { N as u64 } else { RX_SLOTS as u64 };
         let (d0, d1) = pair(cfg.with_rx_capacity(RX_SLOTS));
@@ -512,16 +534,224 @@ fn bad_rkey_is_fatal_at_post() {
     }
 }
 
+/// `post_send_batch` is partial progress, not all-or-nothing: four sends
+/// against a 2-slot RX ring nobody drains post as far as the path takes
+/// them — two where the ring is the wire, all four where the wire
+/// buffers on its own — with a `SendDone` for exactly the accepted
+/// prefix, in order. A tail retried against the still-full ring posts
+/// nothing and says `RxFull`; once the target has drained, the tail
+/// posts, and the messages arrive in batch order with their bytes.
+#[test]
+fn send_batch_makes_partial_progress_against_a_full_rx_ring() {
+    const N: usize = 4;
+    const RX_SLOTS: usize = 2;
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg.with_rx_capacity(RX_SLOTS));
+        let bufs: Vec<[u8; 2]> = (0..N as u8).map(|i| [i, i + 10]).collect();
+        let msgs: Vec<SendDesc> = bufs
+            .iter()
+            .enumerate()
+            .map(|(i, b)| SendDesc { data: b, imm: 100 + i as u64, ctx: i as u64 })
+            .collect();
+        let first = d0.post_send_batch(1, 0, &msgs).unwrap();
+        assert_eq!(first, if buffers_on_its_own(&cfg) { N } else { RX_SLOTS }, "{cfg:?}");
+        let done = poll_until(&d0, first);
+        assert!(done.iter().all(|c| c.kind == CqeKind::SendDone));
+        assert!(done.iter().map(|c| c.ctx).eq(0..first as u64), "SendDones out of batch order");
+        if first < N {
+            let err = d0.post_send_batch(1, 0, &msgs[first..]).unwrap_err();
+            assert_eq!(err, NetError::Retry(RetryReason::RxFull));
+            let mut none = Vec::new();
+            d0.poll_cq(&mut none, 8).unwrap();
+            assert!(none.is_empty(), "a refused batch left a completion");
+        }
+
+        let mut rbufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 16]).collect();
+        for (i, b) in rbufs.iter_mut().enumerate() {
+            post_packet_recv(&d1, b, i as u64);
+        }
+        let mut cqes = poll_until(&d1, first);
+        if first < N {
+            // Ring drained: the tail posts now.
+            assert_eq!(d0.post_send_batch(1, 0, &msgs[first..]).unwrap(), N - first);
+            let done = poll_until(&d0, N - first);
+            assert!(done.iter().map(|c| c.ctx).eq(first as u64..N as u64));
+            cqes.extend(poll_until(&d1, N - first));
+        }
+        assert_eq!(cqes.len(), N);
+        for (i, c) in cqes.iter().enumerate() {
+            assert_eq!(
+                (c.kind, c.ctx, c.imm, c.len),
+                (CqeKind::RecvDone, i as u64, 100 + i as u64, 2)
+            );
+            assert_eq!(&rbufs[i][..2], &bufs[i]);
+        }
+    }
+}
+
+/// `post_recv_batch` posts every buffer under one call, receives are
+/// consumed in posting order, and `posted_recvs()` counts them down.
+#[test]
+fn recv_batch_posts_all_and_is_consumed_in_posting_order() {
+    const N: usize = 4;
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let mut rbufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 8]).collect();
+        let descs: Vec<RecvBufDesc> = rbufs
+            .iter_mut()
+            .enumerate()
+            // SAFETY: rbufs outlives every completion polled below.
+            .map(|(i, b)| unsafe { RecvBufDesc::new(b.as_mut_ptr(), b.len(), i as u64) })
+            .collect();
+        assert_eq!(d1.post_recv_batch(&descs).unwrap(), N);
+        assert_eq!(d1.posted_recvs(), N);
+        for i in 0..N as u8 {
+            d0.post_send(1, 0, &[i], i as u64, 0).unwrap();
+        }
+        let _ = poll_until(&d0, N); // SendDones + flush
+        let cqes = poll_until(&d1, N);
+        for (i, c) in cqes.iter().enumerate() {
+            assert_eq!((c.kind, c.ctx, c.imm), (CqeKind::RecvDone, i as u64, i as u64));
+            assert_eq!(rbufs[i][0], i as u8);
+        }
+        assert_eq!(d1.posted_recvs(), 0);
+    }
+}
+
+/// Receiver not ready: a message that finds no posted receive waits —
+/// counted by `inbound_pending()`, completing nothing however often the
+/// target polls — and is delivered once a receive is posted.
+#[test]
+fn rnr_message_waits_for_its_receive() {
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        d0.post_send(1, 0, b"hello", 3, 0).unwrap();
+        let _ = poll_until(&d0, 1); // SendDone + flush
+        let mut cqes = Vec::new();
+        let deadline = Instant::now() + DEADLINE;
+        while d1.inbound_pending() == 0 {
+            d1.poll_cq(&mut cqes, 8).unwrap();
+            assert!(Instant::now() < deadline, "the message never arrived");
+            std::thread::yield_now();
+        }
+        for _ in 0..8 {
+            d1.poll_cq(&mut cqes, 8).unwrap();
+        }
+        assert!(cqes.is_empty(), "delivered without a posted receive");
+        assert!(d1.inbound_pending() > 0, "the parked message must keep a progress thread awake");
+
+        let mut rbuf = vec![0u8; 64];
+        post_packet_recv(&d1, &mut rbuf, 1);
+        let cqes = poll_until(&d1, 1);
+        assert_eq!((cqes[0].kind, cqes[0].ctx, cqes[0].imm), (CqeKind::RecvDone, 1, 3));
+        assert_eq!(&rbuf[..5], b"hello");
+    }
+}
+
+/// A target *device index* is checked where a frame is addressed to it
+/// and nowhere else. Rank 0 has two devices, rank 1 one. A send, a batch
+/// and a write-with-immediate naming a device rank 1 has not created are
+/// `Retry(PeerNotReady)` and leave no completion; a plain write naming
+/// such a device and a read posted from rank 0's second device (whose
+/// index rank 1 lacks) land in registered memory, name no device, and
+/// complete with the right bytes. Once rank 1 creates the device, the
+/// send goes through to it.
+#[test]
+fn a_device_index_is_checked_only_where_a_frame_is_addressed_to_it() {
+    for cfg in wires() {
+        let fabric = Fabric::new(2);
+        let c0 = NetContext::new(fabric.clone(), 0);
+        let c1 = NetContext::new(fabric, 1);
+        let (_a, b, d1) = (c0.create_device(cfg), c0.create_device(cfg), c1.create_device(cfg));
+        assert_eq!((b.dev_id(), d1.dev_id()), (1, 0));
+        let not_ready = NetError::Retry(RetryReason::PeerNotReady);
+        let region: Vec<u8> = (0..64).collect();
+        let mr = d1.register(region.as_ptr(), region.len()).unwrap();
+
+        assert_eq!(b.post_send(1, 1, &[1], 0, 0).unwrap_err(), not_ready);
+        let batch = [SendDesc { data: &[1], imm: 0, ctx: 0 }];
+        assert_eq!(b.post_send_batch(1, 1, &batch).unwrap_err(), not_ready);
+        let err = b.post_write(1, 5, &[9u8; 8], mr.rkey, 0, Some(7), 0).unwrap_err();
+        assert_eq!(err, not_ready);
+        let mut cqes = Vec::new();
+        b.poll_cq(&mut cqes, 8).unwrap();
+        assert!(cqes.is_empty(), "a refused post left a completion");
+        assert_eq!(region[..8], [0, 1, 2, 3, 4, 5, 6, 7], "a refused write moved bytes");
+
+        b.post_write(1, 5, &[9u8; 8], mr.rkey, 8, None, 21).unwrap();
+        let mut dst = vec![0u8; 16];
+        // SAFETY: dst outlives the read completion below.
+        let desc = unsafe { RecvBufDesc::new(dst.as_mut_ptr(), dst.len(), 22) };
+        b.post_read(1, desc, mr.rkey, 32).unwrap();
+        // Where they are framed, the target's poll applies them.
+        let (mut other, deadline) = (Vec::new(), Instant::now() + DEADLINE);
+        while cqes.len() < 2 || region[8..16] != [9u8; 8] {
+            b.poll_cq(&mut cqes, 8).unwrap();
+            d1.poll_cq(&mut other, 8).unwrap();
+            assert!(Instant::now() < deadline, "one-sided posts stuck at {cqes:?}");
+        }
+        assert_eq!((cqes[0].kind, cqes[0].ctx), (CqeKind::WriteDone, 21));
+        assert_eq!((cqes[1].kind, cqes[1].ctx, cqes[1].len), (CqeKind::ReadDone, 22, 16));
+        assert_eq!(&dst[..], &region[32..48]);
+        assert!(other.is_empty(), "a one-sided post without an immediate completed at the target");
+
+        let d1b = c1.create_device(cfg);
+        assert_eq!(d1b.dev_id(), 1);
+        let mut rbuf = vec![0u8; 8];
+        post_packet_recv(&d1b, &mut rbuf, 4);
+        b.post_send(1, 1, &[1], 6, 0).unwrap();
+        let _ = poll_until(&b, 1); // SendDone + flush
+                                   // The wire is the rank's: on shm and tcp either device's poll may
+                                   // be the one that drains it.
+        let mut got = Vec::new();
+        while got.is_empty() {
+            d1.poll_cq(&mut other, 8).unwrap();
+            d1b.poll_cq(&mut got, 8).unwrap();
+            assert!(Instant::now() < deadline, "the send never reached the new device");
+        }
+        assert!(other.is_empty(), "delivered to the wrong device");
+        assert_eq!((got[0].kind, got[0].ctx, got[0].imm), (CqeKind::RecvDone, 4, 6));
+        assert_eq!((got[0].src_rank, got[0].src_dev), (0, 1));
+        assert_eq!(rbuf[0], 1);
+    }
+}
+
+/// Registration goes through the device's cache: registering the same
+/// buffer again is a hit on the same registration, and a release keeps
+/// it alive for the next one.
+#[test]
+fn repeat_registration_hits_the_cache() {
+    for cfg in wires() {
+        let (d0, _d1) = pair(cfg);
+        let buf = vec![0u8; 256];
+        let a = d0.register(buf.as_ptr(), buf.len()).unwrap();
+        let b = d0.register(buf.as_ptr(), buf.len()).unwrap();
+        assert_eq!(a.rkey, b.rkey, "the cache returns the same registration");
+        d0.deregister(&a).unwrap();
+        d0.deregister(&b).unwrap();
+        let c = d0.register(buf.as_ptr(), buf.len()).unwrap();
+        assert_eq!(a.rkey, c.rkey, "deregister releases: the cached registration is reused");
+        assert_eq!(d0.reg_cache_stats(), RegCacheStats { hits: 2, misses: 1, evictions: 0 });
+    }
+}
+
 /// The payload copy of a direct write holds no lock: under the try-lock
-/// discipline two threads writing disjoint ranges of one shm peer's
-/// region (no immediate, so no frame either) never see `LockBusy`. A
-/// framed write takes the QP lock and the wire's sender, so this is a
-/// statement about the wires that address the peer's memory.
+/// discipline two threads writing disjoint ranges of one peer's region
+/// (no immediate, so no frame either) never see `LockBusy`, on either
+/// lock layout. A framed write takes the QP lock and the wire's sender,
+/// so this is a statement about the wires that address the peer's
+/// memory.
 #[test]
 fn direct_writes_to_one_peer_never_find_a_lock_busy() {
+    for cfg in wires().into_iter().filter(|cfg| !frames_local_rma(cfg)) {
+        direct_writes_never_find_a_lock_busy(cfg.with_discipline(LockDiscipline::TryLock));
+    }
+}
+
+fn direct_writes_never_find_a_lock_busy(cfg: DeviceConfig) {
     const WRITES: usize = 2000;
     const LEN: usize = 4096;
-    let (d0, d1) = pair(DeviceConfig::shm().with_discipline(LockDiscipline::TryLock));
+    let (d0, d1) = pair(cfg);
     let region = vec![0u8; 2 * LEN];
     let mr = d1.register(region.as_ptr(), region.len()).unwrap();
     let start = std::sync::Barrier::new(2);

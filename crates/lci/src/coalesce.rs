@@ -17,8 +17,9 @@
 //! This amortizes the dominant per-message costs of the paper's analysis
 //! (§4.2): the endpoint/QP posting lock, the RX-ring slot, and the
 //! packet+CQE on the receive side are paid once per frame instead of
-//! once per message. The effect is largest on the `sim_ofi` backend,
-//! whose single endpoint lock serializes every post against every poll.
+//! once per message. The effect is largest on the `ofi` backend
+//! (`DeviceConfig::ofi`), whose single endpoint lock serializes every post
+//! against every poll.
 
 use crate::proto::{coalesce_pack, COALESCE_SUB_OVERHEAD};
 use crate::types::Rank;

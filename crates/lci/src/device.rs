@@ -200,7 +200,7 @@ impl Device {
         let net = rt.netctx.create_device(dev_cfg);
         // Share the fabric device's pool so the whole data path recycles
         // through one set of shelves.
-        let buf_pool = net.buf_pool().unwrap_or_else(|| BufPool::new(dev_cfg.buf_pool));
+        let buf_pool = net.buf_pool();
         let coalescer = Coalescer::new(rt.config.coalesce, rt.fabric.nranks(), buf_pool.clone());
         let batch = rt.config.progress_batch;
         let stat_stripes = rt.config.placement.stripes();

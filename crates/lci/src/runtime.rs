@@ -192,18 +192,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Selects the runtime's transport by name: `sim-ibv`, `sim-ofi`, or
-    /// `shm`. Unknown names return `None`.
-    pub fn with_transport(self, name: &str) -> Option<Self> {
-        let device = match name {
-            "sim-ibv" | "ibv" => DeviceConfig::ibv(),
-            "sim-ofi" | "ofi" => DeviceConfig::ofi(),
-            "shm" => DeviceConfig::shm(),
-            _ => return None,
-        };
-        Some(self.with_device(device))
-    }
-
     /// Selects who drives progress (see
     /// [`progress_mode`](Self::progress_mode)).
     pub fn with_progress_mode(mut self, mode: ProgressMode) -> Self {

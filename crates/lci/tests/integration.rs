@@ -3,7 +3,10 @@
 //! Table 1, completion objects, matching policies, and multithreaded use.
 
 use lci::coll;
-use lci::{Comp, CompKind, Direction, Fabric, MatchingPolicy, PostResult, Runtime, RuntimeConfig};
+use lci::{
+    Comp, CompKind, DeviceConfig, Direction, Fabric, MatchingPolicy, PostResult, Runtime,
+    RuntimeConfig,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -772,4 +775,64 @@ fn early_inbound_parks_until_the_rcomp_registers() {
     assert_eq!(dst.device().stats().early_inbound, 3);
     assert_eq!(src.device().pending_rendezvous(), (0, 0));
     assert_eq!(dst.device().pending_rendezvous(), (0, 0));
+}
+
+/// A put or a get without remote completion lands in registered memory
+/// and names no device at the target, so it must not wait for one: rank
+/// 0 posts both from an `alloc_device()`d second device — whose index
+/// `lci` passes on as the default target device — toward a rank that has
+/// only device 0, on every backend. Both ranks run on this thread.
+#[test]
+fn put_and_get_from_a_second_device_reach_a_one_device_rank() {
+    let backends =
+        [DeviceConfig::ibv(), DeviceConfig::ofi(), DeviceConfig::shm(), DeviceConfig::tcp()];
+    for backend in backends {
+        let fabric = Fabric::new(2);
+        let cfg = RuntimeConfig::small().with_device(backend);
+        let src = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
+        let dst = Runtime::new(fabric, 1, cfg).unwrap();
+        let second = src.alloc_device().unwrap();
+        let window: Vec<u8> = (0..=255).collect();
+        let mr = dst.register_memory(&window).unwrap();
+        let done = Comp::alloc_cq();
+        let progress_all = || {
+            src.progress_x().device(&second).call().unwrap();
+            src.progress().unwrap();
+            dst.progress().unwrap();
+        };
+        // A post the device refuses comes back as `Retry`: give it a
+        // bounded number of tries, then wait for its completion.
+        let complete = |what: &str, post: &dyn Fn() -> PostResult| {
+            for _ in 0..1000 {
+                match post() {
+                    PostResult::Done(desc) => return desc,
+                    PostResult::Retry(_) => progress_all(),
+                    PostResult::Posted => {
+                        for _ in 0..10_000 {
+                            progress_all();
+                            if let Some(desc) = done.pop() {
+                                return desc;
+                            }
+                        }
+                        panic!("{what} on {:?} never completed", backend.backend);
+                    }
+                }
+            }
+            panic!("{what} on {:?} was refused 1000 times", backend.backend);
+        };
+
+        let put = complete("put", &|| {
+            let post = src.post_put_x(1, vec![0x5A; 64], mr.rkey, 32, done.clone());
+            post.device(&second).call().unwrap()
+        });
+        assert_eq!(put.kind, CompKind::Put);
+        assert_eq!(&window[32..96], &[0x5A; 64]);
+        let get = complete("get", &|| {
+            let post = src.post_get_x(1, vec![0u8; 64], mr.rkey, 64, done.clone());
+            post.device(&second).call().unwrap()
+        });
+        assert_eq!(get.kind, CompKind::Get);
+        let expect: Vec<u8> = [vec![0x5A; 32], (96..128).collect()].concat();
+        assert_eq!(get.as_slice(), &expect[..]);
+    }
 }
