@@ -72,7 +72,9 @@ impl RxEndpoint {
         self.ring.pop()
     }
 
-    /// Occupancy snapshot (diagnostics).
+    /// Messages queued right now (racy snapshot; loads only). Every poll
+    /// of the owning device reads it to size its delivery loop, and
+    /// every direct delivery to see that nothing would be overtaken.
     pub fn occupancy(&self) -> usize {
         self.ring.len()
     }

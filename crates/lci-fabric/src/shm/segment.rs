@@ -377,10 +377,15 @@ impl ShmSegment {
     /// Rings `rank`'s cross-process doorbell: bumps its futex word and
     /// wakes its bridge thread if one is parked. Returns whether a
     /// waiter was (probably) woken.
+    ///
+    /// With [`doorbell_wait`](Self::doorbell_wait) this is the handshake
+    /// of [`crate::sync::Doorbell`] (its protocol section says why all
+    /// four accesses are `SeqCst`), the futex's compare-and-park standing
+    /// in for the mutex and condvar.
     pub fn ring_doorbell(&self, rank: usize) -> bool {
         let p = self.peer(rank);
-        p.futex_seq.fetch_add(1, Ordering::Release);
-        if p.waiters.load(Ordering::Acquire) > 0 {
+        p.futex_seq.fetch_add(1, Ordering::SeqCst);
+        if p.waiters.load(Ordering::SeqCst) > 0 {
             os::futex_wake(&p.futex_seq, u32::MAX);
             true
         } else {
@@ -392,8 +397,8 @@ impl ShmSegment {
     /// `seen` or `timeout` elapses. Returns the current sequence.
     pub fn doorbell_wait(&self, rank: usize, seen: u32, timeout: Duration) -> u32 {
         let p = self.peer(rank);
-        p.waiters.fetch_add(1, Ordering::AcqRel);
-        if p.futex_seq.load(Ordering::Acquire) == seen {
+        p.waiters.fetch_add(1, Ordering::SeqCst);
+        if p.futex_seq.load(Ordering::SeqCst) == seen {
             os::futex_wait(&p.futex_seq, seen, timeout);
         }
         p.waiters.fetch_sub(1, Ordering::AcqRel);

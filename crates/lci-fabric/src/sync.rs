@@ -6,7 +6,7 @@
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -370,22 +370,36 @@ impl<T: Clone> Default for MpmcArray<T> {
 /// 3. calls [`Doorbell::wait`]`(seen, ..)`, which parks only while the
 ///    epoch still equals `seen`.
 ///
-/// The ringer bumps the epoch *after* publishing the work, then wakes any
-/// parked waiters. A SeqCst fence separates each side's store from its
-/// subsequent load (store-buffer litmus): either the ringer observes the
-/// registered waiter and takes the mutex to notify it, or the waiter's
-/// epoch check (made while holding the mutex) observes the bumped epoch
-/// and returns without parking. The work published before the epoch bump
-/// is visible to any waiter that observes the bump (release/acquire on
-/// the epoch counter).
+/// The ringer publishes the work, bumps the epoch, then looks for
+/// registered waiters ([`Doorbell::ring`]: `epoch.fetch_add`, then
+/// `waiters.load`); the waiter registers, then looks at the epoch
+/// ([`Doorbell::wait`]: `waiters.fetch_add`, then `epoch.load`). Each
+/// side writes one word and then reads the other's — the store-buffer
+/// shape — and the outcome to forbid is both reads missing: the ringer
+/// sees no waiter and skips the notify, the waiter sees the old epoch
+/// and parks. All four accesses are `SeqCst`, so they sit in one total
+/// order that agrees with each thread's program order, and whichever
+/// write comes second in it is followed by a read that sees the first:
+/// either the ringer observes the registered waiter and takes the mutex
+/// to notify it (the waiter holds the mutex from before it registers
+/// until the condvar releases it, so the notify cannot fall between its
+/// epoch check and its park), or the waiter's epoch check observes the
+/// bump and returns without parking. `Release`/`Acquire` would not do:
+/// they order each side's accesses against what the *other* side saw,
+/// not the two writes against each other. The work published before the
+/// bump is visible to any waiter that observes the bump (the `fetch_add`
+/// is also a release, [`Doorbell::epoch`] an acquire). With no waiter a
+/// ring is one uncontended read-modify-write and one load.
+///
+/// The cross-process doorbell
+/// ([`ShmSegment::ring_doorbell`](crate::shm::ShmSegment::ring_doorbell),
+/// a futex word in place of the mutex and condvar) is the same handshake.
 pub struct Doorbell {
-    /// Bumped on every ring; waiters park only while it is unchanged.
+    /// Bumped once by every ring, so also the number of rings; waiters
+    /// park only while it is unchanged.
     epoch: AtomicU64,
-    /// Total rings (stats; relaxed).
-    rings: AtomicU64,
     /// Number of threads registered in [`Doorbell::wait`]. A ringer only
-    /// touches the mutex when this is non-zero, so the idle-free fast
-    /// path of `ring` is a handful of atomics.
+    /// touches the mutex when this is non-zero.
     waiters: AtomicUsize,
     mutex: Mutex<()>,
     cond: Condvar,
@@ -408,7 +422,6 @@ impl Doorbell {
     pub const fn new() -> Self {
         Self {
             epoch: AtomicU64::new(0),
-            rings: AtomicU64::new(0),
             waiters: AtomicUsize::new(0),
             mutex: Mutex::new(()),
             cond: Condvar::new(),
@@ -422,22 +435,20 @@ impl Doorbell {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Total number of rings so far (stats).
+    /// Total number of rings so far (stats): every ring bumps the epoch
+    /// exactly once.
     #[inline]
     pub fn rings(&self) -> u64 {
-        self.rings.load(Ordering::Relaxed)
+        self.epoch()
     }
 
     /// Rings the doorbell: bumps the epoch, wakes parked waiters, and
     /// forwards the ring to subscribed peer doorbells.
     #[inline]
     pub fn ring(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
-        self.rings.fetch_add(1, Ordering::Relaxed);
-        // Store-buffer fence: pairs with the fence in `wait` so that at
-        // least one side observes the other (see type-level docs).
-        fence(Ordering::SeqCst);
-        if self.waiters.load(Ordering::Relaxed) > 0 {
+        // Write, then read the other side's word: see the type-level docs.
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
             // Taking the mutex serializes with a waiter between its epoch
             // check and its condvar wait, so the notify cannot be lost.
             let _g = self.mutex.lock().expect("Doorbell mutex poisoned");
@@ -467,12 +478,11 @@ impl Doorbell {
     /// correctness argument: callers re-poll after every return.
     pub fn wait(&self, seen: u64, timeout: Duration) -> bool {
         let mut g = self.mutex.lock().expect("Doorbell mutex poisoned");
-        self.waiters.fetch_add(1, Ordering::Relaxed);
-        // Store-buffer fence: pairs with the fence in `ring`.
-        fence(Ordering::SeqCst);
+        // Write, then read the other side's word: see the type-level docs.
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let deadline = std::time::Instant::now() + timeout;
         let advanced = loop {
-            if self.epoch.load(Ordering::Acquire) != seen {
+            if self.epoch.load(Ordering::SeqCst) != seen {
                 break true;
             }
             let now = std::time::Instant::now();
@@ -493,10 +503,7 @@ impl Doorbell {
 
 impl std::fmt::Debug for Doorbell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Doorbell")
-            .field("epoch", &self.epoch())
-            .field("rings", &self.rings())
-            .finish()
+        f.debug_struct("Doorbell").field("epoch", &self.epoch()).finish()
     }
 }
 
@@ -694,6 +701,57 @@ mod tests {
         }
         consumer.join().unwrap();
         assert!(t0.elapsed() < Duration::from_secs(60), "lost wakeups made the stress crawl");
+    }
+
+    /// Two ringers, two waiters: a ring finds `waiters` at 0, 1 or 2 and
+    /// must wake every registered waiter, not one. Each wait's timeout
+    /// is as long as the whole test may take, so a single lost wakeup —
+    /// also the very last one — fails it.
+    #[test]
+    fn doorbell_no_lost_wakeup_two_ringers_two_waiters() {
+        const N: u64 = 2000;
+        const LIMIT: Duration = Duration::from_secs(30);
+        let bell = Doorbell::new();
+        let published = AtomicU64::new(0);
+        let t0 = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut seen_val = 0u64;
+                    while seen_val < 2 * N {
+                        let seen = bell.epoch();
+                        let now = published.load(Ordering::Acquire);
+                        if now > seen_val {
+                            seen_val = now;
+                            continue;
+                        }
+                        bell.wait(seen, LIMIT);
+                    }
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..N {
+                        published.fetch_add(1, Ordering::Release);
+                        bell.ring();
+                    }
+                });
+            }
+        });
+        assert!(t0.elapsed() < LIMIT, "a waiter slept through a ring");
+    }
+
+    /// `rings()` is the epoch: concurrent rings must each count once.
+    #[test]
+    fn doorbell_rings_counts_every_ring_from_four_threads() {
+        const PER_THREAD: u64 = 10_000;
+        let bell = Doorbell::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..PER_THREAD).for_each(|_| bell.ring()));
+            }
+        });
+        assert_eq!(bell.rings(), 4 * PER_THREAD);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! processes (like `lcw`'s `shm_smoke`) — over shm by default, over the
 //! tcp mesh with `LCI_TRANSPORT=tcp`; the simulated providers live in
 //! one process only. Every other case runs two ranks inside this
-//! process.
+//! process (four where several senders meet at one device).
 #![cfg(unix)]
 
 mod common;
@@ -31,7 +31,7 @@ use lci_fabric::bootstrap::{self, test_child_args, Launch};
 use lci_fabric::sync::LockDiscipline;
 use lci_fabric::types::{CqeKind, NetError, RecvBufDesc, RetryReason};
 use lci_fabric::{BackendKind, DeviceConfig, Fabric, RegCacheStats, Rkey};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn wires() -> [DeviceConfig; 4] {
@@ -645,6 +645,84 @@ fn rnr_message_waits_for_its_receive() {
         let cqes = poll_until(&d1, 1);
         assert_eq!((cqes[0].kind, cqes[0].ctx, cqes[0].imm), (CqeKind::RecvDone, 1, 3));
         assert_eq!(&rbuf[..5], b"hello");
+    }
+}
+
+/// Several senders to one device: three threads, each with the device of
+/// a rank of its own, send numbered 8 B messages to rank 0's device as
+/// fast as it takes them, through an 8-slot RX ring, while its owner
+/// posts receives and polls. Nothing is lost or duplicated and each
+/// source's messages arrive in the order it sent them (the per-source
+/// FIFO of the `Wire` contract; across sources there is no order to
+/// keep). A refused post says `RxFull` — every lock is acquired
+/// blockingly here, so nothing else can refuse — and leaves no
+/// completion: a sender polls exactly one `SendDone` per message, in
+/// order. On the in-memory wire the three senders push into the target's
+/// ring themselves, concurrently with its pops.
+#[test]
+fn several_senders_to_one_device_arrive_complete_and_in_source_order() {
+    const SENDERS: usize = 3;
+    const PER_SENDER: u64 = 2000;
+    const RECVS: usize = 16;
+    for cfg in wires() {
+        let cfg = cfg.with_discipline(LockDiscipline::Blocking);
+        let fabric = Fabric::new(SENDERS + 1);
+        let target = NetContext::new(fabric.clone(), 0).create_device(cfg.with_rx_capacity(8));
+        let senders: Vec<_> =
+            (1..=SENDERS).map(|r| NetContext::new(fabric.clone(), r).create_device(cfg)).collect();
+        let start = Barrier::new(SENDERS + 1);
+        let deadline = Instant::now() + 3 * DEADLINE;
+        std::thread::scope(|s| {
+            for dev in &senders {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    let mut done = Vec::new();
+                    for i in 0..PER_SENDER {
+                        while let Err(e) = dev.post_send(0, 0, &i.to_le_bytes(), i, i) {
+                            assert_eq!(e, NetError::Retry(RetryReason::RxFull), "{cfg:?}");
+                            assert!(Instant::now() < deadline, "{cfg:?}: message {i} never posted");
+                            dev.poll_cq(&mut done, 64).unwrap(); // flush what the wire holds
+                            std::thread::yield_now();
+                        }
+                    }
+                    while (done.len() as u64) < PER_SENDER {
+                        dev.poll_cq(&mut done, 64).unwrap();
+                        assert!(Instant::now() < deadline, "{cfg:?}: {} SendDones", done.len());
+                    }
+                    let want = (0..PER_SENDER).map(|i| (CqeKind::SendDone, i));
+                    assert!(done.iter().map(|c| (c.kind, c.ctx)).eq(want), "{cfg:?}");
+                });
+            }
+
+            start.wait();
+            let mut bufs = [[0u8; 8]; RECVS];
+            for (slot, buf) in bufs.iter_mut().enumerate() {
+                post_packet_recv(&target, buf, slot as u64);
+            }
+            let mut next = [0u64; SENDERS + 1];
+            let mut cqes = Vec::new();
+            while next[1..].iter().sum::<u64>() < SENDERS as u64 * PER_SENDER {
+                cqes.clear();
+                target.poll_cq(&mut cqes, 64).unwrap();
+                for c in &cqes {
+                    assert_eq!((c.kind, c.len), (CqeKind::RecvDone, 8), "{cfg:?}");
+                    let slot = c.ctx as usize;
+                    let n = u64::from_le_bytes(bufs[slot]);
+                    assert_eq!((n, c.imm), (next[c.src_rank], n), "{cfg:?}: from {}", c.src_rank);
+                    next[c.src_rank] += 1;
+                    post_packet_recv(&target, &mut bufs[slot], slot as u64);
+                }
+                assert!(Instant::now() < deadline, "{cfg:?}: stuck at {next:?}");
+                std::thread::yield_now();
+            }
+            assert_eq!(next, [0, PER_SENDER, PER_SENDER, PER_SENDER], "{cfg:?}");
+        });
+        let mut extra = Vec::new();
+        for _ in 0..8 {
+            target.poll_cq(&mut extra, 64).unwrap();
+        }
+        assert!(extra.is_empty() && target.inbound_pending() == 0, "{cfg:?}: a message too many");
     }
 }
 

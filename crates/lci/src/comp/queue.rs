@@ -9,9 +9,10 @@
 //! * [`CqImpl::Lcrq`] — a hand-written LCRQ (Morrison & Afek): a linked
 //!   list of closable circular rings; see [`crate::comp::lcrq`] for the
 //!   indirect-slot adaptation to 64-bit CAS.
-//! * [`CqImpl::Segmented`] — an unbounded lock-free segmented queue
+//! * [`CqImpl::Segmented`] — an unbounded segmented queue
 //!   (`crossbeam::queue::SegQueue`), kept as a well-tested yardstick for
-//!   the ablation bench.
+//!   the ablation bench. Lock-free upstream; this tree builds against
+//!   `shims/crossbeam`, whose `SegQueue` is a spin-locked `VecDeque`.
 //!
 //! On a full FAA-array queue, `push` *spins*: LCI sizes completion queues
 //! so overflow is a deployment error, and a spin preserves the no-loss
@@ -32,7 +33,8 @@ pub enum CqImpl {
     FaaArray,
     /// Hand-written LCRQ (linked list of closable circular rings).
     Lcrq,
-    /// Unbounded segmented lock-free queue (crossbeam yardstick).
+    /// Unbounded segmented queue (crossbeam yardstick; spin-locked in
+    /// this tree's shim, see the module docs).
     Segmented,
 }
 
@@ -159,7 +161,9 @@ pub struct CompQueue {
     inner: Inner,
     /// Rung on every push; lets consumers park in
     /// [`pop_wait`](Self::pop_wait) instead of spinning on `pop`. Cheap
-    /// when unused (one atomic increment per push, no waiters to wake).
+    /// when unused: one atomic increment per push — the bell's epoch is
+    /// its ring count, and its handshake needs no fence — and one load
+    /// that finds no waiter to wake.
     bell: Doorbell,
 }
 

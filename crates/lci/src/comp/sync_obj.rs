@@ -96,7 +96,7 @@ impl Synchronizer {
     /// epoch, re-test, and park only while the epoch is unchanged. The
     /// final signal rings after its release-publish, so a waiter either
     /// sees readiness on the re-test or sees the epoch advance — a lost
-    /// wakeup is impossible (the doorbell's SeqCst-fence pairing; see
+    /// wakeup is impossible (the doorbell's SeqCst handshake; see
     /// DESIGN.md §4.8).
     pub fn wait_blocking(&self) {
         const WAIT_SLICE: Duration = Duration::from_millis(100);
