@@ -14,17 +14,10 @@
 //!    on both simulated backends;
 //! 7. **Coalesced demux in isolation** (7b) — per-sub-message copy-out
 //!    vs the refcounted view handout the runtime uses, single-threaded.
-//!    Sections 7, 8 and 9 measured knobs that no longer exist; their
-//!    numbers are in EXPERIMENTS.md;
-//! 10. **Progress engine** (DESIGN.md §4.8) — polling workers vs
-//!     dedicated progress threads with doorbell parking vs the hybrid,
-//!     on message rate (with poll/park/doorbell counter evidence) and
-//!     rendezvous bandwidth, both simulated backends.
+//!    Sections 7, 8, 9 and 10 measured knobs and progress modes that
+//!    no longer exist; their numbers are in EXPERIMENTS.md.
 
-use bench::{
-    bandwidth_thread_based_cfg, env_usize, iters, msgrate_thread_based_stats, print_header,
-    print_row, quick, thread_sweep,
-};
+use bench::{env_usize, iters, print_header, print_row, quick, thread_sweep};
 use kmer::{run_rank, KmerConfig, ReadSetConfig};
 use lci::{CompDesc, CompQueue, CqConfig, CqImpl, MatchKind, MatchingConfig, MatchingEngine};
 use lci_fabric::sync::LockDiscipline;
@@ -185,67 +178,6 @@ fn main() {
                 payload.to_string(),
                 (if zc { "view" } else { "copy" }).into(),
                 format!("{rate:.2}"),
-            ]);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // 10. Progress engine: who polls. Workers-mode threads all hammer
-    // progress (most wasted polls, especially behind the ofi-like
-    // endpoint lock); a dedicated engine polls alone while workers
-    // block, so nearly every poll finds work. The counter columns are
-    // the evidence: useful = progress_useful/progress_calls on rank 0's
-    // device, wpolls = worker-side polls, parks = engine parks, rings =
-    // doorbell rings.
-    // ------------------------------------------------------------------
-    print_header(
-        "Ablation: progress engine (thread-based msgrate, shared device)",
-        &["platform", "mode", "threads", "Mmsg/s", "useful", "polls", "wpolls", "parks", "rings"],
-    );
-    let pm_threads: Vec<usize> = if quick() { vec![1, 2] } else { vec![1, 2, 4, 8] };
-    let pm_modes = [
-        ("workers", lci::ProgressMode::Workers),
-        ("dedicated(1)", lci::ProgressMode::Dedicated(1)),
-        ("hybrid(1)", lci::ProgressMode::Hybrid(1)),
-    ];
-    for platform in [Platform::Expanse, Platform::Delta] {
-        for (mname, pmode) in pm_modes {
-            for &t in &pm_threads {
-                let cfg = WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared)
-                    .with_progress_mode(pmode);
-                let (rate, stats) = msgrate_thread_based_stats(cfg, t, iters, 8);
-                let s = stats.expect("lci stats");
-                print_row(&[
-                    bench::platform_name(platform).into(),
-                    mname.into(),
-                    t.to_string(),
-                    format!("{rate:.4}"),
-                    format!("{:.3}", s.useful_poll_rate()),
-                    s.progress_calls.to_string(),
-                    s.worker_polls.to_string(),
-                    s.progress_parks.to_string(),
-                    s.doorbell_rings.to_string(),
-                ]);
-            }
-        }
-    }
-    print_header(
-        "Ablation: progress engine (rendezvous bandwidth 256KiB)",
-        &["platform", "mode", "threads", "MiB/s"],
-    );
-    let rdv_iters = if quick() { 10 } else { env_usize("BENCH_BW_ITERS", 40) };
-    let rdv_threads = if quick() { 1 } else { 2 };
-    for platform in [Platform::Expanse, Platform::Delta] {
-        for (mname, pmode) in pm_modes {
-            let cfg =
-                WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Dedicated(rdv_threads))
-                    .with_progress_mode(pmode);
-            let bw = bandwidth_thread_based_cfg(cfg, rdv_threads, 256 * 1024, rdv_iters);
-            print_row(&[
-                bench::platform_name(platform).into(),
-                mname.into(),
-                rdv_threads.to_string(),
-                format!("{bw:.1}"),
             ]);
         }
     }

@@ -94,9 +94,9 @@ fn main() {
         });
         print_row(&[t.to_string(), "packet_pool".into(), format!("{mops:.2}")]);
 
-        // Doorbell: ring/observe pairs on one shared bell (the progress
-        // engine's wakeup path, DESIGN.md §4.8). Rings with no waiter
-        // are the common case — an uncontended fetch-add plus a fence.
+        // Doorbell: ring/observe pairs on one shared bell (the fabric's
+        // device-bell eventcount). Rings with no waiter are the common
+        // case — an uncontended fetch-add plus a load.
         let bell = Arc::new(lci_fabric::sync::Doorbell::new());
         let mops = measure(t, per, |_, _| {
             bell.ring();

@@ -7,9 +7,8 @@
 //! bandwidth (64 KiB windowed streams) in shared-resource mode, where
 //! all workers funnel through one device and the per-core pool stripes
 //! carry the contention. Each cell runs twice: `lci` with the default
-//! thread-per-core placement, and `lci-nopl` with
-//! [`lci::Placement::disabled`] — the core-oblivious single-stripe
-//! ablation baseline.
+//! thread-per-core placement, and `lci-nopl` with a one-core
+//! [`lci::Placement`] — the core-oblivious single-stripe baseline.
 //!
 //! Counter columns (LCI stats deltas over the timed section, rank 0):
 //! `local%` — owner-local buffer-pool hit rate
@@ -53,11 +52,11 @@ fn counter_cells(stats: &Option<lci::StatsSnapshot>) -> [String; 4] {
 /// the thread count — emulating a `t`-core node with one pinned worker
 /// per core, the paper's configuration — so the per-core layout is
 /// exercised for real even on a small host. `lci-nopl` is the
-/// core-oblivious single-stripe ablation.
+/// core-oblivious single-stripe layout.
 fn variants(threads: usize) -> [(&'static str, lci::Placement); 2] {
     [
         ("lci", lci::Placement::default().with_cores(threads)),
-        ("lci-nopl", lci::Placement::disabled()),
+        ("lci-nopl", lci::Placement::default().with_cores(1)),
     ]
 }
 
@@ -94,7 +93,7 @@ fn main() {
     for platform in matrix_platforms() {
         // 8 B inject-path message rate (the Fig 3 workload at matrix
         // scale). Inline payloads skip the buffer pool, so the pool
-        // columns stay dark here; the eager section lights them up.
+        // columns stay dark here; the bandwidth section lights them up.
         print_header(&format!("Matrix msgrate {}", platform_name(platform)), &cols);
         for &t in &sweep {
             let it = (base_iters / t).max(env_usize("BENCH_MATRIX_MIN_ITERS", 50));
@@ -102,38 +101,6 @@ fn main() {
                 let cfg = WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared)
                     .with_placement(placement);
                 let (rate, stats) = msgrate_thread_based_stats(cfg, t, it, 8);
-                let c = counter_cells(&stats);
-                print_row(&[
-                    t.to_string(),
-                    label.to_string(),
-                    format!("{rate:.4}"),
-                    c[0].clone(),
-                    c[1].clone(),
-                    c[2].clone(),
-                    c[3].clone(),
-                ]);
-            }
-        }
-
-        // 512 B eager-path message rate: every message stages through
-        // the per-core buffer-pool shelves, so this section carries the
-        // owner-local hit-rate evidence. Progress is driven by one
-        // core-pinned dedicated engine: worker-polled ("Workers")
-        // progress has no stable owner for inbound staging — any worker
-        // may poll, so per-core shelves cannot beat ~1/cores for that
-        // traffic — while the pinned engine keeps every inbound take on
-        // its own stripe (the placement story under test).
-        print_header(
-            &format!("Matrix msgrate-eager 512B dedicated-engine {}", platform_name(platform)),
-            &cols,
-        );
-        for &t in &sweep {
-            let it = (base_iters / t).max(env_usize("BENCH_MATRIX_MIN_ITERS", 50));
-            for (label, placement) in variants(t) {
-                let cfg = WorldConfig::new(BackendKind::Lci, platform, ResourceMode::Shared)
-                    .with_placement(placement)
-                    .with_progress_mode(lci::ProgressMode::Dedicated(1));
-                let (rate, stats) = msgrate_thread_based_stats(cfg, t, it, 512);
                 let c = counter_cells(&stats);
                 print_row(&[
                     t.to_string(),

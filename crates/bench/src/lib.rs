@@ -126,10 +126,11 @@ const PONG_BASE: u32 = 1 << 20;
 /// launcher pins worker OS threads to cores; the harness mirrors that
 /// on [`lci::topology`]'s logical map so per-core resource layouts see
 /// the same worker→core picture the paper's pinned runs do. No-op for
-/// the baseline backends and with placement disabled.
+/// the baseline backends and under a one-core placement.
 fn pin_worker(cfg: &WorldConfig, t: usize) {
-    if cfg.backend == BackendKind::Lci && cfg.placement.enabled {
-        lci::topology::bind_current_thread(t % cfg.placement.effective_cores());
+    let cores = cfg.placement.effective_cores();
+    if cfg.backend == BackendKind::Lci && cores > 1 {
+        lci::topology::bind_current_thread(t % cores);
     }
 }
 
@@ -150,25 +151,13 @@ pub fn msgrate_thread_based(
     msg_size: usize,
 ) -> f64 {
     let cfg = WorldConfig::new(backend, platform, mode);
-    msgrate_thread_based_cfg(cfg, nthreads, iters, msg_size)
-}
-
-/// [`msgrate_thread_based`] with an explicit [`WorldConfig`] — the entry
-/// point for ablations that toggle config knobs (storage recycling,
-/// coalescing, ...).
-pub fn msgrate_thread_based_cfg(
-    cfg: WorldConfig,
-    nthreads: usize,
-    iters: usize,
-    msg_size: usize,
-) -> f64 {
     msgrate_thread_based_stats(cfg, nthreads, iters, msg_size).0
 }
 
-/// [`msgrate_thread_based_cfg`] that also returns rank 0's LCI device
-/// stats delta over the timed section (`None` on the baseline
-/// backends) — the entry point for ablations that need counter evidence
-/// (progress-engine poll/park/doorbell accounting).
+/// [`msgrate_thread_based`] with an explicit [`WorldConfig`], also
+/// returning rank 0's LCI device stats delta over the timed section
+/// (`None` on the baseline backends) — counter evidence for the scale
+/// matrix.
 pub fn msgrate_thread_based_stats(
     cfg: WorldConfig,
     nthreads: usize,
@@ -339,25 +328,13 @@ pub fn bandwidth_thread_based(
     iters: usize,
 ) -> f64 {
     let cfg = WorldConfig::new(backend, platform, mode);
-    bandwidth_thread_based_cfg(cfg, nthreads, size, iters)
-}
-
-/// [`bandwidth_thread_based`] with an explicit [`WorldConfig`] — the
-/// entry point for ablations that toggle config knobs (rendezvous
-/// chunking, the registration cache, ...).
-pub fn bandwidth_thread_based_cfg(
-    cfg: WorldConfig,
-    nthreads: usize,
-    size: usize,
-    iters: usize,
-) -> f64 {
     bandwidth_thread_based_stats(cfg, nthreads, size, iters).0
 }
 
-/// [`bandwidth_thread_based_cfg`] that also returns rank 0's LCI device
-/// stats delta over the timed section (`None` on the baseline
-/// backends) — counter evidence for the scale matrix (pool locality,
-/// steal counts, matching contention).
+/// [`bandwidth_thread_based`] with an explicit [`WorldConfig`], also
+/// returning rank 0's LCI device stats delta over the timed section
+/// (`None` on the baseline backends) — counter evidence for the scale
+/// matrix (pool locality, steal counts, matching contention).
 pub fn bandwidth_thread_based_stats(
     cfg: WorldConfig,
     nthreads: usize,

@@ -325,15 +325,16 @@ pub trait NetDevice: Send + Sync {
 
     /// The device's doorbell, rung whenever work plausibly becomes
     /// available for `poll_cq` (wire delivery into the RX ring, locally
-    /// staged completions). A progress thread parks on it instead of
-    /// spin-polling. Every backend has one.
+    /// staged completions). A poller can park on it instead of
+    /// spin-polling; nothing in the workspace does today (ROADMAP item
+    /// 5, "fabric bell plane"). Every backend has one.
     fn doorbell(&self) -> Option<Arc<Doorbell>>;
 
     /// Number of inbound wire messages waiting in the device's RX ring
-    /// (racy snapshot). A progress thread refuses to park while this is
-    /// non-zero: a message can sit in the ring without a matching
-    /// pre-posted receive (RNR), and draining it needs further polls,
-    /// not another doorbell ring.
+    /// (racy snapshot). A poller must not sleep on the doorbell while
+    /// this is non-zero: a message can sit in the ring without a
+    /// matching pre-posted receive (RNR), and draining it needs further
+    /// polls, not another doorbell ring.
     fn inbound_pending(&self) -> usize;
 
     /// Outbound work accepted by a post call but not yet on the wire

@@ -24,8 +24,10 @@ pub const DEFAULT_RX_CAPACITY: usize = 4096;
 pub struct RxEndpoint {
     ring: ArrayQueue<WireMsg>,
     closed: AtomicBool,
-    /// Rung on every successful push so a parked progress thread on the
-    /// owning device wakes when wire traffic arrives.
+    /// Rung on every successful push, so a poller parked on the owning
+    /// device's bell would wake when wire traffic arrives (nothing in
+    /// the workspace waits on it today; ROADMAP item 5, "fabric bell
+    /// plane").
     bell: Option<Arc<Doorbell>>,
 }
 

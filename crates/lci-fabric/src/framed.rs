@@ -489,8 +489,8 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
     }
 
     fn inbound_pending(&self) -> usize {
-        // Undrained wire frames count too: a parked progress engine
-        // must not sleep while frames wait for a route or a flush.
+        // Undrained wire frames count too: they wait for a route or a
+        // flush, which only further polls provide.
         self.shared.rx_occupancy() + self.wire.inbound_pending()
     }
 

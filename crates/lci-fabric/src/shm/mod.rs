@@ -18,8 +18,10 @@
 //!   test and bench can switch transports with a `DeviceConfig` alone;
 //! * **multi-process** — [`crate::bootstrap`] attaches each process to
 //!   a named segment; a per-process bridge thread converts the
-//!   segment's futex doorbell into local [`Doorbell`](crate::sync::Doorbell) rings so parked
-//!   progress engines wake across process boundaries without spinning.
+//!   segment's futex doorbell into local [`Doorbell`](crate::sync::Doorbell) rings, so a
+//!   poller parked on a device bell would wake across process
+//!   boundaries (nothing in the workspace waits on one today; ROADMAP
+//!   item 5, "fabric bell plane").
 
 pub mod os;
 pub mod ring;
@@ -205,8 +207,9 @@ impl Drop for ShmRankState {
 
 /// The cross-process doorbell bridge: parks on this rank's futex word
 /// in the segment and fans each wake out to the local [`Doorbell`]s of
-/// every shm device on the rank — the piece that lets a `Dedicated`
-/// progress engine sleep while a *remote process* produces frames.
+/// every shm device on the rank, counting each wake in
+/// `doorbell_cross_proc_wakes`. Nothing in the workspace waits on those
+/// device bells today (ROADMAP item 5, "fabric bell plane").
 ///
 /// [`Doorbell`]: crate::sync::Doorbell
 fn spawn_bridge(

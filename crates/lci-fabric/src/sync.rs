@@ -1,13 +1,13 @@
 //! Threading-efficiency primitives shared by the fabric and the LCI
 //! runtime: a spinlock with first-class `try_lock`, the *trylock wrapper*
 //! of paper §4.2.2, the resizable MPMC array of paper §4.1.1, and the
-//! [`Doorbell`] eventcount that lets progress threads park instead of
+//! [`Doorbell`] eventcount a poller can park on instead of
 //! spin-polling.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// A simple test-and-test-and-set spinlock.
@@ -356,11 +356,13 @@ impl<T: Clone> Default for MpmcArray<T> {
 /// An eventcount ("doorbell") that lets a polling thread park until work
 /// plausibly exists.
 ///
-/// The NIC simulators ring a device's doorbell whenever a wire message
-/// lands in its RX ring or a local completion is staged; a dedicated
-/// progress thread parks on the doorbell when a full poll round found
-/// nothing, instead of burning a core (the concern the AMT companion
-/// paper raises about burn-a-core progress engines).
+/// Every wire rings a device's doorbell whenever a message lands in its
+/// RX ring or a local completion is staged; a poller may park on the
+/// doorbell when a full poll round found nothing, instead of burning a
+/// core (the concern the AMT companion paper raises about burn-a-core
+/// progress engines). Nothing in the workspace waits on a device bell
+/// today: `lci` leaves who polls, and when to sleep, to the runtime
+/// above it (ROADMAP item 5, "fabric bell plane").
 ///
 /// ## Protocol (no lost wakeups)
 ///
@@ -403,11 +405,6 @@ pub struct Doorbell {
     waiters: AtomicUsize,
     mutex: Mutex<()>,
     cond: Condvar,
-    /// Peer doorbells also rung by [`Doorbell::ring`] — used by progress
-    /// threads to aggregate several devices' doorbells into one parkable
-    /// bell. One level only: subscribers must not have subscribers of
-    /// their own (no cycle detection is performed).
-    subscribers: OnceLock<MpmcArray<Arc<Doorbell>>>,
 }
 
 impl Default for Doorbell {
@@ -417,15 +414,13 @@ impl Default for Doorbell {
 }
 
 impl Doorbell {
-    /// Creates a quiet doorbell. Allocation-free (subscriber storage is
-    /// created lazily), so it can be embedded in hot-path objects.
+    /// Creates a quiet doorbell. Allocation-free.
     pub const fn new() -> Self {
         Self {
             epoch: AtomicU64::new(0),
             waiters: AtomicUsize::new(0),
             mutex: Mutex::new(()),
             cond: Condvar::new(),
-            subscribers: OnceLock::new(),
         }
     }
 
@@ -442,8 +437,7 @@ impl Doorbell {
         self.epoch()
     }
 
-    /// Rings the doorbell: bumps the epoch, wakes parked waiters, and
-    /// forwards the ring to subscribed peer doorbells.
+    /// Rings the doorbell: bumps the epoch and wakes parked waiters.
     #[inline]
     pub fn ring(&self) {
         // Write, then read the other side's word: see the type-level docs.
@@ -454,21 +448,6 @@ impl Doorbell {
             let _g = self.mutex.lock().expect("Doorbell mutex poisoned");
             self.cond.notify_all();
         }
-        if let Some(subs) = self.subscribers.get() {
-            for i in 0..subs.len() {
-                if let Some(peer) = subs.read(i) {
-                    peer.ring();
-                }
-            }
-        }
-    }
-
-    /// Also rings `peer` on every subsequent ring of `self`.
-    ///
-    /// Used once per (device, progress thread) pairing at spawn time;
-    /// subscriptions cannot be removed.
-    pub fn subscribe(&self, peer: Arc<Doorbell>) {
-        self.subscribers.get_or_init(|| MpmcArray::with_capacity(2)).push(peer);
     }
 
     /// Parks until the epoch differs from `seen` or `timeout` elapses.
@@ -656,17 +635,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         bell.ring();
         assert!(waiter.join().unwrap());
-    }
-
-    #[test]
-    fn doorbell_subscriber_forwarding() {
-        let dev_bell = Arc::new(Doorbell::new());
-        let agg = Arc::new(Doorbell::new());
-        dev_bell.subscribe(agg.clone());
-        let seen = agg.epoch();
-        dev_bell.ring();
-        assert_ne!(agg.epoch(), seen);
-        assert_eq!(agg.rings(), 1);
     }
 
     #[test]

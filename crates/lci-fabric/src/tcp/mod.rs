@@ -15,9 +15,12 @@
 //! single `writev`, gathering one iovec per frame — no flatten copy.
 //! Receives bulk-read into the decoder's reassembly slab. An
 //! edge-triggered epoll instance per rank feeds a bridge thread that
-//! converts socket readiness into [`Doorbell`](crate::sync::Doorbell)
-//! rings, so Dedicated/Hybrid engines park instead of spinning —
-//! the cross-host mirror of the shm futex bridge.
+//! re-arms each connection's `readable` / `write_blocked` flags, runs
+//! the backstop flush of stale send queues, and converts socket
+//! readiness into [`Doorbell`](crate::sync::Doorbell) rings — the
+//! cross-host mirror of the shm futex bridge. Nothing in the workspace
+//! waits on those device bells today (ROADMAP item 5, "fabric bell
+//! plane"); the flags and the flush are what the bridge is kept for.
 //!
 //! Two modes, like shm: **in-process** (lazy loopback mesh, so any test
 //! or bench switches with a `DeviceConfig` alone) and **multi-process**
@@ -102,7 +105,8 @@ pub(crate) struct Conn {
     /// to close the edge race). Always true on non-evented platforms.
     readable: AtomicBool,
     /// A write hit `EAGAIN`; cleared by the bridge on EPOLLOUT edges.
-    /// While set, engines may park — the edge will wake them.
+    /// While set, flushing this connection is pointless — the edge
+    /// clears it.
     write_blocked: AtomicBool,
     dead: AtomicBool,
     /// Frames currently queued for send (lock-free mirror of `q.len()`
@@ -548,10 +552,13 @@ impl Drop for TcpRankState {
 }
 
 /// The socket-readiness bridge: parks in `epoll_wait` over every mesh
-/// socket of this rank and converts readiness edges into local
-/// [`Doorbell`](crate::sync::Doorbell) rings — the tcp counterpart of
-/// the shm futex bridge. On platforms without epoll it degrades to a
-/// timed tick that re-arms the readable flags.
+/// socket of this rank, turns readiness edges into the connections'
+/// `readable` / `write_blocked` flags and local
+/// [`Doorbell`](crate::sync::Doorbell) rings (the tcp counterpart of
+/// the shm futex bridge; no listener today, see the module docs), and
+/// flushes send queues a rank stopped progressing on. On platforms
+/// without epoll it degrades to a timed tick that re-arms the readable
+/// flags.
 fn spawn_bridge(
     rank: usize,
     conns: &[Option<Arc<Conn>>],

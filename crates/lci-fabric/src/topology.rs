@@ -114,9 +114,8 @@ pub fn current_core() -> usize {
 
 /// Explicitly binds the calling thread to logical core `core`.
 ///
-/// Used by pinned progress engines (placement puts a `Dedicated`
-/// engine's thread on the core of the devices it polls) and by tests
-/// that need to emulate cross-core traffic on a small host. Rebinding
+/// Used by launchers that pin one worker per core and by tests that
+/// need to emulate cross-core traffic on a small host. Rebinding
 /// is allowed; ids at or above [`ncores`] are accepted (stripe lookups
 /// reduce modulo their stripe count).
 pub fn bind_current_thread(core: usize) {

@@ -23,9 +23,8 @@
 //! pool ([`SendBuf::Pooled`]) and every landing buffer comes from a
 //! per-runtime shelf ([`CollState`]), so a warm collective loop
 //! allocates nothing (enforced by `tests/alloc_steady_state.rs`).
-//! Blocking waits go through the mode-aware [`Runtime::wait_until`], so
-//! collectives park on the completion doorbell under
-//! `Dedicated`/`Hybrid` progress instead of burning a core.
+//! Blocking waits go through [`Runtime::wait_until`], which progresses
+//! every device of the runtime and yields the core once idle.
 //!
 //! The naive implementations (clone-per-round, serialized sends,
 //! allreduce as reduce+broadcast at twice the optimal byte volume) live
@@ -212,7 +211,7 @@ fn with_state<R>(rt: &Runtime, f: impl FnOnce(&mut CollState) -> Result<R>) -> R
 // ---------------------------------------------------------------------
 
 /// Posts one collective payload to `peer` under the in-flight window:
-/// waits (mode-aware) for a window slot, stages the payload through the
+/// waits for a window slot, stages the payload through the
 /// device's recycled buffer pool, and retries transient backpressure.
 /// Never waits for the send itself — completion decrements the window
 /// through the state's handler comp.
@@ -260,7 +259,7 @@ fn post_windowed(
                 // The staged copy was consumed; back out the window
                 // slot, make progress, and restage.
                 st.inflight.fetch_sub(1, Ordering::AcqRel);
-                rt.worker_progress_all()?;
+                rt.progress_all()?;
                 std::thread::yield_now();
             }
         }
@@ -279,13 +278,13 @@ fn settle_done(st: &CollState, res: &PostResult) {
     }
 }
 
-/// Waits (mode-aware) until every windowed send has completed.
+/// Waits until every windowed send has completed.
 fn drain_sends(rt: &Runtime, st: &CollState) -> Result<()> {
     let inflight = &st.inflight;
     rt.wait_until(|| inflight.load(Ordering::Acquire) == 0)
 }
 
-/// Pops the next receive completion, blocking mode-aware.
+/// Pops the next receive completion, progressing until one arrives.
 fn pop_recv(rt: &Runtime, st: &CollState) -> Result<CompDesc> {
     let mut got = None;
     let cq = &st.recv_cq;
@@ -319,22 +318,6 @@ fn post_recv_cq(
     Ok(())
 }
 
-/// Mode-aware wait for a synchronizer comp; resets it for reuse and
-/// returns the delivered descriptors' count worth of state via `take`.
-pub(crate) fn wait_sync(rt: &Runtime, comp: &Comp) -> Result<()> {
-    let sync = comp.as_sync().expect("synchronizer comp");
-    rt.wait_until(|| sync.test())?;
-    sync.reset();
-    Ok(())
-}
-
-/// Mode-aware wait for a synchronizer comp, taking its descriptor.
-pub(crate) fn wait_sync_take(rt: &Runtime, comp: &Comp) -> Result<CompDesc> {
-    let sync = comp.as_sync().expect("synchronizer comp");
-    rt.wait_until(|| sync.test())?;
-    Ok(sync.take().pop().expect("sync descriptor"))
-}
-
 // ---------------------------------------------------------------------
 // Public collectives
 // ---------------------------------------------------------------------
@@ -343,8 +326,7 @@ pub(crate) fn wait_sync_take(rt: &Runtime, comp: &Comp) -> Result<CompDesc> {
 ///
 /// Round `r`: rank `i` signals `(i + 2^r) mod n` and waits for a signal
 /// from `(i - 2^r) mod n`; after `⌈log₂ n⌉` rounds every rank has
-/// transitively heard from every other. Waits are mode-aware (parks
-/// under a dedicated progress engine).
+/// transitively heard from every other.
 pub fn barrier(rt: &Runtime) -> Result<()> {
     let n = rt.rank_n();
     if n == 1 {
@@ -360,9 +342,8 @@ pub fn barrier(rt: &Runtime) -> Result<()> {
             let to = (me + dist) % n;
             let from = (me + n - dist) % n;
             let tag = coll_tag(seq, round);
-            let recv_comp = Comp::alloc_sync(1);
             // Post the receive first so an eager peer matches instantly.
-            let posted = rt.post_recv(from, st.take_box(1), tag, recv_comp.clone())?;
+            post_recv_cq(rt, &dev, st, from, 1, tag, 0)?;
             // Inject-sized send: anything but retry is `done` (no
             // signal) or parked in the backlog.
             st.inflight.fetch_add(1, Ordering::AcqRel);
@@ -374,7 +355,7 @@ pub fn barrier(rt: &Runtime) -> Result<()> {
                     .call()?;
                 match res {
                     PostResult::Retry(_) => {
-                        rt.worker_progress_all()?;
+                        rt.progress_all()?;
                         std::thread::yield_now();
                     }
                     _ => {
@@ -383,14 +364,8 @@ pub fn barrier(rt: &Runtime) -> Result<()> {
                     }
                 }
             }
-            match posted {
-                PostResult::Done(d) => st.put_databuf(d.data),
-                PostResult::Posted => {
-                    let d = wait_sync_take(rt, &recv_comp)?;
-                    st.put_databuf(d.data);
-                }
-                PostResult::Retry(_) => unreachable!("recv never retries"),
-            }
+            let d = pop_recv(rt, st)?;
+            st.put_databuf(d.data);
             dev.inner.stats.bump(|c| &c.coll_rounds);
             dist <<= 1;
             round += 1;

@@ -10,21 +10,23 @@
 //! the root's links), whole-buffer clone-per-child broadcast, an
 //! `n−1`-round forwarding ring allgather, and an alltoall whose sends
 //! each wait for completion before the next is posted. They clone
-//! payloads freely — that is the point of the baseline — but their
-//! blocking waits still go through the mode-aware
-//! [`Runtime::wait_until`](crate::Runtime::wait_until) (via
-//! `wait_sync`), so they too park instead of burning a core under a
-//! dedicated progress engine.
+//! payloads freely — that is the point of the baseline — and block in
+//! [`Runtime::wait_until`](crate::Runtime::wait_until) like the
+//! pipelined engines do.
 
 use super::ops::ReduceOp;
-use super::{
-    coll_tag, next_seq, wait_sync, wait_sync_take, ROUND_A2A, ROUND_A2AV, ROUND_AG_BASE,
-    ROUND_BCAST, ROUND_REDUCE,
-};
+use super::{coll_tag, next_seq, ROUND_A2A, ROUND_A2AV, ROUND_AG_BASE, ROUND_BCAST, ROUND_REDUCE};
 use crate::comp::Comp;
 use crate::error::{PostResult, Result};
 use crate::runtime::Runtime;
-use crate::types::Rank;
+use crate::types::{CompDesc, Rank};
+
+/// Waits for a synchronizer comp, taking its descriptor.
+fn wait_sync_take(rt: &Runtime, comp: &Comp) -> Result<CompDesc> {
+    let sync = comp.as_sync().expect("synchronizer comp");
+    rt.wait_until(|| sync.test())?;
+    Ok(sync.take().pop().expect("sync descriptor"))
+}
 
 /// Sends `payload` (cloned) and waits for the send to complete before
 /// returning — the per-send barrier the pipelined engines avoid.
@@ -40,9 +42,12 @@ fn send_wait(rt: &Runtime, peer: Rank, payload: &[u8], tag: crate::types::Tag) -
             .call()?
         {
             PostResult::Done(_) => return Ok(()),
-            PostResult::Posted => return wait_sync(rt, &comp),
+            PostResult::Posted => {
+                let sync = comp.as_sync().expect("synchronizer comp");
+                return rt.wait_until(|| sync.test());
+            }
             PostResult::Retry(_) => {
-                rt.worker_progress_all()?;
+                rt.progress_all()?;
                 std::thread::yield_now();
             }
         }
@@ -50,12 +55,7 @@ fn send_wait(rt: &Runtime, peer: Rank, payload: &[u8], tag: crate::types::Tag) -
 }
 
 /// Posts a fresh-buffer receive and blocks for its delivery.
-fn recv_wait(
-    rt: &Runtime,
-    peer: Rank,
-    len: usize,
-    tag: crate::types::Tag,
-) -> Result<crate::types::CompDesc> {
+fn recv_wait(rt: &Runtime, peer: Rank, len: usize, tag: crate::types::Tag) -> Result<CompDesc> {
     let comp = Comp::alloc_sync(1);
     match rt.post_recv(peer, vec![0u8; len.max(1)], tag, comp.clone())? {
         PostResult::Done(d) => Ok(d),

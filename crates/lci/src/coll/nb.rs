@@ -10,7 +10,7 @@
 //! comps write the delivered bytes into the result slot before
 //! signalling the node, so successor sends read fully-arrived state.
 //! Poll with [`IColl::test`] (progressing the runtime) or block with
-//! [`IColl::wait`], which parks mode-aware via
+//! [`IColl::wait`], which progresses through
 //! [`Runtime::wait_until`](crate::Runtime::wait_until).
 
 use super::{
@@ -45,7 +45,7 @@ impl<T> IColl<T> {
         &self.graph
     }
 
-    /// Blocks (mode-aware) until completion and returns the result.
+    /// Progresses `rt` until completion and returns the result.
     pub fn wait(self, rt: &Runtime) -> Result<T> {
         let g = self.graph.clone();
         rt.wait_until(|| g.test())?;

@@ -84,13 +84,6 @@ impl Comp {
         self.as_queue()?.pop()
     }
 
-    /// Pops from the completion queue, parking for up to `timeout` while
-    /// it stays empty (see [`queue::CompQueue::pop_wait`]). `None` if
-    /// this is not a queue or on timeout.
-    pub fn pop_wait(&self, timeout: std::time::Duration) -> Option<CompDesc> {
-        self.as_queue()?.pop_wait(timeout)
-    }
-
     /// Borrows the synchronizer, if this is one.
     pub fn as_sync(&self) -> Option<&sync_obj::Synchronizer> {
         match &*self.inner {

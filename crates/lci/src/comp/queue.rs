@@ -20,10 +20,8 @@
 
 use crate::types::CompDesc;
 use crossbeam::queue::SegQueue;
-use lci_fabric::sync::Doorbell;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// Completion-queue implementation selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -159,12 +157,6 @@ enum Inner {
 /// A concurrent completion queue.
 pub struct CompQueue {
     inner: Inner,
-    /// Rung on every push; lets consumers park in
-    /// [`pop_wait`](Self::pop_wait) instead of spinning on `pop`. Cheap
-    /// when unused: one atomic increment per push — the bell's epoch is
-    /// its ring count, and its handshake needs no fence — and one load
-    /// that finds no waiter to wake.
-    bell: Doorbell,
 }
 
 impl CompQueue {
@@ -175,7 +167,7 @@ impl CompQueue {
             CqImpl::Lcrq => Inner::Lcrq(crate::comp::lcrq::Lcrq::new()),
             CqImpl::Segmented => Inner::Seg(SegQueue::new()),
         };
-        Self { inner, bell: Doorbell::new() }
+        Self { inner }
     }
 
     /// Enqueues a completion descriptor (never loses it).
@@ -185,7 +177,6 @@ impl CompQueue {
             Inner::Lcrq(q) => q.push(desc),
             Inner::Seg(q) => q.push(desc),
         }
-        self.bell.ring();
     }
 
     /// Dequeues a descriptor if one is available.
@@ -194,31 +185,6 @@ impl CompQueue {
             Inner::Faa(q) => q.pop(),
             Inner::Lcrq(q) => q.pop(),
             Inner::Seg(q) => q.pop(),
-        }
-    }
-
-    /// Dequeues a descriptor, parking the calling thread for up to
-    /// `timeout` while the queue stays empty — for runtimes with
-    /// dedicated progress threads, where consumers should sleep rather
-    /// than poll. Returns `None` only on timeout.
-    ///
-    /// Eventcount protocol against the embedded doorbell (snapshot the
-    /// epoch, re-pop, park only while the epoch is unchanged); every
-    /// push rings after its enqueue, so a push racing the park either
-    /// hands its descriptor to the re-pop or advances the epoch — no
-    /// lost wakeup (see DESIGN.md §4.8).
-    pub fn pop_wait(&self, timeout: Duration) -> Option<CompDesc> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let seen = self.bell.epoch();
-            if let Some(d) = self.pop() {
-                return Some(d);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.bell.wait(seen, deadline - now);
         }
     }
 

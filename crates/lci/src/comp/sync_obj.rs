@@ -8,10 +8,8 @@
 //! count (an acquire load that orders all slot writes before the read).
 
 use crate::types::CompDesc;
-use lci_fabric::sync::Doorbell;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// A completion object that becomes ready after a fixed number of
 /// signals.
@@ -22,11 +20,6 @@ pub struct Synchronizer {
     /// Writers publish here after writing their slot.
     published: AtomicUsize,
     slots: Box<[UnsafeCell<Option<CompDesc>>]>,
-    /// Rung by the publishing thread of the *final* expected signal;
-    /// lets waiters park instead of polling (see
-    /// [`wait_blocking`](Self::wait_blocking)). Zero-alloc and cheap
-    /// when unused: a quiet doorbell is one atomic increment per ring.
-    bell: Doorbell,
 }
 
 // SAFETY: slot i is written exclusively by the thread that claimed i
@@ -45,7 +38,6 @@ impl Synchronizer {
             claimed: AtomicUsize::new(0),
             published: AtomicUsize::new(0),
             slots: slots.into_boxed_slice(),
-            bell: Doorbell::new(),
         }
     }
 
@@ -65,12 +57,7 @@ impl Synchronizer {
         unsafe {
             *self.slots[idx].get() = Some(desc);
         }
-        let published = self.published.fetch_add(1, Ordering::Release) + 1;
-        if published == self.expected {
-            // Readiness flipped: wake blocked waiters. Intermediate
-            // signals don't ring — `test()` stays false until the last.
-            self.bell.ring();
-        }
+        self.published.fetch_add(1, Ordering::Release);
     }
 
     /// Whether all expected signals have arrived.
@@ -84,28 +71,6 @@ impl Synchronizer {
         while !self.test() {
             progress();
             std::hint::spin_loop();
-        }
-    }
-
-    /// Parks the calling thread until ready — for runtimes with
-    /// dedicated progress threads, where waiting workers should sleep
-    /// rather than poll (paper §3.2.6's completion-polling cost, moved
-    /// off the workers).
-    ///
-    /// Eventcount protocol against the embedded doorbell: snapshot the
-    /// epoch, re-test, and park only while the epoch is unchanged. The
-    /// final signal rings after its release-publish, so a waiter either
-    /// sees readiness on the re-test or sees the epoch advance — a lost
-    /// wakeup is impossible (the doorbell's SeqCst handshake; see
-    /// DESIGN.md §4.8).
-    pub fn wait_blocking(&self) {
-        const WAIT_SLICE: Duration = Duration::from_millis(100);
-        loop {
-            let seen = self.bell.epoch();
-            if self.test() {
-                return;
-            }
-            self.bell.wait(seen, WAIT_SLICE);
         }
     }
 

@@ -1,4 +1,4 @@
-//! Devices and the progress engine (paper §3.2.3, §3.2.6, §4.4).
+//! Devices and the progress function (paper §3.2.3, §3.2.6, §4.4).
 //!
 //! A device encapsulates a complete set of low-level network resources;
 //! threads operating on different devices never interfere. This module
@@ -30,11 +30,10 @@ use crate::types::{
     CompDesc, CompKind, DataBuf, Direction, MatchingPolicy, RComp, Rank, SendBuf, Tag,
 };
 use eager::PendingInbound;
-use lci_fabric::sync::{Doorbell, SpinLock};
+use lci_fabric::sync::SpinLock;
 use lci_fabric::{
     BufPool, Cqe, CqeKind, DevId, MemoryRegion, NetDevice, NetError, RecvBufDesc, Rkey, SendDesc,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Longest run of backlogged sends submitted as one fabric batch.
@@ -115,21 +114,11 @@ pub(crate) struct DeviceInner {
     cqe_scratch: SpinLock<Vec<Cqe>>,
     /// Reusable batch buffers for `replenish_recvs`.
     replenish_scratch: SpinLock<ReplenishScratch>,
-    /// This device's doorbell (cached from the fabric device): rung on
-    /// wire delivery, local completion staging, and worker-side backlog
-    /// parking, it wakes the parked progress thread that owns this
-    /// device (see [`crate::progress`]).
-    bell: Option<Arc<Doorbell>>,
-    /// Whether a dedicated progress thread currently polls this device
-    /// (it is awake, not parked). Hybrid-mode workers skip stealing
-    /// progress while this is set.
-    dedicated_active: AtomicBool,
     /// Inbound deliveries whose target rcomp was not registered yet,
     /// keyed by that rcomp and parked for retry on later progress calls.
     /// The rcomp table is append-only, so a failed lookup always means
-    /// "not yet" — a race an auto-spawned progress engine makes real (it
-    /// can poll a wire message in before the application finishes
-    /// registering handlers).
+    /// "not yet": one thread's `progress` may poll a wire message in
+    /// while another is still inside `register_rcomp`.
     pending_inbound: SpinLock<Vec<(u32, PendingInbound)>>,
     /// Per-core operation counters; `pub(crate)` so the collectives
     /// layer can attribute its rounds/bytes/inflight marks to the
@@ -204,7 +193,6 @@ impl Device {
         let coalescer = Coalescer::new(rt.config.coalesce, rt.fabric.nranks(), buf_pool.clone());
         let batch = rt.config.progress_batch;
         let stat_stripes = rt.config.placement.stripes();
-        let bell = net.doorbell();
         let dev = Device {
             inner: Arc::new(DeviceInner {
                 rt,
@@ -216,17 +204,13 @@ impl Device {
                 ctx_pool: CtxPool::new(TABLE_SHARDS),
                 cqe_scratch: SpinLock::new(Vec::with_capacity(batch)),
                 replenish_scratch: SpinLock::new(ReplenishScratch::default()),
-                bell,
-                dedicated_active: AtomicBool::new(false),
                 pending_inbound: SpinLock::new(Vec::new()),
                 stats: DeviceStats::with_stripes(stat_stripes),
             }),
         };
         // Register in the runtime's device registry (weak: DeviceInner
-        // holds the runtime strongly) and wake any parked progress
-        // threads so the new device's owner subscribes to its doorbell.
+        // holds the runtime strongly).
         dev.inner.rt.devices.push(Arc::downgrade(&dev.inner));
-        dev.inner.rt.progress.ring_all();
         // Stock the shared receive queue so peers can start immediately.
         dev.replenish_recvs()?;
         Ok(dev)
@@ -276,7 +260,6 @@ impl Device {
         s.buf_pool_misses = bp.misses;
         s.buf_pool_recycled_bytes = bp.recycled_bytes;
         s.matching_contended = self.inner.rt.matching.contended();
-        s.doorbell_rings = self.inner.bell.as_ref().map_or(0, |b| b.rings());
         let ts = self.inner.net.transport_stats();
         s.shm_ring_hwm = ts.shm_ring_hwm;
         s.doorbell_cross_proc_wakes = ts.doorbell_cross_proc_wakes;
@@ -383,77 +366,14 @@ impl Device {
         Ok(did)
     }
 
-    /// Worker-side progress entry point: defers to the runtime's
-    /// progress mode before really polling.
-    ///
-    /// * `Workers` (or no engine running) — polls like
-    ///   [`progress`](Self::progress), counting a `worker_polls` stat.
-    /// * `Dedicated` with the engine running — a no-op (`Ok(false)`):
-    ///   the dedicated threads own all polling.
-    /// * `Hybrid` with the engine running — steals a poll only while
-    ///   this device's dedicated thread is parked.
-    ///
-    /// Useful worker polls ring the runtime's completion bell while an
-    /// engine runs, so threads parked in `Runtime::wait_until` observe
-    /// completions delivered by a stealing worker, not just by the
-    /// engine.
-    pub fn worker_progress(&self) -> Result<bool> {
-        use crate::progress::ProgressMode;
-        let engine_active = self.inner.rt.progress.engine_active();
-        match self.inner.rt.config.progress_mode {
-            ProgressMode::Dedicated(_) if engine_active => return Ok(false),
-            ProgressMode::Hybrid(_)
-                if engine_active && self.inner.dedicated_active.load(Ordering::Relaxed) =>
-            {
-                return Ok(false)
-            }
-            _ => {}
-        }
-        self.inner.stats.bump(|c| &c.worker_polls);
-        let did = self.progress()?;
-        if did && engine_active {
-            self.inner.rt.comp_bell.ring();
-        }
-        Ok(did)
-    }
-
-    /// Marks whether this device's dedicated progress thread is awake
-    /// (progress-engine bookkeeping).
-    pub(crate) fn set_dedicated_active(&self, active: bool) {
-        self.inner.dedicated_active.store(active, Ordering::Release);
-    }
-
-    /// Counts a progress-thread park against this device.
-    pub(crate) fn note_progress_park(&self) {
-        self.inner.stats.bump(|c| &c.progress_parks);
-    }
-
-    /// Whether this device holds deferred work that needs more progress
-    /// calls but will never ring a doorbell: backlogged sends, buffered
-    /// coalesced sub-messages, inbound wire messages parked by RNR, or
-    /// deliveries waiting on an rcomp registration.
-    /// A progress thread must not park while any of these are pending.
-    pub(crate) fn has_deferred_work(&self) -> bool {
-        !self.inner.backlog.is_empty()
-            || self.inner.coalescer.pending() > 0
-            || self.inner.net.inbound_pending() > 0
-            || !self.inner.pending_inbound.lock().is_empty()
-    }
-
-    /// Parks a request in the backlog, counting it. Rings the device
-    /// doorbell: in dedicated-progress modes the worker that parked this
-    /// work never polls, so the (possibly parked) progress thread that
-    /// owns the device must be told the backlog is non-empty.
+    /// Parks a request in the backlog, counting it.
     fn push_backlog(&self, item: Backlogged) {
         self.inner.stats.bump(|c| &c.backlogged);
         self.inner.backlog.push(item);
-        if let Some(bell) = &self.inner.bell {
-            bell.ring();
-        }
     }
 
     /// Posts a message the runtime itself originates (no completion to
-    /// signal, so context 0). The progress engine cannot bounce a full
+    /// signal, so context 0). `progress` cannot bounce a full
     /// wire to the user: a copy staged in a pooled buffer parks in the
     /// backlog instead (paper §4.1.5).
     fn send_ctrl(&self, target: Rank, target_dev: DevId, bytes: &[u8], imm: u64) -> Result<()> {

@@ -86,7 +86,6 @@ pub mod error;
 pub mod matching;
 pub mod packet_pool;
 pub mod post;
-pub mod progress;
 pub mod proto;
 pub mod runtime;
 pub mod stats;
@@ -105,7 +104,6 @@ pub use error::{FatalError, PostResult, Result, RetryReason};
 pub use matching::{MatchKind, MatchingConfig, MatchingEngine};
 pub use packet_pool::{Packet, PacketPool, PacketPoolConfig, PacketView, SharedPacket};
 pub use post::CommBuilder;
-pub use progress::ProgressMode;
 pub use runtime::{Placement, Runtime, RuntimeConfig};
 pub use stats::{DeviceStats, StatsSnapshot};
 pub use types::{

@@ -17,33 +17,22 @@ use crate::device::{Device, DeviceInner, MatchEntry};
 use crate::error::{FatalError, Result};
 use crate::matching::{MatchingConfig, MatchingEngine};
 use crate::packet_pool::{PacketPool, PacketPoolConfig};
-use crate::progress::{ProgressEngine, ProgressMode};
 use crate::types::{RComp, Rank};
-use lci_fabric::sync::{Doorbell, MpmcArray};
+use lci_fabric::sync::MpmcArray;
 use lci_fabric::topology;
 use lci_fabric::{DeviceConfig, Fabric, NetContext};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 /// Thread-per-core placement policy (`RuntimeConfig::placement`).
 ///
-/// When enabled (the default), the runtime lays its hot-path resources
-/// out over the [`topology`] core map: per-core packet-pool stripes,
-/// per-core buffer-pool shelves, per-core stats cells, core-keyed
-/// ctx-pool shard selection, core-pinned `Dedicated`/`Hybrid` progress
-/// threads, and core-keyed default-device routing
-/// ([`Runtime::home_device`]). Disabled, every structure collapses to
-/// one stripe — the core-oblivious layout, kept as an ablation
-/// baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The runtime lays its hot-path resources out over the [`topology`]
+/// core map: per-core packet-pool stripes, per-core buffer-pool
+/// shelves, per-core stats cells, core-keyed ctx-pool shard selection,
+/// and core-keyed default-device routing ([`Runtime::home_device`]). A
+/// width of 1 collapses every structure to one stripe — the
+/// core-oblivious layout.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Placement {
-    /// Master switch for core-aware resource layout.
-    pub enabled: bool,
-    /// Home each dedicated progress thread on the logical core of its
-    /// device partition (thread `slot` → core `slot`), so engine-side
-    /// bookkeeping stays on the engine's core. Logical binding only;
-    /// OS affinity belongs to the launcher.
-    pub pin_progress: bool,
     /// Core-map width override; `None` detects
     /// ([`topology::ncores`], overridable with `LCI_CORES`). Tests use
     /// an explicit width to exercise multi-stripe layouts on small
@@ -51,20 +40,10 @@ pub struct Placement {
     pub cores: Option<usize>,
 }
 
-impl Default for Placement {
-    fn default() -> Self {
-        Self { enabled: true, pin_progress: true, cores: None }
-    }
-}
-
 impl Placement {
-    /// The core-map width this placement resolves to (1 when disabled).
+    /// The core-map width this placement resolves to.
     pub fn effective_cores(&self) -> usize {
-        if !self.enabled {
-            1
-        } else {
-            self.cores.unwrap_or_else(topology::ncores).max(1)
-        }
+        self.cores.unwrap_or_else(topology::ncores).max(1)
     }
 
     /// Stripe count the per-core structures are laid out with (the
@@ -77,11 +56,6 @@ impl Placement {
     pub fn with_cores(mut self, cores: usize) -> Self {
         self.cores = Some(cores);
         self
-    }
-
-    /// The core-oblivious single-stripe layout (ablation baseline).
-    pub fn disabled() -> Self {
-        Self { enabled: false, pin_progress: false, cores: None }
     }
 }
 
@@ -130,18 +104,10 @@ pub struct RuntimeConfig {
     /// Maximum collective chunk sends outstanding per rank (the
     /// pipelining window of ring allreduce and the pairwise alltoall).
     pub coll_max_inflight: usize,
-    /// Who drives progress: polling workers (the default), dedicated
-    /// progress threads with doorbell-driven parking, or a hybrid where
-    /// workers steal progress while the dedicated thread is parked (see
-    /// [`crate::progress`]). `Dedicated`/`Hybrid` auto-spawn their
-    /// threads at runtime allocation.
-    pub progress_mode: ProgressMode,
-    /// Thread-per-core resource layout (see [`Placement`]). On by
-    /// default; packet-pool stripes, buffer-pool shelves, and stats
-    /// cells are laid out per logical core, dedicated progress threads
-    /// pin next to their device partition, and
-    /// [`Runtime::home_device`] routes each worker to a core-local
-    /// device.
+    /// Thread-per-core resource layout (see [`Placement`]):
+    /// packet-pool stripes, buffer-pool shelves, and stats cells are
+    /// laid out per logical core, and [`Runtime::home_device`] routes
+    /// each worker to a core-local device.
     pub placement: Placement,
 }
 
@@ -162,7 +128,6 @@ impl Default for RuntimeConfig {
             rdv_max_inflight: 4,
             coll_chunk_size: 64 << 10,
             coll_max_inflight: 4,
-            progress_mode: ProgressMode::Workers,
             placement: Placement::default(),
         }
     }
@@ -189,13 +154,6 @@ impl RuntimeConfig {
     /// Replaces the device configuration, keeping everything else.
     pub fn with_device(mut self, device: DeviceConfig) -> Self {
         self.device = device;
-        self
-    }
-
-    /// Selects who drives progress (see
-    /// [`progress_mode`](Self::progress_mode)).
-    pub fn with_progress_mode(mut self, mode: ProgressMode) -> Self {
-        self.progress_mode = mode;
         self
     }
 
@@ -251,23 +209,8 @@ pub(crate) struct RuntimeInner {
     pub coll: parking_lot::Mutex<Option<crate::coll::CollState>>,
     /// Every device allocated on this runtime, in creation order. Weak:
     /// `DeviceInner` holds `rt: Arc<RuntimeInner>`, so a strong registry
-    /// would cycle and leak. Progress threads and
-    /// [`Runtime::progress_all`] round-robin over this.
+    /// would cycle and leak. [`Runtime::progress_all`] walks this.
     pub devices: MpmcArray<Weak<DeviceInner>>,
-    /// Rung by progress threads after every useful sweep (and by useful
-    /// worker steals while an engine runs); lets blocking `wait_until`
-    /// park on arbitrary predicates.
-    pub comp_bell: Arc<Doorbell>,
-    /// The dedicated progress threads, if any.
-    pub progress: ProgressEngine,
-}
-
-impl Drop for RuntimeInner {
-    fn drop(&mut self) {
-        // Progress threads hold only `Weak` runtime references, so they
-        // are never inside an upgraded section here; wake and join them.
-        self.progress.shutdown_and_join();
-    }
 }
 
 /// A runtime handle (cheap to clone). Dropping the last handle releases
@@ -318,14 +261,6 @@ impl Runtime {
         if config.coll_max_inflight == 0 {
             return Err(FatalError::InvalidArg("coll_max_inflight must be nonzero".into()));
         }
-        match config.progress_mode {
-            ProgressMode::Dedicated(n) | ProgressMode::Hybrid(n) if n == 0 || n > 64 => {
-                return Err(FatalError::InvalidArg(
-                    "progress thread count must be in 1..=64".into(),
-                ));
-            }
-            _ => {}
-        }
         if config.placement.cores == Some(0) {
             return Err(FatalError::InvalidArg("placement.cores must be nonzero".into()));
         }
@@ -343,10 +278,10 @@ impl Runtime {
         }
         // The placement policy decides every per-core layout from here
         // on: the packet-pool stripe count here, and (via the stored
-        // config) buffer-pool shelves, stats cells, and progress-thread
-        // pinning inside `Device::create`/`ProgressEngine`. Devices
-        // inherit the stripe count through `device.buf_pool.stripes`
-        // unless the caller forced one explicitly.
+        // config) buffer-pool shelves and stats cells inside
+        // `Device::create`. Devices inherit the stripe count through
+        // `device.buf_pool.stripes` unless the caller forced one
+        // explicitly.
         let mut config = config;
         if config.device.buf_pool.stripes == 0 {
             config.device.buf_pool.stripes = config.placement.stripes();
@@ -363,15 +298,9 @@ impl Runtime {
             coll_seq: std::sync::atomic::AtomicU32::new(0),
             coll: parking_lot::Mutex::new(None),
             devices: MpmcArray::with_capacity(4),
-            comp_bell: Arc::new(Doorbell::new()),
-            progress: ProgressEngine::new(),
             config,
         });
         let default_dev = Device::create(inner.clone())?;
-        let nthreads = inner.config.progress_mode.dedicated_threads();
-        if nthreads > 0 {
-            ProgressEngine::spawn(&inner, nthreads)?;
-        }
         Ok(Runtime { inner, default_dev })
     }
 
@@ -411,15 +340,15 @@ impl Runtime {
         Device::create(self.inner.clone())
     }
 
-    /// The calling thread's core-local device: with placement enabled
-    /// and several devices allocated, workers on different cores spread
-    /// over the device list (`core % ndevices`) instead of all
-    /// funnelling through device 0. Falls back to the default device
-    /// when placement is disabled, only one device exists, or the
-    /// core-mapped device has been dropped.
+    /// The calling thread's core-local device: with a core map wider
+    /// than one and several devices allocated, workers on different
+    /// cores spread over the device list (`core % ndevices`) instead of
+    /// all funnelling through device 0. Falls back to the default device
+    /// when the placement is one core wide, only one device exists, or
+    /// the core-mapped device has been dropped.
     pub fn home_device(&self) -> Device {
         let n = self.inner.devices.len();
-        if self.inner.config.placement.enabled && n > 1 {
+        if n > 1 && self.inner.config.placement.effective_cores() > 1 {
             let idx = topology::current_core() % n;
             if let Some(inner) = self.inner.devices.read(idx).and_then(|w| w.upgrade()) {
                 return Device { inner };
@@ -436,14 +365,11 @@ impl Runtime {
     /// Registers a completion object into a remote completion handle
     /// (paper `register_rcomp`). All ranks must register their completion
     /// objects in the same order so handles agree, or exchange handles
-    /// out of band.
+    /// out of band. A delivery that another thread's `progress` polls
+    /// in before this returns is parked on its device and retried on the
+    /// next progress call (`early_inbound` counts them).
     pub fn register_rcomp(&self, comp: Comp) -> RComp {
-        let rcomp = self.inner.rcomp.push(comp) as RComp;
-        // Wake parked progress threads: an inbound delivery that raced
-        // this registration is parked on the device and retried on the
-        // next progress call (see `Device::retry_pending_inbound`).
-        self.inner.progress.ring_all();
-        rcomp
+        self.inner.rcomp.push(comp) as RComp
     }
 
     /// Looks up a registered completion object.
@@ -471,93 +397,29 @@ impl Runtime {
         Ok(did)
     }
 
-    /// Mode-aware variant of [`progress_all`](Self::progress_all):
-    /// each device decides per the runtime's progress mode whether a
-    /// worker-side call should really poll (see
-    /// [`Device::worker_progress`]).
-    pub fn worker_progress_all(&self) -> Result<bool> {
-        let mut did = false;
-        let n = self.inner.devices.len();
-        for i in 0..n {
-            if let Some(inner) = self.inner.devices.read(i).and_then(|w| w.upgrade()) {
-                did |= Device { inner }.worker_progress()?;
-            }
-        }
-        Ok(did)
-    }
-
-    /// Spawns `n` dedicated progress threads that partition this
-    /// runtime's devices and run the spin→yield→park loop (see
-    /// [`crate::progress`]). `Dedicated`/`Hybrid` runtimes do this
-    /// automatically at allocation; call it manually to add an engine to
-    /// a `Workers`-mode runtime. Errors if threads are already running.
-    pub fn spawn_progress_threads(&self, n: usize) -> Result<()> {
-        ProgressEngine::spawn(&self.inner, n)
-    }
-
-    /// Stops and joins this runtime's dedicated progress threads, if
-    /// any. Workers fall back to polling for themselves.
-    pub fn stop_progress_threads(&self) {
-        self.inner.progress.shutdown_and_join();
-    }
-
-    /// Whether dedicated progress threads are currently running.
-    pub fn progress_engine_active(&self) -> bool {
-        self.inner.progress.engine_active()
-    }
-
     /// Spins `f` to readiness — the canonical blocking helper for tests
     /// and simple clients. Pumps progress on every device of this
-    /// runtime (mode-aware).
+    /// runtime ([`progress_all`](Self::progress_all)) between tests.
     ///
-    /// With polling workers, progress calls that find work reset the
-    /// backoff; idle polls spin briefly and then yield the core, so
-    /// oversubscribed rank threads (many ranks per core in this
-    /// reproduction) don't starve the peer whose progress they are
-    /// waiting on. With a dedicated progress engine the call parks on
-    /// the runtime's completion bell instead of polling (`Dedicated`),
-    /// or steals progress until the backoff runs out and then parks
-    /// (`Hybrid`); the engine rings the bell after every useful sweep,
-    /// and the eventcount protocol (epoch snapshot → recheck predicate →
-    /// wait) makes the handoff lost-wakeup-free.
+    /// Progress calls that find work reset the backoff; idle polls spin
+    /// briefly and then yield the core, so oversubscribed rank threads
+    /// (many ranks per core in this reproduction) don't starve the peer
+    /// whose progress they are waiting on.
     pub fn wait_until(&self, mut f: impl FnMut() -> bool) -> Result<()> {
-        const WAIT_SLICE: Duration = Duration::from_millis(100);
         let mut idle: u32 = 0;
-        loop {
-            if f() {
-                return Ok(());
-            }
-            if matches!(self.inner.config.progress_mode, ProgressMode::Dedicated(_))
-                && self.inner.progress.engine_active()
-            {
-                // Fully blocking: the engine owns all polling.
-                let seen = self.inner.comp_bell.epoch();
-                if f() {
-                    return Ok(());
-                }
-                self.inner.comp_bell.wait(seen, WAIT_SLICE);
-                continue;
-            }
-            if self.worker_progress_all()? {
+        while !f() {
+            if self.progress_all()? {
                 idle = 0;
             } else {
                 idle = idle.saturating_add(1);
             }
             if idle < 64 {
                 std::hint::spin_loop();
-            } else if idle < 256 || !self.inner.progress.engine_active() {
-                std::thread::yield_now();
             } else {
-                // Hybrid (or a manually spawned engine): the dedicated
-                // thread is awake and polling, so stealing found nothing;
-                // park on the completion bell until its next useful sweep.
-                let seen = self.inner.comp_bell.epoch();
-                if f() {
-                    return Ok(());
-                }
-                self.inner.comp_bell.wait(seen, WAIT_SLICE);
+                std::thread::yield_now();
             }
         }
+        Ok(())
     }
 
     /// Barrier across all ranks, implemented over the out-of-band

@@ -14,7 +14,7 @@
 //!
 //! ## Snapshot consistency
 //!
-//! A snapshot taken while progress engines are live cannot be a true
+//! A snapshot taken while other threads call `progress` cannot be a true
 //! point-in-time cut across independent relaxed counters, but it is
 //! made *tear-proof for the derived rates*: the fold reads every cell's
 //! `progress_useful` before any cell's `progress_calls` (the bump order
@@ -53,8 +53,6 @@ pub(crate) struct StatsCell {
     pub(crate) rdv_chunks_posted: AtomicU64,
     pub(crate) rdv_inflight_hwm: AtomicU64,
     pub(crate) rdv_scratch_reuses: AtomicU64,
-    pub(crate) worker_polls: AtomicU64,
-    pub(crate) progress_parks: AtomicU64,
     pub(crate) early_inbound: AtomicU64,
     pub(crate) coll_rounds: AtomicU64,
     pub(crate) coll_bytes: AtomicU64,
@@ -134,7 +132,7 @@ impl DeviceStats {
         // `progress_useful` first, across every cell, *then*
         // `progress_calls`: bumps go calls-then-useful, so this read
         // order guarantees useful <= calls in the folded result even
-        // while engines are live.
+        // while other threads are inside `progress`.
         let progress_useful = self.fold(|c| &c.progress_useful);
         let progress_calls = self.fold(|c| &c.progress_calls);
         StatsSnapshot {
@@ -158,15 +156,12 @@ impl DeviceStats {
             rdv_chunks_posted: self.fold(|c| &c.rdv_chunks_posted),
             rdv_inflight_hwm: self.fold_max(|c| &c.rdv_inflight_hwm),
             rdv_scratch_reuses: self.fold(|c| &c.rdv_scratch_reuses),
-            worker_polls: self.fold(|c| &c.worker_polls),
-            progress_parks: self.fold(|c| &c.progress_parks),
             early_inbound: self.fold(|c| &c.early_inbound),
             coll_rounds: self.fold(|c| &c.coll_rounds),
             coll_bytes: self.fold(|c| &c.coll_bytes),
             coll_chunks_inflight_hwm: self.fold_max(|c| &c.coll_chunks_inflight_hwm),
             coll_skipped_pairs: self.fold(|c| &c.coll_skipped_pairs),
             coll_v_bytes_hwm: self.fold_max(|c| &c.coll_v_bytes_hwm),
-            doorbell_rings: 0,
             reg_cache_hits: 0,
             reg_cache_misses: 0,
             reg_cache_evictions: 0,
@@ -197,7 +192,7 @@ pub struct StatsSnapshot {
     pub progress_calls: u64,
     /// Progress invocations that found work (folded so that
     /// `progress_useful <= progress_calls` always holds, even for
-    /// snapshots taken while engines are live).
+    /// snapshots taken while other threads are inside `progress`).
     pub progress_useful: u64,
     /// Completions handled (CQEs).
     pub completions: u64,
@@ -236,16 +231,9 @@ pub struct StatsSnapshot {
     pub rdv_inflight_hwm: u64,
     /// Scratch-ring slots reused (gather copies that did not allocate).
     pub rdv_scratch_reuses: u64,
-    /// Progress polls driven by *worker* threads (through
-    /// [`Device::worker_progress`](crate::device::Device::worker_progress)).
-    /// Zero in `Dedicated` mode: the worker entry point never polls there.
-    pub worker_polls: u64,
-    /// Times a dedicated progress thread parked this device on its
-    /// doorbell (idle, consuming no CPU).
-    pub progress_parks: u64,
     /// Inbound deliveries that arrived before their target rcomp was
-    /// registered and were parked for retry (the registration race an
-    /// auto-spawned progress engine makes real).
+    /// registered and were parked for retry (one thread's `progress`
+    /// racing another's `register_rcomp`).
     pub early_inbound: u64,
     /// Collective communication rounds executed through this device
     /// (ring/dissemination/binomial steps; one bump per peer exchange a
@@ -272,10 +260,6 @@ pub struct StatsSnapshot {
     /// [`StatsSnapshot::since`]). Sizes the largest vector exchange the
     /// device has carried.
     pub coll_v_bytes_hwm: u64,
-    /// Times the device's fabric doorbell rang (overlaid by
-    /// [`Device::stats`](crate::device::Device::stats) from the
-    /// [`lci_fabric::Doorbell`] counter, not tracked in [`DeviceStats`]).
-    pub doorbell_rings: u64,
     /// Registration-cache hits on the device's fabric cache (overlaid by
     /// [`Device::stats`](crate::device::Device::stats), not tracked in
     /// [`DeviceStats`]).
@@ -338,8 +322,8 @@ pub struct StatsSnapshot {
 
 impl StatsSnapshot {
     /// Difference against an earlier snapshot (for per-phase
-    /// accounting). Saturating: counters racing with live engines can
-    /// never drive an interval negative.
+    /// accounting). Saturating: counters racing with concurrent
+    /// `progress` callers can never drive an interval negative.
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             posts: self.posts.saturating_sub(earlier.posts),
@@ -366,8 +350,6 @@ impl StatsSnapshot {
             // the mark over the whole interval.
             rdv_inflight_hwm: self.rdv_inflight_hwm,
             rdv_scratch_reuses: self.rdv_scratch_reuses.saturating_sub(earlier.rdv_scratch_reuses),
-            worker_polls: self.worker_polls.saturating_sub(earlier.worker_polls),
-            progress_parks: self.progress_parks.saturating_sub(earlier.progress_parks),
             early_inbound: self.early_inbound.saturating_sub(earlier.early_inbound),
             coll_rounds: self.coll_rounds.saturating_sub(earlier.coll_rounds),
             coll_bytes: self.coll_bytes.saturating_sub(earlier.coll_bytes),
@@ -376,7 +358,6 @@ impl StatsSnapshot {
             coll_skipped_pairs: self.coll_skipped_pairs.saturating_sub(earlier.coll_skipped_pairs),
             // High-water mark: the later value covers the interval.
             coll_v_bytes_hwm: self.coll_v_bytes_hwm,
-            doorbell_rings: self.doorbell_rings.saturating_sub(earlier.doorbell_rings),
             reg_cache_hits: self.reg_cache_hits.saturating_sub(earlier.reg_cache_hits),
             reg_cache_misses: self.reg_cache_misses.saturating_sub(earlier.reg_cache_misses),
             reg_cache_evictions: self
@@ -416,12 +397,10 @@ impl StatsSnapshot {
         }
     }
 
-    /// Fraction of progress polls that found work — the progress-engine
-    /// efficiency metric of ablation section 10. Low under all-worker
-    /// polling (most polls are wasted lock traffic, paper §5.3); high
-    /// under dedicated progress (the thread polls only when the doorbell
-    /// says there is plausible work). Clamped to `[0, 1]` — the fold
-    /// order plus this clamp is what makes live snapshots tear-proof.
+    /// Fraction of progress polls that found work. Low when many
+    /// threads poll one device (most polls are wasted lock traffic,
+    /// paper §5.3). Clamped to `[0, 1]` — the fold order plus this clamp
+    /// is what makes live snapshots tear-proof.
     pub fn useful_poll_rate(&self) -> f64 {
         if self.progress_calls == 0 {
             0.0

@@ -15,10 +15,9 @@
 //! [`serial`] guard (the `Pair` driver) and the collective rank threads,
 //! which opt in with [`audit_this_thread`]. libtest spawning or tearing
 //! down a sibling test's thread on another core allocates too, and
-//! would otherwise land in whichever audit's window is open. Threads
-//! the runtime spawns itself (`Dedicated`/`Hybrid` progress threads)
-//! never opt in and are *not* counted, which is why every audit here
-//! runs in the default `Workers` progress mode.
+//! would otherwise land in whichever audit's window is open. `lci`
+//! spawns no thread of its own (DESIGN.md §4.8), so every allocator
+//! call on the data path is made by a thread counted here.
 
 use crossbeam::queue::ArrayQueue;
 use lci::{Comp, CompDesc, DataBuf, Fabric, PostResult, Runtime, RuntimeConfig, SendBuf};
@@ -395,46 +394,41 @@ fn placed_rendezvous_steady_state_is_allocation_free() {
     );
 }
 
-/// Warm chunk-pipelined ring allreduce: once the collective engine's
-/// landing-buffer shelf, staging pool, op-context slabs, and round
-/// bookkeeping are warm, a full allreduce — 2(n−1) rounds of windowed
-/// sends, pre-posted recvs, and in-place folds, 8 chunks per block —
-/// makes zero allocator calls on either rank. Blocking collectives
-/// need both ranks live simultaneously, so this audit runs one thread
-/// per rank and the global counter covers both sides of the exchange.
-#[test]
-fn collective_allreduce_steady_state_is_allocation_free() {
-    let _g = serial();
+/// Allocator calls, summed over every rank, across 32 warm iterations
+/// of a blocking collective loop (after 8 warm-up iterations).
+/// Blocking collectives need all ranks live simultaneously, so this
+/// runs one audited thread per rank, each driving the closure
+/// `make_iter(rank)` builds for it. Rank threads rendezvous with the
+/// measuring main thread on a `Barrier`: its `wait` is futex-based and
+/// allocation-free once the warmup crossing has happened.
+fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
+    nranks: usize,
+    make_iter: impl Fn(usize) -> I + Clone + Send + 'static,
+) -> u64 {
     const WARMUP: usize = 8;
     const ITERS: usize = 32;
-    // 64 KiB payload -> 32 KiB ring blocks -> eight 4 KiB chunks per
-    // round, so the bounded-inflight window actually pipelines.
-    const ELEMS: usize = 8 << 10;
-    let fabric = Fabric::new(2);
-    // Rank threads rendezvous with the measuring main thread here;
-    // `Barrier::wait` is futex-based and allocation-free once the
-    // warmup crossing has happened.
-    let gate = Arc::new(std::sync::Barrier::new(3));
-    let mut threads = Vec::new();
-    for rank in 0..2 {
-        let fabric = fabric.clone();
-        let gate = gate.clone();
-        threads.push(std::thread::spawn(move || {
-            audit_this_thread();
-            let cfg = RuntimeConfig { coll_chunk_size: 4096, ..RuntimeConfig::small() };
-            let rt = Runtime::new(fabric, rank, cfg).unwrap();
-            let mut buf = vec![1u8; ELEMS * 8];
-            for _ in 0..WARMUP {
-                lci::coll::allreduce(&rt, &mut buf, &lci::SumU64).unwrap();
-            }
-            gate.wait(); // measurement window opens
-            for _ in 0..ITERS {
-                lci::coll::allreduce(&rt, &mut buf, &lci::SumU64).unwrap();
-            }
-            gate.wait(); // window closes
-            gate.wait(); // counter read; teardown may allocate freely now
-        }));
-    }
+    let fabric = Fabric::new(nranks);
+    let gate = Arc::new(std::sync::Barrier::new(nranks + 1));
+    let threads: Vec<_> = (0..nranks)
+        .map(|rank| {
+            let (fabric, gate, make_iter) = (fabric.clone(), gate.clone(), make_iter.clone());
+            std::thread::spawn(move || {
+                audit_this_thread();
+                let cfg = RuntimeConfig { coll_chunk_size: 4096, ..RuntimeConfig::small() };
+                let rt = Runtime::new(fabric, rank, cfg).unwrap();
+                let mut iter = make_iter(rank);
+                for _ in 0..WARMUP {
+                    iter(&rt);
+                }
+                gate.wait(); // measurement window opens
+                for _ in 0..ITERS {
+                    iter(&rt);
+                }
+                gate.wait(); // window closes
+                gate.wait(); // counter read; teardown may allocate freely now
+            })
+        })
+        .collect();
     gate.wait();
     let before = alloc_calls();
     gate.wait();
@@ -443,10 +437,25 @@ fn collective_allreduce_steady_state_is_allocation_free() {
     for t in threads {
         t.join().unwrap();
     }
-    assert_eq!(
-        allocs, 0,
-        "warm ring-allreduce loop made {allocs} allocator calls across both ranks over {ITERS} iterations"
-    );
+    allocs
+}
+
+/// Warm chunk-pipelined ring allreduce: once the collective engine's
+/// landing-buffer shelf, staging pool, op-context slabs, and round
+/// bookkeeping are warm, a full allreduce — 2(n−1) rounds of windowed
+/// sends, pre-posted recvs, and in-place folds, 8 chunks per block —
+/// makes zero allocator calls on either rank.
+#[test]
+fn collective_allreduce_steady_state_is_allocation_free() {
+    let _g = serial();
+    // 64 KiB payload -> 32 KiB ring blocks -> eight 4 KiB chunks per
+    // round, so the bounded-inflight window actually pipelines.
+    const ELEMS: usize = 8 << 10;
+    let allocs = collective_steady_state_allocs(2, |_rank| {
+        let mut buf = vec![1u8; ELEMS * 8];
+        move |rt: &Runtime| lci::coll::allreduce(rt, &mut buf, &lci::SumU64).unwrap()
+    });
+    assert_eq!(allocs, 0, "warm ring-allreduce loop made {allocs} allocator calls on two ranks");
 }
 
 /// Warm sparse alltoallv — the MoE dispatch/combine inner loop: a count
@@ -459,53 +468,38 @@ fn collective_allreduce_steady_state_is_allocation_free() {
 #[test]
 fn collective_alltoallv_steady_state_is_allocation_free() {
     let _g = serial();
-    const WARMUP: usize = 8;
-    const ITERS: usize = 32;
     // counts[src][dst]: a skewed sparse matrix exercising every block
     // protocol (inline 16/24/8, eager 3000, chunked 5000 at 4 KiB
     // chunks) plus two zero pairs.
     const COUNTS: [[usize; 3]; 3] = [[16, 0, 5000], [24, 8, 0], [0, 3000, 64]];
-    let fabric = Fabric::new(3);
-    let gate = Arc::new(std::sync::Barrier::new(4));
-    let mut threads = Vec::new();
-    for (rank, row) in COUNTS.iter().enumerate() {
-        let fabric = fabric.clone();
-        let gate = gate.clone();
-        threads.push(std::thread::spawn(move || {
-            audit_this_thread();
-            let cfg = RuntimeConfig { coll_chunk_size: 4096, ..RuntimeConfig::small() };
-            let rt = Runtime::new(fabric, rank, cfg).unwrap();
-            let send_counts = row.to_vec();
-            let send = vec![0x5Au8; send_counts.iter().sum()];
-            let mut recv_counts = vec![0usize; 3];
-            let mut recv = vec![0u8; (0..3).map(|src| COUNTS[src][rank]).sum()];
-            let mut iter = |rt: &Runtime| {
-                lci::coll::exchange_counts(rt, &send_counts, &mut recv_counts).unwrap();
-                lci::coll::alltoallv(rt, &send, &send_counts, &mut recv, &recv_counts).unwrap();
-            };
-            for _ in 0..WARMUP {
-                iter(&rt);
-            }
-            gate.wait(); // measurement window opens
-            for _ in 0..ITERS {
-                iter(&rt);
-            }
-            gate.wait(); // window closes
-            gate.wait(); // counter read; teardown may allocate freely now
-        }));
-    }
-    gate.wait();
-    let before = alloc_calls();
-    gate.wait();
-    let allocs = alloc_calls() - before;
-    gate.wait();
-    for t in threads {
-        t.join().unwrap();
-    }
+    let allocs = collective_steady_state_allocs(3, |rank| {
+        let send_counts = COUNTS[rank].to_vec();
+        let send = vec![0x5Au8; send_counts.iter().sum()];
+        let mut recv_counts = vec![0usize; 3];
+        let mut recv = vec![0u8; (0..3).map(|src| COUNTS[src][rank]).sum()];
+        move |rt: &Runtime| {
+            lci::coll::exchange_counts(rt, &send_counts, &mut recv_counts).unwrap();
+            lci::coll::alltoallv(rt, &send, &send_counts, &mut recv, &recv_counts).unwrap();
+        }
+    });
     assert_eq!(
         allocs, 0,
-        "warm alltoallv counts+data loop made {allocs} allocator calls across three ranks over {ITERS} iterations"
+        "warm alltoallv counts+data loop made {allocs} allocator calls on three ranks"
     );
+}
+
+/// Warm dissemination barrier: every round is a 1-byte inline send and
+/// a receive into a shelf box completed through the state's receive
+/// queue, so no round touches the allocator — or the staging pool,
+/// which keeps this audit deterministic where its two siblings above
+/// depend on pool residency. Three ranks so the barrier runs two
+/// rounds.
+#[test]
+fn collective_barrier_steady_state_is_allocation_free() {
+    let _g = serial();
+    let allocs =
+        collective_steady_state_allocs(3, |_rank| |rt: &Runtime| lci::coll::barrier(rt).unwrap());
+    assert_eq!(allocs, 0, "warm barrier loop made {allocs} allocator calls on three ranks");
 }
 
 /// The harness counts what it claims to count: an audited thread's

@@ -836,3 +836,33 @@ fn put_and_get_from_a_second_device_reach_a_one_device_rank() {
         assert_eq!(get.as_slice(), &expect[..]);
     }
 }
+
+/// `wait_until` progresses *every* device of the runtime, not just the
+/// default one: both sides of this exchange live on a second
+/// `alloc_device()` device — the send's completion is a CQE on rank 0's
+/// device 1 and the message arrives at rank 1's device 1 — so a wait
+/// that only polled device 0 would never return.
+#[test]
+fn wait_until_progresses_a_second_device() {
+    with_ranks(2, RuntimeConfig::small(), |rank, rt| {
+        let second = rt.alloc_device().unwrap();
+        rt.oob_barrier(); // both ranks have device 1
+        let comp = Comp::alloc_sync(1);
+        let sync = comp.as_sync().unwrap();
+        if rank == 0 {
+            // Above the inject size, so the send completes by signal.
+            let post = rt.post_send_x(1, vec![7u8; 512], 11, comp.clone()).device(&second);
+            assert!(matches!(post.call().unwrap(), PostResult::Posted));
+            rt.wait_until(|| sync.test()).unwrap();
+        } else {
+            // Nothing has polled device 1 yet, so the message cannot
+            // have been delivered to the matching engine.
+            let post = rt.post_recv_x(0, vec![0u8; 512], 11, comp.clone()).device(&second);
+            assert!(matches!(post.call().unwrap(), PostResult::Posted));
+            rt.wait_until(|| sync.test()).unwrap();
+            assert_eq!(sync.take().pop().unwrap().as_slice(), &[7u8; 512][..]);
+        }
+        assert!(second.stats().progress_calls > 0, "wait_until never polled device 1");
+        rt.oob_barrier();
+    });
+}

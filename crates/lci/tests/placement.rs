@@ -15,10 +15,10 @@ fn two_ranks(cfg: RuntimeConfig) -> (Runtime, Runtime) {
 
 #[test]
 fn placement_math_resolves_cores_and_stripes() {
-    // Disabled placement is the single-stripe core-oblivious layout.
-    let off = Placement::disabled();
-    assert_eq!(off.effective_cores(), 1);
-    assert_eq!(off.stripes(), 1);
+    // A one-core placement is the single-stripe core-oblivious layout.
+    let one = Placement::default().with_cores(1);
+    assert_eq!(one.effective_cores(), 1);
+    assert_eq!(one.stripes(), 1);
     // An explicit width wins over detection; stripes round up to a
     // power of two so index masking works.
     assert_eq!(Placement::default().with_cores(3).effective_cores(), 3);
@@ -80,8 +80,8 @@ fn home_device_routes_by_core_and_falls_back() {
     let distinct: std::collections::HashSet<_> = homes.iter().collect();
     assert!(distinct.len() > 1, "4 cores over 4 devices all routed to one device: {homes:?}");
 
-    // Placement disabled: always the default device.
-    let cfg = RuntimeConfig::small().with_placement(Placement::disabled());
+    // One-core placement: always the default device.
+    let cfg = RuntimeConfig::small().with_placement(Placement::default().with_cores(1));
     let rt = Runtime::new(Fabric::new(1), 0, cfg).unwrap();
     let _extra = rt.alloc_device().unwrap();
     assert_eq!(rt.home_device().dev_id(), rt.device().dev_id());

@@ -15,838 +15,22 @@
 //! an [`Endpoint`] (its per-thread view: a dedicated device/VCI in
 //! dedicated mode, a handle to the shared resources otherwise).
 
-use crossbeam::queue::SegQueue;
-use lci::{Comp, CompKind, PostResult};
-use lci_baselines::channel::ChannelConfig;
-use lci_baselines::{Gasnet, GasnetConfig, MpiComm, MpiConfig, VciComm, ANY_SOURCE, ANY_TAG};
-use lci_fabric::sync::LockDiscipline;
-use lci_fabric::{DeviceConfig, Fabric, Rank};
-use std::collections::VecDeque;
-use std::sync::Arc;
+mod config;
+mod endpoint;
+mod world;
 
-/// Which library backs the wrapper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    /// The LCI runtime of this repository.
-    Lci,
-    /// Standard-MPI stand-in (single coarse-locked channel).
-    Mpi,
-    /// MPICH-VCI stand-in (N coarse channels).
-    Vci,
-    /// GASNet-EX stand-in (shared AM endpoint).
-    Gasnet,
-}
-
-/// Which transport the fabric devices ride: a simulated platform (paper
-/// Table 2) or the real shared-memory wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Platform {
-    /// SDSC Expanse: InfiniBand / libibverbs-like fine-grained locks.
-    Expanse,
-    /// NCSA Delta: Slingshot-11 / libfabric-like endpoint lock.
-    Delta,
-    /// Same-host shared-memory rings: real inter-process transport (or
-    /// the in-process segment when the fabric is not attached).
-    ShmHost,
-    /// Real TCP sockets: full mesh with epoll-parked progress and
-    /// vectored write batching (DESIGN.md §4.12). Works loopback
-    /// in-process, or across processes via `LCI_TRANSPORT=tcp`.
-    TcpHost,
-}
-
-impl Platform {
-    /// The fabric device configuration for this platform.
-    pub fn device_config(self) -> DeviceConfig {
-        match self {
-            Platform::Expanse => DeviceConfig::ibv(),
-            Platform::Delta => DeviceConfig::ofi(),
-            Platform::ShmHost => DeviceConfig::shm(),
-            Platform::TcpHost => DeviceConfig::tcp(),
-        }
-    }
-
-    /// Parses a transport selector (the `--transport` flag /
-    /// `LCI_TRANSPORT` values): `sim-ibv`/`ibv`, `sim-ofi`/`ofi`, `shm`,
-    /// `tcp`.
-    pub fn from_name(name: &str) -> Option<Platform> {
-        match name {
-            "sim-ibv" | "ibv" => Some(Platform::Expanse),
-            "sim-ofi" | "ofi" => Some(Platform::Delta),
-            "shm" => Some(Platform::ShmHost),
-            "tcp" => Some(Platform::TcpHost),
-            _ => None,
-        }
-    }
-
-    /// Reads the transport selector from `LCI_TRANSPORT`, if set and
-    /// valid.
-    pub fn from_env() -> Option<Platform> {
-        std::env::var(lci_fabric::bootstrap::ENV_TRANSPORT)
-            .ok()
-            .and_then(|v| Platform::from_name(v.trim()))
-    }
-
-    /// The transport selected on the command line (`--transport <name>`
-    /// or `--transport=<name>`) or, failing that, by `LCI_TRANSPORT`;
-    /// `default` when neither is present. Unknown names panic with the
-    /// valid selectors — a silent fallback would bench the wrong wire.
-    pub fn from_args_or_env(default: Platform) -> Platform {
-        let parse = |v: &str| {
-            Platform::from_name(v).unwrap_or_else(|| {
-                panic!("unknown transport {v:?}; expected sim-ibv, sim-ofi, shm, or tcp")
-            })
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == "--transport" {
-                if let Some(v) = args.next() {
-                    return parse(&v);
-                }
-            } else if let Some(v) = a.strip_prefix("--transport=") {
-                return parse(v);
-            }
-        }
-        Platform::from_env().unwrap_or(default)
-    }
-
-    /// Like [`from_args_or_env`](Platform::from_args_or_env) but with no
-    /// default: `None` means "no selector given, run the full sweep".
-    pub fn selected() -> Option<Platform> {
-        let mut args = std::env::args().skip(1);
-        let explicit = loop {
-            let Some(a) = args.next() else { break false };
-            if a == "--transport" || a.starts_with("--transport=") {
-                break true;
-            }
-        };
-        if explicit {
-            Some(Platform::from_args_or_env(Platform::Expanse))
-        } else {
-            Platform::from_env()
-        }
-    }
-
-    /// The selector name this platform answers to (round-trips through
-    /// [`from_name`](Platform::from_name)).
-    pub fn transport_name(self) -> &'static str {
-        match self {
-            Platform::Expanse => "sim-ibv",
-            Platform::Delta => "sim-ofi",
-            Platform::ShmHost => "shm",
-            Platform::TcpHost => "tcp",
-        }
-    }
-}
-
-/// Resource-sharing pattern of the thread-based mode (paper §5.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResourceMode {
-    /// All threads share one set of communication resources.
-    Shared,
-    /// Each thread gets dedicated resources (LCI device / MPICH VCI).
-    /// The payload is the thread count.
-    Dedicated(usize),
-}
-
-/// World configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct WorldConfig {
-    /// Library selection.
-    pub backend: BackendKind,
-    /// Platform (lock-granularity) selection.
-    pub platform: Platform,
-    /// Shared vs dedicated resources.
-    pub mode: ResourceMode,
-    /// Eager threshold / staging size for all libraries.
-    pub eager_size: usize,
-    /// Packet/staging pool size scale (per rank).
-    pub pool_packets: usize,
-    /// Sender-side small-message coalescing (LCI backend only; the
-    /// other libraries have no equivalent and ignore it).
-    pub coalesce: lci::CoalesceConfig,
-    /// Who drives progress (LCI backend only): polling workers (the
-    /// default), dedicated progress threads with doorbell parking, or
-    /// the hybrid. With `Dedicated`/`Hybrid`, [`Endpoint::progress`]
-    /// defers to the engine per the mode instead of always polling.
-    pub progress_mode: lci::ProgressMode,
-    /// Matching-engine bucket count (LCI backend only): the hash-table
-    /// width the tag-matching engine shards its bucket locks over.
-    pub matching_buckets: usize,
-    /// Thread-per-core resource layout (LCI backend only): per-core
-    /// packet/buffer-pool stripes, per-core stats cells, core-pinned
-    /// progress threads (see [`lci::Placement`]).
-    pub placement: lci::Placement,
-    /// Collective pipeline chunk granularity in bytes (LCI backend
-    /// only; see [`lci::RuntimeConfig::coll_chunk_size`]).
-    pub coll_chunk_size: usize,
-    /// Collective send-window depth — chunks in flight per rank before
-    /// a post blocks (LCI backend only; see
-    /// [`lci::RuntimeConfig::coll_max_inflight`]).
-    pub coll_max_inflight: usize,
-}
-
-impl WorldConfig {
-    /// A config for `backend` on `platform` with the given mode.
-    pub fn new(backend: BackendKind, platform: Platform, mode: ResourceMode) -> Self {
-        Self {
-            backend,
-            platform,
-            mode,
-            eager_size: 8192,
-            pool_packets: 512,
-            coalesce: lci::CoalesceConfig::default(),
-            progress_mode: lci::ProgressMode::Workers,
-            matching_buckets: 1024,
-            placement: lci::Placement::default(),
-            coll_chunk_size: 64 << 10,
-            coll_max_inflight: 4,
-        }
-    }
-
-    /// Enables LCI sender-side coalescing with a `max_bytes` flush
-    /// threshold. A coalesced frame must fit one packet, so thresholds
-    /// above `eager_size` are capped at world-creation time.
-    pub fn with_coalescing(mut self, max_bytes: usize) -> Self {
-        self.coalesce = lci::CoalesceConfig::enabled_with_bytes(max_bytes);
-        self
-    }
-
-    /// Selects who drives progress on the LCI backend (polling workers,
-    /// dedicated progress threads, or the hybrid) — the ablation knob
-    /// for the progress engine.
-    pub fn with_progress_mode(mut self, mode: lci::ProgressMode) -> Self {
-        self.progress_mode = mode;
-        self
-    }
-
-    /// Sets the matching-engine bucket count (LCI backend only) — the
-    /// contention knob for the tag-matching hash table.
-    pub fn with_matching_buckets(mut self, buckets: usize) -> Self {
-        self.matching_buckets = buckets;
-        self
-    }
-
-    /// Sets the thread-per-core placement policy (LCI backend only) —
-    /// the ablation knob for core-aware resource layout.
-    pub fn with_placement(mut self, placement: lci::Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Sets the collective pipeline chunk granularity in bytes (LCI
-    /// backend only).
-    pub fn with_coll_chunk_size(mut self, bytes: usize) -> Self {
-        self.coll_chunk_size = bytes;
-        self
-    }
-
-    /// Sets the collective send-window depth (LCI backend only).
-    pub fn with_coll_max_inflight(mut self, chunks: usize) -> Self {
-        self.coll_max_inflight = chunks;
-        self
-    }
-}
-
-/// A received message.
-#[derive(Debug)]
-pub struct Msg {
-    /// Source rank.
-    pub src: Rank,
-    /// Message tag.
-    pub tag: u32,
-    /// Payload.
-    pub data: Vec<u8>,
-}
-
-/// A pending receive handle.
-pub enum RecvToken {
-    /// LCI synchronizer.
-    Lci(Comp),
-    /// Baseline channel request.
-    Chan(lci_baselines::Request),
-}
-
-enum WorldInner {
-    Lci { rt: lci::Runtime, devices: Vec<lci::Device>, am_cqs: Vec<Comp>, noop: Comp },
-    Mpi { comm: MpiComm, am_recvs: AmPool },
-    Vci { comm: VciComm, am_recvs: Vec<AmPool> },
-    Gasnet { g: Arc<Gasnet>, inbox: Arc<SegQueue<Msg>> },
-}
-
-/// Per-rank wrapper state. Create on the rank's main thread, then hand
-/// one [`Endpoint`] to each benchmark thread.
-pub struct World {
-    inner: WorldInner,
-    cfg: WorldConfig,
-    fabric: Arc<Fabric>,
-    rank: Rank,
-    nranks: usize,
-}
-
-impl World {
-    /// Initializes the wrapper for `rank` over `fabric`.
-    ///
-    /// In dedicated mode all per-thread resources are created here, in
-    /// deterministic order, so device/VCI indices pair up across ranks.
-    pub fn new(fabric: Arc<Fabric>, rank: Rank, cfg: WorldConfig) -> World {
-        let fab = fabric.clone();
-        let nranks = fabric.nranks();
-        let nthreads = match cfg.mode {
-            ResourceMode::Shared => 1,
-            ResourceMode::Dedicated(n) => n,
-        };
-        let inner = match cfg.backend {
-            BackendKind::Lci => {
-                // Frames land in packets: cap the coalescing threshold
-                // at the packet payload size.
-                let mut coalesce = cfg.coalesce;
-                coalesce.max_bytes = coalesce.max_bytes.min(cfg.eager_size);
-                let rt_cfg = lci::RuntimeConfig {
-                    device: cfg.platform.device_config(),
-                    packet: lci::PacketPoolConfig {
-                        payload_size: cfg.eager_size,
-                        count: cfg.pool_packets.max(nthreads * 96),
-                    },
-                    eager_size: cfg.eager_size,
-                    prepost: 64,
-                    matching: lci::MatchingConfig { buckets: cfg.matching_buckets },
-                    coalesce,
-                    progress_mode: cfg.progress_mode,
-                    placement: cfg.placement,
-                    coll_chunk_size: cfg.coll_chunk_size,
-                    coll_max_inflight: cfg.coll_max_inflight,
-                    ..lci::RuntimeConfig::default()
-                };
-                let rt = lci::Runtime::new(fabric, rank, rt_cfg).expect("lci runtime");
-                // One AM completion queue per thread (the paper's message
-                // rate bench uses one CQ per thread); rcomp indices are
-                // the thread ids, registered in the same order everywhere.
-                let am_cqs: Vec<Comp> = (0..nthreads).map(|_| Comp::alloc_cq()).collect();
-                for cq in &am_cqs {
-                    rt.register_rcomp(cq.clone());
-                }
-                let devices = match cfg.mode {
-                    ResourceMode::Shared => Vec::new(),
-                    ResourceMode::Dedicated(n) => {
-                        (0..n).map(|_| rt.alloc_device().expect("device")).collect()
-                    }
-                };
-                // One shared no-op completion handler for all endpoints
-                // (send-side completions the wrapper ignores), instead of
-                // allocating one per `endpoint()` call.
-                let noop = Comp::alloc_handler(|_| {});
-                WorldInner::Lci { rt, devices, am_cqs, noop }
-            }
-            BackendKind::Mpi => {
-                let mut mcfg = MpiConfig::ibv();
-                mcfg.channel.device =
-                    cfg.platform.device_config().with_discipline(LockDiscipline::Blocking);
-                mcfg.channel.eager_size = cfg.eager_size;
-                WorldInner::Mpi {
-                    comm: MpiComm::init(fabric, rank, mcfg),
-                    am_recvs: Arc::new(parking_lot::Mutex::new(VecDeque::new())),
-                }
-            }
-            BackendKind::Vci => {
-                let dev = cfg.platform.device_config().with_discipline(LockDiscipline::Blocking);
-                let ccfg = ChannelConfig { device: dev, eager_size: cfg.eager_size, prepost: 64 };
-                WorldInner::Vci {
-                    comm: VciComm::init(fabric, rank, nthreads, ccfg),
-                    am_recvs: (0..nthreads)
-                        .map(|_| Arc::new(parking_lot::Mutex::new(VecDeque::new())))
-                        .collect(),
-                }
-            }
-            BackendKind::Gasnet => {
-                let gcfg = GasnetConfig {
-                    device: cfg.platform.device_config().with_discipline(LockDiscipline::TryLock),
-                    max_medium: cfg.eager_size,
-                    prepost: 64,
-                };
-                let g = Gasnet::init(fabric, rank, gcfg);
-                let inbox: Arc<SegQueue<Msg>> = Arc::new(SegQueue::new());
-                let sink = inbox.clone();
-                g.register_handler(move |src, tag, payload| {
-                    sink.push(Msg { src, tag, data: payload.to_vec() });
-                });
-                WorldInner::Gasnet { g, inbox }
-            }
-        };
-        World { inner, cfg, fabric: fab, rank, nranks }
-    }
-
-    /// Attaches to a spawner-provided shared-memory segment when the
-    /// rendezvous environment (`LCI_SHM_PATH`/`LCI_RANK`) is present and
-    /// builds the worker's world over it; `Ok(None)` when this process
-    /// was started directly (run the launcher side instead).
-    ///
-    /// The platform is forced to the transport the rendezvous selected
-    /// ([`Platform::ShmHost`] or [`Platform::TcpHost`]) — an attached
-    /// fabric's peers live in other processes, which only the real
-    /// transports can reach — and only the LCI backend is supported
-    /// (the baseline sims are in-process by construction).
-    pub fn from_env(mut cfg: WorldConfig) -> std::io::Result<Option<World>> {
-        let Some(ctx) = lci_fabric::bootstrap::from_env()? else { return Ok(None) };
-        if cfg.backend != BackendKind::Lci {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "multi-process worlds require the LCI backend",
-            ));
-        }
-        cfg.platform =
-            if ctx.fabric.tcp_rank().is_some() { Platform::TcpHost } else { Platform::ShmHost };
-        Ok(Some(World::new(ctx.fabric, ctx.rank, cfg)))
-    }
-
-    /// Launcher side of a multi-process job: forks `nranks` copies of
-    /// the current binary (passing `child_args`) over a fresh named
-    /// segment and waits for them. The children find the segment via
-    /// [`World::from_env`]. See [`lci_fabric::bootstrap::spawn_local`].
-    pub fn spawn_local(
-        nranks: usize,
-        child_args: &[std::ffi::OsString],
-        timeout: std::time::Duration,
-    ) -> std::io::Result<lci_fabric::bootstrap::ParentReport> {
-        lci_fabric::bootstrap::spawn_local(nranks, child_args, timeout)
-    }
-
-    /// The fabric backing this world.
-    pub fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
-    }
-
-    /// This rank.
-    pub fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    /// World size.
-    pub fn size(&self) -> usize {
-        self.nranks
-    }
-
-    /// Whether the backend supports the send-receive primitives
-    /// (GASNet-sim does not, as in the paper).
-    pub fn supports_sendrecv(&self) -> bool {
-        !matches!(self.inner, WorldInner::Gasnet { .. })
-    }
-
-    /// The backing LCI runtime, when this world runs the LCI backend —
-    /// the handle the `lci::coll` collectives (and anything else beyond
-    /// the wrapper surface) operate on.
-    pub fn lci_runtime(&self) -> Option<&lci::Runtime> {
-        match &self.inner {
-            WorldInner::Lci { rt, .. } => Some(rt),
-            _ => None,
-        }
-    }
-
-    fn coll_rt(&self) -> lci::Result<&lci::Runtime> {
-        self.lci_runtime().ok_or_else(|| {
-            lci::FatalError::InvalidArg("collectives require the LCI backend".into())
-        })
-    }
-
-    /// Data-path barrier across all ranks (LCI backend only; see
-    /// [`lci::coll::barrier`]).
-    pub fn barrier(&self) -> lci::Result<()> {
-        lci::coll::barrier(self.coll_rt()?)
-    }
-
-    /// In-place byte allreduce (LCI backend only; see
-    /// [`lci::coll::allreduce`]).
-    pub fn allreduce<O: lci::ReduceOp + ?Sized>(&self, buf: &mut [u8], op: &O) -> lci::Result<()> {
-        lci::coll::allreduce(self.coll_rt()?, buf, op)
-    }
-
-    /// Broadcast over a byte slice (LCI backend only; see
-    /// [`lci::coll::broadcast_bytes`]).
-    pub fn broadcast_bytes(&self, root: Rank, buf: &mut [u8]) -> lci::Result<()> {
-        lci::coll::broadcast_bytes(self.coll_rt()?, root, buf)
-    }
-
-    /// Flat-buffer allgather (LCI backend only; see
-    /// [`lci::coll::allgather_bytes`]).
-    pub fn allgather_bytes(&self, mine: &[u8], out: &mut [u8]) -> lci::Result<()> {
-        lci::coll::allgather_bytes(self.coll_rt()?, mine, out)
-    }
-
-    /// Flat-buffer alltoall (LCI backend only; see
-    /// [`lci::coll::alltoall_bytes`]).
-    pub fn alltoall_bytes(&self, send: &[u8], recv: &mut [u8]) -> lci::Result<()> {
-        lci::coll::alltoall_bytes(self.coll_rt()?, send, recv)
-    }
-
-    /// Uneven-block alltoallv over flat buffers with per-peer count
-    /// vectors (LCI backend only; see [`lci::coll::alltoallv`] for the
-    /// sparse-skipping, size-adaptive, skew-scheduled engine).
-    pub fn alltoallv(
-        &self,
-        send: &[u8],
-        send_counts: &[usize],
-        recv: &mut [u8],
-        recv_counts: &[usize],
-    ) -> lci::Result<()> {
-        lci::coll::alltoallv(self.coll_rt()?, send, send_counts, recv, recv_counts)
-    }
-
-    /// One-round count exchange for the recv-side-unknown alltoallv
-    /// case (LCI backend only; see [`lci::coll::alltoallv_counts`]):
-    /// returns the receive-count vector matching `send_counts`.
-    pub fn alltoallv_counts(&self, send_counts: &[usize]) -> lci::Result<Vec<usize>> {
-        lci::coll::alltoallv_counts(self.coll_rt()?, send_counts)
-    }
-
-    /// In-place variant of [`World::alltoallv_counts`] writing into a
-    /// caller-owned vector (allocation-free when warm; see
-    /// [`lci::coll::exchange_counts`]).
-    pub fn exchange_counts(
-        &self,
-        send_counts: &[usize],
-        recv_counts: &mut [usize],
-    ) -> lci::Result<()> {
-        lci::coll::exchange_counts(self.coll_rt()?, send_counts, recv_counts)
-    }
-
-    /// Takes the per-thread endpoint `tid`. In dedicated mode `tid`
-    /// selects the thread's device/VCI; in shared mode all endpoints
-    /// reference the same resources. Call once per thread.
-    pub fn endpoint(&self, tid: usize) -> Endpoint {
-        let inner = match &self.inner {
-            WorldInner::Lci { rt, devices, am_cqs, noop } => {
-                // Shared mode routes through the caller's home device
-                // (the default device unless extra devices exist);
-                // dedicated mode keeps the explicit tid → device map.
-                let device = match self.cfg.mode {
-                    ResourceMode::Shared => rt.home_device(),
-                    ResourceMode::Dedicated(_) => devices[tid].clone(),
-                };
-                EpInner::Lci {
-                    rt: rt.clone(),
-                    device,
-                    am_cq: am_cqs[tid % am_cqs.len()].clone(),
-                    rcomp: (tid % am_cqs.len()) as u32,
-                    noop: noop.clone(),
-                }
-            }
-            WorldInner::Mpi { comm, am_recvs } => {
-                EpInner::Mpi { comm: comm.clone(), am_recvs: am_recvs.clone() }
-            }
-            WorldInner::Vci { comm, am_recvs } => EpInner::Vci {
-                comm: comm.clone(),
-                vci: tid,
-                am_recvs: am_recvs[tid % am_recvs.len()].clone(),
-            },
-            WorldInner::Gasnet { g, inbox } => {
-                EpInner::Gasnet { g: g.clone(), inbox: inbox.clone() }
-            }
-        };
-        Endpoint { inner, fabric: self.fabric.clone(), nranks: self.nranks, rank: self.rank }
-    }
-}
-
-/// Why [`Endpoint::quiesce`] gave up.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QuiesceError {
-    /// A peer process exited or died mid-conversation (shared-memory
-    /// transport only; the sims cannot lose a rank).
-    PeerDead(Rank),
-    /// The endpoint still had in-flight work when the timeout expired.
-    Timeout,
-}
-
-impl std::fmt::Display for QuiesceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QuiesceError::PeerDead(r) => write!(f, "peer rank {r} exited or died"),
-            QuiesceError::Timeout => write!(f, "quiesce timed out with work in flight"),
-        }
-    }
-}
-
-impl std::error::Error for QuiesceError {}
-
-/// How many pre-posted AM receives the MPI/VCI endpoints keep.
-const MPI_AM_PREPOST: usize = 32;
-
-/// The pre-posted ANY/ANY receive pool for MPI-style AM emulation.
-///
-/// Shared across every endpoint of a channel: with in-order wildcard
-/// matching, an arrival may complete *any* posted request, so a
-/// per-thread pool would strand messages in the queue of a thread that
-/// stopped polling (the shared-resource hazard the paper's §5.2
-/// microbenchmarks exercise).
-type AmPool = Arc<parking_lot::Mutex<VecDeque<lci_baselines::Request>>>;
-
-enum EpInner {
-    Lci { rt: lci::Runtime, device: lci::Device, am_cq: Comp, rcomp: u32, noop: Comp },
-    Mpi { comm: MpiComm, am_recvs: AmPool },
-    Vci { comm: VciComm, vci: usize, am_recvs: AmPool },
-    Gasnet { g: Arc<Gasnet>, inbox: Arc<SegQueue<Msg>> },
-}
-
-/// A per-thread communication endpoint.
-pub struct Endpoint {
-    inner: EpInner,
-    fabric: Arc<Fabric>,
-    nranks: usize,
-    rank: Rank,
-}
-
-impl Endpoint {
-    /// This rank.
-    pub fn rank(&self) -> Rank {
-        self.rank
-    }
-
-    /// World size.
-    pub fn size(&self) -> usize {
-        self.nranks
-    }
-
-    /// Non-blocking active message. Returns `false` when the library
-    /// asks the caller to retry (temporary resource shortage).
-    pub fn send_am(&mut self, dst: Rank, data: &[u8], tag: u32) -> bool {
-        match &mut self.inner {
-            EpInner::Lci { rt, device, rcomp, noop, .. } => {
-                match rt
-                    .post_am_x(dst, data, noop.clone(), *rcomp)
-                    .tag(tag)
-                    .device(device)
-                    .call()
-                    .expect("lci am")
-                {
-                    PostResult::Done(_) | PostResult::Posted => true,
-                    PostResult::Retry(_) => false,
-                }
-            }
-            EpInner::Mpi { comm, .. } => {
-                // MPI AMs: plain isend; the receiver's pre-posted irecvs
-                // play the AM buffer pool (paper §5.2).
-                let r = comm.isend(dst, data.to_vec(), tag);
-                let _ = r; // completes when staged; nothing to track
-                true
-            }
-            EpInner::Vci { comm, vci, .. } => {
-                let r = comm.isend(*vci, dst, data.to_vec(), tag);
-                let _ = r;
-                true
-            }
-            EpInner::Gasnet { g, .. } => g.am_try_request_medium(dst, 0, tag, data),
-        }
-    }
-
-    /// Polls for a delivered active message.
-    pub fn poll_msg(&mut self) -> Option<Msg> {
-        match &mut self.inner {
-            EpInner::Lci { am_cq, .. } => {
-                let desc = am_cq.pop()?;
-                debug_assert_eq!(desc.kind, CompKind::Am);
-                Some(Msg { src: desc.rank, tag: desc.tag, data: desc.data.into_vec() })
-            }
-            EpInner::Mpi { comm, am_recvs } => {
-                let mut pool = am_recvs.lock();
-                Self::fill_am_recvs(&mut pool, |s, t, m| comm.irecv(s, t, m));
-                let front = pool.front()?;
-                if front.is_done() {
-                    let req = pool.pop_front().unwrap();
-                    let st = req.take_status().expect("status");
-                    Some(Msg { src: st.src, tag: st.tag, data: st.data })
-                } else {
-                    None
-                }
-            }
-            EpInner::Vci { comm, vci, am_recvs } => {
-                let v = *vci;
-                let mut pool = am_recvs.lock();
-                Self::fill_am_recvs(&mut pool, |s, t, m| comm.irecv(v, s, t, m));
-                let front = pool.front()?;
-                if front.is_done() {
-                    let req = pool.pop_front().unwrap();
-                    let st = req.take_status().expect("status");
-                    Some(Msg { src: st.src, tag: st.tag, data: st.data })
-                } else {
-                    None
-                }
-            }
-            EpInner::Gasnet { inbox, .. } => inbox.pop(),
-        }
-    }
-
-    fn fill_am_recvs(
-        q: &mut VecDeque<lci_baselines::Request>,
-        mut post: impl FnMut(Rank, u32, usize) -> lci_baselines::Request,
-    ) {
-        while q.len() < MPI_AM_PREPOST {
-            q.push_back(post(ANY_SOURCE, ANY_TAG, 65536));
-        }
-    }
-
-    /// Non-blocking two-sided send. `false` = retry.
-    pub fn send(&mut self, dst: Rank, data: &[u8], tag: u32) -> bool {
-        match &mut self.inner {
-            EpInner::Lci { rt, device, noop, .. } => {
-                match rt
-                    .post_send_x(dst, data, tag, noop.clone())
-                    .device(device)
-                    .call()
-                    .expect("lci send")
-                {
-                    PostResult::Done(_) | PostResult::Posted => true,
-                    PostResult::Retry(_) => false,
-                }
-            }
-            EpInner::Mpi { comm, .. } => {
-                comm.isend(dst, data.to_vec(), tag);
-                true
-            }
-            EpInner::Vci { comm, vci, .. } => {
-                comm.isend(*vci, dst, data.to_vec(), tag);
-                true
-            }
-            EpInner::Gasnet { .. } => panic!("GASNet LCW does not support send-receive"),
-        }
-    }
-
-    /// Posts a two-sided receive; pair with
-    /// [`test_recv`](Endpoint::test_recv).
-    pub fn post_recv(&mut self, src: Rank, tag: u32, max_size: usize) -> RecvToken {
-        match &mut self.inner {
-            EpInner::Lci { rt, device, .. } => {
-                let comp = Comp::alloc_sync(1);
-                match rt
-                    .post_recv_x(src, vec![0u8; max_size], tag, comp.clone())
-                    .device(device)
-                    .call()
-                    .expect("lci recv")
-                {
-                    PostResult::Done(desc) => {
-                        // Deliver through the synchronizer for uniformity.
-                        comp.signal(desc);
-                        RecvToken::Lci(comp)
-                    }
-                    PostResult::Posted => RecvToken::Lci(comp),
-                    PostResult::Retry(_) => unreachable!("lci recv never retries"),
-                }
-            }
-            EpInner::Mpi { comm, .. } => RecvToken::Chan(comm.irecv(src, tag, max_size)),
-            EpInner::Vci { comm, vci, .. } => RecvToken::Chan(comm.irecv(*vci, src, tag, max_size)),
-            EpInner::Gasnet { .. } => panic!("GASNet LCW does not support send-receive"),
-        }
-    }
-
-    /// Tests a pending receive; returns the message when complete.
-    pub fn test_recv(&mut self, token: &RecvToken) -> Option<Msg> {
-        match token {
-            RecvToken::Lci(comp) => {
-                let sync = comp.as_sync().expect("sync token");
-                if sync.test() {
-                    let desc = sync.take().pop().expect("desc");
-                    Some(Msg { src: desc.rank, tag: desc.tag, data: desc.data.into_vec() })
-                } else {
-                    None
-                }
-            }
-            RecvToken::Chan(req) => {
-                if req.is_done() {
-                    let st = req.take_status().expect("status");
-                    Some(Msg { src: st.src, tag: st.tag, data: st.data })
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Whether this endpoint has no in-flight work that still needs its
-    /// progress (pending rendezvous handshakes, backlogged sends).
-    ///
-    /// A worker that stops calling [`progress`](Endpoint::progress)
-    /// before `quiesced()` holds can strand a zero-copy transfer: the
-    /// destination counts the message only after the FIN, which needs
-    /// the *source* to serve the RTR.
-    pub fn quiesced(&self) -> bool {
-        match &self.inner {
-            EpInner::Lci { device, .. } => {
-                let (s, r) = device.pending_rendezvous();
-                s == 0
-                    && r == 0
-                    && device.backlog_len() == 0
-                    && device.coalesce_pending() == 0
-                    && device.outbound_pending() == 0
-            }
-            EpInner::Mpi { comm, .. } => comm.pending() == 0,
-            EpInner::Vci { comm, vci, .. } => comm.pending(*vci) == 0,
-            EpInner::Gasnet { .. } => true, // medium AMs complete at post
-        }
-    }
-
-    /// Drives progress until [`quiesced`](Endpoint::quiesced) holds,
-    /// giving up when the deadline expires or — on the shm and tcp
-    /// transports — when a peer process is observed dead. A survivor of
-    /// an abrupt peer exit gets `Err(PeerDead(rank))` here instead of
-    /// spinning forever on a handshake the peer will never answer.
-    pub fn quiesce(&mut self, timeout: std::time::Duration) -> Result<(), QuiesceError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if self.quiesced() {
-                return Ok(());
-            }
-            if let Some(r) = self.fabric.dead_peer() {
-                return Err(QuiesceError::PeerDead(r));
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(QuiesceError::Timeout);
-            }
-            self.progress();
-            std::thread::yield_now();
-        }
-    }
-
-    /// Ships any messages buffered by sender-side coalescing now (the
-    /// LCI backend; a no-op elsewhere). Call before exchanging sent
-    /// counts or entering a termination barrier.
-    pub fn flush(&mut self) {
-        if let EpInner::Lci { device, .. } = &self.inner {
-            device.flush_coalesced().expect("lci flush");
-        }
-    }
-
-    /// The LCI device backing this endpoint (for stats/diagnostics);
-    /// `None` on the baseline backends.
-    pub fn lci_device(&self) -> Option<&lci::Device> {
-        match &self.inner {
-            EpInner::Lci { device, .. } => Some(device),
-            _ => None,
-        }
-    }
-
-    /// Makes communication progress on this endpoint's resources. On
-    /// the LCI backend this is the *worker-side* entry point: with a
-    /// dedicated progress engine it defers per the runtime's progress
-    /// mode (no-op in `Dedicated`, steal-when-parked in `Hybrid`)
-    /// instead of always polling.
-    pub fn progress(&mut self) -> bool {
-        match &mut self.inner {
-            EpInner::Lci { device, .. } => device.worker_progress().expect("lci progress"),
-            EpInner::Mpi { comm, .. } => comm.progress(),
-            EpInner::Vci { comm, vci, .. } => comm.progress(*vci),
-            EpInner::Gasnet { g, .. } => g.poll(),
-        }
-    }
-}
+pub use config::{BackendKind, Platform, ResourceMode, WorldConfig};
+pub use endpoint::{Endpoint, Msg, QuiesceError, RecvToken};
+pub use world::World;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lci_fabric::Fabric;
 
+    /// Runs the AM echo roundtrip.
     fn roundtrip(backend: BackendKind, platform: Platform, mode: ResourceMode) {
-        roundtrip_cfg(WorldConfig::new(backend, platform, mode));
-    }
-
-    /// Runs the AM echo roundtrip under `cfg`; returns rank 0's LCI
-    /// device stats (None on the baseline backends).
-    fn roundtrip_cfg(cfg: WorldConfig) -> Option<lci::StatsSnapshot> {
+        let cfg = WorldConfig::new(backend, platform, mode);
         let fabric = Fabric::new(2);
         let f2 = fabric.clone();
         let t = std::thread::spawn(move || {
@@ -887,7 +71,6 @@ mod tests {
         assert_eq!(reply.tag, 6);
         assert_eq!(reply.data, vec![9u8; 32]);
         t.join().unwrap();
-        ep.lci_device().map(|d| d.stats())
     }
 
     #[test]
@@ -918,26 +101,6 @@ mod tests {
     #[test]
     fn am_roundtrip_gasnet() {
         roundtrip(BackendKind::Gasnet, Platform::Expanse, ResourceMode::Shared);
-    }
-
-    #[test]
-    fn progress_mode_dedicated_roundtrip() {
-        // Workers never poll in Dedicated mode: the roundtrip completes
-        // on the engine's polling alone, and the worker-poll counter
-        // stays at zero (the zero-worker-poll regression check).
-        let cfg = WorldConfig::new(BackendKind::Lci, Platform::Delta, ResourceMode::Shared)
-            .with_progress_mode(lci::ProgressMode::Dedicated(1));
-        let stats = roundtrip_cfg(cfg).expect("lci stats");
-        assert_eq!(stats.worker_polls, 0, "worker polled in Dedicated mode");
-        assert!(stats.progress_calls > 0, "engine never polled");
-    }
-
-    #[test]
-    fn progress_mode_hybrid_roundtrip() {
-        let cfg = WorldConfig::new(BackendKind::Lci, Platform::Expanse, ResourceMode::Shared)
-            .with_progress_mode(lci::ProgressMode::Hybrid(1));
-        let stats = roundtrip_cfg(cfg).expect("lci stats");
-        assert!(stats.progress_calls > 0);
     }
 
     #[test]
