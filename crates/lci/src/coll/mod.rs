@@ -17,14 +17,30 @@
 //!   [`alltoallv_counts`] handles the recv-side-unknown MoE case).
 //! * **Bruck allgather** ([`allgather_bytes`]) in `⌈log₂ n⌉` rounds and
 //!   a **chunk-pipelined binomial broadcast** ([`broadcast_bytes`]),
-//!   both clone-free over slices with pool-recycled staging.
+//!   both over the caller's slices.
 //!
-//! Every payload a collective stages rides the device's recycled buffer
-//! pool ([`SendBuf::Pooled`]) and every landing buffer comes from a
-//! per-runtime shelf ([`CollState`]), so a warm collective loop
-//! allocates nothing (enforced by `tests/alloc_steady_state.rs`).
-//! Blocking waits go through [`Runtime::wait_until`], which progresses
-//! every device of the runtime and yields the core once idle.
+//! A blocking collective stages nothing and takes nothing from the
+//! device's buffer pool: the caller's slices are **lent** to the runtime
+//! for the length of the call (`lend`; DESIGN.md §4.11 "Lending"), so
+//! every piece is posted from the caller's buffer — inline at or under
+//! 24 B — and, wherever its bytes are final on arrival (allgather
+//! rounds of the ring, broadcast, Bruck, `alltoall*`), lands at its own
+//! offset in it: one copy per byte, the wire's. Only an arrival that
+//! must sit beside the accumulator to be folded (reduce-scatter rounds,
+//! [`reduce_bytes`]) and the barrier's token land in a box from the
+//! per-runtime shelf ([`CollState`]). A warm collective loop allocates
+//! nothing (enforced by `tests/alloc_steady_state.rs`). Blocking waits
+//! go through [`Runtime::wait_until`], which progresses every device of
+//! the runtime and yields the core once idle.
+//!
+//! **The one way this can end a process.** Argument errors return `Err`
+//! before anything is posted. A runtime failure *after* the first lent
+//! post — `progress` returning a [`FatalError`], a user
+//! [`ReduceOp::fold`] panicking — leaves receives, rendezvous and chunk
+//! pumps naming the caller's memory with nothing to cancel them, so the
+//! call prints the failure and **aborts** (MPI's default
+//! `MPI_ERRORS_ARE_FATAL`) instead of returning `Err` on one rank while
+//! every peer spins. A collective that returns `Err` has lent nothing.
 //!
 //! The naive implementations (clone-per-round, serialized sends,
 //! allreduce as reduce+broadcast at twice the optimal byte volume) live
@@ -46,13 +62,25 @@
 //! internal stages apart. The sequence wraps at ~4.2 M collectives,
 //! which is safe because at most one collective per runtime is live at
 //! a time (the state lock serializes them) — a wrapped tag can only
-//! collide with a collective that fully completed long ago. Chunks of
-//! one round share the round's tag and are told apart by the posting
-//! order (`user_ctx` carries the chunk index): per-`(rank, tag)`
-//! matching is FIFO and all three transports deliver in order per peer
-//! pair, so the k-th posted receive gets the k-th sent chunk.
+//! collide with a collective that fully completed long ago.
+//!
+//! **Every piece has a tag of its own.** A call whose rounds carry
+//! several pieces per peer (the ring's chunks, the broadcast's stream,
+//! `alltoallv`'s pieces) reserves a run of sequence numbers — the same
+//! run on every rank, computed from the arguments all ranks share — and
+//! piece `c` of a round is tagged `(seq + c, round)` (`Tags`). A piece
+//! therefore matches the one receive posted for it, whatever order the
+//! matching engine sees arrivals in: per-`(rank, tag)` matching is FIFO
+//! only while a single thread progresses a device (two threads poll
+//! consecutive batches and handle them concurrently), and a receive
+//! posted into the caller's buffer must get *its* bytes — until PR 20
+//! the k-th posted receive was paired with the k-th sent chunk by
+//! order alone, which a second progressing thread could break.
+//! `user_ctx` on each posted receive tells the engine which piece a
+//! completion is.
 
 #[doc(hidden)]
+pub(crate) mod lend;
 pub mod naive;
 pub mod nb;
 pub mod ops;
@@ -68,7 +96,8 @@ use crate::comp::Comp;
 use crate::device::Device;
 use crate::error::{FatalError, PostResult, Result};
 use crate::runtime::Runtime;
-use crate::types::{CompDesc, DataBuf, Rank, SendBuf, Tag};
+use crate::types::{CompDesc, DataBuf, Direction, Landing, Rank, Tag};
+use lend::{Lent, Scope};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -102,6 +131,33 @@ pub(crate) fn coll_tag(seq: u32, round: u32) -> Tag {
 /// 22-bit wrap is benign, see the module docs).
 pub(crate) fn next_seq(rt: &Runtime) -> u32 {
     rt.coll_seq().fetch_add(1, Ordering::Relaxed)
+}
+
+/// The tags of one call whose rounds carry several pieces per peer: a
+/// run of `span` sequence numbers, so that piece `c` of a round has the
+/// tag `(seq + c, round)` to itself (module docs, "Tags and ordering").
+/// Past `span` pieces the tags repeat and same-tag pieces fall back on
+/// FIFO matching, `span` pieces apart.
+#[derive(Clone, Copy)]
+struct Tags {
+    seq: u32,
+    span: usize,
+}
+
+impl Tags {
+    /// Most sequence numbers one call reserves (an eighth of the space).
+    const MAX_SPAN: usize = 1 << (SEQ_BITS - 3);
+
+    /// Reserves `span` sequence numbers. Every rank must pass the same
+    /// `span`: it moves the counter the next collective starts from.
+    fn reserve(rt: &Runtime, span: usize) -> Tags {
+        let span = span.clamp(1, Tags::MAX_SPAN);
+        Tags { seq: rt.coll_seq().fetch_add(span as u32, Ordering::Relaxed), span }
+    }
+
+    fn piece(self, round: u32, c: usize) -> Tag {
+        coll_tag(self.seq.wrapping_add((c % self.span) as u32), round)
+    }
 }
 
 /// Internal hook: collective sequence counter accessor on Runtime.
@@ -170,8 +226,11 @@ impl CollState {
     }
 
     /// A landing box of at least `len` bytes: shelf-recycled when the
-    /// chunk capacity suffices, freshly allocated otherwise (oversize
-    /// alltoall/allgather blocks).
+    /// chunk capacity suffices, freshly allocated (and dropped by
+    /// [`put_databuf`](Self::put_databuf)) otherwise. The oversize arm
+    /// has one caller left, [`reduce_bytes`]' child receive, which posts
+    /// the whole partial unchunked; everything else that used to reach
+    /// it lands in the caller's buffer.
     fn take_box(&mut self, len: usize) -> Box<[u8]> {
         if len <= self.chunk_cap {
             if let Some(b) = self.shelf.pop() {
@@ -206,36 +265,47 @@ fn with_state<R>(rt: &Runtime, f: impl FnOnce(&mut CollState) -> Result<R>) -> R
     f(state)
 }
 
+/// Runs `engine` with the caller's slices lent for its duration: `Ok`
+/// means every lent receive landed and the send window drained, `Err`
+/// that nothing was lent; otherwise the process ends ([`lend`]).
+fn lending<'a, R>(
+    st: &mut CollState,
+    mem: Scope<'a>,
+    engine: impl FnOnce(&mut CollState, &Scope<'a>) -> Result<R>,
+) -> Result<R> {
+    mem.run(|mem| {
+        let out = engine(st, mem)?;
+        let sends = st.inflight.load(Ordering::Acquire);
+        assert!(sends == 0, "collective returned with {sends} sends in flight");
+        Ok(out)
+    })
+}
+
 // ---------------------------------------------------------------------
 // Shared posting helpers (pipelined engines and barrier)
 // ---------------------------------------------------------------------
 
 /// Posts one collective payload to `peer` under the in-flight window:
-/// waits for a window slot, stages the payload through the
-/// device's recycled buffer pool, and retries transient backpressure.
-/// Never waits for the send itself — completion decrements the window
-/// through the state's handler comp.
+/// waits for a window slot, posts the payload from where the caller
+/// keeps it, and retries transient backpressure. Never waits for the
+/// send itself — completion decrements the window through the state's
+/// handler comp, which is also the signal the lending scope waits on.
 fn post_windowed(
     rt: &Runtime,
     dev: &Device,
     st: &CollState,
     peer: Rank,
-    payload: &[u8],
+    payload: &Lent,
     tag: Tag,
 ) -> Result<()> {
     let window = rt.config().coll_max_inflight as u64;
     let inflight = &st.inflight;
     rt.wait_until(|| inflight.load(Ordering::Acquire) < window)?;
     loop {
-        // Size-adaptive staging: payloads that fit the inline send
-        // variant skip the pool entirely (no staging copy bookkeeping);
-        // everything else stages through the recycled buffer pool and
-        // the runtime's protocol thresholds pick eager vs rendezvous.
-        let staged: SendBuf = if payload.len() <= crate::types::SENDBUF_INLINE_CAP {
-            payload.into()
-        } else {
-            dev.buf_pool().stage_copy(payload).into()
-        };
+        // Payloads that fit the inline send variant travel inside the
+        // descriptor; everything else is read out of the caller's
+        // buffer by whichever protocol the runtime's thresholds pick.
+        let staged = payload.send_buf();
         st.inflight.fetch_add(1, Ordering::AcqRel);
         // Collectives batch at chunk granularity themselves, and the
         // drain contract ("window empty" = "bytes on the wire") requires
@@ -256,8 +326,8 @@ fn post_windowed(
                 break;
             }
             PostResult::Retry(_) => {
-                // The staged copy was consumed; back out the window
-                // slot, make progress, and restage.
+                // Nothing was posted and nothing names the payload;
+                // back out the window slot, make progress, and repost.
                 st.inflight.fetch_sub(1, Ordering::AcqRel);
                 rt.progress_all()?;
                 std::thread::yield_now();
@@ -299,6 +369,34 @@ fn pop_recv(rt: &Runtime, st: &CollState) -> Result<CompDesc> {
 /// immediate (`done`) matches are forwarded into the queue so the
 /// processing loop sees one uniform stream. `ctx` identifies the
 /// arrival (round/chunk/peer, collective-specific).
+fn post_landing(
+    rt: &Runtime,
+    dev: &Device,
+    st: &CollState,
+    from: Rank,
+    landing: Landing,
+    tag: Tag,
+    ctx: u64,
+) -> Result<()> {
+    let res = rt
+        .post_comm_x(Direction::In, from)
+        .landing(landing)
+        .tag(tag)
+        .comp(st.recv_cq.clone())
+        .user_ctx(ctx)
+        .device(dev)
+        .call()?;
+    match res {
+        PostResult::Done(d) => st.recv_cq.signal(d),
+        PostResult::Posted => {}
+        PostResult::Retry(_) => unreachable!("recv never retries"),
+    }
+    Ok(())
+}
+
+/// [`post_landing`] into a shelf box: for an arrival the engine must
+/// hold beside its accumulator (a fold) or does not keep (the barrier's
+/// token).
 fn post_recv_cq(
     rt: &Runtime,
     dev: &Device,
@@ -309,13 +407,23 @@ fn post_recv_cq(
     ctx: u64,
 ) -> Result<()> {
     let bx = st.take_box(len);
-    let res = rt.post_recv_x(from, bx, tag, st.recv_cq.clone()).user_ctx(ctx).device(dev).call()?;
-    match res {
-        PostResult::Done(d) => st.recv_cq.signal(d),
-        PostResult::Posted => {}
-        PostResult::Retry(_) => unreachable!("recv never retries"),
-    }
-    Ok(())
+    post_landing(rt, dev, st, from, Landing::Owned(bx), tag, ctx)
+}
+
+/// [`post_landing`] straight into the caller's buffer: for an arrival
+/// whose bytes are final. The engine passes the popped completion to
+/// [`Scope::landed`], which checks the delivered length against the
+/// schedule.
+fn post_recv_lent(
+    rt: &Runtime,
+    dev: &Device,
+    st: &CollState,
+    from: Rank,
+    landing: Lent,
+    tag: Tag,
+    ctx: u64,
+) -> Result<()> {
+    post_landing(rt, dev, st, from, Landing::Lent(landing), tag, ctx)
 }
 
 // ---------------------------------------------------------------------
@@ -393,7 +501,9 @@ pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> 
     if rt.rank_n() > MAX_RING_RANKS {
         return naive::allreduce(rt, buf, op);
     }
-    with_state(rt, |st| ring::allreduce(rt, st, buf, op))
+    with_state(rt, |st| {
+        lending(st, Scope::in_place(buf), |st, mem| ring::allreduce(rt, st, mem, op))
+    })
 }
 
 /// Allreduce of `u64` lanes with a closure operator (legacy-shaped
@@ -416,7 +526,9 @@ pub fn broadcast_bytes(rt: &Runtime, root: Rank, buf: &mut [u8]) -> Result<()> {
     if rt.rank_n() == 1 || buf.is_empty() {
         return Ok(());
     }
-    with_state(rt, |st| ring::broadcast(rt, st, root, buf))
+    with_state(rt, |st| {
+        lending(st, Scope::in_place(buf), |st, mem| ring::broadcast(rt, st, root, mem))
+    })
 }
 
 /// Legacy-shaped broadcast over a `Vec` (see [`broadcast_bytes`]).
@@ -453,7 +565,7 @@ pub fn reduce_bytes<O: ReduceOp + ?Sized>(
         return Ok(true);
     }
     let vr = (me + n - root) % n;
-    with_state(rt, |st| {
+    let reduce = |st: &mut CollState, mem: &Scope<'_>| {
         let dev = rt.device().clone();
         let seq = next_seq(rt);
         let tag = coll_tag(seq, ROUND_REDUCE);
@@ -462,7 +574,11 @@ pub fn reduce_bytes<O: ReduceOp + ?Sized>(
             if vr & m != 0 {
                 // Send the partial to the parent and exit.
                 let parent = ((vr - m) + root) % n;
-                post_windowed(rt, &dev, st, parent, acc, tag)?;
+                // SAFETY: every fold into `acc` is behind us and no
+                // receive is outstanding; the partial is read until the
+                // drain below (DESIGN.md §4.11 "Lending", sends).
+                let partial = unsafe { mem.source(0..mem.len()) };
+                post_windowed(rt, &dev, st, parent, &partial, tag)?;
                 dev.inner.stats.bump(|c| &c.coll_rounds);
                 drain_sends(rt, st)?;
                 return Ok(false);
@@ -470,9 +586,11 @@ pub fn reduce_bytes<O: ReduceOp + ?Sized>(
             if vr + m < n {
                 // Receive a child's partial and fold it in.
                 let child = ((vr + m) + root) % n;
-                post_recv_cq(rt, &dev, st, child, acc.len(), tag, 0)?;
+                post_recv_cq(rt, &dev, st, child, mem.len(), tag, 0)?;
                 let desc = pop_recv(rt, st)?;
-                op.fold(acc, desc.data.as_slice());
+                // SAFETY: nothing of `acc` is lent before the send to
+                // the parent, which ends this loop.
+                op.fold(unsafe { mem.window(0..mem.len()) }, desc.data.as_slice());
                 st.put_databuf(desc.data);
                 dev.inner.stats.bump(|c| &c.coll_rounds);
             }
@@ -483,7 +601,8 @@ pub fn reduce_bytes<O: ReduceOp + ?Sized>(
         }
         drain_sends(rt, st)?;
         Ok(true)
-    })
+    };
+    with_state(rt, |st| lending(st, Scope::in_place(acc), reduce))
 }
 
 /// Allgather over flat buffers: every rank contributes `mine`
@@ -503,7 +622,17 @@ pub fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Result<()> 
         out.copy_from_slice(mine);
         return Ok(());
     }
-    with_state(rt, |st| ring::allgather(rt, st, mine, out))
+    let len = mine.len();
+    if len == 0 {
+        return Ok(());
+    }
+    out[..len].copy_from_slice(mine);
+    with_state(rt, |st| {
+        lending(st, Scope::in_place(out), |st, mem| ring::allgather(rt, st, mem, len))
+    })?;
+    // Position `j` holds rank `(me + j) mod n`; rotate into rank order.
+    out.rotate_right(rt.rank_me() * len);
+    Ok(())
 }
 
 /// Legacy-shaped allgather returning one `Vec` per rank (see
@@ -538,7 +667,9 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
     if n == 1 {
         return Ok(());
     }
-    with_state(rt, |st| ring::alltoall(rt, st, send, recv, block))
+    with_state(rt, |st| {
+        lending(st, Scope::new(send, recv), |st, mem| ring::alltoall(rt, st, mem, block))
+    })
 }
 
 /// Uneven-block all-to-all personalized exchange (`MPI_Alltoallv`
@@ -601,7 +732,11 @@ pub fn alltoallv(
     if n == 1 {
         return Ok(());
     }
-    with_state(rt, |st| v::alltoallv(rt, st, send, send_counts, recv, recv_counts))
+    with_state(rt, |st| {
+        lending(st, Scope::new(send, recv), |st, mem| {
+            v::alltoallv(rt, st, mem, send_counts, recv_counts)
+        })
+    })
 }
 
 /// One-round count exchange for the receive-side-unknown `alltoallv`
@@ -641,7 +776,7 @@ pub fn exchange_counts(
         rb.clear();
         rb.resize(n * 8, 0);
         rb[me * 8..(me + 1) * 8].copy_from_slice(&sb[me * 8..(me + 1) * 8]);
-        let res = ring::alltoall(rt, st, &sb, &mut rb, 8);
+        let res = lending(st, Scope::new(&sb, &mut rb), |st, mem| ring::alltoall(rt, st, mem, 8));
         if res.is_ok() {
             for (dst, c) in recv_counts.iter_mut().zip(rb.chunks_exact(8)) {
                 *dst = u64::from_le_bytes(c.try_into().unwrap()) as usize;

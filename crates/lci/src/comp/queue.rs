@@ -5,7 +5,9 @@
 //! * [`CqImpl::FaaArray`] — a hand-written fetch-and-add-based fixed-size
 //!   array (a bounded MPMC ring with per-slot sequence numbers). Its
 //!   throughput is bounded by how fast threads can FAA the shared head
-//!   and tail counters — the limit paper Fig. 5 measures.
+//!   and tail counters — the limit paper Fig. 5 measures. Its slots are
+//!   a zero-filled anonymous mapping, so creating one touches no page
+//!   whatever the capacity (DESIGN.md §4.7).
 //! * [`CqImpl::Lcrq`] — a hand-written LCRQ (Morrison & Afek): a linked
 //!   list of closable circular rings; see [`crate::comp::lcrq`] for the
 //!   indirect-slot adaptation to 64-bit CAS.
@@ -20,7 +22,9 @@
 
 use crate::types::CompDesc;
 use crossbeam::queue::SegQueue;
+use lci_fabric::shm::os::Mapping;
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Completion-queue implementation selector.
@@ -52,15 +56,30 @@ impl Default for CqConfig {
 }
 
 /// One slot of the FAA array: a sequence number gates writer/reader
-/// handoff (Vyukov-style bounded MPMC).
+/// handoff (Vyukov-style bounded MPMC). The number is kept *relative to
+/// the slot's own index* — Vyukov's `seq - index` — so a slot that was
+/// never used reads `0` and all-zero memory is a valid empty queue:
+/// for the position `pos` that maps to this slot, `lap == pos & !mask`
+/// means free for the producer of `pos`, `+ 1` means written, and the
+/// consumer leaves the next lap's `pos & !mask` behind.
 struct Slot {
-    seq: AtomicUsize,
-    value: UnsafeCell<Option<CompDesc>>,
+    lap: AtomicUsize,
+    /// Initialized exactly while `lap` says "written".
+    value: UnsafeCell<MaybeUninit<CompDesc>>,
 }
 
 /// The FAA-based fixed-size array queue.
+///
+/// The slots live in a zero-filled anonymous mapping, not on the heap,
+/// so that creating a queue touches no page of them (the default
+/// capacity is 5.5 MiB of slots). Slots the constructor had to write
+/// cost a page fault each or nothing, depending on what the allocator
+/// recycled or trimmed since the last queue was dropped, and a program
+/// that builds a runtime per iteration runs 30 % faster or slower on
+/// that alone (DESIGN.md §4.7). A page is faulted in when a completion
+/// first reaches it.
 struct FaaArrayQueue {
-    slots: Box<[Slot]>,
+    map: Mapping,
     mask: usize,
     head: AtomicUsize,
     tail: AtomicUsize,
@@ -74,35 +93,37 @@ unsafe impl Sync for FaaArrayQueue {}
 impl FaaArrayQueue {
     fn new(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
-        let slots: Vec<Slot> = (0..cap)
-            .map(|i| Slot { seq: AtomicUsize::new(i), value: UnsafeCell::new(None) })
-            .collect();
-        Self {
-            slots: slots.into_boxed_slice(),
-            mask: cap - 1,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-        }
+        let map = Mapping::anonymous(cap * std::mem::size_of::<Slot>())
+            .expect("map the completion queue's slots");
+        debug_assert_eq!(map.ptr() as usize % std::mem::align_of::<Slot>(), 0);
+        Self { map, mask: cap - 1, head: AtomicUsize::new(0), tail: AtomicUsize::new(0) }
+    }
+
+    fn slot(&self, pos: usize) -> &Slot {
+        // SAFETY: the mapping holds `mask + 1` slots, is page-aligned
+        // and zero-filled, which is a valid `Slot` (an atomic zero and
+        // an uninitialized value), and lives as long as `self`.
+        unsafe { &*self.map.ptr().cast::<Slot>().add(pos & self.mask) }
     }
 
     fn push(&self, desc: CompDesc) {
-        let mut desc = Some(desc);
         loop {
             let pos = self.tail.load(Ordering::Relaxed);
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq.cmp(&pos) {
+            let slot = self.slot(pos);
+            let free = pos & !self.mask;
+            let lap = slot.lap.load(Ordering::Acquire);
+            match lap.cmp(&free) {
                 std::cmp::Ordering::Equal => {
                     if self
                         .tail
                         .compare_exchange_weak(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                     {
-                        // SAFETY: we own this slot until we bump seq.
+                        // SAFETY: we own this slot until we bump lap.
                         unsafe {
-                            *slot.value.get() = desc.take();
+                            (*slot.value.get()).write(desc);
                         }
-                        slot.seq.store(pos + 1, Ordering::Release);
+                        slot.lap.store(free + 1, Ordering::Release);
                         return;
                     }
                 }
@@ -119,20 +140,21 @@ impl FaaArrayQueue {
     fn pop(&self) -> Option<CompDesc> {
         loop {
             let pos = self.head.load(Ordering::Relaxed);
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let expect = pos + 1;
-            match seq.cmp(&expect) {
+            let slot = self.slot(pos);
+            let written = (pos & !self.mask) + 1;
+            let lap = slot.lap.load(Ordering::Acquire);
+            match lap.cmp(&written) {
                 std::cmp::Ordering::Equal => {
                     if self
                         .head
                         .compare_exchange_weak(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
                     {
-                        // SAFETY: we own this slot until we bump seq.
-                        let v = unsafe { (*slot.value.get()).take() };
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                        return v;
+                        // SAFETY: we own this slot until we bump lap,
+                        // and "written" says the value is initialized.
+                        let v = unsafe { (*slot.value.get()).assume_init_read() };
+                        slot.lap.store(written + self.mask, Ordering::Release);
+                        return Some(v);
                     }
                 }
                 std::cmp::Ordering::Less => return None, // empty
@@ -145,6 +167,13 @@ impl FaaArrayQueue {
         let t = self.tail.load(Ordering::Acquire);
         let h = self.head.load(Ordering::Acquire);
         t.saturating_sub(h)
+    }
+}
+
+impl Drop for FaaArrayQueue {
+    /// The mapping frees no descriptor: take out what is still queued.
+    fn drop(&mut self) {
+        while self.pop().is_some() {}
     }
 }
 
@@ -260,6 +289,27 @@ mod tests {
                 assert_eq!(q.pop().unwrap().tag, round * 8 + i);
             }
         }
+    }
+
+    /// The slots are a mapping, which runs no destructor: the queue's
+    /// `Drop` has to, for what is still queued.
+    #[test]
+    fn dropping_a_faa_queue_drops_what_is_queued() {
+        use crate::types::DataBuf;
+        let pool = lci_fabric::BufPool::new(Default::default());
+        let q = CompQueue::new(CqConfig { imp: CqImpl::FaaArray, capacity: 8 });
+        // Past one lap, so the queued slots are not the first ones.
+        for i in 0..11 {
+            q.push(desc(i));
+            assert_eq!(q.pop().unwrap().tag, i);
+        }
+        for i in 0..3 {
+            let data = DataBuf::Pooled(pool.take_len(1024), 1024);
+            q.push(CompDesc { data, ..desc(i) });
+        }
+        assert_eq!(pool.stats().recycled_bytes, 0);
+        drop(q);
+        assert_eq!(pool.stats().recycled_bytes, 3 * 1024);
     }
 
     #[test]

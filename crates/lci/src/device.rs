@@ -27,7 +27,7 @@ use crate::proto::{Header, MsgType, RtrPayload};
 use crate::runtime::RuntimeInner;
 use crate::stats::DeviceStats;
 use crate::types::{
-    CompDesc, CompKind, DataBuf, Direction, MatchingPolicy, RComp, Rank, SendBuf, Tag,
+    CompDesc, CompKind, DataBuf, Direction, Landing, MatchingPolicy, RComp, Rank, SendBuf, Tag,
 };
 use eager::PendingInbound;
 use lci_fabric::sync::SpinLock;
@@ -59,7 +59,7 @@ pub(crate) enum MatchEntry {
 
 /// A posted receive waiting in the matching engine.
 pub(crate) struct RecvEntry {
-    pub buf: Box<[u8]>,
+    pub buf: Landing,
     pub comp: Comp,
     pub user_ctx: u64,
     /// The device whose resources serve this receive's rendezvous reply.
@@ -171,7 +171,7 @@ pub(crate) struct CommArgs {
     pub direction: Direction,
     pub rank: Rank,
     pub send_buf: Option<SendBuf>,
-    pub recv_buf: Option<Box<[u8]>>,
+    pub recv_buf: Option<Landing>,
     pub tag: Tag,
     pub comp: Option<Comp>,
     pub remote_buf: Option<(Rkey, usize)>,

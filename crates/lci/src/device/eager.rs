@@ -14,7 +14,7 @@ use crate::matching::MatchKind;
 use crate::packet_pool::Packet;
 use crate::proto::{coalesce_unpack_ranges, Header, MsgType};
 use crate::types::{
-    CompDesc, CompKind, DataBuf, MatchingPolicy, Rank, SendBuf, Tag, SENDBUF_INLINE_CAP,
+    CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag, SENDBUF_INLINE_CAP,
 };
 use lci_fabric::{NetError, PoolBuf};
 
@@ -319,27 +319,28 @@ impl Device {
         tag: Tag,
         data: DataBuf,
     ) -> Result<(Comp, CompDesc)> {
-        let mut buf = recv.buf;
         let payload = data.as_slice();
-        if payload.len() > buf.len() {
+        let len = payload.len();
+        if len > recv.buf.len() {
             return Err(FatalError::InvalidArg(format!(
-                "receive buffer too small: {} < {}",
-                buf.len(),
-                payload.len()
+                "receive buffer too small: {} < {len}",
+                recv.buf.len()
             )));
         }
-        buf[..payload.len()].copy_from_slice(payload);
+        let data = match recv.buf {
+            Landing::Owned(mut buf) => {
+                buf[..len].copy_from_slice(payload);
+                DataBuf::Partial(buf, len)
+            }
+            Landing::Lent(lent) => {
+                lent.fill(payload);
+                DataBuf::Lent(len)
+            }
+        };
         self.inner.stats.bump(|c| &c.copied_deliveries);
-        let len = payload.len();
         Ok((
             recv.comp,
-            CompDesc {
-                rank: src,
-                tag,
-                data: DataBuf::Partial(buf, len),
-                user_ctx: recv.user_ctx,
-                kind: CompKind::Recv,
-            },
+            CompDesc { rank: src, tag, data, user_ctx: recv.user_ctx, kind: CompKind::Recv },
         ))
     }
 

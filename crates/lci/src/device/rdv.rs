@@ -13,11 +13,12 @@
 
 use super::{net_fatal, CommArgs, Device, MatchEntry, OpCtx, PendingInbound, RecvEntry};
 use crate::backlog::Backlogged;
+use crate::coll::lend::Lent;
 use crate::comp::Comp;
 use crate::error::{FatalError, PostResult, Result};
 use crate::matching::MatchKind;
 use crate::proto::{Header, MsgType, RtrPayload, RtsPayload};
-use crate::types::{CompDesc, CompKind, DataBuf, MatchingPolicy, Rank, SendBuf, Tag};
+use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag};
 use crate::util::ShardedSlab;
 use lci_fabric::sync::SpinLock;
 use lci_fabric::{Cqe, DevId, MemoryRegion, NetError, PoolBuf, Rkey};
@@ -155,19 +156,25 @@ fn gather_iovec(segs: &[Box<[u8]>], seg: &mut usize, seg_off: &mut usize, out: &
     }
 }
 
-/// Landing buffer of a rendezvous receive: the user's posted buffer
-/// (two-sided) or a pool-recycled bounce buffer (unexpected AM
-/// rendezvous, where the runtime must provide the storage itself).
+/// Landing buffer of a rendezvous receive: the user's posted buffer or
+/// memory a blocking collective lent (two-sided), or a pool-recycled
+/// bounce buffer (unexpected AM rendezvous, where the runtime must
+/// provide the storage itself).
 enum RdvBuf {
     Owned(Box<[u8]>),
     Pooled(PoolBuf),
+    Lent(Lent),
 }
 
 impl RdvBuf {
-    fn as_slice(&self) -> &[u8] {
+    /// Address and length of the landing, for registration. No
+    /// reference is formed: on a wire that writes directly the sender's
+    /// thread is about to.
+    fn span(&self) -> (*const u8, usize) {
         match self {
-            RdvBuf::Owned(b) => b,
-            RdvBuf::Pooled(b) => b,
+            RdvBuf::Owned(b) => (b.as_ptr(), b.len()),
+            RdvBuf::Pooled(b) => (b.as_ptr(), b.len()),
+            RdvBuf::Lent(l) => (l.as_ptr(), l.len()),
         }
     }
 
@@ -177,6 +184,7 @@ impl RdvBuf {
         match self {
             RdvBuf::Owned(b) => DataBuf::Partial(b, len),
             RdvBuf::Pooled(b) => DataBuf::Pooled(b, len),
+            RdvBuf::Lent(_) => DataBuf::Lent(len),
         }
     }
 }
@@ -288,7 +296,11 @@ impl Device {
     /// that receive was posted on.
     pub(super) fn rtr_for_recv(rts: Rts, recv: RecvEntry) -> Result<()> {
         let RecvEntry { buf, comp, user_ctx, device } = recv;
-        device.start_rtr(rts, RdvBuf::Owned(buf), comp, user_ctx, false)
+        let buf = match buf {
+            Landing::Owned(b) => RdvBuf::Owned(b),
+            Landing::Lent(l) => RdvBuf::Lent(l),
+        };
+        device.start_rtr(rts, buf, comp, user_ctx, false)
     }
 
     /// Answers an active-message RTS. The runtime provides the landing
@@ -310,14 +322,13 @@ impl Device {
         is_am: bool,
     ) -> Result<()> {
         let Rts { src, src_dev, tag, send_id, size } = rts;
-        let landing = buf.as_slice();
-        if size > landing.len() {
+        let (landing, cap) = buf.span();
+        if size > cap {
             return Err(FatalError::InvalidArg(format!(
-                "receive buffer too small for rendezvous: {} < {size}",
-                landing.len()
+                "receive buffer too small for rendezvous: {cap} < {size}"
             )));
         }
-        let mr = self.inner.net.register(landing.as_ptr(), size).map_err(net_fatal)?;
+        let mr = self.inner.net.register(landing, size).map_err(net_fatal)?;
         let recv_id =
             self.inner.rdv.recvs.insert(RdvRecv { buf, mr, comp, user_ctx, src, tag, size, is_am });
         let payload = RtrPayload { send_id, recv_id, rkey: mr.rkey.0 }.encode();

@@ -9,7 +9,7 @@ use super::{CommArgs, Device, OpCtx};
 use crate::comp::Comp;
 use crate::error::{FatalError, PostResult, Result};
 use crate::proto::{Header, MsgType};
-use crate::types::{CompDesc, CompKind, DataBuf, MatchingPolicy, RComp, Rank, Tag};
+use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, RComp, Rank, Tag};
 use lci_fabric::{DevId, NetError, RecvBufDesc};
 
 /// The local completion of a get: what [`OpCtx::Get`] carries.
@@ -51,9 +51,9 @@ impl Device {
 
     /// RMA get (direct read, optional remote signal).
     pub(super) fn post_get_impl(&self, args: CommArgs) -> Result<PostResult> {
-        let buf = args
-            .recv_buf
-            .ok_or_else(|| FatalError::InvalidArg("get requires a local buffer".into()))?;
+        let Some(Landing::Owned(buf)) = args.recv_buf else {
+            return Err(FatalError::InvalidArg("get requires a local buffer it owns".into()));
+        };
         let (rkey, offset) = args.remote_buf.unwrap();
         let target_dev = args.target_dev.unwrap_or_else(|| self.dev_id());
         let signal = args.remote_comp.map(|rc| (target_dev, rc));

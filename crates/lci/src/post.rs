@@ -36,7 +36,7 @@ use crate::comp::Comp;
 use crate::device::{CommArgs, Device};
 use crate::error::{PostResult, Result};
 use crate::runtime::Runtime;
-use crate::types::{Direction, MatchingPolicy, RComp, Rank, SendBuf, Tag};
+use crate::types::{Direction, Landing, MatchingPolicy, RComp, Rank, SendBuf, Tag};
 use lci_fabric::{DevId, Rkey};
 
 /// The OFF builder for the generic communication-posting operation.
@@ -98,8 +98,15 @@ impl CommBuilder {
     }
 
     /// Sets the local destination buffer (IN direction).
-    pub fn recv_buf(mut self, buf: impl Into<Box<[u8]>>) -> Self {
-        self.args.recv_buf = Some(buf.into());
+    pub fn recv_buf(self, buf: impl Into<Box<[u8]>>) -> Self {
+        self.landing(Landing::Owned(buf.into()))
+    }
+
+    /// Sets where the receive lands (IN direction): what
+    /// [`recv_buf`](Self::recv_buf) wraps, and how `lci::coll` posts a
+    /// receive into lent memory.
+    pub(crate) fn landing(mut self, landing: Landing) -> Self {
+        self.args.recv_buf = Some(landing);
         self
     }
 

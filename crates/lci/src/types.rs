@@ -1,5 +1,6 @@
 //! Core value types of the LCI interface.
 
+use crate::coll::lend::Lent;
 use crate::packet_pool::{Packet, PacketView};
 
 /// Process index (see DESIGN.md: ranks are threads of one process in this
@@ -92,6 +93,11 @@ pub enum SendBuf {
     /// dropped, so steady-state senders (collectives staging per-round
     /// payloads) allocate nothing.
     Pooled(lci_fabric::PoolBuf),
+    /// The caller's own memory, lent by a blocking collective for the
+    /// length of its call (DESIGN.md §4.11 "Lending"). Only
+    /// `lci::coll` can make one.
+    #[doc(hidden)]
+    Lent(Lent),
 }
 
 impl SendBuf {
@@ -103,6 +109,7 @@ impl SendBuf {
             SendBuf::Packet(p) => p.len(),
             SendBuf::Iovec(v) => v.iter().map(|b| b.len()).sum(),
             SendBuf::Pooled(b) => b.len(),
+            SendBuf::Lent(l) => l.len(),
         }
     }
 
@@ -121,6 +128,7 @@ impl SendBuf {
             SendBuf::Iovec(v) if v.len() == 1 => Some(&v[0]),
             SendBuf::Iovec(_) => None,
             SendBuf::Pooled(b) => Some(b),
+            SendBuf::Lent(l) => Some(l.as_slice()),
         }
     }
 
@@ -209,6 +217,28 @@ pub enum DataBuf {
     Pooled(lci_fabric::PoolBuf, usize),
     /// The send buffer coming back to its owner on a send completion.
     SendBuf(SendBuf),
+    /// A receive that landed in memory a blocking collective lent
+    /// (DESIGN.md §4.11 "Lending"): the delivered length and nothing to
+    /// free. The bytes are at the lender's address, not here —
+    /// `as_slice` is empty.
+    #[doc(hidden)]
+    Lent(usize),
+}
+
+/// Where a posted receive lands: the buffer the user handed over with
+/// the post, or caller memory lent by a blocking collective.
+pub(crate) enum Landing {
+    Owned(Box<[u8]>),
+    Lent(Lent),
+}
+
+impl Landing {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Landing::Owned(b) => b.len(),
+            Landing::Lent(l) => l.len(),
+        }
+    }
 }
 
 impl DataBuf {
@@ -222,6 +252,7 @@ impl DataBuf {
             DataBuf::Partial(b, len) => &b[..*len],
             DataBuf::Pooled(b, len) => &b[..*len],
             DataBuf::SendBuf(s) => s.as_contiguous().unwrap_or(&[]),
+            DataBuf::Lent(_) => &[],
         }
     }
 
@@ -235,6 +266,7 @@ impl DataBuf {
             DataBuf::Partial(_, len) => *len,
             DataBuf::Pooled(_, len) => *len,
             DataBuf::SendBuf(s) => s.len(),
+            DataBuf::Lent(len) => *len,
         }
     }
 
@@ -257,6 +289,7 @@ impl DataBuf {
             }
             DataBuf::Pooled(b, len) => b[..len].to_vec(),
             DataBuf::SendBuf(s) => s.flatten(),
+            DataBuf::Lent(_) => Vec::new(),
         }
     }
 }

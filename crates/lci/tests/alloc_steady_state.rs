@@ -18,6 +18,13 @@
 //! would otherwise land in whichever audit's window is open. `lci`
 //! spawns no thread of its own (DESIGN.md §4.8), so every allocator
 //! call on the data path is made by a thread counted here.
+//!
+//! A red audit **names its allocator**: while a thread is inside a
+//! measured window ([`trace_window`]) the first allocation it makes has
+//! its backtrace captured — with the thread's audit flag cleared, so
+//! the capture's own allocations count nowhere — and every failing
+//! assertion prints what was captured ([`first_allocs`]). A green run
+//! captures nothing and pays one thread-local read per allocation.
 
 use crossbeam::queue::ArrayQueue;
 use lci::{Comp, CompDesc, DataBuf, Fabric, PostResult, Runtime, RuntimeConfig, SendBuf};
@@ -38,12 +45,50 @@ thread_local! {
     /// destructor-free, so reading it inside the allocator neither
     /// allocates nor registers a TLS destructor.
     static AUDITED: Cell<bool> = const { Cell::new(false) };
+    /// Whether this thread's next counted allocation gets its backtrace
+    /// captured: set while the thread is inside a measured window,
+    /// cleared by the capture (one trace per thread per window).
+    static TRACE_NEXT: Cell<bool> = const { Cell::new(false) };
 }
 
-fn count_call() {
-    if AUDITED.try_with(Cell::get).unwrap_or(false) {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+/// Backtraces of the first in-window allocation of each audited thread
+/// since the current audit took [`SERIAL`].
+static FIRST_ALLOCS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+fn count_call(size: usize) {
+    if !AUDITED.try_with(Cell::get).unwrap_or(false) {
+        return;
     }
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    if TRACE_NEXT.try_with(|t| t.replace(false)).unwrap_or(false) {
+        // Capturing and symbolizing allocates: step out of the audit.
+        AUDITED.set(false);
+        let thread = std::thread::current();
+        let trace = format!(
+            "{size}-byte allocation on thread {:?}:\n{}",
+            thread.name().unwrap_or("<unnamed>"),
+            std::backtrace::Backtrace::force_capture()
+        );
+        FIRST_ALLOCS.lock().unwrap_or_else(PoisonError::into_inner).push(trace);
+        AUDITED.set(true);
+    }
+}
+
+/// Runs `f` as this thread's share of a measured window: the first
+/// allocation it makes inside is traced.
+fn trace_window<R>(f: impl FnOnce() -> R) -> R {
+    TRACE_NEXT.set(true);
+    let out = f();
+    TRACE_NEXT.set(false);
+    out
+}
+
+/// What a failing audit prints after its count: who allocated first, on
+/// each thread that did.
+fn first_allocs() -> String {
+    AUDITED.set(false);
+    let traces = FIRST_ALLOCS.lock().unwrap_or_else(PoisonError::into_inner).join("\n");
+    format!("\nfirst in-window allocation per thread:\n{traces}")
 }
 
 /// Opts the calling thread into the count for the rest of its life.
@@ -53,7 +98,7 @@ fn audit_this_thread() {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -62,12 +107,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_call();
+        count_call(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
+        count_call(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -102,6 +147,7 @@ impl Drop for Audit {
 /// reports its own assertion instead of a `PoisonError`.
 fn serial() -> Audit {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    FIRST_ALLOCS.lock().unwrap_or_else(PoisonError::into_inner).clear();
     audit_this_thread();
     Audit { _serial }
 }
@@ -202,11 +248,13 @@ fn steady_state_allocs_cfg(cfg: RuntimeConfig, size: usize, warmup: usize, iters
         landing = recover_recv(r);
     }
     let before = alloc_calls();
-    for _ in 0..iters {
-        let (s, r) = pair.xfer(payload, landing, 5);
-        payload = recover_send(s);
-        landing = recover_recv(r);
-    }
+    trace_window(|| {
+        for _ in 0..iters {
+            let (s, r) = pair.xfer(payload, landing, 5);
+            payload = recover_send(s);
+            landing = recover_recv(r);
+        }
+    });
     alloc_calls() - before
 }
 
@@ -217,7 +265,12 @@ fn steady_state_allocs_cfg(cfg: RuntimeConfig, size: usize, warmup: usize, iters
 fn inject_steady_state_is_allocation_free() {
     let _g = serial();
     let allocs = steady_state_allocs(8, 64, 256);
-    assert_eq!(allocs, 0, "8-byte inject loop made {allocs} allocator calls after warmup");
+    assert_eq!(
+        allocs,
+        0,
+        "8-byte inject loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
 }
 
 /// Buffer-copy eager messages: the wire's staging comes from the
@@ -227,7 +280,12 @@ fn inject_steady_state_is_allocation_free() {
 fn eager_steady_state_is_allocation_free() {
     let _g = serial();
     let allocs = steady_state_allocs(512, 64, 256);
-    assert_eq!(allocs, 0, "512-byte eager loop made {allocs} allocator calls after warmup");
+    assert_eq!(
+        allocs,
+        0,
+        "512-byte eager loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
 }
 
 /// Repeated same-size rendezvous transfers: registration-cache hits,
@@ -237,7 +295,12 @@ fn eager_steady_state_is_allocation_free() {
 fn rendezvous_steady_state_is_allocation_free() {
     let _g = serial();
     let allocs = steady_state_allocs(256 << 10, 16, 32);
-    assert_eq!(allocs, 0, "256 KiB rendezvous loop made {allocs} allocator calls after warmup");
+    assert_eq!(
+        allocs,
+        0,
+        "256 KiB rendezvous loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
 }
 
 /// The shared-memory transport keeps the same guarantee: ring frames
@@ -249,7 +312,12 @@ fn shm_eager_steady_state_is_allocation_free() {
     let _g = serial();
     let cfg = RuntimeConfig::small().with_device(lci_fabric::DeviceConfig::shm());
     let allocs = steady_state_allocs_cfg(cfg, 512, 64, 256);
-    assert_eq!(allocs, 0, "shm 512-byte eager loop made {allocs} allocator calls after warmup");
+    assert_eq!(
+        allocs,
+        0,
+        "shm 512-byte eager loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
 }
 
 /// Rendezvous over shm: in one process every 64 KiB chunk is copied
@@ -261,7 +329,12 @@ fn shm_rendezvous_steady_state_is_allocation_free() {
     let _g = serial();
     let cfg = RuntimeConfig::small().with_device(lci_fabric::DeviceConfig::shm());
     let allocs = steady_state_allocs_cfg(cfg, 256 << 10, 16, 32);
-    assert_eq!(allocs, 0, "shm 256 KiB rendezvous loop made {allocs} allocator calls after warmup");
+    assert_eq!(
+        allocs,
+        0,
+        "shm 256 KiB rendezvous loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
 }
 
 /// Warm 2 KiB expected transfers on `device`: pool takes (`buf_pool_hits
@@ -367,7 +440,12 @@ fn placed_cfg(size_hint: lci_fabric::DeviceConfig) -> RuntimeConfig {
 fn placed_inject_steady_state_is_allocation_free() {
     let _g = serial();
     let allocs = steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 8, 64, 256);
-    assert_eq!(allocs, 0, "placed 8-byte inject loop made {allocs} allocator calls after warmup");
+    assert_eq!(
+        allocs,
+        0,
+        "placed 8-byte inject loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
 }
 
 /// Eager staging under placement: takes come from the home shelf and
@@ -377,7 +455,12 @@ fn placed_inject_steady_state_is_allocation_free() {
 fn placed_eager_steady_state_is_allocation_free() {
     let _g = serial();
     let allocs = steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 512, 64, 256);
-    assert_eq!(allocs, 0, "placed 512-byte eager loop made {allocs} allocator calls after warmup");
+    assert_eq!(
+        allocs,
+        0,
+        "placed 512-byte eager loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
 }
 
 /// Rendezvous under placement: striped op-context and packet pools plus
@@ -389,8 +472,10 @@ fn placed_rendezvous_steady_state_is_allocation_free() {
     let allocs =
         steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 256 << 10, 16, 32);
     assert_eq!(
-        allocs, 0,
-        "placed 256 KiB rendezvous loop made {allocs} allocator calls after warmup"
+        allocs,
+        0,
+        "placed 256 KiB rendezvous loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
     );
 }
 
@@ -421,9 +506,11 @@ fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
                     iter(&rt);
                 }
                 gate.wait(); // measurement window opens
-                for _ in 0..ITERS {
-                    iter(&rt);
-                }
+                trace_window(|| {
+                    for _ in 0..ITERS {
+                        iter(&rt);
+                    }
+                });
                 gate.wait(); // window closes
                 gate.wait(); // counter read; teardown may allocate freely now
             })
@@ -441,10 +528,11 @@ fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
 }
 
 /// Warm chunk-pipelined ring allreduce: once the collective engine's
-/// landing-buffer shelf, staging pool, op-context slabs, and round
-/// bookkeeping are warm, a full allreduce — 2(n−1) rounds of windowed
-/// sends, pre-posted recvs, and in-place folds, 8 chunks per block —
-/// makes zero allocator calls on either rank.
+/// landing-buffer shelf (reduce-scatter arrivals), op-context slabs, and
+/// round bookkeeping are warm, a full allreduce — 2(n−1) rounds of
+/// windowed sends posted from the buffer, pre-posted recvs, in-place
+/// folds and in-place landings, 8 chunks per block — makes zero
+/// allocator calls on either rank.
 #[test]
 fn collective_allreduce_steady_state_is_allocation_free() {
     let _g = serial();
@@ -455,15 +543,20 @@ fn collective_allreduce_steady_state_is_allocation_free() {
         let mut buf = vec![1u8; ELEMS * 8];
         move |rt: &Runtime| lci::coll::allreduce(rt, &mut buf, &lci::SumU64).unwrap()
     });
-    assert_eq!(allocs, 0, "warm ring-allreduce loop made {allocs} allocator calls on two ranks");
+    assert_eq!(
+        allocs,
+        0,
+        "warm ring-allreduce loop made {allocs} allocator calls on two ranks{}",
+        first_allocs()
+    );
 }
 
 /// Warm sparse alltoallv — the MoE dispatch/combine inner loop: a count
 /// exchange (recv side unknown) followed by the skew-scheduled vector
 /// exchange with a zero pair, inline-sized blocks, an eager block, and
-/// a multi-chunk block. Once the landing shelf, count-staging scratch,
-/// offset/order scratch, and staging pool are warm, the whole
-/// counts+data iteration makes zero allocator calls on any rank. Three
+/// a multi-chunk block. Once the count-staging scratch and offset/order
+/// scratch are warm, the whole counts+data iteration makes zero
+/// allocator calls on any rank. Three
 /// ranks so the sparse skip path (zero-byte pair) really runs.
 #[test]
 fn collective_alltoallv_steady_state_is_allocation_free() {
@@ -483,23 +576,54 @@ fn collective_alltoallv_steady_state_is_allocation_free() {
         }
     });
     assert_eq!(
-        allocs, 0,
-        "warm alltoallv counts+data loop made {allocs} allocator calls on three ranks"
+        allocs,
+        0,
+        "warm alltoallv counts+data loop made {allocs} allocator calls on three ranks{}",
+        first_allocs()
+    );
+}
+
+/// Warm dense alltoall with blocks over `coll_chunk_size` (100 KiB
+/// against the scaffold's 4 KiB): `alltoall_bytes` posts whole blocks,
+/// so before PR 20 every call took an oversize landing box — a fresh
+/// allocation `put_databuf` then dropped, one per peer per call (64 in
+/// this window), under a module doc that said a warm collective loop
+/// allocates nothing. Each block now lands in the caller's receive
+/// buffer and there is no box to allocate.
+#[test]
+fn collective_alltoall_oversize_blocks_steady_state_is_allocation_free() {
+    let _g = serial();
+    const BLOCK: usize = 100 << 10;
+    let allocs = collective_steady_state_allocs(2, |rank| {
+        let send = vec![rank as u8 + 1; 2 * BLOCK];
+        let mut recv = vec![0u8; 2 * BLOCK];
+        move |rt: &Runtime| lci::coll::alltoall_bytes(rt, &send, &mut recv).unwrap()
+    });
+    assert_eq!(
+        allocs,
+        0,
+        "warm 100 KiB-block alltoall loop made {allocs} allocator calls on two ranks{}",
+        first_allocs()
     );
 }
 
 /// Warm dissemination barrier: every round is a 1-byte inline send and
 /// a receive into a shelf box completed through the state's receive
-/// queue, so no round touches the allocator — or the staging pool,
-/// which keeps this audit deterministic where its two siblings above
-/// depend on pool residency. Three ranks so the barrier runs two
+/// queue, so no round touches the allocator — or posts anything larger
+/// than a byte, which keeps this audit deterministic where its
+/// siblings above still show the ROADMAP item-0 stray call. Three ranks so the barrier runs two
 /// rounds.
 #[test]
 fn collective_barrier_steady_state_is_allocation_free() {
     let _g = serial();
     let allocs =
         collective_steady_state_allocs(3, |_rank| |rt: &Runtime| lci::coll::barrier(rt).unwrap());
-    assert_eq!(allocs, 0, "warm barrier loop made {allocs} allocator calls on three ranks");
+    assert_eq!(
+        allocs,
+        0,
+        "warm barrier loop made {allocs} allocator calls on three ranks{}",
+        first_allocs()
+    );
 }
 
 /// The harness counts what it claims to count: an audited thread's

@@ -485,3 +485,227 @@ proptest! {
         run_scenario(n, tiny_chunk_cfg(chunk), elems, block);
     }
 }
+
+// ---------------------------------------------------------------------
+// Lending (DESIGN.md §4.11): pieces leave from the caller's buffer and
+// land in it
+// ---------------------------------------------------------------------
+
+/// Runs `f` with, when `sibling`, a second thread of this rank spinning
+/// `progress_all()` for the duration, so deliveries into lent memory and
+/// the chunk pumps reading it run on a thread other than the caller's.
+fn with_sibling_progress<T>(rt: &Runtime, sibling: bool, f: impl FnOnce() -> T) -> T {
+    if !sibling {
+        return f();
+    }
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                rt.progress_all().unwrap();
+                std::thread::yield_now();
+            }
+        });
+        let out = f();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        out
+    })
+}
+
+/// The three engines whose pieces are both sent from and landed in one
+/// buffer — ring allreduce (a range sent in round `t` is landed on in
+/// round `t+n−1`), Bruck allgather (the prefix is sent while the round's
+/// arrival lands behind it) and the streamed broadcast (a chunk is
+/// forwarded from where it landed) — against the `coll::naive`
+/// reference on the same runtimes.
+fn run_lent_scenario(
+    n: usize,
+    cfg: RuntimeConfig,
+    elems: usize,
+    block: usize,
+    bcast: usize,
+    sibling: bool,
+) {
+    with_ranks(n, cfg, move |rank, rt| {
+        let contrib: Vec<u8> =
+            (0..elems).flat_map(|i| ((rank as u64 + 3) * (i as u64 + 1)).to_le_bytes()).collect();
+        let mine: Vec<u8> = (0..block).map(|i| (rank * 29 + i) as u8).collect();
+        let root = n - 1;
+        let seed: Vec<u8> = (0..bcast).map(|i| (i % 253) as u8 ^ 0x5A).collect();
+
+        let [lent, naive] = [false, true].map(|naive| {
+            let mut ar = contrib.clone();
+            let mut ag = vec![0u8; block * n];
+            let mut bc = if rank == root { seed.clone() } else { vec![0u8; bcast] };
+            if naive {
+                coll::naive::allreduce(&rt, &mut ar, &SumU64).unwrap();
+                coll::naive::allgather_bytes(&rt, &mine, &mut ag).unwrap();
+                coll::naive::broadcast_bytes(&rt, root, &mut bc).unwrap();
+            } else {
+                with_sibling_progress(&rt, sibling, || {
+                    coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
+                    coll::allgather_bytes(&rt, &mine, &mut ag).unwrap();
+                    coll::broadcast_bytes(&rt, root, &mut bc).unwrap();
+                });
+            }
+            [ar, ag, bc]
+        });
+        assert_eq!(lent, naive, "rank {rank} of {n}, sibling progress {sibling}");
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
+
+    /// Lending soundness on the shapes where one range is both read by
+    /// a send and written by a landing within a call: `n ∈ {2, 3, 5}`,
+    /// a chunk smaller than a ring block and not dividing it (a short
+    /// last chunk per block), fewer elements than ranks (empty blocks);
+    /// pieces under `eager_size` (an eager copy into a lent landing,
+    /// inline at 24 B) and over it (a rendezvous written into one, by
+    /// the sender's thread on the sims); each case alone and with a
+    /// sibling thread per rank delivering and pumping.
+    #[test]
+    fn lent_pieces_match_naive(
+        n in prop::sample::select(vec![2usize, 3, 5]),
+        chunk_elems in prop::sample::select(vec![3usize, 5, 7, 513, 600]),
+        shape in 0usize..3,
+    ) {
+        let chunk = chunk_elems * 8;
+        let elems = match shape {
+            // Fewer elements than ranks: some ring blocks are empty.
+            0 => n - 1,
+            // Blocks of 2·chunk + 1 or + 2 elements: a short last chunk.
+            1 => n * (2 * chunk_elems + 1) + 1,
+            // Blocks straddling 1.5 chunks, unequal across ranks.
+            _ => n * (chunk_elems + chunk_elems / 2) + n - 1,
+        };
+        // Bruck blocks and the broadcast on the same side of
+        // `eager_size` (4 KiB in the small config) as the chunk.
+        let block = chunk + 11;
+        let bcast = 3 * chunk + 5;
+        for sibling in [false, true] {
+            run_lent_scenario(n, tiny_chunk_cfg(chunk), elems, block, bcast, sibling);
+        }
+    }
+}
+
+/// The count ISSUE 20 named beforehand: warm blocking collectives take
+/// nothing from the device's buffer pool, and the wire moves exactly the
+/// bytes it moved when every chunk was staged first. Two ranks, default
+/// config, `allreduce(1 MiB)` + `alltoallv(128 KiB each way)`: per rank
+/// and iteration sixteen 64 KiB ring chunks and two 64 KiB pieces, all
+/// rendezvous — 18 staged copies an iteration before lending, none now.
+#[test]
+fn blocking_collectives_take_nothing_from_the_pool() {
+    use lci_fabric::DeviceConfig;
+    const MIB: usize = 1 << 20;
+    const V: usize = 128 << 10;
+    const WIRE: u64 = 4 * (MIB + V) as u64;
+    let wires = [
+        ("ibv", DeviceConfig::ibv()),
+        ("ofi", DeviceConfig::ofi()),
+        ("shm", DeviceConfig::shm()),
+        ("tcp", DeviceConfig::tcp()),
+    ];
+    for (wire, device) in wires {
+        let cfg = RuntimeConfig::default().with_device(device);
+        let ledger = with_ranks_ret(2, cfg, move |rank, rt| {
+            let peer = 1 - rank;
+            let contrib: Vec<u8> = (0..MIB / 8)
+                .flat_map(|i| ((rank as u64 + 1) * (i as u64 + 1)).to_le_bytes())
+                .collect();
+            let mut counts = [0usize; 2];
+            counts[peer] = V;
+            let send: Vec<u8> = (0..V).map(|i| vpat(rank, peer, i)).collect();
+            let mut ar = contrib.clone();
+            let mut recv = vec![0u8; V];
+            let mut base = rt.device().stats();
+            for i in 0..8 + 4 {
+                if i == 8 {
+                    base = rt.device().stats();
+                }
+                ar.copy_from_slice(&contrib);
+                coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
+                coll::alltoallv(&rt, &send, &counts, &mut recv, &counts).unwrap();
+            }
+            let d = rt.device().stats().since(&base);
+
+            let mut ar_ref = contrib.clone();
+            let mut recv_ref = vec![0u8; V];
+            coll::naive::allreduce(&rt, &mut ar_ref, &SumU64).unwrap();
+            coll::naive::alltoallv(&rt, &send, &counts, &mut recv_ref, &counts).unwrap();
+            assert!(ar == ar_ref, "{wire} rank {rank}: allreduce differs from coll::naive");
+            assert!(recv == recv_ref, "{wire} rank {rank}: alltoallv differs from coll::naive");
+            (d.buf_pool_hits + d.buf_pool_misses, d.rma_direct_bytes, d.rma_framed_bytes)
+        });
+        for (rank, (takes, direct, framed)) in ledger.into_iter().enumerate() {
+            if wire == "tcp" {
+                // The codec's staging is the wire's own; recorded, not
+                // asserted.
+                println!("tcp rank {rank}: {takes} pool takes in 4 warm iterations");
+                assert_eq!((direct, framed), (0, WIRE), "tcp rank {rank}");
+            } else {
+                assert_eq!(takes, 0, "{wire} rank {rank}: pool takes in 4 warm iterations");
+                assert_eq!((direct, framed), (WIRE, 0), "{wire} rank {rank}");
+            }
+        }
+    }
+}
+
+/// Lending's one behaviour change (DESIGN.md §4.11 "Lending"): a failure
+/// after the first lent post cannot return — a posted receive or a chunk
+/// pump may still name the caller's buffer — so it ends the process. A
+/// `ReduceOp::fold` that panics mid-allreduce (the seed chunks are lent
+/// by then) is the in-process case: the child must die by `abort`, with
+/// the scope's message, not unwind out of `allreduce` on one rank while
+/// the other spins.
+#[cfg(unix)]
+#[test]
+fn fold_panic_mid_allreduce_aborts_the_process() {
+    use std::os::unix::process::ExitStatusExt;
+    const NAME: &str = "fold_panic_mid_allreduce_aborts_the_process";
+    const CHILD: &str = "LCI_TEST_FOLD_PANIC_CHILD";
+    struct Refuses;
+    impl lci::ReduceOp for Refuses {
+        fn elem_size(&self) -> usize {
+            8
+        }
+        fn fold(&self, _acc: &mut [u8], _incoming: &[u8]) {
+            panic!("this fold refuses");
+        }
+    }
+    if std::env::var_os(CHILD).is_some() {
+        with_ranks(2, RuntimeConfig::small(), |rank, rt| {
+            let mut buf = vec![1u8; 64 << 10];
+            let res = if rank == 0 {
+                coll::allreduce(&rt, &mut buf, &Refuses)
+            } else {
+                coll::allreduce(&rt, &mut buf, &SumU64)
+            };
+            // Rank 1 may get here (its own call can finish); rank 0 must not.
+            assert!(rank == 1, "allreduce returned {res:?} past a panicking fold");
+            loop {
+                rt.progress_all().unwrap();
+                std::thread::yield_now();
+            }
+        });
+        unreachable!("the process outlived its abort");
+    }
+    let exe = std::env::current_exe().unwrap();
+    let out = std::process::Command::new(exe)
+        .args(lci_fabric::bootstrap::test_child_args(NAME))
+        .env(CHILD, "1")
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.signal(),
+        Some(6),
+        "child did not die by SIGABRT: {:?}\n{err}",
+        out.status
+    );
+    assert!(err.contains("this fold refuses"), "the panic itself was not reported:\n{err}");
+    assert!(err.contains("lci::coll: a panic unwound through a blocking collective"), "{err}");
+    assert!(err.contains("lci::coll: aborting"), "{err}");
+}

@@ -320,6 +320,58 @@ fn multiproc_collectives() {
     w.barrier().expect("closing barrier");
 }
 
+/// Lending's one behaviour change, across processes (DESIGN.md §4.11
+/// "Lending"): a blocking collective whose runtime fails after its
+/// first lent post ends the process instead of returning `Err`. Rank 1
+/// exits right after the startup barrier; rank 0 waits until the wire
+/// knows, then calls `allreduce`: it posts its lent receives, its first
+/// send toward the gone peer is fatal, and a posted receive still names
+/// its buffer — so it must die by the scope's abort with that
+/// `FatalError` on stderr, not return, and not spin in `pop_recv` until
+/// the launcher's watchdog. Three levels, because the launcher reports
+/// exit codes only and lets its children inherit stderr: the test runs
+/// itself once more as the launcher, with stderr captured.
+#[test]
+fn multiproc_collective_after_peer_exit_aborts() {
+    const NAME: &str = "multiproc_collective_after_peer_exit_aborts";
+    const LAUNCHER: &str = "LCI_TEST_ABORT_LAUNCHER";
+    if let Some(w) = World::from_env(shm_cfg()).expect("attach") {
+        w.barrier().expect("startup barrier");
+        if w.rank() == 1 {
+            std::process::exit(7);
+        }
+        // The tcp mesh learns of a death by reading the socket.
+        let rt = w.lci_runtime().expect("lci");
+        while w.fabric().dead_peer().is_none() {
+            rt.progress_all().expect("progress");
+            std::thread::yield_now();
+        }
+        let mut buf = vec![1u8; 1 << 20];
+        let res = w.allreduce(&mut buf, &lci::SumU64);
+        eprintln!("allreduce returned {res:?} with its peer gone");
+        std::process::exit(3);
+    }
+    if std::env::var_os(LAUNCHER).is_some() {
+        let started = std::time::Instant::now();
+        let report = World::spawn_local(2, &test_child_args(NAME), JOB_TIMEOUT).expect("spawn");
+        // -1: killed by a signal. The launcher's watchdog reports its
+        // SIGKILL the same way, but only after JOB_TIMEOUT.
+        assert_eq!(report.exit_codes, vec![-1, 7], "expected rank 0 aborted, rank 1 exited");
+        assert!(started.elapsed() < JOB_TIMEOUT / 2, "rank 0 hung until the watchdog killed it");
+        return;
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args(test_child_args(NAME))
+        .env(LAUNCHER, "1")
+        .output()
+        .expect("run the launcher");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "launcher: {:?}\n{err}", out.status);
+    assert!(err.contains("peer rank 1 has exited"), "the fatal error was not reported:\n{err}");
+    assert!(err.contains("lci::coll: aborting"), "rank 0 did not die by the scope's abort:\n{err}");
+    assert!(!err.contains("allreduce returned"), "allreduce returned with memory lent:\n{err}");
+}
+
 #[test]
 fn multiproc_abrupt_peer_exit() {
     match World::from_env(shm_cfg()).expect("attach") {
