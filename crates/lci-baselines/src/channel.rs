@@ -286,7 +286,7 @@ impl Channel {
         imm: u64,
         req: Option<Request>,
     ) {
-        match self.net.post_send(dest, dest_dev, &data, imm, 0) {
+        match self.net.post_inject(dest, dest_dev, &data, imm) {
             Ok(()) => {
                 if let Some(r) = req {
                     r.complete(MpiStatus { src: dest, tag: 0, data: Vec::new() });
@@ -361,7 +361,7 @@ impl Channel {
         self.with_lock(|c, st| {
             // Retry queued sends first.
             while let Some(p) = st.pending_sends.pop_front() {
-                match c.net.post_send(p.dest, p.dest_dev, &p.data, p.imm, 0) {
+                match c.net.post_inject(p.dest, p.dest_dev, &p.data, p.imm) {
                     Ok(()) => {
                         did = true;
                         if let Some(r) = p.req {
@@ -390,7 +390,6 @@ impl Channel {
 
     fn handle_cqe(&self, st: &mut ChState, cqe: Cqe) {
         match cqe.kind {
-            CqeKind::SendDone => { /* staged control/eager; nothing */ }
             CqeKind::WriteDone => {
                 // Rendezvous data write finished: source request done.
                 let send_id = (cqe.ctx - 1) as u32;
@@ -398,7 +397,9 @@ impl Channel {
                     s.req.complete(MpiStatus { src: 0, tag: 0, data: Vec::new() });
                 }
             }
-            CqeKind::ReadDone => unreachable!("baselines do not read"),
+            CqeKind::SendDone | CqeKind::ReadDone => {
+                unreachable!("baselines inject their sends and do not read")
+            }
             CqeKind::RecvDone => {
                 let buf = st.staging.remove(cqe.ctx as u32).expect("staging buffer");
                 st.nposted -= 1;

@@ -130,7 +130,7 @@ impl Gasnet {
         assert!(payload.len() <= self.cfg.max_medium, "medium AM payload too large");
         let imm = crate::proto::encode(crate::proto::BType::Am, arg, handler);
         loop {
-            match self.net.post_send(dest, self.net.dev_id(), payload, imm, 0) {
+            match self.net.post_inject(dest, self.net.dev_id(), payload, imm) {
                 Ok(()) => return,
                 Err(NetError::Retry(_)) => {
                     // GASNet blocks inside the request until resources
@@ -155,7 +155,7 @@ impl Gasnet {
             return false;
         }
         let imm = crate::proto::encode(crate::proto::BType::Am, arg, handler);
-        match self.net.post_send(dest, self.net.dev_id(), payload, imm, 0) {
+        match self.net.post_inject(dest, self.net.dev_id(), payload, imm) {
             Ok(()) => true,
             Err(NetError::Retry(_)) => false,
             Err(NetError::Fatal(m)) => panic!("gasnet fatal: {m}"),
@@ -195,7 +195,6 @@ impl Gasnet {
                     st.bufs[cqe.ctx as usize] = Some(buf);
                     st.free.push(cqe.ctx as u32);
                 }
-                CqeKind::SendDone => {}
                 other => panic!("gasnet unexpected completion {other:?}"),
             }
         }

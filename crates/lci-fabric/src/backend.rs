@@ -219,13 +219,31 @@ pub trait NetDevice: Send + Sync {
     /// The configuration the device was created with.
     fn config(&self) -> &DeviceConfig;
 
-    /// Posts a two-sided send toward `(target, target_dev)`. The payload
-    /// is staged immediately (the send buffer may be reused as soon as
-    /// the `SendDone` completion is polled; in this simulation it may be
-    /// reused on return, but portable callers must wait for the CQE).
-    /// `lci` relies on exactly that half of the contract: it posts eager
-    /// sends from the buffer the operation owns until `SendDone`, not
-    /// from a private restaged copy.
+    /// Posts a two-sided send toward `(target, target_dev)` that is
+    /// finished when the call returns — libfabric's `fi_inject`, an
+    /// unsignaled inline verbs send. The wire has consumed `data` before
+    /// `Ok(())`: the caller may reuse or free the buffer at once, on every
+    /// backend. Nothing is staged on the completion ring, so no
+    /// `SendDone` follows and a full staging ring refuses nothing
+    /// (`Retry(QueueFull)` cannot happen); the wire's own bound still
+    /// does (`Retry(RxFull)`, nothing sent), as do a busy posting lock
+    /// (`Retry(LockBusy)`) and a peer that is not there yet
+    /// (`Retry(PeerNotReady)`); a peer that is gone is fatal. It takes
+    /// the QP lock and the sender [`post_send`](Self::post_send) takes,
+    /// so injects and sends toward one target leave in post order.
+    ///
+    /// This is what `lci` posts every eager message and every control
+    /// message with: the operation is `Done` at the post.
+    fn post_inject(&self, target: Rank, target_dev: DevId, data: &[u8], imm: u64) -> NetResult<()>;
+
+    /// [`post_inject`](Self::post_inject) plus a completion: exactly one
+    /// `SendDone` carrying `ctx` is staged per accepted call (`ctx == 0`
+    /// included), which needs room on the completion staging ring
+    /// (`Retry(QueueFull)` until the poster polls). The payload is
+    /// consumed inside the call here too, but a caller written against a
+    /// signaled send keeps the buffer until it has polled the `SendDone`.
+    /// `lci` uses it only for a parked `no_retry` send leaving the
+    /// backlog, whose user completion rides the `SendDone`.
     fn post_send(
         &self,
         target: Rank,

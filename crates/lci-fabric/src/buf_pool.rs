@@ -105,10 +105,12 @@ struct Stripe {
     recycled_bytes: AtomicU64,
 }
 
-impl Default for Stripe {
-    fn default() -> Self {
+impl Stripe {
+    /// Shelves with room for `max_per_class` buffers each, so a return
+    /// never grows one.
+    fn new(max_per_class: usize) -> Self {
         Self {
-            shelves: std::array::from_fn(|_| SpinLock::new(Vec::new())),
+            shelves: std::array::from_fn(|_| SpinLock::new(Vec::with_capacity(max_per_class))),
             local_hits: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -193,13 +195,22 @@ impl BufPool {
     /// Creates a pool with `cfg`.
     pub fn new(cfg: BufPoolConfig) -> Self {
         let nstripes = topology::stripe_count(cfg.stripes);
+        let max_per_class = cfg.max_per_class.max(1);
         Self {
             shared: Arc::new(PoolShared {
-                stripes: (0..nstripes).map(|_| Stripe::default()).collect(),
+                stripes: (0..nstripes).map(|_| Stripe::new(max_per_class)).collect(),
                 mask: nstripes - 1,
-                max_per_class: cfg.max_per_class.max(1),
+                max_per_class,
             }),
         }
+    }
+
+    /// Capacity of every shelf, for the test that none ever changes
+    /// after construction.
+    #[cfg(test)]
+    pub(crate) fn shelf_capacities(&self) -> Vec<usize> {
+        let shelves = self.shared.stripes.iter().flat_map(|s| s.shelves.iter());
+        shelves.map(|shelf| shelf.lock().capacity()).collect()
     }
 
     /// Number of per-core stripes the pool was laid out with.

@@ -138,13 +138,21 @@ impl DevShared {
         bell: Arc<Doorbell>,
         cfg: &DeviceConfig,
     ) -> DevShared {
+        // Room for two drain batches, so neither deque grows on a warm
+        // path: every inbound completion consumed a posted receive, and
+        // the owner restocks those only as it handles completions. The
+        // nominal bound — staging ring plus RX window, 576 KiB a device
+        // by default — is a tenth of a small runtime's heap for slots a
+        // warm device never reaches. An owner that keeps more receives
+        // posted grows the SRQ once, while it stocks them.
+        let warm = 2 * cfg.cq_drain_batch;
         DevShared {
             dev_id,
             cq_staging: ArrayQueue::new((cfg.rx_capacity * 2).max(256)),
-            cq: SpinLock::new(VecDeque::new()),
+            cq: SpinLock::new(VecDeque::with_capacity(warm)),
             bell,
             rx,
-            srq: SpinLock::new(VecDeque::new()),
+            srq: SpinLock::new(VecDeque::with_capacity(warm)),
             posted_recvs: AtomicUsize::new(0),
             discipline: cfg.discipline,
         }
@@ -376,6 +384,47 @@ mod tests {
             assert_eq!(out.len(), sends, "SendDones under {cfg:?}");
             assert_eq!(dev.posted_recvs(), 1 + usize::from(!endpoint_excluded), "{cfg:?}");
         }
+    }
+
+    /// ROADMAP item 0's two sites, as counts instead of a red-count: over
+    /// 10 000 messages a device sends itself in bursts — 2 KiB each, so
+    /// the wire stages every one through the pool — the polled CQ, the
+    /// SRQ and every shelf of the pool keep the capacity they were built
+    /// with. One thread drives everything, so the occupancies repeat.
+    #[test]
+    fn warm_traffic_grows_neither_deque_nor_any_shelf() {
+        const BURST: usize = 32;
+        let dev = device(DeviceConfig::ibv());
+        let capacities = || {
+            let (cq, srq) = (dev.shared.cq.lock().capacity(), dev.shared.srq.lock().capacity());
+            (cq, srq, dev.buf_pool().shelf_capacities())
+        };
+        let built = capacities();
+        assert!(built.0 >= 2 * BURST && built.2.iter().all(|&c| c > 0), "{built:?}");
+        let mut bufs = vec![[0u8; 2048]; BURST];
+        let (payload, mut out, mut got) = ([7u8; 2048], Vec::new(), 0);
+        for round in 0..10_000 / BURST + 1 {
+            for (slot, buf) in bufs.iter_mut().enumerate() {
+                // SAFETY: `bufs` outlives the device's last poll.
+                let recv = unsafe { RecvBufDesc::new(buf.as_mut_ptr(), buf.len(), slot as u64) };
+                dev.post_recv(recv).unwrap();
+            }
+            for i in 0..BURST {
+                // Every other message is signaled: SendDones and
+                // RecvDones meet in the CQ.
+                match i % 2 {
+                    0 => dev.post_inject(0, 0, &payload, round as u64).unwrap(),
+                    _ => dev.post_send(0, 0, &payload, round as u64, 1).unwrap(),
+                }
+            }
+            while got < (round + 1) * BURST {
+                out.clear();
+                dev.poll_cq(&mut out, 8).unwrap();
+                got += out.iter().filter(|c| c.kind == CqeKind::RecvDone).count();
+            }
+        }
+        assert!(dev.buf_pool_stats().recycled_bytes > 0, "nothing went through a shelf");
+        assert_eq!(capacities(), built);
     }
 
     /// A thread's completions come out of `poll` in the order it staged

@@ -138,7 +138,8 @@ pub(crate) struct FramedDevice<W: Wire> {
     /// Visible to the crate for the layout test beside [`QpLocks`], which
     /// holds a posting lock against real posts and polls.
     pub(crate) qps: QpLocks,
-    shared: Arc<DevShared>,
+    /// Visible to the crate for the capacity test beside [`DevShared`].
+    pub(crate) shared: Arc<DevShared>,
     reg_cache: RegCache,
     buf_pool: BufPool,
     /// Payload bytes of the writes and reads this device accepted, by
@@ -296,6 +297,14 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         &self.cfg
     }
 
+    fn post_inject(&self, target: Rank, target_dev: DevId, data: &[u8], imm: u64) -> NetResult<()> {
+        // Not a one-message batch: the batch's slice walk and partial-
+        // progress bookkeeping cost ~9 ns a message here (measured).
+        self.ready(target, Some(target_dev))?;
+        let h = FrameHeader { imm, ..self.header(KIND_SEND, target_dev as u32) };
+        self.post_frame(target, &h, data)
+    }
+
     fn post_send(
         &self,
         target: Rank,
@@ -304,14 +313,10 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         imm: u64,
         ctx: u64,
     ) -> NetResult<()> {
-        // Not a one-message batch: the batch's slice walk and partial-
-        // progress bookkeeping cost ~9 ns a message here (measured).
-        self.ready(target, Some(target_dev))?;
         if self.shared.staging_full() {
             return Err(NetError::Retry(RetryReason::QueueFull));
         }
-        let h = FrameHeader { imm, ..self.header(KIND_SEND, target_dev as u32) };
-        self.post_frame(target, &h, data)?;
+        self.post_inject(target, target_dev, data, imm)?;
         self.shared.stage_cqe(Cqe::local(CqeKind::SendDone, ctx));
         Ok(())
     }

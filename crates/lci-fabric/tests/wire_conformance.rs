@@ -12,15 +12,16 @@
 //! frame only a write's immediate (`Wire::LOCAL_DIRECT`), in-process tcp
 //! frames every byte.
 //!
-//! Every case runs on every preset, but for four that say why not where
+//! Every case runs on every preset, but for five that say why not where
 //! they are: two need a wire that holds frames outside the target's RX
 //! ring (`buffers_on_its_own`), one needs a read that is framed
-//! (`frames_local_rma`), and the last needs a device table the sender
-//! cannot see, so it re-executes this test binary as two worker
-//! processes (like `lcw`'s `shm_smoke`) — over shm by default, over the
-//! tcp mesh with `LCI_TRANSPORT=tcp`; the simulated providers live in
-//! one process only. Every other case runs two ranks inside this
-//! process (four where several senders meet at one device).
+//! (`frames_local_rma`), and the last two need another process — a
+//! device table the sender cannot see, a peer that exits — so they
+//! re-execute this test binary as two worker processes (like `lcw`'s
+//! `shm_smoke`) — over shm by default, over the tcp mesh with
+//! `LCI_TRANSPORT=tcp`; the simulated providers live in one process
+//! only. Every other case runs two ranks inside this process (four
+//! where several senders meet at one device).
 #![cfg(unix)]
 
 mod common;
@@ -29,7 +30,7 @@ use common::{pair, poll_until, post_packet_recv, DEADLINE};
 use lci_fabric::backend::{NetContext, NetDevice, SendDesc};
 use lci_fabric::bootstrap::{self, test_child_args, Launch};
 use lci_fabric::sync::LockDiscipline;
-use lci_fabric::types::{CqeKind, NetError, RecvBufDesc, RetryReason};
+use lci_fabric::types::{Cqe, CqeKind, NetError, NetResult, RecvBufDesc, RetryReason};
 use lci_fabric::{BackendKind, DeviceConfig, Fabric, RegCacheStats, Rkey};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -44,10 +45,14 @@ fn wires() -> [DeviceConfig; 4] {
 /// will still take: refused again after that, five times over, means
 /// full.
 fn fill_until_refused(dev: &Arc<dyn NetDevice>, fill: &[u8]) -> u64 {
+    fill_until_refused_by(dev, |imm| dev.post_send(1 - dev.rank(), 0, fill, imm, 0))
+}
+
+fn fill_until_refused_by(dev: &Arc<dyn NetDevice>, post: impl Fn(u64) -> NetResult<()>) -> u64 {
     let mut scratch = Vec::new();
     let (mut sent, mut refused) = (0u64, 0);
     while refused < 5 {
-        match dev.post_send(1 - dev.rank(), 0, fill, sent, 0) {
+        match post(sent) {
             Ok(()) => (sent, refused) = (sent + 1, 0),
             Err(NetError::Retry(_)) => {
                 refused += 1;
@@ -860,6 +865,158 @@ fn direct_writes_never_find_a_lock_busy(cfg: DeviceConfig) {
     assert!(region[..LEN].iter().all(|&b| b == 1) && region[LEN..].iter().all(|&b| b == 2));
 }
 
+/// The bytes message `i` of the inject cases carries: lengths on both
+/// sides of every wire's inline limit.
+fn numbered(i: u64) -> Vec<u8> {
+    vec![i as u8 ^ 0x5A; 1 + (i as usize * 37) % 900]
+}
+
+/// The receiving end of the inject cases: a few receives it re-posts as
+/// they complete, checking that message `i` (its immediate) is the
+/// `i`-th to arrive and carries `numbered(i)`.
+struct Sink<'a> {
+    dev: &'a Arc<dyn NetDevice>,
+    bufs: Vec<Vec<u8>>,
+    next: u64,
+    cqes: Vec<Cqe>,
+}
+
+impl<'a> Sink<'a> {
+    fn new(dev: &'a Arc<dyn NetDevice>) -> Self {
+        let mut bufs: Vec<Vec<u8>> = (0..32).map(|_| vec![0u8; 1024]).collect();
+        for (i, b) in bufs.iter_mut().enumerate() {
+            post_packet_recv(dev, b, i as u64);
+        }
+        Sink { dev, bufs, next: 0, cqes: Vec::new() }
+    }
+
+    /// One poll's worth.
+    fn drain(&mut self) {
+        self.dev.poll_cq(&mut self.cqes, 64).unwrap();
+        for c in self.cqes.drain(..) {
+            assert_eq!((c.kind, c.imm), (CqeKind::RecvDone, self.next), "out of post order");
+            let slot = c.ctx as usize;
+            assert_eq!(self.bufs[slot][..c.len], numbered(self.next)[..], "message {}", c.imm);
+            self.next += 1;
+            post_packet_recv(self.dev, &mut self.bufs[slot], c.ctx);
+        }
+    }
+
+    /// Drains until `n` messages have arrived, `sender` polling along
+    /// (tcp ships its queue there); returns what the sender polled.
+    fn drain_until(&mut self, n: u64, sender: &Arc<dyn NetDevice>) -> Vec<Cqe> {
+        let (mut polled, deadline) = (Vec::new(), Instant::now() + DEADLINE);
+        while self.next < n {
+            sender.poll_cq(&mut polled, 64).unwrap();
+            self.drain();
+            assert!(Instant::now() < deadline, "stuck at {}/{n} messages", self.next);
+        }
+        polled
+    }
+}
+
+/// `post_inject` is a send without a completion: the bytes and the
+/// immediate arrive, nothing ever shows up on the sender's CQ, and
+/// interleaved with `post_send`s toward the same target everything
+/// leaves in post order — the `SendDone`s of the signaled ones are the
+/// only completions, in their order.
+#[test]
+fn inject_delivers_in_post_order_with_sends_and_completes_nothing() {
+    const N: u64 = 96;
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let mut sink = Sink::new(&d1);
+        for i in 0..N / 2 {
+            d0.post_inject(1, 0, &numbered(i), i).unwrap();
+        }
+        let polled = sink.drain_until(N / 2, &d0);
+        assert!(polled.is_empty(), "{cfg:?}: an inject completed: {polled:?}");
+
+        let signaled = |i: u64| i.is_multiple_of(3);
+        for i in N / 2..N {
+            match signaled(i) {
+                true => d0.post_send(1, 0, &numbered(i), i, i).unwrap(),
+                false => d0.post_inject(1, 0, &numbered(i), i).unwrap(),
+            }
+        }
+        let mut polled = sink.drain_until(N, &d0);
+        for _ in 0..8 {
+            d0.poll_cq(&mut polled, 64).unwrap();
+        }
+        let want = (N / 2..N).filter(|&i| signaled(i)).map(|i| (CqeKind::SendDone, i));
+        assert!(polled.iter().map(|c| (c.kind, c.ctx)).eq(want), "{cfg:?}: {polled:?}");
+    }
+}
+
+/// An inject needs no slot on the completion staging ring. Signaled
+/// sends nobody polls for fill that ring — `Retry(QueueFull)` at its
+/// capacity — and injects are still accepted behind them, refused only
+/// by the wire while the receiver catches up. The ring's `SendDone`s are
+/// all the sender ever polls.
+#[test]
+fn inject_is_accepted_with_the_staging_ring_full() {
+    const INJECTS: u64 = 300;
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg.with_rx_capacity(64).with_discipline(LockDiscipline::Blocking));
+        let mut sink = Sink::new(&d1);
+        let mut sent = 0u64;
+        loop {
+            match d0.post_send(1, 0, &numbered(sent), sent, sent) {
+                Ok(()) => sent += 1,
+                Err(NetError::Retry(RetryReason::QueueFull)) => break,
+                Err(NetError::Retry(RetryReason::RxFull)) => sink.drain(),
+                Err(e) => panic!("{cfg:?}: send {sent}: {e:?}"),
+            }
+            assert!(sent < 100_000, "{cfg:?}: the staging ring never filled");
+        }
+        let staged = sent;
+        while sent < staged + INJECTS {
+            match d0.post_inject(1, 0, &numbered(sent), sent) {
+                Ok(()) => sent += 1,
+                Err(NetError::Retry(RetryReason::RxFull)) => sink.drain(),
+                Err(e) => panic!("{cfg:?}: inject {sent} behind a full staging ring: {e:?}"),
+            }
+        }
+        let mut polled = sink.drain_until(sent, &d0);
+        for _ in 0..8 {
+            d0.poll_cq(&mut polled, 64).unwrap();
+        }
+        let want = (0..staged).map(|i| (CqeKind::SendDone, i));
+        assert!(
+            polled.iter().map(|c| (c.kind, c.ctx)).eq(want),
+            "{cfg:?}: {} polled",
+            polled.len()
+        );
+    }
+}
+
+/// A full wire refuses an inject with `Retry(RxFull)` and sends nothing:
+/// once the receiver drains, exactly the accepted messages arrive, in
+/// order, and the refused one goes through when posted again. A target
+/// rank that does not exist is fatal, as for `post_send`.
+#[test]
+fn inject_on_a_full_wire_retries_with_nothing_sent() {
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg.with_discipline(LockDiscipline::Blocking));
+        let sent = fill_until_refused_by(&d0, |i| d0.post_inject(1, 0, &numbered(i), i));
+        let err = d0.post_inject(1, 0, &numbered(sent), sent).unwrap_err();
+        assert_eq!(err, NetError::Retry(RetryReason::RxFull), "{cfg:?}");
+
+        let mut sink = Sink::new(&d1);
+        let polled = sink.drain_until(sent, &d0);
+        for _ in 0..8 {
+            sink.drain();
+        }
+        assert_eq!((sink.next, d1.inbound_pending()), (sent, 0), "{cfg:?}: a refused inject left");
+        d0.post_inject(1, 0, &numbered(sent), sent).unwrap();
+        let polled_after = sink.drain_until(sent + 1, &d0);
+        assert!(polled.is_empty() && polled_after.is_empty(), "{cfg:?}: an inject completed");
+
+        let err = d0.post_inject(2, 0, &[1], 0).unwrap_err();
+        assert!(matches!(err, NetError::Fatal(_)), "{cfg:?}: rank out of range: {err:?}");
+    }
+}
+
 fn post_send_retrying(dev: &Arc<dyn NetDevice>, dst_dev: usize, data: &[u8], imm: u64) {
     let deadline = Instant::now() + DEADLINE;
     let mut scratch = Vec::new();
@@ -943,4 +1100,44 @@ fn frames_for_a_device_created_later_wait_in_order() {
     // Neither side leaves (closing its end of the wire) before both are
     // done.
     ctx.fabric.oob_barrier();
+}
+
+/// A peer that has exited is a fatal target for an inject, as it is for
+/// a send, and neither leaves a completion. Rank 1 exits right after
+/// the startup barrier; rank 0 keeps injecting and polling — what the
+/// wire accepts before it knows is lost with the peer; shm learns from
+/// the peer table, tcp by reading the socket — until the post is fatal.
+#[test]
+fn inject_toward_an_exited_peer_is_fatal() {
+    const NAME: &str = "inject_toward_an_exited_peer_is_fatal";
+    let ctx = match bootstrap::launch(2, &test_child_args(NAME), Duration::from_secs(60))
+        .expect("launch")
+    {
+        Launch::Child(ctx) => ctx,
+        Launch::Parent(report) => {
+            assert_eq!(report.exit_codes, vec![0, 7], "expected rank 0 ok, rank 1 exited");
+            return;
+        }
+    };
+    let cfg =
+        if ctx.fabric.tcp_rank().is_some() { DeviceConfig::tcp() } else { DeviceConfig::shm() };
+    let dev = NetContext::new(ctx.fabric.clone(), ctx.rank).create_device(cfg);
+    ctx.fabric.oob_barrier();
+    if ctx.rank == 1 {
+        std::process::exit(7);
+    }
+    let (mut cqes, deadline) = (Vec::new(), Instant::now() + DEADLINE);
+    loop {
+        match dev.post_inject(1, 0, b"late", 1) {
+            Err(NetError::Fatal(_)) => break,
+            Ok(()) | Err(NetError::Retry(_)) => {}
+        }
+        dev.poll_cq(&mut cqes, 16).unwrap();
+        assert!(Instant::now() < deadline, "injects toward the exited rank 1 never turned fatal");
+        std::thread::yield_now();
+    }
+    let err = dev.post_send(1, 0, b"late", 1, 9).unwrap_err();
+    assert!(matches!(err, NetError::Fatal(_)), "send toward the exited peer: {err:?}");
+    dev.poll_cq(&mut cqes, 16).unwrap();
+    assert!(cqes.is_empty(), "a refused post completed: {cqes:?}");
 }

@@ -14,8 +14,8 @@
 //!   receive popped (each is signalled after the last byte was written:
 //!   the eager copy happens before `signal`, FIN travels behind the last
 //!   chunk on every wire) and the send window drained (each send
-//!   completes after its last byte was read: inject and eager at the
-//!   post, rendezvous at the last `WriteDone`). Both are counted on
+//!   completes after its last byte was read: eager at the post,
+//!   rendezvous at the last `WriteDone`). Both are counted on
 //!   the way out ([`Scope::run`], `coll::lending`) and a miscount
 //!   panics rather than trust the engine;
 //! * an **unclean exit** — the runtime failed after the first lend

@@ -452,8 +452,7 @@ pub fn barrier(rt: &Runtime) -> Result<()> {
             let tag = coll_tag(seq, round);
             // Post the receive first so an eager peer matches instantly.
             post_recv_cq(rt, &dev, st, from, 1, tag, 0)?;
-            // Inject-sized send: anything but retry is `done` (no
-            // signal) or parked in the backlog.
+            // An eager send: anything but retry is `done` (no signal).
             st.inflight.fetch_add(1, Ordering::AcqRel);
             loop {
                 let res = rt

@@ -8,7 +8,7 @@
 //! per-shard free list, so the steady state touches no allocator at all.
 //!
 //! Encoding: `ctx = (generation << 32) | (slot_id << 1) | 1`. The low
-//! tag bit keeps every id nonzero (a zero context is the inject/control
+//! tag bit keeps every id nonzero (a zero context is the control-message
 //! sentinel). The generation is bumped every time a slot is vacated, so a
 //! stale or double decode of an old context misses the generation check
 //! and is reported instead of silently handing back the wrong operation
@@ -52,7 +52,7 @@ impl<T> CtxPool<T> {
     }
 
     /// Stores `val` and returns its encoded context (always odd, so
-    /// never the zero inject/control sentinel).
+    /// never the zero control-message sentinel).
     pub fn insert(&self, val: T) -> u64 {
         let nshards = self.shards.len();
         let shard_idx = topology::current_core() % nshards;

@@ -7,9 +7,9 @@
 //! the backlog queue, polls the network, routes completions to the
 //! protocol that owns them and replenishes pre-posted receives — steps
 //! (1)-(11) of the paper's Figure 1. The protocols themselves are
-//! further `impl Device` blocks, one file each: `eager` (inject,
-//! buffer-copy and coalesced sends, receives, rcomp delivery), `rdv`
-//! (rendezvous) and `rma` (put/get).
+//! further `impl Device` blocks, one file each: `eager` (eager and
+//! coalesced sends, receives, rcomp delivery), `rdv` (rendezvous) and
+//! `rma` (put/get).
 
 mod eager;
 mod rdv;
@@ -69,8 +69,9 @@ pub(crate) struct RecvEntry {
 /// Per-operation context; what travels through the fabric's completion
 /// context field is its generation-tagged [`CtxPool`] id.
 enum OpCtx {
-    /// An eager send or a put: the buffer comes back with a completion
-    /// of `kind`.
+    /// A put, or an eager `no_retry` send the wire refused (parked in the
+    /// backlog; every other eager send is done at the post): the buffer
+    /// comes back with a completion of `kind`.
     Send {
         comp: Option<Comp>,
         buf: SendBuf,
@@ -372,12 +373,12 @@ impl Device {
         self.inner.backlog.push(item);
     }
 
-    /// Posts a message the runtime itself originates (no completion to
-    /// signal, so context 0). `progress` cannot bounce a full
+    /// Posts a message the runtime itself originates: no completion to
+    /// signal, so it is injected. `progress` cannot bounce a full
     /// wire to the user: a copy staged in a pooled buffer parks in the
     /// backlog instead (paper §4.1.5).
     fn send_ctrl(&self, target: Rank, target_dev: DevId, bytes: &[u8], imm: u64) -> Result<()> {
-        match self.inner.net.post_send(target, target_dev, bytes, imm, 0) {
+        match self.inner.net.post_inject(target, target_dev, bytes, imm) {
             Ok(()) => Ok(()),
             Err(NetError::Retry(_)) => {
                 let data = self.inner.buf_pool.stage_copy(bytes);
@@ -536,7 +537,7 @@ impl Device {
         match cqe.kind {
             CqeKind::SendDone | CqeKind::WriteDone | CqeKind::ReadDone => {
                 if cqe.ctx == 0 {
-                    return Ok(()); // inject / control message
+                    return Ok(()); // a control message or frame that left the backlog
                 }
                 // A local (source-side) completion.
                 match self.inner.ctx_decode(cqe.ctx)? {

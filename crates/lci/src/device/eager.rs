@@ -1,8 +1,9 @@
-//! The eager protocols (paper §4.3): inject, buffer-copy and coalesced
-//! sends on the source side; on the target side the receive post, the
-//! matching-engine delivery of eager payloads and the delivery of
-//! anything addressed to a remote completion handle, including the
-//! parking of arrivals that beat their handle's registration.
+//! The eager protocols (paper §4.3): eager sends — inject and buffer-copy
+//! are one here, done at the post — and coalesced sends on the source
+//! side; on the target side the receive post, the matching-engine
+//! delivery of eager payloads and the delivery of anything addressed to
+//! a remote completion handle, including the parking of arrivals that
+//! beat their handle's registration.
 
 use super::rdv::Rts;
 use super::{CommArgs, Device, DeviceInner, MatchEntry, OpCtx, RecvEntry};
@@ -13,47 +14,8 @@ use crate::error::{FatalError, PostResult, Result};
 use crate::matching::MatchKind;
 use crate::packet_pool::Packet;
 use crate::proto::{coalesce_unpack_ranges, Header, MsgType};
-use crate::types::{
-    CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag, SENDBUF_INLINE_CAP,
-};
+use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag};
 use lci_fabric::{NetError, PoolBuf};
-
-/// The bytes of a send buffer at an address that stays put while the
-/// [`SendBuf`] itself moves into its [`OpCtx`] slot, so the fabric can
-/// post straight from the buffer the operation owns until its
-/// completion — no restaging copy.
-pub(super) enum PostSrc {
-    /// `SendBuf::Inline` bytes live inside the enum and move with it:
-    /// the ≤ 24 B are copied to the poster's stack.
-    Stack([u8; SENDBUF_INLINE_CAP], u8),
-    /// Heap, packet or pool storage the `SendBuf` only points at.
-    Stable(*const u8, usize),
-    /// A multi-segment iovec, gathered (the one staging copy left).
-    Gathered(PoolBuf),
-}
-
-impl PostSrc {
-    pub(super) fn of(dev: &DeviceInner, buf: &SendBuf) -> PostSrc {
-        match (buf, buf.as_contiguous()) {
-            (SendBuf::Inline(bytes, len), _) => PostSrc::Stack(*bytes, *len),
-            (_, Some(data)) => PostSrc::Stable(data.as_ptr(), data.len()),
-            (_, None) => PostSrc::Gathered(dev.stage_payload(buf)),
-        }
-    }
-
-    /// # Safety
-    /// The `SendBuf` this was taken from must still be alive and
-    /// unmodified: it may have moved (into an `OpCtx` the fabric has not
-    /// completed), but not been handed back to the user or dropped.
-    pub(super) unsafe fn bytes(&self) -> &[u8] {
-        match self {
-            PostSrc::Stack(bytes, len) => &bytes[..*len as usize],
-            // SAFETY: per the contract above, the pointee outlives `self`.
-            PostSrc::Stable(ptr, len) => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-            PostSrc::Gathered(buf) => buf,
-        }
-    }
-}
 
 /// A delivery addressed to a remote completion handle. Parked (see
 /// [`DeviceInner::pending_inbound`]) while the handle is not registered.
@@ -69,9 +31,8 @@ pub(super) enum PendingInbound {
 impl DeviceInner {
     /// Gathers a multi-segment iovec — the one send buffer that is not
     /// contiguous already (the fabric posts contiguous bytes) — into a
-    /// recycled buffer; every other buffer posts from where it is
-    /// ([`PostSrc`]).
-    fn stage_payload(&self, buf: &SendBuf) -> PoolBuf {
+    /// recycled buffer; every other buffer posts from where it is.
+    pub(super) fn stage_payload(&self, buf: &SendBuf) -> PoolBuf {
         let SendBuf::Iovec(segs) = buf else { unreachable!("non-contiguous SendBuf is Iovec") };
         let mut out = self.buf_pool.take_empty(buf.len());
         for seg in segs.iter() {
@@ -81,8 +42,9 @@ impl DeviceInner {
     }
 
     /// Runs `f` on the payload as one slice, gathering an iovec first.
-    /// For the protocols that are done with the bytes at return (inject,
-    /// coalesce): contiguous buffers skip the flatten staging copy.
+    /// Every eager protocol is done with the bytes when `f` returns (the
+    /// wire or the coalescing buffer has copied them), so contiguous
+    /// buffers skip the flatten staging copy.
     #[inline(always)]
     fn with_bytes<R>(&self, buf: &SendBuf, f: impl FnOnce(&[u8]) -> R) -> R {
         match buf.as_contiguous() {
@@ -125,8 +87,9 @@ impl Device {
             None => (MsgType::Eager, 0, CompKind::Send),
         };
         let imm = Header::new(ty, args.policy, args.tag, aux).encode();
-        // Inject and coalesce finish at return: the operation is done and
-        // the completion object is *not* signaled (paper §3.2.5 "done").
+        // An eager send finishes at return: the operation is done, the
+        // buffer rides the descriptor and the completion object is *not*
+        // signaled (paper §3.2.5 "done").
         let done = |buf| {
             Ok(PostResult::Done(CompDesc {
                 rank: args.rank,
@@ -147,61 +110,33 @@ impl Device {
             return done(buf);
         }
 
-        if size <= cfg.inject_size {
-            // Inject protocol: completes immediately.
-            let res = self.inner.with_bytes(&buf, |data| {
-                self.inner.net.post_send(args.rank, target_dev, data, imm, 0)
-            });
-            match res {
-                Ok(()) => return done(buf),
-                Err(NetError::Retry(r)) if args.allow_retry => {
-                    return Ok(PostResult::Retry(r.into()));
-                }
-                Err(NetError::Retry(_)) => {
-                    // Retry disallowed: degrade to the posted path below,
-                    // which parks the request in the backlog and signals
-                    // the completion object when it eventually ships.
-                }
-                Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
-            }
-        }
-
-        // Buffer-copy protocol: the fabric copies out of the send buffer
-        // itself, which the operation context owns until `SendDone` (the
-        // buffer-valid-until-CQE half of `NetDevice::post_send`'s
-        // contract); it comes back with the completion.
-        let src = PostSrc::of(&self.inner, &buf);
-        let ctx = self.inner.ctx_encode(OpCtx::Send {
-            comp: args.comp.clone(),
-            buf,
-            rank: args.rank,
-            tag: args.tag,
-            user_ctx: args.user_ctx,
-            kind: CompKind::Send,
-        });
-        // SAFETY: the buffer `src` points into sits in the context just
-        // encoded, and nothing decodes that context before the fabric
-        // either rejects the post (handled below, `src` last used at the
-        // park) or completes it (after copying the bytes out).
-        let data = unsafe { src.bytes() };
-        match self.inner.net.post_send(args.rank, target_dev, data, imm, ctx) {
-            Ok(()) => Ok(PostResult::Posted),
-            Err(NetError::Retry(r)) if args.allow_retry => {
-                // Back out: reclaim the context and hand the buffer back
-                // through the retry descriptor path (caller resubmits
-                // with the same buffer). The fabric rejected the post, so
-                // the context was never handed over.
-                let _op = self.inner.ctx_decode(ctx)?;
-                Ok(PostResult::Retry(r.into()))
-            }
+        // Inject and buffer-copy are one protocol here: every wire reads
+        // an eager source for the last time inside the post (DESIGN.md
+        // §4.11 "Lending"), so nothing is left to wait for.
+        let res = self
+            .inner
+            .with_bytes(&buf, |data| self.inner.net.post_inject(args.rank, target_dev, data, imm));
+        match res {
+            Ok(()) => done(buf),
+            Err(NetError::Retry(r)) if args.allow_retry => Ok(PostResult::Retry(r.into())),
             Err(NetError::Retry(_)) => {
                 // Retry disallowed: park a staged copy of the payload in
-                // the backlog (the one case that still pays it); the
-                // in-flight context (with the original buffer and
-                // completion) is posted when the wire frees up (paper
-                // §4.4).
-                // SAFETY: as above; the context is still encoded.
-                let data = self.inner.buf_pool.stage_copy(unsafe { src.bytes() });
+                // the backlog (the one eager send that is `Posted`); the
+                // context, with the original buffer and completion,
+                // travels with it and is signaled by the `SendDone` of
+                // the drain's post (paper §4.4).
+                let data = match buf.as_contiguous() {
+                    Some(bytes) => self.inner.buf_pool.stage_copy(bytes),
+                    None => self.inner.stage_payload(&buf),
+                };
+                let ctx = self.inner.ctx_encode(OpCtx::Send {
+                    comp: args.comp,
+                    buf,
+                    rank: args.rank,
+                    tag: args.tag,
+                    user_ctx: args.user_ctx,
+                    kind,
+                });
                 self.push_backlog(Backlogged::Send {
                     target: args.rank,
                     target_dev,
@@ -211,11 +146,7 @@ impl Device {
                 });
                 Ok(PostResult::Posted)
             }
-            Err(NetError::Fatal(m)) => {
-                // Rejected post: the context was never handed over.
-                let _op = self.inner.ctx_decode(ctx)?;
-                Err(FatalError::Net(m))
-            }
+            Err(NetError::Fatal(m)) => Err(FatalError::Net(m)),
         }
     }
 
@@ -229,7 +160,7 @@ impl Device {
         let Frame { target, target_dev, data, count } = frame;
         let imm = Header::new(MsgType::Coalesced, MatchingPolicy::None, 0, count as u32).encode();
         if self.inner.backlog.is_empty() {
-            match self.inner.net.post_send(target, target_dev, &data, imm, 0) {
+            match self.inner.net.post_inject(target, target_dev, &data, imm) {
                 Ok(()) => return Ok(()),
                 Err(NetError::Retry(_)) => {}
                 Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
@@ -466,42 +397,5 @@ impl Device {
             *guard = kept;
         }
         Ok(did)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{Fabric, Runtime, RuntimeConfig};
-
-    /// What `inline_payloads_survive_posting_and_parking_*` cannot see
-    /// (the stale stack bytes of a pointer taken before the move stay
-    /// readable): an inline payload is posted from `PostSrc`'s own copy,
-    /// never from an address inside the `SendBuf` that is about to move;
-    /// out-of-line storage is posted from where it is.
-    #[test]
-    fn post_src_survives_the_send_buf_moving() {
-        let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::small()).unwrap();
-        let dev = &rt.device().inner;
-        let inside = |buf: &SendBuf, p: *const u8| {
-            let base = buf as *const SendBuf as usize;
-            (base..base + std::mem::size_of::<SendBuf>()).contains(&(p as usize))
-        };
-
-        let inline = SendBuf::from(&b"twenty-four inline bytes"[..]);
-        assert!(matches!(inline, SendBuf::Inline(..)));
-        let src = PostSrc::of(dev, &inline);
-        // SAFETY: `inline` is alive here and in its box below.
-        assert!(!inside(&inline, unsafe { src.bytes() }.as_ptr()), "posts from inside the enum");
-        let moved = Box::new(inline);
-        assert_eq!(unsafe { src.bytes() }, moved.as_contiguous().unwrap());
-
-        let owned = SendBuf::from(vec![7u8; 100]);
-        let at = owned.as_contiguous().unwrap().as_ptr();
-        let src = PostSrc::of(dev, &owned);
-        let moved = Box::new(owned);
-        // SAFETY: `owned` lives on in its box.
-        assert_eq!(unsafe { src.bytes() }.as_ptr(), at, "restaged a contiguous buffer");
-        assert_eq!(unsafe { src.bytes() }, moved.as_contiguous().unwrap());
     }
 }

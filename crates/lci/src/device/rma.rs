@@ -4,13 +4,53 @@
 //! the read has completed (the extension the paper leaves unimplemented;
 //! see the `proto` module docs).
 
-use super::eager::PostSrc;
-use super::{CommArgs, Device, OpCtx};
+use super::{CommArgs, Device, DeviceInner, OpCtx};
 use crate::comp::Comp;
 use crate::error::{FatalError, PostResult, Result};
 use crate::proto::{Header, MsgType};
-use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, RComp, Rank, Tag};
-use lci_fabric::{DevId, NetError, RecvBufDesc};
+use crate::types::{
+    CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, RComp, Rank, SendBuf, Tag,
+    SENDBUF_INLINE_CAP,
+};
+use lci_fabric::{DevId, NetError, PoolBuf, RecvBufDesc};
+
+/// The bytes of a put's source at an address that stays put while the
+/// [`SendBuf`] itself moves into its [`OpCtx`] slot, so the fabric can
+/// write straight from the buffer the operation owns until `WriteDone`
+/// — no restaging copy. (An eager send needs none of this: it is done
+/// with its buffer at the post.)
+enum PostSrc {
+    /// `SendBuf::Inline` bytes live inside the enum and move with it:
+    /// the ≤ 24 B are copied to the poster's stack.
+    Stack([u8; SENDBUF_INLINE_CAP], u8),
+    /// Heap, packet or pool storage the `SendBuf` only points at.
+    Stable(*const u8, usize),
+    /// A multi-segment iovec, gathered (the one staging copy left).
+    Gathered(PoolBuf),
+}
+
+impl PostSrc {
+    fn of(dev: &DeviceInner, buf: &SendBuf) -> PostSrc {
+        match (buf, buf.as_contiguous()) {
+            (SendBuf::Inline(bytes, len), _) => PostSrc::Stack(*bytes, *len),
+            (_, Some(data)) => PostSrc::Stable(data.as_ptr(), data.len()),
+            (_, None) => PostSrc::Gathered(dev.stage_payload(buf)),
+        }
+    }
+
+    /// # Safety
+    /// The `SendBuf` this was taken from must still be alive and
+    /// unmodified: it may have moved (into an `OpCtx` the fabric has not
+    /// completed), but not been handed back to the user or dropped.
+    unsafe fn bytes(&self) -> &[u8] {
+        match self {
+            PostSrc::Stack(bytes, len) => &bytes[..*len as usize],
+            // SAFETY: per the contract above, the pointee outlives `self`.
+            PostSrc::Stable(ptr, len) => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            PostSrc::Gathered(buf) => buf,
+        }
+    }
+}
 
 /// The local completion of a get: what [`OpCtx::Get`] carries.
 pub(super) struct GetOp {
@@ -103,5 +143,42 @@ impl Device {
             });
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Fabric, Runtime, RuntimeConfig};
+
+    /// An inline payload is posted from `PostSrc`'s own copy, never from
+    /// an address inside the `SendBuf` that is about to move into its
+    /// context (the stale stack bytes of a pointer taken before the move
+    /// usually stay readable, so no end-to-end test sees that mutant);
+    /// out-of-line storage is posted from where it is.
+    #[test]
+    fn post_src_survives_the_send_buf_moving() {
+        let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::small()).unwrap();
+        let dev = &rt.device().inner;
+        let inside = |buf: &SendBuf, p: *const u8| {
+            let base = buf as *const SendBuf as usize;
+            (base..base + std::mem::size_of::<SendBuf>()).contains(&(p as usize))
+        };
+
+        let inline = SendBuf::from(&b"twenty-four inline bytes"[..]);
+        assert!(matches!(inline, SendBuf::Inline(..)));
+        let src = PostSrc::of(dev, &inline);
+        // SAFETY: `inline` is alive here and in its box below.
+        assert!(!inside(&inline, unsafe { src.bytes() }.as_ptr()), "posts from inside the enum");
+        let moved = Box::new(inline);
+        assert_eq!(unsafe { src.bytes() }, moved.as_contiguous().unwrap());
+
+        let owned = SendBuf::from(vec![7u8; 100]);
+        let at = owned.as_contiguous().unwrap().as_ptr();
+        let src = PostSrc::of(dev, &owned);
+        let moved = Box::new(owned);
+        // SAFETY: `owned` lives on in its box.
+        assert_eq!(unsafe { src.bytes() }.as_ptr(), at, "restaged a contiguous buffer");
+        assert_eq!(unsafe { src.bytes() }, moved.as_contiguous().unwrap());
     }
 }

@@ -1,12 +1,14 @@
 //! Communication protocols (paper §4.3) and wire-header encoding.
 //!
-//! For send-receive and active-message operations, LCI chooses among
-//! three protocols by message size:
+//! For send-receive and active-message operations, LCI chooses between
+//! protocols by message size. The paper has three; its first two are one
+//! here, because every wire of this fabric is done with an eager source
+//! when the post returns:
 //!
-//! * **inject** — tiny payloads ride inline in the wire slot;
-//! * **buffer-copy (bcopy)** — eager payloads are copied by the fabric
-//!   out of the send buffer (which the operation owns until its
-//!   completion) and delivered into a pre-posted packet;
+//! * **eager** (the paper's *inject* and *buffer-copy*) — the fabric
+//!   copies the payload out of the send buffer inside the post (tiny
+//!   ones ride inline in the wire slot) and delivers it into a
+//!   pre-posted packet; the operation is `done` at the post;
 //! * **zero-copy (zcopy)** — a rendezvous: the source sends an RTS
 //!   (ready-to-send), the target registers its buffer and answers RTR
 //!   (ready-to-receive) carrying an rkey, and the source RDMA-writes the

@@ -67,12 +67,10 @@ pub struct RuntimeConfig {
     pub device: DeviceConfig,
     /// Packet pool sizing.
     pub packet: PacketPoolConfig,
-    /// Messages up to this size use the inject protocol (inline, `done`
-    /// on success).
-    pub inject_size: usize,
-    /// Messages up to this size use the buffer-copy protocol; larger ones
-    /// use zero-copy rendezvous. Must be at most the packet payload size
-    /// (incoming eager messages land in packets).
+    /// Messages up to this size are eager: the wire copies them out
+    /// inside the post, which returns `Done`. Larger ones use zero-copy
+    /// rendezvous. Must be at most the packet payload size (incoming
+    /// eager messages land in packets).
     pub eager_size: usize,
     /// Pre-posted receive target per device. The receives are restocked
     /// when their count falls to half of it (hysteresis), back to the
@@ -118,7 +116,6 @@ impl Default for RuntimeConfig {
             device: DeviceConfig::default(),
             eager_size: packet.payload_size,
             packet,
-            inject_size: 64,
             prepost: 64,
             matching: MatchingConfig::default(),
             cq: CqConfig::default(),

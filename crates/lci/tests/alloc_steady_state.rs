@@ -258,9 +258,8 @@ fn steady_state_allocs_cfg(cfg: RuntimeConfig, size: usize, warmup: usize, iters
     alloc_calls() - before
 }
 
-/// Inject-size messages (≤ `inject_size`): the whole path — inline
-/// send buffer, packet-pool delivery, handler completion — is
-/// allocation-free at steady state.
+/// 8-byte messages: the whole path — inline send buffer, packet-pool
+/// delivery, handler completion — is allocation-free at steady state.
 #[test]
 fn inject_steady_state_is_allocation_free() {
     let _g = serial();
@@ -273,9 +272,9 @@ fn inject_steady_state_is_allocation_free() {
     );
 }
 
-/// Buffer-copy eager messages: the wire's staging comes from the
-/// recycled buffer pool, op contexts from the slab pool — zero allocator
-/// calls per operation once shelves are warm.
+/// Eager messages past the wire's inline limit: the wire's staging comes
+/// from the recycled buffer pool — zero allocator calls per operation
+/// once shelves are warm.
 #[test]
 fn eager_steady_state_is_allocation_free() {
     let _g = serial();
@@ -338,8 +337,9 @@ fn shm_rendezvous_steady_state_is_allocation_free() {
 }
 
 /// Warm 2 KiB expected transfers on `device`: pool takes (`buf_pool_hits
-/// + buf_pool_misses`, both ranks) and `copied_deliveries` per message.
-fn eager_2k_copy_ledger(device: lci_fabric::DeviceConfig) -> (u64, u64) {
+/// + buf_pool_misses`, both ranks), `copied_deliveries` and the
+/// sender's `completions` (fabric CQEs its progress handled) per message.
+fn eager_2k_copy_ledger(device: lci_fabric::DeviceConfig) -> (u64, u64, u64) {
     const ITERS: u64 = 128;
     let pair = Pair::new_cfg(RuntimeConfig::small().with_device(device));
     let mut payload: SendBuf = vec![0x3Cu8; 2048].into();
@@ -361,7 +361,9 @@ fn eager_2k_copy_ledger(device: lci_fabric::DeviceConfig) -> (u64, u64) {
     assert_eq!(takes % ITERS, 0, "{takes} pool takes do not divide over {ITERS} messages");
     assert_eq!(d0.copied_deliveries, 0);
     assert_eq!(d1.copied_deliveries % ITERS, 0);
-    (takes / ITERS, d1.copied_deliveries / ITERS)
+    assert_eq!(d0.completions % ITERS, 0);
+    assert_eq!(d1.completions, ITERS, "the receiver handles one RecvDone per message");
+    (takes / ITERS, d1.copied_deliveries / ITERS, d0.completions / ITERS)
 }
 
 /// The eager copy ledger (DESIGN.md §4.7 table), from counters that
@@ -369,14 +371,16 @@ fn eager_2k_copy_ledger(device: lci_fabric::DeviceConfig) -> (u64, u64) {
 /// wire → packet → user buffer. On shm the ring is the wire and nothing
 /// is restaged, so the message takes no pooled buffer on either rank; on
 /// sim-ibv the wire's own staging is the one take. Either way exactly
-/// one delivery copy is counted (packet → posted buffer).
+/// one delivery copy is counted (packet → posted buffer), and the sender
+/// handles no completion at all: the send was done at the post, so no
+/// `SendDone` is staged, polled or decoded (1 per message until PR 21).
 #[test]
 fn eager_copy_ledger_is_one_stage_per_wire() {
     // Its own counters are per device, but its allocations would land in
     // a concurrent audit's window.
     let _g = serial();
-    assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::shm()), (0, 1));
-    assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::ibv()), (1, 1));
+    assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::shm()), (0, 1, 0));
+    assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::ibv()), (1, 1, 0));
 }
 
 /// Warm 512 KiB rendezvous transfers on `device`: the sender's

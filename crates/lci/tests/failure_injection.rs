@@ -14,7 +14,6 @@ fn starved() -> RuntimeConfig {
         device: DeviceConfig::ibv().with_rx_capacity(4),
         packet: lci::PacketPoolConfig { payload_size: 256, count: 8 },
         eager_size: 256,
-        inject_size: 16,
         prepost: 4,
         matching: lci::MatchingConfig { buckets: 4 },
         ..RuntimeConfig::default()
@@ -78,8 +77,10 @@ fn rx_full_surfaces_retry_and_recovers() {
 /// (the RTS of every fourth message, which is too large for eager) or
 /// the user did (the eager sends in between). The receiver stays away
 /// from the wire during the blast, so exactly the wire's four slots are
-/// taken directly and the rest drain from the backlog — in post order,
-/// runs to the one destination as batches.
+/// taken directly — three eager sends, `Done` at the post and never
+/// signaled, and one RTS — and the rest drain from the backlog — in post
+/// order, runs to the one destination as batches. `Done`s plus popped
+/// completions are the posts, each `user_ctx` once.
 #[test]
 fn no_retry_mode_parks_in_backlog() {
     let fabric = Fabric::new(2);
@@ -117,6 +118,7 @@ fn no_retry_mode_parks_in_backlog() {
     // (posted), overflowing into the backlog, and eventually delivered
     // by progress.
     let cq = Comp::alloc_cq();
+    let mut seen = vec![0u32; n_msgs as usize];
     for i in 0..n_msgs {
         let res = rt
             .post_send_x(1, vec![i as u8; size_of(i)], 5, cq.clone())
@@ -124,15 +126,25 @@ fn no_retry_mode_parks_in_backlog() {
             .no_retry()
             .call()
             .unwrap();
-        // 32 B > inject_size, so never Done either.
-        assert!(res.is_posted(), "no_retry must not surface retry");
+        // Until PR 21 every one of these was `Posted`: an eager send the
+        // wire took still waited for its `SendDone`. Now only what parks
+        // (and a rendezvous) is; a send the wire took is `Done`.
+        match res {
+            PostResult::Done(d) => {
+                assert!(i < 3, "message {i} was done at the post behind a full wire");
+                assert_eq!((d.kind, d.user_ctx), (CompKind::Send, i));
+                assert_eq!(d.as_slice(), &vec![i as u8; size_of(i)][..], "the buffer posted");
+                seen[i as usize] += 1;
+            }
+            PostResult::Posted => assert!(i >= 3, "message {i} was not done at the post"),
+            PostResult::Retry(r) => panic!("no_retry must not surface retry ({r:?})"),
+        }
     }
     let parked = rt.device().stats().backlogged;
     assert_eq!(parked, n_msgs - 4, "everything past the wire's four slots parks");
     assert_eq!(rt.device().backlog_len() as u64, parked);
     fabric.oob_barrier();
     // Drain everything: every user completion arrives exactly once.
-    let mut seen = vec![0u32; n_msgs as usize];
     while seen.iter().sum::<u32>() < n_msgs as u32 {
         rt.progress().unwrap();
         while let Some(d) = cq.pop() {
@@ -356,22 +368,18 @@ fn inline_pattern(i: u32) -> Vec<u8> {
     (0..1 + i % 24).map(|j| (i * 31 + j) as u8).collect()
 }
 
-/// A `SendBuf::Inline` payload lives inside the enum, so it moves when
-/// the buffer moves into its operation context. With `inject_size` 0 a
-/// small borrowed payload takes the posted path; blasted `no_retry`
-/// without progress, the posts the wire refuses park in the backlog
-/// (sim: 2-slot RX ring; shm: completion staging fills after 256
-/// posts). Both paths must ship the bytes the user passed and hand the
-/// same inline buffer back with the completion.
-///
-/// This guards the behaviour of the two paths, not the address
-/// stability itself: a pointer taken before the move reads stale stack
-/// bytes that are usually still intact. The unit test
-/// `post_src_survives_the_send_buf_moving` in `lci/src/device.rs` is
-/// the one that fails for that mutant.
+/// A `SendBuf::Inline` payload lives inside the enum, so it moves with
+/// the buffer: into the `Done` descriptor when the wire takes the send,
+/// into an operation context when a `no_retry` send parks. Blasted
+/// `no_retry` at a receiver that stays away from the wire, the first
+/// sends are taken (sim: 2-slot RX ring; shm: the 256 slots of the
+/// ring — until PR 21 the shm half parked on a full completion staging
+/// ring instead, which an eager send no longer touches) and the rest
+/// park. Both paths must ship the bytes the user passed and hand the
+/// same inline buffer back, at the post or with the completion.
 fn inline_payloads_survive_posting_and_parking(device: DeviceConfig) {
     const N: u32 = 300;
-    let cfg = RuntimeConfig { device, inject_size: 0, ..RuntimeConfig::small() };
+    let cfg = RuntimeConfig { device, ..RuntimeConfig::small() };
     let fabric = Fabric::new(2);
     let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
     let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
@@ -382,18 +390,33 @@ fn inline_payloads_survive_posting_and_parking(device: DeviceConfig) {
             PostResult::Posted
         ));
     }
+    let came_back = |d: lci::CompDesc| match d.data {
+        lci::DataBuf::SendBuf(lci::SendBuf::Inline(bytes, len)) => {
+            assert_eq!(&bytes[..len as usize], inline_pattern(d.tag));
+        }
+        other => panic!("message {} came back as {other:?}", d.tag),
+    };
+    let (mut sent, mut received) = (0, 0);
     for i in 0..N {
         let res = rt0
             .post_send_x(1, inline_pattern(i).as_slice(), i, scq.clone())
             .no_retry()
             .call()
             .unwrap();
-        assert!(matches!(res, PostResult::Posted), "message {i}: {res:?}");
+        match res {
+            PostResult::Done(d) => {
+                assert_eq!(d.tag, i);
+                came_back(d);
+                sent += 1;
+            }
+            PostResult::Posted => {}
+            PostResult::Retry(r) => panic!("message {i}: no_retry surfaced {r:?}"),
+        }
     }
     let parked = rt0.device().backlog_len();
-    assert!(parked > 0 && parked < N as usize, "{parked} of {N} parked: one path went untested");
+    assert_eq!(parked as u32, N - sent, "what was not done at the post parked");
+    assert!(parked > 0 && sent > 0, "{parked} of {N} parked: one path went untested");
 
-    let (mut sent, mut received) = (0, 0);
     while sent < N || received < N {
         rt0.progress().unwrap();
         rt1.progress().unwrap();
@@ -402,16 +425,13 @@ fn inline_payloads_survive_posting_and_parking(device: DeviceConfig) {
             received += 1;
         }
         while let Some(d) = scq.pop() {
-            match d.data {
-                lci::DataBuf::SendBuf(lci::SendBuf::Inline(bytes, len)) => {
-                    assert_eq!(&bytes[..len as usize], inline_pattern(d.tag));
-                }
-                other => panic!("message {} came back as {other:?}", d.tag),
-            }
+            came_back(d);
             sent += 1;
         }
     }
     assert_eq!(rt0.device().backlog_len(), 0);
+    rt0.progress().unwrap();
+    assert!(scq.pop().is_none(), "a send that was done at the post was signaled as well");
 }
 
 #[test]

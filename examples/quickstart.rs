@@ -39,7 +39,7 @@ fn rank0(fabric: std::sync::Arc<Fabric>) {
         }
     };
     match ret {
-        PostResult::Done(_) => println!("rank0: send completed immediately (inject)"),
+        PostResult::Done(_) => println!("rank0: send completed at the post (eager)"),
         PostResult::Posted => {
             scomp.as_sync().unwrap().wait_with(|| {
                 rt.progress().unwrap();
