@@ -44,10 +44,10 @@ pub enum BackendKind {
     /// processes can map, with ibv-style lock granularity on the
     /// posting side.
     Shm,
-    /// Real TCP transport (DESIGN.md §4.12): a full socket mesh with
-    /// per-peer send queues drained by vectored writes and an
-    /// epoll-driven doorbell bridge, with ibv-style lock granularity on
-    /// the posting side. Unix only.
+    /// Real TCP transport (DESIGN.md §4.12): a full socket mesh with a
+    /// per-peer stream buffer written out by whoever polls, who also
+    /// asks epoll which sockets are ready, with ibv-style lock
+    /// granularity on the posting side. Unix only.
     Tcp,
 }
 
@@ -177,9 +177,6 @@ pub struct TransportStats {
     /// High-water mark of per-channel ring occupancy (frames) over every
     /// shm channel touching this device's rank. Monotone.
     pub shm_ring_hwm: u64,
-    /// Times the cross-process doorbell bridge woke this rank's devices
-    /// on behalf of a remote producer. Monotone; zero in-process.
-    pub doorbell_cross_proc_wakes: u64,
     /// `writev` syscalls issued by the tcp backend that made progress.
     /// Monotone; zero on other backends.
     pub tcp_writev_calls: u64,
@@ -341,29 +338,25 @@ pub trait NetDevice: Send + Sync {
     /// engine to decide when to replenish).
     fn posted_recvs(&self) -> usize;
 
-    /// The device's doorbell, rung whenever work plausibly becomes
-    /// available for `poll_cq` (wire delivery into the RX ring, locally
-    /// staged completions). A poller can park on it instead of
-    /// spin-polling; nothing in the workspace does today (ROADMAP item
-    /// 5, "fabric bell plane"). Every backend has one.
+    /// The device's doorbell. Every backend has one and none rings it:
+    /// progress is whoever polls, so nothing waits on it either. What
+    /// is left of the fabric bell plane (ROADMAP item 5(a)).
     fn doorbell(&self) -> Option<Arc<Doorbell>>;
 
     /// Number of inbound wire messages waiting in the device's RX ring
-    /// (racy snapshot). A poller must not sleep on the doorbell while
-    /// this is non-zero: a message can sit in the ring without a
-    /// matching pre-posted receive (RNR), and draining it needs further
-    /// polls, not another doorbell ring.
+    /// or on its wire (racy snapshot). A message can sit there without
+    /// a matching pre-posted receive (RNR); only further polls move it.
     fn inbound_pending(&self) -> usize;
 
     /// Outbound work accepted by a post call but not yet on the wire
-    /// (deferred-flush transports: the tcp send queues). Quiescence
+    /// (deferred-flush transports: the tcp stream buffers). Quiescence
     /// checks poll this — a send that completed locally may still need
     /// progress calls before the peer can observe it. Zero for
     /// transports that ship at post time.
     fn outbound_pending(&self) -> usize;
 
-    /// Transport-level counters (ring occupancy HWM, cross-process
-    /// doorbell wakes, one-sided bytes by the way they went).
+    /// Transport-level counters (ring occupancy HWM, tcp gather fill,
+    /// one-sided bytes by the way they went).
     fn transport_stats(&self) -> TransportStats;
 
     /// Tears the device down: closes its RX endpoint (subsequent sends
@@ -404,11 +397,8 @@ impl NetContext {
 
     /// Creates a device with the given configuration.
     pub fn create_device(&self, cfg: DeviceConfig) -> Arc<dyn NetDevice> {
-        // One doorbell per device, shared by the RX endpoint (remote
-        // senders ring it on wire delivery) and the backend (local posts
-        // ring it when they stage completions).
         let bell = Arc::new(Doorbell::new());
-        let rx = Arc::new(RxEndpoint::with_doorbell(cfg.rx_capacity, bell.clone()));
+        let rx = Arc::new(RxEndpoint::new(cfg.rx_capacity));
         let dev_id = self.fabric.add_device(self.rank, rx.clone());
         let fabric = self.fabric.clone();
         // One device core; the backend picks the wire under it here and

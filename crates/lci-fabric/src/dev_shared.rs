@@ -111,7 +111,7 @@ impl QpLocks {
 
 /// Completion and receive state of one device. Shared with the rank
 /// state so a wire drain running on a *sibling* device's poll can stage
-/// `ReadDone` CQEs and ring the doorbell of the posting device.
+/// `ReadDone` CQEs on the posting device.
 pub(crate) struct DevShared {
     dev_id: DevId,
     /// CQEs written by the "NIC" (lock-free staging, like DMA'd CQEs).
@@ -122,6 +122,9 @@ pub(crate) struct DevShared {
     cq_staging: ArrayQueue<Cqe>,
     /// The polled CQ; its lock models the `ibv_poll_cq` spinlock.
     cq: SpinLock<VecDeque<Cqe>>,
+    /// What [`NetDevice::doorbell`](crate::backend::NetDevice::doorbell)
+    /// hands out. Nothing in this crate rings it: progress is whoever
+    /// polls.
     bell: Arc<Doorbell>,
     /// Wire messages routed to this device that could not be delivered
     /// at drain time (no posted receive, or drained by a sibling).
@@ -181,9 +184,9 @@ impl DevShared {
         self.posted_recvs.load(Ordering::Acquire)
     }
 
-    /// Staging ring first, polled CQ as spillover, never dropped; ring
-    /// the bell either way. The spillover moves everything staged so far
-    /// into the CQ ahead of `cqe`: one thread's completions (a drain's
+    /// Staging ring first, polled CQ as spillover, never dropped. The
+    /// spillover moves everything staged so far into the CQ ahead of
+    /// `cqe`: one thread's completions (a drain's
     /// `RecvDone`s) are polled in the order it staged them even when the
     /// ring fills halfway through.
     pub(crate) fn stage_cqe(&self, cqe: Cqe) {
@@ -194,26 +197,15 @@ impl DevShared {
             }
             cq.push_back(cqe);
         }
-        self.bell.ring();
     }
 
     /// Appends to the shared receive queue under one lock acquisition
-    /// and wakes the progress thread when `wire_pending` or the RX
-    /// endpoint says a fresh receive can unpark something (delivery
-    /// happens in `poll_cq`).
-    pub(crate) fn post_recvs(
-        &self,
-        descs: &[RecvBufDesc],
-        wire_pending: usize,
-    ) -> NetResult<usize> {
+    /// (delivery happens in `poll_cq`).
+    pub(crate) fn post_recvs(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
         let mut srq =
             self.discipline.acquire(&self.srq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
         srq.extend(descs.iter().copied());
         self.posted_recvs.fetch_add(descs.len(), Ordering::AcqRel);
-        drop(srq);
-        if !descs.is_empty() && (self.rx.occupancy() > 0 || wire_pending > 0) {
-            self.bell.ring();
-        }
         Ok(descs.len())
     }
 
@@ -267,7 +259,7 @@ impl DevShared {
     /// round trip and no receive is ever taken in vain: only this poll,
     /// under the CQ lock its caller holds, pops the endpoint, so what it
     /// counted is still there when the receive has been taken. Messages
-    /// pushed meanwhile rang the doorbell for the next poll.
+    /// pushed meanwhile wait for the next poll.
     fn deliver_inbound(&self, cq: &mut VecDeque<Cqe>, budget: usize) -> NetResult<()> {
         for _ in 0..budget.min(self.rx.occupancy()) {
             let Some(desc) = self.next_recv() else { break };
@@ -324,10 +316,9 @@ mod tests {
     fn device(cfg: DeviceConfig) -> FramedDevice<SimWire> {
         let fabric = Fabric::new(2);
         fabric.add_device(1, Arc::new(RxEndpoint::new(8)));
-        let bell = Arc::new(Doorbell::new());
-        let rx = Arc::new(RxEndpoint::with_doorbell(cfg.rx_capacity, bell.clone()));
+        let rx = Arc::new(RxEndpoint::new(cfg.rx_capacity));
         let dev_id = fabric.add_device(0, rx.clone());
-        FramedDevice::new(fabric, 0, dev_id, rx, bell, cfg)
+        FramedDevice::new(fabric, 0, dev_id, rx, Arc::new(Doorbell::new()), cfg)
     }
 
     /// The table in [`QpLocks`]' documentation, on real devices: with the

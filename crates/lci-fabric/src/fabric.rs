@@ -3,7 +3,7 @@
 
 use crate::mem::RegistrationTable;
 use crate::shm::{ShmFabric, ShmSegment};
-use crate::sync::{Doorbell, MpmcArray};
+use crate::sync::MpmcArray;
 use crate::types::{DevId, NetError, NetResult, Rank, RetryReason, WireMsg};
 use crossbeam::queue::ArrayQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -24,48 +24,22 @@ pub const DEFAULT_RX_CAPACITY: usize = 4096;
 pub struct RxEndpoint {
     ring: ArrayQueue<WireMsg>,
     closed: AtomicBool,
-    /// Rung on every successful push, so a poller parked on the owning
-    /// device's bell would wake when wire traffic arrives (nothing in
-    /// the workspace waits on it today; ROADMAP item 5, "fabric bell
-    /// plane").
-    bell: Option<Arc<Doorbell>>,
 }
 
 impl RxEndpoint {
     /// Creates an endpoint with the given ring capacity.
     pub fn new(capacity: usize) -> Self {
-        Self { ring: ArrayQueue::new(capacity.max(1)), closed: AtomicBool::new(false), bell: None }
+        Self { ring: ArrayQueue::new(capacity.max(1)), closed: AtomicBool::new(false) }
     }
 
-    /// Creates an endpoint whose pushes ring `bell` (the owning device's
-    /// doorbell).
-    pub fn with_doorbell(capacity: usize, bell: Arc<Doorbell>) -> Self {
-        Self {
-            ring: ArrayQueue::new(capacity.max(1)),
-            closed: AtomicBool::new(false),
-            bell: Some(bell),
-        }
-    }
-
-    /// Pushes a message toward the owning device.
+    /// Pushes a message toward the owning device, which finds it at its
+    /// next poll. A full ring is `Retry(RxFull)` (the message, a staged
+    /// copy, is dropped), a closed endpoint fatal.
     pub fn push(&self, msg: WireMsg) -> NetResult<()> {
-        self.try_push(msg).map_err(|(e, _)| e)
-    }
-
-    /// [`push`](Self::push) that hands the message back on failure, so a
-    /// caller that parks it keeps the staged payload.
-    // The large `Err` is the point: it is the rejected message itself,
-    // as with `ArrayQueue::push`.
-    #[allow(clippy::result_large_err)]
-    pub fn try_push(&self, msg: WireMsg) -> Result<(), (NetError, WireMsg)> {
         if self.closed.load(Ordering::Acquire) {
-            return Err((NetError::fatal("target device closed"), msg));
+            return Err(NetError::fatal("target device closed"));
         }
-        self.ring.push(msg).map_err(|msg| (NetError::Retry(RetryReason::RxFull), msg))?;
-        if let Some(bell) = &self.bell {
-            bell.ring();
-        }
-        Ok(())
+        self.ring.push(msg).map_err(|_| NetError::Retry(RetryReason::RxFull))
     }
 
     /// Pops the next inbound message, if any. Only the owning device

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod router;
-pub(crate) use router::{InPayload, RankCore, Routed};
+pub(crate) use router::{RankCore, Routed};
 
 /// What a wire knows about the rank a post targets.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -87,22 +87,21 @@ pub(crate) trait Wire: Send + Sync + Sized + 'static {
     /// gone.
     fn send(&self, tx: &mut Self::Tx<'_>, h: &FrameHeader, payload: &[u8]) -> NetResult<()>;
 
-    /// Wakes `target`'s consumer after sends, with the sender unlocked.
-    fn kick(&self, _target: Rank) {}
-
     /// Moves the wire forward and offers up to `budget` inbound frames
-    /// per peer to `sink`, oldest first. A frame `sink` reports `Parked`
-    /// stays at the wire's head and ends that peer's turn. A peer whose
+    /// per peer to `sink`, oldest first, each payload lent as a slice of
+    /// the wire's own storage (a ring slot, a spill range, a reassembly
+    /// slab). A frame `sink` reports `Parked` stays at the wire's head
+    /// and ends that peer's turn. A peer whose
     /// channel is busy under a sibling device's drain is skipped
     /// (try-lock), so pollers never wait for each other.
     fn drain(
         &self,
         budget: usize,
-        sink: impl FnMut(Rank, &FrameHeader, InPayload<'_>) -> NetResult<Routed>,
+        sink: impl FnMut(Rank, &FrameHeader, &[u8]) -> NetResult<Routed>,
     ) -> NetResult<()>;
 
-    /// Inbound work that needs another poll, not a doorbell ring, to
-    /// advance (racy snapshot).
+    /// Inbound work that needs another poll to advance (racy
+    /// snapshot).
     fn inbound_pending(&self) -> usize;
 
     /// Frames accepted by `send` but not yet on their way.
@@ -264,23 +263,18 @@ impl<W: Wire> FramedDevice<W> {
     fn put(&self, route: &mut Route<'_, W>, h: &FrameHeader, payload: &[u8]) -> NetResult<()> {
         match route {
             Route::Wire { tx, .. } => self.wire.send(tx, h, payload),
-            Route::Local => {
-                match self.route_frame(self.rank, h, InPayload::Borrowed(payload), false)? {
-                    Routed::Done => Ok(()),
-                    Routed::Parked(why) => Err(NetError::Retry(why)),
-                }
-            }
+            Route::Local => match self.route_frame(self.rank, h, payload, false)? {
+                Routed::Done => Ok(()),
+                Routed::Parked(why) => Err(NetError::Retry(why)),
+            },
         }
     }
 
-    /// Posts a single frame and wakes the target.
+    /// Posts a single frame.
     #[inline(always)]
     fn post_frame(&self, target: Rank, h: &FrameHeader, payload: &[u8]) -> NetResult<()> {
         let mut route = self.route_to(target, true)?;
-        self.put(&mut route, h, payload)?;
-        drop(route);
-        self.wire.kick(target);
-        Ok(())
+        self.put(&mut route, h, payload)
     }
 }
 
@@ -343,7 +337,6 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
             }
         }
         drop(route);
-        self.wire.kick(target);
         for m in &msgs[..posted] {
             self.shared.stage_cqe(Cqe::local(CqeKind::SendDone, m.ctx));
         }
@@ -356,7 +349,7 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
 
     fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
         let _ep = self.qps.lock_endpoint()?;
-        self.shared.post_recvs(descs, self.wire.inbound_pending())
+        self.shared.post_recvs(descs)
     }
 
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
@@ -505,7 +498,6 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
 
     fn transport_stats(&self) -> TransportStats {
         TransportStats {
-            doorbell_cross_proc_wakes: self.wire.core().cross_wakes(),
             rma_direct_bytes: self.rma_direct_bytes.load(Ordering::Relaxed),
             rma_framed_bytes: self.rma_framed_bytes.load(Ordering::Relaxed),
             ..self.wire.stats()

@@ -4,7 +4,6 @@
 //! place frame kinds are told apart.
 
 use super::{FramedDevice, Peer, Wire};
-use crate::buf_pool::{BufPool, PoolBuf};
 use crate::dev_shared::DevShared;
 use crate::mem::Rkey;
 use crate::shm::ring::{
@@ -13,9 +12,7 @@ use crate::shm::ring::{
 use crate::sync::{MpmcArray, SpinLock};
 use crate::types::{
     Cqe, CqeKind, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsg, WireMsgKind,
-    WirePayload,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Capacity of the pending-read table (outstanding `post_read`s per
@@ -71,23 +68,16 @@ impl ReadTable {
 /// What the framed devices of one rank share, whatever the wire; each
 /// wire's rank state embeds one.
 pub(crate) struct RankCore {
-    /// Local devices on this rank (append-only registry), used to ring
-    /// doorbells and to route `ReadDone` completions.
+    /// Local devices on this rank (append-only registry), used to
+    /// route `ReadDone` completions.
     devs: MpmcArray<Arc<DevShared>>,
     /// Outstanding `post_read`s awaiting a `READ_RESP` frame.
     reads: SpinLock<ReadTable>,
-    /// Times the wire's bridge thread woke this rank's doorbells on
-    /// behalf of another process.
-    cross_wakes: AtomicU64,
 }
 
 impl RankCore {
     pub(crate) fn new() -> RankCore {
-        RankCore {
-            devs: MpmcArray::with_capacity(4),
-            reads: SpinLock::new(ReadTable::default()),
-            cross_wakes: AtomicU64::new(0),
-        }
+        RankCore { devs: MpmcArray::with_capacity(4), reads: SpinLock::new(ReadTable::default()) }
     }
 
     pub(super) fn add_device(&self, dev: Arc<DevShared>) {
@@ -114,64 +104,6 @@ impl RankCore {
     pub(super) fn drain_reads(&self, dev: DevId) -> Vec<RecvBufDesc> {
         self.reads.lock().drain_dev(dev)
     }
-
-    pub(super) fn cross_wakes(&self) -> u64 {
-        self.cross_wakes.load(Ordering::Relaxed)
-    }
-
-    /// Rings the doorbell of every framed device on this rank.
-    pub(crate) fn ring_all_bells(&self) {
-        for i in 0..self.devs.len() {
-            if let Some(d) = self.devs.read(i) {
-                d.bell().ring();
-            }
-        }
-    }
-
-    /// A wake that crossed a process boundary (futex or socket
-    /// readiness), fanned out by the wire's bridge thread.
-    pub(crate) fn bridge_wake(&self) {
-        self.cross_wakes.fetch_add(1, Ordering::Relaxed);
-        self.ring_all_bells();
-    }
-}
-
-/// An inbound frame's payload as the wire holds it.
-pub(crate) enum InPayload<'a> {
-    /// Bytes still in the wire's own storage (a ring slot, a spill
-    /// range): staged only if the frame must become a [`WireMsg`].
-    Borrowed(&'a [u8]),
-    /// A pooled buffer the wire decoded the payload into: a routed send
-    /// takes the buffer over, and gives it back if the frame parks.
-    Pooled(&'a mut PoolBuf),
-}
-
-impl InPayload<'_> {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            InPayload::Borrowed(b) => b,
-            InPayload::Pooled(b) => b,
-        }
-    }
-
-    /// The payload of the [`WireMsg`] the frame becomes: a pooled copy of
-    /// borrowed bytes, or the decoded buffer itself.
-    fn stage(&mut self, pool: &BufPool) -> WirePayload {
-        match self {
-            InPayload::Borrowed(b) => pool.stage(b),
-            InPayload::Pooled(b) => {
-                WirePayload::Heap(std::mem::replace(*b, PoolBuf::detached(Vec::new())))
-            }
-        }
-    }
-
-    /// Undoes [`stage`](Self::stage) for a frame that parks: the
-    /// wire keeps the decoded buffer, so a later attempt stages nothing.
-    fn restore(&mut self, staged: WirePayload) {
-        if let (InPayload::Pooled(b), WirePayload::Heap(buf)) = (self, staged) {
-            **b = buf;
-        }
-    }
 }
 
 /// Outcome of routing one inbound frame.
@@ -196,7 +128,7 @@ impl<W: Wire> FramedDevice<W> {
         &self,
         src: Rank,
         h: &FrameHeader,
-        mut payload: InPayload<'_>,
+        payload: &[u8],
         in_drain: bool,
     ) -> NetResult<Routed> {
         match h.kind {
@@ -207,14 +139,14 @@ impl<W: Wire> FramedDevice<W> {
                 // endpoint.
                 if in_drain
                     && h.dst_dev as DevId == self.dev_id
-                    && self.shared.deliver_send(src, h, payload.bytes())?
+                    && self.shared.deliver_send(src, h, payload)?
                 {
                     return Ok(Routed::Done);
                 }
-                self.push_msg(src, h, WireMsgKind::Send, Some(&mut payload))
+                self.push_msg(src, h, WireMsgKind::Send, payload)
             }
             KIND_WRITE => {
-                let data = payload.bytes();
+                let data = payload;
                 let base =
                     self.fabric.mem().validate(Rkey(h.a as u32), h.b as usize, data.len())?;
                 // SAFETY: `validate` bounds-checked against a live local
@@ -228,7 +160,7 @@ impl<W: Wire> FramedDevice<W> {
                 // If the notification parks, the copy above is simply
                 // redone with it: it is idempotent, and the target must
                 // not read before the notification arrives.
-                self.push_msg(src, h, WireMsgKind::WriteImm, None)
+                self.push_msg(src, h, WireMsgKind::WriteImm, &[])
             }
             KIND_READ_REQ => {
                 let len = h.imm as usize;
@@ -243,11 +175,7 @@ impl<W: Wire> FramedDevice<W> {
                     Err(e) => return Err(e),
                 };
                 match self.put(&mut route, &resp, data) {
-                    Ok(()) => {
-                        drop(route);
-                        self.wire.kick(src);
-                        Ok(Routed::Done)
-                    }
+                    Ok(()) => Ok(Routed::Done),
                     Err(NetError::Retry(why)) => Ok(Routed::Parked(why)),
                     // Requester died: nobody is waiting for the bytes.
                     Err(_) if self.wire.peer(src) == Peer::Gone => Ok(Routed::Done),
@@ -263,7 +191,7 @@ impl<W: Wire> FramedDevice<W> {
                         h.c
                     )));
                 };
-                let data = payload.bytes();
+                let data = payload;
                 let n = data.len().min(desc.len);
                 // SAFETY: the descriptor contract keeps `ptr..len` valid
                 // until the ReadDone completion we are about to stage.
@@ -282,16 +210,17 @@ impl<W: Wire> FramedDevice<W> {
     }
 
     /// Queues frame `h` from `src` as a wire message on the RX endpoint
-    /// of the local device it names, with `payload` as its bytes when
-    /// given. A device not created yet or a full endpoint parks the
-    /// frame; a closed one (device torn down) drops it, as teardown
-    /// drops parked wire messages.
+    /// of the local device it names, `payload` staged as its bytes —
+    /// the one time a lent frame is copied into a buffer of its own. A
+    /// device not created yet or a full endpoint parks the frame; a
+    /// closed one (device torn down) drops it, as teardown drops parked
+    /// wire messages.
     fn push_msg(
         &self,
         src: Rank,
         h: &FrameHeader,
         kind: WireMsgKind,
-        mut payload: Option<&mut InPayload<'_>>,
+        payload: &[u8],
     ) -> NetResult<Routed> {
         let ep = match self.fabric.endpoint(self.rank, h.dst_dev as DevId) {
             Ok(ep) => ep,
@@ -303,26 +232,17 @@ impl<W: Wire> FramedDevice<W> {
         if ep.is_full() {
             return Ok(Routed::Parked(RetryReason::RxFull));
         }
-        let payload_bytes = match payload.as_mut() {
-            Some(p) => p.stage(&self.buf_pool),
-            None => WirePayload::None,
-        };
         let msg = WireMsg {
             src_rank: src,
             src_dev: h.src_dev as DevId,
             imm: h.imm,
             kind,
-            payload: payload_bytes,
+            payload: self.buf_pool.stage(payload),
         };
-        match ep.try_push(msg) {
+        match ep.push(msg) {
             Ok(()) => Ok(Routed::Done),
-            Err((NetError::Retry(why), msg)) => {
-                if let Some(p) = payload {
-                    p.restore(msg.payload);
-                }
-                Ok(Routed::Parked(why))
-            }
-            Err((NetError::Fatal(_), _)) => Ok(Routed::Done),
+            Err(NetError::Retry(why)) => Ok(Routed::Parked(why)),
+            Err(NetError::Fatal(_)) => Ok(Routed::Done),
         }
     }
 }

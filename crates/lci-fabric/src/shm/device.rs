@@ -3,8 +3,8 @@
 //!
 //! Sending encodes a frame into the outbound rank-pair ring under the
 //! rank-level producer lock (sibling devices share the ring; together
-//! with the core's QP lock it is the ring's single-producer guarantee)
-//! and then wakes the consuming rank. Draining peeks each inbound ring
+//! with the core's QP lock it is the ring's single-producer guarantee);
+//! the consuming rank finds it at its next poll. Draining peeks each inbound ring
 //! under its try-locked drain lock and lends every frame to the core's
 //! router as a slice of the ring slot or spill range; a frame the router
 //! parks is simply not released.
@@ -15,7 +15,7 @@ use super::{ShmFabric, ShmRankState};
 use crate::backend::TransportStats;
 use crate::buf_pool::BufPool;
 use crate::fabric::Fabric;
-use crate::framed::{InPayload, Peer, RankCore, Routed, Wire};
+use crate::framed::{Peer, RankCore, Routed, Wire};
 use crate::sync::{LockDiscipline, SpinGuard};
 use crate::types::{NetError, NetResult, Rank, RetryReason};
 use std::sync::atomic::Ordering;
@@ -78,28 +78,17 @@ impl Wire for ShmWire {
         })
     }
 
-    /// In-process (or self) by ringing the target's device doorbells
-    /// directly, cross-process via the segment futex (the peer's bridge
-    /// thread fans it out).
-    fn kick(&self, target: Rank) {
-        if let Some(st) = self.shm.local_state(target) {
-            st.core.ring_all_bells();
-        } else {
-            self.shm.seg.ring_doorbell(target);
-        }
-    }
-
     fn drain(
         &self,
         budget: usize,
-        mut sink: impl FnMut(Rank, &FrameHeader, InPayload<'_>) -> NetResult<Routed>,
+        mut sink: impl FnMut(Rank, &FrameHeader, &[u8]) -> NetResult<Routed>,
     ) -> NetResult<()> {
         for src in 0..self.shm.seg.nranks() {
             let Some(_guard) = self.state.drain_lock(src).try_lock() else { continue };
             let chan = self.state.inbound(src);
             for _ in 0..budget {
                 let Some(frame) = chan.peek() else { break };
-                match sink(src, &frame.header, InPayload::Borrowed(frame.payload()))? {
+                match sink(src, &frame.header, frame.payload())? {
                     Routed::Done => chan.release(&frame),
                     Routed::Parked(_) => break,
                 }

@@ -17,11 +17,10 @@
 //!   segment the first time a `shm` device is built, so every existing
 //!   test and bench can switch transports with a `DeviceConfig` alone;
 //! * **multi-process** — [`crate::bootstrap`] attaches each process to
-//!   a named segment; a per-process bridge thread converts the
-//!   segment's futex doorbell into local [`Doorbell`](crate::sync::Doorbell) rings, so a
-//!   poller parked on a device bell would wake across process
-//!   boundaries (nothing in the workspace waits on one today; ROADMAP
-//!   item 5, "fabric bell plane").
+//!   a named segment.
+//!
+//! Either way a frame is found by the consuming rank's next poll: a
+//! producer wakes nobody and the transport runs no thread.
 
 pub mod os;
 pub mod ring;
@@ -35,9 +34,7 @@ use crate::framed::RankCore;
 use crate::sync::SpinLock;
 use ring::Channel;
 use segment::PEER_EXITED;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
 
 /// Fabric-level shared-memory state: the segment plus per-local-rank
 /// runtime state, created lazily per rank.
@@ -82,18 +79,8 @@ impl ShmFabric {
     pub(crate) fn state(&self, rank: usize) -> Arc<ShmRankState> {
         debug_assert!(!self.multiproc || rank == self.my_rank);
         self.states[rank]
-            .get_or_init(|| ShmRankState::new(self.seg.clone(), rank, self.multiproc))
+            .get_or_init(|| Arc::new(ShmRankState::new(self.seg.clone(), rank)))
             .clone()
-    }
-
-    /// The state for `rank` if that rank lives in this process and has
-    /// been initialized (a device exists). Used by producers to ring
-    /// in-process doorbells directly.
-    pub(crate) fn local_state(&self, rank: usize) -> Option<Arc<ShmRankState>> {
-        if self.multiproc && rank != self.my_rank {
-            return None;
-        }
-        self.states[rank].get().cloned()
     }
 
     /// First peer known to be dead (multi-process mode), if any.
@@ -118,7 +105,8 @@ impl Drop for ShmFabric {
 /// Per-(process, rank) runtime state for the shm transport.
 pub(crate) struct ShmRankState {
     pub(crate) rank: usize,
-    pub(crate) seg: Arc<ShmSegment>,
+    /// Keeps the mapping the channels point into alive.
+    _seg: Arc<ShmSegment>,
     /// Outbound channels, indexed by destination rank (`rank → dst`).
     outbound: Vec<Channel>,
     /// Inbound channels, indexed by source rank (`src → rank`).
@@ -130,35 +118,23 @@ pub(crate) struct ShmRankState {
     /// devices; acquired with try-lock only, so progress engines never
     /// block each other here.
     drain_locks: Vec<SpinLock<()>>,
-    /// The device registry, pending reads and wake count the framed
-    /// core keeps per rank.
+    /// The device registry and pending reads the framed core keeps per
+    /// rank.
     pub(crate) core: RankCore,
-    bridge_shutdown: Arc<AtomicBool>,
-    bridge: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl ShmRankState {
-    fn new(seg: Arc<ShmSegment>, rank: usize, multiproc: bool) -> Arc<ShmRankState> {
+    fn new(seg: Arc<ShmSegment>, rank: usize) -> ShmRankState {
         let nranks = seg.nranks();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        Arc::new_cyclic(|weak: &Weak<ShmRankState>| {
-            let bridge = if multiproc {
-                Some(spawn_bridge(seg.clone(), rank, shutdown.clone(), weak.clone()))
-            } else {
-                None
-            };
-            ShmRankState {
-                rank,
-                outbound: (0..nranks).map(|d| seg.channel(rank, d)).collect(),
-                inbound: (0..nranks).map(|s| seg.channel(s, rank)).collect(),
-                prod_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
-                drain_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
-                core: RankCore::new(),
-                bridge_shutdown: shutdown,
-                bridge: Mutex::new(bridge),
-                seg,
-            }
-        })
+        ShmRankState {
+            rank,
+            outbound: (0..nranks).map(|d| seg.channel(rank, d)).collect(),
+            inbound: (0..nranks).map(|s| seg.channel(s, rank)).collect(),
+            prod_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
+            drain_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
+            core: RankCore::new(),
+            _seg: seg,
+        }
     }
 
     pub(crate) fn outbound(&self, dst: usize) -> &Channel {
@@ -192,48 +168,4 @@ impl ShmRankState {
             .max()
             .unwrap_or(0)
     }
-}
-
-impl Drop for ShmRankState {
-    fn drop(&mut self) {
-        self.bridge_shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.bridge.lock().expect("bridge handle poisoned").take() {
-            // Unpark the bridge so it observes the shutdown flag.
-            self.seg.ring_doorbell(self.rank);
-            let _ = h.join();
-        }
-    }
-}
-
-/// The cross-process doorbell bridge: parks on this rank's futex word
-/// in the segment and fans each wake out to the local [`Doorbell`]s of
-/// every shm device on the rank, counting each wake in
-/// `doorbell_cross_proc_wakes`. Nothing in the workspace waits on those
-/// device bells today (ROADMAP item 5, "fabric bell plane").
-///
-/// [`Doorbell`]: crate::sync::Doorbell
-fn spawn_bridge(
-    seg: Arc<ShmSegment>,
-    rank: usize,
-    shutdown: Arc<AtomicBool>,
-    state: Weak<ShmRankState>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("lci-shm-bridge{rank}"))
-        .spawn(move || {
-            let mut seen = seg.doorbell_seq(rank);
-            loop {
-                if shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let cur = seg.doorbell_wait(rank, seen, Duration::from_millis(100));
-                if cur == seen {
-                    continue;
-                }
-                seen = cur;
-                let Some(st) = state.upgrade() else { break };
-                st.core.bridge_wake();
-            }
-        })
-        .expect("failed to spawn shm doorbell bridge")
 }

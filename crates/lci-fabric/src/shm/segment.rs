@@ -375,8 +375,11 @@ impl ShmSegment {
     }
 
     /// Rings `rank`'s cross-process doorbell: bumps its futex word and
-    /// wakes its bridge thread if one is parked. Returns whether a
-    /// waiter was (probably) woken.
+    /// wakes whoever is parked in [`doorbell_wait`](Self::doorbell_wait)
+    /// on it. Returns whether a waiter was (probably) woken. No data
+    /// path rings it — a frame is found by the consumer's next poll —
+    /// only a peer's state change does
+    /// ([`set_peer_state`](Self::set_peer_state)).
     ///
     /// With [`doorbell_wait`](Self::doorbell_wait) this is the handshake
     /// of [`crate::sync::Doorbell`] (its protocol section says why all

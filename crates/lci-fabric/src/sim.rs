@@ -17,7 +17,7 @@
 use crate::backend::TransportStats;
 use crate::buf_pool::BufPool;
 use crate::fabric::Fabric;
-use crate::framed::{InPayload, Peer, RankCore, Routed, Wire};
+use crate::framed::{Peer, RankCore, Routed, Wire};
 use crate::shm::ring::{FrameHeader, FLAG_HAS_IMM, KIND_SEND, KIND_WRITE};
 use crate::sync::LockDiscipline;
 use crate::types::{DevId, NetError, NetResult, Rank, WireMsg, WireMsgKind};
@@ -63,8 +63,7 @@ impl Wire for SimWire {
     }
 
     /// A full endpoint is `Retry(RxFull)`, a device not created yet
-    /// `Retry(PeerNotReady)`, a torn-down one fatal. The push rings the
-    /// target's doorbell, so there is no `kick`.
+    /// `Retry(PeerNotReady)`, a torn-down one fatal.
     ///
     /// Forced inline like the core's `put` that calls it: left as a call
     /// it cost an 8 B message on the raw device 15-30 ns (measured).
@@ -97,7 +96,7 @@ impl Wire for SimWire {
     fn drain(
         &self,
         _budget: usize,
-        _sink: impl FnMut(Rank, &FrameHeader, InPayload<'_>) -> NetResult<Routed>,
+        _sink: impl FnMut(Rank, &FrameHeader, &[u8]) -> NetResult<Routed>,
     ) -> NetResult<()> {
         Ok(())
     }

@@ -1,36 +1,33 @@
 //! The tcp [`Wire`]: a real socket mesh under the framed device core
 //! ([`crate::framed`]).
 //!
-//! Sending encodes the frame into one contiguous pooled buffer and
-//! *enqueues* it on the per-peer send queue — the post completes
-//! locally, like a NIC accepting a WQE. The drain (the progress path)
-//! then flushes each queue into as few `writev` calls as the socket
-//! accepts (each queued frame is one iovec; no flatten copy), bulk-reads
-//! inbound bytes into the stream decoder, and lends each reassembled
-//! frame, in its pooled decode buffer, to the core's router; a frame the
-//! router parks stays at the inbox front with that buffer.
+//! Sending *appends* the frame to the per-peer stream buffer — the post
+//! completes locally, like a NIC accepting a WQE. The drain (the
+//! progress path) asks the rank's sockets what changed (one
+//! `epoll_wait(…, 0)`; whoever polls sets the readiness flags), then per
+//! connection writes the stream out in as few `writev` calls as the
+//! socket accepts, bulk-reads inbound bytes into the reassembly slab and
+//! lends each complete frame to the core's router as a slice of that
+//! slab, as shm lends a ring slot; a frame the router parks is simply
+//! not consumed.
 
-use super::stream;
-use super::{Conn, ConnIo, InFrame, SendState, TcpRankState};
+use super::{Conn, ConnIo, SendState, TcpRankState, READ_BUDGET};
 use crate::backend::TransportStats;
 use crate::buf_pool::BufPool;
 use crate::fabric::Fabric;
-use crate::framed::{InPayload, Peer, RankCore, Routed, Wire};
+use crate::framed::{Peer, RankCore, Routed, Wire};
 use crate::shm::ring::{FrameHeader, HEADER_LEN};
 use crate::sync::{LockDiscipline, SpinGuard};
 use crate::types::{NetError, NetResult, Rank, RetryReason};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// One rank's end of the mesh, seen through one device's staging pool.
+/// One rank's end of the mesh.
 pub(crate) struct TcpWire {
     state: Arc<TcpRankState>,
     rank: Rank,
     /// Ranks live in different processes (bootstrap attach).
     multiproc: bool,
-    /// Outbound frames are encoded into, and inbound payloads decoded
-    /// into, the device's recycled buffers.
-    pool: BufPool,
 }
 
 impl Wire for TcpWire {
@@ -42,9 +39,11 @@ impl Wire for TcpWire {
     const LOCAL_DIRECT: bool = false;
     type Tx<'a> = (SpinGuard<'a, SendState>, &'a Conn);
 
-    fn open(fabric: &Arc<Fabric>, rank: Rank, pool: &BufPool) -> Self {
+    /// Frames are built in the stream buffer and lent from the slab:
+    /// nothing of this wire goes through the device's pool.
+    fn open(fabric: &Arc<Fabric>, rank: Rank, _pool: &BufPool) -> Self {
         let tcp = fabric.tcp_fabric();
-        TcpWire { state: tcp.state(rank), rank, multiproc: tcp.multiproc, pool: pool.clone() }
+        TcpWire { state: tcp.state(rank), rank, multiproc: tcp.multiproc }
     }
 
     fn core(&self) -> &RankCore {
@@ -72,20 +71,19 @@ impl Wire for TcpWire {
         Ok((guard, conn))
     }
 
-    /// The socket flush happens on the progress path.
+    /// The socket write happens on the progress path.
     fn send(&self, tx: &mut Self::Tx<'_>, h: &FrameHeader, payload: &[u8]) -> NetResult<()> {
-        let frame = stream::encode_frame(&self.pool, h, &[payload])
-            .ok_or_else(|| NetError::fatal("payload exceeds the tcp frame limit"))?;
-        tx.1.enqueue_locked(&mut tx.0, frame)
+        tx.1.append_locked(&mut tx.0, &self.state, h, payload)
     }
 
-    /// Flushes send queues and drains inbound sockets for every
-    /// connection of this rank.
+    /// Asks the sockets, then per connection flushes the stream and
+    /// routes what has arrived, reading more while the router keeps up.
     fn drain(
         &self,
         budget: usize,
-        mut sink: impl FnMut(Rank, &FrameHeader, InPayload<'_>) -> NetResult<Routed>,
+        mut sink: impl FnMut(Rank, &FrameHeader, &[u8]) -> NetResult<Routed>,
     ) -> NetResult<()> {
+        self.state.poll_readiness();
         for (peer, conn) in self.state.conns() {
             if !conn.is_dead() {
                 if let Some(mut sg) = conn.send.try_lock() {
@@ -94,23 +92,36 @@ impl Wire for TcpWire {
                     }
                 }
             }
-            let Some(mut rg) = conn.recv.try_lock() else { continue };
-            if !conn.is_dead() && conn.fill_and_decode(&mut rg, &self.pool) == ConnIo::Dead {
-                self.state.mark_peer_dead(peer);
-            }
-            // A dead peer's inbox is still routed: what it sent before it
-            // went away (its last messages, then a clean exit) arrived.
-            for _ in 0..budget {
-                let Some(InFrame { header, payload }) = rg.inbox.front_mut() else { break };
-                match sink(peer, header, InPayload::Pooled(payload))? {
-                    Routed::Done => drop(rg.inbox.pop_front()),
-                    Routed::Parked(_) => break,
+            let Some(mut dec) = conn.recv.try_lock() else { continue };
+            let (mut frames, mut bytes) = (budget, READ_BUDGET);
+            let routed = loop {
+                match dec.peek() {
+                    // What a dead peer sent before it went away (its last
+                    // messages, then a clean exit) arrived: still routed.
+                    Ok(Some(_)) if frames == 0 => break Ok(()),
+                    Ok(Some((h, payload))) => match sink(peer, &h, payload) {
+                        Ok(Routed::Done) => {
+                            dec.consume();
+                            frames -= 1;
+                        }
+                        Ok(Routed::Parked(_)) => break Ok(()),
+                        Err(e) => break Err(e),
+                    },
+                    Ok(None) if conn.is_dead() => break Ok(()),
+                    Ok(None) => match conn.read_once(&mut dec, &mut bytes) {
+                        Ok(true) => {}
+                        Ok(false) => break Ok(()),
+                        Err(()) => self.state.mark_peer_dead(peer),
+                    },
+                    // Corrupt stream: unrecoverable, treat as peer loss.
+                    Err(_) => {
+                        self.state.mark_peer_dead(peer);
+                        break Ok(());
+                    }
                 }
-            }
-            conn.recv_pending.store(
-                rg.inbox.len() + usize::from(rg.dec.pending_bytes() >= HEADER_LEN),
-                Ordering::Release,
-            );
+            };
+            conn.recv_pending.store(dec.pending_bytes() >= HEADER_LEN, Ordering::Release);
+            routed?;
         }
         Ok(())
     }

@@ -9,18 +9,28 @@
 //! real wires share (`crate::framed`), so devices, RNR discipline,
 //! and the zero-copy demux above ride unchanged.
 //!
-//! The perf core is syscall amortization: posts *enqueue* an encoded
-//! frame (one pooled contiguous buffer) on a per-peer send queue and
-//! complete immediately; the progress path drains a whole queue into a
-//! single `writev`, gathering one iovec per frame — no flatten copy.
-//! Receives bulk-read into the decoder's reassembly slab. An
-//! edge-triggered epoll instance per rank feeds a bridge thread that
-//! re-arms each connection's `readable` / `write_blocked` flags, runs
-//! the backstop flush of stale send queues, and converts socket
-//! readiness into [`Doorbell`](crate::sync::Doorbell) rings — the
-//! cross-host mirror of the shm futex bridge. Nothing in the workspace
-//! waits on those device bells today (ROADMAP item 5, "fabric bell
-//! plane"); the flags and the flush are what the bridge is kept for.
+//! The perf core is syscall amortization, and nothing is staged twice.
+//! A post *appends* its frame — header, then payload, the one copy — to
+//! the connection's stream buffer and completes immediately; the
+//! progress path writes whatever the buffer holds as a single iovec.
+//! Receives bulk-read into the decoder's reassembly slab, and the drain
+//! lends each frame to the router as a slice of that slab, exactly as
+//! shm lends a ring slot; a frame the router parks stays at the slab's
+//! head, and a slab full behind it is not read into (TCP flow control
+//! is the backpressure).
+//!
+//! **Whoever polls asks the sockets.** Each rank owns an edge-triggered
+//! epoll instance over its mesh sockets, and every drain begins with
+//! one `epoll_wait(…, 0)` that turns edges into flags: `EPOLLIN` sets a
+//! connection's `readable`, `EPOLLOUT` clears its `write_blocked`.
+//! Several devices of a rank may drain at once; an edge goes to one of
+//! them and the flags are atomics. The other halves belong to whoever
+//! holds the connection's lock: a read clears `readable` *before* it
+//! reads (see `Conn::read_once`), a write that hits `EAGAIN` sets
+//! `write_blocked` and probes once more (see `Conn::flush_locked`).
+//! One helper thread per rank remains, a timer with one job: the
+//! backstop flush of a stream whose poster stopped polling
+//! (`TcpRankState::backstop_flush`). It is on no message's path.
 //!
 //! Two modes, like shm: **in-process** (lazy loopback mesh, so any test
 //! or bench switches with a `DeviceConfig` alone) and **multi-process**
@@ -36,62 +46,64 @@ pub mod sys;
 pub(crate) mod device;
 pub(crate) mod oob;
 
-use crate::buf_pool::BufPool;
+#[cfg(test)]
+mod tests;
+
 use crate::framed::RankCore;
-use crate::shm::ring::FrameHeader;
+use crate::shm::ring::{FrameHeader, HEADER_LEN};
 use crate::sync::SpinLock;
 use crate::types::{NetError, NetResult, RetryReason};
-use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::time::Duration;
 
-use crate::buf_pool::PoolBuf;
 use stream::FrameDecoder;
 
-/// Per-peer send-queue bounds: frames queued beyond these surface as
+/// Per-peer send bounds: frames or bytes queued beyond these surface as
 /// `Retry(RxFull)`, engaging the same backlog machinery as a full ring.
 const SENDQ_FRAMES: usize = 4096;
 const SENDQ_BYTES: usize = 8 << 20;
 
-/// Decoded-but-unrouted inbound frames buffered per connection. A full
-/// inbox pauses socket reads (TCP flow control backpressures the peer)
-/// until routing unparks.
-const INBOX_CAP: usize = 1024;
+/// Capacity a connection's stream buffer is built with and returns to
+/// whenever a flush empties it — what the two queues it replaced held
+/// empty (4096 pooled-buffer handles out, 1024 decoded frames in). Warm
+/// traffic stays inside it and allocates nothing; a burst beyond it
+/// first goes to the socket, grows the buffer only if the socket will
+/// not take it, and gives the growth back once it has drained.
+const STREAM_RESERVE: usize = 288 << 10;
 
 /// Socket-read budget per connection per poll cycle.
 const READ_BUDGET: usize = 256 << 10;
+
+/// The backstop's naps: short while frames sit unflushed, so an
+/// abandoned stream leaves within two of them; the long one bounds how
+/// late it notices the first such frame.
+const NAP_QUEUED: Duration = Duration::from_millis(1);
+const NAP_IDLE: Duration = Duration::from_millis(20);
 
 /// Outcome of one connection-level I/O pass.
 #[derive(PartialEq, Eq)]
 pub(crate) enum ConnIo {
     Ok,
-    /// The peer is gone (EOF / ECONNRESET / EPIPE) or the stream is
-    /// corrupt; the caller marks the rank dead and wakes engines.
+    /// The peer is gone (EOF / ECONNRESET / EPIPE); the caller marks
+    /// the rank dead.
     Dead,
 }
 
+/// Outbound frames of one connection: one byte stream, written from
+/// `head_off`.
 pub(crate) struct SendState {
-    q: VecDeque<PoolBuf>,
-    /// Bytes of the front frame already written (partial `writev`).
+    /// Encoded frames back to back, in the order they were accepted.
+    stream: Vec<u8>,
+    /// Bytes of `stream` the socket has taken (partial writes).
     head_off: usize,
-    bytes: usize,
+    /// Frames appended since `stream` was last empty.
+    frames: usize,
 }
 
-/// One reassembled inbound frame: the payload sits in a pooled buffer
-/// that a routed send hands on to its wire message.
-pub(crate) struct InFrame {
-    pub(crate) header: FrameHeader,
-    pub(crate) payload: PoolBuf,
-}
-
-struct RecvState {
-    dec: FrameDecoder,
-    inbox: VecDeque<InFrame>,
-}
-
-/// One mesh socket (this rank ↔ one peer) plus its queues and
+/// One mesh socket (this rank ↔ one peer) plus its buffers and
 /// readiness flags.
 pub(crate) struct Conn {
     peer: usize,
@@ -99,29 +111,28 @@ pub(crate) struct Conn {
     _stream: TcpStream,
     fd: i32,
     send: SpinLock<SendState>,
-    recv: SpinLock<RecvState>,
-    /// Socket may have inbound bytes. Set by the bridge on EPOLLIN
-    /// edges, cleared only when a read returns `EAGAIN` (with a re-read
-    /// to close the edge race). Always true on non-evented platforms.
+    recv: SpinLock<FrameDecoder>,
+    /// Socket may have inbound bytes. Set by an `EPOLLIN` edge (any
+    /// drain's `epoll_wait`), cleared by the recv-lock holder before it
+    /// reads. Always true on non-evented platforms.
     readable: AtomicBool,
-    /// A write hit `EAGAIN`; cleared by the bridge on EPOLLOUT edges.
-    /// While set, flushing this connection is pointless — the edge
-    /// clears it.
+    /// A write hit `EAGAIN`; cleared by an `EPOLLOUT` edge. While set,
+    /// flushing this connection is pointless.
     write_blocked: AtomicBool,
     dead: AtomicBool,
-    /// Frames currently queued for send (lock-free mirror of `q.len()`
-    /// for `inbound_pending`).
+    /// Frames currently queued for send (lock-free mirror of
+    /// `SendState::frames` for `outbound_pending`).
     send_backlog: AtomicUsize,
-    /// Bridge backstop bookkeeping: set when the bridge samples a
-    /// non-empty send queue, cleared by any successful write. A queue
-    /// still stale at the *next* sweep has a poster that stopped
-    /// polling, and the bridge flushes it — posts complete locally, so
-    /// without this a rank that blocks after its last post (an OOB
-    /// collective, a worker join) would strand the frames forever.
+    /// Backstop bookkeeping: set when the bridge samples a non-empty
+    /// stream, cleared by any successful write. A stream still stale at
+    /// the *next* sweep has a poster that stopped polling, and the
+    /// bridge flushes it — posts complete locally, so without this a
+    /// rank that blocks after its last post (an OOB collective, a
+    /// worker join) would strand the frames forever.
     flush_stale: AtomicBool,
-    /// Inbox occupancy + partial-frame hint (lock-free mirror for
-    /// `inbound_pending`).
-    recv_pending: AtomicUsize,
+    /// Whether the slab holds at least a header's worth of unrouted
+    /// bytes (lock-free mirror for `inbound_pending`).
+    recv_pending: AtomicBool,
 }
 
 impl Conn {
@@ -134,20 +145,17 @@ impl Conn {
             _stream: stream,
             fd,
             send: SpinLock::new(SendState {
-                q: VecDeque::with_capacity(SENDQ_FRAMES),
+                stream: Vec::with_capacity(STREAM_RESERVE),
                 head_off: 0,
-                bytes: 0,
+                frames: 0,
             }),
-            recv: SpinLock::new(RecvState {
-                dec: FrameDecoder::new(),
-                inbox: VecDeque::with_capacity(INBOX_CAP),
-            }),
+            recv: SpinLock::new(FrameDecoder::new()),
             readable: AtomicBool::new(true),
             write_blocked: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             send_backlog: AtomicUsize::new(0),
             flush_stale: AtomicBool::new(false),
-            recv_pending: AtomicUsize::new(0),
+            recv_pending: AtomicBool::new(false),
         })
     }
 
@@ -155,43 +163,45 @@ impl Conn {
         self.dead.load(Ordering::Acquire)
     }
 
-    /// Queues one encoded frame. The caller holds the send lock.
-    fn enqueue_locked(&self, g: &mut SendState, frame: PoolBuf) -> NetResult<()> {
+    fn gone(&self) -> NetError {
+        NetError::fatal(format!("tcp peer rank {} has exited", self.peer))
+    }
+
+    /// Appends one frame to the stream. The caller holds the send lock.
+    fn append_locked(
+        &self,
+        g: &mut SendState,
+        state: &TcpRankState,
+        h: &FrameHeader,
+        payload: &[u8],
+    ) -> NetResult<()> {
         if self.is_dead() {
-            return Err(NetError::fatal(format!("tcp peer rank {} has exited", self.peer)));
+            return Err(self.gone());
         }
-        if g.q.len() >= SENDQ_FRAMES || g.bytes + frame.len() > SENDQ_BYTES {
+        let need = HEADER_LEN + payload.len();
+        if g.frames >= SENDQ_FRAMES || g.stream.len() - g.head_off + need > SENDQ_BYTES {
             return Err(NetError::Retry(RetryReason::RxFull));
         }
-        g.bytes += frame.len();
-        g.q.push_back(frame);
-        self.send_backlog.store(g.q.len(), Ordering::Release);
+        if g.stream.len() + need > g.stream.capacity() {
+            // Out of room: what is queued goes to the socket now rather
+            // than into a bigger buffer, and what the socket has taken
+            // makes room. Only a socket that will not take it — real
+            // backpressure — leaves the append below to grow the buffer.
+            if self.flush_locked(g, state) == ConnIo::Dead {
+                state.mark_peer_dead(self.peer);
+                return Err(self.gone());
+            }
+            g.stream.drain(..g.head_off);
+            g.head_off = 0;
+        }
+        stream::encode_frame(&mut g.stream, h, payload)
+            .map_err(|_| NetError::fatal("payload exceeds the tcp frame limit"))?;
+        g.frames += 1;
+        self.send_backlog.store(g.frames, Ordering::Release);
         Ok(())
     }
 
-    /// Pops fully-written frames after a `writev` of `n` bytes; returns
-    /// how many frames completed.
-    fn advance_sent(&self, g: &mut SendState, mut n: usize) -> u64 {
-        let mut done = 0;
-        while n > 0 {
-            let remaining = g.q.front().expect("wrote bytes of a frame").len() - g.head_off;
-            if n >= remaining {
-                let f = g.q.pop_front().expect("front exists");
-                g.bytes -= f.len();
-                g.head_off = 0;
-                n -= remaining;
-                done += 1;
-            } else {
-                g.head_off += n;
-                n = 0;
-            }
-        }
-        self.send_backlog.store(g.q.len(), Ordering::Release);
-        self.flush_stale.store(false, Ordering::Release);
-        done
-    }
-
-    /// Drains the send queue into as few `writev` calls as the socket
+    /// Writes the stream out in as few `writev` calls as the socket
     /// accepts. Counters land in `state`. The caller holds the send
     /// lock.
     fn flush_locked(&self, g: &mut SendState, state: &TcpRankState) -> ConnIo {
@@ -199,23 +209,21 @@ impl Conn {
             if self.is_dead() {
                 return ConnIo::Dead;
             }
-            if g.q.is_empty() {
+            if g.frames == 0 || self.write_blocked.load(Ordering::Acquire) {
                 return ConnIo::Ok;
             }
-            if self.write_blocked.load(Ordering::Acquire) {
-                return ConnIo::Ok;
-            }
-            match self.writev_once(g, state) {
+            match self.write_once(g, state) {
                 Ok(true) => continue,
                 Ok(false) => {
                     // EAGAIN. Set the parked-is-safe flag, then probe once
-                    // more: an EPOLLOUT edge between the failed write and
-                    // the store would otherwise be lost forever.
+                    // more: an EPOLLOUT edge a sibling's `epoll_wait`
+                    // consumed between the failed write and the store
+                    // would otherwise be lost forever.
                     if !sys::EVENTED {
                         return ConnIo::Ok;
                     }
-                    self.write_blocked.store(true, Ordering::Release);
-                    match self.writev_once(g, state) {
+                    self.write_blocked.store(true, Ordering::SeqCst);
+                    match self.write_once(g, state) {
                         Ok(true) => {
                             self.write_blocked.store(false, Ordering::Release);
                             continue;
@@ -229,20 +237,23 @@ impl Conn {
         }
     }
 
-    /// One gather-write attempt. `Ok(true)` = progress, `Ok(false)` =
-    /// `EAGAIN`, `Err` = peer gone.
-    fn writev_once(&self, g: &mut SendState, state: &TcpRankState) -> Result<bool, ()> {
-        let mut iovs = [sys::IoVec { base: std::ptr::null_mut(), len: 0 }; sys::MAX_IOV];
-        let take = g.q.len().min(sys::MAX_IOV);
-        for (i, f) in g.q.iter().take(take).enumerate() {
-            let s: &[u8] = if i == 0 { &f[g.head_off..] } else { f };
-            iovs[i] = sys::IoVec::from_slice(s);
-        }
-        match sys::writev(self.fd, &iovs[..take]) {
+    /// One write attempt of everything from `head_off`, as one iovec.
+    /// `Ok(true)` = progress, `Ok(false)` = `EAGAIN`, `Err` = peer gone.
+    /// The write that carries the stream's last byte counts its frames
+    /// and hands the buffer's growth back.
+    fn write_once(&self, g: &mut SendState, state: &TcpRankState) -> Result<bool, ()> {
+        match sys::writev(self.fd, &[sys::IoVec::from_slice(&g.stream[g.head_off..])]) {
             Ok(n) => {
-                let done = self.advance_sent(g, n);
+                g.head_off += n;
                 state.writev_calls.fetch_add(1, Ordering::Relaxed);
-                state.writev_frames.fetch_add(done, Ordering::Relaxed);
+                self.flush_stale.store(false, Ordering::Release);
+                if g.head_off == g.stream.len() {
+                    state.writev_frames.fetch_add(g.frames as u64, Ordering::Relaxed);
+                    (g.head_off, g.frames) = (0, 0);
+                    g.stream.clear();
+                    g.stream.shrink_to(STREAM_RESERVE);
+                    self.send_backlog.store(0, Ordering::Release);
+                }
                 Ok(true)
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(false),
@@ -250,81 +261,41 @@ impl Conn {
         }
     }
 
-    /// Reads the socket into the reassembly buffer and decodes complete
-    /// frames into the inbox, staging payloads through `pool`. The
-    /// caller holds the recv lock.
-    fn fill_and_decode(&self, g: &mut RecvState, pool: &BufPool) -> ConnIo {
-        let mut budget = READ_BUDGET;
-        let status = loop {
-            // Decode what is buffered before reading more.
-            let mut corrupt = false;
-            loop {
-                if g.inbox.len() >= INBOX_CAP {
-                    break;
-                }
-                match g.dec.decode_next() {
-                    Ok(Some(f)) => {
-                        let payload = pool.stage_copy(f.payload);
-                        let header = f.header;
-                        g.inbox.push_back(InFrame { header, payload });
-                    }
-                    Ok(None) => break,
-                    // Corrupt stream: unrecoverable, treat as peer loss.
-                    Err(_) => {
-                        corrupt = true;
-                        break;
-                    }
-                }
-            }
-            if corrupt {
-                break ConnIo::Dead;
-            }
-            if g.inbox.len() >= INBOX_CAP || budget == 0 || self.is_dead() {
-                break ConnIo::Ok;
-            }
-            if sys::EVENTED && !self.readable.load(Ordering::Acquire) {
-                break ConnIo::Ok;
-            }
-            match self.read_once(g, &mut budget) {
-                Ok(true) => continue,
-                Ok(false) => {
-                    if !sys::EVENTED {
-                        break ConnIo::Ok;
-                    }
-                    // EAGAIN: clear the flag, then probe once more so an
-                    // edge that fired between the failed read and the
-                    // store cannot strand buffered bytes.
-                    self.readable.store(false, Ordering::Release);
-                    match self.read_once(g, &mut budget) {
-                        Ok(true) => {
-                            self.readable.store(true, Ordering::Release);
-                            continue;
-                        }
-                        Ok(false) => break ConnIo::Ok,
-                        Err(()) => break ConnIo::Dead,
-                    }
-                }
-                Err(()) => break ConnIo::Dead,
-            }
-        };
-        self.recv_pending.store(
-            g.inbox.len() + usize::from(g.dec.pending_bytes() >= crate::shm::ring::HEADER_LEN),
-            Ordering::Release,
-        );
-        status
-    }
-
-    /// One scatter-read attempt. `Ok(true)` = progress, `Ok(false)` =
-    /// `EAGAIN`, `Err` = EOF or error (peer gone).
-    fn read_once(&self, g: &mut RecvState, budget: &mut usize) -> Result<bool, ()> {
-        let space = g.dec.fill_space();
+    /// One *clear-then-read* attempt into the slab, at most `budget`
+    /// bytes. `Ok(true)` = bytes arrived, `Ok(false)` = nothing to do
+    /// (not readable, `EAGAIN`, no budget, or a slab full behind a
+    /// frame the router parked), `Err` = EOF or error (peer gone). The
+    /// caller holds the recv lock, so it is the only one clearing
+    /// `readable`.
+    ///
+    /// The flag is cleared *before* the read and set again only by a
+    /// read that filled everything it was offered (more may be
+    /// waiting). Bytes that were in the socket before the clear are
+    /// read by this very call; bytes that arrive after it raise a new
+    /// edge, which sets the flag again behind the clear — so a short
+    /// read or `EAGAIN` can leave it cleared without a second probe,
+    /// and nothing is stranded. The clear is `SeqCst` so that no
+    /// platform lets it drift past the kernel's look at the socket.
+    fn read_once(&self, dec: &mut FrameDecoder, budget: &mut usize) -> Result<bool, ()> {
+        if sys::EVENTED && !self.readable.load(Ordering::Acquire) {
+            return Ok(false);
+        }
+        let space = dec.fill_space();
         let cap = space.len().min(*budget);
-        let mut iovs = [sys::IoVec::from_mut_slice(&mut space[..cap])];
-        match sys::readv(self.fd, &mut iovs) {
+        if cap == 0 {
+            return Ok(false);
+        }
+        if sys::EVENTED {
+            self.readable.store(false, Ordering::SeqCst);
+        }
+        match sys::readv(self.fd, &mut [sys::IoVec::from_mut_slice(&mut space[..cap])]) {
             Ok(0) => Err(()),
             Ok(n) => {
-                g.dec.advance_filled(n);
-                *budget = budget.saturating_sub(n);
+                dec.advance_filled(n);
+                *budget -= n;
+                if n == cap {
+                    self.readable.store(true, Ordering::Release);
+                }
                 Ok(true)
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(false),
@@ -333,9 +304,9 @@ impl Conn {
     }
 
     /// Work hint for `inbound_pending`: anything that needs another
-    /// poll rather than a doorbell ring to make progress.
+    /// poll to make progress.
     fn pending_hint(&self) -> usize {
-        let mut n = self.recv_pending.load(Ordering::Acquire);
+        let mut n = usize::from(self.recv_pending.load(Ordering::Acquire));
         if self.readable.load(Ordering::Acquire) && !self.is_dead() {
             n += 1;
         }
@@ -420,7 +391,7 @@ impl TcpFabric {
         self.states[rank]
             .get_or_init(|| {
                 let conns = std::mem::take(&mut self.pending.lock().expect("pending")[rank]);
-                TcpRankState::new(rank, self.nranks, conns)
+                TcpRankState::new(rank, conns)
             })
             .clone()
     }
@@ -438,71 +409,83 @@ impl TcpFabric {
 
 /// Per-(process, rank) runtime state for the tcp transport.
 pub(crate) struct TcpRankState {
-    conns: Vec<Option<Arc<Conn>>>,
-    /// The device registry, pending reads and wake count the framed
-    /// core keeps per rank.
+    conns: Vec<Option<Conn>>,
+    /// Edge-triggered readiness of every mesh socket, tagged by peer.
+    /// Asked by every drain ([`poll_readiness`](Self::poll_readiness)).
+    epoll: sys::Epoll,
+    /// The device registry and pending reads the framed core keeps per
+    /// rank.
     pub(crate) core: RankCore,
-    /// Peers observed gone on the mesh sockets.
-    dead: Vec<AtomicBool>,
     /// `writev` syscalls that made progress / frames fully shipped.
     pub(crate) writev_calls: AtomicU64,
     pub(crate) writev_frames: AtomicU64,
-    bridge_shutdown: Arc<AtomicBool>,
     bridge: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl TcpRankState {
-    fn new(rank: usize, nranks: usize, raw: Vec<Option<TcpStream>>) -> Arc<TcpRankState> {
-        let mut conns: Vec<Option<Arc<Conn>>> = (0..nranks).map(|_| None).collect();
-        for (peer, s) in raw.into_iter().enumerate() {
-            if let Some(s) = s {
-                conns[peer] =
-                    Some(Arc::new(Conn::new(peer, s).expect("tcp conn setup (nodelay/nonblock)")));
-            }
-        }
-        let shutdown = Arc::new(AtomicBool::new(false));
-        Arc::new_cyclic(|weak: &Weak<TcpRankState>| {
-            let bridge = spawn_bridge(rank, &conns, shutdown.clone(), weak.clone());
-            TcpRankState {
-                conns,
-                core: RankCore::new(),
-                dead: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
-                writev_calls: AtomicU64::new(0),
-                writev_frames: AtomicU64::new(0),
-                bridge_shutdown: shutdown,
-                bridge: Mutex::new(bridge),
-            }
-        })
+    fn new(rank: usize, raw: Vec<Option<TcpStream>>) -> Arc<TcpRankState> {
+        let epoll = sys::Epoll::new().expect("epoll_create1");
+        let conns = raw.into_iter().enumerate().map(|(peer, s)| {
+            let c = Conn::new(peer, s?).expect("tcp conn setup (nodelay/nonblock)");
+            epoll.add(c.fd, peer as u64).expect("epoll_ctl add");
+            Some(c)
+        });
+        let state = Arc::new(TcpRankState {
+            conns: conns.collect(),
+            epoll,
+            core: RankCore::new(),
+            writev_calls: AtomicU64::new(0),
+            writev_frames: AtomicU64::new(0),
+            bridge: Mutex::new(None),
+        });
+        let bridge = spawn_bridge(rank, Arc::downgrade(&state));
+        *state.bridge.lock().expect("bridge handle poisoned") = Some(bridge);
+        state
     }
 
-    pub(crate) fn conn(&self, peer: usize) -> Option<&Arc<Conn>> {
+    pub(crate) fn conn(&self, peer: usize) -> Option<&Conn> {
         self.conns.get(peer).and_then(|c| c.as_ref())
     }
 
     /// Every mesh connection of this rank, with its peer.
-    pub(crate) fn conns(&self) -> impl Iterator<Item = (usize, &Arc<Conn>)> {
+    pub(crate) fn conns(&self) -> impl Iterator<Item = (usize, &Conn)> {
         self.conns.iter().enumerate().filter_map(|(peer, c)| Some((peer, c.as_ref()?)))
     }
 
+    /// Whether `peer` was observed gone on its mesh socket.
     pub(crate) fn peer_dead(&self, peer: usize) -> bool {
-        self.dead.get(peer).map(|d| d.load(Ordering::Acquire)).unwrap_or(false)
+        self.conn(peer).is_some_and(Conn::is_dead)
     }
 
-    /// Marks `peer` gone and wakes every engine so in-flight waits
-    /// observe the death instead of parking forever. Idempotent.
+    /// Marks `peer` gone; posts toward it and polls observe the flag.
+    /// Idempotent.
     pub(crate) fn mark_peer_dead(&self, peer: usize) {
         if let Some(c) = self.conn(peer) {
             c.dead.store(true, Ordering::Release);
         }
-        if !self.dead[peer].swap(true, Ordering::AcqRel) {
-            self.core.ring_all_bells();
-        }
     }
 
-    /// Work queued on this rank's connections that needs polling (not a
-    /// doorbell) to advance.
+    /// One `epoll_wait(…, 0)`: turns the readiness edges that fired
+    /// since the last call into the connections' flags. Callers race
+    /// freely; each edge is reported to exactly one of them.
+    pub(crate) fn poll_readiness(&self) {
+        // An error other than EINTR cannot happen on a live epoll fd;
+        // if it did, the flags would simply stop moving.
+        let _ = self.epoll.wait(0, |peer, readable, writable| {
+            let Some(c) = self.conn(peer as usize) else { return };
+            if readable {
+                c.readable.store(true, Ordering::Release);
+            }
+            if writable {
+                c.write_blocked.store(false, Ordering::Release);
+            }
+        });
+    }
+
+    /// Work queued on this rank's connections that needs polling to
+    /// advance.
     pub(crate) fn conn_pending(&self) -> usize {
-        self.conns.iter().flatten().map(|c| c.pending_hint()).sum()
+        self.conns().map(|(_, c)| c.pending_hint()).sum()
     }
 
     /// Frames accepted by `post_send`/`post_write` but not yet flushed
@@ -510,144 +493,66 @@ impl TcpRankState {
     /// accepting a WQE), so quiescence checks must count this: a rank
     /// that stops polling with frames still queued strands its peers.
     pub(crate) fn outbound_pending(&self) -> usize {
-        self.conns.iter().flatten().map(|c| c.send_backlog.load(Ordering::Acquire)).sum()
+        self.conns().map(|(_, c)| c.send_backlog.load(Ordering::Acquire)).sum()
     }
 
-    /// Bridge-side flush backstop. Marks every non-empty send queue
-    /// stale; a queue *already* stale from the previous sweep has sat
-    /// a full bridge interval with no write — its poster stopped
-    /// polling — so the bridge flushes it here. The one-interval grace
-    /// keeps the fast path intact: an actively polled queue drains (and
-    /// clears the mark) long before two sweeps pass, so batching still
-    /// happens in `poll_cq` where frames accumulate between polls.
-    /// Returns whether any queue was flushed.
-    fn backstop_flush(&self) -> bool {
-        let mut flushed = false;
+    /// The flush backstop, run by the bridge. Marks every non-empty
+    /// stream stale; a stream *already* stale from the previous sweep
+    /// has sat a full nap with no write — its poster stopped polling —
+    /// so it is flushed here, after asking the sockets as that poster's
+    /// drain would have (nobody else will learn that a blocked one
+    /// drained). The one-nap grace keeps the fast path intact: an
+    /// actively polled stream drains (and clears the mark) long before
+    /// two sweeps pass, so batching still happens in `poll_cq` where
+    /// frames accumulate between polls.
+    fn backstop_flush(&self) {
+        let mut asked = false;
         for (peer, c) in self.conns() {
             if c.is_dead() || c.send_backlog.load(Ordering::Acquire) == 0 {
                 continue;
             }
             if !c.flush_stale.swap(true, Ordering::AcqRel) {
-                continue; // first sighting: give the poster one interval
+                continue; // first sighting: give the poster one nap
+            }
+            if !std::mem::replace(&mut asked, true) {
+                self.poll_readiness();
             }
             let Some(mut sg) = c.send.try_lock() else { continue };
             if c.flush_locked(&mut sg, self) == ConnIo::Dead {
                 drop(sg);
                 self.mark_peer_dead(peer);
-            } else {
-                flushed = true;
             }
         }
-        flushed
     }
 }
 
 impl Drop for TcpRankState {
     fn drop(&mut self) {
-        self.bridge_shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.bridge.lock().expect("bridge handle poisoned").take() {
-            let _ = h.join();
+        let Some(bridge) = self.bridge.get_mut().ok().and_then(Option::take) else { return };
+        // It finds the state gone as soon as it looks; wake it so that
+        // it looks now, not at the end of its nap.
+        bridge.thread().unpark();
+        // The last reference may be the bridge's own, held over a
+        // sweep: a thread cannot join itself, and need not.
+        if bridge.thread().id() != std::thread::current().id() {
+            let _ = bridge.join();
         }
     }
 }
 
-/// The socket-readiness bridge: parks in `epoll_wait` over every mesh
-/// socket of this rank, turns readiness edges into the connections'
-/// `readable` / `write_blocked` flags and local
-/// [`Doorbell`](crate::sync::Doorbell) rings (the tcp counterpart of
-/// the shm futex bridge; no listener today, see the module docs), and
-/// flushes send queues a rank stopped progressing on. On platforms
-/// without epoll it degrades to a timed tick that re-arms the readable
-/// flags.
-fn spawn_bridge(
-    rank: usize,
-    conns: &[Option<Arc<Conn>>],
-    shutdown: Arc<AtomicBool>,
-    state: Weak<TcpRankState>,
-) -> Option<std::thread::JoinHandle<()>> {
-    #[cfg(target_os = "linux")]
-    {
-        let ep = sys::Epoll::new().expect("epoll_create1");
-        let flat: Vec<Arc<Conn>> = conns.iter().flatten().cloned().collect();
-        for c in &flat {
-            ep.add(c.fd, c.peer as u64).expect("epoll_ctl add");
-        }
-        let handle = std::thread::Builder::new()
-            .name(format!("lci-tcp-epoll{rank}"))
-            .spawn(move || {
-                // The state is built with `Arc::new_cyclic`, so the Weak
-                // cannot upgrade until construction returns; only after
-                // the first success does `None` mean "state dropped".
-                while state.upgrade().is_none() {
-                    if shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
-                loop {
-                    if shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // Short wait while frames sit unflushed so the backstop
-                    // (below) reaches an abandoned queue within ~2 ms; the
-                    // long tick otherwise.
-                    let timeout = match state.upgrade() {
-                        Some(st) if st.outbound_pending() > 0 => 1,
-                        Some(_) => 100,
-                        None => break,
-                    };
-                    let mut woke = false;
-                    let r = ep.wait(timeout, |tag, readable, writable| {
-                        let Some(c) = flat.iter().find(|c| c.peer as u64 == tag) else { return };
-                        if readable {
-                            c.readable.store(true, Ordering::Release);
-                            woke = true;
-                        }
-                        if writable && c.write_blocked.swap(false, Ordering::AcqRel) {
-                            woke = true;
-                        }
-                    });
-                    if r.is_err() {
-                        break;
-                    }
-                    let Some(st) = state.upgrade() else { break };
-                    woke |= st.backstop_flush();
-                    if woke {
-                        st.core.bridge_wake();
-                    }
-                }
-            })
-            .expect("failed to spawn tcp epoll bridge");
-        Some(handle)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let flat: Vec<Arc<Conn>> = conns.iter().flatten().cloned().collect();
-        let handle = std::thread::Builder::new()
-            .name(format!("lci-tcp-tick{rank}"))
-            .spawn(move || {
-                // See the epoll bridge: the cyclic Weak upgrades only
-                // after construction finishes.
-                while state.upgrade().is_none() {
-                    if shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
-                loop {
-                    if shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    for c in &flat {
-                        c.readable.store(true, Ordering::Release);
-                    }
-                    let Some(st) = state.upgrade() else { break };
-                    st.backstop_flush();
-                    st.core.bridge_wake();
-                }
-            })
-            .expect("failed to spawn tcp tick bridge");
-        Some(handle)
-    }
+/// The bridge: a timer whose one job is the backstop flush. It holds
+/// the state only over a sweep, so it never keeps a rank alive, and it
+/// leaves when the state is gone — unparked by the state's `Drop`.
+fn spawn_bridge(rank: usize, state: Weak<TcpRankState>) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("lci-tcp-epoll{rank}"))
+        .spawn(move || {
+            while let Some(st) = state.upgrade() {
+                st.backstop_flush();
+                let nap = if st.outbound_pending() > 0 { NAP_QUEUED } else { NAP_IDLE };
+                drop(st);
+                std::thread::park_timeout(nap);
+            }
+        })
+        .expect("failed to spawn the tcp backstop bridge")
 }

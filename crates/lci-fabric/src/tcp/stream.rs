@@ -5,26 +5,26 @@
 //! region — the length field alone delimits frames). Unlike the shm
 //! rings, where frames arrive whole by construction, a TCP stream
 //! fragments arbitrarily: a header can straddle two reads, a payload
-//! can arrive one byte at a time, a `writev` can be torn mid-iovec.
+//! can arrive one byte at a time, a write can be torn anywhere.
 //! [`FrameDecoder`] reassembles against all of that — it buffers
-//! undecoded bytes across reads and yields a frame only when header and
+//! unconsumed bytes across reads and shows a frame only when header and
 //! payload are both complete.
 //!
 //! [`shm::ring`]: crate::shm::ring
 
-use crate::buf_pool::{BufPool, MAX_CLASS};
+use crate::buf_pool::MAX_CLASS;
 use crate::shm::ring::{
     decode_header, encode_header, FrameHeader, HEADER_LEN, KIND_READ_REQ, KIND_READ_RESP,
     KIND_SEND, KIND_WRITE,
 };
 
-/// Largest payload one TCP frame carries: the whole frame (header +
-/// payload) must fit a pooled buffer class so send queues gather iovecs
-/// from recycled storage. The upper stack chunks rendezvous transfers
-/// far below this.
+/// Largest payload one TCP frame carries: a frame that must become a
+/// wire message is staged whole into one pooled buffer, so it has to fit
+/// the largest class. The upper stack chunks rendezvous transfers far
+/// below this.
 pub const MAX_FRAME_PAYLOAD: usize = MAX_CLASS - HEADER_LEN;
 
-/// Initial (and steady-state minimum) reassembly buffer size.
+/// Initial (and steady-state) reassembly slab size.
 const DECODER_INIT_CAP: usize = 64 << 10;
 
 /// A corrupt or unsupported byte stream. Unlike ring frames — which are
@@ -49,49 +49,37 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// Encodes one frame (header + gathered payload segments) into a single
-/// contiguous pooled buffer, ready to sit in a per-peer send queue as
-/// one `writev` iovec. Returns `None` when the payload can never fit a
-/// frame (fatal, mirrors `ProduceError::TooLarge`).
-pub fn encode_frame(
-    pool: &BufPool,
-    h: &FrameHeader,
-    segs: &[&[u8]],
-) -> Option<crate::buf_pool::PoolBuf> {
-    let len: usize = segs.iter().map(|s| s.len()).sum();
-    if len > MAX_FRAME_PAYLOAD {
-        return None;
+/// Appends one frame (header, then payload) to `out` — the one copy a
+/// payload makes on its way to the socket. `Oversize` when the payload
+/// can never fit a frame (mirrors `ProduceError::TooLarge`); `out` is
+/// untouched then.
+pub fn encode_frame(out: &mut Vec<u8>, h: &FrameHeader, payload: &[u8]) -> Result<(), StreamError> {
+    if payload.len() > MAX_FRAME_PAYLOAD {
+        return Err(StreamError::Oversize(payload.len()));
     }
-    let mut buf = pool.take_empty(HEADER_LEN + len);
-    let v = buf.vec_mut();
-    v.resize(HEADER_LEN, 0);
-    encode_header(v, h, len as u32, 0);
-    for s in segs {
-        v.extend_from_slice(s);
-    }
-    Some(buf)
-}
-
-/// One reassembled frame, borrowing the decoder's buffer. The payload
-/// must be consumed (copied/staged) before the next decode call.
-#[derive(Debug)]
-pub struct DecodedFrame<'a> {
-    pub header: FrameHeader,
-    pub payload: &'a [u8],
+    let at = out.len();
+    out.reserve(HEADER_LEN + payload.len());
+    out.resize(at + HEADER_LEN, 0);
+    encode_header(&mut out[at..], h, payload.len() as u32, 0);
+    out.extend_from_slice(payload);
+    Ok(())
 }
 
 /// Incremental frame reassembler over an arbitrarily fragmented byte
 /// stream.
 ///
-/// The buffer is a flat `Vec` with a consume cursor: bytes land at
+/// The slab is a flat `Vec` with a consume cursor: bytes land at
 /// `filled` (either via [`push`](Self::push) or by reading straight
-/// into [`fill_space`](Self::fill_space)), frames are carved off at
-/// `pos`, and the un-consumed tail is compacted to the front before
-/// each refill. Storage grows only when a single frame outsizes the
-/// current buffer, then stays — no steady-state allocation.
+/// into [`fill_space`](Self::fill_space)), the frame at `pos` is lent
+/// by [`peek`](Self::peek) and released by [`consume`](Self::consume),
+/// and the unconsumed tail is compacted to the front before each
+/// refill. A full slab whose head frame is complete takes no more bytes
+/// until that frame is consumed (the socket's flow control is the
+/// backpressure); storage grows only when a single frame outsizes the
+/// slab, then stays — no steady-state allocation.
 pub struct FrameDecoder {
     buf: Vec<u8>,
-    /// Bytes `[pos, filled)` are received and not yet decoded.
+    /// Bytes `[pos, filled)` are received and not yet consumed.
     pos: usize,
     filled: usize,
 }
@@ -107,50 +95,20 @@ impl FrameDecoder {
         FrameDecoder { buf: vec![0; DECODER_INIT_CAP], pos: 0, filled: 0 }
     }
 
-    /// Bytes received but not yet carved into frames.
+    /// Bytes received but not yet consumed.
     pub fn pending_bytes(&self) -> usize {
         self.filled - self.pos
     }
 
-    /// Compacts and returns the writable tail for a socket read; call
-    /// [`advance_filled`](Self::advance_filled) with the byte count
-    /// actually read. Never empty: grows the buffer when a partial
-    /// oversized frame has filled it.
-    pub fn fill_space(&mut self) -> &mut [u8] {
-        if self.pos > 0 {
-            self.buf.copy_within(self.pos..self.filled, 0);
-            self.filled -= self.pos;
-            self.pos = 0;
-        }
-        if self.filled == self.buf.len() {
-            let new_len = (self.buf.len() * 2).min(HEADER_LEN + MAX_FRAME_PAYLOAD);
-            debug_assert!(new_len > self.buf.len(), "frame larger than the frame limit");
-            self.buf.resize(new_len.max(self.buf.len() + 1), 0);
-        }
-        &mut self.buf[self.filled..]
+    /// Size of the slab (test observability: it must not grow under
+    /// frames that fit it).
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
     }
 
-    /// Marks `n` bytes of [`fill_space`](Self::fill_space) as received.
-    pub fn advance_filled(&mut self, n: usize) {
-        debug_assert!(self.filled + n <= self.buf.len());
-        self.filled += n;
-    }
-
-    /// Copies `bytes` in (test/bench convenience; the device reads the
-    /// socket directly into [`fill_space`](Self::fill_space)).
-    pub fn push(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            let space = self.fill_space();
-            let n = space.len().min(bytes.len());
-            space[..n].copy_from_slice(&bytes[..n]);
-            self.advance_filled(n);
-            bytes = &bytes[n..];
-        }
-    }
-
-    /// Carves the next complete frame off the stream, if one has fully
-    /// arrived. `Ok(None)` means "need more bytes".
-    pub fn decode_next(&mut self) -> Result<Option<DecodedFrame<'_>>, StreamError> {
+    /// Validates the header at the cursor and returns it with the whole
+    /// frame's length; `Ok(None)` until 64 bytes of it are in.
+    fn head(&self) -> Result<Option<(FrameHeader, usize)>, StreamError> {
         if self.pending_bytes() < HEADER_LEN {
             return Ok(None);
         }
@@ -162,57 +120,115 @@ impl FrameDecoder {
         if len > MAX_FRAME_PAYLOAD {
             return Err(StreamError::Oversize(len));
         }
-        if self.pending_bytes() < HEADER_LEN + len {
-            return Ok(None);
+        Ok(Some((header, HEADER_LEN + len)))
+    }
+
+    /// The oldest unconsumed frame, if it has fully arrived, lent as a
+    /// slice of the slab. Changes nothing: the same frame comes back
+    /// until [`consume`](Self::consume) releases it, however many bytes
+    /// arrive behind it. `Ok(None)` means "need more bytes".
+    pub fn peek(&self) -> Result<Option<(FrameHeader, &[u8])>, StreamError> {
+        Ok(self
+            .head()?
+            .filter(|&(_, frame)| frame <= self.pending_bytes())
+            .map(|(h, frame)| (h, &self.buf[self.pos + HEADER_LEN..self.pos + frame])))
+    }
+
+    /// Releases the frame [`peek`](Self::peek) showed: the cursor moves
+    /// past exactly that one frame.
+    pub fn consume(&mut self) {
+        let len = decode_header(&self.buf[self.pos..self.pos + HEADER_LEN]).1 as usize;
+        assert!(HEADER_LEN + len <= self.pending_bytes(), "consume without a peeked frame");
+        self.pos += HEADER_LEN + len;
+    }
+
+    /// Compacts and returns the writable tail for a socket read; call
+    /// [`advance_filled`](Self::advance_filled) with the byte count
+    /// actually read. Empty when the slab is full behind a complete (or
+    /// corrupt) head frame — consume it first; a partial frame that has
+    /// filled the slab grows it.
+    pub fn fill_space(&mut self) -> &mut [u8] {
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.filled, 0);
+            self.filled -= self.pos;
+            self.pos = 0;
         }
-        let start = self.pos + HEADER_LEN;
-        self.pos = start + len;
-        Ok(Some(DecodedFrame { header, payload: &self.buf[start..start + len] }))
+        let full = self.filled == self.buf.len();
+        if full && matches!(self.head(), Ok(Some((_, frame))) if frame > self.filled) {
+            let new_len = (self.buf.len() * 2).min(HEADER_LEN + MAX_FRAME_PAYLOAD);
+            self.buf.resize(new_len, 0);
+        }
+        &mut self.buf[self.filled..]
+    }
+
+    /// Marks `n` bytes of [`fill_space`](Self::fill_space) as received.
+    pub fn advance_filled(&mut self, n: usize) {
+        debug_assert!(self.filled + n <= self.buf.len());
+        self.filled += n;
+    }
+
+    /// Copies in as much of `bytes` as the slab takes and returns how
+    /// much that was (test/bench convenience; the device reads the
+    /// socket directly into [`fill_space`](Self::fill_space)).
+    pub fn push(&mut self, bytes: &[u8]) -> usize {
+        let mut taken = 0;
+        while taken < bytes.len() {
+            let space = self.fill_space();
+            let n = space.len().min(bytes.len() - taken);
+            if n == 0 {
+                break;
+            }
+            space[..n].copy_from_slice(&bytes[taken..taken + n]);
+            self.advance_filled(n);
+            taken += n;
+        }
+        taken
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buf_pool::{BufPool, BufPoolConfig};
 
     fn hdr(kind: u8, imm: u64) -> FrameHeader {
         FrameHeader { kind, flags: 0, imm, src_dev: 1, dst_dev: 2, a: 3, b: 4, c: 5 }
     }
 
+    fn encoded(h: &FrameHeader, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame(&mut out, h, payload).unwrap();
+        out
+    }
+
     #[test]
     fn roundtrip_whole_frames() {
-        let pool = BufPool::new(BufPoolConfig::default());
         let mut dec = FrameDecoder::new();
+        let mut stream = Vec::new();
         for i in 0..4u64 {
-            let payload = vec![i as u8; 10 * i as usize];
-            let f = encode_frame(&pool, &hdr(KIND_SEND, i), &[&payload]).unwrap();
-            dec.push(&f);
+            encode_frame(&mut stream, &hdr(KIND_SEND, i), &vec![i as u8; 10 * i as usize]).unwrap();
         }
+        assert_eq!(dec.push(&stream), stream.len());
         for i in 0..4u64 {
-            let f = dec.decode_next().unwrap().expect("frame");
-            assert_eq!(f.header.imm, i);
-            assert_eq!(f.payload, vec![i as u8; 10 * i as usize].as_slice());
+            let (h, payload) = dec.peek().unwrap().expect("frame");
+            assert_eq!(h.imm, i);
+            assert_eq!(payload, vec![i as u8; 10 * i as usize].as_slice());
+            dec.consume();
         }
-        assert!(dec.decode_next().unwrap().is_none());
+        assert!(dec.peek().unwrap().is_none());
     }
 
     #[test]
     fn survives_byte_at_a_time() {
-        let pool = BufPool::new(BufPoolConfig::default());
-        let f = encode_frame(&pool, &hdr(KIND_WRITE, 9), &[b"abc", b"def"]).unwrap();
+        let f = encoded(&hdr(KIND_WRITE, 9), b"abcdef");
         let mut dec = FrameDecoder::new();
         for (i, b) in f.iter().enumerate() {
+            dec.push(std::slice::from_ref(b));
             if i + 1 < f.len() {
-                dec.push(std::slice::from_ref(b));
-                assert!(dec.decode_next().unwrap().is_none(), "frame appeared early at byte {i}");
-            } else {
-                dec.push(std::slice::from_ref(b));
+                assert!(dec.peek().unwrap().is_none(), "frame appeared early at byte {i}");
             }
         }
-        let out = dec.decode_next().unwrap().expect("frame");
-        assert_eq!(out.header.imm, 9);
-        assert_eq!(out.payload, b"abcdef");
+        let (h, payload) = dec.peek().unwrap().expect("frame");
+        assert_eq!((h.imm, payload), (9, &b"abcdef"[..]));
     }
 
     #[test]
@@ -221,31 +237,30 @@ mod tests {
         encode_header(&mut raw, &hdr(77, 0), 0, 0);
         let mut dec = FrameDecoder::new();
         dec.push(&raw);
-        assert_eq!(dec.decode_next().unwrap_err(), StreamError::BadKind(77));
+        assert_eq!(dec.peek().unwrap_err(), StreamError::BadKind(77));
 
         let mut raw = vec![0u8; HEADER_LEN];
         encode_header(&mut raw, &hdr(KIND_SEND, 0), (MAX_FRAME_PAYLOAD + 1) as u32, 0);
         let mut dec = FrameDecoder::new();
         dec.push(&raw);
-        assert!(matches!(dec.decode_next(), Err(StreamError::Oversize(_))));
+        assert!(matches!(dec.peek(), Err(StreamError::Oversize(_))));
     }
 
     #[test]
-    fn grows_for_oversized_frame_then_reuses() {
-        let pool = BufPool::new(BufPoolConfig::default());
-        let big = vec![7u8; 200 << 10]; // larger than the 64 KiB initial buffer
-        let f = encode_frame(&pool, &hdr(KIND_READ_RESP, 1), &[&big]).unwrap();
+    fn grows_for_oversized_frame_only() {
+        let big = vec![7u8; 200 << 10]; // larger than the 64 KiB slab
+        let f = encoded(&hdr(KIND_READ_RESP, 1), &big);
         let mut dec = FrameDecoder::new();
-        dec.push(&f);
-        let out = dec.decode_next().unwrap().expect("frame");
-        assert_eq!(out.payload.len(), big.len());
-        assert!(out.payload.iter().all(|&b| b == 7));
+        assert_eq!(dec.push(&f), f.len());
+        let (_, payload) = dec.peek().unwrap().expect("frame");
+        assert!(payload.len() == big.len() && payload.iter().all(|&b| b == 7));
     }
 
     #[test]
     fn encode_rejects_over_limit() {
-        let pool = BufPool::new(BufPoolConfig::default());
+        let mut out = vec![1, 2, 3];
         let too_big = vec![0u8; MAX_FRAME_PAYLOAD + 1];
-        assert!(encode_frame(&pool, &hdr(KIND_SEND, 0), &[&too_big]).is_none());
+        assert!(encode_frame(&mut out, &hdr(KIND_SEND, 0), &too_big).is_err());
+        assert_eq!(out, [1, 2, 3]);
     }
 }

@@ -2,22 +2,18 @@
 //!
 //! Same discipline as [`crate::shm::os`]: no external crates, symbols
 //! declared directly against the C runtime the standard library already
-//! links. epoll is Linux-only; other platforms fall back to a timed
-//! polling bridge (see `tcp::spawn_bridge`), which keeps the crate
-//! compiling and the in-process tcp mode testable everywhere.
+//! links. epoll is Linux-only; on other platforms [`Epoll`] reports
+//! nothing and every poll attempts its reads ([`EVENTED`]), which keeps
+//! the crate compiling and the in-process tcp mode testable everywhere.
 
 #![cfg(unix)]
 
 use std::io;
 use std::os::raw::c_void;
 
-/// Whether the platform has an event-driven readiness bridge (epoll).
-/// Off-path fallbacks poll on a timer and must always attempt reads.
+/// Whether the platform reports socket readiness (epoll). Without it
+/// every poll must attempt its reads and writes.
 pub const EVENTED: bool = cfg!(target_os = "linux");
-
-/// Maximum iovecs one `writev` call gathers. Linux IOV_MAX is 1024; we
-/// stay under it and keep the stack-resident iovec array small.
-pub const MAX_IOV: usize = 256;
 
 /// One gather/scatter segment (`struct iovec`).
 #[repr(C)]
@@ -45,8 +41,9 @@ impl IoVec {
 pub fn writev(fd: i32, iovs: &[IoVec]) -> io::Result<usize> {
     loop {
         // SAFETY: each iovec points at caller-owned bytes that outlive
-        // the call; the count is the array length.
-        let n = unsafe { ffi::writev(fd, iovs.as_ptr(), iovs.len().min(MAX_IOV) as i32) };
+        // the call; the count is the array length (callers pass a
+        // handful, far below IOV_MAX).
+        let n = unsafe { ffi::writev(fd, iovs.as_ptr(), iovs.len() as i32) };
         if n >= 0 {
             return Ok(n as usize);
         }
@@ -63,7 +60,7 @@ pub fn readv(fd: i32, iovs: &mut [IoVec]) -> io::Result<usize> {
     loop {
         // SAFETY: each iovec points at caller-owned writable bytes that
         // outlive the call.
-        let n = unsafe { ffi::readv(fd, iovs.as_mut_ptr(), iovs.len().min(MAX_IOV) as i32) };
+        let n = unsafe { ffi::readv(fd, iovs.as_mut_ptr(), iovs.len() as i32) };
         if n >= 0 {
             return Ok(n as usize);
         }
@@ -154,6 +151,26 @@ impl Drop for Epoll {
     fn drop(&mut self) {
         // SAFETY: epfd is a live fd owned by this instance.
         unsafe { ffi::close(self.epfd) };
+    }
+}
+
+/// Where there is no epoll nothing is ever reported ([`EVENTED`] is
+/// false and nobody waits for a report).
+#[cfg(not(target_os = "linux"))]
+pub struct Epoll;
+
+#[cfg(not(target_os = "linux"))]
+impl Epoll {
+    pub fn new() -> io::Result<Epoll> {
+        Ok(Epoll)
+    }
+
+    pub fn add(&self, _fd: i32, _tag: u64) -> io::Result<()> {
+        Ok(())
+    }
+
+    pub fn wait(&self, _timeout_ms: i32, _f: impl FnMut(u64, bool, bool)) -> io::Result<usize> {
+        Ok(0)
     }
 }
 

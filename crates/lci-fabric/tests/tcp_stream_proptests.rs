@@ -1,19 +1,38 @@
 //! Property tests for the TCP stream codec: arbitrary frame sequences
 //! survive arbitrary fragmentation. A TCP stream has no record
-//! boundaries — a `writev` on one side can be torn anywhere, and reads
-//! on the other side deliver whatever the kernel has — so the decoder
-//! must reassemble identical frames from *any* chunking of the byte
-//! stream, including one-byte-at-a-time delivery and chunks that
-//! straddle a header/payload boundary.
+//! boundaries — a write on one side can be torn anywhere, and reads on
+//! the other side deliver whatever the kernel has — so the decoder must
+//! reassemble identical frames from *any* chunking of the byte stream,
+//! including one-byte-at-a-time delivery and chunks that straddle a
+//! header/payload boundary.
+//!
+//! The decoder *lends* frames (`peek`) and releases them one at a time
+//! (`consume`), because the wire's drain routes a frame in place and a
+//! frame the router parks must still be there, byte for byte, at the
+//! next poll — whatever has arrived behind it meanwhile.
 
-use lci_fabric::buf_pool::{BufPool, BufPoolConfig};
 use lci_fabric::shm::ring::{
     FrameHeader, FLAG_HAS_IMM, HEADER_LEN, KIND_READ_REQ, KIND_READ_RESP, KIND_SEND, KIND_WRITE,
 };
 use lci_fabric::tcp::stream::{encode_frame, FrameDecoder, StreamError, MAX_FRAME_PAYLOAD};
 use proptest::prelude::*;
 
-fn arb_header(seed: (u8, u8, u64, u32, u32, u64, u64, u64)) -> FrameHeader {
+type HeaderSeed = (u8, u8, u64, u32, u32, u64, u64, u64);
+
+fn header_seed() -> impl Strategy<Value = HeaderSeed> {
+    (
+        any::<u8>(),
+        any::<u8>(),
+        any::<u64>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+    )
+}
+
+fn arb_header(seed: HeaderSeed) -> FrameHeader {
     let (kind_sel, flags, imm, src_dev, dst_dev, a, b, c) = seed;
     let kind = [KIND_SEND, KIND_WRITE, KIND_READ_REQ, KIND_READ_RESP][kind_sel as usize % 4];
     FrameHeader { kind, flags: flags & FLAG_HAS_IMM, imm, src_dev, dst_dev, a, b, c }
@@ -23,6 +42,28 @@ fn arb_header(seed: (u8, u8, u64, u32, u32, u64, u64, u64)) -> FrameHeader {
 /// not just a length mismatch.
 fn payload_bytes(len: usize, salt: u64) -> Vec<u8> {
     (0..len).map(|i| (i as u64).wrapping_mul(2654435761).wrapping_add(salt) as u8).collect()
+}
+
+/// The frames `seeds` describe, as the send side appends them to its
+/// stream buffer, and what the receiver must make of them.
+fn encode_all(seeds: &[(HeaderSeed, usize)]) -> (Vec<u8>, Vec<(FrameHeader, Vec<u8>)>) {
+    let mut stream = Vec::new();
+    let mut expect = Vec::new();
+    for (seed, len) in seeds {
+        let h = arb_header(*seed);
+        let body = payload_bytes(*len, seed.2);
+        encode_frame(&mut stream, &h, &body).expect("fits");
+        expect.push((h, body));
+    }
+    (stream, expect)
+}
+
+/// Takes every complete frame off the decoder's head.
+fn take_frames(dec: &mut FrameDecoder, out: &mut Vec<(FrameHeader, Vec<u8>)>) {
+    while let Some((h, payload)) = dec.peek().expect("valid stream") {
+        out.push((h, payload.to_vec()));
+        dec.consume();
+    }
 }
 
 /// Splits `stream` into chunks whose sizes cycle through `cuts`
@@ -38,11 +79,9 @@ fn feed_in_chunks(
     while off < stream.len() {
         let take = cuts[i % cuts.len()].clamp(1, stream.len() - off);
         i += 1;
-        dec.push(&stream[off..off + take]);
+        assert_eq!(dec.push(&stream[off..off + take]), take, "a drained slab refused bytes");
         off += take;
-        while let Some(f) = dec.decode_next().expect("valid stream") {
-            out.push((f.header, f.payload.to_vec()));
-        }
+        take_frames(dec, &mut out);
     }
     out
 }
@@ -52,71 +91,88 @@ proptest! {
     /// out intact and in order.
     #[test]
     fn frames_survive_arbitrary_fragmentation(
-        seeds in prop::collection::vec(
-            ((any::<u8>(), any::<u8>(), any::<u64>(), any::<u32>(), any::<u32>(),
-              any::<u64>(), any::<u64>(), any::<u64>()), 0usize..2000),
-            1..8),
+        seeds in prop::collection::vec((header_seed(), 0usize..2000), 1..8),
         cuts in prop::collection::vec(1usize..4096, 1..6),
     ) {
-        let pool = BufPool::new(BufPoolConfig::default());
-        let mut stream = Vec::new();
-        let mut expect = Vec::new();
-        for (seed, len) in &seeds {
-            let h = arb_header(*seed);
-            let body = payload_bytes(*len, seed.2);
-            // Encode through the same path the send queue uses,
-            // splitting the payload into up to three gather segments.
-            let (s1, rest) = body.split_at(body.len() / 3);
-            let (s2, s3) = rest.split_at(rest.len() / 2);
-            let buf = encode_frame(&pool, &h, &[s1, s2, s3]).expect("fits");
-            stream.extend_from_slice(&buf[..]);
-            expect.push((h, body));
-        }
+        let (stream, expect) = encode_all(&seeds);
         let mut dec = FrameDecoder::new();
         let got = feed_in_chunks(&mut dec, &stream, &cuts);
-        prop_assert_eq!(got.len(), expect.len());
-        for ((gh, gp), (eh, ep)) in got.iter().zip(expect.iter()) {
-            prop_assert_eq!(gh, eh);
-            prop_assert_eq!(gp, ep);
-        }
+        prop_assert_eq!(got, expect);
         prop_assert_eq!(dec.pending_bytes(), 0);
     }
 
     /// Byte-at-a-time delivery — the worst legal fragmentation — still
     /// reassembles exactly.
     #[test]
-    fn single_byte_delivery(
-        seed in (any::<u8>(), any::<u8>(), any::<u64>(), any::<u32>(), any::<u32>(),
-                 any::<u64>(), any::<u64>(), any::<u64>()),
-        len in 0usize..300,
-    ) {
-        let pool = BufPool::new(BufPoolConfig::default());
-        let h = arb_header(seed);
-        let body = payload_bytes(len, seed.2);
-        let buf = encode_frame(&pool, &h, &[&body]).expect("fits");
+    fn single_byte_delivery(seed in header_seed(), len in 0usize..300) {
+        let (stream, expect) = encode_all(&[(seed, len)]);
         let mut dec = FrameDecoder::new();
-        let got = feed_in_chunks(&mut dec, &buf[..], &[1]);
-        prop_assert_eq!(got.len(), 1);
-        prop_assert_eq!(&got[0].0, &h);
-        prop_assert_eq!(&got[0].1, &body);
+        prop_assert_eq!(feed_in_chunks(&mut dec, &stream, &[1]), expect);
     }
 
-    /// A frame larger than the reassembly buffer's initial capacity
-    /// forces a grow mid-frame; the bytes still come out exact.
+    /// A frame larger than the reassembly slab's initial capacity forces
+    /// a grow mid-frame; the bytes still come out exact.
     #[test]
     fn oversized_frames_grow_the_buffer(
         len in (64usize << 10)..MAX_FRAME_PAYLOAD,
         cut in 1usize..65536,
     ) {
-        let pool = BufPool::new(BufPoolConfig::default());
         let h = FrameHeader { kind: KIND_SEND, ..FrameHeader::default() };
         let body = payload_bytes(len, 7);
-        let buf = encode_frame(&pool, &h, &[&body]).expect("fits");
+        let mut stream = Vec::new();
+        encode_frame(&mut stream, &h, &body).expect("fits");
         let mut dec = FrameDecoder::new();
-        let got = feed_in_chunks(&mut dec, &buf[..], &[cut]);
+        let got = feed_in_chunks(&mut dec, &stream, &[cut]);
         prop_assert_eq!(got.len(), 1);
-        prop_assert_eq!(got[0].1.len(), len);
         prop_assert_eq!(&got[0].1, &body);
+    }
+
+    /// A parked frame: `peek` is idempotent. The head frame peeks
+    /// byte-identical any number of times, across further pushes — each
+    /// of which compacts the slab under it once an earlier frame has
+    /// been consumed — and `consume` then advances past exactly that
+    /// frame: everything behind it comes out intact and in order.
+    #[test]
+    fn a_parked_frame_peeks_identical_until_consumed(
+        seeds in prop::collection::vec((header_seed(), 0usize..2000), 2..8),
+        parked in 0usize..8,
+        cuts in prop::collection::vec(1usize..4096, 1..6),
+    ) {
+        let (stream, expect) = encode_all(&seeds);
+        let parked = parked % seeds.len();
+        let parked_end: usize =
+            expect[..=parked].iter().map(|(_, body)| HEADER_LEN + body.len()).sum();
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        // Up to and including the parked frame, consuming all before it.
+        dec.push(&stream[..parked_end]);
+        for _ in 0..parked {
+            let (h, payload) = dec.peek().expect("valid").expect("complete");
+            got.push((h, payload.to_vec()));
+            dec.consume();
+        }
+        // The rest arrives in fragments while the head stays parked.
+        let (mut off, mut i) = (parked_end, 0);
+        loop {
+            for _ in 0..3 {
+                let (h, payload) = dec.peek().expect("valid").expect("the parked frame is gone");
+                prop_assert_eq!((&h, payload), (&expect[parked].0, &expect[parked].1[..]));
+            }
+            if off == stream.len() {
+                break;
+            }
+            let take = cuts[i % cuts.len()].clamp(1, stream.len() - off);
+            i += 1;
+            prop_assert_eq!(dec.push(&stream[off..off + take]), take);
+            off += take;
+        }
+        let before = dec.pending_bytes();
+        dec.consume();
+        prop_assert_eq!(before - dec.pending_bytes(), HEADER_LEN + expect[parked].1.len());
+        got.push(expect[parked].clone());
+        take_frames(&mut dec, &mut got);
+        prop_assert_eq!(got, expect);
+        prop_assert_eq!(dec.pending_bytes(), 0);
     }
 
     /// A corrupt kind byte surfaces as `BadKind` no matter where the
@@ -127,15 +183,12 @@ proptest! {
         prefix_len in 0usize..200,
         cut in 1usize..128,
     ) {
-        let pool = BufPool::new(BufPoolConfig::default());
         // One good frame, then a corrupt header.
         let good = FrameHeader { kind: KIND_WRITE, ..FrameHeader::default() };
-        let body = payload_bytes(prefix_len, 3);
-        let buf = encode_frame(&pool, &good, &[&body]).expect("fits");
-        let mut stream = buf[..].to_vec();
+        let mut stream = Vec::new();
+        encode_frame(&mut stream, &good, &payload_bytes(prefix_len, 3)).expect("fits");
         let corrupt = FrameHeader { kind: bad_kind, ..FrameHeader::default() };
-        let cbuf = encode_frame(&pool, &corrupt, &[]).expect("fits");
-        stream.extend_from_slice(&cbuf[..]);
+        encode_frame(&mut stream, &corrupt, &[]).expect("fits");
 
         let mut dec = FrameDecoder::new();
         let mut off = 0;
@@ -146,8 +199,11 @@ proptest! {
             dec.push(&stream[off..off + take]);
             off += take;
             loop {
-                match dec.decode_next() {
-                    Ok(Some(_)) => decoded += 1,
+                match dec.peek() {
+                    Ok(Some(_)) => {
+                        decoded += 1;
+                        dec.consume();
+                    }
                     Ok(None) => break,
                     Err(e) => { err = Some(e); break 'outer; }
                 }
@@ -156,6 +212,45 @@ proptest! {
         prop_assert_eq!(decoded, 1, "the good frame decodes first");
         prop_assert_eq!(err, Some(StreamError::BadKind(bad_kind)));
     }
+}
+
+/// Backpressure: a slab that is full behind a complete head frame takes
+/// no more bytes and does not grow — the socket keeps them until the
+/// router has taken the frame. Consuming it makes room again.
+#[test]
+fn a_full_slab_behind_a_complete_head_frame_neither_grows_nor_accepts_bytes() {
+    let h = FrameHeader { kind: KIND_SEND, ..FrameHeader::default() };
+    let mut stream = Vec::new();
+    let mut bodies = Vec::new();
+    for i in 0..200u64 {
+        bodies.push(payload_bytes(1000, i));
+        encode_frame(&mut stream, &h, &bodies[i as usize]).expect("fits");
+    }
+    let mut dec = FrameDecoder::new();
+    let cap = dec.capacity();
+    assert!(stream.len() > 2 * cap, "the test needs more bytes than the slab holds");
+    let taken = dec.push(&stream);
+    assert_eq!((taken, dec.pending_bytes(), dec.capacity()), (cap, cap, cap));
+    for _ in 0..3 {
+        assert_eq!(dec.push(&stream[taken..]), 0, "a full slab accepted bytes");
+        assert_eq!(dec.capacity(), cap, "a full slab grew behind a frame that fits it");
+        assert_eq!(dec.peek().unwrap().expect("head").1, &bodies[0][..]);
+    }
+    // One frame consumed: exactly its room comes back.
+    dec.consume();
+    assert_eq!(dec.push(&stream[taken..]), HEADER_LEN + 1000);
+    let mut got = Vec::new();
+    let mut off = taken + HEADER_LEN + 1000;
+    loop {
+        take_frames(&mut dec, &mut got);
+        if off == stream.len() {
+            break;
+        }
+        off += dec.push(&stream[off..]);
+    }
+    assert_eq!(dec.capacity(), cap);
+    assert_eq!(got.len(), bodies.len() - 1);
+    assert!(got.iter().zip(&bodies[1..]).all(|((_, g), b)| g == b));
 }
 
 /// An oversize length field is rejected before any allocation of that
@@ -168,5 +263,5 @@ fn oversize_length_is_detected() {
     lci_fabric::shm::ring::encode_header(&mut raw, &h, (MAX_FRAME_PAYLOAD + 1) as u32, 0);
     let mut dec = FrameDecoder::new();
     dec.push(&raw);
-    assert_eq!(dec.decode_next().unwrap_err(), StreamError::Oversize(MAX_FRAME_PAYLOAD + 1));
+    assert_eq!(dec.peek().unwrap_err(), StreamError::Oversize(MAX_FRAME_PAYLOAD + 1));
 }

@@ -26,11 +26,11 @@
 
 mod common;
 
-use common::{pair, poll_until, post_packet_recv, DEADLINE};
+use common::{pair, poll_until, post_packet_recv, Sink, DEADLINE};
 use lci_fabric::backend::{NetContext, NetDevice, SendDesc};
 use lci_fabric::bootstrap::{self, test_child_args, Launch};
 use lci_fabric::sync::LockDiscipline;
-use lci_fabric::types::{Cqe, CqeKind, NetError, NetResult, RecvBufDesc, RetryReason};
+use lci_fabric::types::{CqeKind, NetError, NetResult, RecvBufDesc, RetryReason};
 use lci_fabric::{BackendKind, DeviceConfig, Fabric, RegCacheStats, Rkey};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -271,10 +271,11 @@ fn teardown_with_queued_frames() {
 /// A frame that finds the RX ring full waits at the head of its wire and
 /// is not staged again however often it is re-routed. Eight frames
 /// against a 2-slot ring and no posted receive: the receiver's pool
-/// takes stop where parking starts — the two that fit on shm (the rest
-/// stay in ring slots), all eight on tcp (its decoder stages each frame
-/// once, and a routed send takes that buffer over) — and the messages
-/// come out in send order.
+/// takes stop where parking starts, at the two that fit, on both
+/// buffering wires — each lends the router its own storage (shm a ring
+/// slot, tcp a slice of its reassembly slab), the router stages a frame
+/// only when it becomes a wire message, and it looks for room in the RX
+/// ring before it does — and the messages come out in send order.
 ///
 /// Only a wire that buffers on its own has a frame to park: on the
 /// in-memory wire the third send is refused at the post
@@ -285,8 +286,7 @@ fn rx_full_parks_frames_without_restaging_and_in_send_order() {
     const N: usize = 8;
     const RX_SLOTS: usize = 2;
     for cfg in wires().into_iter().filter(buffers_on_its_own) {
-        let staged_while_parked =
-            if cfg.backend == BackendKind::Tcp { N as u64 } else { RX_SLOTS as u64 };
+        let staged_while_parked = RX_SLOTS as u64;
         let (d0, d1) = pair(cfg.with_rx_capacity(RX_SLOTS));
         let payload = |i: usize| vec![i as u8 + 1; 200];
         for i in 0..N {
@@ -871,50 +871,6 @@ fn numbered(i: u64) -> Vec<u8> {
     vec![i as u8 ^ 0x5A; 1 + (i as usize * 37) % 900]
 }
 
-/// The receiving end of the inject cases: a few receives it re-posts as
-/// they complete, checking that message `i` (its immediate) is the
-/// `i`-th to arrive and carries `numbered(i)`.
-struct Sink<'a> {
-    dev: &'a Arc<dyn NetDevice>,
-    bufs: Vec<Vec<u8>>,
-    next: u64,
-    cqes: Vec<Cqe>,
-}
-
-impl<'a> Sink<'a> {
-    fn new(dev: &'a Arc<dyn NetDevice>) -> Self {
-        let mut bufs: Vec<Vec<u8>> = (0..32).map(|_| vec![0u8; 1024]).collect();
-        for (i, b) in bufs.iter_mut().enumerate() {
-            post_packet_recv(dev, b, i as u64);
-        }
-        Sink { dev, bufs, next: 0, cqes: Vec::new() }
-    }
-
-    /// One poll's worth.
-    fn drain(&mut self) {
-        self.dev.poll_cq(&mut self.cqes, 64).unwrap();
-        for c in self.cqes.drain(..) {
-            assert_eq!((c.kind, c.imm), (CqeKind::RecvDone, self.next), "out of post order");
-            let slot = c.ctx as usize;
-            assert_eq!(self.bufs[slot][..c.len], numbered(self.next)[..], "message {}", c.imm);
-            self.next += 1;
-            post_packet_recv(self.dev, &mut self.bufs[slot], c.ctx);
-        }
-    }
-
-    /// Drains until `n` messages have arrived, `sender` polling along
-    /// (tcp ships its queue there); returns what the sender polled.
-    fn drain_until(&mut self, n: u64, sender: &Arc<dyn NetDevice>) -> Vec<Cqe> {
-        let (mut polled, deadline) = (Vec::new(), Instant::now() + DEADLINE);
-        while self.next < n {
-            sender.poll_cq(&mut polled, 64).unwrap();
-            self.drain();
-            assert!(Instant::now() < deadline, "stuck at {}/{n} messages", self.next);
-        }
-        polled
-    }
-}
-
 /// `post_inject` is a send without a completion: the bytes and the
 /// immediate arrive, nothing ever shows up on the sender's CQ, and
 /// interleaved with `post_send`s toward the same target everything
@@ -925,7 +881,7 @@ fn inject_delivers_in_post_order_with_sends_and_completes_nothing() {
     const N: u64 = 96;
     for cfg in wires() {
         let (d0, d1) = pair(cfg);
-        let mut sink = Sink::new(&d1);
+        let mut sink = Sink::new(&d1, 1024, numbered);
         for i in 0..N / 2 {
             d0.post_inject(1, 0, &numbered(i), i).unwrap();
         }
@@ -958,7 +914,7 @@ fn inject_is_accepted_with_the_staging_ring_full() {
     const INJECTS: u64 = 300;
     for cfg in wires() {
         let (d0, d1) = pair(cfg.with_rx_capacity(64).with_discipline(LockDiscipline::Blocking));
-        let mut sink = Sink::new(&d1);
+        let mut sink = Sink::new(&d1, 1024, numbered);
         let mut sent = 0u64;
         loop {
             match d0.post_send(1, 0, &numbered(sent), sent, sent) {
@@ -1002,7 +958,7 @@ fn inject_on_a_full_wire_retries_with_nothing_sent() {
         let err = d0.post_inject(1, 0, &numbered(sent), sent).unwrap_err();
         assert_eq!(err, NetError::Retry(RetryReason::RxFull), "{cfg:?}");
 
-        let mut sink = Sink::new(&d1);
+        let mut sink = Sink::new(&d1, 1024, numbered);
         let polled = sink.drain_until(sent, &d0);
         for _ in 0..8 {
             sink.drain();

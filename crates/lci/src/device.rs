@@ -263,7 +263,6 @@ impl Device {
         s.matching_contended = self.inner.rt.matching.contended();
         let ts = self.inner.net.transport_stats();
         s.shm_ring_hwm = ts.shm_ring_hwm;
-        s.doorbell_cross_proc_wakes = ts.doorbell_cross_proc_wakes;
         s.tcp_writev_calls = ts.tcp_writev_calls;
         s.tcp_writev_frames = ts.tcp_writev_frames;
         s.rma_direct_bytes = ts.rma_direct_bytes;

@@ -172,7 +172,6 @@ impl DeviceStats {
             buf_pool_recycled_bytes: 0,
             matching_contended: 0,
             shm_ring_hwm: 0,
-            doorbell_cross_proc_wakes: 0,
             tcp_writev_calls: 0,
             tcp_writev_frames: 0,
             rma_direct_bytes: 0,
@@ -294,11 +293,6 @@ pub struct StatsSnapshot {
     /// [`Device::stats`](crate::device::Device::stats) from the
     /// transport; zero on simulated backends).
     pub shm_ring_hwm: u64,
-    /// Cross-process doorbell wakes delivered to this device's rank by
-    /// the shm futex bridge (overlaid by
-    /// [`Device::stats`](crate::device::Device::stats); zero in-process
-    /// and on simulated backends).
-    pub doorbell_cross_proc_wakes: u64,
     /// `writev` syscalls that made progress on this rank's tcp mesh
     /// (overlaid by [`Device::stats`](crate::device::Device::stats);
     /// zero on non-tcp transports).
@@ -375,9 +369,6 @@ impl StatsSnapshot {
             matching_contended: self.matching_contended.saturating_sub(earlier.matching_contended),
             // High-water mark: the later value covers the interval.
             shm_ring_hwm: self.shm_ring_hwm,
-            doorbell_cross_proc_wakes: self
-                .doorbell_cross_proc_wakes
-                .saturating_sub(earlier.doorbell_cross_proc_wakes),
             tcp_writev_calls: self.tcp_writev_calls.saturating_sub(earlier.tcp_writev_calls),
             tcp_writev_frames: self.tcp_writev_frames.saturating_sub(earlier.tcp_writev_frames),
             rma_direct_bytes: self.rma_direct_bytes.saturating_sub(earlier.rma_direct_bytes),

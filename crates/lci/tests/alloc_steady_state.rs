@@ -319,6 +319,24 @@ fn shm_eager_steady_state_is_allocation_free() {
     );
 }
 
+/// And so does tcp: a frame is appended to the connection's stream
+/// buffer, whose capacity was reserved when the mesh was built, written
+/// from there, read into the reassembly slab and lent from it — no
+/// pooled buffer, no queue node, no allocator call once warm. (The
+/// backstop thread is not audited and allocates nothing either.)
+#[test]
+fn tcp_eager_steady_state_is_allocation_free() {
+    let _g = serial();
+    let cfg = RuntimeConfig::small().with_device(lci_fabric::DeviceConfig::tcp());
+    let allocs = steady_state_allocs_cfg(cfg, 512, 64, 256);
+    assert_eq!(
+        allocs,
+        0,
+        "tcp 512-byte eager loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
+}
+
 /// Rendezvous over shm: in one process every 64 KiB chunk is copied
 /// straight into the registered landing buffer and only RTS, RTR and the
 /// header-only FIN frame cross the ring, encoded in place — still zero
@@ -368,9 +386,10 @@ fn eager_2k_copy_ledger(device: lci_fabric::DeviceConfig) -> (u64, u64, u64) {
 
 /// The eager copy ledger (DESIGN.md §4.7 table), from counters that
 /// repeat exactly: an expected 2 KiB message is copied user buffer →
-/// wire → packet → user buffer. On shm the ring is the wire and nothing
-/// is restaged, so the message takes no pooled buffer on either rank; on
-/// sim-ibv the wire's own staging is the one take. Either way exactly
+/// wire → packet → user buffer. On shm the ring is the wire, on tcp the
+/// stream buffer and the reassembly slab are, and nothing is restaged,
+/// so the message takes no pooled buffer on either rank; on sim-ibv the
+/// wire's own staging is the one take. Either way exactly
 /// one delivery copy is counted (packet → posted buffer), and the sender
 /// handles no completion at all: the send was done at the post, so no
 /// `SendDone` is staged, polled or decoded (1 per message until PR 21).
@@ -380,6 +399,7 @@ fn eager_copy_ledger_is_one_stage_per_wire() {
     // a concurrent audit's window.
     let _g = serial();
     assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::shm()), (0, 1, 0));
+    assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::tcp()), (0, 1, 0));
     assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::ibv()), (1, 1, 0));
 }
 

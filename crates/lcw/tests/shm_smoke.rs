@@ -337,11 +337,20 @@ fn multiproc_collective_after_peer_exit_aborts() {
     const LAUNCHER: &str = "LCI_TEST_ABORT_LAUNCHER";
     if let Some(w) = World::from_env(shm_cfg()).expect("attach") {
         w.barrier().expect("startup barrier");
+        let rt = w.lci_runtime().expect("lci");
         if w.rank() == 1 {
+            // A send is done when the wire has copied it, and tcp writes
+            // its copy out at the next poll: the barrier can return —
+            // its own receive matched at the post — with the signal to
+            // rank 0 still unwritten, and `exit` runs no teardown to
+            // flush it. Rank 0 must get out of its barrier to get to its
+            // allreduce.
+            while rt.device().outbound_pending() > 0 {
+                rt.progress_all().expect("progress");
+            }
             std::process::exit(7);
         }
         // The tcp mesh learns of a death by reading the socket.
-        let rt = w.lci_runtime().expect("lci");
         while w.fabric().dead_peer().is_none() {
             rt.progress_all().expect("progress");
             std::thread::yield_now();
