@@ -1,23 +1,24 @@
-//! Lending: the blocking engines hand the runtime the caller's own
-//! memory for the length of one call, so a chunk leaves from the
-//! caller's buffer and lands in it (DESIGN.md §4.11 "Lending" holds the
+//! Lending: a collective hands the runtime the caller's own memory for
+//! as long as its plan runs, so a chunk leaves from the caller's buffer
+//! and lands in it (DESIGN.md §4.11 "Lending" holds the
 //! last-dereference table this file's `SAFETY` comments cite).
 //!
 //! Two pieces. [`Lent`] is the address the runtime carries — as
 //! [`SendBuf::Lent`](crate::SendBuf) on the send side, as the landing
 //! of a posted receive on the other — and nothing outside `coll/` can
 //! make one. [`Scope`] is the only thing inside `coll/` that does: one
-//! per call, borrowed from the caller's slices, and it does not end
-//! while anything it lent can still be dereferenced:
+//! per plan, borrowed from the caller's slices (or laid over the
+//! buffers an `i*` handle owns), and it does not end while anything it
+//! lent can still be dereferenced:
 //!
-//! * a **clean exit** is the engines' own epilogue — every lent
+//! * a **clean exit** is the stepper's own finish line — every lent
 //!   receive popped (each is signalled after the last byte was written:
 //!   the eager copy happens before `signal`, FIN travels behind the last
 //!   chunk on every wire) and the send window drained (each send
 //!   completes after its last byte was read: eager at the post,
 //!   rendezvous at the last `WriteDone`). Both are counted on
-//!   the way out ([`Scope::run`], `coll::lending`) and a miscount
-//!   panics rather than trust the engine;
+//!   the way out ([`Scope::close`], `coll::finish`) and a miscount
+//!   panics rather than trust the stepper;
 //! * an **unclean exit** — the runtime failed after the first lend
 //!   (`progress` returned a `FatalError`, a user `ReduceOp::fold`
 //!   panicked) — cannot be waited out: a posted receive, a pending
@@ -104,7 +105,7 @@ impl Lent {
     }
 }
 
-/// One blocking collective's loan of its caller's slices.
+/// One plan's loan of its caller's slices.
 ///
 /// Built from the borrows themselves, so the caller cannot touch the
 /// memory while the scope lives; inside, every access — the runtime's
@@ -123,6 +124,11 @@ pub(super) struct Scope<'a> {
     _caller: PhantomData<(&'a [u8], &'a mut [u8])>,
 }
 
+// SAFETY: the pointers stand for the `&'a [u8]` and `&'a mut [u8]` the
+// scope was built from (or for buffers its owner moves along with it),
+// both `Send`; the counters are plain cells that move with it.
+unsafe impl Send for Scope<'_> {}
+
 impl<'a> Scope<'a> {
     /// Sends and receives both address `buf` (allreduce, broadcast,
     /// allgather, reduce).
@@ -137,14 +143,20 @@ impl<'a> Scope<'a> {
         Scope::over((src.as_ptr().cast_mut(), src.len()), (dst.as_mut_ptr(), dst.len()))
     }
 
+    /// A scope over buffers an `i*` handle owns instead of borrows
+    /// (`src: None` = in place over `dst`).
+    ///
+    /// # Safety
+    /// Until the scope has ended, both allocations must stay where they
+    /// are and be touched through the scope alone.
+    pub(super) unsafe fn over_owned(src: Option<&[u8]>, dst: &mut [u8]) -> Scope<'static> {
+        let dst = (dst.as_mut_ptr(), dst.len());
+        Scope::over(src.map_or(dst, |s| (s.as_ptr().cast_mut(), s.len())), dst)
+    }
+
     fn over(src: (*mut u8, usize), dst: (*mut u8, usize)) -> Scope<'a> {
         let (landings, armed) = (Cell::new(0), Cell::new(false));
         Scope { src, dst, landings, armed, _caller: PhantomData }
-    }
-
-    /// Length of the landing side.
-    pub(super) fn len(&self) -> usize {
-        self.dst.1
     }
 
     fn lend(&self, (base, len): (*mut u8, usize), range: Range<usize>) -> Lent {
@@ -152,7 +164,7 @@ impl<'a> Scope<'a> {
         self.armed.set(true);
         // SAFETY: in bounds of a slice borrowed for `'a`, so allocated
         // while `self` lives; `self` ends cleanly only after every lent
-        // operation signalled (`run`) and otherwise ends the process
+        // operation signalled (`close`) and otherwise ends the process
         // (`Drop`). Who else touches the range meanwhile is the caller's
         // half (`source`, `landing`).
         unsafe { Lent::new(base.add(range.start), range.len()) }
@@ -221,21 +233,21 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// Runs one engine under the scope. `Ok` only after a clean exit —
-    /// every landing landed, checked here, and the send window drained,
-    /// which the caller's `engine` checks before it returns; `Err` only
-    /// if nothing was lent; anything else does not return.
-    pub(super) fn run<R>(self, engine: impl FnOnce(&Scope<'a>) -> Result<R>) -> Result<R> {
-        match engine(&self) {
-            Ok(out) => {
-                let landings = self.landings.get();
-                assert!(landings == 0, "collective returned with {landings} lent receives posted");
-                self.armed.set(false);
-                Ok(out)
-            }
-            Err(e) if !self.armed.get() => Err(e),
-            Err(e) => abort_lent(&e),
+    /// The clean exit: every landing landed, checked here; the caller
+    /// has checked that the send window drained.
+    pub(super) fn close(self) {
+        let landings = self.landings.get();
+        assert!(landings == 0, "collective returned with {landings} lent receives posted");
+        self.armed.set(false);
+    }
+
+    /// The failed exit: hands `e` back if nothing was lent, and does
+    /// not return otherwise.
+    pub(super) fn fail(self, e: FatalError) -> FatalError {
+        if self.armed.get() {
+            abort_lent(&e)
         }
+        e
     }
 }
 

@@ -1,37 +1,41 @@
 //! Performance-grade collective communication (paper §6).
 //!
 //! The paper's position is that LCI's point-to-point primitives are the
-//! building blocks for collectives; this module builds them for real:
+//! building blocks for collectives. Here a collective *is* a composition
+//! of them, written down as a value: a rank's program is a `Plan` — the
+//! pieces it receives (from whom, into which range, under which tag,
+//! landed in place or folded), the pieces it sends, and a gate saying
+//! which harvest opens which receive and readies which send — built by
+//! one of seven pure schedule builders and run by one non-blocking
+//! stepper (`plan`; DESIGN.md §4.11):
 //!
 //! * **Chunk-pipelined ring allreduce** ([`allreduce`]): reduce-scatter
 //!   and allgather phases moving the bandwidth-optimal `2(n−1)/n ·
-//!   bytes` per rank, each block split into [`coll_chunk_size`] chunks whose
-//!   sends overlap the folds of earlier chunks under a bounded
-//!   [`coll_max_inflight`] window (see [`ring`]).
-//! * **Bounded-inflight pairwise alltoall** ([`alltoall_bytes`]): all
-//!   receives pre-posted, sends posted without per-send wait barriers,
-//!   large blocks riding the chunked rendezvous pump.
-//! * **Sparse size-adaptive alltoallv** ([`alltoallv`]): uneven blocks
-//!   per pair, zero-byte pairs skipped, size-adaptive per-block
-//!   protocol, largest-block-first scheduling (see [`v`];
-//!   [`alltoallv_counts`] handles the recv-side-unknown MoE case).
-//! * **Bruck allgather** ([`allgather_bytes`]) in `⌈log₂ n⌉` rounds and
-//!   a **chunk-pipelined binomial broadcast** ([`broadcast_bytes`]),
-//!   both over the caller's slices.
+//!   bytes` per rank, each block split into `coll_chunk_size` chunks
+//!   whose next hop departs as soon as the chunk is harvested.
+//! * **Chunk-streamed binomial broadcast** ([`broadcast_bytes`]) and
+//!   **binomial reduce** ([`reduce_bytes`]) — together also the
+//!   allreduce of a world past `MAX_RING_RANKS`.
+//! * **Bruck allgather** ([`allgather_bytes`]) and a **dissemination
+//!   barrier** ([`barrier`]) in `⌈log₂ n⌉` rounds.
+//! * **Pairwise alltoall** ([`alltoall_bytes`]) and the **sparse
+//!   largest-first alltoallv** ([`alltoallv`]; [`alltoallv_counts`]
+//!   handles the recv-side-unknown MoE case): all receives up front,
+//!   zero-byte pairs post nothing, large blocks ride the chunked
+//!   rendezvous pump.
 //!
-//! A blocking collective stages nothing and takes nothing from the
+//! Sends ride a bounded `coll_max_inflight` window and never wait
+//! individually. A collective stages nothing and takes nothing from the
 //! device's buffer pool: the caller's slices are **lent** to the runtime
-//! for the length of the call (`lend`; DESIGN.md §4.11 "Lending"), so
-//! every piece is posted from the caller's buffer — inline at or under
-//! 24 B — and, wherever its bytes are final on arrival (allgather
-//! rounds of the ring, broadcast, Bruck, `alltoall*`), lands at its own
-//! offset in it: one copy per byte, the wire's. Only an arrival that
-//! must sit beside the accumulator to be folded (reduce-scatter rounds,
-//! [`reduce_bytes`]) and the barrier's token land in a box from the
-//! per-runtime shelf ([`CollState`]). A warm collective loop allocates
-//! nothing (enforced by `tests/alloc_steady_state.rs`). Blocking waits
-//! go through [`Runtime::wait_until`], which progresses every device of
-//! the runtime and yields the core once idle.
+//! while the plan runs (`lend`; DESIGN.md §4.11 "Lending"), so every
+//! piece is posted from the caller's buffer — inline at or under 24 B —
+//! and, wherever its bytes are final on arrival, lands at its own offset
+//! in it: one copy per byte, the wire's. Only an arrival that must be
+//! folded (reduce-scatter rounds, [`reduce_bytes`]) lands in a box from
+//! the shelf ([`CollState`]). A warm collective loop allocates nothing
+//! (`tests/alloc_steady_state.rs`). A blocking call steps its plan under
+//! [`Runtime::wait_until`], which progresses every device of the runtime
+//! and yields the core once idle.
 //!
 //! **The one way this can end a process.** Argument errors return `Err`
 //! before anything is posted. A runtime failure *after* the first lent
@@ -42,27 +46,29 @@
 //! `MPI_ERRORS_ARE_FATAL`) instead of returning `Err` on one rank while
 //! every peer spins. A collective that returns `Err` has lent nothing.
 //!
-//! The naive implementations (clone-per-round, serialized sends,
-//! allreduce as reduce+broadcast at twice the optimal byte volume) live
-//! on in [`naive`] as the reference the proptests compare against and
-//! the baseline `benches/collectives.rs` measures.
-//!
-//! Non-blocking `i*` variants composed on the completion graph live in
-//! [`nb`] (re-exported here): [`ibarrier`], [`ibroadcast`],
+//! **Non-blocking `i*` variants** ([`ibarrier`], [`ibroadcast`],
 //! [`ireduce_u64`], [`iallgather`], [`ialltoall`], [`ialltoallv`],
-//! [`iallreduce_u64`].
+//! [`iallreduce_u64`]; `nb`) are the same plans stepped from a handle:
+//! an [`IColl`] owns its buffers and advances only inside its own
+//! `test`/`wait` (MPI's weak progress) — poll it in any loop a peer's
+//! collective may be waiting on.
+//!
+//! [`naive`] holds store-and-forward implementations of the same
+//! collectives. Nothing in the library calls them: they are the
+//! reference the proptests compare the plans against and the baseline
+//! `benches/collectives.rs` measures.
 //!
 //! ## Tags and ordering
 //!
 //! Tags with the highest bit set are reserved for collectives. The tag
 //! packs a 22-bit per-runtime sequence number and a 9-bit round index
 //! (`1 + 22 + 9 = 32`): collectives must be invoked in the same order
-//! on every rank (the usual MPI-style contract), the sequence keeps
-//! consecutive collectives apart, and the round keeps a collective's
-//! internal stages apart. The sequence wraps at ~4.2 M collectives,
-//! which is safe because at most one collective per runtime is live at
-//! a time (the state lock serializes them) — a wrapped tag can only
-//! collide with a collective that fully completed long ago.
+//! on every rank (the usual MPI-style contract; an `i*` call counts
+//! where it is *started*, and reserves every tag it will use there), the
+//! sequence keeps consecutive collectives apart, and the round keeps a
+//! collective's internal stages apart. The sequence wraps at ~4.2 M
+//! collectives; a wrapped tag can only collide with a collective that
+//! fully completed long ago.
 //!
 //! **Every piece has a tag of its own.** A call whose rounds carry
 //! several pieces per peer (the ring's chunks, the broadcast's stream,
@@ -73,19 +79,15 @@
 //! matching engine sees arrivals in: per-`(rank, tag)` matching is FIFO
 //! only while a single thread progresses a device (two threads poll
 //! consecutive batches and handle them concurrently), and a receive
-//! posted into the caller's buffer must get *its* bytes — until PR 20
-//! the k-th posted receive was paired with the k-th sent chunk by
-//! order alone, which a second progressing thread could break.
-//! `user_ctx` on each posted receive tells the engine which piece a
-//! completion is.
+//! posted into the caller's buffer must get *its* bytes. `user_ctx` on
+//! each posted receive is its index in the plan.
 
 #[doc(hidden)]
 pub(crate) mod lend;
 pub mod naive;
 pub mod nb;
 pub mod ops;
-mod ring;
-mod v;
+mod plan;
 
 pub use nb::{
     iallgather, iallreduce_u64, ialltoall, ialltoallv, ibarrier, ibroadcast, ireduce_u64, IColl,
@@ -93,11 +95,11 @@ pub use nb::{
 pub use ops::{FnOpU64, MaxF32, MaxU64, ReduceOp, SumF32, SumU64};
 
 use crate::comp::Comp;
-use crate::device::Device;
-use crate::error::{FatalError, PostResult, Result};
+use crate::error::{FatalError, Result};
 use crate::runtime::Runtime;
-use crate::types::{CompDesc, DataBuf, Direction, Landing, Rank, Tag};
-use lend::{Lent, Scope};
+use crate::types::{DataBuf, Rank, Tag};
+use lend::Scope;
+use plan::{Plan, Shape};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -108,8 +110,8 @@ const SEQ_BITS: u32 = 22;
 /// Round-index width (bits 0..9 of the tag).
 const ROUND_BITS: u32 = 9;
 /// Largest rank count the pipelined ring allreduce supports: its
-/// `2(n−1)` rounds must fit the tag's round field. Bigger worlds fall
-/// back to the naive (binomial) path, whose round codes are O(log n).
+/// `2(n−1)` rounds must fit the tag's round field. Bigger worlds reduce
+/// to rank 0 and broadcast, whose round codes are O(log n).
 pub(crate) const MAX_RING_RANKS: usize = 256;
 
 /// Round codes for single-stage collectives (must fit [`ROUND_BITS`];
@@ -119,7 +121,6 @@ pub(crate) const ROUND_BCAST: u32 = 0x1BC & 0x1FF;
 pub(crate) const ROUND_REDUCE: u32 = 0x14D & 0x1FF;
 pub(crate) const ROUND_A2A: u32 = 0x1AA & 0x1FF;
 pub(crate) const ROUND_A2AV: u32 = 0x1A5 & 0x1FF;
-pub(crate) const ROUND_A2AV_CNT: u32 = 0x1A6 & 0x1FF;
 pub(crate) const ROUND_AG_BASE: u32 = 0x1C0;
 
 pub(crate) fn coll_tag(seq: u32, round: u32) -> Tag {
@@ -170,12 +171,11 @@ impl Runtime {
 /// How many recycled landing boxes the state keeps across collectives.
 const SHELF_CAP: usize = 128;
 
-/// Cached collective-engine state, lazily created per runtime and
-/// reused across collectives so the warm path allocates nothing:
-/// a reusable completion queue for receives (FAA-array backed,
-/// alloc-free push/pop), a shared send-completion handler with an
-/// in-flight counter (the pipelining window), and a shelf of
-/// chunk-capacity landing boxes recycled between rounds.
+/// Collective-engine state, lazily created per runtime (an `i*` handle
+/// has its own) and reused so the warm path allocates nothing: a
+/// completion queue for receives (FAA-array backed, alloc-free), a send
+/// handler with an in-flight counter (the pipelining window), a shelf of
+/// chunk-capacity landing boxes for folds, and the plan's storage.
 pub struct CollState {
     /// Receive-completion queue shared by every posted receive.
     recv_cq: Comp,
@@ -189,15 +189,8 @@ pub struct CollState {
     shelf: Vec<Box<[u8]>>,
     /// Landing-box capacity (`coll_chunk_size` at creation).
     chunk_cap: usize,
-    /// Per-round arrival counters, reused across collectives.
-    arrived: Vec<u32>,
-    /// `alltoallv` send-schedule scratch (peer indices, sorted
-    /// largest-block-first), reused so the warm path allocates nothing.
-    v_order: Vec<usize>,
-    /// `alltoallv` block-offset scratch (send prefix sums), reused.
-    v_send_offs: Vec<usize>,
-    /// `alltoallv` block-offset scratch (recv prefix sums), reused.
-    v_recv_offs: Vec<usize>,
+    /// The blocking collective's plan, rebuilt in place per call.
+    plan: Plan,
     /// Count-exchange staging (send side), reused across exchanges.
     cnt_send: Vec<u8>,
     /// Count-exchange staging (recv side), reused across exchanges.
@@ -216,10 +209,7 @@ impl CollState {
             }),
             shelf: Vec::new(),
             chunk_cap: rt.config().coll_chunk_size,
-            arrived: Vec::new(),
-            v_order: Vec::new(),
-            v_send_offs: Vec::new(),
-            v_recv_offs: Vec::new(),
+            plan: Plan::default(),
             cnt_send: Vec::new(),
             cnt_recv: Vec::new(),
         }
@@ -227,10 +217,9 @@ impl CollState {
 
     /// A landing box of at least `len` bytes: shelf-recycled when the
     /// chunk capacity suffices, freshly allocated (and dropped by
-    /// [`put_databuf`](Self::put_databuf)) otherwise. The oversize arm
-    /// has one caller left, [`reduce_bytes`]' child receive, which posts
-    /// the whole partial unchunked; everything else that used to reach
-    /// it lands in the caller's buffer.
+    /// [`put_databuf`](Self::put_databuf)) otherwise. Only a
+    /// [`reduce_bytes`] child's partial, which arrives unchunked, reaches
+    /// the oversize arm.
     fn take_box(&mut self, len: usize) -> Box<[u8]> {
         if len <= self.chunk_cap {
             if let Some(b) = self.shelf.pop() {
@@ -265,165 +254,62 @@ fn with_state<R>(rt: &Runtime, f: impl FnOnce(&mut CollState) -> Result<R>) -> R
     f(state)
 }
 
-/// Runs `engine` with the caller's slices lent for its duration: `Ok`
-/// means every lent receive landed and the send window drained, `Err`
-/// that nothing was lent; otherwise the process ends ([`lend`]).
-fn lending<'a, R>(
-    st: &mut CollState,
-    mem: Scope<'a>,
-    engine: impl FnOnce(&mut CollState, &Scope<'a>) -> Result<R>,
-) -> Result<R> {
-    mem.run(|mem| {
-        let out = engine(st, mem)?;
-        let sends = st.inflight.load(Ordering::Acquire);
-        assert!(sends == 0, "collective returned with {sends} sends in flight");
-        Ok(out)
-    })
+/// The operator of a plan that folds nothing.
+struct NoFold;
+
+impl ReduceOp for NoFold {
+    fn elem_size(&self) -> usize {
+        1
+    }
+
+    fn fold(&self, _acc: &mut [u8], _incoming: &[u8]) {
+        unreachable!("a plan without a `Fold` receive folded")
+    }
 }
 
-// ---------------------------------------------------------------------
-// Shared posting helpers (pipelined engines and barrier)
-// ---------------------------------------------------------------------
-
-/// Posts one collective payload to `peer` under the in-flight window:
-/// waits for a window slot, posts the payload from where the caller
-/// keeps it, and retries transient backpressure. Never waits for the
-/// send itself — completion decrements the window through the state's
-/// handler comp, which is also the signal the lending scope waits on.
-fn post_windowed(
+/// Builds a plan in the state's storage and steps it to the end with the
+/// caller's slices lent: `Ok` means every lent receive landed and the
+/// send window drained, `Err` that nothing was lent; otherwise the
+/// process ends ([`lend`]).
+fn run<O: ReduceOp + ?Sized>(
     rt: &Runtime,
-    dev: &Device,
-    st: &CollState,
-    peer: Rank,
-    payload: &Lent,
-    tag: Tag,
+    st: &mut CollState,
+    mem: Scope<'_>,
+    op: &O,
+    build: impl FnOnce(&mut Plan),
 ) -> Result<()> {
-    let window = rt.config().coll_max_inflight as u64;
-    let inflight = &st.inflight;
-    rt.wait_until(|| inflight.load(Ordering::Acquire) < window)?;
-    loop {
-        // Payloads that fit the inline send variant travel inside the
-        // descriptor; everything else is read out of the caller's
-        // buffer by whichever protocol the runtime's thresholds pick.
-        let staged = payload.send_buf();
-        st.inflight.fetch_add(1, Ordering::AcqRel);
-        // Collectives batch at chunk granularity themselves, and the
-        // drain contract ("window empty" = "bytes on the wire") requires
-        // real completions — coalesced sends complete at append time
-        // with the frame still buffered, which would let the last rank
-        // exit before its final frame ships. Opt out.
-        let res = rt
-            .post_send_x(peer, staged, tag, st.send_comp.clone())
-            .device(dev)
-            .allow_coalescing(false)
-            .call()?;
-        match res {
-            PostResult::Posted => break,
-            PostResult::Done(_) => {
-                // Completed at post time: `done` results never signal
-                // the handler, so back the window slot out here.
-                settle_done(st, &res);
-                break;
-            }
-            PostResult::Retry(_) => {
-                // Nothing was posted and nothing names the payload;
-                // back out the window slot, make progress, and repost.
-                st.inflight.fetch_sub(1, Ordering::AcqRel);
-                rt.progress_all()?;
-                std::thread::yield_now();
-            }
+    let mut plan = std::mem::take(&mut st.plan);
+    build(&mut plan);
+    let res = wait_for(rt, || plan.step(rt, st, &mem, op));
+    st.plan = plan;
+    finish(st, mem, res)
+}
+
+/// [`Runtime::wait_until`] for a step that can fail.
+fn wait_for(rt: &Runtime, mut step: impl FnMut() -> Result<bool>) -> Result<()> {
+    let mut failed = None;
+    rt.wait_until(|| match step() {
+        Ok(done) => done,
+        Err(e) => {
+            failed = Some(e);
+            true
         }
-    }
-    let now = st.inflight.load(Ordering::Acquire);
-    dev.inner.stats.raise(|c| &c.coll_chunks_inflight_hwm, now);
-    dev.inner.stats.add(|c| &c.coll_bytes, payload.len() as u64);
-    Ok(())
-}
-
-/// Backs out one window slot for a send that completed at post time
-/// (`done` results never signal the completion handler).
-fn settle_done(st: &CollState, res: &PostResult) {
-    if matches!(res, PostResult::Done(_)) {
-        st.inflight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Waits until every windowed send has completed.
-fn drain_sends(rt: &Runtime, st: &CollState) -> Result<()> {
-    let inflight = &st.inflight;
-    rt.wait_until(|| inflight.load(Ordering::Acquire) == 0)
-}
-
-/// Pops the next receive completion, progressing until one arrives.
-fn pop_recv(rt: &Runtime, st: &CollState) -> Result<CompDesc> {
-    let mut got = None;
-    let cq = &st.recv_cq;
-    rt.wait_until(|| {
-        got = cq.pop();
-        got.is_some()
     })?;
-    Ok(got.expect("recv completion"))
+    failed.map_or(Ok(()), Err)
 }
 
-/// Posts a receive whose completion lands in the state's receive queue;
-/// immediate (`done`) matches are forwarded into the queue so the
-/// processing loop sees one uniform stream. `ctx` identifies the
-/// arrival (round/chunk/peer, collective-specific).
-fn post_landing(
-    rt: &Runtime,
-    dev: &Device,
-    st: &CollState,
-    from: Rank,
-    landing: Landing,
-    tag: Tag,
-    ctx: u64,
-) -> Result<()> {
-    let res = rt
-        .post_comm_x(Direction::In, from)
-        .landing(landing)
-        .tag(tag)
-        .comp(st.recv_cq.clone())
-        .user_ctx(ctx)
-        .device(dev)
-        .call()?;
+/// Ends a plan's loan: counted closed after a clean run, handed its
+/// error back if nothing was lent, the process ended otherwise.
+fn finish(st: &CollState, mem: Scope<'_>, res: Result<()>) -> Result<()> {
     match res {
-        PostResult::Done(d) => st.recv_cq.signal(d),
-        PostResult::Posted => {}
-        PostResult::Retry(_) => unreachable!("recv never retries"),
+        Ok(()) => {
+            let sends = st.inflight.load(Ordering::Acquire);
+            assert!(sends == 0, "collective returned with {sends} sends in flight");
+            mem.close();
+            Ok(())
+        }
+        Err(e) => Err(mem.fail(e)),
     }
-    Ok(())
-}
-
-/// [`post_landing`] into a shelf box: for an arrival the engine must
-/// hold beside its accumulator (a fold) or does not keep (the barrier's
-/// token).
-fn post_recv_cq(
-    rt: &Runtime,
-    dev: &Device,
-    st: &mut CollState,
-    from: Rank,
-    len: usize,
-    tag: Tag,
-    ctx: u64,
-) -> Result<()> {
-    let bx = st.take_box(len);
-    post_landing(rt, dev, st, from, Landing::Owned(bx), tag, ctx)
-}
-
-/// [`post_landing`] straight into the caller's buffer: for an arrival
-/// whose bytes are final. The engine passes the popped completion to
-/// [`Scope::landed`], which checks the delivered length against the
-/// schedule.
-fn post_recv_lent(
-    rt: &Runtime,
-    dev: &Device,
-    st: &CollState,
-    from: Rank,
-    landing: Lent,
-    tag: Tag,
-    ctx: u64,
-) -> Result<()> {
-    post_landing(rt, dev, st, from, Landing::Lent(landing), tag, ctx)
 }
 
 // ---------------------------------------------------------------------
@@ -436,56 +322,21 @@ fn post_recv_lent(
 /// from `(i - 2^r) mod n`; after `⌈log₂ n⌉` rounds every rank has
 /// transitively heard from every other.
 pub fn barrier(rt: &Runtime) -> Result<()> {
-    let n = rt.rank_n();
-    if n == 1 {
+    let w = Shape::of(rt);
+    if w.n == 1 {
         return Ok(());
     }
-    let me = rt.rank_me();
-    with_state(rt, |st| {
-        let dev = rt.device().clone();
-        let seq = next_seq(rt);
-        let mut round: u32 = 0;
-        let mut dist = 1usize;
-        while dist < n {
-            let to = (me + dist) % n;
-            let from = (me + n - dist) % n;
-            let tag = coll_tag(seq, round);
-            // Post the receive first so an eager peer matches instantly.
-            post_recv_cq(rt, &dev, st, from, 1, tag, 0)?;
-            // An eager send: anything but retry is `done` (no signal).
-            st.inflight.fetch_add(1, Ordering::AcqRel);
-            loop {
-                let res = rt
-                    .post_send_x(to, &[round as u8][..], tag, st.send_comp.clone())
-                    .device(&dev)
-                    .allow_coalescing(false)
-                    .call()?;
-                match res {
-                    PostResult::Retry(_) => {
-                        rt.progress_all()?;
-                        std::thread::yield_now();
-                    }
-                    _ => {
-                        settle_done(st, &res);
-                        break;
-                    }
-                }
-            }
-            let d = pop_recv(rt, st)?;
-            st.put_databuf(d.data);
-            dev.inner.stats.bump(|c| &c.coll_rounds);
-            dist <<= 1;
-            round += 1;
-        }
-        drain_sends(rt, st)
-    })
+    let mut tokens = [0u8; plan::BARRIER_SCRATCH];
+    let build = |p: &mut Plan| plan::barrier(p, w, Tags::reserve(rt, 1));
+    with_state(rt, |st| run(rt, st, Scope::in_place(&mut tokens), &NoFold, build))
 }
 
 /// In-place allreduce over raw bytes with a byte-generic [`ReduceOp`]:
 /// every rank passes an identical-length buffer; on return every rank
 /// holds the element-wise reduction. The primary collective — the
-/// chunk-pipelined bandwidth-optimal ring, or reduce+broadcast when the
-/// world exceeds [`MAX_RING_RANKS`].
+/// chunk-pipelined bandwidth-optimal ring, or [`reduce_bytes`] to rank 0
+/// and [`broadcast_bytes`] from it when the world exceeds
+/// `MAX_RING_RANKS`.
 pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> Result<()> {
     let elem = op.elem_size();
     if elem == 0 || !buf.len().is_multiple_of(elem) {
@@ -494,15 +345,18 @@ pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> 
             buf.len()
         )));
     }
-    if rt.rank_n() == 1 {
+    let (w, len) = (Shape::of(rt), buf.len());
+    if w.n == 1 {
         return Ok(());
     }
-    if rt.rank_n() > MAX_RING_RANKS {
-        return naive::allreduce(rt, buf, op);
+    if w.n > MAX_RING_RANKS {
+        reduce_bytes(rt, 0, buf, op)?;
+        return broadcast_bytes(rt, 0, buf);
     }
-    with_state(rt, |st| {
-        lending(st, Scope::in_place(buf), |st, mem| ring::allreduce(rt, st, mem, op))
-    })
+    let build = |p: &mut Plan| {
+        plan::ring(p, w, len, elem, Tags::reserve(rt, plan::ring_span(w, len, elem)))
+    };
+    with_state(rt, |st| run(rt, st, Scope::in_place(buf), op, build))
 }
 
 /// Allreduce of `u64` lanes with a closure operator (legacy-shaped
@@ -512,9 +366,28 @@ pub fn allreduce_u64(
     contrib: &[u64],
     op: impl Fn(u64, u64) -> u64 + Copy,
 ) -> Result<Vec<u64>> {
-    let mut bytes: Vec<u8> = contrib.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let mut bytes = bytes_of_u64s(contrib);
     allreduce(rt, &mut bytes, &FnOpU64(op))?;
-    Ok(bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
+    Ok(u64s_of_bytes(&bytes))
+}
+
+fn bytes_of_u64s(lanes: &[u64]) -> Vec<u8> {
+    lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// `flat` cut into consecutive blocks of the given lengths.
+fn split(flat: &[u8], lens: impl IntoIterator<Item = usize>) -> Vec<Vec<u8>> {
+    let mut rest = flat;
+    let cut = |len| {
+        let (block, tail) = rest.split_at(len);
+        rest = tail;
+        block.to_vec()
+    };
+    lens.into_iter().map(cut).collect()
+}
+
+fn u64s_of_bytes(bytes: &[u8]) -> Vec<u64> {
+    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8-byte lane"))).collect()
 }
 
 /// Binomial-tree broadcast of `buf` from `root` over a mutable slice;
@@ -522,12 +395,13 @@ pub fn allreduce_u64(
 /// Every rank passes a buffer of identical length; non-root buffers are
 /// overwritten.
 pub fn broadcast_bytes(rt: &Runtime, root: Rank, buf: &mut [u8]) -> Result<()> {
-    if rt.rank_n() == 1 || buf.is_empty() {
+    let (w, len) = (Shape::of(rt), buf.len());
+    if w.n == 1 || len == 0 {
         return Ok(());
     }
-    with_state(rt, |st| {
-        lending(st, Scope::in_place(buf), |st, mem| ring::broadcast(rt, st, root, mem))
-    })
+    let build =
+        |p: &mut Plan| plan::broadcast(p, w, root, len, Tags::reserve(rt, len.div_ceil(w.chunk)));
+    with_state(rt, |st| run(rt, st, Scope::in_place(buf), &NoFold, build))
 }
 
 /// Legacy-shaped broadcast over a `Vec` (see [`broadcast_bytes`]).
@@ -543,10 +417,9 @@ pub fn reduce_u64(
     contrib: &[u64],
     op: impl Fn(u64, u64) -> u64 + Copy,
 ) -> Result<Option<Vec<u64>>> {
-    let mut acc: Vec<u8> = contrib.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let mut acc = bytes_of_u64s(contrib);
     let mine = reduce_bytes(rt, root, &mut acc, &FnOpU64(op))?;
-    Ok(mine
-        .then(|| acc.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()))
+    Ok(mine.then(|| u64s_of_bytes(&acc)))
 }
 
 /// Binomial-tree byte reduction to `root`, in place: on return the
@@ -558,50 +431,12 @@ pub fn reduce_bytes<O: ReduceOp + ?Sized>(
     acc: &mut [u8],
     op: &O,
 ) -> Result<bool> {
-    let n = rt.rank_n();
-    let me = rt.rank_me();
-    if n == 1 {
-        return Ok(true);
+    let (w, len) = (Shape::of(rt), acc.len());
+    if w.n > 1 {
+        let build = |p: &mut Plan| plan::reduce(p, w, root, len, Tags::reserve(rt, 1));
+        with_state(rt, |st| run(rt, st, Scope::in_place(acc), op, build))?;
     }
-    let vr = (me + n - root) % n;
-    let reduce = |st: &mut CollState, mem: &Scope<'_>| {
-        let dev = rt.device().clone();
-        let seq = next_seq(rt);
-        let tag = coll_tag(seq, ROUND_REDUCE);
-        let mut m = 1usize;
-        loop {
-            if vr & m != 0 {
-                // Send the partial to the parent and exit.
-                let parent = ((vr - m) + root) % n;
-                // SAFETY: every fold into `acc` is behind us and no
-                // receive is outstanding; the partial is read until the
-                // drain below (DESIGN.md §4.11 "Lending", sends).
-                let partial = unsafe { mem.source(0..mem.len()) };
-                post_windowed(rt, &dev, st, parent, &partial, tag)?;
-                dev.inner.stats.bump(|c| &c.coll_rounds);
-                drain_sends(rt, st)?;
-                return Ok(false);
-            }
-            if vr + m < n {
-                // Receive a child's partial and fold it in.
-                let child = ((vr + m) + root) % n;
-                post_recv_cq(rt, &dev, st, child, mem.len(), tag, 0)?;
-                let desc = pop_recv(rt, st)?;
-                // SAFETY: nothing of `acc` is lent before the send to
-                // the parent, which ends this loop.
-                op.fold(unsafe { mem.window(0..mem.len()) }, desc.data.as_slice());
-                st.put_databuf(desc.data);
-                dev.inner.stats.bump(|c| &c.coll_rounds);
-            }
-            m <<= 1;
-            if m >= n {
-                break;
-            }
-        }
-        drain_sends(rt, st)?;
-        Ok(true)
-    };
-    with_state(rt, |st| lending(st, Scope::in_place(acc), reduce))
+    Ok(w.me == root)
 }
 
 /// Allgather over flat buffers: every rank contributes `mine`
@@ -626,9 +461,8 @@ pub fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Result<()> 
         return Ok(());
     }
     out[..len].copy_from_slice(mine);
-    with_state(rt, |st| {
-        lending(st, Scope::in_place(out), |st, mem| ring::allgather(rt, st, mem, len))
-    })?;
+    let build = |p: &mut Plan| plan::allgather(p, Shape::of(rt), len, Tags::reserve(rt, 1));
+    with_state(rt, |st| run(rt, st, Scope::in_place(out), &NoFold, build))?;
     // Position `j` holds rank `(me + j) mod n`; rotate into rank order.
     out.rotate_right(rt.rank_me() * len);
     Ok(())
@@ -641,7 +475,7 @@ pub fn allgather(rt: &Runtime, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
     let len = mine.len();
     let mut flat = vec![0u8; n * len];
     allgather_bytes(rt, mine, &mut flat)?;
-    Ok((0..n).map(|r| flat[r * len..(r + 1) * len].to_vec()).collect())
+    Ok(split(&flat, std::iter::repeat_n(len, n)))
 }
 
 /// All-to-all personalized exchange over flat buffers: `send` holds `n`
@@ -666,9 +500,8 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
     if n == 1 {
         return Ok(());
     }
-    with_state(rt, |st| {
-        lending(st, Scope::new(send, recv), |st, mem| ring::alltoall(rt, st, mem, block))
-    })
+    let build = |p: &mut Plan| plan::alltoall(p, Shape::of(rt), block, Tags::reserve(rt, 1));
+    with_state(rt, |st| run(rt, st, Scope::new(send, recv), &NoFold, build))
 }
 
 /// Uneven-block all-to-all personalized exchange (`MPI_Alltoallv`
@@ -681,7 +514,7 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
 /// [`alltoallv_counts`] when the receive side is unknown, the MoE
 /// dispatch case).
 ///
-/// Performance engineering (see [`v`] and DESIGN.md §4.13):
+/// Performance engineering (see DESIGN.md §4.13):
 /// **zero-byte pairs post nothing** (`coll_skipped_pairs` counts them —
 /// MoE routing matrices are mostly sparse), each block rides a
 /// **size-adaptive protocol** (inline / pooled eager / chunked
@@ -731,11 +564,22 @@ pub fn alltoallv(
     if n == 1 {
         return Ok(());
     }
-    with_state(rt, |st| {
-        lending(st, Scope::new(send, recv), |st, mem| {
-            v::alltoallv(rt, st, mem, send_counts, recv_counts)
-        })
-    })
+    count_v(rt, send_counts);
+    let build = |p: &mut Plan| {
+        let tags = Tags::reserve(rt, plan::V_SPAN);
+        plan::alltoallv(p, Shape::of(rt), send_counts, recv_counts, tags)
+    };
+    with_state(rt, |st| run(rt, st, Scope::new(send, recv), &NoFold, build))
+}
+
+/// `alltoallv`'s two counters: the zero-byte pairs it skips (send-side
+/// only, so the global sum counts each skipped edge once) and the call's
+/// contributed payload, self block included, as a high-water mark.
+fn count_v(rt: &Runtime, send_counts: &[usize]) {
+    let (me, stats) = (rt.rank_me(), &rt.device().inner.stats);
+    let skipped = send_counts.iter().enumerate().filter(|&(p, &c)| p != me && c == 0).count();
+    stats.add(|c| &c.coll_skipped_pairs, skipped as u64);
+    stats.raise(|c| &c.coll_v_bytes_hwm, send_counts.iter().sum::<usize>() as u64);
 }
 
 /// One-round count exchange for the receive-side-unknown `alltoallv`
@@ -764,8 +608,8 @@ pub fn exchange_counts(
         return Ok(());
     }
     with_state(rt, |st| {
-        // Take the scratch out of the state so the pairwise engine can
-        // borrow it alongside `st`; put it back for the next exchange.
+        // Take the scratch out of the state so the plan can lend it
+        // alongside `st`; put it back for the next exchange.
         let mut sb = std::mem::take(&mut st.cnt_send);
         let mut rb = std::mem::take(&mut st.cnt_recv);
         sb.clear();
@@ -775,7 +619,8 @@ pub fn exchange_counts(
         rb.clear();
         rb.resize(n * 8, 0);
         rb[me * 8..(me + 1) * 8].copy_from_slice(&sb[me * 8..(me + 1) * 8]);
-        let res = lending(st, Scope::new(&sb, &mut rb), |st, mem| ring::alltoall(rt, st, mem, 8));
+        let build = |p: &mut Plan| plan::alltoall(p, Shape::of(rt), 8, Tags::reserve(rt, 1));
+        let res = run(rt, st, Scope::new(&sb, &mut rb), &NoFold, build);
         if res.is_ok() {
             for (dst, c) in recv_counts.iter_mut().zip(rb.chunks_exact(8)) {
                 *dst = u64::from_le_bytes(c.try_into().unwrap()) as usize;
@@ -802,11 +647,7 @@ pub fn alltoall(rt: &Runtime, send: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
     assert_eq!(send.len(), n, "alltoall needs one block per rank");
     let block = send.first().map_or(0, |b| b.len());
     assert!(send.iter().all(|b| b.len() == block), "alltoall blocks must have equal length");
-    let mut flat = Vec::with_capacity(n * block);
-    for b in send {
-        flat.extend_from_slice(b);
-    }
     let mut out = vec![0u8; n * block];
-    alltoall_bytes(rt, &flat, &mut out)?;
-    Ok((0..n).map(|r| out[r * block..(r + 1) * block].to_vec()).collect())
+    alltoall_bytes(rt, &send.concat(), &mut out)?;
+    Ok(split(&out, std::iter::repeat_n(block, n)))
 }

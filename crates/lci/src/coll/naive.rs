@@ -1,9 +1,9 @@
 //! Naive collectives: the reference implementations the proptests
-//! compare the pipelined engines against, the baseline rows of the
-//! collectives benches, and the allreduce fallback for worlds too large
-//! for the ring's tag round field. Same signatures and calling contract
-//! as their [`crate::coll`] namesakes, but shapes are not validated
-//! (a bad shape panics on a slice bound).
+//! compare the plans against and the baseline rows of the collectives
+//! benches — and nothing else: no code path of the library calls them.
+//! Same signatures and calling contract as their [`crate::coll`]
+//! namesakes, but shapes are not validated (a bad shape panics on a
+//! slice bound).
 //!
 //! These are the pre-pipelining algorithms: allreduce as binomial
 //! reduce + broadcast (2·log₂ n latency, ~2× the ring's byte volume on
@@ -12,7 +12,7 @@
 //! each wait for completion before the next is posted. They clone
 //! payloads freely — that is the point of the baseline — and block in
 //! [`Runtime::wait_until`](crate::Runtime::wait_until) like the
-//! pipelined engines do.
+//! blocking collectives do.
 
 use super::ops::ReduceOp;
 use super::{coll_tag, next_seq, ROUND_A2A, ROUND_A2AV, ROUND_AG_BASE, ROUND_BCAST, ROUND_REDUCE};

@@ -204,9 +204,21 @@ fn nonblocking_variants_roundtrip() {
             assert_eq!(blk, &vec![(src * 10 + rank) as u8; 6], "from {src}");
         }
 
-        // ibarrier (legacy graph handle)
-        let g = coll::ibarrier(&rt).unwrap();
-        rt.wait_until(|| g.test()).unwrap();
+        // ibarrier
+        coll::ibarrier(&rt).unwrap().wait(&rt).unwrap();
+    });
+}
+
+#[test]
+fn nonblocking_variants_on_a_world_of_one() {
+    // No plan is built (as the blocking calls post nothing): the handle
+    // resolves from what the call copied in.
+    with_ranks(1, RuntimeConfig::small(), |_, rt| {
+        assert_eq!(coll::ibroadcast(&rt, 0, vec![7; 3]).unwrap().wait(&rt).unwrap(), vec![7; 3]);
+        assert_eq!(coll::iallreduce_u64(&rt, &[5], u64::max).unwrap().wait(&rt).unwrap(), vec![5]);
+        let blocks = coll::ialltoallv(&rt, &[vec![1, 2]]).unwrap().wait(&rt).unwrap();
+        assert_eq!(blocks, vec![vec![1, 2]]);
+        coll::ibarrier(&rt).unwrap().wait(&rt).unwrap();
     });
 }
 
@@ -341,24 +353,92 @@ fn alltoallv_rejects_bad_shapes() {
 
 #[test]
 fn ialltoallv_nonblocking_with_unknown_counts() {
-    // The graph variant learns the landing sizes itself (count round
-    // chained into the data round); zero pairs resolve to empty blocks.
+    // The handle learns the landing sizes itself (count round, then the
+    // data round over them); zero pairs resolve to empty blocks. Once
+    // with every block one eager piece, once with the big block cut into
+    // rendezvous-sized chunks and a short eager tail.
     let n = 3;
-    with_ranks(n, RuntimeConfig::small(), move |rank, rt| {
-        let send: Vec<Vec<u8>> = (0..n)
-            .map(|dst| {
-                let len = [0usize, 5, 4200][(rank + dst) % 3];
-                (0..len).map(|i| vpat(rank, dst, i)).collect()
-            })
-            .collect();
-        let op = coll::ialltoallv(&rt, &send).unwrap();
-        let recvd = op.wait(&rt).unwrap();
-        for (src, blk) in recvd.iter().enumerate() {
-            let len = [0usize, 5, 4200][(src + rank) % 3];
-            let want: Vec<u8> = (0..len).map(|i| vpat(src, rank, i)).collect();
-            assert_eq!(blk, &want, "rank {rank} block from {src}");
-        }
-    });
+    for (cfg, big) in [(RuntimeConfig::small(), 4200), (tiny_chunk_cfg(8 << 10), 20_000)] {
+        with_ranks(n, cfg, move |rank, rt| {
+            let send: Vec<Vec<u8>> = (0..n)
+                .map(|dst| {
+                    let len = [0usize, 5, big][(rank + dst) % 3];
+                    (0..len).map(|i| vpat(rank, dst, i)).collect()
+                })
+                .collect();
+            let op = coll::ialltoallv(&rt, &send).unwrap();
+            let recvd = op.wait(&rt).unwrap();
+            for (src, blk) in recvd.iter().enumerate() {
+                let len = [0usize, 5, big][(src + rank) % 3];
+                let want: Vec<u8> = (0..len).map(|i| vpat(src, rank, i)).collect();
+                assert_eq!(blk, &want, "rank {rank} block from {src}");
+            }
+        });
+    }
+}
+
+/// Handles have a state of their own, so they and a blocking collective
+/// may be in flight together: two `ialltoallv`s are started, an
+/// `allreduce` runs to completion with neither stepped, and the handles
+/// are waited in reverse — every rank in the same order, which is all
+/// the contract asks. Alone, and with a sibling thread per rank
+/// delivering into the handles' buffers and pumping from them.
+#[test]
+fn handles_and_a_blocking_collective_interleave() {
+    let n = 3;
+    for sibling in [false, true] {
+        with_ranks(n, tiny_chunk_cfg(8 << 10), move |rank, rt| {
+            let len =
+                |src: usize, dst: usize, salt: usize| [0, 700, 20_000][(src + dst + salt) % 3];
+            let blocks = |salt: usize| -> Vec<Vec<u8>> {
+                let block = |dst| (0..len(rank, dst, salt)).map(move |i| vpat(rank + salt, dst, i));
+                (0..n).map(|dst| block(dst).collect()).collect()
+            };
+            with_sibling_progress(&rt, sibling, || {
+                let first = coll::ialltoallv(&rt, &blocks(0)).unwrap();
+                let second = coll::ialltoallv(&rt, &blocks(1)).unwrap();
+                let mut sum: Vec<u8> =
+                    (0..3000u64).flat_map(|i| (i << rank).to_le_bytes()).collect();
+                coll::allreduce(&rt, &mut sum, &SumU64).unwrap();
+                for (i, lane) in sum.chunks_exact(8).enumerate() {
+                    assert_eq!(u64::from_le_bytes(lane.try_into().unwrap()), 7 * i as u64);
+                }
+                for (salt, handle) in [(1, second), (0, first)] {
+                    for (src, blk) in handle.wait(&rt).unwrap().iter().enumerate() {
+                        let want: Vec<u8> =
+                            (0..len(src, rank, salt)).map(|i| vpat(src + salt, rank, i)).collect();
+                        assert_eq!(blk, &want, "rank {rank}, handle {salt}, block from {src}");
+                    }
+                }
+            });
+        });
+    }
+}
+
+/// Dropping an unfinished handle waits it out: its buffers are lent and
+/// its peers count on its sends. The root of a 40 KiB rendezvous-chunked
+/// broadcast always drops its handle right after the call, with a
+/// sibling thread pumping from the buffer; the other ranks drop theirs
+/// too, or keep them and must still get every byte. The allgather behind
+/// it finds the tag sequence where every rank left it.
+#[test]
+fn dropped_handle_completes() {
+    for keep in [false, true] {
+        with_ranks(3, tiny_chunk_cfg(8 << 10), move |rank, rt| {
+            let want: Vec<u8> = (0..40 << 10).map(|i| (i % 241) as u8).collect();
+            with_sibling_progress(&rt, true, || {
+                let buf = if rank == 1 { want.clone() } else { vec![0u8; 40 << 10] };
+                let handle = coll::ibroadcast(&rt, 1, buf).unwrap();
+                if keep && rank != 1 {
+                    assert!(handle.wait(&rt).unwrap() == want, "rank {rank}");
+                } else {
+                    drop(handle);
+                }
+                let all = coll::allgather(&rt, &[rank as u8; 4]).unwrap();
+                assert_eq!(all, vec![vec![0u8; 4], vec![1; 4], vec![2; 4]]);
+            });
+        });
+    }
 }
 
 /// Deterministic adversarial routing matrices for the equivalence
@@ -431,7 +511,8 @@ proptest! {
     }
 }
 
-/// Runs one fixed scenario (allreduce + allgather + alltoall) across
+/// Runs one fixed scenario (allreduce + allgather + alltoall, and
+/// reduce + broadcast against the allreduce) across
 /// `n` ranks, once through the pipelined engines and once through the
 /// `coll::naive` reference on the same runtimes, asserting on every
 /// rank that the two agree.
@@ -450,16 +531,22 @@ fn run_scenario(n: usize, cfg: RuntimeConfig, elems: usize, block: usize) {
             let mut ar = contrib.clone();
             let mut ag = vec![0u8; block * n];
             let mut a2a = vec![0u8; block * n];
+            // Reduce to rank 0 then broadcast: what `allreduce` runs past
+            // `MAX_RING_RANKS`.
+            let mut rb = contrib.clone();
             if naive {
                 coll::naive::allreduce(&rt, &mut ar, &SumU64).unwrap();
                 coll::naive::allgather_bytes(&rt, &mine, &mut ag).unwrap();
                 coll::naive::alltoall_bytes(&rt, &send, &mut a2a).unwrap();
+                rb.copy_from_slice(&ar);
             } else {
                 coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
                 coll::allgather_bytes(&rt, &mine, &mut ag).unwrap();
                 coll::alltoall_bytes(&rt, &send, &mut a2a).unwrap();
+                coll::reduce_bytes(&rt, 0, &mut rb, &SumU64).unwrap();
+                coll::broadcast_bytes(&rt, 0, &mut rb).unwrap();
             }
-            [ar, ag, a2a]
+            [ar, ag, a2a, rb]
         });
         assert_eq!(pipelined, naive, "rank {rank}");
     });
@@ -596,12 +683,14 @@ proptest! {
 /// config, `allreduce(1 MiB)` + `alltoallv(128 KiB each way)`: per rank
 /// and iteration sixteen 64 KiB ring chunks and two 64 KiB pieces, all
 /// rendezvous — 18 staged copies an iteration before lending, none now.
+/// An `ialltoallv` of the same block rides along: the handle lends its
+/// own buffers, so its two pieces take nothing either.
 #[test]
 fn blocking_collectives_take_nothing_from_the_pool() {
     use lci_fabric::DeviceConfig;
     const MIB: usize = 1 << 20;
     const V: usize = 128 << 10;
-    const WIRE: u64 = 4 * (MIB + V) as u64;
+    const WIRE: u64 = 4 * (MIB + 2 * V) as u64;
     let wires = [
         ("ibv", DeviceConfig::ibv()),
         ("ofi", DeviceConfig::ofi()),
@@ -618,6 +707,8 @@ fn blocking_collectives_take_nothing_from_the_pool() {
             let mut counts = [0usize; 2];
             counts[peer] = V;
             let send: Vec<u8> = (0..V).map(|i| vpat(rank, peer, i)).collect();
+            let mut blocks = vec![Vec::new(), Vec::new()];
+            blocks[peer] = send.clone();
             let mut ar = contrib.clone();
             let mut recv = vec![0u8; V];
             let mut base = rt.device().stats();
@@ -628,6 +719,8 @@ fn blocking_collectives_take_nothing_from_the_pool() {
                 ar.copy_from_slice(&contrib);
                 coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
                 coll::alltoallv(&rt, &send, &counts, &mut recv, &counts).unwrap();
+                let got = coll::ialltoallv(&rt, &blocks).unwrap().wait(&rt).unwrap();
+                assert!(got[peer] == recv, "{wire} rank {rank}: ialltoallv differs from alltoallv");
             }
             let d = rt.device().stats().since(&base);
 

@@ -511,9 +511,9 @@ fn collectives_allgather_alltoall_ibarrier() {
             assert_eq!(blk, &vec![(src * 10 + rank) as u8; 8], "from {src}");
         }
 
-        // Non-blocking barrier as a completion graph.
-        let g = coll::ibarrier(&rt).unwrap();
-        while !g.test() {
+        // Non-blocking barrier, polled by hand.
+        let mut h = coll::ibarrier(&rt).unwrap();
+        while !h.test().unwrap() {
             rt.progress().unwrap();
         }
     });

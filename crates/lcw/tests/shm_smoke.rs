@@ -321,19 +321,17 @@ fn multiproc_collectives() {
 }
 
 /// Lending's one behaviour change, across processes (DESIGN.md §4.11
-/// "Lending"): a blocking collective whose runtime fails after its
-/// first lent post ends the process instead of returning `Err`. Rank 1
-/// exits right after the startup barrier; rank 0 waits until the wire
-/// knows, then calls `allreduce`: it posts its lent receives, its first
-/// send toward the gone peer is fatal, and a posted receive still names
-/// its buffer — so it must die by the scope's abort with that
-/// `FatalError` on stderr, not return, and not spin in `pop_recv` until
-/// the launcher's watchdog. Three levels, because the launcher reports
-/// exit codes only and lets its children inherit stderr: the test runs
-/// itself once more as the launcher, with stderr captured.
-#[test]
-fn multiproc_collective_after_peer_exit_aborts() {
-    const NAME: &str = "multiproc_collective_after_peer_exit_aborts";
+/// "Lending"): a collective whose runtime fails after its first lent
+/// post ends the process instead of returning `Err`. Rank 1 exits right
+/// after the startup barrier; rank 0 waits until the wire knows, then
+/// runs `doomed`: it posts its lent receives, its first send toward the
+/// gone peer is fatal, and a posted receive still names its buffer — so
+/// it must die by the scope's abort with that `FatalError` on stderr,
+/// not return, not panic, and not spin until the launcher's watchdog.
+/// Three levels, because the launcher reports exit codes only and lets
+/// its children inherit stderr: the test runs itself once more as the
+/// launcher, with stderr captured.
+fn collective_after_peer_exit_aborts(name: &str, doomed: fn(&World) -> String) {
     const LAUNCHER: &str = "LCI_TEST_ABORT_LAUNCHER";
     if let Some(w) = World::from_env(shm_cfg()).expect("attach") {
         w.barrier().expect("startup barrier");
@@ -344,7 +342,7 @@ fn multiproc_collective_after_peer_exit_aborts() {
             // its own receive matched at the post — with the signal to
             // rank 0 still unwritten, and `exit` runs no teardown to
             // flush it. Rank 0 must get out of its barrier to get to its
-            // allreduce.
+            // collective.
             while rt.device().outbound_pending() > 0 {
                 rt.progress_all().expect("progress");
             }
@@ -355,14 +353,12 @@ fn multiproc_collective_after_peer_exit_aborts() {
             rt.progress_all().expect("progress");
             std::thread::yield_now();
         }
-        let mut buf = vec![1u8; 1 << 20];
-        let res = w.allreduce(&mut buf, &lci::SumU64);
-        eprintln!("allreduce returned {res:?} with its peer gone");
+        eprintln!("the collective returned {} with its peer gone", doomed(&w));
         std::process::exit(3);
     }
     if std::env::var_os(LAUNCHER).is_some() {
         let started = std::time::Instant::now();
-        let report = World::spawn_local(2, &test_child_args(NAME), JOB_TIMEOUT).expect("spawn");
+        let report = World::spawn_local(2, &test_child_args(name), JOB_TIMEOUT).expect("spawn");
         // -1: killed by a signal. The launcher's watchdog reports its
         // SIGKILL the same way, but only after JOB_TIMEOUT.
         assert_eq!(report.exit_codes, vec![-1, 7], "expected rank 0 aborted, rank 1 exited");
@@ -370,7 +366,7 @@ fn multiproc_collective_after_peer_exit_aborts() {
         return;
     }
     let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
-        .args(test_child_args(NAME))
+        .args(test_child_args(name))
         .env(LAUNCHER, "1")
         .output()
         .expect("run the launcher");
@@ -378,7 +374,28 @@ fn multiproc_collective_after_peer_exit_aborts() {
     assert!(out.status.success(), "launcher: {:?}\n{err}", out.status);
     assert!(err.contains("peer rank 1 has exited"), "the fatal error was not reported:\n{err}");
     assert!(err.contains("lci::coll: aborting"), "rank 0 did not die by the scope's abort:\n{err}");
-    assert!(!err.contains("allreduce returned"), "allreduce returned with memory lent:\n{err}");
+    assert!(!err.contains("the collective returned"), "it returned with memory lent:\n{err}");
+    assert!(!err.contains("panicked"), "rank 0 panicked on its way down:\n{err}");
+}
+
+#[test]
+fn multiproc_collective_after_peer_exit_aborts() {
+    collective_after_peer_exit_aborts("multiproc_collective_after_peer_exit_aborts", |w| {
+        format!("{:?}", w.allreduce(&mut vec![1u8; 1 << 20], &lci::SumU64))
+    });
+}
+
+/// The same death from a non-blocking collective: the handle's first
+/// step, taken inside the `i*` call, lends its buffers; the failure
+/// surfaces from that call or from `wait`, never from a panic inside a
+/// completion handler.
+#[test]
+fn multiproc_icollective_after_peer_exit_aborts() {
+    collective_after_peer_exit_aborts("multiproc_icollective_after_peer_exit_aborts", |w| {
+        let rt = w.lci_runtime().expect("lci");
+        let res = lci::coll::iallreduce_u64(rt, &vec![1u64; 128 << 10], |a, b| a + b);
+        format!("{:?}", res.and_then(|handle| handle.wait(rt)).map(|sum| sum.len()))
+    });
 }
 
 #[test]
