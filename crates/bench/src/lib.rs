@@ -54,27 +54,6 @@ pub fn iters() -> usize {
     }
 }
 
-/// The scale-matrix thread axis (paper: 8→128 threads per node).
-/// `BENCH_MATRIX_THREADS` overrides it with a comma-separated list;
-/// quick mode shrinks it to a smoke-sized `2,4`. On hosts with fewer
-/// cores than threads the runs are oversubscribed — the matrix header
-/// says so rather than pretending the parallelism is real.
-pub fn matrix_thread_sweep() -> Vec<usize> {
-    let spec = std::env::var("BENCH_MATRIX_THREADS").unwrap_or_else(|_| {
-        if quick() {
-            "2,4".into()
-        } else {
-            "8,16,32,64,128".into()
-        }
-    });
-    let mut v: Vec<usize> =
-        spec.split(',').filter_map(|s| s.trim().parse().ok()).filter(|&t| t > 0).collect();
-    if v.is_empty() {
-        v.push(2);
-    }
-    v
-}
-
 /// Prints a table header.
 pub fn print_header(title: &str, cols: &[&str]) {
     println!("\n== {title} ==");
@@ -151,30 +130,13 @@ pub fn msgrate_thread_based(
     msg_size: usize,
 ) -> f64 {
     let cfg = WorldConfig::new(backend, platform, mode);
-    msgrate_thread_based_stats(cfg, nthreads, iters, msg_size).0
-}
-
-/// [`msgrate_thread_based`] with an explicit [`WorldConfig`], also
-/// returning rank 0's LCI device stats delta over the timed section
-/// (`None` on the baseline backends) — counter evidence for the scale
-/// matrix.
-pub fn msgrate_thread_based_stats(
-    cfg: WorldConfig,
-    nthreads: usize,
-    iters: usize,
-    msg_size: usize,
-) -> (f64, Option<lci::StatsSnapshot>) {
     let fabric = Fabric::new(2);
     let total = (nthreads * iters) as u64;
     let elapsed = Arc::new(AtomicU64::new(0));
-    let stats_out: Arc<parking_lot::Mutex<Option<lci::StatsSnapshot>>> =
-        Arc::new(parking_lot::Mutex::new(None));
 
     let mk_rank = |rank: usize, fabric: Arc<Fabric>, elapsed: Arc<AtomicU64>| {
-        let stats_out = stats_out.clone();
         std::thread::spawn(move || {
             let world = Arc::new(World::new(fabric.clone(), rank, cfg));
-            let stats_base = world.endpoint(0).lci_device().map(|d| d.stats()).unwrap_or_default();
             // credits[t]: pongs received for thread t (rank 0);
             // pings seen for thread t (rank 1 forwards immediately).
             let credits: Arc<Vec<AtomicU64>> =
@@ -229,8 +191,6 @@ pub fn msgrate_thread_based_stats(
             fabric.oob_barrier();
             if rank == 0 {
                 elapsed.store(dt.as_nanos() as u64, Ordering::Release);
-                *stats_out.lock() =
-                    world.endpoint(0).lci_device().map(|d| d.stats().since(&stats_base));
             }
             drop(world);
         })
@@ -241,9 +201,8 @@ pub fn msgrate_thread_based_stats(
     h0.join().unwrap();
     h1.join().unwrap();
     let ns = elapsed.load(Ordering::Acquire) as f64;
-    let stats = stats_out.lock().take();
     // Unidirectional: count pings only.
-    (total as f64 / (ns / 1e9) / 1e6, stats)
+    total as f64 / (ns / 1e9) / 1e6
 }
 
 /// Process-based mode (paper Fig. 2): `pairs` ranks per "node", one
@@ -327,31 +286,14 @@ pub fn bandwidth_thread_based(
     size: usize,
     iters: usize,
 ) -> f64 {
-    let cfg = WorldConfig::new(backend, platform, mode);
-    bandwidth_thread_based_stats(cfg, nthreads, size, iters).0
-}
-
-/// [`bandwidth_thread_based`] with an explicit [`WorldConfig`], also
-/// returning rank 0's LCI device stats delta over the timed section
-/// (`None` on the baseline backends) — counter evidence for the scale
-/// matrix (pool locality, steal counts, matching contention).
-pub fn bandwidth_thread_based_stats(
-    cfg: WorldConfig,
-    nthreads: usize,
-    size: usize,
-    iters: usize,
-) -> (f64, Option<lci::StatsSnapshot>) {
     const WINDOW: usize = 8;
+    let cfg = WorldConfig::new(backend, platform, mode);
     let fabric = Fabric::new(2);
     let elapsed = Arc::new(AtomicU64::new(0));
-    let stats_out: Arc<parking_lot::Mutex<Option<lci::StatsSnapshot>>> =
-        Arc::new(parking_lot::Mutex::new(None));
 
     let mk_rank = |rank: usize, fabric: Arc<Fabric>, elapsed: Arc<AtomicU64>| {
-        let stats_out = stats_out.clone();
         std::thread::spawn(move || {
             let world = Arc::new(World::new(fabric.clone(), rank, cfg));
-            let stats_base = world.endpoint(0).lci_device().map(|d| d.stats()).unwrap_or_default();
             fabric.oob_barrier();
             let t0 = Instant::now();
             std::thread::scope(|scope| {
@@ -409,8 +351,6 @@ pub fn bandwidth_thread_based_stats(
             fabric.oob_barrier();
             if rank == 0 {
                 elapsed.store(dt.as_nanos() as u64, Ordering::Release);
-                *stats_out.lock() =
-                    world.endpoint(0).lci_device().map(|d| d.stats().since(&stats_base));
             }
         })
     };
@@ -419,7 +359,6 @@ pub fn bandwidth_thread_based_stats(
     h0.join().unwrap();
     h1.join().unwrap();
     let ns = elapsed.load(Ordering::Acquire) as f64;
-    let stats = stats_out.lock().take();
     let bytes = (nthreads * iters * WINDOW * size) as f64;
-    (bytes / (ns / 1e9) / (1024.0 * 1024.0), stats)
+    bytes / (ns / 1e9) / (1024.0 * 1024.0)
 }

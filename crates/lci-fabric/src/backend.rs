@@ -100,11 +100,6 @@ pub struct DeviceConfig {
     pub discipline: LockDiscipline,
     /// RX ring capacity (inbound flow-control window).
     pub rx_capacity: usize,
-    /// How many inbound wire messages one `poll_cq` may convert to
-    /// completions while it holds the CQ/endpoint lock. Larger values
-    /// amortize the lock acquisition over more deliveries; smaller
-    /// values bound the time any single poll can monopolize the lock.
-    pub cq_drain_batch: usize,
     /// Memory-registration cache bounds (see [`crate::reg_cache`]).
     pub reg_cache: RegCacheConfig,
     /// Recycled staging-buffer pool (see [`crate::buf_pool`]). Feeds the
@@ -120,7 +115,6 @@ impl Default for DeviceConfig {
             td_strategy: TdStrategy::PerQp,
             discipline: LockDiscipline::TryLock,
             rx_capacity: DEFAULT_RX_CAPACITY,
-            cq_drain_batch: 64,
             reg_cache: RegCacheConfig::default(),
             buf_pool: BufPoolConfig::default(),
         }

@@ -109,6 +109,11 @@ impl QpLocks {
     }
 }
 
+/// How many inbound wire messages one `poll_cq` may convert to
+/// completions while it holds the CQ/endpoint lock: enough to amortize
+/// the acquisition, few enough that no poll monopolizes the lock.
+pub(crate) const CQ_DRAIN_BATCH: usize = 64;
+
 /// Completion and receive state of one device. Shared with the rank
 /// state so a wire drain running on a *sibling* device's poll can stage
 /// `ReadDone` CQEs on the posting device.
@@ -148,7 +153,7 @@ impl DevShared {
         // by default — is a tenth of a small runtime's heap for slots a
         // warm device never reaches. An owner that keeps more receives
         // posted grows the SRQ once, while it stocks them.
-        let warm = 2 * cfg.cq_drain_batch;
+        let warm = 2 * CQ_DRAIN_BATCH;
         DevShared {
             dev_id,
             cq_staging: ArrayQueue::new((cfg.rx_capacity * 2).max(256)),

@@ -17,7 +17,7 @@
 
 use crate::backend::{DeviceConfig, NetDevice, SendDesc, TransportStats};
 use crate::buf_pool::{BufPool, BufPoolStats};
-use crate::dev_shared::{DevShared, QpLocks};
+use crate::dev_shared::{DevShared, QpLocks, CQ_DRAIN_BATCH};
 use crate::fabric::{Fabric, RxEndpoint};
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCache, RegCacheStats};
@@ -356,7 +356,7 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         let _ep = self.qps.lock_endpoint()?;
         // Inbound delivery is bounded so one poll cannot monopolize the
         // locks it holds.
-        let budget = max.max(self.cfg.cq_drain_batch);
+        let budget = max.max(CQ_DRAIN_BATCH);
         // Drain the wire *before* the poll takes our CQ lock: the router
         // stages CQEs (RecvDone, ReadDone) onto this very device, and
         // `stage_cqe`'s overflow path locks the polled CQ.

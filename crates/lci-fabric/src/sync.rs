@@ -135,9 +135,9 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SpinLock<T> {
 
 /// The acquisition discipline a lock site uses.
 ///
-/// The paper's ablation (§4.2.2 and the `ablations` bench) compares the
-/// trylock wrapper against blocking acquisition; this enum lets a device
-/// be constructed either way.
+/// The paper's ablation (§4.2.2) compares the trylock wrapper against
+/// blocking acquisition; this enum lets a device be constructed either
+/// way (the MPI/VCI baselines post under `Blocking`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LockDiscipline {
     /// Fail fast; the caller receives a retryable error.

@@ -52,8 +52,7 @@ impl Default for CoalesceConfig {
 }
 
 impl CoalesceConfig {
-    /// An enabled configuration flushing at `max_bytes` (the knob the
-    /// ablation series sweeps).
+    /// An enabled configuration flushing at `max_bytes`.
     pub fn enabled_with_bytes(max_bytes: usize) -> Self {
         Self { enabled: true, max_bytes, ..Self::default() }
     }

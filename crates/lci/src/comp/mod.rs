@@ -7,8 +7,7 @@
 //! * [`Synchronizer`](sync_obj::Synchronizer) — like an MPI request, but
 //!   can accept multiple signals before becoming ready;
 //! * [`CompQueue`](queue::CompQueue) — a concurrent completion queue
-//!   (an FAA-based fixed-size array, a hand-written [`lcrq`], and a
-//!   crossbeam segmented queue as ablation yardstick);
+//!   (an FAA-based fixed-size array or a hand-written [`lcrq`]);
 //! * handler — a function invoked inline by the progress engine;
 //! * [`Graph`](graph::Graph) — a CUDA-Graph-like partial order of
 //!   operations, each started when its predecessors complete.

@@ -1,6 +1,6 @@
 //! The completion-queue object (paper §4.1.4).
 //!
-//! Three implementations (the paper ships the first two):
+//! The paper's two designs:
 //!
 //! * [`CqImpl::FaaArray`] — a hand-written fetch-and-add-based fixed-size
 //!   array (a bounded MPMC ring with per-slot sequence numbers). Its
@@ -11,17 +11,16 @@
 //! * [`CqImpl::Lcrq`] — a hand-written LCRQ (Morrison & Afek): a linked
 //!   list of closable circular rings; see [`crate::comp::lcrq`] for the
 //!   indirect-slot adaptation to 64-bit CAS.
-//! * [`CqImpl::Segmented`] — an unbounded segmented queue
-//!   (`crossbeam::queue::SegQueue`), kept as a well-tested yardstick for
-//!   the ablation bench. Lock-free upstream; this tree builds against
-//!   `shims/crossbeam`, whose `SegQueue` is a spin-locked `VecDeque`.
+//!
+//! crossbeam's segmented queue is not a third: in this tree it is a
+//! spin-locked `VecDeque` (`shims/crossbeam`), and it stays only for
+//! `lcw`'s GASNet-baseline inbox.
 //!
 //! On a full FAA-array queue, `push` *spins*: LCI sizes completion queues
 //! so overflow is a deployment error, and a spin preserves the no-loss
 //! contract (completions must never be dropped).
 
 use crate::types::CompDesc;
-use crossbeam::queue::SegQueue;
 use lci_fabric::shm::os::Mapping;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -35,9 +34,6 @@ pub enum CqImpl {
     FaaArray,
     /// Hand-written LCRQ (linked list of closable circular rings).
     Lcrq,
-    /// Unbounded segmented queue (crossbeam yardstick; spin-locked in
-    /// this tree's shim, see the module docs).
-    Segmented,
 }
 
 /// Completion-queue configuration.
@@ -180,7 +176,6 @@ impl Drop for FaaArrayQueue {
 enum Inner {
     Faa(FaaArrayQueue),
     Lcrq(crate::comp::lcrq::Lcrq),
-    Seg(SegQueue<CompDesc>),
 }
 
 /// A concurrent completion queue.
@@ -194,7 +189,6 @@ impl CompQueue {
         let inner = match cfg.imp {
             CqImpl::FaaArray => Inner::Faa(FaaArrayQueue::new(cfg.capacity)),
             CqImpl::Lcrq => Inner::Lcrq(crate::comp::lcrq::Lcrq::new()),
-            CqImpl::Segmented => Inner::Seg(SegQueue::new()),
         };
         Self { inner }
     }
@@ -204,7 +198,6 @@ impl CompQueue {
         match &self.inner {
             Inner::Faa(q) => q.push(desc),
             Inner::Lcrq(q) => q.push(desc),
-            Inner::Seg(q) => q.push(desc),
         }
     }
 
@@ -213,7 +206,6 @@ impl CompQueue {
         match &self.inner {
             Inner::Faa(q) => q.pop(),
             Inner::Lcrq(q) => q.pop(),
-            Inner::Seg(q) => q.pop(),
         }
     }
 
@@ -222,7 +214,6 @@ impl CompQueue {
         match &self.inner {
             Inner::Faa(q) => q.len(),
             Inner::Lcrq(q) => q.len(),
-            Inner::Seg(q) => q.len(),
         }
     }
 
@@ -243,7 +234,6 @@ impl std::fmt::Debug for CompQueue {
         let imp = match &self.inner {
             Inner::Faa(_) => "FaaArray",
             Inner::Lcrq(_) => "Lcrq",
-            Inner::Seg(_) => "Segmented",
         };
         f.debug_struct("CompQueue").field("imp", &imp).field("len", &self.len()).finish()
     }
@@ -265,7 +255,7 @@ mod tests {
 
     #[test]
     fn fifo_single_thread_both_impls() {
-        for imp in [CqImpl::FaaArray, CqImpl::Lcrq, CqImpl::Segmented] {
+        for imp in [CqImpl::FaaArray, CqImpl::Lcrq] {
             let q = CompQueue::new(cfg(imp));
             assert!(q.pop().is_none());
             for i in 0..100 {
@@ -314,7 +304,7 @@ mod tests {
 
     #[test]
     fn mpmc_stress_no_loss() {
-        for imp in [CqImpl::FaaArray, CqImpl::Lcrq, CqImpl::Segmented] {
+        for imp in [CqImpl::FaaArray, CqImpl::Lcrq] {
             let q = Arc::new(CompQueue::new(CqConfig { imp, capacity: 1024 }));
             let producers: u32 = 3;
             let per: u32 = 5_000;

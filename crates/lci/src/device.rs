@@ -39,6 +39,9 @@ use std::sync::Arc;
 /// Longest run of backlogged sends submitted as one fabric batch.
 const BACKLOG_BATCH: usize = 32;
 
+/// Completions one progress call handles at most.
+const PROGRESS_BATCH: usize = 64;
+
 /// Stripes of a device's operation tables: the pending-rendezvous slabs
 /// and the op-context pool are each sharded over this many independently
 /// locked parts.
@@ -192,7 +195,6 @@ impl Device {
         // through one set of shelves.
         let buf_pool = net.buf_pool();
         let coalescer = Coalescer::new(rt.config.coalesce, rt.fabric.nranks(), buf_pool.clone());
-        let batch = rt.config.progress_batch;
         let stat_stripes = rt.config.placement.stripes();
         let dev = Device {
             inner: Arc::new(DeviceInner {
@@ -203,7 +205,7 @@ impl Device {
                 rdv: rdv::RdvState::new(TABLE_SHARDS),
                 buf_pool,
                 ctx_pool: CtxPool::new(TABLE_SHARDS),
-                cqe_scratch: SpinLock::new(Vec::with_capacity(batch)),
+                cqe_scratch: SpinLock::new(Vec::with_capacity(PROGRESS_BATCH)),
                 replenish_scratch: SpinLock::new(ReplenishScratch::default()),
                 pending_inbound: SpinLock::new(Vec::new()),
                 stats: DeviceStats::with_stripes(stat_stripes),
@@ -330,7 +332,6 @@ impl Device {
         if self.inner.coalescer.enabled() {
             did |= self.flush_idle_coalesced()?;
         }
-        let batch = self.inner.rt.config.progress_batch;
         // Reusable CQE scratch: the try-lock winner polls into the
         // persistent buffer. A concurrent loser falls back to an empty
         // local vector — which never allocates, because its poll bounces
@@ -345,7 +346,7 @@ impl Device {
             }
             None => &mut local,
         };
-        match self.inner.net.poll_cq(cqes, batch) {
+        match self.inner.net.poll_cq(cqes, PROGRESS_BATCH) {
             Ok(n) => {
                 did |= n > 0;
                 for cqe in cqes.drain(..) {

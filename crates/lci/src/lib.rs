@@ -95,7 +95,6 @@ mod util;
 pub use coalesce::CoalesceConfig;
 pub use coll::{FnOpU64, IColl, MaxF32, MaxU64, ReduceOp, SumF32, SumU64};
 pub use comp::graph::{Graph, GraphBuilder, NodeId, NodeOp};
-pub use comp::lcrq::Lcrq;
 pub use comp::queue::{CompQueue, CqConfig, CqImpl};
 pub use comp::sync_obj::Synchronizer;
 pub use comp::Comp;

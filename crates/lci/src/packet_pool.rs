@@ -419,18 +419,14 @@ impl PacketPool {
                 continue;
             }
             let Some(mut vq) = self.shared.stripes[v].0.try_lock() else { continue };
-            if vq.is_empty() {
-                continue;
-            }
             let take = vq.len().div_ceil(2);
-            let stolen: Vec<u32> = (0..take).filter_map(|_| vq.pop_front()).collect();
-            drop(vq);
-            let first = stolen[0];
-            if stolen.len() > 1 {
-                let mut q = home.lock();
-                for idx in &stolen[1..] {
-                    q.push_back(*idx);
-                }
+            let Some(first) = vq.pop_front() else { continue };
+            // The rest of the half moves from the victim's head straight
+            // onto our tail. Both locks are try-locks — nobody waits for
+            // one while holding another — so with ours busy we leave with
+            // the one packet.
+            if let Some(mut q) = home.try_lock() {
+                q.extend(vq.drain(..take - 1));
             }
             return Some(Packet { shared: self.shared.clone(), idx: first, len: 0 });
         }

@@ -11,7 +11,6 @@
 //! (DESIGN.md); a global per-process runtime would alias ranks.
 
 use crate::coalesce::CoalesceConfig;
-use crate::comp::queue::CqConfig;
 use crate::comp::Comp;
 use crate::device::{Device, DeviceInner, MatchEntry};
 use crate::error::{FatalError, Result};
@@ -78,10 +77,6 @@ pub struct RuntimeConfig {
     pub prepost: usize,
     /// Matching-engine configuration.
     pub matching: MatchingConfig,
-    /// Default completion-queue configuration.
-    pub cq: CqConfig,
-    /// Completions handled per progress call.
-    pub progress_batch: usize,
     /// Sender-side small-message coalescing (off by default; see
     /// [`crate::coalesce`]).
     pub coalesce: CoalesceConfig,
@@ -118,8 +113,6 @@ impl Default for RuntimeConfig {
             packet,
             prepost: 64,
             matching: MatchingConfig::default(),
-            cq: CqConfig::default(),
-            progress_batch: 64,
             coalesce: CoalesceConfig::default(),
             rdv_chunk_size: 64 << 10,
             rdv_max_inflight: 4,

@@ -1,9 +1,9 @@
 //! Per-device operation counters, striped per core.
 //!
 //! Production communication runtimes expose counters for tuning; these
-//! back the ablation analyses (retry rates under different lock
-//! disciplines) and give applications the visibility the paper's
-//! "explicit control" philosophy implies.
+//! back the spine's per-layer rows and the tests' exact ledgers, and
+//! give applications the visibility the paper's "explicit control"
+//! philosophy implies.
 //!
 //! Counters live in **per-core cells** ([`StatsCell`]) laid out over
 //! the [`topology`](lci_fabric::topology) core map: a bump touches only

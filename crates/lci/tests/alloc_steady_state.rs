@@ -503,6 +503,38 @@ fn placed_rendezvous_steady_state_is_allocation_free() {
     );
 }
 
+/// A packet steal — a `get` on a core whose stripe is empty while
+/// another core's is not, as when receives are restocked on one core
+/// with packets freed on another — moves the victim's half straight
+/// onto the thief's deque. Once that deque has held such a half, a
+/// steal makes no allocator call.
+#[test]
+fn warm_packet_steal_is_allocation_free() {
+    let _g = serial();
+    let home = lci::topology::current_core();
+    let pool =
+        lci::PacketPool::with_stripes(lci::PacketPoolConfig { payload_size: 64, count: 64 }, 2)
+            .unwrap();
+    // Every packet starts on the creator's stripe.
+    let (owner, thief) = (home % 2, (home % 2) ^ 1);
+    let mut held = Vec::with_capacity(64);
+    // Warm-up: one steal grows the thief's deque to half the pool; hand
+    // every packet back to the owner.
+    lci::topology::bind_current_thread(thief);
+    while let Some(p) = pool.get() {
+        held.push(p);
+    }
+    lci::topology::bind_current_thread(owner);
+    held.clear();
+    lci::topology::bind_current_thread(thief);
+    let before = alloc_calls();
+    let stolen = trace_window(|| pool.get());
+    let allocs = alloc_calls() - before;
+    lci::topology::bind_current_thread(home);
+    assert!(stolen.is_some(), "the thief found nothing to steal");
+    assert_eq!(allocs, 0, "a warm packet steal made {allocs} allocator calls{}", first_allocs());
+}
+
 /// Allocator calls, summed over every rank, across 32 warm iterations
 /// of a blocking collective loop (after 8 warm-up iterations).
 /// Blocking collectives need all ranks live simultaneously, so this

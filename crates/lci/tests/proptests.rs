@@ -140,8 +140,8 @@ proptest! {
     /// Completion queues are FIFO for a single producer/consumer, for
     /// both implementations.
     #[test]
-    fn comp_queue_fifo(tags in proptest::collection::vec(any::<u32>(), 1..200), seg in any::<bool>()) {
-        let imp = if seg { CqImpl::Segmented } else { CqImpl::FaaArray };
+    fn comp_queue_fifo(tags in proptest::collection::vec(any::<u32>(), 1..200), lcrq in any::<bool>()) {
+        let imp = if lcrq { CqImpl::Lcrq } else { CqImpl::FaaArray };
         let q = CompQueue::new(CqConfig { imp, capacity: 256 });
         for &t in &tags {
             q.push(CompDesc { tag: t, ..Default::default() });

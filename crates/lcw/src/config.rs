@@ -1,5 +1,5 @@
 //! What a [`World`](crate::World) is built from: which library, which
-//! transport, how threads share resources, and the sizing knobs.
+//! transport, how threads share resources, and the LCI-only knobs.
 
 use lci_fabric::DeviceConfig;
 
@@ -136,16 +136,9 @@ pub struct WorldConfig {
     pub platform: Platform,
     /// Shared vs dedicated resources.
     pub mode: ResourceMode,
-    /// Eager threshold / staging size for all libraries.
-    pub eager_size: usize,
-    /// Packet/staging pool size scale (per rank).
-    pub pool_packets: usize,
     /// Sender-side small-message coalescing (LCI backend only; the
     /// other libraries have no equivalent and ignore it).
     pub coalesce: lci::CoalesceConfig,
-    /// Matching-engine bucket count (LCI backend only): the hash-table
-    /// width the tag-matching engine shards its bucket locks over.
-    pub matching_buckets: usize,
     /// Thread-per-core resource layout (LCI backend only): per-core
     /// packet/buffer-pool stripes and per-core stats cells (see
     /// [`lci::Placement`]).
@@ -153,10 +146,6 @@ pub struct WorldConfig {
     /// Collective pipeline chunk granularity in bytes (LCI backend
     /// only; see [`lci::RuntimeConfig::coll_chunk_size`]).
     pub coll_chunk_size: usize,
-    /// Collective send-window depth — chunks in flight per rank before
-    /// a post blocks (LCI backend only; see
-    /// [`lci::RuntimeConfig::coll_max_inflight`]).
-    pub coll_max_inflight: usize,
 }
 
 impl WorldConfig {
@@ -166,33 +155,21 @@ impl WorldConfig {
             backend,
             platform,
             mode,
-            eager_size: 8192,
-            pool_packets: 512,
             coalesce: lci::CoalesceConfig::default(),
-            matching_buckets: 1024,
             placement: lci::Placement::default(),
             coll_chunk_size: 64 << 10,
-            coll_max_inflight: 4,
         }
     }
 
     /// Enables LCI sender-side coalescing with a `max_bytes` flush
     /// threshold. A coalesced frame must fit one packet, so thresholds
-    /// above `eager_size` are capped at world-creation time.
+    /// above the 8 KiB eager size are capped at world-creation time.
     pub fn with_coalescing(mut self, max_bytes: usize) -> Self {
         self.coalesce = lci::CoalesceConfig::enabled_with_bytes(max_bytes);
         self
     }
 
-    /// Sets the matching-engine bucket count (LCI backend only) — the
-    /// contention knob for the tag-matching hash table.
-    pub fn with_matching_buckets(mut self, buckets: usize) -> Self {
-        self.matching_buckets = buckets;
-        self
-    }
-
-    /// Sets the thread-per-core placement policy (LCI backend only) —
-    /// the ablation knob for core-aware resource layout.
+    /// Sets the thread-per-core placement policy (LCI backend only).
     pub fn with_placement(mut self, placement: lci::Placement) -> Self {
         self.placement = placement;
         self
@@ -202,12 +179,6 @@ impl WorldConfig {
     /// backend only).
     pub fn with_coll_chunk_size(mut self, bytes: usize) -> Self {
         self.coll_chunk_size = bytes;
-        self
-    }
-
-    /// Sets the collective send-window depth (LCI backend only).
-    pub fn with_coll_max_inflight(mut self, chunks: usize) -> Self {
-        self.coll_max_inflight = chunks;
         self
     }
 }

@@ -13,6 +13,15 @@ use lci_fabric::{Fabric, Rank};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Eager threshold and packet/staging size, for every library.
+const EAGER_SIZE: usize = 8192;
+/// LCI packets per rank (at least 96 per dedicated thread).
+const POOL_PACKETS: usize = 512;
+/// LCI matching-engine buckets.
+const MATCHING_BUCKETS: usize = 1024;
+/// LCI collective chunks in flight per rank.
+const COLL_MAX_INFLIGHT: usize = 4;
+
 enum WorldInner {
     Lci { rt: lci::Runtime, devices: Vec<lci::Device>, am_cqs: Vec<Comp>, noop: Comp },
     Mpi { comm: MpiComm, am_recvs: AmPool },
@@ -47,20 +56,20 @@ impl World {
                 // Frames land in packets: cap the coalescing threshold
                 // at the packet payload size.
                 let mut coalesce = cfg.coalesce;
-                coalesce.max_bytes = coalesce.max_bytes.min(cfg.eager_size);
+                coalesce.max_bytes = coalesce.max_bytes.min(EAGER_SIZE);
                 let rt_cfg = lci::RuntimeConfig {
                     device: cfg.platform.device_config(),
                     packet: lci::PacketPoolConfig {
-                        payload_size: cfg.eager_size,
-                        count: cfg.pool_packets.max(nthreads * 96),
+                        payload_size: EAGER_SIZE,
+                        count: POOL_PACKETS.max(nthreads * 96),
                     },
-                    eager_size: cfg.eager_size,
+                    eager_size: EAGER_SIZE,
                     prepost: 64,
-                    matching: lci::MatchingConfig { buckets: cfg.matching_buckets },
+                    matching: lci::MatchingConfig { buckets: MATCHING_BUCKETS },
                     coalesce,
                     placement: cfg.placement,
                     coll_chunk_size: cfg.coll_chunk_size,
-                    coll_max_inflight: cfg.coll_max_inflight,
+                    coll_max_inflight: COLL_MAX_INFLIGHT,
                     ..lci::RuntimeConfig::default()
                 };
                 let rt = lci::Runtime::new(fabric, rank, rt_cfg).expect("lci runtime");
@@ -87,7 +96,7 @@ impl World {
                 let mut mcfg = MpiConfig::ibv();
                 mcfg.channel.device =
                     cfg.platform.device_config().with_discipline(LockDiscipline::Blocking);
-                mcfg.channel.eager_size = cfg.eager_size;
+                mcfg.channel.eager_size = EAGER_SIZE;
                 WorldInner::Mpi {
                     comm: MpiComm::init(fabric, rank, mcfg),
                     am_recvs: Arc::new(parking_lot::Mutex::new(VecDeque::new())),
@@ -95,7 +104,7 @@ impl World {
             }
             BackendKind::Vci => {
                 let dev = cfg.platform.device_config().with_discipline(LockDiscipline::Blocking);
-                let ccfg = ChannelConfig { device: dev, eager_size: cfg.eager_size, prepost: 64 };
+                let ccfg = ChannelConfig { device: dev, eager_size: EAGER_SIZE, prepost: 64 };
                 WorldInner::Vci {
                     comm: VciComm::init(fabric, rank, nthreads, ccfg),
                     am_recvs: (0..nthreads)
@@ -106,7 +115,7 @@ impl World {
             BackendKind::Gasnet => {
                 let gcfg = GasnetConfig {
                     device: cfg.platform.device_config().with_discipline(LockDiscipline::TryLock),
-                    max_medium: cfg.eager_size,
+                    max_medium: EAGER_SIZE,
                     prepost: 64,
                 };
                 let g = Gasnet::init(fabric, rank, gcfg);
