@@ -252,28 +252,42 @@ impl DevShared {
         self.discipline.acquire(&self.srq)?.pop_front()
     }
 
-    /// Matches parked wire messages against posted receives. The
-    /// descriptor is taken *before* the wire message is popped so the RX
-    /// ring stays strictly FIFO: when no receive is posted (RNR) the
-    /// message simply stays on the wire, like an RC transport
-    /// retransmitting in order. Popping first and re-queueing at the
-    /// back would let later messages overtake — a deadlock source when
-    /// the overtaken message is the one the receiver is waiting on.
+    /// Matches parked wire messages against posted receives, oldest
+    /// first on both sides. A descriptor is taken *before* its wire
+    /// message is popped so the RX ring stays strictly FIFO: when no
+    /// receive is posted (RNR) the message simply stays on the wire, like
+    /// an RC transport retransmitting in order. Popping first and
+    /// re-queueing at the back would let later messages overtake — a
+    /// deadlock source when the overtaken message is the one the
+    /// receiver is waiting on.
     ///
     /// The messages are counted first, so an empty poll costs no SRQ
     /// round trip and no receive is ever taken in vain: only this poll,
     /// under the CQ lock its caller holds, pops the endpoint, so what it
-    /// counted is still there when the receive has been taken. Messages
-    /// pushed meanwhile wait for the next poll.
+    /// counted is still there when the receives have been taken.
+    /// Messages pushed meanwhile wait for the next poll. The batch is
+    /// known before the SRQ is touched, so the SRQ lock is taken once for
+    /// it and `posted_recvs` settled with one subtraction of what was
+    /// consumed — also when a delivery fails partway.
     fn deliver_inbound(&self, cq: &mut VecDeque<Cqe>, budget: usize) -> NetResult<()> {
-        for _ in 0..budget.min(self.rx.occupancy()) {
-            let Some(desc) = self.next_recv() else { break };
-            let msg = self.rx.pop().expect("only the poll holding the CQ lock pops the endpoint");
-            self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
-            let cqe = deliver_into(&msg, &desc)?;
-            cq.push_back(cqe);
+        let parked = budget.min(self.rx.occupancy());
+        if parked == 0 {
+            return Ok(());
         }
-        Ok(())
+        let Some(mut srq) = self.discipline.acquire(&self.srq) else { return Ok(()) };
+        let batch = parked.min(srq.len());
+        let (mut taken, mut res) = (0, Ok(()));
+        while taken < batch && res.is_ok() {
+            let desc = srq.pop_front().expect("counted under the SRQ lock");
+            let msg = self.rx.pop().expect("only the poll holding the CQ lock pops the endpoint");
+            taken += 1;
+            res = deliver_into(&msg, &desc).map(|cqe| cq.push_back(cqe));
+        }
+        drop(srq);
+        if taken > 0 {
+            self.posted_recvs.fetch_sub(taken, Ordering::AcqRel);
+        }
+        res
     }
 
     /// `poll_cq` once the wire (if any) has been drained: collects
@@ -314,7 +328,7 @@ mod tests {
     use crate::fabric::Fabric;
     use crate::framed::FramedDevice;
     use crate::sim::SimWire;
-    use crate::types::CqeKind;
+    use crate::types::{CqeKind, WireMsg, WireMsgKind, WirePayload};
 
     /// Device 0 of rank 0 on a two-rank fabric whose rank 1 has a device
     /// to post to, built as `NetContext::create_device` builds it.
@@ -453,5 +467,80 @@ mod tests {
             assert!(shared.poll(&mut out, 64, 0).unwrap() > 0, "completions lost");
         }
         assert!(out.iter().map(|c| c.ctx).eq(0..total));
+    }
+
+    /// A bare `DevShared` over an endpoint holding `parked` 8-byte sends,
+    /// message `i` carrying immediate `i`, and receive buffers of `lens`
+    /// bytes posted in order, descriptor `i` carrying context `i`.
+    fn parked(parked: u64, lens: &[usize]) -> (DevShared, Vec<Vec<u8>>) {
+        let rx = Arc::new(RxEndpoint::new(64));
+        for imm in 0..parked {
+            let payload = WirePayload::from_slice(&imm.to_le_bytes());
+            let msg = WireMsg { src_rank: 1, src_dev: 0, imm, kind: WireMsgKind::Send, payload };
+            rx.push(msg).unwrap();
+        }
+        let cfg = DeviceConfig::ibv().with_discipline(LockDiscipline::TryLock);
+        let shared = DevShared::new(0, rx, Arc::new(Doorbell::new()), &cfg);
+        let mut bufs: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0xEE; n]).collect();
+        let descs: Vec<RecvBufDesc> = (bufs.iter_mut().enumerate())
+            // SAFETY: the buffers are returned to, and outlive, every poll.
+            .map(|(i, b)| unsafe { RecvBufDesc::new(b.as_mut_ptr(), b.len(), i as u64) })
+            .collect();
+        shared.post_recvs(&descs).unwrap();
+        (shared, bufs)
+    }
+
+    /// The batch's lock is the SRQ's: a poll that finds it held under the
+    /// trylock discipline delivers nothing, leaves every message on the
+    /// wire and every receive posted, and the next poll delivers them.
+    #[test]
+    fn deliver_inbound_bounces_off_a_held_srq() {
+        let (shared, _bufs) = parked(3, &[8; 3]);
+        let mut out = Vec::new();
+        let held = shared.srq.lock();
+        assert_eq!(shared.poll(&mut out, 64, 64).unwrap(), 0);
+        assert_eq!((shared.rx_occupancy(), shared.posted_recvs()), (3, 3));
+        drop(held);
+        assert_eq!(shared.poll(&mut out, 64, 64).unwrap(), 3);
+        assert_eq!((shared.rx_occupancy(), shared.posted_recvs()), (0, 0));
+    }
+
+    /// Fewer receives than parked messages: one poll delivers exactly as
+    /// many as are posted, oldest message into oldest receive; the rest
+    /// stay on the wire in order, and the posted count ends at zero.
+    #[test]
+    fn deliver_inbound_delivers_what_is_posted_oldest_first() {
+        let (shared, bufs) = parked(5, &[8; 2]);
+        let mut out = Vec::new();
+        assert_eq!(shared.poll(&mut out, 64, 64).unwrap(), 2);
+        assert_eq!(shared.posted_recvs(), 0);
+        for (i, cqe) in out.iter().enumerate() {
+            assert_eq!(
+                (cqe.kind, cqe.ctx, cqe.imm, cqe.len),
+                (CqeKind::RecvDone, i as u64, i as u64, 8)
+            );
+            assert_eq!(bufs[i], (i as u64).to_le_bytes());
+        }
+        assert_eq!(shared.rx_occupancy(), 3);
+        let left: Vec<u64> = std::iter::from_fn(|| shared.rx.pop()).map(|m| m.imm).collect();
+        assert_eq!(left, [2, 3, 4]);
+    }
+
+    /// A delivery that fails partway — the second receive is too small —
+    /// takes the descriptors it consumed off the posted count and no
+    /// more; the delivery before it is kept, and the untouched receive
+    /// serves the next poll.
+    #[test]
+    fn deliver_inbound_error_counts_only_what_it_consumed() {
+        let (shared, bufs) = parked(3, &[8, 4, 8]);
+        let mut out = Vec::new();
+        assert!(matches!(shared.poll(&mut out, 64, 64), Err(NetError::Fatal(_))));
+        assert_eq!(shared.posted_recvs(), 1, "two descriptors consumed");
+        assert_eq!(shared.srq.lock().len(), 1);
+        assert_eq!(shared.rx_occupancy(), 1);
+        assert_eq!(shared.poll(&mut out, 64, 64).unwrap(), 2);
+        assert_eq!(out.iter().map(|c| (c.ctx, c.imm)).collect::<Vec<_>>(), [(0, 0), (2, 2)]);
+        assert_eq!(bufs[2], 2u64.to_le_bytes());
+        assert_eq!(shared.posted_recvs(), 0);
     }
 }

@@ -243,12 +243,15 @@ impl Fabric {
         self.endpoints[rank].push(ep)
     }
 
-    /// Looks up a target endpoint for a send (lock-free read).
-    pub(crate) fn endpoint(&self, rank: Rank, dev: DevId) -> NetResult<Arc<RxEndpoint>> {
+    /// Looks up a target endpoint for a send: a lock-free borrow, so a
+    /// send takes no refcount on an endpoint every sender toward that
+    /// device shares.
+    pub(crate) fn endpoint(&self, rank: Rank, dev: DevId) -> NetResult<&RxEndpoint> {
         if rank >= self.nranks {
             return Err(NetError::fatal(format!("rank {rank} out of range")));
         }
-        self.endpoints[rank].read(dev).ok_or(NetError::Retry(RetryReason::PeerNotReady))
+        let ep = self.endpoints[rank].get(dev);
+        ep.map(|ep| &**ep).ok_or(NetError::Retry(RetryReason::PeerNotReady))
     }
 
     /// Number of devices currently created on `rank`.
@@ -382,7 +385,7 @@ mod tests {
         let ep = Arc::new(RxEndpoint::new(4));
         let id = f.add_device(1, ep.clone());
         assert_eq!(id, 0);
-        assert!(Arc::ptr_eq(&f.endpoint(1, 0).unwrap(), &ep));
+        assert!(std::ptr::eq(f.endpoint(1, 0).unwrap(), &*ep));
         assert!(matches!(f.endpoint(1, 5), Err(NetError::Retry(RetryReason::PeerNotReady))));
         assert!(f.endpoint(7, 0).is_err());
     }

@@ -84,8 +84,9 @@ impl RankCore {
         self.devs.push(dev);
     }
 
-    fn dev_by_id(&self, dev: DevId) -> Option<Arc<DevShared>> {
-        (0..self.devs.len()).filter_map(|i| self.devs.read(i)).find(|d| d.dev_id() == dev)
+    fn dev_by_id(&self, dev: DevId) -> Option<&DevShared> {
+        let mut devs = (0..self.devs.len()).filter_map(|i| self.devs.get(i));
+        devs.find(|d| d.dev_id() == dev).map(|d| &**d)
     }
 
     /// Parks `desc` until the `READ_RESP` naming the returned id arrives;

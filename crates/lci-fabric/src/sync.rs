@@ -161,15 +161,17 @@ impl LockDiscipline {
 /// A resizable multi-producer/multi-consumer array with lock-free reads
 /// (paper §4.1.1).
 ///
-/// Writes (appends and in-place stores) take an internal mutex so no
-/// update is lost; reads are a pair of atomic loads. Every resize swaps in
-/// a doubled array; old arrays are retired but **not freed until the
-/// `MpmcArray` itself drops**, so a concurrent reader can never observe
-/// freed memory (the postponed-deallocation scheme the paper borrows from
-/// hazard-pointer literature).
+/// **Append-only**: a slot is written once, by the append that claims
+/// it, and never again. Appends take an internal mutex so none is lost;
+/// reads are a pair of atomic loads. Every resize swaps in a doubled
+/// array holding clones of the values; old arrays are retired but **not
+/// freed until the `MpmcArray` itself drops** (the postponed-deallocation
+/// scheme the paper borrows from hazard-pointer literature). Together
+/// that lets [`get`](Self::get) lend a reference that outlives any
+/// number of later appends and resizes, so a lookup on a data path costs
+/// no refcount round trip even when `T` is an `Arc`.
 ///
-/// `T` must be `Clone` (in practice `Arc<_>` or `Copy` handles): a read
-/// returns a clone taken while the slot is guaranteed live.
+/// `T: Clone` only for the resize copy.
 pub struct MpmcArray<T: Clone> {
     /// Current array block (capacity + slots in one allocation, so readers
     /// always see a pointer whose bound travels with it).
@@ -195,8 +197,9 @@ unsafe impl<T: Clone + Send + Sync> Send for MpmcArray<T> {}
 unsafe impl<T: Clone + Send + Sync> Sync for MpmcArray<T> {}
 
 struct Slot<T> {
-    /// 0 = empty, 1 = being written, 2 = full.
-    state: AtomicUsize,
+    /// Set, with release ordering, once `value` is written; never
+    /// cleared.
+    full: AtomicBool,
     value: UnsafeCell<Option<T>>,
 }
 
@@ -215,7 +218,7 @@ impl<T: Clone> MpmcArray<T> {
     fn alloc_block(cap: usize) -> *mut ArrayBlock<T> {
         let mut v: Vec<Slot<T>> = Vec::with_capacity(cap);
         for _ in 0..cap {
-            v.push(Slot { state: AtomicUsize::new(0), value: UnsafeCell::new(None) });
+            v.push(Slot { full: AtomicBool::new(false), value: UnsafeCell::new(None) });
         }
         Box::into_raw(Box::new(ArrayBlock { slots: v.into_boxed_slice() }))
     }
@@ -229,20 +232,17 @@ impl<T: Clone> MpmcArray<T> {
         // the mutex we hold) replace it.
         let cap = unsafe { (&*block).slots.len() };
         if idx == cap {
-            // Grow: allocate double, copy clones of existing values.
+            // Grow: allocate double, copy clones of existing values. The
+            // old block keeps its own, which readers may be borrowing.
             let new_block = Self::alloc_block(cap * 2);
             for i in 0..idx {
-                // SAFETY: slots 0..idx of the old block are fully written
-                // (state==2) and we hold the writer lock, so no concurrent
-                // writer mutates them.
+                // SAFETY: slots 0..idx of the old block are full, so never
+                // written again; the new block is not published yet.
                 unsafe {
-                    let old_slot = &(*block).slots[i];
-                    if old_slot.state.load(Ordering::Acquire) == 2 {
-                        let v = (*old_slot.value.get()).clone();
-                        let new_slot = &(*new_block).slots[i];
-                        *new_slot.value.get() = v;
-                        new_slot.state.store(2, Ordering::Release);
-                    }
+                    let v = (*(*block).slots[i].value.get()).clone();
+                    let new_slot = &(*new_block).slots[i];
+                    *new_slot.value.get() = v;
+                    new_slot.full.store(true, Ordering::Release);
                 }
             }
             retired.arrays.push(block);
@@ -250,69 +250,46 @@ impl<T: Clone> MpmcArray<T> {
         }
         let block = self.current.load(Ordering::Relaxed);
         // SAFETY: idx < capacity of the (possibly new) block; we hold the
-        // writer lock.
+        // writer lock, and no reader touches the value before `full`.
         unsafe {
             let slot = &(*block).slots[idx];
-            slot.state.store(1, Ordering::Relaxed);
             *slot.value.get() = Some(value);
-            slot.state.store(2, Ordering::Release);
+            slot.full.store(true, Ordering::Release);
         }
         self.len.store(idx + 1, Ordering::Release);
         idx
     }
 
-    /// Stores a value at an existing index (write; takes the writer lock).
+    /// Lock-free borrow of the value at `idx`: no clone, so no refcount
+    /// round trip for an `Arc`.
     ///
-    /// Panics if `idx` has never been appended.
-    pub fn store(&self, idx: usize, value: T) {
-        let _retired = self.writer.lock().expect("MpmcArray writer poisoned");
-        assert!(idx < self.len.load(Ordering::Relaxed), "MpmcArray::store out of bounds");
-        let block = self.current.load(Ordering::Relaxed);
-        // SAFETY: idx is in bounds and we hold the writer lock.
-        unsafe {
-            let slot = &(*block).slots[idx];
-            slot.state.store(1, Ordering::Relaxed);
-            *slot.value.get() = Some(value);
-            slot.state.store(2, Ordering::Release);
-        }
-    }
-
-    /// Clears the value at an existing index.
-    pub fn clear_at(&self, idx: usize) {
-        let _retired = self.writer.lock().expect("MpmcArray writer poisoned");
-        if idx >= self.len.load(Ordering::Relaxed) {
-            return;
-        }
-        let block = self.current.load(Ordering::Relaxed);
-        // SAFETY: idx is in bounds and we hold the writer lock.
-        unsafe {
-            let slot = &(*block).slots[idx];
-            slot.state.store(1, Ordering::Relaxed);
-            *slot.value.get() = None;
-            slot.state.store(0, Ordering::Release);
-        }
-    }
-
-    /// Lock-free read of the value at `idx`.
-    ///
-    /// Returns `None` for out-of-range indices, still-empty slots, or
-    /// slots caught mid-write (the caller retries or treats it as absent,
-    /// mirroring the C++ implementation).
+    /// Returns `None` for out-of-range indices and for slots whose
+    /// append has not finished (the caller retries or treats it as
+    /// absent, mirroring the C++ implementation).
     #[inline]
-    pub fn read(&self, idx: usize) -> Option<T> {
+    pub fn get(&self, idx: usize) -> Option<&T> {
         let block = self.current.load(Ordering::Acquire);
         // SAFETY: blocks are never freed while `self` lives (retired
-        // blocks are kept until drop), so the pointer is valid, and its
-        // capacity bound travels with the allocation.
+        // blocks are kept until drop), so the pointer is valid for the
+        // lifetime of `&self`, and its capacity bound travels with the
+        // allocation. A full slot is never written again — the array is
+        // append-only, and a resize writes the new block, not this one —
+        // so the returned reference stays valid and unaliased by writers
+        // for as long as `&self` does.
         unsafe {
             let slots = &(*block).slots;
             let slot = slots.get(idx)?;
-            if slot.state.load(Ordering::Acquire) == 2 {
-                (*slot.value.get()).clone()
-            } else {
-                None
+            if !slot.full.load(Ordering::Acquire) {
+                return None;
             }
+            (*slot.value.get()).as_ref()
         }
+    }
+
+    /// Lock-free read of the value at `idx`: a clone of [`get`](Self::get).
+    #[inline]
+    pub fn read(&self, idx: usize) -> Option<T> {
+        self.get(idx).cloned()
     }
 
     /// Number of appended elements.
@@ -553,18 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn mpmc_array_store_and_clear() {
-        let a: MpmcArray<usize> = MpmcArray::with_capacity(4);
-        a.push(1);
-        a.push(2);
-        a.store(0, 99);
-        assert_eq!(a.read(0), Some(99));
-        a.clear_at(0);
-        assert_eq!(a.read(0), None);
-        assert_eq!(a.read(1), Some(2));
-    }
-
-    #[test]
     fn mpmc_array_concurrent_push_read() {
         let a: Arc<MpmcArray<usize>> = Arc::new(MpmcArray::with_capacity(2));
         let writers: Vec<_> = (0..4)
@@ -720,15 +685,5 @@ mod tests {
             }
         });
         assert_eq!(bell.rings(), 4 * PER_THREAD);
-    }
-
-    #[test]
-    fn mpmc_array_snapshot_skips_cleared() {
-        let a: MpmcArray<u8> = MpmcArray::with_capacity(2);
-        a.push(1);
-        a.push(2);
-        a.push(3);
-        a.clear_at(1);
-        assert_eq!(a.snapshot(), vec![1, 3]);
     }
 }

@@ -4,6 +4,7 @@ use lci_fabric::sync::{MpmcArray, SpinLock};
 use lci_fabric::types::WirePayload;
 use lci_fabric::{DeviceConfig, Fabric, NetContext, RecvBufDesc};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     /// WirePayload round-trips arbitrary byte strings and picks the
@@ -18,42 +19,6 @@ proptest! {
             WirePayload::Inline { .. } => prop_assert!((1..=64).contains(&data.len())),
             WirePayload::Heap(_) => prop_assert!(data.len() > 64),
         }
-    }
-
-    /// MpmcArray: a sequence of pushes/stores/clears behaves like a
-    /// Vec<Option<T>> model.
-    #[test]
-    fn mpmc_array_matches_model(ops in proptest::collection::vec(0u8..3, 1..200)) {
-        let arr: MpmcArray<u64> = MpmcArray::with_capacity(2);
-        let mut model: Vec<Option<u64>> = Vec::new();
-        let mut counter = 0u64;
-        for op in ops {
-            match op {
-                0 => {
-                    counter += 1;
-                    let idx = arr.push(counter);
-                    model.push(Some(counter));
-                    prop_assert_eq!(idx, model.len() - 1);
-                }
-                1 if !model.is_empty() => {
-                    counter += 1;
-                    let idx = counter as usize % model.len();
-                    arr.store(idx, counter);
-                    model[idx] = Some(counter);
-                }
-                _ if !model.is_empty() => {
-                    let idx = counter as usize % model.len();
-                    arr.clear_at(idx);
-                    model[idx] = None;
-                }
-                _ => {}
-            }
-        }
-        prop_assert_eq!(arr.len(), model.len());
-        for (i, v) in model.iter().enumerate() {
-            prop_assert_eq!(arr.read(i), *v);
-        }
-        prop_assert_eq!(arr.read(model.len() + 1), None);
     }
 
     /// The registration table validates exactly the in-bounds accesses.
@@ -126,5 +91,92 @@ proptest! {
             }
         });
         prop_assert_eq!(*lock.lock(), expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// MpmcArray is append-only, which is what lets `get` lend: writers
+    /// append concurrently through at least three growths while readers
+    /// hold `get` references into the first block, re-reading them
+    /// throughout, and borrow whatever else has appeared. Every borrowed
+    /// value is the one pushed at its index, each append lands exactly
+    /// once, and one writer's appends keep their order.
+    #[test]
+    fn mpmc_array_borrows_survive_growth(
+        cap in 1usize..8,
+        writers in 2usize..5,
+        per_writer in 32usize..160,
+    ) {
+        let arr: MpmcArray<Arc<u64>> = MpmcArray::with_capacity(cap);
+        // `with_capacity` rounds up to 2; fill the first block.
+        let first = cap.max(2);
+        for i in 0..first {
+            arr.push(Arc::new(i as u64));
+        }
+        let total = first + writers * per_writer;
+        prop_assert!(total >= first << 3, "fewer than three growths");
+        let value = |w: usize, j: usize| ((w as u64 + 1) << 32) | j as u64;
+        let (arr, start) = (&arr, &std::sync::Barrier::new(2 + writers));
+        let (pushed, seen) = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let held: Vec<&Arc<u64>> =
+                            (0..first).map(|i| arr.get(i).expect("appended before")).collect();
+                        start.wait();
+                        let mut seen = Vec::new();
+                        loop {
+                            let n = arr.len();
+                            for (i, v) in held.iter().enumerate() {
+                                assert_eq!(***v, i as u64, "first-block borrow {i} changed");
+                            }
+                            if let Some(v) = n.checked_sub(1).and_then(|i| arr.get(i)) {
+                                seen.push((n - 1, **v));
+                            }
+                            if n == total {
+                                return seen;
+                            }
+                            std::thread::yield_now();
+                        }
+                    })
+                })
+                .collect();
+            let pushed: Vec<Vec<usize>> = (0..writers)
+                .map(|w| {
+                    s.spawn(move || {
+                        start.wait();
+                        let push = |j| {
+                            // Let the readers in between growths.
+                            if j % 8 == 0 {
+                                std::thread::yield_now();
+                            }
+                            arr.push(Arc::new(value(w, j)))
+                        };
+                        (0..per_writer).map(push).collect()
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect();
+            let seen: Vec<_> = readers.into_iter().flat_map(|h| h.join().unwrap()).collect();
+            (pushed, seen)
+        });
+        prop_assert_eq!(arr.len(), total);
+        let mut owner = vec![None; total];
+        for (w, idxs) in pushed.iter().enumerate() {
+            prop_assert!(idxs.windows(2).all(|p| p[0] < p[1]), "writer {} reordered", w);
+            for (j, &i) in idxs.iter().enumerate() {
+                prop_assert!(i >= first && owner[i].replace(value(w, j)).is_none());
+                prop_assert_eq!(arr.get(i).map(|v| **v), Some(value(w, j)));
+            }
+        }
+        for (i, v) in seen {
+            let want = if i < first { i as u64 } else { owner[i].expect("appended") };
+            prop_assert_eq!(v, want, "borrowed {} at index {}", v, i);
+        }
+        prop_assert!(arr.get(total).is_none());
     }
 }

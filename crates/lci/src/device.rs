@@ -34,6 +34,7 @@ use lci_fabric::sync::SpinLock;
 use lci_fabric::{
     BufPool, Cqe, CqeKind, DevId, MemoryRegion, NetDevice, NetError, RecvBufDesc, Rkey, SendDesc,
 };
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Longest run of backlogged sends submitted as one fabric batch.
@@ -93,12 +94,12 @@ enum OpCtx {
 }
 
 /// Reusable buffers of one device's receive-replenish path: the packet
-/// batch pulled from the pool and the descriptor array handed to
+/// indices checked out of the pool and the descriptor array handed to
 /// `post_recv_batch`. Persisted across refills so the steady state
 /// allocates neither.
 #[derive(Default)]
 struct ReplenishScratch {
-    packets: Vec<Packet>,
+    idxs: Vec<u32>,
     descs: Vec<RecvBufDesc>,
 }
 
@@ -124,6 +125,9 @@ pub(crate) struct DeviceInner {
     /// "not yet": one thread's `progress` may poll a wire message in
     /// while another is still inside `register_rcomp`.
     pending_inbound: SpinLock<Vec<(u32, PendingInbound)>>,
+    /// Whether `pending_inbound` holds anything; written under its lock,
+    /// so an idle progress call learns "empty" from one load.
+    pending_nonempty: AtomicBool,
     /// Per-core operation counters; `pub(crate)` so the collectives
     /// layer can attribute its rounds/bytes/inflight marks to the
     /// device that carried them.
@@ -189,8 +193,12 @@ pub(crate) struct CommArgs {
 
 impl Device {
     pub(crate) fn create(rt: Arc<RuntimeInner>) -> Result<Device> {
-        let dev_cfg = rt.config.device;
-        let net = rt.netctx.create_device(dev_cfg);
+        let net = rt.netctx.create_device(rt.config.device);
+        Device::create_on(rt, net)
+    }
+
+    /// [`create`](Self::create) over a given fabric device.
+    fn create_on(rt: Arc<RuntimeInner>, net: Arc<dyn NetDevice>) -> Result<Device> {
         // Share the fabric device's pool so the whole data path recycles
         // through one set of shelves.
         let buf_pool = net.buf_pool();
@@ -208,6 +216,7 @@ impl Device {
                 cqe_scratch: SpinLock::new(Vec::with_capacity(PROGRESS_BATCH)),
                 replenish_scratch: SpinLock::new(ReplenishScratch::default()),
                 pending_inbound: SpinLock::new(Vec::new()),
+                pending_nonempty: AtomicBool::new(false),
                 stats: DeviceStats::with_stripes(stat_stripes),
             }),
         };
@@ -478,10 +487,11 @@ impl Device {
     ///
     /// Low-watermark hysteresis: while the posted count sits above the
     /// watermark this is one relaxed atomic read and no lock traffic.
-    /// Once it falls to the watermark, one [`NetDevice::post_recv_batch`]
-    /// call refills back to the prepost target under a single SRQ/
-    /// endpoint-lock acquisition — instead of the old per-packet
-    /// `post_recv` top-up on every progress call.
+    /// Once it falls to the watermark, the refill is checked out of the
+    /// packet pool as bare indices under one stripe lock and posted with
+    /// one [`NetDevice::post_recv_batch`] call under a single SRQ/
+    /// endpoint-lock acquisition; whatever the device did not take goes
+    /// back to the pool under one lock.
     fn replenish_recvs(&self) -> Result<()> {
         let cfg = &self.inner.rt.config;
         let target = cfg.prepost;
@@ -494,39 +504,31 @@ impl Device {
         let Some(mut scratch) = self.inner.replenish_scratch.try_lock() else {
             return Ok(());
         };
-        let ReplenishScratch { packets, descs } = &mut *scratch;
-        packets.clear();
+        let ReplenishScratch { idxs, descs } = &mut *scratch;
+        let pool = &self.inner.rt.pool;
+        idxs.clear();
         descs.clear();
-        for _ in 0..target - posted {
-            let Some(packet) = self.inner.rt.pool.get() else { break };
-            packets.push(packet);
-        }
-        if packets.is_empty() {
+        pool.get_idxs(target - posted, idxs);
+        if idxs.is_empty() {
             return Ok(());
         }
-        // SAFETY: each packet's slot stays checked out (leaked below)
-        // until the receive completion reclaims it.
-        descs.extend(
-            packets
-                .iter()
-                .map(|p| unsafe { RecvBufDesc::new(p.raw_ptr(), p.capacity(), p.index() as u64) }),
-        );
-        match self.inner.net.post_recv_batch(descs) {
+        // SAFETY: each index stays checked out of the pool until the
+        // receive completion reclaims it, or it goes back below unposted.
+        descs.extend(idxs.iter().map(|&i| unsafe {
+            RecvBufDesc::new(pool.packet_ptr(i), pool.payload_size(), i as u64)
+        }));
+        let res = self.inner.net.post_recv_batch(descs);
+        // The unposted tail — all of it when the lock was busy or the
+        // device failed — goes back to the pool.
+        pool.put_idxs(&idxs[*res.as_ref().unwrap_or(&0)..]);
+        match res {
             Ok(n) => {
                 self.inner.stats.bump(|c| &c.replenish_batches);
                 self.inner.stats.add(|c| &c.replenish_posted, n as u64);
-                for p in packets.drain(..n) {
-                    p.leak();
-                }
-                // The unposted tail (if any) drops back to the pool.
-                packets.clear();
                 Ok(())
             }
-            // Lock busy: every packet drops back; retry next progress.
-            Err(NetError::Retry(_)) => {
-                packets.clear();
-                Ok(())
-            }
+            // Lock busy: retry next progress.
+            Err(NetError::Retry(_)) => Ok(()),
             Err(NetError::Fatal(m)) => Err(FatalError::Net(m)),
         }
     }
@@ -663,5 +665,134 @@ fn net_fatal(e: NetError) -> FatalError {
     match e {
         NetError::Fatal(m) => FatalError::Net(m),
         NetError::Retry(r) => FatalError::Net(format!("unexpected retry: {r:?}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Fabric, Runtime, RuntimeConfig};
+    use lci_fabric::{
+        BufPoolStats, DeviceConfig, NetResult, RegCacheStats, RetryReason, TransportStats,
+    };
+
+    /// An ofi device whose receive posts take, before the device's own
+    /// endpoint lock, one the test holds: under the trylock wrapper a
+    /// held endpoint lock refuses `post_recv_batch` with `LockBusy`, as
+    /// here. (The device's own lock is private to the fabric crate.)
+    struct HeldEndpoint {
+        net: Arc<dyn NetDevice>,
+        endpoint: SpinLock<()>,
+    }
+
+    impl NetDevice for HeldEndpoint {
+        fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
+            let _ep = self.endpoint.try_lock().ok_or(NetError::Retry(RetryReason::LockBusy))?;
+            self.net.post_recv_batch(descs)
+        }
+        fn post_recv(&self, desc: RecvBufDesc) -> NetResult<()> {
+            self.post_recv_batch(&[desc]).map(drop)
+        }
+        fn rank(&self) -> Rank {
+            self.net.rank()
+        }
+        fn dev_id(&self) -> DevId {
+            self.net.dev_id()
+        }
+        fn config(&self) -> &DeviceConfig {
+            self.net.config()
+        }
+        fn post_inject(&self, target: Rank, dev: DevId, data: &[u8], imm: u64) -> NetResult<()> {
+            self.net.post_inject(target, dev, data, imm)
+        }
+        fn post_send(&self, t: Rank, d: DevId, data: &[u8], imm: u64, ctx: u64) -> NetResult<()> {
+            self.net.post_send(t, d, data, imm, ctx)
+        }
+        fn post_send_batch(&self, t: Rank, d: DevId, msgs: &[SendDesc<'_>]) -> NetResult<usize> {
+            self.net.post_send_batch(t, d, msgs)
+        }
+        fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
+            self.net.poll_cq(out, max)
+        }
+        #[allow(clippy::too_many_arguments)]
+        fn post_write(
+            &self,
+            target: Rank,
+            dev: DevId,
+            data: &[u8],
+            rkey: Rkey,
+            offset: usize,
+            imm: Option<u64>,
+            ctx: u64,
+        ) -> NetResult<()> {
+            self.net.post_write(target, dev, data, rkey, offset, imm, ctx)
+        }
+        fn post_read(&self, t: Rank, local: RecvBufDesc, rkey: Rkey, off: usize) -> NetResult<()> {
+            self.net.post_read(t, local, rkey, off)
+        }
+        fn register(&self, ptr: *const u8, len: usize) -> NetResult<MemoryRegion> {
+            self.net.register(ptr, len)
+        }
+        fn deregister(&self, mr: &MemoryRegion) -> NetResult<()> {
+            self.net.deregister(mr)
+        }
+        fn reg_cache_stats(&self) -> RegCacheStats {
+            self.net.reg_cache_stats()
+        }
+        fn buf_pool(&self) -> BufPool {
+            self.net.buf_pool()
+        }
+        fn buf_pool_stats(&self) -> BufPoolStats {
+            self.net.buf_pool_stats()
+        }
+        fn posted_recvs(&self) -> usize {
+            self.net.posted_recvs()
+        }
+        fn doorbell(&self) -> Option<Arc<lci_fabric::Doorbell>> {
+            self.net.doorbell()
+        }
+        fn inbound_pending(&self) -> usize {
+            self.net.inbound_pending()
+        }
+        fn outbound_pending(&self) -> usize {
+            self.net.outbound_pending()
+        }
+        fn transport_stats(&self) -> TransportStats {
+            self.net.transport_stats()
+        }
+        fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>) {
+            self.net.teardown()
+        }
+    }
+
+    /// The refill checks packets out as bare indices and hands back what
+    /// the device does not take: a refill refused by a held endpoint lock
+    /// — the one `Device::create` makes, and a retry — leaves the pool's
+    /// outstanding count where it was, and once the lock is free one
+    /// progress call stocks the device, every packet out of the pool
+    /// being a posted receive.
+    #[test]
+    fn a_refused_refill_hands_every_packet_back() {
+        let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::ofi()).unwrap();
+        let pool = rt.packet_pool();
+        let held = Arc::new(HeldEndpoint {
+            net: rt.inner.netctx.create_device(rt.config().device),
+            endpoint: SpinLock::new(()),
+        });
+        let before = pool.outstanding();
+        assert_eq!(before, rt.device().inner.net.posted_recvs());
+
+        let lock = held.endpoint.lock();
+        let dev = Device::create_on(rt.inner.clone(), held.clone()).unwrap();
+        assert_eq!((dev.inner.net.posted_recvs(), pool.outstanding()), (0, before));
+        dev.replenish_recvs().unwrap();
+        assert_eq!((dev.inner.net.posted_recvs(), pool.outstanding()), (0, before));
+        assert_eq!(dev.stats().replenish_batches, 0);
+
+        drop(lock);
+        dev.progress().unwrap();
+        let posted = dev.inner.net.posted_recvs();
+        assert_eq!(posted, rt.config().prepost);
+        assert_eq!(pool.outstanding(), before + posted);
     }
 }

@@ -16,6 +16,7 @@ use crate::packet_pool::Packet;
 use crate::proto::{coalesce_unpack_ranges, Header, MsgType};
 use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag};
 use lci_fabric::{NetError, PoolBuf};
+use std::sync::atomic::Ordering;
 
 /// A delivery addressed to a remote completion handle. Parked (see
 /// [`DeviceInner::pending_inbound`]) while the handle is not registered.
@@ -337,7 +338,9 @@ impl Device {
     /// kind of arrival keeps only its own arm.
     #[inline(always)]
     fn try_deliver_rcomp(&self, rcomp: u32, p: PendingInbound) -> Result<Option<PendingInbound>> {
-        let Some(comp) = self.inner.rt.rcomp.read(rcomp as usize) else {
+        // Borrowed: the table is append-only, so the entry outlives this
+        // delivery without a refcount of its own.
+        let Some(comp) = self.inner.rt.rcomp.get(rcomp as usize) else {
             return Ok(Some(p));
         };
         match p {
@@ -346,7 +349,7 @@ impl Device {
                 self.inner.stats.bump(|c| &c.zero_copy_deliveries);
                 comp.signal(CompDesc { rank: src, tag, data, user_ctx: 0, kind: CompKind::Am });
             }
-            PendingInbound::RtsAm(rts) => self.rtr_for_am(rts, comp)?,
+            PendingInbound::RtsAm(rts) => self.rtr_for_am(rts, comp.clone())?,
             PendingInbound::RemoteSignal { src, tag } => comp.signal(CompDesc {
                 rank: src,
                 tag,
@@ -365,20 +368,24 @@ impl Device {
     pub(super) fn deliver_rcomp(&self, rcomp: u32, p: PendingInbound) -> Result<()> {
         if let Some(p) = self.try_deliver_rcomp(rcomp, p)? {
             self.inner.stats.bump(|c| &c.early_inbound);
-            self.inner.pending_inbound.lock().push((rcomp, p));
+            let mut pending = self.inner.pending_inbound.lock();
+            pending.push((rcomp, p));
+            self.inner.pending_nonempty.store(true, Ordering::Release);
         }
         Ok(())
     }
 
     /// Retries parked early-inbound deliveries whose rcomp may have
     /// been registered since. Still-unregistered entries are re-parked
-    /// in arrival order. Returns whether anything was delivered.
+    /// in arrival order. Returns whether anything was delivered. With
+    /// nothing parked — nearly every call — this is one load, no lock.
     pub(super) fn retry_pending_inbound(&self) -> Result<bool> {
+        if !self.inner.pending_nonempty.load(Ordering::Acquire) {
+            return Ok(false);
+        }
         let pending = {
             let mut guard = self.inner.pending_inbound.lock();
-            if guard.is_empty() {
-                return Ok(false);
-            }
+            self.inner.pending_nonempty.store(false, Ordering::Release);
             std::mem::take(&mut *guard)
         };
         let parked = pending.len();
@@ -395,6 +402,7 @@ impl Device {
             // after `kept`: splice them behind to keep arrival order.
             kept.append(&mut guard);
             *guard = kept;
+            self.inner.pending_nonempty.store(true, Ordering::Release);
         }
         Ok(did)
     }

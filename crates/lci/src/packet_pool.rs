@@ -64,7 +64,7 @@ impl PoolShared {
     fn packet_ptr(&self, idx: u32) -> *mut u8 {
         let chunk = idx as usize / CHUNK_PACKETS;
         let slot = idx as usize % CHUNK_PACKETS;
-        let base = self.chunk_bases.read(chunk).expect("packet chunk missing");
+        let base = *self.chunk_bases.get(chunk).expect("packet chunk missing");
         (base + slot * self.payload_size) as *mut u8
     }
 
@@ -129,32 +129,6 @@ impl Packet {
         assert!(data.len() <= cap, "payload {} exceeds packet capacity {}", data.len(), cap);
         self.as_mut_slice()[..data.len()].copy_from_slice(data);
         self.len = data.len();
-    }
-
-    /// Raw base pointer (for posting as a receive buffer).
-    pub fn raw_ptr(&self) -> *mut u8 {
-        self.shared.packet_ptr(self.idx)
-    }
-
-    /// The packet's pool index, used as a completion context when the
-    /// packet's memory is checked out to the fabric.
-    pub fn index(&self) -> u32 {
-        self.idx
-    }
-
-    /// Releases ownership without returning the packet to the pool; pair
-    /// with [`PacketPool::reclaim`]. Used when the packet's memory is
-    /// handed to the fabric as a pre-posted receive buffer.
-    pub fn leak(self) -> u32 {
-        let idx = self.idx;
-        let mut me = std::mem::ManuallyDrop::new(self);
-        // SAFETY: `me` is never used again and its Drop is suppressed;
-        // dropping the Arc here keeps the pool's refcount balanced
-        // (reclaim clones a fresh handle).
-        unsafe {
-            std::ptr::drop_in_place(&mut me.shared);
-        }
-        idx
     }
 
     /// Converts this packet into a refcounted [`SharedPacket`] so many
@@ -404,12 +378,56 @@ impl PacketPool {
             Some(mut q) => q.pop_back(),
             None => home.lock().pop_back(),
         };
-        if let Some(idx) = fast {
-            return Some(Packet { shared: self.shared.clone(), idx, len: 0 });
+        let idx = fast.or_else(|| self.steal())?;
+        Some(Packet { shared: self.shared.clone(), idx, len: 0 })
+    }
+
+    /// Checks up to `n` packets out as bare indices, appended to `out`:
+    /// the home stripe's tail under one lock, then a steal whenever it
+    /// runs dry (which moves half a victim's deque home). No `Packet` is
+    /// made, so the batch costs no refcount on the pool. Every index
+    /// comes back through [`reclaim`](Self::reclaim) or
+    /// [`put_idxs`](Self::put_idxs).
+    pub(crate) fn get_idxs(&self, n: usize, out: &mut Vec<u32>) {
+        let home = self.shared.home();
+        let want = out.len() + n;
+        loop {
+            {
+                let mut q = home.lock();
+                let take = (want - out.len()).min(q.len());
+                let from = q.len() - take;
+                out.extend(q.drain(from..));
+            }
+            if out.len() == want {
+                return;
+            }
+            match self.steal() {
+                Some(idx) => out.push(idx),
+                None => return,
+            }
         }
-        // Steal: visit victim stripes starting at a pseudo-random
-        // position, taking half of the first non-empty deque from its
-        // *head*.
+    }
+
+    /// Returns checked-out indices to the current core's stripe under
+    /// one lock.
+    pub(crate) fn put_idxs(&self, idxs: &[u32]) {
+        if !idxs.is_empty() {
+            self.shared.home().lock().extend(idxs);
+        }
+    }
+
+    /// Base address of the checked-out packet `idx` (posting it as a
+    /// receive buffer).
+    pub(crate) fn packet_ptr(&self, idx: u32) -> *mut u8 {
+        self.shared.packet_ptr(idx)
+    }
+
+    /// One steal round: visits victim stripes starting at a
+    /// pseudo-random position and takes half of the first non-empty
+    /// deque from its *head*, returning one packet index and moving the
+    /// rest onto the home stripe.
+    fn steal(&self) -> Option<u32> {
+        let home = self.shared.home();
         let nstripes = self.shared.stripes.len();
         let me = topology::current_core() & self.shared.mask;
         let start = rand_seed() % nstripes;
@@ -428,7 +446,7 @@ impl PacketPool {
             if let Some(mut q) = home.try_lock() {
                 q.extend(vq.drain(..take - 1));
             }
-            return Some(Packet { shared: self.shared.clone(), idx: first, len: 0 });
+            return Some(first);
         }
         None
     }
@@ -440,12 +458,13 @@ impl PacketPool {
         shared.home().lock().push_back(idx);
     }
 
-    /// Reconstructs a packet from an index previously obtained with
-    /// [`Packet::leak`] (e.g. returned in a fabric completion).
+    /// Reconstructs a packet from an index checked out of this pool as a
+    /// bare index (a pre-posted receive, returned in a fabric
+    /// completion).
     ///
     /// # Safety
-    /// `idx` must come from a `leak` on this pool and must not be
-    /// reclaimed twice.
+    /// `idx` must be checked out of this pool as a bare index and must
+    /// not be reclaimed twice.
     pub unsafe fn reclaim(&self, idx: u32, len: usize) -> Packet {
         Packet { shared: self.shared.clone(), idx, len }
     }
@@ -516,17 +535,35 @@ mod tests {
         assert!(pool.get().is_some());
     }
 
+    /// Indices checked out in a batch count as outstanding until each is
+    /// reclaimed or put back; a batch larger than the home stripe steals.
     #[test]
-    fn leak_and_reclaim() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 64, count: 2 }).unwrap();
-        let mut p = pool.get().unwrap();
-        p.fill(&[1, 2, 3]);
-        let idx = p.leak();
-        assert_eq!(pool.outstanding(), 1);
-        // SAFETY: idx came from leak, reclaimed once.
-        let p2 = unsafe { pool.reclaim(idx, 3) };
-        assert_eq!(&p2.as_slice()[..3], &[1, 2, 3]);
-        drop(p2);
+    fn index_checkout_reclaim_and_put_back() {
+        let pool =
+            PacketPool::with_stripes(PacketPoolConfig { payload_size: 64, count: 8 }, 2).unwrap();
+        let mut idxs = Vec::new();
+        pool.get_idxs(3, &mut idxs);
+        assert_eq!(idxs.len(), 3);
+        assert_eq!(pool.outstanding(), 3);
+        // SAFETY: checked out above, reclaimed once.
+        let mut p = unsafe { pool.reclaim(idxs[0], 0) };
+        assert_eq!(p.as_mut_slice().as_ptr(), pool.packet_ptr(idxs[0]).cast_const());
+        drop(p);
+        assert_eq!(pool.outstanding(), 2);
+        pool.put_idxs(&idxs[1..]);
+        assert_eq!(pool.outstanding(), 0);
+        // From the other stripe: everything sits on this thread's, so the
+        // batch is steals and what they moved home, until the pool is dry.
+        let me = topology::current_core();
+        let pool2 = pool.clone();
+        let got = std::thread::spawn(move || {
+            topology::bind_current_thread(me + 1);
+            let mut idxs = Vec::new();
+            pool2.get_idxs(16, &mut idxs);
+            pool2.put_idxs(&idxs);
+            idxs.len()
+        });
+        assert_eq!(got.join().unwrap(), 8, "a batch on an empty stripe steals");
         assert_eq!(pool.outstanding(), 0);
     }
 

@@ -44,14 +44,17 @@ use lci_fabric::{DevId, Rkey};
 /// Construct through [`Runtime::post_comm_x`] or one of the derived
 /// `post_*_x` methods, chain optional arguments in any order, and finish
 /// with [`call`](CommBuilder::call).
+///
+/// The builder borrows its device: assembling and posting an operation
+/// takes no refcount on it.
 #[must_use = "a builder does nothing until .call()"]
-pub struct CommBuilder {
-    device: Device,
+pub struct CommBuilder<'a> {
+    device: &'a Device,
     args: CommArgs,
 }
 
-impl CommBuilder {
-    pub(crate) fn new(device: Device, direction: Direction, rank: Rank) -> Self {
+impl<'a> CommBuilder<'a> {
+    pub(crate) fn new(device: &'a Device, direction: Direction, rank: Rank) -> Self {
         Self {
             device,
             args: CommArgs {
@@ -74,8 +77,8 @@ impl CommBuilder {
 
     /// Uses `device` instead of the runtime default (the
     /// `.device(device)` optional argument of Listing 1).
-    pub fn device(mut self, device: &Device) -> Self {
-        self.device = device.clone();
+    pub fn device(mut self, device: &'a Device) -> Self {
+        self.device = device;
         self
     }
 
@@ -173,14 +176,14 @@ impl CommBuilder {
 /// OFF builder for the explicit progress function (paper §3.2.6 /
 /// Listing 2 line 70: `lci::progress_x().device(device)()`).
 #[must_use = "a builder does nothing until .call()"]
-pub struct ProgressBuilder {
-    device: Device,
+pub struct ProgressBuilder<'a> {
+    device: &'a Device,
 }
 
-impl ProgressBuilder {
+impl<'a> ProgressBuilder<'a> {
     /// Progresses `device` instead of the runtime default.
-    pub fn device(mut self, device: &Device) -> Self {
-        self.device = device.clone();
+    pub fn device(mut self, device: &'a Device) -> Self {
+        self.device = device;
         self
     }
 
@@ -193,13 +196,13 @@ impl ProgressBuilder {
 
 impl Runtime {
     /// OFF variant of [`progress`](Runtime::progress).
-    pub fn progress_x(&self) -> ProgressBuilder {
-        ProgressBuilder { device: self.device().clone() }
+    pub fn progress_x(&self) -> ProgressBuilder<'_> {
+        ProgressBuilder { device: self.device() }
     }
 
     /// The generic posting operation in OFF form (paper §3.2.4).
-    pub fn post_comm_x(&self, direction: Direction, rank: Rank) -> CommBuilder {
-        CommBuilder::new(self.device().clone(), direction, rank)
+    pub fn post_comm_x(&self, direction: Direction, rank: Rank) -> CommBuilder<'_> {
+        CommBuilder::new(self.device(), direction, rank)
     }
 
     /// Two-sided send (derived operation). `comp` is signaled on local
@@ -221,7 +224,7 @@ impl Runtime {
         buf: impl Into<SendBuf>,
         tag: Tag,
         comp: Comp,
-    ) -> CommBuilder {
+    ) -> CommBuilder<'_> {
         self.post_comm_x(Direction::Out, rank).send_buf(buf).tag(tag).comp(comp)
     }
 
@@ -243,7 +246,7 @@ impl Runtime {
         buf: impl Into<Box<[u8]>>,
         tag: Tag,
         comp: Comp,
-    ) -> CommBuilder {
+    ) -> CommBuilder<'_> {
         self.post_comm_x(Direction::In, rank).recv_buf(buf).tag(tag).comp(comp)
     }
 
@@ -266,7 +269,7 @@ impl Runtime {
         buf: impl Into<SendBuf>,
         scomp: Comp,
         rcomp: RComp,
-    ) -> CommBuilder {
+    ) -> CommBuilder<'_> {
         self.post_comm_x(Direction::Out, rank).send_buf(buf).comp(scomp).remote_comp(rcomp)
     }
 
@@ -291,7 +294,7 @@ impl Runtime {
         rkey: Rkey,
         offset: usize,
         comp: Comp,
-    ) -> CommBuilder {
+    ) -> CommBuilder<'_> {
         self.post_comm_x(Direction::Out, rank).send_buf(buf).remote_buf(rkey, offset).comp(comp)
     }
 
@@ -318,7 +321,7 @@ impl Runtime {
         rkey: Rkey,
         offset: usize,
         comp: Comp,
-    ) -> CommBuilder {
+    ) -> CommBuilder<'_> {
         self.post_comm_x(Direction::In, rank).recv_buf(buf).remote_buf(rkey, offset).comp(comp)
     }
 

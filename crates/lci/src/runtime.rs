@@ -340,7 +340,7 @@ impl Runtime {
         let n = self.inner.devices.len();
         if n > 1 && self.inner.config.placement.effective_cores() > 1 {
             let idx = topology::current_core() % n;
-            if let Some(inner) = self.inner.devices.read(idx).and_then(|w| w.upgrade()) {
+            if let Some(inner) = self.inner.devices.get(idx).and_then(Weak::upgrade) {
                 return Device { inner };
             }
         }
@@ -380,7 +380,7 @@ impl Runtime {
         let mut did = false;
         let n = self.inner.devices.len();
         for i in 0..n {
-            if let Some(inner) = self.inner.devices.read(i).and_then(|w| w.upgrade()) {
+            if let Some(inner) = self.inner.devices.get(i).and_then(Weak::upgrade) {
                 did |= Device { inner }.progress()?;
             }
         }
