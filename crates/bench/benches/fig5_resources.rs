@@ -17,8 +17,8 @@
 //!
 //! A closing section exercises the large-message pipeline (DESIGN.md
 //! §4.6) on both simulated backends and reports its counters: chunk
-//! posts, the in-flight high-water mark, scratch-ring reuse, and the
-//! registration-cache hit/miss/eviction totals.
+//! posts, the in-flight high-water mark, and the registration-cache
+//! hit/miss/eviction totals.
 
 use bench::{env_usize, print_header, print_row, quick, thread_sweep};
 use lci::{
@@ -115,7 +115,6 @@ fn main() {
             "transfers",
             "chunks",
             "inflight_hwm",
-            "scratch_reuse",
             "rdv_retried",
             "reg_hits",
             "reg_miss",
@@ -133,7 +132,6 @@ fn main() {
             transfers.to_string(),
             s.rdv_chunks_posted.to_string(),
             s.rdv_inflight_hwm.to_string(),
-            s.rdv_scratch_reuses.to_string(),
             s.rendezvous_retried.to_string(),
             r.reg_cache_hits.to_string(),
             r.reg_cache_misses.to_string(),
@@ -150,8 +148,8 @@ fn rendezvous_counters(
     mkcfg: fn() -> RuntimeConfig,
     transfers: usize,
 ) -> (lci::StatsSnapshot, lci::StatsSnapshot) {
-    // 16 chunks at the default 64 KiB chunk size: more chunks than the
-    // in-flight window, so the scratch ring actually cycles.
+    // 16 chunks of 64 KiB: more chunks than the in-flight window, so
+    // completions re-drive the pump.
     const SIZE: usize = 1 << 20;
     let fabric = Fabric::new(2);
     let f2 = fabric.clone();

@@ -7,13 +7,11 @@
 //! a spinlock; an atomic flag saves the progress engine from polling an
 //! empty backlog.
 
-use crate::device::RdvActive;
 use crate::types::Rank;
 use lci_fabric::sync::SpinLock;
 use lci_fabric::{DevId, PoolBuf};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// A postponed request. Payloads are pool-recycled buffers: parking a
 /// message never costs a fresh allocation, and shipping it returns the
@@ -26,13 +24,15 @@ pub(crate) enum Backlogged {
     /// payload made when it parked, and `ctx` is the in-flight operation
     /// context (buffer + completion).
     Send { target: Rank, target_dev: DevId, data: PoolBuf, imm: u64, ctx: u64 },
-    /// A stalled pipelined rendezvous transfer: the chunk pump hit a full
-    /// wire with nothing in flight to re-drive it.
-    Rdv { active: Arc<RdvActive> },
+    /// A stalled rendezvous send, by its id: the chunk pump hit a full
+    /// wire with nothing in flight to re-drive it. The send's `parked`
+    /// flag keeps it here at most once, and a parked send cannot finish,
+    /// so the id is not reused while this names it.
+    Rdv { send_id: u32 },
 }
 
 /// The batching key of a plain send, or `None` for requests that must
-/// post individually (rendezvous chunk pumps).
+/// post individually (stalled rendezvous sends).
 pub(crate) fn send_dest(item: &Backlogged) -> Option<(Rank, DevId)> {
     match item {
         Backlogged::Send { target, target_dev, .. } => Some((*target, *target_dev)),
@@ -204,9 +204,8 @@ mod tests {
     #[test]
     fn pop_run_never_groups_rdv_pumps() {
         let b = Backlog::new();
-        let rdv = || Backlogged::Rdv { active: Arc::default() };
-        b.push(rdv());
-        b.push(rdv());
+        b.push(Backlogged::Rdv { send_id: 0 });
+        b.push(Backlogged::Rdv { send_id: 1 });
         assert_eq!(b.pop_run(16).len(), 1);
         assert_eq!(b.pop_run(16).len(), 1);
     }

@@ -15,8 +15,6 @@ mod eager;
 mod rdv;
 mod rma;
 
-pub(crate) use rdv::RdvActive;
-
 use crate::backlog::{send_dest, Backlog, Backlogged};
 use crate::coalesce::Coalescer;
 use crate::comp::Comp;
@@ -29,6 +27,7 @@ use crate::stats::DeviceStats;
 use crate::types::{
     CompDesc, CompKind, DataBuf, Direction, Landing, MatchingPolicy, RComp, Rank, SendBuf, Tag,
 };
+use crate::util::ShardedSlab;
 use eager::PendingInbound;
 use lci_fabric::sync::SpinLock;
 use lci_fabric::{
@@ -84,11 +83,9 @@ enum OpCtx {
         user_ctx: u64,
         kind: CompKind,
     },
+    /// One chunk write of the rendezvous send `send_id`.
     RdvChunk {
-        active: Arc<RdvActive>,
-        /// Scratch-ring slot this chunk's gather copy occupies (iovec
-        /// payloads only); freed when the chunk completes.
-        slot: Option<usize>,
+        send_id: u32,
     },
     Get(rma::GetOp),
 }
@@ -108,10 +105,14 @@ pub(crate) struct DeviceInner {
     pub net: Arc<dyn NetDevice>,
     backlog: Backlog,
     coalescer: Coalescer,
-    rdv: rdv::RdvState,
+    /// Rendezvous sends, each from its RTS to its last chunk's
+    /// completion; an entry's shard lock is that transfer's lock.
+    rdv_sends: ShardedSlab<rdv::RdvSend>,
+    /// Rendezvous receives, each from its RTR to its FIN.
+    rdv_recvs: ShardedSlab<rdv::RdvRecv>,
     /// Recycled staging-buffer pool shared with the fabric device (iovec
-    /// gathers, parked sends, coalesced frames, rendezvous scratch,
-    /// bounce buffers).
+    /// gathers, rendezvous chunks' included, parked sends, coalesced
+    /// frames, bounce buffers).
     buf_pool: BufPool,
     /// Pooled per-operation contexts (replaces a Box per post).
     ctx_pool: CtxPool<OpCtx>,
@@ -210,7 +211,8 @@ impl Device {
                 net,
                 backlog: Backlog::new(),
                 coalescer,
-                rdv: rdv::RdvState::new(TABLE_SHARDS),
+                rdv_sends: ShardedSlab::new(TABLE_SHARDS),
+                rdv_recvs: ShardedSlab::new(TABLE_SHARDS),
                 buf_pool,
                 ctx_pool: CtxPool::new(TABLE_SHARDS),
                 cqe_scratch: SpinLock::new(Vec::with_capacity(PROGRESS_BATCH)),
@@ -406,11 +408,11 @@ impl Device {
             return Ok(false);
         }
         let mut did = false;
-        // Pumps that stalled this drain are held aside and re-parked
+        // Transfers that stalled this drain are held aside and re-parked
         // after the loop: unrelated entries queued behind them still get
         // attempted this round (the wire may accept sends to other
         // targets), and the drain cannot spin re-popping them.
-        let mut stalled_pumps: Vec<Arc<RdvActive>> = Vec::new();
+        let mut stalled: Vec<u32> = Vec::new();
         loop {
             let mut run = self.inner.backlog.pop_run(BACKLOG_BATCH);
             match run.len() {
@@ -432,9 +434,9 @@ impl Device {
                             Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
                         }
                     }
-                    Backlogged::Rdv { active } => {
-                        if self.pump_rdv(&active)? {
-                            stalled_pumps.push(active);
+                    Backlogged::Rdv { send_id } => {
+                        if self.resume_rdv(send_id)? {
+                            stalled.push(send_id);
                         } else {
                             did = true;
                         }
@@ -477,8 +479,8 @@ impl Device {
                 }
             }
         }
-        for active in stalled_pumps {
-            self.push_backlog(Backlogged::Rdv { active });
+        for send_id in stalled {
+            self.push_backlog(Backlogged::Rdv { send_id });
         }
         Ok(did)
     }
@@ -550,7 +552,7 @@ impl Device {
                         }
                         Ok(())
                     }
-                    OpCtx::RdvChunk { active, slot } => self.rdv_chunk_done(active, slot),
+                    OpCtx::RdvChunk { send_id } => self.rdv_chunk_done(send_id),
                     OpCtx::Get(op) => self.get_done(op),
                 }
             }
@@ -595,7 +597,7 @@ impl Device {
             MsgType::Rtr => {
                 let rtr = RtrPayload::decode(payload)?;
                 drop(packet);
-                self.start_rdv_active(cqe.src_rank, cqe.src_dev, rtr)
+                self.start_pumping(cqe.src_rank, cqe.src_dev, rtr)
             }
             MsgType::GetSignal => {
                 drop(packet);
@@ -675,14 +677,28 @@ mod tests {
     use lci_fabric::{
         BufPoolStats, DeviceConfig, NetResult, RegCacheStats, RetryReason, TransportStats,
     };
+    use std::sync::atomic::Ordering;
 
     /// An ofi device whose receive posts take, before the device's own
     /// endpoint lock, one the test holds: under the trylock wrapper a
     /// held endpoint lock refuses `post_recv_batch` with `LockBusy`, as
     /// here. (The device's own lock is private to the fabric crate.)
+    /// While `refuse_writes` is set, every `post_write` is refused as a
+    /// full receiver would refuse it.
     struct HeldEndpoint {
         net: Arc<dyn NetDevice>,
         endpoint: SpinLock<()>,
+        refuse_writes: AtomicBool,
+    }
+
+    impl HeldEndpoint {
+        fn over(rt: &Runtime) -> Arc<HeldEndpoint> {
+            Arc::new(HeldEndpoint {
+                net: rt.inner.netctx.create_device(rt.config().device),
+                endpoint: SpinLock::new(()),
+                refuse_writes: AtomicBool::new(false),
+            })
+        }
     }
 
     impl NetDevice for HeldEndpoint {
@@ -725,6 +741,9 @@ mod tests {
             imm: Option<u64>,
             ctx: u64,
         ) -> NetResult<()> {
+            if self.refuse_writes.load(Ordering::Relaxed) {
+                return Err(NetError::Retry(RetryReason::RxFull));
+            }
             self.net.post_write(target, dev, data, rkey, offset, imm, ctx)
         }
         fn post_read(&self, t: Rank, local: RecvBufDesc, rkey: Rkey, off: usize) -> NetResult<()> {
@@ -775,10 +794,7 @@ mod tests {
     fn a_refused_refill_hands_every_packet_back() {
         let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::ofi()).unwrap();
         let pool = rt.packet_pool();
-        let held = Arc::new(HeldEndpoint {
-            net: rt.inner.netctx.create_device(rt.config().device),
-            endpoint: SpinLock::new(()),
-        });
+        let held = HeldEndpoint::over(&rt);
         let before = pool.outstanding();
         assert_eq!(before, rt.device().inner.net.posted_recvs());
 
@@ -794,5 +810,46 @@ mod tests {
         let posted = dev.inner.net.posted_recvs();
         assert_eq!(posted, rt.config().prepost);
         assert_eq!(pool.outstanding(), before + posted);
+    }
+
+    /// A rendezvous whose chunk writes the wire refuses, with none in
+    /// flight, parks — once: however often progress retries it, it is
+    /// one backlog entry and one pending send. Once the wire takes
+    /// writes again the same transfer resumes, lands byte-exact and
+    /// leaves both tables empty.
+    #[test]
+    fn a_stalled_rendezvous_parks_once_and_resumes() {
+        let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::ofi()).unwrap();
+        let held = HeldEndpoint::over(&rt);
+        let dev = Device::create_on(rt.inner.clone(), held.clone()).unwrap();
+        let payload: Vec<u8> = (0..3 * (64 << 10) + 1).map(|i| (i % 251) as u8).collect();
+        let (send, recv) = (Comp::alloc_cq(), Comp::alloc_cq());
+        held.refuse_writes.store(true, Ordering::Relaxed);
+        let landing = vec![0u8; payload.len()];
+        let posted = rt.post_recv_x(0, landing, 7, recv.clone()).device(&dev).call();
+        assert!(posted.unwrap().is_posted());
+        let posted = rt.post_send_x(0, payload.clone(), 7, send.clone()).device(&dev);
+        assert!(posted.target_device(dev.dev_id()).call().unwrap().is_posted());
+        for _ in 0..100 {
+            dev.progress().unwrap();
+        }
+        assert_eq!(dev.backlog_len(), 1, "parked once");
+        assert_eq!(dev.pending_rendezvous().0, 1);
+        assert_eq!(dev.stats().rdv_chunks_posted, 0);
+
+        held.refuse_writes.store(false, Ordering::Relaxed);
+        let (mut sent, mut got) = (None, None);
+        for _ in 0..1000 {
+            dev.progress().unwrap();
+            sent = sent.or_else(|| send.pop());
+            got = got.or_else(|| recv.pop());
+            if sent.is_some() && got.is_some() {
+                break;
+            }
+        }
+        assert_eq!(sent.expect("the send completed").kind, CompKind::Send);
+        assert_eq!(got.expect("the receive completed").as_slice(), &payload[..]);
+        assert_eq!(dev.pending_rendezvous(), (0, 0));
+        assert_eq!((dev.backlog_len(), dev.stats().rdv_chunks_posted), (0, 4));
     }
 }

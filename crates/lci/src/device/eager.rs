@@ -16,6 +16,7 @@ use crate::packet_pool::Packet;
 use crate::proto::{coalesce_unpack_ranges, Header, MsgType};
 use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag};
 use lci_fabric::{NetError, PoolBuf};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 /// A delivery addressed to a remote completion handle. Parked (see
@@ -30,27 +31,38 @@ pub(super) enum PendingInbound {
 }
 
 impl DeviceInner {
-    /// Gathers a multi-segment iovec — the one send buffer that is not
-    /// contiguous already (the fabric posts contiguous bytes) — into a
-    /// recycled buffer; every other buffer posts from where it is.
-    pub(super) fn stage_payload(&self, buf: &SendBuf) -> PoolBuf {
+    /// Gathers bytes `range` of a multi-segment iovec — the one send
+    /// buffer that is not contiguous already (the fabric posts contiguous
+    /// bytes) — into a recycled buffer; every other buffer posts from
+    /// where it is.
+    pub(super) fn stage_payload(&self, buf: &SendBuf, range: Range<usize>) -> PoolBuf {
         let SendBuf::Iovec(segs) = buf else { unreachable!("non-contiguous SendBuf is Iovec") };
-        let mut out = self.buf_pool.take_empty(buf.len());
+        let mut out = self.buf_pool.take_empty(range.len());
+        let mut skip = range.start;
         for seg in segs.iter() {
-            out.vec_mut().extend_from_slice(seg);
+            let from = skip.min(seg.len());
+            skip -= from;
+            let take = (seg.len() - from).min(range.len() - out.len());
+            out.vec_mut().extend_from_slice(&seg[from..from + take]);
         }
         out
     }
 
-    /// Runs `f` on the payload as one slice, gathering an iovec first.
-    /// Every eager protocol is done with the bytes when `f` returns (the
-    /// wire or the coalescing buffer has copied them), so contiguous
-    /// buffers skip the flatten staging copy.
+    /// Runs `f` on bytes `range` of the payload as one slice, gathering
+    /// an iovec's first. Every caller is done with the bytes when `f`
+    /// returns (the wire or the coalescing buffer has copied them), so
+    /// contiguous buffers skip the staging copy and a gathered one goes
+    /// back to the pool.
     #[inline(always)]
-    fn with_bytes<R>(&self, buf: &SendBuf, f: impl FnOnce(&[u8]) -> R) -> R {
+    pub(super) fn with_bytes<R>(
+        &self,
+        buf: &SendBuf,
+        range: Range<usize>,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
         match buf.as_contiguous() {
-            Some(data) => f(data),
-            None => f(&self.stage_payload(buf)),
+            Some(data) => f(&data[range]),
+            None => f(&self.stage_payload(buf, range)),
         }
     }
 }
@@ -104,7 +116,7 @@ impl Device {
         if coalescable {
             // Coalescing path: absorb the message into the destination's
             // aggregation buffer.
-            self.inner.with_bytes(&buf, |data| {
+            self.inner.with_bytes(&buf, 0..size, |data| {
                 coal.append_with(args.rank, target_dev, imm, data, |frame| self.post_frame(frame))
             })?;
             self.inner.stats.bump(|c| &c.coalesced_msgs);
@@ -114,9 +126,9 @@ impl Device {
         // Inject and buffer-copy are one protocol here: every wire reads
         // an eager source for the last time inside the post (DESIGN.md
         // §4.11 "Lending"), so nothing is left to wait for.
-        let res = self
-            .inner
-            .with_bytes(&buf, |data| self.inner.net.post_inject(args.rank, target_dev, data, imm));
+        let res = self.inner.with_bytes(&buf, 0..size, |data| {
+            self.inner.net.post_inject(args.rank, target_dev, data, imm)
+        });
         match res {
             Ok(()) => done(buf),
             Err(NetError::Retry(r)) if args.allow_retry => Ok(PostResult::Retry(r.into())),
@@ -128,7 +140,7 @@ impl Device {
                 // the drain's post (paper §4.4).
                 let data = match buf.as_contiguous() {
                     Some(bytes) => self.inner.buf_pool.stage_copy(bytes),
-                    None => self.inner.stage_payload(&buf),
+                    None => self.inner.stage_payload(&buf, 0..size),
                 };
                 let ctx = self.inner.ctx_encode(OpCtx::Send {
                     comp: args.comp,

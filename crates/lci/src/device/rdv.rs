@@ -1,32 +1,37 @@
 //! The zero-copy rendezvous protocol (paper §4.3, Figure 1 steps 8 & 10;
 //! DESIGN.md §4.6): RTS → RTR → pipelined chunk writes, FIN riding the
-//! last chunk. "Zero-copy" is this layer's half: nothing is staged here,
-//! each chunk is posted from the user's buffer toward the registered
-//! landing buffer. What the `post_write` below it costs is the wire's:
-//! one copy and no frame where the sender can address the target's
-//! memory (the sims, in-process shm), a frame copied in and out across
-//! processes and on tcp (DESIGN.md §4.9). Everything a transfer
-//! remembers between those steps — the pending tables, the chunk
-//! schedule, the recycled transfer shells — lives here; the rest of the
-//! device sees an [`Rts`], an opaque [`RdvActive`] handle and
-//! [`RdvState`].
+//! last chunk. "Zero-copy" is this layer's half: each chunk is posted
+//! from the user's buffer toward the registered landing buffer, and only
+//! an iovec chunk is gathered first. What the `post_write` below it
+//! costs is the wire's: one copy and no frame where the sender can
+//! address the target's memory (the sims, in-process shm), a frame
+//! copied in and out across processes and on tcp (DESIGN.md §4.9).
+//!
+//! A send is one [`RdvSend`] in the device's `rdv_sends` table for its
+//! whole life, and the table's shard lock is its lock: the RTR, every
+//! chunk completion and the backlog drain each take it once. Which
+//! bytes go next is the pure [`Chunks`] schedule; the pump only asks it
+//! and does what it answers. A receive is one [`RdvRecv`] in `rdv_recvs`
+//! from RTR to FIN.
 
 use super::{net_fatal, CommArgs, Device, MatchEntry, OpCtx, PendingInbound, RecvEntry};
 use crate::backlog::Backlogged;
-use crate::coll::lend::Lent;
 use crate::comp::Comp;
 use crate::error::{FatalError, PostResult, Result};
 use crate::matching::MatchKind;
 use crate::proto::{Header, MsgType, RtrPayload, RtsPayload};
-use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag};
-use crate::util::ShardedSlab;
-use lci_fabric::sync::SpinLock;
-use lci_fabric::{Cqe, DevId, MemoryRegion, NetError, PoolBuf, Rkey};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use crate::types::{CompDesc, CompKind, DataBuf, MatchingPolicy, Rank, SendBuf, Tag};
+use lci_fabric::{BackendKind, Cqe, DevId, MemoryRegion, NetError, Rkey};
 
-/// Completed [`RdvActive`] shells kept per device for reuse.
-const RDV_REUSE_CAP: usize = 32;
+/// Bytes per chunk write; a payload no larger goes as one write.
+const RDV_CHUNK: usize = 64 << 10;
+
+/// Chunk writes one transfer keeps in flight.
+const RDV_WINDOW: usize = 4;
+
+// Every wire carries a chunk in one write (tcp, which fits a frame
+// header into the largest pooled size class, carries the least).
+const _: () = assert!(RDV_CHUNK <= BackendKind::Tcp.max_write());
 
 /// A received ready-to-send: who wants to send what. Waits in the
 /// matching engine (two-sided) or the early-inbound list (active message
@@ -52,177 +57,124 @@ impl Rts {
     }
 }
 
-/// A pending zero-copy send (RTS issued, waiting for RTR). Non-contiguous
-/// payloads are *not* flattened here: the chunk pump gathers them
-/// per-chunk into a scratch ring once the transfer goes active.
-struct RdvSend {
-    buf: SendBuf,
-    comp: Option<Comp>,
-    tag: Tag,
-    user_ctx: u64,
+/// One rendezvous send, from its RTS to its last chunk's completion.
+///
+/// | state | event | next |
+/// |---|---|---|
+/// | `RtsSent` | RTR | `Pumping` (then the first pump) |
+/// | `Pumping` | pump, chunk done | whatever [`Chunks::step`] answers |
+/// | `Pumping` | `Finish` answered | removed from the table |
+pub(super) enum RdvSend {
+    /// RTS sent, waiting for the RTR. A non-contiguous payload stays as
+    /// it is: each chunk is gathered when it posts.
+    RtsSent { buf: SendBuf, comp: Option<Comp>, tag: Tag, user_ctx: u64 },
+    /// RTR received: chunks are being written into the landing `rkey`
+    /// names.
+    Pumping {
+        buf: SendBuf,
+        comp: Option<Comp>,
+        tag: Tag,
+        user_ctx: u64,
+        target: Rank,
+        target_dev: DevId,
+        rkey: Rkey,
+        /// FIN immediate; rides the last chunk's write.
+        fin_imm: u64,
+        chunks: Chunks,
+        /// In the backlog: set by a park, cleared by the drain's pump, so
+        /// a transfer is queued there at most once. A parked transfer
+        /// has nothing in flight and cannot finish, so its backlog entry
+        /// never names a reused id.
+        parked: bool,
+    },
 }
 
-/// What one active transfer never changes after RTR: the destination and
-/// the chunk schedule.
-#[derive(Clone, Copy, Default)]
-struct RdvPlan {
-    target: Rank,
-    target_dev: DevId,
-    rkey: Rkey,
-    /// FIN immediate; rides the last chunk's write.
-    fin_imm: u64,
+/// The chunk schedule of one transfer: which bytes post next, how many
+/// writes are in flight, when the transfer parks and when it is done.
+/// Pure — no device, no lock, no I/O — so the model check below runs it
+/// under every event order.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Chunks {
     total: usize,
     chunk: usize,
-    nchunks: usize,
-    max_inflight: usize,
-    tag: Tag,
-    user_ctx: u64,
-}
-
-/// An active pipelined rendezvous send: RTR received, chunks being
-/// written (DESIGN.md §4.6). All continuation state lives here — per
-/// transfer, behind its own lock — so the chunk-completion hot path
-/// acquires no table locks. The default is an idle shell, which
-/// [`Device::start_rdv_active`] fills in.
-#[derive(Default)]
-pub(crate) struct RdvActive {
-    plan: RdvPlan,
-    /// Chunks posted but not yet completed.
-    inflight: AtomicUsize,
-    pump: SpinLock<RdvPump>,
-}
-
-/// Cursor and buffers of one transfer's chunk pump.
-#[derive(Default)]
-struct RdvPump {
-    buf: Option<SendBuf>,
-    comp: Option<Comp>,
-    /// Next byte offset to post.
+    window: usize,
+    /// First byte not yet posted.
     next: usize,
-    /// Chunks whose completion has been handled.
+    /// Chunks posted whose write has not completed.
+    inflight: usize,
+    /// Chunks whose write has completed.
     done: usize,
-    /// Iovec gather cursor: segment index, offset within segment.
-    seg: usize,
-    seg_off: usize,
-    /// Reusable gather ring for non-contiguous payloads, one slot per
-    /// inflight window position; empty for contiguous payloads.
-    scratch: Vec<ScratchSlot>,
 }
 
-impl RdvPump {
-    /// Points the pump at the start of a new payload, for a new or a
-    /// recycled shell alike.
-    fn reset(&mut self, buf: SendBuf, comp: Option<Comp>, max_inflight: usize) {
-        let slots = if buf.as_contiguous().is_some() { 0 } else { max_inflight };
-        // Surviving slots keep their pooled gather buffers; their size is
-        // re-checked against the new chunk size on first use.
-        self.scratch.resize_with(slots, ScratchSlot::default);
-        debug_assert!(self.scratch.iter().all(|s| !s.busy));
-        self.buf = Some(buf);
-        self.comp = comp;
-        self.next = 0;
-        self.done = 0;
-        self.seg = 0;
-        self.seg_off = 0;
+/// What happened to a transfer.
+#[derive(Clone, Copy)]
+enum ChunkEvent {
+    /// It may post: the RTR arrived, or the drain took it out of the
+    /// backlog.
+    Pump,
+    /// The wire took the write the last `Post` asked for.
+    Accepted,
+    /// The wire refused it; nothing was posted.
+    Refused,
+    /// One posted chunk's write completed.
+    ChunkDone,
+}
+
+/// What the pump does next.
+enum ChunkAction {
+    /// Write bytes `off..off + len`, with the FIN when `fin`; answer
+    /// `Accepted` or `Refused`.
+    Post { off: usize, len: usize, fin: bool },
+    /// Nothing until a completion arrives.
+    Idle,
+    /// Refused with nothing in flight, so no completion will re-drive
+    /// it: park it in the backlog.
+    Park,
+    /// Every chunk has completed: the send is done.
+    Finish,
+}
+
+impl Chunks {
+    fn new(total: usize, chunk: usize, window: usize) -> Chunks {
+        Chunks { total, chunk, window, next: 0, inflight: 0, done: 0 }
     }
-}
 
-/// One gather buffer of the scratch ring.
-#[derive(Default)]
-struct ScratchSlot {
-    /// Pool-recycled gather buffer; survives transfer recycling, so
-    /// repeated iovec rendezvous reuses the same storage.
-    buf: Option<PoolBuf>,
-    /// Owned by an in-flight chunk write; reusable after its CQE.
-    busy: bool,
-}
-
-/// Copies `out.len()` bytes out of `segs` starting at the (`seg`,
-/// `seg_off`) cursor, advancing the cursor.
-fn gather_iovec(segs: &[Box<[u8]>], seg: &mut usize, seg_off: &mut usize, out: &mut [u8]) {
-    let mut filled = 0;
-    while filled < out.len() {
-        let s = &segs[*seg];
-        let avail = s.len() - *seg_off;
-        if avail == 0 {
-            *seg += 1;
-            *seg_off = 0;
-            continue;
+    fn step(&mut self, ev: ChunkEvent) -> ChunkAction {
+        match ev {
+            ChunkEvent::Pump => {}
+            ChunkEvent::Accepted => {
+                self.next += self.chunk.min(self.total - self.next);
+                self.inflight += 1;
+            }
+            ChunkEvent::Refused if self.inflight == 0 => return ChunkAction::Park,
+            // A completion still to come re-drives the transfer.
+            ChunkEvent::Refused => return ChunkAction::Idle,
+            ChunkEvent::ChunkDone => {
+                self.inflight -= 1;
+                self.done += 1;
+                if self.done == self.total.div_ceil(self.chunk) {
+                    return ChunkAction::Finish;
+                }
+            }
         }
-        let take = avail.min(out.len() - filled);
-        out[filled..filled + take].copy_from_slice(&s[*seg_off..*seg_off + take]);
-        filled += take;
-        *seg_off += take;
-    }
-}
-
-/// Landing buffer of a rendezvous receive: the user's posted buffer or
-/// memory a blocking collective lent (two-sided), or a pool-recycled
-/// bounce buffer (unexpected AM rendezvous, where the runtime must
-/// provide the storage itself).
-enum RdvBuf {
-    Owned(Box<[u8]>),
-    Pooled(PoolBuf),
-    Lent(Lent),
-}
-
-impl RdvBuf {
-    /// Address and length of the landing, for registration. No
-    /// reference is formed: on a wire that writes directly the sender's
-    /// thread is about to.
-    fn span(&self) -> (*const u8, usize) {
-        match self {
-            RdvBuf::Owned(b) => (b.as_ptr(), b.len()),
-            RdvBuf::Pooled(b) => (b.as_ptr(), b.len()),
-            RdvBuf::Lent(l) => (l.as_ptr(), l.len()),
+        if self.next == self.total || self.inflight == self.window {
+            return ChunkAction::Idle;
         }
-    }
-
-    /// Converts into the completion-descriptor payload carrying the
-    /// first `len` delivered bytes.
-    fn into_databuf(self, len: usize) -> DataBuf {
-        match self {
-            RdvBuf::Owned(b) => DataBuf::Partial(b, len),
-            RdvBuf::Pooled(b) => DataBuf::Pooled(b, len),
-            RdvBuf::Lent(_) => DataBuf::Lent(len),
-        }
+        // FIN rides the last chunk, which posts after every other one.
+        let len = self.chunk.min(self.total - self.next);
+        ChunkAction::Post { off: self.next, len, fin: self.next + len == self.total }
     }
 }
 
-/// A pending zero-copy receive (RTR issued, waiting for FIN).
-struct RdvRecv {
-    buf: RdvBuf,
+/// A pending zero-copy receive (RTR issued, waiting for FIN), holding
+/// what it will deliver: the landing as its completion payload.
+pub(super) struct RdvRecv {
+    data: DataBuf,
     mr: MemoryRegion,
     comp: Comp,
     user_ctx: u64,
     src: Rank,
     tag: Tag,
-    size: usize,
-    is_am: bool,
-}
-
-/// One device's rendezvous state.
-pub(super) struct RdvState {
-    sends: ShardedSlab<RdvSend>,
-    recvs: ShardedSlab<RdvRecv>,
-    /// Transfers past RTR (chunks in flight): no longer in `sends` but
-    /// not yet complete. Keeps `pending_rendezvous` (and lcw quiescence)
-    /// truthful.
-    active: AtomicUsize,
-    /// Completed transfer shells awaiting reuse (bounded by
-    /// [`RDV_REUSE_CAP`]).
-    reuse: SpinLock<Vec<Arc<RdvActive>>>,
-}
-
-impl RdvState {
-    pub(super) fn new(shards: usize) -> Self {
-        RdvState {
-            sends: ShardedSlab::new(shards),
-            recvs: ShardedSlab::new(shards),
-            active: AtomicUsize::new(0),
-            reuse: SpinLock::new(Vec::new()),
-        }
-    }
 }
 
 impl Device {
@@ -233,10 +185,10 @@ impl Device {
         buf: SendBuf,
         target_dev: DevId,
     ) -> Result<PostResult> {
-        let rdv = &self.inner.rdv;
+        let sends = &self.inner.rdv_sends;
         let size = buf.len() as u64;
         self.inner.stats.bump(|c| &c.rendezvous);
-        let send_id = rdv.sends.insert(RdvSend {
+        let send_id = sends.insert(RdvSend::RtsSent {
             buf,
             comp: args.comp,
             tag: args.tag,
@@ -252,7 +204,7 @@ impl Device {
             return match self.send_ctrl(args.rank, target_dev, &payload, imm) {
                 Ok(()) => Ok(PostResult::Posted),
                 Err(e) => {
-                    rdv.sends.remove(send_id);
+                    sends.remove(send_id);
                     Err(e)
                 }
             };
@@ -264,12 +216,12 @@ impl Device {
                 // The `rendezvous` bump above counts the attempt;
                 // `rendezvous_retried` keeps the stats reconcilable
                 // (started = rendezvous - retried).
-                rdv.sends.remove(send_id);
+                sends.remove(send_id);
                 self.inner.stats.bump(|c| &c.rendezvous_retried);
                 Ok(PostResult::Retry(r.into()))
             }
             Err(NetError::Fatal(m)) => {
-                rdv.sends.remove(send_id);
+                sends.remove(send_id);
                 Err(FatalError::Net(m))
             }
         }
@@ -296,11 +248,16 @@ impl Device {
     /// that receive was posted on.
     pub(super) fn rtr_for_recv(rts: Rts, recv: RecvEntry) -> Result<()> {
         let RecvEntry { buf, comp, user_ctx, device } = recv;
-        let buf = match buf {
-            Landing::Owned(b) => RdvBuf::Owned(b),
-            Landing::Lent(l) => RdvBuf::Lent(l),
-        };
-        device.start_rtr(rts, buf, comp, user_ctx, false)
+        if rts.size > buf.len() {
+            return Err(FatalError::InvalidArg(format!(
+                "receive buffer too small for rendezvous: {} < {}",
+                buf.len(),
+                rts.size
+            )));
+        }
+        let landing = buf.as_ptr();
+        let data = buf.into_databuf(rts.size);
+        device.start_rtr(rts, landing, data, comp, user_ctx)
     }
 
     /// Answers an active-message RTS. The runtime provides the landing
@@ -308,246 +265,338 @@ impl Device {
     /// buffer.
     pub(super) fn rtr_for_am(&self, rts: Rts, comp: Comp) -> Result<()> {
         let buf = self.inner.buf_pool.take_len(rts.size);
-        self.start_rtr(rts, RdvBuf::Pooled(buf), comp, 0, true)
+        let landing = buf.as_ptr();
+        let data = DataBuf::Pooled(buf, rts.size);
+        self.start_rtr(rts, landing, data, comp, 0)
     }
 
-    /// Target side: register the buffer, record the pending receive, and
+    /// Target side: register the RTS's bytes at `landing`, record the
+    /// pending receive with the `data` its completion will deliver, and
     /// answer RTR.
     fn start_rtr(
         &self,
         rts: Rts,
-        buf: RdvBuf,
+        landing: *const u8,
+        data: DataBuf,
         comp: Comp,
         user_ctx: u64,
-        is_am: bool,
     ) -> Result<()> {
         let Rts { src, src_dev, tag, send_id, size } = rts;
-        let (landing, cap) = buf.span();
-        if size > cap {
-            return Err(FatalError::InvalidArg(format!(
-                "receive buffer too small for rendezvous: {cap} < {size}"
-            )));
-        }
         let mr = self.inner.net.register(landing, size).map_err(net_fatal)?;
-        let recv_id =
-            self.inner.rdv.recvs.insert(RdvRecv { buf, mr, comp, user_ctx, src, tag, size, is_am });
+        let recv_id = self.inner.rdv_recvs.insert(RdvRecv { data, mr, comp, user_ctx, src, tag });
         let payload = RtrPayload { send_id, recv_id, rkey: mr.rkey.0 }.encode();
         let imm = Header::new(MsgType::Rtr, MatchingPolicy::RankTag, tag, 0).encode();
         self.send_ctrl(src, src_dev, &payload, imm)
     }
 
-    /// Source side: RTR arrived. Move the pending send out of the table
-    /// (one table-lock acquisition for the whole transfer) into an
-    /// [`RdvActive`] and start writing chunks.
-    pub(super) fn start_rdv_active(
+    /// Source side: the RTR arrived. The send turns `Pumping` in its
+    /// table slot and writes its first window of chunks.
+    pub(super) fn start_pumping(
         &self,
         target: Rank,
         target_dev: DevId,
         rtr: RtrPayload,
     ) -> Result<()> {
-        let rdv = &self.inner.rdv;
-        // Increment before the table remove so `pending_rendezvous`
-        // never transiently undercounts.
-        rdv.active.fetch_add(1, Ordering::Relaxed);
-        let Some(entry) = rdv.sends.remove(rtr.send_id) else {
-            rdv.active.fetch_sub(1, Ordering::Relaxed);
+        let fin_imm = Header::new(MsgType::Fin, MatchingPolicy::RankTag, 0, rtr.recv_id).encode();
+        let started = self.inner.rdv_sends.with(rtr.send_id, |send| match send.take() {
+            Some(RdvSend::RtsSent { buf, comp, tag, user_ctx }) => {
+                *send = Some(RdvSend::Pumping {
+                    chunks: Chunks::new(buf.len(), RDV_CHUNK, RDV_WINDOW),
+                    buf,
+                    comp,
+                    tag,
+                    user_ctx,
+                    target,
+                    target_dev,
+                    rkey: Rkey(rtr.rkey),
+                    fin_imm,
+                    parked: false,
+                });
+                true
+            }
+            other => {
+                *send = other;
+                false
+            }
+        });
+        if started != Some(true) {
             return Err(FatalError::Net(format!("RTR for unknown send id {}", rtr.send_id)));
-        };
-        let cfg = &self.inner.rt.config;
-        let total = entry.buf.len();
-        let chunk = cfg.rdv_chunk_size.min(total);
-        let nchunks = total.div_ceil(chunk);
-        let max_inflight = cfg.rdv_max_inflight.min(nchunks).max(1);
-        // Reuse a finished transfer's shell (Arc + pump lock + scratch
-        // ring) instead of allocating a new one.
-        let mut active = rdv.reuse.lock().pop().unwrap_or_default();
-        let a = Arc::get_mut(&mut active).expect("idle transfer shells have a unique reference");
-        a.plan = RdvPlan {
-            target,
-            target_dev,
-            rkey: Rkey(rtr.rkey),
-            fin_imm: Header::new(MsgType::Fin, MatchingPolicy::RankTag, 0, rtr.recv_id).encode(),
-            total,
-            chunk,
-            nchunks,
-            max_inflight,
-            tag: entry.tag,
-            user_ctx: entry.user_ctx,
-        };
-        a.inflight.store(0, Ordering::Relaxed);
-        a.pump.lock().reset(entry.buf, entry.comp, max_inflight);
-        self.pump_or_park(active)
+        }
+        self.pump_or_park(rtr.send_id, ChunkEvent::Pump)
     }
 
-    /// Pumps a transfer and parks it in the backlog if it stalled.
-    fn pump_or_park(&self, active: Arc<RdvActive>) -> Result<()> {
-        if self.pump_rdv(&active)? {
-            self.push_backlog(Backlogged::Rdv { active });
+    /// Source side: one chunk write completed.
+    pub(super) fn rdv_chunk_done(&self, send_id: u32) -> Result<()> {
+        self.pump_or_park(send_id, ChunkEvent::ChunkDone)
+    }
+
+    /// The backlog drain's turn at a parked send; `true` if it parked
+    /// again (the drain re-queues it once its own pass is over).
+    pub(super) fn resume_rdv(&self, send_id: u32) -> Result<bool> {
+        self.pump_rdv(send_id, ChunkEvent::Pump)
+    }
+
+    fn pump_or_park(&self, send_id: u32, ev: ChunkEvent) -> Result<()> {
+        if self.pump_rdv(send_id, ev)? {
+            self.push_backlog(Backlogged::Rdv { send_id });
         }
         Ok(())
     }
 
-    /// Drives one transfer's chunk window: posts chunks until the payload
-    /// is fully posted, the inflight window fills, or the wire pushes
-    /// back. Serialized per transfer by the pump lock; acquires no table
-    /// locks (the chunk-continuation hot path). Returns whether the
-    /// transfer stalled (wire full with nothing in flight to re-drive
-    /// it) — the caller must then park it in the backlog. (A completion
-    /// racing with the park may pump and even park a duplicate; the pump
-    /// is idempotent, so a stale backlog entry is a no-op.)
-    pub(super) fn pump_rdv(&self, active: &Arc<RdvActive>) -> Result<bool> {
-        let plan = &active.plan;
-        let mut st = active.pump.lock();
-        while st.next < plan.total && active.inflight.load(Ordering::Relaxed) < plan.max_inflight {
-            let off = st.next;
-            let len = plan.chunk.min(plan.total - off);
-            let last = off + len == plan.total;
-            // FIN rides the last chunk; posting order is serialized by
-            // the pump lock, so it reaches the wire after every earlier
-            // chunk.
-            let imm = last.then_some(plan.fin_imm);
-            // Split borrows: the gather path reads `buf` while filling a
-            // scratch slot.
-            let RdvPump { buf, scratch, seg, seg_off, .. } = &mut *st;
-            let buf_ref = buf.as_ref().expect("active transfer keeps its buffer");
-            let (mut nseg, mut nseg_off) = (*seg, *seg_off);
-            let (data, slot_idx): (&[u8], Option<usize>) = match buf_ref.as_contiguous() {
-                Some(contig) => (&contig[off..off + len], None),
-                None => {
-                    let SendBuf::Iovec(segs) = buf_ref else {
-                        unreachable!("non-contiguous SendBuf is Iovec")
-                    };
-                    // inflight < max_inflight guarantees a free slot:
-                    // each busy slot is owned by one in-flight chunk, and
-                    // the completion handler frees the slot before
-                    // decrementing inflight, both under this pump lock.
-                    let idx = scratch.iter().position(|s| !s.busy).expect("free scratch slot");
-                    let slot = &mut scratch[idx];
-                    // A recycled transfer shell may carry slots sized for
-                    // a previous (smaller) chunk size: re-check.
-                    if slot.buf.as_ref().is_some_and(|b| b.len() >= plan.chunk) {
-                        self.inner.stats.bump(|c| &c.rdv_scratch_reuses);
-                    } else {
-                        slot.buf = Some(self.inner.buf_pool.take_len(plan.chunk));
-                    }
-                    let out = slot.buf.as_mut().expect("slot allocated");
-                    gather_iovec(segs, &mut nseg, &mut nseg_off, &mut out[..len]);
-                    slot.busy = true;
-                    (&out[..len], Some(idx))
-                }
+    /// Feeds `ev` to send `send_id`'s schedule and carries out what it
+    /// answers, under the send's lock (its `rdv_sends` shard): posts
+    /// chunks until the window fills or the wire refuses, and takes a
+    /// finished send out of the table, signalling its completion once the
+    /// lock is released. Returns whether the send parked, which the
+    /// caller answers by queueing it in the backlog.
+    fn pump_rdv(&self, send_id: u32, ev: ChunkEvent) -> Result<bool> {
+        let mut finished = None;
+        let parked = self.inner.rdv_sends.with(send_id, |send| {
+            let Some(RdvSend::Pumping {
+                buf,
+                target,
+                target_dev,
+                rkey,
+                fin_imm,
+                chunks,
+                parked,
+                ..
+            }) = send
+            else {
+                return Err(FatalError::Net(format!("rendezvous send {send_id} is not pumping")));
             };
-            let ctx =
-                self.inner.ctx_encode(OpCtx::RdvChunk { active: active.clone(), slot: slot_idx });
-            match self.inner.net.post_write(
-                plan.target,
-                plan.target_dev,
-                data,
-                plan.rkey,
-                off,
-                imm,
-                ctx,
-            ) {
-                Ok(()) => {
-                    st.next = off + len;
-                    st.seg = nseg;
-                    st.seg_off = nseg_off;
-                    let now = active.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.inner.stats.bump(|c| &c.rdv_chunks_posted);
-                    self.inner.stats.raise(|c| &c.rdv_inflight_hwm, now as u64);
-                }
-                Err(NetError::Retry(_)) => {
-                    // Rejected post: the context was never handed over.
-                    self.inner.ctx_decode(ctx)?;
-                    if let Some(idx) = slot_idx {
-                        st.scratch[idx].busy = false;
+            if matches!(ev, ChunkEvent::Pump) {
+                *parked = false;
+            }
+            let mut act = chunks.step(ev);
+            loop {
+                act = match act {
+                    ChunkAction::Post { off, len, fin } => {
+                        let ctx = self.inner.ctx_encode(OpCtx::RdvChunk { send_id });
+                        let imm = fin.then_some(*fin_imm);
+                        // An iovec chunk is gathered into a pooled buffer
+                        // that goes back when the post returns: a wire is
+                        // done with a write's source by then.
+                        let res = self.inner.with_bytes(buf, off..off + len, |data| {
+                            self.inner.net.post_write(
+                                *target,
+                                *target_dev,
+                                data,
+                                *rkey,
+                                off,
+                                imm,
+                                ctx,
+                            )
+                        });
+                        if self.posted_or_back_out(res, ctx)?.is_retry() {
+                            chunks.step(ChunkEvent::Refused)
+                        } else {
+                            let act = chunks.step(ChunkEvent::Accepted);
+                            self.inner.stats.bump(|c| &c.rdv_chunks_posted);
+                            self.inner.stats.raise(|c| &c.rdv_inflight_hwm, chunks.inflight as u64);
+                            act
+                        }
                     }
-                    // With chunks in flight, their completions re-drive
-                    // the transfer; otherwise report the stall so the
-                    // caller parks it for the progress loop.
-                    return Ok(active.inflight.load(Ordering::Relaxed) == 0);
-                }
-                Err(NetError::Fatal(m)) => {
-                    // Rejected post: the context was never handed over.
-                    self.inner.ctx_decode(ctx)?;
-                    return Err(FatalError::Net(m));
-                }
+                    ChunkAction::Idle => return Ok(false),
+                    ChunkAction::Park => return Ok(!std::mem::replace(parked, true)),
+                    ChunkAction::Finish => {
+                        finished = send.take();
+                        return Ok(false);
+                    }
+                };
             }
+        });
+        let parked = parked.unwrap_or_else(|| {
+            Err(FatalError::Net(format!("unknown rendezvous send id {send_id}")))
+        })?;
+        if let Some(RdvSend::Pumping { buf, comp: Some(comp), tag, user_ctx, target, .. }) =
+            finished
+        {
+            let data = DataBuf::SendBuf(buf);
+            comp.signal(CompDesc { rank: target, tag, data, user_ctx, kind: CompKind::Send });
         }
-        Ok(false)
-    }
-
-    /// Source side: one chunk write completed. Launches the next
-    /// chunk(s), or — after the last one — signals the send's completion
-    /// and retires the transfer.
-    pub(super) fn rdv_chunk_done(&self, active: Arc<RdvActive>, slot: Option<usize>) -> Result<()> {
-        let finished = {
-            let mut st = active.pump.lock();
-            if let Some(idx) = slot {
-                st.scratch[idx].busy = false;
-            }
-            // The window-slot release must happen inside the pump
-            // critical section, after the scratch slot is freed: a
-            // concurrent pump checks `inflight < max_inflight` under this
-            // lock and relies on every freed window slot having already
-            // released its scratch slot.
-            active.inflight.fetch_sub(1, Ordering::Relaxed);
-            st.done += 1;
-            (st.done == active.plan.nchunks)
-                .then(|| (st.buf.take().expect("buffer present"), st.comp.take()))
-        };
-        let Some((buf, comp)) = finished else {
-            return self.pump_or_park(active);
-        };
-        if let Some(comp) = comp {
-            comp.signal(CompDesc {
-                rank: active.plan.target,
-                tag: active.plan.tag,
-                data: DataBuf::SendBuf(buf),
-                user_ctx: active.plan.user_ctx,
-                kind: CompKind::Send,
-            });
-        }
-        self.inner.rdv.active.fetch_sub(1, Ordering::Relaxed);
-        // Recycle the transfer shell (Arc + lock + scratch ring) — but
-        // only when ours is the last reference: a stale backlog pump
-        // clone may still point here, and reusing the shell under it
-        // would corrupt an unrelated transfer.
-        if Arc::strong_count(&active) == 1 {
-            let mut reuse = self.inner.rdv.reuse.lock();
-            if reuse.len() < RDV_REUSE_CAP {
-                reuse.push(active);
-            }
-        }
-        Ok(())
+        Ok(parked)
     }
 
     /// Target side of the rendezvous FIN: deliver the buffer.
     pub(super) fn handle_fin(&self, recv_id: u32) -> Result<()> {
         let entry = self
             .inner
-            .rdv
-            .recvs
+            .rdv_recvs
             .remove(recv_id)
             .ok_or_else(|| FatalError::Net(format!("FIN for unknown recv id {recv_id}")))?;
         self.inner.net.deregister(&entry.mr).map_err(net_fatal)?;
+        // Only an active message lands in a pooled bounce buffer.
+        let kind = match entry.data {
+            DataBuf::Pooled(..) => CompKind::Am,
+            _ => CompKind::Recv,
+        };
         entry.comp.signal(CompDesc {
             rank: entry.src,
             tag: entry.tag,
-            data: entry.buf.into_databuf(entry.size),
+            data: entry.data,
             user_ctx: entry.user_ctx,
-            kind: if entry.is_am { CompKind::Am } else { CompKind::Recv },
+            kind,
         });
         Ok(())
     }
 
-    /// Pending rendezvous operations (diagnostics): sends awaiting RTR
-    /// or mid-transfer, and receives awaiting FIN. Advisory: each table
-    /// shard is sampled in turn, so the totals are a consistent
-    /// per-shard snapshot, not an atomic cross-shard view — suitable for
-    /// quiescence polling, not for exact accounting while transfers are
-    /// being posted concurrently.
+    /// Pending rendezvous operations (diagnostics): sends from RTS to
+    /// their last chunk's completion, and receives awaiting FIN.
+    /// Advisory: each table shard is sampled in turn, so the totals are
+    /// a consistent per-shard snapshot, not an atomic cross-shard view —
+    /// suitable for quiescence polling, not for exact accounting while
+    /// transfers are being posted concurrently.
     pub fn pending_rendezvous(&self) -> (usize, usize) {
-        let rdv = &self.inner.rdv;
-        (rdv.sends.len() + rdv.active.load(Ordering::Relaxed), rdv.recvs.len())
+        (self.inner.rdv_sends.len(), self.inner.rdv_recvs.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+
+    /// One transfer between two ranks as the model check sees it: the
+    /// sender's schedule, the wire between the ranks and the receiver's
+    /// landing.
+    #[derive(Clone)]
+    struct Model {
+        chunks: Chunks,
+        /// A `Post` the wire has not answered yet. The pump holds the
+        /// transfer's lock until it has, so nothing else happens first.
+        asked: Option<(usize, usize, bool)>,
+        /// Refusals the wire may still make.
+        refusals: usize,
+        /// End of the bytes posted so far.
+        posted: usize,
+        /// Posted writes in flight to the receiver, in posting order.
+        channel: VecDeque<(usize, usize, bool)>,
+        /// Write completions the sender has not handled yet.
+        completions: usize,
+        /// Times each byte of the landing was written.
+        landed: Vec<u8>,
+        parked: bool,
+        finished: bool,
+        received: bool,
+    }
+
+    impl Model {
+        fn obey(&mut self, act: ChunkAction) {
+            match act {
+                ChunkAction::Post { off, len, fin } => self.asked = Some((off, len, fin)),
+                ChunkAction::Idle => {}
+                ChunkAction::Park => {
+                    assert!(!self.parked, "parked twice");
+                    self.parked = true;
+                }
+                ChunkAction::Finish => {
+                    assert!(!self.finished, "(iv) finished twice");
+                    assert_eq!(self.completions, 0, "(iv) finished before every chunk completed");
+                    assert_eq!(self.posted, self.landed.len(), "(iv) finished before posting all");
+                    self.finished = true;
+                }
+            }
+        }
+
+        fn then(&self, change: impl FnOnce(&mut Model)) -> Model {
+            let mut next = self.clone();
+            change(&mut next);
+            next
+        }
+    }
+
+    /// Walks every event order from `m`, checking the properties at each
+    /// step; returns the number of complete executions.
+    fn explore(m: Model) -> usize {
+        if let Some((off, len, fin)) = m.asked {
+            let accepted = m.then(|a| {
+                a.asked = None;
+                assert!(len > 0, "(i) an empty chunk");
+                assert_eq!(off, a.posted, "(i) a byte posted twice, or skipped");
+                a.posted += len;
+                a.channel.push_back((off, len, fin));
+                a.completions += 1;
+                assert!(a.completions <= a.chunks.window, "(ii) {} in flight", a.completions);
+                let act = a.chunks.step(ChunkEvent::Accepted);
+                a.obey(act);
+            });
+            let mut runs = explore(accepted);
+            if m.refusals > 0 {
+                runs += explore(m.then(|r| {
+                    r.asked = None;
+                    r.refusals -= 1;
+                    let act = r.chunks.step(ChunkEvent::Refused);
+                    r.obey(act);
+                }));
+            }
+            return runs;
+        }
+        let mut runs = 0;
+        if let Some(&(off, len, fin)) = m.channel.front() {
+            runs += explore(m.then(|l| {
+                l.channel.pop_front();
+                l.landed[off..off + len].iter_mut().for_each(|b| *b += 1);
+                if fin {
+                    assert!(l.landed.iter().all(|&b| b == 1), "(iii) FIN before every byte landed");
+                    assert!(!l.received, "(iii) a second FIN");
+                    l.received = true;
+                }
+            }));
+        }
+        if m.completions > 0 {
+            runs += explore(m.then(|c| {
+                c.completions -= 1;
+                let act = c.chunks.step(ChunkEvent::ChunkDone);
+                c.obey(act);
+            }));
+        }
+        if m.parked {
+            runs += explore(m.then(|d| {
+                d.parked = false;
+                let act = d.chunks.step(ChunkEvent::Pump);
+                d.obey(act);
+            }));
+        }
+        if runs == 0 {
+            assert!(m.finished && m.received, "(v) stuck: {:?}", m.chunks);
+            return 1;
+        }
+        runs
+    }
+
+    /// Every event order of one transfer of 1–3 chunks (a full and a
+    /// short last chunk), under windows 1–3 and up to two refused posts:
+    /// (i) each byte is posted once, at increasing offsets; (ii) no more
+    /// than the window is ever in flight; (iii) at the FIN, every byte
+    /// has landed; (iv) the send finishes once, after every chunk
+    /// completed; (v) every execution finishes — a refusal with nothing
+    /// in flight parks rather than strands the transfer.
+    #[test]
+    fn every_event_order_delivers_every_byte_once() {
+        const CHUNK: usize = 3;
+        let mut runs = 0;
+        for nchunks in 1..=3 {
+            for total in [nchunks * CHUNK - 1, nchunks * CHUNK] {
+                for window in 1..=3 {
+                    let mut m = Model {
+                        chunks: Chunks::new(total, CHUNK, window),
+                        asked: None,
+                        refusals: 2,
+                        posted: 0,
+                        channel: VecDeque::new(),
+                        completions: 0,
+                        landed: vec![0; total],
+                        parked: false,
+                        finished: false,
+                        received: false,
+                    };
+                    let act = m.chunks.step(ChunkEvent::Pump);
+                    m.obey(act);
+                    runs += explore(m);
+                }
+            }
+        }
+        assert!(runs > 1000, "only {runs} executions explored");
     }
 }

@@ -12,7 +12,7 @@ use crate::types::{
     CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, RComp, Rank, SendBuf, Tag,
     SENDBUF_INLINE_CAP,
 };
-use lci_fabric::{DevId, NetError, PoolBuf, RecvBufDesc};
+use lci_fabric::{DevId, NetError, NetResult, PoolBuf, RecvBufDesc};
 
 /// The bytes of a put's source at an address that stays put while the
 /// [`SendBuf`] itself moves into its [`OpCtx`] slot, so the fabric can
@@ -34,7 +34,7 @@ impl PostSrc {
         match (buf, buf.as_contiguous()) {
             (SendBuf::Inline(bytes, len), _) => PostSrc::Stack(*bytes, *len),
             (_, Some(data)) => PostSrc::Stable(data.as_ptr(), data.len()),
-            (_, None) => PostSrc::Gathered(dev.stage_payload(buf)),
+            (_, None) => PostSrc::Gathered(dev.stage_payload(buf, 0..buf.len())),
         }
     }
 
@@ -114,9 +114,10 @@ impl Device {
         self.posted_or_back_out(res, ctx)
     }
 
-    /// Maps the fabric's answer to an RMA post. A rejected post never
-    /// handed its context over, so the context is reclaimed here.
-    fn posted_or_back_out(&self, res: lci_fabric::NetResult<()>, ctx: u64) -> Result<PostResult> {
+    /// Maps the fabric's answer to an RMA post (a put, a get, a
+    /// rendezvous chunk). A rejected post never handed its context over,
+    /// so the context is reclaimed here.
+    pub(super) fn posted_or_back_out(&self, res: NetResult<()>, ctx: u64) -> Result<PostResult> {
         let Err(e) = res else { return Ok(PostResult::Posted) };
         let _op = self.inner.ctx_decode(ctx)?;
         match e {

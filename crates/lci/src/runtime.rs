@@ -80,16 +80,6 @@ pub struct RuntimeConfig {
     /// Sender-side small-message coalescing (off by default; see
     /// [`crate::coalesce`]).
     pub coalesce: CoalesceConfig,
-    /// Chunk size of the pipelined rendezvous writes (the large-message
-    /// pipeline, DESIGN.md §4.6); a payload no larger than it goes as
-    /// one write. Must be nonzero and at most the largest write the
-    /// configured backend carries
-    /// ([`BackendKind::max_write`](lci_fabric::BackendKind::max_write):
-    /// 1 MiB, the largest pooled size class, less one frame header on
-    /// tcp).
-    pub rdv_chunk_size: usize,
-    /// Maximum chunks outstanding per rendezvous transfer.
-    pub rdv_max_inflight: usize,
     /// Chunk size the pipelined ring allreduce splits each block into.
     /// Must be nonzero and at most 1 MiB (the buffer pool's largest
     /// recycled size class — bigger chunks would defeat pooled staging).
@@ -114,8 +104,6 @@ impl Default for RuntimeConfig {
             prepost: 64,
             matching: MatchingConfig::default(),
             coalesce: CoalesceConfig::default(),
-            rdv_chunk_size: 64 << 10,
-            rdv_max_inflight: 4,
             coll_chunk_size: 64 << 10,
             coll_max_inflight: 4,
             placement: Placement::default(),
@@ -232,16 +220,6 @@ impl Runtime {
                     "coalesce.max_msgs must be in 2..2^24 (frame header aux)".into(),
                 ));
             }
-        }
-        let max_write = config.device.backend.max_write();
-        if config.rdv_chunk_size == 0 || config.rdv_chunk_size > max_write {
-            return Err(FatalError::InvalidArg(format!(
-                "rdv_chunk_size must be in 1..={max_write} (the largest write {:?} carries)",
-                config.device.backend
-            )));
-        }
-        if config.rdv_max_inflight == 0 {
-            return Err(FatalError::InvalidArg("rdv_max_inflight must be nonzero".into()));
         }
         if config.coll_chunk_size == 0 || config.coll_chunk_size > (1 << 20) {
             return Err(FatalError::InvalidArg(

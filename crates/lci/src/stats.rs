@@ -52,7 +52,6 @@ pub(crate) struct StatsCell {
     pub(crate) rendezvous_retried: AtomicU64,
     pub(crate) rdv_chunks_posted: AtomicU64,
     pub(crate) rdv_inflight_hwm: AtomicU64,
-    pub(crate) rdv_scratch_reuses: AtomicU64,
     pub(crate) early_inbound: AtomicU64,
     pub(crate) coll_rounds: AtomicU64,
     pub(crate) coll_bytes: AtomicU64,
@@ -155,7 +154,6 @@ impl DeviceStats {
             rendezvous_retried: self.fold(|c| &c.rendezvous_retried),
             rdv_chunks_posted: self.fold(|c| &c.rdv_chunks_posted),
             rdv_inflight_hwm: self.fold_max(|c| &c.rdv_inflight_hwm),
-            rdv_scratch_reuses: self.fold(|c| &c.rdv_scratch_reuses),
             early_inbound: self.fold(|c| &c.early_inbound),
             coll_rounds: self.fold(|c| &c.coll_rounds),
             coll_bytes: self.fold(|c| &c.coll_bytes),
@@ -228,8 +226,6 @@ pub struct StatsSnapshot {
     /// device (max across cells, not a delta counter; see
     /// [`StatsSnapshot::since`]).
     pub rdv_inflight_hwm: u64,
-    /// Scratch-ring slots reused (gather copies that did not allocate).
-    pub rdv_scratch_reuses: u64,
     /// Inbound deliveries that arrived before their target rcomp was
     /// registered and were parked for retry (one thread's `progress`
     /// racing another's `register_rcomp`).
@@ -343,7 +339,6 @@ impl StatsSnapshot {
             // A high-water mark, not a flow counter: the later value is
             // the mark over the whole interval.
             rdv_inflight_hwm: self.rdv_inflight_hwm,
-            rdv_scratch_reuses: self.rdv_scratch_reuses.saturating_sub(earlier.rdv_scratch_reuses),
             early_inbound: self.early_inbound.saturating_sub(earlier.early_inbound),
             coll_rounds: self.coll_rounds.saturating_sub(earlier.coll_rounds),
             coll_bytes: self.coll_bytes.saturating_sub(earlier.coll_bytes),

@@ -239,6 +239,26 @@ impl Landing {
             Landing::Lent(l) => l.len(),
         }
     }
+
+    /// Address of the landing, for registration. No reference is
+    /// formed: on a wire that writes directly the sender's thread is
+    /// about to.
+    pub(crate) fn as_ptr(&self) -> *const u8 {
+        match self {
+            Landing::Owned(b) => b.as_ptr(),
+            Landing::Lent(l) => l.as_ptr(),
+        }
+    }
+
+    /// The completion payload carrying the first `len` bytes landed
+    /// here. A `Box` keeps its address when it moves, so a pointer taken
+    /// with [`as_ptr`](Self::as_ptr) stays the landing's.
+    pub(crate) fn into_databuf(self, len: usize) -> DataBuf {
+        match self {
+            Landing::Owned(b) => DataBuf::Partial(b, len),
+            Landing::Lent(_) => DataBuf::Lent(len),
+        }
+    }
 }
 
 impl DataBuf {

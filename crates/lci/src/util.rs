@@ -6,14 +6,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// A slab of pending-operation descriptors with id reuse. Ids stay small
 /// (free-list reuse) so they fit in the 24-bit aux field of the wire
 /// header (rendezvous FIN addressing).
-#[allow(dead_code)]
 pub(crate) struct Slab<T> {
     entries: Vec<Option<T>>,
     free: Vec<u32>,
     len: usize,
 }
 
-#[allow(dead_code)]
 impl<T> Slab<T> {
     pub fn new() -> Self {
         Self { entries: Vec::new(), free: Vec::new(), len: 0 }
@@ -31,40 +29,22 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Removes and returns the value with `id`.
-    pub fn remove(&mut self, id: u32) -> Option<T> {
-        let v = self.entries.get_mut(id as usize)?.take();
-        if v.is_some() {
+    /// Runs `f` on the occupied slot of `id` (`None` for an unknown id).
+    /// `f` may replace the entry, or remove it by taking it out of the
+    /// slot.
+    pub fn with<R>(&mut self, id: u32, f: impl FnOnce(&mut Option<T>) -> R) -> Option<R> {
+        let slot = self.entries.get_mut(id as usize).filter(|s| s.is_some())?;
+        let out = f(slot);
+        if slot.is_none() {
             self.free.push(id);
             self.len -= 1;
         }
-        v
-    }
-
-    /// Borrows the value with `id`.
-    pub fn get(&self, id: u32) -> Option<&T> {
-        self.entries.get(id as usize)?.as_ref()
-    }
-
-    /// Mutably borrows the value with `id`.
-    pub fn get_mut(&mut self, id: u32) -> Option<&mut T> {
-        self.entries.get_mut(id as usize)?.as_mut()
+        Some(out)
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the slab is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -108,8 +88,16 @@ impl<T> ShardedSlab<T> {
 
     /// Removes and returns the value with combined id `id`.
     pub fn remove(&self, id: u32) -> Option<T> {
+        self.with(id, Option::take).flatten()
+    }
+
+    /// Runs `f` on the slot of combined id `id` under its shard's lock,
+    /// which makes that lock the entry's own for the call (see
+    /// [`Slab::with`]; `None` for an unknown id). `f` may remove the
+    /// entry by taking it out of the slot.
+    pub fn with<R>(&self, id: u32, f: impl FnOnce(&mut Option<T>) -> R) -> Option<R> {
         let n = self.shards.len() as u32;
-        self.shards[(id % n) as usize].lock().remove(id / n)
+        self.shards[(id % n) as usize].lock().with(id / n, f)
     }
 
     /// Total live entries, summed shard by shard. Advisory: each shard is
@@ -131,28 +119,31 @@ mod tests {
         let b = s.insert("b");
         assert_ne!(a, b);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.remove(a), Some("a"));
-        assert_eq!(s.remove(a), None, "double remove is None");
+        assert_eq!(s.with(a, Option::take), Some(Some("a")));
+        assert_eq!(s.with(a, Option::take), None, "double remove is None");
         let c = s.insert("c");
         assert_eq!(c, a, "freed id is reused");
-        assert_eq!(s.get(c), Some(&"c"));
-        assert_eq!(s.get(b), Some(&"b"));
+        assert_eq!(s.with(c, |v| *v), Some(Some("c")));
+        assert_eq!(s.with(b, |v| *v), Some(Some("b")));
     }
 
     #[test]
-    fn get_mut_updates() {
+    fn with_updates_and_removes() {
         let mut s: Slab<u32> = Slab::new();
         let id = s.insert(1);
-        *s.get_mut(id).unwrap() = 9;
-        assert_eq!(s.get(id), Some(&9));
+        s.with(id, |v| *v = Some(9));
+        assert_eq!(s.with(id, |v| *v), Some(Some(9)));
+        assert_eq!(s.with(id, |v| v.take()), Some(Some(9)), "taking the value removes it");
+        assert_eq!(s.len(), 0);
+        assert_eq!(s.with(id, |_| ()), None, "a removed id is unknown");
+        assert_eq!(s.insert(2), id, "and free for reuse");
     }
 
     #[test]
     fn unknown_ids() {
         let mut s: Slab<u8> = Slab::new();
-        assert!(s.get(3).is_none());
-        assert!(s.remove(3).is_none());
-        assert!(s.is_empty());
+        assert!(s.with(3, |_| ()).is_none());
+        assert_eq!(s.len(), 0);
     }
 
     #[test]

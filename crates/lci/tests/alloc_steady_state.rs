@@ -2,9 +2,9 @@
 //! allocator wraps `System` and the tests assert that the data path
 //! performs **zero** heap allocations per operation once warmed up —
 //! pooled op contexts, recycled staging buffers, persistent progress
-//! scratch, reusable rendezvous transfer shells, and the packet pool
-//! together mean the steady state never touches malloc (the paper's
-//! §4.1.2 design goal, extended from packets to the whole path).
+//! scratch, rendezvous transfers that live in their table slot, and the
+//! packet pool together mean the steady state never touches malloc (the
+//! paper's §4.1.2 design goal, extended from packets to the whole path).
 //!
 //! The harness drives both ranks of a 2-rank fabric from one thread, so
 //! the counter observes exactly the operations under test. User buffers
@@ -239,9 +239,19 @@ fn steady_state_allocs(size: usize, warmup: usize, iters: usize) -> u64 {
 }
 
 fn steady_state_allocs_cfg(cfg: RuntimeConfig, size: usize, warmup: usize, iters: usize) -> u64 {
+    steady_state_allocs_of(cfg, vec![0xA5u8; size].into(), warmup, iters)
+}
+
+/// [`steady_state_allocs_cfg`] with a given payload, which each
+/// transfer hands back for the next.
+fn steady_state_allocs_of(
+    cfg: RuntimeConfig,
+    mut payload: SendBuf,
+    warmup: usize,
+    iters: usize,
+) -> u64 {
     let pair = Pair::new_cfg(cfg);
-    let mut payload: SendBuf = vec![0xA5u8; size].into();
-    let mut landing: Box<[u8]> = vec![0u8; size].into();
+    let mut landing: Box<[u8]> = vec![0u8; payload.len()].into();
     for _ in 0..warmup {
         let (s, r) = pair.xfer(payload, landing, 5);
         payload = recover_send(s);
@@ -288,8 +298,8 @@ fn eager_steady_state_is_allocation_free() {
 }
 
 /// Repeated same-size rendezvous transfers: registration-cache hits,
-/// recycled transfer shells, and the persistent chunk scratch ring make
-/// the large-message pipeline allocation-free at steady state.
+/// pooled chunk contexts and a transfer that lives in its table slot
+/// make the large-message pipeline allocation-free at steady state.
 #[test]
 fn rendezvous_steady_state_is_allocation_free() {
     let _g = serial();
@@ -298,6 +308,24 @@ fn rendezvous_steady_state_is_allocation_free() {
         allocs,
         0,
         "256 KiB rendezvous loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
+}
+
+/// A gathered rendezvous: a 4-segment 256 KiB payload whose segment
+/// boundaries fall inside chunks. Each chunk is gathered into a pooled
+/// buffer that goes back to its shelf when the chunk's post returns, so
+/// once the shelf is warm no transfer calls the allocator.
+#[test]
+fn iovec_rendezvous_steady_state_is_allocation_free() {
+    let _g = serial();
+    let segs: Vec<Box<[u8]>> =
+        [63, 65, 66, 62].iter().map(|&k| vec![0x5Au8; k << 10].into_boxed_slice()).collect();
+    let allocs = steady_state_allocs_of(RuntimeConfig::small(), segs.into(), 16, 32);
+    assert_eq!(
+        allocs,
+        0,
+        "4-segment 256 KiB rendezvous loop made {allocs} allocator calls after warmup{}",
         first_allocs()
     );
 }

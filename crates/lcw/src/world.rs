@@ -70,7 +70,6 @@ impl World {
                     placement: cfg.placement,
                     coll_chunk_size: cfg.coll_chunk_size,
                     coll_max_inflight: COLL_MAX_INFLIGHT,
-                    ..lci::RuntimeConfig::default()
                 };
                 let rt = lci::Runtime::new(fabric, rank, rt_cfg).expect("lci runtime");
                 // One AM completion queue per thread (the paper's message
