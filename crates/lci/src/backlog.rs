@@ -83,20 +83,20 @@ impl Backlog {
         item
     }
 
-    /// Dequeues a *run*: the oldest request plus — when it is a plain
-    /// send — up to `max - 1` consecutive plain sends to the same
-    /// `(target, target_dev)`. Only a contiguous front run is taken, so
-    /// FIFO order is preserved; the run feeds one batched fabric
-    /// submission (one posting-lock acquisition).
-    pub fn pop_run(&self, max: usize) -> Vec<Backlogged> {
+    /// Dequeues a *run* into `run` (which the caller passes empty and
+    /// reuses, so a warm drain allocates nothing): the oldest request
+    /// plus — when it is a plain send — up to `max - 1` consecutive plain
+    /// sends to the same `(target, target_dev)`. Only a contiguous front
+    /// run is taken, so FIFO order is preserved; the run feeds one
+    /// batched fabric submission (one posting-lock acquisition).
+    pub fn pop_run(&self, max: usize, run: &mut Vec<Backlogged>) {
         if !self.nonempty.load(Ordering::Acquire) {
-            return Vec::new();
+            return;
         }
         let mut q = self.queue.lock();
-        let mut run = Vec::new();
         let Some(first) = q.pop_front() else {
             self.nonempty.store(false, Ordering::Release);
-            return run;
+            return;
         };
         let key = send_dest(&first);
         run.push(first);
@@ -108,7 +108,6 @@ impl Backlog {
         if q.is_empty() {
             self.nonempty.store(false, Ordering::Release);
         }
-        run
     }
 
     /// Re-parks unposted requests at the front, preserving their order.
@@ -185,6 +184,13 @@ mod tests {
         assert_eq!(imm_of(&b.pop().unwrap()), 2);
     }
 
+    /// The imms of the next run of at most 16.
+    fn next_run(b: &Backlog) -> Vec<u64> {
+        let mut run = Vec::new();
+        b.pop_run(16, &mut run);
+        run.iter().map(imm_of).collect()
+    }
+
     #[test]
     fn pop_run_groups_same_destination_sends() {
         let b = Backlog::new();
@@ -193,11 +199,9 @@ mod tests {
         b.push(send(1, 1, 0));
         b.push(send(1, 2, 7));
         b.push(send(2, 3, 0));
-        let run = b.pop_run(16);
-        assert_eq!(run.iter().map(imm_of).collect::<Vec<_>>(), vec![1, 2]);
-        let run = b.pop_run(16);
-        assert_eq!(run.iter().map(imm_of).collect::<Vec<_>>(), vec![3]);
-        assert!(b.pop_run(16).is_empty());
+        assert_eq!(next_run(&b), vec![1, 2]);
+        assert_eq!(next_run(&b), vec![3]);
+        assert!(next_run(&b).is_empty());
         assert!(b.is_empty());
     }
 
@@ -206,8 +210,8 @@ mod tests {
         let b = Backlog::new();
         b.push(Backlogged::Rdv { send_id: 0 });
         b.push(Backlogged::Rdv { send_id: 1 });
-        assert_eq!(b.pop_run(16).len(), 1);
-        assert_eq!(b.pop_run(16).len(), 1);
+        assert_eq!(next_run(&b).len(), 1);
+        assert_eq!(next_run(&b).len(), 1);
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //! the shelf ([`CollState`]). A warm collective loop allocates nothing
 //! (`tests/alloc_steady_state.rs`). A blocking call steps its plan under
 //! [`Runtime::wait_until`], which progresses every device of the runtime
-//! and yields the core once idle.
+//! and, between idle sweeps, spins or yields the core as the calling
+//! thread has learned pays.
 //!
 //! **The one way this can end a process.** Argument errors return `Err`
 //! before anything is posted. A runtime failure *after* the first lent

@@ -20,6 +20,7 @@ use crate::comp::Comp;
 use crate::error::{PostResult, Result};
 use crate::runtime::Runtime;
 use crate::types::{CompDesc, Rank};
+use crate::wait::Streak;
 
 /// Waits for a synchronizer comp, taking its descriptor.
 fn wait_sync_take(rt: &Runtime, comp: &Comp) -> Result<CompDesc> {
@@ -32,7 +33,9 @@ fn wait_sync_take(rt: &Runtime, comp: &Comp) -> Result<CompDesc> {
 /// returning — the per-send barrier the pipelined engines avoid.
 fn send_wait(rt: &Runtime, peer: Rank, payload: &[u8], tag: crate::types::Tag) -> Result<()> {
     let comp = Comp::alloc_sync(1);
-    loop {
+    // The retries are one idle streak (`crate::wait`).
+    let mut retries = Streak::default();
+    let posted = loop {
         // Coalesced sends complete with the frame still buffered; the
         // blocking baseline needs on-wire completions too (the last rank
         // out of a collective stops progressing), so opt out.
@@ -41,17 +44,20 @@ fn send_wait(rt: &Runtime, peer: Rank, payload: &[u8], tag: crate::types::Tag) -
             .allow_coalescing(false)
             .call()?
         {
-            PostResult::Done(_) => return Ok(()),
-            PostResult::Posted => {
-                let sync = comp.as_sync().expect("synchronizer comp");
-                return rt.wait_until(|| sync.test());
-            }
+            PostResult::Done(_) => break false,
+            PostResult::Posted => break true,
             PostResult::Retry(_) => {
                 rt.progress_all()?;
-                std::thread::yield_now();
+                retries.idle();
             }
         }
+    };
+    retries.end();
+    if !posted {
+        return Ok(());
     }
+    let sync = comp.as_sync().expect("synchronizer comp");
+    rt.wait_until(|| sync.test())
 }
 
 /// Posts a fresh-buffer receive and blocks for its delivery.

@@ -126,12 +126,11 @@ impl Graph {
         self.completed.load(Ordering::Acquire) == self.total
     }
 
-    /// Spins until done, invoking `progress` between polls.
-    pub fn wait_with(&self, mut progress: impl FnMut()) {
-        while !self.test() {
-            progress();
-            std::hint::spin_loop();
-        }
+    /// Waits until done, invoking `progress` between polls and spinning
+    /// or yielding the core between them as
+    /// [`Synchronizer::wait_with`](crate::Synchronizer::wait_with) does.
+    pub fn wait_with(&self, progress: impl FnMut()) {
+        crate::wait::until(|| self.test(), progress);
     }
 
     /// The completion descriptor of `node`, once completed.

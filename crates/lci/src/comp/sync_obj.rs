@@ -65,13 +65,13 @@ impl Synchronizer {
         self.published.load(Ordering::Acquire) == self.expected
     }
 
-    /// Spins until ready, invoking `progress` between polls (the caller
-    /// decides who progresses the network — paper §3.2.6).
-    pub fn wait_with(&self, mut progress: impl FnMut()) {
-        while !self.test() {
-            progress();
-            std::hint::spin_loop();
-        }
+    /// Waits until ready, invoking `progress` between polls (the caller
+    /// decides who progresses the network — paper §3.2.6). Between polls
+    /// it spins or yields the core as
+    /// [`Runtime::wait_until`](crate::Runtime::wait_until) does; the
+    /// whole wait counts as one idle streak.
+    pub fn wait_with(&self, progress: impl FnMut()) {
+        crate::wait::until(|| self.test(), progress);
     }
 
     /// Takes the collected descriptors after readiness, resetting the

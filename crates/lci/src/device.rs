@@ -118,6 +118,10 @@ pub(crate) struct DeviceInner {
     ctx_pool: CtxPool<OpCtx>,
     /// Reusable CQE array for `progress` polls.
     cqe_scratch: SpinLock<Vec<Cqe>>,
+    /// Reusable run array for backlog drains. It grows at the first
+    /// drains to at most `BACKLOG_BATCH`, so a device whose wire never
+    /// refuses a send never allocates it.
+    backlog_run: SpinLock<Vec<Backlogged>>,
     /// Reusable batch buffers for `replenish_recvs`.
     replenish_scratch: SpinLock<ReplenishScratch>,
     /// Inbound deliveries whose target rcomp was not registered yet,
@@ -216,6 +220,7 @@ impl Device {
                 buf_pool,
                 ctx_pool: CtxPool::new(TABLE_SHARDS),
                 cqe_scratch: SpinLock::new(Vec::with_capacity(PROGRESS_BATCH)),
+                backlog_run: SpinLock::new(Vec::new()),
                 replenish_scratch: SpinLock::new(ReplenishScratch::default()),
                 pending_inbound: SpinLock::new(Vec::new()),
                 pending_nonempty: AtomicBool::new(false),
@@ -407,6 +412,11 @@ impl Device {
         if self.inner.backlog.is_empty() {
             return Ok(false);
         }
+        // The persistent run scratch: a busy lock means another thread
+        // is draining this backlog — skip, it has us covered.
+        let Some(mut run) = self.inner.backlog_run.try_lock() else {
+            return Ok(false);
+        };
         let mut did = false;
         // Transfers that stalled this drain are held aside and re-parked
         // after the loop: unrelated entries queued behind them still get
@@ -414,10 +424,11 @@ impl Device {
         // targets), and the drain cannot spin re-popping them.
         let mut stalled: Vec<u32> = Vec::new();
         loop {
-            let mut run = self.inner.backlog.pop_run(BACKLOG_BATCH);
+            run.clear();
+            self.inner.backlog.pop_run(BACKLOG_BATCH, &mut run);
             match run.len() {
                 0 => break,
-                1 => match run.pop().unwrap() {
+                1 => match run.pop().expect("a run of one") {
                     Backlogged::Send { target, target_dev, data, imm, ctx } => {
                         match self.inner.net.post_send(target, target_dev, &data, imm, ctx) {
                             Ok(()) => did = true,
@@ -442,26 +453,23 @@ impl Device {
                         }
                     }
                 },
-                _ => {
+                n => {
                     // A run of plain sends to one destination (pop_run
                     // guarantees the shape): one batched submission.
                     let (target, target_dev) = send_dest(&run[0]).expect("rdv pump in run");
-                    let descs: Vec<SendDesc<'_>> = run
-                        .iter()
-                        .map(|item| match item {
-                            Backlogged::Send { data, imm, ctx, .. } => {
-                                SendDesc { data: data.as_ref(), imm: *imm, ctx: *ctx }
-                            }
-                            Backlogged::Rdv { .. } => unreachable!("rdv pump in run"),
-                        })
-                        .collect();
-                    match self.inner.net.post_send_batch(target, target_dev, &descs) {
+                    let mut descs = [SendDesc { data: &[], imm: 0, ctx: 0 }; BACKLOG_BATCH];
+                    for (desc, item) in descs.iter_mut().zip(run.iter()) {
+                        let Backlogged::Send { data, imm, ctx, .. } = item else {
+                            unreachable!("rdv pump in run")
+                        };
+                        *desc = SendDesc { data: data.as_ref(), imm: *imm, ctx: *ctx };
+                    }
+                    match self.inner.net.post_send_batch(target, target_dev, &descs[..n]) {
                         Ok(posted) => {
-                            drop(descs);
                             did |= posted > 0;
                             self.inner.stats.bump(|c| &c.batch_posts);
                             self.inner.stats.add(|c| &c.batch_posted_msgs, posted as u64);
-                            if posted < run.len() {
+                            if posted < n {
                                 // Partial progress: the wire filled
                                 // mid-batch. Re-park the unposted tail
                                 // in order and stop.
@@ -470,8 +478,7 @@ impl Device {
                             }
                         }
                         Err(NetError::Retry(_)) => {
-                            drop(descs);
-                            self.inner.backlog.push_front_run(run.into_iter());
+                            self.inner.backlog.push_front_run(run.drain(..));
                             break;
                         }
                         Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
@@ -479,6 +486,9 @@ impl Device {
                 }
             }
         }
+        // The head of a partial batch is on the wire: its staging copies
+        // go back to the pool now, not at the next drain.
+        run.clear();
         for send_id in stalled {
             self.push_backlog(Backlogged::Rdv { send_id });
         }

@@ -91,6 +91,7 @@ pub mod runtime;
 pub mod stats;
 pub mod types;
 mod util;
+mod wait;
 
 pub use coalesce::CoalesceConfig;
 pub use coll::{FnOpU64, IColl, MaxF32, MaxU64, ReduceOp, SumF32, SumU64};

@@ -17,6 +17,7 @@ use crate::error::{FatalError, Result};
 use crate::matching::{MatchingConfig, MatchingEngine};
 use crate::packet_pool::{PacketPool, PacketPoolConfig};
 use crate::types::{RComp, Rank};
+use crate::wait::Streak;
 use lci_fabric::sync::MpmcArray;
 use lci_fabric::topology;
 use lci_fabric::{DeviceConfig, Fabric, NetContext};
@@ -365,28 +366,31 @@ impl Runtime {
         Ok(did)
     }
 
-    /// Spins `f` to readiness — the canonical blocking helper for tests
-    /// and simple clients. Pumps progress on every device of this
-    /// runtime ([`progress_all`](Self::progress_all)) between tests.
+    /// Waits for `f` to hold — the blocking helper the collectives, the
+    /// `i*` handles' `wait`, tests and simple clients block through.
+    /// Sweeps progress on every device of this runtime
+    /// ([`progress_all`](Self::progress_all)) between tests.
     ///
-    /// Progress calls that find work reset the backoff; idle polls spin
-    /// briefly and then yield the core, so oversubscribed rank threads
-    /// (many ranks per core in this reproduction) don't starve the peer
-    /// whose progress they are waiting on.
+    /// A run of idle sweeps (a *streak*, ended by a useful sweep or by
+    /// `f` holding) spins up to the calling thread's learned budget and
+    /// then yields the core on every further idle sweep. The thread
+    /// learns from each streak: one that ended before its first yield
+    /// doubles the budget (up to 64 sweeps), one that yielded halves it,
+    /// and every 16th streak spins the full 64 to find out whether
+    /// spinning pays again. A waiter whose peer needs its core (rank
+    /// threads sharing one, as in this reproduction) so stops spinning
+    /// within a few streaks, and one whose peer has a core of its own
+    /// keeps spinning (DESIGN.md §4.8).
     pub fn wait_until(&self, mut f: impl FnMut() -> bool) -> Result<()> {
-        let mut idle: u32 = 0;
+        let mut streak = Streak::default();
         while !f() {
             if self.progress_all()? {
-                idle = 0;
+                streak.end();
             } else {
-                idle = idle.saturating_add(1);
-            }
-            if idle < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
+                streak.idle();
             }
         }
+        streak.end();
         Ok(())
     }
 

@@ -169,8 +169,8 @@ impl Pair {
         let fabric = Fabric::new(2);
         let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
         let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
-        let send_done: Arc<ArrayQueue<CompDesc>> = Arc::new(ArrayQueue::new(4));
-        let recv_done: Arc<ArrayQueue<CompDesc>> = Arc::new(ArrayQueue::new(4));
+        let send_done: Arc<ArrayQueue<CompDesc>> = Arc::new(ArrayQueue::new(8));
+        let recv_done: Arc<ArrayQueue<CompDesc>> = Arc::new(ArrayQueue::new(8));
         let send_comp = {
             let q = send_done.clone();
             Comp::alloc_handler(move |d| {
@@ -561,6 +561,66 @@ fn warm_packet_steal_is_allocation_free() {
     lci::topology::bind_current_thread(home);
     assert!(stolen.is_some(), "the thief found nothing to steal");
     assert_eq!(allocs, 0, "a warm packet steal made {allocs} allocator calls{}", first_allocs());
+}
+
+/// `no_retry` sends that a full RX endpoint parks, drained warm: the
+/// drain pops each run into the device's reusable run array and hands it
+/// to the wire as a fixed descriptor array, and everything a parked send
+/// holds (its staged copy, its context, its deque slot) is recycled. So
+/// once a few bursts have warmed those, parking a burst and draining it
+/// — in batches the two-slot endpoint cuts short, re-parking each tail —
+/// makes no allocator call.
+#[test]
+fn warm_backlog_drain_is_allocation_free() {
+    const BURST: usize = 8;
+    let _g = serial();
+    let device = lci_fabric::DeviceConfig::ibv().with_rx_capacity(2);
+    let pair = Pair::new_cfg(RuntimeConfig::small().with_device(device));
+    let mut payloads: Vec<SendBuf> = (0..BURST).map(|_| vec![0x4Bu8; 512].into()).collect();
+    let mut landings: Vec<Box<[u8]>> = (0..BURST).map(|_| vec![0u8; 512].into()).collect();
+    let mut burst = || {
+        for landing in landings.drain(..) {
+            let posted = pair.rt1.post_recv(0, landing, 3, pair.recv_comp.clone()).unwrap();
+            assert!(posted.is_posted(), "recv did not post: {posted:?}");
+        }
+        let mut parked = 0;
+        for _ in 0..BURST {
+            let payload = payloads.pop().expect("a payload per send");
+            let send = pair.rt0.post_send_x(1, payload, 3, pair.send_comp.clone()).no_retry();
+            match send.call().unwrap() {
+                PostResult::Done(d) => payloads.push(recover_send(d)),
+                PostResult::Posted => parked += 1,
+                PostResult::Retry(r) => panic!("no_retry surfaced {r:?}"),
+            }
+        }
+        assert_eq!(pair.rt0.device().backlog_len(), parked);
+        while payloads.len() < BURST || landings.len() < BURST {
+            pair.rt0.progress().unwrap();
+            pair.rt1.progress().unwrap();
+            while let Some(d) = pair.send_done.pop() {
+                payloads.push(recover_send(d));
+            }
+            while let Some(d) = pair.recv_done.pop() {
+                assert!(d.as_slice().iter().all(|&b| b == 0x4B), "payload corrupted in flight");
+                landings.push(recover_recv(d));
+            }
+        }
+        assert_eq!(pair.rt0.device().backlog_len(), 0);
+        parked
+    };
+    for _ in 0..8 {
+        assert!(burst() > 1, "a burst parked less than a batch");
+    }
+    let batches = pair.rt0.device().stats().batch_posts;
+    let before = alloc_calls();
+    trace_window(|| {
+        for _ in 0..32 {
+            burst();
+        }
+    });
+    let allocs = alloc_calls() - before;
+    assert!(pair.rt0.device().stats().batch_posts > batches, "no drain posted a batch");
+    assert_eq!(allocs, 0, "warm backlog drains made {allocs} allocator calls{}", first_allocs());
 }
 
 /// Allocator calls, summed over every rank, across 32 warm iterations
