@@ -101,7 +101,9 @@ impl Parcelport {
             did = true;
             let action = self.actions.read(msg.tag as usize).expect("unregistered parcel action");
             let src = msg.src;
-            let data = msg.data;
+            // An action owns its parcel past this poll: copy it out of
+            // the delivered buffer, which goes back to the library now.
+            let data = msg.data.into_vec();
             self.delivered.fetch_add(1, Ordering::AcqRel);
             self.pool.spawn(move || action(src, data));
         }

@@ -3,23 +3,25 @@
 //! Small eager messages bound for the same `(target rank, target
 //! device)` are appended to a per-destination aggregation buffer instead
 //! of being posted individually. A buffer ships as one
-//! [`MsgType::Coalesced`](crate::proto::MsgType) frame when either
-//! threshold is met (bytes or sub-message count), when a non-coalesced
-//! message to the same destination must not overtake it, or when the
-//! progress engine finds it idle. The receive side unpacks the frame and
-//! feeds each sub-message — which carries its own full wire header —
-//! through the normal matching/AM delivery paths, so matching semantics
-//! and per-destination ordering are preserved. The sub-payloads are
-//! delivered as refcounted [`PacketView`](crate::PacketView)s into the
-//! shared landing packet — no per-sub-message allocation or copy on the
-//! demux path.
+//! [`MsgType::Coalesced`](crate::proto::MsgType) frame when the next
+//! record would not fit `max_bytes`, when a non-coalesced message to the
+//! same destination must not overtake it, or when the progress engine
+//! finds it idle. The receive side walks the frame in place and feeds
+//! each sub-message — which carries its own full wire header — through
+//! the normal matching/AM delivery paths, so matching semantics and
+//! per-destination ordering are preserved. The sub-payloads are
+//! delivered as [`PacketView`](crate::PacketView)s into the shared
+//! landing packet, whose count is set once per frame — no
+//! per-sub-message allocation, copy or refcount on the demux path.
 //!
 //! This amortizes the dominant per-message costs of the paper's analysis
 //! (§4.2): the endpoint/QP posting lock, the RX-ring slot, and the
 //! packet+CQE on the receive side are paid once per frame instead of
-//! once per message. The effect is largest on the `ofi` backend
-//! (`DeviceConfig::ofi`), whose single endpoint lock serializes every post
-//! against every poll.
+//! once per message. An append itself takes the destination's slot lock
+//! and copies the record, and no shared counter: the open-frame count
+//! and the device's `coalesced_msgs` move once per frame. The effect is
+//! largest on the `ofi` backend (`DeviceConfig::ofi`), whose single
+//! endpoint lock serializes every post against every poll.
 
 use crate::proto::{coalesce_pack, COALESCE_SUB_OVERHEAD};
 use crate::types::Rank;
@@ -29,17 +31,24 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Coalescing configuration (a [`RuntimeConfig`](crate::RuntimeConfig)
 /// field).
+///
+/// A frame ships when the next record would take it past `max_bytes`
+/// (so it fills its packet: 292 16-byte messages in 8 KiB), when a
+/// message to the same destination must not overtake it, when the
+/// progress engine finds it idle, or on an explicit flush. Every record
+/// costs its payload plus
+/// [`COALESCE_SUB_OVERHEAD`](crate::proto::COALESCE_SUB_OVERHEAD) bytes,
+/// and the frame's record count travels in the 24-bit aux field of its
+/// header, so `max_bytes / COALESCE_SUB_OVERHEAD` must stay below 2^24.
 #[derive(Clone, Copy, Debug)]
 pub struct CoalesceConfig {
     /// Master switch; when off, every send posts individually (the seed
     /// behaviour) and the other fields are ignored.
     pub enabled: bool,
-    /// Flush a destination once its frame holds this many payload+header
-    /// bytes. Must not exceed the packet payload size (frames are
-    /// delivered into pre-posted packets).
+    /// The most payload+header bytes a frame holds. Must not exceed the
+    /// packet payload size (frames are delivered into pre-posted
+    /// packets).
     pub max_bytes: usize,
-    /// Flush a destination once its frame holds this many sub-messages.
-    pub max_msgs: usize,
     /// Only messages up to this size are coalesced; larger eager sends
     /// post individually.
     pub max_sub_size: usize,
@@ -47,7 +56,7 @@ pub struct CoalesceConfig {
 
 impl Default for CoalesceConfig {
     fn default() -> Self {
-        Self { enabled: false, max_bytes: 8192, max_msgs: 64, max_sub_size: 1024 }
+        Self { enabled: false, max_bytes: 8192, max_sub_size: 1024 }
     }
 }
 
@@ -86,8 +95,9 @@ pub(crate) struct Coalescer {
     slots: Vec<SpinLock<Vec<Slot>>>,
     /// Recycled storage for frame buffers (the owning device's pool).
     pool: BufPool,
-    /// Total buffered sub-messages — the progress/quiesce fast path.
-    pending: AtomicUsize,
+    /// Slots holding at least one record — the flush paths' fast path.
+    /// It moves when a frame opens or ships, never per append.
+    open: AtomicUsize,
     /// Bumped by each idle sweep; slots untouched for a full epoch flush.
     epoch: AtomicU64,
 }
@@ -98,7 +108,7 @@ impl Coalescer {
             cfg,
             slots: (0..nranks).map(|_| SpinLock::new(Vec::new())).collect(),
             pool,
-            pending: AtomicUsize::new(0),
+            open: AtomicUsize::new(0),
             epoch: AtomicU64::new(0),
         }
     }
@@ -114,15 +124,19 @@ impl Coalescer {
             && size + COALESCE_SUB_OVERHEAD <= self.cfg.max_bytes
     }
 
-    /// Buffered sub-messages not yet on the wire.
+    /// Buffered sub-messages not yet on the wire, summed over the slots
+    /// under their locks (quiesce and diagnostics; nothing on the data
+    /// path reads it).
     pub fn pending(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
+        if self.open.load(Ordering::Acquire) == 0 {
+            return 0;
+        }
+        self.slots.iter().map(|s| s.lock().iter().map(|s| s.count).sum::<usize>()).sum()
     }
 
-    /// Appends one sub-message for `(target, dev)`, handing any frame
-    /// that became due to `post`: the previous frame when this append
-    /// would have overflowed `max_bytes`, and/or the current frame when
-    /// it reached a threshold (almost always 0 or 1 frames).
+    /// Appends one sub-message for `(target, dev)`, first handing the
+    /// open frame to `post` when this record would take it past
+    /// `max_bytes` (0 or 1 frames).
     ///
     /// `post` runs while the destination's slot lock is held: frames for
     /// one destination reach the wire in creation order even when
@@ -150,20 +164,18 @@ impl Coalescer {
                 slots.last_mut().unwrap()
             }
         };
-        if !slot.data.is_empty()
+        if slot.count > 0
             && slot.data.len() + COALESCE_SUB_OVERHEAD + payload.len() > self.cfg.max_bytes
         {
             let frame = self.take_slot(target, slot);
             post(frame)?;
         }
+        if slot.count == 0 {
+            self.open.fetch_add(1, Ordering::AcqRel);
+        }
         coalesce_pack(slot.data.vec_mut(), sub_imm, payload);
         slot.count += 1;
         slot.epoch = epoch;
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        if slot.count >= self.cfg.max_msgs || slot.data.len() >= self.cfg.max_bytes {
-            let frame = self.take_slot(target, slot);
-            post(frame)?;
-        }
         Ok(())
     }
 
@@ -176,11 +188,11 @@ impl Coalescer {
         dev: DevId,
         mut post: impl FnMut(Frame) -> Result<(), E>,
     ) -> Result<(), E> {
-        if self.pending.load(Ordering::Acquire) == 0 {
+        if self.open.load(Ordering::Acquire) == 0 {
             return Ok(());
         }
         let mut slots = self.slots[target].lock();
-        if let Some(slot) = slots.iter_mut().find(|s| s.dev == dev && !s.data.is_empty()) {
+        if let Some(slot) = slots.iter_mut().find(|s| s.dev == dev && s.count > 0) {
             let frame = self.take_slot(target, slot);
             post(frame)?;
         }
@@ -192,14 +204,14 @@ impl Coalescer {
     /// to survives one sweep; quiescent ones flush with a latency of at
     /// most two progress calls. `post` runs under the owning slot lock.
     pub fn take_idle_with<E>(&self, mut post: impl FnMut(Frame) -> Result<(), E>) -> Result<(), E> {
-        if self.pending.load(Ordering::Acquire) == 0 {
+        if self.open.load(Ordering::Acquire) == 0 {
             return Ok(());
         }
         let now = self.epoch.fetch_add(1, Ordering::Relaxed);
         for (target, slots) in self.slots.iter().enumerate() {
             let mut slots = slots.lock();
             for slot in slots.iter_mut() {
-                if !slot.data.is_empty() && slot.epoch < now {
+                if slot.count > 0 && slot.epoch < now {
                     let frame = self.take_slot(target, slot);
                     post(frame)?;
                 }
@@ -211,13 +223,13 @@ impl Coalescer {
     /// Flushes every open frame (explicit flush). `post` runs under the
     /// owning slot lock.
     pub fn take_all_with<E>(&self, mut post: impl FnMut(Frame) -> Result<(), E>) -> Result<(), E> {
-        if self.pending.load(Ordering::Acquire) == 0 {
+        if self.open.load(Ordering::Acquire) == 0 {
             return Ok(());
         }
         for (target, slots) in self.slots.iter().enumerate() {
             let mut slots = slots.lock();
             for slot in slots.iter_mut() {
-                if !slot.data.is_empty() {
+                if slot.count > 0 {
                     let frame = self.take_slot(target, slot);
                     post(frame)?;
                 }
@@ -226,6 +238,8 @@ impl Coalescer {
         Ok(())
     }
 
+    /// Ships `slot`'s open frame: the slot is empty, and no longer
+    /// counted as open, when this returns.
     fn take_slot(&self, target: Rank, slot: &mut Slot) -> Frame {
         // Restock the slot from the pool: in the steady state the frame
         // just posted (and dropped) is the buffer handed back here.
@@ -233,10 +247,9 @@ impl Coalescer {
             target,
             target_dev: slot.dev,
             data: std::mem::replace(&mut slot.data, self.pool.take_empty(self.cfg.max_bytes)),
-            count: slot.count,
+            count: std::mem::take(&mut slot.count),
         };
-        self.pending.fetch_sub(slot.count, Ordering::AcqRel);
-        slot.count = 0;
+        self.open.fetch_sub(1, Ordering::AcqRel);
         frame
     }
 }
@@ -244,10 +257,10 @@ impl Coalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::coalesce_unpack;
+    use crate::proto::coalesce_records;
 
-    fn cfg(max_bytes: usize, max_msgs: usize) -> CoalesceConfig {
-        CoalesceConfig { enabled: true, max_bytes, max_msgs, max_sub_size: 256 }
+    fn cfg(max_bytes: usize) -> CoalesceConfig {
+        CoalesceConfig { enabled: true, max_bytes, max_sub_size: 256 }
     }
 
     fn mk(cfg: CoalesceConfig, nranks: usize) -> Coalescer {
@@ -295,35 +308,70 @@ mod tests {
         out
     }
 
+    /// A frame fills up to `max_bytes` exactly and ships only when the
+    /// next record would not fit; there is no cap on its record count.
     #[test]
-    fn count_threshold_flushes() {
-        let c = mk(cfg(1 << 20, 3), 2);
-        assert!(append(&c, 1, 0, 10, b"a").is_empty());
-        assert!(append(&c, 1, 0, 11, b"b").is_empty());
-        assert_eq!(c.pending(), 2);
-        let frames = append(&c, 1, 0, 12, b"c");
+    fn frame_ships_when_the_next_record_would_not_fit() {
+        // Four 1-byte records are 4 * 13 = 52 bytes: the frame is full.
+        let c = mk(cfg(52), 2);
+        for (imm, p) in [(10, b"a"), (11, b"b"), (12, b"c"), (13, b"d")] {
+            assert!(append(&c, 1, 0, imm, p).is_empty(), "shipped before it was full");
+        }
+        assert_eq!(c.pending(), 4);
+        let frames = append(&c, 1, 0, 14, b"e");
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].count, 3);
-        assert_eq!(c.pending(), 0);
-        let subs = coalesce_unpack(&frames[0].data).unwrap();
-        assert_eq!(subs, vec![(10, b"a".as_slice()), (11, b"b".as_slice()), (12, b"c".as_slice())]);
+        assert_eq!((frames[0].count, frames[0].data.len()), (4, 52));
+        assert_eq!(c.pending(), 1, "the fifth record opened the next frame");
+        let frame = &frames[0].data;
+        let subs: Vec<_> = coalesce_records(frame).map(|r| r.unwrap()).collect();
+        let got: Vec<_> = subs.into_iter().map(|(imm, r)| (imm, &frame[r])).collect();
+        let want: [(u64, &[u8]); 4] = [(10, b"a"), (11, b"b"), (12, b"c"), (13, b"d")];
+        assert_eq!(got, want);
     }
 
     #[test]
     fn byte_threshold_flushes_before_overflow() {
-        // max_bytes 64: two 20-byte subs fit (2 * 32 = 64 >= threshold →
-        // flush after second); a third would overflow first.
-        let c = mk(cfg(64, 1000), 1);
+        // max_bytes 64: two 20-byte subs fill it (2 * 32 = 64) and stay
+        // open; an empty third record would overflow, so it ships them.
+        let c = mk(cfg(64), 1);
         assert!(append(&c, 0, 0, 1, &[0u8; 20]).is_empty());
-        let frames = append(&c, 0, 0, 2, &[1u8; 20]);
+        assert!(append(&c, 0, 0, 2, &[1u8; 20]).is_empty());
+        let frames = append(&c, 0, 0, 3, &[]);
         assert_eq!(frames.len(), 1);
-        assert!(frames[0].data.len() <= 64);
-        assert_eq!(frames[0].count, 2);
+        assert_eq!((frames[0].count, frames[0].data.len()), (2, 64));
+    }
+
+    /// `pending` is exact: the records buffered in every slot, whatever
+    /// shipped them — an overflow, an ordering take, an idle sweep or an
+    /// explicit flush.
+    #[test]
+    fn pending_counts_every_buffered_record() {
+        let c = mk(cfg(3 * 13), 3);
+        assert_eq!(c.pending(), 0);
+        for i in 0..7 {
+            append(&c, 1, 0, i, b"x");
+        }
+        // Two full frames shipped on overflow; one record is buffered.
+        assert_eq!(c.pending(), 1);
+        append(&c, 2, 0, 0, b"y");
+        append(&c, 2, 1, 0, b"z");
+        append(&c, 2, 1, 1, b"z");
+        assert_eq!(c.pending(), 4);
+        assert_eq!(take(&c, 2, 1).map(|f| f.count), Some(2));
+        assert_eq!(c.pending(), 2);
+        assert!(take_idle(&c).is_empty(), "appended this epoch");
+        assert_eq!(take_idle(&c).len(), 2);
+        assert_eq!(c.pending(), 0);
+        append(&c, 0, 0, 0, b"w");
+        assert_eq!(c.pending(), 1);
+        assert_eq!(take_all(&c).len(), 1);
+        assert_eq!(c.pending(), 0);
+        assert_eq!(c.open.load(Ordering::Relaxed), 0, "a shipped frame still counted open");
     }
 
     #[test]
     fn per_destination_isolation_and_take() {
-        let c = mk(cfg(1 << 20, 1000), 3);
+        let c = mk(cfg(1 << 20), 3);
         append(&c, 1, 0, 1, b"x");
         append(&c, 2, 0, 2, b"y");
         append(&c, 2, 1, 3, b"z");
@@ -338,7 +386,7 @@ mod tests {
 
     #[test]
     fn idle_sweep_gives_one_epoch_grace() {
-        let c = mk(cfg(1 << 20, 1000), 1);
+        let c = mk(cfg(1 << 20), 1);
         append(&c, 0, 0, 1, b"x");
         // First sweep: appended during the current epoch — survives.
         assert!(take_idle(&c).is_empty());
@@ -351,7 +399,7 @@ mod tests {
 
     #[test]
     fn eligibility() {
-        let c = mk(cfg(64, 8), 1);
+        let c = mk(cfg(64), 1);
         assert!(c.eligible(0));
         assert!(c.eligible(52)); // 52 + 12 == 64
         assert!(!c.eligible(53)); // would exceed max_bytes alone

@@ -13,7 +13,7 @@ use crate::comp::Comp;
 use crate::error::{FatalError, PostResult, Result};
 use crate::matching::MatchKind;
 use crate::packet_pool::Packet;
-use crate::proto::{coalesce_unpack_ranges, Header, MsgType};
+use crate::proto::{coalesce_records, Header, MsgType};
 use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag};
 use lci_fabric::{NetError, PoolBuf};
 use std::ops::Range;
@@ -115,11 +115,11 @@ impl Device {
 
         if coalescable {
             // Coalescing path: absorb the message into the destination's
-            // aggregation buffer.
+            // aggregation buffer (`coalesced_msgs` counts it when its
+            // frame ships).
             self.inner.with_bytes(&buf, 0..size, |data| {
                 coal.append_with(args.rank, target_dev, imm, data, |frame| self.post_frame(frame))
             })?;
-            self.inner.stats.bump(|c| &c.coalesced_msgs);
             return done(buf);
         }
 
@@ -169,8 +169,9 @@ impl Device {
     /// waiting there, and frames for one destination must reach the wire
     /// in creation order (the backlog drains FIFO).
     fn post_frame(&self, frame: Frame) -> Result<()> {
-        self.inner.stats.bump(|c| &c.coalesce_flushes);
         let Frame { target, target_dev, data, count } = frame;
+        self.inner.stats.bump(|c| &c.coalesce_flushes);
+        self.inner.stats.add(|c| &c.coalesced_msgs, count as u64);
         let imm = Header::new(MsgType::Coalesced, MatchingPolicy::None, 0, count as u32).encode();
         if self.inner.backlog.is_empty() {
             match self.inner.net.post_inject(target, target_dev, &data, imm) {
@@ -210,6 +211,8 @@ impl Device {
     /// Sub-messages buffered for coalescing but not yet on the wire.
     /// They need further [`progress`](Device::progress) calls (or an
     /// explicit [`flush_coalesced`](Device::flush_coalesced)) to ship.
+    /// Exact: it sums the open frames under their locks, so it is for
+    /// quiescence checks and diagnostics, not for a data path.
     pub fn coalesce_pending(&self) -> usize {
         self.inner.coalescer.pending()
     }
@@ -317,10 +320,12 @@ impl Device {
         }
     }
 
-    /// Demultiplexes a coalesced frame. Zero-copy: the frame packet
-    /// becomes a shared refcounted buffer and every sub-message is handed
-    /// out as a view into it; the slot returns to the pool when the last
-    /// view drops.
+    /// Demultiplexes a coalesced frame, zero-copy and per frame: the
+    /// frame is validated, its packet's count is set once to its number
+    /// of records, and the records are walked in place, each delivered
+    /// as a view into the packet; the slot returns to the pool when the
+    /// last view drops. The active messages it delivers at once are
+    /// counted as zero-copy deliveries once, for the frame.
     pub(super) fn deliver_coalesced(
         &self,
         src: Rank,
@@ -328,19 +333,40 @@ impl Device {
         packet: Packet,
         len: usize,
     ) -> Result<()> {
-        let subs = coalesce_unpack_ranges(&packet.as_slice()[..len])?;
-        if count as usize != subs.len() {
+        let n = coalesce_records(&packet.as_slice()[..len]).validate()?;
+        if n != count as usize {
             return Err(FatalError::Net(format!(
-                "coalesced frame count mismatch: header {count} vs {}",
-                subs.len()
+                "coalesced frame count mismatch: header {count} vs {n}"
             )));
         }
-        let shared = packet.into_shared();
-        for (sub_imm, r) in subs {
-            let view = shared.view(r.start, r.end - r.start);
-            self.deliver_eager(src, Header::decode(sub_imm)?, DataBuf::View(view))?;
-        }
-        Ok(())
+        let views = packet.into_views(count);
+        let mut zero_copy = 0;
+        let res = coalesce_records(views.as_slice()).try_for_each(|rec| {
+            let (sub_imm, r) = rec?;
+            let hdr = Header::decode(sub_imm)?;
+            let data = DataBuf::View(views.view(r.start, r.len()));
+            // An AM whose rcomp exists is signalled here, so the frame
+            // counts it; any other record takes the standalone path (an
+            // early AM parks and is counted when it is delivered).
+            let rcomp = match hdr.ty {
+                MsgType::EagerAm => self.inner.rt.rcomp.get(hdr.aux as usize),
+                _ => None,
+            };
+            if let Some(comp) = rcomp {
+                zero_copy += 1;
+                comp.signal(CompDesc {
+                    rank: src,
+                    tag: hdr.tag,
+                    data,
+                    user_ctx: 0,
+                    kind: CompKind::Am,
+                });
+                return Ok(());
+            }
+            self.deliver_eager(src, hdr, data)
+        });
+        self.inner.stats.add(|c| &c.zero_copy_deliveries, zero_copy);
+        res
     }
 
     /// Delivers `p` to the completion object registered as `rcomp`, or

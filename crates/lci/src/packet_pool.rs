@@ -16,12 +16,19 @@
 //! `get` is non-blocking: when the first stealing attempt round fails it
 //! returns `None`, which the posting path surfaces as the `retry`
 //! status with reason `NoPacket`.
+//!
+//! A packet shared read-only ([`SharedPacket`], [`PacketView`]) is
+//! counted in the pool's own per-slot reference count, not in a
+//! separate allocation: a coalesced frame's packet has its count set
+//! once, to the number of sub-message views the demux hands out.
 
 use crate::error::{FatalError, Result};
 use lci_fabric::sync::{MpmcArray, SpinLock};
 use lci_fabric::topology::{self, CachePadded};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Packets per allocation chunk.
@@ -58,6 +65,9 @@ struct PoolShared {
     stripes: Box<[CachePadded<SpinLock<VecDeque<u32>>>]>,
     /// `stripes.len() - 1`; stripe counts are powers of two.
     mask: usize,
+    /// Per-slot reference counts of shared packets, indexed like the
+    /// slots; meaningful only while a slot is checked out and shared.
+    refs: Box<[AtomicU32]>,
 }
 
 impl PoolShared {
@@ -135,11 +145,20 @@ impl Packet {
     /// read-only views can alias it; the slot returns to the pool when
     /// the last view (and the `SharedPacket` itself) drops.
     pub fn into_shared(self) -> SharedPacket {
-        let me = std::mem::ManuallyDrop::new(self);
-        // SAFETY: `me`'s Drop is suppressed and the fields are moved out
-        // exactly once; `SharedInner`'s Drop takes over slot ownership.
-        let shared = unsafe { std::ptr::read(&me.shared) };
-        SharedPacket { inner: Arc::new(SharedInner { shared, idx: me.idx, len: me.len }) }
+        let len = self.len;
+        SharedPacket { slot: SlotRef::share(self, 1), len }
+    }
+
+    /// Freezes this packet for a demux that hands out exactly `n` views
+    /// ([`FrameViews::view`]): the slot's count is set once, to `n` plus
+    /// one for the returned handle, and no view takes a count of its own.
+    ///
+    /// # Panics
+    /// Panics if the count would not fit.
+    pub(crate) fn into_views(self, n: u32) -> FrameViews {
+        let refs = n.checked_add(1).expect("view count overflow");
+        let len = self.len;
+        FrameViews { slot: SlotRef::share(self, refs), len, left: Cell::new(n) }
     }
 }
 
@@ -159,48 +178,102 @@ impl Drop for Packet {
     }
 }
 
-/// Shared ownership of one checked-out packet slot. Created by
-/// [`Packet::into_shared`]; dropped when the `SharedPacket` and every
-/// [`PacketView`] carved from it are gone, at which point the slot
-/// returns to the dropping thread's deque — exactly once.
-struct SharedInner {
-    shared: Arc<PoolShared>,
+/// One counted reference to a shared packet slot: the pool and the
+/// slot's index. Whoever holds it owns one of the slot's references
+/// ([`FrameViews`] owns several). Together the references own the pool
+/// reference the [`Packet`] held; the last one to go returns the slot,
+/// then that pool reference.
+#[derive(Clone, Copy)]
+struct SlotRef {
+    pool: NonNull<PoolShared>,
     idx: u32,
-    len: usize,
 }
 
-impl Drop for SharedInner {
-    fn drop(&mut self) {
-        PacketPool::put_idx(&self.shared, self.idx);
+// SAFETY: `PoolShared` is `Send + Sync`, and a shared slot's bytes are
+// only read until its last reference goes.
+unsafe impl Send for SlotRef {}
+unsafe impl Sync for SlotRef {}
+
+impl SlotRef {
+    /// Shares `packet`'s slot with its count set to `refs`: one store,
+    /// since nobody else can see the slot yet.
+    fn share(packet: Packet, refs: u32) -> SlotRef {
+        let me = std::mem::ManuallyDrop::new(packet);
+        // SAFETY: `me`'s Drop is suppressed, so the pool reference moves
+        // out exactly once; the slot's references own it from here.
+        let pool = unsafe { std::ptr::read(&me.shared) };
+        pool.refs[me.idx as usize].store(refs, Ordering::Relaxed);
+        let pool = NonNull::new(Arc::into_raw(pool).cast_mut()).expect("Arc pointer is non-null");
+        SlotRef { pool, idx: me.idx }
+    }
+
+    fn pool(&self) -> &PoolShared {
+        // SAFETY: the pool reference lives until the slot's last
+        // reference goes, and the caller holds one.
+        unsafe { self.pool.as_ref() }
+    }
+
+    /// The first `len` bytes of the slot, offset by `off`.
+    fn bytes(&self, off: usize, len: usize) -> &[u8] {
+        // SAFETY: the caller holds a reference and bounds-checked
+        // `off + len` against the payload; nobody writes a shared slot.
+        unsafe { std::slice::from_raw_parts(self.pool().packet_ptr(self.idx).add(off), len) }
+    }
+
+    /// Takes one more reference (a clone).
+    fn acquire(&self) {
+        let old = self.pool().refs[self.idx as usize].fetch_add(1, Ordering::Relaxed);
+        // As `Arc` does: a count this high is a leak of clones, and
+        // wrapping it would free a slot that is still read.
+        if old > u32::MAX / 2 {
+            std::process::abort();
+        }
+    }
+
+    /// Gives up `n` references. The last one returns the slot to the
+    /// dropping thread's stripe — exactly once — then the pool
+    /// reference.
+    ///
+    /// # Safety
+    /// The caller owns `n` of the slot's references and does not read
+    /// the slot through this `SlotRef` afterwards.
+    unsafe fn release(self, n: u32) {
+        let pool = self.pool();
+        if pool.refs[self.idx as usize].fetch_sub(n, Ordering::Release) != n {
+            return;
+        }
+        // Every other holder's reads happen before the slot is reused.
+        fence(Ordering::Acquire);
+        PacketPool::put_idx(pool, self.idx);
+        // SAFETY: made by `Arc::into_raw` in `share`; this is the last
+        // reference, so it is turned back exactly once.
+        drop(unsafe { Arc::from_raw(self.pool.as_ptr()) });
     }
 }
 
 /// A refcounted, read-only packet. One received packet (e.g. a coalesced
 /// frame) can back many sub-message [`PacketView`]s without copying; the
-/// underlying slot is released when the last handle drops.
-#[derive(Clone)]
+/// underlying slot is released when the last handle drops. The count
+/// lives with the slot in the pool, so sharing allocates nothing.
 pub struct SharedPacket {
-    inner: Arc<SharedInner>,
+    slot: SlotRef,
+    len: usize,
 }
 
 impl SharedPacket {
     /// Logical payload length (as received).
     pub fn len(&self) -> usize {
-        self.inner.len
+        self.len
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.len == 0
+        self.len == 0
     }
 
     /// Read access to the payload.
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: the slot stays checked out (and unaliased by writers)
-        // while any handle to this `SharedInner` is alive.
-        unsafe {
-            std::slice::from_raw_parts(self.inner.shared.packet_ptr(self.inner.idx), self.inner.len)
-        }
+        self.slot.bytes(0, self.len)
     }
 
     /// Carves a zero-copy sub-slice view out of this packet.
@@ -208,30 +281,50 @@ impl SharedPacket {
     /// # Panics
     /// Panics if `off + len` exceeds the payload length.
     pub fn view(&self, off: usize, len: usize) -> PacketView {
-        assert!(
-            off.checked_add(len).is_some_and(|end| end <= self.inner.len),
-            "view {off}+{len} out of bounds for packet payload of {}",
-            self.inner.len
-        );
-        PacketView { inner: self.inner.clone(), off, len }
+        check_view(off, len, self.len);
+        self.slot.acquire();
+        PacketView { slot: self.slot, off, len }
+    }
+}
+
+impl Clone for SharedPacket {
+    fn clone(&self) -> Self {
+        self.slot.acquire();
+        SharedPacket { slot: self.slot, len: self.len }
+    }
+}
+
+impl Drop for SharedPacket {
+    fn drop(&mut self) {
+        // SAFETY: this handle owns one reference and is gone after this.
+        unsafe { self.slot.release(1) }
     }
 }
 
 impl std::fmt::Debug for SharedPacket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let refs = self.slot.pool().refs[self.slot.idx as usize].load(Ordering::Relaxed);
         f.debug_struct("SharedPacket")
-            .field("idx", &self.inner.idx)
-            .field("len", &self.inner.len)
-            .field("refs", &Arc::strong_count(&self.inner))
+            .field("idx", &self.slot.idx)
+            .field("len", &self.len)
+            .field("refs", &refs)
             .finish()
     }
 }
 
-/// A zero-copy read-only slice of a [`SharedPacket`]. Holds a strong
-/// reference: the packet slot cannot be reused while any view is alive.
-#[derive(Clone)]
+fn check_view(off: usize, len: usize, payload: usize) {
+    assert!(
+        off.checked_add(len).is_some_and(|end| end <= payload),
+        "view {off}+{len} out of bounds for packet payload of {payload}"
+    );
+}
+
+/// A zero-copy read-only slice of a shared packet. Holds one of the
+/// slot's references: the slot cannot be reused while any view is alive.
+/// A coalesced frame's views are counted once for the whole frame, when
+/// it is demultiplexed; cloning a view takes one more reference.
 pub struct PacketView {
-    inner: Arc<SharedInner>,
+    slot: SlotRef,
     off: usize,
     len: usize,
 }
@@ -249,24 +342,70 @@ impl PacketView {
 
     /// Read access to the viewed bytes.
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: bounds checked at construction; slot stays checked out
-        // while this view is alive.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.inner.shared.packet_ptr(self.inner.idx).add(self.off),
-                self.len,
-            )
-        }
+        self.slot.bytes(self.off, self.len)
+    }
+}
+
+impl Clone for PacketView {
+    fn clone(&self) -> Self {
+        self.slot.acquire();
+        PacketView { slot: self.slot, off: self.off, len: self.len }
+    }
+}
+
+impl Drop for PacketView {
+    fn drop(&mut self) {
+        // SAFETY: this view owns one reference and is gone after this.
+        unsafe { self.slot.release(1) }
     }
 }
 
 impl std::fmt::Debug for PacketView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PacketView")
-            .field("idx", &self.inner.idx)
+            .field("idx", &self.slot.idx)
             .field("off", &self.off)
             .field("len", &self.len)
             .finish()
+    }
+}
+
+/// A packet frozen for a demux that knows how many views it will hand
+/// out ([`Packet::into_views`]). Each [`view`](Self::view) passes on one
+/// of the references counted up front, so carving takes no atomic
+/// operation; the handle's own reference, and any view it never handed
+/// out, are given up when it drops.
+pub(crate) struct FrameViews {
+    slot: SlotRef,
+    len: usize,
+    /// Views still to hand out.
+    left: Cell<u32>,
+}
+
+impl FrameViews {
+    /// The frozen payload.
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        self.slot.bytes(0, self.len)
+    }
+
+    /// Hands out the next view, `len` bytes at `off`.
+    ///
+    /// # Panics
+    /// Panics past the counted number of views or out of bounds.
+    pub(crate) fn view(&self, off: usize, len: usize) -> PacketView {
+        let left = self.left.get();
+        assert!(left > 0, "more views than the frame was counted for");
+        check_view(off, len, self.len);
+        self.left.set(left - 1);
+        PacketView { slot: self.slot, off, len }
+    }
+}
+
+impl Drop for FrameViews {
+    fn drop(&mut self) {
+        // SAFETY: the handle's own reference plus the views it never
+        // handed out; it is gone after this.
+        unsafe { self.slot.release(self.left.get() + 1) }
     }
 }
 
@@ -314,6 +453,7 @@ impl PacketPool {
             chunks: SpinLock::new(Vec::new()),
             stripes: (0..nstripes).map(|_| CachePadded(SpinLock::new(VecDeque::new()))).collect(),
             mask: nstripes - 1,
+            refs: (0..cfg.count).map(|_| AtomicU32::new(0)).collect(),
         });
         // Allocate chunks.
         let nchunks = cfg.count.div_ceil(CHUNK_PACKETS);
@@ -454,7 +594,7 @@ impl PacketPool {
     /// Returns a packet index to the current core's stripe (a
     /// cross-core free re-homes the packet to the freeing core).
     #[inline]
-    fn put_idx(shared: &Arc<PoolShared>, idx: u32) {
+    fn put_idx(shared: &PoolShared, idx: u32) {
         shared.home().lock().push_back(idx);
     }
 
@@ -632,6 +772,103 @@ mod tests {
         assert_eq!(pool.outstanding(), 1);
         drop(v2);
         assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// A frame's views carry the count set up front: the slot stays out
+    /// while any view or the frame handle lives, views never handed out
+    /// are given back with the handle, and nothing is released twice.
+    #[test]
+    fn frame_views_release_slot_once() {
+        let pool = PacketPool::new(PacketPoolConfig { payload_size: 64, count: 2 }).unwrap();
+        let mut p = pool.get().unwrap();
+        p.fill(b"abcdefgh");
+        let frame = p.into_views(3);
+        let (v1, v2) = (frame.view(0, 4), frame.view(4, 4));
+        drop(frame);
+        assert_eq!(pool.outstanding(), 1, "views keep the slot checked out");
+        let v3 = v2.clone();
+        assert_eq!((v1.as_slice(), v2.as_slice()), (&b"abcd"[..], &b"efgh"[..]));
+        drop((v1, v2));
+        assert_eq!(pool.outstanding(), 1, "a clone holds its own reference");
+        assert_eq!(v3.as_slice(), b"efgh");
+        drop(v3);
+        assert_eq!(pool.outstanding(), 0);
+        let frame = pool.get().unwrap().into_views(2);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _views = (frame.view(0, 0), frame.view(0, 0), frame.view(0, 0));
+        }));
+        assert!(r.is_err(), "a view past the count must panic");
+        drop(frame);
+        assert_eq!(pool.outstanding(), 0);
+    }
+
+    /// The views of one frame dropped on four threads in random order:
+    /// the slot goes back to the pool exactly once, after the last one,
+    /// and no view reads a reused slot. A scribbler keeps taking packets
+    /// and overwriting them, so a slot handed back early shows as a
+    /// corrupt view, and one handed back twice as a pool that is not
+    /// back to its baseline (or as two owners of one slot).
+    #[test]
+    fn frame_views_dropped_across_threads() {
+        const VIEWS: usize = 64;
+        const SIZE: usize = 16;
+        let pool =
+            PacketPool::new(PacketPoolConfig { payload_size: VIEWS * SIZE, count: 4 }).unwrap();
+        let baseline = pool.outstanding();
+        let stop = Arc::new(AtomicUsize::new(0));
+        let scribbler = {
+            let (pool, stop) = (pool.clone(), stop.clone());
+            std::thread::spawn(move || {
+                while stop.load(Ordering::Relaxed) == 0 {
+                    if let Some(mut p) = pool.get() {
+                        p.fill(&[0xFF; VIEWS * SIZE]);
+                    }
+                }
+            })
+        };
+        let byte = |round: usize, view: usize| ((round * 7 + view) % 251) as u8;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize
+        };
+        for round in 0..200 {
+            let mut p = loop {
+                if let Some(p) = pool.get() {
+                    break p;
+                }
+            };
+            let bytes: Vec<u8> = (0..VIEWS * SIZE).map(|i| byte(round, i / SIZE)).collect();
+            p.fill(&bytes);
+            let frame = p.into_views(VIEWS as u32);
+            let mut views: Vec<_> = (0..VIEWS).map(|i| (i, frame.view(i * SIZE, SIZE))).collect();
+            drop(frame);
+            for i in (1..VIEWS).rev() {
+                views.swap(i, next() % (i + 1));
+            }
+            let mut bins: Vec<Vec<_>> = (0..4).map(|_| Vec::new()).collect();
+            for v in views {
+                bins[next() % 4].push(v);
+            }
+            std::thread::scope(|s| {
+                for bin in bins {
+                    s.spawn(move || {
+                        for (i, view) in bin {
+                            std::thread::yield_now();
+                            assert!(
+                                view.as_slice().iter().all(|&b| b == byte(round, i)),
+                                "round {round}: view {i} read a reused slot"
+                            );
+                        }
+                    });
+                }
+            });
+        }
+        stop.store(1, Ordering::Relaxed);
+        scribbler.join().unwrap();
+        assert_eq!(pool.outstanding(), baseline, "a frame's slot leaked or was freed twice");
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 use crate::error::{FatalError, Result};
 use crate::types::{MatchingPolicy, Tag};
+use std::ops::Range;
 
 /// Wire message types.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,44 +205,61 @@ pub fn coalesce_pack(frame: &mut Vec<u8>, sub_imm: u64, payload: &[u8]) {
     frame.extend_from_slice(payload);
 }
 
-/// Splits a coalesced frame into `(sub_imm, payload range)` records
-/// without borrowing the payload bytes — the zero-copy demux path uses
-/// the ranges to carve [`crate::PacketView`]s out of the backing packet.
-/// Validation is identical to [`coalesce_unpack`]: truncated records,
-/// trailing garbage and empty frames are rejected.
-pub fn coalesce_unpack_ranges(frame: &[u8]) -> Result<Vec<(u64, std::ops::Range<usize>)>> {
-    if frame.is_empty() {
-        return Err(FatalError::Net("empty coalesced frame".into()));
+/// Walks a coalesced frame in place: one `(sub_imm, payload range)` item
+/// per record, in order, borrowing nothing but the frame and allocating
+/// nothing — the zero-copy demux carves a [`crate::PacketView`] out of
+/// the landing packet for each range. An empty frame (the sender never
+/// ships one), a truncated record header or payload, and so trailing
+/// garbage, each yield one `Err`, after which the walk ends.
+pub fn coalesce_records(frame: &[u8]) -> CoalescedRecords<'_> {
+    CoalescedRecords { frame, at: 0 }
+}
+
+/// The iterator [`coalesce_records`] returns.
+#[derive(Clone, Debug)]
+pub struct CoalescedRecords<'a> {
+    frame: &'a [u8],
+    /// Offset of the next record; past the end once an error was yielded.
+    at: usize,
+}
+
+impl CoalescedRecords<'_> {
+    /// Walks the whole frame, returning its record count, or the first
+    /// error.
+    pub fn validate(mut self) -> Result<usize> {
+        self.try_fold(0, |n, r| r.map(|_| n + 1))
     }
-    let mut subs = Vec::new();
-    let mut at = 0usize;
-    while at < frame.len() {
+
+    fn fail(&mut self, msg: String) -> Option<Result<(u64, Range<usize>)>> {
+        self.at = usize::MAX;
+        Some(Err(FatalError::Net(msg)))
+    }
+}
+
+impl Iterator for CoalescedRecords<'_> {
+    type Item = Result<(u64, Range<usize>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (frame, at) = (self.frame, self.at);
+        if frame.is_empty() && at == 0 {
+            return self.fail("empty coalesced frame".into());
+        }
+        if at >= frame.len() {
+            return None;
+        }
         if frame.len() - at < COALESCE_SUB_OVERHEAD {
-            return Err(FatalError::Net("truncated coalesced sub-header".into()));
+            return self.fail("truncated coalesced sub-header".into());
         }
         let sub_imm = u64::from_le_bytes(frame[at..at + 8].try_into().unwrap());
         let len = u32::from_le_bytes(frame[at + 8..at + 12].try_into().unwrap()) as usize;
-        at += COALESCE_SUB_OVERHEAD;
-        if frame.len() - at < len {
-            return Err(FatalError::Net(format!(
-                "truncated coalesced payload: {} < {len}",
-                frame.len() - at
-            )));
+        let start = at + COALESCE_SUB_OVERHEAD;
+        if frame.len() - start < len {
+            let have = frame.len() - start;
+            return self.fail(format!("truncated coalesced payload: {have} < {len}"));
         }
-        subs.push((sub_imm, at..at + len));
-        at += len;
+        self.at = start + len;
+        Some(Ok((sub_imm, start..start + len)))
     }
-    Ok(subs)
-}
-
-/// Splits a coalesced frame back into `(sub_imm, payload)` records.
-/// Rejects truncated records and trailing garbage; an empty frame is
-/// rejected too (the sender never ships one).
-pub fn coalesce_unpack(frame: &[u8]) -> Result<Vec<(u64, &[u8])>> {
-    Ok(coalesce_unpack_ranges(frame)?
-        .into_iter()
-        .map(|(sub_imm, r)| (sub_imm, &frame[r]))
-        .collect())
 }
 
 #[cfg(test)]
@@ -282,32 +300,39 @@ mod tests {
         assert!(Header::decode(0xF << 60).is_err());
     }
 
+    /// The records of `frame` as `(sub_imm, payload)` pairs.
+    fn unpack(frame: &[u8]) -> Result<Vec<(u64, &[u8])>> {
+        coalesce_records(frame).map(|r| r.map(|(imm, range)| (imm, &frame[range]))).collect()
+    }
+
     #[test]
     fn coalesce_roundtrip_and_truncation() {
         let mut frame = Vec::new();
         coalesce_pack(&mut frame, 111, b"hello");
         coalesce_pack(&mut frame, 222, b"");
         coalesce_pack(&mut frame, 333, &[7u8; 100]);
-        let subs = coalesce_unpack(&frame).unwrap();
+        let subs = unpack(&frame).unwrap();
         assert_eq!(subs.len(), 3);
         assert_eq!(subs[0], (111, b"hello".as_slice()));
         assert_eq!(subs[1], (222, b"".as_slice()));
         assert_eq!(subs[2], (333, [7u8; 100].as_slice()));
+        assert_eq!(coalesce_records(&frame).validate().unwrap(), 3);
 
-        assert!(coalesce_unpack(&[]).is_err());
+        assert!(unpack(&[]).is_err());
+        assert!(coalesce_records(&[]).validate().is_err());
         // Cut inside the last record's payload and inside its header.
-        assert!(coalesce_unpack(&frame[..frame.len() - 1]).is_err());
-        assert!(coalesce_unpack(&frame[..frame.len() - 105]).is_err());
-
-        // The range-based splitter agrees with the borrowing one.
-        let ranges = coalesce_unpack_ranges(&frame).unwrap();
-        assert_eq!(ranges.len(), subs.len());
-        for ((imm_a, payload), (imm_b, r)) in subs.iter().zip(&ranges) {
-            assert_eq!(imm_a, imm_b);
-            assert_eq!(*payload, &frame[r.clone()]);
+        for cut in [frame.len() - 1, frame.len() - 105] {
+            assert!(unpack(&frame[..cut]).is_err());
+            assert!(coalesce_records(&frame[..cut]).validate().is_err());
         }
-        assert!(coalesce_unpack_ranges(&[]).is_err());
-        assert!(coalesce_unpack_ranges(&frame[..frame.len() - 1]).is_err());
+        // Trailing garbage shorter than a record header.
+        let mut tail = frame.clone();
+        tail.extend_from_slice(&[0u8; 5]);
+        assert!(coalesce_records(&tail).validate().is_err());
+        // An error ends the walk: the records before it, then one `Err`.
+        let walked: Vec<_> = coalesce_records(&frame[..frame.len() - 1]).collect();
+        assert_eq!(walked.len(), 3);
+        assert!(walked[..2].iter().all(|r| r.is_ok()) && walked[2].is_err());
     }
 
     #[test]

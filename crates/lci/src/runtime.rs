@@ -16,6 +16,7 @@ use crate::device::{Device, DeviceInner, MatchEntry};
 use crate::error::{FatalError, Result};
 use crate::matching::{MatchingConfig, MatchingEngine};
 use crate::packet_pool::{PacketPool, PacketPoolConfig};
+use crate::proto::COALESCE_SUB_OVERHEAD;
 use crate::types::{RComp, Rank};
 use crate::wait::Streak;
 use lci_fabric::sync::MpmcArray;
@@ -216,9 +217,11 @@ impl Runtime {
                     "coalesce.max_bytes must not exceed packet payload size".into(),
                 ));
             }
-            if config.coalesce.max_msgs < 2 || config.coalesce.max_msgs >= (1 << 24) {
+            // A frame's record count rides the header's 24-bit aux
+            // field, and a frame of empty records holds the most.
+            if config.coalesce.max_bytes / COALESCE_SUB_OVERHEAD >= (1 << 24) {
                 return Err(FatalError::InvalidArg(
-                    "coalesce.max_msgs must be in 2..2^24 (frame header aux)".into(),
+                    "coalesce.max_bytes / 12 must be below 2^24 (frame header aux)".into(),
                 ));
             }
         }

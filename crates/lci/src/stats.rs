@@ -199,7 +199,9 @@ pub struct StatsSnapshot {
     pub rendezvous: u64,
     /// Requests parked in the backlog queue.
     pub backlogged: u64,
-    /// Small sends absorbed into coalescing buffers.
+    /// Small sends absorbed into coalescing buffers, added when their
+    /// frame ships (one still buffered is not counted yet; see
+    /// [`Device::coalesce_pending`](crate::device::Device::coalesce_pending)).
     pub coalesced_msgs: u64,
     /// Coalesced frames shipped (threshold, ordering, or idle flushes).
     pub coalesce_flushes: u64,
@@ -207,7 +209,9 @@ pub struct StatsSnapshot {
     pub batch_posts: u64,
     /// Messages posted through batched submissions.
     pub batch_posted_msgs: u64,
-    /// Eager payloads delivered zero-copy (packet- or view-backed).
+    /// Eager active-message payloads delivered zero-copy (packet- or
+    /// view-backed); a coalesced frame adds the ones it delivers at once
+    /// in one step.
     pub zero_copy_deliveries: u64,
     /// Eager payloads delivered through a copy (into a posted user
     /// buffer).

@@ -225,6 +225,16 @@ pub enum DataBuf {
     Lent(usize),
 }
 
+/// The delivered bytes, wherever they live ([`DataBuf::as_slice`]): a
+/// delivery can be read in place, with no copy into a `Vec`.
+impl std::ops::Deref for DataBuf {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
 /// Where a posted receive lands: the buffer the user handed over with
 /// the post, or caller memory lent by a blocking collective.
 pub(crate) enum Landing {
@@ -408,6 +418,7 @@ mod tests {
         let d = DataBuf::Owned(vec![9u8; 4].into_boxed_slice());
         assert_eq!(d.len(), 4);
         assert_eq!(d.as_slice(), &[9u8; 4]);
+        assert_eq!(&d[1..], &[9u8; 3], "derefs to the delivered bytes");
         assert_eq!(d.into_vec(), vec![9u8; 4]);
     }
 

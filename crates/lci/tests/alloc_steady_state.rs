@@ -27,7 +27,9 @@
 //! captures nothing and pays one thread-local read per allocation.
 
 use crossbeam::queue::ArrayQueue;
-use lci::{Comp, CompDesc, DataBuf, Fabric, PostResult, Runtime, RuntimeConfig, SendBuf};
+use lci::{
+    Comp, CompDesc, DataBuf, Direction, Fabric, PostResult, Runtime, RuntimeConfig, SendBuf,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -561,6 +563,73 @@ fn warm_packet_steal_is_allocation_free() {
     lci::topology::bind_current_thread(home);
     assert!(stolen.is_some(), "the thief found nothing to steal");
     assert_eq!(allocs, 0, "a warm packet steal made {allocs} allocator calls{}", first_allocs());
+}
+
+/// 16-byte active messages through the coalescer on sim-ibv, warm: the
+/// append packs into a recycled frame buffer, the frame's packet is
+/// counted once for all its views and walked in place, and dropping a
+/// popped view gives back a count, not an allocation. So a round of
+/// posts, a flush, progress on both ranks and popping and dropping every
+/// delivery makes no allocator call: an `Arc` per frame, or a `Vec`
+/// the demux grows, would show here.
+#[test]
+fn warm_coalesced_am_is_allocation_free() {
+    // Two full 8 KiB frames of 292 and a tail the flush ships.
+    const MSGS: usize = 2 * 292 + 17;
+    let _g = serial();
+    let cfg = RuntimeConfig {
+        coalesce: lci::CoalesceConfig::enabled_with_bytes(8192),
+        ..RuntimeConfig::default().with_device(lci_fabric::DeviceConfig::ibv())
+    };
+    let fabric = Fabric::new(2);
+    let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
+    let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
+    let got: Arc<ArrayQueue<CompDesc>> = Arc::new(ArrayQueue::new(MSGS));
+    let rcomp = {
+        let q = got.clone();
+        rt1.register_rcomp(Comp::alloc_handler(move |d| {
+            let _ = q.push(d);
+        }))
+    };
+    let round = || {
+        for i in 0..MSGS as u128 {
+            let payload = i.to_le_bytes();
+            let post = rt0.post_comm_x(Direction::Out, 1).send_buf(&payload[..]);
+            let r = post.remote_comp(rcomp).call().unwrap();
+            assert!(r.is_done(), "a coalesced AM did not finish at the post: {r:?}");
+        }
+        rt0.device().flush_coalesced().unwrap();
+        let mut seen = 0;
+        while seen < MSGS {
+            rt0.progress().unwrap();
+            rt1.progress().unwrap();
+            while let Some(d) = got.pop() {
+                assert!(matches!(d.data, DataBuf::View(_)), "sub-message was not a view");
+                assert_eq!(d.as_slice(), &(seen as u128).to_le_bytes(), "reordered or corrupt");
+                seen += 1;
+            }
+        }
+    };
+    for _ in 0..8 {
+        round();
+    }
+    let fill = rt0.device().stats();
+    let before = alloc_calls();
+    trace_window(|| {
+        for _ in 0..16 {
+            round();
+        }
+    });
+    let allocs = alloc_calls() - before;
+    let d = rt0.device().stats().since(&fill);
+    assert_eq!(
+        allocs,
+        0,
+        "warm coalesced AM rounds made {allocs} allocator calls in {} frames{}",
+        d.coalesce_flushes,
+        first_allocs()
+    );
+    assert_eq!((d.coalesced_msgs, d.coalesce_flushes), (16 * MSGS as u64, 16 * 3));
 }
 
 /// `no_retry` sends that a full RX endpoint parks, drained warm: the

@@ -217,3 +217,63 @@ fn per_message_opt_out_bypasses_coalescing() {
     let stats = rt.device().stats();
     assert_eq!(stats.coalesced_msgs, 0, "opted-out messages must post individually");
 }
+
+/// A frame fills its packet: 16-byte active messages cost 28 bytes each
+/// in a frame, so an 8 KiB frame carries 292 of them and ships when the
+/// 293rd would not fit. 2 920 messages then a flush are exactly 10 full
+/// frames, and every message arrives.
+#[test]
+fn a_frame_fills_its_packet() {
+    const MSGS: usize = 2920;
+    let cfg = RuntimeConfig {
+        coalesce: CoalesceConfig::enabled_with_bytes(8192),
+        ..RuntimeConfig::default()
+    };
+    let fabric = Fabric::new(2);
+    let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
+    let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
+    let cq = Comp::alloc_cq();
+    let rcomp = rt1.register_rcomp(cq.clone());
+    for i in 0..MSGS as u128 {
+        let payload = i.to_le_bytes();
+        let post = rt0.post_comm_x(lci::Direction::Out, 1).send_buf(&payload[..]);
+        assert!(post.remote_comp(rcomp).call().unwrap().is_done());
+    }
+    assert_eq!(rt0.device().coalesce_pending(), 292, "the last full frame waits for a flush");
+    rt0.device().flush_coalesced().unwrap();
+    assert_eq!(rt0.device().coalesce_pending(), 0);
+    let mut got = 0u128;
+    while got < MSGS as u128 {
+        rt0.progress().unwrap();
+        rt1.progress().unwrap();
+        while let Some(d) = cq.pop() {
+            assert_eq!(d.as_slice(), &got.to_le_bytes(), "reordered or corrupt");
+            got += 1;
+        }
+    }
+    let s = rt0.device().stats();
+    assert_eq!((s.coalesced_msgs, s.coalesce_flushes), (MSGS as u64, 10));
+    assert_eq!(s.coalesced_msgs / s.coalesce_flushes, 292);
+    assert_eq!(rt1.device().stats().zero_copy_deliveries, MSGS as u64);
+}
+
+/// A frame's record count rides the header's 24-bit aux field, so a
+/// `max_bytes` that could hold 2^24 empty records is refused.
+#[test]
+fn max_bytes_past_the_aux_width_is_invalid() {
+    let too_big = 12 << 24;
+    // Packets as large, so only the aux check can refuse it (none is
+    // allocated: the config is checked first).
+    let mut cfg = RuntimeConfig {
+        packet: lci::PacketPoolConfig { payload_size: too_big, count: 1 },
+        coalesce: CoalesceConfig::enabled_with_bytes(too_big),
+        ..RuntimeConfig::default()
+    };
+    match Runtime::new(Fabric::new(1), 0, cfg.clone()) {
+        Err(lci::FatalError::InvalidArg(m)) => assert!(m.contains("aux"), "{m}"),
+        other => panic!("max_bytes {too_big} accepted: {:?}", other.map(|_| ())),
+    }
+    cfg.packet.payload_size = 8192;
+    cfg.coalesce.max_bytes = 8192;
+    assert!(Runtime::new(Fabric::new(1), 0, cfg).is_ok(), "a packet-sized frame is fine");
+}

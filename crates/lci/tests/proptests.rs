@@ -53,25 +53,28 @@ proptest! {
         ),
         cut_frac in 0.0f64..1.0,
     ) {
-        use lci::proto::{coalesce_pack, coalesce_unpack};
+        use lci::proto::{coalesce_pack, coalesce_records};
+        let unpack = |frame: &[u8]| -> lci::Result<Vec<(u64, Vec<u8>)>> {
+            coalesce_records(frame).map(|r| r.map(|(imm, at)| (imm, frame[at].to_vec()))).collect()
+        };
         let mut frame = Vec::new();
         let mut boundaries = Vec::new();
         for (imm, payload) in &subs {
             coalesce_pack(&mut frame, *imm, payload);
             boundaries.push(frame.len());
         }
-        let got = coalesce_unpack(&frame).unwrap();
+        let got = unpack(&frame).unwrap();
         prop_assert_eq!(got.len(), subs.len());
         for ((imm, payload), (got_imm, got_payload)) in subs.iter().zip(&got) {
             prop_assert_eq!(imm, got_imm);
-            prop_assert_eq!(&payload[..], *got_payload);
+            prop_assert_eq!(payload, got_payload);
         }
         let cut = (frame.len() as f64 * cut_frac) as usize;
         match boundaries.iter().position(|&b| b == cut) {
             Some(i) => {
-                prop_assert_eq!(coalesce_unpack(&frame[..cut]).unwrap().len(), i + 1);
+                prop_assert_eq!(coalesce_records(&frame[..cut]).validate().unwrap(), i + 1);
             }
-            None => prop_assert!(coalesce_unpack(&frame[..cut]).is_err()),
+            None => prop_assert!(unpack(&frame[..cut]).is_err()),
         }
     }
 

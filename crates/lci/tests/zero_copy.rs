@@ -5,7 +5,7 @@
 //! must return their slot to the pool exactly once, even when views are
 //! cloned and dropped across threads.
 
-use lci::proto::{coalesce_pack, coalesce_unpack, coalesce_unpack_ranges};
+use lci::proto::{coalesce_pack, coalesce_records};
 use lci::{
     CoalesceConfig, Comp, DataBuf, PacketPool, PacketPoolConfig, PostResult, Runtime,
     RuntimeConfig, StatsSnapshot,
@@ -38,9 +38,9 @@ proptest! {
         packet.fill(&frame);
 
         let wire = &packet.as_slice()[..packet.len()];
+        let ranges: Vec<_> = coalesce_records(wire).map(|r| r.unwrap()).collect();
         let copied: Vec<(u64, Vec<u8>)> =
-            coalesce_unpack(wire).unwrap().into_iter().map(|(imm, s)| (imm, s.to_vec())).collect();
-        let ranges = coalesce_unpack_ranges(wire).unwrap();
+            ranges.iter().map(|(imm, r)| (*imm, wire[r.clone()].to_vec())).collect();
         let shared = packet.into_shared();
 
         prop_assert_eq!(ranges.len(), copied.len());

@@ -2,13 +2,21 @@
 //! and quiescence over whichever library backs the world.
 
 use crossbeam::queue::SegQueue;
-use lci::{Comp, CompKind, PostResult};
+use lci::{Comp, CompKind, DataBuf, Direction, PostResult};
 use lci_baselines::{Gasnet, MpiComm, VciComm, ANY_SOURCE, ANY_TAG};
 use lci_fabric::{Fabric, Rank};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A received message.
+///
+/// On the LCI backend `data` is the buffer the library delivered into,
+/// lent rather than copied: a sub-message of a coalesced frame is a view
+/// into the frame's packet, so the packet stays out of the pool until
+/// every message carved from it is dropped. Read it in place (it
+/// derefs to `[u8]`), and drop it, or take an owned copy with
+/// [`DataBuf::into_vec`], before holding on to many. The baselines wrap
+/// the buffer they already own.
 #[derive(Debug)]
 pub struct Msg {
     /// Source rank.
@@ -16,7 +24,14 @@ pub struct Msg {
     /// Message tag.
     pub tag: u32,
     /// Payload.
-    pub data: Vec<u8>,
+    pub data: DataBuf,
+}
+
+impl Msg {
+    /// A baseline's delivery, its buffer wrapped as it is.
+    fn from_status(st: lci_baselines::MpiStatus) -> Msg {
+        Msg { src: st.src, tag: st.tag, data: DataBuf::Owned(st.data.into_boxed_slice()) }
+    }
 }
 
 /// A pending receive handle.
@@ -61,7 +76,7 @@ const MPI_AM_PREPOST: usize = 32;
 pub(crate) type AmPool = Arc<parking_lot::Mutex<VecDeque<lci_baselines::Request>>>;
 
 pub(crate) enum EpInner {
-    Lci { rt: lci::Runtime, device: lci::Device, am_cq: Comp, rcomp: u32, noop: Comp },
+    Lci { rt: lci::Runtime, device: lci::Device, am_cq: Comp, rcomp: u32 },
     Mpi { comm: MpiComm, am_recvs: AmPool },
     Vci { comm: VciComm, vci: usize, am_recvs: AmPool },
     Gasnet { g: Arc<Gasnet>, inbox: Arc<SegQueue<Msg>> },
@@ -90,17 +105,11 @@ impl Endpoint {
     /// asks the caller to retry (temporary resource shortage).
     pub fn send_am(&mut self, dst: Rank, data: &[u8], tag: u32) -> bool {
         match &mut self.inner {
-            EpInner::Lci { rt, device, rcomp, noop, .. } => {
-                match rt
-                    .post_am_x(dst, data, noop.clone(), *rcomp)
-                    .tag(tag)
-                    .device(device)
-                    .call()
-                    .expect("lci am")
-                {
-                    PostResult::Done(_) | PostResult::Posted => true,
-                    PostResult::Retry(_) => false,
-                }
+            EpInner::Lci { rt, device, rcomp, .. } => {
+                // No local completion object: the wrapper never waits
+                // for a send, so nothing is signalled or refcounted.
+                let post = rt.post_comm_x(Direction::Out, dst).send_buf(data).remote_comp(*rcomp);
+                !post.tag(tag).device(device).call().expect("lci am").is_retry()
             }
             EpInner::Mpi { comm, .. } => {
                 // MPI AMs: plain isend; the receiver's pre-posted irecvs
@@ -124,7 +133,7 @@ impl Endpoint {
             EpInner::Lci { am_cq, .. } => {
                 let desc = am_cq.pop()?;
                 debug_assert_eq!(desc.kind, CompKind::Am);
-                Some(Msg { src: desc.rank, tag: desc.tag, data: desc.data.into_vec() })
+                Some(Msg { src: desc.rank, tag: desc.tag, data: desc.data })
             }
             EpInner::Mpi { comm, am_recvs } => {
                 let mut pool = am_recvs.lock();
@@ -132,8 +141,7 @@ impl Endpoint {
                 let front = pool.front()?;
                 if front.is_done() {
                     let req = pool.pop_front().unwrap();
-                    let st = req.take_status().expect("status");
-                    Some(Msg { src: st.src, tag: st.tag, data: st.data })
+                    Some(Msg::from_status(req.take_status().expect("status")))
                 } else {
                     None
                 }
@@ -145,8 +153,7 @@ impl Endpoint {
                 let front = pool.front()?;
                 if front.is_done() {
                     let req = pool.pop_front().unwrap();
-                    let st = req.take_status().expect("status");
-                    Some(Msg { src: st.src, tag: st.tag, data: st.data })
+                    Some(Msg::from_status(req.take_status().expect("status")))
                 } else {
                     None
                 }
@@ -167,16 +174,9 @@ impl Endpoint {
     /// Non-blocking two-sided send. `false` = retry.
     pub fn send(&mut self, dst: Rank, data: &[u8], tag: u32) -> bool {
         match &mut self.inner {
-            EpInner::Lci { rt, device, noop, .. } => {
-                match rt
-                    .post_send_x(dst, data, tag, noop.clone())
-                    .device(device)
-                    .call()
-                    .expect("lci send")
-                {
-                    PostResult::Done(_) | PostResult::Posted => true,
-                    PostResult::Retry(_) => false,
-                }
+            EpInner::Lci { rt, device, .. } => {
+                let post = rt.post_comm_x(Direction::Out, dst).send_buf(data).tag(tag);
+                !post.device(device).call().expect("lci send").is_retry()
             }
             EpInner::Mpi { comm, .. } => {
                 comm.isend(dst, data.to_vec(), tag);
@@ -224,15 +224,14 @@ impl Endpoint {
                 let sync = comp.as_sync().expect("sync token");
                 if sync.test() {
                     let desc = sync.take().pop().expect("desc");
-                    Some(Msg { src: desc.rank, tag: desc.tag, data: desc.data.into_vec() })
+                    Some(Msg { src: desc.rank, tag: desc.tag, data: desc.data })
                 } else {
                     None
                 }
             }
             RecvToken::Chan(req) => {
                 if req.is_done() {
-                    let st = req.take_status().expect("status");
-                    Some(Msg { src: st.src, tag: st.tag, data: st.data })
+                    Some(Msg::from_status(req.take_status().expect("status")))
                 } else {
                     None
                 }

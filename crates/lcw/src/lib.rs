@@ -45,7 +45,7 @@ mod tests {
                 }
             };
             assert_eq!(msg.src, 0);
-            assert_eq!(msg.data, vec![9u8; 32]);
+            assert_eq!(msg.data[..], [9u8; 32]);
             while !ep.send_am(0, &msg.data, msg.tag + 1) {
                 ep.progress();
             }
@@ -69,7 +69,7 @@ mod tests {
             }
         };
         assert_eq!(reply.tag, 6);
-        assert_eq!(reply.data, vec![9u8; 32]);
+        assert_eq!(reply.data[..], [9u8; 32]);
         t.join().unwrap();
     }
 
@@ -116,7 +116,7 @@ mod tests {
                 loop {
                     ep.progress();
                     if let Some(m) = ep.test_recv(&tok) {
-                        assert_eq!(m.data, vec![4u8; 2048]);
+                        assert_eq!(m.data[..], [4u8; 2048]);
                         break;
                     }
                     std::thread::yield_now();

@@ -23,7 +23,7 @@ const MATCHING_BUCKETS: usize = 1024;
 const COLL_MAX_INFLIGHT: usize = 4;
 
 enum WorldInner {
-    Lci { rt: lci::Runtime, devices: Vec<lci::Device>, am_cqs: Vec<Comp>, noop: Comp },
+    Lci { rt: lci::Runtime, devices: Vec<lci::Device>, am_cqs: Vec<Comp> },
     Mpi { comm: MpiComm, am_recvs: AmPool },
     Vci { comm: VciComm, am_recvs: Vec<AmPool> },
     Gasnet { g: Arc<Gasnet>, inbox: Arc<SegQueue<Msg>> },
@@ -85,11 +85,7 @@ impl World {
                         (0..n).map(|_| rt.alloc_device().expect("device")).collect()
                     }
                 };
-                // One shared no-op completion handler for all endpoints
-                // (send-side completions the wrapper ignores), instead of
-                // allocating one per `endpoint()` call.
-                let noop = Comp::alloc_handler(|_| {});
-                WorldInner::Lci { rt, devices, am_cqs, noop }
+                WorldInner::Lci { rt, devices, am_cqs }
             }
             BackendKind::Mpi => {
                 let mut mcfg = MpiConfig::ibv();
@@ -121,7 +117,7 @@ impl World {
                 let inbox: Arc<SegQueue<Msg>> = Arc::new(SegQueue::new());
                 let sink = inbox.clone();
                 g.register_handler(move |src, tag, payload| {
-                    sink.push(Msg { src, tag, data: payload.to_vec() });
+                    sink.push(Msg { src, tag, data: lci::DataBuf::Owned(payload.into()) });
                 });
                 WorldInner::Gasnet { g, inbox }
             }
@@ -267,7 +263,7 @@ impl World {
     /// reference the same resources. Call once per thread.
     pub fn endpoint(&self, tid: usize) -> Endpoint {
         let inner = match &self.inner {
-            WorldInner::Lci { rt, devices, am_cqs, noop } => {
+            WorldInner::Lci { rt, devices, am_cqs } => {
                 // Shared mode routes through the caller's home device
                 // (the default device unless extra devices exist);
                 // dedicated mode keeps the explicit tid → device map.
@@ -280,7 +276,6 @@ impl World {
                     device,
                     am_cq: am_cqs[tid % am_cqs.len()].clone(),
                     rcomp: (tid % am_cqs.len()) as u32,
-                    noop: noop.clone(),
                 }
             }
             WorldInner::Mpi { comm, am_recvs } => {

@@ -62,14 +62,14 @@ fn multiproc_am_pingpong() {
             let echo = recv_msg(&mut ep);
             assert_eq!(echo.src, 1);
             assert_eq!(echo.tag, i as u32 + 1000);
-            assert_eq!(echo.data, ball);
+            assert_eq!(echo.data[..], ball);
         }
     } else {
         for i in 0..ROUNDS {
             let m = recv_msg(&mut ep);
             assert_eq!(m.src, 0);
             assert_eq!(m.tag, i as u32);
-            assert_eq!(m.data, vec![i as u8; 32]);
+            assert_eq!(m.data[..], [i as u8; 32]);
             while !ep.send_am(0, &m.data, m.tag + 1000) {
                 ep.progress();
             }
@@ -140,7 +140,7 @@ fn multiproc_rendezvous_256k() {
             }
         };
         assert_eq!(m.data.len(), LEN);
-        assert_eq!(m.data, pattern, "rendezvous payload corrupted crossing processes");
+        assert_eq!(m.data[..], pattern[..], "rendezvous payload corrupted crossing processes");
         ep.quiesce(QUIESCE).expect("drain");
     }
 }
@@ -222,7 +222,11 @@ fn multiproc_rma_is_framed_across_processes_and_direct_to_self() {
                 break m;
             }
         };
-        assert_eq!(m.data, pattern(1, LEN), "rendezvous payload corrupted crossing processes");
+        assert_eq!(
+            m.data[..],
+            pattern(1, LEN)[..],
+            "rendezvous payload corrupted crossing processes"
+        );
         let window = vec![0u8; 2 * RMA];
         let mr = dev.register_memory(&window).expect("register");
         while !ep.send_am(0, &mr.rkey.0.to_le_bytes(), 20) {

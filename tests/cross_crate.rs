@@ -48,7 +48,11 @@ fn every_backend_carries_every_protocol() {
                                     break m;
                                 }
                             };
-                            assert_eq!(msg.data, pattern(len), "{platform:?}: {len} B payload");
+                            assert_eq!(
+                                msg.data[..],
+                                pattern(len)[..],
+                                "{platform:?}: {len} B payload"
+                            );
                         }
                     }
                     ep.quiesce(Duration::from_secs(30)).expect("drain");
