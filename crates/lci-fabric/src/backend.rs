@@ -10,7 +10,7 @@
 //! enough receives pre-posted.
 
 use crate::buf_pool::{BufPool, BufPoolConfig, BufPoolStats};
-use crate::fabric::{Fabric, RxEndpoint, DEFAULT_RX_CAPACITY};
+use crate::fabric::{Fabric, DEFAULT_RX_CAPACITY};
 use crate::framed::FramedDevice;
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCacheConfig, RegCacheStats};
@@ -24,8 +24,8 @@ use std::sync::Arc;
 /// (DESIGN.md §4.9) plus the layout of its posting locks.
 ///
 /// `Ibv` and `Ofi` are the two simulated providers. They share the
-/// in-memory wire — a post pushes straight onto the target device's RX
-/// endpoint — and differ only in lock placement, mirroring the paper's
+/// in-memory wire — a post delivers straight into the target device's
+/// posted receive — and differ only in lock placement, mirroring the paper's
 /// libibverbs (§4.2.3) vs libfabric (§4.2.4) analysis. In the
 /// benchmarks, `Ibv` plays the role of SDSC Expanse (InfiniBand) and
 /// `Ofi` the role of NCSA Delta (Slingshot-11). `Shm` and `Tcp` are real
@@ -98,7 +98,11 @@ pub struct DeviceConfig {
     /// [`LockDiscipline::TryLock`] (the §4.2.2 trylock wrapper); stock
     /// library behaviour is [`LockDiscipline::Blocking`].
     pub discipline: LockDiscipline,
-    /// RX ring capacity (inbound flow-control window).
+    /// RX endpoint capacity: how many frames toward this device may wait
+    /// for a receive to be posted before the wire refuses more (RNR
+    /// backpressure). A frame that finds a receive posted does not pass
+    /// through it. The completion staging ring holds twice this (256 at
+    /// least).
     pub rx_capacity: usize,
     /// Memory-registration cache bounds (see [`crate::reg_cache`]).
     pub reg_cache: RegCacheConfig,
@@ -156,7 +160,7 @@ impl DeviceConfig {
         self
     }
 
-    /// Sets the RX ring capacity.
+    /// Sets the RX endpoint capacity.
     pub fn with_rx_capacity(mut self, c: usize) -> Self {
         self.rx_capacity = c;
         self
@@ -391,22 +395,18 @@ impl NetContext {
 
     /// Creates a device with the given configuration.
     pub fn create_device(&self, cfg: DeviceConfig) -> Arc<dyn NetDevice> {
-        let bell = Arc::new(Doorbell::new());
-        let rx = Arc::new(RxEndpoint::new(cfg.rx_capacity));
-        let dev_id = self.fabric.add_device(self.rank, rx.clone());
-        let fabric = self.fabric.clone();
+        let shared = self.fabric.add_device(self.rank, &cfg);
+        let (fabric, rank) = (self.fabric.clone(), self.rank);
         // One device core; the backend picks the wire under it here and
         // the lock layout in `QpLocks::new`.
         match cfg.backend {
             BackendKind::Ibv | BackendKind::Ofi => {
-                Arc::new(FramedDevice::<SimWire>::new(fabric, self.rank, dev_id, rx, bell, cfg))
+                Arc::new(FramedDevice::<SimWire>::new(fabric, rank, shared, cfg))
             }
-            BackendKind::Shm => {
-                Arc::new(FramedDevice::<ShmWire>::new(fabric, self.rank, dev_id, rx, bell, cfg))
-            }
+            BackendKind::Shm => Arc::new(FramedDevice::<ShmWire>::new(fabric, rank, shared, cfg)),
             #[cfg(unix)]
             BackendKind::Tcp => Arc::new(FramedDevice::<crate::tcp::device::TcpWire>::new(
-                fabric, self.rank, dev_id, rx, bell, cfg,
+                fabric, rank, shared, cfg,
             )),
             #[cfg(not(unix))]
             BackendKind::Tcp => panic!("the tcp backend requires a unix platform"),
@@ -414,17 +414,25 @@ impl NetContext {
     }
 }
 
-/// Copies payload bytes into a pre-posted receive buffer and builds the
-/// `RecvDone` CQE (stands in for NIC DMA + CQE write). A wire drain calls
-/// it on bytes still in a ring slot; everything else reaches it through
+/// Delivers a frame of `kind` into a pre-posted receive buffer and builds
+/// its CQE (stands in for NIC DMA + CQE write): a send's bytes are copied
+/// in for a `RecvDone`, a write's immediate consumes the buffer untouched
+/// for a `WriteImmRecv`. A delivery on arrival calls it on bytes still
+/// where the wire put them; a parked message reaches it through
 /// [`deliver_into`].
 pub(crate) fn deliver_bytes(
+    kind: WireMsgKind,
     data: &[u8],
     desc: &RecvBufDesc,
     src_rank: Rank,
     src_dev: DevId,
     imm: u64,
 ) -> NetResult<Cqe> {
+    if kind == WireMsgKind::WriteImm {
+        let cqe =
+            Cqe { kind: CqeKind::WriteImmRecv, ctx: desc.ctx, imm, len: 0, src_rank, src_dev };
+        return Ok(cqe);
+    }
     if data.len() > desc.len {
         return Err(crate::types::NetError::fatal(format!(
             "receive buffer too small: {} < {}",
@@ -443,19 +451,8 @@ pub(crate) fn deliver_bytes(
 /// Delivers a wire message into a pre-posted receive buffer and builds
 /// the corresponding CQE.
 pub(crate) fn deliver_into(msg: &WireMsg, desc: &RecvBufDesc) -> NetResult<Cqe> {
-    match msg.kind {
-        WireMsgKind::Send => {
-            deliver_bytes(msg.payload.as_slice(), desc, msg.src_rank, msg.src_dev, msg.imm)
-        }
-        WireMsgKind::WriteImm => Ok(Cqe {
-            kind: CqeKind::WriteImmRecv,
-            ctx: desc.ctx,
-            imm: msg.imm,
-            len: 0,
-            src_rank: msg.src_rank,
-            src_dev: msg.src_dev,
-        }),
-    }
+    let data = msg.payload.as_slice();
+    deliver_bytes(msg.kind, data, desc, msg.src_rank, msg.src_dev, msg.imm)
 }
 
 #[cfg(test)]

@@ -4,10 +4,13 @@
 //! ([`DevShared`]). The device core ([`crate::framed`]) sits on them.
 
 use crate::backend::{deliver_bytes, deliver_into, BackendKind, DeviceConfig, TdStrategy};
+use crate::buf_pool::BufPool;
 use crate::fabric::RxEndpoint;
 use crate::shm::ring::FrameHeader;
 use crate::sync::{Doorbell, LockDiscipline, SpinGuard, SpinLock};
-use crate::types::{Cqe, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason};
+use crate::types::{
+    Cqe, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsg, WireMsgKind,
+};
 use crossbeam::queue::ArrayQueue;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -114,9 +117,9 @@ impl QpLocks {
 /// the acquisition, few enough that no poll monopolizes the lock.
 pub(crate) const CQ_DRAIN_BATCH: usize = 64;
 
-/// Completion and receive state of one device. Shared with the rank
-/// state so a wire drain running on a *sibling* device's poll can stage
-/// `ReadDone` CQEs on the posting device.
+/// Completion and receive state of one device, held by the fabric's
+/// registry so whoever delivers into the device reaches it: a poster on
+/// the in-memory wire, any drain of its rank, a sibling's `ReadDone`.
 pub(crate) struct DevShared {
     dev_id: DevId,
     /// CQEs written by the "NIC" (lock-free staging, like DMA'd CQEs).
@@ -131,35 +134,31 @@ pub(crate) struct DevShared {
     /// hands out. Nothing in this crate rings it: progress is whoever
     /// polls.
     bell: Arc<Doorbell>,
-    /// Wire messages routed to this device that could not be delivered
-    /// at drain time (no posted receive, or drained by a sibling).
-    rx: Arc<RxEndpoint>,
+    /// Staged frames that could not be delivered on arrival.
+    rx: RxEndpoint,
+    /// Its lock is a leaf, taken blockingly by deliveries and restocks;
+    /// only a poll's batch of parked frames try-locks it.
     srq: SpinLock<VecDeque<RecvBufDesc>>,
     posted_recvs: AtomicUsize,
     discipline: LockDiscipline,
 }
 
 impl DevShared {
-    pub(crate) fn new(
-        dev_id: DevId,
-        rx: Arc<RxEndpoint>,
-        bell: Arc<Doorbell>,
-        cfg: &DeviceConfig,
-    ) -> DevShared {
+    pub(crate) fn new(dev_id: DevId, cfg: &DeviceConfig) -> DevShared {
         // Room for two drain batches, so neither deque grows on a warm
         // path: every inbound completion consumed a posted receive, and
         // the owner restocks those only as it handles completions. The
-        // nominal bound — staging ring plus RX window, 576 KiB a device
-        // by default — is a tenth of a small runtime's heap for slots a
-        // warm device never reaches. An owner that keeps more receives
-        // posted grows the SRQ once, while it stocks them.
+        // nominal bound — staging ring plus RX endpoint, 56 KiB a device
+        // by default — holds slots a warm device never reaches. An owner
+        // that keeps more receives posted grows the SRQ once, while it
+        // stocks them.
         let warm = 2 * CQ_DRAIN_BATCH;
         DevShared {
             dev_id,
             cq_staging: ArrayQueue::new((cfg.rx_capacity * 2).max(256)),
             cq: SpinLock::new(VecDeque::with_capacity(warm)),
-            bell,
-            rx,
+            bell: Arc::new(Doorbell::new()),
+            rx: RxEndpoint::new(cfg.rx_capacity),
             srq: SpinLock::new(VecDeque::with_capacity(warm)),
             posted_recvs: AtomicUsize::new(0),
             discipline: cfg.discipline,
@@ -172,6 +171,11 @@ impl DevShared {
 
     pub(crate) fn bell(&self) -> &Arc<Doorbell> {
         &self.bell
+    }
+
+    /// Whether the device was torn down (its RX endpoint refuses frames).
+    pub(crate) fn is_closed(&self) -> bool {
+        self.rx.is_closed()
     }
 
     /// Whether a post must back off because its completion could not be
@@ -197,59 +201,76 @@ impl DevShared {
     pub(crate) fn stage_cqe(&self, cqe: Cqe) {
         if let Err(cqe) = self.cq_staging.push(cqe) {
             let mut cq = self.cq.lock();
-            while let Some(staged) = self.cq_staging.pop() {
-                cq.push_back(staged);
-            }
+            self.collect_staged(&mut cq);
             cq.push_back(cqe);
         }
     }
 
-    /// Appends to the shared receive queue under one lock acquisition
-    /// (delivery happens in `poll_cq`).
-    pub(crate) fn post_recvs(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
-        let mut srq =
-            self.discipline.acquire(&self.srq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        srq.extend(descs.iter().copied());
-        self.posted_recvs.fetch_add(descs.len(), Ordering::AcqRel);
-        Ok(descs.len())
+    /// Moves every staged completion into the polled CQ, oldest first.
+    fn collect_staged(&self, cq: &mut VecDeque<Cqe>) {
+        while let Some(cqe) = self.cq_staging.pop() {
+            cq.push_back(cqe);
+        }
     }
 
-    /// Delivers a `KIND_SEND` frame straight from the wire's buffer (a
-    /// ring slot, a spill range, a decode buffer) into the next posted
-    /// receive and stages its `RecvDone` — the frame never becomes a
-    /// `WireMsg`. Returns `false`, touching nothing, when the frame
-    /// must take the RX endpoint instead: earlier messages still wait
-    /// there (they must complete first), no receive is posted (RNR), or
-    /// the staging ring is full (it is sized for the posts' local
-    /// completions, which must not be refused because a drain filled
-    /// it).
+    /// Appends to the shared receive queue under one blocking SRQ
+    /// acquisition: a restock that bounced off deliveries would let the
+    /// SRQ run dry exactly while they are dense.
+    pub(crate) fn post_recvs(&self, descs: &[RecvBufDesc]) {
+        self.srq.lock().extend(descs.iter().copied());
+        self.posted_recvs.fetch_add(descs.len(), Ordering::AcqRel);
+    }
+
+    /// Lands frame `h` from `src` — a send, or a write's immediate — on
+    /// this device: the NIC's half of every two-sided delivery, whatever
+    /// wire carried it. The payload goes straight from where the caller
+    /// holds it into the oldest posted receive, its completion staged.
+    /// Only a frame that finds earlier frames waiting, no receive posted
+    /// or the staging ring full (it is sized for the posts' own
+    /// completions) waits on the RX endpoint, staged through `pool`, for
+    /// this device's poll: `Retry(RxFull)` if that is full, fatal if
+    /// closed.
     ///
-    /// Only this device's own poll may call it, and only while holding
-    /// the drain lock of `src`'s channel: then no frame of `src` can
-    /// enter the RX endpoint between the check and the delivery, and the
-    /// CQE is staged behind every completion this device produced
-    /// earlier, for the poll in progress (or, if that loses the CQ lock,
-    /// the one that holds it) to pick up.
-    pub(crate) fn deliver_send(
+    /// The caller holds `src`'s order toward this device — a drain its
+    /// channel's drain lock, a post its QP lock — so no frame of `src`
+    /// enters the endpoint between the check and the delivery, and any
+    /// that entered earlier has been popped (`deliver_inbound` keeps the
+    /// completions in order).
+    ///
+    /// The SRQ lock is taken blockingly whatever the discipline: a miss
+    /// would make a delivery a staged copy at random. It is a leaf, held
+    /// through the copy, so a teardown that has taken the receives back
+    /// has no delivery still writing into one.
+    pub(crate) fn land(
         &self,
         src: Rank,
         h: &FrameHeader,
+        kind: WireMsgKind,
         payload: &[u8],
-    ) -> NetResult<bool> {
-        if self.rx.occupancy() > 0 || self.staging_full() {
-            return Ok(false);
+        pool: &BufPool,
+    ) -> NetResult<()> {
+        if self.rx.occupancy() == 0 && !self.staging_full() {
+            let mut srq = self.srq.lock();
+            if let Some(desc) = srq.pop_front() {
+                self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
+                let cqe = deliver_bytes(kind, payload, &desc, src, h.src_dev as DevId, h.imm);
+                drop(srq);
+                self.stage_cqe(cqe?);
+                return Ok(());
+            }
         }
-        let Some(desc) = self.next_recv() else { return Ok(false) };
-        self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
-        let cqe = deliver_bytes(payload, &desc, src, h.src_dev as DevId, h.imm)?;
-        self.stage_cqe(cqe);
-        Ok(true)
-    }
-
-    /// Takes the oldest posted receive; `None` when there is none or the
-    /// SRQ lock is busy under the trylock discipline.
-    fn next_recv(&self) -> Option<RecvBufDesc> {
-        self.discipline.acquire(&self.srq)?.pop_front()
+        // Checked before staging so a frame waiting at a full endpoint
+        // is not copied once per attempt.
+        if self.rx.is_full() {
+            return Err(NetError::Retry(RetryReason::RxFull));
+        }
+        self.rx.push(WireMsg {
+            src_rank: src,
+            src_dev: h.src_dev as DevId,
+            imm: h.imm,
+            kind,
+            payload: pool.stage(payload),
+        })
     }
 
     /// Matches parked wire messages against posted receives, oldest
@@ -269,6 +290,10 @@ impl DevShared {
     /// known before the SRQ is touched, so the SRQ lock is taken once for
     /// it and `posted_recvs` settled with one subtraction of what was
     /// consumed — also when a delivery fails partway.
+    ///
+    /// Each popped message's completion goes behind what is staged by
+    /// then: a frame of its source landed before it was pushed staged its
+    /// completion first, possibly after this poll collected the ring.
     fn deliver_inbound(&self, cq: &mut VecDeque<Cqe>, budget: usize) -> NetResult<()> {
         let parked = budget.min(self.rx.occupancy());
         if parked == 0 {
@@ -281,6 +306,7 @@ impl DevShared {
             let desc = srq.pop_front().expect("counted under the SRQ lock");
             let msg = self.rx.pop().expect("only the poll holding the CQ lock pops the endpoint");
             taken += 1;
+            self.collect_staged(cq);
             res = deliver_into(&msg, &desc).map(|cqe| cq.push_back(cqe));
         }
         drop(srq);
@@ -296,28 +322,24 @@ impl DevShared {
     pub(crate) fn poll(&self, out: &mut Vec<Cqe>, max: usize, budget: usize) -> NetResult<usize> {
         let mut cq =
             self.discipline.acquire(&self.cq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        while let Some(cqe) = self.cq_staging.pop() {
-            cq.push_back(cqe);
-        }
+        self.collect_staged(&mut cq);
         self.deliver_inbound(&mut cq, budget)?;
         let n = max.min(cq.len());
         out.extend(cq.drain(..n));
         Ok(n)
     }
 
-    /// Closes the RX endpoint (parked wire messages are dropped with it;
-    /// their payloads were staged copies) and hands back every
-    /// undelivered completion and every still-posted receive.
+    /// Closes the RX endpoint (parked messages are dropped with it) and
+    /// hands back every still-posted receive — first, so no delivery is
+    /// still writing into one — and every undelivered completion. A
+    /// delivery racing the teardown may stage a completion nobody polls.
     pub(crate) fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>) {
         self.rx.close();
-        let mut cqes = Vec::new();
-        while let Some(c) = self.cq_staging.pop() {
-            cqes.push(c);
-        }
-        cqes.extend(self.cq.lock().drain(..));
         let descs = self.srq.lock().drain(..).collect();
         self.posted_recvs.store(0, Ordering::Release);
-        (cqes, descs)
+        let mut cq = self.cq.lock();
+        self.collect_staged(&mut cq);
+        (cq.drain(..).collect(), descs)
     }
 }
 
@@ -328,16 +350,15 @@ mod tests {
     use crate::fabric::Fabric;
     use crate::framed::FramedDevice;
     use crate::sim::SimWire;
-    use crate::types::{CqeKind, WireMsg, WireMsgKind, WirePayload};
+    use crate::types::{CqeKind, WirePayload};
 
     /// Device 0 of rank 0 on a two-rank fabric whose rank 1 has a device
     /// to post to, built as `NetContext::create_device` builds it.
     fn device(cfg: DeviceConfig) -> FramedDevice<SimWire> {
         let fabric = Fabric::new(2);
-        fabric.add_device(1, Arc::new(RxEndpoint::new(8)));
-        let rx = Arc::new(RxEndpoint::new(cfg.rx_capacity));
-        let dev_id = fabric.add_device(0, rx.clone());
-        FramedDevice::new(fabric, 0, dev_id, rx, Arc::new(Doorbell::new()), cfg)
+        fabric.add_device(1, &cfg.with_rx_capacity(8));
+        let shared = fabric.add_device(0, &cfg);
+        FramedDevice::new(fabric, 0, shared, cfg)
     }
 
     /// The table in [`QpLocks`]' documentation, on real devices: with the
@@ -396,11 +417,13 @@ mod tests {
         }
     }
 
-    /// ROADMAP item 0's two sites, as counts instead of a red-count: over
-    /// 10 000 messages a device sends itself in bursts — 2 KiB each, so
-    /// the wire stages every one through the pool — the polled CQ, the
-    /// SRQ and every shelf of the pool keep the capacity they were built
-    /// with. One thread drives everything, so the occupancies repeat.
+    /// Warm traffic, as counts instead of a red-count: over 10 000
+    /// messages a device sends itself in bursts of 2 KiB, half of each
+    /// burst finding its receive posted and the other half no receive —
+    /// so those wait on the RX endpoint, staged through the pool — the
+    /// polled CQ, the SRQ and every shelf of the pool keep the capacity
+    /// they were built with. One thread drives everything, so the
+    /// occupancies repeat.
     #[test]
     fn warm_traffic_grows_neither_deque_nor_any_shelf() {
         const BURST: usize = 32;
@@ -413,12 +436,17 @@ mod tests {
         assert!(built.0 >= 2 * BURST && built.2.iter().all(|&c| c > 0), "{built:?}");
         let mut bufs = vec![[0u8; 2048]; BURST];
         let (payload, mut out, mut got) = ([7u8; 2048], Vec::new(), 0);
-        for round in 0..10_000 / BURST + 1 {
+        let post = |bufs: &mut [[u8; 2048]], first: usize| {
             for (slot, buf) in bufs.iter_mut().enumerate() {
                 // SAFETY: `bufs` outlives the device's last poll.
-                let recv = unsafe { RecvBufDesc::new(buf.as_mut_ptr(), buf.len(), slot as u64) };
+                let recv =
+                    unsafe { RecvBufDesc::new(buf.as_mut_ptr(), buf.len(), (first + slot) as u64) };
                 dev.post_recv(recv).unwrap();
             }
+        };
+        for round in 0..10_000 / BURST + 1 {
+            let (early, late) = bufs.split_at_mut(BURST / 2);
+            post(early, 0);
             for i in 0..BURST {
                 // Every other message is signaled: SendDones and
                 // RecvDones meet in the CQ.
@@ -427,6 +455,8 @@ mod tests {
                     _ => dev.post_send(0, 0, &payload, round as u64, 1).unwrap(),
                 }
             }
+            assert_eq!(dev.inbound_pending(), BURST / 2, "the unreceived half parks");
+            post(late, BURST / 2);
             while got < (round + 1) * BURST {
                 out.clear();
                 dev.poll_cq(&mut out, 8).unwrap();
@@ -442,9 +472,7 @@ mod tests {
     /// into the polled CQ.
     #[test]
     fn staged_completions_keep_order_across_overflow() {
-        let cfg = DeviceConfig::shm();
-        let shared =
-            DevShared::new(0, Arc::new(RxEndpoint::new(4)), Arc::new(Doorbell::new()), &cfg);
+        let shared = DevShared::new(0, &DeviceConfig::shm());
         let mut staged = 0;
         while !shared.staging_full() {
             shared.stage_cqe(Cqe::local(CqeKind::SendDone, staged));
@@ -473,20 +501,19 @@ mod tests {
     /// message `i` carrying immediate `i`, and receive buffers of `lens`
     /// bytes posted in order, descriptor `i` carrying context `i`.
     fn parked(parked: u64, lens: &[usize]) -> (DevShared, Vec<Vec<u8>>) {
-        let rx = Arc::new(RxEndpoint::new(64));
+        let cfg = DeviceConfig::ibv().with_discipline(LockDiscipline::TryLock);
+        let shared = DevShared::new(0, &cfg.with_rx_capacity(64));
         for imm in 0..parked {
             let payload = WirePayload::from_slice(&imm.to_le_bytes());
             let msg = WireMsg { src_rank: 1, src_dev: 0, imm, kind: WireMsgKind::Send, payload };
-            rx.push(msg).unwrap();
+            shared.rx.push(msg).unwrap();
         }
-        let cfg = DeviceConfig::ibv().with_discipline(LockDiscipline::TryLock);
-        let shared = DevShared::new(0, rx, Arc::new(Doorbell::new()), &cfg);
         let mut bufs: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0xEE; n]).collect();
         let descs: Vec<RecvBufDesc> = (bufs.iter_mut().enumerate())
             // SAFETY: the buffers are returned to, and outlive, every poll.
             .map(|(i, b)| unsafe { RecvBufDesc::new(b.as_mut_ptr(), b.len(), i as u64) })
             .collect();
-        shared.post_recvs(&descs).unwrap();
+        shared.post_recvs(&descs);
         (shared, bufs)
     }
 
@@ -542,5 +569,28 @@ mod tests {
         assert_eq!(out.iter().map(|c| (c.ctx, c.imm)).collect::<Vec<_>>(), [(0, 0), (2, 2)]);
         assert_eq!(bufs[2], 2u64.to_le_bytes());
         assert_eq!(shared.posted_recvs(), 0);
+    }
+
+    /// Per-source order across the two ways in: a frame lands in the one
+    /// posted receive, the next from the same source finds none and
+    /// parks. A batch whose poll collected the staging ring before the
+    /// first completion was staged — here, the batch run on its own —
+    /// still hands the two out in send order.
+    #[test]
+    fn deliver_inbound_puts_an_earlier_arrival_first() {
+        let (shared, _bufs) = parked(0, &[8]);
+        let pool = BufPool::new(Default::default());
+        for imm in 0..2 {
+            let h = FrameHeader { imm, ..FrameHeader::default() };
+            shared.land(1, &h, WireMsgKind::Send, &imm.to_le_bytes(), &pool).unwrap();
+        }
+        assert_eq!((shared.rx_occupancy(), shared.posted_recvs()), (1, 0));
+        let mut late = [0u8; 8];
+        // SAFETY: `late` outlives the delivery below.
+        shared.post_recvs(&[unsafe { RecvBufDesc::new(late.as_mut_ptr(), 8, 1) }]);
+        let mut cq = VecDeque::new();
+        shared.deliver_inbound(&mut cq, CQ_DRAIN_BATCH).unwrap();
+        assert_eq!(cq.iter().map(|c| (c.ctx, c.imm)).collect::<Vec<_>>(), [(0, 0), (1, 1)]);
+        assert_eq!(late, 1u64.to_le_bytes());
     }
 }

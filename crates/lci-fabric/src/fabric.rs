@@ -1,6 +1,8 @@
-//! The fabric: rank registry, RX endpoints (the "wire"), and out-of-band
-//! bootstrap (the PMI stand-in).
+//! The fabric: the device registry, RX endpoints (where a frame waits for
+//! a posted receive), and out-of-band bootstrap (the PMI stand-in).
 
+use crate::backend::DeviceConfig;
+use crate::dev_shared::DevShared;
 use crate::mem::RegistrationTable;
 use crate::shm::{ShmFabric, ShmSegment};
 use crate::sync::MpmcArray;
@@ -9,13 +11,15 @@ use crossbeam::queue::ArrayQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Default RX-ring capacity (messages in flight toward one device).
-pub const DEFAULT_RX_CAPACITY: usize = 4096;
+/// Default RX-endpoint capacity: frames toward one device that may wait
+/// for a receive to be posted. One that finds a receive posted never
+/// enters it; LCI keeps 64 posted.
+pub const DEFAULT_RX_CAPACITY: usize = 256;
 
-/// The receive half of a device as seen from the rest of the fabric:
-/// a bounded multi-producer ring standing in for the NIC's inbound
-/// pipeline. Senders push; only the owning device pops (during its
-/// `poll_cq`).
+/// Where frames toward a device wait when they cannot be delivered on
+/// arrival — no receive posted, or earlier frames still waiting: a
+/// bounded multi-producer ring. Deliverers push; only the owning device
+/// pops (during its `poll_cq`).
 ///
 /// The ring is a fixed-capacity lock-free array queue — like a real
 /// inbound FIFO it is sized at creation and never allocates on the push
@@ -50,7 +54,7 @@ impl RxEndpoint {
 
     /// Messages queued right now (racy snapshot; loads only). Every poll
     /// of the owning device reads it to size its delivery loop, and
-    /// every direct delivery to see that nothing would be overtaken.
+    /// every delivery on arrival to see that nothing would be overtaken.
     pub fn occupancy(&self) -> usize {
         self.ring.len()
     }
@@ -89,10 +93,11 @@ struct OobInner {
 /// registry and the memory registration table.
 pub struct Fabric {
     nranks: usize,
-    /// Per-rank device registry: `(rank, dev_id) -> RxEndpoint`.
-    /// MPMC arrays (paper §4.1.1): appended at device creation, read
-    /// lock-free on every send.
-    endpoints: Vec<MpmcArray<Arc<RxEndpoint>>>,
+    /// Per-rank device registry: `(rank, dev_id) -> DevShared`, the
+    /// completion and receive state whoever delivers into a device
+    /// reaches it by. MPMC arrays (paper §4.1.1): appended at device
+    /// creation, read lock-free on every delivery.
+    devices: Vec<MpmcArray<Arc<DevShared>>>,
     mem: RegistrationTable,
     oob: Oob,
     /// Shared-memory transport state, created lazily the first time an
@@ -112,7 +117,7 @@ impl Fabric {
         assert!(nranks >= 1, "fabric needs at least one rank");
         Arc::new(Self {
             nranks,
-            endpoints: (0..nranks).map(|_| MpmcArray::with_capacity(4)).collect(),
+            devices: (0..nranks).map(|_| MpmcArray::with_capacity(4)).collect(),
             mem: RegistrationTable::new(),
             oob: Oob {
                 mutex: Mutex::new(OobInner {
@@ -237,26 +242,29 @@ impl Fabric {
         &self.mem
     }
 
-    /// Registers a new device for `rank`; returns its [`DevId`].
-    pub(crate) fn add_device(&self, rank: Rank, ep: Arc<RxEndpoint>) -> DevId {
+    /// Registers a new device for `rank`, its state built with the
+    /// [`DevId`] the append hands out.
+    pub(crate) fn add_device(&self, rank: Rank, cfg: &DeviceConfig) -> Arc<DevShared> {
         assert!(rank < self.nranks, "rank {rank} out of range");
-        self.endpoints[rank].push(ep)
+        let registry = &self.devices[rank];
+        let id = registry.push_with(|id| Arc::new(DevShared::new(id, cfg)));
+        registry.get(id).expect("appended above").clone()
     }
 
-    /// Looks up a target endpoint for a send: a lock-free borrow, so a
-    /// send takes no refcount on an endpoint every sender toward that
+    /// Looks up a device to deliver into: a lock-free borrow, so a
+    /// delivery takes no refcount on state every sender toward that
     /// device shares.
-    pub(crate) fn endpoint(&self, rank: Rank, dev: DevId) -> NetResult<&RxEndpoint> {
+    pub(crate) fn device(&self, rank: Rank, dev: DevId) -> NetResult<&DevShared> {
         if rank >= self.nranks {
             return Err(NetError::fatal(format!("rank {rank} out of range")));
         }
-        let ep = self.endpoints[rank].get(dev);
-        ep.map(|ep| &**ep).ok_or(NetError::Retry(RetryReason::PeerNotReady))
+        let shared = self.devices[rank].get(dev);
+        shared.map(|d| &**d).ok_or(NetError::Retry(RetryReason::PeerNotReady))
     }
 
     /// Number of devices currently created on `rank`.
     pub fn device_count(&self, rank: Rank) -> usize {
-        self.endpoints[rank].len()
+        self.devices[rank].len()
     }
 
     /// Out-of-band barrier across all ranks (bootstrap only; do not use on
@@ -382,12 +390,13 @@ mod tests {
     #[test]
     fn fabric_device_registry() {
         let f = Fabric::new(2);
-        let ep = Arc::new(RxEndpoint::new(4));
-        let id = f.add_device(1, ep.clone());
-        assert_eq!(id, 0);
-        assert!(std::ptr::eq(f.endpoint(1, 0).unwrap(), &*ep));
-        assert!(matches!(f.endpoint(1, 5), Err(NetError::Retry(RetryReason::PeerNotReady))));
-        assert!(f.endpoint(7, 0).is_err());
+        let dev = f.add_device(1, &DeviceConfig::ibv());
+        assert_eq!(dev.dev_id(), 0);
+        assert_eq!(f.add_device(1, &DeviceConfig::ibv()).dev_id(), 1);
+        assert!(std::ptr::eq(f.device(1, 0).unwrap(), &*dev));
+        assert!(matches!(f.device(1, 5), Err(NetError::Retry(RetryReason::PeerNotReady))));
+        assert!(f.device(7, 0).is_err());
+        assert_eq!((f.device_count(0), f.device_count(1)), (0, 2));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! place each frame header is built, the posts — including the one-sided
 //! ones that never become a frame because the poster can address the
 //! target's memory ([`Wire::LOCAL_DIRECT`]) — and, in [`router`], the
-//! per-rank device registry and pending-read table ([`RankCore`]) and the
-//! **single** inbound router (`route_frame`). Completion staging and the
-//! shared receive queue are [`DevShared`]. A transport implements
+//! per-rank pending-read table ([`RankCore`]) and the **single** inbound
+//! router (`route_frame`). Completion staging and the shared receive
+//! queue are [`DevShared`], registered in the fabric, where every
+//! delivery into the device finds them. A transport implements
 //! [`Wire`] — only what is about *bytes moving*: peer liveness, a locked
 //! sender that accepts frames, a drain that hands inbound frames back,
 //! pending counts, counters and a final flush.
@@ -18,7 +19,7 @@
 use crate::backend::{DeviceConfig, NetDevice, SendDesc, TransportStats};
 use crate::buf_pool::{BufPool, BufPoolStats};
 use crate::dev_shared::{DevShared, QpLocks, CQ_DRAIN_BATCH};
-use crate::fabric::{Fabric, RxEndpoint};
+use crate::fabric::Fabric;
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCache, RegCacheStats};
 use crate::shm::ring::{FrameHeader, FLAG_HAS_IMM, KIND_READ_REQ, KIND_SEND, KIND_WRITE};
@@ -149,26 +150,23 @@ pub(crate) struct FramedDevice<W: Wire> {
 }
 
 impl<W: Wire> FramedDevice<W> {
-    /// Creates the device. Called by
+    /// Creates the device over the state `fabric` registered for it.
+    /// Called by
     /// [`NetContext::create_device`](crate::backend::NetContext::create_device).
     pub(crate) fn new(
         fabric: Arc<Fabric>,
         rank: Rank,
-        dev_id: DevId,
-        rx: Arc<RxEndpoint>,
-        bell: Arc<Doorbell>,
+        shared: Arc<DevShared>,
         cfg: DeviceConfig,
     ) -> Self {
         let buf_pool = BufPool::new(cfg.buf_pool);
         let wire = W::open(&fabric, rank, &buf_pool);
-        let shared = Arc::new(DevShared::new(dev_id, rx, bell, &cfg));
-        wire.core().add_device(shared.clone());
         Self {
             qps: QpLocks::new(&cfg, fabric.nranks()),
             fabric,
             wire,
             rank,
-            dev_id,
+            dev_id: shared.dev_id(),
             cfg,
             shared,
             reg_cache: RegCache::new(cfg.reg_cache),
@@ -263,7 +261,7 @@ impl<W: Wire> FramedDevice<W> {
     fn put(&self, route: &mut Route<'_, W>, h: &FrameHeader, payload: &[u8]) -> NetResult<()> {
         match route {
             Route::Wire { tx, .. } => self.wire.send(tx, h, payload),
-            Route::Local => match self.route_frame(self.rank, h, payload, false)? {
+            Route::Local => match self.route_frame(self.rank, h, payload)? {
                 Routed::Done => Ok(()),
                 Routed::Parked(why) => Err(NetError::Retry(why)),
             },
@@ -349,7 +347,8 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
 
     fn post_recv_batch(&self, descs: &[RecvBufDesc]) -> NetResult<usize> {
         let _ep = self.qps.lock_endpoint()?;
-        self.shared.post_recvs(descs)
+        self.shared.post_recvs(descs);
+        Ok(descs.len())
     }
 
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
@@ -360,7 +359,7 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         // Drain the wire *before* the poll takes our CQ lock: the router
         // stages CQEs (RecvDone, ReadDone) onto this very device, and
         // `stage_cqe`'s overflow path locks the polled CQ.
-        self.wire.drain(budget, |src, h, payload| self.route_frame(src, h, payload, true))?;
+        self.wire.drain(budget, |src, h, payload| self.route_frame(src, h, payload))?;
         self.shared.poll(out, max, budget)
     }
 

@@ -1,19 +1,17 @@
 //! The consuming side of the framed device core: what the devices of one
-//! rank share ([`RankCore`], with its pending-read table) and the
-//! **single** inbound router ([`FramedDevice::route_frame`]) — the only
-//! place frame kinds are told apart.
+//! rank share ([`RankCore`], the pending-read table) and the **single**
+//! inbound router ([`FramedDevice::route_frame`]) — the only place frame
+//! kinds are told apart.
 
 use super::{FramedDevice, Peer, Wire};
-use crate::dev_shared::DevShared;
 use crate::mem::Rkey;
 use crate::shm::ring::{
     FrameHeader, FLAG_HAS_IMM, KIND_READ_REQ, KIND_READ_RESP, KIND_SEND, KIND_WRITE,
 };
-use crate::sync::{MpmcArray, SpinLock};
+use crate::sync::SpinLock;
 use crate::types::{
-    Cqe, CqeKind, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsg, WireMsgKind,
+    Cqe, CqeKind, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsgKind,
 };
-use std::sync::Arc;
 
 /// Capacity of the pending-read table (outstanding `post_read`s per
 /// rank). Allocated whole by the rank's first framed read, so the read
@@ -67,28 +65,13 @@ impl ReadTable {
 
 /// What the framed devices of one rank share, whatever the wire; each
 /// wire's rank state embeds one.
+#[derive(Default)]
 pub(crate) struct RankCore {
-    /// Local devices on this rank (append-only registry), used to
-    /// route `ReadDone` completions.
-    devs: MpmcArray<Arc<DevShared>>,
     /// Outstanding `post_read`s awaiting a `READ_RESP` frame.
     reads: SpinLock<ReadTable>,
 }
 
 impl RankCore {
-    pub(crate) fn new() -> RankCore {
-        RankCore { devs: MpmcArray::with_capacity(4), reads: SpinLock::new(ReadTable::default()) }
-    }
-
-    pub(super) fn add_device(&self, dev: Arc<DevShared>) {
-        self.devs.push(dev);
-    }
-
-    fn dev_by_id(&self, dev: DevId) -> Option<&DevShared> {
-        let mut devs = (0..self.devs.len()).filter_map(|i| self.devs.get(i));
-        devs.find(|d| d.dev_id() == dev).map(|d| &**d)
-    }
-
     /// Parks `desc` until the `READ_RESP` naming the returned id arrives;
     /// `None` when the table is full.
     pub(super) fn alloc_read(&self, desc: RecvBufDesc, dev: DevId) -> Option<u32> {
@@ -119,8 +102,9 @@ pub(crate) enum Routed {
 
 impl<W: Wire> FramedDevice<W> {
     /// Applies one frame on the consuming side — the only place frame
-    /// kinds are told apart. `in_drain` says the frame comes from this
-    /// device's own poll, under the wire's drain lock for `src`.
+    /// kinds are told apart. The caller holds `src`'s order: a drain
+    /// holding the wire's drain lock for `src`, or a post toward this
+    /// rank on a wire without a self channel, holding its QP lock.
     ///
     /// Rkeys are validated here, in the process that owns the
     /// registration table — the producer cannot see it across a process
@@ -130,22 +114,9 @@ impl<W: Wire> FramedDevice<W> {
         src: Rank,
         h: &FrameHeader,
         payload: &[u8],
-        in_drain: bool,
     ) -> NetResult<Routed> {
         match h.kind {
-            KIND_SEND => {
-                // Ours, nothing queued ahead of it and a receive posted:
-                // wire buffer → posted buffer, no restaging. Anything
-                // else (a sibling's frame, RNR) goes through the RX
-                // endpoint.
-                if in_drain
-                    && h.dst_dev as DevId == self.dev_id
-                    && self.shared.deliver_send(src, h, payload)?
-                {
-                    return Ok(Routed::Done);
-                }
-                self.push_msg(src, h, WireMsgKind::Send, payload)
-            }
+            KIND_SEND => self.land(src, h, WireMsgKind::Send, payload),
             KIND_WRITE => {
                 let data = payload;
                 let base =
@@ -161,7 +132,7 @@ impl<W: Wire> FramedDevice<W> {
                 // If the notification parks, the copy above is simply
                 // redone with it: it is idempotent, and the target must
                 // not read before the notification arrives.
-                self.push_msg(src, h, WireMsgKind::WriteImm, &[])
+                self.land(src, h, WireMsgKind::WriteImm, &[])
             }
             KIND_READ_REQ => {
                 let len = h.imm as usize;
@@ -199,7 +170,7 @@ impl<W: Wire> FramedDevice<W> {
                 unsafe {
                     std::ptr::copy_nonoverlapping(data.as_ptr(), desc.ptr, n);
                 }
-                if let Some(d) = core.dev_by_id(dev) {
+                if let Ok(d) = self.fabric.device(self.rank, dev) {
                     let mut cqe = Cqe::local(CqeKind::ReadDone, desc.ctx);
                     cqe.len = n;
                     d.stage_cqe(cqe);
@@ -210,40 +181,30 @@ impl<W: Wire> FramedDevice<W> {
         }
     }
 
-    /// Queues frame `h` from `src` as a wire message on the RX endpoint
-    /// of the local device it names, `payload` staged as its bytes —
-    /// the one time a lent frame is copied into a buffer of its own. A
-    /// device not created yet or a full endpoint parks the frame; a
-    /// closed one (device torn down) drops it, as teardown drops parked
-    /// wire messages.
-    fn push_msg(
+    /// Lands frame `h` from `src` on the device of this rank it names,
+    /// this one or a sibling — into its posted receive, or staged
+    /// through this device's pool onto its RX endpoint (the one time a
+    /// lent frame is copied into a buffer of its own). A device not
+    /// created yet or a full endpoint parks the frame; a closed one
+    /// (device torn down) drops it, as teardown drops parked wire
+    /// messages.
+    fn land(
         &self,
         src: Rank,
         h: &FrameHeader,
         kind: WireMsgKind,
         payload: &[u8],
     ) -> NetResult<Routed> {
-        let ep = match self.fabric.endpoint(self.rank, h.dst_dev as DevId) {
-            Ok(ep) => ep,
+        let dev = match self.fabric.device(self.rank, h.dst_dev as DevId) {
+            Ok(dev) => dev,
             Err(NetError::Retry(why)) => return Ok(Routed::Parked(why)),
             Err(e) => return Err(e),
         };
-        // Checked before staging so a frame waiting at a full endpoint
-        // is not copied once per poll.
-        if ep.is_full() {
-            return Ok(Routed::Parked(RetryReason::RxFull));
-        }
-        let msg = WireMsg {
-            src_rank: src,
-            src_dev: h.src_dev as DevId,
-            imm: h.imm,
-            kind,
-            payload: self.buf_pool.stage(payload),
-        };
-        match ep.push(msg) {
+        match dev.land(src, h, kind, payload, &self.buf_pool) {
             Ok(()) => Ok(Routed::Done),
             Err(NetError::Retry(why)) => Ok(Routed::Parked(why)),
-            Err(NetError::Fatal(_)) => Ok(Routed::Done),
+            Err(_) if dev.is_closed() => Ok(Routed::Done),
+            Err(e) => Err(e),
         }
     }
 }

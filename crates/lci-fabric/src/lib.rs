@@ -27,12 +27,12 @@
 //! shared-memory segment, a socket mesh) under the same core and the ibv
 //! layout.
 //!
-//! Data movement is performed with real `memcpy`s (inline for tiny
-//! messages, heap-staged for eager messages, direct registered-memory
-//! copies for RDMA), so per-message software overhead and bandwidth
-//! saturation behave like a real memory-limited NIC path. Propagation
-//! delay is not modelled; the paper's metrics (message rate, bandwidth)
-//! are overhead-dominated, not latency-dominated.
+//! Data movement is performed with real `memcpy`s (into pre-posted
+//! receives for messages, direct registered-memory copies for RDMA), so
+//! per-message software overhead and bandwidth saturation behave like a
+//! real memory-limited NIC path. Propagation delay is not modelled; the
+//! paper's metrics (message rate, bandwidth) are overhead-dominated, not
+//! latency-dominated.
 //!
 //! ## Model
 //!
@@ -41,12 +41,13 @@
 //!   paper comparisons are *relative* between libraries running on the
 //!   identical fabric.
 //! * Each rank opens a [`NetContext`] and creates one or more network
-//!   devices ([`NetDevice`]). A device owns an RX ring (the "wire" into
-//!   it), a completion queue, a shared receive queue of pre-posted
-//!   buffers, and per-target queue pairs.
-//! * `post_send` stages the payload and pushes it onto the *target*
-//!   device's RX ring; the copy into the pre-posted receive buffer happens
-//!   on the target side during `poll_cq` (standing in for NIC DMA).
+//!   devices ([`NetDevice`]). A device owns a completion queue, a shared
+//!   receive queue of pre-posted buffers, an RX ring where messages wait
+//!   for a receive, and per-target queue pairs.
+//! * `post_send` copies the payload straight into the *target* device's
+//!   oldest pre-posted receive buffer and stages its completion there
+//!   (standing in for NIC DMA); only a message that finds no receive
+//!   posted waits, staged, in the target's RX ring for its `poll_cq`.
 //! * `post_write`/`post_read` copy directly between local memory and
 //!   remote *registered* memory (see [`mem`]), optionally consuming a
 //!   pre-posted receive at the target to deliver an immediate-data

@@ -132,7 +132,7 @@ impl ShmRankState {
             inbound: (0..nranks).map(|s| seg.channel(s, rank)).collect(),
             prod_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
             drain_locks: (0..nranks).map(|_| SpinLock::new(())).collect(),
-            core: RankCore::new(),
+            core: RankCore::default(),
             _seg: seg,
         }
     }

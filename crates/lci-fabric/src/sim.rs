@@ -1,15 +1,18 @@
 //! The in-memory [`Wire`] under the two simulated providers (`ibv`,
-//! `ofi`): the target device's [`RxEndpoint`](crate::fabric::RxEndpoint)
-//! *is* the wire.
+//! `ofi`): no wire at all — the poster plays the NIC.
 //!
-//! Sending turns the frame into the [`WireMsg`] the consuming side would
-//! have made of it and pushes that straight onto the endpoint of the
-//! device the frame names, payload staged through the sending device's
-//! pool (the NIC reading the send buffer). There is nothing to drain:
-//! the core's poll pops its own endpoint. Every rank is in this process,
-//! so writes and reads never reach the wire at all — the core copies them
-//! in place ([`Wire::LOCAL_DIRECT`]) and only a write's immediate comes
-//! through here, as the header-only frame it is on every wire.
+//! Sending lands the frame on the device it names the way every wire's
+//! drain lands one ([`DevShared::land`](crate::dev_shared::DevShared::land)):
+//! the payload is copied straight from the send buffer into that device's
+//! oldest posted receive and the completion staged there, under the QP
+//! lock that keeps this poster's frames in order. Only a frame that
+//! finds no receive posted, or earlier frames still waiting, is staged
+//! through the sending device's pool (the NIC reading the send buffer)
+//! and waits on the target's RX endpoint for its poll. There is nothing
+//! to drain. Every rank is in this process, so writes and reads never
+//! reach the wire at all — the core copies them in place
+//! ([`Wire::LOCAL_DIRECT`]) and only a write's immediate comes through
+//! here, as the header-only frame it is on every wire.
 //!
 //! What tells the two providers apart is not here: it is which lock
 //! covers what (`dev_shared::QpLocks`).
@@ -20,34 +23,33 @@ use crate::fabric::Fabric;
 use crate::framed::{Peer, RankCore, Routed, Wire};
 use crate::shm::ring::{FrameHeader, FLAG_HAS_IMM, KIND_SEND, KIND_WRITE};
 use crate::sync::LockDiscipline;
-use crate::types::{DevId, NetError, NetResult, Rank, WireMsg, WireMsgKind};
+use crate::types::{DevId, NetError, NetResult, Rank, WireMsgKind};
 use std::sync::Arc;
 
-/// One device's way onto every endpoint of the fabric.
+/// One device's way into every device of the fabric.
 pub(crate) struct SimWire {
     fabric: Arc<Fabric>,
     rank: Rank,
-    /// Stages `WirePayload::Heap` copies of outbound sends.
+    /// Stages the copy of a frame that has to wait (receiver not ready).
     pool: BufPool,
-    /// Endpoints are per device, so nothing is shared between siblings:
-    /// a registry of this one device, and a read table that is never
+    /// Nothing is shared between siblings: a read table that is never
     /// allocated because no read is ever framed.
     core: RankCore,
 }
 
 impl Wire for SimWire {
     const NAME: &'static str = "sim";
-    /// A rank's own endpoint takes pushes like any other.
+    /// A rank's own devices are landed on like any other.
     const SELF_CHANNEL: bool = true;
     /// Every rank registers into the table and the address space the
     /// poster runs in.
     const LOCAL_DIRECT: bool = true;
-    /// The endpoint is multi-producer: there is no sender to lock, only
-    /// a target to remember.
+    /// Deliveries take the target's own locks: there is no sender to
+    /// lock, only a target to remember.
     type Tx<'a> = Rank;
 
     fn open(fabric: &Arc<Fabric>, rank: Rank, pool: &BufPool) -> Self {
-        SimWire { fabric: fabric.clone(), rank, pool: pool.clone(), core: RankCore::new() }
+        SimWire { fabric: fabric.clone(), rank, pool: pool.clone(), core: RankCore::default() }
     }
 
     fn core(&self) -> &RankCore {
@@ -62,8 +64,9 @@ impl Wire for SimWire {
         Ok(target)
     }
 
-    /// A full endpoint is `Retry(RxFull)`, a device not created yet
-    /// `Retry(PeerNotReady)`, a torn-down one fatal.
+    /// A frame that must wait and finds the endpoint full is
+    /// `Retry(RxFull)`, a device not created yet `Retry(PeerNotReady)`,
+    /// a torn-down one fatal.
     ///
     /// Forced inline like the core's `put` that calls it: left as a call
     /// it cost an 8 B message on the raw device 15-30 ns (measured).
@@ -82,15 +85,8 @@ impl Wire for SimWire {
                 )))
             }
         };
-        // Built in the call, payload staged in place: the message is
-        // ~100 bytes, and each intermediate binding is a copy of it.
-        self.fabric.endpoint(*target, h.dst_dev as DevId)?.push(WireMsg {
-            src_rank: self.rank,
-            src_dev: h.src_dev as DevId,
-            imm: h.imm,
-            kind,
-            payload: self.pool.stage(payload),
-        })
+        let dev = self.fabric.device(*target, h.dst_dev as DevId)?;
+        dev.land(self.rank, h, kind, payload, &self.pool)
     }
 
     fn drain(

@@ -225,8 +225,16 @@ impl<T: Clone> MpmcArray<T> {
 
     /// Appends a value, resizing if necessary. Returns the index.
     pub fn push(&self, value: T) -> usize {
+        self.push_with(|_| value)
+    }
+
+    /// Appends the value `make` builds from the index it will have, under
+    /// the append's own serialization: no value can be built for an index
+    /// another append claims. Returns the index.
+    pub fn push_with(&self, make: impl FnOnce(usize) -> T) -> usize {
         let mut retired = self.writer.lock().expect("MpmcArray writer poisoned");
         let idx = self.len.load(Ordering::Relaxed);
+        let value = make(idx);
         let block = self.current.load(Ordering::Relaxed);
         // SAFETY: `block` is the live block; only writers (serialized by
         // the mutex we hold) replace it.

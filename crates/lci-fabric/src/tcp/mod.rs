@@ -433,7 +433,7 @@ impl TcpRankState {
         let state = Arc::new(TcpRankState {
             conns: conns.collect(),
             epoll,
-            core: RankCore::new(),
+            core: RankCore::default(),
             writev_calls: AtomicU64::new(0),
             writev_frames: AtomicU64::new(0),
             bridge: Mutex::new(None),

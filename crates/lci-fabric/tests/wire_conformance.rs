@@ -75,9 +75,9 @@ fn frames_local_rma(cfg: &DeviceConfig) -> bool {
 }
 
 /// Whether `cfg`'s wire holds frames of its own (ring slots, socket
-/// buffers) in front of the target device's RX ring. The in-memory wire
-/// does not — the RX ring *is* the wire — so there a full ring refuses
-/// the post itself instead of parking a frame.
+/// buffers) in front of the target device. The in-memory wire does not —
+/// the post lands a frame in a posted receive or the RX ring — so there
+/// a full ring refuses the post itself instead of parking a frame.
 fn buffers_on_its_own(cfg: &DeviceConfig) -> bool {
     matches!(cfg.backend, BackendKind::Shm | BackendKind::Tcp)
 }
@@ -428,7 +428,11 @@ fn write_with_imm_arrives_behind_earlier_sends_with_its_bytes_in_place() {
             assert_eq!((ts.rma_direct_bytes, ts.rma_framed_bytes), (0, total));
         } else {
             assert_eq!((ts.rma_direct_bytes, ts.rma_framed_bytes), (total, 0));
-            assert_eq!(d1.inbound_pending(), K + 1, "a chunk without an immediate cost a frame");
+            // The in-memory wire has delivered the sends and the
+            // notification into their receives at the post; on shm they
+            // are frames in the ring until the target polls.
+            let framed = if buffers_on_its_own(&cfg) { K + 1 } else { 0 };
+            assert_eq!(d1.inbound_pending(), framed, "a chunk without an immediate cost a frame");
         }
 
         let cqes = poll_until(&d0, K + CHUNKS);
@@ -656,23 +660,29 @@ fn rnr_message_waits_for_its_receive() {
 /// Several senders to one device: three threads, each with the device of
 /// a rank of its own, send numbered 8 B messages to rank 0's device as
 /// fast as it takes them, through an 8-slot RX ring, while its owner
-/// posts receives and polls. Nothing is lost or duplicated and each
-/// source's messages arrive in the order it sent them (the per-source
-/// FIFO of the `Wire` contract; across sources there is no order to
-/// keep). A refused post says `RxFull` — every lock is acquired
-/// blockingly here, so nothing else can refuse — and leaves no
-/// completion: a sender polls exactly one `SendDone` per message, in
-/// order. On the in-memory wire the three senders push into the target's
-/// ring themselves, concurrently with its pops.
+/// posts receives and polls — with a write-with-immediate as every 16th
+/// message, and far fewer receives than messages, so on the in-memory
+/// wire a sender's messages go both ways: into a posted receive at the
+/// post, concurrently with the owner's polls, or onto the ring when none
+/// is posted. Nothing is lost or duplicated and each source's messages
+/// arrive in the order it sent them (the per-source FIFO of the `Wire`
+/// contract; across sources there is no order to keep). A refused post
+/// says `RxFull`, or `QueueFull` once its own unpolled `SendDone`s fill
+/// the staging ring — every lock is acquired blockingly here, so nothing
+/// else can refuse — and leaves no completion: a sender polls exactly
+/// one `SendDone` or `WriteDone` per message, in order.
 #[test]
 fn several_senders_to_one_device_arrive_complete_and_in_source_order() {
     const SENDERS: usize = 3;
     const PER_SENDER: u64 = 2000;
     const RECVS: usize = 16;
+    let is_write = |i: u64| i % 16 == 15;
     for cfg in wires() {
         let cfg = cfg.with_discipline(LockDiscipline::Blocking);
         let fabric = Fabric::new(SENDERS + 1);
         let target = NetContext::new(fabric.clone(), 0).create_device(cfg.with_rx_capacity(8));
+        let region = [0u8; 8 * (SENDERS + 1)];
+        let rkey = target.register(region.as_ptr(), region.len()).unwrap().rkey;
         let senders: Vec<_> =
             (1..=SENDERS).map(|r| NetContext::new(fabric.clone(), r).create_device(cfg)).collect();
         let start = Barrier::new(SENDERS + 1);
@@ -683,9 +693,16 @@ fn several_senders_to_one_device_arrive_complete_and_in_source_order() {
                 s.spawn(move || {
                     start.wait();
                     let mut done = Vec::new();
+                    let slot = 8 * dev.rank();
                     for i in 0..PER_SENDER {
-                        while let Err(e) = dev.post_send(0, 0, &i.to_le_bytes(), i, i) {
-                            assert_eq!(e, NetError::Retry(RetryReason::RxFull), "{cfg:?}");
+                        let data = i.to_le_bytes();
+                        let post = || match is_write(i) {
+                            true => dev.post_write(0, 0, &data, rkey, slot, Some(i), i),
+                            false => dev.post_send(0, 0, &data, i, i),
+                        };
+                        while let Err(e) = post() {
+                            let full = [RetryReason::RxFull, RetryReason::QueueFull];
+                            assert!(full.map(NetError::Retry).contains(&e), "{cfg:?}: {e:?}");
                             assert!(Instant::now() < deadline, "{cfg:?}: message {i} never posted");
                             dev.poll_cq(&mut done, 64).unwrap(); // flush what the wire holds
                             std::thread::yield_now();
@@ -693,9 +710,10 @@ fn several_senders_to_one_device_arrive_complete_and_in_source_order() {
                     }
                     while (done.len() as u64) < PER_SENDER {
                         dev.poll_cq(&mut done, 64).unwrap();
-                        assert!(Instant::now() < deadline, "{cfg:?}: {} SendDones", done.len());
+                        assert!(Instant::now() < deadline, "{cfg:?}: {} completions", done.len());
                     }
-                    let want = (0..PER_SENDER).map(|i| (CqeKind::SendDone, i));
+                    let kind = |i| if is_write(i) { CqeKind::WriteDone } else { CqeKind::SendDone };
+                    let want = (0..PER_SENDER).map(|i| (kind(i), i));
                     assert!(done.iter().map(|c| (c.kind, c.ctx)).eq(want), "{cfg:?}");
                 });
             }
@@ -711,9 +729,18 @@ fn several_senders_to_one_device_arrive_complete_and_in_source_order() {
                 cqes.clear();
                 target.poll_cq(&mut cqes, 64).unwrap();
                 for c in &cqes {
-                    assert_eq!((c.kind, c.len), (CqeKind::RecvDone, 8), "{cfg:?}");
                     let slot = c.ctx as usize;
-                    let n = u64::from_le_bytes(bufs[slot]);
+                    let n = match c.kind {
+                        CqeKind::RecvDone => {
+                            assert_eq!(c.len, 8, "{cfg:?}");
+                            u64::from_le_bytes(bufs[slot])
+                        }
+                        CqeKind::WriteImmRecv => {
+                            assert!(is_write(c.imm), "{cfg:?}: a send came as a write");
+                            c.imm
+                        }
+                        k => panic!("{cfg:?}: unexpected {k:?} at the target"),
+                    };
                     assert_eq!((n, c.imm), (next[c.src_rank], n), "{cfg:?}: from {}", c.src_rank);
                     next[c.src_rank] += 1;
                     post_packet_recv(&target, &mut bufs[slot], slot as u64);

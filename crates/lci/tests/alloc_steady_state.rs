@@ -284,9 +284,9 @@ fn inject_steady_state_is_allocation_free() {
     );
 }
 
-/// Eager messages past the wire's inline limit: the wire's staging comes
-/// from the recycled buffer pool — zero allocator calls per operation
-/// once shelves are warm.
+/// Eager messages past the wire's inline limit: the post copies each one
+/// straight into a packet the receiver keeps posted — zero allocator
+/// calls per operation once warm.
 #[test]
 fn eager_steady_state_is_allocation_free() {
     let _g = serial();
@@ -417,12 +417,13 @@ fn eager_2k_copy_ledger(device: lci_fabric::DeviceConfig) -> (u64, u64, u64) {
 /// The eager copy ledger (DESIGN.md §4.7 table), from counters that
 /// repeat exactly: an expected 2 KiB message is copied user buffer →
 /// wire → packet → user buffer. On shm the ring is the wire, on tcp the
-/// stream buffer and the reassembly slab are, and nothing is restaged,
-/// so the message takes no pooled buffer on either rank; on sim-ibv the
-/// wire's own staging is the one take. Either way exactly
-/// one delivery copy is counted (packet → posted buffer), and the sender
-/// handles no completion at all: the send was done at the post, so no
-/// `SendDone` is staged, polled or decoded (1 per message until PR 21).
+/// stream buffer and the reassembly slab are, and on sim-ibv there is no
+/// wire in between — the post copies the send buffer into the posted
+/// packet. Nothing is restaged, so the message takes no pooled buffer on
+/// either rank, on any wire. Exactly one delivery copy is counted
+/// (packet → posted buffer), and the sender handles no completion at
+/// all: the send was done at the post, so no `SendDone` is staged,
+/// polled or decoded.
 #[test]
 fn eager_copy_ledger_is_one_stage_per_wire() {
     // Its own counters are per device, but its allocations would land in
@@ -430,7 +431,7 @@ fn eager_copy_ledger_is_one_stage_per_wire() {
     let _g = serial();
     assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::shm()), (0, 1, 0));
     assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::tcp()), (0, 1, 0));
-    assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::ibv()), (1, 1, 0));
+    assert_eq!(eager_2k_copy_ledger(lci_fabric::DeviceConfig::ibv()), (0, 1, 0));
 }
 
 /// Warm 512 KiB rendezvous transfers on `device`: the sender's
@@ -502,9 +503,9 @@ fn placed_inject_steady_state_is_allocation_free() {
     );
 }
 
-/// Eager staging under placement: takes come from the home shelf and
-/// frees return to their origin stripe — the striped fast path is as
-/// allocation-free as the single-shelf one.
+/// Eager messages under placement: packets come from the home stripe
+/// and return to their origin stripe — the striped fast path is as
+/// allocation-free as the single-stripe one.
 #[test]
 fn placed_eager_steady_state_is_allocation_free() {
     let _g = serial();
@@ -638,13 +639,17 @@ fn warm_coalesced_am_is_allocation_free() {
 /// holds (its staged copy, its context, its deque slot) is recycled. So
 /// once a few bursts have warmed those, parking a burst and draining it
 /// — in batches the two-slot endpoint cuts short, re-parking each tail —
-/// makes no allocator call.
+/// makes no allocator call. A send lands in a receive the target keeps
+/// posted before anything waits on the endpoint, so a burst outnumbers
+/// the receiver's posted receives and the endpoint's two slots.
 #[test]
 fn warm_backlog_drain_is_allocation_free() {
-    const BURST: usize = 8;
+    const PREPOST: usize = 4;
+    const BURST: usize = 12;
     let _g = serial();
     let device = lci_fabric::DeviceConfig::ibv().with_rx_capacity(2);
-    let pair = Pair::new_cfg(RuntimeConfig::small().with_device(device));
+    let cfg = RuntimeConfig { prepost: PREPOST, ..RuntimeConfig::small().with_device(device) };
+    let pair = Pair::new_cfg(cfg);
     let mut payloads: Vec<SendBuf> = (0..BURST).map(|_| vec![0x4Bu8; 512].into()).collect();
     let mut landings: Vec<Box<[u8]>> = (0..BURST).map(|_| vec![0u8; 512].into()).collect();
     let mut burst = || {
@@ -699,6 +704,11 @@ fn warm_backlog_drain_is_allocation_free() {
 /// `make_iter(rank)` builds for it. Rank threads rendezvous with the
 /// measuring main thread on a `Barrier`: its `wait` is futex-based and
 /// allocation-free once the warmup crossing has happened.
+///
+/// Each rank also asserts a count no scheduler moves: its device takes
+/// nothing from the buffer pool in the window. Every piece lands in a
+/// receive the runtime keeps posted, so no wire stages a copy; a staged
+/// copy per chunk is what would let a shelf run dry and allocate.
 fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
     nranks: usize,
     make_iter: impl Fn(usize) -> I + Clone + Send + 'static,
@@ -718,6 +728,7 @@ fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
                 for _ in 0..WARMUP {
                     iter(&rt);
                 }
+                let base = rt.device().stats();
                 gate.wait(); // measurement window opens
                 trace_window(|| {
                     for _ in 0..ITERS {
@@ -726,6 +737,9 @@ fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
                 });
                 gate.wait(); // window closes
                 gate.wait(); // counter read; teardown may allocate freely now
+                let d = rt.device().stats().since(&base);
+                let takes = d.buf_pool_hits + d.buf_pool_misses;
+                assert_eq!(takes, 0, "rank {rank} took {takes} pooled buffers in the window");
             })
         })
         .collect();
@@ -822,10 +836,8 @@ fn collective_alltoall_oversize_blocks_steady_state_is_allocation_free() {
 
 /// Warm dissemination barrier: every round is a 1-byte inline send and
 /// a receive into a shelf box completed through the state's receive
-/// queue, so no round touches the allocator — or posts anything larger
-/// than a byte, which keeps this audit deterministic where its
-/// siblings above still show the ROADMAP item-0 stray call. Three ranks so the barrier runs two
-/// rounds.
+/// queue, so no round touches the allocator or posts anything larger
+/// than a byte. Three ranks so the barrier runs two rounds.
 #[test]
 fn collective_barrier_steady_state_is_allocation_free() {
     let _g = serial();

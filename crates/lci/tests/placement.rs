@@ -89,7 +89,7 @@ fn home_device_routes_by_core_and_falls_back() {
 
 /// Striped stats cells must fold into one coherent snapshot: a known
 /// eager workload under a 4-core placement reports exactly its own
-/// post/match counts, owner-local pool traffic, and an uncontended
+/// post/match counts, no pool traffic, and an uncontended
 /// matching engine (single-threaded harness ⇒ the contended counter
 /// stays zero while still being wired up).
 #[test]
@@ -124,9 +124,9 @@ fn striped_stats_fold_into_one_snapshot() {
     let d = rt0.device().stats().since(&base);
     assert_eq!(d.posts, ITERS as u64, "every post lands in exactly one stripe cell");
     // 512 B rides the buffer-copy path: `lci` posts from the send
-    // buffer, the one pooled buffer per message is the sim wire's own
-    // staging, and the single-threaded loop stays on its home shelf.
-    assert_eq!(d.buf_pool_hits + d.buf_pool_misses, ITERS as u64);
+    // buffer and the sim wire copies it straight into the receiver's
+    // posted packet, so no message takes a pooled buffer.
+    assert_eq!(d.buf_pool_hits + d.buf_pool_misses, 0);
     assert_eq!(d.buf_pool_steals, 0, "single-core traffic never steals");
     let dr = rt1.device().stats();
     assert_eq!(dr.matched, ITERS as u64, "receiver matched every message exactly once");
