@@ -10,14 +10,14 @@
 //! enough receives pre-posted.
 
 use crate::buf_pool::{BufPool, BufPoolConfig, BufPoolStats};
-use crate::fabric::{Fabric, DEFAULT_RX_CAPACITY};
+use crate::fabric::Fabric;
 use crate::framed::FramedDevice;
 use crate::mem::{MemoryRegion, Rkey};
 use crate::reg_cache::{RegCacheConfig, RegCacheStats};
 use crate::shm::device::ShmWire;
 use crate::sim::SimWire;
 use crate::sync::{Doorbell, LockDiscipline};
-use crate::types::{Cqe, CqeKind, DevId, NetResult, Rank, RecvBufDesc, WireMsg, WireMsgKind};
+use crate::types::{Cqe, CqeKind, DevId, NetResult, Rank, RecvBufDesc, WireMsgKind};
 use std::sync::Arc;
 
 /// Which backend a device uses: a wire under the one device core
@@ -98,17 +98,11 @@ pub struct DeviceConfig {
     /// [`LockDiscipline::TryLock`] (the §4.2.2 trylock wrapper); stock
     /// library behaviour is [`LockDiscipline::Blocking`].
     pub discipline: LockDiscipline,
-    /// RX endpoint capacity: how many frames toward this device may wait
-    /// for a receive to be posted before the wire refuses more (RNR
-    /// backpressure). A frame that finds a receive posted does not pass
-    /// through it. The completion staging ring holds twice this (256 at
-    /// least).
-    pub rx_capacity: usize,
     /// Memory-registration cache bounds (see [`crate::reg_cache`]).
     pub reg_cache: RegCacheConfig,
-    /// Recycled staging-buffer pool (see [`crate::buf_pool`]). Feeds the
-    /// backends' wire staging (`WirePayload::Heap`, tcp frames) and the
-    /// LCI layer's remaining staging copies.
+    /// Recycled staging-buffer pool (see [`crate::buf_pool`]). The device
+    /// builds it and hands it to the LCI layer for its staging copies;
+    /// no wire takes from it.
     pub buf_pool: BufPoolConfig,
 }
 
@@ -118,7 +112,6 @@ impl Default for DeviceConfig {
             backend: BackendKind::Ibv,
             td_strategy: TdStrategy::PerQp,
             discipline: LockDiscipline::TryLock,
-            rx_capacity: DEFAULT_RX_CAPACITY,
             reg_cache: RegCacheConfig::default(),
             buf_pool: BufPoolConfig::default(),
         }
@@ -157,12 +150,6 @@ impl DeviceConfig {
     /// Sets the thread-domain strategy.
     pub fn with_td_strategy(mut self, s: TdStrategy) -> Self {
         self.td_strategy = s;
-        self
-    }
-
-    /// Sets the RX endpoint capacity.
-    pub fn with_rx_capacity(mut self, c: usize) -> Self {
-        self.rx_capacity = c;
         self
     }
 }
@@ -218,12 +205,14 @@ pub trait NetDevice: Send + Sync {
     /// finished when the call returns — libfabric's `fi_inject`, an
     /// unsignaled inline verbs send. The wire has consumed `data` before
     /// `Ok(())`: the caller may reuse or free the buffer at once, on every
-    /// backend. Nothing is staged on the completion ring, so no
-    /// `SendDone` follows and a full staging ring refuses nothing
-    /// (`Retry(QueueFull)` cannot happen); the wire's own bound still
-    /// does (`Retry(RxFull)`, nothing sent), as do a busy posting lock
-    /// (`Retry(LockBusy)`) and a peer that is not there yet
-    /// (`Retry(PeerNotReady)`); a peer that is gone is fatal. It takes
+    /// backend. Nothing is staged on the poster's completion ring, so no
+    /// `SendDone` follows and a full ring there refuses nothing. What
+    /// refuses, with nothing sent: a full wire, or — on the in-memory
+    /// wire, which lands the frame at the post — a target with no
+    /// receive posted (`Retry(RxFull)`) or a full staging ring
+    /// (`Retry(QueueFull)`); a busy posting lock (`Retry(LockBusy)`);
+    /// a peer that is not there yet (`Retry(PeerNotReady)`). A peer
+    /// that is gone is fatal. It takes
     /// the QP lock and the sender [`post_send`](Self::post_send) takes,
     /// so injects and sends toward one target leave in post order.
     ///
@@ -341,9 +330,10 @@ pub trait NetDevice: Send + Sync {
     /// is left of the fabric bell plane (ROADMAP item 5(a)).
     fn doorbell(&self) -> Option<Arc<Doorbell>>;
 
-    /// Number of inbound wire messages waiting in the device's RX ring
-    /// or on its wire (racy snapshot). A message can sit there without
-    /// a matching pre-posted receive (RNR); only further polls move it.
+    /// Number of inbound frames waiting on the device's wire (racy
+    /// snapshot; always zero on the in-memory wire, which refuses a
+    /// frame it cannot land). A frame can wait there for a pre-posted
+    /// receive (RNR); only further polls move it.
     fn inbound_pending(&self) -> usize;
 
     /// Outbound work accepted by a post call but not yet on the wire
@@ -357,8 +347,8 @@ pub trait NetDevice: Send + Sync {
     /// one-sided bytes by the way they went).
     fn transport_stats(&self) -> TransportStats;
 
-    /// Tears the device down: closes its RX endpoint (subsequent sends
-    /// to it fail fatally), and hands back every undelivered completion
+    /// Tears the device down: closes it (subsequent sends to it fail
+    /// fatally), and hands back every undelivered completion
     /// and every still-posted receive buffer so the owner can reclaim
     /// the contexts (buffers, packets) they reference.
     fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>);
@@ -417,9 +407,8 @@ impl NetContext {
 /// Delivers a frame of `kind` into a pre-posted receive buffer and builds
 /// its CQE (stands in for NIC DMA + CQE write): a send's bytes are copied
 /// in for a `RecvDone`, a write's immediate consumes the buffer untouched
-/// for a `WriteImmRecv`. A delivery on arrival calls it on bytes still
-/// where the wire put them; a parked message reaches it through
-/// [`deliver_into`].
+/// for a `WriteImmRecv`. [`DevShared::land`](crate::dev_shared::DevShared::land)
+/// calls it on bytes still where the wire put them.
 pub(crate) fn deliver_bytes(
     kind: WireMsgKind,
     data: &[u8],
@@ -448,65 +437,36 @@ pub(crate) fn deliver_bytes(
     Ok(Cqe { kind: CqeKind::RecvDone, ctx: desc.ctx, imm, len: data.len(), src_rank, src_dev })
 }
 
-/// Delivers a wire message into a pre-posted receive buffer and builds
-/// the corresponding CQE.
-pub(crate) fn deliver_into(msg: &WireMsg, desc: &RecvBufDesc) -> NetResult<Cqe> {
-    let data = msg.payload.as_slice();
-    deliver_bytes(msg.kind, data, desc, msg.src_rank, msg.src_dev, msg.imm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::WirePayload;
 
     #[test]
-    fn deliver_into_copies_payload() {
+    fn deliver_bytes_copies_payload() {
         let mut buf = vec![0u8; 32];
         // SAFETY: buf outlives the descriptor use.
         let desc = unsafe { RecvBufDesc::new(buf.as_mut_ptr(), buf.len(), 7) };
-        let msg = WireMsg {
-            src_rank: 3,
-            src_dev: 1,
-            imm: 99,
-            kind: WireMsgKind::Send,
-            payload: WirePayload::from_slice(&[1, 2, 3, 4]),
-        };
-        let cqe = deliver_into(&msg, &desc).unwrap();
+        let cqe = deliver_bytes(WireMsgKind::Send, &[1, 2, 3, 4], &desc, 3, 1, 99).unwrap();
         assert_eq!(cqe.kind, CqeKind::RecvDone);
         assert_eq!(cqe.ctx, 7);
         assert_eq!(cqe.imm, 99);
         assert_eq!(cqe.len, 4);
-        assert_eq!(cqe.src_rank, 3);
+        assert_eq!((cqe.src_rank, cqe.src_dev), (3, 1));
         assert_eq!(&buf[..4], &[1, 2, 3, 4]);
     }
 
     #[test]
-    fn deliver_into_rejects_overflow() {
+    fn deliver_bytes_rejects_overflow() {
         let mut buf = vec![0u8; 2];
         let desc = unsafe { RecvBufDesc::new(buf.as_mut_ptr(), buf.len(), 0) };
-        let msg = WireMsg {
-            src_rank: 0,
-            src_dev: 0,
-            imm: 0,
-            kind: WireMsgKind::Send,
-            payload: WirePayload::from_slice(&[1, 2, 3]),
-        };
-        assert!(deliver_into(&msg, &desc).is_err());
+        assert!(deliver_bytes(WireMsgKind::Send, &[1, 2, 3], &desc, 0, 0, 0).is_err());
     }
 
     #[test]
     fn deliver_write_imm_no_copy() {
         let mut buf = vec![9u8; 4];
         let desc = unsafe { RecvBufDesc::new(buf.as_mut_ptr(), buf.len(), 5) };
-        let msg = WireMsg {
-            src_rank: 1,
-            src_dev: 0,
-            imm: 0xDEAD,
-            kind: WireMsgKind::WriteImm,
-            payload: WirePayload::None,
-        };
-        let cqe = deliver_into(&msg, &desc).unwrap();
+        let cqe = deliver_bytes(WireMsgKind::WriteImm, &[], &desc, 1, 0, 0xDEAD).unwrap();
         assert_eq!(cqe.kind, CqeKind::WriteImmRecv);
         assert_eq!(cqe.imm, 0xDEAD);
         assert_eq!(cqe.len, 0);

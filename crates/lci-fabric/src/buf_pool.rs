@@ -1,14 +1,14 @@
 //! Size-classed recycled byte-buffer pool.
 //!
 //! The paper's packet pool (§4.1.2) exists so the critical path never
-//! touches malloc; this module extends the same discipline to every
-//! *staging* buffer the fabric and the LCI runtime allocate per
-//! operation: `WirePayload::Heap` send staging, coalesced-frame
-//! aggregation buffers, rendezvous gather-scratch slots, and the
-//! unexpected-rendezvous bounce buffer. Buffers are recycled through
-//! power-of-two size-class shelves guarded by leaf spinlocks (never
-//! held while another lock is taken, so cross-device returns — a
-//! receiver dropping a sender-staged payload — cannot deadlock).
+//! touches malloc; this module extends the same discipline to the
+//! *staging* buffers the LCI runtime allocates per operation: iovec
+//! gathers, parked sends, coalesced-frame aggregation buffers and the
+//! unexpected-rendezvous bounce buffer. No wire stages through it: a
+//! device builds one and hands it to the LCI layer. Buffers are
+//! recycled through power-of-two size-class shelves guarded by leaf
+//! spinlocks (never held while another lock is taken, so a buffer
+//! dropped on another device's path cannot deadlock).
 //!
 //! Shelves are laid out **per core** ([`topology`](crate::topology)):
 //! each logical core owns a stripe of size-class shelves plus its own
@@ -32,7 +32,6 @@
 
 use crate::sync::SpinLock;
 use crate::topology;
-use crate::types::{WirePayload, INLINE_MAX};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -205,14 +204,6 @@ impl BufPool {
         }
     }
 
-    /// Capacity of every shelf, for the test that none ever changes
-    /// after construction.
-    #[cfg(test)]
-    pub(crate) fn shelf_capacities(&self) -> Vec<usize> {
-        let shelves = self.shared.stripes.iter().flat_map(|s| s.shelves.iter());
-        shelves.map(|shelf| shelf.lock().capacity()).collect()
-    }
-
     /// Number of per-core stripes the pool was laid out with.
     pub fn stripes(&self) -> usize {
         self.shared.stripes.len()
@@ -247,20 +238,6 @@ impl BufPool {
         let mut b = self.take_empty(src.len());
         b.vec.extend_from_slice(src);
         b
-    }
-
-    /// Stages `src` as a wire payload: empty → `None`, small → `Inline`,
-    /// larger → a recycled `Heap` buffer.
-    pub fn stage(&self, src: &[u8]) -> WirePayload {
-        if src.is_empty() {
-            WirePayload::None
-        } else if src.len() <= INLINE_MAX {
-            let mut data = [0u8; INLINE_MAX];
-            data[..src.len()].copy_from_slice(src);
-            WirePayload::Inline { data, len: src.len() as u8 }
-        } else {
-            WirePayload::Heap(self.stage_copy(src))
-        }
     }
 
     /// One stripe's counters (`None` past the stripe count) — the
@@ -460,14 +437,6 @@ mod tests {
         let v = b.into_vec();
         assert_eq!(v.len(), 200);
         assert_eq!(pool.stats().recycled_bytes, 0);
-    }
-
-    #[test]
-    fn stage_picks_inline_and_heap() {
-        let pool = BufPool::new(BufPoolConfig::default());
-        assert!(matches!(pool.stage(&[]), WirePayload::None));
-        assert!(matches!(pool.stage(&[0u8; 64]), WirePayload::Inline { .. }));
-        assert!(matches!(pool.stage(&[0u8; 65]), WirePayload::Heap(_)));
     }
 
     #[test]

@@ -3,17 +3,13 @@
 //! providers differ) and the completion and receive state
 //! ([`DevShared`]). The device core ([`crate::framed`]) sits on them.
 
-use crate::backend::{deliver_bytes, deliver_into, BackendKind, DeviceConfig, TdStrategy};
-use crate::buf_pool::BufPool;
-use crate::fabric::RxEndpoint;
+use crate::backend::{deliver_bytes, BackendKind, DeviceConfig, TdStrategy};
 use crate::shm::ring::FrameHeader;
 use crate::sync::{Doorbell, LockDiscipline, SpinGuard, SpinLock};
-use crate::types::{
-    Cqe, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsg, WireMsgKind,
-};
+use crate::types::{Cqe, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsgKind};
 use crossbeam::queue::ArrayQueue;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The posting locks of one device, in the layout of the provider it
@@ -112,10 +108,13 @@ impl QpLocks {
     }
 }
 
-/// How many inbound wire messages one `poll_cq` may convert to
-/// completions while it holds the CQ/endpoint lock: enough to amortize
-/// the acquisition, few enough that no poll monopolizes the lock.
+/// How many inbound frames one `poll_cq` lets its wire's drain offer per
+/// peer: enough to amortize the drain's locks, few enough that no poll
+/// monopolizes them.
 pub(crate) const CQ_DRAIN_BATCH: usize = 64;
+
+/// Slots of a device's completion staging ring.
+const CQ_STAGING: usize = 512;
 
 /// Completion and receive state of one device, held by the fabric's
 /// registry so whoever delivers into the device reaches it: a poster on
@@ -134,10 +133,11 @@ pub(crate) struct DevShared {
     /// hands out. Nothing in this crate rings it: progress is whoever
     /// polls.
     bell: Arc<Doorbell>,
-    /// Staged frames that could not be delivered on arrival.
-    rx: RxEndpoint,
-    /// Its lock is a leaf, taken blockingly by deliveries and restocks;
-    /// only a poll's batch of parked frames try-locks it.
+    /// Set by the teardown: a frame landing from then on is refused for
+    /// good.
+    closed: AtomicBool,
+    /// Its lock is a leaf, taken blockingly by every delivery and
+    /// restock.
     srq: SpinLock<VecDeque<RecvBufDesc>>,
     posted_recvs: AtomicUsize,
     discipline: LockDiscipline,
@@ -148,17 +148,16 @@ impl DevShared {
         // Room for two drain batches, so neither deque grows on a warm
         // path: every inbound completion consumed a posted receive, and
         // the owner restocks those only as it handles completions. The
-        // nominal bound — staging ring plus RX endpoint, 56 KiB a device
-        // by default — holds slots a warm device never reaches. An owner
-        // that keeps more receives posted grows the SRQ once, while it
-        // stocks them.
+        // staging ring's nominal bound holds slots a warm device never
+        // reaches. An owner that keeps more receives posted grows the
+        // SRQ once, while it stocks them.
         let warm = 2 * CQ_DRAIN_BATCH;
         DevShared {
             dev_id,
-            cq_staging: ArrayQueue::new((cfg.rx_capacity * 2).max(256)),
+            cq_staging: ArrayQueue::new(CQ_STAGING),
             cq: SpinLock::new(VecDeque::with_capacity(warm)),
             bell: Arc::new(Doorbell::new()),
-            rx: RxEndpoint::new(cfg.rx_capacity),
+            closed: AtomicBool::new(false),
             srq: SpinLock::new(VecDeque::with_capacity(warm)),
             posted_recvs: AtomicUsize::new(0),
             discipline: cfg.discipline,
@@ -173,20 +172,15 @@ impl DevShared {
         &self.bell
     }
 
-    /// Whether the device was torn down (its RX endpoint refuses frames).
+    /// Whether the device was torn down.
     pub(crate) fn is_closed(&self) -> bool {
-        self.rx.is_closed()
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Whether a post must back off because its completion could not be
     /// staged lock-free.
     pub(crate) fn staging_full(&self) -> bool {
         self.cq_staging.is_full()
-    }
-
-    /// Wire messages parked in the RX endpoint (racy snapshot).
-    pub(crate) fn rx_occupancy(&self) -> usize {
-        self.rx.occupancy()
     }
 
     pub(crate) fn posted_recvs(&self) -> usize {
@@ -223,118 +217,64 @@ impl DevShared {
 
     /// Lands frame `h` from `src` — a send, or a write's immediate — on
     /// this device: the NIC's half of every two-sided delivery, whatever
-    /// wire carried it. The payload goes straight from where the caller
-    /// holds it into the oldest posted receive, its completion staged.
-    /// Only a frame that finds earlier frames waiting, no receive posted
-    /// or the staging ring full (it is sized for the posts' own
-    /// completions) waits on the RX endpoint, staged through `pool`, for
-    /// this device's poll: `Retry(RxFull)` if that is full, fatal if
-    /// closed.
+    /// wire carried it. Either the payload goes straight from where the
+    /// caller holds it into the oldest posted receive and its completion
+    /// is staged, or the frame is refused and stays with the caller: no
+    /// receive posted is `Retry(RxFull)` (the transport's
+    /// receiver-not-ready), a full staging ring `Retry(QueueFull)`, a
+    /// torn-down device fatal. A refused post stays with its poster, a
+    /// refused drained frame at the head of its wire.
     ///
     /// The caller holds `src`'s order toward this device — a drain its
-    /// channel's drain lock, a post its QP lock — so no frame of `src`
-    /// enters the endpoint between the check and the delivery, and any
-    /// that entered earlier has been popped (`deliver_inbound` keeps the
-    /// completions in order).
+    /// channel's drain lock, a post its QP lock — and nothing waits
+    /// here, so a source's frames land in the order it offers them.
     ///
     /// The SRQ lock is taken blockingly whatever the discipline: a miss
-    /// would make a delivery a staged copy at random. It is a leaf, held
-    /// through the copy, so a teardown that has taken the receives back
-    /// has no delivery still writing into one.
+    /// would refuse a frame at random. It is a leaf, held through the
+    /// copy, so a teardown that has taken the receives back has no
+    /// delivery still writing into one.
     pub(crate) fn land(
         &self,
         src: Rank,
         h: &FrameHeader,
         kind: WireMsgKind,
         payload: &[u8],
-        pool: &BufPool,
     ) -> NetResult<()> {
-        if self.rx.occupancy() == 0 && !self.staging_full() {
-            let mut srq = self.srq.lock();
-            if let Some(desc) = srq.pop_front() {
-                self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
-                let cqe = deliver_bytes(kind, payload, &desc, src, h.src_dev as DevId, h.imm);
-                drop(srq);
-                self.stage_cqe(cqe?);
-                return Ok(());
-            }
+        if self.staging_full() {
+            return Err(NetError::Retry(RetryReason::QueueFull));
         }
-        // Checked before staging so a frame waiting at a full endpoint
-        // is not copied once per attempt.
-        if self.rx.is_full() {
-            return Err(NetError::Retry(RetryReason::RxFull));
-        }
-        self.rx.push(WireMsg {
-            src_rank: src,
-            src_dev: h.src_dev as DevId,
-            imm: h.imm,
-            kind,
-            payload: pool.stage(payload),
-        })
-    }
-
-    /// Matches parked wire messages against posted receives, oldest
-    /// first on both sides. A descriptor is taken *before* its wire
-    /// message is popped so the RX ring stays strictly FIFO: when no
-    /// receive is posted (RNR) the message simply stays on the wire, like
-    /// an RC transport retransmitting in order. Popping first and
-    /// re-queueing at the back would let later messages overtake — a
-    /// deadlock source when the overtaken message is the one the
-    /// receiver is waiting on.
-    ///
-    /// The messages are counted first, so an empty poll costs no SRQ
-    /// round trip and no receive is ever taken in vain: only this poll,
-    /// under the CQ lock its caller holds, pops the endpoint, so what it
-    /// counted is still there when the receives have been taken.
-    /// Messages pushed meanwhile wait for the next poll. The batch is
-    /// known before the SRQ is touched, so the SRQ lock is taken once for
-    /// it and `posted_recvs` settled with one subtraction of what was
-    /// consumed — also when a delivery fails partway.
-    ///
-    /// Each popped message's completion goes behind what is staged by
-    /// then: a frame of its source landed before it was pushed staged its
-    /// completion first, possibly after this poll collected the ring.
-    fn deliver_inbound(&self, cq: &mut VecDeque<Cqe>, budget: usize) -> NetResult<()> {
-        let parked = budget.min(self.rx.occupancy());
-        if parked == 0 {
-            return Ok(());
-        }
-        let Some(mut srq) = self.discipline.acquire(&self.srq) else { return Ok(()) };
-        let batch = parked.min(srq.len());
-        let (mut taken, mut res) = (0, Ok(()));
-        while taken < batch && res.is_ok() {
-            let desc = srq.pop_front().expect("counted under the SRQ lock");
-            let msg = self.rx.pop().expect("only the poll holding the CQ lock pops the endpoint");
-            taken += 1;
-            self.collect_staged(cq);
-            res = deliver_into(&msg, &desc).map(|cqe| cq.push_back(cqe));
-        }
+        let mut srq = self.srq.lock();
+        let Some(desc) = srq.pop_front() else {
+            drop(srq);
+            return Err(match self.is_closed() {
+                true => NetError::fatal("target device closed"),
+                false => NetError::Retry(RetryReason::RxFull),
+            });
+        };
+        self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
+        let cqe = deliver_bytes(kind, payload, &desc, src, h.src_dev as DevId, h.imm);
         drop(srq);
-        if taken > 0 {
-            self.posted_recvs.fetch_sub(taken, Ordering::AcqRel);
-        }
-        res
+        self.stage_cqe(cqe?);
+        Ok(())
     }
 
     /// `poll_cq` once the wire (if any) has been drained: collects
-    /// staged completions, delivers up to `budget` parked messages and
-    /// hands out up to `max` CQEs.
-    pub(crate) fn poll(&self, out: &mut Vec<Cqe>, max: usize, budget: usize) -> NetResult<usize> {
+    /// staged completions and hands out up to `max` CQEs.
+    pub(crate) fn poll(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
         let mut cq =
             self.discipline.acquire(&self.cq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
         self.collect_staged(&mut cq);
-        self.deliver_inbound(&mut cq, budget)?;
         let n = max.min(cq.len());
         out.extend(cq.drain(..n));
         Ok(n)
     }
 
-    /// Closes the RX endpoint (parked messages are dropped with it) and
-    /// hands back every still-posted receive — first, so no delivery is
-    /// still writing into one — and every undelivered completion. A
-    /// delivery racing the teardown may stage a completion nobody polls.
+    /// Closes the device and hands back every still-posted receive —
+    /// first, so no delivery is still writing into one — and every
+    /// undelivered completion. A delivery racing the teardown may stage
+    /// a completion nobody polls.
     pub(crate) fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>) {
-        self.rx.close();
+        self.closed.store(true, Ordering::Release);
         let descs = self.srq.lock().drain(..).collect();
         self.posted_recvs.store(0, Ordering::Release);
         let mut cq = self.cq.lock();
@@ -350,15 +290,16 @@ mod tests {
     use crate::fabric::Fabric;
     use crate::framed::FramedDevice;
     use crate::sim::SimWire;
-    use crate::types::{CqeKind, WirePayload};
+    use crate::types::CqeKind;
 
-    /// Device 0 of rank 0 on a two-rank fabric whose rank 1 has a device
-    /// to post to, built as `NetContext::create_device` builds it.
-    fn device(cfg: DeviceConfig) -> FramedDevice<SimWire> {
+    /// Device 0 of rank 0 on a two-rank fabric, built as
+    /// `NetContext::create_device` builds it, and the state of rank 1's
+    /// device, for the posts to land in.
+    fn device(cfg: DeviceConfig) -> (FramedDevice<SimWire>, Arc<DevShared>) {
         let fabric = Fabric::new(2);
-        fabric.add_device(1, &cfg.with_rx_capacity(8));
+        let peer = fabric.add_device(1, &cfg);
         let shared = fabric.add_device(0, &cfg);
-        FramedDevice::new(fabric, 0, shared, cfg)
+        (FramedDevice::new(fabric, 0, shared, cfg), peer)
     }
 
     /// The table in [`QpLocks`]' documentation, on real devices: with the
@@ -368,6 +309,8 @@ mod tests {
     /// it is released. Under `TdStrategy::None` the other post is not
     /// tried: the lock is the provider's own, acquired blockingly
     /// whatever the device asked for, so it would wait here for ever.
+    /// Rank 1 posts its receives first, so a post that gets through
+    /// lands.
     #[test]
     fn a_held_posting_lock_excludes_what_its_layout_says() {
         let layouts = [
@@ -382,7 +325,12 @@ mod tests {
         ];
         let busy = NetError::Retry(RetryReason::LockBusy);
         for (cfg, post_excluded, endpoint_excluded) in layouts {
-            let dev = device(cfg.with_discipline(LockDiscipline::TryLock));
+            let (dev, peer) = device(cfg.with_discipline(LockDiscipline::TryLock));
+            let mut peer_bufs = [[0u8; 8]; 2];
+            // SAFETY: `peer_bufs` outlives both devices.
+            let peer_recvs =
+                peer_bufs.each_mut().map(|b| unsafe { RecvBufDesc::new(b.as_mut_ptr(), 8, 0) });
+            peer.post_recvs(&peer_recvs);
             let mut buf = [0u8; 8];
             // SAFETY: nothing is ever sent to this device; `buf` outlives it.
             let recv = unsafe { RecvBufDesc::new(buf.as_mut_ptr(), buf.len(), 0) };
@@ -413,27 +361,24 @@ mod tests {
             dev.poll_cq(&mut out, 8).unwrap();
             let sends = 1 + usize::from(post_excluded == Some(false));
             assert_eq!(out.len(), sends, "SendDones under {cfg:?}");
+            assert_eq!(peer.posted_recvs(), 2 - sends, "{cfg:?}");
             assert_eq!(dev.posted_recvs(), 1 + usize::from(!endpoint_excluded), "{cfg:?}");
         }
     }
 
     /// Warm traffic, as counts instead of a red-count: over 10 000
     /// messages a device sends itself in bursts of 2 KiB, half of each
-    /// burst finding its receive posted and the other half no receive —
-    /// so those wait on the RX endpoint, staged through the pool — the
-    /// polled CQ, the SRQ and every shelf of the pool keep the capacity
-    /// they were built with. One thread drives everything, so the
-    /// occupancies repeat.
+    /// burst finding its receive posted and the other half refused
+    /// (no receive posted) and posted again once the receives are — the
+    /// polled CQ and the SRQ keep the capacity they were built with. One
+    /// thread drives everything, so the occupancies repeat.
     #[test]
-    fn warm_traffic_grows_neither_deque_nor_any_shelf() {
+    fn warm_traffic_grows_neither_deque() {
         const BURST: usize = 32;
-        let dev = device(DeviceConfig::ibv());
-        let capacities = || {
-            let (cq, srq) = (dev.shared.cq.lock().capacity(), dev.shared.srq.lock().capacity());
-            (cq, srq, dev.buf_pool().shelf_capacities())
-        };
+        let (dev, _peer) = device(DeviceConfig::ibv());
+        let capacities = || (dev.shared.cq.lock().capacity(), dev.shared.srq.lock().capacity());
         let built = capacities();
-        assert!(built.0 >= 2 * BURST && built.2.iter().all(|&c| c > 0), "{built:?}");
+        assert!(built.0 >= 2 * BURST && built.1 >= 2 * BURST, "{built:?}");
         let mut bufs = vec![[0u8; 2048]; BURST];
         let (payload, mut out, mut got) = ([7u8; 2048], Vec::new(), 0);
         let post = |bufs: &mut [[u8; 2048]], first: usize| {
@@ -444,26 +389,31 @@ mod tests {
                 dev.post_recv(recv).unwrap();
             }
         };
+        // Every other message is signaled: SendDones and RecvDones meet
+        // in the CQ.
+        let send = |i: usize, round: usize| match i % 2 {
+            0 => dev.post_inject(0, 0, &payload, round as u64),
+            _ => dev.post_send(0, 0, &payload, round as u64, 1),
+        };
+        let rnr = NetError::Retry(RetryReason::RxFull);
         for round in 0..10_000 / BURST + 1 {
             let (early, late) = bufs.split_at_mut(BURST / 2);
             post(early, 0);
             for i in 0..BURST {
-                // Every other message is signaled: SendDones and
-                // RecvDones meet in the CQ.
-                match i % 2 {
-                    0 => dev.post_inject(0, 0, &payload, round as u64).unwrap(),
-                    _ => dev.post_send(0, 0, &payload, round as u64, 1).unwrap(),
-                }
+                let sent = send(i, round);
+                assert_eq!(sent.err(), (i >= BURST / 2).then(|| rnr.clone()), "message {i}");
             }
-            assert_eq!(dev.inbound_pending(), BURST / 2, "the unreceived half parks");
+            assert_eq!(dev.inbound_pending(), 0, "a refused message is nowhere");
             post(late, BURST / 2);
+            for i in BURST / 2..BURST {
+                send(i, round).unwrap();
+            }
             while got < (round + 1) * BURST {
                 out.clear();
                 dev.poll_cq(&mut out, 8).unwrap();
                 got += out.iter().filter(|c| c.kind == CqeKind::RecvDone).count();
             }
         }
-        assert!(dev.buf_pool_stats().recycled_bytes > 0, "nothing went through a shelf");
         assert_eq!(capacities(), built);
     }
 
@@ -488,109 +438,57 @@ mod tests {
             }
             staged += 20;
             if round == 0 {
-                shared.poll(&mut out, 7, 0).unwrap();
+                shared.poll(&mut out, 7).unwrap();
             }
         }
         while out.len() < total as usize {
-            assert!(shared.poll(&mut out, 64, 0).unwrap() > 0, "completions lost");
+            assert!(shared.poll(&mut out, 64).unwrap() > 0, "completions lost");
         }
         assert!(out.iter().map(|c| c.ctx).eq(0..total));
     }
 
-    /// A bare `DevShared` over an endpoint holding `parked` 8-byte sends,
-    /// message `i` carrying immediate `i`, and receive buffers of `lens`
-    /// bytes posted in order, descriptor `i` carrying context `i`.
-    fn parked(parked: u64, lens: &[usize]) -> (DevShared, Vec<Vec<u8>>) {
-        let cfg = DeviceConfig::ibv().with_discipline(LockDiscipline::TryLock);
-        let shared = DevShared::new(0, &cfg.with_rx_capacity(64));
-        for imm in 0..parked {
-            let payload = WirePayload::from_slice(&imm.to_le_bytes());
-            let msg = WireMsg { src_rank: 1, src_dev: 0, imm, kind: WireMsgKind::Send, payload };
-            shared.rx.push(msg).unwrap();
-        }
-        let mut bufs: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0xEE; n]).collect();
-        let descs: Vec<RecvBufDesc> = (bufs.iter_mut().enumerate())
-            // SAFETY: the buffers are returned to, and outlive, every poll.
-            .map(|(i, b)| unsafe { RecvBufDesc::new(b.as_mut_ptr(), b.len(), i as u64) })
-            .collect();
+    /// `land` delivers or refuses, and a refusal leaves nothing behind:
+    /// with no receive posted a frame is `Retry(RxFull)`; with receives
+    /// posted but the staging ring full it is `Retry(QueueFull)` and the
+    /// receive stays posted, untouched; offered again once there is
+    /// room, it lands in the oldest receive, in offer order. Once the
+    /// device is torn down a frame is fatal.
+    #[test]
+    fn land_delivers_or_refuses_and_a_refusal_leaves_nothing() {
+        let shared = DevShared::new(0, &DeviceConfig::ibv());
+        let frame = |imm: u64| FrameHeader { imm, src_dev: 2, ..FrameHeader::default() };
+        let land = |imm: u64| shared.land(1, &frame(imm), WireMsgKind::Send, &imm.to_le_bytes());
+        let mut out = Vec::new();
+        assert_eq!(land(0), Err(NetError::Retry(RetryReason::RxFull)));
+        assert_eq!((shared.poll(&mut out, 64).unwrap(), shared.posted_recvs()), (0, 0));
+
+        let mut bufs = [[0xEEu8; 8]; 2];
+        // SAFETY: `bufs` outlives every landing below.
+        let descs = [0, 1].map(|i| unsafe { RecvBufDesc::new(bufs[i].as_mut_ptr(), 8, i as u64) });
         shared.post_recvs(&descs);
-        (shared, bufs)
-    }
-
-    /// The batch's lock is the SRQ's: a poll that finds it held under the
-    /// trylock discipline delivers nothing, leaves every message on the
-    /// wire and every receive posted, and the next poll delivers them.
-    #[test]
-    fn deliver_inbound_bounces_off_a_held_srq() {
-        let (shared, _bufs) = parked(3, &[8; 3]);
-        let mut out = Vec::new();
-        let held = shared.srq.lock();
-        assert_eq!(shared.poll(&mut out, 64, 64).unwrap(), 0);
-        assert_eq!((shared.rx_occupancy(), shared.posted_recvs()), (3, 3));
-        drop(held);
-        assert_eq!(shared.poll(&mut out, 64, 64).unwrap(), 3);
-        assert_eq!((shared.rx_occupancy(), shared.posted_recvs()), (0, 0));
-    }
-
-    /// Fewer receives than parked messages: one poll delivers exactly as
-    /// many as are posted, oldest message into oldest receive; the rest
-    /// stay on the wire in order, and the posted count ends at zero.
-    #[test]
-    fn deliver_inbound_delivers_what_is_posted_oldest_first() {
-        let (shared, bufs) = parked(5, &[8; 2]);
-        let mut out = Vec::new();
-        assert_eq!(shared.poll(&mut out, 64, 64).unwrap(), 2);
-        assert_eq!(shared.posted_recvs(), 0);
-        for (i, cqe) in out.iter().enumerate() {
-            assert_eq!(
-                (cqe.kind, cqe.ctx, cqe.imm, cqe.len),
-                (CqeKind::RecvDone, i as u64, i as u64, 8)
-            );
-            assert_eq!(bufs[i], (i as u64).to_le_bytes());
+        let mut filler = 0;
+        while !shared.staging_full() {
+            shared.stage_cqe(Cqe::local(CqeKind::SendDone, filler));
+            filler += 1;
         }
-        assert_eq!(shared.rx_occupancy(), 3);
-        let left: Vec<u64> = std::iter::from_fn(|| shared.rx.pop()).map(|m| m.imm).collect();
-        assert_eq!(left, [2, 3, 4]);
-    }
+        assert_eq!(land(0), Err(NetError::Retry(RetryReason::QueueFull)));
+        assert_eq!((shared.posted_recvs(), bufs[0]), (2, [0xEE; 8]), "a refusal took a receive");
+        out.clear();
+        while shared.poll(&mut out, 64).unwrap() > 0 {}
+        assert_eq!(out.len() as u64, filler);
 
-    /// A delivery that fails partway — the second receive is too small —
-    /// takes the descriptors it consumed off the posted count and no
-    /// more; the delivery before it is kept, and the untouched receive
-    /// serves the next poll.
-    #[test]
-    fn deliver_inbound_error_counts_only_what_it_consumed() {
-        let (shared, bufs) = parked(3, &[8, 4, 8]);
-        let mut out = Vec::new();
-        assert!(matches!(shared.poll(&mut out, 64, 64), Err(NetError::Fatal(_))));
-        assert_eq!(shared.posted_recvs(), 1, "two descriptors consumed");
-        assert_eq!(shared.srq.lock().len(), 1);
-        assert_eq!(shared.rx_occupancy(), 1);
-        assert_eq!(shared.poll(&mut out, 64, 64).unwrap(), 2);
-        assert_eq!(out.iter().map(|c| (c.ctx, c.imm)).collect::<Vec<_>>(), [(0, 0), (2, 2)]);
-        assert_eq!(bufs[2], 2u64.to_le_bytes());
-        assert_eq!(shared.posted_recvs(), 0);
-    }
-
-    /// Per-source order across the two ways in: a frame lands in the one
-    /// posted receive, the next from the same source finds none and
-    /// parks. A batch whose poll collected the staging ring before the
-    /// first completion was staged — here, the batch run on its own —
-    /// still hands the two out in send order.
-    #[test]
-    fn deliver_inbound_puts_an_earlier_arrival_first() {
-        let (shared, _bufs) = parked(0, &[8]);
-        let pool = BufPool::new(Default::default());
         for imm in 0..2 {
-            let h = FrameHeader { imm, ..FrameHeader::default() };
-            shared.land(1, &h, WireMsgKind::Send, &imm.to_le_bytes(), &pool).unwrap();
+            land(imm).unwrap();
         }
-        assert_eq!((shared.rx_occupancy(), shared.posted_recvs()), (1, 0));
-        let mut late = [0u8; 8];
-        // SAFETY: `late` outlives the delivery below.
-        shared.post_recvs(&[unsafe { RecvBufDesc::new(late.as_mut_ptr(), 8, 1) }]);
-        let mut cq = VecDeque::new();
-        shared.deliver_inbound(&mut cq, CQ_DRAIN_BATCH).unwrap();
-        assert_eq!(cq.iter().map(|c| (c.ctx, c.imm)).collect::<Vec<_>>(), [(0, 0), (1, 1)]);
-        assert_eq!(late, 1u64.to_le_bytes());
+        out.clear();
+        shared.poll(&mut out, 64).unwrap();
+        let got: Vec<_> =
+            out.iter().map(|c| (c.kind, c.ctx, c.imm, c.len, c.src_rank, c.src_dev)).collect();
+        let want = |i: u64| (CqeKind::RecvDone, i, i, 8, 1, 2);
+        assert_eq!(got, [want(0), want(1)]);
+        assert_eq!(bufs, [0u64.to_le_bytes(), 1u64.to_le_bytes()]);
+
+        assert_eq!(shared.teardown().1.len(), 0);
+        assert!(matches!(land(2), Err(NetError::Fatal(_))), "a torn-down device took a frame");
     }
 }

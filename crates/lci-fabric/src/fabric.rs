@@ -1,79 +1,14 @@
-//! The fabric: the device registry, RX endpoints (where a frame waits for
-//! a posted receive), and out-of-band bootstrap (the PMI stand-in).
+//! The fabric: the device registry (where a frame finds the posted
+//! receives of the device it names) and out-of-band bootstrap (the PMI
+//! stand-in).
 
 use crate::backend::DeviceConfig;
 use crate::dev_shared::DevShared;
 use crate::mem::RegistrationTable;
 use crate::shm::{ShmFabric, ShmSegment};
 use crate::sync::MpmcArray;
-use crate::types::{DevId, NetError, NetResult, Rank, RetryReason, WireMsg};
-use crossbeam::queue::ArrayQueue;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::types::{DevId, NetError, NetResult, Rank, RetryReason};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Default RX-endpoint capacity: frames toward one device that may wait
-/// for a receive to be posted. One that finds a receive posted never
-/// enters it; LCI keeps 64 posted.
-pub const DEFAULT_RX_CAPACITY: usize = 256;
-
-/// Where frames toward a device wait when they cannot be delivered on
-/// arrival — no receive posted, or earlier frames still waiting: a
-/// bounded multi-producer ring. Deliverers push; only the owning device
-/// pops (during its `poll_cq`).
-///
-/// The ring is a fixed-capacity lock-free array queue — like a real
-/// inbound FIFO it is sized at creation and never allocates on the push
-/// path (the allocation-free steady-state discipline, DESIGN.md §4.7).
-/// A full ring surfaces as RNR backpressure.
-pub struct RxEndpoint {
-    ring: ArrayQueue<WireMsg>,
-    closed: AtomicBool,
-}
-
-impl RxEndpoint {
-    /// Creates an endpoint with the given ring capacity.
-    pub fn new(capacity: usize) -> Self {
-        Self { ring: ArrayQueue::new(capacity.max(1)), closed: AtomicBool::new(false) }
-    }
-
-    /// Pushes a message toward the owning device, which finds it at its
-    /// next poll. A full ring is `Retry(RxFull)` (the message, a staged
-    /// copy, is dropped), a closed endpoint fatal.
-    pub fn push(&self, msg: WireMsg) -> NetResult<()> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(NetError::fatal("target device closed"));
-        }
-        self.ring.push(msg).map_err(|_| NetError::Retry(RetryReason::RxFull))
-    }
-
-    /// Pops the next inbound message, if any. Only the owning device
-    /// calls this.
-    pub fn pop(&self) -> Option<WireMsg> {
-        self.ring.pop()
-    }
-
-    /// Messages queued right now (racy snapshot; loads only). Every poll
-    /// of the owning device reads it to size its delivery loop, and
-    /// every delivery on arrival to see that nothing would be overtaken.
-    pub fn occupancy(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether a push would be refused right now (racy snapshot).
-    pub(crate) fn is_full(&self) -> bool {
-        self.ring.is_full()
-    }
-
-    /// Marks the endpoint closed; subsequent pushes fail fatally.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-    }
-
-    /// Whether the endpoint has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-}
 
 /// Out-of-band bootstrap state: a tiny PMI. Real LCI bootstraps through
 /// PMI1/PMI2/PMIx/MPI; our ranks share an address space, so a barrier and
@@ -353,39 +288,7 @@ impl std::fmt::Debug for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{WireMsgKind, WirePayload};
-    use std::sync::atomic::AtomicUsize;
-
-    fn msg(i: u64) -> WireMsg {
-        WireMsg {
-            src_rank: 0,
-            src_dev: 0,
-            imm: i,
-            kind: WireMsgKind::Send,
-            payload: WirePayload::None,
-        }
-    }
-
-    #[test]
-    fn rx_endpoint_fifo_and_bound() {
-        let ep = RxEndpoint::new(2);
-        ep.push(msg(1)).unwrap();
-        ep.push(msg(2)).unwrap();
-        let e = ep.push(msg(3)).unwrap_err();
-        assert_eq!(e, NetError::Retry(RetryReason::RxFull));
-        assert_eq!(ep.pop().unwrap().imm, 1);
-        ep.push(msg(3)).unwrap();
-        assert_eq!(ep.pop().unwrap().imm, 2);
-        assert_eq!(ep.pop().unwrap().imm, 3);
-        assert!(ep.pop().is_none());
-    }
-
-    #[test]
-    fn rx_endpoint_close() {
-        let ep = RxEndpoint::new(4);
-        ep.close();
-        assert!(matches!(ep.push(msg(1)), Err(NetError::Fatal(_))));
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn fabric_device_registry() {

@@ -69,9 +69,8 @@ pub(crate) trait Wire: Send + Sync + Sized + 'static {
     where
         Self: 'a;
 
-    /// Attaches `rank`'s side of the wire. `pool` is the device's
-    /// staging pool, for wires that encode or decode through buffers.
-    fn open(fabric: &Arc<Fabric>, rank: Rank, pool: &BufPool) -> Self;
+    /// Attaches `rank`'s side of the wire.
+    fn open(fabric: &Arc<Fabric>, rank: Rank) -> Self;
 
     /// The rank-level state shared by every device on this wire.
     fn core(&self) -> &RankCore;
@@ -83,9 +82,9 @@ pub(crate) trait Wire: Send + Sync + Sized + 'static {
     /// try-lock is `Retry(LockBusy)`.
     fn lock_tx(&self, target: Rank, how: LockDiscipline) -> NetResult<Self::Tx<'_>>;
 
-    /// Hands one frame to the wire. `Retry(RxFull)` when it has no room
-    /// right now; fatal when the frame can never fit or the peer is
-    /// gone.
+    /// Hands one frame to the wire. `Retry` when it cannot take it right
+    /// now (no room; on a wire that lands at the post, the target's
+    /// refusal); fatal when the frame can never fit or the peer is gone.
     fn send(&self, tx: &mut Self::Tx<'_>, h: &FrameHeader, payload: &[u8]) -> NetResult<()>;
 
     /// Moves the wire forward and offers up to `budget` inbound frames
@@ -141,6 +140,8 @@ pub(crate) struct FramedDevice<W: Wire> {
     /// Visible to the crate for the capacity test beside [`DevShared`].
     pub(crate) shared: Arc<DevShared>,
     reg_cache: RegCache,
+    /// Built for the LCI layer's staging copies; nothing here takes from
+    /// it.
     buf_pool: BufPool,
     /// Payload bytes of the writes and reads this device accepted, by
     /// the way they went: copied straight to or from the peer's
@@ -159,8 +160,7 @@ impl<W: Wire> FramedDevice<W> {
         shared: Arc<DevShared>,
         cfg: DeviceConfig,
     ) -> Self {
-        let buf_pool = BufPool::new(cfg.buf_pool);
-        let wire = W::open(&fabric, rank, &buf_pool);
+        let wire = W::open(&fabric, rank);
         Self {
             qps: QpLocks::new(&cfg, fabric.nranks()),
             fabric,
@@ -170,7 +170,7 @@ impl<W: Wire> FramedDevice<W> {
             cfg,
             shared,
             reg_cache: RegCache::new(cfg.reg_cache),
-            buf_pool,
+            buf_pool: BufPool::new(cfg.buf_pool),
             rma_direct_bytes: AtomicU64::new(0),
             rma_framed_bytes: AtomicU64::new(0),
         }
@@ -353,14 +353,13 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
 
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
         let _ep = self.qps.lock_endpoint()?;
-        // Inbound delivery is bounded so one poll cannot monopolize the
-        // locks it holds.
+        // The drain is bounded so one poll cannot monopolize the locks
+        // it holds, and runs *before* the poll takes our CQ lock: the
+        // router stages CQEs (RecvDone, ReadDone) onto this very device,
+        // and `stage_cqe`'s overflow path locks the polled CQ.
         let budget = max.max(CQ_DRAIN_BATCH);
-        // Drain the wire *before* the poll takes our CQ lock: the router
-        // stages CQEs (RecvDone, ReadDone) onto this very device, and
-        // `stage_cqe`'s overflow path locks the polled CQ.
         self.wire.drain(budget, |src, h, payload| self.route_frame(src, h, payload))?;
-        self.shared.poll(out, max, budget)
+        self.shared.poll(out, max)
     }
 
     fn post_write(
@@ -486,9 +485,7 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
     }
 
     fn inbound_pending(&self) -> usize {
-        // Undrained wire frames count too: they wait for a route or a
-        // flush, which only further polls provide.
-        self.shared.rx_occupancy() + self.wire.inbound_pending()
+        self.wire.inbound_pending()
     }
 
     fn outbound_pending(&self) -> usize {

@@ -94,9 +94,10 @@ impl RankCore {
 pub(crate) enum Routed {
     /// Frame fully applied; the wire releases it.
     Done,
-    /// Frame cannot be applied yet (RX full, device absent, response
-    /// path busy): the wire leaves it at its head — strict FIFO, like
-    /// RNR. The reason is what a self-target post reports as `Retry`.
+    /// Frame cannot be applied yet (no receive posted, staging ring full,
+    /// device absent, response path busy): the wire leaves it at its
+    /// head — strict FIFO, like RC's receiver-not-ready. The reason is
+    /// what a self-target post reports as `Retry`.
     Parked(RetryReason),
 }
 
@@ -182,12 +183,9 @@ impl<W: Wire> FramedDevice<W> {
     }
 
     /// Lands frame `h` from `src` on the device of this rank it names,
-    /// this one or a sibling — into its posted receive, or staged
-    /// through this device's pool onto its RX endpoint (the one time a
-    /// lent frame is copied into a buffer of its own). A device not
-    /// created yet or a full endpoint parks the frame; a closed one
-    /// (device torn down) drops it, as teardown drops parked wire
-    /// messages.
+    /// this one or a sibling, into its posted receive. A device not
+    /// created yet or one that refuses the frame parks it; a closed one
+    /// (device torn down) drops it.
     fn land(
         &self,
         src: Rank,
@@ -200,7 +198,7 @@ impl<W: Wire> FramedDevice<W> {
             Err(NetError::Retry(why)) => return Ok(Routed::Parked(why)),
             Err(e) => return Err(e),
         };
-        match dev.land(src, h, kind, payload, &self.buf_pool) {
+        match dev.land(src, h, kind, payload) {
             Ok(()) => Ok(Routed::Done),
             Err(NetError::Retry(why)) => Ok(Routed::Parked(why)),
             Err(_) if dev.is_closed() => Ok(Routed::Done),

@@ -42,21 +42,22 @@
 //!   identical fabric.
 //! * Each rank opens a [`NetContext`] and creates one or more network
 //!   devices ([`NetDevice`]). A device owns a completion queue, a shared
-//!   receive queue of pre-posted buffers, an RX ring where messages wait
-//!   for a receive, and per-target queue pairs.
+//!   receive queue of pre-posted buffers, and per-target queue pairs.
 //! * `post_send` copies the payload straight into the *target* device's
 //!   oldest pre-posted receive buffer and stages its completion there
-//!   (standing in for NIC DMA); only a message that finds no receive
-//!   posted waits, staged, in the target's RX ring for its `poll_cq`.
+//!   (standing in for NIC DMA). A message that finds no receive posted
+//!   is refused, with nothing sent.
 //! * `post_write`/`post_read` copy directly between local memory and
 //!   remote *registered* memory (see [`mem`]), optionally consuming a
 //!   pre-posted receive at the target to deliver an immediate-data
 //!   notification — exactly like `IBV_WR_RDMA_WRITE_WITH_IMM`.
-//! * Backpressure: the RX ring is bounded; a full ring surfaces as
-//!   [`RetryReason::RxFull`], which the LCI layer translates into its
-//!   `retry` status. A message whose target has no pre-posted receive
-//!   stays in the ring until the target replenishes its queue
-//!   (receiver-not-ready, RNR, behaviour).
+//! * Backpressure: a target with no pre-posted receive, or a full wire
+//!   toward it, surfaces as [`RetryReason::RxFull`] (an RC transport's
+//!   receiver-not-ready, RNR), which the LCI layer translates into its
+//!   `retry` status or retries from its backlog. On a wire with buffers
+//!   of its own (shm rings, tcp streams) a frame that finds no receive
+//!   waits at the head of its channel until the target replenishes its
+//!   queue.
 
 pub mod backend;
 pub mod bootstrap;

@@ -13,7 +13,6 @@ use super::ring::{Channel, FrameHeader, ProduceError};
 use super::segment::{PEER_ABSENT, PEER_ATTACHED};
 use super::{ShmFabric, ShmRankState};
 use crate::backend::TransportStats;
-use crate::buf_pool::BufPool;
 use crate::fabric::Fabric;
 use crate::framed::{Peer, RankCore, Routed, Wire};
 use crate::sync::{LockDiscipline, SpinGuard};
@@ -37,7 +36,7 @@ impl Wire for ShmWire {
     const LOCAL_DIRECT: bool = true;
     type Tx<'a> = (SpinGuard<'a, ()>, &'a Channel);
 
-    fn open(fabric: &Arc<Fabric>, rank: Rank, _pool: &BufPool) -> Self {
+    fn open(fabric: &Arc<Fabric>, rank: Rank) -> Self {
         let shm = fabric.shm_fabric().clone();
         let state = shm.state(rank);
         ShmWire { shm, state }

@@ -7,9 +7,9 @@
 //! Frames carry `(src_dev, dst_dev)` so any number of devices per rank
 //! share the rank-pair channel; the framed device core
 //! (`crate::framed`, over this module's `device::ShmWire`) routes
-//! each frame at drain time — into the draining device's next posted
-//! receive, or to the right device's RX endpoint — preserving the
-//! strict FIFO / RNR discipline of the simulated wire.
+//! each frame at drain time into the posted receive of the device it
+//! names; a frame that finds none stays at the head of its channel —
+//! strict FIFO, RC's receiver-not-ready.
 //!
 //! Two modes share all of this code:
 //!

@@ -5,12 +5,12 @@
 //! drain lands one ([`DevShared::land`](crate::dev_shared::DevShared::land)):
 //! the payload is copied straight from the send buffer into that device's
 //! oldest posted receive and the completion staged there, under the QP
-//! lock that keeps this poster's frames in order. Only a frame that
-//! finds no receive posted, or earlier frames still waiting, is staged
-//! through the sending device's pool (the NIC reading the send buffer)
-//! and waits on the target's RX endpoint for its poll. There is nothing
-//! to drain. Every rank is in this process, so writes and reads never
-//! reach the wire at all — the core copies them in place
+//! lock that keeps this poster's frames in order. A frame that finds no
+//! receive posted is refused at the post, as an RC transport answers
+//! receiver-not-ready: it stays with its poster, who retries it or parks
+//! it in the backlog (paper §4.1.5). Nothing waits here, so there is
+//! nothing to drain. Every rank is in this process, so writes and reads
+//! never reach the wire at all — the core copies them in place
 //! ([`Wire::LOCAL_DIRECT`]) and only a write's immediate comes through
 //! here, as the header-only frame it is on every wire.
 //!
@@ -18,7 +18,6 @@
 //! covers what (`dev_shared::QpLocks`).
 
 use crate::backend::TransportStats;
-use crate::buf_pool::BufPool;
 use crate::fabric::Fabric;
 use crate::framed::{Peer, RankCore, Routed, Wire};
 use crate::shm::ring::{FrameHeader, FLAG_HAS_IMM, KIND_SEND, KIND_WRITE};
@@ -30,8 +29,6 @@ use std::sync::Arc;
 pub(crate) struct SimWire {
     fabric: Arc<Fabric>,
     rank: Rank,
-    /// Stages the copy of a frame that has to wait (receiver not ready).
-    pool: BufPool,
     /// Nothing is shared between siblings: a read table that is never
     /// allocated because no read is ever framed.
     core: RankCore,
@@ -48,8 +45,8 @@ impl Wire for SimWire {
     /// lock, only a target to remember.
     type Tx<'a> = Rank;
 
-    fn open(fabric: &Arc<Fabric>, rank: Rank, pool: &BufPool) -> Self {
-        SimWire { fabric: fabric.clone(), rank, pool: pool.clone(), core: RankCore::default() }
+    fn open(fabric: &Arc<Fabric>, rank: Rank) -> Self {
+        SimWire { fabric: fabric.clone(), rank, core: RankCore::default() }
     }
 
     fn core(&self) -> &RankCore {
@@ -64,9 +61,9 @@ impl Wire for SimWire {
         Ok(target)
     }
 
-    /// A frame that must wait and finds the endpoint full is
-    /// `Retry(RxFull)`, a device not created yet `Retry(PeerNotReady)`,
-    /// a torn-down one fatal.
+    /// A target with no receive posted is `Retry(RxFull)`, one whose
+    /// staging ring is full `Retry(QueueFull)`, a device not created yet
+    /// `Retry(PeerNotReady)`, a torn-down one fatal.
     ///
     /// Forced inline like the core's `put` that calls it: left as a call
     /// it cost an 8 B message on the raw device 15-30 ns (measured).
@@ -86,7 +83,7 @@ impl Wire for SimWire {
             }
         };
         let dev = self.fabric.device(*target, h.dst_dev as DevId)?;
-        dev.land(self.rank, h, kind, payload, &self.pool)
+        dev.land(self.rank, h, kind, payload)
     }
 
     fn drain(
@@ -97,7 +94,7 @@ impl Wire for SimWire {
         Ok(())
     }
 
-    /// What waits, waits in the endpoint, which the core counts itself.
+    /// Nothing waits on this wire.
     fn inbound_pending(&self) -> usize {
         0
     }

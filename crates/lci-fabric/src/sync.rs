@@ -341,8 +341,8 @@ impl<T: Clone> Default for MpmcArray<T> {
 /// An eventcount ("doorbell") that lets a polling thread park until work
 /// plausibly exists.
 ///
-/// Every wire rings a device's doorbell whenever a message lands in its
-/// RX ring or a local completion is staged; a poller may park on the
+/// A wire may ring a device's doorbell whenever a message lands in a
+/// posted receive or a local completion is staged; a poller may park on the
 /// doorbell when a full poll round found nothing, instead of burning a
 /// core (the concern the AMT companion paper raises about burn-a-core
 /// progress engines). Nothing in the workspace waits on a device bell

@@ -13,7 +13,6 @@
 
 use super::{Conn, ConnIo, SendState, TcpRankState, READ_BUDGET};
 use crate::backend::TransportStats;
-use crate::buf_pool::BufPool;
 use crate::fabric::Fabric;
 use crate::framed::{Peer, RankCore, Routed, Wire};
 use crate::shm::ring::{FrameHeader, HEADER_LEN};
@@ -39,9 +38,8 @@ impl Wire for TcpWire {
     const LOCAL_DIRECT: bool = false;
     type Tx<'a> = (SpinGuard<'a, SendState>, &'a Conn);
 
-    /// Frames are built in the stream buffer and lent from the slab:
-    /// nothing of this wire goes through the device's pool.
-    fn open(fabric: &Arc<Fabric>, rank: Rank, _pool: &BufPool) -> Self {
+    /// Frames are built in the stream buffer and lent from the slab.
+    fn open(fabric: &Arc<Fabric>, rank: Rank) -> Self {
         let tcp = fabric.tcp_fabric();
         TcpWire { state: tcp.state(rank), rank, multiproc: tcp.multiproc }
     }

@@ -10,17 +10,15 @@ pub type Rank = usize;
 /// addresses a unique queue-pair peer, like a connected RC queue pair.
 pub type DevId = usize;
 
-/// Maximum payload carried inline inside a wire slot without touching the
-/// heap — models NIC inline data / injected sends.
-pub const INLINE_MAX: usize = 64;
-
 /// Why an operation could not be carried out *right now*.
 ///
 /// The LCI runtime maps these to its user-visible `retry` status category
 /// (paper §3.2.5); baselines typically spin instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RetryReason {
-    /// The target device's RX ring is full (flow-control backpressure).
+    /// The target is not ready to receive: no receive is posted at the
+    /// target device, or the wire toward it is full (receiver-not-ready
+    /// backpressure, which the poster retries).
     RxFull,
     /// A trylock-wrapped lower-level lock was busy (paper §4.2.2).
     LockBusy,
@@ -36,7 +34,7 @@ pub enum RetryReason {
 impl std::fmt::Display for RetryReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            RetryReason::RxFull => "target RX ring full",
+            RetryReason::RxFull => "target not ready to receive",
             RetryReason::LockBusy => "lower-level lock busy",
             RetryReason::NoPacket => "no packet available",
             RetryReason::QueueFull => "send queue full",
@@ -82,84 +80,7 @@ impl NetError {
     }
 }
 
-/// Payload staged on the wire.
-///
-/// Tiny messages ride inline in the ring slot (like NIC inline sends);
-/// larger eager messages are staged through one heap buffer — the analog
-/// of the NIC reading the send buffer over PCIe. RDMA never uses this
-/// path. The heap buffer is a [`PoolBuf`](crate::buf_pool::PoolBuf):
-/// when the sending device has buffer recycling enabled, its storage
-/// returns to the sender's pool as soon as the message is delivered
-/// (dropped on the receive side) — the steady-state staging path never
-/// touches malloc.
-#[derive(Clone, Debug)]
-pub enum WirePayload {
-    /// No payload (pure notification, e.g. RDMA-write immediate).
-    None,
-    /// Payload stored inline.
-    Inline { data: [u8; INLINE_MAX], len: u8 },
-    /// Payload staged on the heap (recycled when pooled).
-    Heap(crate::buf_pool::PoolBuf),
-}
-
-impl WirePayload {
-    /// Builds a payload from a byte slice, choosing inline vs heap. The
-    /// heap copy is detached (not recycled); backends stage through
-    /// their device pool instead ([`BufPool::stage`](crate::buf_pool::BufPool::stage)).
-    pub fn from_slice(src: &[u8]) -> Self {
-        if src.is_empty() {
-            WirePayload::None
-        } else if src.len() <= INLINE_MAX {
-            let mut data = [0u8; INLINE_MAX];
-            data[..src.len()].copy_from_slice(src);
-            WirePayload::Inline { data, len: src.len() as u8 }
-        } else {
-            WirePayload::Heap(crate::buf_pool::PoolBuf::detached(src.to_vec()))
-        }
-    }
-
-    /// The payload bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            WirePayload::None => &[],
-            WirePayload::Inline { data, len } => &data[..*len as usize],
-            WirePayload::Heap(b) => b,
-        }
-    }
-
-    /// Payload length in bytes.
-    pub fn len(&self) -> usize {
-        match self {
-            WirePayload::None => 0,
-            WirePayload::Inline { len, .. } => *len as usize,
-            WirePayload::Heap(b) => b.len(),
-        }
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A message in flight on the simulated wire (one RX-ring slot).
-#[derive(Debug)]
-pub struct WireMsg {
-    /// Sending rank.
-    pub src_rank: Rank,
-    /// Sending device on `src_rank`.
-    pub src_dev: DevId,
-    /// 64-bit immediate data, available to the upper layer. (Real verbs
-    /// grants 32 bits; we grant 64 and let the LCI layer pack its
-    /// protocol header into it.)
-    pub imm: u64,
-    /// Message kind.
-    pub kind: WireMsgKind,
-    /// Staged payload (empty for write-immediate notifications).
-    pub payload: WirePayload,
-}
-
-/// Kind of wire message.
+/// What a frame landing in a target device's posted receive is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireMsgKind {
     /// A two-sided send; consumes a pre-posted receive at the target.
@@ -248,34 +169,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wire_payload_inline_roundtrip() {
-        let src = [7u8; 48];
-        let p = WirePayload::from_slice(&src);
-        assert!(matches!(p, WirePayload::Inline { .. }));
-        assert_eq!(p.as_slice(), &src);
-        assert_eq!(p.len(), 48);
-    }
-
-    #[test]
-    fn wire_payload_heap_roundtrip() {
-        let src: Vec<u8> = (0..200).map(|i| i as u8).collect();
-        let p = WirePayload::from_slice(&src);
-        assert!(matches!(p, WirePayload::Heap(_)));
-        assert_eq!(p.as_slice(), &src[..]);
-    }
-
-    #[test]
-    fn wire_payload_empty() {
-        let p = WirePayload::from_slice(&[]);
-        assert!(matches!(p, WirePayload::None));
-        assert!(p.is_empty());
-    }
-
-    #[test]
     fn neterror_display_and_retry() {
         let e = NetError::Retry(RetryReason::RxFull);
         assert!(e.is_retry());
-        assert!(e.to_string().contains("RX ring full"));
+        assert!(e.to_string().contains("not ready to receive"));
         let f = NetError::fatal("boom");
         assert!(!f.is_retry());
         assert!(f.to_string().contains("boom"));

@@ -1,26 +1,11 @@
 //! Property-based tests for the fabric's core data structures.
 
 use lci_fabric::sync::{MpmcArray, SpinLock};
-use lci_fabric::types::WirePayload;
 use lci_fabric::{DeviceConfig, Fabric, NetContext, RecvBufDesc};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 proptest! {
-    /// WirePayload round-trips arbitrary byte strings and picks the
-    /// inline representation iff they fit.
-    #[test]
-    fn wire_payload_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        let p = WirePayload::from_slice(&data);
-        prop_assert_eq!(p.as_slice(), &data[..]);
-        prop_assert_eq!(p.len(), data.len());
-        match &p {
-            WirePayload::None => prop_assert!(data.is_empty()),
-            WirePayload::Inline { .. } => prop_assert!((1..=64).contains(&data.len())),
-            WirePayload::Heap(_) => prop_assert!(data.len() > 64),
-        }
-    }
-
     /// The registration table validates exactly the in-bounds accesses.
     #[test]
     fn registration_bounds(len in 1usize..4096, offset in 0usize..8192, access in 1usize..8192) {

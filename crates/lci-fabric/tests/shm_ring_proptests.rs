@@ -175,20 +175,19 @@ proptest! {
 
     /// Two devices on the receiving rank share the one channel from the
     /// sender. Device 0 is kept supplied with receives and polls often,
-    /// so it drains the channel for both: its own frames land straight
-    /// in posted buffers when nothing is queued ahead of them, device
-    /// 1's go through that device's 4-slot RX endpoint. Device 1 is
-    /// starved: once its endpoint is full its next frame parks at the
-    /// head of the ring, in front of device 0's. Under any interleaving
-    /// nothing is lost or duplicated, each device sees its messages in
-    /// send order, and everything parked is delivered once device 1
-    /// gets receives.
+    /// so it drains the channel for both: each frame lands straight in a
+    /// posted buffer of the device it names. Device 1 is starved: a frame
+    /// for it that finds no receive posted parks at the head of the
+    /// ring, in front of device 0's (RC's in-order receiver-not-ready).
+    /// Under any interleaving nothing is lost or duplicated, each device
+    /// sees its messages in send order, and everything parked is
+    /// delivered once device 1 gets receives.
     #[test]
     fn two_devices_share_a_channel_under_rnr(
         ops in proptest::collection::vec(0u8..16, 1..400),
     ) {
         let fabric = Fabric::new(2);
-        let cfg = DeviceConfig::shm().with_rx_capacity(4);
+        let cfg = DeviceConfig::shm();
         let tx = NetContext::new(fabric.clone(), 0).create_device(cfg);
         let rank1 = NetContext::new(fabric, 1);
         let mut sinks: Vec<Sink> = (0..2)
@@ -229,17 +228,17 @@ proptest! {
         prop_assert_eq!([sinks[0].next, sinks[1].next], sent);
     }
 
-    /// The receiving device's completion staging ring (256 entries) is
+    /// The receiving device's completion staging ring (512 entries) is
     /// nearly or exactly full of its own unpolled `SendDone`s when a
-    /// burst for it is drained: the `RecvDone`s that no longer fit must
-    /// not overtake the ones that did.
+    /// burst for it is drained: the frames whose `RecvDone`s no longer
+    /// fit wait on the ring, and must not overtake the ones that did.
     #[test]
     fn direct_delivery_keeps_order_when_staging_fills(
-        unpolled in 230usize..=256,
+        unpolled in 480usize..=512,
         burst in 1u64..=40,
     ) {
         let fabric = Fabric::new(2);
-        let cfg = DeviceConfig::shm().with_rx_capacity(4);
+        let cfg = DeviceConfig::shm();
         let peer = NetContext::new(fabric.clone(), 0).create_device(cfg);
         let mut sink = Sink {
             dev: NetContext::new(fabric, 1).create_device(cfg),

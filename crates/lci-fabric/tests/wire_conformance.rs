@@ -12,9 +12,9 @@
 //! frame only a write's immediate (`Wire::LOCAL_DIRECT`), in-process tcp
 //! frames every byte.
 //!
-//! Every case runs on every preset, but for five that say why not where
-//! they are: two need a wire that holds frames outside the target's RX
-//! ring (`buffers_on_its_own`), one needs a read that is framed
+//! Every case runs on every preset, but for four that say why not where
+//! they are: one needs a wire that holds frames in front of the target
+//! device (`buffers_on_its_own`), one needs a read that is framed
 //! (`frames_local_rma`), and the last two need another process — a
 //! device table the sender cannot see, a peer that exits — so they
 //! re-execute this test binary as two worker processes (like `lcw`'s
@@ -43,7 +43,8 @@ fn wires() -> [DeviceConfig; 4] {
 /// counting up from 0, until the path there is full; returns how many
 /// went out. Polling `dev` reaps SendDones and flushes what the wire
 /// will still take: refused again after that, five times over, means
-/// full.
+/// full. On the in-memory wire the path is the target's posted
+/// receives, so the caller posts some first.
 fn fill_until_refused(dev: &Arc<dyn NetDevice>, fill: &[u8]) -> u64 {
     fill_until_refused_by(dev, |imm| dev.post_send(1 - dev.rank(), 0, fill, imm, 0))
 }
@@ -76,8 +77,8 @@ fn frames_local_rma(cfg: &DeviceConfig) -> bool {
 
 /// Whether `cfg`'s wire holds frames of its own (ring slots, socket
 /// buffers) in front of the target device. The in-memory wire does not —
-/// the post lands a frame in a posted receive or the RX ring — so there
-/// a full ring refuses the post itself instead of parking a frame.
+/// the post lands a frame in a posted receive — so there a target with
+/// no receive posted refuses the post itself instead of parking a frame.
 fn buffers_on_its_own(cfg: &DeviceConfig) -> bool {
     matches!(cfg.backend, BackendKind::Shm | BackendKind::Tcp)
 }
@@ -136,29 +137,24 @@ fn self_target_send_write_and_read() {
     }
 }
 
-/// A self-target send that finds the RX endpoint full is refused before
-/// any completion is staged, and goes through once there is room.
+/// A self-target send that finds no receive posted is refused before any
+/// completion is staged where the post lands it (the in-memory wire, and
+/// tcp, which routes a self-target in place), and goes through once a
+/// receive is posted. On a wire with a self channel (shm) it waits there
+/// instead; either way no `RecvDone` appears until a receive is posted.
 #[test]
-fn self_send_to_a_full_endpoint_retries_without_a_completion() {
+fn self_send_with_no_receive_posted_retries_without_a_completion() {
     for cfg in wires() {
-        let (d0, _d1) = pair(cfg.with_rx_capacity(1));
+        let (d0, _d1) = pair(cfg);
         let mut cqes = Vec::new();
-        // The first send occupies the only RX slot (no receive posted).
-        d0.post_send(0, 0, &[1u8; 40], 0, 0).unwrap();
-        let deadline = Instant::now() + DEADLINE;
-        while d0.inbound_pending() == 0 || cqes.is_empty() {
-            d0.poll_cq(&mut cqes, 8).unwrap();
-            assert!(Instant::now() < deadline, "first self-send never arrived");
-        }
-        assert_eq!(cqes.len(), 1, "only the first SendDone so far");
-        // The second cannot be queued behind it. On a wire with a self
-        // channel it waits there instead; either way no RecvDone and at
-        // most its own SendDone appear until a receive is posted.
-        let refused = matches!(d0.post_send(0, 0, &[2u8; 40], 1, 1), Err(NetError::Retry(_)));
+        let first = d0.post_send(0, 0, &[1u8; 40], 0, 0);
+        let refused = first.is_err();
+        assert!(matches!(first, Ok(()) | Err(NetError::Retry(RetryReason::RxFull))), "{first:?}");
+        assert_eq!(refused, cfg.backend != BackendKind::Shm, "{cfg:?}");
         for _ in 0..8 {
             d0.poll_cq(&mut cqes, 8).unwrap();
         }
-        assert_eq!(cqes.len(), if refused { 1 } else { 2 });
+        assert_eq!(cqes.len(), usize::from(!refused));
         assert!(cqes.iter().all(|c| c.kind == CqeKind::SendDone));
 
         let mut bufs = [vec![0u8; 64], vec![0u8; 64]];
@@ -166,9 +162,9 @@ fn self_send_to_a_full_endpoint_retries_without_a_completion() {
             post_packet_recv(&d0, b, i as u64);
         }
         if refused {
-            cqes.extend(poll_until(&d0, 1)); // the parked first message frees the slot
-            d0.post_send(0, 0, &[2u8; 40], 1, 1).unwrap();
+            d0.post_send(0, 0, &[1u8; 40], 0, 0).unwrap();
         }
+        d0.post_send(0, 0, &[2u8; 40], 1, 1).unwrap();
         while cqes.len() < 4 {
             cqes.extend(poll_until(&d0, 1));
         }
@@ -268,26 +264,22 @@ fn teardown_with_queued_frames() {
     }
 }
 
-/// A frame that finds the RX ring full waits at the head of its wire and
-/// is not staged again however often it is re-routed. Eight frames
-/// against a 2-slot ring and no posted receive: the receiver's pool
-/// takes stop where parking starts, at the two that fit, on both
-/// buffering wires — each lends the router its own storage (shm a ring
-/// slot, tcp a slice of its reassembly slab), the router stages a frame
-/// only when it becomes a wire message, and it looks for room in the RX
-/// ring before it does — and the messages come out in send order.
+/// A frame that finds no receive posted waits at the head of its wire and
+/// is never copied anywhere else, however often it is re-routed: eight
+/// frames and no posted receive leave the receiver's pool untouched on
+/// both buffering wires — each lends the router its own storage (shm a
+/// ring slot, tcp a slice of its reassembly slab) and the router lands a
+/// frame in a posted receive or leaves it there — and once receives are
+/// posted the messages come out in send order.
 ///
 /// Only a wire that buffers on its own has a frame to park: on the
-/// in-memory wire the third send is refused at the post
-/// (`send_batch_makes_partial_progress_against_a_full_rx_ring` holds
-/// that side).
+/// in-memory wire the first send is refused at the post
+/// (`rnr_message_waits_for_its_receive` holds that side).
 #[test]
 fn rx_full_parks_frames_without_restaging_and_in_send_order() {
     const N: usize = 8;
-    const RX_SLOTS: usize = 2;
     for cfg in wires().into_iter().filter(buffers_on_its_own) {
-        let staged_while_parked = RX_SLOTS as u64;
-        let (d0, d1) = pair(cfg.with_rx_capacity(RX_SLOTS));
+        let (d0, d1) = pair(cfg);
         let payload = |i: usize| vec![i as u8 + 1; 200];
         for i in 0..N {
             d0.post_send(1, 0, &payload(i), i as u64, 0).unwrap();
@@ -296,16 +288,17 @@ fn rx_full_parks_frames_without_restaging_and_in_send_order() {
         let takes = |d: &Arc<dyn NetDevice>| d.buf_pool_stats().hits + d.buf_pool_stats().misses;
         let deadline = Instant::now() + DEADLINE;
         let mut none = Vec::new();
-        while takes(&d1) < staged_while_parked {
+        while d1.inbound_pending() == 0 {
             d1.poll_cq(&mut none, 16).unwrap();
-            assert!(Instant::now() < deadline, "only {} frames staged", takes(&d1));
+            assert!(Instant::now() < deadline, "no frame arrived");
             std::thread::yield_now();
         }
         for _ in 0..16 {
             d1.poll_cq(&mut none, 16).unwrap();
         }
         assert!(none.is_empty(), "nothing can complete without a posted receive");
-        assert_eq!(takes(&d1), staged_while_parked, "a re-routed frame was staged again");
+        assert!(d1.inbound_pending() > 0, "the parked frames must keep a progress thread awake");
+        assert_eq!(takes(&d1), 0, "a parked frame was staged");
 
         let mut rbufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 256]).collect();
         for (i, b) in rbufs.iter_mut().enumerate() {
@@ -316,7 +309,7 @@ fn rx_full_parks_frames_without_restaging_and_in_send_order() {
             assert_eq!((c.kind, c.ctx, c.imm), (CqeKind::RecvDone, i as u64, i as u64));
             assert_eq!(&rbufs[i][..c.len], &payload(i)[..]);
         }
-        assert!(takes(&d1) <= N as u64, "a payload was staged more than once");
+        assert_eq!(takes(&d1), 0, "a delivered frame was staged");
     }
 }
 
@@ -463,6 +456,12 @@ fn refused_write_notification_retries_without_a_completion() {
     const FILL: usize = 64;
     for cfg in wires() {
         let (d0, d1) = pair(cfg);
+        // The target consumes the fillers through a small set of
+        // receives it re-posts as they complete.
+        let mut rbufs: Vec<Vec<u8>> = (0..32).map(|_| vec![0u8; FILL]).collect();
+        for (i, b) in rbufs.iter_mut().enumerate() {
+            post_packet_recv(&d1, b, i as u64);
+        }
         let fill = [0xF1u8; FILL];
         let sent = fill_until_refused(&d0, &fill);
         let region = [0u8; 64];
@@ -477,12 +476,6 @@ fn refused_write_notification_retries_without_a_completion() {
         let ts = d0.transport_stats();
         assert_eq!(ts.rma_direct_bytes + ts.rma_framed_bytes, 0, "a refused write was counted");
 
-        // The target consumes the fillers through a small set of
-        // receives it re-posts as they complete.
-        let mut rbufs: Vec<Vec<u8>> = (0..32).map(|_| vec![0u8; FILL]).collect();
-        for (i, b) in rbufs.iter_mut().enumerate() {
-            post_packet_recv(&d1, b, i as u64);
-        }
         let (mut got, mut cq1) = (0u64, Vec::new());
         let deadline = Instant::now() + DEADLINE;
         while got < sent {
@@ -544,18 +537,24 @@ fn bad_rkey_is_fatal_at_post() {
 }
 
 /// `post_send_batch` is partial progress, not all-or-nothing: four sends
-/// against a 2-slot RX ring nobody drains post as far as the path takes
-/// them — two where the ring is the wire, all four where the wire
+/// toward a target with two receives posted post as far as the path
+/// takes them — two where the post lands them, all four where the wire
 /// buffers on its own — with a `SendDone` for exactly the accepted
-/// prefix, in order. A tail retried against the still-full ring posts
-/// nothing and says `RxFull`; once the target has drained, the tail
-/// posts, and the messages arrive in batch order with their bytes.
+/// prefix, in order. A tail retried against the target still out of
+/// receives posts nothing and says `RxFull`; once the target has posted
+/// more, the tail posts, and the messages arrive in batch order with
+/// their bytes.
 #[test]
 fn send_batch_makes_partial_progress_against_a_full_rx_ring() {
     const N: usize = 4;
-    const RX_SLOTS: usize = 2;
+    const POSTED: usize = 2;
     for cfg in wires() {
-        let (d0, d1) = pair(cfg.with_rx_capacity(RX_SLOTS));
+        let (d0, d1) = pair(cfg);
+        let mut rbufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 16]).collect();
+        let (early, late) = rbufs.split_at_mut(POSTED);
+        for (i, b) in early.iter_mut().enumerate() {
+            post_packet_recv(&d1, b, i as u64);
+        }
         let bufs: Vec<[u8; 2]> = (0..N as u8).map(|i| [i, i + 10]).collect();
         let msgs: Vec<SendDesc> = bufs
             .iter()
@@ -563,7 +562,7 @@ fn send_batch_makes_partial_progress_against_a_full_rx_ring() {
             .map(|(i, b)| SendDesc { data: b, imm: 100 + i as u64, ctx: i as u64 })
             .collect();
         let first = d0.post_send_batch(1, 0, &msgs).unwrap();
-        assert_eq!(first, if buffers_on_its_own(&cfg) { N } else { RX_SLOTS }, "{cfg:?}");
+        assert_eq!(first, if buffers_on_its_own(&cfg) { N } else { POSTED }, "{cfg:?}");
         let done = poll_until(&d0, first);
         assert!(done.iter().all(|c| c.kind == CqeKind::SendDone));
         assert!(done.iter().map(|c| c.ctx).eq(0..first as u64), "SendDones out of batch order");
@@ -575,13 +574,12 @@ fn send_batch_makes_partial_progress_against_a_full_rx_ring() {
             assert!(none.is_empty(), "a refused batch left a completion");
         }
 
-        let mut rbufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 16]).collect();
-        for (i, b) in rbufs.iter_mut().enumerate() {
-            post_packet_recv(&d1, b, i as u64);
+        for (i, b) in late.iter_mut().enumerate() {
+            post_packet_recv(&d1, b, (POSTED + i) as u64);
         }
         let mut cqes = poll_until(&d1, first);
         if first < N {
-            // Ring drained: the tail posts now.
+            // Receives posted: the tail posts now.
             assert_eq!(d0.post_send_batch(1, 0, &msgs[first..]).unwrap(), N - first);
             let done = poll_until(&d0, N - first);
             assert!(done.iter().map(|c| c.ctx).eq(first as u64..N as u64));
@@ -627,44 +625,58 @@ fn recv_batch_posts_all_and_is_consumed_in_posting_order() {
     }
 }
 
-/// Receiver not ready: a message that finds no posted receive waits —
-/// counted by `inbound_pending()`, completing nothing however often the
-/// target polls — and is delivered once a receive is posted.
+/// Receiver not ready: a message that finds no posted receive is refused
+/// at the post where the post lands it, and waits on the wire where the
+/// wire buffers — counted by `inbound_pending()`, completing nothing
+/// however often the target polls, never staged through the target's
+/// pool. Either way it is delivered once a receive is posted (on the
+/// in-memory wire, posted again).
 #[test]
 fn rnr_message_waits_for_its_receive() {
     for cfg in wires() {
         let (d0, d1) = pair(cfg);
-        d0.post_send(1, 0, b"hello", 3, 0).unwrap();
-        let _ = poll_until(&d0, 1); // SendDone + flush
         let mut cqes = Vec::new();
-        let deadline = Instant::now() + DEADLINE;
-        while d1.inbound_pending() == 0 {
-            d1.poll_cq(&mut cqes, 8).unwrap();
-            assert!(Instant::now() < deadline, "the message never arrived");
-            std::thread::yield_now();
+        let buffered = buffers_on_its_own(&cfg);
+        if buffered {
+            d0.post_send(1, 0, b"hello", 3, 0).unwrap();
+            let _ = poll_until(&d0, 1); // SendDone + flush
+            let deadline = Instant::now() + DEADLINE;
+            while d1.inbound_pending() == 0 {
+                d1.poll_cq(&mut cqes, 8).unwrap();
+                assert!(Instant::now() < deadline, "the message never arrived");
+                std::thread::yield_now();
+            }
+        } else {
+            let err = d0.post_send(1, 0, b"hello", 3, 0).unwrap_err();
+            assert_eq!(err, NetError::Retry(RetryReason::RxFull), "{cfg:?}");
         }
         for _ in 0..8 {
             d1.poll_cq(&mut cqes, 8).unwrap();
+            d0.poll_cq(&mut cqes, 8).unwrap();
         }
-        assert!(cqes.is_empty(), "delivered without a posted receive");
-        assert!(d1.inbound_pending() > 0, "the parked message must keep a progress thread awake");
+        assert!(cqes.is_empty(), "delivered or completed without a posted receive");
+        assert_eq!(d1.inbound_pending() > 0, buffered, "a parked message keeps a poller awake");
 
         let mut rbuf = vec![0u8; 64];
         post_packet_recv(&d1, &mut rbuf, 1);
+        if !buffered {
+            d0.post_send(1, 0, b"hello", 3, 0).unwrap();
+        }
         let cqes = poll_until(&d1, 1);
         assert_eq!((cqes[0].kind, cqes[0].ctx, cqes[0].imm), (CqeKind::RecvDone, 1, 3));
         assert_eq!(&rbuf[..5], b"hello");
+        let pool = d1.buf_pool_stats();
+        assert_eq!(pool.hits + pool.misses, 0, "{cfg:?}: the message was staged");
     }
 }
 
 /// Several senders to one device: three threads, each with the device of
 /// a rank of its own, send numbered 8 B messages to rank 0's device as
-/// fast as it takes them, through an 8-slot RX ring, while its owner
-/// posts receives and polls — with a write-with-immediate as every 16th
-/// message, and far fewer receives than messages, so on the in-memory
-/// wire a sender's messages go both ways: into a posted receive at the
-/// post, concurrently with the owner's polls, or onto the ring when none
-/// is posted. Nothing is lost or duplicated and each source's messages
+/// fast as it takes them, while its owner posts receives and polls —
+/// with a write-with-immediate as every 16th message, and far fewer
+/// receives than messages, so on the in-memory wire a sender's messages
+/// go both ways: into a posted receive at the post, concurrently with
+/// the owner's polls, or refused when none is posted. Nothing is lost or duplicated and each source's messages
 /// arrive in the order it sent them (the per-source FIFO of the `Wire`
 /// contract; across sources there is no order to keep). A refused post
 /// says `RxFull`, or `QueueFull` once its own unpolled `SendDone`s fill
@@ -680,7 +692,7 @@ fn several_senders_to_one_device_arrive_complete_and_in_source_order() {
     for cfg in wires() {
         let cfg = cfg.with_discipline(LockDiscipline::Blocking);
         let fabric = Fabric::new(SENDERS + 1);
-        let target = NetContext::new(fabric.clone(), 0).create_device(cfg.with_rx_capacity(8));
+        let target = NetContext::new(fabric.clone(), 0).create_device(cfg);
         let region = [0u8; 8 * (SENDERS + 1)];
         let rkey = target.register(region.as_ptr(), region.len()).unwrap().rkey;
         let senders: Vec<_> =
@@ -902,10 +914,11 @@ fn numbered(i: u64) -> Vec<u8> {
 /// immediate arrive, nothing ever shows up on the sender's CQ, and
 /// interleaved with `post_send`s toward the same target everything
 /// leaves in post order — the `SendDone`s of the signaled ones are the
-/// only completions, in their order.
+/// only completions, in their order. Each half fits the receiver's 32
+/// posted receives, which is what the in-memory wire takes at the post.
 #[test]
 fn inject_delivers_in_post_order_with_sends_and_completes_nothing() {
-    const N: u64 = 96;
+    const N: u64 = 64;
     for cfg in wires() {
         let (d0, d1) = pair(cfg);
         let mut sink = Sink::new(&d1, 1024, numbered);
@@ -940,7 +953,7 @@ fn inject_delivers_in_post_order_with_sends_and_completes_nothing() {
 fn inject_is_accepted_with_the_staging_ring_full() {
     const INJECTS: u64 = 300;
     for cfg in wires() {
-        let (d0, d1) = pair(cfg.with_rx_capacity(64).with_discipline(LockDiscipline::Blocking));
+        let (d0, d1) = pair(cfg.with_discipline(LockDiscipline::Blocking));
         let mut sink = Sink::new(&d1, 1024, numbered);
         let mut sent = 0u64;
         loop {
@@ -973,19 +986,20 @@ fn inject_is_accepted_with_the_staging_ring_full() {
     }
 }
 
-/// A full wire refuses an inject with `Retry(RxFull)` and sends nothing:
-/// once the receiver drains, exactly the accepted messages arrive, in
-/// order, and the refused one goes through when posted again. A target
-/// rank that does not exist is fatal, as for `post_send`.
+/// A full wire — on the in-memory wire, a target out of posted receives —
+/// refuses an inject with `Retry(RxFull)` and sends nothing: once the
+/// receiver drains, exactly the accepted messages arrive, in order, and
+/// the refused one goes through when posted again. A target rank that
+/// does not exist is fatal, as for `post_send`.
 #[test]
 fn inject_on_a_full_wire_retries_with_nothing_sent() {
     for cfg in wires() {
         let (d0, d1) = pair(cfg.with_discipline(LockDiscipline::Blocking));
+        let mut sink = Sink::new(&d1, 1024, numbered);
         let sent = fill_until_refused_by(&d0, |i| d0.post_inject(1, 0, &numbered(i), i));
         let err = d0.post_inject(1, 0, &numbered(sent), sent).unwrap_err();
         assert_eq!(err, NetError::Retry(RetryReason::RxFull), "{cfg:?}");
 
-        let mut sink = Sink::new(&d1, 1024, numbered);
         let polled = sink.drain_until(sent, &d0);
         for _ in 0..8 {
             sink.drain();

@@ -121,6 +121,13 @@ impl Backlog {
         }
     }
 
+    /// Whether a parked send toward `(target, target_dev)` waits here. One
+    /// load when the backlog is empty.
+    pub fn holds_send_to(&self, target: Rank, target_dev: DevId) -> bool {
+        let dest = Some((target, target_dev));
+        !self.is_empty() && self.queue.lock().iter().any(|item| send_dest(item) == dest)
+    }
+
     /// Approximate number of postponed requests.
     pub fn len(&self) -> usize {
         if !self.nonempty.load(Ordering::Acquire) {

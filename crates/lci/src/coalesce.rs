@@ -15,7 +15,7 @@
 //! per-sub-message allocation, copy or refcount on the demux path.
 //!
 //! This amortizes the dominant per-message costs of the paper's analysis
-//! (§4.2): the endpoint/QP posting lock, the RX-ring slot, and the
+//! (§4.2): the endpoint/QP posting lock, the wire slot, and the
 //! packet+CQE on the receive side are paid once per frame instead of
 //! once per message. An append itself takes the destination's slot lock
 //! and copies the record, and no shared counter: the open-frame count

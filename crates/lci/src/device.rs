@@ -31,7 +31,8 @@ use crate::util::ShardedSlab;
 use eager::PendingInbound;
 use lci_fabric::sync::SpinLock;
 use lci_fabric::{
-    BufPool, Cqe, CqeKind, DevId, MemoryRegion, NetDevice, NetError, RecvBufDesc, Rkey, SendDesc,
+    BufPool, Cqe, CqeKind, DevId, MemoryRegion, NetDevice, NetError, NetResult, RecvBufDesc,
+    RetryReason, Rkey, SendDesc,
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -110,9 +111,9 @@ pub(crate) struct DeviceInner {
     rdv_sends: ShardedSlab<rdv::RdvSend>,
     /// Rendezvous receives, each from its RTR to its FIN.
     rdv_recvs: ShardedSlab<rdv::RdvRecv>,
-    /// Recycled staging-buffer pool shared with the fabric device (iovec
-    /// gathers, rendezvous chunks' included, parked sends, coalesced
-    /// frames, bounce buffers).
+    /// Recycled staging-buffer pool the fabric device builds for this
+    /// layer (iovec gathers, rendezvous chunks' included, parked sends,
+    /// coalesced frames, bounce buffers).
     buf_pool: BufPool,
     /// Pooled per-operation contexts (replaces a Box per post).
     ctx_pool: CtxPool<OpCtx>,
@@ -155,6 +156,21 @@ impl DeviceInner {
             .remove(ctx)
             .ok_or_else(|| FatalError::Net(format!("stale or double-decoded op ctx {ctx:#x}")))
     }
+
+    /// Injects a two-sided message toward `(target, target_dev)`: every
+    /// one `lci` sends, but for the backlog drain's. While a parked send
+    /// toward the same target waits in the backlog the message is
+    /// refused as a full wire refuses it, so it retries or parks behind
+    /// that send and cannot overtake it: per-source order, which
+    /// per-`(rank, tag)` matching rests on, is kept by the sender. A
+    /// stalled rendezvous pump does not hold it back (its RTS has left).
+    /// With the backlog empty the check is one load.
+    fn inject(&self, target: Rank, target_dev: DevId, data: &[u8], imm: u64) -> NetResult<()> {
+        if self.backlog.holds_send_to(target, target_dev) {
+            return Err(NetError::Retry(RetryReason::RxFull));
+        }
+        self.net.post_inject(target, target_dev, data, imm)
+    }
 }
 
 /// A communication device handle (cheap to clone, `Send + Sync`).
@@ -172,8 +188,6 @@ pub struct DeviceAttr {
     pub backend: lci_fabric::BackendKind,
     /// Thread-domain strategy (the `ibv_td_strategy` attribute, §4.2.3).
     pub td_strategy: lci_fabric::TdStrategy,
-    /// Inbound flow-control window.
-    pub rx_capacity: usize,
     /// Pre-posted receive target.
     pub prepost_target: usize,
 }
@@ -253,7 +267,6 @@ impl Device {
             dev_id: self.inner.net.dev_id(),
             backend: cfg.backend,
             td_strategy: cfg.td_strategy,
-            rx_capacity: cfg.rx_capacity,
             prepost_target: self.inner.rt.config.prepost,
         }
     }
@@ -394,7 +407,7 @@ impl Device {
     /// wire to the user: a copy staged in a pooled buffer parks in the
     /// backlog instead (paper §4.1.5).
     fn send_ctrl(&self, target: Rank, target_dev: DevId, bytes: &[u8], imm: u64) -> Result<()> {
-        match self.inner.net.post_inject(target, target_dev, bytes, imm) {
+        match self.inner.inject(target, target_dev, bytes, imm) {
             Ok(()) => Ok(()),
             Err(NetError::Retry(_)) => {
                 let data = self.inner.buf_pool.stage_copy(bytes);
@@ -684,9 +697,7 @@ fn net_fatal(e: NetError) -> FatalError {
 mod tests {
     use super::*;
     use crate::{Fabric, Runtime, RuntimeConfig};
-    use lci_fabric::{
-        BufPoolStats, DeviceConfig, NetResult, RegCacheStats, RetryReason, TransportStats,
-    };
+    use lci_fabric::{BufPoolStats, DeviceConfig, RegCacheStats, TransportStats};
     use std::sync::atomic::Ordering;
 
     /// An ofi device whose receive posts take, before the device's own
@@ -820,6 +831,52 @@ mod tests {
         let posted = dev.inner.net.posted_recvs();
         assert_eq!(posted, rt.config().prepost);
         assert_eq!(pool.outstanding(), before + posted);
+    }
+
+    /// No send overtakes a parked one toward the same target: one thread
+    /// drives both ranks, and the target keeps two receives posted. Two
+    /// sends land in them; a third, `no_retry`, is refused and parks.
+    /// The target restocks, so a fourth would find a receive — but the
+    /// backlog holds the third, so the fourth is refused too, and the
+    /// four receives on one tag complete in send order.
+    #[test]
+    fn a_send_never_overtakes_a_parked_one() {
+        const TAG: Tag = 7;
+        let cfg = RuntimeConfig { prepost: 2, ..RuntimeConfig::small() };
+        let fabric = Fabric::new(2);
+        let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
+        let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
+        let (scq, rcq) = (Comp::alloc_cq(), Comp::alloc_cq());
+        for i in 0..4 {
+            let posted = rt1.post_recv_x(0, vec![0u8; 8], TAG, rcq.clone()).user_ctx(i).call();
+            assert!(posted.unwrap().is_posted());
+        }
+        let send = |i: u8, retry: bool| {
+            let post = rt0.post_send_x(1, vec![i; 8], TAG, scq.clone());
+            if retry { post.call() } else { post.no_retry().call() }.unwrap()
+        };
+        assert!(matches!(send(0, true), PostResult::Done(_)));
+        assert!(matches!(send(1, true), PostResult::Done(_)));
+        assert!(send(2, false).is_posted(), "the third send finds no receive and parks");
+        assert_eq!(rt0.device().backlog_len(), 1);
+        rt1.progress().unwrap();
+        assert_eq!(rt1.device().inner.net.posted_recvs(), 2, "the target restocked");
+        let mut fourth_done = !send(3, true).is_retry();
+        let accepted_behind_the_third = fourth_done;
+
+        let mut got = Vec::new();
+        for _ in 0..1000 {
+            rt0.progress().unwrap();
+            fourth_done = fourth_done || !send(3, true).is_retry();
+            rt1.progress().unwrap();
+            got.extend(std::iter::from_fn(|| rcq.pop()));
+            if got.len() == 4 && fourth_done {
+                break;
+            }
+        }
+        let got: Vec<(u64, u8)> = got.iter().map(|d| (d.user_ctx, d.as_slice()[0])).collect();
+        assert_eq!(got, [(0, 0), (1, 1), (2, 2), (3, 3)], "receives out of send order");
+        assert!(!accepted_behind_the_third, "the fourth send was not refused");
     }
 
     /// A rendezvous whose chunk writes the wire refuses, with none in

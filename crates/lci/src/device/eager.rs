@@ -126,9 +126,9 @@ impl Device {
         // Inject and buffer-copy are one protocol here: every wire reads
         // an eager source for the last time inside the post (DESIGN.md
         // §4.11 "Lending"), so nothing is left to wait for.
-        let res = self.inner.with_bytes(&buf, 0..size, |data| {
-            self.inner.net.post_inject(args.rank, target_dev, data, imm)
-        });
+        let res = self
+            .inner
+            .with_bytes(&buf, 0..size, |data| self.inner.inject(args.rank, target_dev, data, imm));
         match res {
             Ok(()) => done(buf),
             Err(NetError::Retry(r)) if args.allow_retry => Ok(PostResult::Retry(r.into())),
@@ -163,22 +163,18 @@ impl Device {
         }
     }
 
-    /// Ships one coalesced frame; a full wire parks it in the backlog
-    /// (like any control message the runtime itself must send). A frame
-    /// also parks when the backlog is non-empty: an earlier frame may be
-    /// waiting there, and frames for one destination must reach the wire
-    /// in creation order (the backlog drains FIFO).
+    /// Ships one coalesced frame; a refused one parks in the backlog
+    /// (like any control message the runtime itself must send), behind
+    /// any earlier frame for its destination still waiting there.
     fn post_frame(&self, frame: Frame) -> Result<()> {
         let Frame { target, target_dev, data, count } = frame;
         self.inner.stats.bump(|c| &c.coalesce_flushes);
         self.inner.stats.add(|c| &c.coalesced_msgs, count as u64);
         let imm = Header::new(MsgType::Coalesced, MatchingPolicy::None, 0, count as u32).encode();
-        if self.inner.backlog.is_empty() {
-            match self.inner.net.post_inject(target, target_dev, &data, imm) {
-                Ok(()) => return Ok(()),
-                Err(NetError::Retry(_)) => {}
-                Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
-            }
+        match self.inner.inject(target, target_dev, &data, imm) {
+            Ok(()) => return Ok(()),
+            Err(NetError::Retry(_)) => {}
+            Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
         }
         // The frame already is a pooled buffer: it parks as it is.
         self.push_backlog(Backlogged::Send { target, target_dev, data, imm, ctx: 0 });

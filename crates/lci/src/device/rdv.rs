@@ -209,7 +209,7 @@ impl Device {
                 }
             };
         }
-        match self.inner.net.post_send(args.rank, target_dev, &payload, imm, 0) {
+        match self.inner.inject(args.rank, target_dev, &payload, imm) {
             Ok(()) => Ok(PostResult::Posted),
             Err(NetError::Retry(r)) => {
                 // Back the rendezvous out entirely; the user resubmits.

@@ -20,7 +20,8 @@ use crate::types::CompDesc;
 pub enum RetryReason {
     /// A lower-level network lock was busy (trylock wrapper, §4.2.2).
     LockBusy,
-    /// The target device's inbound ring is full (flow control).
+    /// The target is not ready to receive: no receive posted there, or
+    /// the wire toward it full (flow control).
     RxFull,
     /// The packet pool could not supply a packet.
     NoPacket,

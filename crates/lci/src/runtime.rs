@@ -64,7 +64,7 @@ impl Placement {
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Fabric device configuration (backend, lock discipline,
-    /// thread-domain strategy, RX capacity).
+    /// thread-domain strategy).
     pub device: DeviceConfig,
     /// Packet pool sizing.
     pub packet: PacketPoolConfig,

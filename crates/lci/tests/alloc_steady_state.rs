@@ -633,21 +633,21 @@ fn warm_coalesced_am_is_allocation_free() {
     assert_eq!((d.coalesced_msgs, d.coalesce_flushes), (16 * MSGS as u64, 16 * 3));
 }
 
-/// `no_retry` sends that a full RX endpoint parks, drained warm: the
+/// `no_retry` sends the target refuses, parked and drained warm: the
 /// drain pops each run into the device's reusable run array and hands it
 /// to the wire as a fixed descriptor array, and everything a parked send
 /// holds (its staged copy, its context, its deque slot) is recycled. So
 /// once a few bursts have warmed those, parking a burst and draining it
-/// — in batches the two-slot endpoint cuts short, re-parking each tail —
-/// makes no allocator call. A send lands in a receive the target keeps
-/// posted before anything waits on the endpoint, so a burst outnumbers
-/// the receiver's posted receives and the endpoint's two slots.
+/// — in batches the receiver's four posted receives cut short,
+/// re-parking each tail — makes no allocator call. A burst outnumbers
+/// those receives, and a send refused for want of one parks everything
+/// behind it.
 #[test]
 fn warm_backlog_drain_is_allocation_free() {
     const PREPOST: usize = 4;
     const BURST: usize = 12;
     let _g = serial();
-    let device = lci_fabric::DeviceConfig::ibv().with_rx_capacity(2);
+    let device = lci_fabric::DeviceConfig::ibv();
     let cfg = RuntimeConfig { prepost: PREPOST, ..RuntimeConfig::small().with_device(device) };
     let pair = Pair::new_cfg(cfg);
     let mut payloads: Vec<SendBuf> = (0..BURST).map(|_| vec![0x4Bu8; 512].into()).collect();

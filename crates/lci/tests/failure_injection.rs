@@ -1,6 +1,6 @@
 //! Failure-injection tests: drive the runtime through the paths that
-//! only appear under resource exhaustion — tiny RX rings (RxFull
-//! retries), tiny packet pools (NoPacket, RNR parking), the backlog
+//! only appear under resource exhaustion — few posted receives (RxFull
+//! retries, receiver-not-ready), tiny packet pools (NoPacket), the backlog
 //! queue (`no_retry` posts), and lock-contention retries — and verify
 //! that no message is ever lost or duplicated.
 
@@ -11,7 +11,7 @@ use lci_fabric::{DeviceConfig, Fabric};
 /// A runtime config starved of every resource.
 fn starved() -> RuntimeConfig {
     RuntimeConfig {
-        device: DeviceConfig::ibv().with_rx_capacity(4),
+        device: DeviceConfig::ibv(),
         packet: lci::PacketPoolConfig { payload_size: 256, count: 8 },
         eager_size: 256,
         prepost: 4,
@@ -66,7 +66,7 @@ fn rx_full_surfaces_retry_and_recovers() {
             std::thread::yield_now();
         }
     }
-    // With a 4-slot RX ring and 64 messages, backpressure must appear.
+    // With 4 posted receives and 64 messages, backpressure must appear.
     assert!(retries > 0, "tiny ring should force retries");
     fabric.oob_barrier();
     peer.join().unwrap();
@@ -77,15 +77,14 @@ fn rx_full_surfaces_retry_and_recovers() {
 /// (the RTS of every fourth message, which is too large for eager) or
 /// the user did (the eager sends in between). The receiver stays away
 /// from the wire during the blast, so exactly its four posted receives
-/// and then the RX endpoint's four slots are taken directly — six eager
-/// sends, `Done` at the post and never signaled, and two RTSs — and the
-/// rest drain from the backlog — in post order, runs to the one
-/// destination as batches. `Done`s plus popped completions are the
-/// posts, each `user_ctx` once.
+/// are taken directly — three eager sends, `Done` at the post and never
+/// signaled, and one RTS — and the rest drain from the backlog — in
+/// post order, runs to the one destination as batches. `Done`s plus
+/// popped completions are the posts, each `user_ctx` once.
 #[test]
 fn no_retry_mode_parks_in_backlog() {
-    // The receiver's `prepost` receives plus the RX endpoint's slots.
-    const TAKEN: u64 = 4 + 4;
+    // The receiver's `prepost` receives.
+    const TAKEN: u64 = 4;
     let fabric = Fabric::new(2);
     let f2 = fabric.clone();
     let n_msgs = 32u64;
@@ -146,7 +145,7 @@ fn no_retry_mode_parks_in_backlog() {
         }
     }
     let parked = rt.device().stats().backlogged;
-    assert_eq!(parked, n_msgs - TAKEN, "everything past the receives and the slots parks");
+    assert_eq!(parked, n_msgs - TAKEN, "everything past the receives parks");
     assert_eq!(rt.device().backlog_len() as u64, parked);
     fabric.oob_barrier();
     // Drain everything: every user completion arrives exactly once.
@@ -170,7 +169,8 @@ fn no_retry_mode_parks_in_backlog() {
 #[test]
 fn packet_pool_exhaustion_blocks_prepost_not_correctness() {
     // Pool of 8 packets, prepost target 4: heavy traffic forces the
-    // progress engine to run with a starved SRQ (RNR parking).
+    // progress engine to run with a starved SRQ (the sender's posts are
+    // refused, receiver-not-ready, and retried).
     let fabric = Fabric::new(2);
     let f2 = fabric.clone();
     let rounds = 40u32;
@@ -214,30 +214,31 @@ fn packet_pool_exhaustion_blocks_prepost_not_correctness() {
     peer.join().unwrap();
 }
 
+/// Zero-copy messages against four posted receives: five rendezvous
+/// sends posted `no_retry` while the receiver stays away from the wire
+/// land four RTSs, and the fifth parks in the backlog; the RTRs and FINs
+/// then meet the same starved receive queues on the way back. Every
+/// transfer completes, byte-exact, and the rendezvous state drains.
 #[test]
 fn rendezvous_under_starvation() {
-    // Zero-copy messages with a 4-slot ring: RTS/RTR/FIN control
-    // messages themselves hit backpressure and must park/retry without
-    // corrupting the transfer.
+    const N: u32 = 5;
     let fabric = Fabric::new(2);
     let f2 = fabric.clone();
     let peer = std::thread::spawn(move || {
         let rt = Runtime::new(f2.clone(), 1, starved()).unwrap();
-        f2.oob_barrier();
-        for i in 0..5u32 {
-            let comp = Comp::alloc_sync(1);
-            let res = rt.post_recv(0, vec![0u8; 8192], i, comp.clone()).unwrap();
-            let desc = match res {
-                PostResult::Done(d) => d,
-                PostResult::Posted => {
-                    let s = comp.as_sync().unwrap();
-                    while !s.test() {
-                        rt.progress().unwrap();
-                    }
-                    s.take().pop().unwrap()
-                }
-                PostResult::Retry(_) => unreachable!(),
-            };
+        let comps: Vec<Comp> = (0..N).map(|_| Comp::alloc_sync(1)).collect();
+        for (i, comp) in comps.iter().enumerate() {
+            let res = rt.post_recv(0, vec![0u8; 8192], i as u32, comp.clone()).unwrap();
+            assert!(res.is_posted());
+        }
+        f2.oob_barrier(); // sender posts now
+        f2.oob_barrier(); // every RTS the wire took has landed
+        for (i, comp) in comps.iter().enumerate() {
+            let s = comp.as_sync().unwrap();
+            while !s.test() {
+                rt.progress().unwrap();
+            }
+            let desc = s.take().pop().unwrap();
             assert_eq!(desc.kind, CompKind::Recv);
             assert_eq!(desc.data.len(), 4000);
             assert!(desc.as_slice().iter().all(|&b| b == i as u8));
@@ -247,24 +248,21 @@ fn rendezvous_under_starvation() {
 
     let rt = Runtime::new(fabric.clone(), 0, starved()).unwrap();
     fabric.oob_barrier();
-    for i in 0..5u32 {
-        let comp = Comp::alloc_sync(1);
-        loop {
-            // 4000 B > eager_size (256): always rendezvous.
-            match rt.post_send(1, vec![i as u8; 4000], i, comp.clone()).unwrap() {
-                PostResult::Retry(_) => {
-                    rt.progress().unwrap();
-                }
-                PostResult::Posted => break,
-                PostResult::Done(_) => unreachable!("rendezvous is never done immediately"),
-            }
-        }
+    let comps: Vec<Comp> = (0..N).map(|_| Comp::alloc_sync(1)).collect();
+    for (i, comp) in comps.iter().enumerate() {
+        // 4000 B > eager_size (256): always rendezvous.
+        let send = rt.post_send_x(1, vec![i as u8; 4000], i as u32, comp.clone()).no_retry();
+        assert!(send.call().unwrap().is_posted(), "rendezvous is never done immediately");
+    }
+    assert_eq!(rt.device().stats().backlogged, 1, "the fifth RTS found no receive");
+    fabric.oob_barrier();
+    for comp in &comps {
         comp.as_sync().unwrap().wait_with(|| {
             rt.progress().unwrap();
         });
-        let (sends, recvs) = rt.device().pending_rendezvous();
-        assert_eq!((sends, recvs), (0, 0), "rendezvous state must drain");
     }
+    let (sends, recvs) = rt.device().pending_rendezvous();
+    assert_eq!((sends, recvs), (0, 0), "rendezvous state must drain");
     fabric.oob_barrier();
     peer.join().unwrap();
 }
@@ -377,10 +375,9 @@ fn inline_pattern(i: u32) -> Vec<u8> {
 /// the buffer: into the `Done` descriptor when the wire takes the send,
 /// into an operation context when a `no_retry` send parks. Blasted
 /// `no_retry` at a receiver that stays away from the wire, the first
-/// sends are taken (sim: 2-slot RX ring; shm: the 256 slots of the
-/// ring — until PR 21 the shm half parked on a full completion staging
-/// ring instead, which an eager send no longer touches) and the rest
-/// park. Both paths must ship the bytes the user passed and hand the
+/// sends are taken (sim: the receiver's posted receives; shm: the 256
+/// slots of the ring — an eager send does not touch the completion
+/// staging ring) and the rest park. Both paths must ship the bytes the user passed and hand the
 /// same inline buffer back, at the post or with the completion.
 fn inline_payloads_survive_posting_and_parking(device: DeviceConfig) {
     const N: u32 = 300;
@@ -441,7 +438,7 @@ fn inline_payloads_survive_posting_and_parking(device: DeviceConfig) {
 
 #[test]
 fn inline_payloads_survive_posting_and_parking_sim() {
-    inline_payloads_survive_posting_and_parking(DeviceConfig::ibv().with_rx_capacity(2));
+    inline_payloads_survive_posting_and_parking(DeviceConfig::ibv());
 }
 
 #[test]
