@@ -5,7 +5,7 @@
 //! hand-rolled per-destination aggregation buffer here (HipMer's
 //! design); that duplication is gone — batching now happens inside the
 //! communication runtime itself via LCI's sender-side coalescing
-//! ([`lci::coalesce`]), configured through
+//! ([`lci::CoalesceConfig`]), configured through
 //! [`WorldConfig::with_coalescing`](lcw::WorldConfig). The application
 //! just posts one small AM per k-mer; the runtime packs messages bound
 //! for the same rank into shared wire frames and the receive side

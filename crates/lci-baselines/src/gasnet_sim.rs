@@ -22,7 +22,6 @@ use lci_fabric::{
     Cqe, CqeKind, DevId, DeviceConfig, Fabric, NetContext, NetDevice, NetError, Rank, RecvBufDesc,
 };
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// An AM handler: receives (source rank, arg, payload).
@@ -81,7 +80,6 @@ pub struct Gasnet {
     handlers: MpmcArray<Arc<AmHandler>>,
     staging: SpinLock<Staging>,
     pending: SpinLock<VecDeque<PendingAm>>,
-    polls: AtomicUsize,
     rank: Rank,
     nranks: usize,
     cfg: GasnetConfig,
@@ -98,7 +96,6 @@ impl Gasnet {
             handlers: MpmcArray::with_capacity(8),
             staging: SpinLock::new(Staging { bufs: Vec::new(), free: Vec::new(), nposted: 0 }),
             pending: SpinLock::new(VecDeque::new()),
-            polls: AtomicUsize::new(0),
             rank,
             nranks,
             cfg,
@@ -165,7 +162,6 @@ impl Gasnet {
     /// Polls the shared endpoint ("gex_AMPoll"): drains completions and
     /// runs handlers inline. Returns whether anything was processed.
     pub fn poll(&self) -> bool {
-        self.polls.fetch_add(1, Ordering::Relaxed);
         let mut cqes: Vec<Cqe> = Vec::with_capacity(32);
         match self.net.poll_cq(&mut cqes, 32) {
             Ok(0) => {
@@ -200,11 +196,6 @@ impl Gasnet {
         }
         self.replenish();
         true
-    }
-
-    /// Number of `poll` invocations (diagnostics for the benches).
-    pub fn poll_count(&self) -> usize {
-        self.polls.load(Ordering::Relaxed)
     }
 
     fn replenish(&self) {
@@ -244,7 +235,7 @@ impl std::fmt::Debug for Gasnet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn am_roundtrip() {

@@ -13,7 +13,7 @@ use crate::buf_pool::{BufPool, BufPoolConfig, BufPoolStats};
 use crate::fabric::Fabric;
 use crate::framed::FramedDevice;
 use crate::mem::{MemoryRegion, Rkey};
-use crate::reg_cache::{RegCacheConfig, RegCacheStats};
+use crate::reg_cache::RegCacheStats;
 use crate::shm::device::ShmWire;
 use crate::sim::SimWire;
 use crate::sync::{Doorbell, LockDiscipline};
@@ -98,8 +98,6 @@ pub struct DeviceConfig {
     /// [`LockDiscipline::TryLock`] (the §4.2.2 trylock wrapper); stock
     /// library behaviour is [`LockDiscipline::Blocking`].
     pub discipline: LockDiscipline,
-    /// Memory-registration cache bounds (see [`crate::reg_cache`]).
-    pub reg_cache: RegCacheConfig,
     /// Recycled staging-buffer pool (see [`crate::buf_pool`]). The device
     /// builds it and hands it to the LCI layer for its staging copies;
     /// no wire takes from it.
@@ -112,7 +110,6 @@ impl Default for DeviceConfig {
             backend: BackendKind::Ibv,
             td_strategy: TdStrategy::PerQp,
             discipline: LockDiscipline::TryLock,
-            reg_cache: RegCacheConfig::default(),
             buf_pool: BufPoolConfig::default(),
         }
     }

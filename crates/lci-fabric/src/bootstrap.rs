@@ -22,7 +22,7 @@ use crate::fabric::Fabric;
 #[cfg(unix)]
 use crate::shm::os;
 #[cfg(unix)]
-use crate::shm::segment::{geometry_from_env, ShmSegment, PEER_DIED};
+use crate::shm::segment::{ShmSegment, GEOMETRY, PEER_DIED};
 use std::ffi::OsString;
 use std::net::SocketAddr;
 #[cfg(unix)]
@@ -432,7 +432,7 @@ fn spawn_local_unix(
     timeout: Duration,
 ) -> std::io::Result<ParentReport> {
     let path = segment_path();
-    let seg = Arc::new(ShmSegment::create_file(&path, nranks, geometry_from_env())?);
+    let seg = Arc::new(ShmSegment::create_file(&path, nranks, GEOMETRY)?);
     let exe = std::env::current_exe()?;
     let mut pids = Vec::with_capacity(nranks);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, i32)>();

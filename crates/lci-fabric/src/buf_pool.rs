@@ -240,22 +240,6 @@ impl BufPool {
         b
     }
 
-    /// One stripe's counters (`None` past the stripe count) — the
-    /// per-core view behind [`stats`](Self::stats), for diagnostics and
-    /// placement tests.
-    pub fn stripe_stats(&self, idx: usize) -> Option<BufPoolStats> {
-        let stripe = self.shared.stripes.get(idx)?;
-        let local_hits = stripe.local_hits.load(Ordering::Relaxed);
-        let steals = stripe.steals.load(Ordering::Relaxed);
-        Some(BufPoolStats {
-            hits: local_hits + steals,
-            local_hits,
-            steals,
-            misses: stripe.misses.load(Ordering::Relaxed),
-            recycled_bytes: stripe.recycled_bytes.load(Ordering::Relaxed),
-        })
-    }
-
     /// Current counters, folded across stripes.
     pub fn stats(&self) -> BufPoolStats {
         let mut s = BufPoolStats::default();

@@ -94,11 +94,6 @@ impl Fabric {
         })
     }
 
-    /// This process's rank when attached to a multi-process segment.
-    pub fn shm_rank(&self) -> Option<Rank> {
-        self.shm.get().filter(|s| s.multiproc).map(|s| s.my_rank)
-    }
-
     /// First shm peer known to be dead or cleanly exited, if any
     /// (multi-process mode only).
     pub fn shm_dead_peer(&self) -> Option<Rank> {

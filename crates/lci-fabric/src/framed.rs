@@ -21,7 +21,7 @@ use crate::buf_pool::{BufPool, BufPoolStats};
 use crate::dev_shared::{DevShared, QpLocks, CQ_DRAIN_BATCH};
 use crate::fabric::Fabric;
 use crate::mem::{MemoryRegion, Rkey};
-use crate::reg_cache::{RegCache, RegCacheStats};
+use crate::reg_cache::{self, RegCache, RegCacheStats};
 use crate::shm::ring::{FrameHeader, FLAG_HAS_IMM, KIND_READ_REQ, KIND_SEND, KIND_WRITE};
 use crate::sync::{Doorbell, LockDiscipline, SpinGuard};
 use crate::types::{Cqe, CqeKind, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason};
@@ -169,7 +169,7 @@ impl<W: Wire> FramedDevice<W> {
             dev_id: shared.dev_id(),
             cfg,
             shared,
-            reg_cache: RegCache::new(cfg.reg_cache),
+            reg_cache: RegCache::new(reg_cache::MAX_ENTRIES, reg_cache::MAX_BYTES),
             buf_pool: BufPool::new(cfg.buf_pool),
             rma_direct_bytes: AtomicU64::new(0),
             rma_framed_bytes: AtomicU64::new(0),

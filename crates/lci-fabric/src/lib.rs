@@ -80,6 +80,6 @@ pub use backend::{
 pub use buf_pool::{BufPool, BufPoolConfig, BufPoolStats, PoolBuf};
 pub use fabric::Fabric;
 pub use mem::{MemoryRegion, Rkey};
-pub use reg_cache::{RegCache, RegCacheConfig, RegCacheStats};
+pub use reg_cache::RegCacheStats;
 pub use sync::Doorbell;
 pub use types::{Cqe, CqeKind, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason};

@@ -40,22 +40,11 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Registration-cache tuning knobs (part of
-/// [`DeviceConfig`](crate::backend::DeviceConfig)).
-#[derive(Clone, Copy, Debug)]
-pub struct RegCacheConfig {
-    /// Maximum cached registrations (released entries beyond this are
-    /// evicted LRU-first).
-    pub max_entries: usize,
-    /// Maximum total bytes covered by cached registrations.
-    pub max_bytes: usize,
-}
-
-impl Default for RegCacheConfig {
-    fn default() -> Self {
-        Self { max_entries: 128, max_bytes: 64 << 20 }
-    }
-}
+/// Cached registrations a device keeps at most (released entries beyond
+/// this are evicted LRU-first).
+pub(crate) const MAX_ENTRIES: usize = 128;
+/// Total bytes a device's cached registrations cover at most.
+pub(crate) const MAX_BYTES: usize = 64 << 20;
 
 /// Hit/miss/eviction counters, readable through
 /// [`NetDevice::reg_cache_stats`](crate::backend::NetDevice::reg_cache_stats).
@@ -86,7 +75,8 @@ struct Inner {
 
 /// The cache. One per device (the per-domain cache of a real provider).
 pub struct RegCache {
-    cfg: RegCacheConfig,
+    max_entries: usize,
+    max_bytes: usize,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -94,10 +84,12 @@ pub struct RegCache {
 }
 
 impl RegCache {
-    /// Creates an empty cache with `cfg` bounds.
-    pub fn new(cfg: RegCacheConfig) -> Self {
+    /// Creates an empty cache with these bounds (a device's are
+    /// [`MAX_ENTRIES`] and [`MAX_BYTES`]).
+    pub(crate) fn new(max_entries: usize, max_bytes: usize) -> Self {
         Self {
-            cfg,
+            max_entries,
+            max_bytes,
             inner: Mutex::new(Inner { map: HashMap::new(), bytes: 0, clock: 0 }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -147,7 +139,7 @@ impl RegCache {
     /// Evicts released LRU entries until the bounds hold (pinned entries
     /// may keep the cache transiently over its bounds).
     fn evict_over_bounds(&self, inner: &mut Inner, table: &RegistrationTable) {
-        while inner.map.len() > self.cfg.max_entries || inner.bytes > self.cfg.max_bytes {
+        while inner.map.len() > self.max_entries || inner.bytes > self.max_bytes {
             let victim = inner
                 .map
                 .iter()
@@ -187,7 +179,7 @@ mod tests {
     use super::*;
 
     fn cache(max_entries: usize, max_bytes: usize) -> RegCache {
-        RegCache::new(RegCacheConfig { max_entries, max_bytes })
+        RegCache::new(max_entries, max_bytes)
     }
 
     #[test]

@@ -28,12 +28,12 @@ pub mod segment;
 
 pub(crate) mod device;
 
-pub use segment::{geometry_from_env, ShmSegment, ALLGATHER_MAX};
+pub use segment::{ShmSegment, ALLGATHER_MAX};
 
 use crate::framed::RankCore;
 use crate::sync::SpinLock;
 use ring::Channel;
-use segment::PEER_EXITED;
+use segment::{GEOMETRY, PEER_EXITED};
 use std::sync::{Arc, OnceLock};
 
 /// Fabric-level shared-memory state: the segment plus per-local-rank
@@ -50,7 +50,7 @@ pub(crate) struct ShmFabric {
 impl ShmFabric {
     /// In-process mode: anonymous segment, every rank local.
     pub(crate) fn in_process(nranks: usize) -> std::io::Result<ShmFabric> {
-        let seg = Arc::new(ShmSegment::create_anonymous(nranks, geometry_from_env())?);
+        let seg = Arc::new(ShmSegment::create_anonymous(nranks, GEOMETRY)?);
         for r in 0..nranks {
             seg.attach(r);
         }

@@ -116,11 +116,6 @@ impl ChanGeometry {
     pub fn channel_bytes(&self) -> usize {
         CHAN_HDR_LEN + self.ring_slots as usize * self.slot_size + self.spill_cap as usize
     }
-
-    /// Largest payload a single frame can ever carry.
-    pub fn max_payload(&self) -> usize {
-        (self.spill_cap / 2).max(self.inline_cap() as u64) as usize
-    }
 }
 
 /// Per-channel control block, first `CHAN_HDR_LEN` bytes of the channel.

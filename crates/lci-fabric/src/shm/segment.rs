@@ -1,6 +1,6 @@
 //! The shared segment: one mapping holding everything two (or more)
 //! processes need to exchange traffic — a header page with the geometry
-//! and bootstrap barrier, a peer table (pid, liveness, doorbell futex),
+//! and bootstrap barrier, a peer table (pid, liveness),
 //! an out-of-band allgather area, and the `nranks × nranks` directed
 //! channel array.
 //!
@@ -58,34 +58,20 @@ struct SegHeader {
     barrier_count: AtomicU32,
 }
 
-/// Per-rank slot: identity, liveness, and the cross-process doorbell.
+/// Per-rank slot: identity and liveness.
 #[repr(C, align(64))]
 pub struct PeerSlot {
     pub pid: AtomicU64,
     /// One of `PEER_*`.
     pub state: AtomicU32,
-    /// Doorbell futex word: bumped by remote producers after enqueueing
-    /// frames for this rank.
-    pub futex_seq: AtomicU32,
-    /// Number of threads parked (or about to park) on `futex_seq`.
-    pub waiters: AtomicU32,
 }
 
 const _: () = assert!(std::mem::size_of::<SegHeader>() <= HEADER_BYTES);
 const _: () = assert!(std::mem::size_of::<PeerSlot>() <= PEER_BYTES);
 
-/// Segment-level geometry knobs, env-overridable:
-/// `LCI_SHM_SLOTS`, `LCI_SHM_SLOT_SIZE`, `LCI_SHM_SPILL`.
-pub fn geometry_from_env() -> ChanGeometry {
-    let env_u64 = |k: &str, default: u64| {
-        std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-    };
-    ChanGeometry {
-        ring_slots: env_u64("LCI_SHM_SLOTS", 256).max(1),
-        slot_size: (env_u64("LCI_SHM_SLOT_SIZE", 256).max(128) as usize) & !63,
-        spill_cap: env_u64("LCI_SHM_SPILL", 2 << 20),
-    }
-}
+/// The geometry of every channel a fabric's segment holds.
+pub(crate) const GEOMETRY: ChanGeometry =
+    ChanGeometry { ring_slots: 256, slot_size: 256, spill_cap: 2 << 20 };
 
 /// A created or attached shared segment.
 pub struct ShmSegment {
@@ -296,15 +282,14 @@ impl ShmSegment {
         }
     }
 
-    /// Transitions `rank` from `PEER_ATTACHED` to `state` (exited/died).
-    /// Doorbells the peer table so barrier waiters re-examine liveness.
+    /// Transitions `rank` from `PEER_ATTACHED` to `state` (exited/died)
+    /// and wakes barrier waiters so they re-examine liveness.
     pub fn set_peer_state(&self, rank: usize, state: u32) {
         let p = self.peer(rank);
         let _ = p.state.compare_exchange(PEER_ATTACHED, state, Ordering::AcqRel, Ordering::Acquire);
         let h = self.header();
         h.barrier_seq.fetch_add(0, Ordering::AcqRel); // fence-like touch
         os::futex_wake(&h.barrier_seq, u32::MAX);
-        self.ring_doorbell(rank);
     }
 
     /// First peer that is known dead (marked died, or attached with a
@@ -374,45 +359,6 @@ impl ShmSegment {
         out
     }
 
-    /// Rings `rank`'s cross-process doorbell: bumps its futex word and
-    /// wakes whoever is parked in [`doorbell_wait`](Self::doorbell_wait)
-    /// on it. Returns whether a waiter was (probably) woken. No data
-    /// path rings it — a frame is found by the consumer's next poll —
-    /// only a peer's state change does
-    /// ([`set_peer_state`](Self::set_peer_state)).
-    ///
-    /// With [`doorbell_wait`](Self::doorbell_wait) this is the handshake
-    /// of [`crate::sync::Doorbell`] (its protocol section says why all
-    /// four accesses are `SeqCst`), the futex's compare-and-park standing
-    /// in for the mutex and condvar.
-    pub fn ring_doorbell(&self, rank: usize) -> bool {
-        let p = self.peer(rank);
-        p.futex_seq.fetch_add(1, Ordering::SeqCst);
-        if p.waiters.load(Ordering::SeqCst) > 0 {
-            os::futex_wake(&p.futex_seq, u32::MAX);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Parks on `rank`'s doorbell futex until its sequence moves past
-    /// `seen` or `timeout` elapses. Returns the current sequence.
-    pub fn doorbell_wait(&self, rank: usize, seen: u32, timeout: Duration) -> u32 {
-        let p = self.peer(rank);
-        p.waiters.fetch_add(1, Ordering::SeqCst);
-        if p.futex_seq.load(Ordering::SeqCst) == seen {
-            os::futex_wait(&p.futex_seq, seen, timeout);
-        }
-        p.waiters.fetch_sub(1, Ordering::AcqRel);
-        p.futex_seq.load(Ordering::Acquire)
-    }
-
-    /// Current doorbell sequence for `rank`.
-    pub fn doorbell_seq(&self, rank: usize) -> u32 {
-        self.peer(rank).futex_seq.load(Ordering::Acquire)
-    }
-
     /// Removes the backing file (multi-process mode). Safe to call once
     /// every rank has attached: the mapping stays valid until unmapped.
     pub fn unlink(&self) {
@@ -459,17 +405,6 @@ mod tests {
         // Idempotent: a second transition attempt does not regress.
         seg.set_peer_state(1, PEER_EXITED);
         assert_eq!(seg.peer(1).state.load(Ordering::Acquire), PEER_DIED);
-    }
-
-    #[test]
-    fn doorbell_seq_and_wait() {
-        let seg = ShmSegment::create_anonymous(2, geo()).unwrap();
-        let s0 = seg.doorbell_seq(1);
-        seg.ring_doorbell(1);
-        assert_eq!(seg.doorbell_seq(1), s0 + 1);
-        // Already-moved sequence: wait returns immediately.
-        let cur = seg.doorbell_wait(1, s0, Duration::from_secs(5));
-        assert_eq!(cur, s0 + 1);
     }
 
     #[test]

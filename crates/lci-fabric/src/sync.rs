@@ -87,11 +87,6 @@ impl<T: ?Sized> SpinLock<T> {
             }
         }
     }
-
-    /// Returns whether the lock is currently held (racy; diagnostics only).
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
 }
 
 impl<T: ?Sized> Deref for SpinGuard<'_, T> {
@@ -377,10 +372,6 @@ impl<T: Clone> Default for MpmcArray<T> {
 /// bump is visible to any waiter that observes the bump (the `fetch_add`
 /// is also a release, [`Doorbell::epoch`] an acquire). With no waiter a
 /// ring is one uncontended read-modify-write and one load.
-///
-/// The cross-process doorbell
-/// ([`ShmSegment::ring_doorbell`](crate::shm::ShmSegment::ring_doorbell),
-/// a futex word in place of the mutex and condvar) is the same handshake.
 pub struct Doorbell {
     /// Bumped once by every ring, so also the number of rings; waiters
     /// park only while it is unchanged.
@@ -588,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn doorbell_wait_times_out_when_quiet() {
+    fn wait_on_a_quiet_doorbell_times_out() {
         let bell = Doorbell::new();
         let seen = bell.epoch();
         assert!(!bell.wait(seen, Duration::from_millis(10)));

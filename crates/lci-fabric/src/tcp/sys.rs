@@ -71,19 +71,6 @@ pub fn readv(fd: i32, iovs: &mut [IoVec]) -> io::Result<usize> {
     }
 }
 
-/// Whether an I/O error means the peer is gone (as opposed to
-/// transient backpressure, which is `WouldBlock`).
-pub fn is_disconnect(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::BrokenPipe
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::NotConnected
-            | io::ErrorKind::UnexpectedEof
-    )
-}
-
 /// Edge-triggered epoll instance watching connection fds (Linux only).
 /// `wait` decodes events into `(peer_index, readable, writable)`.
 #[cfg(target_os = "linux")]

@@ -36,10 +36,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// (so it fills its packet: 292 16-byte messages in 8 KiB), when a
 /// message to the same destination must not overtake it, when the
 /// progress engine finds it idle, or on an explicit flush. Every record
-/// costs its payload plus
-/// [`COALESCE_SUB_OVERHEAD`](crate::proto::COALESCE_SUB_OVERHEAD) bytes,
-/// and the frame's record count travels in the 24-bit aux field of its
-/// header, so `max_bytes / COALESCE_SUB_OVERHEAD` must stay below 2^24.
+/// costs its payload plus a 12-byte record header, and the frame's
+/// record count travels in the 24-bit aux field of its header, so
+/// `max_bytes / 12` must stay below 2^24.
 #[derive(Clone, Copy, Debug)]
 pub struct CoalesceConfig {
     /// Master switch; when off, every send posts individually (the seed
@@ -49,21 +48,22 @@ pub struct CoalesceConfig {
     /// packet payload size (frames are delivered into pre-posted
     /// packets).
     pub max_bytes: usize,
-    /// Only messages up to this size are coalesced; larger eager sends
-    /// post individually.
-    pub max_sub_size: usize,
 }
+
+/// Only messages up to this size are coalesced; larger eager sends post
+/// individually.
+const MAX_SUB_SIZE: usize = 1024;
 
 impl Default for CoalesceConfig {
     fn default() -> Self {
-        Self { enabled: false, max_bytes: 8192, max_sub_size: 1024 }
+        Self { enabled: false, max_bytes: 8192 }
     }
 }
 
 impl CoalesceConfig {
     /// An enabled configuration flushing at `max_bytes`.
     pub fn enabled_with_bytes(max_bytes: usize) -> Self {
-        Self { enabled: true, max_bytes, ..Self::default() }
+        Self { enabled: true, max_bytes }
     }
 }
 
@@ -120,7 +120,7 @@ impl Coalescer {
     /// Whether a message of `size` bytes takes the coalescing path.
     pub fn eligible(&self, size: usize) -> bool {
         self.cfg.enabled
-            && size <= self.cfg.max_sub_size
+            && size <= MAX_SUB_SIZE
             && size + COALESCE_SUB_OVERHEAD <= self.cfg.max_bytes
     }
 
@@ -259,10 +259,6 @@ mod tests {
     use super::*;
     use crate::proto::coalesce_records;
 
-    fn cfg(max_bytes: usize) -> CoalesceConfig {
-        CoalesceConfig { enabled: true, max_bytes, max_sub_size: 256 }
-    }
-
     fn mk(cfg: CoalesceConfig, nranks: usize) -> Coalescer {
         Coalescer::new(cfg, nranks, BufPool::new(lci_fabric::BufPoolConfig::default()))
     }
@@ -313,7 +309,7 @@ mod tests {
     #[test]
     fn frame_ships_when_the_next_record_would_not_fit() {
         // Four 1-byte records are 4 * 13 = 52 bytes: the frame is full.
-        let c = mk(cfg(52), 2);
+        let c = mk(CoalesceConfig::enabled_with_bytes(52), 2);
         for (imm, p) in [(10, b"a"), (11, b"b"), (12, b"c"), (13, b"d")] {
             assert!(append(&c, 1, 0, imm, p).is_empty(), "shipped before it was full");
         }
@@ -333,7 +329,7 @@ mod tests {
     fn byte_threshold_flushes_before_overflow() {
         // max_bytes 64: two 20-byte subs fill it (2 * 32 = 64) and stay
         // open; an empty third record would overflow, so it ships them.
-        let c = mk(cfg(64), 1);
+        let c = mk(CoalesceConfig::enabled_with_bytes(64), 1);
         assert!(append(&c, 0, 0, 1, &[0u8; 20]).is_empty());
         assert!(append(&c, 0, 0, 2, &[1u8; 20]).is_empty());
         let frames = append(&c, 0, 0, 3, &[]);
@@ -346,7 +342,7 @@ mod tests {
     /// explicit flush.
     #[test]
     fn pending_counts_every_buffered_record() {
-        let c = mk(cfg(3 * 13), 3);
+        let c = mk(CoalesceConfig::enabled_with_bytes(3 * 13), 3);
         assert_eq!(c.pending(), 0);
         for i in 0..7 {
             append(&c, 1, 0, i, b"x");
@@ -371,7 +367,7 @@ mod tests {
 
     #[test]
     fn per_destination_isolation_and_take() {
-        let c = mk(cfg(1 << 20), 3);
+        let c = mk(CoalesceConfig::enabled_with_bytes(1 << 20), 3);
         append(&c, 1, 0, 1, b"x");
         append(&c, 2, 0, 2, b"y");
         append(&c, 2, 1, 3, b"z");
@@ -386,7 +382,7 @@ mod tests {
 
     #[test]
     fn idle_sweep_gives_one_epoch_grace() {
-        let c = mk(cfg(1 << 20), 1);
+        let c = mk(CoalesceConfig::enabled_with_bytes(1 << 20), 1);
         append(&c, 0, 0, 1, b"x");
         // First sweep: appended during the current epoch — survives.
         assert!(take_idle(&c).is_empty());
@@ -399,11 +395,13 @@ mod tests {
 
     #[test]
     fn eligibility() {
-        let c = mk(cfg(64), 1);
+        let c = mk(CoalesceConfig::enabled_with_bytes(64), 1);
         assert!(c.eligible(0));
         assert!(c.eligible(52)); // 52 + 12 == 64
         assert!(!c.eligible(53)); // would exceed max_bytes alone
-        assert!(!c.eligible(257)); // over max_sub_size
+        let big = mk(CoalesceConfig::enabled_with_bytes(8192), 1);
+        assert!(big.eligible(MAX_SUB_SIZE));
+        assert!(!big.eligible(MAX_SUB_SIZE + 1)); // fits the frame, but too big to coalesce
         let off = mk(CoalesceConfig::default(), 1);
         assert!(!off.enabled());
         assert!(!off.eligible(1));

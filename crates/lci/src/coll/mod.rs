@@ -24,7 +24,7 @@
 //!   zero-byte pairs post nothing, large blocks ride the chunked
 //!   rendezvous pump.
 //!
-//! Sends ride a bounded `coll_max_inflight` window and never wait
+//! Sends ride a bounded window (4 in flight per rank) and never wait
 //! individually. A collective stages nothing and takes nothing from the
 //! device's buffer pool: the caller's slices are **lent** to the runtime
 //! while the plan runs (`lend`; DESIGN.md §4.11 "Lending"), so every
@@ -522,7 +522,7 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
 /// rendezvous per `coll_chunk_size` piece, so one giant hot-expert
 /// block pipelines through the rendezvous chunk pumps while small
 /// blocks stay eager), and sends are issued **largest-block-first with
-/// rank-rotated tie-breaking** under the bounded `coll_max_inflight`
+/// rank-rotated tie-breaking** under the bounded in-flight
 /// window, so the straggler block departs first and equal-size blocks
 /// do not hotspot one receiver. `coll_chunk_size` must match across
 /// ranks (it fixes the chunk split both sides compute), like the

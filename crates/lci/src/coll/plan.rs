@@ -19,7 +19,7 @@
 //! send is posted only once ready, in ready order.
 //!
 //! **The stepper** never blocks: post every open receive; post ready
-//! sends while the `coll_max_inflight` window has room and the wire does
+//! sends while the [`MAX_INFLIGHT`] window has room and the wire does
 //! not say `Retry`; pop the receive queue — fold or length-check, mark,
 //! advance the prefix, push what the harvest enables; finished when
 //! every receive is harvested, every send posted and the window empty.
@@ -41,6 +41,10 @@ use crate::runtime::Runtime;
 use crate::types::{Direction, Landing, Rank, Tag};
 use std::cmp::Reverse;
 use std::sync::atomic::Ordering;
+
+/// Collective sends outstanding per rank at most: the pipelining window
+/// of every plan (the ring allreduce's chunks, the alltoalls' blocks).
+const MAX_INFLIGHT: u64 = 4;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum How {
@@ -164,7 +168,6 @@ impl Plan {
         mem: &Scope<'_>,
         op: &O,
     ) -> Result<bool> {
-        let window = rt.config().coll_max_inflight as u64;
         let stats = &rt.device().inner.stats;
         loop {
             while let Some(i) = self.open_recv() {
@@ -193,7 +196,7 @@ impl Plan {
                 }
             }
             while let Some(j) = self.ready_send() {
-                if st.inflight.load(Ordering::Acquire) >= window {
+                if st.inflight.load(Ordering::Acquire) >= MAX_INFLIGHT {
                     break;
                 }
                 let s = self.sends[j];

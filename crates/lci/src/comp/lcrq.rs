@@ -441,11 +441,6 @@ impl Lcrq {
     pub fn len(&self) -> usize {
         self.size.load(Ordering::Acquire) as usize
     }
-
-    /// Whether the queue appears empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Default for Lcrq {

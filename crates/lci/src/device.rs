@@ -18,7 +18,6 @@ mod rma;
 use crate::backlog::{send_dest, Backlog, Backlogged};
 use crate::coalesce::Coalescer;
 use crate::comp::Comp;
-use crate::ctx_pool::CtxPool;
 use crate::error::{FatalError, PostResult, Result};
 use crate::packet_pool::Packet;
 use crate::proto::{Header, MsgType, RtrPayload};
@@ -27,7 +26,7 @@ use crate::stats::DeviceStats;
 use crate::types::{
     CompDesc, CompKind, DataBuf, Direction, Landing, MatchingPolicy, RComp, Rank, SendBuf, Tag,
 };
-use crate::util::ShardedSlab;
+use crate::util::{ctx_pack, ctx_unpack, ShardedSlab};
 use eager::PendingInbound;
 use lci_fabric::sync::SpinLock;
 use lci_fabric::{
@@ -43,9 +42,9 @@ const BACKLOG_BATCH: usize = 32;
 /// Completions one progress call handles at most.
 const PROGRESS_BATCH: usize = 64;
 
-/// Stripes of a device's operation tables: the pending-rendezvous slabs
-/// and the op-context pool are each sharded over this many independently
-/// locked parts.
+/// Stripes of a device's in-flight tables (op contexts, rendezvous sends
+/// and receives): each is sharded over this many independently locked
+/// parts.
 const TABLE_SHARDS: usize = 8;
 
 /// Entries stored in the matching engine.
@@ -71,7 +70,7 @@ pub(crate) struct RecvEntry {
 }
 
 /// Per-operation context; what travels through the fabric's completion
-/// context field is its generation-tagged [`CtxPool`] id.
+/// context field is its generation-tagged `ops` key ([`ctx_pack`]).
 enum OpCtx {
     /// A put, or an eager `no_retry` send the wire refused (parked in the
     /// backlog; every other eager send is done at the post): the buffer
@@ -115,8 +114,8 @@ pub(crate) struct DeviceInner {
     /// layer (iovec gathers, rendezvous chunks' included, parked sends,
     /// coalesced frames, bounce buffers).
     buf_pool: BufPool,
-    /// Pooled per-operation contexts (replaces a Box per post).
-    ctx_pool: CtxPool<OpCtx>,
+    /// Per-operation contexts, from post to local completion.
+    ops: ShardedSlab<OpCtx>,
     /// Reusable CQE array for `progress` polls.
     cqe_scratch: SpinLock<Vec<Cqe>>,
     /// Reusable run array for backlog drains. It grows at the first
@@ -142,9 +141,9 @@ pub(crate) struct DeviceInner {
 
 impl DeviceInner {
     /// Encodes a per-operation context for the fabric's 64-bit ctx
-    /// field: a generation-tagged pool id.
+    /// field: its `ops` id and generation.
     fn ctx_encode(&self, op: OpCtx) -> u64 {
-        self.ctx_pool.insert(op)
+        ctx_pack(self.ops.insert(op))
     }
 
     /// Decodes (and consumes) a context produced by [`Self::ctx_encode`].
@@ -152,8 +151,9 @@ impl DeviceInner {
     /// decode, the pooled analogue of a use-after-free — is reported as
     /// a fatal error instead of corrupting another operation.
     fn ctx_decode(&self, ctx: u64) -> Result<OpCtx> {
-        self.ctx_pool
-            .remove(ctx)
+        let (id, gen) = ctx_unpack(ctx);
+        self.ops
+            .take(id, gen)
             .ok_or_else(|| FatalError::Net(format!("stale or double-decoded op ctx {ctx:#x}")))
     }
 
@@ -232,7 +232,7 @@ impl Device {
                 rdv_sends: ShardedSlab::new(TABLE_SHARDS),
                 rdv_recvs: ShardedSlab::new(TABLE_SHARDS),
                 buf_pool,
-                ctx_pool: CtxPool::new(TABLE_SHARDS),
+                ops: ShardedSlab::new(TABLE_SHARDS),
                 cqe_scratch: SpinLock::new(Vec::with_capacity(PROGRESS_BATCH)),
                 backlog_run: SpinLock::new(Vec::new()),
                 replenish_scratch: SpinLock::new(ReplenishScratch::default()),

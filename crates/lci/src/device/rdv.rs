@@ -188,7 +188,7 @@ impl Device {
         let sends = &self.inner.rdv_sends;
         let size = buf.len() as u64;
         self.inner.stats.bump(|c| &c.rendezvous);
-        let send_id = sends.insert(RdvSend::RtsSent {
+        let (send_id, _) = sends.insert(RdvSend::RtsSent {
             buf,
             comp: args.comp,
             tag: args.tag,
@@ -283,7 +283,8 @@ impl Device {
     ) -> Result<()> {
         let Rts { src, src_dev, tag, send_id, size } = rts;
         let mr = self.inner.net.register(landing, size).map_err(net_fatal)?;
-        let recv_id = self.inner.rdv_recvs.insert(RdvRecv { data, mr, comp, user_ctx, src, tag });
+        let (recv_id, _) =
+            self.inner.rdv_recvs.insert(RdvRecv { data, mr, comp, user_ctx, src, tag });
         let payload = RtrPayload { send_id, recv_id, rkey: mr.rkey.0 }.encode();
         let imm = Header::new(MsgType::Rtr, MatchingPolicy::RankTag, tag, 0).encode();
         self.send_ctrl(src, src_dev, &payload, imm)

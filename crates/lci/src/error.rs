@@ -108,14 +108,6 @@ impl PostResult {
             _ => None,
         }
     }
-
-    /// Panics unless `Done`, returning the descriptor (test helper).
-    pub fn unwrap_done(self) -> CompDesc {
-        match self {
-            PostResult::Done(d) => d,
-            other => panic!("expected Done, got {other:?}"),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -58,43 +58,45 @@
 //!
 //! ## Module map (paper section → module)
 //!
+//! Only [`coll`] and [`prelude`] are public modules; everything else a
+//! user names is re-exported at the crate root.
+//!
 //! | Paper | Module |
 //! |---|---|
-//! | §3.1 OFF idiom | [`post`] |
-//! | §3.2.2 runtime | [`runtime`] |
-//! | §3.2.3 resources | [`device`], [`packet_pool`], [`matching`] |
-//! | §3.2.4 posting, Table 1 | [`post`] |
-//! | §3.2.5 statuses & completion | [`error`], [`comp`] |
-//! | §3.2.6 progress, Figure 1 | [`device`] (dispatcher: post routing, progress loop, backlog drain) |
-//! | §3.3.2 matching semantics | [`matching`] |
-//! | §4.1.1 MPMC array | [`lci_fabric::sync`] (re-exported) |
-//! | §4.1.2 packet pool | [`packet_pool`] |
-//! | §4.1.3 matching engine | [`matching`] |
-//! | §4.1.4 completion objects | [`comp`] |
-//! | §4.1.5 backlog queue | `backlog` (internal) |
+//! | §3.1 OFF idiom | `post` ([`CommBuilder`]) |
+//! | §3.2.2 runtime | `runtime` ([`Runtime`]) |
+//! | §3.2.3 resources | `device`, `packet_pool`, `matching` |
+//! | §3.2.4 posting, Table 1 | `post` |
+//! | §3.2.5 statuses & completion | `error`, `comp` |
+//! | §3.2.6 progress, Figure 1 | `device` (dispatcher: post routing, progress loop, backlog drain) |
+//! | §3.3.2 matching semantics | `matching` ([`MatchingPolicy`]) |
+//! | §4.1.1 MPMC array | `lci_fabric::sync` |
+//! | §4.1.2 packet pool | `packet_pool` ([`PacketPool`]) |
+//! | §4.1.3 matching engine | `matching` ([`MatchingEngine`]) |
+//! | §4.1.4 completion objects | `comp` ([`Comp`], [`CompQueue`], [`Synchronizer`], [`Graph`]) |
+//! | §4.1.5 backlog queue | `backlog` |
 //! | §4.2 network backends | [`lci_fabric`] |
-//! | §4.3 protocols | [`proto`] (wire format); `device::eager`, `device::rdv`, `device::rma` (one internal module per protocol) |
+//! | §4.3 protocols | `proto` (wire format); `device::eager`, `device::rdv`, `device::rma` (one module per protocol) |
 //! | §6 collectives | [`coll`] (chunk-pipelined) |
 
 mod backlog;
-pub mod coalesce;
+mod coalesce;
 pub mod coll;
-pub mod comp;
-mod ctx_pool;
-pub mod device;
-pub mod error;
-pub mod matching;
-pub mod packet_pool;
-pub mod post;
-pub mod proto;
-pub mod runtime;
-pub mod stats;
-pub mod types;
+mod comp;
+mod device;
+mod error;
+mod matching;
+mod packet_pool;
+mod post;
+mod proto;
+mod runtime;
+mod stats;
+mod types;
 mod util;
 mod wait;
 
 pub use coalesce::CoalesceConfig;
-pub use coll::{FnOpU64, IColl, MaxF32, MaxU64, ReduceOp, SumF32, SumU64};
+pub use coll::{MaxF32, ReduceOp, SumF32, SumU64};
 pub use comp::graph::{Graph, GraphBuilder, NodeId, NodeOp};
 pub use comp::queue::{CompQueue, CqConfig, CqImpl};
 pub use comp::sync_obj::Synchronizer;
@@ -102,20 +104,15 @@ pub use comp::Comp;
 pub use device::{Device, DeviceAttr};
 pub use error::{FatalError, PostResult, Result, RetryReason};
 pub use matching::{MatchKind, MatchingConfig, MatchingEngine};
-pub use packet_pool::{Packet, PacketPool, PacketPoolConfig, PacketView, SharedPacket};
+pub use packet_pool::{Packet, PacketPool, PacketPoolConfig, PacketView};
 pub use post::CommBuilder;
 pub use runtime::{Placement, Runtime, RuntimeConfig};
-pub use stats::{DeviceStats, StatsSnapshot};
-pub use types::{
-    CompDesc, CompKind, DataBuf, Direction, MatchingPolicy, RComp, Rank, SendBuf, Tag,
-};
+pub use stats::StatsSnapshot;
+pub use types::{CompDesc, CompKind, DataBuf, Direction, MatchingPolicy, RComp, SendBuf};
 
-// Re-export the fabric handle types users need for setup.
+// The fabric types users need for setup.
 pub use lci_fabric::topology;
-pub use lci_fabric::{
-    BackendKind, BufPool, BufPoolConfig, BufPoolStats, DeviceConfig, Fabric, MemoryRegion, PoolBuf,
-    Rkey, TdStrategy,
-};
+pub use lci_fabric::{BackendKind, DeviceConfig, Fabric, Rkey};
 
 /// Commonly used items.
 pub mod prelude {

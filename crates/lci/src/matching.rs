@@ -357,11 +357,6 @@ impl<T> MatchingEngine<T> {
     pub fn len_slow(&self) -> usize {
         self.buckets.iter().map(|b| b.lock().total_entries()).sum()
     }
-
-    /// Number of buckets (for tests/benches).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 impl<T> Default for MatchingEngine<T> {
@@ -373,6 +368,7 @@ impl<T> Default for MatchingEngine<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn send_then_recv_matches() {
@@ -496,5 +492,30 @@ mod tests {
         assert_eq!(m.len() + 2 * matched, total);
         // At quiescence the O(1) counter agrees with the locked walk.
         assert_eq!(m.len(), m.len_slow());
+    }
+
+    proptest! {
+        /// Matching keys: same (rank, tag, policy) always collide; the
+        /// fields a policy ignores never affect its key.
+        #[test]
+        fn matching_key_laws(rank in 0usize..1 << 20, tag in any::<u32>(), rank2 in 0usize..1 << 20, tag2 in any::<u32>()) {
+            prop_assert_eq!(
+                make_key(rank, tag, MatchingPolicy::RankOnly),
+                make_key(rank, tag2, MatchingPolicy::RankOnly)
+            );
+            prop_assert_eq!(
+                make_key(rank, tag, MatchingPolicy::TagOnly),
+                make_key(rank2, tag, MatchingPolicy::TagOnly)
+            );
+            prop_assert_eq!(
+                make_key(rank, tag, MatchingPolicy::None),
+                make_key(rank2, tag2, MatchingPolicy::None)
+            );
+            // Distinct policies never collide.
+            prop_assert_ne!(
+                make_key(rank, tag, MatchingPolicy::RankTag),
+                make_key(rank, tag, MatchingPolicy::RankOnly)
+            );
+        }
     }
 }

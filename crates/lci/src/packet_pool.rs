@@ -17,10 +17,10 @@
 //! returns `None`, which the posting path surfaces as the `retry`
 //! status with reason `NoPacket`.
 //!
-//! A packet shared read-only ([`SharedPacket`], [`PacketView`]) is
-//! counted in the pool's own per-slot reference count, not in a
-//! separate allocation: a coalesced frame's packet has its count set
-//! once, to the number of sub-message views the demux hands out.
+//! A packet shared read-only ([`PacketView`]) is counted in the pool's
+//! own per-slot reference count, not in a separate allocation: a
+//! coalesced frame's packet has its count set once, to the number of
+//! sub-message views the demux hands out.
 
 use crate::error::{FatalError, Result};
 use lci_fabric::sync::{MpmcArray, SpinLock};
@@ -141,14 +141,6 @@ impl Packet {
         self.len = data.len();
     }
 
-    /// Converts this packet into a refcounted [`SharedPacket`] so many
-    /// read-only views can alias it; the slot returns to the pool when
-    /// the last view (and the `SharedPacket` itself) drops.
-    pub fn into_shared(self) -> SharedPacket {
-        let len = self.len;
-        SharedPacket { slot: SlotRef::share(self, 1), len }
-    }
-
     /// Freezes this packet for a demux that hands out exactly `n` views
     /// ([`FrameViews::view`]): the slot's count is set once, to `n` plus
     /// one for the returned handle, and no view takes a count of its own.
@@ -248,67 +240,6 @@ impl SlotRef {
         // SAFETY: made by `Arc::into_raw` in `share`; this is the last
         // reference, so it is turned back exactly once.
         drop(unsafe { Arc::from_raw(self.pool.as_ptr()) });
-    }
-}
-
-/// A refcounted, read-only packet. One received packet (e.g. a coalesced
-/// frame) can back many sub-message [`PacketView`]s without copying; the
-/// underlying slot is released when the last handle drops. The count
-/// lives with the slot in the pool, so sharing allocates nothing.
-pub struct SharedPacket {
-    slot: SlotRef,
-    len: usize,
-}
-
-impl SharedPacket {
-    /// Logical payload length (as received).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Read access to the payload.
-    pub fn as_slice(&self) -> &[u8] {
-        self.slot.bytes(0, self.len)
-    }
-
-    /// Carves a zero-copy sub-slice view out of this packet.
-    ///
-    /// # Panics
-    /// Panics if `off + len` exceeds the payload length.
-    pub fn view(&self, off: usize, len: usize) -> PacketView {
-        check_view(off, len, self.len);
-        self.slot.acquire();
-        PacketView { slot: self.slot, off, len }
-    }
-}
-
-impl Clone for SharedPacket {
-    fn clone(&self) -> Self {
-        self.slot.acquire();
-        SharedPacket { slot: self.slot, len: self.len }
-    }
-}
-
-impl Drop for SharedPacket {
-    fn drop(&mut self) {
-        // SAFETY: this handle owns one reference and is gone after this.
-        unsafe { self.slot.release(1) }
-    }
-}
-
-impl std::fmt::Debug for SharedPacket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let refs = self.slot.pool().refs[self.slot.idx as usize].load(Ordering::Relaxed);
-        f.debug_struct("SharedPacket")
-            .field("idx", &self.slot.idx)
-            .field("len", &self.len)
-            .field("refs", &refs)
-            .finish()
     }
 }
 
@@ -652,6 +583,8 @@ fn rand_seed() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{coalesce_pack, coalesce_records};
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -752,25 +685,6 @@ mod tests {
             .collect();
         let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(total > 0);
-        assert_eq!(pool.outstanding(), 0);
-    }
-
-    #[test]
-    fn shared_views_release_slot_once() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 64, count: 2 }).unwrap();
-        let mut p = pool.get().unwrap();
-        p.fill(b"abcdefgh");
-        let shared = p.into_shared();
-        assert_eq!(pool.outstanding(), 1);
-        let v1 = shared.view(0, 4);
-        let v2 = shared.view(4, 4);
-        drop(shared);
-        assert_eq!(pool.outstanding(), 1, "views keep the slot checked out");
-        assert_eq!(v1.as_slice(), b"abcd");
-        assert_eq!(v2.as_slice(), b"efgh");
-        drop(v1);
-        assert_eq!(pool.outstanding(), 1);
-        drop(v2);
         assert_eq!(pool.outstanding(), 0);
     }
 
@@ -876,11 +790,83 @@ mod tests {
         let pool = PacketPool::new(PacketPoolConfig { payload_size: 16, count: 1 }).unwrap();
         let mut p = pool.get().unwrap();
         p.fill(&[7u8; 8]);
-        let shared = p.into_shared();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shared.view(4, 8)));
+        let frame = p.into_views(2);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| frame.view(4, 8)));
         assert!(r.is_err(), "view past payload length must panic");
-        let v = shared.view(8, 0);
+        let v = frame.view(8, 0);
         assert!(v.is_empty());
+    }
+
+    /// Views cloned and dropped concurrently across threads never corrupt
+    /// the payload and release the slot exactly once: after every round the
+    /// pool reports zero outstanding packets.
+    #[test]
+    fn frame_views_cloned_across_threads() {
+        let pool = PacketPool::new(PacketPoolConfig { payload_size: 4096, count: 8 }).unwrap();
+        for round in 0..50usize {
+            let mut packet = pool.get().unwrap();
+            let data: Vec<u8> = (0..1024).map(|i| (i + round) as u8).collect();
+            packet.fill(&data);
+            let frame = packet.into_views(4);
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let view = frame.view(t * 256, 256);
+                    let expect: Vec<u8> = data[t * 256..(t + 1) * 256].to_vec();
+                    std::thread::spawn(move || {
+                        let clones: Vec<_> = (0..100).map(|_| view.clone()).collect();
+                        for c in &clones {
+                            assert_eq!(c.as_slice(), &expect[..]);
+                        }
+                    })
+                })
+                .collect();
+            drop(frame);
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(pool.outstanding(), 0, "round {round}: slot leaked or double-freed");
+        }
+    }
+
+    proptest! {
+        /// Demuxing a packed frame through its views yields exactly the
+        /// bytes the copying unpack produces, for any record sequence —
+        /// and dropping the last view returns the packet slot.
+        #[test]
+        fn view_demux_byte_identical_to_copying(
+            subs in proptest::collection::vec(
+                (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..200)),
+                1..12,
+            ),
+        ) {
+            let pool = PacketPool::new(PacketPoolConfig { payload_size: 4096, count: 4 }).unwrap();
+            let mut bytes = Vec::new();
+            for (imm, payload) in &subs {
+                coalesce_pack(&mut bytes, *imm, payload);
+            }
+            let mut packet = pool.get().unwrap();
+            packet.fill(&bytes);
+
+            let wire = &packet.as_slice()[..packet.len()];
+            let ranges: Vec<_> = coalesce_records(wire).map(|r| r.unwrap()).collect();
+            let copied: Vec<(u64, Vec<u8>)> =
+                ranges.iter().map(|(imm, r)| (*imm, wire[r.clone()].to_vec())).collect();
+            let frame = packet.into_views(ranges.len() as u32);
+
+            prop_assert_eq!(ranges.len(), copied.len());
+            let views: Vec<_> = ranges
+                .into_iter()
+                .map(|(imm, r)| (imm, frame.view(r.start, r.end - r.start)))
+                .collect();
+            drop(frame);
+            prop_assert_eq!(pool.outstanding(), 1, "views must keep the slot alive");
+            for ((imm_v, view), (imm_c, bytes)) in views.iter().zip(&copied) {
+                prop_assert_eq!(imm_v, imm_c);
+                prop_assert_eq!(view.as_slice(), &bytes[..]);
+            }
+            drop(views);
+            prop_assert_eq!(pool.outstanding(), 0, "last view must release the slot");
+        }
     }
 
     #[test]

@@ -80,15 +80,12 @@ pub struct RuntimeConfig {
     /// Matching-engine configuration.
     pub matching: MatchingConfig,
     /// Sender-side small-message coalescing (off by default; see
-    /// [`crate::coalesce`]).
+    /// [`CoalesceConfig`]).
     pub coalesce: CoalesceConfig,
     /// Chunk size the pipelined ring allreduce splits each block into.
     /// Must be nonzero and at most 1 MiB (the buffer pool's largest
     /// recycled size class — bigger chunks would defeat pooled staging).
     pub coll_chunk_size: usize,
-    /// Maximum collective chunk sends outstanding per rank (the
-    /// pipelining window of ring allreduce and the pairwise alltoall).
-    pub coll_max_inflight: usize,
     /// Thread-per-core resource layout (see [`Placement`]):
     /// packet-pool stripes, buffer-pool shelves, and stats cells are
     /// laid out per logical core, and [`Runtime::home_device`] routes
@@ -107,7 +104,6 @@ impl Default for RuntimeConfig {
             matching: MatchingConfig::default(),
             coalesce: CoalesceConfig::default(),
             coll_chunk_size: 64 << 10,
-            coll_max_inflight: 4,
             placement: Placement::default(),
         }
     }
@@ -147,13 +143,6 @@ impl RuntimeConfig {
     /// [`coll_chunk_size`](Self::coll_chunk_size)).
     pub fn with_coll_chunk_size(mut self, bytes: usize) -> Self {
         self.coll_chunk_size = bytes;
-        self
-    }
-
-    /// Sets the collective in-flight chunk window (see
-    /// [`coll_max_inflight`](Self::coll_max_inflight)).
-    pub fn with_coll_max_inflight(mut self, window: usize) -> Self {
-        self.coll_max_inflight = window;
         self
     }
 
@@ -229,9 +218,6 @@ impl Runtime {
             return Err(FatalError::InvalidArg(
                 "coll_chunk_size must be in 1..=1MiB (the largest pooled size class)".into(),
             ));
-        }
-        if config.coll_max_inflight == 0 {
-            return Err(FatalError::InvalidArg("coll_max_inflight must be nonzero".into()));
         }
         if config.placement.cores == Some(0) {
             return Err(FatalError::InvalidArg("placement.cores must be nonzero".into()));
@@ -342,11 +328,6 @@ impl Runtime {
     /// next progress call (`early_inbound` counts them).
     pub fn register_rcomp(&self, comp: Comp) -> RComp {
         self.inner.rcomp.push(comp) as RComp
-    }
-
-    /// Looks up a registered completion object.
-    pub fn rcomp_lookup(&self, rcomp: RComp) -> Option<Comp> {
-        self.inner.rcomp.read(rcomp as usize)
     }
 
     /// Makes progress on the default device (paper `progress`). Returns

@@ -112,11 +112,6 @@ impl DeviceStats {
         field(self.cell()).fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Number of per-core cells.
-    pub fn stripes(&self) -> usize {
-        self.cells.len()
-    }
-
     fn fold(&self, field: CellField) -> u64 {
         self.cells.iter().map(|c| field(c).load(Ordering::Relaxed)).sum()
     }
@@ -178,7 +173,8 @@ impl DeviceStats {
     }
 }
 
-/// A point-in-time snapshot of [`DeviceStats`] (cells folded).
+/// A point-in-time snapshot of a device's per-core counters (cells
+/// folded), from [`Device::stats`](crate::Device::stats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Communication posting operations accepted (posted or done).
@@ -260,8 +256,7 @@ pub struct StatsSnapshot {
     /// device has carried.
     pub coll_v_bytes_hwm: u64,
     /// Registration-cache hits on the device's fabric cache (overlaid by
-    /// [`Device::stats`](crate::device::Device::stats), not tracked in
-    /// [`DeviceStats`]).
+    /// [`Device::stats`](crate::Device::stats), not counted per core).
     pub reg_cache_hits: u64,
     /// Registration-cache misses (see [`Self::reg_cache_hits`]).
     pub reg_cache_misses: u64,
@@ -269,8 +264,8 @@ pub struct StatsSnapshot {
     pub reg_cache_evictions: u64,
     /// Buffer-pool requests served from a shelf, no allocation
     /// (`buf_pool_local_hits + buf_pool_steals`; overlaid by
-    /// [`Device::stats`](crate::device::Device::stats) from the shared
-    /// fabric pool, not tracked in [`DeviceStats`]).
+    /// [`Device::stats`](crate::Device::stats) from the shared
+    /// fabric pool, not counted per core).
     pub buf_pool_hits: u64,
     /// Buffer-pool requests served from the calling core's own stripe —
     /// the owner-local fast path (see [`Self::buf_pool_hits`]).
@@ -418,24 +413,6 @@ impl StatsSnapshot {
         }
     }
 
-    /// Average messages per batched backlog submission (0 when none ran).
-    pub fn avg_batch_fill(&self) -> f64 {
-        if self.batch_posts == 0 {
-            0.0
-        } else {
-            self.batch_posted_msgs as f64 / self.batch_posts as f64
-        }
-    }
-
-    /// Average receive buffers per batched SRQ restock (0 when none ran).
-    pub fn avg_replenish_fill(&self) -> f64 {
-        if self.replenish_batches == 0 {
-            0.0
-        } else {
-            self.replenish_posted as f64 / self.replenish_batches as f64
-        }
-    }
-
     /// Registration-cache hit rate (0 when no registrations happened).
     pub fn reg_cache_hit_rate(&self) -> f64 {
         let total = self.reg_cache_hits + self.reg_cache_misses;
@@ -453,18 +430,6 @@ impl StatsSnapshot {
             0.0
         } else {
             self.buf_pool_hits as f64 / total as f64
-        }
-    }
-
-    /// Owner-local share of buffer-pool shelf hits (0 when no hit
-    /// happened) — the thread-per-core placement quality metric: near
-    /// 1.0 when every core recycles through its own stripe.
-    pub fn buf_pool_local_rate(&self) -> f64 {
-        let total = self.buf_pool_local_hits + self.buf_pool_steals;
-        if total == 0 {
-            0.0
-        } else {
-            self.buf_pool_local_hits as f64 / total as f64
         }
     }
 }
@@ -499,7 +464,7 @@ mod tests {
     #[test]
     fn cells_fold_across_cores() {
         let s = DeviceStats::with_stripes(4);
-        assert_eq!(s.stripes(), 4);
+        assert_eq!(s.cells.len(), 4);
         std::thread::scope(|sc| {
             for core in 0..4 {
                 let s = &s;

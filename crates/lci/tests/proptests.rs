@@ -1,116 +1,17 @@
 //! Property-based tests for LCI's core invariants: matching-engine
-//! conservation, completion-queue FIFO/no-loss, header codecs, packet
-//! pool accounting, synchronizer thresholds, and message-integrity
-//! through the full runtime.
+//! conservation, completion-queue FIFO/no-loss, packet pool accounting,
+//! synchronizer thresholds, and message-integrity through the full
+//! runtime. (The wire codecs' and matching keys' laws are unit-tested
+//! in `proto.rs` and `matching.rs`.)
 
-use lci::proto::{Header, MsgType, RtrPayload, RtsPayload};
 use lci::{
     Comp, CompDesc, CompQueue, CqConfig, CqImpl, MatchKind, MatchingConfig, MatchingEngine,
-    MatchingPolicy, PacketPool, PacketPoolConfig, PostResult, Runtime, RuntimeConfig,
+    PacketPool, PacketPoolConfig, PostResult, Runtime, RuntimeConfig,
 };
 use lci_fabric::Fabric;
 use proptest::prelude::*;
 
-fn arb_policy() -> impl Strategy<Value = MatchingPolicy> {
-    prop_oneof![
-        Just(MatchingPolicy::RankTag),
-        Just(MatchingPolicy::RankOnly),
-        Just(MatchingPolicy::TagOnly),
-        Just(MatchingPolicy::None),
-    ]
-}
-
-fn arb_msgtype() -> impl Strategy<Value = MsgType> {
-    prop_oneof![
-        Just(MsgType::Eager),
-        Just(MsgType::EagerAm),
-        Just(MsgType::RtsSr),
-        Just(MsgType::RtsAm),
-        Just(MsgType::Rtr),
-        Just(MsgType::Fin),
-        Just(MsgType::PutSignal),
-        Just(MsgType::GetSignal),
-    ]
-}
-
 proptest! {
-    /// Header encode/decode is the identity on all valid field values.
-    #[test]
-    fn header_roundtrip(ty in arb_msgtype(), policy in arb_policy(), tag in any::<u32>(), aux in 0u32..(1 << 24)) {
-        let h = Header::new(ty, policy, tag, aux);
-        prop_assert_eq!(Header::decode(h.encode()).unwrap(), h);
-    }
-
-    /// Coalesced-frame codec: pack/unpack is the identity on any record
-    /// sequence, and truncation mid-record is always rejected. A cut at
-    /// a record boundary parses as the record prefix — the frame
-    /// header's `aux` sub-count catches those at the device layer.
-    #[test]
-    fn coalesce_frame_roundtrip_and_truncation(
-        subs in proptest::collection::vec(
-            (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..200)),
-            1..12,
-        ),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        use lci::proto::{coalesce_pack, coalesce_records};
-        let unpack = |frame: &[u8]| -> lci::Result<Vec<(u64, Vec<u8>)>> {
-            coalesce_records(frame).map(|r| r.map(|(imm, at)| (imm, frame[at].to_vec()))).collect()
-        };
-        let mut frame = Vec::new();
-        let mut boundaries = Vec::new();
-        for (imm, payload) in &subs {
-            coalesce_pack(&mut frame, *imm, payload);
-            boundaries.push(frame.len());
-        }
-        let got = unpack(&frame).unwrap();
-        prop_assert_eq!(got.len(), subs.len());
-        for ((imm, payload), (got_imm, got_payload)) in subs.iter().zip(&got) {
-            prop_assert_eq!(imm, got_imm);
-            prop_assert_eq!(payload, got_payload);
-        }
-        let cut = (frame.len() as f64 * cut_frac) as usize;
-        match boundaries.iter().position(|&b| b == cut) {
-            Some(i) => {
-                prop_assert_eq!(coalesce_records(&frame[..cut]).validate().unwrap(), i + 1);
-            }
-            None => prop_assert!(unpack(&frame[..cut]).is_err()),
-        }
-    }
-
-    /// RTS/RTR payload codecs round-trip.
-    #[test]
-    fn rendezvous_payload_roundtrip(send_id in any::<u32>(), size in any::<u64>(), recv_id in any::<u32>(), rkey in any::<u32>()) {
-        let rts = RtsPayload { send_id, size };
-        prop_assert_eq!(RtsPayload::decode(&rts.encode()).unwrap(), rts);
-        let rtr = RtrPayload { send_id, recv_id, rkey };
-        prop_assert_eq!(RtrPayload::decode(&rtr.encode()).unwrap(), rtr);
-    }
-
-    /// Matching keys: same (rank, tag, policy) always collide; the
-    /// fields a policy ignores never affect its key.
-    #[test]
-    fn matching_key_laws(rank in 0usize..1 << 20, tag in any::<u32>(), rank2 in 0usize..1 << 20, tag2 in any::<u32>()) {
-        use lci::matching::make_key;
-        prop_assert_eq!(
-            make_key(rank, tag, MatchingPolicy::RankOnly),
-            make_key(rank, tag2, MatchingPolicy::RankOnly)
-        );
-        prop_assert_eq!(
-            make_key(rank, tag, MatchingPolicy::TagOnly),
-            make_key(rank2, tag, MatchingPolicy::TagOnly)
-        );
-        prop_assert_eq!(
-            make_key(rank, tag, MatchingPolicy::None),
-            make_key(rank2, tag2, MatchingPolicy::None)
-        );
-        // Distinct policies never collide.
-        prop_assert_ne!(
-            make_key(rank, tag, MatchingPolicy::RankTag),
-            make_key(rank, tag, MatchingPolicy::RankOnly)
-        );
-    }
-
     /// Matching engine conservation: every insert either stores or
     /// removes exactly one complementary entry; FIFO per key.
     #[test]

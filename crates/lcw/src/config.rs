@@ -104,17 +104,6 @@ impl Platform {
             Platform::from_env()
         }
     }
-
-    /// The selector name this platform answers to (round-trips through
-    /// [`from_name`](Platform::from_name)).
-    pub fn transport_name(self) -> &'static str {
-        match self {
-            Platform::Expanse => "sim-ibv",
-            Platform::Delta => "sim-ofi",
-            Platform::ShmHost => "shm",
-            Platform::TcpHost => "tcp",
-        }
-    }
 }
 
 /// Resource-sharing pattern of the thread-based mode (paper §5.2).

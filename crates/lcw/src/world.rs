@@ -19,8 +19,6 @@ const EAGER_SIZE: usize = 8192;
 const POOL_PACKETS: usize = 512;
 /// LCI matching-engine buckets.
 const MATCHING_BUCKETS: usize = 1024;
-/// LCI collective chunks in flight per rank.
-const COLL_MAX_INFLIGHT: usize = 4;
 
 enum WorldInner {
     Lci { rt: lci::Runtime, devices: Vec<lci::Device>, am_cqs: Vec<Comp> },
@@ -69,7 +67,6 @@ impl World {
                     coalesce,
                     placement: cfg.placement,
                     coll_chunk_size: cfg.coll_chunk_size,
-                    coll_max_inflight: COLL_MAX_INFLIGHT,
                 };
                 let rt = lci::Runtime::new(fabric, rank, rt_cfg).expect("lci runtime");
                 // One AM completion queue per thread (the paper's message
