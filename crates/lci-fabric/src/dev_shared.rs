@@ -139,6 +139,8 @@ pub(crate) struct DevShared {
     /// Its lock is a leaf, taken blockingly by every delivery and
     /// restock.
     srq: SpinLock<VecDeque<RecvBufDesc>>,
+    /// The SRQ's length, stored under its lock by whoever changes it:
+    /// a load outside the lock reads it without taking the lock.
     posted_recvs: AtomicUsize,
     discipline: LockDiscipline,
 }
@@ -211,8 +213,9 @@ impl DevShared {
     /// acquisition: a restock that bounced off deliveries would let the
     /// SRQ run dry exactly while they are dense.
     pub(crate) fn post_recvs(&self, descs: &[RecvBufDesc]) {
-        self.srq.lock().extend(descs.iter().copied());
-        self.posted_recvs.fetch_add(descs.len(), Ordering::AcqRel);
+        let mut srq = self.srq.lock();
+        srq.extend(descs.iter().copied());
+        self.posted_recvs.store(srq.len(), Ordering::Release);
     }
 
     /// Lands frame `h` from `src` — a send, or a write's immediate — on
@@ -251,7 +254,7 @@ impl DevShared {
                 false => NetError::Retry(RetryReason::RxFull),
             });
         };
-        self.posted_recvs.fetch_sub(1, Ordering::AcqRel);
+        self.posted_recvs.store(srq.len(), Ordering::Release);
         let cqe = deliver_bytes(kind, payload, &desc, src, h.src_dev as DevId, h.imm);
         drop(srq);
         self.stage_cqe(cqe?);
@@ -275,8 +278,11 @@ impl DevShared {
     /// a completion nobody polls.
     pub(crate) fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>) {
         self.closed.store(true, Ordering::Release);
-        let descs = self.srq.lock().drain(..).collect();
-        self.posted_recvs.store(0, Ordering::Release);
+        let descs = {
+            let mut srq = self.srq.lock();
+            self.posted_recvs.store(0, Ordering::Release);
+            srq.drain(..).collect()
+        };
         let mut cq = self.cq.lock();
         self.collect_staged(&mut cq);
         (cq.drain(..).collect(), descs)
@@ -490,5 +496,91 @@ mod tests {
 
         assert_eq!(shared.teardown().1.len(), 0);
         assert!(matches!(land(2), Err(NetError::Fatal(_))), "a torn-down device took a frame");
+    }
+
+    /// `posted_recvs` is exact: two threads land frames while a third
+    /// restocks the receives the completions free and polls. Under the
+    /// SRQ lock the count always equals the SRQ's length, a lander never
+    /// reads more receives than there are, and at the end every frame
+    /// was delivered once, intact, into a receive that was posted and
+    /// not yet used. The first thread to see a failure stops the others,
+    /// so a failure cannot turn into a hang.
+    #[test]
+    fn land_racing_a_restock_keeps_posted_recvs_exact() {
+        const PER_LANDER: u64 = 20_000;
+        const BUFS: usize = 48;
+        let shared = DevShared::new(0, &DeviceConfig::ibv());
+        let stop = AtomicBool::new(false);
+        let fail = |msg: String| {
+            stop.store(true, Ordering::Relaxed);
+            msg
+        };
+        let mut bufs = vec![[0u8; 8]; BUFS];
+        let base = bufs.as_mut_ptr() as usize;
+        // SAFETY: `bufs` outlives every landing (the threads are joined
+        // first); a buffer is posted again only after its completion was
+        // polled and read, so a landing and a read never overlap.
+        let desc = |i: usize| unsafe {
+            RecvBufDesc::new((base as *mut [u8; 8]).add(i).cast(), 8, i as u64)
+        };
+        let read = |i: usize| unsafe { ((base as *const [u8; 8]).add(i)).read() };
+        let frame = |imm: u64| FrameHeader { imm, ..FrameHeader::default() };
+        let land = |lander: u64| {
+            for seq in 0..PER_LANDER {
+                let imm = (lander << 32) | seq;
+                while let Err(e) =
+                    shared.land(1, &frame(imm), WireMsgKind::Send, &imm.to_le_bytes())
+                {
+                    let posted = shared.posted_recvs();
+                    if !matches!(e, NetError::Retry(_)) || posted > BUFS {
+                        return Err(fail(format!("{e:?} with posted_recvs {posted}")));
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        return Ok(());
+                    }
+                    std::hint::spin_loop();
+                }
+            }
+            Ok(())
+        };
+        let restock = || {
+            let (mut seen, mut out) = (Vec::new(), Vec::new());
+            let mut free: Vec<usize> = (0..BUFS).collect();
+            while seen.len() < 2 * PER_LANDER as usize && !stop.load(Ordering::Relaxed) {
+                let batch: Vec<_> = free.drain(..free.len().min(8)).map(desc).collect();
+                shared.post_recvs(&batch);
+                let (posted, queued) = {
+                    let srq = shared.srq.lock();
+                    (shared.posted_recvs(), srq.len())
+                };
+                if posted != queued {
+                    return Err(fail(format!("posted_recvs {posted}, SRQ {queued}")));
+                }
+                out.clear();
+                shared.poll(&mut out, 16).unwrap();
+                for c in &out {
+                    let i = c.ctx as usize;
+                    if read(i) != c.imm.to_le_bytes() || free.contains(&i) {
+                        return Err(fail(format!("receive {i} completed twice or damaged")));
+                    }
+                    free.push(i);
+                    seen.push(c.imm);
+                }
+            }
+            Ok((seen, free.len()))
+        };
+        let (landed, restocked) = std::thread::scope(|s| {
+            let landers = [0, 1].map(|l| s.spawn(move || land(l)));
+            let restocked = restock();
+            (landers.map(|h| h.join().unwrap()), restocked)
+        });
+        landed.into_iter().collect::<Result<(), _>>().unwrap();
+        let (mut seen, free) = restocked.unwrap();
+        assert_eq!(shared.posted_recvs(), shared.srq.lock().len());
+        assert_eq!(shared.posted_recvs(), BUFS - free, "a receive went missing");
+        seen.sort_unstable();
+        let want: Vec<u64> =
+            (0..2).flat_map(|l| (0..PER_LANDER).map(move |q| (l << 32) | q)).collect();
+        assert_eq!(seen, want, "a frame was lost or delivered twice");
     }
 }

@@ -41,9 +41,18 @@
 //! would straddle the wrap point the producer pads `spill_head` to the
 //! boundary first, so `spill` in the frame header always points at
 //! contiguous bytes. Spilled frames leave the ring strictly FIFO, so
-//! the consumer reclaims by storing `spill_tail = spill + len` — the
-//! pad bytes are reclaimed implicitly because the *next* frame's
-//! `spill` already sits past them.
+//! the consumer reclaims by storing `spill_tail = spill + len`.
+//!
+//! A drained region starts again at its front: when the consumer has
+//! released every spilled byte, the producer pads to the boundary too,
+//! so a burst of spilled frames reuses the same few cache lines instead
+//! of sweeping the whole region. The producer remembers its last pad in
+//! two words only it writes, `spill_pad` (where the pad starts) and
+//! `spill_floor` (where it ends). Until the consumer's tail reaches the
+//! pad, the pad lies between live bytes and the head and counts as
+//! occupied; from then on, everything below the floor is free. The
+//! occupied bytes are `[max(spill_tail, spill_floor), spill_head)` once
+//! `spill_tail >= spill_pad`, and `[spill_tail, spill_head)` before.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,7 +139,13 @@ pub struct ChanHdr {
     /// Consumer cursor into the spill byte ring.
     pub spill_tail: AtomicU64,
     /// High-water mark of ring occupancy (slots), for DeviceStats.
+    /// Producer-only, like the two words below.
     pub occ_hwm: AtomicU64,
+    /// Where the producer's last spill pad starts.
+    pub spill_pad: AtomicU64,
+    /// Where the producer's last spill pad ends: the offset of the
+    /// payload placed after it.
+    pub spill_floor: AtomicU64,
 }
 
 /// Size reserved for [`ChanHdr`] at the front of a channel.
@@ -219,6 +234,18 @@ impl Channel {
     /// Encodes one frame (header + gathered payload segments) into the
     /// ring. The caller must serialize producers on this channel.
     pub fn produce(&self, h: &FrameHeader, segs: &[&[u8]]) -> Result<(), ProduceError> {
+        self.produce_placed(h, segs, place_spill)
+    }
+
+    /// [`produce`](Self::produce), with the spill placement rule passed
+    /// in so the ring's tests can run broken rules through it.
+    #[inline(always)]
+    fn produce_placed(
+        &self,
+        h: &FrameHeader,
+        segs: &[&[u8]],
+        place: impl FnOnce(SpillCursors, u64, u64) -> Result<u64, ProduceError>,
+    ) -> Result<(), ProduceError> {
         let hdr = self.hdr();
         let payload_len: usize = segs.iter().map(|s| s.len()).sum();
         let head = hdr.head.load(Ordering::Relaxed);
@@ -244,21 +271,23 @@ impl Channel {
             if cap == 0 || len > cap / 2 {
                 return Err(ProduceError::TooLarge);
             }
-            let sh = hdr.spill_head.load(Ordering::Relaxed);
-            let st = hdr.spill_tail.load(Ordering::Acquire);
-            let pos = sh % cap;
-            // Pad to the wrap point if the payload would straddle it, so
-            // spilled payloads are always contiguous.
-            let off = if pos + len > cap { sh + (cap - pos) } else { sh };
-            if off + len - st > cap {
-                return Err(ProduceError::SpillFull);
-            }
+            let cursors = SpillCursors {
+                head: hdr.spill_head.load(Ordering::Relaxed),
+                tail: hdr.spill_tail.load(Ordering::Acquire),
+                pad: hdr.spill_pad.load(Ordering::Relaxed),
+                floor: hdr.spill_floor.load(Ordering::Relaxed),
+            };
+            let off = place(cursors, len, cap)?;
             let mut dst = unsafe { self.spill.add((off % cap) as usize) };
             for seg in segs {
                 unsafe {
                     std::ptr::copy_nonoverlapping(seg.as_ptr(), dst, seg.len());
                     dst = dst.add(seg.len());
                 }
+            }
+            if off != cursors.head {
+                hdr.spill_pad.store(cursors.head, Ordering::Relaxed);
+                hdr.spill_floor.store(off, Ordering::Relaxed);
             }
             hdr.spill_head.store(off + len, Ordering::Release);
             (h.flags | FLAG_SPILLED, off)
@@ -274,8 +303,11 @@ impl Channel {
             );
         }
         hdr.head.store(head + 1, Ordering::Release);
+        // Producers are serialized, so the mark needs no read-modify-write.
         let occ = head + 1 - tail;
-        hdr.occ_hwm.fetch_max(occ, Ordering::Relaxed);
+        if occ > hdr.occ_hwm.load(Ordering::Relaxed) {
+            hdr.occ_hwm.store(occ, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -324,6 +356,35 @@ impl Channel {
         }
         hdr.tail.store(f.tail + 1, Ordering::Release);
     }
+}
+
+/// The spill cursors a producer reads: its own three and the
+/// consumer's `spill_tail`.
+#[derive(Clone, Copy)]
+struct SpillCursors {
+    head: u64,
+    tail: u64,
+    pad: u64,
+    floor: u64,
+}
+
+/// Where a spilled payload of `len` bytes goes (`0 < len <= cap / 2`),
+/// as a free-running offset, or `SpillFull`. It goes at the head, unless
+/// it would straddle the end of the region or nothing spilled is live:
+/// then the head pads to the next boundary and the payload starts at the
+/// region's front (module docs, "Spill reclamation").
+fn place_spill(c: SpillCursors, len: u64, cap: u64) -> Result<u64, ProduceError> {
+    let pos = c.head % cap;
+    let drained = c.tail == c.head;
+    let off = if pos != 0 && (drained || pos + len > cap) { c.head + (cap - pos) } else { c.head };
+    let (pad, floor) = if off != c.head { (c.head, off) } else { (c.pad, c.floor) };
+    // The oldest occupied byte: the consumer's tail, or the floor once
+    // the tail has reached the last pad.
+    let start = if c.tail >= pad { c.tail.max(floor) } else { c.tail };
+    if off + len - start > cap {
+        return Err(ProduceError::SpillFull);
+    }
+    Ok(off)
 }
 
 /// Encodes a frame header into `buf` (≥ `HEADER_LEN` bytes).
@@ -396,6 +457,9 @@ pub mod test_support {
 mod tests {
     use super::test_support::OwnedChannel;
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
 
     fn geo(slots: u64, slot_size: usize, spill: u64) -> ChanGeometry {
         ChanGeometry { ring_slots: slots, slot_size, spill_cap: spill }
@@ -536,22 +600,244 @@ mod tests {
         assert!(c.occupancy_hwm() >= 12);
     }
 
+    /// A spilled-size payload of frame `seq`: bytes derived from both
+    /// numbers, so one written over another's shows.
+    fn pattern(seq: u64, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (seq as usize * 131 + i * 7) as u8).collect()
+    }
+
+    /// What a model of the ring knows of a queued frame: its number, its
+    /// length and, if spilled, its free-running spill offset.
+    struct Queued {
+        seq: u64,
+        len: usize,
+        spill: Option<u64>,
+    }
+
+    /// The ring as a list of queued frames, with the placement rule the
+    /// module docs state, checked against live bytes instead of cursors:
+    /// a spilled payload goes at the head, or at the front of the region
+    /// when it would straddle the end or nothing spilled is live; it fits
+    /// if it overlaps no live payload.
+    struct Model {
+        geo: ChanGeometry,
+        queued: VecDeque<Queued>,
+        spill_head: u64,
+    }
+
+    impl Model {
+        /// The outcome `produce` must have for `len` bytes: the spill
+        /// offset (`None` inline) or the error.
+        fn expect(&self, len: usize) -> Result<Option<u64>, ProduceError> {
+            let cap = self.geo.spill_cap;
+            if self.queued.len() as u64 == self.geo.ring_slots {
+                return Err(ProduceError::RingFull);
+            }
+            if len <= self.geo.inline_cap() {
+                return Ok(None);
+            }
+            let len = len as u64;
+            if len > cap / 2 {
+                return Err(ProduceError::TooLarge);
+            }
+            let live: Vec<(u64, u64)> =
+                self.queued.iter().filter_map(|q| Some((q.spill? % cap, q.len as u64))).collect();
+            let pos = self.spill_head % cap;
+            let front = pos != 0 && (live.is_empty() || pos + len > cap);
+            let off = if front { self.spill_head + cap - pos } else { self.spill_head };
+            let p = off % cap;
+            match live.iter().all(|&(q, l)| q + l <= p || p + len <= q) {
+                true => Ok(Some(off)),
+                false => Err(ProduceError::SpillFull),
+            }
+        }
+    }
+
+    /// A payload length for the next frame: inline, anywhere in the
+    /// spilled range, exactly half the region, or one that reaches or
+    /// straddles the end of the region from where its head is now.
+    fn next_len(rng: &mut StdRng, geo: ChanGeometry, spill_head: u64) -> usize {
+        let (inline, half) = (geo.inline_cap(), (geo.spill_cap / 2) as usize);
+        let to_end = (geo.spill_cap - spill_head % geo.spill_cap) as usize;
+        let spilled = |len: usize| len.clamp(inline + 1, half);
+        match rng.gen_range(0..6) {
+            0 => rng.gen_range(0..=inline),
+            1 => half,
+            2 => spilled(to_end),
+            3 => spilled(to_end + rng.gen_range(1..64)),
+            _ => rng.gen_range(inline + 1..=half),
+        }
+    }
+
+    /// Runs `steps` seeded random produces, peeks and releases (and the
+    /// occasional full drain) through `place`, against the model. Every
+    /// produce must have the model's outcome, every peeked frame must be
+    /// the next in order, intact, at the model's offset.
+    fn run_model(
+        seed: u64,
+        geo: ChanGeometry,
+        steps: usize,
+        place: fn(SpillCursors, u64, u64) -> Result<u64, ProduceError>,
+    ) -> Result<(), String> {
+        let oc = OwnedChannel::new(geo);
+        let c = oc.chan();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = Model { geo, queued: VecDeque::new(), spill_head: 0 };
+        let mut seq = 0u64;
+        let consume = |m: &mut Model| -> Result<(), String> {
+            let (f, want) = match (c.peek(), m.queued.pop_front()) {
+                (Some(f), Some(want)) => (f, want),
+                (None, None) => return Ok(()),
+                (f, _) => {
+                    return Err(format!("peeked a frame: {}, model has one: no", f.is_some()))
+                }
+            };
+            let at = f.spilled.then_some(f.spill_off);
+            if (f.header.imm, at) != (want.seq, want.spill) {
+                return Err(format!(
+                    "frame {} at {at:?}, model: {} at {:?}",
+                    f.header.imm, want.seq, want.spill
+                ));
+            }
+            if f.payload() != pattern(want.seq, want.len) {
+                return Err(format!("frame {} was overwritten", want.seq));
+            }
+            c.release(&f);
+            Ok(())
+        };
+        for step in 0..steps {
+            match rng.gen_range(0..20) {
+                0..=10 => {
+                    let len = next_len(&mut rng, geo, m.spill_head);
+                    let want = m.expect(len);
+                    let got = c.produce_placed(&hdr(KIND_SEND, seq), &[&pattern(seq, len)], place);
+                    if got != want.map(drop) {
+                        return Err(format!("step {step}: {len} B gave {got:?}, model: {want:?}"));
+                    }
+                    if let Ok(spill) = want {
+                        m.queued.push_back(Queued { seq, len, spill });
+                        if let Some(off) = spill {
+                            m.spill_head = off + len as u64;
+                        }
+                        seq += 1;
+                    }
+                }
+                11..=18 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        consume(&mut m).map_err(|e| format!("step {step}: {e}"))?;
+                    }
+                }
+                _ => {
+                    while !m.queued.is_empty() {
+                        consume(&mut m).map_err(|e| format!("step {step}: {e}"))?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    const MODEL_GEOMETRIES: [ChanGeometry; 3] = [
+        ChanGeometry { ring_slots: 8, slot_size: 96, spill_cap: 1024 },
+        ChanGeometry { ring_slots: 5, slot_size: 128, spill_cap: 999 },
+        ChanGeometry { ring_slots: 64, slot_size: 80, spill_cap: 600 },
+    ];
+
+    /// Whether any of the seeded runs of `place` diverges from the model.
+    fn first_divergence(
+        place: fn(SpillCursors, u64, u64) -> Result<u64, ProduceError>,
+    ) -> Option<String> {
+        MODEL_GEOMETRIES
+            .iter()
+            .find_map(|&geo| (0..64).find_map(|seed| run_model(seed, geo, 2000, place).err()))
+    }
+
+    /// The spill ring against its model: over seeded random traffic in
+    /// three geometries no payload is damaged, `SpillFull` comes only
+    /// when the payload cannot go where the rule puts it without
+    /// overlapping a live one, and after a full drain the next spilled
+    /// payload sits at offset 0.
+    #[test]
+    fn spill_ring_matches_its_model() {
+        assert_eq!(first_divergence(place_spill), None);
+    }
+
+    /// The model check catches broken placement rules: the rule before
+    /// the rewind (a drained region is not started again), a floor that
+    /// is never consulted, a pad just inserted counted as occupied (the
+    /// rewind refused by its own pad), and a floor trusted before the
+    /// consumer has reached the pad (live bytes overwritten).
+    #[test]
+    fn spill_model_catches_broken_rules() {
+        // Where the rule puts a payload, and whether it fits above `start`.
+        fn rewound(c: SpillCursors, len: u64, cap: u64) -> u64 {
+            let pos = c.head % cap;
+            let front = pos != 0 && (c.tail == c.head || pos + len > cap);
+            if front {
+                c.head + (cap - pos)
+            } else {
+                c.head
+            }
+        }
+        fn room(off: u64, len: u64, start: u64, cap: u64) -> Result<u64, ProduceError> {
+            (off + len - start <= cap).then_some(off).ok_or(ProduceError::SpillFull)
+        }
+        fn no_rewind(c: SpillCursors, len: u64, cap: u64) -> Result<u64, ProduceError> {
+            let pos = c.head % cap;
+            room(if pos + len > cap { c.head + (cap - pos) } else { c.head }, len, c.tail, cap)
+        }
+        fn floor_ignored(c: SpillCursors, len: u64, cap: u64) -> Result<u64, ProduceError> {
+            room(rewound(c, len, cap), len, c.tail, cap)
+        }
+        fn pad_counted(c: SpillCursors, len: u64, cap: u64) -> Result<u64, ProduceError> {
+            let start = if c.tail >= c.pad { c.tail.max(c.floor) } else { c.tail };
+            room(rewound(c, len, cap), len, start, cap)
+        }
+        fn floor_trusted(c: SpillCursors, len: u64, cap: u64) -> Result<u64, ProduceError> {
+            let off = rewound(c, len, cap);
+            let floor = if off != c.head { off } else { c.floor };
+            room(off, len, c.tail.max(floor), cap)
+        }
+        for (name, plant) in [
+            ("no rewind", no_rewind as fn(_, _, _) -> _),
+            ("floor ignored", floor_ignored),
+            ("pad counted", pad_counted),
+            ("floor trusted", floor_trusted),
+        ] {
+            assert!(first_divergence(plant).is_some(), "the model missed: {name}");
+        }
+    }
+
+    /// One producer and one consumer thread over a small ring, inline and
+    /// spilled frames mixed. The producer sends in bursts and, after
+    /// half of them, waits until the consumer has drained the ring, so
+    /// the next spilled payload rewinds to the front of the region while
+    /// the consumer is still polling.
     #[test]
     fn spsc_across_threads() {
         let oc = std::sync::Arc::new(OwnedChannel::new(geo(4, 128, 2048)));
         let oc2 = oc.clone();
         let n = 5_000u64;
         let producer = std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(7);
             let mut sent = 0u64;
             while sent < n {
-                let len = (sent % 200) as usize; // mixes inline + spill
-                let payload = vec![(sent % 251) as u8; len];
-                match oc2.chan().produce(&hdr(KIND_SEND, sent), &[&payload]) {
-                    Ok(()) => sent += 1,
-                    Err(ProduceError::RingFull) | Err(ProduceError::SpillFull) => {
-                        std::thread::yield_now()
+                let burst = rng.gen_range(1..12);
+                let mut in_burst = 0;
+                while in_burst < burst && sent < n {
+                    let len = (sent % 200) as usize; // mixes inline + spill
+                    match oc2.chan().produce(&hdr(KIND_SEND, sent), &[&pattern(sent, len)]) {
+                        Ok(()) => (sent, in_burst) = (sent + 1, in_burst + 1),
+                        Err(ProduceError::RingFull) | Err(ProduceError::SpillFull) => {
+                            std::thread::yield_now()
+                        }
+                        Err(e) => panic!("{e:?}"),
                     }
-                    Err(e) => panic!("{e:?}"),
+                }
+                if rng.gen_bool(0.5) {
+                    while oc2.chan().occupancy() > 0 {
+                        std::thread::yield_now();
+                    }
                 }
             }
         });
@@ -560,8 +846,7 @@ mod tests {
             match oc.chan().peek() {
                 Some(f) => {
                     assert_eq!(f.header.imm, seen);
-                    let expect_len = (seen % 200) as usize;
-                    assert_eq!(f.payload(), &vec![(seen % 251) as u8; expect_len][..]);
+                    assert_eq!(f.payload(), &pattern(seen, (seen % 200) as usize)[..]);
                     oc.chan().release(&f);
                     seen += 1;
                 }

@@ -378,6 +378,9 @@ impl Device {
         match self.inner.net.poll_cq(cqes, PROGRESS_BATCH) {
             Ok(n) => {
                 did |= n > 0;
+                if n > 0 {
+                    self.inner.stats.add(|c| &c.completions, n as u64);
+                }
                 for cqe in cqes.drain(..) {
                     self.handle_cqe(cqe)?;
                 }
@@ -559,8 +562,8 @@ impl Device {
     }
 
     /// Reacts to one completion (paper Figure 1, steps 4-8).
+    /// `progress` counts them once per poll.
     fn handle_cqe(&self, cqe: Cqe) -> Result<()> {
-        self.inner.stats.bump(|c| &c.completions);
         match cqe.kind {
             CqeKind::SendDone | CqeKind::WriteDone | CqeKind::ReadDone => {
                 if cqe.ctx == 0 {
@@ -579,16 +582,10 @@ impl Device {
                     OpCtx::Get(op) => self.get_done(op),
                 }
             }
-            CqeKind::RecvDone => {
-                // SAFETY: receive contexts are leaked packet indices.
-                let packet = unsafe { self.inner.rt.pool.reclaim(cqe.ctx as u32, cqe.len) };
-                self.handle_incoming(cqe, packet)
-            }
+            CqeKind::RecvDone => self.handle_incoming(cqe),
             CqeKind::WriteImmRecv => {
                 // A pre-posted receive was consumed without data.
-                // SAFETY: receive contexts are leaked packet indices.
-                let packet = unsafe { self.inner.rt.pool.reclaim(cqe.ctx as u32, 0) };
-                drop(packet); // immediately recycled
+                self.inner.rt.pool.put_idxs(&[cqe.ctx as u32]);
                 let hdr = Header::decode(cqe.imm)?;
                 match hdr.ty {
                     MsgType::Fin => self.handle_fin(hdr.aux),
@@ -602,32 +599,57 @@ impl Device {
         }
     }
 
-    /// An incoming message delivered into `packet` (paper Figure 1,
-    /// steps 5-6).
-    fn handle_incoming(&self, cqe: Cqe, packet: Packet) -> Result<()> {
+    /// An incoming message in the receive slot `cqe.ctx` (paper Figure 1,
+    /// steps 5-6), read where the wire wrote it. The slot becomes a
+    /// `Packet` only if its bytes outlive the handling — a coalesced
+    /// frame, an active message, a send that parks as unexpected — and
+    /// goes straight back to the pool otherwise.
+    fn handle_incoming(&self, cqe: Cqe) -> Result<()> {
+        let pool = &self.inner.rt.pool;
+        let idx = cqe.ctx as u32;
+        // SAFETY: receive contexts are leaked packet indices; the wire
+        // wrote `cqe.len` bytes into the slot, which stays checked out
+        // until it is kept as a packet or put back below.
+        let payload = unsafe { std::slice::from_raw_parts(pool.packet_ptr(idx), cqe.len) };
+        let mut kept = false;
+        let keep = || {
+            kept = true;
+            // SAFETY: as above, and a kept slot is not put back.
+            unsafe { pool.reclaim(idx, cqe.len) }
+        };
+        let res = self.deliver_incoming(&cqe, payload, keep);
+        if !kept {
+            pool.put_idxs(&[idx]);
+        }
+        res
+    }
+
+    /// Routes an incoming message by its header; `keep` makes its slot a
+    /// packet, for a payload that outlives this call.
+    fn deliver_incoming(
+        &self,
+        cqe: &Cqe,
+        payload: &[u8],
+        keep: impl FnOnce() -> Packet,
+    ) -> Result<()> {
         let hdr = Header::decode(cqe.imm)?;
-        let payload = &packet.as_slice()[..cqe.len];
         match hdr.ty {
             MsgType::Eager | MsgType::EagerAm => {
-                let len = cqe.len;
-                self.deliver_eager(cqe.src_rank, hdr, DataBuf::Packet(packet, len))
+                self.deliver_eager(cqe.src_rank, hdr, payload, || DataBuf::Packet(keep(), cqe.len))
             }
             MsgType::RtsSr | MsgType::RtsAm => {
-                let rts = rdv::Rts::decode(&cqe, hdr.tag, payload)?;
-                drop(packet);
+                let rts = rdv::Rts::decode(cqe, hdr.tag, payload)?;
                 self.handle_rts(hdr, rts)
             }
             MsgType::Rtr => {
                 let rtr = RtrPayload::decode(payload)?;
-                drop(packet);
                 self.start_pumping(cqe.src_rank, cqe.src_dev, rtr)
             }
             MsgType::GetSignal => {
-                drop(packet);
                 let p = PendingInbound::RemoteSignal { src: cqe.src_rank, tag: hdr.tag };
                 self.deliver_rcomp(hdr.aux, p)
             }
-            MsgType::Coalesced => self.deliver_coalesced(cqe.src_rank, hdr.aux, packet, cqe.len),
+            MsgType::Coalesced => self.deliver_coalesced(cqe.src_rank, hdr.aux, keep(), cqe.len),
             MsgType::Fin | MsgType::PutSignal => {
                 Err(FatalError::Net(format!("{:?} must arrive as write-immediate", hdr.ty)))
             }

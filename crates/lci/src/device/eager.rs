@@ -238,7 +238,8 @@ impl Device {
                     MatchEntry::UnexpEager { src, tag, data } => {
                         // Deliver synchronously: the operation is done and
                         // the completion object will not be signaled.
-                        let (_comp, desc) = self.finish_matched_recv(recv, src, tag, data)?;
+                        let (_comp, desc) =
+                            self.finish_matched_recv(recv, src, tag, data.as_slice())?;
                         Ok(PostResult::Done(desc))
                     }
                     MatchEntry::UnexpRts(rts) => {
@@ -251,18 +252,17 @@ impl Device {
         }
     }
 
-    /// Copies an unexpected eager payload into a matched receive's
-    /// buffer and builds the completion descriptor. This is the one copy
-    /// the zero-copy receive path keeps: the user posted their own
-    /// buffer, so the data must land there.
+    /// Copies an eager payload into a matched receive's buffer and
+    /// builds the completion descriptor. This is the one copy the
+    /// zero-copy receive path keeps: the user posted their own buffer,
+    /// so the data must land there.
     fn finish_matched_recv(
         &self,
         recv: RecvEntry,
         src: Rank,
         tag: Tag,
-        data: DataBuf,
+        payload: &[u8],
     ) -> Result<(Comp, CompDesc)> {
-        let payload = data.as_slice();
         let len = payload.len();
         if len > recv.buf.len() {
             return Err(FatalError::InvalidArg(format!(
@@ -287,30 +287,39 @@ impl Device {
         ))
     }
 
-    /// Delivers one eager payload — a standalone arrival (packet-backed)
-    /// or one sub-message of a coalesced frame (view-backed) — through the
-    /// matching engine (two-sided) or rcomp signaling (active message). The
-    /// payload is parked as-is on a miss; no copy happens until (unless)
-    /// a user-posted receive buffer consumes it.
-    pub(super) fn deliver_eager(&self, src: Rank, hdr: Header, data: DataBuf) -> Result<()> {
+    /// Delivers one eager payload — a standalone arrival or one
+    /// sub-message of a coalesced frame — through the matching engine
+    /// (two-sided) or rcomp signaling (active message). `park` makes the
+    /// [`DataBuf`] that owns `payload` (the packet, or a view into the
+    /// frame) and is called only if the payload outlives this call: an
+    /// active message, or a send that parks as unexpected. A send that
+    /// finds its receive is copied from `payload` into it.
+    pub(super) fn deliver_eager(
+        &self,
+        src: Rank,
+        hdr: Header,
+        payload: &[u8],
+        park: impl FnOnce() -> DataBuf,
+    ) -> Result<()> {
+        let tag = hdr.tag;
         match hdr.ty {
             MsgType::Eager => {
                 let engine = &self.inner.rt.matching;
-                let key = engine.key_for(src, hdr.tag, hdr.policy);
-                let entry = MatchEntry::UnexpEager { src, tag: hdr.tag, data };
-                if let Some((matched, mine)) = engine.insert(key, entry, MatchKind::Send) {
-                    self.inner.stats.bump(|c| &c.matched);
-                    let MatchEntry::Recv(recv) = matched else {
-                        return Err(FatalError::Net("eager matched non-recv".into()));
-                    };
-                    let MatchEntry::UnexpEager { src, tag, data } = mine else { unreachable!() };
-                    let (comp, desc) = self.finish_matched_recv(recv, src, tag, data)?;
-                    comp.signal(desc);
-                }
+                let key = engine.key_for(src, tag, hdr.policy);
+                let entry = || MatchEntry::UnexpEager { src, tag, data: park() };
+                let Some(matched) = engine.insert_with(key, MatchKind::Send, entry) else {
+                    return Ok(());
+                };
+                self.inner.stats.bump(|c| &c.matched);
+                let MatchEntry::Recv(recv) = matched else {
+                    return Err(FatalError::Net("eager matched non-recv".into()));
+                };
+                let (comp, desc) = self.finish_matched_recv(recv, src, tag, payload)?;
+                comp.signal(desc);
                 Ok(())
             }
             MsgType::EagerAm => {
-                self.deliver_rcomp(hdr.aux, PendingInbound::EagerAm { src, tag: hdr.tag, data })
+                self.deliver_rcomp(hdr.aux, PendingInbound::EagerAm { src, tag, data: park() })
             }
             other => Err(FatalError::Net(format!("invalid eager payload type {other:?}"))),
         }
@@ -340,7 +349,7 @@ impl Device {
         let res = coalesce_records(views.as_slice()).try_for_each(|rec| {
             let (sub_imm, r) = rec?;
             let hdr = Header::decode(sub_imm)?;
-            let data = DataBuf::View(views.view(r.start, r.len()));
+            let view = || DataBuf::View(views.view(r.start, r.len()));
             // An AM whose rcomp exists is signalled here, so the frame
             // counts it; any other record takes the standalone path (an
             // early AM parks and is counted when it is delivered).
@@ -353,13 +362,13 @@ impl Device {
                 comp.signal(CompDesc {
                     rank: src,
                     tag: hdr.tag,
-                    data,
+                    data: view(),
                     user_ctx: 0,
                     kind: CompKind::Am,
                 });
                 return Ok(());
             }
-            self.deliver_eager(src, hdr, data)
+            self.deliver_eager(src, hdr, &views.as_slice()[r.clone()], view)
         });
         self.inner.stats.add(|c| &c.zero_copy_deliveries, zero_copy);
         res

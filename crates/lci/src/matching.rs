@@ -226,13 +226,6 @@ pub struct MatchingEngine<T> {
     buckets: Box<[SpinLock<Bucket<T>>]>,
     mask: u64,
     make_key: Option<Arc<MakeKeyFn>>,
-    /// Stored-entry count, maintained on insert/match so [`len`](Self::len)
-    /// never walks the table. Striped per core (an insert on core A
-    /// matched on core B adjusts two different cells; the fold stays
-    /// exact) so the hot path shares no counter line between cores.
-    /// Readers want a monotonic-ish estimate, not a linearizable
-    /// snapshot (matching correctness never depends on it).
-    entries: StripedU64,
     /// Recycled overflow deques: a same-key burst past the two inline
     /// slots spills to a `VecDeque`, and bursts arrive on fresh keys
     /// (collective tags carry a sequence number), so without recycling
@@ -260,7 +253,6 @@ impl<T> MatchingEngine<T> {
             buckets: buckets.into_boxed_slice(),
             mask: (n - 1) as u64,
             make_key: None,
-            entries: StripedU64::new(0),
             spares: SpinLock::new(Vec::new()),
             contended: StripedU64::new(0),
         }
@@ -293,6 +285,15 @@ impl<T> MatchingEngine<T> {
     /// with the caller's value (which is then *not* stored); otherwise
     /// stores the value and returns `None`.
     pub fn insert(&self, key: u64, value: T, kind: MatchKind) -> Option<(T, T)> {
+        let mut value = Some(value);
+        let matched = self.insert_with(key, kind, || value.take().expect("stored once"))?;
+        Some((matched, value.expect("a match stores nothing")))
+    }
+
+    /// [`insert`](Self::insert) for a value that is built only if it is
+    /// stored: returns the matched entry of the complementary kind, or
+    /// stores `make()` (called under the bucket lock) and returns `None`.
+    pub fn insert_with(&self, key: u64, kind: MatchKind, make: impl FnOnce() -> T) -> Option<T> {
         let lock = self.bucket_of(key);
         // Try-lock first so bucket contention is *observable*: a busy
         // lock bumps the per-core contended counter before falling back
@@ -304,40 +305,30 @@ impl<T> MatchingEngine<T> {
                 lock.lock()
             }
         };
-        if let Some(q) = bucket.find_mut(key) {
-            if q.kind == kind.opposite() {
+        match bucket.find_mut(key) {
+            Some(q) if q.kind == kind.opposite() => {
                 if let Some(matched) = q.pop() {
                     if q.is_empty() {
                         bucket.remove_if_empty(key, &self.spares);
                     }
-                    drop(bucket);
-                    self.entries.sub(1);
-                    return Some((matched, value));
+                    return Some(matched);
                 }
                 // Complementary queue exists but is empty (transient;
                 // normally removed) — repurpose it.
                 q.kind = kind;
-                q.push(value, &self.spares);
-                drop(bucket);
-                self.entries.add(1);
-                return None;
+                q.push(make(), &self.spares);
             }
-            q.push(value, &self.spares);
-            drop(bucket);
-            self.entries.add(1);
-            return None;
+            Some(q) => q.push(make(), &self.spares),
+            None => bucket.insert_queue(EntryQueue::new(key, kind, make())),
         }
-        bucket.insert_queue(EntryQueue::new(key, kind, value));
-        drop(bucket);
-        self.entries.add(1);
         None
     }
 
-    /// Total stored entries: an O(stripes) fold of per-core cells,
-    /// approximate while inserts race (each insert either stores one
-    /// entry or removes one).
+    /// Total stored entries, by walking every bucket under its lock:
+    /// exact at quiescence, for diagnostics and tests, not for a data
+    /// path.
     pub fn len(&self) -> usize {
-        self.entries.sum() as usize
+        self.buckets.iter().map(|b| b.lock().total_entries()).sum()
     }
 
     /// Bucket-lock acquisitions that found the lock busy since
@@ -347,15 +338,10 @@ impl<T> MatchingEngine<T> {
         self.contended.sum()
     }
 
-    /// Whether the engine holds no entries (O(1); see [`len`](Self::len)).
+    /// Whether the engine holds no entries: a walk like
+    /// [`len`](Self::len)'s that stops at the first stored entry.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Exact stored-entry count by walking every bucket under its lock
-    /// (diagnostics; at quiescence it equals [`len`](Self::len)).
-    pub fn len_slow(&self) -> usize {
-        self.buckets.iter().map(|b| b.lock().total_entries()).sum()
+        self.buckets.iter().all(|b| b.lock().total_entries() == 0)
     }
 }
 
@@ -391,7 +377,6 @@ mod tests {
         assert!(m.insert(1, 10, MatchKind::Send).is_none());
         assert!(m.insert(2, 20, MatchKind::Recv).is_none());
         assert_eq!(m.len(), 2);
-        assert_eq!(m.len_slow(), 2);
     }
 
     #[test]
@@ -404,7 +389,6 @@ mod tests {
             assert_eq!(m.insert(3, 99, MatchKind::Recv), Some((i, 99)));
         }
         assert!(m.is_empty());
-        assert_eq!(m.len_slow(), 0);
     }
 
     #[test]
@@ -418,7 +402,6 @@ mod tests {
             }
         }
         assert_eq!(m.len(), 32 * 8);
-        assert_eq!(m.len_slow(), 32 * 8);
         for key in 0..32u64 {
             for v in 0..8usize {
                 assert_eq!(
@@ -490,8 +473,6 @@ mod tests {
         let total = nthreads * per;
         // Every insert either stored or matched exactly one stored entry.
         assert_eq!(m.len() + 2 * matched, total);
-        // At quiescence the O(1) counter agrees with the locked walk.
-        assert_eq!(m.len(), m.len_slow());
     }
 
     proptest! {

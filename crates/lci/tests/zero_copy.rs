@@ -130,3 +130,130 @@ fn am_payloads_zero_copy_over_shm() {
     assert_eq!(stats.copied_deliveries, 0);
     assert!(stats.shm_ring_hwm > 0, "shm transport unused by the workload");
 }
+
+/// Progresses both ranks once and pops everything rank 1's two queues
+/// hold, checking each payload against `body`; returns how many it
+/// popped. The descriptors drop here, so their packets go back.
+fn turn(rts: &[Runtime; 2], cqs: &[Comp; 2]) -> usize {
+    progress(rts);
+    let mut popped = 0;
+    for cq in cqs {
+        while let Some(d) = cq.pop() {
+            assert_eq!(d.as_slice(), body(d.tag, d.as_slice().len()), "tag {}", d.tag);
+            popped += 1;
+        }
+    }
+    popped
+}
+
+fn progress(rts: &[Runtime; 2]) {
+    for rt in rts {
+        rt.progress().unwrap();
+    }
+}
+
+/// The bytes of a message on `tag` of `len` bytes.
+fn body(tag: u32, len: usize) -> Vec<u8> {
+    (0..len).map(|i| (tag as usize * 31 + i) as u8).collect()
+}
+
+/// The receive path's counters over one fixed mix, one thread driving
+/// both ranks so every count repeats: standalone tagged sends whose
+/// receives were posted first and ones that arrive before them,
+/// standalone active messages, and then the same three coalesced.
+/// `completions` counts every CQE handled — one per standalone message
+/// and one per coalesced frame at the receiver, none at the sender —
+/// `matched`, `copied_deliveries` and `zero_copy_deliveries` hold the
+/// values they had while every arrival was reclaimed as a packet, and
+/// once everything is popped and dropped every packet out of either
+/// pool is a posted receive: no slot leaked.
+#[test]
+fn delivery_counters_hold_across_a_mixed_stream() {
+    const N: usize = 24;
+    for device in [lci_fabric::DeviceConfig::ibv(), lci_fabric::DeviceConfig::shm()] {
+        let mut cfg = RuntimeConfig::small().with_device(device);
+        cfg.coalesce = CoalesceConfig::enabled_with_bytes(2048);
+        let fabric = Fabric::new(2);
+        let rts = [
+            Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap(),
+            Runtime::new(fabric, 1, cfg).unwrap(),
+        ];
+        let cqs = [Comp::alloc_cq(), Comp::alloc_cq()];
+        let rcomp = rts[1].register_rcomp(cqs[1].clone());
+        let scq = Comp::alloc_cq();
+        let (mut got, mut want) = (0, 0);
+        let recv = |tag: u32| {
+            let posted = rts[1].post_recv(0, vec![0u8; 1024], tag, cqs[0].clone()).unwrap();
+            match posted {
+                PostResult::Done(d) => {
+                    assert_eq!(d.as_slice(), body(tag, d.as_slice().len()));
+                    1
+                }
+                _ => 0,
+            }
+        };
+        let send = |tag: u32, len: usize, am: bool, coalesce: bool| loop {
+            let post = match am {
+                true => rts[0].post_am_x(1, body(tag, len), scq.clone(), rcomp).tag(tag),
+                false => rts[0].post_send_x(1, body(tag, len), tag, scq.clone()),
+            };
+            match post.allow_coalescing(coalesce).call().unwrap() {
+                PostResult::Done(_) => break,
+                PostResult::Posted => panic!("an eager send was parked"),
+                PostResult::Retry(_) => progress(&rts),
+            }
+        };
+        // At least a few turns, so what is on its way is handled even
+        // when nothing more is expected.
+        let settle = |got: &mut usize, want: usize| {
+            for i in 0..10_000 {
+                if i >= 8 && *got == want && rts[0].device().coalesce_pending() == 0 {
+                    break;
+                }
+                *got += turn(&rts, &cqs);
+            }
+            assert_eq!(*got, want, "{device:?}: deliveries missing");
+        };
+
+        // Standalone: expected, unexpected (each receive done at its
+        // post), active messages.
+        (0..N).for_each(|_| assert_eq!(recv(1), 0, "no send yet"));
+        (0..N).for_each(|_| send(1, 1000, false, false));
+        want += N;
+        settle(&mut got, want);
+        (0..N).for_each(|_| send(2, 1000, false, false));
+        settle(&mut got, want);
+        got += (0..N).map(|_| recv(2)).sum::<usize>();
+        want += N;
+        (0..N).for_each(|_| send(3, 200, true, false));
+        want += N;
+        settle(&mut got, want);
+        // Coalesced: half the receives posted first, then the same
+        // three kinds of traffic in 64-byte records.
+        (0..N / 2).for_each(|_| assert_eq!(recv(4), 0, "no send yet"));
+        (0..N).for_each(|_| send(4, 64, false, true));
+        (0..N).for_each(|_| send(5, 64, true, true));
+        rts[0].device().flush_coalesced().unwrap();
+        want += N / 2 + N;
+        settle(&mut got, want);
+        got += (0..N / 2).map(|_| recv(4)).sum::<usize>();
+        want += N / 2;
+        settle(&mut got, want);
+
+        let [s0, s1] = [0, 1].map(|r| rts[r].device().stats());
+        assert!(s0.coalesce_flushes > 0, "{device:?}: nothing coalesced");
+        assert_eq!(s0.completions, 0, "{device:?}: the sender handled a CQE");
+        assert_eq!(s1.completions, 3 * N as u64 + s0.coalesce_flushes, "{device:?}");
+        let deliveries = (s1.matched, s1.copied_deliveries, s1.zero_copy_deliveries);
+        let (n, half) = (N as u64, N as u64 / 2);
+        assert_eq!(
+            deliveries,
+            (n + half, 3 * n, 2 * n),
+            "{device:?}: (matched, copied, zero-copy)"
+        );
+        for (rt, s) in rts.iter().zip([s0, s1]) {
+            let posted = s.replenish_posted - s.completions;
+            assert_eq!(rt.packet_pool().outstanding() as u64, posted, "{device:?}: a slot leaked");
+        }
+    }
+}
