@@ -5,7 +5,7 @@
 //! pairs used on the communication critical path:
 //!
 //! * completion queue — push/pop pairs (paper: ~18 Mops at 128 threads,
-//!   bounded by fetch-and-add on the shared counters);
+//!   bounded by the shared head and tail counters);
 //! * matching engine — insert pairs (a send insert matched by a recv
 //!   insert; paper: ~260 Mops);
 //! * packet pool — get/put pairs (thread-local deques; paper: ~800
@@ -22,8 +22,8 @@
 
 use bench::{env_usize, print_header, print_row, quick, thread_sweep};
 use lci::{
-    Comp, CompDesc, CompQueue, CqConfig, CqImpl, MatchKind, MatchingEngine, PacketPool,
-    PacketPoolConfig, PostResult, Runtime, RuntimeConfig,
+    Comp, CompDesc, CompQueue, MatchKind, MatchingEngine, PacketPool, PacketPoolConfig, PostResult,
+    Runtime, RuntimeConfig,
 };
 use lci_fabric::Fabric;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,8 +64,8 @@ fn main() {
 
     print_header("Fig5 resource throughput", &["threads", "resource", "Mops"]);
     for &t in &sweep {
-        // Completion queue (FAA-array impl, the paper's default).
-        let cq = CompQueue::new(CqConfig { imp: CqImpl::FaaArray, capacity: 8192 });
+        // Completion queue (the bounded MPMC ring).
+        let cq = CompQueue::default();
         let mops = measure(t, per, |_, _| {
             cq.push(CompDesc::empty());
             while cq.pop().is_none() {

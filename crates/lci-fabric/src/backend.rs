@@ -9,7 +9,7 @@
 //! matching or handle unexpected messages: the LCI progress engine keeps
 //! enough receives pre-posted.
 
-use crate::buf_pool::{BufPool, BufPoolConfig, BufPoolStats};
+use crate::buf_pool::BufPoolConfig;
 use crate::fabric::Fabric;
 use crate::framed::FramedDevice;
 use crate::mem::{MemoryRegion, Rkey};
@@ -98,9 +98,9 @@ pub struct DeviceConfig {
     /// [`LockDiscipline::TryLock`] (the §4.2.2 trylock wrapper); stock
     /// library behaviour is [`LockDiscipline::Blocking`].
     pub discipline: LockDiscipline,
-    /// Recycled staging-buffer pool (see [`crate::buf_pool`]). The device
-    /// builds it and hands it to the LCI layer for its staging copies;
-    /// no wire takes from it.
+    /// Recycled staging-buffer pool (see [`crate::buf_pool`]), which the
+    /// LCI layer builds per device for its staging copies; no wire
+    /// takes from it.
     pub buf_pool: BufPoolConfig,
 }
 
@@ -308,15 +308,6 @@ pub trait NetDevice: Send + Sync {
 
     /// Registration-cache counters for this device.
     fn reg_cache_stats(&self) -> RegCacheStats;
-
-    /// The device's recycled staging-buffer pool. The LCI layer stages
-    /// its own per-operation copies (iovec gathers, parked sends,
-    /// coalesced frames, rendezvous scratch, bounce buffers) through it
-    /// so the whole data path shares one recycling domain.
-    fn buf_pool(&self) -> BufPool;
-
-    /// Buffer-pool counters.
-    fn buf_pool_stats(&self) -> BufPoolStats;
 
     /// Number of currently pre-posted receives (used by the LCI progress
     /// engine to decide when to replenish).

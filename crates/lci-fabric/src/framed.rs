@@ -17,7 +17,6 @@
 //! pending counts, counters and a final flush.
 
 use crate::backend::{DeviceConfig, NetDevice, SendDesc, TransportStats};
-use crate::buf_pool::{BufPool, BufPoolStats};
 use crate::dev_shared::{DevShared, QpLocks, CQ_DRAIN_BATCH};
 use crate::fabric::Fabric;
 use crate::mem::{MemoryRegion, Rkey};
@@ -140,9 +139,6 @@ pub(crate) struct FramedDevice<W: Wire> {
     /// Visible to the crate for the capacity test beside [`DevShared`].
     pub(crate) shared: Arc<DevShared>,
     reg_cache: RegCache,
-    /// Built for the LCI layer's staging copies; nothing here takes from
-    /// it.
-    buf_pool: BufPool,
     /// Payload bytes of the writes and reads this device accepted, by
     /// the way they went: copied straight to or from the peer's
     /// registered memory, or carried in frames.
@@ -170,7 +166,6 @@ impl<W: Wire> FramedDevice<W> {
             cfg,
             shared,
             reg_cache: RegCache::new(reg_cache::MAX_ENTRIES, reg_cache::MAX_BYTES),
-            buf_pool: BufPool::new(cfg.buf_pool),
             rma_direct_bytes: AtomicU64::new(0),
             rma_framed_bytes: AtomicU64::new(0),
         }
@@ -466,14 +461,6 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
 
     fn reg_cache_stats(&self) -> RegCacheStats {
         self.reg_cache.stats()
-    }
-
-    fn buf_pool(&self) -> BufPool {
-        self.buf_pool.clone()
-    }
-
-    fn buf_pool_stats(&self) -> BufPoolStats {
-        self.buf_pool.stats()
     }
 
     fn posted_recvs(&self) -> usize {

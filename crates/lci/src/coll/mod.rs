@@ -174,7 +174,7 @@ const SHELF_CAP: usize = 128;
 
 /// Collective-engine state, lazily created per runtime (an `i*` handle
 /// has its own) and reused so the warm path allocates nothing: a
-/// completion queue for receives (FAA-array backed, alloc-free), a send
+/// completion queue for receives (a mapped ring, alloc-free), a send
 /// handler with an in-flight counter (the pipelining window), a shelf of
 /// chunk-capacity landing boxes for folds, and the plan's storage.
 pub struct CollState {

@@ -7,13 +7,12 @@
 //! * [`Synchronizer`](sync_obj::Synchronizer) — like an MPI request, but
 //!   can accept multiple signals before becoming ready;
 //! * [`CompQueue`](queue::CompQueue) — a concurrent completion queue
-//!   (an FAA-based fixed-size array or a hand-written [`lcrq`]);
+//!   (a bounded MPMC ring of fixed size);
 //! * handler — a function invoked inline by the progress engine;
 //! * [`Graph`](graph::Graph) — a CUDA-Graph-like partial order of
 //!   operations, each started when its predecessors complete.
 
 pub mod graph;
-pub mod lcrq;
 pub mod queue;
 pub mod sync_obj;
 
@@ -43,14 +42,9 @@ impl Comp {
         Comp { inner: Arc::new(CompInner::Sync(sync_obj::Synchronizer::new(expected))) }
     }
 
-    /// Allocates a completion queue with the default implementation.
+    /// Allocates a completion queue.
     pub fn alloc_cq() -> Comp {
         Comp { inner: Arc::new(CompInner::Queue(queue::CompQueue::default())) }
-    }
-
-    /// Allocates a completion queue with an explicit configuration.
-    pub fn alloc_cq_with(cfg: queue::CqConfig) -> Comp {
-        Comp { inner: Arc::new(CompInner::Queue(queue::CompQueue::new(cfg))) }
     }
 
     /// Allocates a handler completion object.

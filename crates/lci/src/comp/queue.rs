@@ -1,24 +1,24 @@
-//! The completion-queue object (paper §4.1.4).
+//! The completion queue (paper §4.1.4).
 //!
-//! The paper's two designs:
+//! Vyukov's bounded MPMC array: a fixed ring of slots, each with a
+//! sequence number that hands it from producer to consumer. A push
+//! claims the slot at `tail`, and a pop the slot at `head`, with a CAS
+//! on that counter once the slot's number says it is free (or written)
+//! for this lap; the paper's array claims its ticket with a
+//! fetch-and-add instead. Either way throughput is bounded by how fast
+//! threads can move the shared `head` and `tail` — the limit paper
+//! Fig. 5 measures. The paper's other design, an LCRQ, is left out: an
+//! indirect single-CAS LCRQ measured about 3.5× slower than this ring
+//! (EXPERIMENTS.md).
 //!
-//! * [`CqImpl::FaaArray`] — a hand-written fetch-and-add-based fixed-size
-//!   array (a bounded MPMC ring with per-slot sequence numbers). Its
-//!   throughput is bounded by how fast threads can FAA the shared head
-//!   and tail counters — the limit paper Fig. 5 measures. Its slots are
-//!   a zero-filled anonymous mapping, so creating one touches no page
-//!   whatever the capacity (DESIGN.md §4.7).
-//! * [`CqImpl::Lcrq`] — a hand-written LCRQ (Morrison & Afek): a linked
-//!   list of closable circular rings; see [`crate::comp::lcrq`] for the
-//!   indirect-slot adaptation to 64-bit CAS.
+//! The slots are a zero-filled anonymous mapping, so creating a queue
+//! touches no page whatever its capacity (DESIGN.md §4.7).
 //!
-//! crossbeam's segmented queue is not a third: in this tree it is a
-//! spin-locked `VecDeque` (`shims/crossbeam`), and it stays only for
-//! `lcw`'s GASNet-baseline inbox.
-//!
-//! On a full FAA-array queue, `push` *spins*: LCI sizes completion queues
-//! so overflow is a deployment error, and a spin preserves the no-loss
-//! contract (completions must never be dropped).
+//! A push on a full queue *spins* until a consumer pops: completions are
+//! never dropped, and LCI sizes the queue (`CAPACITY` slots) so that
+//! overflow is a deployment error. A thread that is a queue's only
+//! consumer must therefore not fill it: its next push would spin
+//! forever.
 
 use crate::types::CompDesc;
 use lci_fabric::shm::os::Mapping;
@@ -26,55 +26,32 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Completion-queue implementation selector.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CqImpl {
-    /// Bounded FAA-based array of the given capacity (rounded up to a
-    /// power of two).
-    FaaArray,
-    /// Hand-written LCRQ (linked list of closable circular rings).
-    Lcrq,
-}
+/// Slots of every completion queue.
+const CAPACITY: usize = 65536;
 
-/// Completion-queue configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct CqConfig {
-    /// Which implementation backs the queue.
-    pub imp: CqImpl,
-    /// Capacity for the bounded implementation.
-    pub capacity: usize,
-}
-
-impl Default for CqConfig {
-    fn default() -> Self {
-        Self { imp: CqImpl::FaaArray, capacity: 65536 }
-    }
-}
-
-/// One slot of the FAA array: a sequence number gates writer/reader
-/// handoff (Vyukov-style bounded MPMC). The number is kept *relative to
-/// the slot's own index* — Vyukov's `seq - index` — so a slot that was
-/// never used reads `0` and all-zero memory is a valid empty queue:
-/// for the position `pos` that maps to this slot, `lap == pos & !mask`
-/// means free for the producer of `pos`, `+ 1` means written, and the
-/// consumer leaves the next lap's `pos & !mask` behind.
+/// One slot: a sequence number gates writer/reader handoff. The number
+/// is kept *relative to the slot's own index* — Vyukov's `seq - index` —
+/// so a slot that was never used reads `0` and all-zero memory is a
+/// valid empty queue: for the position `pos` that maps to this slot,
+/// `lap == pos & !mask` means free for the producer of `pos`, `+ 1`
+/// means written, and the consumer leaves the next lap's `pos & !mask`
+/// behind.
 struct Slot {
     lap: AtomicUsize,
     /// Initialized exactly while `lap` says "written".
     value: UnsafeCell<MaybeUninit<CompDesc>>,
 }
 
-/// The FAA-based fixed-size array queue.
+/// A concurrent completion queue.
 ///
 /// The slots live in a zero-filled anonymous mapping, not on the heap,
-/// so that creating a queue touches no page of them (the default
-/// capacity is 5.5 MiB of slots). Slots the constructor had to write
-/// cost a page fault each or nothing, depending on what the allocator
-/// recycled or trimmed since the last queue was dropped, and a program
-/// that builds a runtime per iteration runs 30 % faster or slower on
-/// that alone (DESIGN.md §4.7). A page is faulted in when a completion
-/// first reaches it.
-struct FaaArrayQueue {
+/// so that creating a queue touches no page of them (5.5 MiB of slots).
+/// Slots the constructor had to write cost a page fault each or nothing,
+/// depending on what the allocator recycled or trimmed since the last
+/// queue was dropped, and a program that builds a runtime per iteration
+/// runs 30 % faster or slower on that alone (DESIGN.md §4.7). A page is
+/// faulted in when a completion first reaches it.
+pub struct CompQueue {
     map: Mapping,
     mask: usize,
     head: AtomicUsize,
@@ -82,12 +59,13 @@ struct FaaArrayQueue {
 }
 
 // SAFETY: slot values are accessed only by the thread holding the
-// matching sequence ticket (enqueue/dequeue protocol below).
-unsafe impl Send for FaaArrayQueue {}
-unsafe impl Sync for FaaArrayQueue {}
+// matching sequence ticket (push/pop protocol below).
+unsafe impl Send for CompQueue {}
+unsafe impl Sync for CompQueue {}
 
-impl FaaArrayQueue {
-    fn new(capacity: usize) -> Self {
+impl CompQueue {
+    /// A queue of `capacity` slots, rounded up to a power of two.
+    fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         let map = Mapping::anonymous(cap * std::mem::size_of::<Slot>())
             .expect("map the completion queue's slots");
@@ -102,7 +80,9 @@ impl FaaArrayQueue {
         unsafe { &*self.map.ptr().cast::<Slot>().add(pos & self.mask) }
     }
 
-    fn push(&self, desc: CompDesc) {
+    /// Enqueues a completion descriptor, spinning while the queue is
+    /// full (never loses it).
+    pub fn push(&self, desc: CompDesc) {
         loop {
             let pos = self.tail.load(Ordering::Relaxed);
             let slot = self.slot(pos);
@@ -133,7 +113,8 @@ impl FaaArrayQueue {
         }
     }
 
-    fn pop(&self) -> Option<CompDesc> {
+    /// Dequeues a descriptor if one is available.
+    pub fn pop(&self) -> Option<CompDesc> {
         loop {
             let pos = self.head.load(Ordering::Relaxed);
             let slot = self.slot(pos);
@@ -159,62 +140,11 @@ impl FaaArrayQueue {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Approximate number of queued descriptors.
+    pub fn len(&self) -> usize {
         let t = self.tail.load(Ordering::Acquire);
         let h = self.head.load(Ordering::Acquire);
         t.saturating_sub(h)
-    }
-}
-
-impl Drop for FaaArrayQueue {
-    /// The mapping frees no descriptor: take out what is still queued.
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
-
-enum Inner {
-    Faa(FaaArrayQueue),
-    Lcrq(crate::comp::lcrq::Lcrq),
-}
-
-/// A concurrent completion queue.
-pub struct CompQueue {
-    inner: Inner,
-}
-
-impl CompQueue {
-    /// Creates a queue with `cfg`.
-    pub fn new(cfg: CqConfig) -> Self {
-        let inner = match cfg.imp {
-            CqImpl::FaaArray => Inner::Faa(FaaArrayQueue::new(cfg.capacity)),
-            CqImpl::Lcrq => Inner::Lcrq(crate::comp::lcrq::Lcrq::new()),
-        };
-        Self { inner }
-    }
-
-    /// Enqueues a completion descriptor (never loses it).
-    pub fn push(&self, desc: CompDesc) {
-        match &self.inner {
-            Inner::Faa(q) => q.push(desc),
-            Inner::Lcrq(q) => q.push(desc),
-        }
-    }
-
-    /// Dequeues a descriptor if one is available.
-    pub fn pop(&self) -> Option<CompDesc> {
-        match &self.inner {
-            Inner::Faa(q) => q.pop(),
-            Inner::Lcrq(q) => q.pop(),
-        }
-    }
-
-    /// Approximate number of queued descriptors.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Faa(q) => q.len(),
-            Inner::Lcrq(q) => q.len(),
-        }
     }
 
     /// Whether the queue appears empty.
@@ -225,17 +155,20 @@ impl CompQueue {
 
 impl Default for CompQueue {
     fn default() -> Self {
-        Self::new(CqConfig::default())
+        Self::with_capacity(CAPACITY)
+    }
+}
+
+impl Drop for CompQueue {
+    /// The mapping frees no descriptor: take out what is still queued.
+    fn drop(&mut self) {
+        while self.pop().is_some() {}
     }
 }
 
 impl std::fmt::Debug for CompQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let imp = match &self.inner {
-            Inner::Faa(_) => "FaaArray",
-            Inner::Lcrq(_) => "Lcrq",
-        };
-        f.debug_struct("CompQueue").field("imp", &imp).field("len", &self.len()).finish()
+        f.debug_struct("CompQueue").field("len", &self.len()).finish()
     }
 }
 
@@ -243,34 +176,29 @@ impl std::fmt::Debug for CompQueue {
 mod tests {
     use super::*;
     use crate::types::CompKind;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     fn desc(tag: u32) -> CompDesc {
         CompDesc { tag, kind: CompKind::Am, ..Default::default() }
     }
 
-    fn cfg(imp: CqImpl) -> CqConfig {
-        CqConfig { imp, capacity: 256 }
-    }
-
     #[test]
-    fn fifo_single_thread_both_impls() {
-        for imp in [CqImpl::FaaArray, CqImpl::Lcrq] {
-            let q = CompQueue::new(cfg(imp));
-            assert!(q.pop().is_none());
-            for i in 0..100 {
-                q.push(desc(i));
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop().unwrap().tag, i, "{imp:?}");
-            }
-            assert!(q.pop().is_none());
+    fn fifo_single_thread() {
+        let q = CompQueue::with_capacity(256);
+        assert!(q.pop().is_none());
+        for i in 0..100 {
+            q.push(desc(i));
         }
+        for i in 0..100 {
+            assert_eq!(q.pop().unwrap().tag, i);
+        }
+        assert!(q.pop().is_none());
     }
 
     #[test]
-    fn wraparound_faa() {
-        let q = CompQueue::new(CqConfig { imp: CqImpl::FaaArray, capacity: 8 });
+    fn wraparound() {
+        let q = CompQueue::with_capacity(8);
         for round in 0..10u32 {
             for i in 0..8 {
                 q.push(desc(round * 8 + i));
@@ -281,13 +209,48 @@ mod tests {
         }
     }
 
+    /// A push on a full ring neither drops its descriptor nor overwrites
+    /// a queued one: it waits until a pop frees the slot it needs, and
+    /// the queue stays FIFO. The queue is leaked, so that a ring an
+    /// overwrite corrupted fails the assertion instead of hanging in
+    /// `Drop`.
+    #[test]
+    fn a_push_on_a_full_queue_waits_for_a_pop() {
+        let q: &'static CompQueue = Box::leak(Box::new(CompQueue::with_capacity(2)));
+        q.push(desc(0));
+        q.push(desc(1));
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let pushed = Arc::new(AtomicBool::new(false));
+        let pusher = {
+            let (started, pushed) = (started.clone(), pushed.clone());
+            std::thread::spawn(move || {
+                started.wait();
+                q.push(desc(2));
+                pushed.store(true, Ordering::Release);
+            })
+        };
+        started.wait();
+        // The push has begun; while nothing is popped it cannot return.
+        for _ in 0..50 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            assert!(!pushed.load(Ordering::Acquire), "a push on a full queue returned");
+            assert_eq!(q.len(), 2);
+        }
+        assert_eq!(q.pop().unwrap().tag, 0);
+        pusher.join().unwrap();
+        assert!(pushed.load(Ordering::Acquire));
+        assert_eq!(q.pop().unwrap().tag, 1);
+        assert_eq!(q.pop().unwrap().tag, 2);
+        assert!(q.pop().is_none());
+    }
+
     /// The slots are a mapping, which runs no destructor: the queue's
     /// `Drop` has to, for what is still queued.
     #[test]
-    fn dropping_a_faa_queue_drops_what_is_queued() {
+    fn dropping_a_queue_drops_what_is_queued() {
         use crate::types::DataBuf;
         let pool = lci_fabric::BufPool::new(Default::default());
-        let q = CompQueue::new(CqConfig { imp: CqImpl::FaaArray, capacity: 8 });
+        let q = CompQueue::with_capacity(8);
         // Past one lap, so the queued slots are not the first ones.
         for i in 0..11 {
             q.push(desc(i));
@@ -304,45 +267,43 @@ mod tests {
 
     #[test]
     fn mpmc_stress_no_loss() {
-        for imp in [CqImpl::FaaArray, CqImpl::Lcrq] {
-            let q = Arc::new(CompQueue::new(CqConfig { imp, capacity: 1024 }));
-            let producers: u32 = 3;
-            let per: u32 = 5_000;
-            let consumed = Arc::new(AtomicUsize::new(0));
-            let sum = Arc::new(AtomicUsize::new(0));
-            let mut handles = Vec::new();
-            for p in 0..producers {
-                let q = q.clone();
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..per {
-                        q.push(desc(p * per + i));
-                    }
-                }));
-            }
-            for _ in 0..2 {
-                let q = q.clone();
-                let consumed = consumed.clone();
-                let sum = sum.clone();
-                let total = (producers * per) as usize;
-                handles.push(std::thread::spawn(move || {
-                    while consumed.load(Ordering::Relaxed) < total {
-                        if let Some(d) = q.pop() {
-                            consumed.fetch_add(1, Ordering::Relaxed);
-                            sum.fetch_add(d.tag as usize, Ordering::Relaxed);
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            let total = (producers * per) as usize;
-            assert_eq!(consumed.load(Ordering::Relaxed), total, "{imp:?}");
-            let expect: usize = (0..producers * per).map(|x| x as usize).sum();
-            assert_eq!(sum.load(Ordering::Relaxed), expect, "{imp:?}");
+        let q = Arc::new(CompQueue::with_capacity(1024));
+        let producers: u32 = 3;
+        let per: u32 = 5_000;
+        let consumed = Arc::new(AtomicUsize::new(0));
+        let sum = Arc::new(AtomicUsize::new(0));
+        let mut handles = Vec::new();
+        for p in 0..producers {
+            let q = q.clone();
+            handles.push(std::thread::spawn(move || {
+                for i in 0..per {
+                    q.push(desc(p * per + i));
+                }
+            }));
         }
+        for _ in 0..2 {
+            let q = q.clone();
+            let consumed = consumed.clone();
+            let sum = sum.clone();
+            let total = (producers * per) as usize;
+            handles.push(std::thread::spawn(move || {
+                while consumed.load(Ordering::Relaxed) < total {
+                    if let Some(d) = q.pop() {
+                        consumed.fetch_add(1, Ordering::Relaxed);
+                        sum.fetch_add(d.tag as usize, Ordering::Relaxed);
+                    } else {
+                        std::hint::spin_loop();
+                    }
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let total = (producers * per) as usize;
+        assert_eq!(consumed.load(Ordering::Relaxed), total);
+        let expect: usize = (0..producers * per).map(|x| x as usize).sum();
+        assert_eq!(sum.load(Ordering::Relaxed), expect);
     }
 
     #[test]

@@ -110,9 +110,9 @@ pub(crate) struct DeviceInner {
     rdv_sends: ShardedSlab<rdv::RdvSend>,
     /// Rendezvous receives, each from its RTR to its FIN.
     rdv_recvs: ShardedSlab<rdv::RdvRecv>,
-    /// Recycled staging-buffer pool the fabric device builds for this
-    /// layer (iovec gathers, rendezvous chunks' included, parked sends,
-    /// coalesced frames, bounce buffers).
+    /// Recycled staging-buffer pool (iovec gathers, rendezvous chunks'
+    /// included, parked sends, coalesced frames, bounce buffers); no
+    /// fabric code takes from it.
     buf_pool: BufPool,
     /// Per-operation contexts, from post to local completion.
     ops: ShardedSlab<OpCtx>,
@@ -218,9 +218,8 @@ impl Device {
 
     /// [`create`](Self::create) over a given fabric device.
     fn create_on(rt: Arc<RuntimeInner>, net: Arc<dyn NetDevice>) -> Result<Device> {
-        // Share the fabric device's pool so the whole data path recycles
-        // through one set of shelves.
-        let buf_pool = net.buf_pool();
+        // Striped per core by `Runtime::new` (`device.buf_pool.stripes`).
+        let buf_pool = BufPool::new(rt.config.device.buf_pool);
         let coalescer = Coalescer::new(rt.config.coalesce, rt.fabric.nranks(), buf_pool.clone());
         let stat_stripes = rt.config.placement.stripes();
         let dev = Device {
@@ -271,8 +270,8 @@ impl Device {
         }
     }
 
-    /// The device's recycled staging-buffer pool (shared with the
-    /// fabric device) — for per-stripe diagnostics and placement tests.
+    /// The device's recycled staging-buffer pool — for per-stripe
+    /// diagnostics and placement tests.
     pub fn buf_pool(&self) -> &BufPool {
         &self.inner.buf_pool
     }
@@ -719,7 +718,7 @@ fn net_fatal(e: NetError) -> FatalError {
 mod tests {
     use super::*;
     use crate::{Fabric, Runtime, RuntimeConfig};
-    use lci_fabric::{BufPoolStats, DeviceConfig, RegCacheStats, TransportStats};
+    use lci_fabric::{DeviceConfig, RegCacheStats, TransportStats};
     use std::sync::atomic::Ordering;
 
     /// An ofi device whose receive posts take, before the device's own
@@ -800,12 +799,6 @@ mod tests {
         }
         fn reg_cache_stats(&self) -> RegCacheStats {
             self.net.reg_cache_stats()
-        }
-        fn buf_pool(&self) -> BufPool {
-            self.net.buf_pool()
-        }
-        fn buf_pool_stats(&self) -> BufPoolStats {
-            self.net.buf_pool_stats()
         }
         fn posted_recvs(&self) -> usize {
             self.net.posted_recvs()

@@ -81,7 +81,7 @@ impl Device {
         let coal = &self.inner.coalescer;
         let coalescable = coal.enabled()
             && args.allow_coalescing
-            && size <= cfg.eager_size
+            && size <= cfg.packet.payload_size
             && coal.eligible(size);
         if coal.enabled() && !coalescable {
             // A non-coalesced message must not overtake sub-messages
@@ -91,7 +91,7 @@ impl Device {
             coal.take_with(args.rank, target_dev, |frame| self.post_frame(frame))?;
         }
 
-        if size > cfg.eager_size {
+        if size > cfg.packet.payload_size {
             return self.post_rendezvous(args, buf, target_dev);
         }
 

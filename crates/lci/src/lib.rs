@@ -98,7 +98,7 @@ mod wait;
 pub use coalesce::CoalesceConfig;
 pub use coll::{MaxF32, ReduceOp, SumF32, SumU64};
 pub use comp::graph::{Graph, GraphBuilder, NodeId, NodeOp};
-pub use comp::queue::{CompQueue, CqConfig, CqImpl};
+pub use comp::queue::CompQueue;
 pub use comp::sync_obj::Synchronizer;
 pub use comp::Comp;
 pub use device::{Device, DeviceAttr};

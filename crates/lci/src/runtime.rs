@@ -66,13 +66,11 @@ pub struct RuntimeConfig {
     /// Fabric device configuration (backend, lock discipline,
     /// thread-domain strategy).
     pub device: DeviceConfig,
-    /// Packet pool sizing.
+    /// Packet pool sizing. Messages up to `packet.payload_size` are
+    /// eager: the wire copies them out inside the post, which returns
+    /// `Done`, and they land in packets. Larger ones use zero-copy
+    /// rendezvous.
     pub packet: PacketPoolConfig,
-    /// Messages up to this size are eager: the wire copies them out
-    /// inside the post, which returns `Done`. Larger ones use zero-copy
-    /// rendezvous. Must be at most the packet payload size (incoming
-    /// eager messages land in packets).
-    pub eager_size: usize,
     /// Pre-posted receive target per device. The receives are restocked
     /// when their count falls to half of it (hysteresis), back to the
     /// target with one batched posting call.
@@ -95,11 +93,9 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        let packet = PacketPoolConfig::default();
         Self {
             device: DeviceConfig::default(),
-            eager_size: packet.payload_size,
-            packet,
+            packet: PacketPoolConfig::default(),
             prepost: 64,
             matching: MatchingConfig::default(),
             coalesce: CoalesceConfig::default(),
@@ -151,7 +147,6 @@ impl RuntimeConfig {
     pub fn small() -> Self {
         Self {
             packet: PacketPoolConfig { payload_size: 4096, count: 256 },
-            eager_size: 4096,
             prepost: 32,
             matching: MatchingConfig { buckets: 512 },
             ..Self::default()
@@ -195,11 +190,6 @@ impl Runtime {
     /// the default device (device 0 when this is the rank's first
     /// runtime).
     pub fn new(fabric: Arc<Fabric>, rank: Rank, config: RuntimeConfig) -> Result<Runtime> {
-        if config.eager_size > config.packet.payload_size {
-            return Err(FatalError::InvalidArg(
-                "eager_size must not exceed packet payload size".into(),
-            ));
-        }
         if config.coalesce.enabled {
             if config.coalesce.max_bytes > config.packet.payload_size {
                 return Err(FatalError::InvalidArg(

@@ -648,7 +648,7 @@ proptest! {
     /// a send and written by a landing within a call: `n ∈ {2, 3, 5}`,
     /// a chunk smaller than a ring block and not dividing it (a short
     /// last chunk per block), fewer elements than ranks (empty blocks);
-    /// pieces under `eager_size` (an eager copy into a lent landing,
+    /// pieces under the eager limit (an eager copy into a lent landing,
     /// inline at 24 B) and over it (a rendezvous written into one, by
     /// the sender's thread on the sims); each case alone and with a
     /// sibling thread per rank delivering and pumping.
@@ -667,8 +667,8 @@ proptest! {
             // Blocks straddling 1.5 chunks, unequal across ranks.
             _ => n * (chunk_elems + chunk_elems / 2) + n - 1,
         };
-        // Bruck blocks and the broadcast on the same side of
-        // `eager_size` (4 KiB in the small config) as the chunk.
+        // Bruck blocks and the broadcast on the same side of the eager
+        // limit (4 KiB packets in the small config) as the chunk.
         let block = chunk + 11;
         let bcast = 3 * chunk + 5;
         for sibling in [false, true] {

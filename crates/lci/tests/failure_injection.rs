@@ -13,7 +13,6 @@ fn starved() -> RuntimeConfig {
     RuntimeConfig {
         device: DeviceConfig::ibv(),
         packet: lci::PacketPoolConfig { payload_size: 256, count: 8 },
-        eager_size: 256,
         prepost: 4,
         matching: lci::MatchingConfig { buckets: 4 },
         ..RuntimeConfig::default()
@@ -250,7 +249,7 @@ fn rendezvous_under_starvation() {
     fabric.oob_barrier();
     let comps: Vec<Comp> = (0..N).map(|_| Comp::alloc_sync(1)).collect();
     for (i, comp) in comps.iter().enumerate() {
-        // 4000 B > eager_size (256): always rendezvous.
+        // 4000 B > the packet payload size (256): always rendezvous.
         let send = rt.post_send_x(1, vec![i as u8; 4000], i as u32, comp.clone()).no_retry();
         assert!(send.call().unwrap().is_posted(), "rendezvous is never done immediately");
     }

@@ -845,7 +845,7 @@ fn put_and_get_from_a_second_device_reach_a_one_device_rank() {
 }
 
 /// Every eager send is done at the post: on every backend, for every
-/// size class up to `eager_size` and every shape a send buffer has
+/// size class up to the packet payload size and every shape a send buffer has
 /// (owned, inline, iovec), `post_send` returns `Done` carrying the very
 /// buffer that was posted — same storage, not a copy — the bytes arrive,
 /// and neither the completion object nor the sender's progress ever
@@ -869,7 +869,7 @@ fn eager_sends_are_done_at_the_post_with_the_buffer_posted() {
         let cfg = RuntimeConfig::small().with_device(backend);
         let src = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
         let dst = Runtime::new(fabric, 1, cfg).unwrap();
-        let eager = src.config().eager_size;
+        let eager = src.config().packet.payload_size;
         let (scq, rcq) = (Comp::alloc_cq(), Comp::alloc_cq());
         // Each power of two with its neighbours: both sides of the
         // inline cap, the wire's inline limit and every pool class.
@@ -944,7 +944,7 @@ fn eager_sends_are_done_at_the_post_with_the_buffer_posted() {
 fn wait_until_progresses_a_second_device() {
     const LEN: usize = 64 << 10;
     with_ranks(2, RuntimeConfig::small(), |rank, rt| {
-        assert!(LEN > rt.config().eager_size);
+        assert!(LEN > rt.config().packet.payload_size);
         let second = rt.alloc_device().unwrap();
         rt.oob_barrier(); // both ranks have device 1
         let comp = Comp::alloc_sync(1);

@@ -5,8 +5,8 @@
 //! in `proto.rs` and `matching.rs`.)
 
 use lci::{
-    Comp, CompDesc, CompQueue, CqConfig, CqImpl, MatchKind, MatchingConfig, MatchingEngine,
-    PacketPool, PacketPoolConfig, PostResult, Runtime, RuntimeConfig,
+    Comp, CompDesc, CompQueue, MatchKind, MatchingConfig, MatchingEngine, PacketPool,
+    PacketPoolConfig, PostResult, Runtime, RuntimeConfig,
 };
 use lci_fabric::Fabric;
 use proptest::prelude::*;
@@ -41,12 +41,10 @@ proptest! {
         prop_assert_eq!(engine.len(), model_len);
     }
 
-    /// Completion queues are FIFO for a single producer/consumer, for
-    /// both implementations.
+    /// The completion queue is FIFO for a single producer/consumer.
     #[test]
-    fn comp_queue_fifo(tags in proptest::collection::vec(any::<u32>(), 1..200), lcrq in any::<bool>()) {
-        let imp = if lcrq { CqImpl::Lcrq } else { CqImpl::FaaArray };
-        let q = CompQueue::new(CqConfig { imp, capacity: 256 });
+    fn comp_queue_fifo(tags in proptest::collection::vec(any::<u32>(), 1..200)) {
+        let q = CompQueue::default();
         for &t in &tags {
             q.push(CompDesc { tag: t, ..Default::default() });
         }

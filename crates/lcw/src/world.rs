@@ -61,7 +61,6 @@ impl World {
                         payload_size: EAGER_SIZE,
                         count: POOL_PACKETS.max(nthreads * 96),
                     },
-                    eager_size: EAGER_SIZE,
                     prepost: 64,
                     matching: lci::MatchingConfig { buckets: MATCHING_BUCKETS },
                     coalesce,

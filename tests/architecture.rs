@@ -49,6 +49,15 @@ const REMOVED_KNOBS: &[&str] = &[
     "max_sub_size",
     "SharedPacket",
     "ring_doorbell",
+    // One completion queue (the bounded ring); lci builds its own staging
+    // pool. `eager_size` is not listed: the eager limit is the packet
+    // payload size, but `lci-baselines` carries a setting of that name.
+    "CqImpl",
+    "CqConfig",
+    "alloc_cq_with",
+    "Lcrq",
+    "buf_pool_stats",
+    "fn buf_pool(&self) -> BufPool",
 ];
 
 /// The removed progress modes, their engine threads and blocking waits,
@@ -278,6 +287,7 @@ fn removed_knobs_guard_catches_a_plant() {
     let g = removed_knobs_stay_removed;
     catches(g, "crates/lci/src/planted.rs", "pub fn with_rx_capacity() {}\n");
     catches(g, "crates/lci-fabric/src/planted.rs", "struct CtxPool;\n");
+    catches(g, "crates/lci/src/comp/planted.rs", "enum CqImpl {}\n");
     catches(g, "examples/planted.rs", "let m = ProgressMode::Thread;\n");
     catches(g, "crates/lci-fabric/src/planted.rs", "enum InPayload {}\n");
     catches(g, "crates/lci/src/coll/planted.rs", "fn post_windowed() {}\n");
