@@ -32,8 +32,8 @@ use std::sync::Arc;
 /// wires under the ibv layout.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Fine-grained locks: per-QP, per-CQ, per-SRQ spinlocks with
-    /// configurable thread-domain strategies.
+    /// Fine-grained locks: per-QP, per-CQ, per-SRQ spinlocks (one
+    /// thread domain per queue pair).
     Ibv,
     /// Coarse endpoint lock: one spinlock serializes send posts, receive
     /// posts and polls (it wraps the same CQ and SRQ the other backends
@@ -69,31 +69,11 @@ impl BackendKind {
 #[cfg(unix)]
 const _: () = assert!(BackendKind::Tcp.max_write() == crate::tcp::stream::MAX_FRAME_PAYLOAD);
 
-/// How queue pairs share posting locks under the ibv lock layout — the
-/// `ibv_td_strategy` device attribute of paper §4.2.3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TdStrategy {
-    /// One thread domain (lock) per queue pair: threads posting to
-    /// different targets never interfere. The default.
-    PerQp,
-    /// A single thread domain for all queue pairs of the device;
-    /// recommended when each thread owns a dedicated device.
-    AllQp,
-    /// No thread domains: the provider falls back to one *blocking* lock
-    /// shared by all queue pairs (LCI cannot trylock-wrap a lock it does
-    /// not control).
-    None,
-}
-
 /// Device creation parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DeviceConfig {
     /// Provider selection.
     pub backend: BackendKind,
-    /// Thread-domain strategy. An attribute of the ibv lock layout, which
-    /// `ibv`, `shm` and `tcp` devices post under; an `ofi` device has one
-    /// endpoint lock and ignores it.
-    pub td_strategy: TdStrategy,
     /// Lock acquisition discipline for wrapped locks: LCI uses
     /// [`LockDiscipline::TryLock`] (the §4.2.2 trylock wrapper); stock
     /// library behaviour is [`LockDiscipline::Blocking`].
@@ -108,7 +88,6 @@ impl Default for DeviceConfig {
     fn default() -> Self {
         Self {
             backend: BackendKind::Ibv,
-            td_strategy: TdStrategy::PerQp,
             discipline: LockDiscipline::TryLock,
             buf_pool: BufPoolConfig::default(),
         }
@@ -141,12 +120,6 @@ impl DeviceConfig {
     /// Sets the lock discipline.
     pub fn with_discipline(mut self, d: LockDiscipline) -> Self {
         self.discipline = d;
-        self
-    }
-
-    /// Sets the thread-domain strategy.
-    pub fn with_td_strategy(mut self, s: TdStrategy) -> Self {
-        self.td_strategy = s;
         self
     }
 }

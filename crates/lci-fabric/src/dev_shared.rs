@@ -3,11 +3,10 @@
 //! providers differ) and the completion and receive state
 //! ([`DevShared`]). The device core ([`crate::framed`]) sits on them.
 
-use crate::backend::{deliver_bytes, BackendKind, DeviceConfig, TdStrategy};
+use crate::backend::{deliver_bytes, BackendKind, DeviceConfig};
 use crate::shm::ring::FrameHeader;
-use crate::sync::{Doorbell, LockDiscipline, SpinGuard, SpinLock};
+use crate::sync::{Doorbell, LockDiscipline, MpmcRing, SpinGuard, SpinLock};
 use crate::types::{Cqe, DevId, NetError, NetResult, Rank, RecvBufDesc, RetryReason, WireMsgKind};
-use crossbeam::queue::ArrayQueue;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -20,10 +19,8 @@ use std::sync::Arc;
 ///
 /// | layout | post to another target | `post_recv` | `poll_cq` |
 /// |---|---|---|---|
-/// | ibv `PerQp` | proceeds | proceeds | proceeds |
-/// | ibv `AllQp` | excluded | proceeds | proceeds |
-/// | ibv `None` | excluded, always blocking | proceeds | proceeds |
-/// | ofi, whatever `TdStrategy` | excluded | excluded | excluded |
+/// | ibv | proceeds | proceeds | proceeds |
+/// | ofi | excluded | excluded | excluded |
 ///
 /// **ibv** (paper §4.2.3, the libibverbs/mlx5 structure; shm and tcp
 /// post under it too): every queue pair — one per target rank — has its
@@ -31,13 +28,11 @@ use std::sync::Arc;
 /// `ibv_poll_cq`, and so has the shared receive queue (both in
 /// [`DevShared`]). Pollers contend with each other, *not* with posters:
 /// the NIC writes CQEs by DMA, modelled as the lock-free staging ring.
-/// The `ibv_td_strategy` attribute ([`TdStrategy`]) controls QP lock
-/// sharing: `PerQp` gives every QP its own trylock-wrapped lock, `AllQp`
-/// shares one trylock-wrapped lock across all QPs, `None` shares one
-/// lock that is always acquired *blockingly*. With `PerQp`, a worker
-/// thread posting a send and a progress thread polling the CQ touch
-/// disjoint locks — the contention-free guarantee the paper highlights
-/// for AMT-style runtimes.
+/// Every QP's lock is its own and trylock-wrapped (the paper's
+/// per-QP thread domains), so a worker thread posting a send and a
+/// progress thread polling the CQ touch disjoint locks — the
+/// contention-free guarantee the paper highlights for AMT-style
+/// runtimes.
 ///
 /// **ofi** (paper §4.2.4, the libfabric cxi/verbs provider structure):
 /// **one spinlock per endpoint** guards `post_send`, `post_recv` *and*
@@ -54,11 +49,9 @@ use std::sync::Arc;
 /// uncontended) locks are still taken — the measured price of one device
 /// body (DESIGN.md §1).
 pub(crate) struct QpLocks {
-    /// One entry per target rank; entries alias the same lock under
-    /// `AllQp`, `None` and the ofi layout.
+    /// One entry per target rank; entries alias the same lock under the
+    /// ofi layout.
     locks: Vec<Arc<SpinLock<()>>>,
-    /// Under `TdStrategy::None` the lock is the provider's own, which
-    /// LCI cannot trylock-wrap: blocking whatever the device discipline.
     discipline: LockDiscipline,
     /// The ofi layout: the one lock every entry of `locks` aliases also
     /// covers receive posts and polls.
@@ -66,28 +59,18 @@ pub(crate) struct QpLocks {
 }
 
 impl QpLocks {
-    /// The layout `cfg.backend` calls for. The thread-domain strategy is
-    /// an ibv attribute: an ofi endpoint has one lock and nothing to
-    /// choose.
+    /// The layout `cfg.backend` calls for.
     pub(crate) fn new(cfg: &DeviceConfig, nranks: usize) -> QpLocks {
-        let (td, ofi) = (cfg.td_strategy, cfg.backend == BackendKind::Ofi);
         let fresh = || Arc::new(SpinLock::new(()));
-        let one = (ofi || td != TdStrategy::PerQp).then(fresh);
-        let blocking = td == TdStrategy::None && !ofi;
+        let endpoint = (cfg.backend == BackendKind::Ofi).then(fresh);
         QpLocks {
-            locks: (0..nranks).map(|_| one.clone().unwrap_or_else(fresh)).collect(),
-            discipline: if blocking { LockDiscipline::Blocking } else { cfg.discipline },
-            endpoint: one.filter(|_| ofi),
+            locks: (0..nranks).map(|_| endpoint.clone().unwrap_or_else(fresh)).collect(),
+            discipline: cfg.discipline,
+            endpoint,
         }
     }
 
-    /// The effective discipline: what a post that takes further locks
-    /// along its way (the wire's sender) acquires them with.
-    pub(crate) fn discipline(&self) -> LockDiscipline {
-        self.discipline
-    }
-
-    /// Acquires the QP lock for `target` per the effective discipline.
+    /// Acquires the QP lock for `target` per the device's discipline.
     #[inline]
     pub(crate) fn lock(&self, target: Rank) -> NetResult<SpinGuard<'_, ()>> {
         let lock = self
@@ -99,8 +82,8 @@ impl QpLocks {
 
     /// What `post_recv*` and `poll_cq` take before anything else: the
     /// endpoint lock under the ofi layout, per the device's discipline;
-    /// nothing under the ibv layouts, where the SRQ and the CQ have
-    /// locks of their own.
+    /// nothing under the ibv layout, where the SRQ and the CQ have locks
+    /// of their own.
     #[inline]
     pub(crate) fn lock_endpoint(&self) -> NetResult<Option<SpinGuard<'_, ()>>> {
         let Some(lock) = &self.endpoint else { return Ok(None) };
@@ -126,7 +109,7 @@ pub(crate) struct DevShared {
     /// allocating on the post path. A full ring bounds the number of
     /// unpolled local completions (send-queue depth) and surfaces as
     /// `Retry(QueueFull)`.
-    cq_staging: ArrayQueue<Cqe>,
+    cq_staging: MpmcRing<Cqe>,
     /// The polled CQ; its lock models the `ibv_poll_cq` spinlock.
     cq: SpinLock<VecDeque<Cqe>>,
     /// What [`NetDevice::doorbell`](crate::backend::NetDevice::doorbell)
@@ -156,7 +139,7 @@ impl DevShared {
         let warm = 2 * CQ_DRAIN_BATCH;
         DevShared {
             dev_id,
-            cq_staging: ArrayQueue::new(CQ_STAGING),
+            cq_staging: MpmcRing::new(CQ_STAGING),
             cq: SpinLock::new(VecDeque::with_capacity(warm)),
             bell: Arc::new(Doorbell::new()),
             closed: AtomicBool::new(false),
@@ -195,7 +178,7 @@ impl DevShared {
     /// `RecvDone`s) are polled in the order it staged them even when the
     /// ring fills halfway through.
     pub(crate) fn stage_cqe(&self, cqe: Cqe) {
-        if let Err(cqe) = self.cq_staging.push(cqe) {
+        if let Err(cqe) = self.cq_staging.try_push(cqe) {
             let mut cq = self.cq.lock();
             self.collect_staged(&mut cq);
             cq.push_back(cqe);
@@ -312,22 +295,15 @@ mod tests {
     /// posting lock toward rank 0 held (a post in flight on another
     /// thread), what a post toward rank 1, a receive post and a poll find
     /// under the trylock discipline — and that all of them proceed once
-    /// it is released. Under `TdStrategy::None` the other post is not
-    /// tried: the lock is the provider's own, acquired blockingly
-    /// whatever the device asked for, so it would wait here for ever.
-    /// Rank 1 posts its receives first, so a post that gets through
-    /// lands.
+    /// it is released. Rank 1 posts its receives first, so a post that
+    /// gets through lands.
     #[test]
     fn a_held_posting_lock_excludes_what_its_layout_says() {
         let layouts = [
             // (device, other post excluded, post_recv and poll_cq excluded)
-            (DeviceConfig::ibv().with_td_strategy(TdStrategy::PerQp), Some(false), false),
-            (DeviceConfig::ibv().with_td_strategy(TdStrategy::AllQp), Some(true), false),
-            (DeviceConfig::shm().with_td_strategy(TdStrategy::AllQp), Some(true), false),
-            (DeviceConfig::ibv().with_td_strategy(TdStrategy::None), None, false),
-            (DeviceConfig::ofi(), Some(true), true),
-            // The endpoint lock is LCI's to wrap: `None` does not reach it.
-            (DeviceConfig::ofi().with_td_strategy(TdStrategy::None), Some(true), true),
+            (DeviceConfig::ibv(), false, false),
+            (DeviceConfig::shm(), false, false),
+            (DeviceConfig::ofi(), true, true),
         ];
         let busy = NetError::Retry(RetryReason::LockBusy);
         for (cfg, post_excluded, endpoint_excluded) in layouts {
@@ -348,15 +324,8 @@ mod tests {
             };
 
             let held = dev.qps.lock(0).unwrap();
-            match post_excluded {
-                Some(want) => {
-                    assert_eq!(excluded(dev.post_send(1, 0, &[1], 0, 0), "post"), want, "{cfg:?}")
-                }
-                None => {
-                    assert_eq!(dev.qps.discipline(), LockDiscipline::Blocking);
-                    assert!(Arc::ptr_eq(&dev.qps.locks[0], &dev.qps.locks[1]));
-                }
-            }
+            let post = dev.post_send(1, 0, &[1], 0, 0);
+            assert_eq!(excluded(post, "post"), post_excluded, "{cfg:?}");
             assert_eq!(excluded(dev.post_recv(recv), "post_recv"), endpoint_excluded, "{cfg:?}");
             let polled = dev.poll_cq(&mut out, 8).map(drop);
             assert_eq!(excluded(polled, "poll_cq"), endpoint_excluded, "{cfg:?}");
@@ -365,7 +334,7 @@ mod tests {
             dev.post_send(1, 0, &[1], 0, 0).unwrap();
             dev.post_recv(recv).unwrap();
             dev.poll_cq(&mut out, 8).unwrap();
-            let sends = 1 + usize::from(post_excluded == Some(false));
+            let sends = 1 + usize::from(!post_excluded);
             assert_eq!(out.len(), sends, "SendDones under {cfg:?}");
             assert_eq!(peer.posted_recvs(), 2 - sends, "{cfg:?}");
             assert_eq!(dev.posted_recvs(), 1 + usize::from(!endpoint_excluded), "{cfg:?}");

@@ -242,7 +242,7 @@ impl<W: Wire> FramedDevice<W> {
             return Ok(Route::Local);
         }
         let (qp, how) = if post {
-            (Some(self.qps.lock(target)?), self.qps.discipline())
+            (Some(self.qps.lock(target)?), self.cfg.discipline)
         } else {
             (None, LockDiscipline::TryLock)
         };

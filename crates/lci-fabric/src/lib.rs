@@ -15,9 +15,8 @@
 //!
 //! * [`DeviceConfig::ibv`] — mirrors the libibverbs/mlx5 analysis
 //!   (§4.2.3): every queue pair, completion queue and shared receive
-//!   queue carries its own spinlock; *thread-domain* strategies
-//!   (`per_qp`, `all_qp`, `none`) control how queue pairs share their
-//!   posting locks.
+//!   queue carries its own spinlock, one thread domain per queue pair,
+//!   so posts to different targets never share a lock.
 //! * [`DeviceConfig::ofi`] — mirrors the libfabric cxi/verbs provider
 //!   analysis (§4.2.4): a single endpoint spinlock serializes
 //!   `post_send`, `post_recv` and `poll_cq`, and memory registration goes
@@ -74,9 +73,7 @@ pub mod tcp;
 pub mod topology;
 pub mod types;
 
-pub use backend::{
-    BackendKind, DeviceConfig, NetContext, NetDevice, SendDesc, TdStrategy, TransportStats,
-};
+pub use backend::{BackendKind, DeviceConfig, NetContext, NetDevice, SendDesc, TransportStats};
 pub use buf_pool::{BufPool, BufPoolConfig, BufPoolStats, PoolBuf};
 pub use fabric::Fabric;
 pub use mem::{MemoryRegion, Rkey};

@@ -1,8 +1,13 @@
 //! Threading-efficiency primitives shared by the fabric and the LCI
 //! runtime: a spinlock with first-class `try_lock`, the *trylock wrapper*
-//! of paper §4.2.2, the resizable MPMC array of paper §4.1.1, and the
-//! [`Doorbell`] eventcount a poller can park on instead of
-//! spin-polling.
+//! of paper §4.2.2, the resizable MPMC array of paper §4.1.1, the
+//! bounded lock-free [`MpmcRing`] under the CQE staging ring and the
+//! completion queue, and the [`Doorbell`] eventcount a poller can park
+//! on instead of spin-polling.
+
+mod mpmc_ring;
+
+pub use mpmc_ring::MpmcRing;
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};

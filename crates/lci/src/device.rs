@@ -186,8 +186,6 @@ pub struct DeviceAttr {
     pub dev_id: DevId,
     /// Simulated provider backing the device.
     pub backend: lci_fabric::BackendKind,
-    /// Thread-domain strategy (the `ibv_td_strategy` attribute, §4.2.3).
-    pub td_strategy: lci_fabric::TdStrategy,
     /// Pre-posted receive target.
     pub prepost_target: usize,
 }
@@ -265,7 +263,6 @@ impl Device {
         DeviceAttr {
             dev_id: self.inner.net.dev_id(),
             backend: cfg.backend,
-            td_strategy: cfg.td_strategy,
             prepost_target: self.inner.rt.config.prepost,
         }
     }

@@ -63,8 +63,8 @@ impl Placement {
 /// Runtime configuration: the attributes a runtime is allocated with.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
-    /// Fabric device configuration (backend, lock discipline,
-    /// thread-domain strategy).
+    /// Fabric device configuration (backend, lock discipline, staging
+    /// pool).
     pub device: DeviceConfig,
     /// Packet pool sizing. Messages up to `packet.payload_size` are
     /// eager: the wire copies them out inside the post, which returns

@@ -26,10 +26,10 @@
 //! assertion prints what was captured ([`first_allocs`]). A green run
 //! captures nothing and pays one thread-local read per allocation.
 
-use crossbeam::queue::ArrayQueue;
 use lci::{
     Comp, CompDesc, DataBuf, Direction, Fabric, PostResult, Runtime, RuntimeConfig, SendBuf,
 };
+use lci_fabric::sync::MpmcRing;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -160,8 +160,8 @@ fn serial() -> Audit {
 struct Pair {
     rt0: Runtime,
     rt1: Runtime,
-    send_done: Arc<ArrayQueue<CompDesc>>,
-    recv_done: Arc<ArrayQueue<CompDesc>>,
+    send_done: Arc<MpmcRing<CompDesc>>,
+    recv_done: Arc<MpmcRing<CompDesc>>,
     send_comp: Comp,
     recv_comp: Comp,
 }
@@ -171,18 +171,18 @@ impl Pair {
         let fabric = Fabric::new(2);
         let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
         let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
-        let send_done: Arc<ArrayQueue<CompDesc>> = Arc::new(ArrayQueue::new(8));
-        let recv_done: Arc<ArrayQueue<CompDesc>> = Arc::new(ArrayQueue::new(8));
+        let send_done: Arc<MpmcRing<CompDesc>> = Arc::new(MpmcRing::new(8));
+        let recv_done: Arc<MpmcRing<CompDesc>> = Arc::new(MpmcRing::new(8));
         let send_comp = {
             let q = send_done.clone();
             Comp::alloc_handler(move |d| {
-                let _ = q.push(d);
+                let _ = q.try_push(d);
             })
         };
         let recv_comp = {
             let q = recv_done.clone();
             Comp::alloc_handler(move |d| {
-                let _ = q.push(d);
+                let _ = q.try_push(d);
             })
         };
         Pair { rt0, rt1, send_done, recv_done, send_comp, recv_comp }
@@ -585,11 +585,11 @@ fn warm_coalesced_am_is_allocation_free() {
     let fabric = Fabric::new(2);
     let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
     let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
-    let got: Arc<ArrayQueue<CompDesc>> = Arc::new(ArrayQueue::new(MSGS));
+    let got: Arc<MpmcRing<CompDesc>> = Arc::new(MpmcRing::new(MSGS));
     let rcomp = {
         let q = got.clone();
         rt1.register_rcomp(Comp::alloc_handler(move |d| {
-            let _ = q.push(d);
+            let _ = q.try_push(d);
         }))
     };
     let round = || {

@@ -58,6 +58,11 @@ const REMOVED_KNOBS: &[&str] = &[
     "Lcrq",
     "buf_pool_stats",
     "fn buf_pool(&self) -> BufPool",
+    // One bounded ring (`sync::MpmcRing`) under the CQE staging ring and
+    // the completion queue; per-QP locking is the only ibv layout.
+    "ArrayQueue",
+    "TdStrategy",
+    "with_td_strategy",
 ];
 
 /// The removed progress modes, their engine threads and blocking waits,
@@ -198,25 +203,26 @@ fn one_device_core(tree: &[Source]) -> Vec<String> {
     hits
 }
 
-/// Every push, pop, `len` and `is_full` of the rings on the per-message
-/// path stays lock-free: the `ArrayQueue` shim holds no spin lock.
+/// Every push, pop, `len` and `is_full` of the ring on the per-message
+/// path (the CQE staging ring and the completion queue) stays lock-free:
+/// `MpmcRing` holds no lock.
 fn ring_stays_lock_free(tree: &[Source]) -> Vec<String> {
-    const SHIM: &str = "shims/crossbeam/src/lib.rs";
-    let Some((_, text)) = tree.iter().find(|(p, _)| p == SHIM) else {
-        return vec![format!("{SHIM} not found")];
+    const RING: &str = "crates/lci-fabric/src/sync/mpmc_ring.rs";
+    let Some((_, text)) = tree.iter().find(|(p, _)| p == RING) else {
+        return vec![format!("{RING} not found")];
     };
     let ring: Vec<(usize, &str)> = text
         .lines()
         .enumerate()
-        .skip_while(|(_, l)| !l.contains("pub struct ArrayQueue"))
-        .take_while(|(_, l)| !l.contains("impl<T> Drop for ArrayQueue"))
+        .skip_while(|(_, l)| !l.contains("pub struct MpmcRing"))
+        .take_while(|(_, l)| !l.contains("impl<T> Drop for MpmcRing"))
         .collect();
     if ring.is_empty() {
-        return vec![format!("ArrayQueue not found in {SHIM}")];
+        return vec![format!("MpmcRing not found in {RING}")];
     }
     ring.iter()
-        .filter(|(_, l)| l.contains("Spin<"))
-        .map(|(n, l)| format!("{SHIM}:{}: {} (ArrayQueue is spin-locked again)", n + 1, l.trim()))
+        .filter(|(_, l)| ["SpinLock<", "Spin<", "Mutex<"].iter().any(|lock| l.contains(lock)))
+        .map(|(n, l)| format!("{RING}:{}: {} (MpmcRing takes a lock again)", n + 1, l.trim()))
         .collect()
 }
 
@@ -288,6 +294,7 @@ fn removed_knobs_guard_catches_a_plant() {
     catches(g, "crates/lci/src/planted.rs", "pub fn with_rx_capacity() {}\n");
     catches(g, "crates/lci-fabric/src/planted.rs", "struct CtxPool;\n");
     catches(g, "crates/lci/src/comp/planted.rs", "enum CqImpl {}\n");
+    catches(g, "crates/lci-fabric/src/planted.rs", "pub enum TdStrategy {}\n");
     catches(g, "examples/planted.rs", "let m = ProgressMode::Thread;\n");
     catches(g, "crates/lci-fabric/src/planted.rs", "enum InPayload {}\n");
     catches(g, "crates/lci/src/coll/planted.rs", "fn post_windowed() {}\n");
@@ -340,14 +347,19 @@ fn one_device_core_guard_catches_a_plant() {
 
 #[test]
 fn ring_stays_lock_free_in_the_tree() {
-    holds(ring_stays_lock_free, "the ArrayQueue ring is not lock-free");
+    holds(ring_stays_lock_free, "the MpmcRing ring is not lock-free");
 }
 
 #[test]
 fn ring_guard_catches_a_plant() {
-    let spun = "pub struct ArrayQueue<T> {\n    slots: Spin<Vec<T>>,\n}\nimpl<T> Drop for ArrayQueue<T> {}\n";
-    catches(ring_stays_lock_free, "shims/crossbeam/src/lib.rs", spun);
-    catches(ring_stays_lock_free, "shims/crossbeam/src/lib.rs", "// no ring here\n");
+    const RING: &str = "crates/lci-fabric/src/sync/mpmc_ring.rs";
+    for lock in ["SpinLock<", "Spin<", "Mutex<"] {
+        let locked = format!(
+            "pub struct MpmcRing<T> {{\n    slots: {lock}Vec<T>>,\n}}\nimpl<T> Drop for MpmcRing<T> {{}}\n"
+        );
+        catches(ring_stays_lock_free, RING, &locked);
+    }
+    catches(ring_stays_lock_free, RING, "// no ring here\n");
 }
 
 #[test]
