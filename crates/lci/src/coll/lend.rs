@@ -1,5 +1,5 @@
 //! Lending: a collective hands the runtime the caller's own memory for
-//! as long as its plan runs, so a chunk leaves from the caller's buffer
+//! as long as its plan runs, so a piece leaves from the caller's buffer
 //! and lands in it (DESIGN.md §4.11 "Lending" holds the
 //! last-dereference table this file's `SAFETY` comments cite).
 //!
@@ -9,24 +9,27 @@
 //! make one. [`Scope`] is the only thing inside `coll/` that does: one
 //! per plan, borrowed from the caller's slices (or laid over the
 //! buffers an `i*` handle owns), and it does not end while anything it
-//! lent can still be dereferenced:
+//! lent can still be dereferenced. It lends three ways: a range to one
+//! posted receive (a *landing*, or a *scratch* landing in the engine's
+//! own memory), a range to one send, and the whole landing side to one
+//! peer's puts for the call (a *grant*).
 //!
 //! * a **clean exit** is the stepper's own finish line — every lent
 //!   receive popped (each is signalled after the last byte was written:
-//!   the eager copy happens before `signal`, FIN travels behind the last
-//!   chunk on every wire) and the send window drained (each send
-//!   completes after its last byte was read: eager at the post,
-//!   rendezvous at the last `WriteDone`). Both are counted on
+//!   the eager copy happens before `signal`), every grant returned (each
+//!   put's signal travels behind its bytes on every wire, and the grant
+//!   returns with the peer's last signal) and the send window drained
+//!   (each send completes after its last byte was read: an eager send
+//!   and a put read their source at the post). All three are counted on
 //!   the way out ([`Scope::close`], `coll::finish`) and a miscount
 //!   panics rather than trust the stepper;
 //! * an **unclean exit** — the runtime failed after the first lend
 //!   (`progress` returned a `FatalError`, a user `ReduceOp::fold`
-//!   panicked) — cannot be waited out: a posted receive, a pending
-//!   rendezvous or a running chunk pump may still name the caller's
-//!   memory and nothing cancels them (ROADMAP item 2). The scope prints
-//!   the failure and **aborts the process** — MPI's default
-//!   `MPI_ERRORS_ARE_FATAL`. A collective that returns `Err` has lent
-//!   nothing.
+//!   panicked) — cannot be waited out: a posted receive or a granted
+//!   landing may still be written into the caller's memory and nothing
+//!   cancels it (ROADMAP item 2). The scope prints the failure and
+//!   **aborts the process** — MPI's default `MPI_ERRORS_ARE_FATAL`. A
+//!   collective that returns `Err` has lent nothing.
 
 use crate::error::{FatalError, Result};
 use crate::types::{CompDesc, DataBuf, SendBuf, SENDBUF_INLINE_CAP};
@@ -119,6 +122,8 @@ pub(super) struct Scope<'a> {
     dst: (*mut u8, usize),
     /// Lent receives posted and not yet [`landed`](Self::landed).
     landings: Cell<usize>,
+    /// Grants made and not yet returned ([`ungrant`](Self::ungrant)).
+    grants: Cell<usize>,
     /// Set by the first lend: from then on only a clean exit returns.
     armed: Cell<bool>,
     _caller: PhantomData<(&'a [u8], &'a mut [u8])>,
@@ -155,8 +160,8 @@ impl<'a> Scope<'a> {
     }
 
     fn over(src: (*mut u8, usize), dst: (*mut u8, usize)) -> Scope<'a> {
-        let (landings, armed) = (Cell::new(0), Cell::new(false));
-        Scope { src, dst, landings, armed, _caller: PhantomData }
+        let (landings, grants, armed) = (Cell::new(0), Cell::new(0), Cell::new(false));
+        Scope { src, dst, landings, grants, armed, _caller: PhantomData }
     }
 
     fn lend(&self, (base, len): (*mut u8, usize), range: Range<usize>) -> Lent {
@@ -200,6 +205,41 @@ impl<'a> Scope<'a> {
         self.lend(self.dst, range)
     }
 
+    /// Lends `len` bytes of the engine's own memory at `at` — a fold
+    /// slot of the arena, a grant's inbox — to one posted receive,
+    /// counted like a [`landing`](Self::landing).
+    ///
+    /// # Safety
+    /// The bytes must stay allocated until the scope has ended, and from
+    /// the post until `landed` nothing else may read or write them.
+    pub(super) unsafe fn scratch(&self, at: *mut u8, len: usize) -> Lent {
+        self.landings.set(self.landings.get() + 1);
+        self.armed.set(true);
+        // SAFETY: the caller's contract is `Lent::new`'s.
+        unsafe { Lent::new(at, len) }
+    }
+
+    /// Grants the whole landing side to one peer's puts for the rest of
+    /// the call; pair with [`ungrant`](Self::ungrant) when the peer's
+    /// last put has been harvested. Returns the span to register: the
+    /// peer writes it through the registration, not through a `Lent`
+    /// (DESIGN.md §4.11 "Lending", grants).
+    ///
+    /// # Safety
+    /// Each range the peer's puts name is written between the put's post
+    /// and the harvest of its signal; in that interval nothing else may
+    /// read or write it, exactly as for a [`landing`](Self::landing).
+    pub(super) unsafe fn grant(&self) -> (*const u8, usize) {
+        self.grants.set(self.grants.get() + 1);
+        self.armed.set(true);
+        (self.dst.0, self.dst.1)
+    }
+
+    /// A peer's last put was harvested: its grant is returned.
+    pub(super) fn ungrant(&self) {
+        self.grants.set(self.grants.get() - 1);
+    }
+
     /// The engine's own view of `range` of the landing side (a fold's
     /// accumulator). Lends nothing, so it does not arm the scope.
     ///
@@ -233,11 +273,13 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// The clean exit: every landing landed, checked here; the caller
-    /// has checked that the send window drained.
+    /// The clean exit: every landing landed and every grant returned,
+    /// checked here; the caller has checked that the send window drained.
     pub(super) fn close(self) {
         let landings = self.landings.get();
         assert!(landings == 0, "collective returned with {landings} lent receives posted");
+        let grants = self.grants.get();
+        assert!(grants == 0, "collective returned with {grants} grants out");
         self.armed.set(false);
     }
 

@@ -21,28 +21,34 @@
 //! * **Pairwise alltoall** ([`alltoall_bytes`]) and the **sparse
 //!   largest-first alltoallv** ([`alltoallv`]; [`alltoallv_counts`]
 //!   handles the recv-side-unknown MoE case): all receives up front,
-//!   zero-byte pairs post nothing, large blocks ride the chunked
-//!   rendezvous pump.
+//!   zero-byte pairs post nothing, blocks cut into pieces.
 //!
+//! Every collective moves its bytes as pieces of at most
+//! `coll_chunk_size` (or the wire's largest write, if smaller). A piece
+//! at or under the eager size (`packet.payload_size`) is a two-sided
+//! send — inline at or under 24 B. A longer one is a **put** with a
+//! remote signal into memory its receiver granted once for the call
+//! (`grant`; DESIGN.md §4.11 "Puts"): one small grant per peer and call
+//! replaces a rendezvous (RTS, RTR, match, registration) per piece.
 //! Sends ride a bounded window (4 in flight per rank) and never wait
 //! individually. A collective stages nothing and takes nothing from the
 //! device's buffer pool: the caller's slices are **lent** to the runtime
 //! while the plan runs (`lend`; DESIGN.md §4.11 "Lending"), so every
-//! piece is posted from the caller's buffer — inline at or under 24 B —
-//! and, wherever its bytes are final on arrival, lands at its own offset
-//! in it: one copy per byte, the wire's. Only an arrival that must be
-//! folded (reduce-scatter rounds, [`reduce_bytes`]) lands in a box from
-//! the shelf ([`CollState`]). A warm collective loop allocates nothing
-//! (`tests/alloc_steady_state.rs`). A blocking call steps its plan under
-//! [`Runtime::wait_until`], which progresses every device of the runtime
-//! and, between idle sweeps, spins or yields the core as the calling
-//! thread has learned pays.
+//! piece is posted from the caller's buffer and, wherever its bytes are
+//! final on arrival, lands at its own offset in it: one copy per byte,
+//! the wire's. Only an arrival that must be folded (reduce-scatter
+//! rounds, [`reduce_bytes`]) lands in the state's fold arena
+//! ([`CollState`]), a slot per piece. A warm collective loop allocates
+//! nothing (`tests/alloc_steady_state.rs`). A blocking call steps its
+//! plan under [`Runtime::wait_until`], which progresses every device of
+//! the runtime and, between idle sweeps, spins or yields the core as the
+//! calling thread has learned pays.
 //!
 //! **The one way this can end a process.** Argument errors return `Err`
 //! before anything is posted. A runtime failure *after* the first lent
 //! post — `progress` returning a [`FatalError`], a user
-//! [`ReduceOp::fold`] panicking — leaves receives, rendezvous and chunk
-//! pumps naming the caller's memory with nothing to cancel them, so the
+//! [`ReduceOp::fold`] panicking — leaves receives and granted puts
+//! naming the caller's memory with nothing to cancel them, so the
 //! call prints the failure and **aborts** (MPI's default
 //! `MPI_ERRORS_ARE_FATAL`) instead of returning `Err` on one rank while
 //! every peer spins. A collective that returns `Err` has lent nothing.
@@ -52,7 +58,9 @@
 //! [`iallreduce_u64`]; `nb`) are the same plans stepped from a handle:
 //! an [`IColl`] owns its buffers and advances only inside its own
 //! `test`/`wait` (MPI's weak progress) — poll it in any loop a peer's
-//! collective may be waiting on.
+//! collective may be waiting on. A handle takes its state from a
+//! per-runtime spare list and gives it back when it is dropped, so a
+//! loop of handles registers one receive queue, not one per handle.
 //!
 //! [`naive`] holds store-and-forward implementations of the same
 //! collectives. Nothing in the library calls them: they are the
@@ -63,7 +71,8 @@
 //!
 //! Tags with the highest bit set are reserved for collectives. The tag
 //! packs a 22-bit per-runtime sequence number and a 9-bit round index
-//! (`1 + 22 + 9 = 32`): collectives must be invoked in the same order
+//! (`1 + 22 + 9 = 32`; the last round code, [`ROUND_GRANT`], is the
+//! grants', and no piece uses it): collectives must be invoked in the same order
 //! on every rank (the usual MPI-style contract; an `i*` call counts
 //! where it is *started*, and reserves every tag it will use there), the
 //! sequence keeps consecutive collectives apart, and the round keeps a
@@ -81,8 +90,10 @@
 //! only while a single thread progresses a device (two threads poll
 //! consecutive batches and handle them concurrently), and a receive
 //! posted into the caller's buffer must get *its* bytes. `user_ctx` on
-//! each posted receive is its index in the plan.
+//! each posted receive is its index in the plan; a put's signal names
+//! its receive by the sender and the tag.
 
+mod grant;
 #[doc(hidden)]
 pub(crate) mod lend;
 pub mod naive;
@@ -98,7 +109,8 @@ pub use ops::{FnOpU64, MaxF32, MaxU64, ReduceOp, SumF32, SumU64};
 use crate::comp::Comp;
 use crate::error::{FatalError, Result};
 use crate::runtime::Runtime;
-use crate::types::{DataBuf, Rank, Tag};
+use crate::types::{RComp, Rank, Tag};
+use grant::Arena;
 use lend::Scope;
 use plan::{Plan, Shape};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -123,6 +135,10 @@ pub(crate) const ROUND_REDUCE: u32 = 0x14D & 0x1FF;
 pub(crate) const ROUND_A2A: u32 = 0x1AA & 0x1FF;
 pub(crate) const ROUND_A2AV: u32 = 0x1A5 & 0x1FF;
 pub(crate) const ROUND_AG_BASE: u32 = 0x1C0;
+/// The grants' round code (module docs, "Tags and ordering"): the last
+/// one, above every ring round of a world of `MAX_RING_RANKS`.
+pub(crate) const ROUND_GRANT: u32 = (1 << ROUND_BITS) - 1;
+const _: () = assert!(2 * (MAX_RING_RANKS as u32 - 1) <= ROUND_GRANT);
 
 pub(crate) fn coll_tag(seq: u32, round: u32) -> Tag {
     debug_assert!(round < (1 << ROUND_BITS), "collective round {round} overflows the tag field");
@@ -169,27 +185,25 @@ impl Runtime {
     }
 }
 
-/// How many recycled landing boxes the state keeps across collectives.
-const SHELF_CAP: usize = 128;
-
 /// Collective-engine state, lazily created per runtime (an `i*` handle
-/// has its own) and reused so the warm path allocates nothing: a
-/// completion queue for receives (a mapped ring, alloc-free), a send
-/// handler with an in-flight counter (the pipelining window), a shelf of
-/// chunk-capacity landing boxes for folds, and the plan's storage.
+/// leases one of its own) and reused so the warm path allocates nothing:
+/// a completion queue for receives and puts' signals (a mapped ring,
+/// alloc-free), registered once as an rcomp, a send handler with an
+/// in-flight counter (the pipelining window), the fold arena, and the
+/// plan's storage.
 pub struct CollState {
-    /// Receive-completion queue shared by every posted receive.
+    /// Receive-completion queue shared by every posted receive and every
+    /// put into this state's grants.
     recv_cq: Comp,
+    /// `recv_cq` as the rcomp a grant hands out.
+    rcomp: RComp,
     /// Chunk sends outstanding (incremented at post, decremented on
     /// completion or immediate `done`).
     inflight: Arc<AtomicU64>,
     /// Handler comp decrementing [`inflight`](Self::inflight).
     send_comp: Comp,
-    /// Recycled landing boxes, all of [`chunk_cap`](Self::chunk_cap)
-    /// capacity.
-    shelf: Vec<Box<[u8]>>,
-    /// Landing-box capacity (`coll_chunk_size` at creation).
-    chunk_cap: usize,
+    /// Where every `Fold` piece lands.
+    arena: Arena,
     /// The blocking collective's plan, rebuilt in place per call.
     plan: Plan,
     /// Count-exchange staging (send side), reused across exchanges.
@@ -202,48 +216,29 @@ impl CollState {
     fn new(rt: &Runtime) -> CollState {
         let inflight = Arc::new(AtomicU64::new(0));
         let dec = inflight.clone();
+        let recv_cq = Comp::alloc_cq();
         CollState {
-            recv_cq: Comp::alloc_cq(),
+            rcomp: rt.register_rcomp(recv_cq.clone()),
+            recv_cq,
             inflight,
             send_comp: Comp::alloc_handler(move |_| {
                 dec.fetch_sub(1, Ordering::AcqRel);
             }),
-            shelf: Vec::new(),
-            chunk_cap: rt.config().coll_chunk_size,
+            arena: Arena::default(),
             plan: Plan::default(),
             cnt_send: Vec::new(),
             cnt_recv: Vec::new(),
         }
     }
 
-    /// A landing box of at least `len` bytes: shelf-recycled when the
-    /// chunk capacity suffices, freshly allocated (and dropped by
-    /// [`put_databuf`](Self::put_databuf)) otherwise. Only a
-    /// [`reduce_bytes`] child's partial, which arrives unchunked, reaches
-    /// the oversize arm.
-    fn take_box(&mut self, len: usize) -> Box<[u8]> {
-        if len <= self.chunk_cap {
-            if let Some(b) = self.shelf.pop() {
-                return b;
-            }
-            vec![0u8; self.chunk_cap].into_boxed_slice()
-        } else {
-            vec![0u8; len].into_boxed_slice()
-        }
+    /// A state for an `i*` handle: one the runtime kept, or a new one.
+    fn lease(rt: &Runtime) -> CollState {
+        rt.inner.coll_spare.lock().pop().unwrap_or_else(|| CollState::new(rt))
     }
 
-    /// Recycles a delivered landing box back onto the shelf. Only
-    /// chunk-capacity boxes are kept (posted receives always get their
-    /// box back as `Owned`/`Partial`: the user-posted-buffer path
-    /// copies into it, and rendezvous lands directly in it).
-    fn put_databuf(&mut self, data: DataBuf) {
-        let b = match data {
-            DataBuf::Partial(b, _) | DataBuf::Owned(b) => b,
-            _ => return,
-        };
-        if b.len() == self.chunk_cap && self.shelf.len() < SHELF_CAP {
-            self.shelf.push(b);
-        }
+    /// Gives a handle's state back once nothing of its plan is in flight.
+    fn give_back(self, rt: &Runtime) {
+        rt.inner.coll_spare.lock().push(self);
     }
 }
 
@@ -400,8 +395,7 @@ pub fn broadcast_bytes(rt: &Runtime, root: Rank, buf: &mut [u8]) -> Result<()> {
     if w.n == 1 || len == 0 {
         return Ok(());
     }
-    let build =
-        |p: &mut Plan| plan::broadcast(p, w, root, len, Tags::reserve(rt, len.div_ceil(w.chunk)));
+    let build = |p: &mut Plan| plan::broadcast(p, w, root, len, Tags::reserve(rt, w.span(len)));
     with_state(rt, |st| run(rt, st, Scope::in_place(buf), &NoFold, build))
 }
 
@@ -434,7 +428,7 @@ pub fn reduce_bytes<O: ReduceOp + ?Sized>(
 ) -> Result<bool> {
     let (w, len) = (Shape::of(rt), acc.len());
     if w.n > 1 {
-        let build = |p: &mut Plan| plan::reduce(p, w, root, len, Tags::reserve(rt, 1));
+        let build = |p: &mut Plan| plan::reduce(p, w, root, len, Tags::reserve(rt, w.span(len)));
         with_state(rt, |st| run(rt, st, Scope::in_place(acc), op, build))?;
     }
     Ok(w.me == root)
@@ -462,7 +456,8 @@ pub fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Result<()> 
         return Ok(());
     }
     out[..len].copy_from_slice(mine);
-    let build = |p: &mut Plan| plan::allgather(p, Shape::of(rt), len, Tags::reserve(rt, 1));
+    let w = Shape::of(rt);
+    let build = |p: &mut Plan| plan::allgather(p, w, len, Tags::reserve(rt, w.span(n * len)));
     with_state(rt, |st| run(rt, st, Scope::in_place(out), &NoFold, build))?;
     // Position `j` holds rank `(me + j) mod n`; rotate into rank order.
     out.rotate_right(rt.rank_me() * len);
@@ -482,9 +477,10 @@ pub fn allgather(rt: &Runtime, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
 /// All-to-all personalized exchange over flat buffers: `send` holds `n`
 /// equal blocks (`block = send.len() / n`), block `i` goes to rank `i`;
 /// `recv` (same length) receives rank `j`'s block for us at offset
-/// `j * block`. All receives are pre-posted, sends ride the bounded
-/// in-flight window with no per-send wait (the rendezvous pump chunks
-/// large blocks internally).
+/// `j * block`. Blocks are cut into `coll_chunk_size` pieces; all
+/// receives are pre-posted (a piece over the eager size is a put into
+/// the granted receive buffer), and sends ride the bounded in-flight
+/// window with no per-send wait.
 pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> {
     let n = rt.rank_n();
     if !send.len().is_multiple_of(n) || recv.len() != send.len() {
@@ -501,7 +497,8 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
     if n == 1 {
         return Ok(());
     }
-    let build = |p: &mut Plan| plan::alltoall(p, Shape::of(rt), block, Tags::reserve(rt, 1));
+    let w = Shape::of(rt);
+    let build = |p: &mut Plan| plan::alltoall(p, w, block, Tags::reserve(rt, w.span(block)));
     with_state(rt, |st| run(rt, st, Scope::new(send, recv), &NoFold, build))
 }
 
@@ -518,15 +515,15 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
 /// Performance engineering (see DESIGN.md §4.13):
 /// **zero-byte pairs post nothing** (`coll_skipped_pairs` counts them —
 /// MoE routing matrices are mostly sparse), each block rides a
-/// **size-adaptive protocol** (inline / pooled eager / chunked
-/// rendezvous per `coll_chunk_size` piece, so one giant hot-expert
-/// block pipelines through the rendezvous chunk pumps while small
+/// **size-adaptive protocol** per `coll_chunk_size` piece (inline /
+/// eager / granted put, so one giant hot-expert block pipelines as puts
+/// into the receive buffer its receiver granted once, while small
 /// blocks stay eager), and sends are issued **largest-block-first with
 /// rank-rotated tie-breaking** under the bounded in-flight
 /// window, so the straggler block departs first and equal-size blocks
-/// do not hotspot one receiver. `coll_chunk_size` must match across
-/// ranks (it fixes the chunk split both sides compute), like the
-/// invocation-order contract itself.
+/// do not hotspot one receiver. `coll_chunk_size` and the eager size
+/// must match across ranks (they fix the piece split and the protocol
+/// both sides compute), like the invocation-order contract itself.
 pub fn alltoallv(
     rt: &Runtime,
     send: &[u8],
@@ -620,7 +617,8 @@ pub fn exchange_counts(
         rb.clear();
         rb.resize(n * 8, 0);
         rb[me * 8..(me + 1) * 8].copy_from_slice(&sb[me * 8..(me + 1) * 8]);
-        let build = |p: &mut Plan| plan::alltoall(p, Shape::of(rt), 8, Tags::reserve(rt, 1));
+        let w = Shape::of(rt);
+        let build = |p: &mut Plan| plan::alltoall(p, w, 8, Tags::reserve(rt, w.span(8)));
         let res = run(rt, st, Scope::new(&sb, &mut rb), &NoFold, build);
         if res.is_ok() {
             for (dst, c) in recv_counts.iter_mut().zip(rb.chunks_exact(8)) {

@@ -14,6 +14,13 @@
 //! [`test`](IColl::test) or [`wait`](IColl::wait), and its peers finish
 //! only as fast as it does: poll it in any loop a peer's collective may
 //! be waiting on. Dropping an unfinished handle waits for it.
+//!
+//! **A state per handle, recycled.** Handles and a blocking collective
+//! may be in flight together, so each handle runs on a [`CollState`] of
+//! its own — receive queue, send window, fold arena, plan. It leases one
+//! from the runtime's spares and gives it back when dropped after a
+//! clean finish: a state's queue is registered as an rcomp, and that
+//! table only grows.
 
 use super::lend::Scope;
 use super::plan::{self, Plan, Shape};
@@ -30,10 +37,8 @@ type Then<T> = Box<dyn FnOnce(&mut IColl<T>) + Send>;
 /// Handle to an in-flight non-blocking collective resolving to `T`.
 pub struct IColl<T> {
     rt: Runtime,
-    /// A state of its own (receive queue, send window, shelf): handles
-    /// and a blocking collective may be in flight together.
-    st: CollState,
-    plan: Plan,
+    /// A state of its own (module docs), leased until the handle drops.
+    st: Option<CollState>,
     /// What sends read, unless the collective runs in place over `dst`.
     src: Option<Vec<u8>>,
     /// What receives land in, and what `T` is made from.
@@ -61,8 +66,7 @@ impl<T> IColl<T> {
     ) -> Result<IColl<T>> {
         let mut h = IColl {
             rt: rt.clone(),
-            st: CollState::new(rt),
-            plan: Plan::default(),
+            st: Some(CollState::lease(rt)),
             src,
             dst,
             scope: None,
@@ -80,7 +84,7 @@ impl<T> IColl<T> {
     /// like the blocking calls) and lends them to it.
     fn lend(&mut self, build: impl FnOnce(&mut Plan)) {
         if self.rt.rank_n() > 1 {
-            build(&mut self.plan);
+            build(&mut self.state().plan);
         }
         // SAFETY: the vectors are private to the handle, which reads,
         // replaces or frees them only with `scope` gone again — `test`
@@ -95,13 +99,15 @@ impl<T> IColl<T> {
             return Err(e.clone());
         }
         while let Some(scope) = &self.scope {
-            let res = self.plan.step(&self.rt, &mut self.st, scope, &*self.op);
+            let st = self.st.as_mut().expect("a live handle holds its state");
+            let mut plan = std::mem::take(&mut st.plan);
+            let res = plan.step(&self.rt, st, scope, &*self.op);
+            st.plan = plan;
             if matches!(res, Ok(false)) {
                 return Ok(false);
             }
             let scope = self.scope.take().expect("borrowed above");
-            finish(&self.st, scope, res.map(drop))
-                .inspect_err(|e| self.failed = Some(e.clone()))?;
+            finish(st, scope, res.map(drop)).inspect_err(|e| self.failed = Some(e.clone()))?;
             if let Some(then) = self.then.take() {
                 then(self);
             }
@@ -109,13 +115,18 @@ impl<T> IColl<T> {
         Ok(true)
     }
 
+    fn state(&mut self) -> &mut CollState {
+        self.st.as_mut().expect("a live handle holds its state")
+    }
+
     /// Steps to the end, progressing `rt` in between.
     fn drive(&mut self, rt: &Runtime) -> Result<()> {
-        match (wait_for(rt, || self.test()), self.scope.take()) {
+        let res = match (wait_for(rt, || self.test()), self.scope.take()) {
             // `progress` itself failed, with the buffers lent.
             (Err(e), Some(scope)) => Err(scope.fail(e)),
             (res, _) => res,
-        }
+        };
+        res.inspect_err(|e| self.failed = Some(e.clone()))
     }
 
     /// Steps until completion, progressing `rt` (the runtime the
@@ -130,10 +141,16 @@ impl<T> IColl<T> {
 impl<T> Drop for IColl<T> {
     /// An unfinished handle's buffers are lent and its peers count on
     /// its sends: wait it out. A panic unwinding past it is the scope's
-    /// to answer (it aborts).
+    /// to answer (it aborts). A state that finished cleanly goes back to
+    /// the runtime's spares; one that failed is dropped with its queue.
     fn drop(&mut self) {
         if self.scope.is_some() && !std::thread::panicking() {
             let _ = self.drive(&self.rt.clone());
+        }
+        if self.scope.is_none() && self.failed.is_none() {
+            if let Some(st) = self.st.take() {
+                st.give_back(&self.rt);
+            }
         }
     }
 }
@@ -147,7 +164,7 @@ pub fn ibarrier(rt: &Runtime) -> Result<IColl<()>> {
 /// The broadcast of `len` bytes from `root`, its tags reserved now.
 fn bcast(rt: &Runtime, root: Rank, len: usize) -> impl FnOnce(&mut Plan) + Send + 'static {
     let w = Shape::of(rt);
-    let tags = Tags::reserve(rt, len.div_ceil(w.chunk));
+    let tags = Tags::reserve(rt, w.span(len));
     move |p| plan::broadcast(p, w, root, len, tags)
 }
 
@@ -167,7 +184,7 @@ pub fn ireduce_u64(
     op: impl Fn(u64, u64) -> u64 + Copy + Send + Sync + 'static,
 ) -> Result<IColl<Option<Vec<u64>>>> {
     let (w, len) = (Shape::of(rt), contrib.len() * 8);
-    let build = |p: &mut Plan| plan::reduce(p, w, root, len, Tags::reserve(rt, 1));
+    let build = |p: &mut Plan| plan::reduce(p, w, root, len, Tags::reserve(rt, w.span(len)));
     let resolve = move |acc: Vec<u8>| (w.me == root).then(|| u64s_of_bytes(&acc));
     IColl::start(rt, None, bytes_of_u64s(contrib), FnOpU64(op), build, None, resolve)
 }
@@ -184,7 +201,7 @@ pub fn iallreduce_u64(
     let (acc, op, resolve) =
         (bytes_of_u64s(contrib), FnOpU64(op), |acc: Vec<u8>| u64s_of_bytes(&acc));
     if w.n > MAX_RING_RANKS {
-        let reduce = |p: &mut Plan| plan::reduce(p, w, 0, len, Tags::reserve(rt, 1));
+        let reduce = |p: &mut Plan| plan::reduce(p, w, 0, len, Tags::reserve(rt, w.span(len)));
         let build = bcast(rt, 0, len);
         let then: Then<_> = Box::new(move |h| h.lend(build));
         return IColl::start(rt, None, acc, op, reduce, Some(then), resolve);
@@ -200,7 +217,7 @@ pub fn iallgather(rt: &Runtime, mine: &[u8]) -> Result<IColl<Vec<Vec<u8>>>> {
     let (w, len) = (Shape::of(rt), mine.len());
     let mut out = vec![0u8; w.n * len];
     out[..len].copy_from_slice(mine);
-    let build = |p: &mut Plan| plan::allgather(p, w, len, Tags::reserve(rt, 1));
+    let build = |p: &mut Plan| plan::allgather(p, w, len, Tags::reserve(rt, w.span(w.n * len)));
     let resolve = move |mut out: Vec<u8>| {
         // Position `j` holds rank `(me + j) mod n`.
         out.rotate_right(w.me * len);
@@ -218,7 +235,7 @@ pub fn ialltoall(rt: &Runtime, send: &[Vec<u8>]) -> Result<IColl<Vec<Vec<u8>>>> 
     assert!(send.iter().all(|b| b.len() == block), "alltoall blocks must have equal length");
     let mut out = vec![0u8; n * block];
     out[me * block..][..block].copy_from_slice(&send[me]);
-    let build = |p: &mut Plan| plan::alltoall(p, w, block, Tags::reserve(rt, 1));
+    let build = |p: &mut Plan| plan::alltoall(p, w, block, Tags::reserve(rt, w.span(block)));
     let resolve = move |out: Vec<u8>| split(&out, std::iter::repeat_n(block, n));
     IColl::start(rt, Some(send.concat()), out, NoFold, build, None, resolve)
 }
@@ -250,7 +267,54 @@ pub fn ialltoallv(rt: &Runtime, send: &[Vec<u8>]) -> Result<IColl<Vec<Vec<u8>>>>
         h.lend(|p| plan::alltoallv(p, w, &send_counts, &recv_counts, tags));
         h.resolve = Some(Box::new(move |out| split(&out, recv_counts)));
     });
-    let count_round = |p: &mut Plan| plan::alltoall(p, w, 8, Tags::reserve(rt, 1));
+    let count_round = |p: &mut Plan| plan::alltoall(p, w, 8, Tags::reserve(rt, w.span(8)));
     let unresolved = |_| unreachable!("the data round resolves the handle");
     IColl::start(rt, Some(counts), learned, NoFold, count_round, Some(data_round), unresolved)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Fabric, RuntimeConfig};
+
+    /// A state registers its receive queue as an rcomp, and that table
+    /// only grows: 10 000 sequential handles whose pieces are puts must
+    /// share one state, not register 10 000 queues.
+    #[test]
+    fn handles_recycle_their_state() {
+        const ROUNDS: usize = 10_000;
+        let fabric = Fabric::new(2);
+        let ranks: Vec<_> = (0..2)
+            .map(|rank| {
+                let fabric = fabric.clone();
+                std::thread::spawn(move || {
+                    let rt = Runtime::new(fabric, rank, RuntimeConfig::small()).unwrap();
+                    rt.oob_barrier();
+                    // 16 KiB: 8 KiB ring blocks and 6000 B blocks, both
+                    // over the small config's 4 KiB eager size.
+                    let lanes: Vec<u64> = (0..2048).map(|i| i * (rank as u64 + 1)).collect();
+                    let blocks = vec![vec![rank as u8; 6000]; 2];
+                    let mut first = 0;
+                    for round in 0..ROUNDS {
+                        let sum = iallreduce_u64(&rt, &lanes, |a, b| a + b).unwrap().wait(&rt);
+                        assert_eq!(sum.unwrap()[5], 15, "rank {rank}, round {round}");
+                        let got = ialltoallv(&rt, &blocks).unwrap().wait(&rt).unwrap();
+                        assert_eq!(got[1 - rank], vec![1 - rank as u8; 6000]);
+                        if round == 0 {
+                            first = rt.inner.rcomp.len();
+                        }
+                    }
+                    assert_eq!(rt.inner.rcomp.len(), first, "rank {rank}: rcomps grew");
+                    assert_eq!(
+                        rt.device().stats().rendezvous,
+                        0,
+                        "rank {rank}: pieces went rendezvous"
+                    );
+                })
+            })
+            .collect();
+        for r in ranks {
+            r.join().unwrap();
+        }
+    }
 }

@@ -4,41 +4,58 @@
 //!
 //! **The plan.** `recvs[i]` is one piece this rank receives: who from,
 //! which range of the landing side, under which tag, and how — `Land`
-//! posts the range itself as the landing (the bytes are final on
-//! arrival), `Fold` posts a shelf box that the harvest folds into the
-//! range. `sends[j]` is one piece it sends. Every piece has its own tag
-//! (`coll` docs), so a completion's `user_ctx = i` names its receive
-//! whatever order the wire delivers in.
+//! lands in the range itself (the bytes are final on arrival), `Fold`
+//! lands in a slot of the state's fold arena that the harvest folds into
+//! the range. `sends[j]` is one piece it sends, with where it goes at
+//! the peer: landed or folded, at `dst_off` from the base the peer
+//! grants this rank. Every piece has its own tag (`coll` docs), so a
+//! completion names its receive whatever order the wire delivers in.
+//!
+//! **Two transports.** A piece at or under the eager size
+//! (`packet.payload_size`) is a two-sided send into a posted receive
+//! whose `user_ctx` is its index. A longer one is a put with a remote
+//! signal into memory the receiver *granted* once for the call (`grant`):
+//! at its first step a rank registers its landing side and sends every
+//! peer that will put into it one grant, and a put is posted only once
+//! its peer's grant has been harvested. Its signal carries the piece's
+//! tag, which names the receive.
 //!
 //! **The gate** is two numbers per receive. `opens_at`: how many
 //! *leading* receives must have been harvested before this one is
 //! posted — 0 posts it up front, `k` on receive `k` is a round-by-round
 //! algorithm, and the ring's two-round lookahead is the count of
-//! receives in rounds `≤ t−2`. `enables`: the contiguous run of `sends`
-//! its harvest makes ready; `sends[..seeds]` are ready at the start. A
-//! send is posted only once ready, in ready order.
+//! receives in rounds `≤ t−2`. A put's receive posts nothing, but its
+//! signal is harvested only once the gate has opened it (an earlier one
+//! waits, as an early two-sided arrival waits unexpected). `enables`:
+//! the contiguous run of `sends` its harvest makes ready;
+//! `sends[..seeds]` are ready at the start. A send is posted only once
+//! ready, in ready order.
 //!
-//! **The stepper** never blocks: post every open receive; post ready
-//! sends while the [`MAX_INFLIGHT`] window has room and the wire does
-//! not say `Retry`; pop the receive queue — fold or length-check, mark,
-//! advance the prefix, push what the harvest enables; finished when
-//! every receive is harvested, every send posted and the window empty.
-//! It is the only place in `coll/` that posts or lends. A blocking
-//! collective builds one and steps it under `Runtime::wait_until`
-//! (`coll::run`); an `i*` handle takes the same steps from `test`/`wait`
-//! (`nb`).
+//! **The stepper** never blocks: post every open receive; post the
+//! grants; post ready sends while the [`MAX_INFLIGHT`] window has room,
+//! the peer's grant is in (for a put) and the wire does not say `Retry`;
+//! pop the receive queue — a grant, a put's signal or a two-sided
+//! arrival: fold or length-check, mark, advance the prefix, push what
+//! the harvest enables; finished when every receive is harvested, every
+//! send posted and the window empty. It is the only place in `coll/`
+//! that posts or lends. A blocking collective builds one and steps it
+//! under `Runtime::wait_until` (`coll::run`); an `i*` handle takes the
+//! same steps from `test`/`wait` (`nb`).
 //!
-//! The builders are functions of `(n, me, chunk, tags, sizes)` alone, so
-//! `tests` runs all `n` ranks' plans against each other with no wire and
-//! no threads and checks mechanically the argument each builder's doc
-//! makes in prose — what the stepper's three `unsafe` sites cite.
+//! The builders are functions of `(n, me, chunk, eager, tags, sizes)`
+//! alone, so `tests` runs all `n` ranks' plans against each other with no
+//! wire and no threads and checks mechanically the argument each
+//! builder's doc makes in prose — what the stepper's `unsafe` sites
+//! cite — and that every put lands on exactly its receive.
 
-use super::lend::Scope;
+use super::grant::{self, Grant, GRANT_LEN};
+use super::lend::{Lent, Scope};
 use super::ops::ReduceOp;
-use super::{CollState, Tags, ROUND_A2A, ROUND_AG_BASE, ROUND_BCAST, ROUND_BITS, ROUND_REDUCE};
-use crate::error::{PostResult, Result};
+use super::{CollState, Tags, ROUND_A2A, ROUND_AG_BASE, ROUND_BCAST, ROUND_GRANT, ROUND_REDUCE};
+use crate::error::{FatalError, PostResult, Result};
 use crate::runtime::Runtime;
-use crate::types::{Direction, Landing, Rank, Tag};
+use crate::types::{CompDesc, CompKind, Direction, Landing, RComp, Rank, SendBuf, Tag};
+use lci_fabric::{MemoryRegion, Rkey};
 use std::cmp::Reverse;
 use std::sync::atomic::Ordering;
 
@@ -46,11 +63,15 @@ use std::sync::atomic::Ordering;
 /// of every plan (the ring allreduce's chunks, the alltoalls' blocks).
 const MAX_INFLIGHT: u64 = 4;
 
+/// `user_ctx` of a grant's receive: this bit and the granting rank.
+const GRANT_CTX: u64 = 1 << 63;
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum How {
     /// Final on arrival: lands in its own range.
     Land,
-    /// Lands in a shelf box; the harvest folds it into its range.
+    /// Lands in a slot of the fold arena; the harvest folds it into its
+    /// range.
     Fold,
 }
 
@@ -64,6 +85,8 @@ pub(super) struct Recv {
     opens_at: usize,
     /// `sends[enables.0..enables.1]` become ready at the harvest.
     enables: (usize, usize),
+    /// A `Fold` piece's slot in the arena (`seal`).
+    slot: usize,
 }
 
 #[derive(Clone, Copy)]
@@ -72,38 +95,111 @@ pub(super) struct Send {
     off: usize,
     len: usize,
     tag: Tag,
+    /// Where the piece goes at the peer: landed, or folded — at
+    /// `dst_off` from the base the peer grants this rank for that kind.
+    how: How,
+    dst_off: usize,
+}
+
+/// What a plan exchanges with one peer besides pieces.
+#[derive(Clone, Copy, Default)]
+struct Peer {
+    /// Base of the peer's `Land` pieces in the landing side: 0 in place,
+    /// the receive displacement for `alltoall(v)`.
+    land_base: usize,
+    /// The peer's region of the fold arena: its base and fold bytes.
+    arena_base: usize,
+    fold_bytes: usize,
+    /// Fold bytes sent to the peer so far: the next fold's `dst_off`.
+    fold_sent: usize,
+    /// Put receives from the peer not yet harvested; it is granted the
+    /// landing while any are.
+    puts_in: usize,
+    /// This rank puts to the peer, so it waits for the peer's grant.
+    puts_out: bool,
+    /// The peer's grant, once harvested.
+    grant: Option<Grant>,
 }
 
 /// One rank's program for one collective, and where its run stands.
-/// Lives in [`CollState`] between blocking calls, so a warm collective
-/// allocates nothing.
+/// Lives in [`CollState`] between calls, so a warm collective allocates
+/// nothing.
 #[derive(Default)]
 pub(super) struct Plan {
     recvs: Vec<Recv>,
     sends: Vec<Send>,
     /// Rounds that have a receive (what `coll_rounds` counts).
     rounds: u64,
+    /// Pieces longer than this are puts (`packet.payload_size`).
+    eager: usize,
+    /// The tag every grant of the call travels under.
+    grant_tag: Tag,
+    /// Per rank.
+    peers: Vec<Peer>,
+    /// Per rank: where its grant lands.
+    inbox: Vec<[u8; GRANT_LEN]>,
+    /// Put receives by [`signal_key`], sorted: what a signal names.
+    signals: Vec<(u64, usize)>,
+    /// Fold arena bytes the plan needs.
+    arena_len: usize,
     /// Per receive: harvested.
     done: Vec<bool>,
+    /// Per receive: a put whose signal was popped before the gate
+    /// opened it.
+    early: Vec<bool>,
     /// Send indices in the order they became ready.
     ready: Vec<usize>,
     /// Receives posted, leading receives harvested, receives harvested,
-    /// `ready[..sent]` posted.
+    /// `ready[..sent]` posted, grants harvested.
     opened: usize,
     prefix: usize,
     harvested: usize,
     sent: usize,
+    granted: usize,
+    /// Grants go out next to ranks `granting..`; `None` before the
+    /// first step.
+    granting: Option<usize>,
+    /// The landing side's registration while grants name it.
+    landing_mr: Option<MemoryRegion>,
+}
+
+/// What a put's signal is looked up by.
+fn signal_key(from: Rank, tag: Tag) -> u64 {
+    (from as u64) << 32 | tag as u64
 }
 
 impl Plan {
-    fn clear(&mut self) {
+    /// Starts a build for shape `w` under `tags`.
+    fn clear(&mut self, w: Shape, tags: Tags) {
         self.recvs.clear();
         self.sends.clear();
+        (self.eager, self.grant_tag) = (w.eager, tags.piece(ROUND_GRANT, 0));
+        self.peers.clear();
+        self.peers.resize(w.n, Peer::default());
+        self.inbox.resize(w.n, [0; GRANT_LEN]);
     }
 
-    /// Adds a send of the piece `(off, len)`; its index.
-    fn send(&mut self, to: Rank, (off, len): (usize, usize), tag: Tag) -> usize {
-        self.sends.push(Send { to, off, len, tag });
+    /// Adds a send of the piece `(off, len)` that lands at `dst_off` from
+    /// the peer's base for this rank; its index.
+    fn send_land(
+        &mut self,
+        to: Rank,
+        (off, len): (usize, usize),
+        tag: Tag,
+        dst_off: usize,
+    ) -> usize {
+        self.sends.push(Send { to, off, len, tag, how: How::Land, dst_off });
+        self.sends.len() - 1
+    }
+
+    /// Adds a send of the piece `(off, len)` that the peer folds; its
+    /// index. The peer's region of its arena holds this rank's folds in
+    /// send order, which is the order the peer receives them in.
+    fn send_fold(&mut self, to: Rank, (off, len): (usize, usize), tag: Tag) -> usize {
+        let p = &mut self.peers[to];
+        let dst_off = p.fold_sent;
+        p.fold_sent += len;
+        self.sends.push(Send { to, off, len, tag, how: How::Fold, dst_off });
         self.sends.len() - 1
     }
 
@@ -117,17 +213,49 @@ impl Plan {
         opens_at: usize,
         enables: (usize, usize),
     ) {
-        self.recvs.push(Recv { from, off, len, tag, how, opens_at, enables });
+        self.recvs.push(Recv { from, off, len, tag, how, opens_at, enables, slot: 0 });
     }
 
-    /// Ends a build: `sends[..seeds]` are ready, nothing has run.
+    /// Ends a build: lays out the fold arena (each peer's folds in
+    /// receive order, the regions in rank order), indexes the put
+    /// receives by signal, marks who grants whom; `sends[..seeds]` are
+    /// ready and nothing has run.
     fn seal(&mut self, seeds: usize, rounds: u64) {
         self.rounds = rounds;
-        self.done.clear();
-        self.done.resize(self.recvs.len(), false);
+        for r in self.recvs.iter_mut().filter(|r| r.how == How::Fold) {
+            let p = &mut self.peers[r.from];
+            r.slot = p.fold_bytes;
+            p.fold_bytes += r.len;
+        }
+        let mut base = 0;
+        for p in &mut self.peers {
+            p.arena_base = base;
+            base += p.fold_bytes;
+        }
+        self.arena_len = base;
+        self.signals.clear();
+        for (i, r) in self.recvs.iter_mut().enumerate() {
+            let p = &mut self.peers[r.from];
+            if r.how == How::Fold {
+                r.slot += p.arena_base;
+            }
+            if r.len > self.eager {
+                p.puts_in += 1;
+                self.signals.push((signal_key(r.from, r.tag), i));
+            }
+        }
+        self.signals.sort_unstable();
+        for s in self.sends.iter().filter(|s| s.len > self.eager) {
+            self.peers[s.to].puts_out = true;
+        }
+        for flags in [&mut self.done, &mut self.early] {
+            flags.clear();
+            flags.resize(self.recvs.len(), false);
+        }
         self.ready.clear();
         self.ready.extend(0..seeds);
-        (self.opened, self.prefix, self.harvested, self.sent) = (0, 0, 0, 0);
+        (self.opened, self.prefix, self.harvested, self.sent, self.granted) = (0, 0, 0, 0, 0);
+        self.granting = None;
     }
 
     /// The next receive to post (`opened += 1` once it is), if its gate
@@ -140,6 +268,15 @@ impl Plan {
     /// The next ready send (`sent += 1` once it is posted).
     fn ready_send(&self) -> Option<usize> {
         self.ready.get(self.sent).copied()
+    }
+
+    /// The put receive a signal from `from` under `tag` names: the first
+    /// not yet signalled (tags repeat only past a call's span).
+    fn signalled(&self, from: Rank, tag: Tag) -> Option<usize> {
+        let key = signal_key(from, tag);
+        let at = self.signals.partition_point(|&(k, _)| k < key);
+        let same = self.signals[at..].iter().take_while(|&&(k, _)| k == key);
+        same.map(|&(_, i)| i).find(|&i| !self.done[i] && !self.early[i])
     }
 
     /// Receive `i` was harvested: opens and enables what waited on it.
@@ -169,10 +306,21 @@ impl Plan {
         op: &O,
     ) -> Result<bool> {
         let stats = &rt.device().inner.stats;
+        if self.granting.is_none() {
+            self.start(rt, st, mem)?;
+        }
         loop {
+            let before = self.harvested + self.granted;
             while let Some(i) = self.open_recv() {
                 self.opened += 1;
                 let r = self.recvs[i];
+                if r.len > self.eager {
+                    // A put: its landing is granted, nothing to post.
+                    if self.early[i] {
+                        self.take(i, None, st, mem, op)?;
+                    }
+                    continue;
+                }
                 let landing = match r.how {
                     // SAFETY: posting writes nothing. The range is written
                     // between the peer's post of the matching send and
@@ -180,81 +328,208 @@ impl Plan {
                     // every other touch of it outside that interval (its
                     // doc; checked by `tests::model`; DESIGN.md §4.11
                     // "Lending", landings).
-                    How::Land => Landing::Lent(unsafe { mem.landing(r.off..r.off + r.len) }),
-                    How::Fold => Landing::Owned(st.take_box(r.len)),
+                    How::Land => unsafe { mem.landing(r.off..r.off + r.len) },
+                    // SAFETY: `seal` gave this receive a slot of its own,
+                    // the arena does not move while the plan runs (`fit`
+                    // ran at the first step), and the slot is read only
+                    // at this receive's harvest.
+                    How::Fold => unsafe { mem.scratch(st.arena.at(r.slot), r.len) },
                 };
-                let res = rt
-                    .post_comm_x(Direction::In, r.from)
-                    .landing(landing)
-                    .tag(r.tag)
-                    .comp(st.recv_cq.clone())
-                    .user_ctx(i as u64)
-                    .call()?;
-                // An immediate match joins the queue: one stream below.
-                if let PostResult::Done(d) = res {
-                    st.recv_cq.signal(d);
-                }
+                post_recv(rt, st, r.from, landing, r.tag, i as u64)?;
             }
+            self.send_grants(rt, st)?;
             while let Some(j) = self.ready_send() {
                 if st.inflight.load(Ordering::Acquire) >= MAX_INFLIGHT {
                     break;
                 }
                 let s = self.sends[j];
+                let put = match self.peers[s.to].grant {
+                    _ if s.len <= self.eager => None,
+                    Some(g) => Some((g.target(s.how, s.dst_off), g.rcomp)),
+                    None => break,
+                };
                 // SAFETY: a send is ready only once the harvest that
                 // completes its bytes is behind us, and the builder's
                 // schedule lets nothing write the range before the send
                 // has completed (its doc; checked by `tests::model`;
                 // DESIGN.md §4.11 "Lending", sends).
                 let piece = unsafe { mem.source(s.off..s.off + s.len) };
-                st.inflight.fetch_add(1, Ordering::AcqRel);
-                // Collectives batch at chunk granularity themselves, and
-                // "window empty" must mean "bytes on the wire": a
-                // coalesced send completes with its frame still buffered,
-                // which would let the last rank out strand it. Opt out.
-                let res = rt
-                    .post_send_x(s.to, piece.send_buf(), s.tag, st.send_comp.clone())
-                    .allow_coalescing(false)
-                    .call()?;
-                if !matches!(res, PostResult::Posted) {
-                    // `Done` never signals the handler and `Retry` posted
-                    // nothing: back the window slot out here.
-                    st.inflight.fetch_sub(1, Ordering::AcqRel);
-                }
-                if matches!(res, PostResult::Retry(_)) {
+                if post(rt, st, s.to, piece.send_buf(), s.tag, put)?.is_retry() {
                     break;
                 }
                 self.sent += 1;
                 stats.raise(|c| &c.coll_chunks_inflight_hwm, st.inflight.load(Ordering::Acquire));
                 stats.add(|c| &c.coll_bytes, s.len as u64);
             }
-            let before = self.harvested;
             while let Some(desc) = st.recv_cq.pop() {
-                let i = desc.user_ctx as usize;
-                let r = self.recvs[i];
-                match r.how {
-                    How::Land => mem.landed(&desc, r.len)?,
-                    How::Fold => {
-                        // SAFETY: the builder's schedule has no send of
-                        // this range in flight and no landing over it
-                        // whose bytes can arrive (its doc; checked by
-                        // `tests::model`; DESIGN.md §4.11 "Lending").
-                        let acc = unsafe { mem.window(r.off..r.off + r.len) };
-                        op.fold(acc, &desc.data.as_slice()[..r.len]);
-                        st.put_databuf(desc.data);
+                if desc.kind == CompKind::RemoteSignal {
+                    let Some(i) = self.signalled(desc.rank, desc.tag) else {
+                        return Err(FatalError::Net(format!(
+                            "collective put from rank {} under tag {:#x} names no piece",
+                            desc.rank, desc.tag
+                        )));
+                    };
+                    if i < self.opened {
+                        self.take(i, None, st, mem, op)?;
+                    } else {
+                        self.early[i] = true;
                     }
+                } else if desc.user_ctx & GRANT_CTX != 0 {
+                    let p = (desc.user_ctx & !GRANT_CTX) as usize;
+                    mem.landed(&desc, GRANT_LEN)?;
+                    self.peers[p].grant = Some(Grant::decode(&self.inbox[p]));
+                    self.granted += 1;
+                } else {
+                    self.take(desc.user_ctx as usize, Some(&desc), st, mem, op)?;
                 }
-                self.harvest(i);
             }
-            if self.harvested == before {
+            if self.harvested + self.granted == before {
                 break;
             }
         }
         let done = self.finished() && st.inflight.load(Ordering::Acquire) == 0;
         if done {
             stats.add(|c| &c.coll_rounds, self.rounds);
+            if let Some(mr) = self.landing_mr.take() {
+                rt.device().deregister_memory(&mr)?;
+            }
         }
         Ok(done)
     }
+
+    /// The first step: the arena fits the plan's folds, a receive is
+    /// posted for each grant this rank waits for, and the landing side is
+    /// lent for the call to each peer that will put into it — and
+    /// registered, once.
+    fn start(&mut self, rt: &Runtime, st: &mut CollState, mem: &Scope<'_>) -> Result<()> {
+        let dev = rt.device();
+        st.arena.fit(dev, self.arena_len)?;
+        for p in 0..self.peers.len() {
+            if self.peers[p].puts_out {
+                // SAFETY: the inbox is this receive's alone, the plan's
+                // vectors do not move while it runs (only builds resize
+                // them), and it is read only at the grant's harvest.
+                let inbox = unsafe { mem.scratch(self.inbox[p].as_mut_ptr(), GRANT_LEN) };
+                post_recv(rt, st, p, inbox, self.grant_tag, GRANT_CTX | p as u64)?;
+            }
+            if self.peers[p].puts_in > 0 {
+                // SAFETY: the peer writes only the ranges its puts name,
+                // each between the put's post and its harvest, and the
+                // builder's schedule keeps every other touch of such a
+                // range outside that interval (its doc; checked by
+                // `tests::model`; DESIGN.md §4.11 "Lending", grants).
+                let (ptr, len) = unsafe { mem.grant() };
+                if self.landing_mr.is_none() {
+                    self.landing_mr = Some(grant::register(dev, ptr, len)?);
+                }
+            }
+        }
+        self.granting = Some(0);
+        Ok(())
+    }
+
+    /// Posts the grants not out yet, until the wire says `Retry`.
+    fn send_grants(&mut self, rt: &Runtime, st: &CollState) -> Result<()> {
+        let Some(mut p) = self.granting else { return Ok(()) };
+        let land = self.landing_mr.map_or(Rkey::default(), |mr| mr.rkey);
+        while p < self.peers.len() {
+            let peer = self.peers[p];
+            if peer.puts_in > 0 {
+                let g = Grant {
+                    land: (land, peer.land_base),
+                    arena: (st.arena.rkey(), peer.arena_base),
+                    rcomp: st.rcomp,
+                };
+                let bytes = g.encode();
+                if post(rt, st, p, SendBuf::from(&bytes[..]), self.grant_tag, None)?.is_retry() {
+                    break;
+                }
+            }
+            p += 1;
+        }
+        self.granting = Some(p);
+        Ok(())
+    }
+
+    /// Harvests receive `i`: a two-sided arrival (`got`) is checked and
+    /// its landing returned, a put's share of its peer's grant; a `Fold`
+    /// piece is folded from its slot; what waited on it opens.
+    fn take<O: ReduceOp + ?Sized>(
+        &mut self,
+        i: usize,
+        got: Option<&CompDesc>,
+        st: &CollState,
+        mem: &Scope<'_>,
+        op: &O,
+    ) -> Result<()> {
+        let r = self.recvs[i];
+        match got {
+            Some(desc) => mem.landed(desc, r.len)?,
+            None => {
+                let p = &mut self.peers[r.from];
+                p.puts_in -= 1;
+                if p.puts_in == 0 {
+                    mem.ungrant();
+                }
+            }
+        }
+        if r.how == How::Fold {
+            // SAFETY: the builder's schedule has no send of this range in
+            // flight and no landing over it whose bytes can arrive (its
+            // doc; checked by `tests::model`; DESIGN.md §4.11 "Lending").
+            let acc = unsafe { mem.window(r.off..r.off + r.len) };
+            // SAFETY: the piece signalled, so its slot is written, and no
+            // other piece of the call lands there.
+            op.fold(acc, unsafe { st.arena.slot(r.slot, r.len) });
+        }
+        self.harvest(i);
+        Ok(())
+    }
+}
+
+/// Posts one receive into lent memory on the state's queue; an
+/// immediate match joins the queue, one stream for the stepper.
+fn post_recv(rt: &Runtime, st: &CollState, from: Rank, at: Lent, tag: Tag, ctx: u64) -> Result<()> {
+    let res = rt
+        .post_comm_x(Direction::In, from)
+        .landing(Landing::Lent(at))
+        .tag(tag)
+        .comp(st.recv_cq.clone())
+        .user_ctx(ctx)
+        .call()?;
+    if let PostResult::Done(d) = res {
+        st.recv_cq.signal(d);
+    }
+    Ok(())
+}
+
+/// Posts one send — a grant, or a piece two-sided or, with `put`, into
+/// the peer's granted memory with a signal to its queue — counted in the
+/// window until it completes (an eager send completes at the post).
+fn post(
+    rt: &Runtime,
+    st: &CollState,
+    to: Rank,
+    buf: SendBuf,
+    tag: Tag,
+    put: Option<((Rkey, usize), RComp)>,
+) -> Result<PostResult> {
+    st.inflight.fetch_add(1, Ordering::AcqRel);
+    // Collectives batch at chunk granularity themselves, and "window
+    // empty" must mean "bytes on the wire": a coalesced send completes
+    // with its frame still buffered, which would let the last rank out
+    // strand it. Opt out.
+    let mut x = rt.post_send_x(to, buf, tag, st.send_comp.clone()).allow_coalescing(false);
+    if let Some(((rkey, off), rcomp)) = put {
+        x = x.remote_buf(rkey, off).remote_comp(rcomp);
+    }
+    let res = x.call()?;
+    if !matches!(res, PostResult::Posted) {
+        // `Done` never signals the handler and `Retry` posted nothing:
+        // back the window slot out here.
+        st.inflight.fetch_sub(1, Ordering::AcqRel);
+    }
+    Ok(res)
 }
 
 // ---------------------------------------------------------------------
@@ -262,18 +537,28 @@ impl Plan {
 // ---------------------------------------------------------------------
 
 /// What every schedule is a function of besides its sizes and tags: the
-/// world's size, this rank, and `coll_chunk_size` — which both sides of
-/// a chunked exchange cut by, so it must match across ranks.
+/// world's size, this rank, the piece size — `coll_chunk_size`, or the
+/// wire's largest write if that is smaller — which both sides of a
+/// chunked exchange cut by, and the eager size, above which a piece is a
+/// put. The last two must match across ranks.
 #[derive(Clone, Copy)]
 pub(super) struct Shape {
     pub n: usize,
     pub me: usize,
     pub chunk: usize,
+    pub eager: usize,
 }
 
 impl Shape {
     pub(super) fn of(rt: &Runtime) -> Shape {
-        Shape { n: rt.rank_n(), me: rt.rank_me(), chunk: rt.config().coll_chunk_size }
+        let cfg = rt.config();
+        let chunk = cfg.coll_chunk_size.min(cfg.device.backend.max_write());
+        Shape { n: rt.rank_n(), me: rt.rank_me(), chunk, eager: cfg.packet.payload_size }
+    }
+
+    /// Pieces in `len` bytes: the tag run a single-round stream needs.
+    pub(super) fn span(self, len: usize) -> usize {
+        len.div_ceil(self.chunk)
     }
 }
 
@@ -303,7 +588,8 @@ pub(super) fn ring_span(w: Shape, len: usize, elem: usize) -> usize {
 /// are still in flight; round 0 is the seeds. Round `t` opens when
 /// rounds `≤ t−2` are full: a *performance* lookahead (arrivals usually
 /// match a posted landing), not a correctness requirement — anything
-/// earlier waits in the unexpected queue and still lands where posted.
+/// earlier waits in the unexpected queue (or, a put, in `early`) and
+/// still lands where posted.
 ///
 /// **Who touches which bytes when.** Write `(t, c)` for chunk `c` of the
 /// block round `t` receives. The left neighbour sends `(t, c)`
@@ -319,14 +605,14 @@ pub(super) fn ring_span(w: Shape, len: usize, elem: usize) -> usize {
 /// (the gate) and follows no touch at all (the earlier one would
 /// be round `t−n < 0`); and after its landing in round `t ≥ n−1` the
 /// only later touch is the send of round `t+1`, ready once the landing
-/// was popped. A landing may be *posted* over a range that is still
-/// being sent (`n = 2` posts both rounds up front) or even folded
-/// (rendezvous FINs of different rounds can complete out of order, so
-/// the two-round lookahead can open round `t+n` early): posting hands
-/// over an address and touches nothing — what the chain bounds is when
-/// the bytes can arrive.
+/// was popped. A landing may be *posted* — or granted, for the whole
+/// call — over a range that is still being sent (`n = 2` posts both
+/// rounds up front) or even folded (the two-round lookahead can open
+/// round `t+n` early): posting hands over an address and touches
+/// nothing — what the chain bounds is when the bytes can arrive. A fold
+/// arrives in its own arena slot, so folds never touch each other.
 pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tags) {
-    let Shape { n, me, chunk } = w;
+    let Shape { n, me, chunk, .. } = w;
     let (left, right, rounds) = ((me + n - 1) % n, (me + 1) % n, 2 * (n - 1));
     // Whole lanes per chunk, so a fold never splits one.
     let chunk = (chunk / elem).max(1) * elem;
@@ -336,11 +622,20 @@ pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tag
     let block = |b: usize| {
         pieces((b * q + b.min(r)) * elem, (q + usize::from(b < r)) * elem, chunk).enumerate()
     };
-    plan.clear();
+    plan.clear(w, tags);
     // Round `t` sends block `(me − t) mod n` and receives `(me − t − 1)
-    // mod n`: each receive is the next round's send.
+    // mod n`: each receive is the next round's send, and the right
+    // neighbour folds what it receives in rounds `< n−1`.
+    let send = |plan: &mut Plan, t: usize, c: usize, piece: (usize, usize)| {
+        let tag = tags.piece(t as u32, c);
+        if t < n - 1 {
+            plan.send_fold(right, piece, tag)
+        } else {
+            plan.send_land(right, piece, tag, piece.0)
+        }
+    };
     for (c, piece) in block(me) {
-        plan.send(right, piece, tags.piece(0, c));
+        send(plan, 0, c, piece);
     }
     let seeds = plan.sends.len();
     // Receives in rounds `≤ t−1` and `≤ t−2`; rounds with any.
@@ -350,7 +645,7 @@ pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tag
             let how = if t < n - 1 { How::Fold } else { How::Land };
             let mut enables = (0, 0);
             if t + 1 < rounds {
-                let j = plan.send(right, piece, tags.piece(t as u32 + 1, c));
+                let j = send(plan, t + 1, c, piece);
                 enables = (j, j + 1);
             }
             plan.recv(how, left, piece, tags.piece(t as u32, c), through_2, enables);
@@ -370,7 +665,7 @@ pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tag
 /// non-root's chunk range is lent to one receive, written by that one
 /// arrival, and read only by the forwards its harvest enables.
 pub(super) fn broadcast(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: Tags) {
-    let Shape { n, me, chunk } = w;
+    let Shape { n, me, chunk, .. } = w;
     let vr = (me + n - root) % n;
     // The parent clears our highest set bit; the children are `vr + m`
     // for every power of two `m > vr` with `vr + m < n`.
@@ -379,11 +674,11 @@ pub(super) fn broadcast(plan: &mut Plan, w: Shape, root: usize, len: usize, tags
         let first = (top << 1).max(1);
         (0..usize::BITS).map(move |k| first << k).take_while(move |m| vr + m < n)
     };
-    plan.clear();
+    plan.clear(w, tags);
     for (c, piece) in pieces(0, len, chunk).enumerate() {
         let (tag, first) = (tags.piece(ROUND_BCAST, c), plan.sends.len());
         for m in children() {
-            plan.send((vr + m + root) % n, piece, tag);
+            plan.send_land((vr + m + root) % n, piece, tag, piece.0);
         }
         if vr != 0 {
             let enables = (first, plan.sends.len());
@@ -397,26 +692,35 @@ pub(super) fn broadcast(plan: &mut Plan, w: Shape, root: usize, len: usize, tags
 /// after round `k` every rank holds `2^k` blocks (its own plus the next
 /// `2^k − 1` ranks'), kept rotated so each round sends one contiguous
 /// prefix; the caller's final rotation restores rank order. The buffer
-/// is the output with this rank's block already at its front. Receive
-/// `k` opens at `k` and its harvest enables send `k+1`. A round's send
-/// reads the prefix while its arrival lands behind it: round `k` sends
-/// `[0, cnt·block)` with `cnt ≤ have`, and every landing of that or a
-/// later round starts at or past `have·block`, so nothing in flight is
-/// ever written.
+/// is the output with this rank's block already at its front. A round
+/// travels as `chunk` pieces under tags `(seq + c, ROUND_AG_BASE + k)`;
+/// each receive opens once every earlier one is in, and the last of a
+/// round enables the next round's sends. A round's send reads the prefix
+/// while its arrival lands behind it: round `k` sends `[0, cnt·block)`
+/// with `cnt ≤ have`, and every landing of that or a later round starts
+/// at or past `have·block`, so nothing in flight is ever written.
 pub(super) fn allgather(plan: &mut Plan, w: Shape, block: usize, tags: Tags) {
-    let Shape { n, me, .. } = w;
-    plan.clear();
-    let (mut have, mut k) = (1, 0);
+    let Shape { n, me, chunk, .. } = w;
+    plan.clear(w, tags);
+    let (mut have, mut k, mut seeds) = (1, 0, None);
     while have < n {
-        let cnt = have.min(n - have);
-        let tag = tags.piece(ROUND_AG_BASE + k as u32, 0);
-        plan.send((me + n - have) % n, (0, cnt * block), tag);
-        let enables = if have + cnt < n { (k + 1, k + 2) } else { (0, 0) };
-        plan.recv(How::Land, (me + have) % n, (have * block, cnt * block), tag, k, enables);
+        let (cnt, at, first) = (have.min(n - have), have * block, plan.sends.len());
+        let tag = |c| tags.piece(ROUND_AG_BASE + k, c);
+        for (c, piece) in pieces(0, cnt * block, chunk).enumerate() {
+            plan.send_land((me + n - have) % n, piece, tag(c), at + piece.0);
+        }
+        if let Some(last) = plan.recvs.last_mut() {
+            last.enables = (first, plan.sends.len());
+        }
+        seeds.get_or_insert(plan.sends.len());
+        for (c, piece) in pieces(at, cnt * block, chunk).enumerate() {
+            let opens_at = plan.recvs.len();
+            plan.recv(How::Land, (me + have) % n, piece, tag(c), opens_at, (0, 0));
+        }
         have += cnt;
         k += 1;
     }
-    plan.seal(1, k as u64);
+    plan.seal(seeds.unwrap_or(0), k as u64);
 }
 
 /// Bytes of scratch [`barrier`] runs over: 32 one-byte tokens each way.
@@ -430,52 +734,59 @@ pub(super) const BARRIER_SCRATCH: usize = 64;
 /// written) and lands on byte `32 + k` (never read).
 pub(super) fn barrier(plan: &mut Plan, w: Shape, tags: Tags) {
     let Shape { n, me, .. } = w;
-    plan.clear();
+    plan.clear(w, tags);
     let mut k = 0;
     while 1 << k < n {
-        let (dist, tag) = (1 << k, tags.piece(k as u32, 0));
-        plan.send((me + dist) % n, (k, 1), tag);
+        let (dist, tag, at) = (1 << k, tags.piece(k as u32, 0), BARRIER_SCRATCH / 2 + k);
+        plan.send_land((me + dist) % n, (k, 1), tag, at);
         let enables = if dist * 2 < n { (k + 1, k + 2) } else { (0, 0) };
-        plan.recv(How::Land, (me + n - dist) % n, (BARRIER_SCRATCH / 2 + k, 1), tag, k, enables);
+        plan.recv(How::Land, (me + n - dist) % n, (at, 1), tag, k, enables);
         k += 1;
     }
     plan.seal(1, k as u64);
 }
 
-/// Bounded-inflight pairwise alltoall of `block`-byte blocks: all `n −
-/// 1` receives open, each into its sender's block of the receive
-/// buffer, and all sends seeds in `(me + r) mod n` order — large blocks
-/// ride the chunked rendezvous pump concurrently. Sends read one buffer
-/// and receives write the other.
+/// Bounded-inflight pairwise alltoall of `block`-byte blocks, each cut
+/// into `chunk` pieces under tags `(seq + c, ROUND_A2A)`: all receives
+/// open, each into its sender's block of the receive buffer (a peer's
+/// base is its block's offset, so a piece lands at its offset in the
+/// block), and all sends seeds in `(me + r) mod n` order. Sends read one
+/// buffer and receives write the other.
 pub(super) fn alltoall(plan: &mut Plan, w: Shape, block: usize, tags: Tags) {
-    let Shape { n, me, .. } = w;
-    plan.clear();
-    let tag = tags.piece(ROUND_A2A, 0);
+    let Shape { n, me, chunk, .. } = w;
+    plan.clear(w, tags);
     for peer in (1..n).map(|r| (me + r) % n) {
-        plan.send(peer, (peer * block, block), tag);
-        plan.recv(How::Land, peer, (peer * block, block), tag, 0, (0, 0));
+        let base = peer * block;
+        plan.peers[peer].land_base = base;
+        for (c, piece) in pieces(base, block, chunk).enumerate() {
+            let tag = tags.piece(ROUND_A2A, c);
+            plan.send_land(peer, piece, tag, piece.0 - base);
+            plan.recv(How::Land, peer, piece, tag, 0, (0, 0));
+        }
     }
-    plan.seal(n - 1, 1);
+    plan.seal(plan.sends.len(), 1);
 }
 
 /// Sequence numbers one `alltoallv` reserves. No rank knows the whole
 /// count matrix, so the run cannot follow the longest block the way the
 /// ring's does: it is a constant, and with the round field (which this
-/// single-stage exchange has no other use for) gives a pair `64 · 512 =
-/// 32 768` piece tags — a 2 GiB block at the default chunk size — before
-/// they repeat.
+/// single-stage exchange has no other use for, bar the grant's code)
+/// gives a pair `64 · 511 = 32 704` piece tags — a 2 GiB block at the
+/// default chunk size — before they repeat.
 pub(super) const V_SPAN: usize = 64;
 
 /// Sparse largest-first `alltoallv` (DESIGN.md §4.13). A zero-byte pair
 /// posts *nothing* either way. A block is cut into `chunk` pieces, piece
-/// `c` of any pair tagged `(seq + c >> 9, c & 511)`. Every receive is
-/// open, straight into the piece's own range of the receive buffer (the
-/// pieces tile it without overlap), so the exchange is deadlock-free
-/// under any send order; every send is a seed, **largest block first**
-/// (the straggler that bounds the critical path departs first and
-/// overlaps every smaller block behind it), ties broken by rank-rotated
-/// distance `(peer − me − 1) mod n` so uniform schedules keep the classic
-/// rotation. Sends read one buffer and receives write the other.
+/// `c` of any pair tagged `(seq + c / 511, c mod 511)` — every round
+/// code but [`ROUND_GRANT`]. Every receive is open, straight into the
+/// piece's own range of the receive buffer (the pieces tile it without
+/// overlap; a peer's base is the receive displacement of its block), so
+/// the exchange is deadlock-free under any send order; every send is a
+/// seed, **largest block first** (the straggler that bounds the critical
+/// path departs first and overlaps every smaller block behind it), ties
+/// broken by rank-rotated distance `(peer − me − 1) mod n` so uniform
+/// schedules keep the classic rotation. Sends read one buffer and
+/// receives write the other.
 pub(super) fn alltoallv(
     plan: &mut Plan,
     w: Shape,
@@ -483,15 +794,17 @@ pub(super) fn alltoallv(
     recv_counts: &[usize],
     tags: Tags,
 ) {
-    let Shape { n, me, chunk } = w;
-    let tag = |c: usize| tags.piece((c & ((1 << ROUND_BITS) - 1)) as u32, c >> ROUND_BITS);
-    plan.clear();
+    let Shape { n, me, chunk, .. } = w;
+    let rounds = ROUND_GRANT as usize;
+    let tag = |c: usize| tags.piece((c % rounds) as u32, c / rounds);
+    plan.clear(w, tags);
     let (mut soff, mut roff) = (0, 0);
     for peer in 0..n {
         if peer != me {
             for (c, piece) in pieces(soff, send_counts[peer], chunk).enumerate() {
-                plan.send(peer, piece, tag(c));
+                plan.send_land(peer, piece, tag(c), piece.0 - soff);
             }
+            plan.peers[peer].land_base = roff;
             for (c, piece) in pieces(roff, recv_counts[peer], chunk).enumerate() {
                 plan.recv(How::Land, peer, piece, tag(c), 0, (0, 0));
             }
@@ -504,246 +817,55 @@ pub(super) fn alltoallv(
     plan.seal(plan.sends.len(), 1);
 }
 
-/// Binomial reduction of `len` bytes to `root`: the partials of
-/// children `vr + 1, vr + 2, vr + 4, …` are folded in one at a time
-/// (child `i` opens at `i`, so one box is out at a time; a partial
-/// arrives unchunked), and the last fold enables the one send to the
-/// parent — a seed on a leaf, absent on the root. Every touch of the
-/// accumulator is therefore in program order: fold, fold, …, send.
+/// Binomial reduction of `len` bytes to `root`, in `chunk` pieces under
+/// tags `(seq + c, ROUND_REDUCE)`: the partials of children `vr + 1`,
+/// `vr + 2`, `vr + 4`, … are folded in one child at a time (a child's
+/// pieces open once every piece of the one before is in), and the last child's
+/// piece `c` enables piece `c` of the send to the parent — seeds on a
+/// leaf, absent on the root. Every touch of an accumulator range is
+/// therefore in program order: fold, fold, …, send. Each child's pieces
+/// arrive in a region of the arena of their own.
 pub(super) fn reduce(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: Tags) {
-    let Shape { n, me, .. } = w;
-    plan.clear();
-    let (vr, tag) = ((me + n - root) % n, tags.piece(ROUND_REDUCE, 0));
-    let mut m = 1;
+    let Shape { n, me, chunk, .. } = w;
+    plan.clear(w, tags);
+    let vr = (me + n - root) % n;
+    let (mut m, mut children) = (1, 0);
     while m < n && vr & m == 0 {
         if vr + m < n {
-            plan.recv(How::Fold, (vr + m + root) % n, (0, len), tag, plan.recvs.len(), (0, 0));
+            let (child, opens_at) = ((vr + m + root) % n, plan.recvs.len());
+            for (c, piece) in pieces(0, len, chunk).enumerate() {
+                plan.recv(How::Fold, child, piece, tags.piece(ROUND_REDUCE, c), opens_at, (0, 0));
+            }
+            children += 1;
         }
         m <<= 1;
     }
+    let parents = usize::from(m < n);
     if m < n {
-        plan.send((vr - m + root) % n, (0, len), tag);
-        if let Some(last) = plan.recvs.last_mut() {
-            last.enables = (0, 1);
+        for (c, piece) in pieces(0, len, chunk).enumerate() {
+            plan.send_fold((vr - m + root) % n, piece, tags.piece(ROUND_REDUCE, c));
+        }
+        let last = plan.recvs.len().saturating_sub(plan.sends.len());
+        for (c, r) in plan.recvs[last..].iter_mut().enumerate() {
+            r.enables = (c, c + 1);
         }
     }
-    let (children, parents) = (plan.recvs.len(), plan.sends.len());
-    plan.seal(if children == 0 { parents } else { 0 }, (children + parents) as u64);
+    let seeds = if children == 0 { plan.sends.len() } else { 0 };
+    plan.seal(seeds, (children + parents) as u64);
 }
 
 /// The schedule model check: all `n` ranks' plans run against each other
 /// under a seeded scheduler that at every point picks any enabled
-/// action — open a receive, post a ready send within the window, deliver
-/// a posted send to its posted receive, harvest a delivery — and holds
-/// DESIGN.md §4.11's last-dereference table over the run: a send's range
-/// is READ from its post until its delivery; a `Land` range is WRITE
-/// from the moment its peer *posts* the matching send (the bytes can
-/// arrive from then on) until its harvest; a `Fold` is a WRITE at its
-/// harvest; no WRITE may overlap another live interval of its buffer.
+/// action — grant a peer, open a receive, post a ready send within the
+/// window (a put once its grant is in), deliver a posted send (a
+/// two-sided one into its posted receive), harvest a delivery whose
+/// receive is open — and holds DESIGN.md §4.11's last-dereference table
+/// over the run: a send's range is READ from its post until its
+/// delivery; a `Land` range or a `Fold` piece's arena slot is WRITE from
+/// the moment its peer *posts* the matching send (the bytes can arrive
+/// from then on) until its harvest; a `Fold` is a WRITE of its range at
+/// its harvest; no WRITE may overlap another live interval of its
+/// memory. Before the run it checks the puts statically: each lands on
+/// exactly its receive under a grant, no two overlap, grants pair up.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::HashMap;
-
-    /// `(src, dst, tag)`: what the wire matches a send to its receive by.
-    type Key = (usize, usize, Tag);
-
-    /// A live interval of one rank's memory.
-    #[derive(Debug)]
-    struct Touch {
-        /// `(rank, side)`: receives land in side 1; sends read side 0, or
-        /// 1 in place.
-        mem: (usize, usize),
-        range: (usize, usize),
-        write: bool,
-        key: Key,
-    }
-
-    /// Starts a touch, which must not overlap a live one unless both read.
-    fn touch(live: &mut Vec<Touch>, mem: (usize, usize), r: (usize, usize), write: bool, key: Key) {
-        let t = Touch { mem, range: (r.0, r.0 + r.1), write, key };
-        for o in live.iter().filter(|o| o.mem == mem && (write || o.write)) {
-            let apart = t.range.1 <= o.range.0 || o.range.1 <= t.range.0;
-            assert!(apart, "{t:?} overlaps live {o:?}");
-        }
-        live.push(t);
-    }
-
-    fn untouch(live: &mut Vec<Touch>, key: Key, write: bool) {
-        let at = live.iter().position(|t| t.key == key && t.write == write).expect("a live touch");
-        live.swap_remove(at);
-    }
-
-    /// Runs `plans` (rank `r`'s at index `r`) to completion under `seed`.
-    fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
-        let n = plans.len();
-        let window = 1 + seed as usize % 4;
-        // Statically: every send has exactly one receive with its key
-        // and length, and every receive a send.
-        let mut recv_of: HashMap<Key, usize> = HashMap::new();
-        for (dst, p) in plans.iter().enumerate() {
-            for (i, r) in p.recvs.iter().enumerate() {
-                assert!(recv_of.insert((r.from, dst, r.tag), i).is_none(), "two receives, one key");
-            }
-        }
-        // Per send: its receive's index at the destination.
-        let mut sends = 0;
-        let mut recv_at: Vec<Vec<usize>> = Vec::new();
-        for (src, p) in plans.iter().enumerate() {
-            let matched = p.sends.iter().map(|s| {
-                let i = *recv_of.get(&(src, s.to, s.tag)).expect("a send without a receive");
-                assert_eq!(plans[s.to].recvs[i].len, s.len, "send and receive disagree on length");
-                i
-            });
-            recv_at.push(matched.collect());
-            sends += p.sends.len();
-        }
-        assert_eq!(sends, recv_of.len(), "a receive without a send, or two sends with one key");
-
-        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut posted: Vec<Vec<bool>> = plans.iter().map(|p| vec![false; p.recvs.len()]).collect();
-        let mut inflight = vec![0usize; n];
-        // Sends `(src, j)` posted and not delivered; receives `(dst, i)`
-        // delivered and not harvested.
-        let mut flying: Vec<(usize, usize)> = Vec::new();
-        let mut arrived: Vec<(usize, usize)> = Vec::new();
-        let mut live: Vec<Touch> = Vec::new();
-        enum Act {
-            Open(usize),
-            Post(usize),
-            Deliver(usize),
-            Harvest(usize),
-        }
-        let mut acts = Vec::new();
-        loop {
-            acts.clear();
-            for r in 0..n {
-                acts.extend(plans[r].open_recv().map(|_| Act::Open(r)));
-                acts.extend(
-                    plans[r].ready_send().filter(|_| inflight[r] < window).map(|_| Act::Post(r)),
-                );
-            }
-            for (k, &(src, j)) in flying.iter().enumerate() {
-                let landing = posted[plans[src].sends[j].to][recv_at[src][j]];
-                acts.extend(landing.then_some(Act::Deliver(k)));
-            }
-            acts.extend((0..arrived.len()).map(Act::Harvest));
-            if acts.is_empty() {
-                break;
-            }
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            match acts.swap_remove(rng as usize % acts.len()) {
-                Act::Open(r) => {
-                    posted[r][plans[r].open_recv().expect("enabled")] = true;
-                    plans[r].opened += 1;
-                }
-                Act::Post(src) => {
-                    let j = plans[src].ready_send().expect("enabled");
-                    plans[src].sent += 1;
-                    inflight[src] += 1;
-                    let s = plans[src].sends[j];
-                    let key = (src, s.to, s.tag);
-                    assert!(live.iter().all(|t| t.key != key), "{key:?} is live twice");
-                    touch(&mut live, (src, usize::from(in_place)), (s.off, s.len), false, key);
-                    let r = plans[s.to].recvs[recv_at[src][j]];
-                    if r.how == How::Land {
-                        touch(&mut live, (s.to, 1), (r.off, r.len), true, key);
-                    }
-                    flying.push((src, j));
-                }
-                Act::Deliver(k) => {
-                    let (src, j) = flying.swap_remove(k);
-                    let s = plans[src].sends[j];
-                    untouch(&mut live, (src, s.to, s.tag), false);
-                    inflight[src] -= 1;
-                    arrived.push((s.to, recv_at[src][j]));
-                }
-                Act::Harvest(k) => {
-                    let (dst, i) = arrived.swap_remove(k);
-                    let r = plans[dst].recvs[i];
-                    let key = (r.from, dst, r.tag);
-                    if r.how == How::Fold {
-                        touch(&mut live, (dst, 1), (r.off, r.len), true, key);
-                    }
-                    untouch(&mut live, key, true);
-                    plans[dst].harvest(i);
-                }
-            }
-        }
-        for (r, p) in plans.iter().enumerate() {
-            assert!(p.finished() && inflight[r] == 0, "rank {r} of {n} is stuck (seed {seed})");
-        }
-        assert!(live.is_empty() && flying.is_empty());
-    }
-
-    /// Builds every rank's plan and runs them.
-    fn check(n: usize, in_place: bool, seed: u64, build: impl Fn(&mut Plan, Shape)) {
-        let mut plans: Vec<Plan> = (0..n).map(|_| Plan::default()).collect();
-        for (me, p) in plans.iter_mut().enumerate() {
-            build(p, Shape { n, me, chunk: CHUNK });
-        }
-        run(&mut plans, in_place, seed);
-    }
-
-    const ELEM: usize = 8;
-    const CHUNK: usize = 3 * ELEM;
-
-    fn tags(span: usize) -> Tags {
-        Tags { seq: 11, span: span.max(1) }
-    }
-
-    /// `n ∈ 2..=9` × 200 seeds × byte lengths of 0, 1, `n−1`, chunk ± 1,
-    /// 3·chunk + 5 and `n`·(2·chunk + 1) + 1 elements (the last gives
-    /// every ring block a short last chunk).
-    fn sweep(f: impl Fn(usize, usize, u64)) {
-        for n in 2..=9 {
-            for seed in 0..200 {
-                for elems in [0, 1, n - 1, 2, 4, 3 * 3 + 5, n * (2 * 3 + 1) + 1] {
-                    f(n, elems * ELEM, seed);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn model_ring() {
-        sweep(|n, len, seed| {
-            let t = tags(ring_span(Shape { n, me: 0, chunk: CHUNK }, len, ELEM));
-            check(n, true, seed, |p, w| ring(p, w, len, ELEM, t));
-        });
-    }
-
-    #[test]
-    fn model_trees_and_bruck() {
-        sweep(|n, len, seed| {
-            let (root, t) = (seed as usize % n, tags(len.div_ceil(CHUNK)));
-            check(n, true, seed, |p, w| broadcast(p, w, root, len, t));
-            check(n, true, seed, |p, w| reduce(p, w, root, len, tags(1)));
-            check(n, true, seed, |p, w| allgather(p, w, len, tags(1)));
-        });
-    }
-
-    #[test]
-    fn model_barrier_and_exchanges() {
-        sweep(|n, len, seed| {
-            check(n, false, seed, |p, w| alltoall(p, w, len, tags(1)));
-            if len > 0 {
-                return;
-            }
-            check(n, true, seed, |p, w| barrier(p, w, tags(1)));
-            // A ragged matrix, about half its pairs empty.
-            let mut x = seed | 1;
-            let mut count = || {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (x >> 1 & 1) as usize * ((x >> 33) as usize % (3 * CHUNK + 5))
-            };
-            let m: Vec<Vec<usize>> = (0..n).map(|_| (0..n).map(|_| count()).collect()).collect();
-            check(n, false, seed, |p, w| {
-                let col: Vec<usize> = m.iter().map(|row| row[w.me]).collect();
-                alltoallv(p, w, &m[w.me], &col, tags(V_SPAN))
-            });
-        });
-    }
-}
+mod tests;

@@ -165,12 +165,14 @@ pub(crate) struct RuntimeInner {
     /// Collective sequence counter (see `crate::coll`).
     pub coll_seq: std::sync::atomic::AtomicU32,
     /// Cached collective-engine state (lazily initialised by
-    /// [`crate::coll`]): reusable completion objects, recycled landing
-    /// buffers, and bookkeeping scratch, so warm collectives allocate
-    /// nothing. Collectives on one runtime serialize on this lock —
-    /// the usual "all ranks call collectives in the same order"
-    /// contract already implies one collective at a time per rank.
+    /// [`crate::coll`]): reusable completion objects, the fold arena,
+    /// and bookkeeping scratch, so warm collectives allocate nothing.
+    /// Collectives on one runtime serialize on this lock — the usual
+    /// "all ranks call collectives in the same order" contract already
+    /// implies one collective at a time per rank.
     pub coll: parking_lot::Mutex<Option<crate::coll::CollState>>,
+    /// Collective states `i*` handles gave back, for the next handles.
+    pub coll_spare: parking_lot::Mutex<Vec<crate::coll::CollState>>,
     /// Every device allocated on this runtime, in creation order. Weak:
     /// `DeviceInner` holds `rt: Arc<RuntimeInner>`, so a strong registry
     /// would cycle and leak. [`Runtime::progress_all`] walks this.
@@ -245,6 +247,7 @@ impl Runtime {
             rcomp: MpmcArray::with_capacity(16),
             coll_seq: std::sync::atomic::AtomicU32::new(0),
             coll: parking_lot::Mutex::new(None),
+            coll_spare: parking_lot::Mutex::new(Vec::new()),
             devices: MpmcArray::with_capacity(4),
             config,
         });

@@ -713,6 +713,16 @@ fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
     nranks: usize,
     make_iter: impl Fn(usize) -> I + Clone + Send + 'static,
 ) -> u64 {
+    collective_steady_state_allocs_at(nranks, 4096, make_iter)
+}
+
+/// [`collective_steady_state_allocs`] with pieces of `chunk` bytes (the
+/// small config's eager size is 4 KiB: longer pieces are puts).
+fn collective_steady_state_allocs_at<I: FnMut(&Runtime)>(
+    nranks: usize,
+    chunk: usize,
+    make_iter: impl Fn(usize) -> I + Clone + Send + 'static,
+) -> u64 {
     const WARMUP: usize = 8;
     const ITERS: usize = 32;
     let fabric = Fabric::new(nranks);
@@ -722,7 +732,7 @@ fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
             let (fabric, gate, make_iter) = (fabric.clone(), gate.clone(), make_iter.clone());
             std::thread::spawn(move || {
                 audit_this_thread();
-                let cfg = RuntimeConfig { coll_chunk_size: 4096, ..RuntimeConfig::small() };
+                let cfg = RuntimeConfig { coll_chunk_size: chunk, ..RuntimeConfig::small() };
                 let rt = Runtime::new(fabric, rank, cfg).unwrap();
                 let mut iter = make_iter(rank);
                 for _ in 0..WARMUP {
@@ -755,8 +765,8 @@ fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
 }
 
 /// Warm chunk-pipelined ring allreduce: once the collective engine's
-/// landing-buffer shelf (reduce-scatter arrivals), op-context slabs, and
-/// round bookkeeping are warm, a full allreduce — 2(n−1) rounds of
+/// fold arena (reduce-scatter arrivals), op-context slabs, and round
+/// bookkeeping are warm, a full allreduce — 2(n−1) rounds of
 /// windowed sends posted from the buffer, pre-posted recvs, in-place
 /// folds and in-place landings, 8 chunks per block — makes zero
 /// allocator calls on either rank.
@@ -810,13 +820,41 @@ fn collective_alltoallv_steady_state_is_allocation_free() {
     );
 }
 
+/// Warm collectives whose pieces are puts (16 KiB chunks over the 4 KiB
+/// eager size): a ring allreduce of 128 KiB folding from the arena and
+/// landing in place, and an alltoallv with a multi-piece block. Once the
+/// arena, the plan's grant and signal tables and the registration cache
+/// are warm, a call's grants, puts and signals make zero allocator calls.
+#[test]
+fn collective_puts_steady_state_is_allocation_free() {
+    let _g = serial();
+    const COUNTS: [[usize; 2]; 2] = [[16, 40_000], [20_000, 8]];
+    let allocs = collective_steady_state_allocs_at(2, 16 << 10, |rank| {
+        let mut buf = vec![1u8; 128 << 10];
+        let send_counts = COUNTS[rank].to_vec();
+        let recv_counts: Vec<usize> = (0..2).map(|src| COUNTS[src][rank]).collect();
+        let send = vec![0x5Au8; send_counts.iter().sum()];
+        let mut recv = vec![0u8; recv_counts.iter().sum()];
+        move |rt: &Runtime| {
+            lci::coll::allreduce(rt, &mut buf, &lci::SumU64).unwrap();
+            lci::coll::alltoallv(rt, &send, &send_counts, &mut recv, &recv_counts).unwrap();
+        }
+    });
+    assert_eq!(
+        allocs,
+        0,
+        "warm put-sized allreduce + alltoallv loop made {allocs} allocator calls on two ranks{}",
+        first_allocs()
+    );
+}
+
 /// Warm dense alltoall with blocks over `coll_chunk_size` (100 KiB
-/// against the scaffold's 4 KiB): `alltoall_bytes` posts whole blocks,
-/// so before PR 20 every call took an oversize landing box — a fresh
-/// allocation `put_databuf` then dropped, one per peer per call (64 in
-/// this window), under a module doc that said a warm collective loop
-/// allocates nothing. Each block now lands in the caller's receive
-/// buffer and there is no box to allocate.
+/// against the scaffold's 4 KiB): `alltoall_bytes` once posted whole
+/// blocks, and before PR 20 every call took an oversize landing box — a
+/// fresh allocation, one per peer per call (64 in this window), under a
+/// module doc that said a warm collective loop allocates nothing. Each
+/// block is now cut into chunk-sized pieces that land in the caller's
+/// receive buffer, and there is no box to allocate.
 #[test]
 fn collective_alltoall_oversize_blocks_steady_state_is_allocation_free() {
     let _g = serial();
@@ -835,8 +873,8 @@ fn collective_alltoall_oversize_blocks_steady_state_is_allocation_free() {
 }
 
 /// Warm dissemination barrier: every round is a 1-byte inline send and
-/// a receive into a shelf box completed through the state's receive
-/// queue, so no round touches the allocator or posts anything larger
+/// a receive into the barrier's scratch completed through the state's
+/// receive queue, so no round touches the allocator or posts anything larger
 /// than a byte. Three ranks so the barrier runs two rounds.
 #[test]
 fn collective_barrier_steady_state_is_allocation_free() {

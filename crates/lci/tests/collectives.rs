@@ -65,8 +65,8 @@ fn ring_allreduce_multi_chunk_nonpow2() {
         // The engine's new counters moved: rounds were counted and
         // bytes were sent. (`coll_chunks_inflight_hwm` only counts
         // sends still outstanding after posting — tiny eager chunks
-        // complete at post time, so it is asserted in the
-        // rendezvous-sized test below instead.)
+        // complete at post time, so it is asserted in the put-sized
+        // test below instead.)
         let stats = rt.device().stats();
         assert!(stats.coll_rounds >= 2 * (n as u64 - 1), "rounds {}", stats.coll_rounds);
         assert!(stats.coll_bytes > 0);
@@ -75,10 +75,10 @@ fn ring_allreduce_multi_chunk_nonpow2() {
 }
 
 #[test]
-fn ring_allreduce_rendezvous_chunks_pipeline() {
-    // Chunks over the 4 KiB eager threshold ride rendezvous, so sends
-    // stay genuinely in flight and the window high-water mark must show
-    // the pipeline held at least one chunk outstanding.
+fn ring_allreduce_put_chunks_pipeline() {
+    // Chunks over the 4 KiB eager threshold are puts, which stay in
+    // flight until their write completes, so the window high-water mark
+    // must show the pipeline held at least one chunk outstanding.
     with_ranks(3, tiny_chunk_cfg(8 << 10), |rank, rt| {
         let elems = 24 << 10; // 192 KiB -> 64 KiB blocks -> 8 chunks each
         let mut bytes = vec![0u8; elems * 8];
@@ -151,9 +151,9 @@ fn allgather_zero_length_blocks() {
 }
 
 #[test]
-fn alltoall_rendezvous_blocks() {
-    // Blocks over the small config's 4 KiB eager threshold ride the
-    // rendezvous chunk pump; all receives are pre-posted.
+fn alltoall_put_blocks() {
+    // Blocks over the small config's 4 KiB eager threshold go as puts
+    // into the receive buffer each receiver granted once for the call.
     with_ranks(3, RuntimeConfig::small(), |rank, rt| {
         let block = 12 << 10;
         let send: Vec<u8> = (0..3 * block).map(|i| (rank * 64 + i / block) as u8).collect();
@@ -302,8 +302,8 @@ fn alltoallv_sparse_skewed_counts_and_stats() {
 
 #[test]
 fn alltoallv_over_shm_device() {
-    // The same engine across the in-process shm rings (eager + the
-    // shm rendezvous chunk path for the large block).
+    // The same engine across the in-process shm rings (eager pieces, and
+    // puts for the large blocks' full chunks).
     let cfg = tiny_chunk_cfg(1 << 10).with_device(lci_fabric::DeviceConfig::shm());
     run_v_matrix(
         cfg,
@@ -356,7 +356,7 @@ fn ialltoallv_nonblocking_with_unknown_counts() {
     // The handle learns the landing sizes itself (count round, then the
     // data round over them); zero pairs resolve to empty blocks. Once
     // with every block one eager piece, once with the big block cut into
-    // rendezvous-sized chunks and a short eager tail.
+    // put-sized chunks and a short eager tail.
     let n = 3;
     for (cfg, big) in [(RuntimeConfig::small(), 4200), (tiny_chunk_cfg(8 << 10), 20_000)] {
         with_ranks(n, cfg, move |rank, rt| {
@@ -382,7 +382,7 @@ fn ialltoallv_nonblocking_with_unknown_counts() {
 /// `allreduce` runs to completion with neither stepped, and the handles
 /// are waited in reverse — every rank in the same order, which is all
 /// the contract asks. Alone, and with a sibling thread per rank
-/// delivering into the handles' buffers and pumping from them.
+/// delivering into the handles' buffers and completing puts from them.
 #[test]
 fn handles_and_a_blocking_collective_interleave() {
     let n = 3;
@@ -416,9 +416,9 @@ fn handles_and_a_blocking_collective_interleave() {
 }
 
 /// Dropping an unfinished handle waits it out: its buffers are lent and
-/// its peers count on its sends. The root of a 40 KiB rendezvous-chunked
-/// broadcast always drops its handle right after the call, with a
-/// sibling thread pumping from the buffer; the other ranks drop theirs
+/// its peers count on its sends. The root of a 40 KiB broadcast in 8 KiB
+/// puts always drops its handle right after the call, with a sibling
+/// thread progressing its device; the other ranks drop theirs
 /// too, or keep them and must still get every byte. The allgather behind
 /// it finds the tag sequence where every rank left it.
 #[test]
@@ -580,7 +580,8 @@ proptest! {
 
 /// Runs `f` with, when `sibling`, a second thread of this rank spinning
 /// `progress_all()` for the duration, so deliveries into lent memory and
-/// the chunk pumps reading it run on a thread other than the caller's.
+/// the completions of sends and puts from it run on a thread other than
+/// the caller's.
 fn with_sibling_progress<T>(rt: &Runtime, sibling: bool, f: impl FnOnce() -> T) -> T {
     if !sibling {
         return f();
@@ -649,9 +650,9 @@ proptest! {
     /// a chunk smaller than a ring block and not dividing it (a short
     /// last chunk per block), fewer elements than ranks (empty blocks);
     /// pieces under the eager limit (an eager copy into a lent landing,
-    /// inline at 24 B) and over it (a rendezvous written into one, by
-    /// the sender's thread on the sims); each case alone and with a
-    /// sibling thread per rank delivering and pumping.
+    /// inline at 24 B) and over it (a put into a granted landing, written
+    /// by the sender's thread on the sims); each case alone and with a
+    /// sibling thread per rank delivering and completing.
     #[test]
     fn lent_pieces_match_naive(
         n in prop::sample::select(vec![2usize, 3, 5]),
@@ -677,20 +678,25 @@ proptest! {
     }
 }
 
-/// The count ISSUE 20 named beforehand: warm blocking collectives take
-/// nothing from the device's buffer pool, and the wire moves exactly the
-/// bytes it moved when every chunk was staged first. Two ranks, default
-/// config, `allreduce(1 MiB)` + `alltoallv(128 KiB each way)`: per rank
-/// and iteration sixteen 64 KiB ring chunks and two 64 KiB pieces, all
-/// rendezvous — 18 staged copies an iteration before lending, none now.
-/// An `ialltoallv` of the same block rides along: the handle lends its
-/// own buffers, so its two pieces take nothing either.
+/// Warm blocking collectives take nothing from the device's buffer
+/// pool, and the wire moves exactly the bytes it moved when every chunk
+/// was staged first. Two ranks, default config, `allreduce(1 MiB)` +
+/// `alltoallv(128 KiB each way)`: per rank and iteration sixteen 64 KiB
+/// ring chunks and two 64 KiB pieces, all puts into granted memory —
+/// no rendezvous, no chunk pump. An `ialltoallv` of the same block rides
+/// along: the handle lends its own buffers, so its two pieces take
+/// nothing either. What is still two-sided is counted: per rank and
+/// iteration three grants (one per call with puts) and the handle's one
+/// 8-byte count piece, each copied into its posted receive once.
 #[test]
 fn blocking_collectives_take_nothing_from_the_pool() {
     use lci_fabric::DeviceConfig;
     const MIB: usize = 1 << 20;
     const V: usize = 128 << 10;
-    const WIRE: u64 = 4 * (MIB + 2 * V) as u64;
+    const ITERS: u64 = 4;
+    const WIRE: u64 = ITERS * (MIB + 2 * V) as u64;
+    const GRANTS: u64 = 3;
+    const EAGER_PIECES: u64 = 1;
     let wires = [
         ("ibv", DeviceConfig::ibv()),
         ("ofi", DeviceConfig::ofi()),
@@ -730,6 +736,13 @@ fn blocking_collectives_take_nothing_from_the_pool() {
             coll::naive::alltoallv(&rt, &send, &counts, &mut recv_ref, &counts).unwrap();
             assert!(ar == ar_ref, "{wire} rank {rank}: allreduce differs from coll::naive");
             assert!(recv == recv_ref, "{wire} rank {rank}: alltoallv differs from coll::naive");
+            assert_eq!((d.rendezvous, d.rdv_chunks_posted), (0, 0), "{wire} rank {rank}");
+            // `matched` counts the arrivals that found their receive
+            // posted; one that beat it is copied in when the receive is
+            // posted. Every two-sided delivery is copied exactly once.
+            let two_sided = ITERS * (GRANTS + EAGER_PIECES);
+            assert_eq!(d.copied_deliveries, two_sided, "{wire} rank {rank}: two-sided deliveries");
+            assert!(d.matched <= two_sided, "{wire} rank {rank}: {} matched", d.matched);
             (d.buf_pool_hits + d.buf_pool_misses, d.rma_direct_bytes, d.rma_framed_bytes)
         });
         for (rank, (takes, direct, framed)) in ledger.into_iter().enumerate() {
@@ -744,11 +757,28 @@ fn blocking_collectives_take_nothing_from_the_pool() {
             }
         }
     }
+    // Pieces are cut at the wire's largest write when `coll_chunk_size`
+    // is larger: on tcp a 1 MiB chunk is over it, so a 3 MiB allreduce's
+    // 1.5 MiB blocks go as two puts each way per round.
+    const BIG: usize = 3 * MIB;
+    let cfg = RuntimeConfig { coll_chunk_size: MIB, ..RuntimeConfig::default() }
+        .with_device(DeviceConfig::tcp());
+    with_ranks(2, cfg, |rank, rt| {
+        let contrib: Vec<u8> = (0..BIG).map(|i| (i % 251) as u8 ^ rank as u8).collect();
+        let (mut ar, mut ar_ref) = (contrib.clone(), contrib);
+        let base = rt.device().stats();
+        coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
+        let d = rt.device().stats().since(&base);
+        coll::naive::allreduce(&rt, &mut ar_ref, &SumU64).unwrap();
+        assert!(ar == ar_ref, "tcp rank {rank}: a 3 MiB allreduce differs from coll::naive");
+        assert_eq!((d.rendezvous, d.rma_framed_bytes), (0, BIG as u64), "tcp rank {rank}");
+        assert_eq!(d.copied_deliveries, 1, "tcp rank {rank}: one grant, no other two-sided piece");
+    });
 }
 
 /// Lending's one behaviour change (DESIGN.md §4.11 "Lending"): a failure
-/// after the first lent post cannot return — a posted receive or a chunk
-/// pump may still name the caller's buffer — so it ends the process. A
+/// after the first lent post cannot return — a posted receive or a
+/// granted landing may still be written — so it ends the process. A
 /// `ReduceOp::fold` that panics mid-allreduce (the seed chunks are lent
 /// by then) is the in-process case: the child must die by `abort`, with
 /// the scope's message, not unwind out of `allreduce` on one rank while

@@ -86,9 +86,18 @@ const REMOVED_STAGING: &[&str] =
     &["InPayload", "InFrame", "ring_all_bells", "bridge_wake", "doorbell_cross_proc_wakes"];
 
 /// The per-collective blocking loops and completion-graph chains: one
-/// stepper runs every plan.
-const REMOVED_COLL_LOOPS: &[&str] =
-    &["post_windowed", "drain_sends", "pop_recv", "post_send_node", "post_recv_node"];
+/// stepper runs every plan. And the shelf of landing boxes: every fold
+/// lands in the state's arena.
+const REMOVED_COLL_LOOPS: &[&str] = &[
+    "post_windowed",
+    "drain_sends",
+    "pop_recv",
+    "post_send_node",
+    "post_recv_node",
+    "SHELF_CAP",
+    "put_databuf",
+    "chunk_cap",
+];
 
 /// Whether `path` is library code: under a crate's `src`.
 fn in_src(path: &str) -> bool {
@@ -124,8 +133,8 @@ fn removed_knobs_stay_removed(tree: &[Source]) -> Vec<String> {
     hits
 }
 
-/// Collectives post from the caller's buffer and land in it: nothing is
-/// staged, a shelf box is taken only by the stepper's `Fold` arm, one
+/// Collectives post from the caller's buffer and land in it (a fold, in
+/// the state's arena): nothing is staged, no shelf box is taken, one
 /// place posts sends, and caller memory is lent only under `lci::coll`
 /// (by the scope that waits for it, or aborts).
 fn collectives_lend_through_one_door(tree: &[Source]) -> Vec<String> {
@@ -134,13 +143,11 @@ fn collectives_lend_through_one_door(tree: &[Source]) -> Vec<String> {
         .into_iter()
         .map(|h| format!("{h} (a collective stages a payload again)"))
         .collect();
-    for hit in lines_naming(tree, coll, &["take_box("]) {
-        let fold_arm =
-            hit.starts_with("crates/lci/src/coll/plan.rs:") && hit.contains("How::Fold =>");
-        if !hit.contains("fn take_box") && !fold_arm {
-            hits.push(format!("{hit} (a shelf box taken outside the stepper's Fold arm)"));
-        }
-    }
+    hits.extend(
+        lines_naming(tree, coll, &["take_box("])
+            .into_iter()
+            .map(|h| format!("{h} (a shelf box is back: folds land in the arena)")),
+    );
     let posts: Vec<String> = lines_naming(tree, coll, &["post_send_x"])
         .into_iter()
         .filter(|h| !h.starts_with("crates/lci/src/coll/naive.rs:"))
@@ -298,6 +305,7 @@ fn removed_knobs_guard_catches_a_plant() {
     catches(g, "examples/planted.rs", "let m = ProgressMode::Thread;\n");
     catches(g, "crates/lci-fabric/src/planted.rs", "enum InPayload {}\n");
     catches(g, "crates/lci/src/coll/planted.rs", "fn post_windowed() {}\n");
+    catches(g, "crates/lci/src/coll/planted.rs", "const SHELF_CAP: usize = 128;\n");
 }
 
 #[test]
