@@ -270,6 +270,29 @@ pub trait NetDevice: Send + Sync {
         offset: usize,
     ) -> NetResult<()>;
 
+    /// Where the `len` bytes at `offset` of `target`'s registration
+    /// `rkey` are in this address space, if a write this device posted
+    /// there would copy them itself instead of framing them: `Some` on
+    /// the in-memory wire and toward a rank of this process on shm,
+    /// `None` on tcp and toward another process. The answer is a
+    /// property of the pair, the same both ways, so a rank may ask it
+    /// about its own registration to learn what a peer's posts toward
+    /// it will do. Checks the access like a post would: a bad rkey or
+    /// range toward an addressable rank is fatal, a gone peer too.
+    ///
+    /// A caller that writes through the address instead of posting owns
+    /// the write's ordering: the bytes must be in place before whatever
+    /// tells the target they are (a write's immediate, posted after).
+    fn local_addr(
+        &self,
+        _target: Rank,
+        _rkey: Rkey,
+        _offset: usize,
+        _len: usize,
+    ) -> NetResult<Option<*mut u8>> {
+        Ok(None)
+    }
+
     /// Registers local memory for remote access. Goes through the
     /// device's registration cache (see [`crate::reg_cache`]), so repeat
     /// registrations of the same buffer are hits.

@@ -444,6 +444,17 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         Ok(())
     }
 
+    fn local_addr(
+        &self,
+        target: Rank,
+        rkey: Rkey,
+        offset: usize,
+        len: usize,
+    ) -> NetResult<Option<*mut u8>> {
+        let peer = self.ready(target, None)?;
+        Ok(self.addressable(peer, rkey, offset, len)?.map(|base| base as *mut u8))
+    }
+
     fn register(&self, ptr: *const u8, len: usize) -> NetResult<MemoryRegion> {
         // No posting lock, on either layout: ibv registration acquires
         // none (paper §4.2.3), and the per-domain cache mutex of an ofi

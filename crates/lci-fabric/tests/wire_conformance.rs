@@ -12,11 +12,12 @@
 //! frame only a write's immediate (`Wire::LOCAL_DIRECT`), in-process tcp
 //! frames every byte.
 //!
-//! Every case runs on every preset, but for four that say why not where
+//! Every case runs on every preset, but for five that say why not where
 //! they are: one needs a wire that holds frames in front of the target
 //! device (`buffers_on_its_own`), one needs a read that is framed
-//! (`frames_local_rma`), and the last two need another process — a
-//! device table the sender cannot see, a peer that exits — so they
+//! (`frames_local_rma`), and the last three need another process — a
+//! device table the sender cannot see, memory in another address space,
+//! a peer that exits — so they
 //! re-execute this test binary as two worker processes (like `lcw`'s
 //! `shm_smoke`) — over shm by default, over the tcp mesh with
 //! `LCI_TRANSPORT=tcp`; the simulated providers live in one process
@@ -851,6 +852,34 @@ fn repeat_registration_hits_the_cache() {
     }
 }
 
+/// `local_addr` answers for every pair of ranks of one process what a
+/// write between them does: the address to copy to on the wires that
+/// copy in place (the in-memory wire, shm), none on tcp — the same both
+/// ways, so a rank may ask it about its own memory on its peer's behalf
+/// — and it checks the access like a post.
+#[test]
+fn local_addr_answers_alike_both_ways_for_every_pair() {
+    const N: usize = 3;
+    for cfg in wires() {
+        let fabric = Fabric::new(N);
+        let devs: Vec<_> =
+            (0..N).map(|r| NetContext::new(fabric.clone(), r).create_device(cfg)).collect();
+        let bufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 64]).collect();
+        let mrs: Vec<_> = (0..N).map(|r| devs[r].register(bufs[r].as_ptr(), 64).unwrap()).collect();
+        let at = |a: usize, b: usize| devs[a].local_addr(b, mrs[b].rkey, 16, 32).unwrap();
+        for a in 0..N {
+            for (b, buf) in bufs.iter().enumerate() {
+                let want = (!frames_local_rma(&cfg)).then(|| buf[16..].as_ptr().cast_mut());
+                let (there, back) = (at(a, b), at(b, a));
+                assert_eq!(there, want, "{:?}: rank {a} toward rank {b}", cfg.backend);
+                assert_eq!(there.is_some(), back.is_some(), "{:?}: {a} <-> {b}", cfg.backend);
+            }
+        }
+        let beyond = devs[0].local_addr(1, mrs[1].rkey, 48, 32);
+        assert!(matches!(beyond, Err(NetError::Fatal(_))), "{:?}: {beyond:?}", cfg.backend);
+    }
+}
+
 /// The payload copy of a direct write holds no lock: under the try-lock
 /// discipline two threads writing disjoint ranges of one peer's region
 /// (no immediate, so no frame either) never see `LockBusy`, on either
@@ -1090,6 +1119,34 @@ fn frames_for_a_device_created_later_wait_in_order() {
     }
     // Neither side leaves (closing its end of the wire) before both are
     // done.
+    ctx.fabric.oob_barrier();
+}
+
+/// Toward a rank in another process `local_addr` says no on every wire:
+/// its memory is not in this address space, so a write there is framed.
+/// Toward this rank itself, shm still copies in place and tcp frames.
+#[test]
+fn local_addr_answers_no_toward_another_process() {
+    const NAME: &str = "local_addr_answers_no_toward_another_process";
+    let ctx = match bootstrap::launch(2, &test_child_args(NAME), Duration::from_secs(60))
+        .expect("launch")
+    {
+        Launch::Child(ctx) => ctx,
+        Launch::Parent(report) => {
+            assert!(report.all_ok(), "child exit codes: {:?}", report.exit_codes);
+            return;
+        }
+    };
+    let tcp = ctx.fabric.tcp_rank().is_some();
+    let cfg = if tcp { DeviceConfig::tcp() } else { DeviceConfig::shm() };
+    let dev = NetContext::new(ctx.fabric.clone(), ctx.rank).create_device(cfg);
+    let buf = [0u8; 64];
+    let mr = dev.register(buf.as_ptr(), buf.len()).unwrap();
+    ctx.fabric.oob_barrier();
+    let (me, peer) = (ctx.rank, 1 - ctx.rank);
+    assert_eq!(dev.local_addr(peer, mr.rkey, 0, 64).unwrap(), None, "rank {me} toward {peer}");
+    let own = dev.local_addr(me, mr.rkey, 0, 64).unwrap();
+    assert_eq!(own, (!tcp).then(|| buf.as_ptr().cast_mut()), "rank {me} toward itself");
     ctx.fabric.oob_barrier();
 }
 

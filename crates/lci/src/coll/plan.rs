@@ -6,10 +6,12 @@
 //! which range of the landing side, under which tag, and how — `Land`
 //! lands in the range itself (the bytes are final on arrival), `Fold`
 //! lands in a slot of the state's fold arena that the harvest folds into
-//! the range. `sends[j]` is one piece it sends, with where it goes at
-//! the peer: landed or folded, at `dst_off` from the base the peer
-//! grants this rank. Every piece has its own tag (`coll` docs), so a
-//! completion names its receive whatever order the wire delivers in.
+//! the range, or, granted in place, is folded into the range by its
+//! sender. `sends[j]` is one piece it sends, with where it goes at
+//! the peer: landed or folded, its range at `dst_off` from the base the
+//! peer grants this rank, and a put fold's arena `slot`. Every piece has
+//! its own tag (`coll` docs), so a completion names its receive whatever
+//! order the wire delivers in.
 //!
 //! **Two transports.** A piece at or under the eager size
 //! (`packet.payload_size`) is a two-sided send into a posted receive
@@ -19,6 +21,17 @@
 //! peer that will put into it one grant, and a put is posted only once
 //! its peer's grant has been harvested. Its signal carries the piece's
 //! tag, which names the receive.
+//!
+//! **Folds in place.** A `Fold` put from a peer that can address this
+//! rank's landing (`NetDevice::local_addr`, asked once per peer and call
+//! at the first step) is folded by the peer itself, straight into the
+//! range, and its put carries zero bytes: the signal. `seal` allows it
+//! only for a peer none of whose put folds overlaps another `Fold`
+//! receive of the plan (the ring's never do; a `reduce` with two
+//! children folds both into one range, so they keep the arena): the
+//! range is then written by that one peer from its post to the harvest,
+//! exactly a landing's interval. The arena holds only the folds that
+//! still land in it.
 //!
 //! **The gate** is two numbers per receive. `opens_at`: how many
 //! *leading* receives must have been harvested before this one is
@@ -35,10 +48,10 @@
 //! grants; post ready sends while the [`MAX_INFLIGHT`] window has room,
 //! the peer's grant is in (for a put) and the wire does not say `Retry`;
 //! pop the receive queue — a grant, a put's signal or a two-sided
-//! arrival: fold or length-check, mark, advance the prefix, push what
-//! the harvest enables; finished when every receive is harvested, every
-//! send posted and the window empty. It is the only place in `coll/`
-//! that posts or lends. A blocking collective builds one and steps it
+//! arrival: fold (unless the sender did) or length-check, mark, advance
+//! the prefix, push what the harvest enables; finished when every
+//! receive is harvested, every send posted and the window empty. It is
+//! the only place in `coll/` that posts or lends. A blocking collective builds one and steps it
 //! under `Runtime::wait_until` (`coll::run`); an `i*` handle takes the
 //! same steps from `test`/`wait` (`nb`).
 //!
@@ -48,14 +61,14 @@
 //! builder's doc makes in prose — what the stepper's `unsafe` sites
 //! cite — and that every put lands on exactly its receive.
 
-use super::grant::{self, Grant, GRANT_LEN};
+use super::grant::{self, fold_in_place, Grant, GRANT_LEN};
 use super::lend::{Lent, Scope};
 use super::ops::ReduceOp;
 use super::{CollState, Tags, ROUND_A2A, ROUND_AG_BASE, ROUND_BCAST, ROUND_GRANT, ROUND_REDUCE};
 use crate::error::{FatalError, PostResult, Result};
 use crate::runtime::Runtime;
 use crate::types::{CompDesc, CompKind, Direction, Landing, RComp, Rank, SendBuf, Tag};
-use lci_fabric::{MemoryRegion, Rkey};
+use lci_fabric::{MemoryRegion, NetError, Rkey};
 use std::cmp::Reverse;
 use std::sync::atomic::Ordering;
 
@@ -70,8 +83,8 @@ const GRANT_CTX: u64 = 1 << 63;
 pub(super) enum How {
     /// Final on arrival: lands in its own range.
     Land,
-    /// Lands in a slot of the fold arena; the harvest folds it into its
-    /// range.
+    /// Lands in a slot of the fold arena and the harvest folds it into
+    /// its range, or the sender folds it in place (module docs).
     Fold,
 }
 
@@ -85,7 +98,8 @@ pub(super) struct Recv {
     opens_at: usize,
     /// `sends[enables.0..enables.1]` become ready at the harvest.
     enables: (usize, usize),
-    /// A `Fold` piece's slot in the arena (`seal`).
+    /// A `Fold` piece's offset among its peer's put folds or among its
+    /// eager folds (`seal`); [`Plan::slot`] places it in the arena.
     slot: usize,
 }
 
@@ -95,22 +109,35 @@ pub(super) struct Send {
     off: usize,
     len: usize,
     tag: Tag,
-    /// Where the piece goes at the peer: landed, or folded — at
-    /// `dst_off` from the base the peer grants this rank for that kind.
+    /// Where the piece goes at the peer: landed or folded into the range
+    /// at `dst_off` from the landing base the peer grants this rank.
     how: How,
     dst_off: usize,
+    /// A put fold's offset in the peer's arena region for this rank:
+    /// this rank's put folds to the peer, in send order.
+    slot: usize,
 }
 
 /// What a plan exchanges with one peer besides pieces.
 #[derive(Clone, Copy, Default)]
 struct Peer {
-    /// Base of the peer's `Land` pieces in the landing side: 0 in place,
-    /// the receive displacement for `alltoall(v)`.
+    /// Base of the peer's pieces in the landing side: 0 in place, the
+    /// receive displacement for `alltoall(v)`.
     land_base: usize,
-    /// The peer's region of the fold arena: its base and fold bytes.
-    arena_base: usize,
-    fold_bytes: usize,
-    /// Fold bytes sent to the peer so far: the next fold's `dst_off`.
+    /// The peer's region of the fold arena: its eager folds, then its
+    /// put folds unless it folds them in place.
+    arena: usize,
+    /// Bytes of the peer's `Fold` receives at or under the eager size,
+    /// and over it.
+    eager_folds: usize,
+    put_folds: usize,
+    /// No put fold from the peer overlaps another `Fold` receive
+    /// (`seal`), and there is one.
+    foldable: bool,
+    /// The peer folds its put folds into the range itself: foldable,
+    /// and it can address the landing (decided at the first step).
+    in_place: bool,
+    /// Put fold bytes sent to the peer so far: the next one's `slot`.
     fold_sent: usize,
     /// Put receives from the peer not yet harvested; it is granted the
     /// landing while any are.
@@ -140,7 +167,9 @@ pub(super) struct Plan {
     inbox: Vec<[u8; GRANT_LEN]>,
     /// Put receives by [`signal_key`], sorted: what a signal names.
     signals: Vec<(u64, usize)>,
-    /// Fold arena bytes the plan needs.
+    /// `seal`'s scratch: the `Fold` receives' ranges and indices.
+    spans: Vec<(usize, usize, usize)>,
+    /// Fold arena bytes the plan needs (`lay_out`).
     arena_len: usize,
     /// Per receive: harvested.
     done: Vec<bool>,
@@ -149,6 +178,8 @@ pub(super) struct Plan {
     early: Vec<bool>,
     /// Send indices in the order they became ready.
     ready: Vec<usize>,
+    /// `ready[sent]` is folded in place; only its signal is left to post.
+    folded: bool,
     /// Receives posted, leading receives harvested, receives harvested,
     /// `ready[..sent]` posted, grants harvested.
     opened: usize,
@@ -188,18 +219,25 @@ impl Plan {
         tag: Tag,
         dst_off: usize,
     ) -> usize {
-        self.sends.push(Send { to, off, len, tag, how: How::Land, dst_off });
+        self.sends.push(Send { to, off, len, tag, how: How::Land, dst_off, slot: 0 });
         self.sends.len() - 1
     }
 
-    /// Adds a send of the piece `(off, len)` that the peer folds; its
-    /// index. The peer's region of its arena holds this rank's folds in
-    /// send order, which is the order the peer receives them in.
-    fn send_fold(&mut self, to: Rank, (off, len): (usize, usize), tag: Tag) -> usize {
-        let p = &mut self.peers[to];
-        let dst_off = p.fold_sent;
-        p.fold_sent += len;
-        self.sends.push(Send { to, off, len, tag, how: How::Fold, dst_off });
+    /// Adds a send of the piece `(off, len)` that the peer folds into its
+    /// range at `dst_off`; its index. The peer's arena region for this
+    /// rank holds its put folds in send order, which is the order the
+    /// peer receives them in.
+    fn send_fold(
+        &mut self,
+        to: Rank,
+        (off, len): (usize, usize),
+        tag: Tag,
+        dst_off: usize,
+    ) -> usize {
+        let (p, put) = (&mut self.peers[to], len > self.eager);
+        let slot = if put { p.fold_sent } else { 0 };
+        p.fold_sent += if put { len } else { 0 };
+        self.sends.push(Send { to, off, len, tag, how: How::Fold, dst_off, slot });
         self.sends.len() - 1
     }
 
@@ -216,29 +254,38 @@ impl Plan {
         self.recvs.push(Recv { from, off, len, tag, how, opens_at, enables, slot: 0 });
     }
 
-    /// Ends a build: lays out the fold arena (each peer's folds in
-    /// receive order, the regions in rank order), indexes the put
-    /// receives by signal, marks who grants whom; `sends[..seeds]` are
-    /// ready and nothing has run.
+    /// Ends a build: places each `Fold` receive among its peer's eager
+    /// or put folds (receive order), marks the peers whose put folds may
+    /// be folded in place — none overlaps another `Fold` receive — indexes
+    /// the put receives by signal, marks who grants whom; `sends[..seeds]`
+    /// are ready and nothing has run ([`lay_out`](Self::lay_out) is the
+    /// first step's).
     fn seal(&mut self, seeds: usize, rounds: u64) {
         self.rounds = rounds;
-        for r in self.recvs.iter_mut().filter(|r| r.how == How::Fold) {
+        self.spans.clear();
+        for (i, r) in self.recvs.iter_mut().enumerate().filter(|(_, r)| r.how == How::Fold) {
             let p = &mut self.peers[r.from];
-            r.slot = p.fold_bytes;
-            p.fold_bytes += r.len;
+            let folds = if r.len > self.eager { &mut p.put_folds } else { &mut p.eager_folds };
+            r.slot = *folds;
+            *folds += r.len;
+            p.foldable |= r.len > self.eager;
+            self.spans.push((r.off, r.off + r.len, i));
         }
-        let mut base = 0;
-        for p in &mut self.peers {
-            p.arena_base = base;
-            base += p.fold_bytes;
-        }
-        self.arena_len = base;
-        self.signals.clear();
-        for (i, r) in self.recvs.iter_mut().enumerate() {
-            let p = &mut self.peers[r.from];
-            if r.how == How::Fold {
-                r.slot += p.arena_base;
+        // Sorted by start, a range overlaps an earlier one exactly when it
+        // starts before the furthest end so far; both are marked.
+        self.spans.sort_unstable();
+        let mut reach = (0, 0);
+        for &(start, end, i) in &self.spans {
+            if start < reach.0 {
+                for r in [self.recvs[i], self.recvs[reach.1]] {
+                    self.peers[r.from].foldable &= r.len <= self.eager;
+                }
             }
+            reach = reach.max((end, i));
+        }
+        self.signals.clear();
+        for (i, r) in self.recvs.iter().enumerate() {
+            let p = &mut self.peers[r.from];
             if r.len > self.eager {
                 p.puts_in += 1;
                 self.signals.push((signal_key(r.from, r.tag), i));
@@ -255,7 +302,45 @@ impl Plan {
         self.ready.clear();
         self.ready.extend(0..seeds);
         (self.opened, self.prefix, self.harvested, self.sent, self.granted) = (0, 0, 0, 0, 0);
+        self.folded = false;
         self.granting = None;
+    }
+
+    /// Decides per peer whether it folds in place — foldable, and
+    /// `addressable(peer)`: the peer can address this rank's landing —
+    /// and lays out the arena for the folds that still land in it: each
+    /// peer's region, in rank order.
+    fn lay_out(&mut self, mut addressable: impl FnMut(Rank) -> Result<bool>) -> Result<()> {
+        let mut base = 0;
+        for (rank, p) in self.peers.iter_mut().enumerate() {
+            p.in_place = p.foldable && addressable(rank)?;
+            p.arena = base;
+            base += p.eager_folds + if p.in_place { 0 } else { p.put_folds };
+        }
+        self.arena_len = base;
+        Ok(())
+    }
+
+    /// Whether `r` is folded by its sender, in place.
+    fn in_place(&self, r: &Recv) -> bool {
+        r.how == How::Fold && r.len > self.eager && self.peers[r.from].in_place
+    }
+
+    /// The arena slot of a `Fold` receive not folded in place.
+    fn slot(&self, r: &Recv) -> usize {
+        let p = &self.peers[r.from];
+        p.arena + if r.len > self.eager { p.eager_folds + r.slot } else { r.slot }
+    }
+
+    /// The grant this rank sends `peer`.
+    fn grant(&self, peer: Rank, land: Rkey, arena: Rkey, rcomp: RComp) -> Grant {
+        let p = &self.peers[peer];
+        Grant {
+            land: (land, p.land_base),
+            arena: (arena, p.arena + p.eager_folds),
+            rcomp,
+            in_place: p.in_place,
+        }
     }
 
     /// The next receive to post (`opened += 1` once it is), if its gate
@@ -333,7 +418,7 @@ impl Plan {
                     // the arena does not move while the plan runs (`fit`
                     // ran at the first step), and the slot is read only
                     // at this receive's harvest.
-                    How::Fold => unsafe { mem.scratch(st.arena.at(r.slot), r.len) },
+                    How::Fold => unsafe { mem.scratch(st.arena.at(self.slot(&r)), r.len) },
                 };
                 post_recv(rt, st, r.from, landing, r.tag, i as u64)?;
             }
@@ -343,9 +428,9 @@ impl Plan {
                     break;
                 }
                 let s = self.sends[j];
-                let put = match self.peers[s.to].grant {
+                let grant = match self.peers[s.to].grant {
                     _ if s.len <= self.eager => None,
-                    Some(g) => Some((g.target(s.how, s.dst_off), g.rcomp)),
+                    Some(g) => Some(g),
                     None => break,
                 };
                 // SAFETY: a send is ready only once the harvest that
@@ -354,10 +439,22 @@ impl Plan {
                 // has completed (its doc; checked by `tests::model`;
                 // DESIGN.md §4.11 "Lending", sends).
                 let piece = unsafe { mem.source(s.off..s.off + s.len) };
-                if post(rt, st, s.to, piece.send_buf(), s.tag, put)?.is_retry() {
+                let put = grant.map(|g| (g.target(s.how, s.dst_off, s.slot), g.rcomp));
+                let buf = match grant {
+                    Some(g) if s.how == How::Fold && g.in_place => {
+                        if !self.folded {
+                            fold_in_place(rt, s.to, g, s.dst_off, &piece, op)?;
+                            self.folded = true;
+                            stats.add(|c| &c.coll_folded_bytes, s.len as u64);
+                        }
+                        SendBuf::from(&[][..])
+                    }
+                    _ => piece.send_buf(),
+                };
+                if post(rt, st, s.to, buf, s.tag, put)?.is_retry() {
                     break;
                 }
-                self.sent += 1;
+                (self.sent, self.folded) = (self.sent + 1, false);
                 stats.raise(|c| &c.coll_chunks_inflight_hwm, st.inflight.load(Ordering::Acquire));
                 stats.add(|c| &c.coll_bytes, s.len as u64);
             }
@@ -397,13 +494,13 @@ impl Plan {
         Ok(done)
     }
 
-    /// The first step: the arena fits the plan's folds, a receive is
-    /// posted for each grant this rank waits for, and the landing side is
-    /// lent for the call to each peer that will put into it — and
-    /// registered, once.
+    /// The first step: a receive is posted for each grant this rank
+    /// waits for, the landing side is lent for the call to each peer that
+    /// will put into it — and registered, once — each peer that may fold
+    /// in place is asked whether it can address it, and the arena fits
+    /// the folds that still land in it.
     fn start(&mut self, rt: &Runtime, st: &mut CollState, mem: &Scope<'_>) -> Result<()> {
         let dev = rt.device();
-        st.arena.fit(dev, self.arena_len)?;
         for p in 0..self.peers.len() {
             if self.peers[p].puts_out {
                 // SAFETY: the inbox is this receive's alone, the plan's
@@ -424,6 +521,17 @@ impl Plan {
                 }
             }
         }
+        let landing = self.landing_mr;
+        self.lay_out(|p| {
+            let mr = landing.expect("a foldable peer puts, so the landing is registered");
+            match dev.inner.net.local_addr(p, mr.rkey, 0, mr.len) {
+                Ok(at) => Ok(at.is_some()),
+                // Not attached yet: another process, so not addressable.
+                Err(NetError::Retry(_)) => Ok(false),
+                Err(e) => Err(FatalError::Net(format!("collective: {e}"))),
+            }
+        })?;
+        st.arena.fit(dev, self.arena_len)?;
         self.granting = Some(0);
         Ok(())
     }
@@ -433,14 +541,8 @@ impl Plan {
         let Some(mut p) = self.granting else { return Ok(()) };
         let land = self.landing_mr.map_or(Rkey::default(), |mr| mr.rkey);
         while p < self.peers.len() {
-            let peer = self.peers[p];
-            if peer.puts_in > 0 {
-                let g = Grant {
-                    land: (land, peer.land_base),
-                    arena: (st.arena.rkey(), peer.arena_base),
-                    rcomp: st.rcomp,
-                };
-                let bytes = g.encode();
+            if self.peers[p].puts_in > 0 {
+                let bytes = self.grant(p, land, st.arena.rkey(), st.rcomp).encode();
                 if post(rt, st, p, SendBuf::from(&bytes[..]), self.grant_tag, None)?.is_retry() {
                     break;
                 }
@@ -453,7 +555,8 @@ impl Plan {
 
     /// Harvests receive `i`: a two-sided arrival (`got`) is checked and
     /// its landing returned, a put's share of its peer's grant; a `Fold`
-    /// piece is folded from its slot; what waited on it opens.
+    /// piece not folded in place is folded from its slot; what waited on
+    /// it opens.
     fn take<O: ReduceOp + ?Sized>(
         &mut self,
         i: usize,
@@ -473,14 +576,14 @@ impl Plan {
                 }
             }
         }
-        if r.how == How::Fold {
+        if r.how == How::Fold && !self.in_place(&r) {
             // SAFETY: the builder's schedule has no send of this range in
             // flight and no landing over it whose bytes can arrive (its
             // doc; checked by `tests::model`; DESIGN.md §4.11 "Lending").
             let acc = unsafe { mem.window(r.off..r.off + r.len) };
             // SAFETY: the piece signalled, so its slot is written, and no
             // other piece of the call lands there.
-            op.fold(acc, unsafe { st.arena.slot(r.slot, r.len) });
+            op.fold(acc, unsafe { st.arena.slot(self.slot(&r), r.len) });
         }
         self.harvest(i);
         Ok(())
@@ -610,7 +713,13 @@ pub(super) fn ring_span(w: Shape, len: usize, elem: usize) -> usize {
 /// rounds up front) or even folded (the two-round lookahead can open
 /// round `t+n` early): posting hands over an address and touches
 /// nothing — what the chain bounds is when the bytes can arrive. A fold
-/// arrives in its own arena slot, so folds never touch each other.
+/// arrives in its own arena slot, so folds never touch each other — or,
+/// folded in place by the left neighbour, writes the range itself from
+/// that neighbour's post to our harvest, a landing's interval: the
+/// argument above holds for it unchanged, since the fold of `(t, c)`
+/// follows no touch and its harvest precedes the send of `(t+1, c)`, and
+/// no two `Fold` receives of the ring overlap (each round folds a
+/// different block), which is what `seal` asks.
 pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tags) {
     let Shape { n, me, chunk, .. } = w;
     let (left, right, rounds) = ((me + n - 1) % n, (me + 1) % n, 2 * (n - 1));
@@ -629,7 +738,7 @@ pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tag
     let send = |plan: &mut Plan, t: usize, c: usize, piece: (usize, usize)| {
         let tag = tags.piece(t as u32, c);
         if t < n - 1 {
-            plan.send_fold(right, piece, tag)
+            plan.send_fold(right, piece, tag, piece.0)
         } else {
             plan.send_land(right, piece, tag, piece.0)
         }
@@ -824,7 +933,9 @@ pub(super) fn alltoallv(
 /// piece `c` enables piece `c` of the send to the parent — seeds on a
 /// leaf, absent on the root. Every touch of an accumulator range is
 /// therefore in program order: fold, fold, …, send. Each child's pieces
-/// arrive in a region of the arena of their own.
+/// arrive in a region of the arena of their own: with two children or
+/// more their folds overlap, so `seal` folds none of them in place (an
+/// only child's may be).
 pub(super) fn reduce(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: Tags) {
     let Shape { n, me, chunk, .. } = w;
     plan.clear(w, tags);
@@ -843,7 +954,7 @@ pub(super) fn reduce(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: T
     let parents = usize::from(m < n);
     if m < n {
         for (c, piece) in pieces(0, len, chunk).enumerate() {
-            plan.send_fold((vr - m + root) % n, piece, tags.piece(ROUND_REDUCE, c));
+            plan.send_fold((vr - m + root) % n, piece, tags.piece(ROUND_REDUCE, c), piece.0);
         }
         let last = plan.recvs.len().saturating_sub(plan.sends.len());
         for (c, r) in plan.recvs[last..].iter_mut().enumerate() {
@@ -854,18 +965,6 @@ pub(super) fn reduce(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: T
     plan.seal(seeds, (children + parents) as u64);
 }
 
-/// The schedule model check: all `n` ranks' plans run against each other
-/// under a seeded scheduler that at every point picks any enabled
-/// action — grant a peer, open a receive, post a ready send within the
-/// window (a put once its grant is in), deliver a posted send (a
-/// two-sided one into its posted receive), harvest a delivery whose
-/// receive is open — and holds DESIGN.md §4.11's last-dereference table
-/// over the run: a send's range is READ from its post until its
-/// delivery; a `Land` range or a `Fold` piece's arena slot is WRITE from
-/// the moment its peer *posts* the matching send (the bytes can arrive
-/// from then on) until its harvest; a `Fold` is a WRITE of its range at
-/// its harvest; no WRITE may overlap another live interval of its
-/// memory. Before the run it checks the puts statically: each lands on
-/// exactly its receive under a grant, no two overlap, grants pair up.
+/// The schedule model check (its module docs).
 #[cfg(test)]
 mod tests;

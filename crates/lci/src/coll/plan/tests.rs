@@ -1,3 +1,19 @@
+//! The schedule model check: all `n` ranks' plans run against each other
+//! under a seeded scheduler that at every point picks any enabled
+//! action — grant a peer, open a receive, post a ready send within the
+//! window (a put once its grant is in), deliver a posted send (a
+//! two-sided one into its posted receive), harvest a delivery whose
+//! receive is open — and holds DESIGN.md §4.11's last-dereference table
+//! over the run: a send's range is READ from its post until its
+//! delivery; a `Land` range, a `Fold` piece's arena slot or the range of
+//! a `Fold` folded in place is WRITE from the moment its peer *posts*
+//! the matching send (the bytes can arrive from then on) until its
+//! harvest; a `Fold` through the arena is a WRITE of its range at its
+//! harvest; no WRITE may overlap another live interval of its memory.
+//! Before the run it checks the puts statically: each lands on exactly
+//! its receive under a grant, no two carrying bytes overlap, grants pair
+//! up.
+
 use super::*;
 use std::collections::HashMap;
 
@@ -7,8 +23,9 @@ type Key = (usize, usize, Tag);
 /// A live interval of one rank's memory.
 #[derive(Debug)]
 struct Touch {
-    /// `(rank, side)`: receives land in side 1 and folds in the arena,
-    /// side 2; sends read side 0, or 1 in place.
+    /// `(rank, side)`: receives land in side 1 (a fold in place too) and
+    /// other folds in the arena, side 2; sends read side 0, or 1 in
+    /// place.
     mem: (usize, usize),
     range: (usize, usize),
     write: bool,
@@ -30,19 +47,26 @@ fn untouch(live: &mut Vec<Touch>, key: Key, write: bool) {
     live.swap_remove(at);
 }
 
-/// Where receive `r` is written: its range, or its arena slot.
-fn landing_of(r: &Recv) -> (usize, (usize, usize)) {
+/// Where receive `r` of `p` is written: its range (landed, or folded in
+/// place by its sender), or its arena slot.
+fn landing_of(p: &Plan, r: &Recv) -> (usize, (usize, usize)) {
     match r.how {
-        How::Land => (1, (r.off, r.len)),
-        How::Fold => (2, (r.slot, r.len)),
+        How::Fold if !p.in_place(r) => (2, (p.slot(r), r.len)),
+        _ => (1, (r.off, r.len)),
     }
 }
 
+/// The side a grant's rkey names: the landing 1, the arena 2.
+const LANDING: Rkey = Rkey(1);
+const ARENA: Rkey = Rkey(2);
+
 /// Every put lands on exactly its receive — the address its peer's
-/// grant and its `dst_off` make, the receive's kind, the receive its
-/// signal names — and under a grant; no two puts of the call overlap
-/// in a landing or an arena; a rank waits for a grant exactly from
-/// the peers that grant it one.
+/// grant and its `dst_off` or `slot` make (the accumulator, for a fold
+/// in place), the receive's kind, the receive its signal names — and
+/// under a grant; no two puts that carry bytes overlap in a landing or
+/// an arena (a fold in place carries none: the run checks the range it
+/// writes, as a landing's); a rank waits for a grant exactly from the
+/// peers that grant it one.
 fn check_puts(plans: &[Plan], recv_at: &[Vec<usize>]) {
     let mut dests = Vec::new();
     for (src, p) in plans.iter().enumerate() {
@@ -53,16 +77,16 @@ fn check_puts(plans: &[Plan], recv_at: &[Vec<usize>]) {
             if s.len <= p.eager {
                 continue;
             }
-            let peer = dst.peers[src];
-            assert!(peer.puts_in > 0, "a put {src}->{} with no grant", s.to);
-            let (side, (want, _)) = landing_of(r);
-            let at = match s.how {
-                How::Land => peer.land_base,
-                How::Fold => peer.arena_base,
-            } + s.dst_off;
+            assert!(dst.peers[src].puts_in > 0, "a put {src}->{} with no grant", s.to);
+            let g = Grant::decode(&dst.grant(src, LANDING, ARENA, 0).encode());
+            let (rkey, at) = g.target(s.how, s.dst_off, s.slot);
+            let (side, (want, _)) = landing_of(dst, r);
+            assert_eq!(rkey.0 as usize, side, "put {src}->{} names the other side", s.to);
             assert_eq!(at, want, "put {src}->{} lands at {at}, its receive at {want}", s.to);
             assert_eq!(dst.signalled(src, s.tag), Some(i), "the signal names another receive");
-            dests.push((s.to, side, at, at + s.len));
+            if !dst.in_place(r) {
+                dests.push((s.to, side, at, at + s.len));
+            }
         }
     }
     dests.sort_unstable();
@@ -78,7 +102,8 @@ fn check_puts(plans: &[Plan], recv_at: &[Vec<usize>]) {
     }
 }
 
-/// Runs `plans` (rank `r`'s at index `r`) to completion under `seed`.
+/// Runs `plans` (rank `r`'s at index `r`, laid out) to completion under
+/// `seed`.
 fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
     let n = plans.len();
     let window = 1 + seed as usize % 4;
@@ -169,7 +194,8 @@ fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
                 let key = (src, s.to, s.tag);
                 assert!(live.iter().all(|t| t.key != key), "{key:?} is live twice");
                 touch(&mut live, (src, usize::from(in_place)), (s.off, s.len), false, key);
-                let (side, range) = landing_of(&plans[s.to].recvs[recv_at[src][j]]);
+                let dst = &plans[s.to];
+                let (side, range) = landing_of(dst, &dst.recvs[recv_at[src][j]]);
                 touch(&mut live, (s.to, side), range, true, key);
                 flying.push((src, j));
             }
@@ -185,7 +211,7 @@ fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
                 let r = plans[dst].recvs[i];
                 let key = (r.from, dst, r.tag);
                 untouch(&mut live, key, true);
-                if r.how == How::Fold {
+                if r.how == How::Fold && !plans[dst].in_place(&r) {
                     touch(&mut live, (dst, 1), (r.off, r.len), true, key);
                     untouch(&mut live, key, true);
                 }
@@ -199,20 +225,23 @@ fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
     assert!(live.is_empty() && flying.is_empty());
 }
 
-/// Builds every rank's plan; pieces over `eager` are puts.
-fn build(n: usize, eager: usize, build: impl Fn(&mut Plan, Shape)) -> Vec<Plan> {
+/// Builds every rank's plan and lays it out; pieces over `eager` are
+/// puts, and a peer may fold in place when the wire is `addressable`.
+fn build(n: usize, eager: usize, addressable: bool, build: impl Fn(&mut Plan, Shape)) -> Vec<Plan> {
     let mut plans: Vec<Plan> = (0..n).map(|_| Plan::default()).collect();
     for (me, p) in plans.iter_mut().enumerate() {
         build(p, Shape { n, me, chunk: CHUNK, eager });
+        p.lay_out(|_| Ok(addressable)).unwrap();
     }
     plans
 }
 
 /// Builds every rank's plan and runs them, with every piece
-/// two-sided, every full chunk a put, or every piece a put (by seed).
+/// two-sided, every full chunk a put, or every piece a put, on a wire
+/// that can or cannot fold in place (by seed).
 fn check(n: usize, in_place: bool, seed: u64, f: impl Fn(&mut Plan, Shape)) {
     let eager = [usize::MAX, CHUNK - 1, 0][seed as usize % 3];
-    run(&mut build(n, eager, f), in_place, seed);
+    run(&mut build(n, eager, seed.is_multiple_of(2), f), in_place, seed);
 }
 
 const ELEM: usize = 8;
@@ -275,22 +304,67 @@ fn model_barrier_and_exchanges() {
     });
 }
 
-/// Three ranks' ring over three full chunks a block, every chunk a put.
-fn ring_puts() -> Vec<Plan> {
+/// Three ranks' ring over three full chunks a block, every chunk a put,
+/// folded through the arena or in place.
+fn ring_puts(addressable: bool) -> Vec<Plan> {
     let (n, len) = (3, 3 * 3 * CHUNK);
     let t = tags(ring_span(Shape { n, me: 0, chunk: CHUNK, eager: 0 }, len, ELEM));
-    build(n, CHUNK - 1, |p, w| ring(p, w, len, ELEM, t))
+    build(n, CHUNK - 1, addressable, |p, w| ring(p, w, len, ELEM, t))
+}
+
+/// Four ranks' reduce to rank 0 over three chunks, every chunk a put:
+/// rank 0 has two children (1 and 2), rank 2 one (3).
+fn reduce_puts() -> Vec<Plan> {
+    let len = 3 * CHUNK;
+    build(4, CHUNK - 1, true, |p, w| reduce(p, w, 0, len, tags(3)))
 }
 
 #[test]
 fn the_model_runs_the_planted_plans_unplanted() {
-    run(&mut ring_puts(), true, 1);
+    for addressable in [false, true] {
+        run(&mut ring_puts(addressable), true, 1);
+    }
+    let plans = reduce_puts();
+    assert!(plans[0].peers.iter().all(|p| !p.in_place), "two children folded in place");
+    assert!(plans[2].peers[3].in_place, "an only child keeps the arena");
+    for seed in 0..50 {
+        run(&mut reduce_puts(), true, seed);
+    }
+}
+
+#[test]
+fn seal_folds_the_ring_in_place_and_sizes_the_arena_for_the_rest() {
+    let ring = ring_puts(true);
+    for p in &ring {
+        assert!(p.sends.iter().filter(|s| s.how == How::Fold).all(|s| s.len > p.eager));
+        assert_eq!(p.arena_len, 0, "every fold of the ring is in place");
+    }
+    for p in &ring_puts(false) {
+        let folds = p.recvs.iter().filter(|r| r.how == How::Fold).map(|r| r.len).sum();
+        assert_eq!(p.arena_len, folds, "no fold in place: the arena holds every fold");
+    }
+}
+
+/// The rule `seal` keeps, planted away: a `reduce` whose root folds both
+/// children's pieces in place lets the second child write the range the
+/// first child's fold still owns.
+#[test]
+#[should_panic(expected = "overlaps live")]
+fn the_model_catches_two_children_folding_in_place() {
+    for seed in 0..50 {
+        let mut plans = reduce_puts();
+        for child in [1, 2] {
+            plans[0].peers[child].foldable = true;
+        }
+        plans[0].lay_out(|_| Ok(true)).unwrap();
+        run(&mut plans, true, seed);
+    }
 }
 
 #[test]
 #[should_panic(expected = "lands at")]
 fn the_model_catches_an_off_by_one_put() {
-    let mut plans = ring_puts();
+    let mut plans = ring_puts(true);
     let last = plans[0].sends.iter_mut().rev().find(|s| s.how == How::Land).expect("a landing");
     last.dst_off += 1;
     run(&mut plans, true, 1);
@@ -299,7 +373,7 @@ fn the_model_catches_an_off_by_one_put() {
 #[test]
 #[should_panic(expected = "with no grant")]
 fn the_model_catches_a_missing_grant() {
-    let mut plans = ring_puts();
+    let mut plans = ring_puts(true);
     plans[1].peers[0].puts_in = 0;
     run(&mut plans, true, 1);
 }

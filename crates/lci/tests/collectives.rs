@@ -8,6 +8,7 @@
 
 use lci::prelude::*;
 use lci::{coll, MaxF32, RuntimeConfig, SumF32, SumU64};
+use lci_fabric::DeviceConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -93,6 +94,82 @@ fn ring_allreduce_put_chunks_pipeline() {
         let stats = rt.device().stats();
         assert!(stats.coll_chunks_inflight_hwm >= 1, "hwm {}", stats.coll_chunks_inflight_hwm);
     });
+}
+
+/// What the ring computes for each element, serially: the element's
+/// block `b` (the ring's partition) starts as rank `b`'s contribution,
+/// and rank `b + k` folds it in as the incoming operand over its own
+/// bytes, `k = 1..n` — the order of the arena's harvest, which a fold in
+/// place must keep bit for bit (`SumF32` is not associative).
+fn serial_ring(
+    n: usize,
+    len: usize,
+    op: &dyn lci::ReduceOp,
+    x: impl Fn(usize) -> Vec<u8>,
+) -> Vec<u8> {
+    let elem = op.elem_size();
+    let (q, r) = (len / elem / n, len / elem % n);
+    let contribs: Vec<Vec<u8>> = (0..n).map(x).collect();
+    let mut out = vec![0u8; len];
+    for b in 0..n {
+        let start = (b * q + b.min(r)) * elem;
+        let range = start..start + (q + usize::from(b < r)) * elem;
+        let mut partial = contribs[b][range.clone()].to_vec();
+        for k in 1..n {
+            let mut acc = contribs[(b + k) % n][range.clone()].to_vec();
+            op.fold(&mut acc, &partial);
+            partial = acc;
+        }
+        out[range].copy_from_slice(&partial);
+    }
+    out
+}
+
+/// Folds in place racing the ranks' own steps on two cores: ring
+/// allreduce at `n` = 2 and 3, `SumU64` and `SumF32` (whose rounding
+/// shows a fold done in the wrong order), blocks on both sides of the
+/// eager size and of the chunk size — so one peer's folds mix eager
+/// pieces through the arena with puts folded in place — on rank threads
+/// left unpinned, against [`serial_ring`], bit for bit.
+#[test]
+fn in_place_folds_match_serial_on_two_cores() {
+    let base = RuntimeConfig::default();
+    let (eager, chunk) = (base.packet.payload_size, base.coll_chunk_size);
+    for device in [DeviceConfig::ibv(), DeviceConfig::shm()] {
+        for n in [2, 3] {
+            with_ranks(n, base.clone().with_device(device), move |rank, rt| {
+                let ops: [&dyn lci::ReduceOp; 2] = [&SumU64, &SumF32];
+                for op in ops {
+                    for block in [eager - 8, eager + 8, chunk - 8, chunk + 8, 2 * chunk + 8] {
+                        let len = n * block + 8;
+                        let x = |r: usize| -> Vec<u8> {
+                            if op.elem_size() == 8 {
+                                (0..len / 8)
+                                    .flat_map(|i| ((r as u64 + 1) << 40 | i as u64).to_le_bytes())
+                                    .collect()
+                            } else {
+                                (0..len / 4)
+                                    .map(|i| ((i * 7 + r * 13) % 17) as f32 * 3.1e6 - 2.5e7)
+                                    .map(|v| v + 0.37 * r as f32)
+                                    .flat_map(f32::to_le_bytes)
+                                    .collect()
+                            }
+                        };
+                        let mut buf = x(rank);
+                        coll::allreduce(&rt, &mut buf, op).unwrap();
+                        let want = serial_ring(n, len, op, x);
+                        assert!(
+                            buf == want,
+                            "rank {rank} of {n}, {len} B, lane {}",
+                            op.elem_size()
+                        );
+                    }
+                }
+                let folded = rt.device().stats().coll_folded_bytes;
+                assert!(folded > 0, "rank {rank} of {n} folded nothing in place");
+            });
+        }
+    }
 }
 
 #[test]
@@ -679,22 +756,26 @@ proptest! {
 }
 
 /// Warm blocking collectives take nothing from the device's buffer
-/// pool, and the wire moves exactly the bytes it moved when every chunk
-/// was staged first. Two ranks, default config, `allreduce(1 MiB)` +
-/// `alltoallv(128 KiB each way)`: per rank and iteration sixteen 64 KiB
-/// ring chunks and two 64 KiB pieces, all puts into granted memory —
-/// no rendezvous, no chunk pump. An `ialltoallv` of the same block rides
-/// along: the handle lends its own buffers, so its two pieces take
-/// nothing either. What is still two-sided is counted: per rank and
-/// iteration three grants (one per call with puts) and the handle's one
-/// 8-byte count piece, each copied into its posted receive once.
+/// pool, and every byte they send is accounted for. Two ranks, default
+/// config, `allreduce(1 MiB)` + `alltoallv(128 KiB each way)`: per rank
+/// and iteration sixteen 64 KiB ring chunks and two 64 KiB pieces, all
+/// puts into granted memory — no rendezvous, no chunk pump. An
+/// `ialltoallv` of the same block rides along: the handle lends its own
+/// buffers, so its two pieces take nothing either. What is still
+/// two-sided is counted: per rank and iteration three grants (one per
+/// call with puts) and the handle's one 8-byte count piece, each copied
+/// into its posted receive once. On the in-process wires the ring's
+/// eight reduce-scatter chunks are folded in place by their sender
+/// (`coll_folded_bytes`) and only the rest are written (`rma_direct_bytes`),
+/// so the allreduce grows no fold arena; tcp frames every byte and folds
+/// through the arena, whose registration is the first call's second.
 #[test]
 fn blocking_collectives_take_nothing_from_the_pool() {
-    use lci_fabric::DeviceConfig;
     const MIB: usize = 1 << 20;
     const V: usize = 128 << 10;
     const ITERS: u64 = 4;
     const WIRE: u64 = ITERS * (MIB + 2 * V) as u64;
+    const FOLDED: u64 = ITERS * (MIB / 2) as u64;
     const GRANTS: u64 = 3;
     const EAGER_PIECES: u64 = 1;
     let wires = [
@@ -717,13 +798,17 @@ fn blocking_collectives_take_nothing_from_the_pool() {
             blocks[peer] = send.clone();
             let mut ar = contrib.clone();
             let mut recv = vec![0u8; V];
-            let mut base = rt.device().stats();
+            let (cold, mut base) = (rt.device().stats(), rt.device().stats());
+            let mut registered = 0;
             for i in 0..8 + 4 {
                 if i == 8 {
                     base = rt.device().stats();
                 }
                 ar.copy_from_slice(&contrib);
                 coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
+                if i == 0 {
+                    registered = rt.device().stats().since(&cold).reg_cache_misses;
+                }
                 coll::alltoallv(&rt, &send, &counts, &mut recv, &counts).unwrap();
                 let got = coll::ialltoallv(&rt, &blocks).unwrap().wait(&rt).unwrap();
                 assert!(got[peer] == recv, "{wire} rank {rank}: ialltoallv differs from alltoallv");
@@ -743,17 +828,24 @@ fn blocking_collectives_take_nothing_from_the_pool() {
             let two_sided = ITERS * (GRANTS + EAGER_PIECES);
             assert_eq!(d.copied_deliveries, two_sided, "{wire} rank {rank}: two-sided deliveries");
             assert!(d.matched <= two_sided, "{wire} rank {rank}: {} matched", d.matched);
-            (d.buf_pool_hits + d.buf_pool_misses, d.rma_direct_bytes, d.rma_framed_bytes)
+            // The puts' bytes, folded or written, and the 8-byte counts.
+            let sent = WIRE + ITERS * EAGER_PIECES * 8;
+            assert_eq!(d.coll_bytes, sent, "{wire} rank {rank}: collective bytes sent");
+            let takes = d.buf_pool_hits + d.buf_pool_misses;
+            (takes, d.rma_direct_bytes, d.rma_framed_bytes, d.coll_folded_bytes, registered)
         });
-        for (rank, (takes, direct, framed)) in ledger.into_iter().enumerate() {
+        for (rank, (takes, direct, framed, folded, registered)) in ledger.into_iter().enumerate() {
             if wire == "tcp" {
                 // The codec's staging is the wire's own; recorded, not
                 // asserted.
                 println!("tcp rank {rank}: {takes} pool takes in 4 warm iterations");
-                assert_eq!((direct, framed), (0, WIRE), "tcp rank {rank}");
+                assert_eq!((direct, framed, folded), (0, WIRE, 0), "tcp rank {rank}");
+                assert_eq!(registered, 2, "tcp rank {rank}: the landing and the arena");
             } else {
                 assert_eq!(takes, 0, "{wire} rank {rank}: pool takes in 4 warm iterations");
-                assert_eq!((direct, framed), (WIRE, 0), "{wire} rank {rank}");
+                let want = (WIRE - FOLDED, 0, FOLDED);
+                assert_eq!((direct, framed, folded), want, "{wire} rank {rank}");
+                assert_eq!(registered, 1, "{wire} rank {rank}: the landing, and no arena");
             }
         }
     }
@@ -782,12 +874,29 @@ fn blocking_collectives_take_nothing_from_the_pool() {
 /// `ReduceOp::fold` that panics mid-allreduce (the seed chunks are lent
 /// by then) is the in-process case: the child must die by `abort`, with
 /// the scope's message, not unwind out of `allreduce` on one rank while
-/// the other spins.
+/// the other spins. On tcp the panicking fold is the receiver's, at the
+/// harvest, from the arena.
 #[cfg(unix)]
 #[test]
 fn fold_panic_mid_allreduce_aborts_the_process() {
+    fold_panic_aborts("fold_panic_mid_allreduce_aborts_the_process", DeviceConfig::tcp());
+}
+
+/// The same on the sim wire, where every fold of a 2-rank ring is its
+/// sender's, in place: rank 0's panicking fold runs inside its own step,
+/// over rank 1's accumulator, before the signal that would hand it over.
+#[cfg(unix)]
+#[test]
+fn in_place_fold_panic_aborts_the_process() {
+    fold_panic_aborts("in_place_fold_panic_aborts_the_process", DeviceConfig::ibv());
+}
+
+/// Runs test `name` again as a child whose rank 0 allreduces 64 KiB (put
+/// pieces on the small config) on `device` with a fold that panics, and
+/// checks that the child died by `abort` saying why.
+#[cfg(unix)]
+fn fold_panic_aborts(name: &str, device: DeviceConfig) {
     use std::os::unix::process::ExitStatusExt;
-    const NAME: &str = "fold_panic_mid_allreduce_aborts_the_process";
     const CHILD: &str = "LCI_TEST_FOLD_PANIC_CHILD";
     struct Refuses;
     impl lci::ReduceOp for Refuses {
@@ -799,7 +908,7 @@ fn fold_panic_mid_allreduce_aborts_the_process() {
         }
     }
     if std::env::var_os(CHILD).is_some() {
-        with_ranks(2, RuntimeConfig::small(), |rank, rt| {
+        with_ranks(2, RuntimeConfig::small().with_device(device), |rank, rt| {
             let mut buf = vec![1u8; 64 << 10];
             let res = if rank == 0 {
                 coll::allreduce(&rt, &mut buf, &Refuses)
@@ -817,7 +926,7 @@ fn fold_panic_mid_allreduce_aborts_the_process() {
     }
     let exe = std::env::current_exe().unwrap();
     let out = std::process::Command::new(exe)
-        .args(lci_fabric::bootstrap::test_child_args(NAME))
+        .args(lci_fabric::bootstrap::test_child_args(name))
         .env(CHILD, "1")
         .output()
         .unwrap();
