@@ -15,10 +15,10 @@
 //! second.
 
 use lci_fabric::Fabric;
-use lcw::{BackendKind, Platform, ResourceMode, World, WorldConfig};
+use lcw::{BackendKind, Endpoint, Platform, ResourceMode, World, WorldConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Reads a `usize` environment knob.
 pub fn env_usize(name: &str, default: usize) -> usize {
@@ -105,12 +105,22 @@ const PONG_BASE: u32 = 1 << 20;
 /// launcher pins worker OS threads to cores; the harness mirrors that
 /// on [`lci::topology`]'s logical map so per-core resource layouts see
 /// the same worker→core picture the paper's pinned runs do. No-op for
-/// the baseline backends and under a one-core placement.
+/// the baseline backends and on a one-core map.
 fn pin_worker(cfg: &WorldConfig, t: usize) {
-    let cores = cfg.placement.effective_cores();
+    let cores = lci::topology::ncores();
     if cfg.backend == BackendKind::Lci && cores > 1 {
         lci::topology::bind_current_thread(t % cores);
     }
+}
+
+/// Progresses `ep` until nothing it posted still needs its progress,
+/// before the worker leaves for a closing barrier. A send the wire did
+/// not finish at its post (every tcp post, a parked one on any wire)
+/// leaves only at a later progress call on its rank, so a worker whose
+/// last post is the message its peer waits for would otherwise strand
+/// it, and both ranks would wait forever.
+fn settle(ep: &mut Endpoint) {
+    ep.quiesce(Duration::from_secs(60)).expect("a worker's sends never left");
 }
 
 /// Runs the paper's message-rate microbenchmark in thread-based mode:
@@ -184,6 +194,7 @@ pub fn msgrate_thread_based(
                                 std::thread::yield_now();
                             }
                         }
+                        settle(&mut ep);
                     });
                 }
             });
@@ -258,6 +269,7 @@ pub fn msgrate_process_based(
                         }
                     }
                 }
+                settle(&mut ep);
                 fabric.oob_barrier();
             })
         })
@@ -344,6 +356,7 @@ pub fn bandwidth_thread_based(
                                 }
                             }
                         }
+                        settle(&mut ep);
                     });
                 }
             });

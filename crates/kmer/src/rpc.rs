@@ -95,8 +95,10 @@ mod tests {
             "frames must carry multiple sub-messages, got {} flushes",
             stats.coalesce_flushes
         );
-        // Pump until receiver finishes.
-        for _ in 0..10_000 {
+        // Pump until the receiver finishes: frames its device refused
+        // before it posted receives wait in this rank's backlog, and
+        // only this rank's progress sends them.
+        while !receiver.is_finished() {
             ep.progress();
         }
         receiver.join().unwrap();

@@ -516,13 +516,17 @@ impl Channel {
     }
 
     /// Number of operations still needing this channel's progress:
-    /// queued sends plus in-flight rendezvous (both sides). A sender must
-    /// keep progressing until this drains — a rendezvous needs the
-    /// source to serve the RTR even after the destination counted all
-    /// its arrivals.
+    /// queued sends, in-flight rendezvous (both sides) and frames the
+    /// wire still holds (a tcp post only appends to its stream; the
+    /// bytes leave at a later poll). A sender must keep progressing
+    /// until this drains — a rendezvous needs the source to serve the
+    /// RTR even after the destination counted all its arrivals.
     pub fn pending(&self) -> usize {
         let st = self.state.lock();
-        st.pending_sends.len() + st.rdv_sends.len() + st.rdv_recvs.len()
+        st.pending_sends.len()
+            + st.rdv_sends.len()
+            + st.rdv_recvs.len()
+            + self.net.outbound_pending()
     }
 
     /// Tests a request, progressing the channel (MPI semantics: progress

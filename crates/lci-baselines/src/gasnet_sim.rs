@@ -159,6 +159,14 @@ impl Gasnet {
         }
     }
 
+    /// Frames the wire still holds for a later [`poll`](Gasnet::poll)
+    /// (a tcp post only appends to its stream). A medium AM's source
+    /// buffer is free at post, but its bytes have left only once this
+    /// is zero.
+    pub fn outbound_pending(&self) -> usize {
+        self.net.outbound_pending()
+    }
+
     /// Polls the shared endpoint ("gex_AMPoll"): drains completions and
     /// runs handlers inline. Returns whether anything was processed.
     pub fn poll(&self) -> bool {

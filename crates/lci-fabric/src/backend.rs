@@ -149,17 +149,6 @@ pub struct TransportStats {
     pub rma_framed_bytes: u64,
 }
 
-/// One send in a [`NetDevice::post_send_batch`] call.
-#[derive(Clone, Copy, Debug)]
-pub struct SendDesc<'a> {
-    /// Payload bytes (staged by the backend, like `post_send`).
-    pub data: &'a [u8],
-    /// Immediate word delivered with the message.
-    pub imm: u64,
-    /// Opaque context echoed in the `SendDone` completion.
-    pub ctx: u64,
-}
-
 /// A network device: the critical-path resource. Two threads operating on
 /// different devices never interfere (paper §4.2.1); interference *within*
 /// a device depends on the backend's lock granularity.
@@ -207,30 +196,12 @@ pub trait NetDevice: Send + Sync {
         ctx: u64,
     ) -> NetResult<()>;
 
-    /// Posts up to `msgs.len()` two-sided sends toward `(target,
-    /// target_dev)` under **one** posting-lock acquisition, amortizing
-    /// the per-message lock round-trip that dominates small-message
-    /// overhead on coarse-lock providers (paper §4.2.4).
-    ///
-    /// Returns the number of messages actually posted, in order:
-    /// partial progress, not all-or-nothing. If the target ring fills
-    /// (or the peer is not ready) after `n > 0` messages, `Ok(n)` is
-    /// returned and the caller retries the tail later. An error is
-    /// returned only when *nothing* was posted.
-    fn post_send_batch(
-        &self,
-        target: Rank,
-        target_dev: DevId,
-        msgs: &[SendDesc<'_>],
-    ) -> NetResult<usize>;
-
     /// Pre-posts a receive buffer to the shared receive queue.
     fn post_recv(&self, desc: RecvBufDesc) -> NetResult<()>;
 
     /// Pre-posts up to `descs.len()` receive buffers under **one**
-    /// SRQ/endpoint-lock acquisition — the receive-side mirror of
-    /// [`NetDevice::post_send_batch`], used by the LCI progress engine
-    /// to restock the shared receive queue in bulk.
+    /// SRQ/endpoint-lock acquisition (paper §4.2.4), used by the LCI
+    /// progress engine to restock the shared receive queue in bulk.
     ///
     /// Returns the number of buffers actually posted, in order: partial
     /// progress, not all-or-nothing. An error is returned only when

@@ -37,10 +37,10 @@ use std::sync::Arc;
 /// **ofi** (paper §4.2.4, the libfabric cxi/verbs provider structure):
 /// **one spinlock per endpoint** guards `post_send`, `post_recv` *and*
 /// `poll_cq`, so a worker thread posting and a progress thread polling
-/// the same device always contend — which is why a batch is the whole
-/// point there: the lock is paid once for N messages or N receives
-/// instead of N times, and that directly shortens the critical section
-/// other threads wait on. LCI wraps the endpoint lock in a single
+/// the same device always contend — which is why the receive refill is
+/// one batch there: the lock is paid once for N receives instead of N
+/// times, and that directly shortens the critical section other threads
+/// wait on. LCI wraps the endpoint lock in a single
 /// trylock; baselines use blocking acquisition
 /// ([`LockDiscipline::Blocking`]), which is how stock MPI implementations
 /// drive libfabric. The layout is all §4.2.4 adds, so it is all

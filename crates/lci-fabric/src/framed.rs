@@ -16,7 +16,7 @@
 //! sender that accepts frames, a drain that hands inbound frames back,
 //! pending counts, counters and a final flush.
 
-use crate::backend::{DeviceConfig, NetDevice, SendDesc, TransportStats};
+use crate::backend::{DeviceConfig, NetDevice, TransportStats};
 use crate::dev_shared::{DevShared, QpLocks, CQ_DRAIN_BATCH};
 use crate::fabric::Fabric;
 use crate::mem::{MemoryRegion, Rkey};
@@ -285,8 +285,6 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
     }
 
     fn post_inject(&self, target: Rank, target_dev: DevId, data: &[u8], imm: u64) -> NetResult<()> {
-        // Not a one-message batch: the batch's slice walk and partial-
-        // progress bookkeeping cost ~9 ns a message here (measured).
         self.ready(target, Some(target_dev))?;
         let h = FrameHeader { imm, ..self.header(KIND_SEND, target_dev as u32) };
         self.post_frame(target, &h, data)
@@ -306,34 +304,6 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
         self.post_inject(target, target_dev, data, imm)?;
         self.shared.stage_cqe(Cqe::local(CqeKind::SendDone, ctx));
         Ok(())
-    }
-
-    fn post_send_batch(
-        &self,
-        target: Rank,
-        target_dev: DevId,
-        msgs: &[SendDesc<'_>],
-    ) -> NetResult<usize> {
-        self.ready(target, Some(target_dev))?;
-        if self.shared.staging_full() {
-            return Err(NetError::Retry(RetryReason::QueueFull));
-        }
-        // One QP + sender lock acquisition covers the whole batch.
-        let mut route = self.route_to(target, true)?;
-        let mut posted = 0;
-        for m in msgs {
-            let h = FrameHeader { imm: m.imm, ..self.header(KIND_SEND, target_dev as u32) };
-            match self.put(&mut route, &h, m.data) {
-                Ok(()) => posted += 1,
-                Err(e) if posted == 0 => return Err(e),
-                Err(_) => break, // wire full mid-batch: partial progress
-            }
-        }
-        drop(route);
-        for m in &msgs[..posted] {
-            self.shared.stage_cqe(Cqe::local(CqeKind::SendDone, m.ctx));
-        }
-        Ok(posted)
     }
 
     fn post_recv(&self, desc: RecvBufDesc) -> NetResult<()> {

@@ -73,7 +73,7 @@ pub mod tcp;
 pub mod topology;
 pub mod types;
 
-pub use backend::{BackendKind, DeviceConfig, NetContext, NetDevice, SendDesc, TransportStats};
+pub use backend::{BackendKind, DeviceConfig, NetContext, NetDevice, TransportStats};
 pub use buf_pool::{BufPool, BufPoolConfig, BufPoolStats, PoolBuf};
 pub use fabric::Fabric;
 pub use mem::{MemoryRegion, Rkey};

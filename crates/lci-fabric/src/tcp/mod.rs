@@ -28,9 +28,12 @@
 //! holds the connection's lock: a read clears `readable` *before* it
 //! reads (see `Conn::read_once`), a write that hits `EAGAIN` sets
 //! `write_blocked` and probes once more (see `Conn::flush_locked`).
-//! One helper thread per rank remains, a timer with one job: the
-//! backstop flush of a stream whose poster stopped polling
-//! (`TcpRankState::backstop_flush`). It is on no message's path.
+//!
+//! **Nothing else moves the wire.** A frame a post appended leaves at
+//! the next drain of its rank — any device's `poll_cq` — or at the
+//! device's teardown; until then `outbound_pending` counts it. A rank
+//! that stops polling after its last post keeps that post: whoever
+//! waits on the peer's answer, or on quiescence, polls.
 //!
 //! Two modes, like shm: **in-process** (lazy loopback mesh, so any test
 //! or bench switches with a `DeviceConfig` alone) and **multi-process**
@@ -56,8 +59,7 @@ use crate::types::{NetError, NetResult, RetryReason};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use stream::FrameDecoder;
 
@@ -76,12 +78,6 @@ const STREAM_RESERVE: usize = 288 << 10;
 
 /// Socket-read budget per connection per poll cycle.
 const READ_BUDGET: usize = 256 << 10;
-
-/// The backstop's naps: short while frames sit unflushed, so an
-/// abandoned stream leaves within two of them; the long one bounds how
-/// late it notices the first such frame.
-const NAP_QUEUED: Duration = Duration::from_millis(1);
-const NAP_IDLE: Duration = Duration::from_millis(20);
 
 /// Outcome of one connection-level I/O pass.
 #[derive(PartialEq, Eq)]
@@ -123,13 +119,6 @@ pub(crate) struct Conn {
     /// Frames currently queued for send (lock-free mirror of
     /// `SendState::frames` for `outbound_pending`).
     send_backlog: AtomicUsize,
-    /// Backstop bookkeeping: set when the bridge samples a non-empty
-    /// stream, cleared by any successful write. A stream still stale at
-    /// the *next* sweep has a poster that stopped polling, and the
-    /// bridge flushes it — posts complete locally, so without this a
-    /// rank that blocks after its last post (an OOB collective, a
-    /// worker join) would strand the frames forever.
-    flush_stale: AtomicBool,
     /// Whether the slab holds at least a header's worth of unrouted
     /// bytes (lock-free mirror for `inbound_pending`).
     recv_pending: AtomicBool,
@@ -154,7 +143,6 @@ impl Conn {
             write_blocked: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             send_backlog: AtomicUsize::new(0),
-            flush_stale: AtomicBool::new(false),
             recv_pending: AtomicBool::new(false),
         })
     }
@@ -246,7 +234,6 @@ impl Conn {
             Ok(n) => {
                 g.head_off += n;
                 state.writev_calls.fetch_add(1, Ordering::Relaxed);
-                self.flush_stale.store(false, Ordering::Release);
                 if g.head_off == g.stream.len() {
                     state.writev_frames.fetch_add(g.frames as u64, Ordering::Relaxed);
                     (g.head_off, g.frames) = (0, 0);
@@ -391,7 +378,7 @@ impl TcpFabric {
         self.states[rank]
             .get_or_init(|| {
                 let conns = std::mem::take(&mut self.pending.lock().expect("pending")[rank]);
-                TcpRankState::new(rank, conns)
+                TcpRankState::new(conns)
             })
             .clone()
     }
@@ -419,28 +406,23 @@ pub(crate) struct TcpRankState {
     /// `writev` syscalls that made progress / frames fully shipped.
     pub(crate) writev_calls: AtomicU64,
     pub(crate) writev_frames: AtomicU64,
-    bridge: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl TcpRankState {
-    fn new(rank: usize, raw: Vec<Option<TcpStream>>) -> Arc<TcpRankState> {
+    fn new(raw: Vec<Option<TcpStream>>) -> Arc<TcpRankState> {
         let epoll = sys::Epoll::new().expect("epoll_create1");
         let conns = raw.into_iter().enumerate().map(|(peer, s)| {
             let c = Conn::new(peer, s?).expect("tcp conn setup (nodelay/nonblock)");
             epoll.add(c.fd, peer as u64).expect("epoll_ctl add");
             Some(c)
         });
-        let state = Arc::new(TcpRankState {
+        Arc::new(TcpRankState {
             conns: conns.collect(),
             epoll,
             core: RankCore::default(),
             writev_calls: AtomicU64::new(0),
             writev_frames: AtomicU64::new(0),
-            bridge: Mutex::new(None),
-        });
-        let bridge = spawn_bridge(rank, Arc::downgrade(&state));
-        *state.bridge.lock().expect("bridge handle poisoned") = Some(bridge);
-        state
+        })
     }
 
     pub(crate) fn conn(&self, peer: usize) -> Option<&Conn> {
@@ -495,64 +477,4 @@ impl TcpRankState {
     pub(crate) fn outbound_pending(&self) -> usize {
         self.conns().map(|(_, c)| c.send_backlog.load(Ordering::Acquire)).sum()
     }
-
-    /// The flush backstop, run by the bridge. Marks every non-empty
-    /// stream stale; a stream *already* stale from the previous sweep
-    /// has sat a full nap with no write — its poster stopped polling —
-    /// so it is flushed here, after asking the sockets as that poster's
-    /// drain would have (nobody else will learn that a blocked one
-    /// drained). The one-nap grace keeps the fast path intact: an
-    /// actively polled stream drains (and clears the mark) long before
-    /// two sweeps pass, so batching still happens in `poll_cq` where
-    /// frames accumulate between polls.
-    fn backstop_flush(&self) {
-        let mut asked = false;
-        for (peer, c) in self.conns() {
-            if c.is_dead() || c.send_backlog.load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            if !c.flush_stale.swap(true, Ordering::AcqRel) {
-                continue; // first sighting: give the poster one nap
-            }
-            if !std::mem::replace(&mut asked, true) {
-                self.poll_readiness();
-            }
-            let Some(mut sg) = c.send.try_lock() else { continue };
-            if c.flush_locked(&mut sg, self) == ConnIo::Dead {
-                drop(sg);
-                self.mark_peer_dead(peer);
-            }
-        }
-    }
-}
-
-impl Drop for TcpRankState {
-    fn drop(&mut self) {
-        let Some(bridge) = self.bridge.get_mut().ok().and_then(Option::take) else { return };
-        // It finds the state gone as soon as it looks; wake it so that
-        // it looks now, not at the end of its nap.
-        bridge.thread().unpark();
-        // The last reference may be the bridge's own, held over a
-        // sweep: a thread cannot join itself, and need not.
-        if bridge.thread().id() != std::thread::current().id() {
-            let _ = bridge.join();
-        }
-    }
-}
-
-/// The bridge: a timer whose one job is the backstop flush. It holds
-/// the state only over a sweep, so it never keeps a rank alive, and it
-/// leaves when the state is gone — unparked by the state's `Drop`.
-fn spawn_bridge(rank: usize, state: Weak<TcpRankState>) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("lci-tcp-epoll{rank}"))
-        .spawn(move || {
-            while let Some(st) = state.upgrade() {
-                st.backstop_flush();
-                let nap = if st.outbound_pending() > 0 { NAP_QUEUED } else { NAP_IDLE };
-                drop(st);
-                std::thread::park_timeout(nap);
-            }
-        })
-        .expect("failed to spawn the tcp backstop bridge")
 }

@@ -8,20 +8,20 @@
 //! The headline test is syscall amortization: a burst of sends queued
 //! between two polls must leave in far fewer `writev` calls than frames,
 //! read off the `tcp_writev_frames / tcp_writev_calls` gather fill. The
-//! rest hold the wire's two promises about who moves it: whoever polls
-//! does (two pollers of one rank race for its sockets and lose
-//! nothing), and a poster that stops polling is backstopped by the
-//! rank's timer thread. What needs the wire's insides (a shrunk
-//! `SO_SNDBUF`, buffer capacities, the bridge's own teardown) is in
-//! `src/tcp/tests.rs`.
+//! rest hold the wire's promise about who moves it: whoever polls
+//! does, and nobody else (two pollers of one rank race for its sockets
+//! and lose nothing; a frame whose poster stops polling waits for its
+//! rank's next poll). What needs the wire's insides (a shrunk
+//! `SO_SNDBUF`, buffer capacities) is in `src/tcp/tests.rs`.
 #![cfg(unix)]
 
 mod common;
 
 use common::{pair, poll_until, post_packet_recv, Sink, DEADLINE};
-use lci_fabric::backend::NetContext;
+use lci_fabric::backend::{NetContext, NetDevice};
 use lci_fabric::types::{CqeKind, NetError, RetryReason};
 use lci_fabric::{DeviceConfig, Fabric};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[test]
@@ -99,8 +99,6 @@ fn a_full_stream_buffer_refuses_with_rx_full_and_queues_nothing_of_the_refused_f
     loop {
         match post(posted) {
             Ok(()) => posted += 1,
-            // The backstop looked at the connection just then.
-            Err(NetError::Retry(RetryReason::LockBusy)) => {}
             Err(e) => break assert_eq!(e, full),
         }
         assert!(posted < 4096, "8 MiB of queue and a loopback socket took 256 MiB");
@@ -108,10 +106,7 @@ fn a_full_stream_buffer_refuses_with_rx_full_and_queues_nothing_of_the_refused_f
     let queued = d0.outbound_pending();
     assert!(queued >= (8 << 20) / (LEN + 64), "refused at {queued} queued frames");
     for _ in 0..4 {
-        match post(posted) {
-            Err(NetError::Retry(RetryReason::LockBusy)) => {}
-            other => assert_eq!(other, Err(full.clone())),
-        }
+        assert_eq!(post(posted), Err(full.clone()));
         assert_eq!(d0.outbound_pending(), queued, "a refused frame left something queued");
     }
 
@@ -123,78 +118,86 @@ fn a_full_stream_buffer_refuses_with_rx_full_and_queues_nothing_of_the_refused_f
         assert!(Instant::now() < deadline, "stuck at {}/{posted} frames", sink.next);
     }
     assert!(none.is_empty(), "an inject completed something");
-    // The last write may have been the backstop's, counted after the
-    // bytes could be read.
-    while d0.outbound_pending() > 0 {
-        std::thread::yield_now();
-    }
+    // Only this thread writes: the frames are counted before rank 1 can
+    // have read their last byte.
+    assert_eq!(d0.outbound_pending(), 0);
     assert_eq!(d0.transport_stats().tcp_writev_frames, posted);
 }
 
-/// A rank that posts and never polls again still has its frames
-/// delivered: the rank's timer thread flushes a stream nobody has
-/// written for a whole nap. Its naps bound the delay to a few tens of
-/// milliseconds (20 ms idle, 1 ms once it has seen the frame); the best
-/// of three posts must make 50 ms, so that one descheduling of this test
-/// does not fail it.
-#[test]
-fn a_poster_that_never_polls_again_is_flushed_by_the_backstop() {
-    let (d0, d1) = pair(DeviceConfig::tcp());
-    let mut sink = Sink::new(&d1, 64, |i| vec![i as u8; 40]);
-    let mut best = Duration::MAX;
-    for i in 0..3u64 {
-        // `LockBusy`: the backstop is still inside its last flush.
-        while let Err(e) = d0.post_inject(1, 0, &[i as u8; 40], i) {
-            assert_eq!(e, NetError::Retry(RetryReason::LockBusy));
-        }
-        let posted = Instant::now();
-        while sink.next <= i {
-            sink.drain();
-            assert!(posted.elapsed() < DEADLINE, "message {i} was never flushed");
-            std::thread::yield_now();
-        }
-        best = best.min(posted.elapsed());
+/// Rank 1 polls for `quiet` without rank 0 polling: nothing more may
+/// arrive, and rank 0's queue stays as it was.
+fn nothing_arrives_while_rank_0_is_silent(
+    sink: &mut Sink,
+    d0: &Arc<dyn NetDevice>,
+    quiet: Duration,
+) {
+    let (got, queued) = (sink.next, d0.outbound_pending());
+    assert!(queued > 0, "nothing is queued on rank 0");
+    let until = Instant::now() + quiet;
+    while Instant::now() < until {
+        sink.drain();
+        assert_eq!(sink.next, got, "a frame left rank 0 while it was not polling");
+        assert_eq!(d0.outbound_pending(), queued);
+        std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(best < Duration::from_millis(50), "the backstop took {best:?} at best");
-    // The bytes can be read before the writer has counted them.
-    while d0.outbound_pending() > 0 {
-        std::thread::yield_now();
-    }
-    assert_eq!(d0.transport_stats().tcp_writev_frames, 3);
 }
 
-/// The same with a socket that blocks: 12 MiB posted by a rank that
-/// never polls, toward a peer that starts reading late. Nobody on the
-/// posting rank asks its sockets whether the blocked one drained — its
-/// drains would have — so the backstop asks before it flushes, and
-/// every frame arrives, in order.
+/// A send the wire did not finish at its post leaves at a later poll of
+/// its own rank, and nothing else moves it. Rank 0 posts a frame and
+/// does not poll for 100 ms: the frame stays counted in
+/// `outbound_pending`, and rank 1, polling all along, receives nothing.
+/// Rank 0's next poll ships it. The same holds for a stream that hit
+/// `EAGAIN`: 64 KiB frames posted until the stream refuses, rank 1
+/// drains what the socket took, and the rest waits for rank 0's next
+/// poll, which writes more.
 #[test]
-fn a_blocked_stream_whose_poster_stopped_polling_still_drains() {
+fn a_queued_frame_leaves_only_at_its_ranks_next_poll() {
     const LEN: usize = 64 << 10;
+    const QUIET: Duration = Duration::from_millis(100);
+    let body = |i: u64| vec![i as u8; if i == 0 { 40 } else { LEN }];
     let (d0, d1) = pair(DeviceConfig::tcp());
-    let mut posted = 0u64;
+    let mut sink = Sink::new(&d1, LEN, body);
+    let mut none = Vec::new();
+
+    d0.post_inject(1, 0, &body(0), 0).unwrap();
+    nothing_arrives_while_rank_0_is_silent(&mut sink, &d0, QUIET);
+    d0.poll_cq(&mut none, 8).unwrap();
+    assert_eq!(d0.outbound_pending(), 0, "one poll did not ship a 40 B frame");
     let deadline = Instant::now() + DEADLINE;
-    while posted < 192 {
-        match d0.post_inject(1, 0, &vec![posted as u8; LEN], posted) {
-            Ok(()) => posted += 1,
-            // Full or under the backstop's flush: it makes room only once
-            // the peer reads, so stop at what went in.
-            Err(NetError::Retry(RetryReason::LockBusy)) => {}
-            Err(NetError::Retry(RetryReason::RxFull)) => break,
-            Err(e) => panic!("{e:?}"),
-        }
-        assert!(Instant::now() < deadline);
-    }
-    assert!(posted >= 128, "only {posted} frames fit");
-    let mut sink = Sink::new(&d1, LEN, |i| vec![i as u8; LEN]);
-    while sink.next < posted {
+    while sink.next < 1 {
         sink.drain();
-        assert!(Instant::now() < deadline, "stuck at {}/{posted} frames", sink.next);
-        std::thread::yield_now();
+        assert!(Instant::now() < deadline, "the shipped frame never arrived");
     }
-    while d0.outbound_pending() > 0 {
-        std::thread::yield_now();
+
+    let mut posted = 1u64;
+    loop {
+        match d0.post_inject(1, 0, &body(posted), posted) {
+            Ok(()) => posted += 1,
+            Err(e) => break assert_eq!(e, NetError::Retry(RetryReason::RxFull)),
+        }
+        assert!(posted < 4096, "8 MiB of queue and a loopback socket took 256 MiB");
     }
+    // Rank 1 reads what the socket holds; rank 0's stream keeps the rest.
+    let mut last = (sink.next, Instant::now());
+    while last.1.elapsed() < QUIET {
+        sink.drain();
+        if sink.next != last.0 {
+            last = (sink.next, Instant::now());
+        }
+        assert!(Instant::now() < deadline, "rank 1 never stopped receiving");
+    }
+    assert!(sink.next < posted, "the socket took all {posted} frames");
+    nothing_arrives_while_rank_0_is_silent(&mut sink, &d0, QUIET);
+    let (got, calls) = (sink.next, d0.transport_stats().tcp_writev_calls);
+    d0.poll_cq(&mut none, 8).unwrap();
+    assert!(d0.transport_stats().tcp_writev_calls > calls, "the poll wrote nothing");
+    while sink.next == got {
+        sink.drain();
+        assert!(Instant::now() < deadline, "what the poll wrote never arrived");
+    }
+    sink.drain_until(posted, &d0);
+    assert!(none.is_empty(), "an inject completed something");
+    assert_eq!(d0.outbound_pending(), 0);
     assert_eq!(d0.transport_stats().tcp_writev_frames, posted);
 }
 

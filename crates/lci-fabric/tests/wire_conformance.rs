@@ -28,7 +28,7 @@
 mod common;
 
 use common::{pair, poll_until, post_packet_recv, Sink, DEADLINE};
-use lci_fabric::backend::{NetContext, NetDevice, SendDesc};
+use lci_fabric::backend::{NetContext, NetDevice};
 use lci_fabric::bootstrap::{self, test_child_args, Launch};
 use lci_fabric::sync::LockDiscipline;
 use lci_fabric::types::{CqeKind, NetError, NetResult, RecvBufDesc, RetryReason};
@@ -337,8 +337,12 @@ fn read_response_parks_behind_a_busy_return_path() {
         let desc = unsafe { RecvBufDesc::new(dst.as_mut_ptr(), dst.len(), 11) };
         d0.post_read(1, desc, mr.rkey, 0).unwrap();
 
-        // The requester goes silent (on tcp the bridge's backstop flush
-        // ships its request); the responder polls against a full path.
+        // One poll ships the request (a tcp post only appends it); then
+        // the requester goes silent and the responder polls against a
+        // full path.
+        let mut cq0 = Vec::new();
+        d0.poll_cq(&mut cq0, 64).unwrap();
+        assert!(cq0.is_empty(), "the requester completed something early");
         let mut cq1 = Vec::new();
         for _ in 0..50 {
             d1.poll_cq(&mut cq1, 64).unwrap();
@@ -349,7 +353,6 @@ fn read_response_parks_behind_a_busy_return_path() {
         let mut rbuf = vec![0u8; FILL];
         post_packet_recv(&d0, &mut rbuf, 0);
         let (mut reads, mut next, mut settle) = (0, 0u64, 0);
-        let mut cq0 = Vec::new();
         let deadline = Instant::now() + DEADLINE;
         // Keep polling a while after everything arrived: a duplicated
         // completion would show up then.
@@ -534,66 +537,6 @@ fn bad_rkey_is_fatal_at_post() {
     }
 }
 
-/// `post_send_batch` is partial progress, not all-or-nothing: four sends
-/// toward a target with two receives posted post as far as the path
-/// takes them — two where the post lands them, all four where the wire
-/// buffers on its own — with a `SendDone` for exactly the accepted
-/// prefix, in order. A tail retried against the target still out of
-/// receives posts nothing and says `RxFull`; once the target has posted
-/// more, the tail posts, and the messages arrive in batch order with
-/// their bytes.
-#[test]
-fn send_batch_makes_partial_progress_against_a_full_rx_ring() {
-    const N: usize = 4;
-    const POSTED: usize = 2;
-    for cfg in wires() {
-        let (d0, d1) = pair(cfg);
-        let mut rbufs: Vec<Vec<u8>> = (0..N).map(|_| vec![0u8; 16]).collect();
-        let (early, late) = rbufs.split_at_mut(POSTED);
-        for (i, b) in early.iter_mut().enumerate() {
-            post_packet_recv(&d1, b, i as u64);
-        }
-        let bufs: Vec<[u8; 2]> = (0..N as u8).map(|i| [i, i + 10]).collect();
-        let msgs: Vec<SendDesc> = bufs
-            .iter()
-            .enumerate()
-            .map(|(i, b)| SendDesc { data: b, imm: 100 + i as u64, ctx: i as u64 })
-            .collect();
-        let first = d0.post_send_batch(1, 0, &msgs).unwrap();
-        assert_eq!(first, if buffers_on_its_own(&cfg) { N } else { POSTED }, "{cfg:?}");
-        let done = poll_until(&d0, first);
-        assert!(done.iter().all(|c| c.kind == CqeKind::SendDone));
-        assert!(done.iter().map(|c| c.ctx).eq(0..first as u64), "SendDones out of batch order");
-        if first < N {
-            let err = d0.post_send_batch(1, 0, &msgs[first..]).unwrap_err();
-            assert_eq!(err, NetError::Retry(RetryReason::RxFull));
-            let mut none = Vec::new();
-            d0.poll_cq(&mut none, 8).unwrap();
-            assert!(none.is_empty(), "a refused batch left a completion");
-        }
-
-        for (i, b) in late.iter_mut().enumerate() {
-            post_packet_recv(&d1, b, (POSTED + i) as u64);
-        }
-        let mut cqes = poll_until(&d1, first);
-        if first < N {
-            // Receives posted: the tail posts now.
-            assert_eq!(d0.post_send_batch(1, 0, &msgs[first..]).unwrap(), N - first);
-            let done = poll_until(&d0, N - first);
-            assert!(done.iter().map(|c| c.ctx).eq(first as u64..N as u64));
-            cqes.extend(poll_until(&d1, N - first));
-        }
-        assert_eq!(cqes.len(), N);
-        for (i, c) in cqes.iter().enumerate() {
-            assert_eq!(
-                (c.kind, c.ctx, c.imm, c.len),
-                (CqeKind::RecvDone, i as u64, 100 + i as u64, 2)
-            );
-            assert_eq!(&rbufs[i][..2], &bufs[i]);
-        }
-    }
-}
-
 /// `post_recv_batch` posts every buffer under one call, receives are
 /// consumed in posting order, and `posted_recvs()` counts them down.
 #[test]
@@ -766,8 +709,8 @@ fn several_senders_to_one_device_arrive_complete_and_in_source_order() {
 }
 
 /// A target *device index* is checked where a frame is addressed to it
-/// and nowhere else. Rank 0 has two devices, rank 1 one. A send, a batch
-/// and a write-with-immediate naming a device rank 1 has not created are
+/// and nowhere else. Rank 0 has two devices, rank 1 one. A send and a
+/// write-with-immediate naming a device rank 1 has not created are
 /// `Retry(PeerNotReady)` and leave no completion; a plain write naming
 /// such a device and a read posted from rank 0's second device (whose
 /// index rank 1 lacks) land in registered memory, name no device, and
@@ -786,8 +729,6 @@ fn a_device_index_is_checked_only_where_a_frame_is_addressed_to_it() {
         let mr = d1.register(region.as_ptr(), region.len()).unwrap();
 
         assert_eq!(b.post_send(1, 1, &[1], 0, 0).unwrap_err(), not_ready);
-        let batch = [SendDesc { data: &[1], imm: 0, ctx: 0 }];
-        assert_eq!(b.post_send_batch(1, 1, &batch).unwrap_err(), not_ready);
         let err = b.post_write(1, 5, &[9u8; 8], mr.rkey, 0, Some(7), 0).unwrap_err();
         assert_eq!(err, not_ready);
         let mut cqes = Vec::new();

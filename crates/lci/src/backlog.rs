@@ -5,7 +5,9 @@
 //!
 //! Such situations are expected to be rare, so this is a plain queue with
 //! a spinlock; an atomic flag saves the progress engine from polling an
-//! empty backlog.
+//! empty backlog. A request leaves only at a later progress call on its
+//! device: the drain pops the oldest, posts it, and puts it back at the
+//! front if the wire still refuses.
 
 use crate::types::Rank;
 use lci_fabric::sync::SpinLock;
@@ -31,9 +33,9 @@ pub(crate) enum Backlogged {
     Rdv { send_id: u32 },
 }
 
-/// The batching key of a plain send, or `None` for requests that must
-/// post individually (stalled rendezvous sends).
-pub(crate) fn send_dest(item: &Backlogged) -> Option<(Rank, DevId)> {
+/// The destination of a plain send, or `None` for a stalled rendezvous
+/// send.
+fn send_dest(item: &Backlogged) -> Option<(Rank, DevId)> {
     match item {
         Backlogged::Send { target, target_dev, .. } => Some((*target, *target_dev)),
         Backlogged::Rdv { .. } => None,
@@ -58,8 +60,9 @@ impl Backlog {
         self.nonempty.store(true, Ordering::Release);
     }
 
-    /// Re-inserts a request at the front (it must retry before anything
-    /// queued behind it to preserve rendezvous pairing fairness).
+    /// Re-inserts a request the wire refused at the front: it retries
+    /// before anything queued behind it, so sends to one destination
+    /// keep their order.
     pub fn push_front(&self, item: Backlogged) {
         let mut q = self.queue.lock();
         q.push_front(item);
@@ -67,10 +70,7 @@ impl Backlog {
     }
 
     /// Dequeues the oldest request, if any. The fast path is a single
-    /// atomic load when the backlog is empty. (The progress engine
-    /// drains through [`pop_run`](Backlog::pop_run); this stays as the
-    /// single-item primitive for tests.)
-    #[cfg(test)]
+    /// atomic load when the backlog is empty.
     pub fn pop(&self) -> Option<Backlogged> {
         if !self.nonempty.load(Ordering::Acquire) {
             return None;
@@ -81,44 +81,6 @@ impl Backlog {
             self.nonempty.store(false, Ordering::Release);
         }
         item
-    }
-
-    /// Dequeues a *run* into `run` (which the caller passes empty and
-    /// reuses, so a warm drain allocates nothing): the oldest request
-    /// plus — when it is a plain send — up to `max - 1` consecutive plain
-    /// sends to the same `(target, target_dev)`. Only a contiguous front
-    /// run is taken, so FIFO order is preserved; the run feeds one
-    /// batched fabric submission (one posting-lock acquisition).
-    pub fn pop_run(&self, max: usize, run: &mut Vec<Backlogged>) {
-        if !self.nonempty.load(Ordering::Acquire) {
-            return;
-        }
-        let mut q = self.queue.lock();
-        let Some(first) = q.pop_front() else {
-            self.nonempty.store(false, Ordering::Release);
-            return;
-        };
-        let key = send_dest(&first);
-        run.push(first);
-        if key.is_some() {
-            while run.len() < max && q.front().is_some_and(|i| send_dest(i) == key) {
-                run.push(q.pop_front().unwrap());
-            }
-        }
-        if q.is_empty() {
-            self.nonempty.store(false, Ordering::Release);
-        }
-    }
-
-    /// Re-parks unposted requests at the front, preserving their order.
-    pub fn push_front_run(&self, items: impl DoubleEndedIterator<Item = Backlogged>) {
-        let mut q = self.queue.lock();
-        for item in items.rev() {
-            q.push_front(item);
-        }
-        if !q.is_empty() {
-            self.nonempty.store(true, Ordering::Release);
-        }
     }
 
     /// Whether a parked send toward `(target, target_dev)` waits here. One
@@ -152,12 +114,8 @@ impl Default for Backlog {
 mod tests {
     use super::*;
 
-    fn send(target: Rank, imm: u64, ctx: u64) -> Backlogged {
-        Backlogged::Send { target, target_dev: 0, data: vec![].into(), imm, ctx }
-    }
-
-    fn ctrl(tag: u64) -> Backlogged {
-        send(0, tag, 0)
+    fn ctrl(imm: u64) -> Backlogged {
+        Backlogged::Send { target: 0, target_dev: 0, data: vec![].into(), imm, ctx: 0 }
     }
 
     fn imm_of(b: &Backlogged) -> u64 {
@@ -189,46 +147,6 @@ mod tests {
         b.push_front(first);
         assert_eq!(imm_of(&b.pop().unwrap()), 1);
         assert_eq!(imm_of(&b.pop().unwrap()), 2);
-    }
-
-    /// The imms of the next run of at most 16.
-    fn next_run(b: &Backlog) -> Vec<u64> {
-        let mut run = Vec::new();
-        b.pop_run(16, &mut run);
-        run.iter().map(imm_of).collect()
-    }
-
-    #[test]
-    fn pop_run_groups_same_destination_sends() {
-        let b = Backlog::new();
-        // A runtime-originated send and a user send (ctx != 0) to one
-        // destination batch together; another destination does not.
-        b.push(send(1, 1, 0));
-        b.push(send(1, 2, 7));
-        b.push(send(2, 3, 0));
-        assert_eq!(next_run(&b), vec![1, 2]);
-        assert_eq!(next_run(&b), vec![3]);
-        assert!(next_run(&b).is_empty());
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn pop_run_never_groups_rdv_pumps() {
-        let b = Backlog::new();
-        b.push(Backlogged::Rdv { send_id: 0 });
-        b.push(Backlogged::Rdv { send_id: 1 });
-        assert_eq!(next_run(&b).len(), 1);
-        assert_eq!(next_run(&b).len(), 1);
-    }
-
-    #[test]
-    fn push_front_run_preserves_order() {
-        let b = Backlog::new();
-        b.push(ctrl(3));
-        b.push_front_run(vec![ctrl(1), ctrl(2)].into_iter());
-        assert_eq!(imm_of(&b.pop().unwrap()), 1);
-        assert_eq!(imm_of(&b.pop().unwrap()), 2);
-        assert_eq!(imm_of(&b.pop().unwrap()), 3);
     }
 
     #[test]

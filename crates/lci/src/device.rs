@@ -15,7 +15,7 @@ mod eager;
 mod rdv;
 mod rma;
 
-use crate::backlog::{send_dest, Backlog, Backlogged};
+use crate::backlog::{Backlog, Backlogged};
 use crate::coalesce::Coalescer;
 use crate::comp::Comp;
 use crate::error::{FatalError, PostResult, Result};
@@ -31,13 +31,10 @@ use eager::PendingInbound;
 use lci_fabric::sync::SpinLock;
 use lci_fabric::{
     BufPool, Cqe, CqeKind, DevId, MemoryRegion, NetDevice, NetError, NetResult, RecvBufDesc,
-    RetryReason, Rkey, SendDesc,
+    RetryReason, Rkey,
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-
-/// Longest run of backlogged sends submitted as one fabric batch.
-const BACKLOG_BATCH: usize = 32;
 
 /// Completions one progress call handles at most.
 const PROGRESS_BATCH: usize = 64;
@@ -118,10 +115,10 @@ pub(crate) struct DeviceInner {
     ops: ShardedSlab<OpCtx>,
     /// Reusable CQE array for `progress` polls.
     cqe_scratch: SpinLock<Vec<Cqe>>,
-    /// Reusable run array for backlog drains. It grows at the first
-    /// drains to at most `BACKLOG_BATCH`, so a device whose wire never
-    /// refuses a send never allocates it.
-    backlog_run: SpinLock<Vec<Backlogged>>,
+    /// Rendezvous sends a backlog drain found still stalled, held aside
+    /// until it ends. Its lock is the drain's: one thread drains at a
+    /// time, so parked sends to one destination leave in their order.
+    backlog_stalled: SpinLock<Vec<u32>>,
     /// Reusable batch buffers for `replenish_recvs`.
     replenish_scratch: SpinLock<ReplenishScratch>,
     /// Inbound deliveries whose target rcomp was not registered yet,
@@ -216,10 +213,8 @@ impl Device {
 
     /// [`create`](Self::create) over a given fabric device.
     fn create_on(rt: Arc<RuntimeInner>, net: Arc<dyn NetDevice>) -> Result<Device> {
-        // Striped per core by `Runtime::new` (`device.buf_pool.stripes`).
         let buf_pool = BufPool::new(rt.config.device.buf_pool);
         let coalescer = Coalescer::new(rt.config.coalesce, rt.fabric.nranks(), buf_pool.clone());
-        let stat_stripes = rt.config.placement.stripes();
         let dev = Device {
             inner: Arc::new(DeviceInner {
                 rt,
@@ -231,11 +226,11 @@ impl Device {
                 buf_pool,
                 ops: ShardedSlab::new(TABLE_SHARDS),
                 cqe_scratch: SpinLock::new(Vec::with_capacity(PROGRESS_BATCH)),
-                backlog_run: SpinLock::new(Vec::new()),
+                backlog_stalled: SpinLock::new(Vec::new()),
                 replenish_scratch: SpinLock::new(ReplenishScratch::default()),
                 pending_inbound: SpinLock::new(Vec::new()),
                 pending_nonempty: AtomicBool::new(false),
-                stats: DeviceStats::with_stripes(stat_stripes),
+                stats: DeviceStats::default(),
             }),
         };
         // Register in the runtime's device registry (weak: DeviceInner
@@ -268,7 +263,7 @@ impl Device {
     }
 
     /// The device's recycled staging-buffer pool — for per-stripe
-    /// diagnostics and placement tests.
+    /// diagnostics and tests.
     pub fn buf_pool(&self) -> &BufPool {
         &self.inner.buf_pool
     }
@@ -417,16 +412,15 @@ impl Device {
         }
     }
 
-    /// Retries postponed requests (paper Figure 1, step 3). Consecutive
-    /// plain sends to one `(target, target_dev)` submit as a single
-    /// batched post, amortizing the fabric's posting lock over the run.
+    /// Retries postponed requests (paper Figure 1, step 3), oldest
+    /// first and one post each, until the wire refuses one.
     fn drain_backlog(&self) -> Result<bool> {
         if self.inner.backlog.is_empty() {
             return Ok(false);
         }
-        // The persistent run scratch: a busy lock means another thread
-        // is draining this backlog — skip, it has us covered.
-        let Some(mut run) = self.inner.backlog_run.try_lock() else {
+        // A busy lock means another thread is draining this backlog:
+        // skip, it has us covered.
+        let Some(mut stalled) = self.inner.backlog_stalled.try_lock() else {
             return Ok(false);
         };
         let mut did = false;
@@ -434,74 +428,29 @@ impl Device {
         // after the loop: unrelated entries queued behind them still get
         // attempted this round (the wire may accept sends to other
         // targets), and the drain cannot spin re-popping them.
-        let mut stalled: Vec<u32> = Vec::new();
-        loop {
-            run.clear();
-            self.inner.backlog.pop_run(BACKLOG_BATCH, &mut run);
-            match run.len() {
-                0 => break,
-                1 => match run.pop().expect("a run of one") {
-                    Backlogged::Send { target, target_dev, data, imm, ctx } => {
-                        match self.inner.net.post_send(target, target_dev, &data, imm, ctx) {
-                            Ok(()) => did = true,
-                            Err(NetError::Retry(_)) => {
-                                self.inner.backlog.push_front(Backlogged::Send {
-                                    target,
-                                    target_dev,
-                                    data,
-                                    imm,
-                                    ctx,
-                                });
-                                break;
-                            }
-                            Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
-                        }
-                    }
-                    Backlogged::Rdv { send_id } => {
-                        if self.resume_rdv(send_id)? {
-                            stalled.push(send_id);
-                        } else {
-                            did = true;
-                        }
-                    }
-                },
-                n => {
-                    // A run of plain sends to one destination (pop_run
-                    // guarantees the shape): one batched submission.
-                    let (target, target_dev) = send_dest(&run[0]).expect("rdv pump in run");
-                    let mut descs = [SendDesc { data: &[], imm: 0, ctx: 0 }; BACKLOG_BATCH];
-                    for (desc, item) in descs.iter_mut().zip(run.iter()) {
-                        let Backlogged::Send { data, imm, ctx, .. } = item else {
-                            unreachable!("rdv pump in run")
-                        };
-                        *desc = SendDesc { data: data.as_ref(), imm: *imm, ctx: *ctx };
-                    }
-                    match self.inner.net.post_send_batch(target, target_dev, &descs[..n]) {
-                        Ok(posted) => {
-                            did |= posted > 0;
-                            self.inner.stats.bump(|c| &c.batch_posts);
-                            self.inner.stats.add(|c| &c.batch_posted_msgs, posted as u64);
-                            if posted < n {
-                                // Partial progress: the wire filled
-                                // mid-batch. Re-park the unposted tail
-                                // in order and stop.
-                                self.inner.backlog.push_front_run(run.drain(posted..));
-                                break;
-                            }
-                        }
+        while let Some(item) = self.inner.backlog.pop() {
+            match item {
+                Backlogged::Send { target, target_dev, data, imm, ctx } => {
+                    match self.inner.net.post_send(target, target_dev, &data, imm, ctx) {
+                        Ok(()) => did = true,
                         Err(NetError::Retry(_)) => {
-                            self.inner.backlog.push_front_run(run.drain(..));
+                            let item = Backlogged::Send { target, target_dev, data, imm, ctx };
+                            self.inner.backlog.push_front(item);
                             break;
                         }
                         Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
                     }
                 }
+                Backlogged::Rdv { send_id } => {
+                    if self.resume_rdv(send_id)? {
+                        stalled.push(send_id);
+                    } else {
+                        did = true;
+                    }
+                }
             }
         }
-        // The head of a partial batch is on the wire: its staging copies
-        // go back to the pool now, not at the next drain.
-        run.clear();
-        for send_id in stalled {
+        for send_id in stalled.drain(..) {
             self.push_backlog(Backlogged::Rdv { send_id });
         }
         Ok(did)
@@ -762,9 +711,6 @@ mod tests {
         }
         fn post_send(&self, t: Rank, d: DevId, data: &[u8], imm: u64, ctx: u64) -> NetResult<()> {
             self.net.post_send(t, d, data, imm, ctx)
-        }
-        fn post_send_batch(&self, t: Rank, d: DevId, msgs: &[SendDesc<'_>]) -> NetResult<usize> {
-            self.net.post_send_batch(t, d, msgs)
         }
         fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
             self.net.poll_cq(out, max)

@@ -106,7 +106,7 @@ pub use error::{FatalError, PostResult, Result, RetryReason};
 pub use matching::{MatchKind, MatchingConfig, MatchingEngine};
 pub use packet_pool::{Packet, PacketPool, PacketPoolConfig, PacketView};
 pub use post::CommBuilder;
-pub use runtime::{Placement, Runtime, RuntimeConfig};
+pub use runtime::{Runtime, RuntimeConfig};
 pub use stats::StatsSnapshot;
 pub use types::{CompDesc, CompKind, DataBuf, Direction, MatchingPolicy, RComp, SendBuf};
 

@@ -369,9 +369,8 @@ impl PacketPool {
     }
 
     /// Creates a pool with an explicit stripe count (`0` = one per
-    /// detected core; rounded up to a power of two). Placement-aware
-    /// callers pass their core-map width so the pool and the other
-    /// per-core structures shard identically.
+    /// detected core; rounded up to a power of two). Tests pass one to
+    /// exercise several stripes on a small host.
     pub fn with_stripes(cfg: PacketPoolConfig, stripes: usize) -> Result<Self> {
         if cfg.payload_size == 0 || cfg.count == 0 {
             return Err(FatalError::InvalidArg("packet pool needs size and count > 0".into()));

@@ -24,42 +24,6 @@ use lci_fabric::topology;
 use lci_fabric::{DeviceConfig, Fabric, NetContext};
 use std::sync::{Arc, Weak};
 
-/// Thread-per-core placement policy (`RuntimeConfig::placement`).
-///
-/// The runtime lays its hot-path resources out over the [`topology`]
-/// core map: per-core packet-pool stripes, per-core buffer-pool
-/// shelves, per-core stats cells, core-keyed ctx-pool shard selection,
-/// and core-keyed default-device routing ([`Runtime::home_device`]). A
-/// width of 1 collapses every structure to one stripe — the
-/// core-oblivious layout.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Placement {
-    /// Core-map width override; `None` detects
-    /// ([`topology::ncores`], overridable with `LCI_CORES`). Tests use
-    /// an explicit width to exercise multi-stripe layouts on small
-    /// hosts.
-    pub cores: Option<usize>,
-}
-
-impl Placement {
-    /// The core-map width this placement resolves to.
-    pub fn effective_cores(&self) -> usize {
-        self.cores.unwrap_or_else(topology::ncores).max(1)
-    }
-
-    /// Stripe count the per-core structures are laid out with (the
-    /// effective core count rounded up to a power of two).
-    pub fn stripes(&self) -> usize {
-        topology::stripe_count(self.effective_cores())
-    }
-
-    /// Placement with an explicit core-map width.
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = Some(cores);
-        self
-    }
-}
-
 /// Runtime configuration: the attributes a runtime is allocated with.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
@@ -80,15 +44,11 @@ pub struct RuntimeConfig {
     /// Sender-side small-message coalescing (off by default; see
     /// [`CoalesceConfig`]).
     pub coalesce: CoalesceConfig,
-    /// Chunk size the pipelined ring allreduce splits each block into.
-    /// Must be nonzero and at most 1 MiB (the buffer pool's largest
-    /// recycled size class — bigger chunks would defeat pooled staging).
+    /// Piece size collectives cut each block into (the pipelined ring
+    /// allreduce's chunks). Must be nonzero; a value above the wire's
+    /// largest write ([`lci_fabric::BackendKind::max_write`]) cuts at
+    /// that instead.
     pub coll_chunk_size: usize,
-    /// Thread-per-core resource layout (see [`Placement`]):
-    /// packet-pool stripes, buffer-pool shelves, and stats cells are
-    /// laid out per logical core, and [`Runtime::home_device`] routes
-    /// each worker to a core-local device.
-    pub placement: Placement,
 }
 
 impl Default for RuntimeConfig {
@@ -100,7 +60,6 @@ impl Default for RuntimeConfig {
             matching: MatchingConfig::default(),
             coalesce: CoalesceConfig::default(),
             coll_chunk_size: 64 << 10,
-            placement: Placement::default(),
         }
     }
 }
@@ -126,12 +85,6 @@ impl RuntimeConfig {
     /// Replaces the device configuration, keeping everything else.
     pub fn with_device(mut self, device: DeviceConfig) -> Self {
         self.device = device;
-        self
-    }
-
-    /// Sets the thread-per-core placement policy (see [`Placement`]).
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
         self
     }
 
@@ -206,19 +159,8 @@ impl Runtime {
                 ));
             }
         }
-        if config.coll_chunk_size == 0 || config.coll_chunk_size > (1 << 20) {
-            return Err(FatalError::InvalidArg(
-                "coll_chunk_size must be in 1..=1MiB (the largest pooled size class)".into(),
-            ));
-        }
-        if config.placement.cores == Some(0) {
-            return Err(FatalError::InvalidArg("placement.cores must be nonzero".into()));
-        }
-        if config.placement.cores.is_some_and(|c| c > topology::MAX_CORES) {
-            return Err(FatalError::InvalidArg(format!(
-                "placement.cores must be at most {}",
-                topology::MAX_CORES
-            )));
+        if config.coll_chunk_size == 0 {
+            return Err(FatalError::InvalidArg("coll_chunk_size must be nonzero".into()));
         }
         if rank >= fabric.nranks() {
             return Err(FatalError::InvalidArg(format!(
@@ -226,18 +168,8 @@ impl Runtime {
                 fabric.nranks()
             )));
         }
-        // The placement policy decides every per-core layout from here
-        // on: the packet-pool stripe count here, and (via the stored
-        // config) buffer-pool shelves and stats cells inside
-        // `Device::create`. Devices inherit the stripe count through
-        // `device.buf_pool.stripes` unless the caller forced one
-        // explicitly.
-        let mut config = config;
-        if config.device.buf_pool.stripes == 0 {
-            config.device.buf_pool.stripes = config.placement.stripes();
-        }
         let netctx = NetContext::new(fabric.clone(), rank);
-        let pool = PacketPool::with_stripes(config.packet, config.placement.stripes())?;
+        let pool = PacketPool::new(config.packet)?;
         let inner = Arc::new(RuntimeInner {
             fabric,
             rank,
@@ -295,11 +227,11 @@ impl Runtime {
     /// than one and several devices allocated, workers on different
     /// cores spread over the device list (`core % ndevices`) instead of
     /// all funnelling through device 0. Falls back to the default device
-    /// when the placement is one core wide, only one device exists, or
+    /// when the core map is one core wide, only one device exists, or
     /// the core-mapped device has been dropped.
     pub fn home_device(&self) -> Device {
         let n = self.inner.devices.len();
-        if n > 1 && self.inner.config.placement.effective_cores() > 1 {
+        if n > 1 && topology::ncores() > 1 {
             let idx = topology::current_core() % n;
             if let Some(inner) = self.inner.devices.get(idx).and_then(Weak::upgrade) {
                 return Device { inner };

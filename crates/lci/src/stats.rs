@@ -43,8 +43,6 @@ pub(crate) struct StatsCell {
     pub(crate) backlogged: AtomicU64,
     pub(crate) coalesced_msgs: AtomicU64,
     pub(crate) coalesce_flushes: AtomicU64,
-    pub(crate) batch_posts: AtomicU64,
-    pub(crate) batch_posted_msgs: AtomicU64,
     pub(crate) zero_copy_deliveries: AtomicU64,
     pub(crate) copied_deliveries: AtomicU64,
     pub(crate) replenish_batches: AtomicU64,
@@ -141,8 +139,6 @@ impl DeviceStats {
             backlogged: self.fold(|c| &c.backlogged),
             coalesced_msgs: self.fold(|c| &c.coalesced_msgs),
             coalesce_flushes: self.fold(|c| &c.coalesce_flushes),
-            batch_posts: self.fold(|c| &c.batch_posts),
-            batch_posted_msgs: self.fold(|c| &c.batch_posted_msgs),
             zero_copy_deliveries: self.fold(|c| &c.zero_copy_deliveries),
             copied_deliveries: self.fold(|c| &c.copied_deliveries),
             replenish_batches: self.fold(|c| &c.replenish_batches),
@@ -203,10 +199,6 @@ pub struct StatsSnapshot {
     pub coalesced_msgs: u64,
     /// Coalesced frames shipped (threshold, ordering, or idle flushes).
     pub coalesce_flushes: u64,
-    /// Batched backlog submissions (one posting-lock acquisition each).
-    pub batch_posts: u64,
-    /// Messages posted through batched submissions.
-    pub batch_posted_msgs: u64,
     /// Eager active-message payloads delivered zero-copy (packet- or
     /// view-backed); a coalesced frame adds the ones it delivers at once
     /// in one step.
@@ -333,8 +325,6 @@ impl StatsSnapshot {
             backlogged: self.backlogged.saturating_sub(earlier.backlogged),
             coalesced_msgs: self.coalesced_msgs.saturating_sub(earlier.coalesced_msgs),
             coalesce_flushes: self.coalesce_flushes.saturating_sub(earlier.coalesce_flushes),
-            batch_posts: self.batch_posts.saturating_sub(earlier.batch_posts),
-            batch_posted_msgs: self.batch_posted_msgs.saturating_sub(earlier.batch_posted_msgs),
             zero_copy_deliveries: self
                 .zero_copy_deliveries
                 .saturating_sub(earlier.zero_copy_deliveries),

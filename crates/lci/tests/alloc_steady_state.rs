@@ -26,6 +26,9 @@
 //! assertion prints what was captured ([`first_allocs`]). A green run
 //! captures nothing and pays one thread-local read per allocation.
 
+mod common;
+
+use common::on_cores;
 use lci::{
     Comp, CompDesc, DataBuf, Direction, Fabric, PostResult, Runtime, RuntimeConfig, SendBuf,
 };
@@ -352,8 +355,7 @@ fn shm_eager_steady_state_is_allocation_free() {
 /// And so does tcp: a frame is appended to the connection's stream
 /// buffer, whose capacity was reserved when the mesh was built, written
 /// from there, read into the reassembly slab and lent from it — no
-/// pooled buffer, no queue node, no allocator call once warm. (The
-/// backstop thread is not audited and allocates nothing either.)
+/// pooled buffer, no queue node, no allocator call once warm.
 #[test]
 fn tcp_eager_steady_state_is_allocation_free() {
     let _g = serial();
@@ -478,60 +480,49 @@ fn rendezvous_copy_ledger() {
     assert_eq!(rendezvous_512k_copy_ledger(lci_fabric::DeviceConfig::tcp()), (0, SIZE, 0));
 }
 
-/// Builds the config the thread-per-core matrix runs under: placement
-/// enabled with 4 logical cores, so the buffer pool, packet pool, and
-/// stats all carry 4 stripes.
-fn placed_cfg(size_hint: lci_fabric::DeviceConfig) -> RuntimeConfig {
-    RuntimeConfig::small()
-        .with_device(size_hint)
-        .with_placement(lci::Placement::default().with_cores(4))
+/// Runs a placed audit: on a 4-core layout (`common::on_cores`, a child
+/// with `LCI_CORES=4` on a host with another count), where the buffer
+/// pool, packet pool and stats all carry 4 stripes, a ping loop of
+/// `size`-byte transfers makes no allocator call once warm.
+fn placed_audit(name: &str, size: usize, warmup: usize, iters: usize) {
+    on_cores(4, name, || {
+        let _g = serial();
+        let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::small()).unwrap();
+        assert_eq!((rt.packet_pool().stripes(), rt.device().buf_pool().stripes()), (4, 4));
+        drop(rt);
+        let cfg = RuntimeConfig::small().with_device(lci_fabric::DeviceConfig::ibv());
+        let allocs = steady_state_allocs_cfg(cfg, size, warmup, iters);
+        assert_eq!(
+            allocs,
+            0,
+            "placed {size}-byte loop made {allocs} allocator calls after warmup{}",
+            first_allocs()
+        );
+    });
 }
 
-/// Per-core striping must not reintroduce allocation: with placement
-/// enabled (4 stripes), the single-threaded harness stays owner-local
-/// on its home stripe and the inject loop still makes zero allocator
-/// calls once warm.
+/// Per-core striping must not reintroduce allocation: on 4 stripes the
+/// single-threaded harness stays owner-local on its home stripe and the
+/// inject loop still makes zero allocator calls once warm.
 #[test]
 fn placed_inject_steady_state_is_allocation_free() {
-    let _g = serial();
-    let allocs = steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 8, 64, 256);
-    assert_eq!(
-        allocs,
-        0,
-        "placed 8-byte inject loop made {allocs} allocator calls after warmup{}",
-        first_allocs()
-    );
+    placed_audit("placed_inject_steady_state_is_allocation_free", 8, 64, 256);
 }
 
-/// Eager messages under placement: packets come from the home stripe
-/// and return to their origin stripe — the striped fast path is as
+/// Eager messages on 4 stripes: packets come from the home stripe and
+/// return to their origin stripe — the striped fast path is as
 /// allocation-free as the single-stripe one.
 #[test]
 fn placed_eager_steady_state_is_allocation_free() {
-    let _g = serial();
-    let allocs = steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 512, 64, 256);
-    assert_eq!(
-        allocs,
-        0,
-        "placed 512-byte eager loop made {allocs} allocator calls after warmup{}",
-        first_allocs()
-    );
+    placed_audit("placed_eager_steady_state_is_allocation_free", 512, 64, 256);
 }
 
-/// Rendezvous under placement: striped op-context and packet pools plus
-/// the registration cache keep the large-message pipeline at zero
-/// allocator calls per transfer.
+/// Rendezvous on 4 stripes: striped op-context and packet pools plus the
+/// registration cache keep the large-message pipeline at zero allocator
+/// calls per transfer.
 #[test]
 fn placed_rendezvous_steady_state_is_allocation_free() {
-    let _g = serial();
-    let allocs =
-        steady_state_allocs_cfg(placed_cfg(lci_fabric::DeviceConfig::ibv()), 256 << 10, 16, 32);
-    assert_eq!(
-        allocs,
-        0,
-        "placed 256 KiB rendezvous loop made {allocs} allocator calls after warmup{}",
-        first_allocs()
-    );
+    placed_audit("placed_rendezvous_steady_state_is_allocation_free", 256 << 10, 16, 32);
 }
 
 /// A packet steal — a `get` on a core whose stripe is empty while
@@ -634,12 +625,11 @@ fn warm_coalesced_am_is_allocation_free() {
 }
 
 /// `no_retry` sends the target refuses, parked and drained warm: the
-/// drain pops each run into the device's reusable run array and hands it
-/// to the wire as a fixed descriptor array, and everything a parked send
+/// drain posts one parked send at a time, and everything a parked send
 /// holds (its staged copy, its context, its deque slot) is recycled. So
 /// once a few bursts have warmed those, parking a burst and draining it
-/// — in batches the receiver's four posted receives cut short,
-/// re-parking each tail — makes no allocator call. A burst outnumbers
+/// — the receiver's four posted receives refusing the rest, which goes
+/// back to the front — makes no allocator call. A burst outnumbers
 /// those receives, and a send refused for want of one parks everything
 /// behind it.
 #[test]
@@ -683,9 +673,8 @@ fn warm_backlog_drain_is_allocation_free() {
         parked
     };
     for _ in 0..8 {
-        assert!(burst() > 1, "a burst parked less than a batch");
+        assert!(burst() > 1, "a burst parked one send or none");
     }
-    let batches = pair.rt0.device().stats().batch_posts;
     let before = alloc_calls();
     trace_window(|| {
         for _ in 0..32 {
@@ -693,7 +682,6 @@ fn warm_backlog_drain_is_allocation_free() {
         }
     });
     let allocs = alloc_calls() - before;
-    assert!(pair.rt0.device().stats().batch_posts > batches, "no drain posted a batch");
     assert_eq!(allocs, 0, "warm backlog drains made {allocs} allocator calls{}", first_allocs());
 }
 

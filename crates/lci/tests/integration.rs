@@ -810,9 +810,9 @@ fn put_and_get_from_a_second_device_reach_a_one_device_rank() {
                     PostResult::Done(desc) => return desc,
                     PostResult::Retry(_) => progress_all(),
                     PostResult::Posted => {
-                        // By the clock, not by iterations: tcp reads a
-                        // socket only after its bridge thread saw it
-                        // readable, which a loaded two-core box delays.
+                        // By the clock, not by iterations: socket bytes
+                        // land when the kernel says so, which a loaded
+                        // two-core box delays.
                         let deadline =
                             std::time::Instant::now() + std::time::Duration::from_secs(20);
                         while std::time::Instant::now() < deadline {
@@ -905,8 +905,8 @@ fn eager_sends_are_done_at_the_post_with_the_buffer_posted() {
                     match src.post_send(1, buf, tag, scq.clone()).unwrap() {
                         PostResult::Done(desc) => break (desc, posted),
                         PostResult::Posted => panic!("{what}: an eager send was only posted"),
-                        // A lock the tcp bridge held, say; the buffer is
-                        // gone with a retry, so build it again.
+                        // A wire without room, say; the buffer is gone
+                        // with a retry, so build it again.
                         PostResult::Retry(_) => drop(dst.progress().unwrap()),
                     }
                 };

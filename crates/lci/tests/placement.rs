@@ -1,9 +1,14 @@
-//! Thread-per-core placement policy (DESIGN.md §4.10): config
-//! validation, the `Placement` arithmetic the striped structures are
-//! laid out with, core-keyed `home_device` routing, and the per-core
-//! stats cells folding into one coherent snapshot.
+//! Thread-per-core layout (DESIGN.md §4.10): core-keyed `home_device`
+//! routing, and the per-core stats cells folding into one coherent
+//! snapshot. Every per-core structure has one stripe per detected core
+//! (`topology::ncores`, overridable with `LCI_CORES`); each test here
+//! runs on a fixed core count, in a child with `LCI_CORES` set when the
+//! host has another (`common::on_cores`).
 
-use lci::{Comp, Fabric, Placement, PostResult, Runtime, RuntimeConfig};
+mod common;
+
+use common::on_cores;
+use lci::{Comp, Fabric, PostResult, Runtime, RuntimeConfig};
 use std::sync::Arc;
 
 fn two_ranks(cfg: RuntimeConfig) -> (Runtime, Runtime) {
@@ -13,47 +18,28 @@ fn two_ranks(cfg: RuntimeConfig) -> (Runtime, Runtime) {
     (rt0, rt1)
 }
 
-#[test]
-fn placement_math_resolves_cores_and_stripes() {
-    // A one-core placement is the single-stripe core-oblivious layout.
-    let one = Placement::default().with_cores(1);
-    assert_eq!(one.effective_cores(), 1);
-    assert_eq!(one.stripes(), 1);
-    // An explicit width wins over detection; stripes round up to a
-    // power of two so index masking works.
-    assert_eq!(Placement::default().with_cores(3).effective_cores(), 3);
-    assert_eq!(Placement::default().with_cores(3).stripes(), 4);
-    assert_eq!(Placement::default().with_cores(8).stripes(), 8);
-    // Default detects the host map — at least one core, and the stripe
-    // count covers it.
-    let auto = Placement::default();
-    assert!(auto.effective_cores() >= 1);
-    assert!(auto.stripes() >= auto.effective_cores());
-}
-
-#[test]
-fn placement_cores_zero_is_rejected() {
-    let cfg = RuntimeConfig::small().with_placement(Placement::default().with_cores(0));
-    let err = Runtime::new(Fabric::new(1), 0, cfg).unwrap_err();
-    assert!(err.to_string().contains("placement.cores"), "unexpected error: {err}");
-}
-
-#[test]
-fn placement_cores_over_max_is_rejected() {
-    let cfg = RuntimeConfig::small()
-        .with_placement(Placement::default().with_cores(lci::topology::MAX_CORES + 1));
-    let err = Runtime::new(Fabric::new(1), 0, cfg).unwrap_err();
-    assert!(err.to_string().contains("placement.cores"), "unexpected error: {err}");
-}
-
 /// With one device, `home_device` is the default device regardless of
 /// the calling core; with several, callers spread over the device list
 /// keyed by their core, and every core maps to *some* live device.
 #[test]
 fn home_device_routes_by_core_and_falls_back() {
-    let cfg = RuntimeConfig::small().with_placement(Placement::default().with_cores(4));
-    let fabric = Fabric::new(1);
-    let rt = Runtime::new(fabric, 0, cfg).unwrap();
+    on_cores(4, "home_device_routes_by_core_and_falls_back", home_device_routes_by_core);
+}
+
+/// On a one-core map every caller gets the default device, however many
+/// devices exist.
+#[test]
+fn home_device_is_the_default_device_on_one_core() {
+    on_cores(1, "home_device_is_the_default_device_on_one_core", || {
+        let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::small()).unwrap();
+        let _extra = rt.alloc_device().unwrap();
+        lci::topology::bind_current_thread(3);
+        assert_eq!(rt.home_device().dev_id(), rt.device().dev_id());
+    });
+}
+
+fn home_device_routes_by_core() {
+    let rt = Runtime::new(Fabric::new(1), 0, RuntimeConfig::small()).unwrap();
     assert_eq!(rt.home_device().dev_id(), rt.device().dev_id());
 
     let extra: Vec<_> = (0..3).map(|_| rt.alloc_device().unwrap()).collect();
@@ -79,24 +65,23 @@ fn home_device_routes_by_core_and_falls_back() {
     }
     let distinct: std::collections::HashSet<_> = homes.iter().collect();
     assert!(distinct.len() > 1, "4 cores over 4 devices all routed to one device: {homes:?}");
-
-    // One-core placement: always the default device.
-    let cfg = RuntimeConfig::small().with_placement(Placement::default().with_cores(1));
-    let rt = Runtime::new(Fabric::new(1), 0, cfg).unwrap();
-    let _extra = rt.alloc_device().unwrap();
-    assert_eq!(rt.home_device().dev_id(), rt.device().dev_id());
 }
 
 /// Striped stats cells must fold into one coherent snapshot: a known
-/// eager workload under a 4-core placement reports exactly its own
+/// eager workload on a 4-core layout reports exactly its own
 /// post/match counts, no pool traffic, and an uncontended
 /// matching engine (single-threaded harness ⇒ the contended counter
 /// stays zero while still being wired up).
 #[test]
 fn striped_stats_fold_into_one_snapshot() {
+    on_cores(4, "striped_stats_fold_into_one_snapshot", striped_stats_fold);
+}
+
+fn striped_stats_fold() {
     const ITERS: usize = 64;
-    let cfg = RuntimeConfig::small().with_placement(Placement::default().with_cores(4));
-    let (rt0, rt1) = two_ranks(cfg);
+    let (rt0, rt1) = two_ranks(RuntimeConfig::small());
+    assert_eq!(rt0.packet_pool().stripes(), 4);
+    assert_eq!(rt0.device().buf_pool().stripes(), 4);
     let base = rt0.device().stats();
     for i in 0..ITERS {
         let tag = 7 + (i % 3) as u32;

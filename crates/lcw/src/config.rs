@@ -128,10 +128,6 @@ pub struct WorldConfig {
     /// Sender-side small-message coalescing (LCI backend only; the
     /// other libraries have no equivalent and ignore it).
     pub coalesce: lci::CoalesceConfig,
-    /// Thread-per-core resource layout (LCI backend only): per-core
-    /// packet/buffer-pool stripes and per-core stats cells (see
-    /// [`lci::Placement`]).
-    pub placement: lci::Placement,
     /// Collective pipeline chunk granularity in bytes (LCI backend
     /// only; see [`lci::RuntimeConfig::coll_chunk_size`]).
     pub coll_chunk_size: usize,
@@ -145,7 +141,6 @@ impl WorldConfig {
             platform,
             mode,
             coalesce: lci::CoalesceConfig::default(),
-            placement: lci::Placement::default(),
             coll_chunk_size: 64 << 10,
         }
     }
@@ -155,12 +150,6 @@ impl WorldConfig {
     /// above the 8 KiB eager size are capped at world-creation time.
     pub fn with_coalescing(mut self, max_bytes: usize) -> Self {
         self.coalesce = lci::CoalesceConfig::enabled_with_bytes(max_bytes);
-        self
-    }
-
-    /// Sets the thread-per-core placement policy (LCI backend only).
-    pub fn with_placement(mut self, placement: lci::Placement) -> Self {
-        self.placement = placement;
         self
     }
 

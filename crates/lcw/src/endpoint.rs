@@ -240,12 +240,15 @@ impl Endpoint {
     }
 
     /// Whether this endpoint has no in-flight work that still needs its
-    /// progress (pending rendezvous handshakes, backlogged sends).
+    /// progress (pending rendezvous handshakes, backlogged sends, frames
+    /// its wire has not written yet).
     ///
     /// A worker that stops calling [`progress`](Endpoint::progress)
     /// before `quiesced()` holds can strand a zero-copy transfer: the
     /// destination counts the message only after the FIN, which needs
-    /// the *source* to serve the RTR.
+    /// the *source* to serve the RTR. On tcp it strands even an eager
+    /// send: a post only appends to the stream, and the bytes leave at
+    /// a later progress call on the poster's rank.
     pub fn quiesced(&self) -> bool {
         match &self.inner {
             EpInner::Lci { device, .. } => {
@@ -258,7 +261,8 @@ impl Endpoint {
             }
             EpInner::Mpi { comm, .. } => comm.pending() == 0,
             EpInner::Vci { comm, vci, .. } => comm.pending(*vci) == 0,
-            EpInner::Gasnet { .. } => true, // medium AMs complete at post
+            // Medium AMs complete at post; only the wire may still hold them.
+            EpInner::Gasnet { g, .. } => g.outbound_pending() == 0,
         }
     }
 

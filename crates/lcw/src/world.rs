@@ -64,7 +64,6 @@ impl World {
                     prepost: 64,
                     matching: lci::MatchingConfig { buckets: MATCHING_BUCKETS },
                     coalesce,
-                    placement: cfg.placement,
                     coll_chunk_size: cfg.coll_chunk_size,
                 };
                 let rt = lci::Runtime::new(fabric, rank, rt_cfg).expect("lci runtime");

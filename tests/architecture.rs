@@ -63,6 +63,16 @@ const REMOVED_KNOBS: &[&str] = &[
     "ArrayQueue",
     "TdStrategy",
     "with_td_strategy",
+    // A send the wire did not take leaves at a later progress call on
+    // its rank, one post at a time: no batch send, no batched backlog
+    // drain, no tcp backstop. Every per-core layout has one stripe per
+    // detected core.
+    "post_send_batch",
+    "SendDesc",
+    "pop_run",
+    "backstop_flush",
+    "flush_stale",
+    "Placement",
 ];
 
 /// The removed progress modes, their engine threads and blocking waits,
@@ -104,9 +114,16 @@ fn in_src(path: &str) -> bool {
     path.starts_with("crates/") && path.split('/').nth(2) == Some("src")
 }
 
-/// The lines of `text` before its first column-0 `#[cfg(test)]`.
+/// The lines of `text` before its first column-0 `#[cfg(test)]` that
+/// opens a test module in the file (one over `mod tests;` only names a
+/// file of its own, and the code below it still counts).
 fn non_test_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    text.lines().enumerate().take_while(|(_, l)| !l.starts_with("#[cfg(test)]"))
+    let lines: Vec<&str> = text.lines().collect();
+    let out_of_line = |i: usize| lines.get(i + 1).is_some_and(|l| l.trim_end().ends_with(';'));
+    let end = (0..lines.len())
+        .find(|&i| lines[i].starts_with("#[cfg(test)]") && !out_of_line(i))
+        .unwrap_or(lines.len());
+    text.lines().enumerate().take(end)
 }
 
 /// Every line of the files `scope` selects that contains one of `names`.
@@ -181,6 +198,38 @@ fn lci_spawns_no_thread_and_parks_on_nothing(tree: &[Source]) -> Vec<String> {
             let yields = line.contains("yield_now") && path != "crates/lci/src/wait.rs";
             if parks || yields {
                 hits.push(format!("{path}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    hits
+}
+
+/// Where `lci` and `lci-fabric` may start a thread: the launcher side
+/// only (the child reapers in `bootstrap.rs`, the root service in
+/// `tcp/oob.rs`). Nothing on a rank's path moves bytes but the threads
+/// that call it; unit tests aside.
+const THREAD_STARTERS: &[&str] =
+    &["crates/lci-fabric/src/bootstrap.rs", "crates/lci-fabric/src/tcp/oob.rs"];
+
+/// A thread is started (`thread::spawn`, a `Builder`'s `spawn`, a scope)
+/// in `lci` or `lci-fabric` library code outside [`THREAD_STARTERS`].
+fn threads_start_only_on_the_launcher_side(tree: &[Source]) -> Vec<String> {
+    let scope = |p: &str| {
+        (p.starts_with("crates/lci/src/") || p.starts_with("crates/lci-fabric/src/"))
+            && !p.ends_with("/tests.rs")
+            && !p.contains("/tests/")
+            && !THREAD_STARTERS.contains(&p)
+    };
+    let mut hits = Vec::new();
+    for (path, text) in tree.iter().filter(|(p, _)| scope(p)) {
+        for (n, line) in non_test_lines(text) {
+            let code = !line.trim_start().starts_with("//");
+            if code && (line.contains("spawn(") || line.contains("thread::scope")) {
+                hits.push(format!(
+                    "{path}:{}: {} (a thread outside the launcher)",
+                    n + 1,
+                    line.trim()
+                ));
             }
         }
     }
@@ -306,6 +355,8 @@ fn removed_knobs_guard_catches_a_plant() {
     catches(g, "crates/lci-fabric/src/planted.rs", "enum InPayload {}\n");
     catches(g, "crates/lci/src/coll/planted.rs", "fn post_windowed() {}\n");
     catches(g, "crates/lci/src/coll/planted.rs", "const SHELF_CAP: usize = 128;\n");
+    catches(g, "crates/lci-fabric/src/planted.rs", "fn post_send_batch(&self) {}\n");
+    catches(g, "crates/lci/src/planted.rs", "pub struct Placement;\n");
 }
 
 #[test]
@@ -339,6 +390,28 @@ fn no_thread_guard_catches_a_plant() {
     // A unit test below the module's `#[cfg(test)]` may yield.
     let test_only = "fn f() {}\n#[cfg(test)]\nmod tests { fn t() { std::thread::yield_now() } }\n";
     assert!(g(&planted("crates/lci/src/planted.rs", test_only)).is_empty());
+}
+
+#[test]
+fn threads_start_only_on_the_launcher_side_in_the_tree() {
+    holds(threads_start_only_on_the_launcher_side, "a thread starts outside the launcher");
+}
+
+#[test]
+fn thread_start_guard_catches_a_plant() {
+    let g = threads_start_only_on_the_launcher_side;
+    let bridge = "fn spawn_bridge() {\n    std::thread::Builder::new()\n        .name(n)\n        .spawn(move || {})\n        .unwrap();\n}\n";
+    catches(g, "crates/lci-fabric/src/tcp/mod.rs", bridge);
+    // Below a `mod tests;` that names the module's own file.
+    catches(g, "crates/lci-fabric/src/tcp/mod.rs", &format!("#[cfg(test)]\nmod tests;\n{bridge}"));
+    catches(g, "crates/lci/src/planted.rs", "let t = std::thread::spawn(|| ());\n");
+    catches(g, "crates/lci-fabric/src/planted.rs", "std::thread::scope(|s| ());\n");
+    // The launcher side, a comment and a unit test may start threads.
+    assert!(g(&planted("crates/lci-fabric/src/tcp/oob.rs", bridge)).is_empty());
+    assert!(g(&planted("crates/lci/src/planted.rs", "// std::thread::spawn(f)\n")).is_empty());
+    let test_only =
+        "fn f() {}\n#[cfg(test)]\nmod tests { fn t() { std::thread::spawn(|| ()); } }\n";
+    assert!(g(&planted("crates/lci-fabric/src/planted.rs", test_only)).is_empty());
 }
 
 #[test]
