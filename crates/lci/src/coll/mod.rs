@@ -6,13 +6,18 @@
 //! pieces it receives (from whom, into which range, under which tag,
 //! landed in place or folded), the pieces it sends, and a gate saying
 //! which harvest opens which receive and readies which send — built by
-//! one of seven pure schedule builders and run by one non-blocking
+//! one of eight pure schedule builders and run by one non-blocking
 //! stepper (`plan`; DESIGN.md §4.11):
 //!
-//! * **Chunk-pipelined ring allreduce** ([`allreduce`]): reduce-scatter
-//!   and allgather phases moving the bandwidth-optimal `2(n−1)/n ·
-//!   bytes` per rank, each block split into `coll_chunk_size` chunks
-//!   whose next hop departs as soon as the chunk is harvested.
+//! * **Direct reduction** ([`allreduce`], [`reduce_bytes`]) when every
+//!   rank's buffer is in this address space (the sims, in-process shm):
+//!   each rank reduces its slice of every rank's buffer and writes it
+//!   back, one pass, one grant and one signal per peer.
+//! * **Chunk-pipelined ring allreduce** ([`allreduce`]) otherwise:
+//!   reduce-scatter and allgather phases moving the bandwidth-optimal
+//!   `2(n−1)/n · bytes` per rank, each block split into
+//!   `coll_chunk_size` chunks whose next hop departs as soon as the
+//!   chunk is harvested.
 //! * **Chunk-streamed binomial broadcast** ([`broadcast_bytes`]) and
 //!   **binomial reduce** ([`reduce_bytes`]) — together also the
 //!   allreduce of a world past `MAX_RING_RANKS`.
@@ -37,7 +42,7 @@
 //! piece is posted from the caller's buffer and, wherever its bytes are
 //! final on arrival, lands at its own offset in it: one copy per byte,
 //! the wire's. Only an arrival that must be folded (reduce-scatter
-//! rounds, [`reduce_bytes`]) lands in the state's fold arena
+//! rounds, the binomial [`reduce_bytes`]) lands in the state's fold arena
 //! ([`CollState`]), a slot per piece. A warm collective loop allocates
 //! nothing (`tests/alloc_steady_state.rs`). A blocking call steps its
 //! plan under [`Runtime::wait_until`], which progresses every device of
@@ -61,11 +66,6 @@
 //! collective may be waiting on. A handle takes its state from a
 //! per-runtime spare list and gives it back when it is dropped, so a
 //! loop of handles registers one receive queue, not one per handle.
-//!
-//! [`naive`] holds store-and-forward implementations of the same
-//! collectives. Nothing in the library calls them: they are the
-//! reference the proptests compare the plans against and the baseline
-//! `benches/collectives.rs` measures.
 //!
 //! ## Tags and ordering
 //!
@@ -96,7 +96,6 @@
 mod grant;
 #[doc(hidden)]
 pub(crate) mod lend;
-pub mod naive;
 pub mod nb;
 pub mod ops;
 mod plan;
@@ -133,22 +132,15 @@ pub(crate) const MAX_RING_RANKS: usize = 256;
 pub(crate) const ROUND_BCAST: u32 = 0x1BC & 0x1FF;
 pub(crate) const ROUND_REDUCE: u32 = 0x14D & 0x1FF;
 pub(crate) const ROUND_A2A: u32 = 0x1AA & 0x1FF;
-pub(crate) const ROUND_A2AV: u32 = 0x1A5 & 0x1FF;
 pub(crate) const ROUND_AG_BASE: u32 = 0x1C0;
 /// The grants' round code (module docs, "Tags and ordering"): the last
 /// one, above every ring round of a world of `MAX_RING_RANKS`.
 pub(crate) const ROUND_GRANT: u32 = (1 << ROUND_BITS) - 1;
 const _: () = assert!(2 * (MAX_RING_RANKS as u32 - 1) <= ROUND_GRANT);
 
-pub(crate) fn coll_tag(seq: u32, round: u32) -> Tag {
+fn coll_tag(seq: u32, round: u32) -> Tag {
     debug_assert!(round < (1 << ROUND_BITS), "collective round {round} overflows the tag field");
     COLL_TAG | ((seq & ((1 << SEQ_BITS) - 1)) << ROUND_BITS) | (round & ((1 << ROUND_BITS) - 1))
-}
-
-/// Collective sequence number for `rt` (ranks advance in lockstep; the
-/// 22-bit wrap is benign, see the module docs).
-pub(crate) fn next_seq(rt: &Runtime) -> u32 {
-    rt.coll_seq().fetch_add(1, Ordering::Relaxed)
 }
 
 /// The tags of one call whose rounds carry several pieces per peer: a
@@ -189,8 +181,8 @@ impl Runtime {
 /// leases one of its own) and reused so the warm path allocates nothing:
 /// a completion queue for receives and puts' signals (a mapped ring,
 /// alloc-free), registered once as an rcomp, a send handler with an
-/// in-flight counter (the pipelining window), the fold arena, and the
-/// plan's storage.
+/// in-flight counter (the pipelining window), the fold arena, the direct
+/// reduction's scratch, and the plan's storage.
 pub struct CollState {
     /// Receive-completion queue shared by every posted receive and every
     /// put into this state's grants.
@@ -204,6 +196,8 @@ pub struct CollState {
     send_comp: Comp,
     /// Where every `Fold` piece lands.
     arena: Arena,
+    /// What a direct reduction reduces through.
+    direct: plan::Scratch,
     /// The blocking collective's plan, rebuilt in place per call.
     plan: Plan,
     /// Count-exchange staging (send side), reused across exchanges.
@@ -225,6 +219,7 @@ impl CollState {
                 dec.fetch_sub(1, Ordering::AcqRel);
             }),
             arena: Arena::default(),
+            direct: plan::Scratch::default(),
             plan: Plan::default(),
             cnt_send: Vec::new(),
             cnt_recv: Vec::new(),
@@ -329,21 +324,21 @@ pub fn barrier(rt: &Runtime) -> Result<()> {
 
 /// In-place allreduce over raw bytes with a byte-generic [`ReduceOp`]:
 /// every rank passes an identical-length buffer; on return every rank
-/// holds the element-wise reduction. The primary collective — the
-/// chunk-pipelined bandwidth-optimal ring, or [`reduce_bytes`] to rank 0
-/// and [`broadcast_bytes`] from it when the world exceeds
-/// `MAX_RING_RANKS`.
+/// holds the element-wise reduction. Where this rank's device can
+/// address every rank's buffer, the direct schedule: each rank reduces
+/// its slice of every buffer and writes it back, in rank order.
+/// Otherwise the chunk-pipelined bandwidth-optimal ring, or
+/// [`reduce_bytes`] to rank 0 and [`broadcast_bytes`] from it when the
+/// world exceeds `MAX_RING_RANKS` (the fold orders: [`ReduceOp`]).
 pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> Result<()> {
-    let elem = op.elem_size();
-    if elem == 0 || !buf.len().is_multiple_of(elem) {
-        return Err(FatalError::InvalidArg(format!(
-            "allreduce buffer length {} is not a multiple of the element size {elem}",
-            buf.len()
-        )));
-    }
+    let elem = lanes("allreduce", buf, op)?;
     let (w, len) = (Shape::of(rt), buf.len());
     if w.n == 1 {
         return Ok(());
+    }
+    if plan::addresses_every_rank(rt, buf)? {
+        let build = |p: &mut Plan| plan::direct(p, w, len, elem, None, Tags::reserve(rt, 1));
+        return with_state(rt, |st| run(rt, st, Scope::in_place(buf), op, build));
     }
     if w.n > MAX_RING_RANKS {
         reduce_bytes(rt, 0, buf, op)?;
@@ -353,6 +348,18 @@ pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> 
         plan::ring(p, w, len, elem, Tags::reserve(rt, plan::ring_span(w, len, elem)))
     };
     with_state(rt, |st| run(rt, st, Scope::in_place(buf), op, build))
+}
+
+/// `op`'s element size, if `buf` is whole elements of it.
+fn lanes<O: ReduceOp + ?Sized>(what: &str, buf: &[u8], op: &O) -> Result<usize> {
+    let elem = op.elem_size();
+    if elem == 0 || !buf.len().is_multiple_of(elem) {
+        return Err(FatalError::InvalidArg(format!(
+            "{what} buffer length {} is not a multiple of the element size {elem}",
+            buf.len()
+        )));
+    }
+    Ok(elem)
 }
 
 /// Allreduce of `u64` lanes with a closure operator (legacy-shaped
@@ -417,9 +424,11 @@ pub fn reduce_u64(
     Ok(mine.then(|| u64s_of_bytes(&acc)))
 }
 
-/// Binomial-tree byte reduction to `root`, in place: on return the
-/// root's `acc` holds the reduction (returns `true` there), other
-/// ranks' buffers are unspecified partials (returns `false`).
+/// Byte reduction to `root`, in place: on return the root's `acc` holds
+/// the reduction (returns `true` there), other ranks' buffers are
+/// unspecified partials (returns `false`). The direct schedule where
+/// this rank's device can address every rank's buffer (as
+/// [`allreduce`], writing the root's alone), the binomial tree otherwise.
 pub fn reduce_bytes<O: ReduceOp + ?Sized>(
     rt: &Runtime,
     root: Rank,
@@ -427,8 +436,13 @@ pub fn reduce_bytes<O: ReduceOp + ?Sized>(
     op: &O,
 ) -> Result<bool> {
     let (w, len) = (Shape::of(rt), acc.len());
+    let elem = lanes("reduce", acc, op)?;
     if w.n > 1 {
-        let build = |p: &mut Plan| plan::reduce(p, w, root, len, Tags::reserve(rt, w.span(len)));
+        let direct = plan::addresses_every_rank(rt, acc)?.then_some(elem);
+        let build = |p: &mut Plan| match direct {
+            Some(elem) => plan::direct(p, w, len, elem, Some(root), Tags::reserve(rt, 1)),
+            None => plan::reduce(p, w, root, len, Tags::reserve(rt, w.span(len))),
+        };
         with_state(rt, |st| run(rt, st, Scope::in_place(acc), op, build))?;
     }
     Ok(w.me == root)

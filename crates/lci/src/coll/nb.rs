@@ -175,23 +175,34 @@ pub fn ibroadcast(rt: &Runtime, root: Rank, buf: Vec<u8>) -> Result<IColl<Vec<u8
     IColl::start(rt, None, buf, NoFold, build, None, |buf| buf)
 }
 
-/// Non-blocking binomial reduction to `root`; resolves to
-/// `Some(result)` on the root and `None` elsewhere.
+/// Non-blocking reduction to `root` — direct where this rank's device
+/// addresses every rank's buffer, binomial otherwise
+/// ([`reduce_bytes`](super::reduce_bytes)); resolves to `Some(result)`
+/// on the root and `None` elsewhere.
 pub fn ireduce_u64(
     rt: &Runtime,
     root: Rank,
     contrib: &[u64],
     op: impl Fn(u64, u64) -> u64 + Copy + Send + Sync + 'static,
 ) -> Result<IColl<Option<Vec<u64>>>> {
-    let (w, len) = (Shape::of(rt), contrib.len() * 8);
-    let build = |p: &mut Plan| plan::reduce(p, w, root, len, Tags::reserve(rt, w.span(len)));
+    let (w, acc) = (Shape::of(rt), bytes_of_u64s(contrib));
+    let (len, direct) = (acc.len(), w.n > 1 && plan::addresses_every_rank(rt, &acc)?);
+    let build = |p: &mut Plan| {
+        if direct {
+            plan::direct(p, w, len, 8, Some(root), Tags::reserve(rt, 1))
+        } else {
+            plan::reduce(p, w, root, len, Tags::reserve(rt, w.span(len)))
+        }
+    };
     let resolve = move |acc: Vec<u8>| (w.me == root).then(|| u64s_of_bytes(&acc));
-    IColl::start(rt, None, bytes_of_u64s(contrib), FnOpU64(op), build, None, resolve)
+    IColl::start(rt, None, acc, FnOpU64(op), build, None, resolve)
 }
 
-/// Non-blocking allreduce of `u64` lanes — the chunk-pipelined ring, or
-/// reduce to rank 0 then broadcast past `MAX_RING_RANKS`; resolves to
-/// the reduced vector on every rank.
+/// Non-blocking allreduce of `u64` lanes — direct where this rank's
+/// device addresses every rank's buffer, else the chunk-pipelined ring,
+/// or reduce to rank 0 then broadcast past `MAX_RING_RANKS` (as
+/// [`allreduce`](super::allreduce)); resolves to the reduced vector on
+/// every rank.
 pub fn iallreduce_u64(
     rt: &Runtime,
     contrib: &[u64],
@@ -200,6 +211,10 @@ pub fn iallreduce_u64(
     let (w, len) = (Shape::of(rt), contrib.len() * 8);
     let (acc, op, resolve) =
         (bytes_of_u64s(contrib), FnOpU64(op), |acc: Vec<u8>| u64s_of_bytes(&acc));
+    if w.n > 1 && plan::addresses_every_rank(rt, &acc)? {
+        let build = |p: &mut Plan| plan::direct(p, w, len, 8, None, Tags::reserve(rt, 1));
+        return IColl::start(rt, None, acc, op, build, None, resolve);
+    }
     if w.n > MAX_RING_RANKS {
         let reduce = |p: &mut Plan| plan::reduce(p, w, 0, len, Tags::reserve(rt, w.span(len)));
         let build = bcast(rt, 0, len);

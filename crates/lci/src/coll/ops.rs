@@ -1,13 +1,29 @@
 //! Byte-generic reduction operators for collectives.
 //!
-//! The ring allreduce works over raw byte buffers so one pipelined
-//! engine serves every element type; a [`ReduceOp`] tells it the
-//! element width and how to fold an incoming lane into the local
-//! accumulator. Operators must be associative and commutative — the
-//! chunk pipeline folds arrivals in whatever order the wire delivers
-//! rounds, and the ring visits peers in rank order per chunk.
+//! The reductions work over raw byte buffers so one engine serves every
+//! element type; a [`ReduceOp`] tells it the element width and how to
+//! fold an incoming lane into the local accumulator.
 
 /// A byte-generic, element-wise reduction operator.
+///
+/// Operators must be associative and commutative: which order a
+/// reduction folds in depends on the wire, and both orders are fixed,
+/// so an operator that is neither (`SumF32` rounds) still gets the same
+/// result on every run of the same wire.
+///
+/// Write `a ∘ b` for `fold(acc = a, incoming = b)` and `x_r` for rank
+/// `r`'s contribution.
+///
+/// * **Rank order, in one address space** (the sims, in-process shm:
+///   the direct schedule of [`allreduce`](super::allreduce) and
+///   [`reduce_bytes`](super::reduce_bytes)): every element is the left
+///   fold `((x₀ ∘ x₁) ∘ x₂) ∘ … ∘ xₙ₋₁`.
+/// * **The ring's order, across processes or on tcp**: an element of
+///   ring block `b` starts as `p = x_b`, and for `k = 1..n` rank
+///   `b + k` (mod `n`) makes it `x_{b+k} ∘ p`, the partial it received
+///   as the incoming operand; the binomial
+///   [`reduce_bytes`](super::reduce_bytes) folds each child's partial
+///   into its parent's, children in order.
 pub trait ReduceOp {
     /// Element width in bytes; buffers passed to collectives using this
     /// operator must be a multiple of this long.

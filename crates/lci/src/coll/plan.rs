@@ -1,17 +1,17 @@
 //! The one collective engine: a rank's program is a value ([`Plan`]),
-//! seven pure builders write it, and one non-blocking stepper
+//! eight pure builders write it, and one non-blocking stepper
 //! ([`Plan::step`]) runs it (DESIGN.md §4.11).
 //!
 //! **The plan.** `recvs[i]` is one piece this rank receives: who from,
 //! which range of the landing side, under which tag, and how — `Land`
 //! lands in the range itself (the bytes are final on arrival), `Fold`
 //! lands in a slot of the state's fold arena that the harvest folds into
-//! the range, or, granted in place, is folded into the range by its
-//! sender. `sends[j]` is one piece it sends, with where it goes at
-//! the peer: landed or folded, its range at `dst_off` from the base the
-//! peer grants this rank, and a put fold's arena `slot`. Every piece has
-//! its own tag (`coll` docs), so a completion names its receive whatever
-//! order the wire delivers in.
+//! the range, `Direct` is a peer's signal that it has reduced its slice
+//! of this rank's buffer itself. `sends[j]` is one piece it sends, with
+//! where it goes at the peer: landed or folded, its range at `dst_off`
+//! from the base the peer grants this rank, and a put fold's arena
+//! `slot`. Every piece has its own tag (`coll` docs), so a completion
+//! names its receive whatever order the wire delivers in.
 //!
 //! **Two transports.** A piece at or under the eager size
 //! (`packet.payload_size`) is a two-sided send into a posted receive
@@ -20,18 +20,13 @@
 //! at its first step a rank registers its landing side and sends every
 //! peer that will put into it one grant, and a put is posted only once
 //! its peer's grant has been harvested. Its signal carries the piece's
-//! tag, which names the receive.
+//! tag, which names the receive. A `Direct` piece is a zero-byte put: the
+//! signal alone.
 //!
-//! **Folds in place.** A `Fold` put from a peer that can address this
-//! rank's landing (`NetDevice::local_addr`, asked once per peer and call
-//! at the first step) is folded by the peer itself, straight into the
-//! range, and its put carries zero bytes: the signal. `seal` allows it
-//! only for a peer none of whose put folds overlaps another `Fold`
-//! receive of the plan (the ring's never do; a `reduce` with two
-//! children folds both into one range, so they keep the arena): the
-//! range is then written by that one peer from its post to the harvest,
-//! exactly a landing's interval. The arena holds only the folds that
-//! still land in it.
+//! **The direct schedule** (`direct`) is what a reduction runs when
+//! every rank's buffer is in this address space: once every peer's grant
+//! is in, the stepper reduces this rank's slice of every buffer itself
+//! ([`Plan::can_reduce`]) before its `Direct` signals may go out.
 //!
 //! **The gate** is two numbers per receive. `opens_at`: how many
 //! *leading* receives must have been harvested before this one is
@@ -45,15 +40,16 @@
 //! ready, in ready order.
 //!
 //! **The stepper** never blocks: post every open receive; post the
-//! grants; post ready sends while the [`MAX_INFLIGHT`] window has room,
-//! the peer's grant is in (for a put) and the wire does not say `Retry`;
-//! pop the receive queue — a grant, a put's signal or a two-sided
-//! arrival: fold (unless the sender did) or length-check, mark, advance
-//! the prefix, push what the harvest enables; finished when every
-//! receive is harvested, every send posted and the window empty. It is
-//! the only place in `coll/` that posts or lends. A blocking collective builds one and steps it
-//! under `Runtime::wait_until` (`coll::run`); an `i*` handle takes the
-//! same steps from `test`/`wait` (`nb`).
+//! grants; once every grant is in, reduce this rank's slice (direct);
+//! post ready sends while the [`MAX_INFLIGHT`] window has room, the
+//! peer's grant is in (for a put) and the wire does not say `Retry`; pop
+//! the receive queue — a grant, a put's signal or a two-sided arrival:
+//! fold or length-check, mark, advance the prefix, push what the harvest
+//! enables; finished when every receive is harvested, every send posted
+//! and the window empty. It is the only place in `coll/` that posts or
+//! lends. A blocking collective builds one and steps it under
+//! `Runtime::wait_until` (`coll::run`); an `i*` handle takes the same
+//! steps from `test`/`wait` (`nb`).
 //!
 //! The builders are functions of `(n, me, chunk, eager, tags, sizes)`
 //! alone, so `tests` runs all `n` ranks' plans against each other with no
@@ -61,14 +57,14 @@
 //! builder's doc makes in prose — what the stepper's `unsafe` sites
 //! cite — and that every put lands on exactly its receive.
 
-use super::grant::{self, fold_in_place, Grant, GRANT_LEN};
+use super::grant::{self, Grant, GRANT_LEN};
 use super::lend::{Lent, Scope};
 use super::ops::ReduceOp;
 use super::{CollState, Tags, ROUND_A2A, ROUND_AG_BASE, ROUND_BCAST, ROUND_GRANT, ROUND_REDUCE};
 use crate::error::{FatalError, PostResult, Result};
 use crate::runtime::Runtime;
 use crate::types::{CompDesc, CompKind, Direction, Landing, RComp, Rank, SendBuf, Tag};
-use lci_fabric::{MemoryRegion, NetError, Rkey};
+use lci_fabric::{MemoryRegion, Rkey};
 use std::cmp::Reverse;
 use std::sync::atomic::Ordering;
 
@@ -84,8 +80,11 @@ pub(super) enum How {
     /// Final on arrival: lands in its own range.
     Land,
     /// Lands in a slot of the fold arena and the harvest folds it into
-    /// its range, or the sender folds it in place (module docs).
+    /// its range.
     Fold,
+    /// A zero-byte put: the sender has reduced its slice of this rank's
+    /// buffer ([`direct`]).
+    Direct,
 }
 
 #[derive(Clone, Copy)]
@@ -125,18 +124,12 @@ struct Peer {
     /// receive displacement for `alltoall(v)`.
     land_base: usize,
     /// The peer's region of the fold arena: its eager folds, then its
-    /// put folds unless it folds them in place.
+    /// put folds.
     arena: usize,
     /// Bytes of the peer's `Fold` receives at or under the eager size,
     /// and over it.
     eager_folds: usize,
     put_folds: usize,
-    /// No put fold from the peer overlaps another `Fold` receive
-    /// (`seal`), and there is one.
-    foldable: bool,
-    /// The peer folds its put folds into the range itself: foldable,
-    /// and it can address the landing (decided at the first step).
-    in_place: bool,
     /// Put fold bytes sent to the peer so far: the next one's `slot`.
     fold_sent: usize,
     /// Put receives from the peer not yet harvested; it is granted the
@@ -167,10 +160,11 @@ pub(super) struct Plan {
     inbox: Vec<[u8; GRANT_LEN]>,
     /// Put receives by [`signal_key`], sorted: what a signal names.
     signals: Vec<(u64, usize)>,
-    /// `seal`'s scratch: the `Fold` receives' ranges and indices.
-    spans: Vec<(usize, usize, usize)>,
-    /// Fold arena bytes the plan needs (`lay_out`).
+    /// Fold arena bytes the plan needs (`seal`).
     arena_len: usize,
+    /// The slice a direct schedule reduces, and whether it has.
+    direct: Option<direct::Slice>,
+    reduced: bool,
     /// Per receive: harvested.
     done: Vec<bool>,
     /// Per receive: a put whose signal was popped before the gate
@@ -178,8 +172,6 @@ pub(super) struct Plan {
     early: Vec<bool>,
     /// Send indices in the order they became ready.
     ready: Vec<usize>,
-    /// `ready[sent]` is folded in place; only its signal is left to post.
-    folded: bool,
     /// Receives posted, leading receives harvested, receives harvested,
     /// `ready[..sent]` posted, grants harvested.
     opened: usize,
@@ -199,12 +191,19 @@ fn signal_key(from: Rank, tag: Tag) -> u64 {
     (from as u64) << 32 | tag as u64
 }
 
+/// Whether a piece of `len` bytes sent `how` is a put: a direct signal,
+/// or longer than the eager size.
+fn is_put(how: How, len: usize, eager: usize) -> bool {
+    how == How::Direct || len > eager
+}
+
 impl Plan {
     /// Starts a build for shape `w` under `tags`.
     fn clear(&mut self, w: Shape, tags: Tags) {
         self.recvs.clear();
         self.sends.clear();
         (self.eager, self.grant_tag) = (w.eager, tags.piece(ROUND_GRANT, 0));
+        self.direct = None;
         self.peers.clear();
         self.peers.resize(w.n, Peer::default());
         self.inbox.resize(w.n, [0; GRANT_LEN]);
@@ -255,44 +254,32 @@ impl Plan {
     }
 
     /// Ends a build: places each `Fold` receive among its peer's eager
-    /// or put folds (receive order), marks the peers whose put folds may
-    /// be folded in place — none overlaps another `Fold` receive — indexes
-    /// the put receives by signal, marks who grants whom; `sends[..seeds]`
-    /// are ready and nothing has run ([`lay_out`](Self::lay_out) is the
-    /// first step's).
+    /// or put folds (receive order) and lays out the arena — each peer's
+    /// region, in rank order — indexes the put receives by signal, marks
+    /// who grants whom; `sends[..seeds]` are ready and nothing has run.
     fn seal(&mut self, seeds: usize, rounds: u64) {
         self.rounds = rounds;
-        self.spans.clear();
-        for (i, r) in self.recvs.iter_mut().enumerate().filter(|(_, r)| r.how == How::Fold) {
+        for r in self.recvs.iter_mut().filter(|r| r.how == How::Fold) {
             let p = &mut self.peers[r.from];
             let folds = if r.len > self.eager { &mut p.put_folds } else { &mut p.eager_folds };
             r.slot = *folds;
             *folds += r.len;
-            p.foldable |= r.len > self.eager;
-            self.spans.push((r.off, r.off + r.len, i));
         }
-        // Sorted by start, a range overlaps an earlier one exactly when it
-        // starts before the furthest end so far; both are marked.
-        self.spans.sort_unstable();
-        let mut reach = (0, 0);
-        for &(start, end, i) in &self.spans {
-            if start < reach.0 {
-                for r in [self.recvs[i], self.recvs[reach.1]] {
-                    self.peers[r.from].foldable &= r.len <= self.eager;
-                }
-            }
-            reach = reach.max((end, i));
+        let mut base = 0;
+        for p in &mut self.peers {
+            p.arena = base;
+            base += p.eager_folds + p.put_folds;
         }
+        self.arena_len = base;
         self.signals.clear();
         for (i, r) in self.recvs.iter().enumerate() {
-            let p = &mut self.peers[r.from];
-            if r.len > self.eager {
-                p.puts_in += 1;
+            if is_put(r.how, r.len, self.eager) {
+                self.peers[r.from].puts_in += 1;
                 self.signals.push((signal_key(r.from, r.tag), i));
             }
         }
         self.signals.sort_unstable();
-        for s in self.sends.iter().filter(|s| s.len > self.eager) {
+        for s in self.sends.iter().filter(|s| is_put(s.how, s.len, self.eager)) {
             self.peers[s.to].puts_out = true;
         }
         for flags in [&mut self.done, &mut self.early] {
@@ -302,31 +289,11 @@ impl Plan {
         self.ready.clear();
         self.ready.extend(0..seeds);
         (self.opened, self.prefix, self.harvested, self.sent, self.granted) = (0, 0, 0, 0, 0);
-        self.folded = false;
+        self.reduced = false;
         self.granting = None;
     }
 
-    /// Decides per peer whether it folds in place — foldable, and
-    /// `addressable(peer)`: the peer can address this rank's landing —
-    /// and lays out the arena for the folds that still land in it: each
-    /// peer's region, in rank order.
-    fn lay_out(&mut self, mut addressable: impl FnMut(Rank) -> Result<bool>) -> Result<()> {
-        let mut base = 0;
-        for (rank, p) in self.peers.iter_mut().enumerate() {
-            p.in_place = p.foldable && addressable(rank)?;
-            p.arena = base;
-            base += p.eager_folds + if p.in_place { 0 } else { p.put_folds };
-        }
-        self.arena_len = base;
-        Ok(())
-    }
-
-    /// Whether `r` is folded by its sender, in place.
-    fn in_place(&self, r: &Recv) -> bool {
-        r.how == How::Fold && r.len > self.eager && self.peers[r.from].in_place
-    }
-
-    /// The arena slot of a `Fold` receive not folded in place.
+    /// The arena slot of a `Fold` receive.
     fn slot(&self, r: &Recv) -> usize {
         let p = &self.peers[r.from];
         p.arena + if r.len > self.eager { p.eager_folds + r.slot } else { r.slot }
@@ -335,12 +302,20 @@ impl Plan {
     /// The grant this rank sends `peer`.
     fn grant(&self, peer: Rank, land: Rkey, arena: Rkey, rcomp: RComp) -> Grant {
         let p = &self.peers[peer];
-        Grant {
-            land: (land, p.land_base),
-            arena: (arena, p.arena + p.eager_folds),
-            rcomp,
-            in_place: p.in_place,
-        }
+        Grant { land: (land, p.land_base), arena: (arena, p.arena + p.eager_folds), rcomp }
+    }
+
+    /// `peer`'s grant was harvested.
+    fn grant_in(&mut self, peer: Rank, g: Grant) {
+        self.peers[peer].grant = Some(g);
+        self.granted += 1;
+    }
+
+    /// A direct schedule that has not reduced yet and holds the grant of
+    /// every peer it signals: every buffer it reads is lent to it.
+    fn can_reduce(&self) -> bool {
+        let granted = self.peers.iter().all(|p| !p.puts_out || p.grant.is_some());
+        self.direct.is_some() && !self.reduced && granted
     }
 
     /// The next receive to post (`opened += 1` once it is), if its gate
@@ -350,9 +325,11 @@ impl Plan {
         (next.opens_at <= self.prefix).then_some(self.opened)
     }
 
-    /// The next ready send (`sent += 1` once it is posted).
+    /// The next ready send (`sent += 1` once it is posted); a direct
+    /// signal only once this rank has reduced.
     fn ready_send(&self) -> Option<usize> {
-        self.ready.get(self.sent).copied()
+        let j = *self.ready.get(self.sent)?;
+        (self.sends[j].how != How::Direct || self.reduced).then_some(j)
     }
 
     /// The put receive a signal from `from` under `tag` names: the first
@@ -399,7 +376,7 @@ impl Plan {
             while let Some(i) = self.open_recv() {
                 self.opened += 1;
                 let r = self.recvs[i];
-                if r.len > self.eager {
+                if is_put(r.how, r.len, self.eager) {
                     // A put: its landing is granted, nothing to post.
                     if self.early[i] {
                         self.take(i, None, st, mem, op)?;
@@ -419,17 +396,23 @@ impl Plan {
                     // ran at the first step), and the slot is read only
                     // at this receive's harvest.
                     How::Fold => unsafe { mem.scratch(st.arena.at(self.slot(&r)), r.len) },
+                    How::Direct => unreachable!("a direct signal is a put"),
                 };
                 post_recv(rt, st, r.from, landing, r.tag, i as u64)?;
             }
             self.send_grants(rt, st)?;
+            if let Some(slice) = self.direct.filter(|_| self.can_reduce()) {
+                direct::reduce_slice(rt, &self.peers, slice, &mut st.direct, mem, op)?;
+                self.reduced = true;
+                stats.add(|c| &c.coll_direct_bytes, slice.len as u64);
+            }
             while let Some(j) = self.ready_send() {
                 if st.inflight.load(Ordering::Acquire) >= MAX_INFLIGHT {
                     break;
                 }
                 let s = self.sends[j];
                 let grant = match self.peers[s.to].grant {
-                    _ if s.len <= self.eager => None,
+                    _ if !is_put(s.how, s.len, self.eager) => None,
                     Some(g) => Some(g),
                     None => break,
                 };
@@ -440,21 +423,10 @@ impl Plan {
                 // DESIGN.md §4.11 "Lending", sends).
                 let piece = unsafe { mem.source(s.off..s.off + s.len) };
                 let put = grant.map(|g| (g.target(s.how, s.dst_off, s.slot), g.rcomp));
-                let buf = match grant {
-                    Some(g) if s.how == How::Fold && g.in_place => {
-                        if !self.folded {
-                            fold_in_place(rt, s.to, g, s.dst_off, &piece, op)?;
-                            self.folded = true;
-                            stats.add(|c| &c.coll_folded_bytes, s.len as u64);
-                        }
-                        SendBuf::from(&[][..])
-                    }
-                    _ => piece.send_buf(),
-                };
-                if post(rt, st, s.to, buf, s.tag, put)?.is_retry() {
+                if post(rt, st, s.to, piece.send_buf(), s.tag, put)?.is_retry() {
                     break;
                 }
-                (self.sent, self.folded) = (self.sent + 1, false);
+                self.sent += 1;
                 stats.raise(|c| &c.coll_chunks_inflight_hwm, st.inflight.load(Ordering::Acquire));
                 stats.add(|c| &c.coll_bytes, s.len as u64);
             }
@@ -474,8 +446,7 @@ impl Plan {
                 } else if desc.user_ctx & GRANT_CTX != 0 {
                     let p = (desc.user_ctx & !GRANT_CTX) as usize;
                     mem.landed(&desc, GRANT_LEN)?;
-                    self.peers[p].grant = Some(Grant::decode(&self.inbox[p]));
-                    self.granted += 1;
+                    self.grant_in(p, Grant::decode(&self.inbox[p]));
                 } else {
                     self.take(desc.user_ctx as usize, Some(&desc), st, mem, op)?;
                 }
@@ -496,9 +467,8 @@ impl Plan {
 
     /// The first step: a receive is posted for each grant this rank
     /// waits for, the landing side is lent for the call to each peer that
-    /// will put into it — and registered, once — each peer that may fold
-    /// in place is asked whether it can address it, and the arena fits
-    /// the folds that still land in it.
+    /// will put into it — and registered, once — and the arena fits the
+    /// folds.
     fn start(&mut self, rt: &Runtime, st: &mut CollState, mem: &Scope<'_>) -> Result<()> {
         let dev = rt.device();
         for p in 0..self.peers.len() {
@@ -511,26 +481,18 @@ impl Plan {
             }
             if self.peers[p].puts_in > 0 {
                 // SAFETY: the peer writes only the ranges its puts name,
-                // each between the put's post and its harvest, and the
-                // builder's schedule keeps every other touch of such a
-                // range outside that interval (its doc; checked by
-                // `tests::model`; DESIGN.md §4.11 "Lending", grants).
+                // each between the put's post and its harvest — or, on a
+                // direct schedule, reads and writes only its own slice,
+                // from this grant to its signal — and the builder's
+                // schedule keeps every other touch of such a range outside
+                // that interval (its doc; checked by `tests::model`;
+                // DESIGN.md §4.11 "Lending", grants).
                 let (ptr, len) = unsafe { mem.grant() };
                 if self.landing_mr.is_none() {
                     self.landing_mr = Some(grant::register(dev, ptr, len)?);
                 }
             }
         }
-        let landing = self.landing_mr;
-        self.lay_out(|p| {
-            let mr = landing.expect("a foldable peer puts, so the landing is registered");
-            match dev.inner.net.local_addr(p, mr.rkey, 0, mr.len) {
-                Ok(at) => Ok(at.is_some()),
-                // Not attached yet: another process, so not addressable.
-                Err(NetError::Retry(_)) => Ok(false),
-                Err(e) => Err(FatalError::Net(format!("collective: {e}"))),
-            }
-        })?;
         st.arena.fit(dev, self.arena_len)?;
         self.granting = Some(0);
         Ok(())
@@ -555,8 +517,7 @@ impl Plan {
 
     /// Harvests receive `i`: a two-sided arrival (`got`) is checked and
     /// its landing returned, a put's share of its peer's grant; a `Fold`
-    /// piece not folded in place is folded from its slot; what waited on
-    /// it opens.
+    /// piece is folded from its slot; what waited on it opens.
     fn take<O: ReduceOp + ?Sized>(
         &mut self,
         i: usize,
@@ -576,7 +537,7 @@ impl Plan {
                 }
             }
         }
-        if r.how == How::Fold && !self.in_place(&r) {
+        if r.how == How::Fold {
             // SAFETY: the builder's schedule has no send of this range in
             // flight and no landing over it whose bytes can arrive (its
             // doc; checked by `tests::model`; DESIGN.md §4.11 "Lending").
@@ -636,7 +597,7 @@ fn post(
 }
 
 // ---------------------------------------------------------------------
-// The seven schedules
+// The schedules (the direct one in `direct`)
 // ---------------------------------------------------------------------
 
 /// What every schedule is a function of besides its sizes and tags: the
@@ -668,6 +629,14 @@ impl Shape {
 /// `(offset, length)` of each `chunk`-byte piece of `len` bytes at `base`.
 fn pieces(base: usize, len: usize, chunk: usize) -> impl Iterator<Item = (usize, usize)> {
     (0..len).step_by(chunk).map(move |o| (base + o, chunk.min(len - o)))
+}
+
+/// `(offset, length)` of block `b` of `len` bytes of `elem`-byte lanes
+/// cut `n` ways: elements `[b·q + min(b, r), +q + (b < r))` — near-equal,
+/// and empty past `nelems` when `nelems < n`.
+fn block(n: usize, len: usize, elem: usize, b: usize) -> (usize, usize) {
+    let (q, r) = (len / elem / n, len / elem % n);
+    ((b * q + b.min(r)) * elem, (q + usize::from(b < r)) * elem)
 }
 
 /// Chunks in the ring's longest block (block 0, on every rank alike):
@@ -713,23 +682,15 @@ pub(super) fn ring_span(w: Shape, len: usize, elem: usize) -> usize {
 /// rounds up front) or even folded (the two-round lookahead can open
 /// round `t+n` early): posting hands over an address and touches
 /// nothing — what the chain bounds is when the bytes can arrive. A fold
-/// arrives in its own arena slot, so folds never touch each other — or,
-/// folded in place by the left neighbour, writes the range itself from
-/// that neighbour's post to our harvest, a landing's interval: the
-/// argument above holds for it unchanged, since the fold of `(t, c)`
-/// follows no touch and its harvest precedes the send of `(t+1, c)`, and
-/// no two `Fold` receives of the ring overlap (each round folds a
-/// different block), which is what `seal` asks.
+/// arrives in its own arena slot, so folds never touch each other.
 pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tags) {
     let Shape { n, me, chunk, .. } = w;
     let (left, right, rounds) = ((me + n - 1) % n, (me + 1) % n, 2 * (n - 1));
     // Whole lanes per chunk, so a fold never splits one.
     let chunk = (chunk / elem).max(1) * elem;
-    // Block `b` covers elements `[b·q + min(b, r), +q + (b < r))` —
-    // near-equal, and empty past `nelems` when `nelems < n`.
-    let (q, r) = (len / elem / n, len / elem % n);
     let block = |b: usize| {
-        pieces((b * q + b.min(r)) * elem, (q + usize::from(b < r)) * elem, chunk).enumerate()
+        let (off, len) = block(n, len, elem, b);
+        pieces(off, len, chunk).enumerate()
     };
     plan.clear(w, tags);
     // Round `t` sends block `(me − t) mod n` and receives `(me − t − 1)
@@ -933,9 +894,7 @@ pub(super) fn alltoallv(
 /// piece `c` enables piece `c` of the send to the parent — seeds on a
 /// leaf, absent on the root. Every touch of an accumulator range is
 /// therefore in program order: fold, fold, …, send. Each child's pieces
-/// arrive in a region of the arena of their own: with two children or
-/// more their folds overlap, so `seal` folds none of them in place (an
-/// only child's may be).
+/// arrive in a region of the arena of their own.
 pub(super) fn reduce(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: Tags) {
     let Shape { n, me, chunk, .. } = w;
     plan.clear(w, tags);
@@ -964,6 +923,9 @@ pub(super) fn reduce(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: T
     let seeds = if children == 0 { plan.sends.len() } else { 0 };
     plan.seal(seeds, (children + parents) as u64);
 }
+
+mod direct;
+pub(super) use direct::{addresses_every_rank, direct, Scratch};
 
 /// The schedule model check (its module docs).
 #[cfg(test)]

@@ -1,18 +1,21 @@
 //! The schedule model check: all `n` ranks' plans run against each other
 //! under a seeded scheduler that at every point picks any enabled
-//! action — grant a peer, open a receive, post a ready send within the
-//! window (a put once its grant is in), deliver a posted send (a
-//! two-sided one into its posted receive), harvest a delivery whose
-//! receive is open — and holds DESIGN.md §4.11's last-dereference table
-//! over the run: a send's range is READ from its post until its
-//! delivery; a `Land` range, a `Fold` piece's arena slot or the range of
-//! a `Fold` folded in place is WRITE from the moment its peer *posts*
-//! the matching send (the bytes can arrive from then on) until its
-//! harvest; a `Fold` through the arena is a WRITE of its range at its
-//! harvest; no WRITE may overlap another live interval of its memory.
-//! Before the run it checks the puts statically: each lands on exactly
-//! its receive under a grant, no two carrying bytes overlap, grants pair
-//! up.
+//! action — grant a peer, open a receive, reduce a direct slice, post a
+//! ready send within the window (a put once its grant is in), deliver a
+//! posted send (a two-sided one into its posted receive), harvest a
+//! delivery whose receive is open — and holds DESIGN.md §4.11's
+//! last-dereference table over the run: a send's range is READ from its
+//! post until its delivery; a `Land` range or a `Fold` piece's arena slot
+//! is WRITE from the moment its peer *posts* the matching send (the bytes
+//! can arrive from then on) until its harvest; a `Fold` is a WRITE of its
+//! range at its harvest; no WRITE may overlap another live interval of
+//! its memory. A direct reduction reads its slice of every rank's buffer
+//! and writes it back at one step: only with every peer's grant in, into
+//! no rank that has finished, before any of its signals is posted, and
+//! by the end every byte of every written buffer (a `reduce`: the root's
+//! alone) has been written exactly once. Before the run it checks the
+//! puts statically: each lands on exactly its receive under a grant, no
+//! two carrying bytes overlap, grants pair up.
 
 use super::*;
 use std::collections::HashMap;
@@ -23,9 +26,8 @@ type Key = (usize, usize, Tag);
 /// A live interval of one rank's memory.
 #[derive(Debug)]
 struct Touch {
-    /// `(rank, side)`: receives land in side 1 (a fold in place too) and
-    /// other folds in the arena, side 2; sends read side 0, or 1 in
-    /// place.
+    /// `(rank, side)`: receives land in side 1 and folds in the arena,
+    /// side 2; sends read side 0, or 1 when one buffer is both.
     mem: (usize, usize),
     range: (usize, usize),
     write: bool,
@@ -47,11 +49,10 @@ fn untouch(live: &mut Vec<Touch>, key: Key, write: bool) {
     live.swap_remove(at);
 }
 
-/// Where receive `r` of `p` is written: its range (landed, or folded in
-/// place by its sender), or its arena slot.
+/// Where receive `r` of `p` is written: its range, or its arena slot.
 fn landing_of(p: &Plan, r: &Recv) -> (usize, (usize, usize)) {
     match r.how {
-        How::Fold if !p.in_place(r) => (2, (p.slot(r), r.len)),
+        How::Fold => (2, (p.slot(r), r.len)),
         _ => (1, (r.off, r.len)),
     }
 }
@@ -61,12 +62,10 @@ const LANDING: Rkey = Rkey(1);
 const ARENA: Rkey = Rkey(2);
 
 /// Every put lands on exactly its receive — the address its peer's
-/// grant and its `dst_off` or `slot` make (the accumulator, for a fold
-/// in place), the receive's kind, the receive its signal names — and
-/// under a grant; no two puts that carry bytes overlap in a landing or
-/// an arena (a fold in place carries none: the run checks the range it
-/// writes, as a landing's); a rank waits for a grant exactly from the
-/// peers that grant it one.
+/// grant and its `dst_off` or `slot` make, the receive's kind, the
+/// receive its signal names — and under a grant; no two puts that carry
+/// bytes overlap in a landing or an arena; a rank waits for a grant
+/// exactly from the peers that grant it one.
 fn check_puts(plans: &[Plan], recv_at: &[Vec<usize>]) {
     let mut dests = Vec::new();
     for (src, p) in plans.iter().enumerate() {
@@ -74,7 +73,7 @@ fn check_puts(plans: &[Plan], recv_at: &[Vec<usize>]) {
             let (dst, i) = (&plans[s.to], recv_at[src][j]);
             let r = &dst.recvs[i];
             assert_eq!(s.how, r.how, "{src}->{}: a piece landed one way and taken another", s.to);
-            if s.len <= p.eager {
+            if !is_put(s.how, s.len, p.eager) {
                 continue;
             }
             assert!(dst.peers[src].puts_in > 0, "a put {src}->{} with no grant", s.to);
@@ -84,9 +83,7 @@ fn check_puts(plans: &[Plan], recv_at: &[Vec<usize>]) {
             assert_eq!(rkey.0 as usize, side, "put {src}->{} names the other side", s.to);
             assert_eq!(at, want, "put {src}->{} lands at {at}, its receive at {want}", s.to);
             assert_eq!(dst.signalled(src, s.tag), Some(i), "the signal names another receive");
-            if !dst.in_place(r) {
-                dests.push((s.to, side, at, at + s.len));
-            }
+            dests.push((s.to, side, at, at + s.len));
         }
     }
     dests.sort_unstable();
@@ -102,9 +99,8 @@ fn check_puts(plans: &[Plan], recv_at: &[Vec<usize>]) {
     }
 }
 
-/// Runs `plans` (rank `r`'s at index `r`, laid out) to completion under
-/// `seed`.
-fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
+/// Runs `plans` (rank `r`'s at index `r`) to completion under `seed`.
+fn run(plans: &mut [Plan], one_buffer: bool, seed: u64) {
     let n = plans.len();
     let window = 1 + seed as usize % 4;
     // Statically: every send has exactly one receive with its key
@@ -144,10 +140,17 @@ fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
     let mut flying: Vec<(usize, usize)> = Vec::new();
     let mut arrived: Vec<(usize, usize)> = Vec::new();
     let mut live: Vec<Touch> = Vec::new();
-    let is_put = |plans: &[Plan], src: usize, j: usize| plans[src].sends[j].len > plans[src].eager;
+    // Per rank: finished; reduced its direct slice. Per rank and byte of
+    // its buffer (the direct slices laid end to end): times written.
+    let mut finished = vec![false; n];
+    let mut reduced = vec![false; n];
+    let buf_len = plans.iter().filter_map(|p| p.direct).map(|s| s.len).sum();
+    let mut writes = vec![vec![0u32; buf_len]; n];
+    let is_put = |p: &Plan, j: usize| is_put(p.sends[j].how, p.sends[j].len, p.eager);
     enum Act {
         Grant(usize),
         Open(usize),
+        Reduce(usize),
         Post(usize),
         Deliver(usize),
         Harvest(usize),
@@ -158,15 +161,16 @@ fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
         acts.extend((0..grants.len()).map(Act::Grant));
         for r in 0..n {
             acts.extend(plans[r].open_recv().map(|_| Act::Open(r)));
+            acts.extend(plans[r].can_reduce().then_some(Act::Reduce(r)));
             let ready = plans[r].ready_send().filter(|&j| {
                 let to = plans[r].sends[j].to;
-                inflight[r] < window && (!is_put(plans, r, j) || granted[r][to])
+                inflight[r] < window && (!is_put(&plans[r], j) || granted[r][to])
             });
             acts.extend(ready.map(|_| Act::Post(r)));
         }
         for (k, &(src, j)) in flying.iter().enumerate() {
             let landing = posted[plans[src].sends[j].to][recv_at[src][j]];
-            acts.extend((is_put(plans, src, j) || landing).then_some(Act::Deliver(k)));
+            acts.extend((is_put(&plans[src], j) || landing).then_some(Act::Deliver(k)));
         }
         for (k, &(dst, i)) in arrived.iter().enumerate() {
             acts.extend(posted[dst][i].then_some(Act::Harvest(k)));
@@ -181,28 +185,55 @@ fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
             Act::Grant(k) => {
                 let (a, b) = grants.swap_remove(k);
                 granted[a][b] = true;
+                plans[a].grant_in(b, Grant::default());
             }
             Act::Open(r) => {
                 posted[r][plans[r].open_recv().expect("enabled")] = true;
                 plans[r].opened += 1;
+            }
+            Act::Reduce(o) => {
+                // Reads slice `o` of every buffer and writes it back into
+                // the targets, at one step.
+                let s = plans[o].direct.expect("a direct plan");
+                for r in 0..n {
+                    let why = "buffer before its grant";
+                    assert!(r == o || granted[o][r], "rank {o} reads rank {r}'s {why} ({seed})");
+                    assert!(!finished[r], "rank {o} touches rank {r}'s buffer after it finished");
+                    let write = s.root.is_none_or(|root| root == r);
+                    if s.len > 0 {
+                        touch(&mut live, (r, 1), (s.off, s.len), write, (o, r, 0));
+                        untouch(&mut live, (o, r, 0), write);
+                    }
+                    if write {
+                        writes[r][s.off..s.off + s.len].iter_mut().for_each(|w| *w += 1);
+                    }
+                }
+                (plans[o].reduced, reduced[o]) = (true, true);
             }
             Act::Post(src) => {
                 let j = plans[src].ready_send().expect("enabled");
                 plans[src].sent += 1;
                 inflight[src] += 1;
                 let s = plans[src].sends[j];
+                if s.how == How::Direct {
+                    assert!(reduced[src], "rank {src} signals rank {} before its writes", s.to);
+                }
                 let key = (src, s.to, s.tag);
                 assert!(live.iter().all(|t| t.key != key), "{key:?} is live twice");
-                touch(&mut live, (src, usize::from(in_place)), (s.off, s.len), false, key);
-                let dst = &plans[s.to];
-                let (side, range) = landing_of(dst, &dst.recvs[recv_at[src][j]]);
-                touch(&mut live, (s.to, side), range, true, key);
+                if s.len > 0 {
+                    touch(&mut live, (src, usize::from(one_buffer)), (s.off, s.len), false, key);
+                    let dst = &plans[s.to];
+                    let (side, range) = landing_of(dst, &dst.recvs[recv_at[src][j]]);
+                    touch(&mut live, (s.to, side), range, true, key);
+                }
                 flying.push((src, j));
             }
             Act::Deliver(k) => {
                 let (src, j) = flying.swap_remove(k);
                 let s = plans[src].sends[j];
-                untouch(&mut live, (src, s.to, s.tag), false);
+                if s.len > 0 {
+                    untouch(&mut live, (src, s.to, s.tag), false);
+                }
                 inflight[src] -= 1;
                 arrived.push((s.to, recv_at[src][j]));
             }
@@ -210,12 +241,24 @@ fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
                 let (dst, i) = arrived.swap_remove(k);
                 let r = plans[dst].recvs[i];
                 let key = (r.from, dst, r.tag);
-                untouch(&mut live, key, true);
-                if r.how == How::Fold && !plans[dst].in_place(&r) {
+                if r.len > 0 {
+                    untouch(&mut live, key, true);
+                }
+                if r.how == How::Fold {
                     touch(&mut live, (dst, 1), (r.off, r.len), true, key);
                     untouch(&mut live, key, true);
                 }
                 plans[dst].harvest(i);
+            }
+        }
+        for r in 0..n {
+            if finished[r] || !plans[r].finished() || inflight[r] > 0 {
+                continue;
+            }
+            finished[r] = true;
+            if plans[r].direct.is_some() {
+                let early = (0..n).find(|&o| !reduced[o]);
+                assert!(early.is_none(), "rank {r} finished before rank {early:?}'s signal");
             }
         }
     }
@@ -223,25 +266,28 @@ fn run(plans: &mut [Plan], in_place: bool, seed: u64) {
         assert!(p.finished() && inflight[r] == 0, "rank {r} of {n} is stuck (seed {seed})");
     }
     assert!(live.is_empty() && flying.is_empty());
+    for (r, bytes) in writes.iter().enumerate() {
+        let want = plans.iter().filter(|p| p.direct.is_some_and(|s| s.root.is_none_or(|x| x == r)));
+        let want = u32::from(want.count() > 0);
+        let bad = bytes.iter().position(|&w| w != want);
+        assert!(bad.is_none(), "rank {r}'s byte {bad:?} not written {want} time(s) ({seed})");
+    }
 }
 
-/// Builds every rank's plan and lays it out; pieces over `eager` are
-/// puts, and a peer may fold in place when the wire is `addressable`.
-fn build(n: usize, eager: usize, addressable: bool, build: impl Fn(&mut Plan, Shape)) -> Vec<Plan> {
+/// Builds every rank's plan; pieces over `eager` are puts.
+fn build(n: usize, eager: usize, build: impl Fn(&mut Plan, Shape)) -> Vec<Plan> {
     let mut plans: Vec<Plan> = (0..n).map(|_| Plan::default()).collect();
     for (me, p) in plans.iter_mut().enumerate() {
         build(p, Shape { n, me, chunk: CHUNK, eager });
-        p.lay_out(|_| Ok(addressable)).unwrap();
     }
     plans
 }
 
 /// Builds every rank's plan and runs them, with every piece
-/// two-sided, every full chunk a put, or every piece a put, on a wire
-/// that can or cannot fold in place (by seed).
-fn check(n: usize, in_place: bool, seed: u64, f: impl Fn(&mut Plan, Shape)) {
+/// two-sided, every full chunk a put, or every piece a put (by seed).
+fn check(n: usize, one_buffer: bool, seed: u64, f: impl Fn(&mut Plan, Shape)) {
     let eager = [usize::MAX, CHUNK - 1, 0][seed as usize % 3];
-    run(&mut build(n, eager, seed.is_multiple_of(2), f), in_place, seed);
+    run(&mut build(n, eager, f), one_buffer, seed);
 }
 
 const ELEM: usize = 8;
@@ -269,6 +315,16 @@ fn model_ring() {
     sweep(|n, len, seed| {
         let t = tags(ring_span(Shape { n, me: 0, chunk: CHUNK, eager: 0 }, len, ELEM));
         check(n, true, seed, |p, w| ring(p, w, len, ELEM, t));
+    });
+}
+
+/// The direct schedule, as an allreduce and as a `reduce` to every root.
+#[test]
+fn model_direct() {
+    sweep(|n, len, seed| {
+        check(n, true, seed, |p, w| direct(p, w, len, ELEM, None, tags(1)));
+        let root = Some(seed as usize % n);
+        check(n, true, seed, |p, w| direct(p, w, len, ELEM, root, tags(1)));
     });
 }
 
@@ -304,67 +360,42 @@ fn model_barrier_and_exchanges() {
     });
 }
 
-/// Three ranks' ring over three full chunks a block, every chunk a put,
-/// folded through the arena or in place.
-fn ring_puts(addressable: bool) -> Vec<Plan> {
+/// Three ranks' ring over three full chunks a block, every chunk a put.
+fn ring_puts() -> Vec<Plan> {
     let (n, len) = (3, 3 * 3 * CHUNK);
     let t = tags(ring_span(Shape { n, me: 0, chunk: CHUNK, eager: 0 }, len, ELEM));
-    build(n, CHUNK - 1, addressable, |p, w| ring(p, w, len, ELEM, t))
+    build(n, CHUNK - 1, |p, w| ring(p, w, len, ELEM, t))
 }
 
-/// Four ranks' reduce to rank 0 over three chunks, every chunk a put:
-/// rank 0 has two children (1 and 2), rank 2 one (3).
-fn reduce_puts() -> Vec<Plan> {
-    let len = 3 * CHUNK;
-    build(4, CHUNK - 1, true, |p, w| reduce(p, w, 0, len, tags(3)))
+/// Three ranks' direct allreduce of five elements: slices of two, two
+/// and one.
+fn direct_plans() -> Vec<Plan> {
+    build(3, CHUNK - 1, |p, w| direct(p, w, 5 * ELEM, ELEM, None, tags(1)))
 }
 
 #[test]
 fn the_model_runs_the_planted_plans_unplanted() {
-    for addressable in [false, true] {
-        run(&mut ring_puts(addressable), true, 1);
-    }
-    let plans = reduce_puts();
-    assert!(plans[0].peers.iter().all(|p| !p.in_place), "two children folded in place");
-    assert!(plans[2].peers[3].in_place, "an only child keeps the arena");
     for seed in 0..50 {
-        run(&mut reduce_puts(), true, seed);
+        run(&mut ring_puts(), true, seed);
+        run(&mut direct_plans(), true, seed);
     }
 }
 
 #[test]
-fn seal_folds_the_ring_in_place_and_sizes_the_arena_for_the_rest() {
-    let ring = ring_puts(true);
-    for p in &ring {
-        assert!(p.sends.iter().filter(|s| s.how == How::Fold).all(|s| s.len > p.eager));
-        assert_eq!(p.arena_len, 0, "every fold of the ring is in place");
-    }
-    for p in &ring_puts(false) {
+fn seal_sizes_the_arena_for_every_fold() {
+    for p in &ring_puts() {
         let folds = p.recvs.iter().filter(|r| r.how == How::Fold).map(|r| r.len).sum();
-        assert_eq!(p.arena_len, folds, "no fold in place: the arena holds every fold");
+        assert_eq!(p.arena_len, folds, "the arena holds every fold");
     }
-}
-
-/// The rule `seal` keeps, planted away: a `reduce` whose root folds both
-/// children's pieces in place lets the second child write the range the
-/// first child's fold still owns.
-#[test]
-#[should_panic(expected = "overlaps live")]
-fn the_model_catches_two_children_folding_in_place() {
-    for seed in 0..50 {
-        let mut plans = reduce_puts();
-        for child in [1, 2] {
-            plans[0].peers[child].foldable = true;
-        }
-        plans[0].lay_out(|_| Ok(true)).unwrap();
-        run(&mut plans, true, seed);
+    for p in &direct_plans() {
+        assert_eq!((p.arena_len, p.sends.len(), p.recvs.len()), (0, 2, 2), "one signal per peer");
     }
 }
 
 #[test]
 #[should_panic(expected = "lands at")]
 fn the_model_catches_an_off_by_one_put() {
-    let mut plans = ring_puts(true);
+    let mut plans = ring_puts();
     let last = plans[0].sends.iter_mut().rev().find(|s| s.how == How::Land).expect("a landing");
     last.dst_off += 1;
     run(&mut plans, true, 1);
@@ -373,7 +404,29 @@ fn the_model_catches_an_off_by_one_put() {
 #[test]
 #[should_panic(expected = "with no grant")]
 fn the_model_catches_a_missing_grant() {
-    let mut plans = ring_puts(true);
+    let mut plans = ring_puts();
     plans[1].peers[0].puts_in = 0;
     run(&mut plans, true, 1);
+}
+
+/// The rule `ready_send` keeps, planted away: a rank that believes it
+/// has reduced signals its peers before it has written their buffers.
+#[test]
+#[should_panic(expected = "before its writes")]
+fn the_model_catches_a_signal_before_its_writes() {
+    let mut plans = direct_plans();
+    plans[1].reduced = true;
+    run(&mut plans, true, 1);
+}
+
+/// The rule `can_reduce` keeps, planted away: a rank that counts a
+/// peer's grant before it arrived reads that peer's buffer too early.
+#[test]
+#[should_panic(expected = "buffer before its grant")]
+fn the_model_catches_a_read_before_its_grant() {
+    for seed in 0..50 {
+        let mut plans = direct_plans();
+        plans[0].peers[1].grant = Some(Grant::default());
+        run(&mut plans, true, seed);
+    }
 }

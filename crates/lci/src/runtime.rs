@@ -126,6 +126,9 @@ pub(crate) struct RuntimeInner {
     pub coll: parking_lot::Mutex<Option<crate::coll::CollState>>,
     /// Collective states `i*` handles gave back, for the next handles.
     pub coll_spare: parking_lot::Mutex<Vec<crate::coll::CollState>>,
+    /// Whether this runtime's device addresses every rank's memory, so
+    /// reductions run the direct schedule; asked at the first one.
+    pub coll_direct: std::sync::OnceLock<bool>,
     /// Every device allocated on this runtime, in creation order. Weak:
     /// `DeviceInner` holds `rt: Arc<RuntimeInner>`, so a strong registry
     /// would cycle and leak. [`Runtime::progress_all`] walks this.
@@ -180,6 +183,7 @@ impl Runtime {
             coll_seq: std::sync::atomic::AtomicU32::new(0),
             coll: parking_lot::Mutex::new(None),
             coll_spare: parking_lot::Mutex::new(Vec::new()),
+            coll_direct: std::sync::OnceLock::new(),
             devices: MpmcArray::with_capacity(4),
             config,
         });

@@ -53,7 +53,7 @@ pub(crate) struct StatsCell {
     pub(crate) early_inbound: AtomicU64,
     pub(crate) coll_rounds: AtomicU64,
     pub(crate) coll_bytes: AtomicU64,
-    pub(crate) coll_folded_bytes: AtomicU64,
+    pub(crate) coll_direct_bytes: AtomicU64,
     pub(crate) coll_chunks_inflight_hwm: AtomicU64,
     pub(crate) coll_skipped_pairs: AtomicU64,
     pub(crate) coll_v_bytes_hwm: AtomicU64,
@@ -149,7 +149,7 @@ impl DeviceStats {
             early_inbound: self.fold(|c| &c.early_inbound),
             coll_rounds: self.fold(|c| &c.coll_rounds),
             coll_bytes: self.fold(|c| &c.coll_bytes),
-            coll_folded_bytes: self.fold(|c| &c.coll_folded_bytes),
+            coll_direct_bytes: self.fold(|c| &c.coll_direct_bytes),
             coll_chunks_inflight_hwm: self.fold_max(|c| &c.coll_chunks_inflight_hwm),
             coll_skipped_pairs: self.fold(|c| &c.coll_skipped_pairs),
             coll_v_bytes_hwm: self.fold_max(|c| &c.coll_v_bytes_hwm),
@@ -231,12 +231,11 @@ pub struct StatsSnapshot {
     /// Payload bytes moved by collectives through this device (sends
     /// only, so cross-rank sums count each byte once).
     pub coll_bytes: u64,
-    /// Of [`Self::coll_bytes`], the bytes this rank folded straight into
-    /// a peer's accumulator in this address space (sends only, like
-    /// `coll_bytes`): a ring fold whose receiver granted it in place
-    /// moves no byte through the wire or the fold arena, only a
-    /// zero-byte signal after it.
-    pub coll_folded_bytes: u64,
+    /// Bytes of its own slice this rank reduced directly in every rank's
+    /// buffer, in this address space (the direct schedule of
+    /// `coll::allreduce` and `coll::reduce_bytes`): they travel as no
+    /// piece, so [`Self::coll_bytes`] does not count them.
+    pub coll_direct_bytes: u64,
     /// High-water mark of concurrently in-flight collective chunks
     /// (pipelined ring-allreduce chunk sends + bounded-inflight alltoall
     /// block sends; max across cells, not a delta counter — see
@@ -244,9 +243,8 @@ pub struct StatsSnapshot {
     /// chunk-level overlap.
     pub coll_chunks_inflight_hwm: u64,
     /// Zero-byte `alltoallv` peer pairs that posted nothing on the wire
-    /// (send-side skips; the dense `alltoall` and the `coll::naive`
-    /// store-and-forward `alltoallv` both pay a full message per empty
-    /// pair instead). MoE routing matrices are mostly sparse, so this
+    /// (send-side skips; the dense `alltoall` pays a full message per
+    /// empty pair instead). MoE routing matrices are mostly sparse, so this
     /// counter is the direct evidence the vector exchange exploited it.
     pub coll_skipped_pairs: u64,
     /// High-water mark of total payload bytes one `alltoallv` call
@@ -339,7 +337,7 @@ impl StatsSnapshot {
             early_inbound: self.early_inbound.saturating_sub(earlier.early_inbound),
             coll_rounds: self.coll_rounds.saturating_sub(earlier.coll_rounds),
             coll_bytes: self.coll_bytes.saturating_sub(earlier.coll_bytes),
-            coll_folded_bytes: self.coll_folded_bytes.saturating_sub(earlier.coll_folded_bytes),
+            coll_direct_bytes: self.coll_direct_bytes.saturating_sub(earlier.coll_direct_bytes),
             // High-water mark: the later value covers the interval.
             coll_chunks_inflight_hwm: self.coll_chunks_inflight_hwm,
             coll_skipped_pairs: self.coll_skipped_pairs.saturating_sub(earlier.coll_skipped_pairs),

@@ -701,14 +701,19 @@ fn collective_steady_state_allocs<I: FnMut(&Runtime)>(
     nranks: usize,
     make_iter: impl Fn(usize) -> I + Clone + Send + 'static,
 ) -> u64 {
-    collective_steady_state_allocs_at(nranks, 4096, make_iter)
+    collective_steady_state_allocs_on(nranks, chunk_cfg(4096), make_iter)
 }
 
-/// [`collective_steady_state_allocs`] with pieces of `chunk` bytes (the
-/// small config's eager size is 4 KiB: longer pieces are puts).
-fn collective_steady_state_allocs_at<I: FnMut(&Runtime)>(
+/// The small config with pieces of `chunk` bytes (its eager size is
+/// 4 KiB: longer pieces are puts).
+fn chunk_cfg(chunk: usize) -> RuntimeConfig {
+    RuntimeConfig { coll_chunk_size: chunk, ..RuntimeConfig::small() }
+}
+
+/// [`collective_steady_state_allocs`] under `cfg`.
+fn collective_steady_state_allocs_on<I: FnMut(&Runtime)>(
     nranks: usize,
-    chunk: usize,
+    cfg: RuntimeConfig,
     make_iter: impl Fn(usize) -> I + Clone + Send + 'static,
 ) -> u64 {
     const WARMUP: usize = 8;
@@ -718,9 +723,9 @@ fn collective_steady_state_allocs_at<I: FnMut(&Runtime)>(
     let threads: Vec<_> = (0..nranks)
         .map(|rank| {
             let (fabric, gate, make_iter) = (fabric.clone(), gate.clone(), make_iter.clone());
+            let cfg = cfg.clone();
             std::thread::spawn(move || {
                 audit_this_thread();
-                let cfg = RuntimeConfig { coll_chunk_size: chunk, ..RuntimeConfig::small() };
                 let rt = Runtime::new(fabric, rank, cfg).unwrap();
                 let mut iter = make_iter(rank);
                 for _ in 0..WARMUP {
@@ -752,28 +757,41 @@ fn collective_steady_state_allocs_at<I: FnMut(&Runtime)>(
     allocs
 }
 
-/// Warm chunk-pipelined ring allreduce: once the collective engine's
-/// fold arena (reduce-scatter arrivals), op-context slabs, and round
-/// bookkeeping are warm, a full allreduce — 2(n−1) rounds of
-/// windowed sends posted from the buffer, pre-posted recvs, in-place
-/// folds and in-place landings, 8 chunks per block — makes zero
-/// allocator calls on either rank.
+/// Warm allreduce, both schedules. On the sim wire the direct one: once
+/// the plan's tables and the registration cache are warm, a grant and a
+/// signal per peer and the reduction of this rank's slice in place make
+/// zero allocator calls. On tcp the chunk-pipelined ring: once the fold
+/// arena (reduce-scatter arrivals), op-context slabs and round
+/// bookkeeping are warm, 2(n−1) rounds of windowed sends posted from the
+/// buffer, pre-posted receives, folds and in-place landings, 8 chunks
+/// per block, make none either, on either rank.
 #[test]
 fn collective_allreduce_steady_state_is_allocation_free() {
     let _g = serial();
     // 64 KiB payload -> 32 KiB ring blocks -> eight 4 KiB chunks per
     // round, so the bounded-inflight window actually pipelines.
     const ELEMS: usize = 8 << 10;
-    let allocs = collective_steady_state_allocs(2, |_rank| {
-        let mut buf = vec![1u8; ELEMS * 8];
-        move |rt: &Runtime| lci::coll::allreduce(rt, &mut buf, &lci::SumU64).unwrap()
-    });
-    assert_eq!(
-        allocs,
-        0,
-        "warm ring-allreduce loop made {allocs} allocator calls on two ranks{}",
-        first_allocs()
-    );
+    let tcp = chunk_cfg(4096).with_device(lci_fabric::DeviceConfig::tcp());
+    for (schedule, cfg) in [("direct", chunk_cfg(4096)), ("ring", tcp)] {
+        let allocs = collective_steady_state_allocs_on(2, cfg, |_rank| {
+            let mut buf = vec![1u8; ELEMS * 8];
+            move |rt: &Runtime| {
+                lci::coll::allreduce(rt, &mut buf, &lci::SumU64).unwrap();
+                // A tcp post is only appended to the stream: write it out
+                // before this rank blocks on the gate its peer may need
+                // those bytes to reach.
+                while rt.device().outbound_pending() > 0 {
+                    rt.progress_all().unwrap();
+                }
+            }
+        });
+        assert_eq!(
+            allocs,
+            0,
+            "warm {schedule} allreduce loop made {allocs} allocator calls on two ranks{}",
+            first_allocs()
+        );
+    }
 }
 
 /// Warm sparse alltoallv — the MoE dispatch/combine inner loop: a count
@@ -809,15 +827,16 @@ fn collective_alltoallv_steady_state_is_allocation_free() {
 }
 
 /// Warm collectives whose pieces are puts (16 KiB chunks over the 4 KiB
-/// eager size): a ring allreduce of 128 KiB folding from the arena and
-/// landing in place, and an alltoallv with a multi-piece block. Once the
-/// arena, the plan's grant and signal tables and the registration cache
-/// are warm, a call's grants, puts and signals make zero allocator calls.
+/// eager size): an allreduce of 128 KiB (the direct schedule's grant
+/// and signal are puts' machinery too) and an alltoallv with a
+/// multi-piece block. Once the plan's grant and signal tables and the
+/// registration cache are warm, a call's grants, puts and signals make
+/// zero allocator calls.
 #[test]
 fn collective_puts_steady_state_is_allocation_free() {
     let _g = serial();
     const COUNTS: [[usize; 2]; 2] = [[16, 40_000], [20_000, 8]];
-    let allocs = collective_steady_state_allocs_at(2, 16 << 10, |rank| {
+    let allocs = collective_steady_state_allocs_on(2, chunk_cfg(16 << 10), |rank| {
         let mut buf = vec![1u8; 128 << 10];
         let send_counts = COUNTS[rank].to_vec();
         let recv_counts: Vec<usize> = (0..2).map(|src| COUNTS[src][rank]).collect();

@@ -1,8 +1,8 @@
-//! Integration and property tests for the chunk-pipelined collectives
-//! (`lci::coll`): ring allreduce, binomial broadcast/reduce, Bruck
-//! allgather, bounded-inflight alltoall, their non-blocking `i*`
-//! variants, and the equivalence of the pipelined engines with the
-//! store-and-forward `coll::naive` reference on awkward shapes
+//! Integration and property tests for the collectives (`lci::coll`):
+//! the direct reduction and the ring allreduce, binomial
+//! broadcast/reduce, Bruck allgather, bounded-inflight alltoall, their
+//! non-blocking `i*` variants, and their results against serial
+//! references computed from the seeded inputs on awkward shapes
 //! (non-power-of-two rank counts, zero-length blocks, block sizes
 //! straddling chunk boundaries).
 
@@ -49,12 +49,18 @@ fn tiny_chunk_cfg(chunk: usize) -> RuntimeConfig {
     RuntimeConfig { coll_chunk_size: chunk, ..RuntimeConfig::small() }
 }
 
+/// [`tiny_chunk_cfg`] on tcp, where an allreduce is the ring: the
+/// in-process wires reduce directly.
+fn ring_cfg(chunk: usize) -> RuntimeConfig {
+    tiny_chunk_cfg(chunk).with_device(DeviceConfig::tcp())
+}
+
 #[test]
 fn ring_allreduce_multi_chunk_nonpow2() {
     // 5 ranks (non-power-of-two), 999 u64s (not divisible by 5), 64-byte
     // chunks: blocks of 199/200 elements split across ~25 chunks each.
     let n = 5;
-    with_ranks(n, tiny_chunk_cfg(64), move |rank, rt| {
+    with_ranks(n, ring_cfg(64), move |rank, rt| {
         let mut vals: Vec<u64> = (0..999).map(|i| (rank as u64) << 32 | i).collect();
         let mut bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
         coll::allreduce(&rt, &mut bytes, &SumU64).unwrap();
@@ -80,7 +86,7 @@ fn ring_allreduce_put_chunks_pipeline() {
     // Chunks over the 4 KiB eager threshold are puts, which stay in
     // flight until their write completes, so the window high-water mark
     // must show the pipeline held at least one chunk outstanding.
-    with_ranks(3, tiny_chunk_cfg(8 << 10), |rank, rt| {
+    with_ranks(3, ring_cfg(8 << 10), |rank, rt| {
         let elems = 24 << 10; // 192 KiB -> 64 KiB blocks -> 8 chunks each
         let mut bytes = vec![0u8; elems * 8];
         for (i, c) in bytes.chunks_exact_mut(8).enumerate() {
@@ -99,8 +105,8 @@ fn ring_allreduce_put_chunks_pipeline() {
 /// What the ring computes for each element, serially: the element's
 /// block `b` (the ring's partition) starts as rank `b`'s contribution,
 /// and rank `b + k` folds it in as the incoming operand over its own
-/// bytes, `k = 1..n` — the order of the arena's harvest, which a fold in
-/// place must keep bit for bit (`SumF32` is not associative).
+/// bytes, `k = 1..n` — the order of the arena's harvest (`SumF32` is not
+/// associative). The fold order of tcp and of shm across processes.
 fn serial_ring(
     n: usize,
     len: usize,
@@ -125,48 +131,64 @@ fn serial_ring(
     out
 }
 
-/// Folds in place racing the ranks' own steps on two cores: ring
-/// allreduce at `n` = 2 and 3, `SumU64` and `SumF32` (whose rounding
-/// shows a fold done in the wrong order), blocks on both sides of the
-/// eager size and of the chunk size — so one peer's folds mix eager
-/// pieces through the arena with puts folded in place — on rank threads
-/// left unpinned, against [`serial_ring`], bit for bit.
+/// The serial rank-order left fold of the contributions `x(0..n)`: what
+/// the direct schedule computes on every element, bit for bit.
+fn serial_fold(n: usize, op: &dyn lci::ReduceOp, x: impl Fn(usize) -> Vec<u8>) -> Vec<u8> {
+    let mut acc = x(0);
+    for r in 1..n {
+        op.fold(&mut acc, &x(r));
+    }
+    acc
+}
+
+/// `len` bytes of rank `r`'s contribution in lanes of `op`: distinct per
+/// rank and element, and for `SumF32` of magnitudes whose sum rounds
+/// differently in another order.
+fn contribution(op: &dyn lci::ReduceOp, len: usize, r: usize) -> Vec<u8> {
+    if op.elem_size() == 8 {
+        (0..len / 8).flat_map(|i| ((r as u64 + 1) << 40 | i as u64).to_le_bytes()).collect()
+    } else {
+        (0..len / 4)
+            .map(|i| ((i * 7 + r * 13) % 17) as f32 * 3.1e6 - 2.5e7 + 0.37 * r as f32)
+            .flat_map(f32::to_le_bytes)
+            .collect()
+    }
+}
+
+/// The direct schedule racing the ranks' own steps on two cores, on the
+/// sim wire and in-process shm: `n` = 2, 3 and 4, `SumU64` and `SumF32`
+/// (whose rounding shows a fold done in another order), lengths with
+/// empty slices, uneven slices and slices on both sides of the eager
+/// size and of the reduction's block; allreduce, and `reduce_bytes` to
+/// rank 1; rank threads left unpinned, against [`serial_fold`], bit for
+/// bit.
 #[test]
-fn in_place_folds_match_serial_on_two_cores() {
+fn direct_reduction_matches_serial_on_two_cores() {
     let base = RuntimeConfig::default();
-    let (eager, chunk) = (base.packet.payload_size, base.coll_chunk_size);
+    let eager = base.packet.payload_size;
     for device in [DeviceConfig::ibv(), DeviceConfig::shm()] {
-        for n in [2, 3] {
+        for n in [2, 3, 4] {
             with_ranks(n, base.clone().with_device(device), move |rank, rt| {
                 let ops: [&dyn lci::ReduceOp; 2] = [&SumU64, &SumF32];
                 for op in ops {
-                    for block in [eager - 8, eager + 8, chunk - 8, chunk + 8, 2 * chunk + 8] {
-                        let len = n * block + 8;
-                        let x = |r: usize| -> Vec<u8> {
-                            if op.elem_size() == 8 {
-                                (0..len / 8)
-                                    .flat_map(|i| ((r as u64 + 1) << 40 | i as u64).to_le_bytes())
-                                    .collect()
-                            } else {
-                                (0..len / 4)
-                                    .map(|i| ((i * 7 + r * 13) % 17) as f32 * 3.1e6 - 2.5e7)
-                                    .map(|v| v + 0.37 * r as f32)
-                                    .flat_map(f32::to_le_bytes)
-                                    .collect()
-                            }
-                        };
-                        let mut buf = x(rank);
+                    let e = op.elem_size();
+                    let slices = [e, eager - 8, eager + 8, (40 << 10) + 8];
+                    for len in slices.map(|s| n * s + e).into_iter().chain([(n - 1) * e]) {
+                        let want = serial_fold(n, op, |r| contribution(op, len, r));
+                        let mut buf = contribution(op, len, rank);
                         coll::allreduce(&rt, &mut buf, op).unwrap();
-                        let want = serial_ring(n, len, op, x);
+                        assert!(buf == want, "rank {rank} of {n}, allreduce {len} B, lane {e}");
+                        let mut buf = contribution(op, len, rank);
+                        let root = coll::reduce_bytes(&rt, 1, &mut buf, op).unwrap();
                         assert!(
-                            buf == want,
-                            "rank {rank} of {n}, {len} B, lane {}",
-                            op.elem_size()
+                            !root || buf == want,
+                            "rank {rank} of {n}, reduce {len} B, lane {e}"
                         );
                     }
                 }
-                let folded = rt.device().stats().coll_folded_bytes;
-                assert!(folded > 0, "rank {rank} of {n} folded nothing in place");
+                let d = rt.device().stats();
+                assert!(d.coll_direct_bytes > 0, "rank {rank} of {n} reduced nothing directly");
+                assert_eq!(d.coll_bytes, 0, "rank {rank} of {n}: a reduction sent pieces");
             });
         }
     }
@@ -348,10 +370,6 @@ fn run_v_matrix(cfg: RuntimeConfig, counts: Vec<Vec<usize>>) -> Vec<(u64, u64)> 
             (0..n).flat_map(|src| (0..recv_counts[src]).map(move |i| vpat(src, rank, i))).collect();
         assert_eq!(recv, want, "rank {rank} receive permutation");
         let stats = rt.device().stats();
-        // The store-and-forward reference computes the same permutation.
-        recv.fill(0);
-        coll::naive::alltoallv(&rt, &send, &send_counts, &mut recv, &recv_counts).unwrap();
-        assert_eq!(recv, want, "rank {rank} receive permutation (naive)");
         (stats.coll_skipped_pairs, stats.coll_v_bytes_hwm)
     })
 }
@@ -564,8 +582,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..Default::default() })]
 
     /// The pipelined alltoallv engine matches the reference permutation
-    /// (and the `coll::naive` store-and-forward exchange matches it too,
-    /// on the same runtime — see `run_v_matrix`) across adversarial
+    /// (`run_v_matrix`) across adversarial
     /// shapes — all-empty, one giant block, all-to-one skew, ragged chunk
     /// straddles, sparse random — on the sim transport, with the shm
     /// device covering a sample of shapes.
@@ -589,55 +606,51 @@ proptest! {
 }
 
 /// Runs one fixed scenario (allreduce + allgather + alltoall, and
-/// reduce + broadcast against the allreduce) across
-/// `n` ranks, once through the pipelined engines and once through the
-/// `coll::naive` reference on the same runtimes, asserting on every
-/// rank that the two agree.
+/// reduce + broadcast against the allreduce) across `n` ranks and checks
+/// every rank's results against references computed serially from the
+/// seeded inputs.
 fn run_scenario(n: usize, cfg: RuntimeConfig, elems: usize, block: usize) {
     with_ranks(n, cfg, move |rank, rt| {
         // Allreduce: position-tagged contributions, sum.
-        let vals: Vec<u64> = (0..elems).map(|i| (rank as u64 + 1) * (i as u64 + 1)).collect();
-        let contrib: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let contrib = |r: usize| -> Vec<u8> {
+            (0..elems).flat_map(|i| ((r as u64 + 1) * (i as u64 + 1)).to_le_bytes()).collect()
+        };
         // Allgather: per-rank fill pattern.
-        let mine: Vec<u8> = (0..block).map(|i| (rank * 31 + i) as u8).collect();
+        let mine = |r: usize| -> Vec<u8> { (0..block).map(|i| (r * 31 + i) as u8).collect() };
         // Alltoall: (src, dst)-tagged blocks.
-        let send: Vec<u8> =
-            (0..block * n).map(|i| (rank * 17 + (i / block.max(1)) * 5 + i) as u8).collect();
+        let send = |r: usize| -> Vec<u8> {
+            (0..block * n).map(|i| (r * 17 + (i / block.max(1)) * 5 + i) as u8).collect()
+        };
+        let sum = serial_fold(n, &SumU64, contrib);
+        let gathered: Vec<u8> = (0..n).flat_map(mine).collect();
+        let to_me: Vec<u8> =
+            (0..n).flat_map(|r| send(r)[rank * block..][..block].to_vec()).collect();
 
-        let [pipelined, naive] = [false, true].map(|naive| {
-            let mut ar = contrib.clone();
-            let mut ag = vec![0u8; block * n];
-            let mut a2a = vec![0u8; block * n];
-            // Reduce to rank 0 then broadcast: what `allreduce` runs past
-            // `MAX_RING_RANKS`.
-            let mut rb = contrib.clone();
-            if naive {
-                coll::naive::allreduce(&rt, &mut ar, &SumU64).unwrap();
-                coll::naive::allgather_bytes(&rt, &mine, &mut ag).unwrap();
-                coll::naive::alltoall_bytes(&rt, &send, &mut a2a).unwrap();
-                rb.copy_from_slice(&ar);
-            } else {
-                coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
-                coll::allgather_bytes(&rt, &mine, &mut ag).unwrap();
-                coll::alltoall_bytes(&rt, &send, &mut a2a).unwrap();
-                coll::reduce_bytes(&rt, 0, &mut rb, &SumU64).unwrap();
-                coll::broadcast_bytes(&rt, 0, &mut rb).unwrap();
-            }
-            [ar, ag, a2a, rb]
-        });
-        assert_eq!(pipelined, naive, "rank {rank}");
+        let mut ar = contrib(rank);
+        let mut ag = vec![0u8; block * n];
+        let mut a2a = vec![0u8; block * n];
+        coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
+        coll::allgather_bytes(&rt, &mine(rank), &mut ag).unwrap();
+        coll::alltoall_bytes(&rt, &send(rank), &mut a2a).unwrap();
+        // Reduce to rank 0 then broadcast: what `allreduce` runs past
+        // `MAX_RING_RANKS` on a wire that cannot address every rank.
+        let mut rb = contrib(rank);
+        coll::reduce_bytes(&rt, 0, &mut rb, &SumU64).unwrap();
+        coll::broadcast_bytes(&rt, 0, &mut rb).unwrap();
+        assert_eq!([ar, ag, a2a, rb], [sum.clone(), gathered, to_me, sum], "rank {rank}");
     });
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..Default::default() })]
 
-    /// The pipelined engines and the `coll::naive` reference compute the
-    /// same results on awkward shapes: non-power-of-two rank counts,
-    /// zero-length payloads, and block sizes straddling multiples of
-    /// the chunk size (k*chunk - 1, k*chunk, k*chunk + 1).
+    /// The collectives compute the serial references on awkward shapes:
+    /// non-power-of-two rank counts, zero-length payloads, and block sizes
+    /// straddling multiples of the chunk size (k*chunk - 1, k*chunk,
+    /// k*chunk + 1); on the sim wire, and on tcp, where the reductions
+    /// are the ring and the binomial tree.
     #[test]
-    fn pipelined_matches_naive(
+    fn collectives_match_serial(
         n in 2usize..6,
         chunk_elems in 1usize..5,
         k in 0usize..4,
@@ -647,6 +660,7 @@ proptest! {
         let elems = ((k * chunk_elems) as i64 + off - 1).max(0) as usize;
         let block = elems * 8;
         run_scenario(n, tiny_chunk_cfg(chunk), elems, block);
+        run_scenario(n, ring_cfg(chunk), elems, block);
     }
 }
 
@@ -677,12 +691,13 @@ fn with_sibling_progress<T>(rt: &Runtime, sibling: bool, f: impl FnOnce() -> T) 
     })
 }
 
-/// The three engines whose pieces are both sent from and landed in one
-/// buffer — ring allreduce (a range sent in round `t` is landed on in
-/// round `t+n−1`), Bruck allgather (the prefix is sent while the round's
-/// arrival lands behind it) and the streamed broadcast (a chunk is
-/// forwarded from where it landed) — against the `coll::naive`
-/// reference on the same runtimes.
+/// The engines whose pieces are both sent from and landed in one buffer
+/// — the allreduce (the ring sends a range in round `t` and lands on it
+/// in round `t+n−1`; the direct schedule reads and writes every rank's
+/// slice in place), Bruck allgather (the prefix is sent while the
+/// round's arrival lands behind it) and the streamed broadcast (a chunk
+/// is forwarded from where it landed) — against references computed
+/// serially from the seeded inputs.
 fn run_lent_scenario(
     n: usize,
     cfg: RuntimeConfig,
@@ -692,30 +707,24 @@ fn run_lent_scenario(
     sibling: bool,
 ) {
     with_ranks(n, cfg, move |rank, rt| {
-        let contrib: Vec<u8> =
-            (0..elems).flat_map(|i| ((rank as u64 + 3) * (i as u64 + 1)).to_le_bytes()).collect();
-        let mine: Vec<u8> = (0..block).map(|i| (rank * 29 + i) as u8).collect();
+        let contrib = |r: usize| -> Vec<u8> {
+            (0..elems).flat_map(|i| ((r as u64 + 3) * (i as u64 + 1)).to_le_bytes()).collect()
+        };
+        let mine = |r: usize| -> Vec<u8> { (0..block).map(|i| (r * 29 + i) as u8).collect() };
         let root = n - 1;
         let seed: Vec<u8> = (0..bcast).map(|i| (i % 253) as u8 ^ 0x5A).collect();
+        let want =
+            [serial_fold(n, &SumU64, contrib), (0..n).flat_map(mine).collect(), seed.clone()];
 
-        let [lent, naive] = [false, true].map(|naive| {
-            let mut ar = contrib.clone();
-            let mut ag = vec![0u8; block * n];
-            let mut bc = if rank == root { seed.clone() } else { vec![0u8; bcast] };
-            if naive {
-                coll::naive::allreduce(&rt, &mut ar, &SumU64).unwrap();
-                coll::naive::allgather_bytes(&rt, &mine, &mut ag).unwrap();
-                coll::naive::broadcast_bytes(&rt, root, &mut bc).unwrap();
-            } else {
-                with_sibling_progress(&rt, sibling, || {
-                    coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
-                    coll::allgather_bytes(&rt, &mine, &mut ag).unwrap();
-                    coll::broadcast_bytes(&rt, root, &mut bc).unwrap();
-                });
-            }
-            [ar, ag, bc]
+        let mut ar = contrib(rank);
+        let mut ag = vec![0u8; block * n];
+        let mut bc = if rank == root { seed } else { vec![0u8; bcast] };
+        with_sibling_progress(&rt, sibling, || {
+            coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
+            coll::allgather_bytes(&rt, &mine(rank), &mut ag).unwrap();
+            coll::broadcast_bytes(&rt, root, &mut bc).unwrap();
         });
-        assert_eq!(lent, naive, "rank {rank} of {n}, sibling progress {sibling}");
+        assert_eq!([ar, ag, bc], want, "rank {rank} of {n}, sibling progress {sibling}");
     });
 }
 
@@ -728,10 +737,12 @@ proptest! {
     /// last chunk per block), fewer elements than ranks (empty blocks);
     /// pieces under the eager limit (an eager copy into a lent landing,
     /// inline at 24 B) and over it (a put into a granted landing, written
-    /// by the sender's thread on the sims); each case alone and with a
-    /// sibling thread per rank delivering and completing.
+    /// by the sender's thread on the sims, by the drain on tcp); on the
+    /// sim wire, whose allreduce is direct, and on tcp, whose allreduce
+    /// is the ring; each case alone and with a sibling thread per rank
+    /// delivering and completing.
     #[test]
-    fn lent_pieces_match_naive(
+    fn lent_pieces_match_serial(
         n in prop::sample::select(vec![2usize, 3, 5]),
         chunk_elems in prop::sample::select(vec![3usize, 5, 7, 513, 600]),
         shape in 0usize..3,
@@ -749,33 +760,41 @@ proptest! {
         // limit (4 KiB packets in the small config) as the chunk.
         let block = chunk + 11;
         let bcast = 3 * chunk + 5;
-        for sibling in [false, true] {
-            run_lent_scenario(n, tiny_chunk_cfg(chunk), elems, block, bcast, sibling);
+        for (cfg, sibling) in [false, true].map(|s| (tiny_chunk_cfg(chunk), s))
+            .into_iter()
+            .chain([false, true].map(|s| (ring_cfg(chunk), s)))
+        {
+            run_lent_scenario(n, cfg, elems, block, bcast, sibling);
         }
     }
 }
 
 /// Warm blocking collectives take nothing from the device's buffer
 /// pool, and every byte they send is accounted for. Two ranks, default
-/// config, `allreduce(1 MiB)` + `alltoallv(128 KiB each way)`: per rank
-/// and iteration sixteen 64 KiB ring chunks and two 64 KiB pieces, all
-/// puts into granted memory — no rendezvous, no chunk pump. An
-/// `ialltoallv` of the same block rides along: the handle lends its own
-/// buffers, so its two pieces take nothing either. What is still
-/// two-sided is counted: per rank and iteration three grants (one per
-/// call with puts) and the handle's one 8-byte count piece, each copied
-/// into its posted receive once. On the in-process wires the ring's
-/// eight reduce-scatter chunks are folded in place by their sender
-/// (`coll_folded_bytes`) and only the rest are written (`rma_direct_bytes`),
-/// so the allreduce grows no fold arena; tcp frames every byte and folds
-/// through the arena, whose registration is the first call's second.
+/// config, `allreduce(1 MiB)` + `alltoallv(128 KiB each way)` + an
+/// `ialltoallv` of the same block (the handle lends its own buffers), 4
+/// warm iterations. Per rank and iteration:
+///
+/// * on tcp the allreduce is the ring: sixteen 64 KiB chunks, all puts
+///   (8 folded through the arena, 8 landed), so `rma_framed_bytes` is
+///   the 1 MiB plus the exchanges' 2 × 128 KiB, each as two 64 KiB puts,
+///   and the first call registers the landing and the arena;
+/// * on the in-process wires it is the direct schedule: this rank
+///   reduces its 512 KiB slice of both buffers itself
+///   (`coll_direct_bytes`) and posts no data put, only its one grant and
+///   its one zero-byte signal, so `rma_direct_bytes` is the exchanges'
+///   256 KiB alone, `coll_bytes` counts no allreduce byte, and the first
+///   call registers the landing alone;
+/// * everywhere, three grants (one per call with puts) and the handle's
+///   one 8-byte count piece are the two-sided deliveries, each copied
+///   into its posted receive once; no rendezvous, no chunk pump.
 #[test]
 fn blocking_collectives_take_nothing_from_the_pool() {
     const MIB: usize = 1 << 20;
     const V: usize = 128 << 10;
     const ITERS: u64 = 4;
-    const WIRE: u64 = ITERS * (MIB + 2 * V) as u64;
-    const FOLDED: u64 = ITERS * (MIB / 2) as u64;
+    const EXCHANGED: u64 = ITERS * 2 * V as u64;
+    const REDUCED: u64 = ITERS * (MIB / 2) as u64;
     const GRANTS: u64 = 3;
     const EAGER_PIECES: u64 = 1;
     let wires = [
@@ -788,15 +807,15 @@ fn blocking_collectives_take_nothing_from_the_pool() {
         let cfg = RuntimeConfig::default().with_device(device);
         let ledger = with_ranks_ret(2, cfg, move |rank, rt| {
             let peer = 1 - rank;
-            let contrib: Vec<u8> = (0..MIB / 8)
-                .flat_map(|i| ((rank as u64 + 1) * (i as u64 + 1)).to_le_bytes())
-                .collect();
+            let contrib = |r: usize| -> Vec<u8> {
+                (0..MIB / 8).flat_map(|i| ((r as u64 + 1) * (i as u64 + 1)).to_le_bytes()).collect()
+            };
             let mut counts = [0usize; 2];
             counts[peer] = V;
             let send: Vec<u8> = (0..V).map(|i| vpat(rank, peer, i)).collect();
             let mut blocks = vec![Vec::new(), Vec::new()];
             blocks[peer] = send.clone();
-            let mut ar = contrib.clone();
+            let mut ar = contrib(rank);
             let mut recv = vec![0u8; V];
             let (cold, mut base) = (rt.device().stats(), rt.device().stats());
             let mut registered = 0;
@@ -804,7 +823,7 @@ fn blocking_collectives_take_nothing_from_the_pool() {
                 if i == 8 {
                     base = rt.device().stats();
                 }
-                ar.copy_from_slice(&contrib);
+                ar.copy_from_slice(&contrib(rank));
                 coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
                 if i == 0 {
                     registered = rt.device().stats().since(&cold).reg_cache_misses;
@@ -815,12 +834,17 @@ fn blocking_collectives_take_nothing_from_the_pool() {
             }
             let d = rt.device().stats().since(&base);
 
-            let mut ar_ref = contrib.clone();
-            let mut recv_ref = vec![0u8; V];
-            coll::naive::allreduce(&rt, &mut ar_ref, &SumU64).unwrap();
-            coll::naive::alltoallv(&rt, &send, &counts, &mut recv_ref, &counts).unwrap();
-            assert!(ar == ar_ref, "{wire} rank {rank}: allreduce differs from coll::naive");
-            assert!(recv == recv_ref, "{wire} rank {rank}: alltoallv differs from coll::naive");
+            let want = if wire == "tcp" {
+                serial_ring(2, MIB, &SumU64, contrib)
+            } else {
+                serial_fold(2, &SumU64, contrib)
+            };
+            assert!(ar == want, "{wire} rank {rank}: allreduce differs from the serial fold");
+            let from_peer: Vec<u8> = (0..V).map(|i| vpat(peer, rank, i)).collect();
+            assert!(
+                recv == from_peer,
+                "{wire} rank {rank}: alltoallv differs from the peer's block"
+            );
             assert_eq!((d.rendezvous, d.rdv_chunks_posted), (0, 0), "{wire} rank {rank}");
             // `matched` counts the arrivals that found their receive
             // posted; one that beat it is copied in when the receive is
@@ -828,23 +852,33 @@ fn blocking_collectives_take_nothing_from_the_pool() {
             let two_sided = ITERS * (GRANTS + EAGER_PIECES);
             assert_eq!(d.copied_deliveries, two_sided, "{wire} rank {rank}: two-sided deliveries");
             assert!(d.matched <= two_sided, "{wire} rank {rank}: {} matched", d.matched);
-            // The puts' bytes, folded or written, and the 8-byte counts.
-            let sent = WIRE + ITERS * EAGER_PIECES * 8;
-            assert_eq!(d.coll_bytes, sent, "{wire} rank {rank}: collective bytes sent");
             let takes = d.buf_pool_hits + d.buf_pool_misses;
-            (takes, d.rma_direct_bytes, d.rma_framed_bytes, d.coll_folded_bytes, registered)
+            (
+                takes,
+                d.rma_direct_bytes,
+                d.rma_framed_bytes,
+                d.coll_direct_bytes,
+                d.coll_bytes,
+                registered,
+            )
         });
-        for (rank, (takes, direct, framed, folded, registered)) in ledger.into_iter().enumerate() {
+        let eager_bytes = ITERS * EAGER_PIECES * 8;
+        for (rank, (takes, direct, framed, reduced, sent, registered)) in
+            ledger.into_iter().enumerate()
+        {
             if wire == "tcp" {
                 // The codec's staging is the wire's own; recorded, not
                 // asserted.
                 println!("tcp rank {rank}: {takes} pool takes in 4 warm iterations");
-                assert_eq!((direct, framed, folded), (0, WIRE, 0), "tcp rank {rank}");
+                let wire_bytes = ITERS * MIB as u64 + EXCHANGED;
+                assert_eq!((direct, framed, reduced), (0, wire_bytes, 0), "tcp rank {rank}");
+                assert_eq!(sent, wire_bytes + eager_bytes, "tcp rank {rank}: bytes sent");
                 assert_eq!(registered, 2, "tcp rank {rank}: the landing and the arena");
             } else {
                 assert_eq!(takes, 0, "{wire} rank {rank}: pool takes in 4 warm iterations");
-                let want = (WIRE - FOLDED, 0, FOLDED);
-                assert_eq!((direct, framed, folded), want, "{wire} rank {rank}");
+                let want = (EXCHANGED, 0, REDUCED);
+                assert_eq!((direct, framed, reduced), want, "{wire} rank {rank}");
+                assert_eq!(sent, EXCHANGED + eager_bytes, "{wire} rank {rank}: bytes sent");
                 assert_eq!(registered, 1, "{wire} rank {rank}: the landing, and no arena");
             }
         }
@@ -856,13 +890,14 @@ fn blocking_collectives_take_nothing_from_the_pool() {
     let cfg = RuntimeConfig { coll_chunk_size: MIB, ..RuntimeConfig::default() }
         .with_device(DeviceConfig::tcp());
     with_ranks(2, cfg, |rank, rt| {
-        let contrib: Vec<u8> = (0..BIG).map(|i| (i % 251) as u8 ^ rank as u8).collect();
-        let (mut ar, mut ar_ref) = (contrib.clone(), contrib);
+        let contrib =
+            |r: usize| -> Vec<u8> { (0..BIG).map(|i| (i % 251) as u8 ^ r as u8).collect() };
+        let mut ar = contrib(rank);
         let base = rt.device().stats();
         coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
         let d = rt.device().stats().since(&base);
-        coll::naive::allreduce(&rt, &mut ar_ref, &SumU64).unwrap();
-        assert!(ar == ar_ref, "tcp rank {rank}: a 3 MiB allreduce differs from coll::naive");
+        let want = serial_ring(2, BIG, &SumU64, contrib);
+        assert!(ar == want, "tcp rank {rank}: a 3 MiB allreduce differs from the serial ring");
         assert_eq!((d.rendezvous, d.rma_framed_bytes), (0, BIG as u64), "tcp rank {rank}");
         assert_eq!(d.copied_deliveries, 1, "tcp rank {rank}: one grant, no other two-sided piece");
     });
@@ -882,13 +917,15 @@ fn fold_panic_mid_allreduce_aborts_the_process() {
     fold_panic_aborts("fold_panic_mid_allreduce_aborts_the_process", DeviceConfig::tcp());
 }
 
-/// The same on the sim wire, where every fold of a 2-rank ring is its
-/// sender's, in place: rank 0's panicking fold runs inside its own step,
-/// over rank 1's accumulator, before the signal that would hand it over.
+/// The same on the sim wire, where the allreduce is the direct schedule:
+/// rank 0's panicking fold runs inside its own step, in its reduction of
+/// its slice, after rank 1 may have written its own slice of rank 0's
+/// buffer and before rank 0 has written its slice of rank 1's — both
+/// buffers are half-written, and only the abort is sound.
 #[cfg(unix)]
 #[test]
-fn in_place_fold_panic_aborts_the_process() {
-    fold_panic_aborts("in_place_fold_panic_aborts_the_process", DeviceConfig::ibv());
+fn direct_fold_panic_aborts_the_process() {
+    fold_panic_aborts("direct_fold_panic_aborts_the_process", DeviceConfig::ibv());
 }
 
 /// Runs test `name` again as a child whose rank 0 allreduces 64 KiB (put
