@@ -110,7 +110,9 @@ pub(crate) struct DevShared {
     /// unpolled local completions (send-queue depth) and surfaces as
     /// `Retry(QueueFull)`.
     cq_staging: MpmcRing<Cqe>,
-    /// The polled CQ; its lock models the `ibv_poll_cq` spinlock.
+    /// The polled CQ, which holds what spilled past a full staging ring.
+    /// Its lock models the `ibv_poll_cq` spinlock, and whoever holds it
+    /// is the staging ring's only popper.
     cq: SpinLock<VecDeque<Cqe>>,
     /// What [`NetDevice::doorbell`](crate::backend::NetDevice::doorbell)
     /// hands out. Nothing in this crate rings it: progress is whoever
@@ -186,10 +188,11 @@ impl DevShared {
     }
 
     /// Moves every staged completion into the polled CQ, oldest first.
-    fn collect_staged(&self, cq: &mut VecDeque<Cqe>) {
-        while let Some(cqe) = self.cq_staging.pop() {
-            cq.push_back(cqe);
-        }
+    /// The guard is the proof `drain` asks for.
+    fn collect_staged(&self, cq: &mut SpinGuard<'_, VecDeque<Cqe>>) {
+        // SAFETY: every pop of the staging ring happens under the `cq`
+        // lock (here, `poll` and `teardown`), and `cq` holds it.
+        unsafe { self.cq_staging.drain(usize::MAX, |cqe| cq.push_back(cqe)) };
     }
 
     /// Appends to the shared receive queue under one blocking SRQ
@@ -244,15 +247,18 @@ impl DevShared {
         Ok(())
     }
 
-    /// `poll_cq` once the wire (if any) has been drained: collects
-    /// staged completions and hands out up to `max` CQEs.
+    /// `poll_cq` once the wire (if any) has been drained: hands out up
+    /// to `max` CQEs, the polled CQ's spill first (it is older than
+    /// anything staged), then the staging ring's, straight into `out`.
     pub(crate) fn poll(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
         let mut cq =
             self.discipline.acquire(&self.cq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
-        self.collect_staged(&mut cq);
-        let n = max.min(cq.len());
-        out.extend(cq.drain(..n));
-        Ok(n)
+        let spilled = max.min(cq.len());
+        out.extend(cq.drain(..spilled));
+        // SAFETY: every pop of the staging ring happens under the `cq`
+        // lock, held here.
+        let staged = unsafe { self.cq_staging.drain(max - spilled, |cqe| out.push(cqe)) };
+        Ok(spilled + staged)
     }
 
     /// Closes the device and hands back every still-posted receive —

@@ -17,6 +17,12 @@
 //! (`Backoff::snooze`), where upstream only spins: the claimant may be a
 //! thread this one shares its core with.
 //!
+//! One addition: [`MpmcRing::drain`], for a caller that is the ring's
+//! only popper while it runs (the staging ring's poller, under the CQ
+//! lock). It takes the run queued at `head`, restamps each slot, and
+//! moves `head` past the run with one store: a poll that hands out 32
+//! completions pays one store where 32 pops paid 32 CASes.
+//!
 //! The ring is a zero-filled anonymous mapping, not heap: its two
 //! counters, then its slots. A slot stores its stamp *less its own
 //! index*, so all-zero memory is an empty ring and creating one writes
@@ -77,8 +83,8 @@ pub struct MpmcRing<T> {
 // possibly on another thread (`T: Send`); it never shares a `&T`. What
 // threads share in the mapping — `head`, `tail` and the stamps — is
 // atomic, a slot's value is only touched by the one thread its stamp
-// admits (see `try_push` and `pop`), and `mask` is not written after
-// `new`.
+// admits (see `try_push` and `pop`; `drain`'s caller excludes every
+// other popper), and `mask` is not written after `new`.
 unsafe impl<T: Send> Send for MpmcRing<T> {}
 // SAFETY: as above.
 unsafe impl<T: Send> Sync for MpmcRing<T> {}
@@ -174,6 +180,69 @@ impl<T> MpmcRing<T> {
         let value = unsafe { slot.value.get().read().assume_init() };
         slot.stamp.store(lap.wrapping_add(self.capacity()), Ordering::Release);
         Some(value)
+    }
+
+    /// Pops up to `max` items, oldest first, handing each to `sink`, and
+    /// returns how many: the drain of a caller that is the ring's only
+    /// popper while it runs. It takes the run queued at `head`, restamps
+    /// each slot it empties for the next lap, and then moves `head` past
+    /// them with one store, where `pop` claims each item with a CAS. Like
+    /// `pop`, it stops only at a position no push has claimed (a claimed
+    /// slot is waited for until its push publishes), so every push that
+    /// returned before the drain began is drained, up to `max`.
+    ///
+    /// Until the store, pushers see the drained slots free and the ring
+    /// as long as it was; `len` and `is_full` read the old length. A
+    /// `sink` that panics leaves `head` behind the slots it emptied, and
+    /// the ring's next pop waits forever.
+    ///
+    /// # Safety
+    /// No other `pop` or `drain` of this ring runs until this returns
+    /// (every popper holds one lock, say). Two poppers would both read
+    /// the value at `head`.
+    pub unsafe fn drain(&self, max: usize, mut sink: impl FnMut(T)) -> usize {
+        // Only poppers write `head`, and the caller excludes the others.
+        let head = self.head().load(Ordering::Relaxed);
+        let mut pos = head;
+        while pos.wrapping_sub(head) < max {
+            let (slot, lap) = (self.slot(pos), pos & !self.mask);
+            if slot.stamp.load(Ordering::Acquire) != lap + 1 {
+                // Empty at `pos`, unless a push claimed it and has yet to
+                // publish (the `SeqCst` load, as in `try_claim_pop`).
+                if self.tail().load(Ordering::SeqCst) == pos {
+                    break;
+                }
+                Self::wait_published(slot, lap);
+            }
+            // SAFETY: the stamp says the push at `pos` has written the
+            // value and released it, and this is the only popper, so
+            // nobody else reads it; no push writes the slot before the
+            // stamp below says it is empty for the next lap.
+            let value = unsafe { slot.value.get().read().assume_init() };
+            slot.stamp.store(lap.wrapping_add(self.capacity()), Ordering::Release);
+            pos = pos.wrapping_add(1);
+            sink(value);
+        }
+        if pos != head {
+            // The one store that replaces each pop's claiming CAS. Not
+            // `SeqCst` (a locked `xchg` on x86): a push that reads the new
+            // `head` also sees the slots restamped, and one that reads the
+            // old `head` finds the ring as full as it was before this
+            // drain, which `try_push` reports as full.
+            self.head().store(pos, Ordering::Release);
+        }
+        pos.wrapping_sub(head)
+    }
+
+    /// Waits (spinning, then yielding the core) until the push that
+    /// claimed `slot` at lap `lap` has published its value.
+    #[cold]
+    #[inline(never)]
+    fn wait_published(slot: &Slot<T>, lap: usize) {
+        let backoff = Backoff::new();
+        while slot.stamp.load(Ordering::Acquire) != lap + 1 {
+            backoff.snooze();
+        }
     }
 
     /// One attempt to claim the slot at `tail` for a push: the slot and
@@ -300,7 +369,7 @@ impl<T> Drop for MpmcRing<T> {
 mod tests {
     use super::MpmcRing;
     use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Barrier;
 
     #[test]
@@ -342,7 +411,8 @@ mod tests {
             let (mut pushed, mut was_full, mut was_empty) = (0u64, 0, 0);
             for step in 0..4000 {
                 let push_bias = if (step / 50) % 2 == 0 { 3 } else { 1 };
-                if next() % 4 < push_bias {
+                let op = next() % 8;
+                if op < 2 * push_bias {
                     let res = q.try_push(pushed);
                     if model.len() < cap {
                         assert_eq!(res, Ok(()), "cap {cap}: push refused below capacity");
@@ -352,8 +422,17 @@ mod tests {
                         assert_eq!(res, Err(pushed), "cap {cap}: push accepted when full");
                         was_full += 1;
                     }
-                } else {
+                } else if op < 7 {
                     assert_eq!(q.pop(), model.pop_front(), "cap {cap}: pop");
+                    was_empty += usize::from(model.is_empty());
+                } else {
+                    // A batch of up to one past the capacity, 0 included.
+                    let max = next() as usize % (cap + 2);
+                    let mut got = Vec::new();
+                    // SAFETY: this thread is the ring's only user.
+                    let n = unsafe { q.drain(max, |v| got.push(v)) };
+                    let want: Vec<u64> = model.drain(..max.min(model.len())).collect();
+                    assert_eq!((n, got), (want.len(), want), "cap {cap}: drain of {max}");
                     was_empty += usize::from(model.is_empty());
                 }
                 assert_eq!(q.len(), model.len(), "cap {cap}: len");
@@ -362,6 +441,79 @@ mod tests {
             }
             assert!(pushed >= 3 * cap as u64, "cap {cap}: only {pushed} pushes, under 3 laps");
             assert!(was_full > 0 && was_empty > 0, "cap {cap}: never full or never empty");
+        }
+    }
+
+    /// What `dev_shared::DevShared::poll` relies on: 3 producers push
+    /// into a ring of 8 while one consumer drains it in batches of 1 to
+    /// 8 under a lock, the way a poller drains the staging ring under
+    /// the CQ lock. Every item arrives exactly once and in each
+    /// producer's order, and `try_push` refuses only a full ring: at a
+    /// refusal the ring held at least `cap` items by the counts the
+    /// producers and the consumer publish around their operations.
+    #[test]
+    fn one_popper_drains_while_three_push() {
+        const PRODUCERS: usize = 3;
+        const PER_PRODUCER: usize = 30_000;
+        let q: MpmcRing<(usize, usize)> = MpmcRing::new(8);
+        let cap = q.capacity();
+        let popper = std::sync::Mutex::new(Vec::new());
+        // Pushes that have returned `Ok`, and items drained by drains
+        // that have returned.
+        let (pushed, drained) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        // Set by a producer that fails, so the consumer stops waiting.
+        let failed = AtomicBool::new(false);
+        let start = Barrier::new(PRODUCERS + 1);
+        std::thread::scope(|s| {
+            for p in 0..PRODUCERS {
+                let (q, start, pushed, drained, failed) = (&q, &start, &pushed, &drained, &failed);
+                s.spawn(move || {
+                    start.wait();
+                    let mut i = 0;
+                    while i < PER_PRODUCER {
+                        let gone = drained.load(Ordering::Acquire);
+                        if q.try_push((p, i)).is_ok() {
+                            pushed.fetch_add(1, Ordering::Release);
+                            i += 1;
+                            continue;
+                        }
+                        // Queued at the refusal: at most every returned
+                        // push plus the other producers' claims in
+                        // flight, less at least what had been drained
+                        // before the attempt.
+                        let most = pushed.load(Ordering::Acquire) + PRODUCERS - 1 - gone;
+                        if most < cap {
+                            failed.store(true, Ordering::Relaxed);
+                            panic!("push refused with at most {most} of {cap} queued");
+                        }
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            start.wait();
+            let mut batch = 0;
+            while drained.load(Ordering::Relaxed) < PRODUCERS * PER_PRODUCER
+                && !failed.load(Ordering::Relaxed)
+            {
+                let mut got = popper.lock().unwrap();
+                batch = batch % cap + 1;
+                // SAFETY: every drain of `q` runs under `popper`.
+                let n = unsafe { q.drain(batch, |item| got.push(item)) };
+                assert!(n <= batch);
+                drained.fetch_add(n, Ordering::Release);
+                drop(got);
+                if n == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        assert!(q.is_empty() && q.pop().is_none());
+        let got = popper.into_inner().unwrap();
+        assert_eq!(got.len(), PRODUCERS * PER_PRODUCER, "an item was lost or drained twice");
+        let mut next = [0; PRODUCERS];
+        for (p, i) in got {
+            assert_eq!(i, next[p], "producer {p}: item {i} drained out of order");
+            next[p] += 1;
         }
     }
 

@@ -22,7 +22,7 @@ use crate::error::{FatalError, PostResult, Result};
 use crate::packet_pool::Packet;
 use crate::proto::{Header, MsgType, RtrPayload};
 use crate::runtime::RuntimeInner;
-use crate::stats::DeviceStats;
+use crate::stats::{DeviceStats, Tally};
 use crate::types::{
     CompDesc, CompKind, DataBuf, Direction, Landing, MatchingPolicy, RComp, Rank, SendBuf, Tag,
 };
@@ -345,10 +345,19 @@ impl Device {
     /// network, reacts to completions, and replenishes pre-posted
     /// receives. Returns whether any work was done.
     pub fn progress(&self) -> Result<bool> {
+        let mut tally = Tally::default();
+        let res = self.progress_tallied(&mut tally);
+        self.inner.stats.add_tally(&tally);
+        res
+    }
+
+    /// [`progress`](Self::progress), counting its completions and
+    /// deliveries in `tally`.
+    fn progress_tallied(&self, tally: &mut Tally) -> Result<bool> {
         self.inner.stats.bump(|c| &c.progress_calls);
         let mut did = false;
         did |= self.drain_backlog()?;
-        did |= self.retry_pending_inbound()?;
+        did |= self.retry_pending_inbound(tally)?;
         if self.inner.coalescer.enabled() {
             did |= self.flush_idle_coalesced()?;
         }
@@ -369,11 +378,9 @@ impl Device {
         match self.inner.net.poll_cq(cqes, PROGRESS_BATCH) {
             Ok(n) => {
                 did |= n > 0;
-                if n > 0 {
-                    self.inner.stats.add(|c| &c.completions, n as u64);
-                }
+                tally.completions += n as u64;
                 for cqe in cqes.drain(..) {
-                    self.handle_cqe(cqe)?;
+                    self.handle_cqe(cqe, tally)?;
                 }
             }
             Err(NetError::Retry(_)) => {
@@ -507,8 +514,7 @@ impl Device {
     }
 
     /// Reacts to one completion (paper Figure 1, steps 4-8).
-    /// `progress` counts them once per poll.
-    fn handle_cqe(&self, cqe: Cqe) -> Result<()> {
+    fn handle_cqe(&self, cqe: Cqe, tally: &mut Tally) -> Result<()> {
         match cqe.kind {
             CqeKind::SendDone | CqeKind::WriteDone | CqeKind::ReadDone => {
                 if cqe.ctx == 0 {
@@ -527,7 +533,7 @@ impl Device {
                     OpCtx::Get(op) => self.get_done(op),
                 }
             }
-            CqeKind::RecvDone => self.handle_incoming(cqe),
+            CqeKind::RecvDone => self.handle_incoming(cqe, tally),
             CqeKind::WriteImmRecv => {
                 // A pre-posted receive was consumed without data.
                 self.inner.rt.pool.put_idxs(&[cqe.ctx as u32]);
@@ -536,7 +542,7 @@ impl Device {
                     MsgType::Fin => self.handle_fin(hdr.aux),
                     MsgType::PutSignal => {
                         let p = PendingInbound::RemoteSignal { src: cqe.src_rank, tag: hdr.tag };
-                        self.deliver_rcomp(hdr.aux, p)
+                        self.deliver_rcomp(hdr.aux, p, tally)
                     }
                     other => Err(FatalError::Net(format!("unexpected write-imm type {other:?}"))),
                 }
@@ -549,7 +555,7 @@ impl Device {
     /// `Packet` only if its bytes outlive the handling — a coalesced
     /// frame, an active message, a send that parks as unexpected — and
     /// goes straight back to the pool otherwise.
-    fn handle_incoming(&self, cqe: Cqe) -> Result<()> {
+    fn handle_incoming(&self, cqe: Cqe, tally: &mut Tally) -> Result<()> {
         let pool = &self.inner.rt.pool;
         let idx = cqe.ctx as u32;
         // SAFETY: receive contexts are leaked packet indices; the wire
@@ -562,7 +568,7 @@ impl Device {
             // SAFETY: as above, and a kept slot is not put back.
             unsafe { pool.reclaim(idx, cqe.len) }
         };
-        let res = self.deliver_incoming(&cqe, payload, keep);
+        let res = self.deliver_incoming(&cqe, payload, keep, tally);
         if !kept {
             pool.put_idxs(&[idx]);
         }
@@ -576,15 +582,17 @@ impl Device {
         cqe: &Cqe,
         payload: &[u8],
         keep: impl FnOnce() -> Packet,
+        tally: &mut Tally,
     ) -> Result<()> {
         let hdr = Header::decode(cqe.imm)?;
         match hdr.ty {
             MsgType::Eager | MsgType::EagerAm => {
-                self.deliver_eager(cqe.src_rank, hdr, payload, || DataBuf::Packet(keep(), cqe.len))
+                let park = || DataBuf::Packet(keep(), cqe.len);
+                self.deliver_eager(cqe.src_rank, hdr, payload, park, tally)
             }
             MsgType::RtsSr | MsgType::RtsAm => {
                 let rts = rdv::Rts::decode(cqe, hdr.tag, payload)?;
-                self.handle_rts(hdr, rts)
+                self.handle_rts(hdr, rts, tally)
             }
             MsgType::Rtr => {
                 let rtr = RtrPayload::decode(payload)?;
@@ -592,9 +600,11 @@ impl Device {
             }
             MsgType::GetSignal => {
                 let p = PendingInbound::RemoteSignal { src: cqe.src_rank, tag: hdr.tag };
-                self.deliver_rcomp(hdr.aux, p)
+                self.deliver_rcomp(hdr.aux, p, tally)
             }
-            MsgType::Coalesced => self.deliver_coalesced(cqe.src_rank, hdr.aux, keep(), cqe.len),
+            MsgType::Coalesced => {
+                self.deliver_coalesced(cqe.src_rank, hdr.aux, keep(), cqe.len, tally)
+            }
             MsgType::Fin | MsgType::PutSignal => {
                 Err(FatalError::Net(format!("{:?} must arrive as write-immediate", hdr.ty)))
             }

@@ -14,6 +14,7 @@ use crate::error::{FatalError, PostResult, Result};
 use crate::matching::MatchKind;
 use crate::packet_pool::Packet;
 use crate::proto::{coalesce_records, Header, MsgType};
+use crate::stats::Tally;
 use crate::types::{CompDesc, CompKind, DataBuf, Landing, MatchingPolicy, Rank, SendBuf, Tag};
 use lci_fabric::{NetError, PoolBuf};
 use std::ops::Range;
@@ -240,6 +241,7 @@ impl Device {
                         // the completion object will not be signaled.
                         let (_comp, desc) =
                             self.finish_matched_recv(recv, src, tag, data.as_slice())?;
+                        self.inner.stats.bump(|c| &c.copied_deliveries);
                         Ok(PostResult::Done(desc))
                     }
                     MatchEntry::UnexpRts(rts) => {
@@ -255,7 +257,8 @@ impl Device {
     /// Copies an eager payload into a matched receive's buffer and
     /// builds the completion descriptor. This is the one copy the
     /// zero-copy receive path keeps: the user posted their own buffer,
-    /// so the data must land there.
+    /// so the data must land there. The caller counts the copied
+    /// delivery.
     fn finish_matched_recv(
         &self,
         recv: RecvEntry,
@@ -280,7 +283,6 @@ impl Device {
                 DataBuf::Lent(len)
             }
         };
-        self.inner.stats.bump(|c| &c.copied_deliveries);
         Ok((
             recv.comp,
             CompDesc { rank: src, tag, data, user_ctx: recv.user_ctx, kind: CompKind::Recv },
@@ -300,6 +302,7 @@ impl Device {
         hdr: Header,
         payload: &[u8],
         park: impl FnOnce() -> DataBuf,
+        tally: &mut Tally,
     ) -> Result<()> {
         let tag = hdr.tag;
         match hdr.ty {
@@ -310,16 +313,18 @@ impl Device {
                 let Some(matched) = engine.insert_with(key, MatchKind::Send, entry) else {
                     return Ok(());
                 };
-                self.inner.stats.bump(|c| &c.matched);
+                tally.matched += 1;
                 let MatchEntry::Recv(recv) = matched else {
                     return Err(FatalError::Net("eager matched non-recv".into()));
                 };
                 let (comp, desc) = self.finish_matched_recv(recv, src, tag, payload)?;
+                tally.copied_deliveries += 1;
                 comp.signal(desc);
                 Ok(())
             }
             MsgType::EagerAm => {
-                self.deliver_rcomp(hdr.aux, PendingInbound::EagerAm { src, tag, data: park() })
+                let p = PendingInbound::EagerAm { src, tag, data: park() };
+                self.deliver_rcomp(hdr.aux, p, tally)
             }
             other => Err(FatalError::Net(format!("invalid eager payload type {other:?}"))),
         }
@@ -329,14 +334,14 @@ impl Device {
     /// frame is validated, its packet's count is set once to its number
     /// of records, and the records are walked in place, each delivered
     /// as a view into the packet; the slot returns to the pool when the
-    /// last view drops. The active messages it delivers at once are
-    /// counted as zero-copy deliveries once, for the frame.
+    /// last view drops.
     pub(super) fn deliver_coalesced(
         &self,
         src: Rank,
         count: u32,
         packet: Packet,
         len: usize,
+        tally: &mut Tally,
     ) -> Result<()> {
         let n = coalesce_records(&packet.as_slice()[..len]).validate()?;
         if n != count as usize {
@@ -345,8 +350,7 @@ impl Device {
             )));
         }
         let views = packet.into_views(count);
-        let mut zero_copy = 0;
-        let res = coalesce_records(views.as_slice()).try_for_each(|rec| {
+        coalesce_records(views.as_slice()).try_for_each(|rec| {
             let (sub_imm, r) = rec?;
             let hdr = Header::decode(sub_imm)?;
             let view = || DataBuf::View(views.view(r.start, r.len()));
@@ -358,7 +362,7 @@ impl Device {
                 _ => None,
             };
             if let Some(comp) = rcomp {
-                zero_copy += 1;
+                tally.zero_copy_deliveries += 1;
                 comp.signal(CompDesc {
                     rank: src,
                     tag: hdr.tag,
@@ -368,10 +372,8 @@ impl Device {
                 });
                 return Ok(());
             }
-            self.deliver_eager(src, hdr, &views.as_slice()[r.clone()], view)
-        });
-        self.inner.stats.add(|c| &c.zero_copy_deliveries, zero_copy);
-        res
+            self.deliver_eager(src, hdr, &views.as_slice()[r.clone()], view, tally)
+        })
     }
 
     /// Delivers `p` to the completion object registered as `rcomp`, or
@@ -380,7 +382,12 @@ impl Device {
     /// first attempts and retries alike. Inlined so that a caller's known
     /// kind of arrival keeps only its own arm.
     #[inline(always)]
-    fn try_deliver_rcomp(&self, rcomp: u32, p: PendingInbound) -> Result<Option<PendingInbound>> {
+    fn try_deliver_rcomp(
+        &self,
+        rcomp: u32,
+        p: PendingInbound,
+        tally: &mut Tally,
+    ) -> Result<Option<PendingInbound>> {
         // Borrowed: the table is append-only, so the entry outlives this
         // delivery without a refcount of its own.
         let Some(comp) = self.inner.rt.rcomp.get(rcomp as usize) else {
@@ -389,7 +396,7 @@ impl Device {
         match p {
             PendingInbound::EagerAm { src, tag, data } => {
                 // Packet- or view-backed, so zero-copy.
-                self.inner.stats.bump(|c| &c.zero_copy_deliveries);
+                tally.zero_copy_deliveries += 1;
                 comp.signal(CompDesc { rank: src, tag, data, user_ctx: 0, kind: CompKind::Am });
             }
             PendingInbound::RtsAm(rts) => self.rtr_for_am(rts, comp.clone())?,
@@ -408,9 +415,14 @@ impl Device {
     /// registered yet is parked and retried on every progress call until
     /// the registration lands.
     #[inline(always)]
-    pub(super) fn deliver_rcomp(&self, rcomp: u32, p: PendingInbound) -> Result<()> {
-        if let Some(p) = self.try_deliver_rcomp(rcomp, p)? {
-            self.inner.stats.bump(|c| &c.early_inbound);
+    pub(super) fn deliver_rcomp(
+        &self,
+        rcomp: u32,
+        p: PendingInbound,
+        tally: &mut Tally,
+    ) -> Result<()> {
+        if let Some(p) = self.try_deliver_rcomp(rcomp, p, tally)? {
+            tally.early_inbound += 1;
             let mut pending = self.inner.pending_inbound.lock();
             pending.push((rcomp, p));
             self.inner.pending_nonempty.store(true, Ordering::Release);
@@ -422,7 +434,7 @@ impl Device {
     /// been registered since. Still-unregistered entries are re-parked
     /// in arrival order. Returns whether anything was delivered. With
     /// nothing parked — nearly every call — this is one load, no lock.
-    pub(super) fn retry_pending_inbound(&self) -> Result<bool> {
+    pub(super) fn retry_pending_inbound(&self, tally: &mut Tally) -> Result<bool> {
         if !self.inner.pending_nonempty.load(Ordering::Acquire) {
             return Ok(false);
         }
@@ -434,7 +446,7 @@ impl Device {
         let parked = pending.len();
         let mut kept = Vec::new();
         for (rcomp, p) in pending {
-            if let Some(p) = self.try_deliver_rcomp(rcomp, p)? {
+            if let Some(p) = self.try_deliver_rcomp(rcomp, p, tally)? {
                 kept.push((rcomp, p));
             }
         }

@@ -20,6 +20,7 @@ use crate::comp::Comp;
 use crate::error::{FatalError, PostResult, Result};
 use crate::matching::MatchKind;
 use crate::proto::{Header, MsgType, RtrPayload, RtsPayload};
+use crate::stats::Tally;
 use crate::types::{CompDesc, CompKind, DataBuf, MatchingPolicy, Rank, SendBuf, Tag};
 use lci_fabric::{BackendKind, Cqe, DevId, MemoryRegion, NetError, Rkey};
 
@@ -229,9 +230,9 @@ impl Device {
 
     /// An RTS arrived: a two-sided one goes through the matching engine,
     /// an active-message one to its rcomp.
-    pub(super) fn handle_rts(&self, hdr: Header, rts: Rts) -> Result<()> {
+    pub(super) fn handle_rts(&self, hdr: Header, rts: Rts, tally: &mut Tally) -> Result<()> {
         if hdr.ty == MsgType::RtsAm {
-            return self.deliver_rcomp(hdr.aux, PendingInbound::RtsAm(rts));
+            return self.deliver_rcomp(hdr.aux, PendingInbound::RtsAm(rts), tally);
         }
         let engine = &self.inner.rt.matching;
         let key = engine.key_for(rts.src, rts.tag, hdr.policy);

@@ -21,6 +21,19 @@
 //! own per-slot reference count, not in a separate allocation: a
 //! coalesced frame's packet has its count set once, to the number of
 //! sub-message views the demux hands out.
+//!
+//! ## Lifetime
+//!
+//! Only [`PacketPool`] handles own the pool's state; a [`Packet`], a
+//! [`PacketView`] and a frame's views hold a plain pointer to it, so
+//! checking a packet out or in takes no refcount. The state outlives
+//! every packet all the same: the last handle's drop closes the pool —
+//! it marks it closed and counts, under each stripe lock, the slots
+//! still out — and from then on a slot coming back is counted off
+//! instead of pooled. Whichever of the two brings the count of slots
+//! still out to 0, the close or the last slot back, frees the state.
+//! A slot checked out as a bare index and never returned keeps the
+//! state alive.
 
 use crate::error::{FatalError, Result};
 use lci_fabric::sync::{MpmcArray, SpinLock};
@@ -28,8 +41,7 @@ use lci_fabric::topology::{self, CachePadded};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ptr::NonNull;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Packets per allocation chunk.
 const CHUNK_PACKETS: usize = 64;
@@ -47,7 +59,14 @@ unsafe impl Sync for Chunk {}
 
 impl Drop for Chunk {
     fn drop(&mut self) {
-        // SAFETY: allocated with this layout in `PoolShared::add_chunk`.
+        // A read through a packet that outlived its pool shows as this
+        // pattern (or a fault) in a test, not as the bytes it expects.
+        #[cfg(test)]
+        // SAFETY: `layout.size()` bytes at `base`, owned by this chunk.
+        unsafe {
+            std::ptr::write_bytes(self.base, 0xEE, self.layout.size())
+        };
+        // SAFETY: allocated with this layout in `PacketPool::with_stripes`.
         unsafe { std::alloc::dealloc(self.base, self.layout) }
     }
 }
@@ -68,6 +87,20 @@ struct PoolShared {
     /// Per-slot reference counts of shared packets, indexed like the
     /// slots; meaningful only while a slot is checked out and shared.
     refs: Box<[AtomicU32]>,
+    /// [`PacketPool`] handles alive.
+    handles: AtomicUsize,
+    /// Set when the last handle goes; read under a stripe lock by every
+    /// slot coming back, which from then on is counted off `out`
+    /// instead of pooled.
+    closed: AtomicBool,
+    /// Once closed: the slots the close counted out, less those back
+    /// since it was set. A slot may come back before the close adds its
+    /// count, so the sum wraps below 0 meanwhile; whoever brings it to
+    /// exactly 0 frees the state.
+    out: AtomicUsize,
+    /// Times this state was freed.
+    #[cfg(test)]
+    freed: std::sync::Arc<AtomicUsize>,
 }
 
 impl PoolShared {
@@ -83,25 +116,92 @@ impl PoolShared {
     fn home(&self) -> &SpinLock<VecDeque<u32>> {
         &self.stripes[topology::current_core() & self.mask].0
     }
+
+    /// Returns slot `idx` to the current core's stripe (a cross-core
+    /// free re-homes the slot to the freeing core); once the pool is
+    /// closed, counts it back instead, the last one freeing the state.
+    ///
+    /// # Safety
+    /// `pool` is live and `idx` is checked out of it, by the caller,
+    /// which neither reads the slot nor uses `pool` afterwards.
+    #[inline]
+    unsafe fn put_idx(pool: NonNull<PoolShared>, idx: u32) {
+        // SAFETY: live, by the caller's contract.
+        let shared = unsafe { pool.as_ref() };
+        {
+            let mut q = shared.home().lock();
+            // Ordered by the stripe lock: a close that has counted this
+            // stripe set `closed` before it took the lock.
+            if !shared.closed.load(Ordering::Relaxed) {
+                q.push_back(idx);
+                return;
+            }
+        }
+        if shared.out.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // SAFETY: the close counted this slot out and every other
+            // slot is back: nothing else refers to the state.
+            unsafe { PoolShared::free(pool) };
+        }
+    }
+
+    /// The last handle is gone, so no slot is checked out again: counts
+    /// the slots still out and frees the state if every one is back.
+    ///
+    /// # Safety
+    /// `pool` is live and the caller dropped its last handle.
+    unsafe fn close(pool: NonNull<PoolShared>) {
+        // SAFETY: live, by the caller's contract.
+        let shared = unsafe { pool.as_ref() };
+        shared.closed.store(true, Ordering::Relaxed);
+        let pooled: usize = shared.stripes.iter().map(|s| s.0.lock().len()).sum();
+        let out = shared.capacity - pooled;
+        if shared.out.fetch_add(out, Ordering::AcqRel).wrapping_add(out) == 0 {
+            // SAFETY: no handle is left and every slot is back.
+            unsafe { PoolShared::free(pool) };
+        }
+    }
+
+    /// # Safety
+    /// `pool` came from `Box::leak` in `with_stripes`, and nothing
+    /// refers to it any more.
+    unsafe fn free(pool: NonNull<PoolShared>) {
+        // SAFETY: by the caller's contract.
+        let shared = unsafe { Box::from_raw(pool.as_ptr()) };
+        #[cfg(test)]
+        shared.freed.fetch_add(1, Ordering::SeqCst);
+        drop(shared);
+    }
 }
 
 /// A fixed-size pre-registered buffer from a [`PacketPool`].
 ///
 /// Dropping a packet returns it to the pool (to the dropping thread's
 /// deque). Explicit assembly in packets (§3.3.1) saves the staging copy
-/// of the buffer-copy protocol.
+/// of the buffer-copy protocol. A packet may outlive every handle of
+/// its pool (see the module docs, "Lifetime").
 pub struct Packet {
-    shared: Arc<PoolShared>,
+    /// Live while the packet holds its slot.
+    shared: NonNull<PoolShared>,
     idx: u32,
     len: usize,
 }
 
+// SAFETY: the pool state is `Send + Sync` and outlives the packet, and
+// the packet owns its slot's bytes: `&self` only reads them.
+unsafe impl Send for Packet {}
+unsafe impl Sync for Packet {}
+
 impl Packet {
+    fn pool(&self) -> &PoolShared {
+        // SAFETY: the pool outlives every slot checked out of it.
+        unsafe { self.shared.as_ref() }
+    }
+
     /// Packet capacity in bytes (the pool's payload size, not its
     /// packet count).
     #[allow(clippy::misnamed_getters)]
     pub fn capacity(&self) -> usize {
-        self.shared.payload_size
+        self.pool().payload_size
     }
 
     /// Current logical payload length.
@@ -123,14 +223,14 @@ impl Packet {
     /// Read access to the full packet buffer.
     pub fn as_slice(&self) -> &[u8] {
         // SAFETY: this packet exclusively owns its slot while checked out.
-        unsafe { std::slice::from_raw_parts(self.shared.packet_ptr(self.idx), self.capacity()) }
+        unsafe { std::slice::from_raw_parts(self.pool().packet_ptr(self.idx), self.capacity()) }
     }
 
     /// Write access to the full packet buffer.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         // SAFETY: exclusive ownership (we hold &mut self of the sole
         // Packet for this slot).
-        unsafe { std::slice::from_raw_parts_mut(self.shared.packet_ptr(self.idx), self.capacity()) }
+        unsafe { std::slice::from_raw_parts_mut(self.pool().packet_ptr(self.idx), self.capacity()) }
     }
 
     /// Copies `data` into the packet and sets the payload length.
@@ -166,15 +266,15 @@ impl std::fmt::Debug for Packet {
 
 impl Drop for Packet {
     fn drop(&mut self) {
-        PacketPool::put_idx(&self.shared, self.idx);
+        // SAFETY: the packet holds its slot until here, and is gone after.
+        unsafe { PoolShared::put_idx(self.shared, self.idx) }
     }
 }
 
 /// One counted reference to a shared packet slot: the pool and the
 /// slot's index. Whoever holds it owns one of the slot's references
-/// ([`FrameViews`] owns several). Together the references own the pool
-/// reference the [`Packet`] held; the last one to go returns the slot,
-/// then that pool reference.
+/// ([`FrameViews`] owns several); together they hold the slot the
+/// [`Packet`] held, and the last one to go returns it.
 #[derive(Clone, Copy)]
 struct SlotRef {
     pool: NonNull<PoolShared>,
@@ -190,18 +290,16 @@ impl SlotRef {
     /// Shares `packet`'s slot with its count set to `refs`: one store,
     /// since nobody else can see the slot yet.
     fn share(packet: Packet, refs: u32) -> SlotRef {
+        // The slot's references hold it from here, not the packet.
         let me = std::mem::ManuallyDrop::new(packet);
-        // SAFETY: `me`'s Drop is suppressed, so the pool reference moves
-        // out exactly once; the slot's references own it from here.
-        let pool = unsafe { std::ptr::read(&me.shared) };
-        pool.refs[me.idx as usize].store(refs, Ordering::Relaxed);
-        let pool = NonNull::new(Arc::into_raw(pool).cast_mut()).expect("Arc pointer is non-null");
-        SlotRef { pool, idx: me.idx }
+        me.pool().refs[me.idx as usize].store(refs, Ordering::Relaxed);
+        SlotRef { pool: me.shared, idx: me.idx }
     }
 
     fn pool(&self) -> &PoolShared {
-        // SAFETY: the pool reference lives until the slot's last
-        // reference goes, and the caller holds one.
+        // SAFETY: the pool outlives every slot checked out of it, and
+        // the slot is out until its last reference goes; the caller
+        // holds one.
         unsafe { self.pool.as_ref() }
     }
 
@@ -223,8 +321,7 @@ impl SlotRef {
     }
 
     /// Gives up `n` references. The last one returns the slot to the
-    /// dropping thread's stripe — exactly once — then the pool
-    /// reference.
+    /// dropping thread's stripe, exactly once.
     ///
     /// # Safety
     /// The caller owns `n` of the slot's references and does not read
@@ -236,10 +333,8 @@ impl SlotRef {
         }
         // Every other holder's reads happen before the slot is reused.
         fence(Ordering::Acquire);
-        PacketPool::put_idx(pool, self.idx);
-        // SAFETY: made by `Arc::into_raw` in `share`; this is the last
-        // reference, so it is turned back exactly once.
-        drop(unsafe { Arc::from_raw(self.pool.as_ptr()) });
+        // SAFETY: this was the slot's last reference.
+        unsafe { PoolShared::put_idx(self.pool, self.idx) }
     }
 }
 
@@ -355,10 +450,40 @@ impl Default for PacketPoolConfig {
     }
 }
 
-/// The packet pool resource.
-#[derive(Clone)]
+/// The packet pool resource. A handle owns the pool's state with the
+/// other handles; the last one to go closes the pool (see the module
+/// docs, "Lifetime").
 pub struct PacketPool {
-    shared: Arc<PoolShared>,
+    shared: NonNull<PoolShared>,
+}
+
+// SAFETY: the state is `Send + Sync`, and a handle keeps it alive.
+unsafe impl Send for PacketPool {}
+unsafe impl Sync for PacketPool {}
+
+impl Clone for PacketPool {
+    fn clone(&self) -> Self {
+        // As `Arc` does: a new handle is made from a live one, so the
+        // count is above 0 and needs no ordering.
+        let old = self.shared().handles.fetch_add(1, Ordering::Relaxed);
+        if old > usize::MAX / 2 {
+            std::process::abort();
+        }
+        PacketPool { shared: self.shared }
+    }
+}
+
+impl Drop for PacketPool {
+    fn drop(&mut self) {
+        if self.shared().handles.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        // Every other handle's use happens before the close.
+        fence(Ordering::Acquire);
+        // SAFETY: the state is live (this handle held it), and this was
+        // its last handle.
+        unsafe { PoolShared::close(self.shared) }
+    }
 }
 
 impl PacketPool {
@@ -376,7 +501,7 @@ impl PacketPool {
             return Err(FatalError::InvalidArg("packet pool needs size and count > 0".into()));
         }
         let nstripes = topology::stripe_count(stripes);
-        let shared = Arc::new(PoolShared {
+        let shared = PoolShared {
             payload_size: cfg.payload_size,
             capacity: cfg.count,
             chunk_bases: MpmcArray::with_capacity(16),
@@ -384,7 +509,12 @@ impl PacketPool {
             stripes: (0..nstripes).map(|_| CachePadded(SpinLock::new(VecDeque::new()))).collect(),
             mask: nstripes - 1,
             refs: (0..cfg.count).map(|_| AtomicU32::new(0)).collect(),
-        });
+            handles: AtomicUsize::new(1),
+            closed: AtomicBool::new(false),
+            out: AtomicUsize::new(0),
+            #[cfg(test)]
+            freed: Default::default(),
+        };
         // Allocate chunks.
         let nchunks = cfg.count.div_ceil(CHUNK_PACKETS);
         {
@@ -403,35 +533,35 @@ impl PacketPool {
             }
         }
         // Seed the creator's home stripe with every packet.
-        {
-            let mut q = shared.home().lock();
-            for i in 0..cfg.count as u32 {
-                q.push_back(i);
-            }
-        }
-        Ok(Self { shared })
+        shared.home().lock().extend(0..cfg.count as u32);
+        Ok(Self { shared: NonNull::from(Box::leak(Box::new(shared))) })
+    }
+
+    fn shared(&self) -> &PoolShared {
+        // SAFETY: a handle keeps the state alive.
+        unsafe { self.shared.as_ref() }
     }
 
     /// Pool configuration: packet payload size.
     pub fn payload_size(&self) -> usize {
-        self.shared.payload_size
+        self.shared().payload_size
     }
 
     /// Total number of packets.
     pub fn capacity(&self) -> usize {
-        self.shared.capacity
+        self.shared().capacity
     }
 
     /// Packets currently checked out (to users or to the fabric as
     /// pre-posted receives). Diagnostics: takes every stripe lock.
     pub fn outstanding(&self) -> usize {
-        let pooled: usize = self.shared.stripes.iter().map(|d| d.0.lock().len()).sum();
-        self.shared.capacity - pooled
+        let pooled: usize = self.shared().stripes.iter().map(|d| d.0.lock().len()).sum();
+        self.shared().capacity - pooled
     }
 
     /// Number of per-core stripes the pool was laid out with.
     pub fn stripes(&self) -> usize {
-        self.shared.stripes.len()
+        self.shared().stripes.len()
     }
 
     /// Non-blocking packet acquisition. Returns `None` when the home
@@ -443,23 +573,22 @@ impl PacketPool {
         // our lock the deque may still have local packets, so retry
         // with a blocking lock before paying for a steal round of our
         // own. Same-core siblings (oversubscription) land here too.
-        let home = self.shared.home();
+        let home = self.shared().home();
         let fast = match home.try_lock() {
             Some(mut q) => q.pop_back(),
             None => home.lock().pop_back(),
         };
         let idx = fast.or_else(|| self.steal())?;
-        Some(Packet { shared: self.shared.clone(), idx, len: 0 })
+        Some(Packet { shared: self.shared, idx, len: 0 })
     }
 
     /// Checks up to `n` packets out as bare indices, appended to `out`:
     /// the home stripe's tail under one lock, then a steal whenever it
     /// runs dry (which moves half a victim's deque home). No `Packet` is
-    /// made, so the batch costs no refcount on the pool. Every index
-    /// comes back through [`reclaim`](Self::reclaim) or
+    /// made. Every index comes back through [`reclaim`](Self::reclaim) or
     /// [`put_idxs`](Self::put_idxs).
     pub(crate) fn get_idxs(&self, n: usize, out: &mut Vec<u32>) {
-        let home = self.shared.home();
+        let home = self.shared().home();
         let want = out.len() + n;
         loop {
             {
@@ -482,14 +611,14 @@ impl PacketPool {
     /// one lock.
     pub(crate) fn put_idxs(&self, idxs: &[u32]) {
         if !idxs.is_empty() {
-            self.shared.home().lock().extend(idxs);
+            self.shared().home().lock().extend(idxs);
         }
     }
 
     /// Base address of the checked-out packet `idx` (posting it as a
     /// receive buffer).
     pub(crate) fn packet_ptr(&self, idx: u32) -> *mut u8 {
-        self.shared.packet_ptr(idx)
+        self.shared().packet_ptr(idx)
     }
 
     /// One steal round: visits victim stripes starting at a
@@ -497,16 +626,16 @@ impl PacketPool {
     /// deque from its *head*, returning one packet index and moving the
     /// rest onto the home stripe.
     fn steal(&self) -> Option<u32> {
-        let home = self.shared.home();
-        let nstripes = self.shared.stripes.len();
-        let me = topology::current_core() & self.shared.mask;
+        let home = self.shared().home();
+        let nstripes = self.shared().stripes.len();
+        let me = topology::current_core() & self.shared().mask;
         let start = rand_seed() % nstripes;
         for k in 0..nstripes {
             let v = (start + k) % nstripes;
             if v == me {
                 continue;
             }
-            let Some(mut vq) = self.shared.stripes[v].0.try_lock() else { continue };
+            let Some(mut vq) = self.shared().stripes[v].0.try_lock() else { continue };
             let take = vq.len().div_ceil(2);
             let Some(first) = vq.pop_front() else { continue };
             // The rest of the half moves from the victim's head straight
@@ -521,13 +650,6 @@ impl PacketPool {
         None
     }
 
-    /// Returns a packet index to the current core's stripe (a
-    /// cross-core free re-homes the packet to the freeing core).
-    #[inline]
-    fn put_idx(shared: &PoolShared, idx: u32) {
-        shared.home().lock().push_back(idx);
-    }
-
     /// Reconstructs a packet from an index checked out of this pool as a
     /// bare index (a pre-posted receive, returned in a fabric
     /// completion).
@@ -536,15 +658,15 @@ impl PacketPool {
     /// `idx` must be checked out of this pool as a bare index and must
     /// not be reclaimed twice.
     pub unsafe fn reclaim(&self, idx: u32, len: usize) -> Packet {
-        Packet { shared: self.shared.clone(), idx, len }
+        Packet { shared: self.shared, idx, len }
     }
 }
 
 impl std::fmt::Debug for PacketPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PacketPool")
-            .field("payload_size", &self.shared.payload_size)
-            .field("capacity", &self.shared.capacity)
+            .field("payload_size", &self.shared().payload_size)
+            .field("capacity", &self.shared().capacity)
             .field("outstanding", &self.outstanding())
             .finish()
     }
@@ -580,328 +702,4 @@ fn rand_seed() -> usize {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::proto::{coalesce_pack, coalesce_records};
-    use proptest::prelude::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn get_put_roundtrip() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 128, count: 8 }).unwrap();
-        let mut p = pool.get().unwrap();
-        p.fill(b"hello");
-        assert_eq!(&p.as_slice()[..5], b"hello");
-        assert_eq!(p.len(), 5);
-        assert_eq!(pool.outstanding(), 1);
-        drop(p);
-        assert_eq!(pool.outstanding(), 0);
-    }
-
-    #[test]
-    fn exhaustion_returns_none() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 64, count: 4 }).unwrap();
-        let held: Vec<Packet> = (0..4).map(|_| pool.get().unwrap()).collect();
-        assert!(pool.get().is_none());
-        drop(held);
-        assert!(pool.get().is_some());
-    }
-
-    /// Indices checked out in a batch count as outstanding until each is
-    /// reclaimed or put back; a batch larger than the home stripe steals.
-    #[test]
-    fn index_checkout_reclaim_and_put_back() {
-        let pool =
-            PacketPool::with_stripes(PacketPoolConfig { payload_size: 64, count: 8 }, 2).unwrap();
-        let mut idxs = Vec::new();
-        pool.get_idxs(3, &mut idxs);
-        assert_eq!(idxs.len(), 3);
-        assert_eq!(pool.outstanding(), 3);
-        // SAFETY: checked out above, reclaimed once.
-        let mut p = unsafe { pool.reclaim(idxs[0], 0) };
-        assert_eq!(p.as_mut_slice().as_ptr(), pool.packet_ptr(idxs[0]).cast_const());
-        drop(p);
-        assert_eq!(pool.outstanding(), 2);
-        pool.put_idxs(&idxs[1..]);
-        assert_eq!(pool.outstanding(), 0);
-        // From the other stripe: everything sits on this thread's, so the
-        // batch is steals and what they moved home, until the pool is dry.
-        let me = topology::current_core();
-        let pool2 = pool.clone();
-        let got = std::thread::spawn(move || {
-            topology::bind_current_thread(me + 1);
-            let mut idxs = Vec::new();
-            pool2.get_idxs(16, &mut idxs);
-            pool2.put_idxs(&idxs);
-            idxs.len()
-        });
-        assert_eq!(got.join().unwrap(), 8, "a batch on an empty stripe steals");
-        assert_eq!(pool.outstanding(), 0);
-    }
-
-    #[test]
-    fn stealing_across_threads() {
-        // Two explicit stripes so the test exercises the cross-core
-        // steal path even on a single-core host: the pool is seeded on
-        // this thread's home stripe, and a thread bound to the *other*
-        // logical core must steal to make progress.
-        let pool =
-            PacketPool::with_stripes(PacketPoolConfig { payload_size: 32, count: 64 }, 2).unwrap();
-        let my_core = topology::current_core();
-        let pool2 = pool.clone();
-        let t = std::thread::spawn(move || {
-            topology::bind_current_thread(my_core + 1);
-            let mut got = Vec::new();
-            for _ in 0..16 {
-                if let Some(p) = pool2.get() {
-                    got.push(p);
-                }
-            }
-            got.len()
-        });
-        let stolen = t.join().unwrap();
-        assert!(stolen > 0, "remote core should steal packets");
-        drop(pool);
-    }
-
-    #[test]
-    fn concurrent_get_put_stress() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 32, count: 128 }).unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let pool = pool.clone();
-                std::thread::spawn(move || {
-                    let mut ok = 0usize;
-                    for _ in 0..5_000 {
-                        if let Some(p) = pool.get() {
-                            ok += 1;
-                            drop(p);
-                        }
-                    }
-                    ok
-                })
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total > 0);
-        assert_eq!(pool.outstanding(), 0);
-    }
-
-    /// A frame's views carry the count set up front: the slot stays out
-    /// while any view or the frame handle lives, views never handed out
-    /// are given back with the handle, and nothing is released twice.
-    #[test]
-    fn frame_views_release_slot_once() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 64, count: 2 }).unwrap();
-        let mut p = pool.get().unwrap();
-        p.fill(b"abcdefgh");
-        let frame = p.into_views(3);
-        let (v1, v2) = (frame.view(0, 4), frame.view(4, 4));
-        drop(frame);
-        assert_eq!(pool.outstanding(), 1, "views keep the slot checked out");
-        let v3 = v2.clone();
-        assert_eq!((v1.as_slice(), v2.as_slice()), (&b"abcd"[..], &b"efgh"[..]));
-        drop((v1, v2));
-        assert_eq!(pool.outstanding(), 1, "a clone holds its own reference");
-        assert_eq!(v3.as_slice(), b"efgh");
-        drop(v3);
-        assert_eq!(pool.outstanding(), 0);
-        let frame = pool.get().unwrap().into_views(2);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _views = (frame.view(0, 0), frame.view(0, 0), frame.view(0, 0));
-        }));
-        assert!(r.is_err(), "a view past the count must panic");
-        drop(frame);
-        assert_eq!(pool.outstanding(), 0);
-    }
-
-    /// The views of one frame dropped on four threads in random order:
-    /// the slot goes back to the pool exactly once, after the last one,
-    /// and no view reads a reused slot. A scribbler keeps taking packets
-    /// and overwriting them, so a slot handed back early shows as a
-    /// corrupt view, and one handed back twice as a pool that is not
-    /// back to its baseline (or as two owners of one slot).
-    #[test]
-    fn frame_views_dropped_across_threads() {
-        const VIEWS: usize = 64;
-        const SIZE: usize = 16;
-        let pool =
-            PacketPool::new(PacketPoolConfig { payload_size: VIEWS * SIZE, count: 4 }).unwrap();
-        let baseline = pool.outstanding();
-        let stop = Arc::new(AtomicUsize::new(0));
-        let scribbler = {
-            let (pool, stop) = (pool.clone(), stop.clone());
-            std::thread::spawn(move || {
-                while stop.load(Ordering::Relaxed) == 0 {
-                    if let Some(mut p) = pool.get() {
-                        p.fill(&[0xFF; VIEWS * SIZE]);
-                    }
-                }
-            })
-        };
-        let byte = |round: usize, view: usize| ((round * 7 + view) % 251) as u8;
-        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng as usize
-        };
-        for round in 0..200 {
-            let mut p = loop {
-                if let Some(p) = pool.get() {
-                    break p;
-                }
-            };
-            let bytes: Vec<u8> = (0..VIEWS * SIZE).map(|i| byte(round, i / SIZE)).collect();
-            p.fill(&bytes);
-            let frame = p.into_views(VIEWS as u32);
-            let mut views: Vec<_> = (0..VIEWS).map(|i| (i, frame.view(i * SIZE, SIZE))).collect();
-            drop(frame);
-            for i in (1..VIEWS).rev() {
-                views.swap(i, next() % (i + 1));
-            }
-            let mut bins: Vec<Vec<_>> = (0..4).map(|_| Vec::new()).collect();
-            for v in views {
-                bins[next() % 4].push(v);
-            }
-            std::thread::scope(|s| {
-                for bin in bins {
-                    s.spawn(move || {
-                        for (i, view) in bin {
-                            std::thread::yield_now();
-                            assert!(
-                                view.as_slice().iter().all(|&b| b == byte(round, i)),
-                                "round {round}: view {i} read a reused slot"
-                            );
-                        }
-                    });
-                }
-            });
-        }
-        stop.store(1, Ordering::Relaxed);
-        scribbler.join().unwrap();
-        assert_eq!(pool.outstanding(), baseline, "a frame's slot leaked or was freed twice");
-    }
-
-    #[test]
-    fn view_bounds_checked() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 16, count: 1 }).unwrap();
-        let mut p = pool.get().unwrap();
-        p.fill(&[7u8; 8]);
-        let frame = p.into_views(2);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| frame.view(4, 8)));
-        assert!(r.is_err(), "view past payload length must panic");
-        let v = frame.view(8, 0);
-        assert!(v.is_empty());
-    }
-
-    /// Views cloned and dropped concurrently across threads never corrupt
-    /// the payload and release the slot exactly once: after every round the
-    /// pool reports zero outstanding packets.
-    #[test]
-    fn frame_views_cloned_across_threads() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 4096, count: 8 }).unwrap();
-        for round in 0..50usize {
-            let mut packet = pool.get().unwrap();
-            let data: Vec<u8> = (0..1024).map(|i| (i + round) as u8).collect();
-            packet.fill(&data);
-            let frame = packet.into_views(4);
-            let handles: Vec<_> = (0..4)
-                .map(|t| {
-                    let view = frame.view(t * 256, 256);
-                    let expect: Vec<u8> = data[t * 256..(t + 1) * 256].to_vec();
-                    std::thread::spawn(move || {
-                        let clones: Vec<_> = (0..100).map(|_| view.clone()).collect();
-                        for c in &clones {
-                            assert_eq!(c.as_slice(), &expect[..]);
-                        }
-                    })
-                })
-                .collect();
-            drop(frame);
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(pool.outstanding(), 0, "round {round}: slot leaked or double-freed");
-        }
-    }
-
-    proptest! {
-        /// Demuxing a packed frame through its views yields exactly the
-        /// bytes the copying unpack produces, for any record sequence —
-        /// and dropping the last view returns the packet slot.
-        #[test]
-        fn view_demux_byte_identical_to_copying(
-            subs in proptest::collection::vec(
-                (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..200)),
-                1..12,
-            ),
-        ) {
-            let pool = PacketPool::new(PacketPoolConfig { payload_size: 4096, count: 4 }).unwrap();
-            let mut bytes = Vec::new();
-            for (imm, payload) in &subs {
-                coalesce_pack(&mut bytes, *imm, payload);
-            }
-            let mut packet = pool.get().unwrap();
-            packet.fill(&bytes);
-
-            let wire = &packet.as_slice()[..packet.len()];
-            let ranges: Vec<_> = coalesce_records(wire).map(|r| r.unwrap()).collect();
-            let copied: Vec<(u64, Vec<u8>)> =
-                ranges.iter().map(|(imm, r)| (*imm, wire[r.clone()].to_vec())).collect();
-            let frame = packet.into_views(ranges.len() as u32);
-
-            prop_assert_eq!(ranges.len(), copied.len());
-            let views: Vec<_> = ranges
-                .into_iter()
-                .map(|(imm, r)| (imm, frame.view(r.start, r.end - r.start)))
-                .collect();
-            drop(frame);
-            prop_assert_eq!(pool.outstanding(), 1, "views must keep the slot alive");
-            for ((imm_v, view), (imm_c, bytes)) in views.iter().zip(&copied) {
-                prop_assert_eq!(imm_v, imm_c);
-                prop_assert_eq!(view.as_slice(), &bytes[..]);
-            }
-            drop(views);
-            prop_assert_eq!(pool.outstanding(), 0, "last view must release the slot");
-        }
-    }
-
-    #[test]
-    fn local_get_succeeds_while_lock_contended() {
-        // Satellite regression: a busy local lock must not make `get`
-        // fail (or steal) when local packets exist. With a single
-        // packet that only ever lives on this thread's deque, `get`
-        // must succeed on every iteration even while another thread
-        // hammers every deque lock via `outstanding()`.
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 32, count: 1 }).unwrap();
-        let stop = Arc::new(AtomicUsize::new(0));
-        let pool2 = pool.clone();
-        let stop2 = stop.clone();
-        let t = std::thread::spawn(move || {
-            while stop2.load(Ordering::Relaxed) == 0 {
-                let _ = pool2.outstanding();
-            }
-        });
-        for _ in 0..20_000 {
-            let p = pool.get().expect("local packet present; lock-busy must retry, not fail");
-            drop(p);
-        }
-        stop.store(1, Ordering::Relaxed);
-        t.join().unwrap();
-        assert_eq!(pool.outstanding(), 0);
-    }
-
-    #[test]
-    fn packet_capacity_asserts() {
-        let pool = PacketPool::new(PacketPoolConfig { payload_size: 8, count: 1 }).unwrap();
-        let mut p = pool.get().unwrap();
-        p.fill(&[0u8; 8]);
-        assert_eq!(p.len(), 8);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.fill(&[0u8; 9]);
-        }));
-        assert!(r.is_err());
-    }
-}
+mod tests;

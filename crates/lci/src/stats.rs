@@ -111,6 +111,26 @@ impl DeviceStats {
         field(self.cell()).fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Adds a progress call's [`Tally`] to the calling core's cell, one
+    /// locked add per counter it moved.
+    pub(crate) fn add_tally(&self, tally: &Tally) {
+        let cell = self.cell();
+        let Tally { completions, matched, zero_copy_deliveries, copied_deliveries, early_inbound } =
+            *tally;
+        let counts: [(CellField, u64); 5] = [
+            (|c| &c.completions, completions),
+            (|c| &c.matched, matched),
+            (|c| &c.zero_copy_deliveries, zero_copy_deliveries),
+            (|c| &c.copied_deliveries, copied_deliveries),
+            (|c| &c.early_inbound, early_inbound),
+        ];
+        for (field, n) in counts {
+            if n != 0 {
+                field(cell).fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
     fn fold(&self, field: CellField) -> u64 {
         self.cells.iter().map(|c| field(c).load(Ordering::Relaxed)).sum()
     }
@@ -169,6 +189,20 @@ impl DeviceStats {
             rma_framed_bytes: 0,
         }
     }
+}
+
+/// What one `progress` call counts per completion and per delivery, on
+/// its own stack: it reaches every delivery as `&mut` and is added to
+/// the device's counters once, when the call returns (`Err` included),
+/// by [`DeviceStats::add_tally`]. A handler that calls `progress` again
+/// counts into that call's own tally. Fields as on [`StatsSnapshot`].
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) completions: u64,
+    pub(crate) matched: u64,
+    pub(crate) zero_copy_deliveries: u64,
+    pub(crate) copied_deliveries: u64,
+    pub(crate) early_inbound: u64,
 }
 
 /// A point-in-time snapshot of a device's per-core counters (cells

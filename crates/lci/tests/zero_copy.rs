@@ -1,12 +1,13 @@
 //! Zero-copy receive-path correctness end to end: through the runtime
 //! every coalesced sub-message must arrive as a packet view with no
-//! delivery copy. (The view demux itself, and the views' shared count,
-//! are unit-tested in `packet_pool.rs`.)
+//! delivery copy, and the receive path's counters are exact. (The view
+//! demux itself, and the views' shared count, are unit-tested in
+//! `packet_pool/tests.rs`.)
 
 use lci::{CoalesceConfig, Comp, DataBuf, PostResult, Runtime, RuntimeConfig, StatsSnapshot};
 use lci_fabric::Fabric;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 const THREADS: usize = 4;
 const MSGS: usize = 200;
@@ -255,5 +256,104 @@ fn delivery_counters_hold_across_a_mixed_stream() {
             let posted = s.replenish_posted - s.completions;
             assert_eq!(rt.packet_pool().outstanding() as u64, posted, "{device:?}: a slot leaked");
         }
+    }
+}
+
+/// What a `progress` call tallies on its stack and adds once as it
+/// returns, over more than one poll's batch (64) of each kind: tagged
+/// sends whose receives were posted first, ones that arrive before them
+/// (counted at the receive's post), and active messages to a queue and
+/// to a handler that calls `progress` itself. On ibv, shm and tcp each
+/// counter equals its message count: a nested call neither loses its
+/// counts nor has them counted again by the call it runs in.
+#[test]
+fn tallied_counters_equal_the_message_counts() {
+    const N: usize = 100;
+    let devices = [
+        lci_fabric::DeviceConfig::ibv(),
+        lci_fabric::DeviceConfig::shm(),
+        lci_fabric::DeviceConfig::tcp(),
+    ];
+    for device in devices {
+        let cfg = RuntimeConfig::small().with_device(device);
+        let fabric = Fabric::new(2);
+        let rts = [
+            Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap(),
+            Runtime::new(fabric, 1, cfg).unwrap(),
+        ];
+        let cqs = [Comp::alloc_cq(), Comp::alloc_cq()];
+        let to_cq = rts[1].register_rcomp(cqs[1].clone());
+        // The handler reaches its runtime through a slot emptied at the
+        // end, so the runtime does not hold itself alive.
+        let (nested, handled) =
+            (Arc::new(Mutex::new(None::<Runtime>)), Arc::new(AtomicUsize::new(0)));
+        let (slot, count) = (nested.clone(), handled.clone());
+        let to_handler = rts[1].register_rcomp(Comp::alloc_handler(move |d| {
+            assert_eq!(d.as_slice(), body(d.tag, 8));
+            count.fetch_add(1, Ordering::SeqCst);
+            let rt = slot.lock().unwrap().clone();
+            rt.expect("the runtime is set").progress().unwrap();
+        }));
+        *nested.lock().unwrap() = Some(rts[1].clone());
+        let scq = Comp::alloc_cq();
+        let send = |tag: u32, rcomp: Option<u32>| loop {
+            let post = match rcomp {
+                Some(rc) => rts[0].post_am_x(1, body(tag, 8), scq.clone(), rc).tag(tag),
+                None => rts[0].post_send_x(1, body(tag, 8), tag, scq.clone()),
+            };
+            match post.call().unwrap() {
+                PostResult::Done(_) => break,
+                PostResult::Posted => panic!("an eager send was parked"),
+                PostResult::Retry(_) => progress(&rts),
+            }
+        };
+        let completions = || rts[1].device().stats().completions as usize;
+        let settle = |done: &dyn Fn() -> bool| {
+            let mut turns = 0;
+            while !done() {
+                turns += 1;
+                assert!(turns < 100_000, "{device:?}: deliveries missing");
+                progress(&rts);
+            }
+        };
+        let popped = AtomicUsize::new(0);
+        let pop_all = || {
+            for cq in &cqs {
+                while let Some(d) = cq.pop() {
+                    assert_eq!(d.as_slice(), body(d.tag, 8), "tag {}", d.tag);
+                    popped.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            popped.load(Ordering::SeqCst)
+        };
+
+        for _ in 0..N {
+            let posted = rts[1].post_recv(0, vec![0u8; 8], 1, cqs[0].clone()).unwrap();
+            assert!(matches!(posted, PostResult::Posted), "no send yet");
+        }
+        (0..N).for_each(|_| send(1, None));
+        settle(&|| pop_all() == N);
+        (0..N).for_each(|_| send(2, None));
+        settle(&|| completions() == 2 * N);
+        for _ in 0..N {
+            let posted = rts[1].post_recv(0, vec![0u8; 8], 2, cqs[0].clone()).unwrap();
+            let PostResult::Done(d) = posted else { panic!("{device:?}: not arrived first") };
+            assert_eq!(d.as_slice(), body(2, 8));
+        }
+        (0..N).for_each(|_| send(3, Some(to_cq)));
+        settle(&|| pop_all() == 2 * N);
+        (0..N).for_each(|_| send(4, Some(to_handler)));
+        settle(&|| handled.load(Ordering::SeqCst) == N);
+        *nested.lock().unwrap() = None;
+
+        let [s0, s1] = [0, 1].map(|r| rts[r].device().stats());
+        let n = N as u64;
+        let counts = (s1.completions, s1.matched, s1.copied_deliveries, s1.zero_copy_deliveries);
+        assert_eq!(
+            counts,
+            (4 * n, n, 2 * n, 2 * n),
+            "{device:?}: (completions, matched, copied, zero-copy)"
+        );
+        assert_eq!((s0.completions, s1.early_inbound), (0, 0), "{device:?}");
     }
 }

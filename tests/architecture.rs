@@ -117,6 +117,11 @@ fn in_src(path: &str) -> bool {
     path.starts_with("crates/") && path.split('/').nth(2) == Some("src")
 }
 
+/// Whether `path` is a module's unit tests in a file of their own.
+fn unit_test_file(path: &str) -> bool {
+    path.ends_with("/tests.rs") || path.contains("/tests/")
+}
+
 /// The lines of `text` before its first column-0 `#[cfg(test)]` that
 /// opens a test module in the file (one over `mod tests;` only names a
 /// file of its own, and the code below it still counts).
@@ -186,11 +191,13 @@ fn collectives_lend_through_one_door(tree: &[Source]) -> Vec<String> {
 
 /// Progress is explicit and whoever calls it drives it: `lci` names no
 /// thread builder, bell, condvar or timed park, and yields only through
-/// the one wait rule in `wait.rs` (in-file unit tests aside: their test
-/// doubles and threads are not the library's policy).
+/// the one wait rule in `wait.rs` (unit tests aside, in the file or in
+/// one of their own: their test doubles and threads are not the
+/// library's policy).
 fn lci_spawns_no_thread_and_parks_on_nothing(tree: &[Source]) -> Vec<String> {
     let mut hits = Vec::new();
-    for (path, text) in tree.iter().filter(|(p, _)| p.starts_with("crates/lci/src/")) {
+    let scope = |p: &str| p.starts_with("crates/lci/src/") && !unit_test_file(p);
+    for (path, text) in tree.iter().filter(|(p, _)| scope(p)) {
         for (n, line) in non_test_lines(text) {
             let parks = ["thread::Builder", "Doorbell", "Condvar", "park_timeout"]
                 .iter()
@@ -216,8 +223,7 @@ const THREAD_STARTERS: &[&str] =
 fn threads_start_only_on_the_launcher_side(tree: &[Source]) -> Vec<String> {
     let scope = |p: &str| {
         (p.starts_with("crates/lci/src/") || p.starts_with("crates/lci-fabric/src/"))
-            && !p.ends_with("/tests.rs")
-            && !p.contains("/tests/")
+            && !unit_test_file(p)
             && !THREAD_STARTERS.contains(&p)
     };
     let mut hits = Vec::new();
@@ -279,6 +285,17 @@ fn ring_stays_lock_free(tree: &[Source]) -> Vec<String> {
     ring.iter()
         .filter(|(_, l)| ["SpinLock<", "Spin<", "Mutex<"].iter().any(|lock| l.contains(lock)))
         .map(|(n, l)| format!("{RING}:{}: {} (MpmcRing takes a lock again)", n + 1, l.trim()))
+        .collect()
+}
+
+/// A packet, a slot reference or a frame's views hold no refcount on
+/// their pool: only `PacketPool` handles own `lci::packet_pool`'s state,
+/// and the last one closes it (DESIGN.md §4.5).
+fn packets_hold_no_pool_refcount(tree: &[Source]) -> Vec<String> {
+    let packet_pool = |p: &str| p.starts_with("crates/lci/src/packet_pool");
+    lines_naming(tree, packet_pool, &["Arc<PoolShared>"])
+        .into_iter()
+        .map(|h| format!("{h} (a packet takes a pool refcount again)"))
         .collect()
 }
 
@@ -394,6 +411,9 @@ fn no_thread_guard_catches_a_plant() {
     // A unit test below the module's `#[cfg(test)]` may yield.
     let test_only = "fn f() {}\n#[cfg(test)]\nmod tests { fn t() { std::thread::yield_now() } }\n";
     assert!(g(&planted("crates/lci/src/planted.rs", test_only)).is_empty());
+    // So may a module's unit tests in a file of their own.
+    let tests_file = "fn t() { std::thread::yield_now() }\n";
+    assert!(g(&planted("crates/lci/src/planted/tests.rs", tests_file)).is_empty());
 }
 
 #[test]
@@ -445,6 +465,23 @@ fn ring_guard_catches_a_plant() {
         catches(ring_stays_lock_free, RING, &locked);
     }
     catches(ring_stays_lock_free, RING, "// no ring here\n");
+}
+
+#[test]
+fn packets_hold_no_pool_refcount_in_the_tree() {
+    holds(packets_hold_no_pool_refcount, "a packet holds a refcount on its pool");
+}
+
+#[test]
+fn pool_refcount_guard_catches_a_plant() {
+    let g = packets_hold_no_pool_refcount;
+    catches(
+        g,
+        "crates/lci/src/packet_pool.rs",
+        "pub struct Packet {\n    shared: Arc<PoolShared>,\n}\n",
+    );
+    // Another crate's pool state of that name is its own business.
+    assert!(g(&planted("crates/amt/src/planted.rs", "struct S(Arc<PoolShared>);\n")).is_empty());
 }
 
 #[test]
