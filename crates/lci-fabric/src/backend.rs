@@ -149,6 +149,11 @@ pub struct TransportStats {
     pub rma_framed_bytes: u64,
 }
 
+/// What [`NetDevice::poll_cq_claiming`] offers an inbound send to:
+/// `(source rank, source device, imm, payload)`, answering whether it
+/// took the frame.
+pub type Claim<'a> = dyn FnMut(Rank, DevId, u64, &[u8]) -> bool + 'a;
+
 /// A network device: the critical-path resource. Two threads operating on
 /// different devices never interfere (paper §4.2.1); interference *within*
 /// a device depends on the backend's lock granularity.
@@ -212,8 +217,35 @@ pub trait NetDevice: Send + Sync {
     /// Polls for up to `max` completions, appending them to `out`.
     /// Returns the number of completions delivered. Under the trylock
     /// discipline a busy lower-level lock surfaces as
-    /// `Err(Retry(LockBusy))`.
+    /// `Err(Retry(LockBusy))`. On a wire that buffers (shm, tcp) the
+    /// poll first drains it: a frame is applied where the wire holds it,
+    /// a send or a write's immediate landing in a posted receive with
+    /// its completion staged (DESIGN.md §4.9).
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize>;
+
+    /// [`poll_cq`](Self::poll_cq) whose drain first offers `claim` each
+    /// inbound send addressed to this device, as `(source rank, source
+    /// device, imm, payload)`, the payload lent from the wire's own
+    /// storage (a ring slot, a spill range, a reassembly slab) for the
+    /// call only. A frame `claim` takes (`true`) is released from the
+    /// wire as delivered: it consumes no posted receive and stages no
+    /// completion. One it declines lands as under `poll_cq`.
+    ///
+    /// A frame is offered only while nothing staged on this device can
+    /// be older than it from its source: a source's frames reach the
+    /// caller in the order it sent them, claimed or polled, as long as
+    /// one thread polls the device. `claim` runs inside the drain, with
+    /// that source's drain lock held: what it calls must not wait for
+    /// another poll of this rank. Wires that land at the post (the
+    /// in-memory sims) offer nothing; the default offers nothing either.
+    fn poll_cq_claiming(
+        &self,
+        out: &mut Vec<Cqe>,
+        max: usize,
+        _claim: &mut Claim<'_>,
+    ) -> NetResult<usize> {
+        self.poll_cq(out, max)
+    }
 
     /// RDMA-writes `data` into the remote registered region `rkey` at
     /// `offset`. With `imm`, additionally consumes a pre-posted receive at

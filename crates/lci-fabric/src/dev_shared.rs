@@ -114,6 +114,10 @@ pub(crate) struct DevShared {
     /// Its lock models the `ibv_poll_cq` spinlock, and whoever holds it
     /// is the staging ring's only popper.
     cq: SpinLock<VecDeque<Cqe>>,
+    /// The polled CQ's length, stored under its lock by whoever changes
+    /// it, so [`nothing_staged`](Self::nothing_staged) reads it with a
+    /// load.
+    cq_len: AtomicUsize,
     /// What [`NetDevice::doorbell`](crate::backend::NetDevice::doorbell)
     /// hands out. Nothing in this crate rings it: progress is whoever
     /// polls.
@@ -143,6 +147,7 @@ impl DevShared {
             dev_id,
             cq_staging: MpmcRing::new(CQ_STAGING),
             cq: SpinLock::new(VecDeque::with_capacity(warm)),
+            cq_len: AtomicUsize::new(0),
             bell: Arc::new(Doorbell::new()),
             closed: AtomicBool::new(false),
             srq: SpinLock::new(VecDeque::with_capacity(warm)),
@@ -174,6 +179,16 @@ impl DevShared {
         self.posted_recvs.load(Ordering::Acquire)
     }
 
+    /// Whether no completion waits to be polled: the staging ring and
+    /// the polled CQ are both empty. Two loads, no lock. Whatever was
+    /// staged before the caller took a source's drain lock is seen here
+    /// (in the ring, or moved into the CQ by a spill, which raises
+    /// `cq_len` before it empties the ring); what another poller has
+    /// already taken out is that poller's to deliver.
+    pub(crate) fn nothing_staged(&self) -> bool {
+        self.cq_staging.is_empty() && self.cq_len.load(Ordering::Acquire) == 0
+    }
+
     /// Staging ring first, polled CQ as spillover, never dropped. The
     /// spillover moves everything staged so far into the CQ ahead of
     /// `cqe`: one thread's completions (a drain's
@@ -184,12 +199,16 @@ impl DevShared {
             let mut cq = self.cq.lock();
             self.collect_staged(&mut cq);
             cq.push_back(cqe);
+            self.cq_len.store(cq.len(), Ordering::Release);
         }
     }
 
     /// Moves every staged completion into the polled CQ, oldest first.
-    /// The guard is the proof `drain` asks for.
+    /// The guard is the proof `drain` asks for. `cq_len` is raised
+    /// first: the ring's `head` store that empties it is a release, so
+    /// a reader that sees the ring empty sees the CQ nonempty.
     fn collect_staged(&self, cq: &mut SpinGuard<'_, VecDeque<Cqe>>) {
+        self.cq_len.store(cq.len() + 1, Ordering::Relaxed);
         // SAFETY: every pop of the staging ring happens under the `cq`
         // lock (here, `poll` and `teardown`), and `cq` holds it.
         unsafe { self.cq_staging.drain(usize::MAX, |cqe| cq.push_back(cqe)) };
@@ -219,9 +238,12 @@ impl DevShared {
     /// here, so a source's frames land in the order it offers them.
     ///
     /// The SRQ lock is taken blockingly whatever the discipline: a miss
-    /// would refuse a frame at random. It is a leaf, held through the
-    /// copy, so a teardown that has taken the receives back has no
-    /// delivery still writing into one.
+    /// would refuse a frame at random. It is held through the copy and
+    /// the staging, so a teardown that has taken the receives back has
+    /// no delivery still writing into one, nor a completion still to
+    /// stage: each receive comes back once, as a descriptor or as a
+    /// CQE. Under it only the CQ lock is ever taken (a spill), and
+    /// nothing takes the SRQ lock holding the CQ's.
     pub(crate) fn land(
         &self,
         src: Rank,
@@ -241,9 +263,8 @@ impl DevShared {
             });
         };
         self.posted_recvs.store(srq.len(), Ordering::Release);
-        let cqe = deliver_bytes(kind, payload, &desc, src, h.src_dev as DevId, h.imm);
-        drop(srq);
-        self.stage_cqe(cqe?);
+        let cqe = deliver_bytes(kind, payload, &desc, src, h.src_dev as DevId, h.imm)?;
+        self.stage_cqe(cqe);
         Ok(())
     }
 
@@ -254,7 +275,10 @@ impl DevShared {
         let mut cq =
             self.discipline.acquire(&self.cq).ok_or(NetError::Retry(RetryReason::LockBusy))?;
         let spilled = max.min(cq.len());
-        out.extend(cq.drain(..spilled));
+        if spilled > 0 {
+            out.extend(cq.drain(..spilled));
+            self.cq_len.store(cq.len(), Ordering::Release);
+        }
         // SAFETY: every pop of the staging ring happens under the `cq`
         // lock, held here.
         let staged = unsafe { self.cq_staging.drain(max - spilled, |cqe| out.push(cqe)) };
@@ -262,9 +286,9 @@ impl DevShared {
     }
 
     /// Closes the device and hands back every still-posted receive —
-    /// first, so no delivery is still writing into one — and every
-    /// undelivered completion. A delivery racing the teardown may stage
-    /// a completion nobody polls.
+    /// first, so no delivery is still writing into one or has yet to
+    /// stage its completion (`land` stages under the SRQ lock) — and
+    /// every undelivered completion.
     pub(crate) fn teardown(&self) -> (Vec<Cqe>, Vec<RecvBufDesc>) {
         self.closed.store(true, Ordering::Release);
         let descs = {
@@ -274,7 +298,9 @@ impl DevShared {
         };
         let mut cq = self.cq.lock();
         self.collect_staged(&mut cq);
-        (cq.drain(..).collect(), descs)
+        let cqes = cq.drain(..).collect();
+        self.cq_len.store(0, Ordering::Release);
+        (cqes, descs)
     }
 }
 
@@ -471,6 +497,57 @@ mod tests {
 
         assert_eq!(shared.teardown().1.len(), 0);
         assert!(matches!(land(2), Err(NetError::Fatal(_))), "a torn-down device took a frame");
+    }
+
+    /// `land` racing `teardown`: two threads land frames while the test
+    /// tears the device down, at a different point of the stream each
+    /// round. The teardown hands every posted receive back exactly once,
+    /// still posted (a descriptor) or landed (a completion), and nothing
+    /// is staged behind it: a lander that took a receive has staged its
+    /// completion before the teardown can collect them.
+    #[test]
+    fn land_racing_a_teardown_hands_every_receive_back_once() {
+        const ROUNDS: usize = 1000;
+        const BUFS: usize = 16;
+        for round in 0..ROUNDS {
+            let shared = DevShared::new(0, &DeviceConfig::ibv());
+            let mut bufs = vec![[0u8; 8]; BUFS];
+            let base = bufs.as_mut_ptr() as usize;
+            // SAFETY: `bufs` outlives every landing (the landers are
+            // joined before it drops).
+            let descs: Vec<_> = (0..BUFS)
+                .map(|i| unsafe {
+                    RecvBufDesc::new((base as *mut [u8; 8]).add(i).cast(), 8, i as u64)
+                })
+                .collect();
+            shared.post_recvs(&descs);
+            let land = || {
+                let h = FrameHeader::default();
+                while !matches!(
+                    shared.land(1, &h, WireMsgKind::Send, &[7; 8]),
+                    Err(NetError::Fatal(_))
+                ) {
+                    std::hint::spin_loop();
+                }
+            };
+            let (cqes, left) = std::thread::scope(|s| {
+                let landers = [s.spawn(land), s.spawn(land)];
+                while shared.posted_recvs() > round % BUFS {
+                    std::hint::spin_loop();
+                }
+                let back = shared.teardown();
+                for lander in landers {
+                    lander.join().unwrap();
+                }
+                back
+            });
+            let mut back: Vec<u64> =
+                cqes.iter().map(|c| c.ctx).chain(left.iter().map(|d| d.ctx)).collect();
+            back.sort_unstable();
+            assert_eq!(back, (0..BUFS as u64).collect::<Vec<_>>(), "round {round}");
+            let mut out = Vec::new();
+            assert_eq!(shared.poll(&mut out, 64).unwrap(), 0, "round {round}: staged late");
+        }
     }
 
     /// `posted_recvs` is exact: two threads land frames while a third

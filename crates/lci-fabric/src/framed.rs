@@ -16,7 +16,7 @@
 //! sender that accepts frames, a drain that hands inbound frames back,
 //! pending counts, counters and a final flush.
 
-use crate::backend::{DeviceConfig, NetDevice, TransportStats};
+use crate::backend::{Claim, DeviceConfig, NetDevice, TransportStats};
 use crate::dev_shared::{DevShared, QpLocks, CQ_DRAIN_BATCH};
 use crate::fabric::Fabric;
 use crate::mem::{MemoryRegion, Rkey};
@@ -89,10 +89,14 @@ pub(crate) trait Wire: Send + Sync + Sized + 'static {
     /// Moves the wire forward and offers up to `budget` inbound frames
     /// per peer to `sink`, oldest first, each payload lent as a slice of
     /// the wire's own storage (a ring slot, a spill range, a reassembly
-    /// slab). A frame `sink` reports `Parked` stays at the wire's head
-    /// and ends that peer's turn. A peer whose
-    /// channel is busy under a sibling device's drain is skipped
-    /// (try-lock), so pollers never wait for each other.
+    /// slab) for the call only: the sink copies it out, into a posted
+    /// receive (the router) or wherever the poll's caller claims it
+    /// (`NetDevice::poll_cq_claiming`). One peer's frames come as one
+    /// run, its turn, under that peer's drain lock. A frame `sink`
+    /// reports `Parked` stays at the wire's head and ends that peer's
+    /// turn. A peer whose channel is busy under a sibling device's
+    /// drain is skipped (try-lock), so pollers never wait for each
+    /// other.
     fn drain(
         &self,
         budget: usize,
@@ -113,6 +117,20 @@ pub(crate) trait Wire: Send + Sync + Sized + 'static {
 
     /// Best-effort push of everything `send` accepted (teardown).
     fn flush(&self) {}
+}
+
+/// Whether a drain offers this source's next SEND for the polling
+/// device to the caller's claim (`NetDevice::poll_cq_claiming`). A
+/// claimed frame is delivered before anything staged, so it is offered
+/// only while nothing of its source can be staged ahead of it: the
+/// device's completions are checked once per source turn, lazily, at
+/// its first SEND for this device, and a frame of the turn that lands
+/// here the old way (declined, or another kind) closes the turn.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Offers {
+    Unchecked,
+    Open,
+    Closed,
 }
 
 /// Where a frame toward one target goes.
@@ -317,13 +335,43 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
     }
 
     fn poll_cq(&self, out: &mut Vec<Cqe>, max: usize) -> NetResult<usize> {
+        self.poll_cq_claiming(out, max, &mut |_, _, _, _| false)
+    }
+
+    fn poll_cq_claiming(
+        &self,
+        out: &mut Vec<Cqe>,
+        max: usize,
+        claim: &mut Claim<'_>,
+    ) -> NetResult<usize> {
         let _ep = self.qps.lock_endpoint()?;
         // The drain is bounded so one poll cannot monopolize the locks
         // it holds, and runs *before* the poll takes our CQ lock: the
         // router stages CQEs (RecvDone, ReadDone) onto this very device,
         // and `stage_cqe`'s overflow path locks the polled CQ.
         let budget = max.max(CQ_DRAIN_BATCH);
-        self.wire.drain(budget, |src, h, payload| self.route_frame(src, h, payload))?;
+        let (mut turn, mut offers) = (None, Offers::Unchecked);
+        self.wire.drain(budget, |src, h, payload| {
+            if turn != Some(src) {
+                (turn, offers) = (Some(src), Offers::Unchecked);
+            }
+            let mine = h.dst_dev == self.dev_id as u32;
+            if mine && h.kind == KIND_SEND {
+                if offers == Offers::Unchecked {
+                    let open = self.shared.nothing_staged();
+                    offers = if open { Offers::Open } else { Offers::Closed };
+                }
+                if offers == Offers::Open && claim(src, h.src_dev as DevId, h.imm, payload) {
+                    return Ok(Routed::Done);
+                }
+            }
+            if mine {
+                // It may stage a completion here: a later frame of this
+                // source claimed now would overtake it.
+                offers = Offers::Closed;
+            }
+            self.route_frame(src, h, payload)
+        })?;
         self.shared.poll(out, max)
     }
 

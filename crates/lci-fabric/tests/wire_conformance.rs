@@ -870,6 +870,64 @@ fn direct_writes_never_find_a_lock_busy(cfg: DeviceConfig) {
 
 /// The bytes message `i` of the inject cases carries: lengths on both
 /// sides of every wire's inline limit.
+/// `poll_cq_claiming`: on a wire that buffers, a send the claim takes
+/// consumes no receive and stages nothing, and the claim sees its
+/// source, immediate and bytes; one it declines lands as under
+/// `poll_cq`; and while a completion of the device waits staged, a send
+/// is not offered at all, so it cannot overtake it. The in-memory wire
+/// lands every send at the post and offers nothing.
+#[test]
+fn a_claimed_send_consumes_no_receive_and_a_staged_one_blocks_claims() {
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let mut bufs = [[0u8; 8]; 4];
+        for (i, b) in bufs.iter_mut().enumerate() {
+            post_packet_recv(&d1, b, i as u64);
+        }
+        let mut claimed = Vec::new();
+        let mut cqes = Vec::new();
+        // Polls `d1` with at most `max` completions per poll, `take`
+        // deciding each offer, until `done`; `d0` polls along (tcp
+        // writes its stream out there).
+        let mut poll =
+            |max: usize, take: bool, done: &dyn Fn(&[u64], &[lci_fabric::Cqe]) -> bool| {
+                let deadline = Instant::now() + DEADLINE;
+                while !done(&claimed, &cqes) {
+                    d0.poll_cq(&mut Vec::new(), 64).unwrap();
+                    let mut claim = |src, src_dev, imm: u64, payload: &[u8]| {
+                        assert_eq!((src, src_dev, payload), (0, 0, &imm.to_le_bytes()[..]));
+                        if take {
+                            claimed.push(imm);
+                        }
+                        take
+                    };
+                    d1.poll_cq_claiming(&mut cqes, max, &mut claim).unwrap();
+                    assert!(Instant::now() < deadline, "{cfg:?}: {claimed:?} {cqes:?}");
+                }
+            };
+        let buffers = buffers_on_its_own(&cfg);
+        let send = |imm: u64| d0.post_inject(1, 0, &imm.to_le_bytes(), imm).unwrap();
+
+        send(0);
+        poll(64, true, &|claimed, cqes| claimed.len() + cqes.len() == 1);
+        assert_eq!(d1.posted_recvs(), if buffers { 4 } else { 3 }, "{cfg:?}");
+        send(1);
+        poll(64, false, &|claimed, cqes| claimed.len() + cqes.len() == 2);
+        // A declined send lands in the oldest receive; with no
+        // completion polled, the next send finds it staged.
+        send(2);
+        let left = |n: usize| if buffers { n + 1 } else { n };
+        poll(0, false, &|_, _| d1.posted_recvs() == left(1));
+        send(3);
+        poll(0, true, &|_, _| d1.posted_recvs() == left(0));
+        poll(64, true, &|claimed, cqes| claimed.len() + cqes.len() == 4);
+        let landed: Vec<_> = cqes.iter().map(|c| (c.kind, c.imm)).collect();
+        let want: Vec<u64> = if buffers { vec![1, 2, 3] } else { vec![0, 1, 2, 3] };
+        assert_eq!(claimed, if buffers { vec![0] } else { vec![] }, "{cfg:?}");
+        assert!(landed.iter().copied().eq(want.iter().map(|&i| (CqeKind::RecvDone, i))), "{cfg:?}");
+    }
+}
+
 fn numbered(i: u64) -> Vec<u8> {
     vec![i as u8 ^ 0x5A; 1 + (i as usize * 37) % 900]
 }

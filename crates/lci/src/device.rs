@@ -375,7 +375,26 @@ impl Device {
             }
             None => &mut local,
         };
-        match self.inner.net.poll_cq(cqes, PROGRESS_BATCH) {
+        // A tagged eager frame is taken from the wire inside the drain
+        // (`claim_eager`); everything else comes back as a CQE.
+        let (mut claimed, mut failed) = (false, None);
+        let mut claim = |src, _src_dev, imm, payload: &[u8]| {
+            if failed.is_some() {
+                return false;
+            }
+            let took = self.claim_eager(src, imm, payload, tally).unwrap_or_else(|e| {
+                failed = Some(e);
+                true
+            });
+            claimed |= took;
+            took
+        };
+        let polled = self.inner.net.poll_cq_claiming(cqes, PROGRESS_BATCH, &mut claim);
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        did |= claimed;
+        match polled {
             Ok(n) => {
                 did |= n > 0;
                 tally.completions += n as u64;

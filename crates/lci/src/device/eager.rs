@@ -304,30 +304,78 @@ impl Device {
         park: impl FnOnce() -> DataBuf,
         tally: &mut Tally,
     ) -> Result<()> {
-        let tag = hdr.tag;
         match hdr.ty {
             MsgType::Eager => {
-                let engine = &self.inner.rt.matching;
-                let key = engine.key_for(src, tag, hdr.policy);
-                let entry = || MatchEntry::UnexpEager { src, tag, data: park() };
-                let Some(matched) = engine.insert_with(key, MatchKind::Send, entry) else {
-                    return Ok(());
-                };
-                tally.matched += 1;
-                let MatchEntry::Recv(recv) = matched else {
-                    return Err(FatalError::Net("eager matched non-recv".into()));
-                };
-                let (comp, desc) = self.finish_matched_recv(recv, src, tag, payload)?;
-                tally.copied_deliveries += 1;
-                comp.signal(desc);
-                Ok(())
+                self.match_eager(src, hdr, payload, || Ok::<_, ()>(park()), tally).map(|_| ())
             }
             MsgType::EagerAm => {
-                let p = PendingInbound::EagerAm { src, tag, data: park() };
+                let p = PendingInbound::EagerAm { src, tag: hdr.tag, data: park() };
                 self.deliver_rcomp(hdr.aux, p, tally)
             }
             other => Err(FatalError::Net(format!("invalid eager payload type {other:?}"))),
         }
+    }
+
+    /// Takes a tagged eager frame straight from the wire, inside the
+    /// poll that drains it (`NetDevice::poll_cq_claiming`): a send whose
+    /// receive is posted is copied into it and its completion signalled,
+    /// one that arrives first is copied into a packet of the runtime's
+    /// pool and parked. Returns whether it took the frame: any other
+    /// kind, or an unexpected send with no packet free, is left to land
+    /// in a posted receive as the wire's own delivery.
+    pub(super) fn claim_eager(
+        &self,
+        src: Rank,
+        imm: u64,
+        payload: &[u8],
+        tally: &mut Tally,
+    ) -> Result<bool> {
+        let hdr = match Header::decode(imm) {
+            Ok(hdr) if hdr.ty == MsgType::Eager => hdr,
+            _ => return Ok(false),
+        };
+        let pool = &self.inner.rt.pool;
+        let park = || {
+            if payload.len() > pool.payload_size() {
+                return Err(());
+            }
+            let mut packet = pool.get().ok_or(())?;
+            packet.fill(payload);
+            Ok(DataBuf::Packet(packet, payload.len()))
+        };
+        self.match_eager(src, hdr, payload, park, tally)
+    }
+
+    /// The two-sided half of [`deliver_eager`](Self::deliver_eager):
+    /// matches the send against its receive, copying `payload` into it,
+    /// or parks what `park` makes as unexpected. A `park` that fails
+    /// leaves the matching engine as it was, and the call returns
+    /// `false`.
+    fn match_eager<E>(
+        &self,
+        src: Rank,
+        hdr: Header,
+        payload: &[u8],
+        park: impl FnOnce() -> std::result::Result<DataBuf, E>,
+        tally: &mut Tally,
+    ) -> Result<bool> {
+        let tag = hdr.tag;
+        let engine = &self.inner.rt.matching;
+        let key = engine.key_for(src, tag, hdr.policy);
+        let entry = || park().map(|data| MatchEntry::UnexpEager { src, tag, data });
+        let matched = match engine.insert_with(key, MatchKind::Send, entry) {
+            Ok(Some(matched)) => matched,
+            Ok(None) => return Ok(true),
+            Err(_) => return Ok(false),
+        };
+        tally.matched += 1;
+        let MatchEntry::Recv(recv) = matched else {
+            return Err(FatalError::Net("eager matched non-recv".into()));
+        };
+        let (comp, desc) = self.finish_matched_recv(recv, src, tag, payload)?;
+        tally.copied_deliveries += 1;
+        comp.signal(desc);
+        Ok(true)
     }
 
     /// Demultiplexes a coalesced frame, zero-copy and per frame: the

@@ -24,6 +24,7 @@ use crate::types::{MatchingPolicy, Rank, Tag};
 use lci_fabric::sync::SpinLock;
 use lci_fabric::topology::StripedU64;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Whether an entry is a send (unexpected message) or a receive (posted
@@ -286,14 +287,22 @@ impl<T> MatchingEngine<T> {
     /// stores the value and returns `None`.
     pub fn insert(&self, key: u64, value: T, kind: MatchKind) -> Option<(T, T)> {
         let mut value = Some(value);
-        let matched = self.insert_with(key, kind, || value.take().expect("stored once"))?;
-        Some((matched, value.expect("a match stores nothing")))
+        let Ok(matched) =
+            self.insert_with(key, kind, || Ok::<_, Infallible>(value.take().expect("stored once")));
+        Some((matched?, value.expect("a match stores nothing")))
     }
 
     /// [`insert`](Self::insert) for a value that is built only if it is
     /// stored: returns the matched entry of the complementary kind, or
-    /// stores `make()` (called under the bucket lock) and returns `None`.
-    pub fn insert_with(&self, key: u64, kind: MatchKind, make: impl FnOnce() -> T) -> Option<T> {
+    /// stores what `make` builds (called under the bucket lock) and
+    /// returns `None`. A `make` that fails leaves the engine as it was
+    /// and its error is returned.
+    pub fn insert_with<E>(
+        &self,
+        key: u64,
+        kind: MatchKind,
+        make: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Option<T>, E> {
         let lock = self.bucket_of(key);
         // Try-lock first so bucket contention is *observable*: a busy
         // lock bumps the per-core contended counter before falling back
@@ -311,17 +320,18 @@ impl<T> MatchingEngine<T> {
                     if q.is_empty() {
                         bucket.remove_if_empty(key, &self.spares);
                     }
-                    return Some(matched);
+                    return Ok(Some(matched));
                 }
                 // Complementary queue exists but is empty (transient;
                 // normally removed) — repurpose it.
+                let value = make()?;
                 q.kind = kind;
-                q.push(make(), &self.spares);
+                q.push(value, &self.spares);
             }
-            Some(q) => q.push(make(), &self.spares),
-            None => bucket.insert_queue(EntryQueue::new(key, kind, make())),
+            Some(q) => q.push(make()?, &self.spares),
+            None => bucket.insert_queue(EntryQueue::new(key, kind, make()?)),
         }
-        None
+        Ok(None)
     }
 
     /// Total stored entries, by walking every bucket under its lock:
@@ -369,6 +379,24 @@ mod tests {
         let m: MatchingEngine<u32> = MatchingEngine::new();
         assert!(m.insert(9, 1, MatchKind::Recv).is_none());
         assert_eq!(m.insert(9, 2, MatchKind::Send), Some((1, 2)));
+    }
+
+    /// A builder that fails stores nothing — on a fresh key, behind
+    /// stored entries of its own kind, on a key a match just emptied —
+    /// and a match never calls it.
+    #[test]
+    fn a_failed_build_stores_nothing() {
+        let m: MatchingEngine<u32> = MatchingEngine::new();
+        let fail = || Err::<u32, &str>("no room");
+        assert_eq!(m.insert_with(1, MatchKind::Send, fail), Err("no room"));
+        assert!(m.is_empty());
+        assert!(m.insert(1, 10, MatchKind::Send).is_none());
+        assert_eq!(m.insert_with(1, MatchKind::Send, fail), Err("no room"));
+        assert_eq!(m.insert_with(1, MatchKind::Recv, fail), Ok(Some(10)));
+        assert_eq!(m.insert_with(1, MatchKind::Recv, fail), Err("no room"));
+        assert!(m.is_empty());
+        assert_eq!(m.insert(1, 20, MatchKind::Recv), None);
+        assert_eq!(m.insert(1, 30, MatchKind::Send), Some((20, 30)));
     }
 
     #[test]
