@@ -30,7 +30,7 @@ const ARENA_BASE_BITS: u32 = 40;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(super) struct Grant {
     /// The landing's registration, and this peer's base in it: 0 in
-    /// place, the receive displacement for `alltoall(v)`.
+    /// place, the receive displacement for `alltoallv`.
     pub land: (Rkey, usize),
     /// The fold arena's registration, and this peer's region in it.
     pub arena: (Rkey, usize),

@@ -7,12 +7,11 @@
 //! [`SendBuf::Lent`](crate::SendBuf) on the send side, as the landing
 //! of a posted receive on the other — and nothing outside `coll/` can
 //! make one. [`Scope`] is the only thing inside `coll/` that does: one
-//! per plan, borrowed from the caller's slices (or laid over the
-//! buffers an `i*` handle owns), and it does not end while anything it
-//! lent can still be dereferenced. It lends three ways: a range to one
-//! posted receive (a *landing*, or a *scratch* landing in the engine's
-//! own memory), a range to one send, and the whole landing side to one
-//! peer's puts for the call (a *grant*).
+//! per plan, borrowed from the caller's slices, and it does not end
+//! while anything it lent can still be dereferenced. It lends three
+//! ways: a range to one posted receive (a *landing*, or a *scratch*
+//! landing in the engine's own memory), a range to one send, and the
+//! whole landing side to one peer's puts for the call (a *grant*).
 //!
 //! * a **clean exit** is the stepper's own finish line — every lent
 //!   receive popped (each is signalled after the last byte was written:
@@ -129,34 +128,18 @@ pub(super) struct Scope<'a> {
     _caller: PhantomData<(&'a [u8], &'a mut [u8])>,
 }
 
-// SAFETY: the pointers stand for the `&'a [u8]` and `&'a mut [u8]` the
-// scope was built from (or for buffers its owner moves along with it),
-// both `Send`; the counters are plain cells that move with it.
-unsafe impl Send for Scope<'_> {}
-
 impl<'a> Scope<'a> {
-    /// Sends and receives both address `buf` (allreduce, broadcast,
-    /// allgather, reduce).
+    /// Sends and receives both address `buf` (allreduce, allgather,
+    /// barrier).
     pub(super) fn in_place(buf: &'a mut [u8]) -> Scope<'a> {
         let span = (buf.as_mut_ptr(), buf.len());
         Scope::over(span, span)
     }
 
-    /// Sends read `src`, receives land in `dst` (alltoall, alltoallv).
+    /// Sends read `src`, receives land in `dst` (alltoallv).
     pub(super) fn new(src: &'a [u8], dst: &'a mut [u8]) -> Scope<'a> {
         // Never written through: `source` is the only reader of `src`.
         Scope::over((src.as_ptr().cast_mut(), src.len()), (dst.as_mut_ptr(), dst.len()))
-    }
-
-    /// A scope over buffers an `i*` handle owns instead of borrows
-    /// (`src: None` = in place over `dst`).
-    ///
-    /// # Safety
-    /// Until the scope has ended, both allocations must stay where they
-    /// are and be touched through the scope alone.
-    pub(super) unsafe fn over_owned(src: Option<&[u8]>, dst: &mut [u8]) -> Scope<'static> {
-        let dst = (dst.as_mut_ptr(), dst.len());
-        Scope::over(src.map_or(dst, |s| (s.as_ptr().cast_mut(), s.len())), dst)
     }
 
     fn over(src: (*mut u8, usize), dst: (*mut u8, usize)) -> Scope<'a> {

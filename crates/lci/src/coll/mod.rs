@@ -6,27 +6,24 @@
 //! pieces it receives (from whom, into which range, under which tag,
 //! landed in place or folded), the pieces it sends, and a gate saying
 //! which harvest opens which receive and readies which send — built by
-//! one of eight pure schedule builders and run by one non-blocking
+//! one of five pure schedule builders and run by one non-blocking
 //! stepper (`plan`; DESIGN.md §4.11):
 //!
-//! * **Direct reduction** ([`allreduce`], [`reduce_bytes`]) when every
-//!   rank's buffer is in this address space (the sims, in-process shm):
-//!   each rank reduces its slice of every rank's buffer and writes it
-//!   back, one pass, one grant and one signal per peer.
-//! * **Chunk-pipelined ring allreduce** ([`allreduce`]) otherwise:
-//!   reduce-scatter and allgather phases moving the bandwidth-optimal
-//!   `2(n−1)/n · bytes` per rank, each block split into
-//!   `coll_chunk_size` chunks whose next hop departs as soon as the
+//! * **Direct reduction** ([`allreduce`]) when every rank's buffer is in
+//!   this address space (the sims, in-process shm): each rank reduces
+//!   its slice of every rank's buffer and writes it back, one pass, one
+//!   grant and one signal per peer.
+//! * **Chunk-pipelined ring allreduce** ([`allreduce`]) otherwise, at
+//!   every world size: reduce-scatter and allgather phases moving the
+//!   bandwidth-optimal `2(n−1)/n · bytes` per rank, each block split
+//!   into `coll_chunk_size` chunks whose next hop departs as soon as the
 //!   chunk is harvested.
-//! * **Chunk-streamed binomial broadcast** ([`broadcast_bytes`]) and
-//!   **binomial reduce** ([`reduce_bytes`]) — together also the
-//!   allreduce of a world past `MAX_RING_RANKS`.
 //! * **Bruck allgather** ([`allgather_bytes`]) and a **dissemination
 //!   barrier** ([`barrier`]) in `⌈log₂ n⌉` rounds.
-//! * **Pairwise alltoall** ([`alltoall_bytes`]) and the **sparse
-//!   largest-first alltoallv** ([`alltoallv`]; [`alltoallv_counts`]
-//!   handles the recv-side-unknown MoE case): all receives up front,
-//!   zero-byte pairs post nothing, blocks cut into pieces.
+//! * **Sparse largest-first alltoallv** ([`alltoallv`], and
+//!   [`exchange_counts`], the 8-byte count round of the
+//!   receive-side-unknown MoE case): all receives up front, zero-byte
+//!   pairs post nothing, blocks cut into pieces.
 //!
 //! Every collective moves its bytes as pieces of at most
 //! `coll_chunk_size` (or the wire's largest write, if smaller). A piece
@@ -41,11 +38,11 @@
 //! while the plan runs (`lend`; DESIGN.md §4.11 "Lending"), so every
 //! piece is posted from the caller's buffer and, wherever its bytes are
 //! final on arrival, lands at its own offset in it: one copy per byte,
-//! the wire's. Only an arrival that must be folded (reduce-scatter
-//! rounds, the binomial [`reduce_bytes`]) lands in the state's fold arena
+//! the wire's. Only an arrival that must be folded (the ring's
+//! reduce-scatter rounds) lands in the state's fold arena
 //! ([`CollState`]), a slot per piece. A warm collective loop allocates
-//! nothing (`tests/alloc_steady_state.rs`). A blocking call steps its
-//! plan under [`Runtime::wait_until`], which progresses every device of
+//! nothing (`tests/alloc_steady_state.rs`). A call steps its plan
+//! under [`Runtime::wait_until`], which progresses every device of
 //! the runtime and, between idle sweeps, spins or yields the core as the
 //! calling thread has learned pays.
 //!
@@ -58,35 +55,27 @@
 //! `MPI_ERRORS_ARE_FATAL`) instead of returning `Err` on one rank while
 //! every peer spins. A collective that returns `Err` has lent nothing.
 //!
-//! **Non-blocking `i*` variants** ([`ibarrier`], [`ibroadcast`],
-//! [`ireduce_u64`], [`iallgather`], [`ialltoall`], [`ialltoallv`],
-//! [`iallreduce_u64`]; `nb`) are the same plans stepped from a handle:
-//! an [`IColl`] owns its buffers and advances only inside its own
-//! `test`/`wait` (MPI's weak progress) — poll it in any loop a peer's
-//! collective may be waiting on. A handle takes its state from a
-//! per-runtime spare list and gives it back when it is dropped, so a
-//! loop of handles registers one receive queue, not one per handle.
-//!
 //! ## Tags and ordering
 //!
 //! Tags with the highest bit set are reserved for collectives. The tag
 //! packs a 22-bit per-runtime sequence number and a 9-bit round index
 //! (`1 + 22 + 9 = 32`; the last round code, [`ROUND_GRANT`], is the
-//! grants', and no piece uses it): collectives must be invoked in the same order
-//! on every rank (the usual MPI-style contract; an `i*` call counts
-//! where it is *started*, and reserves every tag it will use there), the
-//! sequence keeps consecutive collectives apart, and the round keeps a
+//! grants', and no piece uses it): collectives must be invoked in the
+//! same order on every rank (the usual MPI-style contract), the sequence
+//! keeps consecutive collectives apart, and the round keeps a
 //! collective's internal stages apart. The sequence wraps at ~4.2 M
 //! collectives; a wrapped tag can only collide with a collective that
 //! fully completed long ago.
 //!
 //! **Every piece has a tag of its own.** A call whose rounds carry
-//! several pieces per peer (the ring's chunks, the broadcast's stream,
-//! `alltoallv`'s pieces) reserves a run of sequence numbers — the same
-//! run on every rank, computed from the arguments all ranks share — and
-//! piece `c` of a round is tagged `(seq + c, round)` (`Tags`). A piece
-//! therefore matches the one receive posted for it, whatever order the
-//! matching engine sees arrivals in: per-`(rank, tag)` matching is FIFO
+//! several pieces per peer (the ring's chunks, `alltoallv`'s pieces)
+//! reserves a run of sequence numbers — the same run on every rank,
+//! computed from the arguments all ranks share — and piece `c` of a
+//! round is tagged `(seq + c, round)` (`Tags`); a schedule with more
+//! rounds or pieces than the round field holds folds the excess into
+//! its run (`plan::ring`, `plan::alltoallv`). A piece therefore matches
+//! the one receive posted for it, whatever order the matching engine
+//! sees arrivals in: per-`(rank, tag)` matching is FIFO
 //! only while a single thread progresses a device (two threads poll
 //! consecutive batches and handle them concurrently), and a receive
 //! posted into the caller's buffer must get *its* bytes. `user_ctx` on
@@ -96,19 +85,15 @@
 mod grant;
 #[doc(hidden)]
 pub(crate) mod lend;
-pub mod nb;
 pub mod ops;
 mod plan;
 
-pub use nb::{
-    iallgather, iallreduce_u64, ialltoall, ialltoallv, ibarrier, ibroadcast, ireduce_u64, IColl,
-};
-pub use ops::{FnOpU64, MaxF32, MaxU64, ReduceOp, SumF32, SumU64};
+pub use ops::{MaxF32, MaxU64, ReduceOp, SumF32, SumU64};
 
 use crate::comp::Comp;
 use crate::error::{FatalError, Result};
 use crate::runtime::Runtime;
-use crate::types::{RComp, Rank, Tag};
+use crate::types::{RComp, Tag};
 use grant::Arena;
 use lend::Scope;
 use plan::{Plan, Shape};
@@ -121,22 +106,11 @@ pub(crate) const COLL_TAG: Tag = 0x8000_0000;
 const SEQ_BITS: u32 = 22;
 /// Round-index width (bits 0..9 of the tag).
 const ROUND_BITS: u32 = 9;
-/// Largest rank count the pipelined ring allreduce supports: its
-/// `2(n−1)` rounds must fit the tag's round field. Bigger worlds reduce
-/// to rank 0 and broadcast, whose round codes are O(log n).
-pub(crate) const MAX_RING_RANKS: usize = 256;
-
-/// Round codes for single-stage collectives (must fit [`ROUND_BITS`];
-/// distinct sequences already separate collectives, so these only
-/// separate stages *within* one collective call).
-pub(crate) const ROUND_BCAST: u32 = 0x1BC & 0x1FF;
-pub(crate) const ROUND_REDUCE: u32 = 0x14D & 0x1FF;
-pub(crate) const ROUND_A2A: u32 = 0x1AA & 0x1FF;
+/// Bruck allgather's first round code (its `⌈log₂ n⌉` rounds follow).
 pub(crate) const ROUND_AG_BASE: u32 = 0x1C0;
 /// The grants' round code (module docs, "Tags and ordering"): the last
-/// one, above every ring round of a world of `MAX_RING_RANKS`.
+/// one. A piece's round is below it.
 pub(crate) const ROUND_GRANT: u32 = (1 << ROUND_BITS) - 1;
-const _: () = assert!(2 * (MAX_RING_RANKS as u32 - 1) <= ROUND_GRANT);
 
 fn coll_tag(seq: u32, round: u32) -> Tag {
     debug_assert!(round < (1 << ROUND_BITS), "collective round {round} overflows the tag field");
@@ -177,12 +151,12 @@ impl Runtime {
     }
 }
 
-/// Collective-engine state, lazily created per runtime (an `i*` handle
-/// leases one of its own) and reused so the warm path allocates nothing:
-/// a completion queue for receives and puts' signals (a mapped ring,
-/// alloc-free), registered once as an rcomp, a send handler with an
-/// in-flight counter (the pipelining window), the fold arena, the direct
-/// reduction's scratch, and the plan's storage.
+/// Collective-engine state, lazily created per runtime and reused so the
+/// warm path allocates nothing: a completion queue for receives and
+/// puts' signals (a mapped ring, alloc-free), registered once as an
+/// rcomp, a send handler with an in-flight counter (the pipelining
+/// window), the fold arena, the direct reduction's scratch, and the
+/// plan's storage.
 pub struct CollState {
     /// Receive-completion queue shared by every posted receive and every
     /// put into this state's grants.
@@ -204,6 +178,8 @@ pub struct CollState {
     cnt_send: Vec<u8>,
     /// Count-exchange staging (recv side), reused across exchanges.
     cnt_recv: Vec<u8>,
+    /// The count exchange's block sizes: 8 bytes for every rank.
+    cnt_sizes: Vec<usize>,
 }
 
 impl CollState {
@@ -223,17 +199,8 @@ impl CollState {
             plan: Plan::default(),
             cnt_send: Vec::new(),
             cnt_recv: Vec::new(),
+            cnt_sizes: Vec::new(),
         }
-    }
-
-    /// A state for an `i*` handle: one the runtime kept, or a new one.
-    fn lease(rt: &Runtime) -> CollState {
-        rt.inner.coll_spare.lock().pop().unwrap_or_else(|| CollState::new(rt))
-    }
-
-    /// Gives a handle's state back once nothing of its plan is in flight.
-    fn give_back(self, rt: &Runtime) {
-        rt.inner.coll_spare.lock().push(self);
     }
 }
 
@@ -271,28 +238,18 @@ fn run<O: ReduceOp + ?Sized>(
 ) -> Result<()> {
     let mut plan = std::mem::take(&mut st.plan);
     build(&mut plan);
-    let res = wait_for(rt, || plan.step(rt, st, &mem, op));
-    st.plan = plan;
-    finish(st, mem, res)
-}
-
-/// [`Runtime::wait_until`] for a step that can fail.
-fn wait_for(rt: &Runtime, mut step: impl FnMut() -> Result<bool>) -> Result<()> {
     let mut failed = None;
-    rt.wait_until(|| match step() {
+    let waited = rt.wait_until(|| match plan.step(rt, st, &mem, op) {
         Ok(done) => done,
         Err(e) => {
             failed = Some(e);
             true
         }
-    })?;
-    failed.map_or(Ok(()), Err)
-}
-
-/// Ends a plan's loan: counted closed after a clean run, handed its
-/// error back if nothing was lent, the process ended otherwise.
-fn finish(st: &CollState, mem: Scope<'_>, res: Result<()>) -> Result<()> {
-    match res {
+    });
+    st.plan = plan;
+    // The loan ends counted closed after a clean run, hands its error
+    // back if nothing was lent, and ends the process otherwise.
+    match waited.and_then(|()| failed.map_or(Ok(()), Err)) {
         Ok(()) => {
             let sends = st.inflight.load(Ordering::Acquire);
             assert!(sends == 0, "collective returned with {sends} sends in flight");
@@ -327,9 +284,8 @@ pub fn barrier(rt: &Runtime) -> Result<()> {
 /// holds the element-wise reduction. Where this rank's device can
 /// address every rank's buffer, the direct schedule: each rank reduces
 /// its slice of every buffer and writes it back, in rank order.
-/// Otherwise the chunk-pipelined bandwidth-optimal ring, or
-/// [`reduce_bytes`] to rank 0 and [`broadcast_bytes`] from it when the
-/// world exceeds `MAX_RING_RANKS` (the fold orders: [`ReduceOp`]).
+/// Otherwise the chunk-pipelined bandwidth-optimal ring, at every world
+/// size (the fold orders: [`ReduceOp`]).
 pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> Result<()> {
     let elem = lanes("allreduce", buf, op)?;
     let (w, len) = (Shape::of(rt), buf.len());
@@ -337,12 +293,8 @@ pub fn allreduce<O: ReduceOp + ?Sized>(rt: &Runtime, buf: &mut [u8], op: &O) -> 
         return Ok(());
     }
     if plan::addresses_every_rank(rt, buf)? {
-        let build = |p: &mut Plan| plan::direct(p, w, len, elem, None, Tags::reserve(rt, 1));
+        let build = |p: &mut Plan| plan::direct(p, w, len, elem, Tags::reserve(rt, 1));
         return with_state(rt, |st| run(rt, st, Scope::in_place(buf), op, build));
-    }
-    if w.n > MAX_RING_RANKS {
-        reduce_bytes(rt, 0, buf, op)?;
-        return broadcast_bytes(rt, 0, buf);
     }
     let build = |p: &mut Plan| {
         plan::ring(p, w, len, elem, Tags::reserve(rt, plan::ring_span(w, len, elem)))
@@ -360,92 +312,6 @@ fn lanes<O: ReduceOp + ?Sized>(what: &str, buf: &[u8], op: &O) -> Result<usize> 
         )));
     }
     Ok(elem)
-}
-
-/// Allreduce of `u64` lanes with a closure operator (legacy-shaped
-/// convenience over [`allreduce`]; allocates its result vector).
-pub fn allreduce_u64(
-    rt: &Runtime,
-    contrib: &[u64],
-    op: impl Fn(u64, u64) -> u64 + Copy,
-) -> Result<Vec<u64>> {
-    let mut bytes = bytes_of_u64s(contrib);
-    allreduce(rt, &mut bytes, &FnOpU64(op))?;
-    Ok(u64s_of_bytes(&bytes))
-}
-
-fn bytes_of_u64s(lanes: &[u64]) -> Vec<u8> {
-    lanes.iter().flat_map(|v| v.to_le_bytes()).collect()
-}
-
-/// `flat` cut into consecutive blocks of the given lengths.
-fn split(flat: &[u8], lens: impl IntoIterator<Item = usize>) -> Vec<Vec<u8>> {
-    let mut rest = flat;
-    let cut = |len| {
-        let (block, tail) = rest.split_at(len);
-        rest = tail;
-        block.to_vec()
-    };
-    lens.into_iter().map(cut).collect()
-}
-
-fn u64s_of_bytes(bytes: &[u8]) -> Vec<u64> {
-    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8-byte lane"))).collect()
-}
-
-/// Binomial-tree broadcast of `buf` from `root` over a mutable slice;
-/// chunk-pipelined (children forward chunk `c` as soon as it arrives).
-/// Every rank passes a buffer of identical length; non-root buffers are
-/// overwritten.
-pub fn broadcast_bytes(rt: &Runtime, root: Rank, buf: &mut [u8]) -> Result<()> {
-    let (w, len) = (Shape::of(rt), buf.len());
-    if w.n == 1 || len == 0 {
-        return Ok(());
-    }
-    let build = |p: &mut Plan| plan::broadcast(p, w, root, len, Tags::reserve(rt, w.span(len)));
-    with_state(rt, |st| run(rt, st, Scope::in_place(buf), &NoFold, build))
-}
-
-/// Legacy-shaped broadcast over a `Vec` (see [`broadcast_bytes`]).
-pub fn broadcast(rt: &Runtime, root: Rank, buf: &mut Vec<u8>) -> Result<()> {
-    broadcast_bytes(rt, root, buf.as_mut_slice())
-}
-
-/// Binomial-tree reduction of `u64` vectors to `root` with `op`.
-/// Returns `Some(result)` on the root, `None` elsewhere.
-pub fn reduce_u64(
-    rt: &Runtime,
-    root: Rank,
-    contrib: &[u64],
-    op: impl Fn(u64, u64) -> u64 + Copy,
-) -> Result<Option<Vec<u64>>> {
-    let mut acc = bytes_of_u64s(contrib);
-    let mine = reduce_bytes(rt, root, &mut acc, &FnOpU64(op))?;
-    Ok(mine.then(|| u64s_of_bytes(&acc)))
-}
-
-/// Byte reduction to `root`, in place: on return the root's `acc` holds
-/// the reduction (returns `true` there), other ranks' buffers are
-/// unspecified partials (returns `false`). The direct schedule where
-/// this rank's device can address every rank's buffer (as
-/// [`allreduce`], writing the root's alone), the binomial tree otherwise.
-pub fn reduce_bytes<O: ReduceOp + ?Sized>(
-    rt: &Runtime,
-    root: Rank,
-    acc: &mut [u8],
-    op: &O,
-) -> Result<bool> {
-    let (w, len) = (Shape::of(rt), acc.len());
-    let elem = lanes("reduce", acc, op)?;
-    if w.n > 1 {
-        let direct = plan::addresses_every_rank(rt, acc)?.then_some(elem);
-        let build = |p: &mut Plan| match direct {
-            Some(elem) => plan::direct(p, w, len, elem, Some(root), Tags::reserve(rt, 1)),
-            None => plan::reduce(p, w, root, len, Tags::reserve(rt, w.span(len))),
-        };
-        with_state(rt, |st| run(rt, st, Scope::in_place(acc), op, build))?;
-    }
-    Ok(w.me == root)
 }
 
 /// Allgather over flat buffers: every rank contributes `mine`
@@ -478,44 +344,6 @@ pub fn allgather_bytes(rt: &Runtime, mine: &[u8], out: &mut [u8]) -> Result<()> 
     Ok(())
 }
 
-/// Legacy-shaped allgather returning one `Vec` per rank (see
-/// [`allgather_bytes`]; all contributions must have equal length).
-pub fn allgather(rt: &Runtime, mine: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let n = rt.rank_n();
-    let len = mine.len();
-    let mut flat = vec![0u8; n * len];
-    allgather_bytes(rt, mine, &mut flat)?;
-    Ok(split(&flat, std::iter::repeat_n(len, n)))
-}
-
-/// All-to-all personalized exchange over flat buffers: `send` holds `n`
-/// equal blocks (`block = send.len() / n`), block `i` goes to rank `i`;
-/// `recv` (same length) receives rank `j`'s block for us at offset
-/// `j * block`. Blocks are cut into `coll_chunk_size` pieces; all
-/// receives are pre-posted (a piece over the eager size is a put into
-/// the granted receive buffer), and sends ride the bounded in-flight
-/// window with no per-send wait.
-pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> {
-    let n = rt.rank_n();
-    if !send.len().is_multiple_of(n) || recv.len() != send.len() {
-        return Err(FatalError::InvalidArg(format!(
-            "alltoall buffers must be n equal blocks each way ({} ranks, {} send, {} recv)",
-            n,
-            send.len(),
-            recv.len()
-        )));
-    }
-    let block = send.len() / n;
-    let me = rt.rank_me();
-    recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
-    if n == 1 {
-        return Ok(());
-    }
-    let w = Shape::of(rt);
-    let build = |p: &mut Plan| plan::alltoall(p, w, block, Tags::reserve(rt, w.span(block)));
-    with_state(rt, |st| run(rt, st, Scope::new(send, recv), &NoFold, build))
-}
-
 /// Uneven-block all-to-all personalized exchange (`MPI_Alltoallv`
 /// shape): `send` is the concatenation of `n` blocks where block `i`
 /// (`send_counts[i]` bytes) goes to rank `i`, and `recv` receives rank
@@ -523,7 +351,7 @@ pub fn alltoall_bytes(rt: &Runtime, send: &[u8], recv: &mut [u8]) -> Result<()> 
 /// offset. Counts may differ per pair and per direction; the count
 /// vectors must agree pairwise across ranks (rank `a`'s
 /// `send_counts[b]` == rank `b`'s `recv_counts[a]` — use
-/// [`alltoallv_counts`] when the receive side is unknown, the MoE
+/// [`exchange_counts`] first when the receive side is unknown, the MoE
 /// dispatch case).
 ///
 /// Performance engineering (see DESIGN.md §4.13):
@@ -596,11 +424,13 @@ fn count_v(rt: &Runtime, send_counts: &[usize]) {
 
 /// One-round count exchange for the receive-side-unknown `alltoallv`
 /// case (MoE dispatch: every rank knows how many bytes it routes *to*
-/// each peer, none knows what it will get): a dense 8-byte alltoall of
-/// the send-count vector. On return `recv_counts[j]` is rank `j`'s
-/// `send_counts[me]` — exactly the vector to pass as `recv_counts` to
-/// [`alltoallv`]. Allocation-free once the collective state is warm
-/// (the staging rides reusable [`CollState`] scratch).
+/// each peer, none knows what it will get): the [`alltoallv`] plan with
+/// every block 8 bytes — the send-count vector — under one sequence
+/// number. Uniform blocks tie on size, so its sends go in `(me + r) mod
+/// n` order. On return `recv_counts[j]` is rank `j`'s `send_counts[me]`
+/// — exactly the vector to pass as `recv_counts` to [`alltoallv`].
+/// Allocation-free once the collective state is warm (the staging and
+/// the block sizes ride reusable [`CollState`] scratch).
 pub fn exchange_counts(
     rt: &Runtime,
     send_counts: &[usize],
@@ -624,6 +454,9 @@ pub fn exchange_counts(
         // alongside `st`; put it back for the next exchange.
         let mut sb = std::mem::take(&mut st.cnt_send);
         let mut rb = std::mem::take(&mut st.cnt_recv);
+        let mut sizes = std::mem::take(&mut st.cnt_sizes);
+        sizes.clear();
+        sizes.resize(n, 8);
         sb.clear();
         for &c in send_counts {
             sb.extend_from_slice(&(c as u64).to_le_bytes());
@@ -632,35 +465,14 @@ pub fn exchange_counts(
         rb.resize(n * 8, 0);
         rb[me * 8..(me + 1) * 8].copy_from_slice(&sb[me * 8..(me + 1) * 8]);
         let w = Shape::of(rt);
-        let build = |p: &mut Plan| plan::alltoall(p, w, 8, Tags::reserve(rt, w.span(8)));
+        let build = |p: &mut Plan| plan::alltoallv(p, w, &sizes, &sizes, Tags::reserve(rt, 1));
         let res = run(rt, st, Scope::new(&sb, &mut rb), &NoFold, build);
         if res.is_ok() {
             for (dst, c) in recv_counts.iter_mut().zip(rb.chunks_exact(8)) {
                 *dst = u64::from_le_bytes(c.try_into().unwrap()) as usize;
             }
         }
-        st.cnt_send = sb;
-        st.cnt_recv = rb;
+        (st.cnt_send, st.cnt_recv, st.cnt_sizes) = (sb, rb, sizes);
         res
     })
-}
-
-/// Allocating convenience over [`exchange_counts`]: returns the learned
-/// receive-count vector.
-pub fn alltoallv_counts(rt: &Runtime, send_counts: &[usize]) -> Result<Vec<usize>> {
-    let mut recv_counts = vec![0usize; rt.rank_n()];
-    exchange_counts(rt, send_counts, &mut recv_counts)?;
-    Ok(recv_counts)
-}
-
-/// Legacy-shaped alltoall over per-rank `Vec` blocks (see
-/// [`alltoall_bytes`]; all blocks must have equal length across ranks).
-pub fn alltoall(rt: &Runtime, send: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-    let n = rt.rank_n();
-    assert_eq!(send.len(), n, "alltoall needs one block per rank");
-    let block = send.first().map_or(0, |b| b.len());
-    assert!(send.iter().all(|b| b.len() == block), "alltoall blocks must have equal length");
-    let mut out = vec![0u8; n * block];
-    alltoall_bytes(rt, &send.concat(), &mut out)?;
-    Ok(split(&out, std::iter::repeat_n(block, n)))
 }

@@ -15,15 +15,12 @@
 /// `r`'s contribution.
 ///
 /// * **Rank order, in one address space** (the sims, in-process shm:
-///   the direct schedule of [`allreduce`](super::allreduce) and
-///   [`reduce_bytes`](super::reduce_bytes)): every element is the left
-///   fold `((x₀ ∘ x₁) ∘ x₂) ∘ … ∘ xₙ₋₁`.
+///   the direct schedule of [`allreduce`](super::allreduce)): every
+///   element is the left fold `((x₀ ∘ x₁) ∘ x₂) ∘ … ∘ xₙ₋₁`.
 /// * **The ring's order, across processes or on tcp**: an element of
 ///   ring block `b` starts as `p = x_b`, and for `k = 1..n` rank
 ///   `b + k` (mod `n`) makes it `x_{b+k} ∘ p`, the partial it received
-///   as the incoming operand; the binomial
-///   [`reduce_bytes`](super::reduce_bytes) folds each child's partial
-///   into its parent's, children in order.
+///   as the incoming operand.
 pub trait ReduceOp {
     /// Element width in bytes; buffers passed to collectives using this
     /// operator must be a multiple of this long.
@@ -63,26 +60,6 @@ lane_op!(MaxU64, u64, 8, "Element-wise `u64` max.", |a, b| a.max(b));
 lane_op!(SumF32, f32, 4, "Element-wise `f32` sum.", |a, b| a + b);
 lane_op!(MaxF32, f32, 4, "Element-wise `f32` max.", |a, b| a.max(b));
 
-/// Adapts a `u64` closure (the legacy `allreduce_u64`/`reduce_u64`
-/// operator shape) into a [`ReduceOp`] over little-endian 8-byte lanes.
-#[derive(Clone, Copy, Debug)]
-pub struct FnOpU64<F: Fn(u64, u64) -> u64>(pub F);
-
-impl<F: Fn(u64, u64) -> u64> ReduceOp for FnOpU64<F> {
-    fn elem_size(&self) -> usize {
-        8
-    }
-
-    fn fold(&self, acc: &mut [u8], incoming: &[u8]) {
-        debug_assert_eq!(acc.len(), incoming.len());
-        for (a, b) in acc.chunks_exact_mut(8).zip(incoming.chunks_exact(8)) {
-            let x = u64::from_le_bytes(a.try_into().unwrap());
-            let y = u64::from_le_bytes(b.try_into().unwrap());
-            a.copy_from_slice(&(self.0)(x, y).to_le_bytes());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,14 +82,5 @@ mod tests {
         let out: Vec<f32> =
             acc.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
         assert_eq!(out, vec![2.5, 9.0]);
-    }
-
-    #[test]
-    fn fn_op_adapts_closures() {
-        let op = FnOpU64(|a, b| a ^ b);
-        assert_eq!(op.elem_size(), 8);
-        let mut acc = 0b1100u64.to_le_bytes().to_vec();
-        op.fold(&mut acc, &0b1010u64.to_le_bytes());
-        assert_eq!(u64::from_le_bytes(acc.try_into().unwrap()), 0b0110);
     }
 }

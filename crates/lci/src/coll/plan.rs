@@ -1,6 +1,7 @@
 //! The one collective engine: a rank's program is a value ([`Plan`]),
-//! eight pure builders write it, and one non-blocking stepper
-//! ([`Plan::step`]) runs it (DESIGN.md §4.11).
+//! five pure builders write it (ring, Bruck allgather, dissemination
+//! barrier, sparse `alltoallv`, direct reduction), and one non-blocking
+//! stepper ([`Plan::step`]) runs it (DESIGN.md §4.11).
 //!
 //! **The plan.** `recvs[i]` is one piece this rank receives: who from,
 //! which range of the landing side, under which tag, and how — `Land`
@@ -23,11 +24,6 @@
 //! tag, which names the receive. A `Direct` piece is a zero-byte put: the
 //! signal alone.
 //!
-//! **The direct schedule** (`direct`) is what a reduction runs when
-//! every rank's buffer is in this address space: once every peer's grant
-//! is in, the stepper reduces this rank's slice of every buffer itself
-//! ([`Plan::can_reduce`]) before its `Direct` signals may go out.
-//!
 //! **The gate** is two numbers per receive. `opens_at`: how many
 //! *leading* receives must have been harvested before this one is
 //! posted — 0 posts it up front, `k` on receive `k` is a round-by-round
@@ -40,16 +36,17 @@
 //! ready, in ready order.
 //!
 //! **The stepper** never blocks: post every open receive; post the
-//! grants; once every grant is in, reduce this rank's slice (direct);
-//! post ready sends while the [`MAX_INFLIGHT`] window has room, the
-//! peer's grant is in (for a put) and the wire does not say `Retry`; pop
-//! the receive queue — a grant, a put's signal or a two-sided arrival:
-//! fold or length-check, mark, advance the prefix, push what the harvest
-//! enables; finished when every receive is harvested, every send posted
-//! and the window empty. It is the only place in `coll/` that posts or
-//! lends. A blocking collective builds one and steps it under
-//! `Runtime::wait_until` (`coll::run`); an `i*` handle takes the same
-//! steps from `test`/`wait` (`nb`).
+//! grants; once every grant is in, reduce this rank's slice of every
+//! buffer (a `direct` plan, where every rank's buffer is in this address
+//! space; [`Plan::can_reduce`]) before its signals may go; post ready
+//! sends while the [`MAX_INFLIGHT`] window has room, the peer's grant is
+//! in (for a put) and the wire does not say `Retry`; pop the receive
+//! queue — a grant, a put's signal or a two-sided arrival: fold or
+//! length-check, mark, advance the prefix, push what the harvest enables;
+//! finished when every receive is harvested, every send posted and the
+//! window empty. It is the only place in `coll/` that posts or lends. A
+//! collective builds one and steps it under `Runtime::wait_until`
+//! (`coll::run`).
 //!
 //! The builders are functions of `(n, me, chunk, eager, tags, sizes)`
 //! alone, so `tests` runs all `n` ranks' plans against each other with no
@@ -60,7 +57,7 @@
 use super::grant::{self, Grant, GRANT_LEN};
 use super::lend::{Lent, Scope};
 use super::ops::ReduceOp;
-use super::{CollState, Tags, ROUND_A2A, ROUND_AG_BASE, ROUND_BCAST, ROUND_GRANT, ROUND_REDUCE};
+use super::{CollState, Tags, ROUND_AG_BASE, ROUND_GRANT};
 use crate::error::{FatalError, PostResult, Result};
 use crate::runtime::Runtime;
 use crate::types::{CompDesc, CompKind, Direction, Landing, RComp, Rank, SendBuf, Tag};
@@ -69,7 +66,7 @@ use std::cmp::Reverse;
 use std::sync::atomic::Ordering;
 
 /// Collective sends outstanding per rank at most: the pipelining window
-/// of every plan (the ring allreduce's chunks, the alltoalls' blocks).
+/// of every plan (the ring allreduce's chunks, `alltoallv`'s pieces).
 const MAX_INFLIGHT: u64 = 4;
 
 /// `user_ctx` of a grant's receive: this bit and the granting rank.
@@ -121,7 +118,7 @@ pub(super) struct Send {
 #[derive(Clone, Copy, Default)]
 struct Peer {
     /// Base of the peer's pieces in the landing side: 0 in place, the
-    /// receive displacement for `alltoall(v)`.
+    /// receive displacement for `alltoallv`.
     land_base: usize,
     /// The peer's region of the fold arena: its eager folds, then its
     /// put folds.
@@ -620,7 +617,7 @@ impl Shape {
         Shape { n: rt.rank_n(), me: rt.rank_me(), chunk, eager: cfg.packet.payload_size }
     }
 
-    /// Pieces in `len` bytes: the tag run a single-round stream needs.
+    /// Pieces in `len` bytes: the tag run of a round that streams them.
     pub(super) fn span(self, len: usize) -> usize {
         len.div_ceil(self.chunk)
     }
@@ -639,10 +636,18 @@ fn block(n: usize, len: usize, elem: usize, b: usize) -> (usize, usize) {
     ((b * q + b.min(r)) * elem, (q + usize::from(b < r)) * elem)
 }
 
-/// Chunks in the ring's longest block (block 0, on every rank alike):
-/// the tag run [`ring`] needs.
-pub(super) fn ring_span(w: Shape, len: usize, elem: usize) -> usize {
+/// Round codes a piece may use: every one below [`ROUND_GRANT`].
+const PIECE_ROUNDS: usize = ROUND_GRANT as usize;
+
+/// Chunks in the ring's longest block (block 0, on every rank alike).
+fn ring_chunks(w: Shape, len: usize, elem: usize) -> usize {
     ((len / elem).div_ceil(w.n) * elem).div_ceil((w.chunk / elem).max(1) * elem)
+}
+
+/// The tag run [`ring`] needs: its longest block's chunks once per lap
+/// of [`PIECE_ROUNDS`] rounds (one lap up to 256 ranks).
+pub(super) fn ring_span(w: Shape, len: usize, elem: usize) -> usize {
+    ring_chunks(w, len, elem) * (2 * (w.n - 1)).div_ceil(PIECE_ROUNDS)
 }
 
 /// Chunk-pipelined ring allreduce over `len` bytes of `elem`-byte lanes.
@@ -662,6 +667,11 @@ pub(super) fn ring_span(w: Shape, len: usize, elem: usize) -> usize {
 /// match a posted landing), not a correctness requirement — anything
 /// earlier waits in the unexpected queue (or, a put, in `early`) and
 /// still lands where posted.
+///
+/// **Tags.** Chunk `c` of round `t` is `(seq + ⌊t / 511⌋·k + c, t mod
+/// 511)`, `k` the longest block's chunks: past 256 ranks the rounds
+/// outnumber the piece round codes, and each later lap of 511 takes the
+/// next `k` of the run ([`ring_span`]). No piece uses [`ROUND_GRANT`].
 ///
 /// **Who touches which bytes when.** Write `(t, c)` for chunk `c` of the
 /// block round `t` receives. The left neighbour sends `(t, c)`
@@ -686,6 +696,8 @@ pub(super) fn ring_span(w: Shape, len: usize, elem: usize) -> usize {
 pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tags) {
     let Shape { n, me, chunk, .. } = w;
     let (left, right, rounds) = ((me + n - 1) % n, (me + 1) % n, 2 * (n - 1));
+    let lap = ring_chunks(w, len, elem);
+    let tag = |t: usize, c| tags.piece((t % PIECE_ROUNDS) as u32, t / PIECE_ROUNDS * lap + c);
     // Whole lanes per chunk, so a fold never splits one.
     let chunk = (chunk / elem).max(1) * elem;
     let block = |b: usize| {
@@ -697,11 +709,10 @@ pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tag
     // mod n`: each receive is the next round's send, and the right
     // neighbour folds what it receives in rounds `< n−1`.
     let send = |plan: &mut Plan, t: usize, c: usize, piece: (usize, usize)| {
-        let tag = tags.piece(t as u32, c);
         if t < n - 1 {
-            plan.send_fold(right, piece, tag, piece.0)
+            plan.send_fold(right, piece, tag(t, c), piece.0)
         } else {
-            plan.send_land(right, piece, tag, piece.0)
+            plan.send_land(right, piece, tag(t, c), piece.0)
         }
     };
     for (c, piece) in block(me) {
@@ -718,44 +729,12 @@ pub(super) fn ring(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tag
                 let j = send(plan, t + 1, c, piece);
                 enables = (j, j + 1);
             }
-            plan.recv(how, left, piece, tags.piece(t as u32, c), through_2, enables);
+            plan.recv(how, left, piece, tag(t, c), through_2, enables);
         }
         live += u64::from(plan.recvs.len() > through_1);
         (through_2, through_1) = (through_1, plan.recvs.len());
     }
     plan.seal(seeds, live);
-}
-
-/// Chunk-streamed binomial broadcast of `len` bytes from `root`: each
-/// parent→child edge carries the buffer as `chunk`-sized pieces, each
-/// under its own tag (run: `len.div_ceil(chunk)`), and a non-root's
-/// harvest of chunk `c` enables its forward to every child — the
-/// subtree below starts filling before the parent has the full buffer.
-/// The root's sends are all seeds, and its buffer is only ever read; a
-/// non-root's chunk range is lent to one receive, written by that one
-/// arrival, and read only by the forwards its harvest enables.
-pub(super) fn broadcast(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: Tags) {
-    let Shape { n, me, chunk, .. } = w;
-    let vr = (me + n - root) % n;
-    // The parent clears our highest set bit; the children are `vr + m`
-    // for every power of two `m > vr` with `vr + m < n`.
-    let top = if vr == 0 { 0 } else { 1usize << vr.ilog2() };
-    let children = || {
-        let first = (top << 1).max(1);
-        (0..usize::BITS).map(move |k| first << k).take_while(move |m| vr + m < n)
-    };
-    plan.clear(w, tags);
-    for (c, piece) in pieces(0, len, chunk).enumerate() {
-        let (tag, first) = (tags.piece(ROUND_BCAST, c), plan.sends.len());
-        for m in children() {
-            plan.send_land((vr + m + root) % n, piece, tag, piece.0);
-        }
-        if vr != 0 {
-            let enables = (first, plan.sends.len());
-            plan.recv(How::Land, (vr - top + root) % n, piece, tag, 0, enables);
-        }
-    }
-    plan.seal(if vr == 0 { plan.sends.len() } else { 0 }, 1);
 }
 
 /// Bruck allgather of `block`-byte contributions in `⌈log₂ n⌉` rounds:
@@ -816,33 +795,10 @@ pub(super) fn barrier(plan: &mut Plan, w: Shape, tags: Tags) {
     plan.seal(1, k as u64);
 }
 
-/// Bounded-inflight pairwise alltoall of `block`-byte blocks, each cut
-/// into `chunk` pieces under tags `(seq + c, ROUND_A2A)`: all receives
-/// open, each into its sender's block of the receive buffer (a peer's
-/// base is its block's offset, so a piece lands at its offset in the
-/// block), and all sends seeds in `(me + r) mod n` order. Sends read one
-/// buffer and receives write the other.
-pub(super) fn alltoall(plan: &mut Plan, w: Shape, block: usize, tags: Tags) {
-    let Shape { n, me, chunk, .. } = w;
-    plan.clear(w, tags);
-    for peer in (1..n).map(|r| (me + r) % n) {
-        let base = peer * block;
-        plan.peers[peer].land_base = base;
-        for (c, piece) in pieces(base, block, chunk).enumerate() {
-            let tag = tags.piece(ROUND_A2A, c);
-            plan.send_land(peer, piece, tag, piece.0 - base);
-            plan.recv(How::Land, peer, piece, tag, 0, (0, 0));
-        }
-    }
-    plan.seal(plan.sends.len(), 1);
-}
-
-/// Sequence numbers one `alltoallv` reserves. No rank knows the whole
-/// count matrix, so the run cannot follow the longest block the way the
-/// ring's does: it is a constant, and with the round field (which this
-/// single-stage exchange has no other use for, bar the grant's code)
-/// gives a pair `64 · 511 = 32 704` piece tags — a 2 GiB block at the
-/// default chunk size — before they repeat.
+/// Sequence numbers one `alltoallv` reserves: a constant, as no rank
+/// knows the whole count matrix. With the 511 piece round codes a pair
+/// has `64 · 511 = 32 704` piece tags — a 2 GiB block at the default
+/// chunk size — before they repeat.
 pub(super) const V_SPAN: usize = 64;
 
 /// Sparse largest-first `alltoallv` (DESIGN.md §4.13). A zero-byte pair
@@ -865,8 +821,7 @@ pub(super) fn alltoallv(
     tags: Tags,
 ) {
     let Shape { n, me, chunk, .. } = w;
-    let rounds = ROUND_GRANT as usize;
-    let tag = |c: usize| tags.piece((c % rounds) as u32, c / rounds);
+    let tag = |c: usize| tags.piece((c % PIECE_ROUNDS) as u32, c / PIECE_ROUNDS);
     plan.clear(w, tags);
     let (mut soff, mut roff) = (0, 0);
     for peer in 0..n {
@@ -885,43 +840,6 @@ pub(super) fn alltoallv(
     plan.sends
         .sort_unstable_by_key(|s| (Reverse(send_counts[s.to]), (s.to + n - me - 1) % n, s.off));
     plan.seal(plan.sends.len(), 1);
-}
-
-/// Binomial reduction of `len` bytes to `root`, in `chunk` pieces under
-/// tags `(seq + c, ROUND_REDUCE)`: the partials of children `vr + 1`,
-/// `vr + 2`, `vr + 4`, … are folded in one child at a time (a child's
-/// pieces open once every piece of the one before is in), and the last child's
-/// piece `c` enables piece `c` of the send to the parent — seeds on a
-/// leaf, absent on the root. Every touch of an accumulator range is
-/// therefore in program order: fold, fold, …, send. Each child's pieces
-/// arrive in a region of the arena of their own.
-pub(super) fn reduce(plan: &mut Plan, w: Shape, root: usize, len: usize, tags: Tags) {
-    let Shape { n, me, chunk, .. } = w;
-    plan.clear(w, tags);
-    let vr = (me + n - root) % n;
-    let (mut m, mut children) = (1, 0);
-    while m < n && vr & m == 0 {
-        if vr + m < n {
-            let (child, opens_at) = ((vr + m + root) % n, plan.recvs.len());
-            for (c, piece) in pieces(0, len, chunk).enumerate() {
-                plan.recv(How::Fold, child, piece, tags.piece(ROUND_REDUCE, c), opens_at, (0, 0));
-            }
-            children += 1;
-        }
-        m <<= 1;
-    }
-    let parents = usize::from(m < n);
-    if m < n {
-        for (c, piece) in pieces(0, len, chunk).enumerate() {
-            plan.send_fold((vr - m + root) % n, piece, tags.piece(ROUND_REDUCE, c), piece.0);
-        }
-        let last = plan.recvs.len().saturating_sub(plan.sends.len());
-        for (c, r) in plan.recvs[last..].iter_mut().enumerate() {
-            r.enables = (c, c + 1);
-        }
-    }
-    let seeds = if children == 0 { plan.sends.len() } else { 0 };
-    plan.seal(seeds, (children + parents) as u64);
 }
 
 mod direct;

@@ -1,9 +1,9 @@
-//! The direct schedule: a reduction whose ranks share one address space
+//! The direct schedule: an allreduce whose ranks share one address space
 //! (DESIGN.md §4.11 "Direct").
 //!
 //! Where this rank's device can address every rank's buffer — the sims
 //! and in-process shm, where `NetDevice::local_addr` answers for every
-//! pair ([`addresses_every_rank`]) — a reduction needs no piece on the
+//! pair ([`addresses_every_rank`]) — an allreduce needs no piece on the
 //! wire: each rank grants its buffer to every peer, and once it holds
 //! every peer's grant it reduces its own slice of all the buffers and
 //! writes the result back, then signals each peer with a zero-byte put.
@@ -13,8 +13,7 @@
 //!
 //! The answer is all or nothing per fabric (every rank of an in-process
 //! fabric, none across processes or on tcp), so every rank builds the
-//! same schedule; tcp and shm across processes keep the ring and the
-//! binomial reduce.
+//! same schedule; tcp and shm across processes keep the ring.
 
 use super::{block, How, Peer, Plan, Send, Shape};
 use crate::coll::lend::Scope;
@@ -36,17 +35,12 @@ pub(in crate::coll) struct Slice {
     pub(super) off: usize,
     pub(super) len: usize,
     pub(super) elem: usize,
-    /// `reduce`'s root, whose buffer alone is written; `None` writes
-    /// every rank's.
-    pub(super) root: Option<Rank>,
 }
 
-/// The reduction's memory, kept by a `CollState` so a warm call
-/// allocates nothing: where each rank's slice is in this address space,
-/// and the accumulator of a `reduce` to a root other than rank 0.
+/// Where each rank's slice is in this address space, kept by a
+/// `CollState` so a warm call allocates nothing.
 #[derive(Default)]
 pub(in crate::coll) struct Scratch {
-    acc: Vec<u8>,
     at: Vec<usize>,
 }
 
@@ -71,21 +65,18 @@ pub(in crate::coll) fn addresses_every_rank(rt: &Runtime, buf: &[u8]) -> Result<
     Ok(*rt.inner.coll_direct.get_or_init(|| yes))
 }
 
-/// Direct reduction of `len` bytes of `elem`-byte lanes: to every rank
-/// (`root: None`, allreduce) or into `root`'s buffer alone (`reduce`).
+/// Direct allreduce of `len` bytes of `elem`-byte lanes.
 ///
 /// Rank `me` owns block `me` of the ring's near-equal partition. At its
 /// first step it grants its whole buffer to every peer, as any landing
 /// is granted. Once it holds every peer's grant it reduces its slice
 /// ([`reduce_slice`]), `BLOCK` bytes at a time: rank 0's bytes are the
 /// accumulator, ranks `1..n` are folded into it in rank order
-/// (`op.fold(acc, theirs)`), and the result is written into every rank's
-/// buffer, or the root's. The accumulator is rank 0's block itself where
-/// that buffer is written anyway, else a copy in the scratch (a `reduce`
-/// to another root only reads rank 0's buffer). Only then
-/// may its sends go out: one zero-byte put per peer, whose signal says
-/// "my slice of your buffer is final". Its receives are the peers'
-/// signals, all open up front; it finishes once every one is harvested.
+/// (`op.fold(acc, theirs)`) in place, and the result is copied into
+/// every other rank's buffer. Only then may its sends go out: one
+/// zero-byte put per peer, whose signal says "my slice of your buffer
+/// is final". Its receives are the peers' signals, all open up front;
+/// it finishes once every one is harvested.
 /// Every rank's result is the serial rank-order left fold, bit for bit,
 /// whatever the wire and the timing.
 ///
@@ -97,20 +88,12 @@ pub(in crate::coll) fn addresses_every_rank(rt: &Runtime, buf: &[u8]) -> Result<
 /// `p` must harvest before it finishes (the put's immediate follows the
 /// writes, and the receive queue's pop acquires them). So every byte of
 /// a buffer is written by its slice's owner alone, in its one
-/// reduction, inside the interval the buffer is lent; a `reduce` only
-/// reads the non-root buffers.
-pub(in crate::coll) fn direct(
-    plan: &mut Plan,
-    w: Shape,
-    len: usize,
-    elem: usize,
-    root: Option<Rank>,
-    tags: Tags,
-) {
+/// reduction, inside the interval the buffer is lent.
+pub(in crate::coll) fn direct(plan: &mut Plan, w: Shape, len: usize, elem: usize, tags: Tags) {
     let Shape { n, me, .. } = w;
     plan.clear(w, tags);
     let (off, slice) = block(n, len, elem, me);
-    plan.direct = Some(Slice { me, off, len: slice, elem, root });
+    plan.direct = Some(Slice { me, off, len: slice, elem });
     let tag = tags.piece(0, 0);
     for to in (1..n).map(|k| (me + k) % n) {
         let how = How::Direct;
@@ -155,13 +138,6 @@ pub(in crate::coll) fn reduce_slice<O: ReduceOp + ?Sized>(
         scratch.at.push(at as usize);
     }
     let block = (BLOCK / s.elem).max(1) * s.elem;
-    // The accumulator: rank 0's block where its buffer is written anyway
-    // (allreduce, a `reduce` to rank 0), its bytes already there; else
-    // the scratch, which they are copied into.
-    let in_place = s.root.is_none_or(|root| root == 0);
-    if !in_place && scratch.acc.len() < block {
-        scratch.acc.resize(block, 0);
-    }
     for o in (0..s.len).step_by(block) {
         let len = block.min(s.len - o);
         let at = |r: usize| (scratch.at[r] + o) as *mut u8;
@@ -171,21 +147,14 @@ pub(in crate::coll) fn reduce_slice<O: ReduceOp + ?Sized>(
         // its rank granted for this call; the slice is this rank's alone
         // from that grant to its signal (`direct`'s doc; checked by
         // `tests::model`; DESIGN.md §4.11 "Lending", grants), and no two
-        // ranks' blocks overlap.
-        let acc = if in_place {
-            // SAFETY: as above; nothing else views rank 0's block.
-            unsafe { std::slice::from_raw_parts_mut(at(0), len) }
-        } else {
-            let acc = &mut scratch.acc[..len];
-            // SAFETY: as above; the scratch is this state's own.
-            acc.copy_from_slice(unsafe { std::slice::from_raw_parts(at(0), len) });
-            acc
-        };
+        // ranks' blocks overlap. Rank 0's block is the accumulator.
+        // SAFETY: as above; nothing else views rank 0's block.
+        let acc = unsafe { std::slice::from_raw_parts_mut(at(0), len) };
         for r in 1..peers.len() {
             // SAFETY: as above; rank `r`'s block is not the accumulator.
             op.fold(acc, unsafe { std::slice::from_raw_parts(at(r), len) });
         }
-        for r in (usize::from(in_place)..peers.len()).filter(|&r| s.root.is_none_or(|x| x == r)) {
+        for r in 1..peers.len() {
             // SAFETY: as above; the accumulator is not rank `r`'s block.
             unsafe { std::ptr::copy_nonoverlapping(acc.as_ptr(), at(r), len) };
         }

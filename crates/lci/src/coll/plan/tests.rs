@@ -12,12 +12,13 @@
 //! its memory. A direct reduction reads its slice of every rank's buffer
 //! and writes it back at one step: only with every peer's grant in, into
 //! no rank that has finished, before any of its signals is posted, and
-//! by the end every byte of every written buffer (a `reduce`: the root's
-//! alone) has been written exactly once. Before the run it checks the
-//! puts statically: each lands on exactly its receive under a grant, no
-//! two carrying bytes overlap, grants pair up.
+//! by the end every byte of every buffer has been written exactly once.
+//! Before the run it checks the pieces statically: every send has
+//! exactly one receive, and each put lands on exactly that receive under
+//! a grant, no two carrying bytes overlap, grants pair up.
 
 use super::*;
+use crate::coll::{ROUND_BITS, SEQ_BITS};
 use std::collections::HashMap;
 
 /// `(src, dst, tag)`: what the wire matches a send to its receive by.
@@ -99,19 +100,16 @@ fn check_puts(plans: &[Plan], recv_at: &[Vec<usize>]) {
     }
 }
 
-/// Runs `plans` (rank `r`'s at index `r`) to completion under `seed`.
-fn run(plans: &mut [Plan], one_buffer: bool, seed: u64) {
-    let n = plans.len();
-    let window = 1 + seed as usize % 4;
-    // Statically: every send has exactly one receive with its key
-    // and length, and every receive a send.
+/// Every send of `plans` has exactly one receive with its key and
+/// length, every receive a send, and the puts pass [`check_puts`]; per
+/// send, its receive's index at the destination.
+fn matched(plans: &[Plan]) -> Vec<Vec<usize>> {
     let mut recv_of: HashMap<Key, usize> = HashMap::new();
     for (dst, p) in plans.iter().enumerate() {
         for (i, r) in p.recvs.iter().enumerate() {
             assert!(recv_of.insert((r.from, dst, r.tag), i).is_none(), "two receives, one key");
         }
     }
-    // Per send: its receive's index at the destination.
     let mut sends = 0;
     let mut recv_at: Vec<Vec<usize>> = Vec::new();
     for (src, p) in plans.iter().enumerate() {
@@ -125,7 +123,14 @@ fn run(plans: &mut [Plan], one_buffer: bool, seed: u64) {
     }
     assert_eq!(sends, recv_of.len(), "a receive without a send, or two sends with one key");
     check_puts(plans, &recv_at);
+    recv_at
+}
 
+/// Runs `plans` (rank `r`'s at index `r`) to completion under `seed`.
+fn run(plans: &mut [Plan], one_buffer: bool, seed: u64) {
+    let n = plans.len();
+    let window = 1 + seed as usize % 4;
+    let recv_at = matched(plans);
     let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut posted: Vec<Vec<bool>> = plans.iter().map(|p| vec![false; p.recvs.len()]).collect();
     // `granted[a][b]`: rank `a` holds rank `b`'s grant.
@@ -199,14 +204,11 @@ fn run(plans: &mut [Plan], one_buffer: bool, seed: u64) {
                     let why = "buffer before its grant";
                     assert!(r == o || granted[o][r], "rank {o} reads rank {r}'s {why} ({seed})");
                     assert!(!finished[r], "rank {o} touches rank {r}'s buffer after it finished");
-                    let write = s.root.is_none_or(|root| root == r);
                     if s.len > 0 {
-                        touch(&mut live, (r, 1), (s.off, s.len), write, (o, r, 0));
-                        untouch(&mut live, (o, r, 0), write);
+                        touch(&mut live, (r, 1), (s.off, s.len), true, (o, r, 0));
+                        untouch(&mut live, (o, r, 0), true);
                     }
-                    if write {
-                        writes[r][s.off..s.off + s.len].iter_mut().for_each(|w| *w += 1);
-                    }
+                    writes[r][s.off..s.off + s.len].iter_mut().for_each(|w| *w += 1);
                 }
                 (plans[o].reduced, reduced[o]) = (true, true);
             }
@@ -266,9 +268,8 @@ fn run(plans: &mut [Plan], one_buffer: bool, seed: u64) {
         assert!(p.finished() && inflight[r] == 0, "rank {r} of {n} is stuck (seed {seed})");
     }
     assert!(live.is_empty() && flying.is_empty());
+    let want = u32::from(buf_len > 0);
     for (r, bytes) in writes.iter().enumerate() {
-        let want = plans.iter().filter(|p| p.direct.is_some_and(|s| s.root.is_none_or(|x| x == r)));
-        let want = u32::from(want.count() > 0);
         let bad = bytes.iter().position(|&w| w != want);
         assert!(bad.is_none(), "rank {r}'s byte {bad:?} not written {want} time(s) ({seed})");
     }
@@ -318,30 +319,29 @@ fn model_ring() {
     });
 }
 
-/// The direct schedule, as an allreduce and as a `reduce` to every root.
 #[test]
 fn model_direct() {
-    sweep(|n, len, seed| {
-        check(n, true, seed, |p, w| direct(p, w, len, ELEM, None, tags(1)));
-        let root = Some(seed as usize % n);
-        check(n, true, seed, |p, w| direct(p, w, len, ELEM, root, tags(1)));
-    });
+    sweep(|n, len, seed| check(n, true, seed, |p, w| direct(p, w, len, ELEM, tags(1))));
 }
 
 #[test]
-fn model_trees_and_bruck() {
+fn model_bruck() {
     sweep(|n, len, seed| {
-        let (root, t) = (seed as usize % n, tags(len.div_ceil(CHUNK)));
-        check(n, true, seed, |p, w| broadcast(p, w, root, len, t));
-        check(n, true, seed, |p, w| reduce(p, w, root, len, t));
         check(n, true, seed, |p, w| allgather(p, w, len, tags((n * len).div_ceil(CHUNK))));
     });
+}
+
+/// `exchange_counts`'s plan: `alltoallv` with every block `len` bytes
+/// under one sequence number.
+fn uniform(p: &mut Plan, w: Shape, len: usize) {
+    let sizes = vec![len; w.n];
+    alltoallv(p, w, &sizes, &sizes, tags(1));
 }
 
 #[test]
 fn model_barrier_and_exchanges() {
     sweep(|n, len, seed| {
-        check(n, false, seed, |p, w| alltoall(p, w, len, tags(len.div_ceil(CHUNK))));
+        check(n, false, seed, |p, w| uniform(p, w, len));
         if len > 0 {
             return;
         }
@@ -360,6 +360,88 @@ fn model_barrier_and_exchanges() {
     });
 }
 
+/// The ring at 257 ranks, the first world whose `2(n−1) = 512` rounds
+/// pass the 511 piece round codes: its second lap takes the next chunk
+/// run of the sequence, so every piece of every pair still has a tag of
+/// its own and every put lands on exactly its receive (`matched`), and
+/// no piece uses the grants' round code. Blocks of four lanes: a full
+/// chunk (a put) and a one-lane eager tail. Up to 256 ranks the run is
+/// one lap, the tags the ring always had.
+#[test]
+fn ring_laps_past_the_round_field() {
+    let shape = |n| Shape { n, me: 0, chunk: CHUNK, eager: CHUNK - 1 };
+    let (n, len) = (257, 257 * 4 * ELEM);
+    assert_eq!(ring_span(shape(256), len, ELEM), 2, "one lap of two chunks at 256 ranks");
+    assert_eq!(ring_span(shape(n), len, ELEM), 2 * 2, "two laps of two chunks at 257");
+    let t = tags(ring_span(shape(n), len, ELEM));
+    let plans = build(n, CHUNK - 1, |p, w| ring(p, w, len, ELEM, t));
+    matched(&plans);
+    let seq = |tag: Tag| (tag >> ROUND_BITS) & ((1 << SEQ_BITS) - 1);
+    let mut laps = [0; 2];
+    for p in &plans {
+        assert_eq!((p.rounds, p.recvs.len()), (512, 1024), "every round, two pieces each");
+        for tag in p.sends.iter().map(|s| s.tag).chain(p.recvs.iter().map(|r| r.tag)) {
+            assert_ne!(tag & ROUND_GRANT, ROUND_GRANT, "a piece under the grants' round code");
+            laps[usize::from(seq(tag) - t.seq >= 2)] += 1;
+        }
+    }
+    assert_eq!(laps, [257 * 2 * 2 * 511, 257 * 2 * 2], "the pieces of each lap, both ways");
+    assert!(plans.iter().any(|p| p.sends.iter().any(|s| s.len > p.eager)), "no put checked");
+}
+
+/// `exchange_counts`'s plan sends its 8-byte blocks in the pairwise
+/// rotation `(me + r) mod n`, `r = 1..n`, all of them seeds: uniform
+/// blocks tie on size, and `alltoallv` breaks ties by `(peer − me − 1)
+/// mod n`. Each is one piece, read from the peer's block.
+#[test]
+fn exchange_counts_sends_in_rotation() {
+    for n in [2, 3, 4, 8] {
+        for (me, p) in build(n, usize::MAX, |p, w| uniform(p, w, 8)).iter().enumerate() {
+            let order: Vec<(Rank, usize, usize)> =
+                p.sends.iter().map(|s| (s.to, s.off, s.len)).collect();
+            let want: Vec<_> = (1..n).map(|r| (me + r) % n).map(|to| (to, to * 8, 8)).collect();
+            assert_eq!((order, p.ready.len()), (want, n - 1), "rank {me} of {n}");
+        }
+    }
+}
+
+/// DESIGN.md §4.11's count table: rank 0 of each schedule at `n` = 2,
+/// 4 and 8 over 1 MiB in 64 KiB chunks — the allreduce's buffer, Bruck's
+/// output, `alltoallv`'s send buffer in equal blocks — and its rounds,
+/// the pieces it sends (grants aside) and their bytes.
+#[test]
+fn counts_per_rank_match_the_design_table() {
+    const MIB: usize = 1 << 20;
+    type Row = (&'static str, fn(&mut Plan, Shape), [(u64, usize, usize); 3]);
+    let table: [Row; 5] = [
+        ("direct", |p, w| direct(p, w, MIB, 8, tags(1)), [(1, 1, 0), (1, 3, 0), (1, 7, 0)]),
+        (
+            "ring",
+            |p, w| ring(p, w, MIB, 8, tags(ring_span(w, MIB, 8))),
+            [(2, 16, MIB), (6, 24, 3 * MIB / 2), (14, 28, 7 * MIB / 4)],
+        ),
+        (
+            "bruck",
+            |p, w| allgather(p, w, MIB / w.n, tags(w.span(MIB))),
+            [(1, 8, MIB / 2), (2, 12, 3 * MIB / 4), (3, 14, 7 * MIB / 8)],
+        ),
+        ("barrier", |p, w| barrier(p, w, tags(1)), [(1, 1, 1), (2, 2, 2), (3, 3, 3)]),
+        (
+            "alltoallv",
+            |p, w| uniform(p, w, MIB / w.n),
+            [(1, 8, MIB / 2), (1, 12, 3 * MIB / 4), (1, 14, 7 * MIB / 8)],
+        ),
+    ];
+    for (name, f, row) in table {
+        for (n, want) in [2, 4, 8].into_iter().zip(row) {
+            let mut p = Plan::default();
+            f(&mut p, Shape { n, me: 0, chunk: 64 << 10, eager: 4096 });
+            let bytes = p.sends.iter().map(|s| s.len).sum();
+            assert_eq!((p.rounds, p.sends.len(), bytes), want, "{name} at n = {n}");
+        }
+    }
+}
+
 /// Three ranks' ring over three full chunks a block, every chunk a put.
 fn ring_puts() -> Vec<Plan> {
     let (n, len) = (3, 3 * 3 * CHUNK);
@@ -370,7 +452,7 @@ fn ring_puts() -> Vec<Plan> {
 /// Three ranks' direct allreduce of five elements: slices of two, two
 /// and one.
 fn direct_plans() -> Vec<Plan> {
-    build(3, CHUNK - 1, |p, w| direct(p, w, 5 * ELEM, ELEM, None, tags(1)))
+    build(3, CHUNK - 1, |p, w| direct(p, w, 5 * ELEM, ELEM, tags(1)))
 }
 
 #[test]

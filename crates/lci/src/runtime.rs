@@ -124,8 +124,6 @@ pub(crate) struct RuntimeInner {
     /// "all ranks call collectives in the same order" contract already
     /// implies one collective at a time per rank.
     pub coll: parking_lot::Mutex<Option<crate::coll::CollState>>,
-    /// Collective states `i*` handles gave back, for the next handles.
-    pub coll_spare: parking_lot::Mutex<Vec<crate::coll::CollState>>,
     /// Whether this runtime's device addresses every rank's memory, so
     /// reductions run the direct schedule; asked at the first one.
     pub coll_direct: std::sync::OnceLock<bool>,
@@ -182,7 +180,6 @@ impl Runtime {
             rcomp: MpmcArray::with_capacity(16),
             coll_seq: std::sync::atomic::AtomicU32::new(0),
             coll: parking_lot::Mutex::new(None),
-            coll_spare: parking_lot::Mutex::new(Vec::new()),
             coll_direct: std::sync::OnceLock::new(),
             devices: MpmcArray::with_capacity(4),
             config,
@@ -279,8 +276,8 @@ impl Runtime {
         Ok(did)
     }
 
-    /// Waits for `f` to hold — the blocking helper the collectives, the
-    /// `i*` handles' `wait`, tests and simple clients block through.
+    /// Waits for `f` to hold — the blocking helper the collectives,
+    /// tests and simple clients block through.
     /// Sweeps progress on every device of this runtime
     /// ([`progress_all`](Self::progress_all)) between tests.
     ///

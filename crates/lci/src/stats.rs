@@ -259,7 +259,7 @@ pub struct StatsSnapshot {
     /// racing another's `register_rcomp`).
     pub early_inbound: u64,
     /// Collective communication rounds executed through this device
-    /// (ring/dissemination/binomial steps; one bump per peer exchange a
+    /// (ring/dissemination/Bruck steps; one bump per peer exchange a
     /// rank takes part in).
     pub coll_rounds: u64,
     /// Payload bytes moved by collectives through this device (sends
@@ -267,18 +267,17 @@ pub struct StatsSnapshot {
     pub coll_bytes: u64,
     /// Bytes of its own slice this rank reduced directly in every rank's
     /// buffer, in this address space (the direct schedule of
-    /// `coll::allreduce` and `coll::reduce_bytes`): they travel as no
-    /// piece, so [`Self::coll_bytes`] does not count them.
+    /// `coll::allreduce`): they travel as no piece, so
+    /// [`Self::coll_bytes`] does not count them.
     pub coll_direct_bytes: u64,
     /// High-water mark of concurrently in-flight collective chunks
-    /// (pipelined ring-allreduce chunk sends + bounded-inflight alltoall
-    /// block sends; max across cells, not a delta counter — see
+    /// (pipelined ring-allreduce chunk sends + bounded-inflight alltoallv
+    /// piece sends; max across cells, not a delta counter — see
     /// [`StatsSnapshot::since`]). Values above 1 demonstrate real
     /// chunk-level overlap.
     pub coll_chunks_inflight_hwm: u64,
     /// Zero-byte `alltoallv` peer pairs that posted nothing on the wire
-    /// (send-side skips; the dense `alltoall` pays a full message per
-    /// empty pair instead). MoE routing matrices are mostly sparse, so this
+    /// (send-side skips). MoE routing matrices are mostly sparse, so this
     /// counter is the direct evidence the vector exchange exploited it.
     pub coll_skipped_pairs: u64,
     /// High-water mark of total payload bytes one `alltoallv` call

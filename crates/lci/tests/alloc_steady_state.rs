@@ -860,26 +860,25 @@ fn collective_puts_steady_state_is_allocation_free() {
     );
 }
 
-/// Warm dense alltoall with blocks over `coll_chunk_size` (100 KiB
-/// against the scaffold's 4 KiB): `alltoall_bytes` once posted whole
-/// blocks, and before PR 20 every call took an oversize landing box — a
-/// fresh allocation, one per peer per call (64 in this window), under a
-/// module doc that said a warm collective loop allocates nothing. Each
-/// block is now cut into chunk-sized pieces that land in the caller's
-/// receive buffer, and there is no box to allocate.
+/// Warm alltoallv of equal blocks over `coll_chunk_size` (100 KiB
+/// against the scaffold's 4 KiB): each block is cut into chunk-sized
+/// pieces that land in the caller's receive buffer, so there is no
+/// per-block landing to allocate.
 #[test]
-fn collective_alltoall_oversize_blocks_steady_state_is_allocation_free() {
+fn collective_alltoallv_oversize_blocks_steady_state_is_allocation_free() {
     let _g = serial();
     const BLOCK: usize = 100 << 10;
     let allocs = collective_steady_state_allocs(2, |rank| {
         let send = vec![rank as u8 + 1; 2 * BLOCK];
         let mut recv = vec![0u8; 2 * BLOCK];
-        move |rt: &Runtime| lci::coll::alltoall_bytes(rt, &send, &mut recv).unwrap()
+        move |rt: &Runtime| {
+            lci::coll::alltoallv(rt, &send, &[BLOCK; 2], &mut recv, &[BLOCK; 2]).unwrap()
+        }
     });
     assert_eq!(
         allocs,
         0,
-        "warm 100 KiB-block alltoall loop made {allocs} allocator calls on two ranks{}",
+        "warm 100 KiB-block alltoallv loop made {allocs} allocator calls on two ranks{}",
         first_allocs()
     );
 }

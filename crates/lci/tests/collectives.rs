@@ -1,8 +1,7 @@
 //! Integration and property tests for the collectives (`lci::coll`):
-//! the direct reduction and the ring allreduce, binomial
-//! broadcast/reduce, Bruck allgather, bounded-inflight alltoall, their
-//! non-blocking `i*` variants, and their results against serial
-//! references computed from the seeded inputs on awkward shapes
+//! the direct reduction and the ring allreduce, Bruck allgather, the
+//! sparse alltoallv and its count exchange, and their results against
+//! serial references computed from the seeded inputs on awkward shapes
 //! (non-power-of-two rank counts, zero-length blocks, block sizes
 //! straddling chunk boundaries).
 
@@ -159,9 +158,8 @@ fn contribution(op: &dyn lci::ReduceOp, len: usize, r: usize) -> Vec<u8> {
 /// sim wire and in-process shm: `n` = 2, 3 and 4, `SumU64` and `SumF32`
 /// (whose rounding shows a fold done in another order), lengths with
 /// empty slices, uneven slices and slices on both sides of the eager
-/// size and of the reduction's block; allreduce, and `reduce_bytes` to
-/// rank 1; rank threads left unpinned, against [`serial_fold`], bit for
-/// bit.
+/// size and of the reduction's block; rank threads left unpinned,
+/// against [`serial_fold`], bit for bit.
 #[test]
 fn direct_reduction_matches_serial_on_two_cores() {
     let base = RuntimeConfig::default();
@@ -178,12 +176,6 @@ fn direct_reduction_matches_serial_on_two_cores() {
                         let mut buf = contribution(op, len, rank);
                         coll::allreduce(&rt, &mut buf, op).unwrap();
                         assert!(buf == want, "rank {rank} of {n}, allreduce {len} B, lane {e}");
-                        let mut buf = contribution(op, len, rank);
-                        let root = coll::reduce_bytes(&rt, 1, &mut buf, op).unwrap();
-                        assert!(
-                            !root || buf == want,
-                            "rank {rank} of {n}, reduce {len} B, lane {e}"
-                        );
                     }
                 }
                 let d = rt.device().stats();
@@ -213,133 +205,30 @@ fn allreduce_f32_ops() {
 }
 
 #[test]
-fn broadcast_multi_chunk_streams() {
-    // 40 KiB from rank 1 through 512-byte chunks: the root streams ~80
-    // chunks to each child while children forward on arrival.
-    with_ranks(3, tiny_chunk_cfg(512), |rank, rt| {
-        let want: Vec<u8> = (0..40 << 10).map(|i| (i % 251) as u8).collect();
-        let mut buf = if rank == 1 { want.clone() } else { vec![0u8; 40 << 10] };
-        coll::broadcast_bytes(&rt, 1, &mut buf).unwrap();
-        assert_eq!(buf, want);
-    });
-}
-
-#[test]
-fn reduce_only_root_gets_result() {
-    with_ranks(4, RuntimeConfig::small(), |rank, rt| {
-        let contrib = vec![rank as u64 + 1, 10 * (rank as u64 + 1)];
-        let res = coll::reduce_u64(&rt, 2, &contrib, |a, b| a + b).unwrap();
-        if rank == 2 {
-            assert_eq!(res.unwrap(), vec![10, 100]);
-        } else {
-            assert!(res.is_none());
-        }
-    });
-}
-
-#[test]
 fn allgather_zero_length_blocks() {
     with_ranks(3, RuntimeConfig::small(), |_rank, rt| {
         let mut out = vec![];
         coll::allgather_bytes(&rt, &[], &mut out).unwrap();
         assert!(out.is_empty());
-
-        let all = coll::allgather(&rt, &[]).unwrap();
-        assert_eq!(all, vec![Vec::<u8>::new(); 3]);
     });
 }
 
 #[test]
-fn alltoall_put_blocks() {
+fn uniform_alltoallv_put_blocks() {
     // Blocks over the small config's 4 KiB eager threshold go as puts
     // into the receive buffer each receiver granted once for the call.
     with_ranks(3, RuntimeConfig::small(), |rank, rt| {
         let block = 12 << 10;
         let send: Vec<u8> = (0..3 * block).map(|i| (rank * 64 + i / block) as u8).collect();
         let mut recv = vec![0u8; 3 * block];
-        coll::alltoall_bytes(&rt, &send, &mut recv).unwrap();
+        let counts = [block; 3];
+        coll::alltoallv(&rt, &send, &counts, &mut recv, &counts).unwrap();
         for src in 0..3 {
             assert!(
                 recv[src * block..(src + 1) * block].iter().all(|&b| b == (src * 64 + rank) as u8),
                 "rank {rank} block from {src}"
             );
         }
-    });
-}
-
-#[test]
-fn nonblocking_variants_roundtrip() {
-    with_ranks(3, RuntimeConfig::small(), |rank, rt| {
-        // ibroadcast
-        let buf = if rank == 0 { b"graphcast".to_vec() } else { vec![0u8; 9] };
-        let op = coll::ibroadcast(&rt, 0, buf).unwrap();
-        assert_eq!(op.wait(&rt).unwrap(), b"graphcast");
-
-        // ireduce (sum to rank 2)
-        let op = coll::ireduce_u64(&rt, 2, &[rank as u64, 1], |a, b| a + b).unwrap();
-        let res = op.wait(&rt).unwrap();
-        if rank == 2 {
-            assert_eq!(res.unwrap(), vec![3, 3]);
-        } else {
-            assert!(res.is_none());
-        }
-
-        // iallreduce (max)
-        let op = coll::iallreduce_u64(&rt, &[rank as u64 * 7], u64::max).unwrap();
-        assert_eq!(op.wait(&rt).unwrap(), vec![14]);
-
-        // iallgather
-        let op = coll::iallgather(&rt, &[rank as u8; 4]).unwrap();
-        let all = op.wait(&rt).unwrap();
-        for (r, blk) in all.iter().enumerate() {
-            assert_eq!(blk, &vec![r as u8; 4]);
-        }
-
-        // ialltoall
-        let send: Vec<Vec<u8>> = (0..3).map(|i| vec![(rank * 10 + i) as u8; 6]).collect();
-        let op = coll::ialltoall(&rt, &send).unwrap();
-        let recvd = op.wait(&rt).unwrap();
-        for (src, blk) in recvd.iter().enumerate() {
-            assert_eq!(blk, &vec![(src * 10 + rank) as u8; 6], "from {src}");
-        }
-
-        // ibarrier
-        coll::ibarrier(&rt).unwrap().wait(&rt).unwrap();
-    });
-}
-
-#[test]
-fn nonblocking_variants_on_a_world_of_one() {
-    // No plan is built (as the blocking calls post nothing): the handle
-    // resolves from what the call copied in.
-    with_ranks(1, RuntimeConfig::small(), |_, rt| {
-        assert_eq!(coll::ibroadcast(&rt, 0, vec![7; 3]).unwrap().wait(&rt).unwrap(), vec![7; 3]);
-        assert_eq!(coll::iallreduce_u64(&rt, &[5], u64::max).unwrap().wait(&rt).unwrap(), vec![5]);
-        let blocks = coll::ialltoallv(&rt, &[vec![1, 2]]).unwrap().wait(&rt).unwrap();
-        assert_eq!(blocks, vec![vec![1, 2]]);
-        coll::ibarrier(&rt).unwrap().wait(&rt).unwrap();
-    });
-}
-
-#[test]
-fn nonblocking_overlaps_with_sends() {
-    // Start an iallgather, run unrelated tagged traffic to completion,
-    // then harvest the collective: the graph must make progress in the
-    // background rather than monopolize the runtime.
-    with_ranks(2, RuntimeConfig::small(), |rank, rt| {
-        let op = coll::iallgather(&rt, &[rank as u8 + 40; 8]).unwrap();
-
-        let peer = 1 - rank;
-        let comp = Comp::alloc_sync(1);
-        rt.post_send(peer, vec![rank as u8; 32], 7, comp.clone()).unwrap();
-        let rcomp = Comp::alloc_sync(1);
-        let posted = rt.post_recv(peer, vec![0u8; 32], 7, rcomp.clone()).unwrap();
-        if matches!(posted, PostResult::Posted) {
-            rt.wait_until(|| rcomp.as_sync().unwrap().test()).unwrap();
-        }
-
-        let all = op.wait(&rt).unwrap();
-        assert_eq!(all, vec![vec![40u8; 8], vec![41u8; 8]]);
     });
 }
 
@@ -407,14 +296,15 @@ fn alltoallv_over_shm_device() {
 }
 
 #[test]
-fn alltoallv_counts_learns_recv_side() {
+fn exchange_counts_learns_recv_side() {
     // The MoE-dispatch case: every rank knows only where it routes
     // bytes *to*; the count exchange must learn the transpose, and the
     // learned vector must drive a correct alltoallv.
     let n = 4;
     with_ranks(n, RuntimeConfig::small(), move |rank, rt| {
         let send_counts: Vec<usize> = (0..n).map(|dst| (rank * 7 + dst * 3) % 5 * 10).collect();
-        let recv_counts = coll::alltoallv_counts(&rt, &send_counts).unwrap();
+        let mut recv_counts = vec![0; n];
+        coll::exchange_counts(&rt, &send_counts, &mut recv_counts).unwrap();
         for (src, &c) in recv_counts.iter().enumerate() {
             assert_eq!(c, (src * 7 + rank * 3) % 5 * 10, "rank {rank} learned count from {src}");
         }
@@ -444,96 +334,6 @@ fn alltoallv_rejects_bad_shapes() {
         send_counts[rank] = 2;
         assert!(coll::alltoallv(&rt, &[0; 3], &send_counts, &mut recv, &[1, 1]).is_err());
     });
-}
-
-#[test]
-fn ialltoallv_nonblocking_with_unknown_counts() {
-    // The handle learns the landing sizes itself (count round, then the
-    // data round over them); zero pairs resolve to empty blocks. Once
-    // with every block one eager piece, once with the big block cut into
-    // put-sized chunks and a short eager tail.
-    let n = 3;
-    for (cfg, big) in [(RuntimeConfig::small(), 4200), (tiny_chunk_cfg(8 << 10), 20_000)] {
-        with_ranks(n, cfg, move |rank, rt| {
-            let send: Vec<Vec<u8>> = (0..n)
-                .map(|dst| {
-                    let len = [0usize, 5, big][(rank + dst) % 3];
-                    (0..len).map(|i| vpat(rank, dst, i)).collect()
-                })
-                .collect();
-            let op = coll::ialltoallv(&rt, &send).unwrap();
-            let recvd = op.wait(&rt).unwrap();
-            for (src, blk) in recvd.iter().enumerate() {
-                let len = [0usize, 5, big][(src + rank) % 3];
-                let want: Vec<u8> = (0..len).map(|i| vpat(src, rank, i)).collect();
-                assert_eq!(blk, &want, "rank {rank} block from {src}");
-            }
-        });
-    }
-}
-
-/// Handles have a state of their own, so they and a blocking collective
-/// may be in flight together: two `ialltoallv`s are started, an
-/// `allreduce` runs to completion with neither stepped, and the handles
-/// are waited in reverse — every rank in the same order, which is all
-/// the contract asks. Alone, and with a sibling thread per rank
-/// delivering into the handles' buffers and completing puts from them.
-#[test]
-fn handles_and_a_blocking_collective_interleave() {
-    let n = 3;
-    for sibling in [false, true] {
-        with_ranks(n, tiny_chunk_cfg(8 << 10), move |rank, rt| {
-            let len =
-                |src: usize, dst: usize, salt: usize| [0, 700, 20_000][(src + dst + salt) % 3];
-            let blocks = |salt: usize| -> Vec<Vec<u8>> {
-                let block = |dst| (0..len(rank, dst, salt)).map(move |i| vpat(rank + salt, dst, i));
-                (0..n).map(|dst| block(dst).collect()).collect()
-            };
-            with_sibling_progress(&rt, sibling, || {
-                let first = coll::ialltoallv(&rt, &blocks(0)).unwrap();
-                let second = coll::ialltoallv(&rt, &blocks(1)).unwrap();
-                let mut sum: Vec<u8> =
-                    (0..3000u64).flat_map(|i| (i << rank).to_le_bytes()).collect();
-                coll::allreduce(&rt, &mut sum, &SumU64).unwrap();
-                for (i, lane) in sum.chunks_exact(8).enumerate() {
-                    assert_eq!(u64::from_le_bytes(lane.try_into().unwrap()), 7 * i as u64);
-                }
-                for (salt, handle) in [(1, second), (0, first)] {
-                    for (src, blk) in handle.wait(&rt).unwrap().iter().enumerate() {
-                        let want: Vec<u8> =
-                            (0..len(src, rank, salt)).map(|i| vpat(src + salt, rank, i)).collect();
-                        assert_eq!(blk, &want, "rank {rank}, handle {salt}, block from {src}");
-                    }
-                }
-            });
-        });
-    }
-}
-
-/// Dropping an unfinished handle waits it out: its buffers are lent and
-/// its peers count on its sends. The root of a 40 KiB broadcast in 8 KiB
-/// puts always drops its handle right after the call, with a sibling
-/// thread progressing its device; the other ranks drop theirs
-/// too, or keep them and must still get every byte. The allgather behind
-/// it finds the tag sequence where every rank left it.
-#[test]
-fn dropped_handle_completes() {
-    for keep in [false, true] {
-        with_ranks(3, tiny_chunk_cfg(8 << 10), move |rank, rt| {
-            let want: Vec<u8> = (0..40 << 10).map(|i| (i % 241) as u8).collect();
-            with_sibling_progress(&rt, true, || {
-                let buf = if rank == 1 { want.clone() } else { vec![0u8; 40 << 10] };
-                let handle = coll::ibroadcast(&rt, 1, buf).unwrap();
-                if keep && rank != 1 {
-                    assert!(handle.wait(&rt).unwrap() == want, "rank {rank}");
-                } else {
-                    drop(handle);
-                }
-                let all = coll::allgather(&rt, &[rank as u8; 4]).unwrap();
-                assert_eq!(all, vec![vec![0u8; 4], vec![1; 4], vec![2; 4]]);
-            });
-        });
-    }
 }
 
 /// Deterministic adversarial routing matrices for the equivalence
@@ -605,10 +405,10 @@ proptest! {
     }
 }
 
-/// Runs one fixed scenario (allreduce + allgather + alltoall, and
-/// reduce + broadcast against the allreduce) across `n` ranks and checks
-/// every rank's results against references computed serially from the
-/// seeded inputs.
+/// Runs one fixed scenario (allreduce + allgather + a count exchange
+/// and the uniform alltoallv it sizes) across `n` ranks and checks every
+/// rank's results against references computed serially from the seeded
+/// inputs.
 fn run_scenario(n: usize, cfg: RuntimeConfig, elems: usize, block: usize) {
     with_ranks(n, cfg, move |rank, rt| {
         // Allreduce: position-tagged contributions, sum.
@@ -617,7 +417,7 @@ fn run_scenario(n: usize, cfg: RuntimeConfig, elems: usize, block: usize) {
         };
         // Allgather: per-rank fill pattern.
         let mine = |r: usize| -> Vec<u8> { (0..block).map(|i| (r * 31 + i) as u8).collect() };
-        // Alltoall: (src, dst)-tagged blocks.
+        // Alltoallv of equal blocks: (src, dst)-tagged.
         let send = |r: usize| -> Vec<u8> {
             (0..block * n).map(|i| (r * 17 + (i / block.max(1)) * 5 + i) as u8).collect()
         };
@@ -629,15 +429,13 @@ fn run_scenario(n: usize, cfg: RuntimeConfig, elems: usize, block: usize) {
         let mut ar = contrib(rank);
         let mut ag = vec![0u8; block * n];
         let mut a2a = vec![0u8; block * n];
+        let mut counts = vec![usize::MAX; n];
         coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
         coll::allgather_bytes(&rt, &mine(rank), &mut ag).unwrap();
-        coll::alltoall_bytes(&rt, &send(rank), &mut a2a).unwrap();
-        // Reduce to rank 0 then broadcast: what `allreduce` runs past
-        // `MAX_RING_RANKS` on a wire that cannot address every rank.
-        let mut rb = contrib(rank);
-        coll::reduce_bytes(&rt, 0, &mut rb, &SumU64).unwrap();
-        coll::broadcast_bytes(&rt, 0, &mut rb).unwrap();
-        assert_eq!([ar, ag, a2a, rb], [sum.clone(), gathered, to_me, sum], "rank {rank}");
+        coll::exchange_counts(&rt, &vec![block; n], &mut counts).unwrap();
+        assert_eq!(counts, vec![block; n], "rank {rank}: learned counts");
+        coll::alltoallv(&rt, &send(rank), &counts, &mut a2a, &counts).unwrap();
+        assert_eq!([ar, ag, a2a], [sum, gathered, to_me], "rank {rank}");
     });
 }
 
@@ -647,8 +445,8 @@ proptest! {
     /// The collectives compute the serial references on awkward shapes:
     /// non-power-of-two rank counts, zero-length payloads, and block sizes
     /// straddling multiples of the chunk size (k*chunk - 1, k*chunk,
-    /// k*chunk + 1); on the sim wire, and on tcp, where the reductions
-    /// are the ring and the binomial tree.
+    /// k*chunk + 1); on the sim wire, and on tcp, where the allreduce is
+    /// the ring.
     #[test]
     fn collectives_match_serial(
         n in 2usize..6,
@@ -694,37 +492,24 @@ fn with_sibling_progress<T>(rt: &Runtime, sibling: bool, f: impl FnOnce() -> T) 
 /// The engines whose pieces are both sent from and landed in one buffer
 /// — the allreduce (the ring sends a range in round `t` and lands on it
 /// in round `t+n−1`; the direct schedule reads and writes every rank's
-/// slice in place), Bruck allgather (the prefix is sent while the
-/// round's arrival lands behind it) and the streamed broadcast (a chunk
-/// is forwarded from where it landed) — against references computed
+/// slice in place) and Bruck allgather (the prefix is sent while the
+/// round's arrival lands behind it) — against references computed
 /// serially from the seeded inputs.
-fn run_lent_scenario(
-    n: usize,
-    cfg: RuntimeConfig,
-    elems: usize,
-    block: usize,
-    bcast: usize,
-    sibling: bool,
-) {
+fn run_lent_scenario(n: usize, cfg: RuntimeConfig, elems: usize, block: usize, sibling: bool) {
     with_ranks(n, cfg, move |rank, rt| {
         let contrib = |r: usize| -> Vec<u8> {
             (0..elems).flat_map(|i| ((r as u64 + 3) * (i as u64 + 1)).to_le_bytes()).collect()
         };
         let mine = |r: usize| -> Vec<u8> { (0..block).map(|i| (r * 29 + i) as u8).collect() };
-        let root = n - 1;
-        let seed: Vec<u8> = (0..bcast).map(|i| (i % 253) as u8 ^ 0x5A).collect();
-        let want =
-            [serial_fold(n, &SumU64, contrib), (0..n).flat_map(mine).collect(), seed.clone()];
+        let want = [serial_fold(n, &SumU64, contrib), (0..n).flat_map(mine).collect()];
 
         let mut ar = contrib(rank);
         let mut ag = vec![0u8; block * n];
-        let mut bc = if rank == root { seed } else { vec![0u8; bcast] };
         with_sibling_progress(&rt, sibling, || {
             coll::allreduce(&rt, &mut ar, &SumU64).unwrap();
             coll::allgather_bytes(&rt, &mine(rank), &mut ag).unwrap();
-            coll::broadcast_bytes(&rt, root, &mut bc).unwrap();
         });
-        assert_eq!([ar, ag, bc], want, "rank {rank} of {n}, sibling progress {sibling}");
+        assert_eq!([ar, ag], want, "rank {rank} of {n}, sibling progress {sibling}");
     });
 }
 
@@ -756,15 +541,14 @@ proptest! {
             // Blocks straddling 1.5 chunks, unequal across ranks.
             _ => n * (chunk_elems + chunk_elems / 2) + n - 1,
         };
-        // Bruck blocks and the broadcast on the same side of the eager
-        // limit (4 KiB packets in the small config) as the chunk.
+        // Bruck blocks on the same side of the eager limit (4 KiB
+        // packets in the small config) as the chunk.
         let block = chunk + 11;
-        let bcast = 3 * chunk + 5;
         for (cfg, sibling) in [false, true].map(|s| (tiny_chunk_cfg(chunk), s))
             .into_iter()
             .chain([false, true].map(|s| (ring_cfg(chunk), s)))
         {
-            run_lent_scenario(n, cfg, elems, block, bcast, sibling);
+            run_lent_scenario(n, cfg, elems, block, sibling);
         }
     }
 }
@@ -772,12 +556,12 @@ proptest! {
 /// Warm blocking collectives take nothing from the device's buffer
 /// pool, and every byte they send is accounted for. Two ranks, default
 /// config, `allreduce(1 MiB)` + `alltoallv(128 KiB each way)` + an
-/// `ialltoallv` of the same block (the handle lends its own buffers), 4
-/// warm iterations. Per rank and iteration:
+/// `exchange_counts` and a second `alltoallv` over the counts it
+/// learned, 4 warm iterations. Per rank and iteration:
 ///
 /// * on tcp the allreduce is the ring: sixteen 64 KiB chunks, all puts
 ///   (8 folded through the arena, 8 landed), so `rma_framed_bytes` is
-///   the 1 MiB plus the exchanges' 2 × 128 KiB, each as two 64 KiB puts,
+///   the 1 MiB plus the two exchanges' 128 KiB, each as two 64 KiB puts,
 ///   and the first call registers the landing and the arena;
 /// * on the in-process wires it is the direct schedule: this rank
 ///   reduces its 512 KiB slice of both buffers itself
@@ -785,9 +569,9 @@ proptest! {
 ///   its one zero-byte signal, so `rma_direct_bytes` is the exchanges'
 ///   256 KiB alone, `coll_bytes` counts no allreduce byte, and the first
 ///   call registers the landing alone;
-/// * everywhere, three grants (one per call with puts) and the handle's
-///   one 8-byte count piece are the two-sided deliveries, each copied
-///   into its posted receive once; no rendezvous, no chunk pump.
+/// * everywhere, three grants (one per call with puts) and the count
+///   exchange's one 8-byte piece are the two-sided deliveries, each
+///   copied into its posted receive once; no rendezvous, no chunk pump.
 #[test]
 fn blocking_collectives_take_nothing_from_the_pool() {
     const MIB: usize = 1 << 20;
@@ -813,10 +597,8 @@ fn blocking_collectives_take_nothing_from_the_pool() {
             let mut counts = [0usize; 2];
             counts[peer] = V;
             let send: Vec<u8> = (0..V).map(|i| vpat(rank, peer, i)).collect();
-            let mut blocks = vec![Vec::new(), Vec::new()];
-            blocks[peer] = send.clone();
             let mut ar = contrib(rank);
-            let mut recv = vec![0u8; V];
+            let (mut recv, mut again, mut learned) = (vec![0u8; V], vec![0u8; V], [0usize; 2]);
             let (cold, mut base) = (rt.device().stats(), rt.device().stats());
             let mut registered = 0;
             for i in 0..8 + 4 {
@@ -829,8 +611,10 @@ fn blocking_collectives_take_nothing_from_the_pool() {
                     registered = rt.device().stats().since(&cold).reg_cache_misses;
                 }
                 coll::alltoallv(&rt, &send, &counts, &mut recv, &counts).unwrap();
-                let got = coll::ialltoallv(&rt, &blocks).unwrap().wait(&rt).unwrap();
-                assert!(got[peer] == recv, "{wire} rank {rank}: ialltoallv differs from alltoallv");
+                coll::exchange_counts(&rt, &counts, &mut learned).unwrap();
+                assert_eq!(learned, counts, "{wire} rank {rank}: learned counts");
+                coll::alltoallv(&rt, &send, &counts, &mut again, &learned).unwrap();
+                assert!(again == recv, "{wire} rank {rank}: the second alltoallv differs");
             }
             let d = rt.device().stats().since(&base);
 

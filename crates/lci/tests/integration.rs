@@ -5,7 +5,7 @@
 use lci::coll;
 use lci::{
     Comp, CompKind, DeviceConfig, Direction, Fabric, MatchingPolicy, PostResult, Runtime,
-    RuntimeConfig,
+    RuntimeConfig, SumU64,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -469,52 +469,39 @@ fn multithreaded_dedicated_devices() {
 }
 
 #[test]
-fn collectives_barrier_bcast_reduce() {
+fn collectives_barrier_and_allreduce() {
     with_ranks(4, RuntimeConfig::small(), |rank, rt| {
         // Barrier: no rank may pass until all arrive (checked via flag).
         coll::barrier(&rt).unwrap();
 
-        // Broadcast from rank 2.
-        let mut buf = if rank == 2 { b"payload!".to_vec() } else { vec![0u8; 8] };
-        coll::broadcast(&rt, 2, &mut buf).unwrap();
-        assert_eq!(&buf, b"payload!");
-
-        // Reduce (sum) to rank 1.
-        let contrib = vec![rank as u64 + 1, 10 * (rank as u64 + 1)];
-        let res = coll::reduce_u64(&rt, 1, &contrib, |a, b| a + b).unwrap();
-        if rank == 1 {
-            assert_eq!(res.unwrap(), vec![1 + 2 + 3 + 4, 10 + 20 + 30 + 40]);
-        } else {
-            assert!(res.is_none());
-        }
-
-        // Allreduce (max).
-        let r = coll::allreduce_u64(&rt, &[rank as u64], u64::max).unwrap();
-        assert_eq!(r, vec![3]);
+        // Allreduce (sum, then max) over u64 lanes.
+        let lanes = |v: [u64; 2]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
+        let mut buf = lanes([rank as u64 + 1, 10 * (rank as u64 + 1)]);
+        coll::allreduce(&rt, &mut buf, &SumU64).unwrap();
+        assert_eq!(buf, lanes([1 + 2 + 3 + 4, 10 + 20 + 30 + 40]));
+        let mut buf = lanes([rank as u64, 7]);
+        coll::allreduce(&rt, &mut buf, &coll::MaxU64).unwrap();
+        assert_eq!(buf, lanes([3, 7]));
     });
 }
 
 #[test]
-fn collectives_allgather_alltoall_ibarrier() {
+fn collectives_allgather_and_alltoallv() {
     with_ranks(3, RuntimeConfig::small(), |rank, rt| {
-        // Allgather of distinct-length-agnostic equal blocks.
+        // Allgather of equal blocks, in rank order.
         let mine = vec![rank as u8 + 1; 16];
-        let all = coll::allgather(&rt, &mine).unwrap();
-        for (r, blk) in all.iter().enumerate() {
-            assert_eq!(blk, &vec![r as u8 + 1; 16], "rank {rank} slot {r}");
+        let mut all = vec![0u8; 3 * 16];
+        coll::allgather_bytes(&rt, &mine, &mut all).unwrap();
+        for (r, blk) in all.chunks_exact(16).enumerate() {
+            assert_eq!(blk, &[r as u8 + 1; 16], "rank {rank} slot {r}");
         }
 
         // All-to-all personalized blocks: to rank i send [me*10 + i; 8].
-        let send: Vec<Vec<u8>> = (0..3).map(|i| vec![(rank * 10 + i) as u8; 8]).collect();
-        let recvd = coll::alltoall(&rt, &send).unwrap();
-        for (src, blk) in recvd.iter().enumerate() {
-            assert_eq!(blk, &vec![(src * 10 + rank) as u8; 8], "from {src}");
-        }
-
-        // Non-blocking barrier, polled by hand.
-        let mut h = coll::ibarrier(&rt).unwrap();
-        while !h.test().unwrap() {
-            rt.progress().unwrap();
+        let send: Vec<u8> = (0..3).flat_map(|i| [(rank * 10 + i) as u8; 8]).collect();
+        let mut recvd = vec![0u8; 3 * 8];
+        coll::alltoallv(&rt, &send, &[8; 3], &mut recvd, &[8; 3]).unwrap();
+        for (src, blk) in recvd.chunks_exact(8).enumerate() {
+            assert_eq!(blk, &[(src * 10 + rank) as u8; 8], "from {src}");
         }
     });
 }

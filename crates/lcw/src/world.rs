@@ -204,22 +204,10 @@ impl World {
         lci::coll::allreduce(self.coll_rt()?, buf, op)
     }
 
-    /// Broadcast over a byte slice (LCI backend only; see
-    /// [`lci::coll::broadcast_bytes`]).
-    pub fn broadcast_bytes(&self, root: Rank, buf: &mut [u8]) -> lci::Result<()> {
-        lci::coll::broadcast_bytes(self.coll_rt()?, root, buf)
-    }
-
     /// Flat-buffer allgather (LCI backend only; see
     /// [`lci::coll::allgather_bytes`]).
     pub fn allgather_bytes(&self, mine: &[u8], out: &mut [u8]) -> lci::Result<()> {
         lci::coll::allgather_bytes(self.coll_rt()?, mine, out)
-    }
-
-    /// Flat-buffer alltoall (LCI backend only; see
-    /// [`lci::coll::alltoall_bytes`]).
-    pub fn alltoall_bytes(&self, send: &[u8], recv: &mut [u8]) -> lci::Result<()> {
-        lci::coll::alltoall_bytes(self.coll_rt()?, send, recv)
     }
 
     /// Uneven-block alltoallv over flat buffers with per-peer count
@@ -236,15 +224,9 @@ impl World {
     }
 
     /// One-round count exchange for the recv-side-unknown alltoallv
-    /// case (LCI backend only; see [`lci::coll::alltoallv_counts`]):
-    /// returns the receive-count vector matching `send_counts`.
-    pub fn alltoallv_counts(&self, send_counts: &[usize]) -> lci::Result<Vec<usize>> {
-        lci::coll::alltoallv_counts(self.coll_rt()?, send_counts)
-    }
-
-    /// In-place variant of [`World::alltoallv_counts`] writing into a
-    /// caller-owned vector (allocation-free when warm; see
-    /// [`lci::coll::exchange_counts`]).
+    /// case, writing the receive-count vector matching `send_counts`
+    /// into a caller-owned one (LCI backend only; allocation-free when
+    /// warm; see [`lci::coll::exchange_counts`]).
     pub fn exchange_counts(
         &self,
         send_counts: &[usize],

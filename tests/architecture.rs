@@ -97,8 +97,12 @@ const REMOVED_STAGING: &[&str] =
 
 /// The per-collective blocking loops and completion-graph chains: one
 /// stepper runs every plan. The shelf of landing boxes: every fold lands
-/// in the state's arena. And the ring's fold in place: a reduction in one
-/// address space is the direct schedule.
+/// in the state's arena. The ring's fold in place: a reduction in one
+/// address space is the direct schedule. And the collectives no caller
+/// used — the `i*` handles with their spare states and owned scopes,
+/// broadcast, reduce, the pairwise alltoall — with the reduce-then-
+/// broadcast fallback past the ring's rank limit: the ring serves every
+/// world size. Searched in `lci::coll` and `runtime.rs`.
 const REMOVED_COLL_LOOPS: &[&str] = &[
     "post_windowed",
     "drain_sends",
@@ -110,6 +114,13 @@ const REMOVED_COLL_LOOPS: &[&str] = &[
     "chunk_cap",
     "fold_in_place",
     "in_place: bool",
+    "IColl",
+    "coll_spare",
+    "over_owned",
+    "MAX_RING_RANKS",
+    "ROUND_BCAST",
+    "ROUND_REDUCE",
+    "ROUND_A2A",
 ];
 
 /// Whether `path` is library code: under a crate's `src`.
@@ -154,7 +165,8 @@ fn removed_knobs_stay_removed(tree: &[Source]) -> Vec<String> {
         |p: &str| in_src(p) || p.starts_with("examples/") || p.starts_with("tests/");
     hits.extend(lines_naming(tree, src_examples_tests, REMOVED_PROGRESS));
     hits.extend(lines_naming(tree, in_src, REMOVED_STAGING));
-    hits.extend(lines_naming(tree, |p| p.starts_with("crates/lci/src/coll/"), REMOVED_COLL_LOOPS));
+    let coll = |p: &str| p.starts_with("crates/lci/src/coll/") || p == "crates/lci/src/runtime.rs";
+    hits.extend(lines_naming(tree, coll, REMOVED_COLL_LOOPS));
     hits
 }
 
@@ -392,6 +404,9 @@ fn collectives_guard_catches_a_plant() {
     // A second post site under any name, `naive.rs` included.
     catches(g, "crates/lci/src/coll/naive.rs", "rt.post_send_x(to, buf, tag, comp);\n");
     catches(g, "crates/lci/src/device/planted.rs", "let l = Lent::new(ptr, len);\n");
+    // A removed collective's state back in the runtime.
+    let spare = "    pub coll_spare: Mutex<Vec<CollState>>,\n";
+    catches(removed_knobs_stay_removed, "crates/lci/src/runtime.rs", spare);
 }
 
 #[test]

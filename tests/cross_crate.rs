@@ -206,8 +206,9 @@ fn collectives_with_background_traffic() {
                         got += 1;
                     }
                 }
-                let total = coll::allreduce_u64(&rt, &[got], |a, b| a + b).unwrap();
-                assert_eq!(total, vec![(nranks * (nranks - 1)) as u64]);
+                let mut total = got.to_le_bytes();
+                coll::allreduce(&rt, &mut total, &lci::SumU64).unwrap();
+                assert_eq!(u64::from_le_bytes(total), (nranks * (nranks - 1)) as u64);
             })
         })
         .collect();
