@@ -114,7 +114,6 @@ fn main() {
             "backend",
             "transfers",
             "chunks",
-            "inflight_hwm",
             "rdv_retried",
             "reg_hits",
             "reg_miss",
@@ -131,7 +130,6 @@ fn main() {
             name.into(),
             transfers.to_string(),
             s.rdv_chunks_posted.to_string(),
-            s.rdv_inflight_hwm.to_string(),
             s.rendezvous_retried.to_string(),
             r.reg_cache_hits.to_string(),
             r.reg_cache_misses.to_string(),

@@ -249,7 +249,11 @@ pub trait NetDevice: Send + Sync {
 
     /// RDMA-writes `data` into the remote registered region `rkey` at
     /// `offset`. With `imm`, additionally consumes a pre-posted receive at
-    /// `(target, target_dev)` to deliver a `WriteImmRecv` completion.
+    /// `(target, target_dev)` to deliver a `WriteImmRecv` completion. As
+    /// with [`post_inject`](Self::post_inject), the wire has consumed
+    /// `data` before `Ok(())`: the caller may reuse or free the buffer at
+    /// once, on every backend. One `WriteDone` carrying `ctx` is still
+    /// staged per accepted call (`ctx == 0` included).
     #[allow(clippy::too_many_arguments)]
     fn post_write(
         &self,

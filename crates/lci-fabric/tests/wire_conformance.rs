@@ -199,6 +199,41 @@ fn rdma_write_with_imm() {
     }
 }
 
+/// A wire has consumed a write's source when `post_write` returns: the
+/// source is overwritten at once, and the target still lands the bytes
+/// that were posted, for a write without an immediate and for one with.
+#[test]
+fn a_write_source_is_free_when_the_post_returns() {
+    const LEN: usize = 64 << 10;
+    let posted = |i: usize| -> Vec<u8> { (0..LEN).map(|j| (j * 7 + i) as u8).collect() };
+    for cfg in wires() {
+        let (d0, d1) = pair(cfg);
+        let region = vec![0u8; 2 * LEN];
+        let mr = d1.register(region.as_ptr(), region.len()).unwrap();
+        let mut notif = vec![0u8; 8];
+        post_packet_recv(&d1, &mut notif, 9);
+        let mut src = vec![0u8; LEN];
+        for (i, imm) in [None, Some(0x5A)].into_iter().enumerate() {
+            src.copy_from_slice(&posted(i));
+            d0.post_write(1, 0, &src, mr.rkey, i * LEN, imm, 20 + i as u64).unwrap();
+            src.fill(0xEE);
+        }
+
+        // The write with the immediate lands behind the one without.
+        let deadline = Instant::now() + DEADLINE;
+        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
+        while theirs.is_empty() {
+            d0.poll_cq(&mut mine, 16).unwrap();
+            d1.poll_cq(&mut theirs, 16).unwrap();
+            assert!(Instant::now() < deadline, "the write never landed");
+        }
+        assert_eq!((theirs[0].kind, theirs[0].imm), (CqeKind::WriteImmRecv, 0x5A));
+        for i in 0..2 {
+            assert!(region[i * LEN..(i + 1) * LEN] == posted(i)[..], "{cfg:?}: write {i}");
+        }
+    }
+}
+
 #[test]
 fn rdma_read() {
     for cfg in wires() {

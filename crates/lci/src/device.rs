@@ -80,10 +80,6 @@ enum OpCtx {
         user_ctx: u64,
         kind: CompKind,
     },
-    /// One chunk write of the rendezvous send `send_id`.
-    RdvChunk {
-        send_id: u32,
-    },
     Get(rma::GetOp),
 }
 
@@ -102,8 +98,8 @@ pub(crate) struct DeviceInner {
     pub net: Arc<dyn NetDevice>,
     backlog: Backlog,
     coalescer: Coalescer,
-    /// Rendezvous sends, each from its RTS to its last chunk's
-    /// completion; an entry's shard lock is that transfer's lock.
+    /// Rendezvous sends, each from its RTS to the wire's acceptance of
+    /// its last chunk; an entry's shard lock is that transfer's lock.
     rdv_sends: ShardedSlab<rdv::RdvSend>,
     /// Rendezvous receives, each from its RTR to its FIN.
     rdv_recvs: ShardedSlab<rdv::RdvRecv>,
@@ -468,7 +464,7 @@ impl Device {
                     }
                 }
                 Backlogged::Rdv { send_id } => {
-                    if self.resume_rdv(send_id)? {
+                    if self.pump_rdv(send_id)? {
                         stalled.push(send_id);
                     } else {
                         did = true;
@@ -548,7 +544,6 @@ impl Device {
                         }
                         Ok(())
                     }
-                    OpCtx::RdvChunk { send_id } => self.rdv_chunk_done(send_id),
                     OpCtx::Get(op) => self.get_done(op),
                 }
             }

@@ -8,13 +8,15 @@
 //! copied in and out across processes and on tcp (DESIGN.md §4.9).
 //!
 //! A send is one [`RdvSend`] in the device's `rdv_sends` table for its
-//! whole life, and the table's shard lock is its lock: the RTR, every
-//! chunk completion and the backlog drain each take it once. Which
-//! bytes go next is the pure [`Chunks`] schedule; the pump only asks it
-//! and does what it answers. A receive is one [`RdvRecv`] in `rdv_recvs`
-//! from RTR to FIN.
+//! whole life, and the table's shard lock is its lock: the RTR and the
+//! backlog drain each take it once. A wire has consumed a write's
+//! source when `post_write` returns, so a chunk the wire took needs no
+//! completion: the send is done when the wire takes its FIN-bearing
+//! last chunk. Which bytes go next is the pure [`Chunks`] schedule; the
+//! pump only asks it and does what it answers. A receive is one
+//! [`RdvRecv`] in `rdv_recvs` from RTR to FIN.
 
-use super::{net_fatal, CommArgs, Device, MatchEntry, OpCtx, PendingInbound, RecvEntry};
+use super::{net_fatal, CommArgs, Device, MatchEntry, PendingInbound, RecvEntry};
 use crate::backlog::Backlogged;
 use crate::comp::Comp;
 use crate::error::{FatalError, PostResult, Result};
@@ -26,9 +28,6 @@ use lci_fabric::{BackendKind, Cqe, DevId, MemoryRegion, NetError, Rkey};
 
 /// Bytes per chunk write; a payload no larger goes as one write.
 const RDV_CHUNK: usize = 64 << 10;
-
-/// Chunk writes one transfer keeps in flight.
-const RDV_WINDOW: usize = 4;
 
 // Every wire carries a chunk in one write (tcp, which fits a frame
 // header into the largest pooled size class, carries the least).
@@ -58,12 +57,13 @@ impl Rts {
     }
 }
 
-/// One rendezvous send, from its RTS to its last chunk's completion.
+/// One rendezvous send, from its RTS to the wire's acceptance of its
+/// last chunk.
 ///
 /// | state | event | next |
 /// |---|---|---|
 /// | `RtsSent` | RTR | `Pumping` (then the first pump) |
-/// | `Pumping` | pump, chunk done | whatever [`Chunks::step`] answers |
+/// | `Pumping` | pump (RTR, backlog drain) | whatever [`Chunks::step`] answers |
 /// | `Pumping` | `Finish` answered | removed from the table |
 pub(super) enum RdvSend {
     /// RTS sent, waiting for the RTR. A non-contiguous payload stays as
@@ -82,29 +82,18 @@ pub(super) enum RdvSend {
         /// FIN immediate; rides the last chunk's write.
         fin_imm: u64,
         chunks: Chunks,
-        /// In the backlog: set by a park, cleared by the drain's pump, so
-        /// a transfer is queued there at most once. A parked transfer
-        /// has nothing in flight and cannot finish, so its backlog entry
-        /// never names a reused id.
-        parked: bool,
     },
 }
 
-/// The chunk schedule of one transfer: which bytes post next, how many
-/// writes are in flight, when the transfer parks and when it is done.
-/// Pure — no device, no lock, no I/O — so the model check below runs it
-/// under every event order.
+/// The chunk schedule of one transfer: which bytes post next, when the
+/// transfer parks and when it is done. Pure — no device, no lock, no
+/// I/O — so the model check below runs it under every event order.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct Chunks {
     total: usize,
     chunk: usize,
-    window: usize,
     /// First byte not yet posted.
     next: usize,
-    /// Chunks posted whose write has not completed.
-    inflight: usize,
-    /// Chunks whose write has completed.
-    done: usize,
 }
 
 /// What happened to a transfer.
@@ -117,8 +106,6 @@ enum ChunkEvent {
     Accepted,
     /// The wire refused it; nothing was posted.
     Refused,
-    /// One posted chunk's write completed.
-    ChunkDone,
 }
 
 /// What the pump does next.
@@ -126,18 +113,15 @@ enum ChunkAction {
     /// Write bytes `off..off + len`, with the FIN when `fin`; answer
     /// `Accepted` or `Refused`.
     Post { off: usize, len: usize, fin: bool },
-    /// Nothing until a completion arrives.
-    Idle,
-    /// Refused with nothing in flight, so no completion will re-drive
-    /// it: park it in the backlog.
+    /// Refused, and nothing else will pump it: park it in the backlog.
     Park,
-    /// Every chunk has completed: the send is done.
+    /// The wire took the last chunk: the send is done.
     Finish,
 }
 
 impl Chunks {
-    fn new(total: usize, chunk: usize, window: usize) -> Chunks {
-        Chunks { total, chunk, window, next: 0, inflight: 0, done: 0 }
+    fn new(total: usize, chunk: usize) -> Chunks {
+        Chunks { total, chunk, next: 0 }
     }
 
     fn step(&mut self, ev: ChunkEvent) -> ChunkAction {
@@ -145,21 +129,11 @@ impl Chunks {
             ChunkEvent::Pump => {}
             ChunkEvent::Accepted => {
                 self.next += self.chunk.min(self.total - self.next);
-                self.inflight += 1;
-            }
-            ChunkEvent::Refused if self.inflight == 0 => return ChunkAction::Park,
-            // A completion still to come re-drives the transfer.
-            ChunkEvent::Refused => return ChunkAction::Idle,
-            ChunkEvent::ChunkDone => {
-                self.inflight -= 1;
-                self.done += 1;
-                if self.done == self.total.div_ceil(self.chunk) {
+                if self.next == self.total {
                     return ChunkAction::Finish;
                 }
             }
-        }
-        if self.next == self.total || self.inflight == self.window {
-            return ChunkAction::Idle;
+            ChunkEvent::Refused => return ChunkAction::Park,
         }
         // FIN rides the last chunk, which posts after every other one.
         let len = self.chunk.min(self.total - self.next);
@@ -292,7 +266,7 @@ impl Device {
     }
 
     /// Source side: the RTR arrived. The send turns `Pumping` in its
-    /// table slot and writes its first window of chunks.
+    /// table slot and writes its chunks until the wire refuses one.
     pub(super) fn start_pumping(
         &self,
         target: Rank,
@@ -303,7 +277,7 @@ impl Device {
         let started = self.inner.rdv_sends.with(rtr.send_id, |send| match send.take() {
             Some(RdvSend::RtsSent { buf, comp, tag, user_ctx }) => {
                 *send = Some(RdvSend::Pumping {
-                    chunks: Chunks::new(buf.len(), RDV_CHUNK, RDV_WINDOW),
+                    chunks: Chunks::new(buf.len(), RDV_CHUNK),
                     buf,
                     comp,
                     tag,
@@ -312,7 +286,6 @@ impl Device {
                     target_dev,
                     rkey: Rkey(rtr.rkey),
                     fin_imm,
-                    parked: false,
                 });
                 true
             }
@@ -324,61 +297,37 @@ impl Device {
         if started != Some(true) {
             return Err(FatalError::Net(format!("RTR for unknown send id {}", rtr.send_id)));
         }
-        self.pump_or_park(rtr.send_id, ChunkEvent::Pump)
-    }
-
-    /// Source side: one chunk write completed.
-    pub(super) fn rdv_chunk_done(&self, send_id: u32) -> Result<()> {
-        self.pump_or_park(send_id, ChunkEvent::ChunkDone)
-    }
-
-    /// The backlog drain's turn at a parked send; `true` if it parked
-    /// again (the drain re-queues it once its own pass is over).
-    pub(super) fn resume_rdv(&self, send_id: u32) -> Result<bool> {
-        self.pump_rdv(send_id, ChunkEvent::Pump)
-    }
-
-    fn pump_or_park(&self, send_id: u32, ev: ChunkEvent) -> Result<()> {
-        if self.pump_rdv(send_id, ev)? {
-            self.push_backlog(Backlogged::Rdv { send_id });
+        if self.pump_rdv(rtr.send_id)? {
+            self.push_backlog(Backlogged::Rdv { send_id: rtr.send_id });
         }
         Ok(())
     }
 
-    /// Feeds `ev` to send `send_id`'s schedule and carries out what it
-    /// answers, under the send's lock (its `rdv_sends` shard): posts
-    /// chunks until the window fills or the wire refuses, and takes a
-    /// finished send out of the table, signalling its completion once the
-    /// lock is released. Returns whether the send parked, which the
-    /// caller answers by queueing it in the backlog.
-    fn pump_rdv(&self, send_id: u32, ev: ChunkEvent) -> Result<bool> {
+    /// Pumps send `send_id` under its lock (its `rdv_sends` shard):
+    /// posts chunks until the wire refuses one or takes the last, and
+    /// takes a finished send out of the table, signalling its completion
+    /// once the lock is released. Returns whether the send parked, which
+    /// the caller answers by queueing it in the backlog (the drain once
+    /// its own pass is over). Only the RTR and the drain pump a send, so
+    /// a parked one is queued once.
+    pub(super) fn pump_rdv(&self, send_id: u32) -> Result<bool> {
         let mut finished = None;
         let parked = self.inner.rdv_sends.with(send_id, |send| {
-            let Some(RdvSend::Pumping {
-                buf,
-                target,
-                target_dev,
-                rkey,
-                fin_imm,
-                chunks,
-                parked,
-                ..
-            }) = send
+            let Some(RdvSend::Pumping { buf, target, target_dev, rkey, fin_imm, chunks, .. }) =
+                send
             else {
                 return Err(FatalError::Net(format!("rendezvous send {send_id} is not pumping")));
             };
-            if matches!(ev, ChunkEvent::Pump) {
-                *parked = false;
-            }
-            let mut act = chunks.step(ev);
+            let mut act = chunks.step(ChunkEvent::Pump);
             loop {
                 act = match act {
                     ChunkAction::Post { off, len, fin } => {
-                        let ctx = self.inner.ctx_encode(OpCtx::RdvChunk { send_id });
                         let imm = fin.then_some(*fin_imm);
                         // An iovec chunk is gathered into a pooled buffer
-                        // that goes back when the post returns: a wire is
-                        // done with a write's source by then.
+                        // that goes back when the post returns: a wire has
+                        // consumed a write's source by then, so the chunk
+                        // posts with no context and its completion is
+                        // dropped.
                         let res = self.inner.with_bytes(buf, off..off + len, |data| {
                             self.inner.net.post_write(
                                 *target,
@@ -387,20 +336,19 @@ impl Device {
                                 *rkey,
                                 off,
                                 imm,
-                                ctx,
+                                0,
                             )
                         });
-                        if self.posted_or_back_out(res, ctx)?.is_retry() {
-                            chunks.step(ChunkEvent::Refused)
-                        } else {
-                            let act = chunks.step(ChunkEvent::Accepted);
-                            self.inner.stats.bump(|c| &c.rdv_chunks_posted);
-                            self.inner.stats.raise(|c| &c.rdv_inflight_hwm, chunks.inflight as u64);
-                            act
+                        match res {
+                            Ok(()) => {
+                                self.inner.stats.bump(|c| &c.rdv_chunks_posted);
+                                chunks.step(ChunkEvent::Accepted)
+                            }
+                            Err(NetError::Retry(_)) => chunks.step(ChunkEvent::Refused),
+                            Err(NetError::Fatal(m)) => return Err(FatalError::Net(m)),
                         }
                     }
-                    ChunkAction::Idle => return Ok(false),
-                    ChunkAction::Park => return Ok(!std::mem::replace(parked, true)),
+                    ChunkAction::Park => return Ok(true),
                     ChunkAction::Finish => {
                         finished = send.take();
                         return Ok(false);
@@ -444,7 +392,8 @@ impl Device {
     }
 
     /// Pending rendezvous operations (diagnostics): sends from RTS to
-    /// their last chunk's completion, and receives awaiting FIN.
+    /// the wire's acceptance of their last chunk, and receives awaiting
+    /// FIN.
     /// Advisory: each table shard is sampled in turn, so the totals are
     /// a consistent per-shard snapshot, not an atomic cross-shard view —
     /// suitable for quiescence polling, not for exact accounting while
@@ -470,12 +419,15 @@ mod tests {
         asked: Option<(usize, usize, bool)>,
         /// Refusals the wire may still make.
         refusals: usize,
+        /// The wire refused a post of the pump still running: nothing
+        /// on the receiver's side has moved since, so the pump must end.
+        refused: bool,
         /// End of the bytes posted so far.
         posted: usize,
+        /// Whether the last chunk the wire took carried the FIN.
+        fin_taken: bool,
         /// Posted writes in flight to the receiver, in posting order.
         channel: VecDeque<(usize, usize, bool)>,
-        /// Write completions the sender has not handled yet.
-        completions: usize,
         /// Times each byte of the landing was written.
         landed: Vec<u8>,
         parked: bool,
@@ -486,15 +438,18 @@ mod tests {
     impl Model {
         fn obey(&mut self, act: ChunkAction) {
             match act {
-                ChunkAction::Post { off, len, fin } => self.asked = Some((off, len, fin)),
-                ChunkAction::Idle => {}
+                ChunkAction::Post { off, len, fin } => {
+                    assert!(!self.refused, "(v) posted again after a refusal, not parked");
+                    self.asked = Some((off, len, fin));
+                }
                 ChunkAction::Park => {
                     assert!(!self.parked, "parked twice");
                     self.parked = true;
+                    self.refused = false;
                 }
                 ChunkAction::Finish => {
                     assert!(!self.finished, "(iv) finished twice");
-                    assert_eq!(self.completions, 0, "(iv) finished before every chunk completed");
+                    assert!(self.fin_taken, "(iv) finished before the wire took the FIN chunk");
                     assert_eq!(self.posted, self.landed.len(), "(iv) finished before posting all");
                     self.finished = true;
                 }
@@ -516,18 +471,20 @@ mod tests {
                 a.asked = None;
                 assert!(len > 0, "(i) an empty chunk");
                 assert_eq!(off, a.posted, "(i) a byte posted twice, or skipped");
+                assert!(!a.fin_taken, "(iv) a chunk posted after the FIN");
                 a.posted += len;
+                a.fin_taken = fin;
                 a.channel.push_back((off, len, fin));
-                a.completions += 1;
-                assert!(a.completions <= a.chunks.window, "(ii) {} in flight", a.completions);
                 let act = a.chunks.step(ChunkEvent::Accepted);
                 a.obey(act);
+                assert_eq!(a.finished, fin, "(iv) the FIN chunk's acceptance did not finish");
             });
             let mut runs = explore(accepted);
             if m.refusals > 0 {
                 runs += explore(m.then(|r| {
                     r.asked = None;
                     r.refusals -= 1;
+                    r.refused = true;
                     let act = r.chunks.step(ChunkEvent::Refused);
                     r.obey(act);
                 }));
@@ -546,13 +503,6 @@ mod tests {
                 }
             }));
         }
-        if m.completions > 0 {
-            runs += explore(m.then(|c| {
-                c.completions -= 1;
-                let act = c.chunks.step(ChunkEvent::ChunkDone);
-                c.obey(act);
-            }));
-        }
         if m.parked {
             runs += explore(m.then(|d| {
                 d.parked = false;
@@ -567,36 +517,35 @@ mod tests {
         runs
     }
 
-    /// Every event order of one transfer of 1–3 chunks (a full and a
-    /// short last chunk), under windows 1–3 and up to two refused posts:
-    /// (i) each byte is posted once, at increasing offsets; (ii) no more
-    /// than the window is ever in flight; (iii) at the FIN, every byte
-    /// has landed; (iv) the send finishes once, after every chunk
-    /// completed; (v) every execution finishes — a refusal with nothing
-    /// in flight parks rather than strands the transfer.
+    /// Every event order of one transfer of 1–5 chunks (a full and a
+    /// short last chunk) with up to three refused posts: (i) each byte
+    /// is posted once, at increasing offsets; (iii) at the FIN, every
+    /// byte has landed; (iv) the send finishes once, at the acceptance of
+    /// the FIN chunk, which posts last; (v) every execution finishes — a
+    /// refusal parks, ending the pump, rather than strands the transfer
+    /// or spins on a wire that cannot move while the pump runs.
     #[test]
     fn every_event_order_delivers_every_byte_once() {
         const CHUNK: usize = 3;
         let mut runs = 0;
-        for nchunks in 1..=3 {
+        for nchunks in 1..=5 {
             for total in [nchunks * CHUNK - 1, nchunks * CHUNK] {
-                for window in 1..=3 {
-                    let mut m = Model {
-                        chunks: Chunks::new(total, CHUNK, window),
-                        asked: None,
-                        refusals: 2,
-                        posted: 0,
-                        channel: VecDeque::new(),
-                        completions: 0,
-                        landed: vec![0; total],
-                        parked: false,
-                        finished: false,
-                        received: false,
-                    };
-                    let act = m.chunks.step(ChunkEvent::Pump);
-                    m.obey(act);
-                    runs += explore(m);
-                }
+                let mut m = Model {
+                    chunks: Chunks::new(total, CHUNK),
+                    asked: None,
+                    refusals: 3,
+                    refused: false,
+                    posted: 0,
+                    fin_taken: false,
+                    channel: VecDeque::new(),
+                    landed: vec![0; total],
+                    parked: false,
+                    finished: false,
+                    received: false,
+                };
+                let act = m.chunks.step(ChunkEvent::Pump);
+                m.obey(act);
+                runs += explore(m);
             }
         }
         assert!(runs > 1000, "only {runs} executions explored");

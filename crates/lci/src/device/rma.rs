@@ -114,8 +114,8 @@ impl Device {
         self.posted_or_back_out(res, ctx)
     }
 
-    /// Maps the fabric's answer to an RMA post (a put, a get, a
-    /// rendezvous chunk). A rejected post never handed its context over,
+    /// Maps the fabric's answer to an RMA post (a put or a get). A
+    /// rejected post never handed its context over,
     /// so the context is reclaimed here.
     pub(super) fn posted_or_back_out(&self, res: NetResult<()>, ctx: u64) -> Result<PostResult> {
         let Err(e) = res else { return Ok(PostResult::Posted) };

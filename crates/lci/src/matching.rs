@@ -25,7 +25,6 @@ use lci_fabric::sync::SpinLock;
 use lci_fabric::topology::StripedU64;
 use std::collections::VecDeque;
 use std::convert::Infallible;
-use std::sync::Arc;
 
 /// Whether an entry is a send (unexpected message) or a receive (posted
 /// receive descriptor).
@@ -46,9 +45,6 @@ impl MatchKind {
         }
     }
 }
-
-/// User-supplied key derivation (§3.3.2 "supplying their own make_key").
-pub type MakeKeyFn = dyn Fn(Rank, Tag) -> u64 + Send + Sync;
 
 /// Builds the default matching key for `(rank, tag)` under `policy`.
 ///
@@ -226,7 +222,6 @@ impl Default for MatchingConfig {
 pub struct MatchingEngine<T> {
     buckets: Box<[SpinLock<Bucket<T>>]>,
     mask: u64,
-    make_key: Option<Arc<MakeKeyFn>>,
     /// Recycled overflow deques: a same-key burst past the two inline
     /// slots spills to a `VecDeque`, and bursts arrive on fresh keys
     /// (collective tags carry a sequence number), so without recycling
@@ -253,25 +248,14 @@ impl<T> MatchingEngine<T> {
         Self {
             buckets: buckets.into_boxed_slice(),
             mask: (n - 1) as u64,
-            make_key: None,
             spares: SpinLock::new(Vec::new()),
             contended: StripedU64::new(0),
         }
     }
 
-    /// Installs a custom key-derivation function used by
-    /// [`key_for`](Self::key_for) regardless of policy.
-    pub fn set_make_key(&mut self, f: Arc<MakeKeyFn>) {
-        self.make_key = Some(f);
-    }
-
-    /// Derives the matching key for `(rank, tag)` under `policy`,
-    /// honouring a custom `make_key` when installed.
+    /// Derives the matching key for `(rank, tag)` under `policy`.
     pub fn key_for(&self, rank: Rank, tag: Tag, policy: MatchingPolicy) -> u64 {
-        match &self.make_key {
-            Some(f) => f(rank, tag),
-            None => make_key(rank, tag, policy),
-        }
+        make_key(rank, tag, policy)
     }
 
     #[inline]
@@ -365,6 +349,7 @@ impl<T> Default for MatchingEngine<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn send_then_recv_matches() {
@@ -463,14 +448,6 @@ mod tests {
             make_key(3, 5, MatchingPolicy::TagOnly),
             make_key(8, 5, MatchingPolicy::TagOnly)
         );
-    }
-
-    #[test]
-    fn custom_make_key() {
-        let mut m: MatchingEngine<u8> = MatchingEngine::new();
-        m.set_make_key(Arc::new(|rank, tag| (rank as u64) + (tag as u64)));
-        assert_eq!(m.key_for(2, 3, MatchingPolicy::RankTag), 5);
-        assert_eq!(m.key_for(3, 2, MatchingPolicy::TagOnly), 5);
     }
 
     #[test]

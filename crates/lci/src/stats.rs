@@ -49,7 +49,6 @@ pub(crate) struct StatsCell {
     pub(crate) replenish_posted: AtomicU64,
     pub(crate) rendezvous_retried: AtomicU64,
     pub(crate) rdv_chunks_posted: AtomicU64,
-    pub(crate) rdv_inflight_hwm: AtomicU64,
     pub(crate) early_inbound: AtomicU64,
     pub(crate) coll_rounds: AtomicU64,
     pub(crate) coll_bytes: AtomicU64,
@@ -165,7 +164,6 @@ impl DeviceStats {
             replenish_posted: self.fold(|c| &c.replenish_posted),
             rendezvous_retried: self.fold(|c| &c.rendezvous_retried),
             rdv_chunks_posted: self.fold(|c| &c.rdv_chunks_posted),
-            rdv_inflight_hwm: self.fold_max(|c| &c.rdv_inflight_hwm),
             early_inbound: self.fold(|c| &c.early_inbound),
             coll_rounds: self.fold(|c| &c.coll_rounds),
             coll_bytes: self.fold(|c| &c.coll_bytes),
@@ -250,10 +248,6 @@ pub struct StatsSnapshot {
     pub rendezvous_retried: u64,
     /// RDMA-write chunks posted by the rendezvous pipeline.
     pub rdv_chunks_posted: u64,
-    /// High-water mark of in-flight chunks across all transfers of this
-    /// device (max across cells, not a delta counter; see
-    /// [`StatsSnapshot::since`]).
-    pub rdv_inflight_hwm: u64,
     /// Inbound deliveries that arrived before their target rcomp was
     /// registered and were parked for retry (one thread's `progress`
     /// racing another's `register_rcomp`).
@@ -364,9 +358,6 @@ impl StatsSnapshot {
             replenish_posted: self.replenish_posted.saturating_sub(earlier.replenish_posted),
             rendezvous_retried: self.rendezvous_retried.saturating_sub(earlier.rendezvous_retried),
             rdv_chunks_posted: self.rdv_chunks_posted.saturating_sub(earlier.rdv_chunks_posted),
-            // A high-water mark, not a flow counter: the later value is
-            // the mark over the whole interval.
-            rdv_inflight_hwm: self.rdv_inflight_hwm,
             early_inbound: self.early_inbound.saturating_sub(earlier.early_inbound),
             coll_rounds: self.coll_rounds.saturating_sub(earlier.coll_rounds),
             coll_bytes: self.coll_bytes.saturating_sub(earlier.coll_bytes),
@@ -503,13 +494,13 @@ mod tests {
                     for _ in 0..10 {
                         s.bump(|c| &c.posts);
                     }
-                    s.raise(|c| &c.rdv_inflight_hwm, core as u64 + 1);
+                    s.raise(|c| &c.coll_chunks_inflight_hwm, core as u64 + 1);
                 });
             }
         });
         let snap = s.snapshot();
         assert_eq!(snap.posts, 40, "cells fold by summing");
-        assert_eq!(snap.rdv_inflight_hwm, 4, "high-water marks fold by max");
+        assert_eq!(snap.coll_chunks_inflight_hwm, 4, "high-water marks fold by max");
     }
 
     #[test]

@@ -88,11 +88,6 @@ pub enum SendBuf {
     /// A list of owned buffers transmitted as one message (§3.3.1,
     /// "transmitting a list of source and target buffers").
     Iovec(Vec<Box<[u8]>>),
-    /// A pool-recycled staging buffer: its storage returns to the
-    /// buffer pool when the completion descriptor carrying it back is
-    /// dropped, so steady-state senders (collectives staging per-round
-    /// payloads) allocate nothing.
-    Pooled(lci_fabric::PoolBuf),
     /// The caller's own memory, lent by a blocking collective for the
     /// length of its call (DESIGN.md §4.11 "Lending"). Only
     /// `lci::coll` can make one.
@@ -108,7 +103,6 @@ impl SendBuf {
             SendBuf::Owned(b) => b.len(),
             SendBuf::Packet(p) => p.len(),
             SendBuf::Iovec(v) => v.iter().map(|b| b.len()).sum(),
-            SendBuf::Pooled(b) => b.len(),
             SendBuf::Lent(l) => l.len(),
         }
     }
@@ -127,7 +121,6 @@ impl SendBuf {
             SendBuf::Packet(p) => Some(&p.as_slice()[..p.len()]),
             SendBuf::Iovec(v) if v.len() == 1 => Some(&v[0]),
             SendBuf::Iovec(_) => None,
-            SendBuf::Pooled(b) => Some(b),
             SendBuf::Lent(l) => Some(l.as_slice()),
         }
     }
@@ -209,12 +202,6 @@ impl From<Packet> for SendBuf {
 impl From<Vec<Box<[u8]>>> for SendBuf {
     fn from(v: Vec<Box<[u8]>>) -> Self {
         SendBuf::Iovec(v)
-    }
-}
-
-impl From<lci_fabric::PoolBuf> for SendBuf {
-    fn from(b: lci_fabric::PoolBuf) -> Self {
-        SendBuf::Pooled(b)
     }
 }
 

@@ -303,8 +303,8 @@ fn eager_steady_state_is_allocation_free() {
 }
 
 /// Repeated same-size rendezvous transfers: registration-cache hits,
-/// pooled chunk contexts and a transfer that lives in its table slot
-/// make the large-message pipeline allocation-free at steady state.
+/// chunks posted with no context and a transfer that lives in its table
+/// slot make the large-message pipeline allocation-free at steady state.
 #[test]
 fn rendezvous_steady_state_is_allocation_free() {
     let _g = serial();
@@ -382,6 +382,23 @@ fn shm_rendezvous_steady_state_is_allocation_free() {
         allocs,
         0,
         "shm 256 KiB rendezvous loop made {allocs} allocator calls after warmup{}",
+        first_allocs()
+    );
+}
+
+/// Rendezvous over in-process tcp, where every chunk is a frame: the
+/// pump that handles the RTR appends all 8 chunks of 512 KiB to the
+/// stream buffer at once (a chunk the stream refuses parks the
+/// transfer), and the stream takes that burst with no allocator call.
+#[test]
+fn tcp_rendezvous_steady_state_is_allocation_free() {
+    let _g = serial();
+    let cfg = RuntimeConfig::small().with_device(lci_fabric::DeviceConfig::tcp());
+    let allocs = steady_state_allocs_cfg(cfg, 512 << 10, 16, 32);
+    assert_eq!(
+        allocs,
+        0,
+        "tcp 512 KiB rendezvous loop made {allocs} allocator calls after warmup{}",
         first_allocs()
     );
 }

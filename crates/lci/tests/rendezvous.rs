@@ -1,10 +1,10 @@
 //! Large-message pipeline tests (DESIGN.md §4.6): chunk-boundary edge
 //! cases on the sims and shm, gathered iovec sends equal to contiguous
 //! ones across chunk boundaries, multithreaded rendezvous over the
-//! sharded send table, and registration-cache steady-state behaviour.
-//! Chunks are 64 KiB with 4 in flight; the schedule's small shapes —
-//! every chunk count up to 3 under every window up to 3 — are the model
-//! check in `device/rdv.rs`.
+//! sharded send table, a send done at the pump that posts its last
+//! chunk, and registration-cache steady-state behaviour. Chunks are
+//! 64 KiB; the schedule's small shapes — every chunk count up to 5
+//! under up to three refusals — are the model check in `device/rdv.rs`.
 
 use lci::{Comp, CompKind, Fabric, PostResult, Runtime, RuntimeConfig};
 use proptest::prelude::*;
@@ -132,8 +132,7 @@ fn chunk_boundary_sizes_over_shm() {
     send_sizes(RuntimeConfig::small().with_device(lci_fabric::DeviceConfig::shm()), sizes);
 }
 
-/// A payload no larger than one chunk is one write per transfer, with
-/// never more than that one in flight.
+/// A payload no larger than one chunk is one write per transfer.
 #[test]
 fn one_chunk_payload_is_one_write() {
     with_ranks(2, RuntimeConfig::small(), |rank, rt| {
@@ -144,7 +143,6 @@ fn one_chunk_payload_is_one_write() {
             }
             let s = rt.device().stats();
             assert_eq!(s.rdv_chunks_posted, n as u64, "one write per transfer");
-            assert!(s.rdv_inflight_hwm <= 1);
         } else {
             for i in 0..n {
                 let d = recv_blocking(&rt, 0, CHUNK + 64, i);
@@ -157,9 +155,8 @@ fn one_chunk_payload_is_one_write() {
 
 /// Many threads per rank drive concurrent rendezvous transfers through
 /// the sharded send/receive tables; every payload arrives intact and
-/// the pipeline counters reflect overlapped chunks. A transfer's pump
-/// and its completions, run by whichever threads progress, serialize on
-/// the send table's shard lock.
+/// every chunk is counted once. A transfer's pumps, run by whichever
+/// threads progress, serialize on the send table's shard lock.
 #[test]
 fn multithreaded_rendezvous_stress() {
     with_ranks(2, RuntimeConfig::small(), |rank, rt| {
@@ -193,7 +190,6 @@ fn multithreaded_rendezvous_stress() {
             assert_eq!(s.rendezvous - s.rendezvous_retried, transfers);
             // Three full chunks and a 1-byte one per transfer.
             assert_eq!(s.rdv_chunks_posted, transfers * 4);
-            assert!(s.rdv_inflight_hwm >= 2, "pipelining overlapped chunks");
         }
         // Drain any in-flight FIN/ACK traffic before teardown.
         rt.oob_barrier();
@@ -202,6 +198,41 @@ fn multithreaded_rendezvous_stress() {
         }
         rt.oob_barrier();
     });
+}
+
+/// A wire has consumed a write's source when `post_write` returns, so a
+/// rendezvous send is done at the pump that posts its last chunk: one
+/// thread drives two ranks over sim-ibv, and the single sender progress
+/// that handles the RTR posts all 8 chunks of 512 KiB, signals the
+/// send and leaves no send pending — before the receiver has seen a
+/// byte of it.
+#[test]
+fn a_send_is_done_when_the_wire_takes_its_last_chunk() {
+    const SIZE: usize = 8 * CHUNK;
+    let fabric = Fabric::new(2);
+    let rt0 = Runtime::new(fabric.clone(), 0, RuntimeConfig::ibv()).unwrap();
+    let rt1 = Runtime::new(fabric, 1, RuntimeConfig::ibv()).unwrap();
+    let (scomp, rcomp) = (Comp::alloc_sync(1), Comp::alloc_sync(1));
+    assert!(rt1.post_recv(0, vec![0u8; SIZE], 7, rcomp.clone()).unwrap().is_posted());
+    assert!(rt0.post_send(1, pattern(SIZE, 3), 7, scomp.clone()).unwrap().is_posted());
+    rt1.progress().unwrap(); // the RTS: matched, answered with the RTR
+    let before = rt0.device().stats().rdv_chunks_posted;
+    rt0.progress().unwrap(); // the RTR
+    assert_eq!(rt0.device().stats().rdv_chunks_posted - before, 8);
+    let sync = scomp.as_sync().unwrap();
+    assert!(sync.test(), "the send is signalled by the pump that posted its last chunk");
+    assert_eq!(rt0.device().pending_rendezvous().0, 0);
+    assert_eq!(sync.take().pop().unwrap().kind, CompKind::Send);
+
+    let sync = rcomp.as_sync().unwrap();
+    for _ in 0..100 {
+        if sync.test() {
+            break;
+        }
+        rt1.progress().unwrap();
+    }
+    assert_eq!(sync.take().pop().expect("the FIN delivered").as_slice(), &pattern(SIZE, 3)[..]);
+    assert_eq!(rt1.device().pending_rendezvous(), (0, 0));
 }
 
 /// Steady-state registration-cache behaviour: a receive buffer reused

@@ -73,6 +73,14 @@ const REMOVED_KNOBS: &[&str] = &[
     "backstop_flush",
     "flush_stale",
     "Placement",
+    // A rendezvous send is done when the wire takes its last chunk: no
+    // chunk window, no per-chunk completion, no in-flight mark. Keys
+    // are `matching::make_key`, with no hook to replace it.
+    "RDV_WINDOW",
+    "RdvChunk",
+    "rdv_inflight_hwm",
+    "set_make_key",
+    "MakeKeyFn",
 ];
 
 /// The removed progress modes, their engine threads and blocking waits,
@@ -388,6 +396,7 @@ fn removed_knobs_guard_catches_a_plant() {
     catches(g, "crates/lci/src/coll/plan/planted.rs", "    in_place: bool,\n");
     catches(g, "crates/lci-fabric/src/planted.rs", "fn post_send_batch(&self) {}\n");
     catches(g, "crates/lci/src/planted.rs", "pub struct Placement;\n");
+    catches(g, "crates/lci/src/device/planted.rs", "    RdvChunk { send_id: u32 },\n");
 }
 
 #[test]
