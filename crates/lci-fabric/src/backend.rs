@@ -235,9 +235,15 @@ pub trait NetDevice: Send + Sync {
     /// be older than it from its source: a source's frames reach the
     /// caller in the order it sent them, claimed or polled, as long as
     /// one thread polls the device. `claim` runs inside the drain, with
-    /// that source's drain lock held: what it calls must not wait for
-    /// another poll of this rank. Wires that land at the post (the
-    /// in-memory sims) offer nothing; the default offers nothing either.
+    /// that source's drain lock held. What it calls may post, to that
+    /// source too (an answer to a control message, a handler's reply),
+    /// and may poll again, which skips that source; it must not wait for
+    /// another poll of this rank. A caller that takes every kind it is
+    /// offered (`lci` does, until its packet pool runs dry) leaves to the
+    /// posted receives only what it declines, writes' immediates and, on
+    /// a wire without a self channel, a rank's frames to itself. Wires
+    /// that land at the post (the in-memory sims) offer nothing; the
+    /// default offers nothing either.
     fn poll_cq_claiming(
         &self,
         out: &mut Vec<Cqe>,

@@ -124,8 +124,9 @@ pub(crate) trait Wire: Send + Sync + Sized + 'static {
 /// claimed frame is delivered before anything staged, so it is offered
 /// only while nothing of its source can be staged ahead of it: the
 /// device's completions are checked once per source turn, lazily, at
-/// its first SEND for this device, and a frame of the turn that lands
-/// here the old way (declined, or another kind) closes the turn.
+/// its first SEND for this device, and a frame of the turn that may
+/// stage a completion here (a declined SEND, a write's immediate, a
+/// read response) closes the turn.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Offers {
     Unchecked,
@@ -365,9 +366,16 @@ impl<W: Wire> NetDevice for FramedDevice<W> {
                     return Ok(Routed::Done);
                 }
             }
-            if mine {
-                // It may stage a completion here: a later frame of this
-                // source claimed now would overtake it.
+            // A frame that may stage a completion here closes the turn: a
+            // later frame of this source claimed now would overtake it.
+            // A write without an immediate only copies, and a read
+            // request only answers.
+            let stages = match h.kind {
+                KIND_WRITE => h.flags & FLAG_HAS_IMM != 0,
+                KIND_READ_REQ => false,
+                _ => true,
+            };
+            if mine && stages {
                 offers = Offers::Closed;
             }
             self.route_frame(src, h, payload)

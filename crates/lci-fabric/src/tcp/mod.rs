@@ -22,12 +22,13 @@
 //! **Whoever polls asks the sockets.** Each rank owns an edge-triggered
 //! epoll instance over its mesh sockets, and every drain begins with
 //! one `epoll_wait(…, 0)` that turns edges into flags: `EPOLLIN` sets a
-//! connection's `readable`, `EPOLLOUT` clears its `write_blocked`.
-//! Several devices of a rank may drain at once; an edge goes to one of
-//! them and the flags are atomics. The other halves belong to whoever
-//! holds the connection's lock: a read clears `readable` *before* it
-//! reads (see `Conn::read_once`), a write that hits `EAGAIN` sets
-//! `write_blocked` and probes once more (see `Conn::flush_locked`).
+//! connection's `readable`, `EPOLLOUT` clears its `write_blocked`, and a
+//! hang-up sets `hup`, which stays set. Several devices of a rank may
+//! drain at once; an edge goes to one of them and the flags are atomics.
+//! The other halves belong to whoever holds the connection's lock: a
+//! read clears `readable` *before* it reads (see `Conn::read_once`), a
+//! write that hits `EAGAIN` sets `write_blocked` and probes once more
+//! (see `Conn::flush_locked`).
 //!
 //! **Nothing else moves the wire.** A frame a post appended leaves at
 //! the next drain of its rank — any device's `poll_cq` — or at the
@@ -115,6 +116,10 @@ pub(crate) struct Conn {
     /// A write hit `EAGAIN`; cleared by an `EPOLLOUT` edge. While set,
     /// flushing this connection is pointless.
     write_blocked: AtomicBool,
+    /// The peer hung up or the socket failed. Set by the edge that says
+    /// so and never cleared: that edge may also have carried the peer's
+    /// last bytes, and no edge follows the EOF behind them.
+    hup: AtomicBool,
     dead: AtomicBool,
     /// Frames currently queued for send (lock-free mirror of
     /// `SendState::frames` for `outbound_pending`).
@@ -141,6 +146,7 @@ impl Conn {
             recv: SpinLock::new(FrameDecoder::new()),
             readable: AtomicBool::new(true),
             write_blocked: AtomicBool::new(false),
+            hup: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             send_backlog: AtomicUsize::new(0),
             recv_pending: AtomicBool::new(false),
@@ -255,14 +261,19 @@ impl Conn {
     /// caller holds the recv lock, so it is the only one clearing
     /// `readable`.
     ///
-    /// The flag is cleared *before* the read and set again only by a
-    /// read that filled everything it was offered (more may be
-    /// waiting). Bytes that were in the socket before the clear are
-    /// read by this very call; bytes that arrive after it raise a new
-    /// edge, which sets the flag again behind the clear — so a short
-    /// read or `EAGAIN` can leave it cleared without a second probe,
-    /// and nothing is stranded. The clear is `SeqCst` so that no
-    /// platform lets it drift past the kernel's look at the socket.
+    /// The flag is cleared *before* the read and set again by a read
+    /// that filled everything it was offered (more may be waiting) or
+    /// that `hup` follows. Bytes that were in the socket before the
+    /// clear are read by this very call; bytes that arrive after it
+    /// raise a new edge, which sets the flag again behind the clear — so
+    /// a short read or `EAGAIN` can leave it cleared without a second
+    /// probe, and nothing is stranded. The EOF is the exception: it
+    /// raises no edge of its own, and the peer's last bytes and its
+    /// hang-up can come in one. So once `hup` is set a short read keeps
+    /// the flag, and the next read finds the EOF. The clear and the
+    /// `hup` load are `SeqCst`, like the stores that set `hup` and then
+    /// `readable`: a read that misses `hup` cleared the flag before the
+    /// edge set it again.
     fn read_once(&self, dec: &mut FrameDecoder, budget: &mut usize) -> Result<bool, ()> {
         if sys::EVENTED && !self.readable.load(Ordering::Acquire) {
             return Ok(false);
@@ -280,7 +291,7 @@ impl Conn {
             Ok(n) => {
                 dec.advance_filled(n);
                 *budget -= n;
-                if n == cap {
+                if n == cap || self.hup.load(Ordering::SeqCst) {
                     self.readable.store(true, Ordering::Release);
                 }
                 Ok(true)
@@ -453,8 +464,11 @@ impl TcpRankState {
     pub(crate) fn poll_readiness(&self) {
         // An error other than EINTR cannot happen on a live epoll fd;
         // if it did, the flags would simply stop moving.
-        let _ = self.epoll.wait(0, |peer, readable, writable| {
+        let _ = self.epoll.wait(0, |peer, readable, writable, hup| {
             let Some(c) = self.conn(peer as usize) else { return };
+            if hup {
+                c.hup.store(true, Ordering::SeqCst);
+            }
             if readable {
                 c.readable.store(true, Ordering::Release);
             }

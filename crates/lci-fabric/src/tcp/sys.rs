@@ -72,7 +72,7 @@ pub fn readv(fd: i32, iovs: &mut [IoVec]) -> io::Result<usize> {
 }
 
 /// Edge-triggered epoll instance watching connection fds (Linux only).
-/// `wait` decodes events into `(peer_index, readable, writable)`.
+/// `wait` decodes events into `(peer_index, readable, writable, hup)`.
 #[cfg(target_os = "linux")]
 pub struct Epoll {
     epfd: i32,
@@ -110,8 +110,14 @@ impl Epoll {
     }
 
     /// Waits up to `timeout_ms` for events; invokes `f(tag, readable,
-    /// writable)` per event. Returns the event count.
-    pub fn wait(&self, timeout_ms: i32, mut f: impl FnMut(u64, bool, bool)) -> io::Result<usize> {
+    /// writable, hup)` per event, `hup` when the peer hung up or the
+    /// socket failed (the last bytes may have come with it, in the same
+    /// edge). Returns the event count.
+    pub fn wait(
+        &self,
+        timeout_ms: i32,
+        mut f: impl FnMut(u64, bool, bool, bool),
+    ) -> io::Result<usize> {
         let mut evs = [ffi::EpollEvent { events: 0, data: 0 }; 64];
         // SAFETY: the event buffer is valid for `evs.len()` entries.
         let n =
@@ -127,7 +133,8 @@ impl Epoll {
             let bits = ev.events;
             let readable = bits & (Self::IN | Self::ERR | Self::HUP | Self::RDHUP) != 0;
             let writable = bits & (Self::OUT | Self::ERR | Self::HUP) != 0;
-            f(ev.data, readable, writable);
+            let hup = bits & (Self::ERR | Self::HUP | Self::RDHUP) != 0;
+            f(ev.data, readable, writable, hup);
         }
         Ok(n as usize)
     }
@@ -156,7 +163,11 @@ impl Epoll {
         Ok(())
     }
 
-    pub fn wait(&self, _timeout_ms: i32, _f: impl FnMut(u64, bool, bool)) -> io::Result<usize> {
+    pub fn wait(
+        &self,
+        _timeout_ms: i32,
+        _f: impl FnMut(u64, bool, bool, bool),
+    ) -> io::Result<usize> {
         Ok(0)
     }
 }
@@ -252,7 +263,7 @@ mod tests {
         ep.add(rx.as_raw_fd(), 42).unwrap();
         // Fresh socket: writable edge arrives immediately.
         let mut saw = None;
-        ep.wait(1000, |tag, r, w| saw = Some((tag, r, w))).unwrap();
+        ep.wait(1000, |tag, r, w, _| saw = Some((tag, r, w))).unwrap();
         let (tag, _, w) = saw.expect("expected initial writability event");
         assert_eq!(tag, 42);
         assert!(w);
@@ -260,7 +271,7 @@ mod tests {
         tx.write_all(b"x").unwrap();
         let mut readable = false;
         while !readable {
-            ep.wait(1000, |_, r, _| readable |= r).unwrap();
+            ep.wait(1000, |_, r, _, _| readable |= r).unwrap();
         }
     }
 }

@@ -118,3 +118,46 @@ fn a_warm_exchange_keeps_every_capacity() {
     let frames = d0.transport_stats().tcp_writev_frames + d1.transport_stats().tcp_writev_frames;
     assert_eq!(frames, 64 * WINDOW as u64);
 }
+
+/// A peer's last frame and its hang-up can reach the socket before this
+/// rank first asks epoll, and then one edge reports both. The drain
+/// reads the frame, and must still find the EOF behind it: a few
+/// bounded drains deliver the frame and mark the peer dead. (Were a
+/// short read to clear `readable` for good, the EOF would wait for an
+/// edge that never comes, and a rank waiting to learn of the death
+/// would wait forever.) The order is forced, not raced: `poll(2)`,
+/// which consumes no edge, first sees the hang-up on rank 0's socket.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_last_frame_and_its_hang_up_in_one_edge_mark_the_peer_dead() {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, n: u64, timeout_ms: i32) -> i32;
+    }
+    const POLLRDHUP: i16 = 0x2000;
+    let (fabric, d0, d1) = pair();
+    let (st0, st1) = (fabric.tcp_fabric().state(0), fabric.tcp_fabric().state(1));
+    let mut landing = [0u8; 64];
+    post_recv(&d0, &mut landing, 7);
+    d1.post_inject(0, 0, b"last words", 3).unwrap();
+    let mut none = Vec::new();
+    d1.poll_cq(&mut none, 8).unwrap();
+    assert_eq!(d1.outbound_pending(), 0, "the frame did not leave at the poll");
+    st1.conn(0).unwrap()._stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut pfd = PollFd { fd: st0.conn(1).unwrap().fd, events: POLLRDHUP, revents: 0 };
+    // SAFETY: one valid `pollfd` for the duration of the call.
+    assert_eq!(unsafe { poll(&mut pfd, 1, 10_000) }, 1, "the hang-up never reached rank 0");
+
+    let mut got = Vec::new();
+    for _ in 0..8 {
+        d0.poll_cq(&mut got, 8).unwrap();
+    }
+    assert_eq!(got.iter().map(|c| (c.ctx, c.imm, c.len)).collect::<Vec<_>>(), [(7, 3, 10)]);
+    assert_eq!(&landing[..10], b"last words");
+    assert!(st0.peer_dead(1), "8 drains read the last frame but not the hang-up behind it");
+}

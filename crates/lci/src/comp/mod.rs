@@ -9,7 +9,7 @@
 //! * [`CompQueue`](queue::CompQueue) — a concurrent completion queue
 //!   (a bounded MPMC ring of fixed size);
 //! * handler — a function invoked inline by the progress engine (for a
-//!   tagged eager receive on shm or tcp, inside the wire's drain, with
+//!   two-sided arrival on shm or tcp, inside the wire's drain, with
 //!   that source's drain lock held: a handler that waits for another
 //!   frame of that source waits forever);
 //! * [`Graph`](graph::Graph) — a CUDA-Graph-like partial order of

@@ -25,6 +25,7 @@ use crate::runtime::RuntimeInner;
 use crate::stats::{DeviceStats, Tally};
 use crate::types::{
     CompDesc, CompKind, DataBuf, Direction, Landing, MatchingPolicy, RComp, Rank, SendBuf, Tag,
+    SENDBUF_INLINE_CAP,
 };
 use crate::util::{ctx_pack, ctx_unpack, ShardedSlab};
 use eager::PendingInbound;
@@ -371,14 +372,15 @@ impl Device {
             }
             None => &mut local,
         };
-        // A tagged eager frame is taken from the wire inside the drain
-        // (`claim_eager`); everything else comes back as a CQE.
+        // A two-sided frame a buffering wire holds is taken inside the
+        // drain (`claim`); a write's immediate, a frame the claim
+        // declines and everything on the sims come back as CQEs.
         let (mut claimed, mut failed) = (false, None);
-        let mut claim = |src, _src_dev, imm, payload: &[u8]| {
+        let mut claim = |src, src_dev, imm, payload: &[u8]| {
             if failed.is_some() {
                 return false;
             }
-            let took = self.claim_eager(src, imm, payload, tally).unwrap_or_else(|e| {
+            let took = self.claim(src, src_dev, imm, payload, tally).unwrap_or_else(|e| {
                 failed = Some(e);
                 true
             });
@@ -580,49 +582,100 @@ impl Device {
         let keep = || {
             kept = true;
             // SAFETY: as above, and a kept slot is not put back.
-            unsafe { pool.reclaim(idx, cqe.len) }
+            Some(unsafe { pool.reclaim(idx, cqe.len) })
         };
-        let res = self.deliver_incoming(&cqe, payload, keep, tally);
+        // The slot becomes a packet for free, so no active message is
+        // copied out of it into its descriptor (copying 8 B out measured
+        // 5.5 % slower on `am8_sim`, on a 2-core box).
+        let (src, src_dev) = (cqe.src_rank, cqe.src_dev);
+        let res = self.deliver_incoming(src, src_dev, cqe.imm, payload, 0, keep, tally);
         if !kept {
             pool.put_idxs(&[idx]);
         }
-        res
+        res.map(drop)
     }
 
-    /// Routes an incoming message by its header; `keep` makes its slot a
-    /// packet, for a payload that outlives this call.
+    /// Takes a two-sided frame straight from the wire, inside the poll
+    /// that drains it (`NetDevice::poll_cq_claiming`), and delivers it as
+    /// a landed one is delivered: an active message of at most
+    /// [`SENDBUF_INLINE_CAP`] bytes is copied into its descriptor, any
+    /// other payload that outlives the call into a packet of the
+    /// runtime's pool. Returns whether it took the frame; one that finds
+    /// no packet free is declined and lands in a posted receive as the
+    /// wire's own delivery.
+    fn claim(
+        &self,
+        src: Rank,
+        src_dev: DevId,
+        imm: u64,
+        payload: &[u8],
+        tally: &mut Tally,
+    ) -> Result<bool> {
+        let pool = &self.inner.rt.pool;
+        let keep = || {
+            if payload.len() > pool.payload_size() {
+                return None;
+            }
+            let mut packet = pool.get()?;
+            packet.fill(payload);
+            Some(packet)
+        };
+        self.deliver_incoming(src, src_dev, imm, payload, SENDBUF_INLINE_CAP, keep, tally)
+    }
+
+    /// Routes an incoming two-sided message by its header, claimed or
+    /// landed alike. An active message of at most `inline_cap` bytes
+    /// rides in its completion descriptor, copied there once. `keep`
+    /// makes a packet holding the payload, for any other that outlives
+    /// this call; when it makes none (a claim with no packet free)
+    /// nothing is delivered and the call returns `false`.
+    #[allow(clippy::too_many_arguments)]
     fn deliver_incoming(
         &self,
-        cqe: &Cqe,
+        src: Rank,
+        src_dev: DevId,
+        imm: u64,
         payload: &[u8],
-        keep: impl FnOnce() -> Packet,
+        inline_cap: usize,
+        keep: impl FnOnce() -> Option<Packet>,
         tally: &mut Tally,
-    ) -> Result<()> {
-        let hdr = Header::decode(cqe.imm)?;
+    ) -> Result<bool> {
+        let hdr = Header::decode(imm)?;
+        let len = payload.len();
         match hdr.ty {
-            MsgType::Eager | MsgType::EagerAm => {
-                let park = || DataBuf::Packet(keep(), cqe.len);
-                self.deliver_eager(cqe.src_rank, hdr, payload, park, tally)
+            MsgType::Eager => {
+                let park = || keep().map(|p| DataBuf::Packet(p, len));
+                return self.match_eager(src, hdr, payload, park, tally);
+            }
+            MsgType::EagerAm => {
+                // Its one copy, out of the wire, as a slot's was.
+                let data = if len <= inline_cap {
+                    DataBuf::SendBuf(SendBuf::from(payload))
+                } else {
+                    let Some(p) = keep() else { return Ok(false) };
+                    DataBuf::Packet(p, len)
+                };
+                let p = PendingInbound::EagerAm { src, tag: hdr.tag, data };
+                self.deliver_rcomp(hdr.aux, p, tally)?;
             }
             MsgType::RtsSr | MsgType::RtsAm => {
-                let rts = rdv::Rts::decode(cqe, hdr.tag, payload)?;
-                self.handle_rts(hdr, rts, tally)
+                let rts = rdv::Rts::decode(src, src_dev, hdr.tag, payload)?;
+                self.handle_rts(hdr, rts, tally)?;
             }
-            MsgType::Rtr => {
-                let rtr = RtrPayload::decode(payload)?;
-                self.start_pumping(cqe.src_rank, cqe.src_dev, rtr)
-            }
+            MsgType::Rtr => self.start_pumping(src, src_dev, RtrPayload::decode(payload)?)?,
             MsgType::GetSignal => {
-                let p = PendingInbound::RemoteSignal { src: cqe.src_rank, tag: hdr.tag };
-                self.deliver_rcomp(hdr.aux, p, tally)
+                let p = PendingInbound::RemoteSignal { src, tag: hdr.tag };
+                self.deliver_rcomp(hdr.aux, p, tally)?;
             }
             MsgType::Coalesced => {
-                self.deliver_coalesced(cqe.src_rank, hdr.aux, keep(), cqe.len, tally)
+                let Some(p) = keep() else { return Ok(false) };
+                self.deliver_coalesced(src, hdr.aux, p, len, tally)?;
             }
             MsgType::Fin | MsgType::PutSignal => {
-                Err(FatalError::Net(format!("{:?} must arrive as write-immediate", hdr.ty)))
+                return Err(FatalError::Net(format!("{:?} must arrive as write-immediate", hdr.ty)))
             }
         }
+        Ok(true)
     }
 
     /// Backlog depth (diagnostics).

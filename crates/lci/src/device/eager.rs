@@ -289,84 +289,28 @@ impl Device {
         ))
     }
 
-    /// Delivers one eager payload — a standalone arrival or one
-    /// sub-message of a coalesced frame — through the matching engine
-    /// (two-sided) or rcomp signaling (active message). `park` makes the
-    /// [`DataBuf`] that owns `payload` (the packet, or a view into the
-    /// frame) and is called only if the payload outlives this call: an
-    /// active message, or a send that parks as unexpected. A send that
-    /// finds its receive is copied from `payload` into it.
-    pub(super) fn deliver_eager(
+    /// Matches an eager send against its receive, copying `payload` into
+    /// it, or parks what `park` makes — the [`DataBuf`] that owns
+    /// `payload` (a packet, or a view into a coalesced frame) — as
+    /// unexpected; `park` is called only then. A `park` that makes
+    /// nothing leaves the matching engine as it was, and the call
+    /// returns `false`.
+    pub(super) fn match_eager(
         &self,
         src: Rank,
         hdr: Header,
         payload: &[u8],
-        park: impl FnOnce() -> DataBuf,
-        tally: &mut Tally,
-    ) -> Result<()> {
-        match hdr.ty {
-            MsgType::Eager => {
-                self.match_eager(src, hdr, payload, || Ok::<_, ()>(park()), tally).map(|_| ())
-            }
-            MsgType::EagerAm => {
-                let p = PendingInbound::EagerAm { src, tag: hdr.tag, data: park() };
-                self.deliver_rcomp(hdr.aux, p, tally)
-            }
-            other => Err(FatalError::Net(format!("invalid eager payload type {other:?}"))),
-        }
-    }
-
-    /// Takes a tagged eager frame straight from the wire, inside the
-    /// poll that drains it (`NetDevice::poll_cq_claiming`): a send whose
-    /// receive is posted is copied into it and its completion signalled,
-    /// one that arrives first is copied into a packet of the runtime's
-    /// pool and parked. Returns whether it took the frame: any other
-    /// kind, or an unexpected send with no packet free, is left to land
-    /// in a posted receive as the wire's own delivery.
-    pub(super) fn claim_eager(
-        &self,
-        src: Rank,
-        imm: u64,
-        payload: &[u8],
-        tally: &mut Tally,
-    ) -> Result<bool> {
-        let hdr = match Header::decode(imm) {
-            Ok(hdr) if hdr.ty == MsgType::Eager => hdr,
-            _ => return Ok(false),
-        };
-        let pool = &self.inner.rt.pool;
-        let park = || {
-            if payload.len() > pool.payload_size() {
-                return Err(());
-            }
-            let mut packet = pool.get().ok_or(())?;
-            packet.fill(payload);
-            Ok(DataBuf::Packet(packet, payload.len()))
-        };
-        self.match_eager(src, hdr, payload, park, tally)
-    }
-
-    /// The two-sided half of [`deliver_eager`](Self::deliver_eager):
-    /// matches the send against its receive, copying `payload` into it,
-    /// or parks what `park` makes as unexpected. A `park` that fails
-    /// leaves the matching engine as it was, and the call returns
-    /// `false`.
-    fn match_eager<E>(
-        &self,
-        src: Rank,
-        hdr: Header,
-        payload: &[u8],
-        park: impl FnOnce() -> std::result::Result<DataBuf, E>,
+        park: impl FnOnce() -> Option<DataBuf>,
         tally: &mut Tally,
     ) -> Result<bool> {
         let tag = hdr.tag;
         let engine = &self.inner.rt.matching;
         let key = engine.key_for(src, tag, hdr.policy);
-        let entry = || park().map(|data| MatchEntry::UnexpEager { src, tag, data });
+        let entry = || park().map(|data| MatchEntry::UnexpEager { src, tag, data }).ok_or(());
         let matched = match engine.insert_with(key, MatchKind::Send, entry) {
             Ok(Some(matched)) => matched,
             Ok(None) => return Ok(true),
-            Err(_) => return Ok(false),
+            Err(()) => return Ok(false),
         };
         tally.matched += 1;
         let MatchEntry::Recv(recv) = matched else {
@@ -402,25 +346,17 @@ impl Device {
             let (sub_imm, r) = rec?;
             let hdr = Header::decode(sub_imm)?;
             let view = || DataBuf::View(views.view(r.start, r.len()));
-            // An AM whose rcomp exists is signalled here, so the frame
-            // counts it; any other record takes the standalone path (an
-            // early AM parks and is counted when it is delivered).
-            let rcomp = match hdr.ty {
-                MsgType::EagerAm => self.inner.rt.rcomp.get(hdr.aux as usize),
-                _ => None,
-            };
-            if let Some(comp) = rcomp {
-                tally.zero_copy_deliveries += 1;
-                comp.signal(CompDesc {
-                    rank: src,
-                    tag: hdr.tag,
-                    data: view(),
-                    user_ctx: 0,
-                    kind: CompKind::Am,
-                });
-                return Ok(());
+            match hdr.ty {
+                MsgType::Eager => {
+                    let payload = &views.as_slice()[r.clone()];
+                    self.match_eager(src, hdr, payload, || Some(view()), tally).map(drop)
+                }
+                MsgType::EagerAm => {
+                    let p = PendingInbound::EagerAm { src, tag: hdr.tag, data: view() };
+                    self.deliver_rcomp(hdr.aux, p, tally)
+                }
+                other => Err(FatalError::Net(format!("invalid coalesced record type {other:?}"))),
             }
-            self.deliver_eager(src, hdr, &views.as_slice()[r.clone()], view, tally)
         })
     }
 
@@ -443,7 +379,8 @@ impl Device {
         };
         match p {
             PendingInbound::EagerAm { src, tag, data } => {
-                // Packet- or view-backed, so zero-copy.
+                // Packet-, view- or inline-backed: its one copy was the
+                // landing, so zero-copy.
                 tally.zero_copy_deliveries += 1;
                 comp.signal(CompDesc { rank: src, tag, data, user_ctx: 0, kind: CompKind::Am });
             }

@@ -24,7 +24,7 @@ use crate::matching::MatchKind;
 use crate::proto::{Header, MsgType, RtrPayload, RtsPayload};
 use crate::stats::Tally;
 use crate::types::{CompDesc, CompKind, DataBuf, MatchingPolicy, Rank, SendBuf, Tag};
-use lci_fabric::{BackendKind, Cqe, DevId, MemoryRegion, NetError, Rkey};
+use lci_fabric::{BackendKind, DevId, MemoryRegion, NetError, Rkey};
 
 /// Bytes per chunk write; a payload no larger goes as one write.
 const RDV_CHUNK: usize = 64 << 10;
@@ -45,15 +45,9 @@ pub(crate) struct Rts {
 }
 
 impl Rts {
-    pub(super) fn decode(cqe: &Cqe, tag: Tag, payload: &[u8]) -> Result<Rts> {
+    pub(super) fn decode(src: Rank, src_dev: DevId, tag: Tag, payload: &[u8]) -> Result<Rts> {
         let p = RtsPayload::decode(payload)?;
-        Ok(Rts {
-            src: cqe.src_rank,
-            src_dev: cqe.src_dev,
-            tag,
-            send_id: p.send_id,
-            size: p.size as usize,
-        })
+        Ok(Rts { src, src_dev, tag, send_id: p.send_id, size: p.size as usize })
     }
 }
 

@@ -227,7 +227,13 @@ pub enum DataBuf {
     /// message data (unexpected AM rendezvous bounce buffers); its
     /// storage returns to the buffer pool when this is dropped.
     Pooled(lci_fabric::PoolBuf, usize),
-    /// The send buffer coming back to its owner on a send completion.
+    /// The send buffer coming back to its owner on a send completion;
+    /// and, on shm and tcp, a standalone (not coalesced) active message
+    /// of at most [`SENDBUF_INLINE_CAP`] bytes, which the drain takes
+    /// from the wire and copies into the descriptor as
+    /// `SendBuf(SendBuf::Inline(..))`, with no packet to give back. One
+    /// that landed in a receive slot (declined, or on the sims) arrives
+    /// as [`DataBuf::Packet`].
     SendBuf(SendBuf),
     /// A receive that landed in memory a blocking collective lent
     /// (DESIGN.md §4.11 "Lending"): the delivered length and nothing to

@@ -502,6 +502,100 @@ fn rendezvous_copy_ledger() {
     assert_eq!(rendezvous_512k_copy_ledger(lci_fabric::DeviceConfig::tcp()), (0, SIZE, 0));
 }
 
+/// Warm windows of 32 8-byte active messages on `device`, driven from
+/// one thread: the receiver's per-message ledger — CQEs it handled,
+/// receives it consumed of those it keeps posted, deliveries that came
+/// in a pool packet or view, and its zero-copy and copied deliveries —
+/// and the allocator calls the measured windows made.
+fn am_8b_window(device: lci_fabric::DeviceConfig) -> ((u64, u64, u64, u64, u64), u64) {
+    const WINDOW: u64 = 32;
+    const ROUNDS: u64 = 16;
+    let fabric = Fabric::new(2);
+    let cfg = RuntimeConfig::small().with_device(device);
+    let rt0 = Runtime::new(fabric.clone(), 0, cfg.clone()).unwrap();
+    let rt1 = Runtime::new(fabric, 1, cfg).unwrap();
+    let got: Arc<MpmcRing<CompDesc>> = Arc::new(MpmcRing::new(WINDOW as usize));
+    let rcomp = {
+        let q = got.clone();
+        rt1.register_rcomp(Comp::alloc_handler(move |d| {
+            let _ = q.try_push(d);
+        }))
+    };
+    let scomp = Comp::alloc_cq();
+    // One window; returns how many of its deliveries held a pool slot.
+    let round = || {
+        let mut pooled = 0;
+        for i in 0..WINDOW {
+            while !rt0.post_am(1, &i.to_le_bytes()[..], scomp.clone(), rcomp).unwrap().is_done() {
+                rt0.progress().unwrap();
+                rt1.progress().unwrap();
+            }
+        }
+        let mut seen = 0;
+        while seen < WINDOW {
+            rt0.progress().unwrap();
+            rt1.progress().unwrap();
+            while let Some(d) = got.pop() {
+                assert_eq!(d.as_slice(), seen.to_le_bytes(), "reordered or corrupt");
+                pooled += u64::from(matches!(d.data, DataBuf::Packet(..) | DataBuf::View(_)));
+                seen += 1;
+            }
+        }
+        pooled
+    };
+    for _ in 0..4 {
+        round();
+    }
+    let (base, posted) = (rt1.device().stats(), rt1.packet_pool().outstanding() as u64);
+    let before = alloc_calls();
+    let pooled: u64 = trace_window(|| (0..ROUNDS).map(|_| round()).sum());
+    let allocs = alloc_calls() - before;
+    let d = rt1.device().stats().since(&base);
+    let consumed = posted + d.replenish_posted - rt1.packet_pool().outstanding() as u64;
+    let n = WINDOW * ROUNDS;
+    for count in [d.completions, consumed, pooled, d.zero_copy_deliveries, d.copied_deliveries] {
+        assert_eq!(count % n, 0, "{device:?}: {count} does not divide over {n} messages");
+    }
+    let per = |count: u64| count / n;
+    let ledger = (per(d.completions), per(consumed), per(pooled));
+    ((ledger.0, ledger.1, ledger.2, per(d.zero_copy_deliveries), per(d.copied_deliveries)), allocs)
+}
+
+/// The active-message ledger (DESIGN.md §4.9 "Claims"), from counters
+/// that repeat exactly. On shm and tcp a warm 8 B AM is taken from the
+/// wire inside the receiver's poll and carried in its completion
+/// descriptor: no CQE, no posted receive consumed, no pool packet, and
+/// one copy, counted as a zero-copy delivery. On sim-ibv it lands at
+/// the post in a posted receive whose `RecvDone` the receiver handles,
+/// and that slot is delivered as the packet: one copy there too.
+#[test]
+fn am_ledger_takes_an_8b_message_from_the_wire() {
+    let _g = serial();
+    assert_eq!(am_8b_window(lci_fabric::DeviceConfig::shm()).0, (0, 0, 0, 1, 0));
+    assert_eq!(am_8b_window(lci_fabric::DeviceConfig::tcp()).0, (0, 0, 0, 1, 0));
+    assert_eq!(am_8b_window(lci_fabric::DeviceConfig::ibv()).0, (1, 1, 1, 1, 0));
+}
+
+/// And a warm window of them makes no allocator call on any wire.
+#[test]
+fn warm_8b_am_window_is_allocation_free() {
+    let _g = serial();
+    let devices = [
+        lci_fabric::DeviceConfig::shm(),
+        lci_fabric::DeviceConfig::tcp(),
+        lci_fabric::DeviceConfig::ibv(),
+    ];
+    for device in devices {
+        let allocs = am_8b_window(device).1;
+        assert_eq!(
+            allocs,
+            0,
+            "{device:?}: warm 8 B AM windows made {allocs} allocator calls{}",
+            first_allocs()
+        );
+    }
+}
+
 /// Runs a placed audit: on a 4-core layout (`common::on_cores`, a child
 /// with `LCI_CORES=4` on a host with another count), where the buffer
 /// pool, packet pool and stats all carry 4 stripes, a ping loop of

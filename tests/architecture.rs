@@ -81,6 +81,9 @@ const REMOVED_KNOBS: &[&str] = &[
     "rdv_inflight_hwm",
     "set_make_key",
     "MakeKeyFn",
+    // A drain's claim takes every two-sided kind through the one
+    // dispatch a landed frame takes, not a tagged-eager side door.
+    "claim_eager",
 ];
 
 /// The removed progress modes, their engine threads and blocking waits,
@@ -397,6 +400,7 @@ fn removed_knobs_guard_catches_a_plant() {
     catches(g, "crates/lci-fabric/src/planted.rs", "fn post_send_batch(&self) {}\n");
     catches(g, "crates/lci/src/planted.rs", "pub struct Placement;\n");
     catches(g, "crates/lci/src/device/planted.rs", "    RdvChunk { send_id: u32 },\n");
+    catches(g, "crates/lci/src/device/planted.rs", "fn claim_eager(&self) {}\n");
 }
 
 #[test]
