@@ -76,8 +76,15 @@ impl Comp {
     ///
     /// Returns `None` both when empty and when the object is not a queue
     /// — use [`Comp::as_queue`] to distinguish.
+    #[inline]
     pub fn pop(&self) -> Option<CompDesc> {
         self.as_queue()?.pop()
+    }
+
+    /// Handles alive on this object: who holds a post's comp, in tests.
+    #[cfg(test)]
+    pub(crate) fn handles(&self) -> usize {
+        Arc::strong_count(&self.inner)
     }
 
     /// Borrows the synchronizer, if this is one.
@@ -89,6 +96,7 @@ impl Comp {
     }
 
     /// Borrows the completion queue, if this is one.
+    #[inline]
     pub fn as_queue(&self) -> Option<&queue::CompQueue> {
         match &*self.inner {
             CompInner::Queue(q) => Some(q),

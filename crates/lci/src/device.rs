@@ -309,8 +309,10 @@ impl Device {
     // Posting (paper Figure 1, steps 1-2)
     // ------------------------------------------------------------------
 
-    /// The generic communication-posting operation (`post_comm`).
-    pub(crate) fn post_comm(&self, args: CommArgs) -> Result<PostResult> {
+    /// The generic communication-posting operation (`post_comm`). The
+    /// caller keeps the record: each protocol takes out of it only what
+    /// it consumes, and what is left drops with the caller's builder.
+    pub(crate) fn post_comm(&self, args: &mut CommArgs) -> Result<PostResult> {
         let res = self.post_comm_inner(args);
         if let Ok(r) = &res {
             if r.is_retry() {
@@ -322,7 +324,8 @@ impl Device {
         res
     }
 
-    fn post_comm_inner(&self, args: CommArgs) -> Result<PostResult> {
+    #[inline]
+    fn post_comm_inner(&self, args: &mut CommArgs) -> Result<PostResult> {
         match (args.direction, args.remote_buf.is_some(), args.remote_comp.is_some()) {
             (Direction::Out, false, _) => self.post_send_impl(args),
             (Direction::Out, true, _) => self.post_put_impl(args),

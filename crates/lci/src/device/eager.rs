@@ -70,7 +70,7 @@ impl DeviceInner {
 
 impl Device {
     /// Send / active message (eager or rendezvous by size).
-    pub(super) fn post_send_impl(&self, mut args: CommArgs) -> Result<PostResult> {
+    pub(super) fn post_send_impl(&self, args: &mut CommArgs) -> Result<PostResult> {
         let cfg = &self.inner.rt.config;
         let buf = args
             .send_buf
@@ -144,7 +144,7 @@ impl Device {
                     None => self.inner.stage_payload(&buf, 0..size),
                 };
                 let ctx = self.inner.ctx_encode(OpCtx::Send {
-                    comp: args.comp,
+                    comp: args.comp.take(),
                     buf,
                     rank: args.rank,
                     tag: args.tag,
@@ -216,12 +216,14 @@ impl Device {
 
     /// Receive: insert into the matching engine; deliver immediately on an
     /// unexpected match.
-    pub(super) fn post_recv_impl(&self, args: CommArgs) -> Result<PostResult> {
+    pub(super) fn post_recv_impl(&self, args: &mut CommArgs) -> Result<PostResult> {
         let buf = args
             .recv_buf
+            .take()
             .ok_or_else(|| FatalError::InvalidArg("recv requires a local buffer".into()))?;
         let comp = args
             .comp
+            .take()
             .ok_or_else(|| FatalError::InvalidArg("recv requires a completion object".into()))?;
         let engine = &self.inner.rt.matching;
         let key = engine.key_for(args.rank, args.tag, args.policy);

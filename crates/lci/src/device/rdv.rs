@@ -150,7 +150,7 @@ impl Device {
     /// Source side: allocate a send id, ship the RTS.
     pub(super) fn post_rendezvous(
         &self,
-        args: CommArgs,
+        args: &mut CommArgs,
         buf: SendBuf,
         target_dev: DevId,
     ) -> Result<PostResult> {
@@ -159,7 +159,7 @@ impl Device {
         self.inner.stats.bump(|c| &c.rendezvous);
         let (send_id, _) = sends.insert(RdvSend::RtsSent {
             buf,
-            comp: args.comp,
+            comp: args.comp.take(),
             tag: args.tag,
             user_ctx: args.user_ctx,
         });

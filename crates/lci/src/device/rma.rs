@@ -64,9 +64,10 @@ pub(super) struct GetOp {
 
 impl Device {
     /// RMA put (direct write, optional remote signal).
-    pub(super) fn post_put_impl(&self, args: CommArgs) -> Result<PostResult> {
+    pub(super) fn post_put_impl(&self, args: &mut CommArgs) -> Result<PostResult> {
         let buf = args
             .send_buf
+            .take()
             .ok_or_else(|| FatalError::InvalidArg("put requires a local buffer".into()))?;
         let (rkey, offset) = args.remote_buf.unwrap();
         let target_dev = args.target_dev.unwrap_or_else(|| self.dev_id());
@@ -75,7 +76,7 @@ impl Device {
             .map(|rc| Header::new(MsgType::PutSignal, args.policy, args.tag, rc).encode());
         let src = PostSrc::of(&self.inner, &buf);
         let ctx = self.inner.ctx_encode(OpCtx::Send {
-            comp: args.comp,
+            comp: args.comp.take(),
             buf,
             rank: args.rank,
             tag: args.tag,
@@ -90,8 +91,8 @@ impl Device {
     }
 
     /// RMA get (direct read, optional remote signal).
-    pub(super) fn post_get_impl(&self, args: CommArgs) -> Result<PostResult> {
-        let Some(Landing::Owned(buf)) = args.recv_buf else {
+    pub(super) fn post_get_impl(&self, args: &mut CommArgs) -> Result<PostResult> {
+        let Some(Landing::Owned(buf)) = args.recv_buf.take() else {
             return Err(FatalError::InvalidArg("get requires a local buffer it owns".into()));
         };
         let (rkey, offset) = args.remote_buf.unwrap();
@@ -100,7 +101,7 @@ impl Device {
         let len = buf.len();
         let ptr = buf.as_ptr() as *mut u8;
         let ctx = self.inner.ctx_encode(OpCtx::Get(GetOp {
-            comp: args.comp,
+            comp: args.comp.take(),
             buf,
             rank: args.rank,
             tag: args.tag,

@@ -214,6 +214,7 @@ impl Runtime {
     }
 
     /// The default device.
+    #[inline]
     pub fn device(&self) -> &Device {
         &self.default_dev
     }
@@ -258,6 +259,7 @@ impl Runtime {
 
     /// Makes progress on the default device (paper `progress`). Returns
     /// whether any work was performed.
+    #[inline]
     pub fn progress(&self) -> Result<bool> {
         self.default_dev.progress()
     }

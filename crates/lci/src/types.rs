@@ -248,6 +248,7 @@ pub enum DataBuf {
 impl std::ops::Deref for DataBuf {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -291,6 +292,7 @@ impl Landing {
 
 impl DataBuf {
     /// Byte view of the delivered data.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         match self {
             DataBuf::Empty => &[],
@@ -388,6 +390,7 @@ impl CompDesc {
     }
 
     /// Convenience: borrow the delivered bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         self.data.as_slice()
     }

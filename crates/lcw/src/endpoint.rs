@@ -2,7 +2,7 @@
 //! and quiescence over whichever library backs the world.
 
 use crossbeam::queue::SegQueue;
-use lci::{Comp, CompKind, DataBuf, Direction, PostResult};
+use lci::{Comp, CompKind, DataBuf, Direction, PostResult, SendBuf};
 use lci_baselines::{Gasnet, MpiComm, VciComm, ANY_SOURCE, ANY_TAG};
 use lci_fabric::{Fabric, Rank};
 use std::collections::VecDeque;
@@ -107,8 +107,12 @@ impl Endpoint {
         match &mut self.inner {
             EpInner::Lci { rt, device, rcomp, .. } => {
                 // No local completion object: the wrapper never waits
-                // for a send, so nothing is signalled or refcounted.
-                let post = rt.post_comm_x(Direction::Out, dst).send_buf(data).remote_comp(*rcomp);
+                // for a send, so nothing is signalled or refcounted. The
+                // bytes become a `SendBuf` before the builder exists: a
+                // conversion inside the chain can unwind, which leaves
+                // the builder in two stack slots and a copy between them.
+                let buf = SendBuf::from(data);
+                let post = rt.post_comm_x(Direction::Out, dst).send_buf(buf).remote_comp(*rcomp);
                 !post.tag(tag).device(device).call().expect("lci am").is_retry()
             }
             EpInner::Mpi { comm, .. } => {

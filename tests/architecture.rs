@@ -322,6 +322,96 @@ fn packets_hold_no_pool_refcount(tree: &[Source]) -> Vec<String> {
         .collect()
 }
 
+/// The attributes and doc lines right above line `i` of `lines`.
+fn attrs_above<'t>(lines: &'t [&str], i: usize) -> impl Iterator<Item = &'t str> {
+    lines[..i]
+        .iter()
+        .rev()
+        .map(|l| l.trim())
+        .take_while(|l| l.starts_with("#[") || l.starts_with("///"))
+}
+
+/// The OFF builder inlines into its caller, so the caller's frame builds
+/// the post's record once: every `CommBuilder` method and every
+/// `Runtime::post_*` in `post.rs` is `#[inline]`.
+fn post_builder_inlines(tree: &[Source]) -> Vec<String> {
+    const POST: &str = "crates/lci/src/post.rs";
+    let Some((_, text)) = tree.iter().find(|(p, _)| p == POST) else {
+        return vec![format!("{POST} not found")];
+    };
+    let lines: Vec<&str> = non_test_lines(text).map(|(_, l)| l).collect();
+    let (mut block, mut seen, mut hits) = ("", 0, Vec::new());
+    for (i, line) in lines.iter().enumerate() {
+        if line.starts_with("impl") {
+            block = line;
+        }
+        let Some(name) =
+            ["    pub fn ", "    pub(crate) fn "].iter().find_map(|p| line.strip_prefix(p))
+        else {
+            continue;
+        };
+        let builder = block.contains("CommBuilder");
+        if !(builder || block.starts_with("impl Runtime") && name.starts_with("post_")) {
+            continue;
+        }
+        seen += 1;
+        if !attrs_above(&lines, i).any(|a| a.starts_with("#[inline")) {
+            hits.push(format!("{POST}:{}: {} (not #[inline])", i + 1, line.trim()));
+        }
+    }
+    if seen == 0 {
+        hits.push(format!("no CommBuilder method or Runtime::post_* found in {POST}"));
+    }
+    hits
+}
+
+/// One reference crosses into the device: `post_comm`, `post_comm_inner`
+/// and each protocol's `post_*_impl` and `post_rendezvous` take
+/// `&mut CommArgs`, never the record by value.
+fn post_args_cross_by_reference(tree: &[Source]) -> Vec<String> {
+    let device =
+        |p: &str| p == "crates/lci/src/device.rs" || p.starts_with("crates/lci/src/device/");
+    let protocol = |name: &str| {
+        name.starts_with("post_comm(")
+            || name.starts_with("post_comm_inner(")
+            || name.starts_with("post_rendezvous(")
+            || name
+                .split('(')
+                .next()
+                .is_some_and(|n| n.starts_with("post_") && n.ends_with("_impl"))
+    };
+    let (mut seen, mut hits) = (0, Vec::new());
+    for (path, text) in tree.iter().filter(|(p, _)| device(p)) {
+        let lines: Vec<(usize, &str)> = non_test_lines(text).collect();
+        for (k, (n, line)) in lines.iter().enumerate() {
+            let Some(name) = line.find("fn ").map(|at| &line[at + 3..]) else { continue };
+            if !protocol(name) {
+                continue;
+            }
+            seen += 1;
+            let mut sig = String::new();
+            for (_, l) in &lines[k..] {
+                sig.push_str(l);
+                if l.ends_with('{') {
+                    break;
+                }
+            }
+            let by_value = sig
+                .match_indices("CommArgs")
+                .any(|(at, _)| !sig[..at].trim_end_matches("mut ").trim_end().ends_with('&'));
+            if by_value {
+                hits.push(format!("{path}:{}: {} (takes CommArgs by value)", n + 1, line.trim()));
+            }
+        }
+    }
+    if seen == 0 {
+        hits.push(
+            "no post_comm or protocol post function found under crates/lci/src/device".into(),
+        );
+    }
+    hits
+}
+
 /// One file, one job: a library source past 1000 lines, tests included,
 /// is due for a split.
 fn sources_stay_readable(tree: &[Source]) -> Vec<String> {
@@ -520,4 +610,47 @@ fn sources_stay_readable_in_the_tree() {
 #[test]
 fn readability_guard_catches_a_plant() {
     catches(sources_stay_readable, "crates/lci/src/planted.rs", &"// line\n".repeat(1001));
+}
+
+#[test]
+fn post_builder_inlines_in_the_tree() {
+    holds(post_builder_inlines, "an OFF builder method or Runtime::post_* is not #[inline]");
+}
+
+#[test]
+fn post_builder_guard_catches_a_plant() {
+    const POST: &str = "crates/lci/src/post.rs";
+    let g = post_builder_inlines;
+    let setter = "impl<'a> CommBuilder<'a> {\n    /// Sets the tag.\n    pub fn tag(mut self, tag: Tag) -> Self {\n        self\n    }\n}\n";
+    catches(g, POST, setter);
+    let derived = "impl Runtime {\n    #[must_use]\n    pub fn post_send_x(&self) -> CommBuilder<'_> {\n        todo!()\n    }\n}\n";
+    catches(g, POST, derived);
+    catches(g, POST, "// no builder here\n");
+    let inlined = setter.replace("    pub fn", "    #[inline]\n    pub fn");
+    assert!(g(&planted(POST, &inlined)).is_empty());
+}
+
+#[test]
+fn post_args_cross_by_reference_in_the_tree() {
+    holds(post_args_cross_by_reference, "a post function takes CommArgs by value");
+}
+
+#[test]
+fn post_args_guard_catches_a_plant() {
+    let g = post_args_cross_by_reference;
+    let eager = "crates/lci/src/device/eager.rs";
+    catches(
+        g,
+        eager,
+        "    pub(super) fn post_send_impl(&self, mut args: CommArgs) -> Result<PostResult> {\n",
+    );
+    let rdv = "    pub(super) fn post_rendezvous(\n        &self,\n        args: CommArgs,\n        buf: SendBuf,\n    ) -> Result<PostResult> {\n";
+    catches(g, "crates/lci/src/device/rdv.rs", rdv);
+    catches(
+        g,
+        "crates/lci/src/device.rs",
+        "    fn post_comm_inner(&self, args: CommArgs) -> Result<PostResult> {\n",
+    );
+    let by_ref = rdv.replace("args: CommArgs", "args: &mut CommArgs");
+    assert!(g(&planted("crates/lci/src/device/rdv.rs", &by_ref)).is_empty());
 }
